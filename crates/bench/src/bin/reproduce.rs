@@ -168,13 +168,12 @@ fn main() {
     }
 }
 
-/// The observability acceptance run: drive an identical mixed workload
-/// through both engines (`QuantumDb` single-threaded and the sharded
-/// `SharedQuantumDb`), then read back `SHOW PROFILE`'s payload and check
-/// that every statement class the driver issued has a histogram whose
-/// count equals the driver's own statement counter and whose percentiles
-/// are non-zero — the jq gates in CI key off this record. With
-/// `--trace-out`, the sharded engine's span stream is exported as JSONL.
+/// The observability acceptance run: drive a mixed workload through the
+/// engine, then read back `SHOW PROFILE`'s payload and check that every
+/// statement class the driver issued has a histogram whose count equals
+/// the driver's own statement counter and whose percentiles are non-zero
+/// — the jq gates in CI key off this record. With `--trace-out`, the
+/// engine's span stream is exported as JSONL.
 fn profile_report(scale: Scale, trace_out: Option<&str>) -> Json {
     use qdb_core::{QuantumDb, QuantumDbConfig};
     use std::collections::BTreeMap;
@@ -186,7 +185,7 @@ fn profile_report(scale: Scale, trace_out: Option<&str>) -> Json {
     println!("== Profile: per-class / per-phase latency histograms ==");
     println!(
         "({flights} flights x {pairs} bookings each + {reads} PEEK/POSSIBLE reads,\n\
-         single and sharded engines; counts must match the driver's own)\n"
+         counts must match the driver's own)\n"
     );
 
     // The workload, as (class, SQL) pairs — the class strings are the
@@ -242,120 +241,112 @@ fn profile_report(scale: Scale, trace_out: Option<&str>) -> Json {
         *expected.entry(class).or_insert(0) += 1;
     }
 
-    let mut engines = Vec::new();
-    for engine in ["single", "sharded"] {
-        let mut qdb = QuantumDb::new(QuantumDbConfig::default()).expect("engine");
-        let profile = if engine == "single" {
-            for (_, sql) in &stmts {
-                qdb.execute(sql).expect("statement");
-            }
-            qdb.profile()
-        } else {
-            if let Some(path) = trace_out {
-                let file = std::fs::File::create(path).expect("trace sink");
-                qdb.obs()
-                    .set_trace(Some(Box::new(std::io::BufWriter::new(file))));
-            }
-            let shared = qdb.into_shared();
-            let session = shared.session();
-            for (_, sql) in &stmts {
-                session.execute(sql).expect("statement");
-            }
-            let profile = shared.profile();
-            // Drop the sink so the BufWriter flushes before we return.
-            shared.obs().set_trace(None);
-            profile
-        };
-
-        let by_class: BTreeMap<&str, qdb_core::HistSummary> = profile
-            .classes
-            .iter()
-            .map(|(name, s)| (name.as_str(), *s))
-            .collect();
-        for (class, want) in &expected {
-            let s = by_class
-                .get(*class)
-                .unwrap_or_else(|| panic!("{engine}: no histogram for class {class}"));
-            assert_eq!(
-                s.count, *want,
-                "{engine}: {class} histogram count vs driver counter"
-            );
-            assert!(s.p50_ns > 0, "{engine}: {class} p50 must be non-zero");
-            assert!(s.p99_ns >= s.p50_ns, "{engine}: {class} p99 < p50");
-        }
-        for need in ["parse", "solve", "apply"] {
-            let s = profile
-                .phases
-                .iter()
-                .find(|(name, _)| name == need)
-                .map(|(_, s)| *s)
-                .unwrap_or_else(|| panic!("{engine}: phase {need} never recorded"));
-            assert!(s.count > 0 && s.p50_ns > 0, "{engine}: phase {need} empty");
-        }
-
-        let us = |ns: u64| ns as f64 / 1000.0;
-        let table: Vec<Vec<String>> = profile
-            .classes
-            .iter()
-            .map(|(name, s)| {
-                vec![
-                    name.clone(),
-                    s.count.to_string(),
-                    format!("{:.1}", us(s.p50_ns)),
-                    format!("{:.1}", us(s.p99_ns)),
-                    format!("{:.1}", us(s.p999_ns)),
-                    format!("{:.1}", us(s.max_ns)),
-                ]
-            })
-            .collect();
-        println!("-- {engine} engine --");
-        println!(
-            "{}",
-            format_table(
-                &["class", "count", "p50_us", "p99_us", "p999_us", "max_us"],
-                &table
-            )
-        );
-
-        let summarize = |name: &str, s: &qdb_core::HistSummary, expected: Option<u64>| {
-            let mut fields = vec![
-                ("name".to_string(), jstr(name.to_string())),
-                ("count".to_string(), num(s.count as f64)),
-            ];
-            if let Some(e) = expected {
-                fields.push(("expected".to_string(), num(e as f64)));
-            }
-            fields.extend([
-                ("p50_us".to_string(), num(us(s.p50_ns))),
-                ("p90_us".to_string(), num(us(s.p90_ns))),
-                ("p99_us".to_string(), num(us(s.p99_ns))),
-                ("p999_us".to_string(), num(us(s.p999_ns))),
-                ("max_us".to_string(), num(us(s.max_ns))),
-            ]);
-            Json::obj(fields)
-        };
-        engines.push(Json::obj([
-            ("engine", jstr(engine)),
-            (
-                "classes",
-                Json::arr(
-                    profile
-                        .classes
-                        .iter()
-                        .map(|(name, s)| summarize(name, s, expected.get(name.as_str()).copied())),
-                ),
-            ),
-            (
-                "phases",
-                Json::arr(
-                    profile
-                        .phases
-                        .iter()
-                        .map(|(name, s)| summarize(name, s, None)),
-                ),
-            ),
-        ]));
+    let engine = "sharded";
+    let shared = QuantumDb::new(QuantumDbConfig::default())
+        .expect("engine")
+        .into_shared();
+    if let Some(path) = trace_out {
+        let file = std::fs::File::create(path).expect("trace sink");
+        shared
+            .obs()
+            .set_trace(Some(Box::new(std::io::BufWriter::new(file))));
     }
+    let session = shared.session();
+    for (_, sql) in &stmts {
+        session.execute(sql).expect("statement");
+    }
+    let profile = shared.profile();
+    // Drop the sink so the BufWriter flushes before we return.
+    shared.obs().set_trace(None);
+
+    let by_class: BTreeMap<&str, qdb_core::HistSummary> = profile
+        .classes
+        .iter()
+        .map(|(name, s)| (name.as_str(), *s))
+        .collect();
+    for (class, want) in &expected {
+        let s = by_class
+            .get(*class)
+            .unwrap_or_else(|| panic!("{engine}: no histogram for class {class}"));
+        assert_eq!(
+            s.count, *want,
+            "{engine}: {class} histogram count vs driver counter"
+        );
+        assert!(s.p50_ns > 0, "{engine}: {class} p50 must be non-zero");
+        assert!(s.p99_ns >= s.p50_ns, "{engine}: {class} p99 < p50");
+    }
+    for need in ["parse", "solve", "apply"] {
+        let s = profile
+            .phases
+            .iter()
+            .find(|(name, _)| name == need)
+            .map(|(_, s)| *s)
+            .unwrap_or_else(|| panic!("{engine}: phase {need} never recorded"));
+        assert!(s.count > 0 && s.p50_ns > 0, "{engine}: phase {need} empty");
+    }
+
+    let us = |ns: u64| ns as f64 / 1000.0;
+    let table: Vec<Vec<String>> = profile
+        .classes
+        .iter()
+        .map(|(name, s)| {
+            vec![
+                name.clone(),
+                s.count.to_string(),
+                format!("{:.1}", us(s.p50_ns)),
+                format!("{:.1}", us(s.p99_ns)),
+                format!("{:.1}", us(s.p999_ns)),
+                format!("{:.1}", us(s.max_ns)),
+            ]
+        })
+        .collect();
+    println!("-- {engine} engine --");
+    println!(
+        "{}",
+        format_table(
+            &["class", "count", "p50_us", "p99_us", "p999_us", "max_us"],
+            &table
+        )
+    );
+
+    let summarize = |name: &str, s: &qdb_core::HistSummary, expected: Option<u64>| {
+        let mut fields = vec![
+            ("name".to_string(), jstr(name.to_string())),
+            ("count".to_string(), num(s.count as f64)),
+        ];
+        if let Some(e) = expected {
+            fields.push(("expected".to_string(), num(e as f64)));
+        }
+        fields.extend([
+            ("p50_us".to_string(), num(us(s.p50_ns))),
+            ("p90_us".to_string(), num(us(s.p90_ns))),
+            ("p99_us".to_string(), num(us(s.p99_ns))),
+            ("p999_us".to_string(), num(us(s.p999_ns))),
+            ("max_us".to_string(), num(us(s.max_ns))),
+        ]);
+        Json::obj(fields)
+    };
+    let engines = vec![Json::obj([
+        ("engine", jstr(engine)),
+        (
+            "classes",
+            Json::arr(
+                profile
+                    .classes
+                    .iter()
+                    .map(|(name, s)| summarize(name, s, expected.get(name.as_str()).copied())),
+            ),
+        ),
+        (
+            "phases",
+            Json::arr(
+                profile
+                    .phases
+                    .iter()
+                    .map(|(name, s)| summarize(name, s, None)),
+            ),
+        ),
+    ])];
     Json::obj([
         ("experiment", jstr("profile")),
         ("flights", num(flights as f64)),
@@ -582,32 +573,25 @@ fn sim_report(scale: Scale) -> (Json, bool) {
     use std::path::Path;
     // The wire engine pays a loopback-TCP round trip per statement, so
     // the PR-path smoke runs it at a reduced seed count; the nightly
-    // full scale runs all three engines over the whole seed range.
+    // full scale runs both engines over the whole seed range.
     let (seeds, wire_seeds, cfg) = match scale {
         Scale::Full => {
-            let mut cfg = SimConfig::smoke(EngineKind::Single);
+            let mut cfg = SimConfig::smoke(EngineKind::Sharded);
             cfg.ops_per_client = 500;
             (1000u64, 1000u64, cfg)
         }
-        Scale::Smoke => (50u64, 12u64, SimConfig::smoke(EngineKind::Single)),
+        Scale::Smoke => (50u64, 12u64, SimConfig::smoke(EngineKind::Sharded)),
     };
     println!("== Simulation: deterministic full-system check (crash injection on) ==");
     println!(
-        "({seeds} seeds x single+sharded, {wire_seeds} seeds x wire, {} clients x {} ops each;\n\
+        "({seeds} seeds x sharded, {wire_seeds} seeds x wire, {} clients x {} ops each;\n\
          black-box serializability + PEEK/POSSIBLE explainability + accounting identity;\n\
          failing traces delta-debugged before artifacts are written)\n",
         cfg.clients, cfg.ops_per_client
     );
     let started = std::time::Instant::now();
     let dir = Path::new("target/sim");
-    let mut outcome = run_sweep(
-        &cfg,
-        1,
-        seeds,
-        &[EngineKind::Single, EngineKind::Sharded],
-        Some(dir),
-        true,
-    );
+    let mut outcome = run_sweep(&cfg, 1, seeds, &[EngineKind::Sharded], Some(dir), true);
     let wire = run_sweep(&cfg, 1, wire_seeds, &[EngineKind::Wire], Some(dir), true);
     outcome.runs += wire.runs;
     outcome.total_ops += wire.total_ops;

@@ -348,7 +348,7 @@ pub fn admission_depth(
         for &depth in depths {
             let (qdb, hist, total) = admission_fill(depth, flights, seats_per_flight, cached, true);
             let lat = hist.summary();
-            let stats = *qdb.solver_stats();
+            let stats = qdb.solver_stats();
             let m = qdb.metrics();
             out.push(AdmissionDepthRow {
                 mode: if cached {
@@ -391,7 +391,7 @@ fn admission_fill(
     cached: bool,
     obs_enabled: bool,
 ) -> (
-    qdb_core::QuantumDb,
+    qdb_core::SharedQuantumDb,
     qdb_core::Histogram,
     std::time::Duration,
 ) {
@@ -406,7 +406,7 @@ fn admission_fill(
     );
     let mut cfg = QuantumDbConfig::with_k(depth + 1);
     cfg.use_solution_cache = cached;
-    let mut qdb = QuantumDb::new(cfg).expect("engine");
+    let qdb = QuantumDb::new(cfg).expect("engine").into_shared();
     qdb.obs().set_enabled(obs_enabled);
     qdb.create_table(
         Schema::new(
@@ -596,7 +596,9 @@ pub fn read_path(sizes: &[usize], depths: &[usize], reads: usize) -> Vec<ReadPat
                 depth * SEATS_PER_FLIGHT
             );
             // Engine under measurement.
-            let mut qdb = QuantumDb::new(QuantumDbConfig::with_k(depth + 1)).expect("engine");
+            let qdb = QuantumDb::new(QuantumDbConfig::with_k(depth + 1))
+                .expect("engine")
+                .into_shared();
             install_flights(&mut |s| qdb.create_table(s).expect("schema"), rows);
             let tuples: Vec<Tuple> = flight_rows(rows).map(|(_, t)| t).collect();
             qdb.bulk_insert("Available", tuples).expect("populate");
@@ -655,7 +657,7 @@ pub fn read_path(sizes: &[usize], depths: &[usize], reads: usize) -> Vec<ReadPat
                 } else {
                     reads.div_ceil(10).max(3)
                 };
-                let metrics_before = qdb.metrics_snapshot();
+                let metrics_before = qdb.metrics();
                 // View phase: the engine's clone-free read path.
                 let view_hist = qdb_core::Histogram::new();
                 let t0 = Instant::now();
@@ -675,7 +677,7 @@ pub fn read_path(sizes: &[usize], depths: &[usize], reads: usize) -> Vec<ReadPat
                 }
                 let view_latency_us = t0.elapsed().as_secs_f64() * 1e6 / reads as f64;
                 let view_lat = view_hist.summary();
-                let m = qdb.metrics_snapshot();
+                let m = qdb.metrics();
                 let db_clones = m.db_clones; // captured before the clone phase
                 let worlds_enumerated = m.worlds_enumerated - metrics_before.worlds_enumerated;
                 let world_dedup_hits = m.world_dedup_hits - metrics_before.world_dedup_hits;
@@ -757,8 +759,10 @@ pub fn phase_transition(rows: usize, attempts: usize) -> Vec<PhaseRow> {
         flights: 1,
         rows_per_flight: rows,
     };
-    let mut qdb = QuantumDb::new(QuantumDbConfig::default()).expect("engine");
-    qdb_workload::flights::install(&mut qdb, &flights).expect("schema");
+    let qdb = QuantumDb::new(QuantumDbConfig::default())
+        .expect("engine")
+        .into_shared();
+    qdb_workload::flights::install(&qdb, &flights).expect("schema");
     let mut out = Vec::with_capacity(attempts);
     let mut admitted = 0usize;
     let mut last_nodes = 0u64;

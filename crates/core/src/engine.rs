@@ -1,21 +1,20 @@
-//! The quantum database engine (`QuantumDb`).
+//! The engine *at rest* ([`QuantumDb`]) and the admission planner.
 //!
 //! State = extensional [`Database`] + partitions of pending resource
-//! transactions + per-partition solution caches + a WAL. See the crate
-//! docs for the operation semantics and the paper mapping.
+//! transactions + per-partition solution caches + a WAL. [`QuantumDb`] is
+//! that state as plain owned data: what construction and crash recovery
+//! produce and what [`QuantumDb::into_shared`] hands to the one engine
+//! that executes statements, [`SharedQuantumDb`]. See the crate docs for
+//! the operation semantics and the paper mapping.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
-use qdb_logic::codec::encode_transaction;
-use qdb_logic::{Atom, Formula, ParsedQuery, ResourceTransaction, Valuation, Var, VarGen};
+use qdb_logic::{Atom, ResourceTransaction, Valuation, Var, VarGen};
 use qdb_solver::{CachedSolution, Solver, SolverStats, TxnSpec};
-use qdb_storage::{ConjunctiveQuery, Database, LogRecord, Schema, Tuple, Wal, WriteOp};
+use qdb_storage::{ConjunctiveQuery, Database, Wal, WriteOp};
 
 use crate::config::QuantumDbConfig;
-use crate::entangle::coordination_partners;
-
-use crate::ground::GroundReason;
-use crate::metrics::{Event, Metrics};
+use crate::metrics::Metrics;
 use crate::partition::Partition;
 use crate::shard::SharedQuantumDb;
 use crate::txn::{PendingTxn, TxnId};
@@ -54,15 +53,20 @@ impl SubmitOutcome {
     }
 }
 
-/// The quantum database engine. Single-threaded core; see
-/// [`SharedQuantumDb`] for a thread-safe handle.
+/// The quantum database engine at rest: the plain owned state that
+/// [`QuantumDb::new`], [`QuantumDb::with_wal`] and [`QuantumDb::recover`]
+/// produce and [`QuantumDb::into_shared`] consumes. It executes nothing —
+/// every statement runs on the [`SharedQuantumDb`] it is promoted into —
+/// but it can be inspected without locks (crash-recovery checks compare
+/// [`QuantumDb::database`] and [`QuantumDb::pending_ids`] against a live
+/// engine).
 pub struct QuantumDb {
     pub(crate) db: Database,
-    pub(crate) partitions: std::collections::BTreeMap<u64, Partition>,
+    pub(crate) partitions: BTreeMap<u64, Partition>,
     pub(crate) next_partition_id: u64,
     pub(crate) next_txn_id: TxnId,
     pub(crate) vargen: VarGen,
-    pub(crate) solver: Solver,
+    pub(crate) solver_stats: SolverStats,
     pub(crate) wal: Wal,
     pub(crate) config: QuantumDbConfig,
     pub(crate) metrics: Metrics,
@@ -92,17 +96,13 @@ impl QuantumDb {
         let obs = std::sync::Arc::new(qdb_obs::Obs::new());
         obs.set_slow_threshold_us(config.slow_op_threshold_us);
         wal.set_obs(Some(obs.clone()));
-        let mut solver = Solver::new(config.solver_order);
-        solver.limits = config.search_limits;
-        solver.seed = config.seed;
-        solver.set_obs(Some(obs.clone()));
         QuantumDb {
             db: Database::new(),
-            partitions: std::collections::BTreeMap::new(),
+            partitions: BTreeMap::new(),
             next_partition_id: 0,
             next_txn_id: 0,
             vargen: VarGen::new(),
-            solver,
+            solver_stats: SolverStats::default(),
             wal,
             config,
             metrics: Metrics::default(),
@@ -110,522 +110,10 @@ impl QuantumDb {
         }
     }
 
-    // -- DDL & loading ------------------------------------------------------
-
-    /// Create a table (logged).
-    pub fn create_table(&mut self, schema: Schema) -> Result<()> {
-        self.db.create_table(schema.clone())?;
-        self.wal.append(&LogRecord::CreateTable(schema))?;
-        Ok(())
+    /// Promote into the thread-safe, partition-sharded engine.
+    pub fn into_shared(self) -> SharedQuantumDb {
+        SharedQuantumDb::from_engine(self)
     }
-
-    /// Create a secondary index (logged).
-    pub fn create_index(&mut self, relation: &str, column: usize) -> Result<()> {
-        self.db.table_mut(relation)?.create_index(column)?;
-        self.wal.append(&LogRecord::CreateIndex {
-            relation: relation.to_string(),
-            column: column as u32,
-        })?;
-        Ok(())
-    }
-
-    /// Insert a batch of rows. With no pending transactions this is a fast
-    /// path (plain inserts); otherwise each row goes through the
-    /// write-admission check.
-    pub fn bulk_insert(&mut self, relation: &str, tuples: Vec<Tuple>) -> Result<usize> {
-        let mut applied = 0;
-        if self.pending_count() == 0 {
-            for t in tuples {
-                if self.db.insert(relation, t.clone())? {
-                    self.wal
-                        .append(&LogRecord::Write(WriteOp::insert(relation, t)))?;
-                    applied += 1;
-                }
-            }
-        } else {
-            for t in tuples {
-                if self.write(WriteOp::insert(relation, t))? {
-                    applied += 1;
-                }
-            }
-        }
-        self.maybe_promote_indexes();
-        Ok(applied)
-    }
-
-    /// Promote columns the access-pattern tracker flagged as hot into
-    /// secondary indexes, logging each promotion (recovery rebuilds them).
-    /// See [`crate::QuantumDbConfig::auto_index_threshold`].
-    ///
-    /// Best-effort by design: it runs *after* the enclosing operation has
-    /// committed and been logged, so a promotion failure (a WAL drain I/O
-    /// error) must not be reported as failure of that operation. Nothing
-    /// is *wrong* after swallowing it either — an index is a rebuildable
-    /// acceleration, so if the `CreateIndex` append fails (and per
-    /// [`Wal::append`]'s contract is rolled out of the log), the worst
-    /// case is a recovered engine that serves correct scans until the
-    /// tracker's votes re-accumulate and promote again.
-    pub(crate) fn maybe_promote_indexes(&mut self) {
-        let threshold = self.config.auto_index_threshold;
-        if threshold == 0 {
-            return;
-        }
-        for (relation, column) in collect_hot_columns(&self.db, threshold) {
-            let created = self
-                .db
-                .table_mut(&relation)
-                .and_then(|t| t.create_index(column));
-            if created.is_err() {
-                continue; // unreachable for tracker-produced columns
-            }
-            let _ = self.wal.append(&LogRecord::CreateIndex {
-                relation,
-                column: column as u32,
-            });
-            self.metrics.indexes_auto_created += 1;
-        }
-    }
-
-    // -- Resource transactions ---------------------------------------------
-
-    /// Submit a resource transaction (§3.2.1).
-    ///
-    /// The body is checked for a consistent grounding given all pending
-    /// transactions it may interact with; on success the transaction
-    /// commits *without* assigning values (it becomes pending), the WAL
-    /// records it for durability, coordination partners are grounded if
-    /// configured (§5.1), and the `k` bound is enforced (§4).
-    pub fn submit(&mut self, txn: &ResourceTransaction) -> Result<SubmitOutcome> {
-        self.metrics.submitted += 1;
-        txn.validate()?;
-        self.validate_schema(txn)?;
-        let freshened = txn.freshen(&mut self.vargen);
-        let id = self.next_txn_id;
-
-        let Some(pid) = self.admit(id, freshened)? else {
-            self.metrics.aborted += 1;
-            if self.config.record_events {
-                self.metrics.events.push(Event::Aborted);
-            }
-            return Ok(SubmitOutcome::Aborted);
-        };
-        self.next_txn_id += 1;
-        self.metrics.committed += 1;
-        if self.config.record_events {
-            self.metrics.events.push(Event::Committed(id));
-        }
-
-        // §5.1: entangled resource transactions are grounded as soon as
-        // both coordination partners are in the system.
-        if self.config.ground_on_partner_arrival {
-            let partition = self
-                .partitions
-                .get(&pid)
-                .expect("admit returned live partition");
-            let new_txn = &partition
-                .txns
-                .iter()
-                .find(|p| p.id == id)
-                .expect("just admitted")
-                .txn;
-            let others: Vec<PendingTxn> = partition
-                .txns
-                .iter()
-                .filter(|p| p.id != id)
-                .cloned()
-                .collect();
-            let mut partners = coordination_partners(new_txn, &others);
-            if !partners.is_empty() {
-                partners.push(id);
-                self.ground_set(pid, &partners, GroundReason::Partner)?;
-            }
-        }
-
-        // §4: bound the composed body size.
-        self.enforce_k(pid)?;
-        // Table 1 counts a transaction as pending until its partner
-        // arrives, so the high-water mark is sampled after partner
-        // grounding and k-enforcement settle.
-        let total_pending = self.pending_count() as u64;
-        self.metrics.max_pending = self.metrics.max_pending.max(total_pending);
-        self.maybe_promote_indexes();
-        Ok(SubmitOutcome::Committed { id })
-    }
-
-    /// Admission: find the partitions the transaction may interact with,
-    /// check the invariant over their union + the newcomer, and (only on
-    /// success) merge and install. Returns the hosting partition id.
-    pub(crate) fn admit(&mut self, id: TxnId, txn: ResourceTransaction) -> Result<Option<u64>> {
-        self.admit_inner(id, txn, true)
-    }
-
-    /// Re-admit a transaction during recovery: same checks and placement,
-    /// but no WAL record (its `PendingAdd` is already in the log).
-    pub(crate) fn admit_recovered(&mut self, id: TxnId, txn: ResourceTransaction) -> Result<bool> {
-        Ok(self.admit_inner(id, txn, false)?.is_some())
-    }
-
-    fn admit_inner(
-        &mut self,
-        id: TxnId,
-        txn: ResourceTransaction,
-        log: bool,
-    ) -> Result<Option<u64>> {
-        let targets: Vec<u64> = if self.config.partitioning {
-            self.partitions
-                .iter()
-                .filter(|(_, p)| p.overlaps(&txn))
-                .map(|(&k, _)| k)
-                .collect()
-        } else {
-            self.partitions.keys().copied().collect()
-        };
-
-        // The admission overlay is only reusable for a single unmerged
-        // target; taking it needs a mutable borrow, so do it first.
-        let cached_overlay = if targets.len() == 1 {
-            self.partitions
-                .get_mut(&targets[0])
-                .and_then(|p| p.overlay_cache.take())
-        } else {
-            None
-        };
-        // Merged view in arrival order, without touching the partitions.
-        let mut merged: Vec<(&PendingTxn, &Valuation)> = Vec::new();
-        for t in &targets {
-            let p = &self.partitions[t];
-            debug_assert_eq!(p.txns.len(), p.cache.len());
-            merged.extend(p.txns.iter().zip(p.cache.valuations.iter()));
-        }
-        merged.sort_by_key(|(p, _)| p.id);
-        // Multi-solution cache (§4 discussion) alternatives are positional
-        // per partition, so they are only usable for a single target.
-        let extras: &[CachedSolution] = if targets.len() == 1 {
-            &self.partitions[&targets[0]].extras
-        } else {
-            &[]
-        };
-
-        let t_plan = std::time::Instant::now();
-        let decision = plan_admission(
-            &mut self.solver,
-            &self.db,
-            &self.config,
-            &merged,
-            extras,
-            cached_overlay,
-            &txn,
-        )?;
-        self.obs.phase(qdb_obs::Phase::Plan, t_plan.elapsed());
-        let plan = match decision {
-            AdmitDecision::Admitted(plan) => plan,
-            AdmitDecision::Refused(overlay) => {
-                // Refusal leaves the partitions untouched (no merge in
-                // this engine): restore the still-valid memo to its
-                // single owner.
-                if targets.len() == 1 {
-                    if let Some(p) = self.partitions.get_mut(&targets[0]) {
-                        p.overlay_cache = overlay;
-                    }
-                }
-                return Ok(None);
-            }
-        };
-        match plan.path {
-            AdmitPath::Extension => self.metrics.cache_extensions += 1,
-            AdmitPath::ExtraHit => self.metrics.cache_extra_hits += 1,
-            AdmitPath::FullResolve => self.metrics.cache_full_resolves += 1,
-        }
-
-        // Install: destructively merge target partitions, append newcomer.
-        let t_apply = std::time::Instant::now();
-        if targets.len() > 1 {
-            self.metrics.partition_merges += 1;
-            if self.config.record_events {
-                self.metrics.events.push(Event::PartitionsMerged {
-                    before: self.partitions.len(),
-                });
-            }
-        }
-        let mut host = Partition::new();
-        for t in &targets {
-            let p = self.partitions.remove(t).expect("target partition present");
-            host.merge(p);
-        }
-        // Durability: log the pending transaction *after* the
-        // satisfiability check, *before* acknowledging commit (§4).
-        if log {
-            self.wal.append(&LogRecord::PendingAdd {
-                id,
-                payload: encode_transaction(&txn),
-            })?;
-        }
-        host.txns.push(PendingTxn::new(id, txn));
-        host.cache = CachedSolution {
-            valuations: plan.valuations,
-        };
-        host.extras = plan.extras;
-        host.overlay_cache = plan.overlay;
-        debug_assert_eq!(host.txns.len(), host.cache.len());
-        let pid = self.next_partition_id;
-        self.next_partition_id += 1;
-        self.partitions.insert(pid, host);
-        self.obs.phase(qdb_obs::Phase::Apply, t_apply.elapsed());
-        Ok(Some(pid))
-    }
-
-    /// Ground the oldest pending transactions of `pid` until the partition
-    /// is within the `k` bound.
-    pub(crate) fn enforce_k(&mut self, pid: u64) -> Result<()> {
-        loop {
-            let Some(p) = self.partitions.get(&pid) else {
-                return Ok(()); // fully grounded and removed
-            };
-            if p.len() <= self.config.k {
-                return Ok(());
-            }
-            let oldest = p.txns[0].id;
-            self.ground_set(pid, &[oldest], GroundReason::KBound)?;
-        }
-    }
-
-    // -- Reads ---------------------------------------------------------------
-
-    /// Read with full collapse semantics (§3.2.2, option 3 — the paper's
-    /// default): pending transactions whose updates unify with the query
-    /// are grounded first; then the query is answered from the
-    /// extensional state, giving ordinary read-repeatability guarantees.
-    pub fn read(&mut self, atoms: &[Atom], limit: Option<usize>) -> Result<Vec<Valuation>> {
-        self.metrics.reads += 1;
-        // Conservative unification-based read check (grounding may expose
-        // further overlaps, so loop to a fixed point).
-        while let Some((pid, id)) = self.read_check_target(atoms) {
-            let partition = &self.partitions[&pid];
-            let target = partition
-                .txns
-                .iter()
-                .find(|p| p.id == id)
-                .expect("read check returned live txn");
-            // Pull in coordination partners so a read does not needlessly
-            // split a pair that could still coordinate.
-            let others: Vec<PendingTxn> = partition
-                .txns
-                .iter()
-                .filter(|p| p.id != id)
-                .cloned()
-                .collect();
-            let mut ids = coordination_partners(&target.txn, &others);
-            ids.push(id);
-            self.ground_set(pid, &ids, GroundReason::Read)?;
-        }
-        self.eval_query(atoms, limit)
-    }
-
-    /// Parse-and-read convenience over [`QuantumDb::read`].
-    pub fn query(&mut self, text: &str) -> Result<Vec<Valuation>> {
-        let parsed = qdb_logic::parse_query(text)?;
-        self.read(&parsed.atoms, None)
-    }
-
-    /// Read the query against a parsed representation (gives access to the
-    /// query's variables for interpreting results).
-    pub fn read_parsed(
-        &mut self,
-        parsed: &ParsedQuery,
-        limit: Option<usize>,
-    ) -> Result<Vec<Valuation>> {
-        self.read(&parsed.atoms, limit)
-    }
-
-    /// Peek semantics (§3.2.2, option 2): answer the query against *one*
-    /// possible world — the cached solution — without fixing anything.
-    /// The returned values carry no stability guarantee.
-    ///
-    /// The world is never materialized: the cached pending updates are
-    /// composed over the base as a [`qdb_storage::DeltaView`] (O(pending),
-    /// zero database clones) and the query evaluates through the view.
-    pub fn read_peek(&mut self, atoms: &[Atom], limit: Option<usize>) -> Result<Vec<Valuation>> {
-        self.metrics.reads_peek += 1;
-        let mut view = qdb_storage::DeltaView::new(&self.db);
-        for p in self.partitions.values() {
-            let refs = p.txn_refs();
-            for op in p.cache.pending_ops(&refs)? {
-                view.apply(&op).map_err(crate::EngineError::Storage)?;
-            }
-        }
-        eval_on(&view, atoms, limit)
-    }
-
-    /// All-possible-values semantics (§3.2.2, option 1): enumerate possible
-    /// worlds (bounded, as deltas over the base) and return the distinct
-    /// answer sets across them. Exposes the uncertainty to the caller.
-    pub fn read_possible(
-        &mut self,
-        atoms: &[Atom],
-        world_bound: usize,
-    ) -> Result<Vec<Vec<Valuation>>> {
-        self.metrics.reads_possible += 1;
-        let mut pending: Vec<&PendingTxn> = self
-            .partitions
-            .values()
-            .flat_map(|p| p.txns.iter())
-            .collect();
-        pending.sort_by_key(|p| p.id);
-        let txns: Vec<&ResourceTransaction> = pending.iter().map(|p| &p.txn).collect();
-        let t_enum = std::time::Instant::now();
-        let worlds =
-            crate::worlds::enumerate_worlds_seeded(&self.db, &txns, world_bound, self.config.seed)?;
-        self.obs.phase(qdb_obs::Phase::WorldEnum, t_enum.elapsed());
-        self.metrics.worlds_enumerated += worlds.enumerated;
-        self.metrics.world_dedup_hits += worlds.dedup_hits;
-        let mut distinct: BTreeSet<Vec<Valuation>> = BTreeSet::new();
-        for w in &worlds.worlds {
-            distinct.insert(eval_on(&w.view(&self.db)?, atoms, None)?);
-        }
-        Ok(distinct.into_iter().collect())
-    }
-
-    fn read_check_target(&self, atoms: &[Atom]) -> Option<(u64, TxnId)> {
-        for (&pid, p) in &self.partitions {
-            for pt in &p.txns {
-                if pt
-                    .txn
-                    .updates
-                    .iter()
-                    .any(|u| atoms.iter().any(|qa| qa.may_overlap(&u.atom)))
-                {
-                    return Some((pid, pt.id));
-                }
-            }
-        }
-        None
-    }
-
-    fn eval_query(&self, atoms: &[Atom], limit: Option<usize>) -> Result<Vec<Valuation>> {
-        eval_on(&self.db, atoms, limit)
-    }
-
-    // -- Writes ---------------------------------------------------------------
-
-    /// A blind non-resource write (§3.2.2 "Writes"). Returns `Ok(true)`
-    /// when applied; `Ok(false)` when rejected because it would leave some
-    /// pending transaction without a consistent grounding.
-    pub fn write(&mut self, op: WriteOp) -> Result<bool> {
-        let as_atom = Atom::new(
-            op.relation(),
-            op.tuple()
-                .iter()
-                .map(|v| qdb_logic::Term::Const(v.clone()))
-                .collect(),
-        );
-        // Partitions whose pending state the write could interact with.
-        let affected: Vec<u64> = self
-            .partitions
-            .iter()
-            .filter(|(_, p)| {
-                p.txns.iter().any(|pt| {
-                    pt.txn
-                        .body
-                        .iter()
-                        .map(|b| &b.atom)
-                        .chain(pt.txn.updates.iter().map(|u| &u.atom))
-                        .any(|a| a.may_overlap(&as_atom))
-                })
-            })
-            .map(|(&k, _)| k)
-            .collect();
-
-        let changed = self.db.apply(&op)?;
-        if affected.is_empty() {
-            if changed {
-                self.wal.append(&LogRecord::Write(op))?;
-                self.metrics.writes_applied += 1;
-            }
-            self.maybe_promote_indexes();
-            return Ok(true);
-        }
-
-        // Re-validate every affected partition against the new base.
-        let mut new_caches: Vec<(u64, Option<CachedSolution>)> = Vec::new();
-        let mut ok = true;
-        for pid in &affected {
-            let p = &self.partitions[pid];
-            let refs = p.txn_refs();
-            if p.cache.verify(&mut self.solver, &self.db, &refs)? {
-                new_caches.push((*pid, None)); // cache still good
-                continue;
-            }
-            match CachedSolution::resolve(&mut self.solver, &self.db, &refs)? {
-                Some(cache) => new_caches.push((*pid, Some(cache))),
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok {
-            // Undo and reject.
-            if changed {
-                self.db.apply(&op.inverse())?;
-            }
-            self.metrics.writes_rejected += 1;
-            if self.config.record_events {
-                self.metrics.events.push(Event::WriteRejected);
-            }
-            return Ok(false);
-        }
-        for (pid, cache) in new_caches {
-            let p = self
-                .partitions
-                .get_mut(&pid)
-                .expect("affected partition present");
-            // The base changed under this partition: alternatives and the
-            // admission overlay are no longer known-good.
-            p.invalidate_solution_caches();
-            if let Some(c) = cache {
-                p.cache = c;
-            }
-        }
-        if changed {
-            self.wal.append(&LogRecord::Write(op))?;
-            self.metrics.writes_applied += 1;
-        }
-        self.maybe_promote_indexes();
-        Ok(true)
-    }
-
-    // -- Grounding ------------------------------------------------------------
-
-    /// Explicitly ground one pending transaction (application-directed
-    /// collapse). Returns `false` when the id is not pending.
-    pub fn ground(&mut self, id: TxnId) -> Result<bool> {
-        let Some((pid, _)) = self.find_txn(id) else {
-            return Ok(false);
-        };
-        self.ground_set(pid, &[id], GroundReason::Explicit)?;
-        Ok(true)
-    }
-
-    /// Ground everything — collapse the quantum state entirely.
-    #[allow(clippy::while_let_loop)] // two fallible bindings per iteration
-    pub fn ground_all(&mut self) -> Result<()> {
-        let pids: Vec<u64> = self.partitions.keys().copied().collect();
-        for pid in pids {
-            loop {
-                let Some(p) = self.partitions.get(&pid) else {
-                    break;
-                };
-                let Some(head) = p.txns.first() else {
-                    break;
-                };
-                let head_id = head.id;
-                self.ground_set(pid, &[head_id], GroundReason::Explicit)?;
-            }
-        }
-        Ok(())
-    }
-
-    // -- Introspection ----------------------------------------------------------
 
     /// The extensional database (tuples fixed so far).
     pub fn database(&self) -> &Database {
@@ -635,64 +123,6 @@ impl QuantumDb {
     /// Engine configuration.
     pub fn config(&self) -> &QuantumDbConfig {
         &self.config
-    }
-
-    /// Engine metrics.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    /// Observability handle: latency histograms, the flight recorder and
-    /// the slow-op log. The WAL and the solver share this handle, so every
-    /// layer records into the same sinks.
-    pub fn obs(&self) -> &std::sync::Arc<qdb_obs::Obs> {
-        &self.obs
-    }
-
-    /// Latency profile snapshot — per statement class and per engine phase
-    /// (the `SHOW PROFILE` payload).
-    pub fn profile(&self) -> qdb_obs::ProfileReport {
-        self.obs.profile()
-    }
-
-    /// Engine metrics with the solver hot-path counters folded in (the
-    /// live [`SolverStats`] mirror into the `solver_*` fields; `SHOW
-    /// METRICS` reports this view), plus the live database clone count
-    /// (`db_clones` — the delta-view read paths keep it at zero).
-    pub fn metrics_snapshot(&self) -> Metrics {
-        let mut m = self.metrics.clone();
-        let s = self.solver.stats();
-        m.solver_nodes = s.nodes;
-        m.solver_candidates_streamed = s.candidates_streamed;
-        m.solver_index_lookups = s.index_lookups;
-        m.solver_scan_lookups = s.scan_lookups;
-        m.solver_candidate_vecs = s.candidate_vecs;
-        m.db_clones = self.db.clone_count();
-        m
-    }
-
-    /// Reset metrics (between experiment phases). Still-pending
-    /// transactions are commits the new epoch inherits, so `committed`
-    /// (and the `max_pending` high-water mark) restart at the pending
-    /// count — keeping `committed − grounded_total` equal to the pending
-    /// count, the invariant the shared handle's
-    /// [`SharedQuantumDb::metrics_with_pending`] preserves (and
-    /// [`QuantumDb::into_shared`] seeds its counters from here).
-    ///
-    /// [`SharedQuantumDb::metrics_with_pending`]: crate::SharedQuantumDb::metrics_with_pending
-    pub fn reset_metrics(&mut self) {
-        self.metrics.reset();
-        self.metrics.committed = self.pending_count() as u64;
-        self.metrics.max_pending = self.metrics.committed;
-        self.solver.reset_stats();
-        // Histograms open the same fresh epoch as the counters, keeping
-        // "per-class histogram count == statement counter" true per epoch.
-        self.obs.reset();
-    }
-
-    /// Solver statistics.
-    pub fn solver_stats(&self) -> &SolverStats {
-        self.solver.stats()
     }
 
     /// Number of pending (committed, unground) transactions.
@@ -715,64 +145,10 @@ impl QuantumDb {
     pub fn partition_count(&self) -> usize {
         self.partitions.len()
     }
-
-    /// The composed body formula (Theorem 3.5) of the partition hosting
-    /// transaction `id` — diagnostics for "what does the quantum state
-    /// look like".
-    pub fn composed_body(&self, id: TxnId) -> Option<Formula> {
-        let (pid, _) = self.find_txn(id)?;
-        let refs = self.partitions[&pid].txn_refs();
-        Some(qdb_logic::compose_renamed(&refs))
-    }
-
-    /// Size of the WAL in bytes.
-    pub fn wal_size(&self) -> u64 {
-        self.wal.size_bytes()
-    }
-
-    /// Highest transaction id assigned so far (0 when none yet).
-    pub fn last_txn_id(&self) -> TxnId {
-        self.next_txn_id.saturating_sub(1)
-    }
-
-    /// Raw WAL image (crash-recovery tests snapshot this to simulate a
-    /// machine failure at an arbitrary point).
-    pub fn wal_image(&mut self) -> Vec<u8> {
-        self.wal
-            .sink_mut()
-            .read_all()
-            .expect("in-memory sinks cannot fail; file sinks report I/O errors on read")
-    }
-
-    /// Append a checkpoint marker to the WAL and drain the group-commit
-    /// buffer to the sink.
-    pub fn checkpoint(&mut self) -> Result<()> {
-        self.wal.append(&LogRecord::Checkpoint)?;
-        self.wal.sync()?;
-        Ok(())
-    }
-
-    /// Promote into the thread-safe, partition-sharded shared handle.
-    pub fn into_shared(self) -> SharedQuantumDb {
-        SharedQuantumDb::from_engine(self)
-    }
-
-    pub(crate) fn find_txn(&self, id: TxnId) -> Option<(u64, usize)> {
-        for (&pid, p) in &self.partitions {
-            if let Some(pos) = p.position(id) {
-                return Some((pid, pos));
-            }
-        }
-        None
-    }
-
-    fn validate_schema(&self, txn: &ResourceTransaction) -> Result<()> {
-        crate::shard::validate_schema_on(&self.db, txn)
-    }
 }
 
 /// Columns the access-pattern tracker flags for promotion, across all
-/// tables (shared by the single-threaded and the sharded engine).
+/// tables.
 pub(crate) fn collect_hot_columns(db: &Database, threshold: u32) -> Vec<(String, usize)> {
     db.tables()
         .flat_map(|t| {
@@ -833,9 +209,9 @@ pub(crate) enum AdmitPath {
 /// alternative solutions, and which cache path succeeded.
 ///
 /// Planning is **pure** (reads the database and the merged partition view,
-/// mutates nothing), so the sharded engine can run it under a shared
-/// base-state read lock — concurrent admissions into disjoint partitions
-/// solve in parallel.
+/// mutates nothing), so the engine runs it under a shared base-state read
+/// lock — concurrent admissions into disjoint partitions solve in
+/// parallel.
 #[derive(Debug)]
 pub(crate) struct AdmitPlan {
     /// Cache valuations, parallel to merged transactions + the newcomer.
@@ -1056,66 +432,4 @@ fn alt_pre_ops(
         }
     }
     Some(alt_ops)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use qdb_logic::parse_transaction;
-    use qdb_storage::{tuple, ValueType};
-
-    fn seat_engine(seats: &[&str]) -> QuantumDb {
-        let mut qdb = QuantumDb::new(QuantumDbConfig::default()).unwrap();
-        qdb.create_table(Schema::new(
-            "Available",
-            vec![("flight", ValueType::Int), ("seat", ValueType::Str)],
-        ))
-        .unwrap();
-        qdb.create_table(Schema::new(
-            "Bookings",
-            vec![
-                ("name", ValueType::Str),
-                ("flight", ValueType::Int),
-                ("seat", ValueType::Str),
-            ],
-        ))
-        .unwrap();
-        for s in seats {
-            qdb.bulk_insert("Available", vec![tuple![1, *s]]).unwrap();
-        }
-        qdb
-    }
-
-    fn book(name: &str) -> ResourceTransaction {
-        parse_transaction(&format!(
-            "-Available(1, s), +Bookings('{name}', 1, s) :-1 Available(1, s)"
-        ))
-        .unwrap()
-    }
-
-    #[test]
-    fn refused_admission_keeps_the_partition_overlay_memo() {
-        let mut qdb = seat_engine(&["1A", "1B"]);
-        assert!(qdb.submit(&book("U1")).unwrap().is_committed());
-        assert!(qdb.submit(&book("U2")).unwrap().is_committed());
-        let memo_present =
-            |qdb: &QuantumDb| qdb.partitions.values().any(|p| p.overlay_cache.is_some());
-        assert!(memo_present(&qdb), "extension path installs the memo");
-        // Capacity exhausted: the third booking is refused — and must not
-        // cost the partition its memo (the next admission would otherwise
-        // rebuild at O(depth)).
-        assert!(!qdb.submit(&book("U3")).unwrap().is_committed());
-        assert!(
-            memo_present(&qdb),
-            "a refusal must restore the rolled-back admission overlay"
-        );
-        // The preserved memo is still correct: freeing a seat admits the
-        // next booking via extension (debug builds also assert the memo
-        // against a fresh rebuild inside plan_admission).
-        qdb.write(WriteOp::insert("Available", tuple![1, "1C"]))
-            .unwrap();
-        let ext_before = qdb.metrics().cache_extensions;
-        assert!(qdb.submit(&book("U4")).unwrap().is_committed());
-        assert_eq!(qdb.metrics().cache_extensions, ext_before + 1);
-    }
 }

@@ -8,7 +8,7 @@
 //! ```
 //! use qdb_core::{QuantumDb, QuantumDbConfig, Response};
 //!
-//! let mut qdb = QuantumDb::new(QuantumDbConfig::default()).unwrap();
+//! let qdb = QuantumDb::new(QuantumDbConfig::default()).unwrap().into_shared();
 //! qdb.execute("CREATE TABLE Available (flight INT, seat TEXT)").unwrap();
 //! qdb.execute("INSERT INTO Available VALUES (123, '5A'), (123, '5B')").unwrap();
 //! let r = qdb.execute(
@@ -40,7 +40,7 @@ use qdb_logic::stmt::{ColumnRef, ReadMode, SelectStmt, Statement};
 use qdb_logic::{ParsedStatement, Valuation, Var};
 use qdb_storage::{Tuple, Value, WriteOp};
 
-use crate::engine::{QuantumDb, SubmitOutcome};
+use crate::engine::SubmitOutcome;
 use crate::error::EngineError;
 use crate::metrics::Metrics;
 use crate::shard::SharedQuantumDb;
@@ -224,145 +224,6 @@ fn row_to_tuple(relation: &str, row: &[qdb_logic::Term]) -> Result<Tuple> {
     Ok(Tuple::from(values))
 }
 
-impl QuantumDb {
-    /// Parse one statement of the unified dialect, counting the parse in
-    /// [`Metrics::parses`]. This is the only text→[`Statement`] path the
-    /// engine itself takes; prepared statements go through it exactly once.
-    pub fn prepare_statement(&mut self, sql: &str) -> Result<ParsedStatement> {
-        self.metrics.parses += 1;
-        let t0 = std::time::Instant::now();
-        let parsed = qdb_logic::parse_statement(sql);
-        self.obs.phase(qdb_obs::Phase::Parse, t0.elapsed());
-        Ok(parsed?)
-    }
-
-    /// Parse and execute one statement. Statements with `?` placeholders
-    /// are rejected here — prepare them through a [`Session`] instead.
-    pub fn execute(&mut self, sql: &str) -> Result<Response> {
-        let parsed = self.prepare_statement(sql)?;
-        let stmt = parsed.statement()?.clone();
-        self.execute_stmt(stmt)
-    }
-
-    /// Execute an already-parsed statement (no parser involvement).
-    ///
-    /// Every statement is bracketed as one observability *op*: its latency
-    /// lands in the per-class histogram, its root (plus any phase spans it
-    /// produced) in the flight recorder, and — over the configured
-    /// [`crate::QuantumDbConfig::slow_op_threshold_us`] — its span tree in
-    /// the slow-op log.
-    pub fn execute_stmt(&mut self, stmt: Statement) -> Result<Response> {
-        let token = self.obs.begin_op(stmt.kind());
-        let result = self.execute_stmt_inner(stmt);
-        let (outcome, txn) = op_outcome(&result);
-        self.obs.finish_op(token, outcome, txn);
-        result
-    }
-
-    fn execute_stmt_inner(&mut self, stmt: Statement) -> Result<Response> {
-        match stmt {
-            Statement::CreateTable(schema) => {
-                self.create_table(schema)?;
-                Ok(Response::Ack)
-            }
-            Statement::CreateIndex { relation, column } => {
-                let column = self.resolve_column(&relation, &column)?;
-                self.create_index(&relation, column)?;
-                Ok(Response::Ack)
-            }
-            Statement::Insert { relation, rows } => {
-                self.blind_writes(&relation, &rows, |r, t| WriteOp::insert(r, t))
-            }
-            Statement::Delete { relation, rows } => {
-                self.blind_writes(&relation, &rows, |r, t| WriteOp::delete(r, t))
-            }
-            Statement::Select(sel) => self.execute_select(sel),
-            Statement::Transaction(txn) => {
-                let txn = txn.to_transaction()?;
-                Ok(match self.submit(&txn)? {
-                    SubmitOutcome::Committed { id } => Response::Committed(id),
-                    SubmitOutcome::Aborted => Response::Aborted,
-                })
-            }
-            Statement::Ground(id) => {
-                // Grounding one id can cascade (coordination partners,
-                // strict-mode prefixes): report the actual collapse count.
-                let before = self.pending_count();
-                self.ground(id)?;
-                Ok(Response::Grounded(before - self.pending_count()))
-            }
-            Statement::GroundAll => {
-                let pending = self.pending_count();
-                self.ground_all()?;
-                Ok(Response::Grounded(pending))
-            }
-            Statement::Checkpoint => {
-                self.checkpoint()?;
-                Ok(Response::Ack)
-            }
-            Statement::ShowMetrics => Ok(Response::Metrics(Box::new(self.metrics_snapshot()))),
-            Statement::ShowPending => Ok(Response::Pending(self.pending_ids())),
-            Statement::ShowProfile => Ok(Response::Profile(Box::new(self.profile()))),
-            Statement::ShowEvents { limit } => Ok(Response::Events(
-                self.obs().events(limit.unwrap_or(DEFAULT_EVENT_LIMIT)),
-            )),
-            Statement::ShowReplication => {
-                // The bare engine is an unreplicated primary; `qdb-server`
-                // intercepts this statement when a stream is attached.
-                let wal_len = self.wal_size();
-                let last = self.last_txn_id();
-                Ok(Response::Replication(Box::new(
-                    crate::repl::ReplicaTracker::new().report(wal_len, last),
-                )))
-            }
-            Statement::Promote => Err(EngineError::Invariant(
-                "PROMOTE requires a replica server (this node is already a primary)".into(),
-            )),
-        }
-    }
-
-    fn execute_select(&mut self, sel: SelectStmt) -> Result<Response> {
-        match sel.mode {
-            ReadMode::Collapse => {
-                let rows = self.read(&sel.atoms, sel.limit)?;
-                Ok(Response::Rows(project(rows, &sel.projection)))
-            }
-            ReadMode::Peek => {
-                let rows = self.read_peek(&sel.atoms, sel.limit)?;
-                Ok(Response::Rows(project(rows, &sel.projection)))
-            }
-            ReadMode::Possible => {
-                let bound = sel.limit.unwrap_or(SelectStmt::DEFAULT_WORLD_BOUND);
-                let worlds = self.read_possible(&sel.atoms, bound)?;
-                Ok(Response::Worlds(
-                    worlds
-                        .into_iter()
-                        .map(|rows| project(rows, &sel.projection))
-                        .collect(),
-                ))
-            }
-        }
-    }
-
-    fn blind_writes(
-        &mut self,
-        relation: &str,
-        rows: &[Vec<qdb_logic::Term>],
-        op: impl Fn(&str, Tuple) -> WriteOp,
-    ) -> Result<Response> {
-        let mut all = true;
-        for row in rows {
-            let tuple = row_to_tuple(relation, row)?;
-            all &= self.write(op(relation, tuple))?;
-        }
-        Ok(Response::Written(all))
-    }
-
-    fn resolve_column(&self, relation: &str, column: &ColumnRef) -> Result<usize> {
-        resolve_column_on(&self.db, relation, column)
-    }
-}
-
 /// Resolve a `CREATE INDEX` column reference (name or position) against a
 /// schema.
 fn resolve_column_on(
@@ -410,10 +271,11 @@ impl SharedQuantumDb {
     /// only the state it touches (see [`SharedQuantumDb`]); statements on
     /// disjoint partitions execute concurrently.
     ///
-    /// Every statement is bracketed as one observability *op*, exactly as
-    /// in [`QuantumDb::execute_stmt`] — both engines record through the
-    /// same [`qdb_obs::Obs`] handle and report the same `SHOW PROFILE`
-    /// shape.
+    /// Every statement is bracketed as one observability *op*: its latency
+    /// lands in the per-class histogram, its root (plus any phase spans it
+    /// produced) in the flight recorder, and — over the configured
+    /// [`crate::QuantumDbConfig::slow_op_threshold_us`] — its span tree in
+    /// the slow-op log.
     pub fn execute_stmt(&self, stmt: Statement) -> Result<Response> {
         let token = self.obs().begin_op(stmt.kind());
         let result = self.execute_stmt_inner(stmt);
@@ -569,9 +431,9 @@ impl StmtCache {
 /// use qdb_core::{QuantumDb, QuantumDbConfig, Response};
 /// use qdb_storage::Value;
 ///
-/// let mut qdb = QuantumDb::new(QuantumDbConfig::default()).unwrap();
+/// let qdb = QuantumDb::new(QuantumDbConfig::default()).unwrap().into_shared();
 /// qdb.execute("CREATE TABLE Available (flight INT, seat TEXT)").unwrap();
-/// let session = qdb.into_shared().session();
+/// let session = qdb.session();
 ///
 /// // Prepare once; the hot loop binds parameters and runs, never
 /// // touching the parser again.
@@ -736,11 +598,14 @@ impl Bound {
 mod tests {
     use super::*;
     use crate::config::QuantumDbConfig;
+    use crate::engine::QuantumDb;
 
     fn session() -> Session {
-        let mut qdb = QuantumDb::new(QuantumDbConfig::default()).unwrap();
+        let qdb = QuantumDb::new(QuantumDbConfig::default())
+            .unwrap()
+            .into_shared();
         qdb.execute("CREATE TABLE R (a INT)").unwrap();
-        qdb.into_shared().session()
+        qdb.session()
     }
 
     fn parses(s: &Session) -> u64 {
@@ -753,9 +618,8 @@ mod tests {
             slow_op_threshold_us: 500,
             ..Default::default()
         };
-        let mut qdb = QuantumDb::new(cfg).unwrap();
-        qdb.execute("CREATE TABLE R (a INT)").unwrap();
-        let shared = qdb.into_shared();
+        let shared = QuantumDb::new(cfg).unwrap().into_shared();
+        shared.execute("CREATE TABLE R (a INT)").unwrap();
         assert!(shared.obs().slow_ops().is_empty(), "nothing slow yet");
         // The test hook stretches the next ops over the 500 µs threshold.
         shared.obs().set_test_delay_us(1_000);

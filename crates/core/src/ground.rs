@@ -21,7 +21,6 @@
 use qdb_logic::Valuation;
 use qdb_solver::{Overlay, TxnSpec};
 
-use crate::engine::QuantumDb;
 use crate::txn::TxnId;
 use crate::Result;
 
@@ -193,9 +192,8 @@ pub(crate) struct GroundedTxn {
 ///
 /// Planning is **pure** — it reads the database (plus `pre_ops`, updates
 /// already planned but not yet applied) and the partition, and mutates
-/// neither. The sharded engine plans under a shared base-state read lock
-/// and applies under the write lock; the single-threaded engine plans and
-/// applies back to back.
+/// neither. The engine plans under a shared base-state read lock and
+/// applies under the write lock.
 #[derive(Debug)]
 pub(crate) struct GroundPlan {
     /// Transactions leaving the pending set, in group order.
@@ -253,7 +251,7 @@ pub(crate) fn strict_order_violation() -> crate::EngineError {
 /// atoms, subject to the remaining pending transactions staying
 /// satisfiable. Returns `None` if no promotion set admits a front-move
 /// grounding. `pre_ops` are updates already planned against `db` but not
-/// yet applied (the sharded `GROUND ALL` planner threads its own
+/// yet applied (the `GROUND ALL` planner threads its own
 /// accumulated updates through; interactive grounding passes `&[]`).
 pub(crate) fn plan_group_front(
     solver: &mut qdb_solver::Solver,
@@ -428,8 +426,7 @@ fn plan_solve_group(
 
 /// Apply the partition-side effects of a plan: drop the grounded
 /// transactions from the pending list and refresh the cache with the
-/// residue valuations. Database/WAL/metrics effects are the caller's —
-/// they differ between the single-threaded and the sharded engine.
+/// residue valuations. Database/WAL/metrics effects are the caller's.
 pub(crate) fn apply_plan_to_partition(p: &mut crate::Partition, plan: &GroundPlan) {
     let idset: std::collections::BTreeSet<TxnId> = plan.grounded.iter().map(|g| g.id).collect();
     p.txns.retain(|t| !idset.contains(&t.id));
@@ -445,7 +442,7 @@ pub(crate) fn apply_plan_to_partition(p: &mut crate::Partition, plan: &GroundPla
 /// shared database: repeatedly ground the partition head (plus partners;
 /// semantic front-move with strict fallback, exactly like interactive
 /// `GROUND ALL`), threading each step's updates through `pre_ops` so later
-/// steps solve against the virtual post-state. The sharded engine runs
+/// steps solve against the virtual post-state. The engine runs
 /// this in parallel across disjoint partitions — §4 independence
 /// guarantees their write sets cannot interact.
 pub(crate) fn plan_ground_all_partition(
@@ -478,129 +475,14 @@ pub(crate) fn plan_ground_all_partition(
             commit(p, &mut pre_ops, &mut out, &plan);
         } else {
             // Strict order (or semantic front-move failed): heads through.
-            while ids.iter().any(|id| p.position(*id).is_some()) {
-                let h = p.txns.first().expect("outstanding ids imply txns").id;
-                let plan =
-                    plan_group_front(solver, db, &pre_ops, config, p, &[h])?.ok_or_else(|| {
-                        crate::EngineError::Invariant(
-                            "head grounding failed although the invariant guarantees a \
-                             sequence-order grounding"
-                                .into(),
-                        )
-                    })?;
+            while let Some(h) = strict_head(p, &ids) {
+                let plan = plan_group_front(solver, db, &pre_ops, config, p, &[h])?
+                    .ok_or_else(strict_order_violation)?;
                 commit(p, &mut pre_ops, &mut out, &plan);
             }
         }
     }
     Ok(out)
-}
-
-impl QuantumDb {
-    /// Ground the pending transactions `ids` (must all live in partition
-    /// `pid`), honoring the configured serializability and grounding
-    /// policy. See module docs.
-    pub(crate) fn ground_set(
-        &mut self,
-        pid: u64,
-        ids: &[TxnId],
-        reason: GroundReason,
-    ) -> Result<()> {
-        let ids: Vec<TxnId> = {
-            let Some(p) = self.partitions.get(&pid) else {
-                return Ok(());
-            };
-            expand_partners(p, ids)
-        };
-        match self.config.serializability {
-            crate::Serializability::Semantic => {
-                if self.try_ground_group(pid, &ids, reason)? {
-                    return Ok(());
-                }
-                // Front-move unsatisfiable in this order: fall back.
-                self.ground_strict_through(pid, &ids, reason)
-            }
-            crate::Serializability::Strict => self.ground_strict_through(pid, &ids, reason),
-        }
-    }
-
-    /// Strict serializability: repeatedly ground the partition *head* (in
-    /// arrival order) until every requested id has been grounded — the
-    /// §3.2.3 "naïve approach".
-    fn ground_strict_through(
-        &mut self,
-        pid: u64,
-        ids: &[TxnId],
-        reason: GroundReason,
-    ) -> Result<()> {
-        loop {
-            let Some(p) = self.partitions.get(&pid) else {
-                return Ok(()); // partition fully grounded and removed
-            };
-            let Some(head) = strict_head(p, ids) else {
-                return Ok(());
-            };
-            if !self.try_ground_group(pid, &[head], reason)? {
-                return Err(strict_order_violation());
-            }
-        }
-    }
-
-    /// Plan a front-move grounding of `ids` and, on success, commit it.
-    fn try_ground_group(&mut self, pid: u64, ids: &[TxnId], reason: GroundReason) -> Result<bool> {
-        let Some(p) = self.partitions.get(&pid) else {
-            return Ok(true); // nothing left to ground
-        };
-        let Some(plan) = plan_group_front(&mut self.solver, &self.db, &[], &self.config, p, ids)?
-        else {
-            return Ok(false);
-        };
-        self.commit_ground_plan(pid, &plan, reason)?;
-        Ok(true)
-    }
-
-    /// Execute a found plan: apply and log the group's updates, remove the
-    /// group from the partition, refresh the cache with the residue
-    /// valuations.
-    pub(crate) fn commit_ground_plan(
-        &mut self,
-        pid: u64,
-        plan: &GroundPlan,
-        reason: GroundReason,
-    ) -> Result<()> {
-        let t_apply = std::time::Instant::now();
-        for g in &plan.grounded {
-            for op in &g.ops {
-                self.db.apply(op)?;
-            }
-            // One atomic frame per transaction: concrete writes + removal
-            // from the pending table cannot be torn apart by a crash.
-            self.wal.append(&qdb_storage::LogRecord::Ground {
-                id: g.id,
-                ops: g.ops.clone(),
-            })?;
-            self.metrics.record_ground(reason);
-            self.metrics.optionals_satisfied += g.promoted as u64;
-            self.metrics.optionals_total += g.total_optionals as u64;
-            if self.config.record_events {
-                self.metrics.events.push(crate::Event::Grounded {
-                    id: g.id,
-                    reason,
-                    optionals_satisfied: g.promoted,
-                    optionals_total: g.total_optionals,
-                });
-            }
-        }
-        let p = self
-            .partitions
-            .get_mut(&pid)
-            .expect("partition existed at plan time");
-        apply_plan_to_partition(p, plan);
-        if p.is_empty() {
-            self.partitions.remove(&pid);
-        }
-        self.obs.phase(qdb_obs::Phase::Apply, t_apply.elapsed());
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -4,9 +4,11 @@
 //! Databases* (Roy, Kot, Koch — CIDR 2013), reimplemented as an embeddable
 //! Rust library.
 //!
-//! A [`QuantumDb`] maintains a partially uncertain state: an extensional
-//! database plus an ordered list of committed resource transactions whose
-//! value assignments are still **pending**. The engine maintains the
+//! The engine ([`SharedQuantumDb`] — one implementation, partition-sharded
+//! and thread-safe; [`QuantumDb`] is its state at rest, as produced by
+//! construction and crash recovery) maintains a partially uncertain state:
+//! an extensional database plus an ordered list of committed resource
+//! transactions whose value assignments are still **pending**. It keeps the
 //! invariant that a consistent grounding exists for all pending
 //! transactions (Definition 3.1) and transforms the state under the four
 //! operations of §3.2:
@@ -28,7 +30,7 @@
 //! use qdb_logic::parse_transaction;
 //! use qdb_storage::{Schema, ValueType, tuple};
 //!
-//! let mut qdb = QuantumDb::new(QuantumDbConfig::default()).unwrap();
+//! let qdb = QuantumDb::new(QuantumDbConfig::default()).unwrap().into_shared();
 //! qdb.create_table(Schema::new(
 //!     "Available",
 //!     vec![("flight", ValueType::Int), ("seat", ValueType::Str)],

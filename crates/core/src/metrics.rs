@@ -112,16 +112,6 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Record a grounding.
-    pub(crate) fn record_ground(&mut self, reason: GroundReason) {
-        match reason {
-            GroundReason::Read => self.grounded_by_read += 1,
-            GroundReason::KBound => self.grounded_by_k += 1,
-            GroundReason::Partner => self.grounded_by_partner += 1,
-            GroundReason::Explicit => self.grounded_explicit += 1,
-        }
-    }
-
     /// Total groundings.
     pub fn grounded_total(&self) -> u64 {
         self.grounded_by_read
@@ -407,12 +397,20 @@ mod tests {
 
     #[test]
     fn ground_reasons_routed_to_counters() {
-        let mut m = Metrics::default();
-        m.record_ground(GroundReason::Read);
-        m.record_ground(GroundReason::KBound);
-        m.record_ground(GroundReason::KBound);
-        m.record_ground(GroundReason::Partner);
-        m.record_ground(GroundReason::Explicit);
+        let a = AtomicMetrics::default();
+        for reason in [
+            GroundReason::Read,
+            GroundReason::KBound,
+            GroundReason::KBound,
+            GroundReason::Partner,
+            GroundReason::Explicit,
+        ] {
+            let t = a.begin();
+            t.record_commit();
+            t.record_ground(reason);
+        }
+        let (mut m, pending) = a.snapshot_with_pending();
+        assert_eq!(pending, 0);
         assert_eq!(m.grounded_by_read, 1);
         assert_eq!(m.grounded_by_k, 2);
         assert_eq!(m.grounded_by_partner, 1);

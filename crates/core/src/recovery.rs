@@ -10,18 +10,29 @@
 //! silently dropping a committed transaction (commits must never roll
 //! back, §2).
 
-use qdb_logic::codec::decode_transaction;
 use qdb_storage::Wal;
 
 use crate::config::QuantumDbConfig;
 use crate::engine::QuantumDb;
-use crate::error::EngineError;
 use crate::Result;
 
 impl QuantumDb {
     /// Rebuild an engine from a WAL (typically after a crash). The torn
     /// tail, if any, is truncated so the recovered engine can keep
     /// appending.
+    ///
+    /// Re-quantization is a *replay mode* of the live admission path, not
+    /// a second implementation of it: the storage-replayed state is
+    /// sharded, every still-pending transaction is re-admitted under its
+    /// logged id — without re-logging (its `PendingAdd` is already in the
+    /// WAL) and without partner grounding or k-enforcement (if those
+    /// happened pre-crash they left their own records) — and the result
+    /// is put back at rest. Recovery therefore appends nothing to the log.
+    ///
+    /// The replay opens a fresh metrics epoch in which the still-pending
+    /// transactions are exactly the commits counted so far, so
+    /// `committed − grounded_total == pending` holds from the first
+    /// post-recovery snapshot onwards.
     pub fn recover(wal: Wal, config: QuantumDbConfig) -> Result<QuantumDb> {
         let state = qdb_storage::recover(&wal)?;
         let mut qdb = QuantumDb::with_wal(config, wal);
@@ -29,31 +40,11 @@ impl QuantumDb {
             qdb.wal.truncate_to(state.consumed_bytes)?;
         }
         qdb.db = state.db;
+        let live = qdb.into_shared();
         for (id, payload) in state.pending {
-            let txn = decode_transaction(&payload).map_err(EngineError::Logic)?;
-            // Keep the global variable space ahead of every recovered id.
-            for v in txn.vars() {
-                qdb.vargen.reserve_through(v.id());
-            }
-            // Re-admit without re-logging (the PendingAdd record is
-            // already in the WAL) and without side effects (partner
-            // grounding / k-enforcement happened, if at all, pre-crash and
-            // left their own records).
-            let admitted = qdb.admit_recovered(id, txn)?;
-            if !admitted {
-                return Err(EngineError::RecoveryUnsatisfiable { txn: id });
-            }
-            qdb.next_txn_id = qdb.next_txn_id.max(id + 1);
+            live.replay_pending_add(id, &payload, false)?;
         }
-        // Recovery opens a fresh metrics epoch. The still-pending
-        // transactions are exactly the commits the new epoch inherits —
-        // the same rule as [`crate::metrics::Metrics`]'s reset — so the
-        // accounting identity `committed − grounded_total == pending`
-        // holds from the first post-recovery snapshot onwards.
-        let pending = qdb.pending_count() as u64;
-        qdb.metrics.committed = pending;
-        qdb.metrics.max_pending = pending;
-        Ok(qdb)
+        live.into_engine()
     }
 }
 
@@ -61,12 +52,16 @@ impl QuantumDb {
 mod tests {
     use super::*;
     use crate::engine::SubmitOutcome;
+    use crate::error::EngineError;
+    use crate::shard::SharedQuantumDb;
     use qdb_logic::parse_transaction;
     use qdb_storage::wal::MemorySink;
     use qdb_storage::{tuple, Schema, ValueType};
 
-    fn build_engine() -> QuantumDb {
-        let mut qdb = QuantumDb::new(QuantumDbConfig::default()).unwrap();
+    fn build_engine() -> SharedQuantumDb {
+        let qdb = QuantumDb::new(QuantumDbConfig::default())
+            .unwrap()
+            .into_shared();
         qdb.create_table(Schema::new(
             "Available",
             vec![("flight", ValueType::Int), ("seat", ValueType::Str)],
@@ -97,27 +92,31 @@ mod tests {
         .unwrap()
     }
 
+    /// "Crash": rebuild from a WAL image.
+    fn recover_image(image: Vec<u8>) -> QuantumDb {
+        let wal = Wal::with_sink(Box::new(MemorySink::from_bytes(image)));
+        QuantumDb::recover(wal, QuantumDbConfig::default()).unwrap()
+    }
+
     #[test]
     fn recovery_restores_pending_state() {
-        let mut qdb = build_engine();
+        let qdb = build_engine();
         let id1 = qdb.submit(&book("Mickey", 1)).unwrap().id().unwrap();
         let _id2 = qdb.submit(&book("Donald", 2)).unwrap().id().unwrap();
         assert_eq!(qdb.pending_count(), 2);
         assert_eq!(qdb.partition_count(), 2); // flights 1 and 2 independent
 
-        // "Crash": rebuild from the WAL image.
-        let image = qdb.wal.sink_mut().read_all().unwrap();
-        let wal = Wal::with_sink(Box::new(MemorySink::from_bytes(image)));
-        let mut recovered = QuantumDb::recover(wal, QuantumDbConfig::default()).unwrap();
+        let recovered = recover_image(qdb.wal_image());
 
         assert_eq!(recovered.pending_count(), 2);
         assert_eq!(recovered.partition_count(), 2);
         assert_eq!(
             crate::worlds::world_fingerprint(recovered.database()),
-            crate::worlds::world_fingerprint(qdb.database()),
+            qdb.with_database(crate::worlds::world_fingerprint),
         );
         // The recovered engine keeps functioning: ground Mickey and read
         // his seat.
+        let recovered = recovered.into_shared();
         assert!(recovered.ground(id1).unwrap());
         let rows = recovered.query("Bookings('Mickey', f, s)").unwrap();
         assert_eq!(rows.len(), 1);
@@ -129,12 +128,10 @@ mod tests {
 
     #[test]
     fn recovery_after_grounding_has_no_pending() {
-        let mut qdb = build_engine();
+        let qdb = build_engine();
         qdb.submit(&book("Mickey", 1)).unwrap();
         qdb.ground_all().unwrap();
-        let image = qdb.wal.sink_mut().read_all().unwrap();
-        let wal = Wal::with_sink(Box::new(MemorySink::from_bytes(image)));
-        let recovered = QuantumDb::recover(wal, QuantumDbConfig::default()).unwrap();
+        let recovered = recover_image(qdb.wal_image());
         assert_eq!(recovered.pending_count(), 0);
         assert_eq!(
             recovered.database().table("Bookings").unwrap().len(),
@@ -145,22 +142,20 @@ mod tests {
 
     #[test]
     fn torn_tail_recovers_to_prefix_and_truncates() {
-        let mut qdb = build_engine();
+        let qdb = build_engine();
         qdb.submit(&book("Mickey", 1)).unwrap();
-        let good = qdb.wal.size_bytes();
+        let good = qdb.wal_size();
         qdb.submit(&book("Donald", 1)).unwrap();
-        let image = qdb.wal.sink_mut().read_all().unwrap();
+        let image = qdb.wal_image();
         // Crash mid-record of Donald's PendingAdd.
         let torn = &image[..(good as usize + 3)];
-        let wal = Wal::with_sink(Box::new(MemorySink::from_bytes(torn.to_vec())));
-        let mut recovered = QuantumDb::recover(wal, QuantumDbConfig::default()).unwrap();
+        let recovered = recover_image(torn.to_vec()).into_shared();
         assert_eq!(recovered.pending_count(), 1, "only Mickey survived");
-        assert_eq!(recovered.wal.size_bytes(), good, "tail truncated");
+        assert_eq!(recovered.wal_size(), good, "tail truncated");
         // Appending after truncation yields a clean log.
         recovered.checkpoint().unwrap();
-        let (records, consumed) =
-            qdb_storage::wal::replay_bytes(&recovered.wal.sink_mut().read_all().unwrap()).unwrap();
-        assert_eq!(consumed, recovered.wal.size_bytes());
+        let (records, consumed) = qdb_storage::wal::replay_bytes(&recovered.wal_image()).unwrap();
+        assert_eq!(consumed, recovered.wal_size());
         assert!(matches!(
             records.last(),
             Some(qdb_storage::LogRecord::Checkpoint)

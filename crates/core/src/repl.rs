@@ -11,37 +11,38 @@
 //!
 //! The pieces, bottom-up:
 //!
-//! * [`QuantumDb::apply_replicated`] — replay one primary log record into a
-//!   replica engine. Unlike crash recovery (which re-solves pending
+//! * [`SharedQuantumDb::apply_replicated`] — replay one primary log record
+//!   into a replica engine, through the engine's ordinary statement paths
+//!   in *replay mode*. Unlike crash recovery (which re-solves pending
 //!   transactions from scratch), replicated replay is **incremental** and
 //!   **choice-preserving**: a `Ground` record applies the primary's logged
 //!   write ops verbatim, never re-solving — both nodes land in the same
-//!   world.
+//!   world. It takes the same slot/base/WAL locks as any statement, so
+//!   PEEK/POSSIBLE readers run concurrently with the stream.
 //! * [`ReplicaApplier`] — a replica engine plus stream cursor. The primary
 //!   slices its WAL at arbitrary byte offsets (it neither knows nor cares
 //!   about frame boundaries), so the applier buffers a partial-frame tail
 //!   and advances by whatever [`qdb_storage::wal::replay_bytes`] consumed.
 //! * [`ReplicaTracker`] — the primary-side ledger of per-replica progress
 //!   backing `SHOW REPLICATION`.
-//! * [`QuantumDb::wal_stream_from`] — the primary-side read: one bounded
-//!   chunk of WAL bytes past an offset.
+//! * [`SharedQuantumDb::wal_stream_from`] — the primary-side read: one
+//!   bounded chunk of WAL bytes past an offset.
 //!
 //! Promotion ([`ReplicaApplier::promote`]) reuses crash recovery: the
 //! replica's local WAL (written record-for-record during replay) is
 //! re-recovered exactly as if the process had crashed, which both proves
 //! the log is a valid engine history and resets solver/metrics state for
-//! a primary's write workload.
+//! a primary's write workload. A promoted node therefore runs exactly the
+//! engine a born primary runs.
 
 use std::collections::BTreeMap;
 
-use qdb_logic::codec::decode_transaction;
-use qdb_solver::CachedSolution;
 use qdb_storage::wal::{replay_bytes, MemorySink};
-use qdb_storage::{LogRecord, Wal, WriteOp};
+use qdb_storage::{LogRecord, Wal};
 
 use crate::engine::QuantumDb;
 use crate::error::EngineError;
-use crate::ground::GroundReason;
+use crate::shard::SharedQuantumDb;
 use crate::txn::TxnId;
 use crate::Result;
 
@@ -182,30 +183,18 @@ impl ReplicaTracker {
     }
 }
 
-impl QuantumDb {
-    /// Primary-side stream read: up to `max` WAL bytes starting at
-    /// `offset`, plus the current WAL length and last assigned txn id.
-    /// An empty byte vector means the replica is caught up. Offsets past
-    /// the end are clamped (a replica that over-acked is simply told the
-    /// true length and polls again).
-    pub fn wal_stream_from(&mut self, offset: u64, max: usize) -> (u64, TxnId, Vec<u8>) {
-        let image = self.wal_image();
-        let len = image.len() as u64;
-        let last_txn = self.last_txn_id();
-        let start = offset.min(len) as usize;
-        let end = (start + max).min(image.len());
-        (len, last_txn, image[start..end].to_vec())
-    }
-
+impl SharedQuantumDb {
     /// Replay one primary log record into this (replica) engine.
     ///
-    /// DDL and blind writes go through the normal engine paths (which
+    /// DDL and blind writes go through the normal statement paths (which
     /// re-log them locally, keeping the replica's WAL a valid history for
-    /// promotion). `PendingAdd` re-admits the transaction without
-    /// re-solving the choice; `Ground` applies the primary's logged ops
-    /// **verbatim** — re-solving locally could pick a different world than
-    /// the primary did, silently diverging the two nodes.
-    pub fn apply_replicated(&mut self, record: &LogRecord) -> Result<()> {
+    /// promotion). `PendingAdd` re-admits the transaction under the
+    /// primary's id without partner grounding or k-enforcement; `Ground`
+    /// applies the primary's logged ops **verbatim** — re-solving locally
+    /// could pick a different world than the primary did, silently
+    /// diverging the two nodes. (A legacy `PendingRemove` is a `Ground`
+    /// with no ops, and is re-logged as one.)
+    pub fn apply_replicated(&self, record: &LogRecord) -> Result<()> {
         match record {
             LogRecord::CreateTable(schema) => self.create_table(schema.clone()),
             LogRecord::CreateIndex { relation, column } => {
@@ -223,94 +212,11 @@ impl QuantumDb {
                 }
                 Ok(())
             }
-            LogRecord::PendingAdd { id, payload } => self.replicate_pending_add(*id, payload),
-            LogRecord::PendingRemove { id } => self.replicate_ground(*id, &[]),
-            LogRecord::Ground { id, ops } => self.replicate_ground(*id, ops),
+            LogRecord::PendingAdd { id, payload } => self.replay_pending_add(*id, payload, true),
+            LogRecord::PendingRemove { id } => self.replay_ground(*id, &[]),
+            LogRecord::Ground { id, ops } => self.replay_ground(*id, ops),
             LogRecord::Checkpoint => self.checkpoint(),
         }
-    }
-
-    /// Re-admit a pending transaction from the stream, preserving the
-    /// primary's id and logging the same `PendingAdd` locally.
-    fn replicate_pending_add(&mut self, id: TxnId, payload: &[u8]) -> Result<()> {
-        let txn = decode_transaction(payload).map_err(EngineError::Logic)?;
-        for v in txn.vars() {
-            self.vargen.reserve_through(v.id());
-        }
-        self.metrics.submitted += 1;
-        if !self.admit_recovered(id, txn)? {
-            // The primary admitted it against the same prefix: a local
-            // refusal means the states diverged, not a normal abort.
-            return Err(EngineError::RecoveryUnsatisfiable { txn: id });
-        }
-        self.wal.append(&LogRecord::PendingAdd {
-            id,
-            payload: payload.to_vec(),
-        })?;
-        self.next_txn_id = self.next_txn_id.max(id + 1);
-        self.metrics.committed += 1;
-        let pending = self.pending_count() as u64;
-        self.metrics.max_pending = self.metrics.max_pending.max(pending);
-        Ok(())
-    }
-
-    /// Collapse a pending transaction the way the primary did: apply the
-    /// primary's logged ops (no local solve), drop the transaction, and
-    /// re-verify the partition's remaining cache against the new base.
-    fn replicate_ground(&mut self, id: TxnId, ops: &[WriteOp]) -> Result<()> {
-        let Some((pid, pos)) = self.find_txn(id) else {
-            return Err(EngineError::Invariant(format!(
-                "replicated ground of unknown pending transaction {id}"
-            )));
-        };
-        for op in ops {
-            self.db.apply(op)?;
-        }
-        {
-            let p = self
-                .partitions
-                .get_mut(&pid)
-                .expect("find_txn returned a live partition");
-            p.remove(pos);
-            // The base and the valuation list both changed: alternatives
-            // and the admission overlay are no longer known-good.
-            p.invalidate_solution_caches();
-        }
-        if self.partitions[&pid].is_empty() {
-            self.partitions.remove(&pid);
-        } else {
-            // The primary refreshed the surviving valuations at ground
-            // time; the replica's cache may be stale against the new base.
-            // Same verify-then-resolve dance as a blind write.
-            let p = &self.partitions[&pid];
-            let refs = p.txn_refs();
-            if !p.cache.verify(&mut self.solver, &self.db, &refs)? {
-                match CachedSolution::resolve(&mut self.solver, &self.db, &refs)? {
-                    Some(cache) => {
-                        self.partitions
-                            .get_mut(&pid)
-                            .expect("partition still present")
-                            .cache = cache;
-                    }
-                    None => {
-                        return Err(EngineError::Invariant(format!(
-                            "replicated ground of {id} left its partition unsatisfiable"
-                        )))
-                    }
-                }
-            }
-        }
-        let record = if ops.is_empty() {
-            LogRecord::PendingRemove { id }
-        } else {
-            LogRecord::Ground {
-                id,
-                ops: ops.to_vec(),
-            }
-        };
-        self.wal.append(&record)?;
-        self.metrics.record_ground(GroundReason::Explicit);
-        Ok(())
     }
 }
 
@@ -322,7 +228,7 @@ impl QuantumDb {
 /// exact regardless of how the segments happen to split frames.
 #[derive(Debug)]
 pub struct ReplicaApplier {
-    db: QuantumDb,
+    db: SharedQuantumDb,
     /// Bytes received but not yet frame-complete.
     tail: Vec<u8>,
     /// Primary WAL bytes fully applied.
@@ -336,7 +242,7 @@ pub struct ReplicaApplier {
 impl ReplicaApplier {
     /// Wrap a fresh engine (it should be empty: the stream starts at
     /// offset 0 and replays the primary's history from the beginning).
-    pub fn new(db: QuantumDb) -> Self {
+    pub fn new(db: SharedQuantumDb) -> Self {
         ReplicaApplier {
             db,
             tail: Vec::new(),
@@ -346,15 +252,10 @@ impl ReplicaApplier {
         }
     }
 
-    /// The replica engine (reads are served from here).
-    pub fn db(&self) -> &QuantumDb {
+    /// The replica engine. Reads are served from here — clone the handle
+    /// to serve PEEK/POSSIBLE concurrently with [`Self::apply_segment`].
+    pub fn db(&self) -> &SharedQuantumDb {
         &self.db
-    }
-
-    /// Mutable access for serving reads (peek/possible paths take `&mut`
-    /// for metrics).
-    pub fn db_mut(&mut self) -> &mut QuantumDb {
-        &mut self.db
     }
 
     /// Primary WAL bytes fully applied.
@@ -431,11 +332,11 @@ impl ReplicaApplier {
     /// WAL, exactly as crash recovery would (the buffered partial frame is
     /// discarded — it was never applied, hence never acknowledged by this
     /// replica). Proves the replayed log is a valid engine history.
-    pub fn promote(mut self) -> Result<QuantumDb> {
+    pub fn promote(self) -> Result<SharedQuantumDb> {
         let config = self.db.config().clone();
-        let image = self.db.wal_image();
+        let image = self.db.try_wal_image()?;
         let wal = Wal::with_sink(Box::new(MemorySink::from_bytes(image)));
-        QuantumDb::recover(wal, config)
+        Ok(QuantumDb::recover(wal, config)?.into_shared())
     }
 }
 
@@ -447,8 +348,10 @@ mod tests {
     use qdb_logic::parse_transaction;
     use qdb_storage::{tuple, Schema, ValueType};
 
-    fn primary() -> QuantumDb {
-        let mut qdb = QuantumDb::new(QuantumDbConfig::default()).unwrap();
+    fn primary() -> SharedQuantumDb {
+        let qdb = QuantumDb::new(QuantumDbConfig::default())
+            .unwrap()
+            .into_shared();
         qdb.create_table(Schema::new(
             "Available",
             vec![("flight", ValueType::Int), ("seat", ValueType::Str)],
@@ -477,13 +380,19 @@ mod tests {
     }
 
     fn replica() -> ReplicaApplier {
-        ReplicaApplier::new(QuantumDb::new(QuantumDbConfig::default()).unwrap())
+        ReplicaApplier::new(
+            QuantumDb::new(QuantumDbConfig::default())
+                .unwrap()
+                .into_shared(),
+        )
     }
 
     /// Stream the primary's whole WAL in `chunk`-byte segments.
-    fn ship(primary: &mut QuantumDb, replica: &mut ReplicaApplier, chunk: usize) {
+    fn ship(primary: &SharedQuantumDb, replica: &mut ReplicaApplier, chunk: usize) {
         loop {
-            let (len, _, bytes) = primary.wal_stream_from(replica.fetch_offset(), chunk);
+            let (len, _, bytes) = primary
+                .wal_stream_from(replica.fetch_offset(), chunk)
+                .unwrap();
             if bytes.is_empty() {
                 assert_eq!(replica.fetch_offset(), len, "caught up means offset == len");
                 break;
@@ -497,18 +406,18 @@ mod tests {
     fn replica_replays_to_identical_state_at_any_chunk_size() {
         // Odd chunk sizes force partial frames at every possible split.
         for chunk in [1, 3, 7, 64, 4096] {
-            let mut p = primary();
+            let p = primary();
             assert!(p.submit(&book("Mickey")).unwrap().is_committed());
             assert!(p.submit(&book("Donald")).unwrap().is_committed());
             p.write(qdb_storage::WriteOp::insert("Available", tuple![1, "1D"]))
                 .unwrap();
             let mut r = replica();
-            ship(&mut p, &mut r, chunk);
+            ship(&p, &mut r, chunk);
             assert_eq!(r.db().pending_count(), 2);
             assert_eq!(r.horizon(), 1, "two pending txns: ids 0 and 1");
             assert_eq!(
-                world_fingerprint(&r.db().db),
-                world_fingerprint(&p.db),
+                r.db().with_database(world_fingerprint),
+                p.with_database(world_fingerprint),
                 "chunk={chunk}: replica must reach the primary's quantum state"
             );
         }
@@ -516,29 +425,29 @@ mod tests {
 
     #[test]
     fn ground_records_replay_verbatim_not_resolved() {
-        let mut p = primary();
+        let p = primary();
         let id = p.submit(&book("Mickey")).unwrap().id().unwrap();
         p.ground(id).unwrap();
         // Whatever seat the primary chose is fixed in the log.
         let chosen: Vec<_> = p.query("Bookings('Mickey', 1, s)").unwrap();
         let mut r = replica();
-        ship(&mut p, &mut r, 16);
+        ship(&p, &mut r, 16);
         assert_eq!(r.db().pending_count(), 0);
         assert_eq!(r.horizon(), id);
         // The replica sees the *same* seat — it replayed the choice, it
         // did not re-make it.
-        let mut replica_db = r.promote().unwrap();
+        let replica_db = r.promote().unwrap();
         let replayed = replica_db.query("Bookings('Mickey', 1, s)").unwrap();
         assert_eq!(chosen, replayed);
     }
 
     #[test]
     fn promotion_recovers_a_writable_engine() {
-        let mut p = primary();
+        let p = primary();
         assert!(p.submit(&book("Mickey")).unwrap().is_committed());
         let mut r = replica();
-        ship(&mut p, &mut r, 32);
-        let mut promoted = r.promote().unwrap();
+        ship(&p, &mut r, 32);
+        let promoted = r.promote().unwrap();
         assert_eq!(promoted.pending_count(), 1);
         // Promoted node continues the txn-id sequence and accepts writes.
         let outcome = promoted.submit(&book("Donald")).unwrap();
@@ -550,9 +459,9 @@ mod tests {
 
     #[test]
     fn noncontiguous_segment_is_refused() {
-        let mut p = primary();
+        let p = primary();
         let mut r = replica();
-        let (_, _, bytes) = p.wal_stream_from(0, 1 << 20);
+        let (_, _, bytes) = p.wal_stream_from(0, 1 << 20).unwrap();
         r.apply_segment(0, &bytes).unwrap();
         let err = r.apply_segment(0, &bytes).unwrap_err();
         assert!(matches!(err, EngineError::Invariant(_)));
@@ -578,16 +487,16 @@ mod tests {
 
     #[test]
     fn replica_serves_reads_at_its_horizon() {
-        let mut p = primary();
+        let p = primary();
         assert!(p.submit(&book("Mickey")).unwrap().is_committed());
         let mut r = replica();
-        ship(&mut p, &mut r, 64);
+        ship(&p, &mut r, 64);
         // Peek and possible-worlds reads work on the replica without
         // grounding anything (pending stays pending).
         let q = qdb_logic::parse_query("Bookings('Mickey', 1, s)").unwrap();
-        let peek = r.db_mut().read_peek(&q.atoms, None).unwrap();
+        let peek = r.db().read_peek(&q.atoms, None).unwrap();
         assert_eq!(peek.len(), 1);
-        let worlds = r.db_mut().read_possible(&q.atoms, 16).unwrap();
+        let worlds = r.db().read_possible(&q.atoms, 16).unwrap();
         assert_eq!(worlds.len(), 3, "one world per available seat");
         assert_eq!(r.db().pending_count(), 1, "reads must not collapse");
     }

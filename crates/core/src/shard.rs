@@ -1,10 +1,11 @@
-//! The partition-sharded concurrent engine: [`SharedQuantumDb`].
+//! The engine: [`SharedQuantumDb`], partition-sharded and concurrent.
 //!
-//! The paper's §4 "Quantum State" design partitions pending resource
-//! transactions into independent sets — *"there is no unification possible
-//! between them"* — and this module exploits that independence for real
-//! concurrency. Instead of one big lock around a [`QuantumDb`], the shared
-//! handle shards its state:
+//! This is the only code that admits, grounds, reads, writes, replays or
+//! recovers; [`QuantumDb`] is merely its state at rest. The paper's §4
+//! "Quantum State" design partitions pending resource transactions into
+//! independent sets — *"there is no unification possible between them"* —
+//! and this module exploits that independence for real concurrency.
+//! Instead of one big lock around the state, the handle shards it:
 //!
 //! * **base** — the extensional [`Database`], behind an RwLock: admission
 //!   solves, PEEK overlays and query evaluation share it; grounding
@@ -91,11 +92,10 @@
 //! ```
 //! use qdb_core::{QuantumDb, QuantumDbConfig, Response};
 //!
-//! let mut qdb = QuantumDb::new(QuantumDbConfig::default()).unwrap();
-//! qdb.execute("CREATE TABLE Available (flight INT, seat TEXT)").unwrap();
-//! qdb.execute("CREATE TABLE Bookings (name TEXT, flight INT, seat TEXT)").unwrap();
-//! qdb.execute("INSERT INTO Available VALUES (1, '1A'), (2, '2A')").unwrap();
-//! let shared = qdb.into_shared();
+//! let shared = QuantumDb::new(QuantumDbConfig::default()).unwrap().into_shared();
+//! shared.execute("CREATE TABLE Available (flight INT, seat TEXT)").unwrap();
+//! shared.execute("CREATE TABLE Bookings (name TEXT, flight INT, seat TEXT)").unwrap();
+//! shared.execute("INSERT INTO Available VALUES (1, '1A'), (2, '2A')").unwrap();
 //!
 //! // Clones share one engine; each thread books a *different* flight, so
 //! // the two admissions live in independent partitions and their solver
@@ -124,8 +124,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
-use qdb_logic::codec::encode_transaction;
-use qdb_logic::{Atom, ResourceTransaction, Valuation, VarGen};
+use qdb_logic::codec::{decode_transaction, encode_transaction};
+use qdb_logic::{Atom, Formula, ResourceTransaction, Valuation, VarGen};
 use qdb_solver::{CachedSolution, Solver, SolverStats, TxnSpec};
 use qdb_storage::{Database, LogRecord, Schema, Tuple, Wal, WriteOp};
 
@@ -135,6 +135,7 @@ use crate::entangle::coordination_partners;
 use crate::error::EngineError;
 use crate::ground::{
     apply_plan_to_partition, expand_partners, plan_group_front, GroundPlan, GroundReason,
+    GroundedTxn,
 };
 use crate::metrics::{AtomicMetrics, Event, Metrics};
 use crate::partition::{Footprint, Partition};
@@ -176,6 +177,18 @@ struct Registry {
     next_pid: u64,
 }
 
+impl Entry {
+    /// A live partition in a fresh slot of its own.
+    fn new(part: Partition) -> Entry {
+        Entry {
+            footprint: part.footprint(),
+            slot: Arc::new(Slot {
+                state: Mutex::new(SlotState { part, dead: false }),
+            }),
+        }
+    }
+}
+
 impl Registry {
     /// Register a non-empty partition in a fresh slot under a fresh id.
     fn install(&mut self, part: Partition) {
@@ -184,15 +197,7 @@ impl Registry {
         }
         let pid = self.next_pid;
         self.next_pid += 1;
-        self.slots.insert(
-            pid,
-            Entry {
-                footprint: part.footprint(),
-                slot: Arc::new(Slot {
-                    state: Mutex::new(SlotState { part, dead: false }),
-                }),
-            },
-        );
+        self.slots.insert(pid, Entry::new(part));
     }
 }
 
@@ -243,9 +248,8 @@ struct Core {
 /// ```
 /// use qdb_core::{QuantumDb, QuantumDbConfig, Response};
 ///
-/// let mut qdb = QuantumDb::new(QuantumDbConfig::default()).unwrap();
-/// qdb.execute("CREATE TABLE R (a INT)").unwrap();
-/// let shared = qdb.into_shared();
+/// let shared = QuantumDb::new(QuantumDbConfig::default()).unwrap().into_shared();
+/// shared.execute("CREATE TABLE R (a INT)").unwrap();
 ///
 /// // Handles are cheap clones sharing one engine.
 /// let clone = shared.clone();
@@ -271,6 +275,22 @@ impl std::fmt::Debug for SharedQuantumDb {
     }
 }
 
+/// How a transaction enters the pending set: the one admission path runs
+/// in either mode.
+enum Admit<'a> {
+    /// A client's submit: the id is allocated inside the WAL critical
+    /// section, then §5.1 partners are grounded and §4's `k` is enforced.
+    Fresh,
+    /// Replay of a logged `PendingAdd` under its original id (crash
+    /// recovery and replicated replay). Partner grounding and
+    /// k-enforcement are skipped — if they happened, they left their own
+    /// `Ground` records, which replay verbatim. `relog` is the payload to
+    /// append to the local WAL; recovery passes `None` (the record is
+    /// already in the log being replayed), a replica passes the primary's
+    /// bytes so its own WAL stays a valid engine history.
+    Replay { id: TxnId, relog: Option<&'a [u8]> },
+}
+
 /// Guard alias for the coarse-lock ablation (held across a whole
 /// statement when enabled, `None` otherwise).
 type CoarseGuard<'a> = Option<std::sync::MutexGuard<'a, ()>>;
@@ -285,7 +305,7 @@ type Reserved<'a> = (
 );
 
 impl SharedQuantumDb {
-    /// Shard a single-threaded engine into a shared handle, preserving its
+    /// Shard an engine at rest into a live handle, preserving its
     /// database, pending partitions, WAL, metrics and id spaces.
     pub(crate) fn from_engine(engine: QuantumDb) -> SharedQuantumDb {
         let QuantumDb {
@@ -294,25 +314,17 @@ impl SharedQuantumDb {
             next_partition_id,
             next_txn_id,
             vargen,
-            solver,
+            solver_stats,
             wal,
             config,
             metrics,
             obs,
         } = engine;
         let pending: u64 = partitions.values().map(|p| p.len() as u64).sum();
-        let mut slots = BTreeMap::new();
-        for (pid, part) in partitions {
-            slots.insert(
-                pid,
-                Entry {
-                    footprint: part.footprint(),
-                    slot: Arc::new(Slot {
-                        state: Mutex::new(SlotState { part, dead: false }),
-                    }),
-                },
-            );
-        }
+        let slots = partitions
+            .into_iter()
+            .map(|(pid, part)| (pid, Entry::new(part)))
+            .collect();
         SharedQuantumDb {
             core: Arc::new(Core {
                 db_clones: db.clone_counter(),
@@ -325,7 +337,7 @@ impl SharedQuantumDb {
                 }),
                 next_txn_id: AtomicU64::new(next_txn_id),
                 metrics: AtomicMetrics::from_metrics(&metrics, pending),
-                solver_stats: Mutex::new(*solver.stats()),
+                solver_stats: Mutex::new(solver_stats),
                 solves_in_flight: AtomicU64::new(0),
                 solves_peak: AtomicU64::new(0),
                 promote_ticks: AtomicU64::new(0),
@@ -334,6 +346,35 @@ impl SharedQuantumDb {
                 config,
             }),
         }
+    }
+
+    /// The inverse of [`SharedQuantumDb::from_engine`]: put a quiescent
+    /// engine back at rest. Recovery shards a fresh state, replays the
+    /// pending transactions through the live admission path and unshards
+    /// the result, so it needs the sole handle — a surviving clone is an
+    /// invariant violation, not a wait.
+    pub(crate) fn into_engine(self) -> Result<QuantumDb> {
+        let core = Arc::try_unwrap(self.core).map_err(|_| {
+            EngineError::Invariant("cannot unshard an engine that still has other handles".into())
+        })?;
+        let (metrics, _) = core.metrics.snapshot_with_pending();
+        let reg = core.reg.into_inner();
+        Ok(QuantumDb {
+            db: core.base.into_inner().db,
+            partitions: reg
+                .slots
+                .into_iter()
+                .map(|(pid, e)| (pid, std::mem::take(&mut e.slot.state.lock().part)))
+                .collect(),
+            next_partition_id: reg.next_pid,
+            next_txn_id: core.next_txn_id.into_inner(),
+            vargen: core.vargen.into_inner(),
+            solver_stats: core.solver_stats.into_inner(),
+            wal: core.wal.into_inner(),
+            config: core.config,
+            metrics,
+            obs: core.obs,
+        })
     }
 
     fn coarse(&self) -> CoarseGuard<'_> {
@@ -446,10 +487,13 @@ impl SharedQuantumDb {
     /// Acquired with no slots held, so the slots-before-base lock order
     /// is respected.
     ///
-    /// Best-effort: it runs after the enclosing operation committed, so a
-    /// promotion failure is never reported as that operation's failure
-    /// (see `QuantumDb::maybe_promote_indexes` for why swallowing is
-    /// safe).
+    /// Best-effort: it runs *after* the enclosing operation committed and
+    /// was logged, so a promotion failure (a WAL drain I/O error) is never
+    /// reported as that operation's failure. Swallowing it is safe: an
+    /// index is a rebuildable acceleration, so if the `CreateIndex`
+    /// append fails (and per [`Wal::append`]'s contract is rolled out of
+    /// the log), the worst case is a recovered engine that serves correct
+    /// scans until the tracker's votes re-accumulate and promote again.
     fn promote_hot_indexes(&self) {
         let threshold = self.core.config.auto_index_threshold;
         if threshold == 0 {
@@ -511,14 +555,43 @@ impl SharedQuantumDb {
             txn.freshen(&mut vg)
         };
         let mut solver = self.solver();
-        let out = self.submit_reserved(&freshened, &mut solver);
+        let out = self.submit_reserved(&freshened, Admit::Fresh, &mut solver);
         self.absorb(&solver);
         out
+    }
+
+    /// Re-admit a logged pending transaction under its original id (see
+    /// [`Admit::Replay`]). The primary — or this engine before its crash —
+    /// admitted it against the same log prefix, so a refusal means the
+    /// log is not a valid engine history: an error, never an abort.
+    pub(crate) fn replay_pending_add(&self, id: TxnId, payload: &[u8], relog: bool) -> Result<()> {
+        let _c = self.coarse();
+        let txn = decode_transaction(payload).map_err(EngineError::Logic)?;
+        {
+            // Keep the global variable space ahead of every replayed id.
+            let mut vg = self.core.vargen.lock();
+            for v in txn.vars() {
+                vg.reserve_through(v.id());
+            }
+        }
+        self.core.metrics.begin().add(|c| &c.submitted, 1);
+        let mode = Admit::Replay {
+            id,
+            relog: relog.then_some(payload),
+        };
+        let mut solver = self.solver();
+        let out = self.submit_reserved(&txn, mode, &mut solver);
+        self.absorb(&solver);
+        match out? {
+            SubmitOutcome::Committed { .. } => Ok(()),
+            SubmitOutcome::Aborted => Err(EngineError::RecoveryUnsatisfiable { txn: id }),
+        }
     }
 
     fn submit_reserved(
         &self,
         txn: &ResourceTransaction,
+        mode: Admit<'_>,
         solver: &mut Solver,
     ) -> Result<SubmitOutcome> {
         {
@@ -572,12 +645,10 @@ impl SharedQuantumDb {
                 AdmitDecision::Refused(overlay) => {
                     // Refused: the merged partition stays merged under its
                     // new id (conservative but safe — merging independent
-                    // partitions never violates the invariant; the
-                    // single-threaded engine merges only on success, but
-                    // here the drain already happened, so count what
-                    // occurred). The host's valuations are unchanged, so
-                    // the rolled-back admission overlay is still its valid
-                    // memo.
+                    // partitions never violates the invariant, and the
+                    // drain already happened, so count what occurred). The
+                    // host's valuations are unchanged, so the rolled-back
+                    // admission overlay is still its valid memo.
                     host.overlay_cache = overlay;
                     st.part = host;
                     self.publish(pid, &mut st);
@@ -600,14 +671,26 @@ impl SharedQuantumDb {
             // Durability: log after the satisfiability check, before
             // acknowledging commit (§4). Id allocation inside the WAL
             // critical section keeps log order == id order.
-            let id = {
-                let mut wal = self.core.wal.lock();
-                let id = self.core.next_txn_id.fetch_add(1, SeqCst);
-                wal.append(&LogRecord::PendingAdd {
-                    id,
-                    payload: encode_transaction(txn),
-                })?;
-                id
+            let id = match mode {
+                Admit::Fresh => {
+                    let mut wal = self.core.wal.lock();
+                    let id = self.core.next_txn_id.fetch_add(1, SeqCst);
+                    wal.append(&LogRecord::PendingAdd {
+                        id,
+                        payload: encode_transaction(txn),
+                    })?;
+                    id
+                }
+                Admit::Replay { id, relog } => {
+                    if let Some(payload) = relog {
+                        self.core.wal.lock().append(&LogRecord::PendingAdd {
+                            id,
+                            payload: payload.to_vec(),
+                        })?;
+                    }
+                    self.core.next_txn_id.fetch_max(id + 1, SeqCst);
+                    id
+                }
             };
             host.txns.push(PendingTxn::new(id, txn.clone()));
             host.cache = CachedSolution {
@@ -638,7 +721,8 @@ impl SharedQuantumDb {
 
             // §5.1: entangled resource transactions are grounded as soon
             // as both coordination partners are in the system.
-            if self.core.config.ground_on_partner_arrival {
+            let fresh = matches!(mode, Admit::Fresh);
+            if fresh && self.core.config.ground_on_partner_arrival {
                 let mut partners = {
                     let new_txn = &st.part.txns.last().expect("just installed").txn;
                     let others: Vec<PendingTxn> = st
@@ -656,7 +740,7 @@ impl SharedQuantumDb {
                 }
             }
             // §4: bound the composed body size.
-            while st.part.len() > self.core.config.k {
+            while fresh && st.part.len() > self.core.config.k {
                 let oldest = st.part.txns[0].id;
                 self.ground_in_slot(&mut st, &[oldest], GroundReason::KBound, solver)?;
             }
@@ -878,6 +962,20 @@ impl SharedQuantumDb {
     }
 
     fn do_ground(&self, id: TxnId, solver: &mut Solver) -> Result<Option<usize>> {
+        self.with_hosting_slot(id, |st| {
+            let before = st.part.len();
+            self.ground_in_slot(st, &[id], GroundReason::Explicit, solver)?;
+            Ok(before - st.part.len())
+        })
+    }
+
+    /// Run `f` on the locked slot hosting pending transaction `id`, then
+    /// re-publish the slot's footprint. `None` when `id` is not pending.
+    fn with_hosting_slot<R>(
+        &self,
+        id: TxnId,
+        mut f: impl FnMut(&mut SlotState) -> Result<R>,
+    ) -> Result<Option<R>> {
         'rescan: loop {
             let snapshot: Vec<(u64, Arc<Slot>)> = {
                 let reg = self.core.reg.lock();
@@ -894,15 +992,68 @@ impl SharedQuantumDb {
                     continue 'rescan;
                 }
                 if st.part.position(id).is_some() {
-                    let before = st.part.len();
-                    self.ground_in_slot(&mut st, &[id], GroundReason::Explicit, solver)?;
-                    let collapsed = before - st.part.len();
+                    let out = f(&mut st);
                     self.publish(pid, &mut st);
-                    return Ok(Some(collapsed));
+                    return out.map(Some);
                 }
             }
             return Ok(None);
         }
+    }
+
+    /// Collapse a pending transaction the way the log says it collapsed
+    /// (replicated replay of a `Ground` record). The logged ops *are* the
+    /// plan: no local choice is made — re-solving could pick a different
+    /// world than the primary did — and only the residue's cached
+    /// valuations are re-verified against them (re-solved when stale,
+    /// like a blind write). The plan then commits like any grounding.
+    pub(crate) fn replay_ground(&self, id: TxnId, ops: &[WriteOp]) -> Result<()> {
+        let _c = self.coarse();
+        let mut solver = self.solver();
+        let out = self.with_hosting_slot(id, |st| {
+            let plan = {
+                let base = self.base_read();
+                let _gauge = self.enter_solve();
+                let (rest, cached): (Vec<&PendingTxn>, Vec<Valuation>) = st
+                    .part
+                    .txns
+                    .iter()
+                    .zip(&st.part.cache.valuations)
+                    .filter(|(t, _)| t.id != id)
+                    .map(|(t, v)| (t, v.clone()))
+                    .unzip();
+                let specs: Vec<TxnSpec> = rest
+                    .iter()
+                    .map(|t| TxnSpec::required_only(&t.txn))
+                    .collect();
+                let rest_vals = if solver.verify(&base.db, ops, &specs, &cached)? {
+                    cached
+                } else {
+                    let sol = solver.solve(&base.db, ops, &specs)?.ok_or_else(|| {
+                        EngineError::Invariant(format!(
+                            "replayed ground of {id} left its partition unsatisfiable"
+                        ))
+                    })?;
+                    sol.valuations
+                };
+                GroundPlan {
+                    grounded: vec![GroundedTxn {
+                        id,
+                        ops: ops.to_vec(),
+                        promoted: 0,
+                        total_optionals: 0,
+                    }],
+                    rest_vals,
+                }
+            };
+            self.commit_plan(st, &plan, GroundReason::Explicit)
+        });
+        self.absorb(&solver);
+        out?.ok_or_else(|| {
+            EngineError::Invariant(format!(
+                "replayed ground of unknown pending transaction {id}"
+            ))
+        })
     }
 
     /// Ground everything — collapse the quantum state entirely.
@@ -1139,6 +1290,13 @@ impl SharedQuantumDb {
     pub fn read(&self, atoms: &[Atom], limit: Option<usize>) -> Result<Vec<Valuation>> {
         let _c = self.coarse();
         self.do_read(atoms, limit)
+    }
+
+    /// Parse-and-read convenience over [`SharedQuantumDb::read`] for a
+    /// datalog query such as `Bookings('Mickey', f, s)`.
+    pub fn query(&self, text: &str) -> Result<Vec<Valuation>> {
+        let parsed = qdb_logic::parse_query(text)?;
+        self.read(&parsed.atoms, None)
     }
 
     fn do_read(&self, atoms: &[Atom], limit: Option<usize>) -> Result<Vec<Valuation>> {
@@ -1518,33 +1676,41 @@ impl SharedQuantumDb {
 
     /// Raw WAL image: drains the group-commit buffer and returns every
     /// durable byte. Crash-injection harnesses snapshot this, truncate at
-    /// an arbitrary offset, and recover — the sharded-engine counterpart
-    /// of [`QuantumDb::wal_image`]. A brief exclusive base acquisition
-    /// fences in-flight writers so the image is a consistent point in the
-    /// log.
+    /// an arbitrary offset, and recover. A brief exclusive base
+    /// acquisition fences in-flight writers so the image is a consistent
+    /// point in the log.
+    ///
+    /// Panics when the sink cannot be read back (in-memory sinks cannot
+    /// fail); serving paths go through
+    /// [`SharedQuantumDb::wal_stream_from`], which reports it instead.
     pub fn wal_image(&self) -> Vec<u8> {
-        let _base = self.base_write();
-        self.core
-            .wal
-            .lock()
-            .sink_mut()
-            .read_all()
+        self.try_wal_image()
             .expect("in-memory sinks cannot fail; file sinks report I/O errors on read")
+    }
+
+    /// [`SharedQuantumDb::wal_image`] reporting a sink read failure as a
+    /// typed error instead of panicking.
+    pub(crate) fn try_wal_image(&self) -> Result<Vec<u8>> {
+        let _base = self.base_write();
+        Ok(self.core.wal.lock().sink_mut().read_all()?)
     }
 
     /// Primary-side replication stream read: up to `max` WAL bytes
     /// starting at `offset`, plus the current WAL length and the last
-    /// assigned transaction id — the sharded counterpart of
-    /// [`QuantumDb::wal_stream_from`]. The image is fenced exactly like
+    /// assigned transaction id. An empty byte vector means the replica is
+    /// caught up. The image is fenced exactly like
     /// [`SharedQuantumDb::wal_image`], so a segment never ends inside a
-    /// partially-drained group. Offsets past the end are clamped.
-    pub fn wal_stream_from(&self, offset: u64, max: usize) -> (u64, TxnId, Vec<u8>) {
-        let image = self.wal_image();
+    /// partially-drained group. Offsets past the end are clamped (a
+    /// replica that over-acked is told the true length and polls again).
+    /// A sink that cannot be read back is an error for this poll, not a
+    /// panic in the thread serving it.
+    pub fn wal_stream_from(&self, offset: u64, max: usize) -> Result<(u64, TxnId, Vec<u8>)> {
+        let image = self.try_wal_image()?;
         let len = image.len() as u64;
         let last_txn = self.last_txn_id();
         let start = offset.min(len) as usize;
         let end = (start + max).min(image.len());
-        (len, last_txn, image[start..end].to_vec())
+        Ok((len, last_txn, image[start..end].to_vec()))
     }
 
     /// Highest transaction id assigned so far (0 when none yet).
@@ -1595,6 +1761,15 @@ impl SharedQuantumDb {
             }
             return ids.into_iter().collect();
         }
+    }
+
+    /// The composed body formula (Theorem 3.5) of the partition hosting
+    /// transaction `id` — diagnostics for "what does the quantum state
+    /// look like".
+    pub fn composed_body(&self, id: TxnId) -> Option<Formula> {
+        self.with_hosting_slot(id, |st| Ok(qdb_logic::compose_renamed(&st.part.txn_refs())))
+            .ok()
+            .flatten()
     }
 
     /// Number of independent partitions currently registered.
@@ -1675,8 +1850,7 @@ impl SlotState {
     }
 }
 
-/// Schema/arity validation for a transaction against a database (shared
-/// between the single-threaded and the sharded engine).
+/// Schema/arity validation for a transaction against a database.
 pub(crate) fn validate_schema_on(db: &Database, txn: &ResourceTransaction) -> Result<()> {
     let atoms = txn
         .body
@@ -1696,4 +1870,91 @@ pub(crate) fn validate_schema_on(db: &Database, txn: &ResourceTransaction) -> Re
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qdb_logic::parse_transaction;
+    use qdb_storage::{tuple, ValueType};
+
+    fn seat_engine(seats: &[&str]) -> SharedQuantumDb {
+        let qdb = QuantumDb::new(QuantumDbConfig::default())
+            .unwrap()
+            .into_shared();
+        qdb.create_table(Schema::new(
+            "Available",
+            vec![("flight", ValueType::Int), ("seat", ValueType::Str)],
+        ))
+        .unwrap();
+        qdb.create_table(Schema::new(
+            "Bookings",
+            vec![
+                ("name", ValueType::Str),
+                ("flight", ValueType::Int),
+                ("seat", ValueType::Str),
+            ],
+        ))
+        .unwrap();
+        for s in seats {
+            qdb.bulk_insert("Available", vec![tuple![1, *s]]).unwrap();
+        }
+        qdb
+    }
+
+    fn book(name: &str) -> ResourceTransaction {
+        parse_transaction(&format!(
+            "-Available(1, s), +Bookings('{name}', 1, s) :-1 Available(1, s)"
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn refused_admission_keeps_the_partition_overlay_memo() {
+        let qdb = seat_engine(&["1A", "1B"]);
+        assert!(qdb.submit(&book("U1")).unwrap().is_committed());
+        assert!(qdb.submit(&book("U2")).unwrap().is_committed());
+        let memo_present = |qdb: &SharedQuantumDb| {
+            let reg = qdb.core.reg.lock();
+            reg.slots
+                .values()
+                .any(|e| e.slot.state.lock().part.overlay_cache.is_some())
+        };
+        assert!(memo_present(&qdb), "extension path installs the memo");
+        // Capacity exhausted: the third booking is refused — and must not
+        // cost the partition its memo (the next admission would otherwise
+        // rebuild at O(depth)).
+        assert!(!qdb.submit(&book("U3")).unwrap().is_committed());
+        assert!(
+            memo_present(&qdb),
+            "a refusal must restore the rolled-back admission overlay"
+        );
+        // The preserved memo is still correct: freeing a seat admits the
+        // next booking via extension (debug builds also assert the memo
+        // against a fresh rebuild inside plan_admission).
+        qdb.write(WriteOp::insert("Available", tuple![1, "1C"]))
+            .unwrap();
+        let ext_before = qdb.metrics().cache_extensions;
+        assert!(qdb.submit(&book("U4")).unwrap().is_committed());
+        assert_eq!(qdb.metrics().cache_extensions, ext_before + 1);
+    }
+
+    #[test]
+    fn unsharding_needs_the_sole_handle_and_round_trips_the_state() {
+        let qdb = seat_engine(&["1A", "1B"]);
+        let id = qdb.submit(&book("U1")).unwrap().id().unwrap();
+        let clone = qdb.clone();
+        assert!(matches!(
+            clone.into_engine(),
+            Err(EngineError::Invariant(_))
+        ));
+        let rest = qdb.into_engine().unwrap();
+        assert_eq!(rest.pending_ids(), vec![id]);
+        assert_eq!(rest.partition_count(), 1);
+        assert_eq!(rest.database().table("Available").unwrap().len(), 2);
+        // Re-sharding picks up exactly where the handle left off.
+        let live = rest.into_shared();
+        assert_eq!(live.metrics_with_pending().1, 1);
+        assert_eq!(live.submit(&book("U2")).unwrap().id(), Some(id + 1));
+    }
 }

@@ -25,6 +25,11 @@ impl<T> Mutex<T> {
     pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
+
+    /// Consume the mutex, returning the value (poisoning ignored).
+    pub fn into_inner(self) -> T {
+        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A reader-writer lock whose `read`/`write` return guards directly.
@@ -50,6 +55,11 @@ impl<T> RwLock<T> {
     /// Acquire an exclusive write guard, recovering from poisoning.
     pub fn write(&self) -> std::sync::RwLockWriteGuard<'_, T> {
         self.0.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Consume the lock, returning the value (poisoning ignored).
+    pub fn into_inner(self) -> T {
+        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -10,7 +10,7 @@
 //! [`DeltaView`]. Forking is O(pending ops), deduplication fingerprints
 //! net deltas instead of serializing whole databases, and the base is
 //! only ever *read*. Exponential in pending depth by nature, therefore
-//! bounded: it powers [`crate::QuantumDb::read_possible`], the Figure 2
+//! bounded: it powers [`crate::SharedQuantumDb::read_possible`], the Figure 2
 //! example, and the property tests that cross-validate the solver against
 //! the possible-worlds semantics (intensional SAT ⟺ non-empty world set).
 

@@ -2,13 +2,15 @@
 //! Behavioural tests for the quantum database engine: the §1–§3 narratives
 //! of the paper, operation by operation.
 
-use qdb_core::{GroundingPolicy, QuantumDb, QuantumDbConfig, Serializability, SubmitOutcome};
+use qdb_core::{
+    GroundingPolicy, QuantumDb, QuantumDbConfig, Serializability, SharedQuantumDb, SubmitOutcome,
+};
 use qdb_logic::{parse_query, parse_transaction, ResourceTransaction};
 use qdb_storage::{tuple, Schema, Tuple, ValueType, WriteOp};
 
 /// Travel schema with one flight `123` holding one row of three seats.
-fn travel_engine(config: QuantumDbConfig) -> QuantumDb {
-    let mut qdb = QuantumDb::new(config).unwrap();
+fn travel_engine(config: QuantumDbConfig) -> SharedQuantumDb {
+    let qdb = QuantumDb::new(config).unwrap().into_shared();
     qdb.create_table(Schema::new(
         "Available",
         vec![("flight", ValueType::Int), ("seat", ValueType::Str)],
@@ -70,9 +72,9 @@ fn book_next_to(name: &str, partner: &str) -> ResourceTransaction {
     .unwrap()
 }
 
-fn seat_of(qdb: &mut QuantumDb, name: &str) -> Option<String> {
+fn seat_of(qdb: &SharedQuantumDb, name: &str) -> Option<String> {
     let q = parse_query(&format!("Bookings('{name}', f, s)")).unwrap();
-    let rows = qdb.read_parsed(&q, None).unwrap();
+    let rows = qdb.read(&q.atoms, None).unwrap();
     rows.first().map(|v| {
         v.get(q.var("s").unwrap())
             .unwrap()
@@ -84,26 +86,32 @@ fn seat_of(qdb: &mut QuantumDb, name: &str) -> Option<String> {
 
 #[test]
 fn commit_defers_assignment_until_read() {
-    let mut qdb = travel_engine(QuantumDbConfig::default());
+    let qdb = travel_engine(QuantumDbConfig::default());
     let out = qdb.submit(&book("Mickey")).unwrap();
     assert!(out.is_committed());
     // No extensional booking yet: the state is quantum.
-    assert_eq!(qdb.database().table("Bookings").unwrap().len(), 0);
+    assert_eq!(
+        qdb.with_database(|db| db.table("Bookings").unwrap().len()),
+        0
+    );
     assert_eq!(qdb.pending_count(), 1);
     // The read collapses it.
-    let seat = seat_of(&mut qdb, "Mickey").expect("booked");
+    let seat = seat_of(&qdb, "Mickey").expect("booked");
     assert_eq!(qdb.pending_count(), 0);
-    assert_eq!(qdb.database().table("Bookings").unwrap().len(), 1);
+    assert_eq!(
+        qdb.with_database(|db| db.table("Bookings").unwrap().len()),
+        1
+    );
     assert_eq!(qdb.metrics().grounded_by_read, 1);
     // Read repeatability: the same read returns the same seat.
-    assert_eq!(seat_of(&mut qdb, "Mickey"), Some(seat));
+    assert_eq!(seat_of(&qdb, "Mickey"), Some(seat));
 }
 
 #[test]
 fn admission_rejects_overbooking() {
     // Three seats: fourth booking must abort (Definition 3.1's ∅ state is
     // never entered).
-    let mut qdb = travel_engine(QuantumDbConfig::default());
+    let qdb = travel_engine(QuantumDbConfig::default());
     for i in 0..3 {
         assert!(qdb.submit(&book(&format!("U{i}"))).unwrap().is_committed());
     }
@@ -111,15 +119,21 @@ fn admission_rejects_overbooking() {
     assert_eq!(qdb.metrics().aborted, 1);
     // The three committed ones are still guaranteed.
     qdb.ground_all().unwrap();
-    assert_eq!(qdb.database().table("Bookings").unwrap().len(), 3);
-    assert_eq!(qdb.database().table("Available").unwrap().len(), 0);
+    assert_eq!(
+        qdb.with_database(|db| db.table("Bookings").unwrap().len()),
+        3
+    );
+    assert_eq!(
+        qdb.with_database(|db| db.table("Available").unwrap().len()),
+        0
+    );
 }
 
 #[test]
 fn pluto_hard_constraint_wins_over_mickeys_optional() {
     // §2: Mickey's optional preference for 5A-like seats must yield to
     // Pluto's hard request for the specific seat.
-    let mut qdb = travel_engine(QuantumDbConfig::default());
+    let qdb = travel_engine(QuantumDbConfig::default());
     // Mickey books any seat, with an optional preference pinning seat 1A.
     let mickey = parse_transaction(
         "-Available(f, s), +Bookings('Mickey', f, s) :-1 \
@@ -137,14 +151,14 @@ fn pluto_hard_constraint_wins_over_mickeys_optional() {
         .unwrap()
         .is_committed());
     qdb.ground_all().unwrap();
-    assert_eq!(seat_of(&mut qdb, "Pluto"), Some("1A".to_string()));
-    let mickey_seat = seat_of(&mut qdb, "Mickey").unwrap();
+    assert_eq!(seat_of(&qdb, "Pluto"), Some("1A".to_string()));
+    let mickey_seat = seat_of(&qdb, "Mickey").unwrap();
     assert_ne!(mickey_seat, "1A");
 }
 
 #[test]
 fn entangled_pair_grounds_on_partner_arrival_and_sits_adjacent() {
-    let mut qdb = travel_engine(QuantumDbConfig::default());
+    let qdb = travel_engine(QuantumDbConfig::default());
     // Mickey arrives first, wants to sit next to Goofy (not yet here):
     // forward constraint, stays pending.
     assert!(qdb
@@ -159,30 +173,29 @@ fn entangled_pair_grounds_on_partner_arrival_and_sits_adjacent() {
         .is_committed());
     assert_eq!(qdb.pending_count(), 0);
     assert_eq!(qdb.metrics().grounded_by_partner, 2);
-    let m = seat_of(&mut qdb, "Mickey").unwrap();
-    let g = seat_of(&mut qdb, "Goofy").unwrap();
+    let m = seat_of(&qdb, "Mickey").unwrap();
+    let g = seat_of(&qdb, "Goofy").unwrap();
     assert!(
-        qdb.database()
-            .contains("Adjacent", &tuple![m.as_str(), g.as_str()]),
+        qdb.with_database(|db| db.contains("Adjacent", &tuple![m.as_str(), g.as_str()])),
         "Mickey({m}) and Goofy({g}) must be adjacent"
     );
 }
 
 #[test]
 fn partner_never_arrives_coordination_drops_but_booking_survives() {
-    let mut qdb = travel_engine(QuantumDbConfig::default());
+    let qdb = travel_engine(QuantumDbConfig::default());
     assert!(qdb
         .submit(&book_next_to("Mickey", "Goofy"))
         .unwrap()
         .is_committed());
     // Goofy never shows up; Mickey checks in anyway.
-    let seat = seat_of(&mut qdb, "Mickey");
+    let seat = seat_of(&qdb, "Mickey");
     assert!(seat.is_some(), "§5.1: Mickey keeps a seat regardless");
 }
 
 #[test]
 fn blind_write_that_breaks_pending_state_is_rejected() {
-    let mut qdb = travel_engine(QuantumDbConfig::default());
+    let qdb = travel_engine(QuantumDbConfig::default());
     // Pin Mickey to seat 1A via hard constraint.
     let mickey = parse_transaction(
         "-Available(f, '1A'), +Bookings('Mickey', f, '1A') :-1 Available(f, '1A')",
@@ -195,18 +208,18 @@ fn blind_write_that_breaks_pending_state_is_rejected() {
         .unwrap();
     assert!(!rejected);
     assert_eq!(qdb.metrics().writes_rejected, 1);
-    assert!(qdb.database().contains("Available", &tuple![123, "1A"]));
+    assert!(qdb.with_database(|db| db.contains("Available", &tuple![123, "1A"])));
     // …while deleting an unrelated seat is fine.
     assert!(qdb
         .write(WriteOp::delete("Available", tuple![123, "1C"]))
         .unwrap());
     // And the pending booking still completes.
-    assert_eq!(seat_of(&mut qdb, "Mickey"), Some("1A".to_string()));
+    assert_eq!(seat_of(&qdb, "Mickey"), Some("1A".to_string()));
 }
 
 #[test]
 fn blind_write_that_shrinks_slack_forces_resolve_but_succeeds() {
-    let mut qdb = travel_engine(QuantumDbConfig::default());
+    let qdb = travel_engine(QuantumDbConfig::default());
     assert!(qdb.submit(&book("Mickey")).unwrap().is_committed());
     // Deleting any one seat keeps Mickey satisfiable (two seats remain).
     assert!(qdb
@@ -219,7 +232,7 @@ fn blind_write_that_shrinks_slack_forces_resolve_but_succeeds() {
     assert!(!qdb
         .write(WriteOp::delete("Available", tuple![123, "1C"]))
         .unwrap());
-    assert_eq!(seat_of(&mut qdb, "Mickey"), Some("1C".to_string()));
+    assert_eq!(seat_of(&qdb, "Mickey"), Some("1C".to_string()));
 }
 
 #[test]
@@ -227,7 +240,7 @@ fn cancellation_reopens_options_for_pending_transactions() {
     // §1's Delta scenario in miniature: Mickey is pending; a cancellation
     // (blind insert into Available) widens his options, which semantic
     // serializability is allowed to use.
-    let mut qdb = travel_engine(QuantumDbConfig::default());
+    let qdb = travel_engine(QuantumDbConfig::default());
     for i in 0..3 {
         assert!(qdb.submit(&book(&format!("U{i}"))).unwrap().is_committed());
     }
@@ -239,32 +252,35 @@ fn cancellation_reopens_options_for_pending_transactions() {
         .unwrap());
     assert!(qdb.submit(&book("Mickey")).unwrap().is_committed());
     qdb.ground_all().unwrap();
-    assert_eq!(qdb.database().table("Bookings").unwrap().len(), 4);
+    assert_eq!(
+        qdb.with_database(|db| db.table("Bookings").unwrap().len()),
+        4
+    );
 }
 
 #[test]
 fn k_bound_forces_grounding_of_oldest() {
     let mut cfg = QuantumDbConfig::with_k(2);
     cfg.ground_on_partner_arrival = false;
-    let mut qdb = travel_engine(cfg);
+    let qdb = travel_engine(cfg);
     for i in 0..3 {
         assert!(qdb.submit(&book(&format!("U{i}"))).unwrap().is_committed());
     }
     // k = 2: the third admission forces U0 to ground.
     assert_eq!(qdb.pending_count(), 2);
     assert_eq!(qdb.metrics().grounded_by_k, 1);
-    assert!(seat_of(&mut qdb, "U0").is_some());
+    assert!(seat_of(&qdb, "U0").is_some());
 }
 
 #[test]
 fn semantic_read_grounds_only_the_target() {
-    let mut qdb = travel_engine(QuantumDbConfig::default());
+    let qdb = travel_engine(QuantumDbConfig::default());
     let _u0 = qdb.submit(&book_seat("U0", "1A")).unwrap().id().unwrap();
     let _u1 = qdb.submit(&book_seat("U1", "1B")).unwrap().id().unwrap();
     let u2 = qdb.submit(&book_seat("U2", "1C")).unwrap().id().unwrap();
     // Reading U2's booking under semantic serializability front-moves U2
     // only; U0 and U1 stay pending.
-    assert_eq!(seat_of(&mut qdb, "U2"), Some("1C".to_string()));
+    assert_eq!(seat_of(&qdb, "U2"), Some("1C".to_string()));
     assert_eq!(qdb.pending_count(), 2);
     let _ = u2;
 }
@@ -275,22 +291,22 @@ fn strict_read_grounds_the_whole_prefix() {
     // share one partition; under Strict, reading U2 grounds U0 and U1 too.
     let mut cfg = QuantumDbConfig::default();
     cfg.serializability = Serializability::Strict;
-    let mut qdb = travel_engine(cfg);
+    let qdb = travel_engine(cfg);
     qdb.submit(&book("U0")).unwrap();
     qdb.submit(&book("U1")).unwrap();
     qdb.submit(&book("U2")).unwrap();
-    assert!(seat_of(&mut qdb, "U2").is_some());
+    assert!(seat_of(&qdb, "U2").is_some());
     assert_eq!(qdb.pending_count(), 0);
     // Contrast: constant-seat bookings do NOT overlap — they partition
     // per seat, and strict grounding stays within the partition.
     let mut cfg = QuantumDbConfig::default();
     cfg.serializability = Serializability::Strict;
-    let mut qdb = travel_engine(cfg);
+    let qdb = travel_engine(cfg);
     qdb.submit(&book_seat("U0", "1A")).unwrap();
     qdb.submit(&book_seat("U1", "1B")).unwrap();
     qdb.submit(&book_seat("U2", "1C")).unwrap();
     assert_eq!(qdb.partition_count(), 3);
-    assert_eq!(seat_of(&mut qdb, "U2"), Some("1C".to_string()));
+    assert_eq!(seat_of(&qdb, "U2"), Some("1C".to_string()));
     assert_eq!(qdb.pending_count(), 2);
 }
 
@@ -301,7 +317,7 @@ fn semantic_serializability_can_use_later_state_for_earlier_commits() {
     // semantic serializability may (and here, deterministically does not
     // have to) use Tuesday's availability. What *must* hold is intent:
     // Mickey has some seat.
-    let mut qdb = travel_engine(QuantumDbConfig::default());
+    let qdb = travel_engine(QuantumDbConfig::default());
     qdb.write(WriteOp::delete("Available", tuple![123, "1B"]))
         .unwrap();
     qdb.write(WriteOp::delete("Available", tuple![123, "1C"]))
@@ -317,30 +333,33 @@ fn semantic_serializability_can_use_later_state_for_earlier_commits() {
         .unwrap()
         .is_committed());
     qdb.ground_all().unwrap();
-    assert_eq!(seat_of(&mut qdb, "Donald"), Some("1A".to_string()));
-    assert_eq!(seat_of(&mut qdb, "Mickey"), Some("1B".to_string()));
+    assert_eq!(seat_of(&qdb, "Donald"), Some("1A".to_string()));
+    assert_eq!(seat_of(&qdb, "Mickey"), Some("1B".to_string()));
 }
 
 #[test]
 fn read_peek_exposes_a_world_without_fixing() {
-    let mut qdb = travel_engine(QuantumDbConfig::default());
+    let qdb = travel_engine(QuantumDbConfig::default());
     qdb.submit(&book("Mickey")).unwrap();
     let q = parse_query("Bookings('Mickey', f, s)").unwrap();
     let peeked = qdb.read_peek(&q.atoms, None).unwrap();
     assert_eq!(peeked.len(), 1, "peek sees the cached world's booking");
     // Nothing collapsed.
     assert_eq!(qdb.pending_count(), 1);
-    assert_eq!(qdb.database().table("Bookings").unwrap().len(), 0);
+    assert_eq!(
+        qdb.with_database(|db| db.table("Bookings").unwrap().len()),
+        0
+    );
     // And nothing was materialized: the peek evaluated a delta view over
     // the base, never a cloned database.
-    let m = qdb.metrics_snapshot();
+    let m = qdb.metrics();
     assert_eq!(m.db_clones, 0, "peek must not clone the database");
     assert_eq!(m.reads_peek, 1);
 }
 
 #[test]
 fn read_possible_exposes_all_worlds() {
-    let mut qdb = travel_engine(QuantumDbConfig::default());
+    let qdb = travel_engine(QuantumDbConfig::default());
     qdb.submit(&book("Mickey")).unwrap();
     let q = parse_query("Bookings('Mickey', f, s)").unwrap();
     let possible = qdb.read_possible(&q.atoms, 100).unwrap();
@@ -349,7 +368,7 @@ fn read_possible_exposes_all_worlds() {
     assert!(possible.iter().all(|rows| rows.len() == 1));
     assert_eq!(qdb.pending_count(), 1, "option 1 never collapses");
     // World enumeration forked deltas, not databases.
-    let m = qdb.metrics_snapshot();
+    let m = qdb.metrics();
     assert_eq!(m.db_clones, 0, "possible must not clone the database");
     assert_eq!(m.reads_possible, 1);
     assert_eq!(m.worlds_enumerated, 3, "one fork per seat");
@@ -358,7 +377,7 @@ fn read_possible_exposes_all_worlds() {
 
 #[test]
 fn partitions_split_by_flight_and_merge_on_bridging_txn() {
-    let mut qdb = travel_engine(QuantumDbConfig::default());
+    let qdb = travel_engine(QuantumDbConfig::default());
     qdb.bulk_insert("Available", vec![tuple![777, "9A"], tuple![777, "9B"]])
         .unwrap();
     let f123 =
@@ -379,7 +398,7 @@ fn partitions_split_by_flight_and_merge_on_bridging_txn() {
 
 #[test]
 fn composed_body_diagnostic_renders_partition_state() {
-    let mut qdb = travel_engine(QuantumDbConfig::default());
+    let qdb = travel_engine(QuantumDbConfig::default());
     let id = qdb.submit(&book("Mickey")).unwrap().id().unwrap();
     let formula = qdb.composed_body(id).unwrap();
     assert_eq!(formula.to_string(), "Available(f, s)");
@@ -398,17 +417,20 @@ fn grounding_policies_all_yield_valid_states() {
     ] {
         let mut cfg = QuantumDbConfig::default();
         cfg.policy = policy;
-        let mut qdb = travel_engine(cfg);
+        let qdb = travel_engine(cfg);
         for i in 0..3 {
             assert!(qdb.submit(&book(&format!("U{i}"))).unwrap().is_committed());
         }
         qdb.ground_all().unwrap();
         assert_eq!(
-            qdb.database().table("Bookings").unwrap().len(),
+            qdb.with_database(|db| db.table("Bookings").unwrap().len()),
             3,
             "policy {policy:?}"
         );
-        assert_eq!(qdb.database().table("Available").unwrap().len(), 0);
+        assert_eq!(
+            qdb.with_database(|db| db.table("Available").unwrap().len()),
+            0
+        );
     }
 }
 
@@ -419,13 +441,13 @@ fn max_flexibility_preserves_adjacent_pairs() {
     // taking B destroys both adjacent pairs for a future couple.
     let mut cfg = QuantumDbConfig::default();
     cfg.policy = GroundingPolicy::MaxFlexibility { sample: 8 };
-    let mut qdb = travel_engine(cfg);
+    let qdb = travel_engine(cfg);
     // Tie the flexibility to a pending couple: Mickey+Goofy pending pair
     // needs Adjacent; solo Pluto gets read first.
     let pluto = qdb.submit(&book("Pluto")).unwrap().id().unwrap();
     qdb.submit(&book_next_to("Mickey", "NoOneYet")).unwrap();
     assert!(qdb.ground(pluto).unwrap());
-    let seat = seat_of(&mut qdb, "Pluto").unwrap();
+    let seat = seat_of(&qdb, "Pluto").unwrap();
     assert_ne!(seat, "1B", "middle seat would strand the pending pair");
 }
 
@@ -437,7 +459,7 @@ fn multi_solution_cache_rescues_admission_without_resolve() {
     for extras in [1usize, 4] {
         let mut cfg = QuantumDbConfig::default();
         cfg.cache_solutions = extras;
-        let mut qdb = travel_engine(cfg);
+        let qdb = travel_engine(cfg);
         assert!(qdb.submit(&book("U1")).unwrap().is_committed());
         // U1's cached grounding deterministically took 1A (first
         // candidate). U2 now hard-requests exactly 1A.
@@ -452,15 +474,17 @@ fn multi_solution_cache_rescues_admission_without_resolve() {
         }
         // Either way both users are served.
         qdb.ground_all().unwrap();
-        assert_eq!(qdb.database().table("Bookings").unwrap().len(), 2);
-        assert_eq!(seat_of(&mut qdb, "U2"), Some("1A".to_string()));
+        assert_eq!(
+            qdb.with_database(|db| db.table("Bookings").unwrap().len()),
+            2
+        );
+        assert_eq!(seat_of(&qdb, "U2"), Some("1A".to_string()));
     }
 }
 
 #[test]
 fn shared_handle_serializes_concurrent_clients() {
-    let qdb = travel_engine(QuantumDbConfig::default());
-    let shared = qdb.into_shared();
+    let shared = travel_engine(QuantumDbConfig::default());
     let names: Vec<String> = (0..3).map(|i| format!("U{i}")).collect();
     std::thread::scope(|s| {
         for name in &names {
@@ -483,9 +507,9 @@ fn shared_handle_serializes_concurrent_clients() {
 fn event_trace_records_lifecycle() {
     let mut cfg = QuantumDbConfig::default();
     cfg.record_events = true;
-    let mut qdb = travel_engine(cfg);
+    let qdb = travel_engine(cfg);
     let id = qdb.submit(&book("Mickey")).unwrap().id().unwrap();
-    seat_of(&mut qdb, "Mickey").unwrap();
+    seat_of(&qdb, "Mickey").unwrap();
     for _ in 0..3 {
         qdb.submit(&book("X")).unwrap();
     }
@@ -503,13 +527,13 @@ fn event_trace_records_lifecycle() {
 
 #[test]
 fn wal_grows_and_checkpoint_appends() {
-    let mut qdb = travel_engine(QuantumDbConfig::default());
+    let qdb = travel_engine(QuantumDbConfig::default());
     let before = qdb.wal_size();
     qdb.submit(&book("Mickey")).unwrap();
     assert!(qdb.wal_size() > before);
     qdb.checkpoint().unwrap();
     let tuple_q = parse_query("Bookings('Mickey', f, s)").unwrap();
-    qdb.read_parsed(&tuple_q, None).unwrap();
+    qdb.read(&tuple_q.atoms, None).unwrap();
     // Grounding logged Write + PendingRemove records.
     assert!(qdb.wal_size() > before + 8);
 }
@@ -518,7 +542,7 @@ fn wal_grows_and_checkpoint_appends() {
 /// mix of operations (mini soak test; the workload crate runs bigger ones).
 #[test]
 fn soak_mixed_operations_keep_invariants() {
-    let mut qdb = travel_engine(QuantumDbConfig::with_k(4));
+    let qdb = travel_engine(QuantumDbConfig::with_k(4));
     qdb.bulk_insert(
         "Available",
         (0..20)
@@ -535,13 +559,13 @@ fn soak_mixed_operations_keep_invariants() {
         assert!(qdb.submit(&t).unwrap().is_committed());
         if i % 3 == 0 {
             let q = parse_query(&format!("Bookings('{name}', f, s)")).unwrap();
-            let rows = qdb.read_parsed(&q, None).unwrap();
+            let rows = qdb.read(&q.atoms, None).unwrap();
             assert_eq!(rows.len(), 1);
         }
     }
     qdb.ground_all().unwrap();
     assert_eq!(qdb.pending_count(), 0);
-    let booked = qdb.database().table("Bookings").unwrap().len();
+    let booked = qdb.with_database(|db| db.table("Bookings").unwrap().len());
     assert_eq!(booked, 20);
     assert!(qdb.metrics().grounded_by_read > 0);
 }

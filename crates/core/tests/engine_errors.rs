@@ -1,12 +1,14 @@
 //! Error-path and edge-case tests for the engine: malformed requests must
 //! fail cleanly and never corrupt the quantum state.
 
-use qdb_core::{EngineError, QuantumDb, QuantumDbConfig};
+use qdb_core::{EngineError, QuantumDb, QuantumDbConfig, SharedQuantumDb};
 use qdb_logic::{parse_query, parse_transaction};
 use qdb_storage::{tuple, Schema, ValueType, WriteOp};
 
-fn engine() -> QuantumDb {
-    let mut qdb = QuantumDb::new(QuantumDbConfig::default()).unwrap();
+fn engine() -> SharedQuantumDb {
+    let qdb = QuantumDb::new(QuantumDbConfig::default())
+        .unwrap()
+        .into_shared();
     qdb.create_table(Schema::new(
         "Available",
         vec![("flight", ValueType::Int), ("seat", ValueType::Str)],
@@ -27,7 +29,7 @@ fn engine() -> QuantumDb {
 
 #[test]
 fn unknown_relation_in_transaction_is_rejected_cleanly() {
-    let mut qdb = engine();
+    let qdb = engine();
     let t = parse_transaction("-Ghost(x), +Bookings('a', 1, x) :-1 Ghost(x)").unwrap();
     let err = qdb.submit(&t).unwrap_err();
     assert!(matches!(err, EngineError::Storage(_)));
@@ -40,7 +42,7 @@ fn unknown_relation_in_transaction_is_rejected_cleanly() {
 
 #[test]
 fn arity_mismatch_is_rejected_cleanly() {
-    let mut qdb = engine();
+    let qdb = engine();
     let t = parse_transaction("-Available(f), +Bookings('a', f, f) :-1 Available(f)").unwrap();
     let err = qdb.submit(&t).unwrap_err();
     assert!(matches!(
@@ -52,26 +54,26 @@ fn arity_mismatch_is_rejected_cleanly() {
 
 #[test]
 fn query_on_unknown_relation_errors() {
-    let mut qdb = engine();
+    let qdb = engine();
     let q = parse_query("Nowhere(x)").unwrap();
-    assert!(qdb.read_parsed(&q, None).is_err());
+    assert!(qdb.read(&q.atoms, None).is_err());
 }
 
 #[test]
 fn write_to_unknown_relation_errors() {
-    let mut qdb = engine();
+    let qdb = engine();
     assert!(qdb.write(WriteOp::insert("Nope", tuple![1])).is_err());
 }
 
 #[test]
 fn ground_of_unknown_id_is_a_noop() {
-    let mut qdb = engine();
+    let qdb = engine();
     assert!(!qdb.ground(999).unwrap());
 }
 
 #[test]
 fn zero_seat_database_aborts_but_stays_healthy() {
-    let mut qdb = engine();
+    let qdb = engine();
     qdb.write(WriteOp::delete("Available", tuple![1, "1A"]))
         .unwrap();
     let t =
@@ -85,7 +87,7 @@ fn zero_seat_database_aborts_but_stays_healthy() {
 
 #[test]
 fn duplicate_blind_insert_is_an_accepted_noop() {
-    let mut qdb = engine();
+    let qdb = engine();
     assert!(qdb
         .write(WriteOp::insert("Available", tuple![1, "1A"]))
         .unwrap());
@@ -95,7 +97,10 @@ fn duplicate_blind_insert_is_an_accepted_noop() {
         .write(WriteOp::insert("Available", tuple![1, "1A"]))
         .unwrap());
     assert_eq!(qdb.wal_size(), before);
-    assert_eq!(qdb.database().table("Available").unwrap().len(), 1);
+    assert_eq!(
+        qdb.with_database(|db| db.table("Available").unwrap().len()),
+        1
+    );
 }
 
 // The strict-vs-semantic coordination ablation lives in the facade

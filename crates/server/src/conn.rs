@@ -419,8 +419,13 @@ impl Conn {
                     from_offset,
                 } => {
                     let db = lock(&self.stmts).session.shared().clone();
+                    // A sink that cannot be read back fails this poll with
+                    // a typed error; it must not take the executor down.
                     let (primary_wal_len, last_txn_id, bytes) =
-                        db.wal_stream_from(from_offset, REPL_SEGMENT_MAX);
+                        match db.wal_stream_from(from_offset, REPL_SEGMENT_MAX) {
+                            Ok(segment) => segment,
+                            Err(e) => return engine_error(e),
+                        };
                     lock(tracker).observe_poll(&replica_id, from_offset, primary_wal_len);
                     Reply::WalSegment {
                         start_offset: from_offset.min(primary_wal_len),

@@ -238,7 +238,8 @@ impl Server {
         let (role, replica, puller) = match &cfg.replicate_from {
             Some(source) => {
                 let engine = QuantumDb::new(cfg.engine.clone())
-                    .map_err(|e| io::Error::other(format!("replica engine: {e}")))?;
+                    .map_err(|e| io::Error::other(format!("replica engine: {e}")))?
+                    .into_shared();
                 let state = Arc::new(ReplicaState::new(
                     ReplicaApplier::new(engine),
                     source.clone(),
@@ -746,6 +747,131 @@ mod tests {
         }
         assert!(replica.replica().unwrap().is_promoted());
         replica.shutdown();
+    }
+
+    /// After `PROMOTE` the node runs the very engine a born primary
+    /// runs: a write and a concurrent `SHOW METRICS` from another
+    /// connection both succeed — they take the engine's own fine-grained
+    /// locks, not a per-node mutex — and every metrics snapshot satisfies
+    /// the accounting identity `committed − grounded == pending`.
+    #[test]
+    fn promoted_replica_serves_writes_and_concurrent_metrics_consistently() {
+        let primary = Server::spawn(&ServerConfig::default()).unwrap();
+        let mut p = TcpStream::connect(primary.addr()).unwrap();
+        seed_primary(&mut p);
+        assert!(matches!(
+            exec(&mut p, &booking_sql("Mickey", 1)),
+            Reply::Engine(Response::Committed(0))
+        ));
+        let replica = replica_of(&primary);
+        await_caught_up(&mut p);
+        drop(p);
+        primary.shutdown();
+
+        let mut w = TcpStream::connect(replica.addr()).unwrap();
+        assert_eq!(exec(&mut w, "PROMOTE"), Reply::Engine(Response::Ack));
+        let observing = AtomicBool::new(true);
+        std::thread::scope(|scope| {
+            let observer = scope.spawn(|| {
+                let mut m = TcpStream::connect(replica.addr()).unwrap();
+                let mut snapshots = 0u32;
+                while observing.load(Ordering::SeqCst) || snapshots == 0 {
+                    let Reply::Stats { engine, .. } = exec(&mut m, "SHOW METRICS") else {
+                        panic!("SHOW METRICS on a promoted node must answer with stats");
+                    };
+                    let Reply::Engine(Response::Pending(pending)) = exec(&mut m, "SHOW PENDING")
+                    else {
+                        panic!("SHOW PENDING on a promoted node must answer");
+                    };
+                    // Bookings only ever add pending transactions here, so
+                    // the later pending read bounds the earlier snapshot.
+                    let in_flight = engine.committed - engine.grounded_total();
+                    assert!(
+                        in_flight as usize <= pending.len() && in_flight >= 1,
+                        "committed − grounded = {in_flight} vs pending {pending:?}"
+                    );
+                    snapshots += 1;
+                }
+            });
+            for user in ["Donald", "Daisy"] {
+                assert!(matches!(
+                    exec(&mut w, &booking_sql(user, 1)),
+                    Reply::Engine(Response::Committed(_))
+                ));
+            }
+            assert_eq!(
+                exec(&mut w, "INSERT INTO Available VALUES (9, '9Z')"),
+                Reply::Engine(Response::Written(true))
+            );
+            observing.store(false, Ordering::SeqCst);
+            observer.join().unwrap();
+        });
+        // Quiescent: the identity is exact. Mickey survived the failover,
+        // Donald and Daisy were admitted by the promoted engine.
+        let Reply::Stats { engine, .. } = exec(&mut w, "SHOW METRICS") else {
+            panic!("stats");
+        };
+        assert_eq!(engine.committed - engine.grounded_total(), 3);
+        assert_eq!(
+            exec(&mut w, "SHOW PENDING"),
+            Reply::Engine(Response::Pending(vec![0, 1, 2]))
+        );
+        replica.shutdown();
+    }
+
+    /// A WAL sink that accepts writes but cannot be read back — what a
+    /// file sink reports when the medium fails under a replication poll.
+    struct UnreadableSink(qdb_storage::wal::MemorySink);
+
+    impl qdb_storage::LogSink for UnreadableSink {
+        fn append(&mut self, frame: &[u8]) -> qdb_storage::Result<()> {
+            self.0.append(frame)
+        }
+        fn read_all(&self) -> qdb_storage::Result<Vec<u8>> {
+            Err(qdb_storage::StorageError::Io("sink read failed".into()))
+        }
+        fn len(&self) -> u64 {
+            self.0.len()
+        }
+        fn truncate_to(&mut self, len: u64) -> qdb_storage::Result<()> {
+            self.0.truncate_to(len)
+        }
+    }
+
+    /// A replica's `REPLICATE` poll against a primary whose WAL sink
+    /// cannot be read back is answered with a typed error frame; the
+    /// executor thread that served it keeps serving.
+    #[test]
+    fn replication_poll_over_an_unreadable_sink_is_a_typed_error_not_a_panic() {
+        let sink = UnreadableSink(qdb_storage::wal::MemorySink::default());
+        let wal = qdb_storage::Wal::with_sink(Box::new(sink));
+        let db = QuantumDb::with_wal(QuantumDbConfig::default(), wal).into_shared();
+        // One worker: if the poll killed it, nothing below would answer.
+        let handle = Server::spawn_with_db("127.0.0.1:0", 1, db).unwrap();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        assert_eq!(
+            exec(&mut stream, "CREATE TABLE R (a INT)"),
+            Reply::Engine(Response::Ack)
+        );
+        for _ in 0..2 {
+            let reply = roundtrip(
+                &mut stream,
+                &Request::Replicate {
+                    replica_id: "r1".into(),
+                    from_offset: 0,
+                },
+            );
+            let Reply::Error { code, message } = reply else {
+                panic!("poll over an unreadable sink answered {reply:?}");
+            };
+            assert_eq!(code, wire::code::STORAGE);
+            assert!(message.contains("sink read failed"), "{message}");
+        }
+        assert_eq!(
+            exec(&mut stream, "INSERT INTO R VALUES (1)"),
+            Reply::Engine(Response::Written(true))
+        );
+        handle.shutdown();
     }
 
     #[test]

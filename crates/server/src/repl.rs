@@ -12,6 +12,10 @@
 //! `READ_ONLY` error code so `qdb-client` can fail over to the primary,
 //! and `PROMOTE` turns the node into a writable primary by recovering
 //! from the locally re-logged WAL — exactly the crash-recovery path.
+//! Following or promoted, the node runs the same [`SharedQuantumDb`] a
+//! born primary runs: the state mutex only picks the serving rules and
+//! hands out an engine handle, so statements take the engine's own
+//! fine-grained locks and never serialize behind the puller's apply.
 //!
 //! Promotion also happens automatically when the primary has been
 //! unreachable for longer than `--promote-after-ms`: the puller tracks
@@ -27,7 +31,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use qdb_core::wire::{self, Reply, Request};
-use qdb_core::{QuantumDb, ReplicaApplier, ReplicaTracker, Response};
+use qdb_core::{ReplicaApplier, ReplicaTracker, Response, SharedQuantumDb};
 use qdb_logic::{parse_statement, ReadMode, Statement};
 
 use crate::metrics::ServerMetrics;
@@ -47,14 +51,15 @@ pub(crate) enum ConnRole {
     Replica { state: Arc<ReplicaState> },
 }
 
-/// The replica's engine behind one mutex: the puller applies segments,
-/// connections read, and `PROMOTE` swaps the whole mode over.
+/// The replica's mode behind one mutex: the puller applies segments under
+/// it, connections take an engine handle from it, and `PROMOTE` swaps the
+/// whole mode over.
 enum ReplicaEngine {
     /// Applying the primary's stream; serves reads at its horizon.
     Following(Box<ReplicaApplier>),
     /// Promoted to primary: a fully writable engine recovered from the
     /// locally re-logged WAL.
-    Promoted(Box<QuantumDb>),
+    Promoted(SharedQuantumDb),
     /// Replay or promotion failed; the stored message answers every
     /// subsequent request. A diverged replica must not guess.
     Failed(String),
@@ -128,7 +133,7 @@ impl ReplicaState {
         match std::mem::replace(&mut *engine, ReplicaEngine::Promoting) {
             ReplicaEngine::Following(applier) => match applier.promote() {
                 Ok(db) => {
-                    *engine = ReplicaEngine::Promoted(Box::new(db));
+                    *engine = ReplicaEngine::Promoted(db);
                     self.promoted.store(true, Ordering::Release);
                     Ok(())
                 }
@@ -184,36 +189,44 @@ impl ReplicaState {
                 },
             };
         }
-        let mut engine = crate::lock(&self.engine);
-        match &mut *engine {
-            ReplicaEngine::Following(applier) => self.execute_following(applier, stmt, server),
-            ReplicaEngine::Promoted(db) => match db.execute_stmt(stmt) {
-                Ok(Response::Metrics(m)) => Reply::Stats {
-                    engine: m,
-                    server: server.snapshot(),
-                    profile: Some(Box::new(db.profile())),
-                },
-                Ok(r) => Reply::Engine(r),
-                Err(e) => Reply::Error {
-                    code: wire::code_for(&e),
-                    message: e.to_string(),
-                },
-            },
-            ReplicaEngine::Failed(e) => Reply::Error {
-                code: wire::code::INVARIANT,
-                message: format!("replica is out of service: {e}"),
-            },
+        // Pick the serving rules under the mutex, execute outside it.
+        let (db, stmt) = match &*crate::lock(&self.engine) {
+            ReplicaEngine::Following(applier) => {
+                if matches!(stmt, Statement::ShowReplication) {
+                    return Reply::Engine(Response::Replication(Box::new(applier.report())));
+                }
+                match self.restrict_to_reads(stmt) {
+                    Ok(read) => (applier.db().clone(), read),
+                    Err(refusal) => return refusal,
+                }
+            }
+            ReplicaEngine::Promoted(db) => (db.clone(), stmt),
+            ReplicaEngine::Failed(e) => {
+                return Reply::Error {
+                    code: wire::code::INVARIANT,
+                    message: format!("replica is out of service: {e}"),
+                }
+            }
             ReplicaEngine::Promoting => unreachable!("promotion runs under the engine mutex"),
+        };
+        match db.execute_stmt(stmt) {
+            Ok(Response::Metrics(m)) => Reply::Stats {
+                engine: m,
+                server: server.snapshot(),
+                profile: Some(Box::new(db.profile())),
+            },
+            Ok(r) => Reply::Engine(r),
+            Err(e) => Reply::Error {
+                code: wire::code_for(&e),
+                message: e.to_string(),
+            },
         }
     }
 
-    fn execute_following(
-        &self,
-        applier: &mut ReplicaApplier,
-        stmt: Statement,
-        server: &ServerMetrics,
-    ) -> Reply {
-        let stmt = match stmt {
+    /// What a following replica serves: reads at its horizon. Everything
+    /// else is refused with the `READ_ONLY` code naming the primary.
+    fn restrict_to_reads(&self, stmt: Statement) -> Result<Statement, Reply> {
+        match stmt {
             // Collapsing reads would ground transactions with locally
             // made choices the primary never logged; a replica serves
             // the peek form of the same query at its horizon instead.
@@ -221,38 +234,22 @@ impl ReplicaState {
                 if sel.mode == ReadMode::Collapse {
                     sel.mode = ReadMode::Peek;
                 }
-                Statement::Select(sel)
-            }
-            Statement::ShowReplication => {
-                return Reply::Engine(Response::Replication(Box::new(applier.report())));
+                Ok(Statement::Select(sel))
             }
             read @ (Statement::ShowMetrics
             | Statement::ShowPending
             | Statement::ShowProfile
-            | Statement::ShowEvents { .. }) => read,
-            write => {
-                return Reply::Error {
-                    code: wire::code::READ_ONLY,
-                    message: format!(
-                        "replica '{}' is read-only: {} must run on the primary at {}",
-                        self.replica_id,
-                        write.kind(),
-                        self.source
-                    ),
-                };
-            }
-        };
-        match applier.db_mut().execute_stmt(stmt) {
-            Ok(Response::Metrics(m)) => Reply::Stats {
-                engine: m,
-                server: server.snapshot(),
-                profile: Some(Box::new(applier.db().profile())),
-            },
-            Ok(r) => Reply::Engine(r),
-            Err(e) => Reply::Error {
-                code: wire::code_for(&e),
-                message: e.to_string(),
-            },
+            | Statement::ShowEvents { .. }
+            | Statement::ShowReplication) => Ok(read),
+            write => Err(Reply::Error {
+                code: wire::code::READ_ONLY,
+                message: format!(
+                    "replica '{}' is read-only: {} must run on the primary at {}",
+                    self.replica_id,
+                    write.kind(),
+                    self.source
+                ),
+            }),
         }
     }
 }

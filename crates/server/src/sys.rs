@@ -10,7 +10,7 @@
 //!
 //! Everything here is Linux-specific by design (the readiness loop is
 //! built on epoll). Porting to another unix means adding a `kqueue` or
-//! `poll(2)` backend with the same [`Poller`] surface.
+//! `poll(2)` backend with the same `Poller` surface.
 
 #[cfg(not(target_os = "linux"))]
 compile_error!(

@@ -132,9 +132,7 @@ pub fn load(text: &str) -> Result<(u64, SimConfig, Vec<TraceEntry>), String> {
         return Err(format!("not a {SCHEMA} artifact"));
     }
     let seed = flat_u64(text, "seed").ok_or("missing seed")?;
-    let engine = flat_str(text, "engine")
-        .and_then(|s| EngineKind::parse(&s))
-        .ok_or("missing or unknown engine")?;
+    let engine = EngineKind::parse(&flat_str(text, "engine").ok_or("missing engine")?)?;
     let mutation = match flat_str(text, "mutation").as_deref() {
         None | Some("none") => None,
         Some(name) => {
@@ -195,7 +193,7 @@ mod tests {
             crash_count: 1,
             ser_interval: 40,
             mutation: Some(Mutation::OverstateCapacity),
-            ..SimConfig::smoke(EngineKind::Single)
+            ..SimConfig::smoke(EngineKind::Sharded)
         };
         let r = run_seed(21, &cfg);
         let v = r.violation.clone().expect("mutation must fail the run");
@@ -214,6 +212,26 @@ mod tests {
         assert_eq!(v2.op_index, v.op_index);
     }
 
+    /// Artifacts recorded before the single-threaded driver was deleted
+    /// carry `"engine":"single"`: loading one must say what happened to
+    /// that engine kind, not panic or call the label unknown.
+    #[test]
+    fn artifact_from_the_removed_single_engine_is_refused_by_name() {
+        let cfg = SimConfig {
+            clients: 2,
+            ops_per_client: 10,
+            crash: false,
+            mutation: Some(Mutation::OverstateCapacity),
+            ..SimConfig::smoke(EngineKind::Sharded)
+        };
+        let doc = render(&run_seed(5, &cfg), &cfg, None);
+        assert!(doc.contains("\"engine\":\"sharded\""));
+        let old = doc.replace("\"engine\":\"sharded\"", "\"engine\":\"single\"");
+        let err = load(&old).expect_err("single is gone");
+        assert!(err.contains("`single` was removed"), "{err}");
+        assert!(err.contains("sharded"), "{err}");
+    }
+
     #[test]
     fn shrunk_artifact_replays_the_minimal_trace() {
         let cfg = SimConfig {
@@ -222,7 +240,7 @@ mod tests {
             crash_count: 1,
             ser_interval: 40,
             mutation: Some(Mutation::CorruptWalByte),
-            ..SimConfig::smoke(EngineKind::Single)
+            ..SimConfig::smoke(EngineKind::Sharded)
         };
         let (seed, r) = (1..=20)
             .map(|seed| (seed, run_seed(seed, &cfg)))

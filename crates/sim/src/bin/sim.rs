@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! sim run [--seeds N] [--seed-start S] [--clients N] [--ops N]
-//!         [--engine single|sharded|wire|both|all] [--crash on|off]
+//!         [--engine sharded|wire|all] [--crash on|off]
 //!         [--mutate NAME] [--shrink] [--artifact-dir DIR] [--json]
 //! sim repl [--seeds N] [--seed-start S] [--replicas N] [--ops N] [--json]
 //! sim replay --seed S [--artifact-dir DIR]
@@ -63,12 +63,12 @@ fn cmd_run(args: &[String]) -> ExitCode {
         .and_then(|s| s.parse().ok())
         .unwrap_or(1);
     let engines: Vec<EngineKind> = match flag(args, "--engine").as_deref() {
-        None | Some("both") => vec![EngineKind::Single, EngineKind::Sharded],
-        Some("all") => vec![EngineKind::Single, EngineKind::Sharded, EngineKind::Wire],
+        None => vec![EngineKind::Sharded],
+        Some("all") => vec![EngineKind::Sharded, EngineKind::Wire],
         Some(s) => match EngineKind::parse(s) {
-            Some(k) => vec![k],
-            None => {
-                eprintln!("unknown engine {s:?} (single|sharded|wire|both|all)");
+            Ok(k) => vec![k],
+            Err(e) => {
+                eprintln!("{e}");
                 return ExitCode::from(2);
             }
         },

@@ -10,10 +10,10 @@
 //! what makes `sim replay --seed <s>` a faithful reproduction of any
 //! failure.
 //!
-//! The driver interleaves N logical clients over one of three engine
-//! builds (`QuantumDb` single-threaded core, the sharded
-//! [`qdb_core::SharedQuantumDb`], or a full `qdb-server` behind loopback
-//! TCP with one [`qdb_client::Connection`] per client), records every
+//! The driver interleaves N logical clients over one of two engine
+//! builds (the embedded [`qdb_core::SharedQuantumDb`], or a full
+//! `qdb-server` behind loopback TCP with one [`qdb_client::Connection`]
+//! per client — the same engine behind the wire), records every
 //! statement into a [`History`], and runs the black-box checks of
 //! [`crate::checker`] after every transition (invariants), at epoch
 //! boundaries (serializability + replay equivalence) and on sampled
@@ -54,9 +54,7 @@ use crate::history::{Event, History, ReadKind, Site};
 /// Which engine build a run drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// The single-threaded [`QuantumDb`] core.
-    Single,
-    /// The partition-parallel [`SharedQuantumDb`].
+    /// The engine, embedded: the partition-sharded [`SharedQuantumDb`].
     Sharded,
     /// A full `qdb-server` process behind loopback TCP: every client is a
     /// [`qdb_client::Connection`] issuing SQL, so the run black-box-checks
@@ -71,19 +69,24 @@ impl EngineKind {
     /// Stable label (used in reports and artifact file names).
     pub fn label(&self) -> &'static str {
         match self {
-            EngineKind::Single => "single",
             EngineKind::Sharded => "sharded",
             EngineKind::Wire => "wire",
         }
     }
 
-    /// Parse a label back.
-    pub fn parse(s: &str) -> Option<EngineKind> {
+    /// Parse a label back. `single` — the label of the deleted
+    /// single-threaded driver, still found in old failure artifacts — is
+    /// refused with an explanation rather than as an unknown word.
+    pub fn parse(s: &str) -> Result<EngineKind, String> {
         match s {
-            "single" => Some(EngineKind::Single),
-            "sharded" => Some(EngineKind::Sharded),
-            "wire" => Some(EngineKind::Wire),
-            _ => None,
+            "sharded" => Ok(EngineKind::Sharded),
+            "wire" => Ok(EngineKind::Wire),
+            "single" => Err("engine kind `single` was removed: the single-threaded \
+                             `QuantumDb` driver no longer exists, every statement runs on the \
+                             sharded engine (use `sharded`, or re-run the seed with \
+                             `sim run --engine sharded`)"
+                .into()),
+            other => Err(format!("unknown engine {other:?} (sharded|wire|all)")),
         }
     }
 }
@@ -351,13 +354,10 @@ pub struct RunResult {
 // Engine abstraction
 // ---------------------------------------------------------------------------
 
-/// The wire harness: an in-process `qdb-server` over loopback TCP, one
-/// [`Connection`] per logical client, plus a retained [`SharedQuantumDb`]
-/// handle the *checker* probes directly (WAL image, pending ids,
-/// metrics) — probes are not client traffic, so they stay off the wire.
+/// The wire harness: an in-process `qdb-server` over loopback TCP and
+/// one [`Connection`] per logical client.
 struct WireEngine {
     server: ServerHandle,
-    shared: SharedQuantumDb,
     conns: Vec<Connection>,
     reads: Vec<WireReads>,
 }
@@ -377,7 +377,7 @@ const WIRE_WORKERS: usize = 2;
 
 impl WireEngine {
     fn start(shared: SharedQuantumDb, clients: usize, world_bound: usize) -> Result<Self, String> {
-        let server = Server::spawn_with_db("127.0.0.1:0", WIRE_WORKERS, shared.clone())
+        let server = Server::spawn_with_db("127.0.0.1:0", WIRE_WORKERS, shared)
             .map_err(|e| format!("spawn sim server: {e}"))?;
         let mut conns = Vec::with_capacity(clients);
         let mut reads = Vec::with_capacity(clients);
@@ -403,7 +403,6 @@ impl WireEngine {
         }
         Ok(WireEngine {
             server,
-            shared,
             conns,
             reads,
         })
@@ -438,10 +437,13 @@ impl std::fmt::Debug for WireEngine {
     }
 }
 
-enum Engine {
-    Single(Box<QuantumDb>),
-    Sharded(SharedQuantumDb),
-    Wire(Box<WireEngine>),
+/// The engine under test. Statements go to `shared` directly, or — for
+/// [`EngineKind::Wire`] — over the wire to a server serving the same
+/// handle; the *checker's* probes (WAL image, pending ids, metrics) are
+/// not client traffic and always read `shared` directly.
+struct Engine {
+    shared: SharedQuantumDb,
+    wire: Option<Box<WireEngine>>,
 }
 
 /// Render a blind write as the SQL the wire engine sends.
@@ -482,8 +484,10 @@ fn booking_sql(user: &str, partner: Option<&str>, flight: i64) -> String {
 
 impl Engine {
     fn build(cfg: &SimConfig, qcfg: QuantumDbConfig) -> Result<Engine, String> {
-        let mut qdb = QuantumDb::new(qcfg).map_err(|e| e.to_string())?;
-        qdb_workload::flights::install(&mut qdb, &cfg.flights).map_err(|e| e.to_string())?;
+        let qdb = QuantumDb::new(qcfg)
+            .map_err(|e| e.to_string())?
+            .into_shared();
+        qdb_workload::flights::install(&qdb, &cfg.flights).map_err(|e| e.to_string())?;
         qdb.create_table(audit_schema())
             .map_err(|e| e.to_string())?;
         Engine::wrap(cfg, qdb)
@@ -502,19 +506,19 @@ impl Engine {
             Box::new(FaultSink::new(inner, faults.to_vec()))
         };
         let qdb = QuantumDb::recover(Wal::with_sink(sink), qcfg).map_err(|e| e.to_string())?;
-        Engine::wrap(cfg, qdb)
+        Engine::wrap(cfg, qdb.into_shared())
     }
 
-    fn wrap(cfg: &SimConfig, qdb: QuantumDb) -> Result<Engine, String> {
-        Ok(match cfg.engine {
-            EngineKind::Single => Engine::Single(Box::new(qdb)),
-            EngineKind::Sharded => Engine::Sharded(qdb.into_shared()),
-            EngineKind::Wire => Engine::Wire(Box::new(WireEngine::start(
-                qdb.into_shared(),
+    fn wrap(cfg: &SimConfig, shared: SharedQuantumDb) -> Result<Engine, String> {
+        let wire = match cfg.engine {
+            EngineKind::Sharded => None,
+            EngineKind::Wire => Some(Box::new(WireEngine::start(
+                shared.clone(),
                 cfg.clients,
                 cfg.world_bound,
             )?)),
-        })
+        };
+        Ok(Engine { shared, wire })
     }
 
     /// Run one driver-level operation inside a flight-recorder span. The
@@ -530,7 +534,7 @@ impl Engine {
         run: impl FnOnce(&mut Self) -> Result<R, String>,
         outcome: impl FnOnce(&R) -> qdb_core::Outcome,
     ) -> Result<R, String> {
-        if matches!(self, Engine::Wire(_)) {
+        if self.wire.is_some() {
             return run(self);
         }
         let obs = self.obs().clone();
@@ -552,10 +556,9 @@ impl Engine {
     ) -> Result<SubmitOutcome, String> {
         self.record(
             "SELECT … CHOOSE 1",
-            |e| match e {
-                Engine::Single(q) => q.submit(txn).map_err(|e| e.to_string()),
-                Engine::Sharded(s) => s.submit(txn).map_err(|e| e.to_string()),
-                Engine::Wire(w) => match w.execute(c, sql)? {
+            |e| match &mut e.wire {
+                None => e.shared.submit(txn).map_err(|e| e.to_string()),
+                Some(w) => match w.execute(c, sql)? {
                     Response::Committed(id) => Ok(SubmitOutcome::Committed { id }),
                     Response::Aborted => Ok(SubmitOutcome::Aborted),
                     other => Err(format!("CHOOSE over wire returned {other:?}")),
@@ -574,10 +577,9 @@ impl Engine {
     fn read(&mut self, c: usize, user: &str, atoms: &[Atom]) -> Result<Vec<Valuation>, String> {
         self.record(
             "SELECT",
-            |e| match e {
-                Engine::Single(q) => q.read(atoms, None).map_err(|e| e.to_string()),
-                Engine::Sharded(s) => s.read(atoms, None).map_err(|e| e.to_string()),
-                Engine::Wire(w) => match w.read(c, ReadKind::Collapse, user)? {
+            |e| match &mut e.wire {
+                None => e.shared.read(atoms, None).map_err(|e| e.to_string()),
+                Some(w) => match w.read(c, ReadKind::Collapse, user)? {
                     Response::Rows(rows) => Ok(rows),
                     other => Err(format!("SELECT over wire returned {other:?}")),
                 },
@@ -594,10 +596,9 @@ impl Engine {
     ) -> Result<Vec<Valuation>, String> {
         self.record(
             "SELECT",
-            |e| match e {
-                Engine::Single(q) => q.read_peek(atoms, None).map_err(|e| e.to_string()),
-                Engine::Sharded(s) => s.read_peek(atoms, None).map_err(|e| e.to_string()),
-                Engine::Wire(w) => match w.read(c, ReadKind::Peek, user)? {
+            |e| match &mut e.wire {
+                None => e.shared.read_peek(atoms, None).map_err(|e| e.to_string()),
+                Some(w) => match w.read(c, ReadKind::Peek, user)? {
                     Response::Rows(rows) => Ok(rows),
                     other => Err(format!("SELECT PEEK over wire returned {other:?}")),
                 },
@@ -615,10 +616,12 @@ impl Engine {
     ) -> Result<Vec<Vec<Valuation>>, String> {
         self.record(
             "SELECT",
-            |e| match e {
-                Engine::Single(q) => q.read_possible(atoms, bound).map_err(|e| e.to_string()),
-                Engine::Sharded(s) => s.read_possible(atoms, bound).map_err(|e| e.to_string()),
-                Engine::Wire(w) => match w.read(c, ReadKind::Possible, user)? {
+            |e| match &mut e.wire {
+                None => e
+                    .shared
+                    .read_possible(atoms, bound)
+                    .map_err(|e| e.to_string()),
+                Some(w) => match w.read(c, ReadKind::Possible, user)? {
                     Response::Worlds(worlds) => Ok(worlds),
                     other => Err(format!("SELECT POSSIBLE over wire returned {other:?}")),
                 },
@@ -628,10 +631,9 @@ impl Engine {
     }
 
     fn write(&mut self, c: usize, op: WriteOp) -> Result<bool, String> {
-        match self {
-            Engine::Single(q) => q.write(op).map_err(|e| e.to_string()),
-            Engine::Sharded(s) => s.write(op).map_err(|e| e.to_string()),
-            Engine::Wire(w) => match w.execute(c, &write_sql(&op))? {
+        match &mut self.wire {
+            None => self.shared.write(op).map_err(|e| e.to_string()),
+            Some(w) => match w.execute(c, &write_sql(&op))? {
                 Response::Written(applied) => Ok(applied),
                 other => Err(format!("blind write over wire returned {other:?}")),
             },
@@ -639,10 +641,9 @@ impl Engine {
     }
 
     fn ground(&mut self, c: usize, id: TxnId) -> Result<bool, String> {
-        match self {
-            Engine::Single(q) => q.ground(id).map_err(|e| e.to_string()),
-            Engine::Sharded(s) => s.ground(id).map_err(|e| e.to_string()),
-            Engine::Wire(w) => match w.execute(c, &format!("GROUND {id}"))? {
+        match &mut self.wire {
+            None => self.shared.ground(id).map_err(|e| e.to_string()),
+            Some(w) => match w.execute(c, &format!("GROUND {id}"))? {
                 Response::Grounded(n) => Ok(n > 0),
                 other => Err(format!("GROUND over wire returned {other:?}")),
             },
@@ -650,10 +651,9 @@ impl Engine {
     }
 
     fn ground_all(&mut self, c: usize) -> Result<(), String> {
-        match self {
-            Engine::Single(q) => q.ground_all().map_err(|e| e.to_string()),
-            Engine::Sharded(s) => s.ground_all().map_err(|e| e.to_string()),
-            Engine::Wire(w) => match w.execute(c, "GROUND ALL")? {
+        match &mut self.wire {
+            None => self.shared.ground_all().map_err(|e| e.to_string()),
+            Some(w) => match w.execute(c, "GROUND ALL")? {
                 Response::Grounded(_) => Ok(()),
                 other => Err(format!("GROUND ALL over wire returned {other:?}")),
             },
@@ -661,10 +661,9 @@ impl Engine {
     }
 
     fn checkpoint(&mut self, c: usize) -> Result<(), String> {
-        match self {
-            Engine::Single(q) => q.checkpoint().map_err(|e| e.to_string()),
-            Engine::Sharded(s) => s.checkpoint().map_err(|e| e.to_string()),
-            Engine::Wire(w) => match w.execute(c, "CHECKPOINT")? {
+        match &mut self.wire {
+            None => self.shared.checkpoint().map_err(|e| e.to_string()),
+            Some(w) => match w.execute(c, "CHECKPOINT")? {
                 Response::Ack => Ok(()),
                 other => Err(format!("CHECKPOINT over wire returned {other:?}")),
             },
@@ -672,36 +671,20 @@ impl Engine {
     }
 
     fn pending_ids(&self) -> Vec<TxnId> {
-        match self {
-            Engine::Single(q) => q.pending_ids(),
-            Engine::Sharded(s) => s.pending_ids(),
-            Engine::Wire(w) => w.shared.pending_ids(),
-        }
+        self.shared.pending_ids()
     }
 
-    fn wal_image(&mut self) -> Vec<u8> {
-        match self {
-            Engine::Single(q) => q.wal_image(),
-            Engine::Sharded(s) => s.wal_image(),
-            Engine::Wire(w) => w.shared.wal_image(),
-        }
+    fn wal_image(&self) -> Vec<u8> {
+        self.shared.wal_image()
     }
 
     fn with_db<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
-        match self {
-            Engine::Single(q) => f(q.database()),
-            Engine::Sharded(s) => s.with_database(f),
-            Engine::Wire(w) => w.shared.with_database(f),
-        }
+        self.shared.with_database(f)
     }
 
     /// The engine's observability handle.
     fn obs(&self) -> &std::sync::Arc<qdb_core::Obs> {
-        match self {
-            Engine::Single(q) => q.obs(),
-            Engine::Sharded(s) => s.obs(),
-            Engine::Wire(w) => w.shared.obs(),
-        }
+        self.shared.obs()
     }
 
     /// The most recent `limit` flight-recorder events, oldest first.
@@ -712,20 +695,8 @@ impl Engine {
     /// `(committed, grounded, pending)` — read together so the §2
     /// accounting identity can be checked atomically.
     fn accounting(&self) -> (u64, u64, u64) {
-        match self {
-            Engine::Single(q) => {
-                let m = q.metrics();
-                (m.committed, m.grounded_total(), q.pending_count() as u64)
-            }
-            Engine::Sharded(s) => {
-                let (m, pending) = s.metrics_with_pending();
-                (m.committed, m.grounded_total(), pending)
-            }
-            Engine::Wire(w) => {
-                let (m, pending) = w.shared.metrics_with_pending();
-                (m.committed, m.grounded_total(), pending)
-            }
-        }
+        let (m, pending) = self.shared.metrics_with_pending();
+        (m.committed, m.grounded_total(), pending)
     }
 }
 
@@ -1743,7 +1714,7 @@ mod tests {
 
     #[test]
     fn same_seed_same_run() {
-        for engine in [EngineKind::Single, EngineKind::Sharded] {
+        for engine in [EngineKind::Sharded, EngineKind::Wire] {
             let cfg = tiny(engine);
             let a = run_seed(11, &cfg);
             let b = run_seed(11, &cfg);
@@ -1761,7 +1732,7 @@ mod tests {
 
     #[test]
     fn different_seeds_diverge() {
-        let cfg = tiny(EngineKind::Single);
+        let cfg = tiny(EngineKind::Sharded);
         let a = run_seed(1, &cfg);
         let b = run_seed(2, &cfg);
         assert_ne!(a.digest, b.digest);
@@ -1769,21 +1740,19 @@ mod tests {
 
     #[test]
     fn clean_runs_have_no_violations_and_exercise_the_checkers() {
-        for engine in [EngineKind::Single, EngineKind::Sharded] {
-            let cfg = tiny(engine);
-            for seed in [3, 4, 5] {
-                let r = run_seed(seed, &cfg);
-                assert!(
-                    r.violation.is_none(),
-                    "{engine:?} seed {seed}: {:?}\ntail:\n{}",
-                    r.violation,
-                    r.history.tail_lines(20).join("\n")
-                );
-                assert_eq!(r.ops, cfg.total_ops() as u64);
-                assert!(r.stats.ser_checks > 0);
-                assert!(r.stats.invariant_checks >= r.ops);
-                assert!(r.crashes >= 1, "{engine:?} seed {seed}: no crash injected");
-            }
+        let cfg = tiny(EngineKind::Sharded);
+        for seed in [3, 4, 5] {
+            let r = run_seed(seed, &cfg);
+            assert!(
+                r.violation.is_none(),
+                "seed {seed}: {:?}\ntail:\n{}",
+                r.violation,
+                r.history.tail_lines(20).join("\n")
+            );
+            assert_eq!(r.ops, cfg.total_ops() as u64);
+            assert!(r.stats.ser_checks > 0);
+            assert!(r.stats.invariant_checks >= r.ops);
+            assert!(r.crashes >= 1, "seed {seed}: no crash injected");
         }
     }
 
@@ -1791,7 +1760,7 @@ mod tests {
     fn mutation_induces_a_violation() {
         let cfg = SimConfig {
             mutation: Some(Mutation::OverstateCapacity),
-            ..tiny(EngineKind::Single)
+            ..tiny(EngineKind::Sharded)
         };
         let r = run_seed(7, &cfg);
         let v = r.violation.expect("overstated capacity must be caught");
@@ -1834,7 +1803,7 @@ mod tests {
     /// documented exclusion (see [`History::parity_digest`]).
     #[test]
     fn engines_agree_on_the_client_visible_history() {
-        let runs: Vec<RunResult> = [EngineKind::Single, EngineKind::Sharded, EngineKind::Wire]
+        let runs: Vec<RunResult> = [EngineKind::Sharded, EngineKind::Wire]
             .into_iter()
             .map(|engine| run_seed(11, &tiny(engine)))
             .collect();
@@ -1879,7 +1848,7 @@ mod tests {
             let fired = (1..=10).find_map(|seed| {
                 let cfg = SimConfig {
                     mutation: Some(m),
-                    ..tiny(EngineKind::Single)
+                    ..tiny(EngineKind::Sharded)
                 };
                 run_seed(seed, &cfg).violation.map(|v| (seed, v))
             });
@@ -1948,7 +1917,7 @@ mod tests {
     fn recorded_trace_replays_to_the_same_violation() {
         let cfg = SimConfig {
             mutation: Some(Mutation::CorruptWalByte),
-            ..tiny(EngineKind::Single)
+            ..tiny(EngineKind::Sharded)
         };
         let (seed, original) = (1..=10)
             .map(|seed| (seed, run_seed(seed, &cfg)))

@@ -225,8 +225,8 @@ impl History {
     /// writes-read edge) legitimately depends on the engine's
     /// world-enumeration strategy once the world bound truncates. Every
     /// other event — submits, grounds, collapse/peek reads, writes,
-    /// crashes — must be bit-identical across `single`, `sharded` and
-    /// `wire`; the cross-engine parity test compares this digest.
+    /// crashes — must be bit-identical across `sharded` and `wire`; the
+    /// cross-engine parity test compares this digest.
     pub fn parity_digest(&self) -> u64 {
         self.fold(|e| match e {
             Event::Read {

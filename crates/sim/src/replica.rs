@@ -25,7 +25,9 @@
 //!    is the evaluation of a consistent state at the replica's horizon —
 //!    the staleness contract `docs/REPLICATION.md` documents.
 
-use qdb_core::{world_fingerprint, QuantumDb, QuantumDbConfig, ReplicaApplier, Response};
+use qdb_core::{
+    world_fingerprint, QuantumDb, QuantumDbConfig, ReplicaApplier, Response, SharedQuantumDb,
+};
 use qdb_storage::wal::MemorySink;
 use qdb_storage::{LogSink, Wal};
 use qdb_workload::flights::{self, FlightsConfig};
@@ -118,9 +120,11 @@ fn qcfg(cfg: &ReplicaSimConfig, seed: u64) -> QuantumDbConfig {
 /// replica acknowledged. This is the *explanation object* for both
 /// checked properties: a state every honest node would reach from those
 /// bytes.
-fn recover_prefix(prefix: &[u8], qcfg: QuantumDbConfig) -> Result<QuantumDb, String> {
+fn recover_prefix(prefix: &[u8], qcfg: QuantumDbConfig) -> Result<SharedQuantumDb, String> {
     let sink: Box<dyn LogSink> = Box::new(MemorySink::from_bytes(prefix.to_vec()));
-    QuantumDb::recover(Wal::with_sink(sink), qcfg).map_err(|e| e.to_string())
+    QuantumDb::recover(Wal::with_sink(sink), qcfg)
+        .map(QuantumDb::into_shared)
+        .map_err(|e| e.to_string())
 }
 
 fn booking_sql(user: &str, flight: i64) -> String {
@@ -133,15 +137,15 @@ fn booking_sql(user: &str, flight: i64) -> String {
 
 /// Durable WAL image length — what a crash (and therefore a replica)
 /// can observe; the group-commit tail buffer is deliberately excluded.
-fn durable_len(db: &mut QuantumDb) -> u64 {
+fn durable_len(db: &SharedQuantumDb) -> u64 {
     db.wal_image().len() as u64
 }
 
 /// Compare a replica-visible answer with the reference recovery's answer
 /// for the same statement. `Err` carries the mismatch description.
 fn check_against_reference(
-    replica: &mut QuantumDb,
-    reference: &mut QuantumDb,
+    replica: &SharedQuantumDb,
+    reference: &SharedQuantumDb,
     sql: &str,
     what: &str,
 ) -> Result<(), String> {
@@ -173,11 +177,11 @@ pub fn run_replica_seed(seed: u64, cfg: &ReplicaSimConfig) -> ReplicaRunResult {
     };
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5e11_ca5e_u64.rotate_left(17));
 
-    let mut primary = match QuantumDb::new(qcfg(cfg, seed)) {
-        Ok(db) => db,
+    let primary = match QuantumDb::new(qcfg(cfg, seed)) {
+        Ok(db) => db.into_shared(),
         Err(e) => return out.fail(format!("primary build: {e}")),
     };
-    if let Err(e) = flights::install(&mut primary, &cfg.flights) {
+    if let Err(e) = flights::install(&primary, &cfg.flights) {
         return out.fail(format!("flights install: {e}"));
     }
 
@@ -187,7 +191,7 @@ pub fn run_replica_seed(seed: u64, cfg: &ReplicaSimConfig) -> ReplicaRunResult {
     let mut replicas: Vec<ReplicaApplier> = Vec::with_capacity(cfg.replicas.max(1));
     for _ in 0..cfg.replicas.max(1) {
         match QuantumDb::new(qcfg(cfg, seed)) {
-            Ok(db) => replicas.push(ReplicaApplier::new(db)),
+            Ok(db) => replicas.push(ReplicaApplier::new(db.into_shared())),
             Err(e) => return out.fail(format!("replica build: {e}")),
         }
     }
@@ -206,7 +210,7 @@ pub fn run_replica_seed(seed: u64, cfg: &ReplicaSimConfig) -> ReplicaRunResult {
             let user = format!("u{i}");
             match primary.execute(&booking_sql(&user, flight)) {
                 Ok(Response::Committed(_)) => {
-                    acked.push((durable_len(&mut primary), format!("booking {user}")));
+                    acked.push((durable_len(&primary), format!("booking {user}")));
                 }
                 Ok(_) => {}
                 Err(_) => {} // sold out / k-bound aborts are workload noise
@@ -214,15 +218,15 @@ pub fn run_replica_seed(seed: u64, cfg: &ReplicaSimConfig) -> ReplicaRunResult {
         } else if roll < 55 {
             let sql = format!("INSERT INTO Bookings VALUES ('w{i}', {flight}, 'W{i}')");
             if matches!(primary.execute(&sql), Ok(Response::Written(true))) {
-                acked.push((durable_len(&mut primary), format!("insert w{i}")));
+                acked.push((durable_len(&primary), format!("insert w{i}")));
             }
         } else if roll < 62 {
             if primary.execute("GROUND ALL").is_ok() {
-                acked.push((durable_len(&mut primary), "ground all".into()));
+                acked.push((durable_len(&primary), "ground all".into()));
             }
         } else if roll < 67 {
             if primary.execute("CHECKPOINT").is_ok() {
-                acked.push((durable_len(&mut primary), "checkpoint".into()));
+                acked.push((durable_len(&primary), "checkpoint".into()));
             }
         } else if roll < 90 {
             // Replication poll: a seeded replica pulls a seeded, usually
@@ -230,7 +234,10 @@ pub fn run_replica_seed(seed: u64, cfg: &ReplicaSimConfig) -> ReplicaRunResult {
             let r = rng.gen_range(0..replicas.len());
             let chunk = rng.gen_range(0..cfg.segment_max.max(1)) + 1;
             let from = replicas[r].fetch_offset();
-            let (wal_len, _, bytes) = primary.wal_stream_from(from, chunk);
+            let (wal_len, _, bytes) = match primary.wal_stream_from(from, chunk) {
+                Ok(segment) => segment,
+                Err(e) => return out.fail(format!("primary stream read at {from}: {e}")),
+            };
             if !bytes.is_empty() {
                 if let Err(e) = replicas[r].apply_segment(from, &bytes) {
                     return out.fail(format!("replica {r} apply at {from}: {e}"));
@@ -250,7 +257,7 @@ pub fn run_replica_seed(seed: u64, cfg: &ReplicaSimConfig) -> ReplicaRunResult {
             if sampled {
                 let applied = replicas[r].applied_offset() as usize;
                 let image = primary.wal_image();
-                let mut reference = match recover_prefix(&image[..applied], qcfg(cfg, seed)) {
+                let reference = match recover_prefix(&image[..applied], qcfg(cfg, seed)) {
                     Ok(db) => db,
                     Err(e) => return out.fail(format!("reference recovery at {applied}: {e}")),
                 };
@@ -260,19 +267,19 @@ pub fn run_replica_seed(seed: u64, cfg: &ReplicaSimConfig) -> ReplicaRunResult {
                     ("SHOW PENDING", "pending_mismatch"),
                 ] {
                     if let Err(e) =
-                        check_against_reference(replicas[r].db_mut(), &mut reference, stmt, what)
+                        check_against_reference(replicas[r].db(), &reference, stmt, what)
                     {
                         return out.fail(format!("replica {r} at offset {applied}: {e}"));
                     }
                 }
-                let got = world_fingerprint(replicas[r].db().database());
-                let want = world_fingerprint(reference.database());
+                let got = replicas[r].db().with_database(world_fingerprint);
+                let want = reference.with_database(world_fingerprint);
                 if got != want {
                     return out.fail(format!(
                         "replica {r} ground state diverged from its horizon at offset {applied}"
                     ));
                 }
-            } else if let Err(e) = replicas[r].db_mut().execute(&sql) {
+            } else if let Err(e) = replicas[r].db().execute(&sql) {
                 return out.fail(format!("replica {r} peek: {e}"));
             }
         }
@@ -303,7 +310,7 @@ pub fn run_replica_seed(seed: u64, cfg: &ReplicaSimConfig) -> ReplicaRunResult {
     out.surviving_acked = acked.iter().filter(|(off, _)| *off <= applied).count() as u64;
     out.lost_to_window = out.acked_writes - out.surviving_acked;
 
-    let mut promoted = match victim.promote() {
+    let promoted = match victim.promote() {
         Ok(db) => db,
         Err(e) => return out.fail(format!("promotion: {e}")),
     };
@@ -311,12 +318,12 @@ pub fn run_replica_seed(seed: u64, cfg: &ReplicaSimConfig) -> ReplicaRunResult {
     // Property 1 — zero acknowledged-durable-write loss: the promoted
     // state IS crash recovery of the acknowledged prefix, so every write
     // acked at or below the horizon is present by construction.
-    let mut reference = match recover_prefix(&image[..applied as usize], qcfg(cfg, seed)) {
+    let reference = match recover_prefix(&image[..applied as usize], qcfg(cfg, seed)) {
         Ok(db) => db,
         Err(e) => return out.fail(format!("post-kill reference recovery: {e}")),
     };
-    let got = world_fingerprint(promoted.database());
-    let want = world_fingerprint(reference.database());
+    let got = promoted.with_database(world_fingerprint);
+    let want = reference.with_database(world_fingerprint);
     if got != want {
         let at_risk = out.surviving_acked;
         return out.fail(format!(
@@ -324,12 +331,9 @@ pub fn run_replica_seed(seed: u64, cfg: &ReplicaSimConfig) -> ReplicaRunResult {
              of the acknowledged prefix ({at_risk} acked writes at risk)"
         ));
     }
-    if let Err(e) = check_against_reference(
-        &mut promoted,
-        &mut reference,
-        "SHOW PENDING",
-        "pending_mismatch",
-    ) {
+    if let Err(e) =
+        check_against_reference(&promoted, &reference, "SHOW PENDING", "pending_mismatch")
+    {
         return out.fail(format!("promoted pending set: {e}"));
     }
     if promoted.last_txn_id() != reference.last_txn_id() {

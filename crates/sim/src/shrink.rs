@@ -166,7 +166,7 @@ mod tests {
             crash_count: 1,
             ser_interval: 40,
             mutation,
-            ..SimConfig::smoke(EngineKind::Single)
+            ..SimConfig::smoke(EngineKind::Sharded)
         }
     }
 

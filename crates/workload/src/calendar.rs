@@ -5,7 +5,7 @@
 //! short-notice meetings (the CEO's Friday-afternoon call) claim specific
 //! slots without the rescheduling cascade the paper describes.
 
-use qdb_core::QuantumDb;
+use qdb_core::SharedQuantumDb;
 use qdb_logic::{parse_transaction, ResourceTransaction};
 use qdb_storage::{Schema, Tuple, Value, ValueType};
 
@@ -47,7 +47,7 @@ pub fn prefers_schema() -> Schema {
 }
 
 /// Install the calendar schema and a fully free calendar.
-pub fn install_calendar(qdb: &mut QuantumDb, cfg: &CalendarConfig) -> qdb_core::Result<()> {
+pub fn install_calendar(qdb: &SharedQuantumDb, cfg: &CalendarConfig) -> qdb_core::Result<()> {
     qdb.create_table(free_schema())?;
     qdb.create_table(meetings_schema())?;
     qdb.create_table(prefers_schema())?;
@@ -83,7 +83,7 @@ pub fn schedule_pinned(name: &str, slot: i64) -> ResourceTransaction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qdb_core::QuantumDbConfig;
+    use qdb_core::{QuantumDb, QuantumDbConfig};
     use qdb_storage::tuple;
 
     #[test]
@@ -92,8 +92,10 @@ mod tests {
         // slot. Later, a CEO meeting demands the exact slot the offsite
         // would naively have taken — with deferral, no rescheduling
         // cascade happens.
-        let mut qdb = QuantumDb::new(QuantumDbConfig::default()).unwrap();
-        install_calendar(&mut qdb, &CalendarConfig { rooms: 1, slots: 2 }).unwrap();
+        let qdb = QuantumDb::new(QuantumDbConfig::default())
+            .unwrap()
+            .into_shared();
+        install_calendar(&qdb, &CalendarConfig { rooms: 1, slots: 2 }).unwrap();
         // Offsite prefers slot 1 (Friday afternoon).
         qdb.bulk_insert("Prefers", vec![tuple!["offsite", 1]])
             .unwrap();
@@ -113,28 +115,31 @@ mod tests {
         let offsite = qdb.query("Meetings('offsite', r, t)").unwrap();
         assert_eq!(offsite.len(), 1, "offsite still has a slot");
         // They occupy different slots of the single room.
-        assert_eq!(qdb.database().table("Free").unwrap().len(), 0);
+        assert_eq!(qdb.with_database(|db| db.table("Free").unwrap().len()), 0);
     }
 
     #[test]
     fn preference_honored_when_uncontended() {
-        let mut qdb = QuantumDb::new(QuantumDbConfig::default()).unwrap();
-        install_calendar(&mut qdb, &CalendarConfig { rooms: 2, slots: 3 }).unwrap();
+        let qdb = QuantumDb::new(QuantumDbConfig::default())
+            .unwrap()
+            .into_shared();
+        install_calendar(&qdb, &CalendarConfig { rooms: 2, slots: 3 }).unwrap();
         qdb.bulk_insert("Prefers", vec![tuple!["standup", 2]])
             .unwrap();
         qdb.submit(&schedule_meeting("standup")).unwrap();
         qdb.ground_all().unwrap();
         let q = qdb_logic::parse_query("Meetings('standup', r, t)").unwrap();
-        let mut qdb2 = qdb; // shadow to call read
-        let rows = qdb2.read_parsed(&q, None).unwrap();
+        let rows = qdb.read(&q.atoms, None).unwrap();
         let t = rows[0].get(q.var("t").unwrap()).unwrap().as_int().unwrap();
         assert_eq!(t, 2, "optional preference satisfied when possible");
     }
 
     #[test]
     fn full_calendar_rejects_new_meetings() {
-        let mut qdb = QuantumDb::new(QuantumDbConfig::default()).unwrap();
-        install_calendar(&mut qdb, &CalendarConfig { rooms: 1, slots: 1 }).unwrap();
+        let qdb = QuantumDb::new(QuantumDbConfig::default())
+            .unwrap()
+            .into_shared();
+        install_calendar(&qdb, &CalendarConfig { rooms: 1, slots: 1 }).unwrap();
         assert!(qdb.submit(&schedule_meeting("a")).unwrap().is_committed());
         assert!(!qdb.submit(&schedule_meeting("b")).unwrap().is_committed());
     }

@@ -6,7 +6,7 @@
 //! flights (row `r`, column `A`–`C`), so a single `Adjacent` relation
 //! covers all flights, exactly as in the paper's `Adj(s1, s2)` atoms.
 
-use qdb_core::QuantumDb;
+use qdb_core::SharedQuantumDb;
 use qdb_storage::{Database, Schema, Tuple, Value, ValueType};
 
 /// Flight database shape.
@@ -153,7 +153,7 @@ pub fn build_database(cfg: &FlightsConfig) -> Database {
 
 /// Install the flight schema and data into a quantum database engine
 /// ("appropriate indices are defined for each relation", §5.2).
-pub fn install(qdb: &mut QuantumDb, cfg: &FlightsConfig) -> qdb_core::Result<()> {
+pub fn install(qdb: &SharedQuantumDb, cfg: &FlightsConfig) -> qdb_core::Result<()> {
     qdb.create_table(available_schema())?;
     qdb.create_table(bookings_schema())?;
     qdb.create_table(adjacent_schema())?;
@@ -206,13 +206,21 @@ mod tests {
 
     #[test]
     fn install_into_engine() {
-        let mut qdb = QuantumDb::new(qdb_core::QuantumDbConfig::default()).unwrap();
+        let qdb = qdb_core::QuantumDb::new(qdb_core::QuantumDbConfig::default())
+            .unwrap()
+            .into_shared();
         let cfg = FlightsConfig {
             flights: 1,
             rows_per_flight: 2,
         };
-        install(&mut qdb, &cfg).unwrap();
-        assert_eq!(qdb.database().table("Available").unwrap().len(), 6);
-        assert_eq!(qdb.database().table("Adjacent").unwrap().len(), 8);
+        install(&qdb, &cfg).unwrap();
+        assert_eq!(
+            qdb.with_database(|db| db.table("Available").unwrap().len()),
+            6
+        );
+        assert_eq!(
+            qdb.with_database(|db| db.table("Adjacent").unwrap().len()),
+            8
+        );
     }
 }

@@ -185,9 +185,10 @@ impl RemoteRunResult {
 /// freshly installed flights database, fan the requests out over
 /// `cfg.connections` client threads, ground, and collect measurements.
 pub fn run_remote(cfg: &RemoteConfig) -> RemoteRunResult {
-    let mut qdb = QuantumDb::new(cfg.engine.clone()).expect("engine construction");
-    install(&mut qdb, &cfg.flights).expect("schema install");
-    let shared = qdb.into_shared();
+    let shared = QuantumDb::new(cfg.engine.clone())
+        .expect("engine construction")
+        .into_shared();
+    install(&shared, &cfg.flights).expect("schema install");
     let server =
         Server::spawn_with_db("127.0.0.1:0", cfg.workers, shared.clone()).expect("loopback server");
     let addr = server.addr();

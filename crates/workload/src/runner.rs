@@ -146,9 +146,10 @@ impl RunResult {
 pub fn run_quantum(cfg: &RunConfig) -> RunResult {
     let pairs = make_pairs(&cfg.flights, cfg.pairs_per_flight);
     let ops = ops_for(cfg, &pairs);
-    let mut qdb = QuantumDb::new(cfg.engine.clone()).expect("engine construction");
-    install(&mut qdb, &cfg.flights).expect("schema install");
-    let shared = qdb.into_shared();
+    let shared = QuantumDb::new(cfg.engine.clone())
+        .expect("engine construction")
+        .into_shared();
+    install(&shared, &cfg.flights).expect("schema install");
     let session: Session = shared.session();
 
     // Parse the hot statements once; the loop only binds and runs. The

@@ -18,9 +18,9 @@ use quantum_db::workload::calendar::{
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut qdb = QuantumDb::new(QuantumDbConfig::default())?;
+    let qdb = QuantumDb::new(QuantumDbConfig::default())?.into_shared();
     // One meeting room, five time slots (Mon..Fri afternoon = slot 5).
-    install_calendar(&mut qdb, &CalendarConfig { rooms: 1, slots: 5 })?;
+    install_calendar(&qdb, &CalendarConfig { rooms: 1, slots: 5 })?;
 
     // The team prefers Friday afternoon (slot 5) for the offsite.
     qdb.bulk_insert("Prefers", vec![tuple!["offsite", 5]])?;
@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Check-in: everyone reads their slot; the schedule collapses.
     qdb.ground_all()?;
     let q = parse_query("Meetings(name, room, slot)")?;
-    let rows = qdb.read_parsed(&q, None)?;
+    let rows = qdb.read(&q.atoms, None)?;
     println!("\nfinal schedule:");
     let mut lines: Vec<String> = rows
         .iter()

@@ -17,7 +17,7 @@ use quantum_db::storage::{tuple, Schema, ValueType, Wal};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Build an engine and commit two deferred bookings.
-    let mut qdb = QuantumDb::new(QuantumDbConfig::default())?;
+    let qdb = QuantumDb::new(QuantumDbConfig::default())?.into_shared();
     qdb.create_table(Schema::new(
         "Available",
         vec![("flight", ValueType::Int), ("seat", ValueType::Str)],
@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Recovery: replay the log, re-solve the quantum state.
     let wal = Wal::with_sink(Box::new(MemorySink::from_bytes(image)));
-    let mut recovered = QuantumDb::recover(wal, QuantumDbConfig::default())?;
+    let recovered = QuantumDb::recover(wal, QuantumDbConfig::default())?.into_shared();
     println!(
         "after recovery: pending = {} (the torn record lost Donald's \
          commit acknowledgement — it was never acknowledged, so nothing \

@@ -10,7 +10,7 @@ use quantum_db::{QuantumDb, QuantumDbConfig, Response, Value};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Set up a tiny travel database: flight 123 with three seats.
     //    DDL and blind writes are ordinary statements.
-    let mut qdb = QuantumDb::new(QuantumDbConfig::default())?;
+    let qdb = QuantumDb::new(QuantumDbConfig::default())?.into_shared();
     qdb.execute("CREATE TABLE Available (flight INT, seat TEXT)")?;
     qdb.execute("CREATE TABLE Bookings (name TEXT, flight INT, seat TEXT)")?;
     qdb.execute("CREATE INDEX ON Available (flight)")?;
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(rows, again, "reads are repeatable after collapse");
 
     // 6. Sessions and prepared statements: parse once, run many times.
-    let session = qdb.into_shared().session();
+    let session = qdb.session();
     let book = session.prepare(
         "SELECT @s FROM Available(123, @s) CHOOSE 1 \
          FOLLOWED BY (DELETE (123, @s) FROM Available; \

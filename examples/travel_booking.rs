@@ -26,7 +26,7 @@ const BOOKING_NEXT_TO: &str = "\
     )";
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut qdb = QuantumDb::new(QuantumDbConfig::default())?;
+    let qdb = QuantumDb::new(QuantumDbConfig::default())?.into_shared();
     qdb.execute("CREATE TABLE Available (flight INT, seat TEXT)")?;
     qdb.execute("CREATE TABLE Bookings (name TEXT, flight INT, seat TEXT)")?;
     qdb.execute("CREATE TABLE Adjacent (s1 TEXT, s2 TEXT)")?;
@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let mickey = booking("Mickey");
     let donald = booking("Donald");
-    let base = qdb.database().clone();
+    let base = qdb.with_database(|db| db.clone());
     let w1 = enumerate_worlds(&base, &[&mickey], 100)?;
     println!("after Mickey's transaction: {} possible worlds", w1.len());
     let w2 = enumerate_worlds(&base, &[&mickey, &donald], 100)?;
@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Entangled coordination (§5.1) -----------------------------------
     println!("\n--- Entangled resource transactions ---");
-    let session: Session = qdb.into_shared().session();
+    let session: Session = qdb.session();
     let book = session.prepare(BOOKING_NEXT_TO)?;
     // Mickey books first, wanting to sit next to Goofy — who is not in the
     // system yet. The request commits; the coordination constraint stays

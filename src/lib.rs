@@ -12,14 +12,17 @@
 //!
 //! ## The statement API
 //!
-//! Every operation goes through [`QuantumDb::execute`] (or a [`Session`]
-//! over the thread-safe [`SharedQuantumDb`]) as one SQL dialect, and comes
-//! back as a typed [`Response`]:
+//! There is one engine: the thread-safe, partition-sharded
+//! [`SharedQuantumDb`]. [`QuantumDb`] is its state at rest — what
+//! [`QuantumDb::new`] and crash recovery ([`QuantumDb::recover`]) produce
+//! and [`QuantumDb::into_shared`] brings to life. Every operation goes
+//! through [`SharedQuantumDb::execute`] (or a [`Session`] over the same
+//! handle) as one SQL dialect, and comes back as a typed [`Response`]:
 //!
 //! ```
 //! use quantum_db::{QuantumDb, QuantumDbConfig, Response};
 //!
-//! let mut qdb = QuantumDb::new(QuantumDbConfig::default())?;
+//! let qdb = QuantumDb::new(QuantumDbConfig::default())?.into_shared();
 //! qdb.execute("CREATE TABLE Available (flight INT, seat TEXT)")?;
 //! qdb.execute("CREATE TABLE Bookings (name TEXT, flight INT, seat TEXT)")?;
 //! qdb.execute("INSERT INTO Available VALUES (123, '5A'), (123, '5B')")?;
@@ -50,9 +53,9 @@
 //! ```
 //! use quantum_db::{QuantumDb, QuantumDbConfig, Value};
 //!
-//! let mut qdb = QuantumDb::new(QuantumDbConfig::default())?;
+//! let qdb = QuantumDb::new(QuantumDbConfig::default())?.into_shared();
 //! qdb.execute("CREATE TABLE Available (flight INT, seat TEXT)")?;
-//! let session = qdb.into_shared().session();
+//! let session = qdb.session();
 //! let insert = session.prepare("INSERT INTO Available VALUES (?, ?)")?;
 //! for seat in ["5A", "5B", "5C"] {
 //!     insert.bind(&[Value::from(123), Value::from(seat)])?.run()?;
@@ -68,8 +71,8 @@
 //!
 //! ## Client/server
 //!
-//! The same statement surface is reachable over TCP: [`server`] puts a
-//! worker-pool service in front of a [`SharedQuantumDb`] speaking the
+//! The same statement surface is reachable over TCP: [`server`] puts an
+//! epoll reactor plus executor pool in front of a [`SharedQuantumDb`] speaking the
 //! [`core::wire`] frame protocol, and [`client`] provides blocking
 //! connections with remote prepared statements, pipelining and a small
 //! pool. See `examples/remote_booking.rs` for the §2 scenario running

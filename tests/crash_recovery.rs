@@ -7,15 +7,17 @@
 //! from a torn log must rebuild both the extensional database and the
 //! in-memory quantum state, honouring every acknowledged commitment.
 
-use quantum_db::core::{QuantumDb, QuantumDbConfig};
+use quantum_db::core::{QuantumDb, QuantumDbConfig, SharedQuantumDb};
 use quantum_db::logic::parse_transaction;
 use quantum_db::storage::wal::MemorySink;
 use quantum_db::storage::{tuple, Schema, ValueType, Wal};
 use quantum_db::SubmitOutcome;
 
 /// Build an engine with two pending bookings and return its WAL image.
-fn engine_with_two_pending() -> (QuantumDb, Vec<u8>) {
-    let mut qdb = QuantumDb::new(QuantumDbConfig::default()).unwrap();
+fn engine_with_two_pending() -> (SharedQuantumDb, Vec<u8>) {
+    let qdb = QuantumDb::new(QuantumDbConfig::default())
+        .unwrap()
+        .into_shared();
     qdb.create_table(Schema::new(
         "Available",
         vec![("flight", ValueType::Int), ("seat", ValueType::Str)],
@@ -55,7 +57,7 @@ fn recover(image: Vec<u8>) -> QuantumDb {
 #[test]
 fn pending_transactions_survive_a_clean_crash() {
     let (_qdb, image) = engine_with_two_pending();
-    let mut recovered = recover(image);
+    let recovered = recover(image).into_shared();
     // Both acknowledged commits are honoured across the failure.
     assert_eq!(recovered.pending_count(), 2);
     let rows = recovered.query("Bookings('Mickey', f, s)").unwrap();
@@ -74,7 +76,7 @@ fn a_torn_tail_loses_only_the_unacknowledged_record() {
     let (_qdb, image) = engine_with_two_pending();
     // 💥 The machine dies mid-write: chop 3 bytes off the last frame.
     let torn_at = image.len() - 3;
-    let mut recovered = recover(image[..torn_at].to_vec());
+    let recovered = recover(image[..torn_at].to_vec()).into_shared();
 
     // Donald's commit record was torn — it is as if the commit was never
     // acknowledged, so exactly one pending transaction survives.
@@ -104,7 +106,7 @@ fn truncation_inside_ground_all_leaves_each_txn_grounded_xor_pending() {
     // Every cut must recover to a state where each committed transaction
     // is *either* fully grounded *or* still pending — never half-applied,
     // never dropped (commits must not roll back, §2).
-    let (mut qdb, pre_ground_image) = engine_with_two_pending();
+    let (qdb, pre_ground_image) = engine_with_two_pending();
     let pre_ground_len = pre_ground_image.len();
     qdb.ground_all().unwrap();
     assert_eq!(qdb.pending_count(), 0);
@@ -149,7 +151,7 @@ fn a_crash_tearing_a_group_commit_batch_recovers_the_record_prefix() {
     // durability window.
     let mut wal = Wal::in_memory();
     wal.set_group_limit(1 << 20);
-    let mut qdb = QuantumDb::with_wal(QuantumDbConfig::default(), wal);
+    let qdb = QuantumDb::with_wal(QuantumDbConfig::default(), wal).into_shared();
     qdb.create_table(Schema::new(
         "Available",
         vec![("flight", ValueType::Int), ("seat", ValueType::Str)],
@@ -207,7 +209,7 @@ fn a_crash_tearing_a_group_commit_batch_recovers_the_record_prefix() {
 
     // The worst tear — one byte short of the full batch — still leaves a
     // serving engine that can admit and ground new work.
-    let mut recovered = recover(image[..image.len() - 1].to_vec());
+    let recovered = recover(image[..image.len() - 1].to_vec()).into_shared();
     let t = parse_transaction("-Available(f, s), +Bookings('Goofy', f, s) :-1 Available(f, s)")
         .unwrap();
     assert!(recovered.submit(&t).unwrap().is_committed());

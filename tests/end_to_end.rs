@@ -2,7 +2,9 @@
 //! Cross-crate integration tests: full scenarios through the facade crate,
 //! exercising storage + logic + solver + engine + workload together.
 
-use quantum_db::core::{enumerate_worlds, QuantumDb, QuantumDbConfig, Serializability};
+use quantum_db::core::{
+    enumerate_worlds, QuantumDb, QuantumDbConfig, Serializability, SharedQuantumDb,
+};
 use quantum_db::logic::{parse_query, parse_transaction};
 use quantum_db::storage::{tuple, WriteOp};
 use quantum_db::workload::{
@@ -10,9 +12,9 @@ use quantum_db::workload::{
     RunConfig,
 };
 
-fn travel_qdb(cfg: QuantumDbConfig, flights: FlightsConfig) -> QuantumDb {
-    let mut qdb = QuantumDb::new(cfg).unwrap();
-    workload::flights::install(&mut qdb, &flights).unwrap();
+fn travel_qdb(cfg: QuantumDbConfig, flights: FlightsConfig) -> SharedQuantumDb {
+    let qdb = QuantumDb::new(cfg).unwrap().into_shared();
+    workload::flights::install(&qdb, &flights).unwrap();
     qdb
 }
 
@@ -22,7 +24,7 @@ fn full_booking_lifecycle_through_facade() {
         flights: 2,
         rows_per_flight: 3,
     };
-    let mut qdb = travel_qdb(QuantumDbConfig::default(), flights);
+    let qdb = travel_qdb(QuantumDbConfig::default(), flights);
     // Commit five bookings across the two flights.
     for (i, f) in [(0, 1i64), (1, 1), (2, 2), (3, 2), (4, 1)] {
         let t = parse_transaction(&format!(
@@ -36,7 +38,7 @@ fn full_booking_lifecycle_through_facade() {
     // Read every booking; state collapses incrementally.
     for i in 0..5 {
         let q = parse_query(&format!("Bookings('user{i}', f, s)")).unwrap();
-        let rows = qdb.read_parsed(&q, None).unwrap();
+        let rows = qdb.read(&q.atoms, None).unwrap();
         assert_eq!(rows.len(), 1, "user{i} has a seat");
     }
     assert_eq!(qdb.pending_count(), 0);
@@ -85,8 +87,8 @@ fn possible_worlds_agree_with_engine_on_facade_types() {
         flights: 1,
         rows_per_flight: 1,
     };
-    let mut qdb = travel_qdb(QuantumDbConfig::default(), flights);
-    let base = qdb.database().clone();
+    let qdb = travel_qdb(QuantumDbConfig::default(), flights);
+    let base = qdb.with_database(|db| db.clone());
     let t1 =
         parse_transaction("-Available(1, s), +Bookings('a', 1, s) :-1 Available(1, s)").unwrap();
     let worlds = enumerate_worlds(&base, &[&t1], 10).unwrap();
@@ -102,7 +104,7 @@ fn writes_and_reads_interleaved_with_strict_mode() {
         flights: 1,
         rows_per_flight: 4,
     };
-    let mut qdb = travel_qdb(cfg, flights);
+    let qdb = travel_qdb(cfg, flights);
     for i in 0..4 {
         let t = parse_transaction(&format!(
             "-Available(1, s), +Bookings('u{i}', 1, s) :-1 Available(1, s)"
@@ -117,7 +119,7 @@ fn writes_and_reads_interleaved_with_strict_mode() {
         .unwrap());
     // Read the last user: strict mode grounds the whole prefix.
     let q = parse_query("Bookings('u3', f, s)").unwrap();
-    assert_eq!(qdb.read_parsed(&q, None).unwrap().len(), 1);
+    assert_eq!(qdb.read(&q.atoms, None).unwrap().len(), 1);
     assert_eq!(qdb.pending_count(), 0);
 }
 
@@ -130,13 +132,13 @@ fn coordination_measured_consistently_across_crates() {
         rows_per_flight: 5,
     };
     let pairs = make_pairs(&flights, 7);
-    let mut qdb = travel_qdb(QuantumDbConfig::default(), flights);
+    let qdb = travel_qdb(QuantumDbConfig::default(), flights);
     for r in workload::arrange(&pairs, ArrivalOrder::Alternate) {
         let txn = workload::entangled_booking(&r.user, &r.partner, r.flight);
         assert!(qdb.submit(&txn).unwrap().is_committed());
     }
     qdb.ground_all().unwrap();
-    let stats = coordination_stats(qdb.database(), &pairs, flights.rows_per_flight);
+    let stats = qdb.with_database(|db| coordination_stats(db, &pairs, flights.rows_per_flight));
     // 7 pairs want coordination; only 5 rows exist: max 10 users.
     assert_eq!(stats.max_possible, 10);
     assert_eq!(
@@ -152,7 +154,7 @@ fn recovery_of_a_workload_in_flight() {
         flights: 2,
         rows_per_flight: 4,
     };
-    let mut qdb = travel_qdb(QuantumDbConfig::default(), flights);
+    let qdb = travel_qdb(QuantumDbConfig::default(), flights);
     let pairs = make_pairs(&flights, 4);
     let reqs = workload::arrange(&pairs, ArrivalOrder::InOrder);
     // Submit only the first half: all of them wait for partners.
@@ -166,7 +168,9 @@ fn recovery_of_a_workload_in_flight() {
     let wal = quantum_db::storage::Wal::with_sink(Box::new(
         quantum_db::storage::wal::MemorySink::from_bytes(image),
     ));
-    let mut rec = QuantumDb::recover(wal, QuantumDbConfig::default()).unwrap();
+    let rec = QuantumDb::recover(wal, QuantumDbConfig::default())
+        .unwrap()
+        .into_shared();
     assert_eq!(rec.pending_count(), 8);
     // Partners arrive after recovery; coordination still works.
     for r in &reqs[8..] {
@@ -174,7 +178,7 @@ fn recovery_of_a_workload_in_flight() {
         assert!(rec.submit(&txn).unwrap().is_committed());
     }
     rec.ground_all().unwrap();
-    let stats = coordination_stats(rec.database(), &pairs, flights.rows_per_flight);
+    let stats = rec.with_database(|db| coordination_stats(db, &pairs, flights.rows_per_flight));
     assert_eq!(
         stats.coordinated_users, 16,
         "all 8 pairs coordinated across the crash"
@@ -187,7 +191,9 @@ fn the_mickey_cancellation_narrative() {
     // (flight 2). If a Delta seat opens before he reads, semantic
     // serializability can still… in our model preferences are optional
     // atoms against a Preferred table.
-    let mut qdb = QuantumDb::new(QuantumDbConfig::default()).unwrap();
+    let qdb = QuantumDb::new(QuantumDbConfig::default())
+        .unwrap()
+        .into_shared();
     qdb.create_table(quantum_db::storage::Schema::new(
         "Available",
         vec![
@@ -227,7 +233,7 @@ fn the_mickey_cancellation_narrative() {
     // is satisfied using Tuesday's availability (semantic
     // serializability, §2).
     let q = parse_query("Bookings('Mickey', f, s)").unwrap();
-    let rows = qdb.read_parsed(&q, None).unwrap();
+    let rows = qdb.read(&q.atoms, None).unwrap();
     let flight = rows[0].get(q.var("f").unwrap()).unwrap().as_int().unwrap();
     assert_eq!(
         flight, 1,

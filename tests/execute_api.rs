@@ -2,10 +2,12 @@
 //! `QuantumDb::execute()`, typed `Response`s, sessions and prepared
 //! statements.
 
-use quantum_db::{QuantumDb, QuantumDbConfig, Response, Value};
+use quantum_db::{QuantumDb, QuantumDbConfig, Response, SharedQuantumDb, Value};
 
-fn engine() -> QuantumDb {
-    let mut qdb = QuantumDb::new(QuantumDbConfig::default()).unwrap();
+fn engine() -> SharedQuantumDb {
+    let qdb = QuantumDb::new(QuantumDbConfig::default())
+        .unwrap()
+        .into_shared();
     for ddl in [
         "CREATE TABLE Available (flight INT, seat TEXT)",
         "CREATE TABLE Bookings (name TEXT, flight INT, seat TEXT)",
@@ -34,7 +36,7 @@ fn engine() -> QuantumDb {
 /// `Response` variants.
 #[test]
 fn all_five_statement_classes_round_trip() {
-    let mut qdb = engine();
+    let qdb = engine();
 
     // DDL beyond the setup: a secondary index, by column name.
     assert_eq!(
@@ -102,10 +104,10 @@ fn all_five_statement_classes_round_trip() {
     assert_eq!(qdb.pending_count(), 0, "read collapsed the quantum state");
     // Adjacency honored: Goofy sits on 1B, Mickey next to it.
     assert!(
-        qdb.database().contains(
+        qdb.with_database(|db| db.contains(
             "Adjacent",
             &quantum_db::storage::tuple![seat.as_str(), "1B"]
-        ),
+        )),
         "Mickey got {seat}, not adjacent to Goofy's 1B"
     );
 
@@ -150,7 +152,9 @@ fn all_five_statement_classes_round_trip() {
 
 #[test]
 fn blind_write_that_invalidates_pending_state_reports_written_false() {
-    let mut qdb = QuantumDb::new(QuantumDbConfig::default()).unwrap();
+    let qdb = QuantumDb::new(QuantumDbConfig::default())
+        .unwrap()
+        .into_shared();
     qdb.execute("CREATE TABLE Available (flight INT, seat TEXT)")
         .unwrap();
     qdb.execute("CREATE TABLE Bookings (name TEXT, flight INT, seat TEXT)")
@@ -173,14 +177,14 @@ fn blind_write_that_invalidates_pending_state_reports_written_false() {
         .unwrap();
     assert_eq!(r, Response::Written(false));
     assert_eq!(qdb.pending_count(), 1);
-    assert!(qdb
-        .database()
-        .contains("Available", &quantum_db::storage::tuple![123, "1A"]));
+    assert!(
+        qdb.with_database(|db| db.contains("Available", &quantum_db::storage::tuple![123, "1A"]))
+    );
 }
 
 #[test]
 fn select_possible_exposes_uncertainty_as_worlds() {
-    let mut qdb = engine();
+    let qdb = engine();
     qdb.execute(
         "SELECT @s FROM Available(123, @s) CHOOSE 1 \
          FOLLOWED BY (DELETE (123, @s) FROM Available; \
@@ -203,7 +207,9 @@ fn select_possible_exposes_uncertainty_as_worlds() {
 
 #[test]
 fn aborted_transactions_are_typed_not_errors() {
-    let mut qdb = QuantumDb::new(QuantumDbConfig::default()).unwrap();
+    let qdb = QuantumDb::new(QuantumDbConfig::default())
+        .unwrap()
+        .into_shared();
     qdb.execute("CREATE TABLE Available (flight INT, seat TEXT)")
         .unwrap();
     qdb.execute("CREATE TABLE Bookings (name TEXT, flight INT, seat TEXT)")
@@ -221,7 +227,7 @@ fn aborted_transactions_are_typed_not_errors() {
 #[test]
 fn sessions_prepare_once_and_rebind() {
     let qdb = engine();
-    let session = qdb.into_shared().session();
+    let session = qdb.session();
     let baseline = session
         .execute("SHOW METRICS")
         .unwrap()
@@ -276,7 +282,7 @@ fn ground_by_id_reports_the_full_cascade() {
         ground_on_partner_arrival: false,
         ..QuantumDbConfig::default()
     };
-    let mut qdb = QuantumDb::new(cfg).unwrap();
+    let qdb = QuantumDb::new(cfg).unwrap().into_shared();
     qdb.execute("CREATE TABLE Available (flight INT, seat TEXT)")
         .unwrap();
     qdb.execute("CREATE TABLE Bookings (name TEXT, flight INT, seat TEXT)")
@@ -314,7 +320,7 @@ fn ground_by_id_reports_the_full_cascade() {
 
 #[test]
 fn executing_a_parameterized_statement_directly_is_an_error() {
-    let mut qdb = engine();
+    let qdb = engine();
     let err = qdb
         .execute("INSERT INTO Available VALUES (?, ?)")
         .unwrap_err();
@@ -332,7 +338,7 @@ fn executing_a_parameterized_statement_directly_is_an_error() {
 
 #[test]
 fn execute_stmt_bypasses_the_parser() {
-    let mut qdb = engine();
+    let qdb = engine();
     let parsed = quantum_db::parse_statement("SELECT @s FROM Available(123, @s)").unwrap();
     let stmt = parsed.statement().unwrap().clone();
     let before = qdb.metrics().parses;

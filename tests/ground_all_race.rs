@@ -31,11 +31,13 @@ impl Drop for FinishOnDrop<'_> {
 }
 
 fn session_with(tables: &[&str]) -> Session {
-    let mut qdb = QuantumDb::new(QuantumDbConfig::default()).unwrap();
+    let qdb = QuantumDb::new(QuantumDbConfig::default())
+        .unwrap()
+        .into_shared();
     for ddl in tables {
         qdb.execute(ddl).unwrap();
     }
-    qdb.into_shared().session()
+    qdb.session()
 }
 
 /// The sharpest observable form of the race: a one-seat-per-round

@@ -8,7 +8,7 @@
 //! returns — through admission (overlay deletes), grounding (base
 //! deletes + inserts) and blind writes.
 
-use quantum_db::core::{QuantumDb, QuantumDbConfig};
+use quantum_db::core::{QuantumDb, QuantumDbConfig, SharedQuantumDb};
 use quantum_db::logic::parse_transaction;
 use quantum_db::storage::wal::MemorySink;
 use quantum_db::storage::{tuple, Schema, Table, Tuple, Value, ValueType, Wal, WriteOp};
@@ -20,8 +20,8 @@ fn config() -> QuantumDbConfig {
     }
 }
 
-fn build_engine() -> QuantumDb {
-    let mut qdb = QuantumDb::new(config()).unwrap();
+fn build_engine() -> SharedQuantumDb {
+    let qdb = QuantumDb::new(config()).unwrap().into_shared();
     qdb.create_table(
         Schema::new(
             "Available",
@@ -81,9 +81,9 @@ fn book(name: &str, flight: i64) -> quantum_db::logic::ResourceTransaction {
 
 #[test]
 fn auto_promoted_indexes_survive_recovery_and_stay_consistent() {
-    let mut qdb = build_engine();
-    // Bound-flight bookings vote the flight column of Available hot; the
-    // threshold of 4 promotes it during the submit stream.
+    let qdb = build_engine();
+    // Bound-flight bookings vote the flight column of Available hot, past
+    // the threshold of 4.
     let ids: Vec<u64> = (0..8)
         .map(|i| {
             qdb.submit(&book(&format!("u{i}"), 1 + (i % 4) as i64))
@@ -92,11 +92,23 @@ fn auto_promoted_indexes_survive_recovery_and_stay_consistent() {
                 .unwrap()
         })
         .collect();
+    // The engine samples its vote sweep on every 32nd statement (the
+    // deleted single-threaded driver swept after every one), so the
+    // promotion lands at most 31 statements after the threshold: pad the
+    // stream with row-neutral blind writes until the sweep has run. The
+    // client-visible result asserted below is unchanged — the hot column
+    // ends up indexed, and the promotion is counted.
+    for _ in 0..16 {
+        qdb.write(WriteOp::insert("Available", tuple![9, "pad"]))
+            .unwrap();
+        qdb.write(WriteOp::delete("Available", tuple![9, "pad"]))
+            .unwrap();
+    }
     assert!(
         qdb.metrics().indexes_auto_created >= 1,
         "tracker must have promoted at least one index"
     );
-    let available_ix = qdb.database().table("Available").unwrap().indexed_columns();
+    let available_ix = qdb.with_database(|db| db.table("Available").unwrap().indexed_columns());
     assert!(available_ix.contains(&0), "flight column promoted");
 
     // Ground half, leave half pending; mix in blind writes.
@@ -107,44 +119,43 @@ fn auto_promoted_indexes_survive_recovery_and_stay_consistent() {
         .unwrap();
     qdb.write(WriteOp::delete("Available", tuple![9, "x1"]))
         .unwrap();
-    for table in qdb.database().tables() {
-        assert_indexes_consistent(table);
-    }
+    qdb.with_database(|db| db.tables().for_each(assert_indexes_consistent));
 
     // "Crash" and recover from the log image.
     let image = qdb.wal_image();
     let wal = Wal::with_sink(Box::new(MemorySink::from_bytes(image)));
-    let mut recovered = QuantumDb::recover(wal, config()).unwrap();
+    let recovered = QuantumDb::recover(wal, config()).unwrap();
 
     assert_eq!(recovered.pending_count(), qdb.pending_count());
-    for (live, rec) in qdb.database().tables().zip(recovered.database().tables()) {
-        assert_eq!(live.schema().relation(), rec.schema().relation());
-        let mut live_ix = live.indexed_columns();
-        let mut rec_ix = rec.indexed_columns();
-        live_ix.sort_unstable();
-        rec_ix.sort_unstable();
-        assert_eq!(
-            live_ix,
-            rec_ix,
-            "recovered '{}' must rebuild the same indexes (auto-promoted included)",
-            live.schema().relation()
-        );
-        assert_indexes_consistent(rec);
-        // Same contents, both access paths.
-        let live_rows: Vec<Tuple> = live.iter().cloned().collect();
-        let rec_rows: Vec<Tuple> = rec.iter().cloned().collect();
-        assert_eq!(live_rows, rec_rows);
-    }
+    qdb.with_database(|live_db| {
+        for (live, rec) in live_db.tables().zip(recovered.database().tables()) {
+            assert_eq!(live.schema().relation(), rec.schema().relation());
+            let mut live_ix = live.indexed_columns();
+            let mut rec_ix = rec.indexed_columns();
+            live_ix.sort_unstable();
+            rec_ix.sort_unstable();
+            assert_eq!(
+                live_ix,
+                rec_ix,
+                "recovered '{}' must rebuild the same indexes (auto-promoted included)",
+                live.schema().relation()
+            );
+            assert_indexes_consistent(rec);
+            // Same contents, both access paths.
+            let live_rows: Vec<Tuple> = live.iter().cloned().collect();
+            let rec_rows: Vec<Tuple> = rec.iter().cloned().collect();
+            assert_eq!(live_rows, rec_rows);
+        }
+    });
 
     // The recovered engine keeps grounding; indexes stay consistent
     // through the collapse's deletes and inserts.
+    let recovered = recovered.into_shared();
     recovered.ground_all().unwrap();
     assert_eq!(recovered.pending_count(), 0);
-    for table in recovered.database().tables() {
-        assert_indexes_consistent(table);
-    }
+    recovered.with_database(|db| db.tables().for_each(assert_indexes_consistent));
     assert_eq!(
-        recovered.database().table("Bookings").unwrap().len(),
+        recovered.with_database(|db| db.table("Bookings").unwrap().len()),
         8,
         "all eight bookings landed"
     );
@@ -154,7 +165,7 @@ fn auto_promoted_indexes_survive_recovery_and_stay_consistent() {
 fn torn_tail_cannot_leave_a_half_built_index() {
     // Chop the log at every byte: recovery must always succeed and always
     // yield tables whose indexes agree with their scans.
-    let mut qdb = build_engine();
+    let qdb = build_engine();
     for i in 0..6 {
         qdb.submit(&book(&format!("t{i}"), 1 + (i % 2) as i64))
             .unwrap();

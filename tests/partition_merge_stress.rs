@@ -39,12 +39,15 @@ fn next(state: &mut u64) -> u64 {
 }
 
 fn build_session() -> Session {
-    let mut qdb = QuantumDb::new(QuantumDbConfig::default()).unwrap();
-    qdb.execute("CREATE TABLE Free (lane INT, slot TEXT)")
+    let shared = QuantumDb::new(QuantumDbConfig::default())
+        .unwrap()
+        .into_shared();
+    shared
+        .execute("CREATE TABLE Free (lane INT, slot TEXT)")
         .unwrap();
-    qdb.execute("CREATE TABLE Taken (who TEXT, lane INT, slot TEXT)")
+    shared
+        .execute("CREATE TABLE Taken (who TEXT, lane INT, slot TEXT)")
         .unwrap();
-    let shared = qdb.into_shared();
     let session = shared.session();
     let insert = session.prepare("INSERT INTO Free VALUES (?, ?)").unwrap();
     for lane in 0..THREADS as i64 {

@@ -250,16 +250,18 @@ fn pipelined_batches_preserve_per_connection_order() {
 fn eight_concurrent_connections_of_mixed_traffic_on_four_workers() {
     const CONNECTIONS: usize = 8;
     // One flight with plenty of seats for eight users.
-    let mut qdb = QuantumDb::new(QuantumDbConfig::default()).unwrap();
+    let qdb = QuantumDb::new(QuantumDbConfig::default())
+        .unwrap()
+        .into_shared();
     qdb_workload::flights::install(
-        &mut qdb,
+        &qdb,
         &qdb_workload::FlightsConfig {
             flights: 1,
             rows_per_flight: 4,
         },
     )
     .unwrap();
-    let server = Server::spawn_with_db("127.0.0.1:0", 4, qdb.into_shared()).unwrap();
+    let server = Server::spawn_with_db("127.0.0.1:0", 4, qdb).unwrap();
 
     std::thread::scope(|scope| {
         for i in 0..CONNECTIONS {

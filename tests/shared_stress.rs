@@ -13,14 +13,18 @@ const BOOKINGS_PER_THREAD: usize = 12;
 /// Build a schema where each thread owns one "flight" worth of resources,
 /// so admissions contend on the engine lock but not on the seats.
 fn stressed_session() -> Session {
-    let mut qdb = QuantumDb::new(QuantumDbConfig::default()).unwrap();
-    qdb.execute("CREATE TABLE Free (lane INT, slot TEXT)")
+    let shared = QuantumDb::new(QuantumDbConfig::default())
+        .unwrap()
+        .into_shared();
+    shared
+        .execute("CREATE TABLE Free (lane INT, slot TEXT)")
         .unwrap();
-    qdb.execute("CREATE TABLE Taken (who TEXT, lane INT, slot TEXT)")
+    shared
+        .execute("CREATE TABLE Taken (who TEXT, lane INT, slot TEXT)")
         .unwrap();
-    qdb.execute("CREATE TABLE Audit (who TEXT, lane INT)")
+    shared
+        .execute("CREATE TABLE Audit (who TEXT, lane INT)")
         .unwrap();
-    let shared = qdb.into_shared();
     let session = shared.session();
     let insert = session.prepare("INSERT INTO Free VALUES (?, ?)").unwrap();
     for lane in 0..THREADS as i64 {
@@ -149,21 +153,25 @@ fn pending_ids_snapshots_are_exact_sorted_and_dedup_free_under_churn() {
     use quantum_db::logic::parse_transaction;
     use quantum_db::storage::{tuple, Schema, ValueType};
 
-    let mut qdb = QuantumDb::new(QuantumDbConfig::default()).unwrap();
-    qdb.create_table(Schema::new(
-        "Available",
-        vec![("flight", ValueType::Int), ("seat", ValueType::Str)],
-    ))
-    .unwrap();
-    qdb.create_table(Schema::new(
-        "Bookings",
-        vec![
-            ("name", ValueType::Str),
-            ("flight", ValueType::Int),
-            ("seat", ValueType::Str),
-        ],
-    ))
-    .unwrap();
+    let shared = QuantumDb::new(QuantumDbConfig::default())
+        .unwrap()
+        .into_shared();
+    shared
+        .create_table(Schema::new(
+            "Available",
+            vec![("flight", ValueType::Int), ("seat", ValueType::Str)],
+        ))
+        .unwrap();
+    shared
+        .create_table(Schema::new(
+            "Bookings",
+            vec![
+                ("name", ValueType::Str),
+                ("flight", ValueType::Int),
+                ("seat", ValueType::Str),
+            ],
+        ))
+        .unwrap();
     let lanes = 4i64;
     let per_lane = 8i64;
     let mut seats = Vec::new();
@@ -172,8 +180,7 @@ fn pending_ids_snapshots_are_exact_sorted_and_dedup_free_under_churn() {
             seats.push(tuple![lane, format!("s{s}")]);
         }
     }
-    qdb.bulk_insert("Available", seats).unwrap();
-    let shared = qdb.into_shared();
+    shared.bulk_insert("Available", seats).unwrap();
 
     let book = |lane: i64, who: &str| {
         parse_transaction(&format!(

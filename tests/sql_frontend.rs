@@ -3,12 +3,14 @@
 //! malformed statement class returns a positioned `LogicError`, never a
 //! panic.
 
-use quantum_db::core::{QuantumDb, QuantumDbConfig};
+use quantum_db::core::{QuantumDb, QuantumDbConfig, SharedQuantumDb};
 use quantum_db::logic::{parse_query, parse_sql_transaction, parse_statement, LogicError};
 use quantum_db::storage::{tuple, Schema, ValueType};
 
-fn engine() -> QuantumDb {
-    let mut qdb = QuantumDb::new(QuantumDbConfig::default()).unwrap();
+fn engine() -> SharedQuantumDb {
+    let qdb = QuantumDb::new(QuantumDbConfig::default())
+        .unwrap()
+        .into_shared();
     qdb.create_table(Schema::new(
         "Available",
         vec![("flight", ValueType::Int), ("seat", ValueType::Str)],
@@ -48,7 +50,7 @@ fn engine() -> QuantumDb {
 
 #[test]
 fn figure1_sql_transaction_books_and_coordinates() {
-    let mut qdb = engine();
+    let qdb = engine();
     // Goofy books a concrete seat first.
     let goofy = parse_sql_transaction(
         "SELECT @s \
@@ -81,7 +83,7 @@ fn figure1_sql_transaction_books_and_coordinates() {
 
     // Collapse and check adjacency was honored (1A or 1C, next to 1B).
     let q = parse_query("Bookings('Mickey', f, s)").unwrap();
-    let rows = qdb.read_parsed(&q, None).unwrap();
+    let rows = qdb.read(&q.atoms, None).unwrap();
     let seat = rows[0]
         .get(q.var("s").unwrap())
         .unwrap()
@@ -89,8 +91,7 @@ fn figure1_sql_transaction_books_and_coordinates() {
         .unwrap()
         .to_string();
     assert!(
-        qdb.database()
-            .contains("Adjacent", &tuple![seat.as_str(), "1B"]),
+        qdb.with_database(|db| db.contains("Adjacent", &tuple![seat.as_str(), "1B"])),
         "Mickey got {seat}, not adjacent to Goofy's 1B"
     );
 }
@@ -110,10 +111,13 @@ fn sql_and_datalog_forms_are_interchangeable() {
     assert_eq!(sql.to_string(), datalog.to_string());
     // Both run identically against a fresh engine.
     for txn in [&sql, &datalog] {
-        let mut qdb = engine();
+        let qdb = engine();
         assert!(qdb.submit(txn).unwrap().is_committed());
         qdb.ground_all().unwrap();
-        assert_eq!(qdb.database().table("Bookings").unwrap().len(), 1);
+        assert_eq!(
+            qdb.with_database(|db| db.table("Bookings").unwrap().len()),
+            1
+        );
     }
 }
 
