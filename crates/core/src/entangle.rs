@@ -23,10 +23,15 @@ pub fn coordinates_with(a: &ResourceTransaction, b: &ResourceTransaction) -> boo
 }
 
 /// Pending transactions that form a coordination pair with `new_txn`
-/// (either direction), in arrival order.
-pub fn coordination_partners(new_txn: &ResourceTransaction, pending: &[PendingTxn]) -> Vec<TxnId> {
+/// (either direction), in the order given (callers pass arrival order).
+/// Borrows: the callers sit on statement paths and filter a partition's
+/// pending list in place.
+pub fn coordination_partners<'a>(
+    new_txn: &ResourceTransaction,
+    pending: impl IntoIterator<Item = &'a PendingTxn>,
+) -> Vec<TxnId> {
     pending
-        .iter()
+        .into_iter()
         .filter(|p| coordinates_with(new_txn, &p.txn) || coordinates_with(&p.txn, new_txn))
         .map(|p| p.id)
         .collect()

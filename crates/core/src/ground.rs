@@ -262,14 +262,14 @@ pub(crate) fn plan_group_front(
     ids: &[TxnId],
 ) -> Result<Option<GroundPlan>> {
     let idset: std::collections::BTreeSet<TxnId> = ids.iter().copied().collect();
-    let mut group = Vec::new();
-    let mut rest = Vec::new();
+    let mut group: Vec<&crate::PendingTxn> = Vec::new();
+    let mut rest: Vec<&crate::PendingTxn> = Vec::new();
     let mut rest_cached = Vec::new();
     for (t, v) in p.txns.iter().zip(&p.cache.valuations) {
         if idset.contains(&t.id) {
-            group.push(t.clone());
+            group.push(t);
         } else {
-            rest.push(t.clone());
+            rest.push(t);
             rest_cached.push(v.clone());
         }
     }
@@ -318,8 +318,8 @@ fn plan_solve_group(
     db: &qdb_storage::Database,
     pre_ops: &[qdb_storage::WriteOp],
     config: &crate::QuantumDbConfig,
-    group: &[crate::PendingTxn],
-    rest: &[crate::PendingTxn],
+    group: &[&crate::PendingTxn],
+    rest: &[&crate::PendingTxn],
     rest_cached: &[Valuation],
     promo: &[Vec<usize>],
 ) -> Result<Option<GroundPlan>> {

@@ -724,15 +724,8 @@ impl SharedQuantumDb {
             let fresh = matches!(mode, Admit::Fresh);
             if fresh && self.core.config.ground_on_partner_arrival {
                 let mut partners = {
-                    let new_txn = &st.part.txns.last().expect("just installed").txn;
-                    let others: Vec<PendingTxn> = st
-                        .part
-                        .txns
-                        .iter()
-                        .filter(|p| p.id != id)
-                        .cloned()
-                        .collect();
-                    coordination_partners(new_txn, &others)
+                    let (newcomer, others) = st.part.txns.split_last().expect("just installed");
+                    coordination_partners(&newcomer.txn, others)
                 };
                 if !partners.is_empty() {
                     partners.push(id);
@@ -789,13 +782,21 @@ impl SharedQuantumDb {
             .filter(|(_, e)| select(&e.footprint))
             .map(|(&k, _)| k)
             .collect();
-        let mut footprint = seed;
+        // The union grows from the first claimed footprint, taken whole:
+        // claiming one deep partition costs the newcomer's atoms, not a
+        // copy of every pending one.
+        let mut footprint: Option<Footprint> = None;
         let mut targets = Vec::with_capacity(target_pids.len());
         for pid in &target_pids {
             let e = reg.slots.remove(pid).expect("scanned above");
-            footprint.absorb(&e.footprint);
+            match &mut footprint {
+                Some(union) => union.absorb(&e.footprint),
+                None => footprint = Some(e.footprint),
+            }
             targets.push((*pid, e.slot));
         }
+        let mut footprint = footprint.unwrap_or_default();
+        footprint.absorb(&seed);
         let pid = reg.next_pid;
         reg.next_pid += 1;
         reg.slots.insert(
@@ -819,6 +820,12 @@ impl SharedQuantumDb {
     /// Re-publish a partition's footprint after its contents changed;
     /// removes (and kills) the registration when it grounded empty. Must
     /// be called while holding the slot's lock.
+    ///
+    /// Transactions enter a partition only through a reservation, which
+    /// registers their atoms up front; so a registered footprint that
+    /// counts exactly the partition's transactions has lost none and is
+    /// kept as is. It is rebuilt only when something left (a grounding, a
+    /// refused newcomer).
     fn publish(&self, pid: u64, st: &mut SlotState) {
         let mut reg = self.core.reg.lock();
         if st.part.is_empty() {
@@ -826,7 +833,9 @@ impl SharedQuantumDb {
                 st.dead = true;
             }
         } else if let Some(e) = reg.slots.get_mut(&pid) {
-            e.footprint = st.part.footprint();
+            if e.footprint.txn_count() != st.part.len() {
+                e.footprint = st.part.footprint();
+            }
         }
         // Entry absent: a reservation already claimed this slot and will
         // drain whatever state we leave behind — nothing to publish.
@@ -1328,13 +1337,11 @@ impl SharedQuantumDb {
             if st.dead {
                 continue;
             }
-            let target = st
-                .part
-                .txns
+            let txns = &st.part.txns;
+            let Some(target) = txns
                 .iter()
                 .find(|pt| crate::read::read_affects(&pt.txn, atoms))
-                .map(|pt| (pt.id, pt.txn.clone()));
-            let Some((id, target_txn)) = target else {
+            else {
                 // The footprint over-approximated (stale after earlier
                 // groundings): shrink it so the scan progresses.
                 self.publish(pid, &mut st);
@@ -1342,15 +1349,9 @@ impl SharedQuantumDb {
             };
             // Pull in coordination partners so a read does not needlessly
             // split a pair that could still coordinate.
-            let others: Vec<PendingTxn> = st
-                .part
-                .txns
-                .iter()
-                .filter(|p| p.id != id)
-                .cloned()
-                .collect();
-            let mut ids = coordination_partners(&target_txn, &others);
-            ids.push(id);
+            let others = txns.iter().filter(|p| p.id != target.id);
+            let mut ids = coordination_partners(&target.txn, others);
+            ids.push(target.id);
             self.ground_in_slot(&mut st, &ids, GroundReason::Read, solver)?;
             self.publish(pid, &mut st);
         }
@@ -1373,7 +1374,7 @@ impl SharedQuantumDb {
         self.core.metrics.begin().add(|c| &c.reads_peek, 1);
         self.with_touched_partitions(atoms, |db, parts| {
             let mut view = qdb_storage::DeltaView::new(db);
-            for p in &parts {
+            for p in parts {
                 let refs = p.txn_refs();
                 for op in p.cache.pending_ops(&refs)? {
                     view.apply(&op).map_err(EngineError::Storage)?;
@@ -1424,12 +1425,18 @@ impl SharedQuantumDb {
     }
 
     /// Lock every partition whose pending updates could affect `atoms`
-    /// (ascending id order), take a base read, and run `f` on a consistent
-    /// snapshot.
+    /// (ascending id order), take a base read, and run `f` on that
+    /// consistent state **in place** — nothing is copied.
+    ///
+    /// Lock-hold contract: `f` runs with the touched slots *and* the base
+    /// read lock held (slots before base, per the module's lock order),
+    /// so it must take no slot or base lock itself, and statements on the
+    /// touched partitions wait for the read to finish. Statements on any
+    /// other partition, and other readers of the base, are not delayed.
     fn with_touched_partitions<R>(
         &self,
         atoms: &[Atom],
-        f: impl FnOnce(&Database, Vec<Partition>) -> Result<R>,
+        f: impl FnOnce(&Database, &[&Partition]) -> Result<R>,
     ) -> Result<R> {
         'retry: loop {
             let cands: Vec<(u64, Arc<Slot>)> = {
@@ -1448,10 +1455,9 @@ impl SharedQuantumDb {
                 }
                 guards.push(st);
             }
-            let parts: Vec<Partition> = guards.iter().map(|g| g.part.clone()).collect();
+            let parts: Vec<&Partition> = guards.iter().map(|g| &g.part).collect();
             let base = self.base_read();
-            drop(guards);
-            return f(&base.db, parts);
+            return f(&base.db, &parts);
         }
     }
 

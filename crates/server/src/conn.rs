@@ -45,6 +45,13 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 struct FrameQueue {
     frames: VecDeque<Frame>,
     scheduled: bool,
+    /// The reactor deregistered `EPOLLIN` (queue or outbox saturated);
+    /// drainers kick once pressure drops so reading resumes. Lives under
+    /// the queue mutex so that the reactor decides it against the very
+    /// queue length the drainers change: a drainer that pops after the
+    /// decision sees the flag, one that emptied the queue before it made
+    /// the decision come out "not paused" — no wake-up falls in between.
+    read_paused: bool,
 }
 
 /// Encoded reply bytes not yet accepted by the socket. `head` is the
@@ -95,9 +102,6 @@ pub(crate) struct Conn {
     metrics: Arc<ServerMetrics>,
     notifier: Arc<Notifier>,
     outbox_limit: usize,
-    /// Reactor deregistered `EPOLLIN` (queue or outbox saturated);
-    /// drainers kick once pressure drops so reading resumes.
-    read_paused: AtomicBool,
     /// Transport failed (read/write error or protocol-level corruption);
     /// the reactor closes the connection at the next opportunity.
     dead: AtomicBool,
@@ -138,7 +142,6 @@ impl Conn {
             metrics,
             notifier,
             outbox_limit,
-            read_paused: AtomicBool::new(false),
             dead: AtomicBool::new(false),
             peer_eof: AtomicBool::new(false),
             kicked: AtomicBool::new(false),
@@ -185,8 +188,15 @@ impl Conn {
         self.peer_eof.load(Ordering::Acquire)
     }
 
-    pub(crate) fn set_read_paused(&self, paused: bool) {
-        self.read_paused.store(paused, Ordering::Release);
+    /// Reactor: decide, under the queue lock, whether reading this socket
+    /// pauses — the queue is at its cap or the outbox at its limit — and
+    /// publish the decision to the drainers in the same critical section.
+    /// Returns the decision and the outbox length it was made with.
+    pub(crate) fn decide_read_paused(&self) -> (bool, usize) {
+        let outbox_len = lock(&self.outbox).len();
+        let mut q = lock(&self.queue);
+        q.read_paused = outbox_len >= self.outbox_limit || q.frames.len() >= MAX_QUEUED_FRAMES;
+        (q.read_paused, outbox_len)
     }
 
     pub(crate) fn touch(&self, tick: u64) {
@@ -357,13 +367,11 @@ impl Conn {
                     Some(f) => f,
                     None => {
                         q.scheduled = false;
+                        let read_paused = q.read_paused;
                         drop(q);
                         // The reactor may now need to unpause reads or
                         // close out a half-closed connection.
-                        if self.read_paused.load(Ordering::Acquire)
-                            || self.peer_eof()
-                            || self.dead()
-                        {
+                        if read_paused || self.peer_eof() || self.dead() {
                             self.kick();
                         }
                         return;
@@ -376,7 +384,11 @@ impl Conn {
             let bytes = wire::encode_reply_bounded(frame.request_id, &reply);
             self.send_reply(&bytes);
             // Unpause reads early once the queue has real room again.
-            if self.read_paused.load(Ordering::Acquire) && self.queued() < MAX_QUEUED_FRAMES / 2 {
+            let resume = {
+                let q = lock(&self.queue);
+                q.read_paused && q.frames.len() < MAX_QUEUED_FRAMES / 2
+            };
+            if resume {
                 self.kick();
             }
         }

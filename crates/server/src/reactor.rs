@@ -108,6 +108,9 @@ struct Slot {
     gen: u32,
     /// Bytes read off the socket but not yet framed.
     rbuf: Vec<u8>,
+    /// The last read stopped on saturation, so `rbuf` (and the socket)
+    /// may hold input that no future readable event will announce.
+    read_cut_short: bool,
     read_on: bool,
     write_on: bool,
 }
@@ -354,6 +357,7 @@ impl Reactor {
             conn,
             gen,
             rbuf: Vec::new(),
+            read_cut_short: false,
             read_on: true,
             write_on: false,
         });
@@ -419,11 +423,15 @@ impl Reactor {
             return;
         };
         let conn = Arc::clone(&slot.conn);
+        slot.read_cut_short = false;
         loop {
             // 1. Frame off everything already buffered (also the resume
             //    path after a pause: no fresh readable event replays
-            //    bytes we are already holding).
+            //    bytes we are already holding). `starved` = the buffer
+            //    ran out of complete frames before the queue ran out of
+            //    room.
             let mut off = 0;
+            let mut starved = false;
             while conn.queued() < MAX_QUEUED_FRAMES {
                 match wire::try_frame(&slot.rbuf[off..]) {
                     Ok(Some((frame, used))) => {
@@ -433,7 +441,10 @@ impl Reactor {
                             let _ = job_tx.send(Job::Conn(Arc::clone(&conn)));
                         }
                     }
-                    Ok(None) => break,
+                    Ok(None) => {
+                        starved = true;
+                        break;
+                    }
                     Err(_) => {
                         // A corrupt length prefix is unrecoverable: no
                         // resync point exists in the stream.
@@ -447,10 +458,18 @@ impl Reactor {
                 break;
             }
             // 2. Saturated? Stop reading; `finish_conn_pass` drops the
-            //    read interest (explicit backpressure).
+            //    read interest (explicit backpressure) — or comes straight
+            //    back here if the pressure is gone by the time it looks.
             let (queued, outbox) = conn.pressure();
             if queued >= MAX_QUEUED_FRAMES || outbox >= outbox_limit {
+                slot.read_cut_short = true;
                 break;
+            }
+            if !starved {
+                // The queue was full a moment ago and a drainer has made
+                // room since: the buffer still holds whole frames, and an
+                // empty socket must not end the pass over them.
+                continue;
             }
             // 3. Pull the next chunk off the socket.
             let old = slot.rbuf.len();
@@ -498,36 +517,45 @@ impl Reactor {
     }
 
     /// Close-or-retune epilogue run after any activity on a slot.
+    ///
+    /// Pausing reads hands the wake-up to the drainers: they kick when
+    /// they see the pause flag and a queue with room. So the pause is
+    /// decided under the queue lock ([`Conn::decide_read_paused`]), and a
+    /// connection found *not* saturated after its read was cut short is
+    /// read again on the spot — the drainers that relieved it saw no flag
+    /// and will not kick, and level-triggered epoll stays silent about
+    /// bytes already sitting in `rbuf`.
     fn finish_conn_pass(&mut self, idx: usize) {
-        let Some(Some(slot)) = self.slots.get(idx) else {
-            return;
-        };
-        let conn = Arc::clone(&slot.conn);
-        if conn.dead() || (conn.peer_eof() && conn.finished()) {
-            self.close_conn(idx, false);
-            return;
-        }
-        let (queued, outbox_len) = conn.pressure();
-        let paused = queued >= MAX_QUEUED_FRAMES || outbox_len >= self.cfg.outbox_limit;
-        conn.set_read_paused(paused);
-        let want_read = !paused && !conn.peer_eof();
-        let want_write = outbox_len > 0;
-        let fd = conn.stream().as_raw_fd();
-        let token = conn.token();
-        let Some(Some(slot)) = self.slots.get_mut(idx) else {
-            return;
-        };
-        if slot.read_on != want_read || slot.write_on != want_write {
-            slot.read_on = want_read;
-            slot.write_on = want_write;
-            if self
-                .poller
-                .modify(fd, token, want_read, want_write)
-                .is_err()
-            {
-                conn.mark_dead();
+        loop {
+            let Some(Some(slot)) = self.slots.get_mut(idx) else {
+                return;
+            };
+            let conn = Arc::clone(&slot.conn);
+            if conn.dead() || (conn.peer_eof() && conn.finished()) {
                 self.close_conn(idx, false);
+                return;
             }
+            let (paused, outbox_len) = conn.decide_read_paused();
+            let want_read = !paused && !conn.peer_eof();
+            if want_read && slot.read_cut_short {
+                self.read_conn(idx);
+                continue;
+            }
+            let want_write = outbox_len > 0;
+            if slot.read_on != want_read || slot.write_on != want_write {
+                slot.read_on = want_read;
+                slot.write_on = want_write;
+                let (fd, token) = (conn.stream().as_raw_fd(), conn.token());
+                if self
+                    .poller
+                    .modify(fd, token, want_read, want_write)
+                    .is_err()
+                {
+                    conn.mark_dead();
+                    self.close_conn(idx, false);
+                }
+            }
+            return;
         }
     }
 

@@ -11,6 +11,20 @@
 //! enumeration **streams**: [`Overlay::stream`] yields one visible tuple at
 //! a time from an index-narrowed base cursor chained with the overlay
 //! insert set, instead of materializing a `Vec` per search node.
+//!
+//! # The counting contract
+//!
+//! Two invariants of [`Overlay::apply_id`] make counting arithmetic
+//! instead of a walk. A delete of a tuple the base lacks is journaled as a
+//! no-op, so **`deletes ⊆ base`**; an insert of a visible tuple is
+//! refused and an insert of a deleted one cancels the delete, so
+//! **`inserts ∩ base = ∅`**. The visible tuples matching a pattern
+//! therefore number `base matches − matching deletes + matching inserts`,
+//! and [`Overlay::count_up_to_id`] reads the first term from an index
+//! bucket length whenever [`Table::count_up_to`] can. The delta sets are
+//! ordered by tuple, so a pattern that binds the leading column consults
+//! them through a range over that value rather than a filter over every
+//! pending update; a fully bound pattern is a membership probe.
 
 use std::collections::BTreeSet;
 use std::ops::Bound;
@@ -81,25 +95,31 @@ impl Overlay {
 
     /// Is `tuple` visible in `base + self`?
     pub fn visible_id(&self, base: &Database, rid: RelationId, tuple: &Tuple) -> bool {
+        self.probe(base, rid, tuple.values()).is_some()
+    }
+
+    /// The visible tuple of `rid` equal to `values`: overlay membership
+    /// tests plus one primary-key probe of the base.
+    fn probe<'a>(
+        &'a self,
+        base: &'a Database,
+        rid: RelationId,
+        values: &[Value],
+    ) -> Option<&'a Tuple> {
         if let Some(rel) = self.rel(rid) {
-            if rel.inserts.contains(tuple) {
-                return true;
+            if let Some(inserted) = rel.inserts.get(values) {
+                return Some(inserted);
             }
-            if rel.deletes.contains(tuple) {
-                return false;
+            if rel.deletes.contains(values) {
+                return None;
             }
         }
-        base.contains_id(rid, tuple)
+        base.table_by_id(rid).point(values)
     }
 
     /// Is `tuple` in the relation's overlay delete set?
-    pub fn is_deleted(&self, rid: RelationId, tuple: &Tuple) -> bool {
+    fn is_deleted(&self, rid: RelationId, tuple: &Tuple) -> bool {
         self.rel(rid).is_some_and(|r| r.deletes.contains(tuple))
-    }
-
-    /// Does the relation have any overlay deletes?
-    pub fn has_deletes(&self, rid: RelationId) -> bool {
-        self.rel(rid).is_some_and(|r| !r.deletes.is_empty())
     }
 
     /// The smallest overlay insert of `rid` strictly greater than `after`
@@ -113,14 +133,8 @@ impl Overlay {
         after: Option<&Tuple>,
         bound: &[Option<Value>],
     ) -> Option<Tuple> {
-        let rel = self.rel(rid)?;
-        let start: Bound<&Tuple> = match after {
-            Some(t) => Bound::Excluded(t),
-            None => Bound::Unbounded,
-        };
-        rel.inserts
-            .range((start, Bound::Unbounded))
-            .find(|t| Table::matches(t, bound))
+        matching(&self.rel(rid)?.inserts, bound, after)
+            .next()
             .cloned()
     }
 
@@ -130,8 +144,11 @@ impl Overlay {
     /// deterministic.
     ///
     /// This is the reference implementation the streaming
-    /// [`Overlay::stream`] is property-tested against; the solver's hot
-    /// path never calls it. Every call counts itself in
+    /// [`Overlay::stream`] and the arithmetic [`Overlay::count_up_to_id`]
+    /// are property-tested against; the solver's hot path never calls it.
+    /// It shares nothing with them: a full scan of the table and a linear
+    /// filter of both delta sets — no index, no point probe, no range.
+    /// Every call counts itself in
     /// `stats.candidate_vecs`, which is how "zero materializations on the
     /// fast path" stays a *checkable* claim rather than a vacuous one.
     pub fn candidates(
@@ -151,8 +168,8 @@ impl Overlay {
             None => (&empty, &empty),
         };
         let mut out: Vec<Tuple> = table
-            .select(bound)
-            .filter(|t| !deleted.contains(*t))
+            .iter()
+            .filter(|t| Table::matches(t, bound) && !deleted.contains(*t))
             .cloned()
             .collect();
         out.extend(inserts.iter().filter(|t| Table::matches(t, bound)).cloned());
@@ -164,30 +181,30 @@ impl Overlay {
     /// deletes filtered in place, chained with the overlay insert set.
     /// Yields exactly the sequence [`Overlay::candidates`] would
     /// materialize, one refcount-bump [`Tuple`] at a time — zero per-node
-    /// vectors.
+    /// vectors. A fully bound pattern is resolved here, by one membership
+    /// probe, to the zero or one tuple the walk would yield.
     ///
-    /// The cursor borrows the *base* only; the overlay is passed to each
-    /// [`CandidateIter::next`] call, so the caller may mutate (and restore)
-    /// the overlay between pulls — which is exactly what the backtracking
-    /// search does.
+    /// The cursor borrows the *base* only; the overlay **and the pattern**
+    /// are passed to each [`CandidateIter::next`] call, so the caller may
+    /// mutate (and restore) both between pulls — which is exactly what the
+    /// backtracking search does.
     pub fn stream<'a>(
         &self,
         base: &'a Database,
         rid: RelationId,
-        bound: Vec<Option<Value>>,
+        bound: &[Option<Value>],
     ) -> Result<CandidateIter<'a>> {
         let table = base.table_by_id(rid);
-        check_arity(table, base.relation_name(rid), &bound)?;
-        let cursor = table.cursor(&bound);
-        let index_backed = cursor.is_index_backed();
-        Ok(CandidateIter {
-            rid,
-            base: cursor,
-            base_done: false,
-            last_insert: None,
-            index_backed,
-            bound,
-        })
+        check_arity(table, base.relation_name(rid), bound)?;
+        let inner = match Table::with_point(bound, |v| self.probe(base, rid, v).cloned()) {
+            Some(hit) => IterInner::Point(hit),
+            None => IterInner::Walk {
+                base: table.cursor(bound),
+                base_done: false,
+                last_insert: None,
+            },
+        };
+        Ok(CandidateIter { rid, inner })
     }
 
     /// Count of visible tuples matching `bound`, saturating at `cap`
@@ -205,10 +222,12 @@ impl Overlay {
     }
 
     /// Count of visible tuples matching `bound` (saturating at `cap`) plus
-    /// whether the base portion was answered from an index. When the
-    /// relation has no overlay deletes, the base count comes from
+    /// whether the base portion was answered from an index. Arithmetic, per
+    /// the module's counting contract: `min(cap, base matches − matching
+    /// overlay deletes) + matching overlay inserts`, where the base term is
     /// [`Table::count_up_to`] — an index bucket length when a single bound
-    /// column is indexed, no row iteration at all.
+    /// column is indexed — asked for just enough rows to survive the
+    /// subtraction. A fully bound pattern is one membership probe.
     pub fn count_up_to_id(
         &self,
         base: &Database,
@@ -218,30 +237,21 @@ impl Overlay {
     ) -> Result<(usize, bool)> {
         let table = base.table_by_id(rid);
         check_arity(table, base.relation_name(rid), bound)?;
-        let rel = self.rel(rid);
-        let (mut n, index_backed) = match rel {
-            Some(r) if !r.deletes.is_empty() => {
-                let cursor = table.cursor(bound);
-                let index_backed = cursor.is_index_backed();
-                let n = cursor
-                    .filter(|t| Table::matches(t, bound) && !r.deletes.contains(*t))
-                    .take(cap)
-                    .count();
-                (n, index_backed)
-            }
-            _ => table.count_up_to(bound, cap),
-        };
-        if n < cap {
-            if let Some(r) = rel {
-                n += r
-                    .inserts
-                    .iter()
-                    .filter(|t| Table::matches(t, bound))
-                    .take(cap - n)
-                    .count();
-            }
+        if let Some(hit) = Table::with_point(bound, |v| self.probe(base, rid, v).is_some()) {
+            return Ok((usize::from(hit).min(cap), true));
         }
-        Ok((n, index_backed))
+        let Some(rel) = self.rel(rid) else {
+            return Ok(table.count_up_to(bound, cap));
+        };
+        let deleted = matching(&rel.deletes, bound, None)
+            .inspect(|t| debug_assert!(table.contains(t), "overlay delete {t} not in base"))
+            .count();
+        let (in_base, index_backed) = table.count_up_to(bound, cap.saturating_add(deleted));
+        // `deletes ⊆ base` makes this exact; were it ever broken, only the
+        // atom ordering (never the search's answers) would see the error.
+        let n = in_base.saturating_sub(deleted);
+        let inserted = matching(&rel.inserts, bound, None).take(cap - n).count();
+        Ok((n + inserted, index_backed))
     }
 
     /// Exact count of visible tuples matching `bound`.
@@ -267,6 +277,10 @@ impl Overlay {
 
     /// Apply one update on the virtual state, by interned relation id. See
     /// [`Overlay::apply`] for the semantics.
+    ///
+    /// Maintains the counting contract: a tuple enters `deletes` only when
+    /// the base holds it, and enters `inserts` only when the base lacks it
+    /// (re-inserting a deleted tuple cancels the delete instead).
     pub fn apply_id(
         &mut self,
         base: &Database,
@@ -274,47 +288,46 @@ impl Overlay {
         insert: bool,
         tuple: &Tuple,
     ) -> Result<bool> {
-        if insert {
-            if self.visible_id(base, rid, tuple) {
-                return Err(SolverError::CacheInconsistent(format!(
-                    "insert of visible tuple {}{tuple}",
-                    base.relation_name(rid)
-                )));
-            }
-            let rel = self.rel_mut(rid);
-            if rel.deletes.remove(tuple) {
-                self.journal.push(Undo::ReDelete {
-                    rid,
-                    tuple: tuple.clone(),
-                });
+        self.transition(base, rid, insert, tuple).ok_or_else(|| {
+            SolverError::CacheInconsistent(format!(
+                "insert of visible tuple {}{tuple}",
+                base.relation_name(rid)
+            ))
+        })
+    }
+
+    /// The state transition behind [`Overlay::apply_id`] and
+    /// [`Overlay::try_apply_id`]: `Some(changed)` once journaled, `None`
+    /// when an insert would duplicate a visible tuple (nothing changed,
+    /// nothing journaled). Each delta set is touched at most once.
+    fn transition(
+        &mut self,
+        base: &Database,
+        rid: RelationId,
+        insert: bool,
+        tuple: &Tuple,
+    ) -> Option<bool> {
+        let in_base = || base.contains_id(rid, tuple);
+        let rel = self.rel_mut(rid);
+        let tuple = tuple.clone();
+        let undo = if insert {
+            if rel.deletes.remove(&tuple) {
+                Undo::ReDelete { rid, tuple }
+            } else if in_base() || !rel.inserts.insert(tuple.clone()) {
+                return None;
             } else {
-                rel.inserts.insert(tuple.clone());
-                self.journal.push(Undo::UnInsert {
-                    rid,
-                    tuple: tuple.clone(),
-                });
+                Undo::UnInsert { rid, tuple }
             }
-            Ok(true)
+        } else if rel.inserts.remove(&tuple) {
+            Undo::ReInsert { rid, tuple }
+        } else if in_base() && rel.deletes.insert(tuple.clone()) {
+            Undo::UnDelete { rid, tuple }
         } else {
-            let rel = self.rel_mut(rid);
-            if rel.inserts.remove(tuple) {
-                self.journal.push(Undo::ReInsert {
-                    rid,
-                    tuple: tuple.clone(),
-                });
-                Ok(true)
-            } else if base.contains_id(rid, tuple) && !rel.deletes.contains(tuple) {
-                rel.deletes.insert(tuple.clone());
-                self.journal.push(Undo::UnDelete {
-                    rid,
-                    tuple: tuple.clone(),
-                });
-                Ok(true)
-            } else {
-                self.journal.push(Undo::Noop);
-                Ok(false)
-            }
-        }
+            Undo::Noop
+        };
+        let changed = !matches!(undo, Undo::Noop);
+        self.journal.push(undo);
+        Some(changed)
     }
 
     /// Apply an op, treating an insert-conflict as a soft failure (`false`)
@@ -335,13 +348,7 @@ impl Overlay {
         insert: bool,
         tuple: &Tuple,
     ) -> bool {
-        if insert && self.visible_id(base, rid, tuple) {
-            return false;
-        }
-        // Cannot fail for deletes or non-conflicting inserts.
-        self.apply_id(base, rid, insert, tuple)
-            .expect("conflict pre-checked");
-        true
+        self.transition(base, rid, insert, tuple).is_some()
     }
 
     /// Current rollback point.
@@ -426,6 +433,27 @@ fn check_arity(table: &Table, relation: &str, bound: &[Option<Value>]) -> Result
     Ok(())
 }
 
+/// The tuples of one delta set that match `bound`, in tuple order,
+/// strictly after `after` (a tuple this very call sequence yielded
+/// earlier, `None` = from the start). When the pattern binds the leading
+/// column the set is entered through the range of that value, so the cost
+/// follows the tuples sharing it, not the whole set.
+fn matching<'s>(
+    set: &'s BTreeSet<Tuple>,
+    bound: &'s [Option<Value>],
+    after: Option<&Tuple>,
+) -> impl Iterator<Item = &'s Tuple> {
+    let lead = bound.first().and_then(Option::as_ref);
+    let lower: Bound<&[Value]> = match (after, lead) {
+        (Some(t), _) => Bound::Excluded(t.values()),
+        (None, Some(v)) => Bound::Included(std::slice::from_ref(v)),
+        (None, None) => Bound::Unbounded,
+    };
+    set.range::<[Value], _>((lower, Bound::Unbounded))
+        .take_while(move |t| lead.is_none_or(|v| &t[0] == v))
+        .filter(move |t| Table::matches(t, bound))
+}
+
 /// Streaming candidate cursor — see [`Overlay::stream`].
 ///
 /// Not a [`std::iter::Iterator`]: each pull takes the overlay by shared
@@ -434,32 +462,55 @@ fn check_arity(table: &Table, relation: &str, bound: &[Option<Value>]) -> Result
 #[derive(Debug)]
 pub struct CandidateIter<'a> {
     rid: RelationId,
-    bound: Vec<Option<Value>>,
-    base: TableCursor<'a>,
-    base_done: bool,
-    last_insert: Option<Tuple>,
-    index_backed: bool,
+    inner: IterInner<'a>,
+}
+
+#[derive(Debug)]
+enum IterInner<'a> {
+    /// A fully bound pattern, resolved when the stream was opened.
+    Point(Option<Tuple>),
+    /// Base rows through the table cursor, then the overlay inserts.
+    Walk {
+        base: TableCursor<'a>,
+        base_done: bool,
+        last_insert: Option<Tuple>,
+    },
 }
 
 impl<'a> CandidateIter<'a> {
-    /// The next visible candidate, or `None` when exhausted.
-    pub fn next(&mut self, overlay: &Overlay) -> Option<Tuple> {
-        if !self.base_done {
-            for row in self.base.by_ref() {
-                if Table::matches(row, &self.bound) && !overlay.is_deleted(self.rid, row) {
-                    return Some(row.clone());
+    /// The next visible candidate, or `None` when exhausted. `bound` must
+    /// be the pattern the stream was opened with (the search's undo
+    /// discipline restores it before every pull).
+    pub fn next(&mut self, overlay: &Overlay, bound: &[Option<Value>]) -> Option<Tuple> {
+        match &mut self.inner {
+            IterInner::Point(hit) => hit.take(),
+            IterInner::Walk {
+                base,
+                base_done,
+                last_insert,
+            } => {
+                if !*base_done {
+                    for row in base.by_ref() {
+                        if Table::matches(row, bound) && !overlay.is_deleted(self.rid, row) {
+                            return Some(row.clone());
+                        }
+                    }
+                    *base_done = true;
                 }
+                let next = overlay.next_insert(self.rid, last_insert.as_ref(), bound)?;
+                *last_insert = Some(next.clone());
+                Some(next)
             }
-            self.base_done = true;
         }
-        let next = overlay.next_insert(self.rid, self.last_insert.as_ref(), &self.bound)?;
-        self.last_insert = Some(next.clone());
-        Some(next)
     }
 
-    /// Was the base portion narrowed by a secondary index?
+    /// Was the base portion answered from an index (a secondary index
+    /// bucket, or the primary key for a fully bound pattern)?
     pub fn is_index_backed(&self) -> bool {
-        self.index_backed
+        match &self.inner {
+            IterInner::Point(_) => true,
+            IterInner::Walk { base, .. } => base.is_index_backed(),
+        }
     }
 }
 
@@ -555,9 +606,9 @@ mod tests {
             let expect = ov
                 .candidates(&db, "A", &bound, &mut Default::default())
                 .unwrap();
-            let mut iter = ov.stream(&db, rid, bound.clone()).unwrap();
+            let mut iter = ov.stream(&db, rid, &bound).unwrap();
             let mut got = Vec::new();
-            while let Some(t) = iter.next(&ov) {
+            while let Some(t) = iter.next(&ov, &bound) {
                 got.push(t);
             }
             assert_eq!(got, expect, "bound={bound:?}");
@@ -579,9 +630,9 @@ mod tests {
         let expect = ov
             .candidates(&db, "A", &[None, None], &mut Default::default())
             .unwrap();
-        let mut iter = ov.stream(&db, rid, vec![None, None]).unwrap();
+        let mut iter = ov.stream(&db, rid, &[None, None]).unwrap();
         let mut got = Vec::new();
-        while let Some(t) = iter.next(&ov) {
+        while let Some(t) = iter.next(&ov, &[None, None]) {
             got.push(t.clone());
             // Speculative mutation + rollback, like a deeper search level.
             let mark = ov.mark();
@@ -601,11 +652,22 @@ mod tests {
         assert_eq!(ov.count_up_to_id(&db, rid, &bound, 10).unwrap(), (2, false));
         db.table_mut("A").unwrap().create_index(0).unwrap();
         assert_eq!(ov.count_up_to_id(&db, rid, &bound, 10).unwrap(), (2, true));
-        // Overlay deletes force the streaming slow path.
+        // Overlay deletes are subtracted from the bucket length; the cap
+        // applies to what is left.
         let mut ov = Overlay::new();
         ov.apply(&db, &WriteOp::delete("A", tuple![1, "1A"]))
             .unwrap();
         assert_eq!(ov.count_up_to_id(&db, rid, &bound, 10).unwrap(), (1, true));
+        assert_eq!(ov.count_up_to_id(&db, rid, &bound, 0).unwrap(), (0, true));
+        ov.apply(&db, &WriteOp::insert("A", tuple![1, "1C"]))
+            .unwrap();
+        assert_eq!(ov.count_up_to_id(&db, rid, &bound, 10).unwrap(), (2, true));
+        assert_eq!(ov.count_up_to_id(&db, rid, &bound, 1).unwrap(), (1, true));
+        // Fully bound: a probe, whatever the indexes.
+        let gone = vec![Some(Value::from(1)), Some(Value::from("1A"))];
+        let added = vec![Some(Value::from(1)), Some(Value::from("1C"))];
+        assert_eq!(ov.count_up_to_id(&db, rid, &gone, 10).unwrap(), (0, true));
+        assert_eq!(ov.count_up_to_id(&db, rid, &added, 10).unwrap(), (1, true));
     }
 
     #[test]

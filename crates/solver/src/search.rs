@@ -8,13 +8,18 @@
 //! to satisfiability of the composed body formula — the equivalence is
 //! cross-checked by property tests against a brute-force formula oracle.
 //!
-//! The inner loop is allocation-lean and index-driven: relation names are
-//! resolved to interned [`RelationId`]s once per solve, candidates are
-//! pulled through the streaming [`crate::CandidateIter`] (no per-node
-//! `Vec`), and the dynamic atom ordering reads index bucket lengths where
-//! an index serves the bound column.
+//! The inner loop is allocation-free and index-driven. Every solver entry
+//! point first **compiles** its specs (`CompiledSpec`): relation names
+//! become interned [`RelationId`]s and variables become dense per-spec
+//! slots. The search then keeps, per spec, one `Frame` — slot values,
+//! the column pattern of every body atom maintained *incrementally* as
+//! slots bind and unbind, and an undo trail — so a node allocates nothing:
+//! it reads patterns, pulls candidates through the streaming
+//! [`crate::CandidateIter`], and orders atoms by counts that are index
+//! bucket lengths and point probes (see the overlay's counting contract).
+//! A [`Valuation`] is materialised only when a transaction completes.
 
-use qdb_logic::{Atom, Term, UpdateKind, Valuation, Var};
+use qdb_logic::{Atom, LogicError, Term, UpdateKind, Valuation, Var};
 use qdb_storage::{Database, RelationId, Tuple, Value, WriteOp};
 
 use crate::error::SolverError;
@@ -53,7 +58,7 @@ impl Default for SearchLimits {
 }
 
 /// The grounding solver. Holds configuration and cumulative statistics;
-/// all search state lives on the stack of each call.
+/// all search state lives in a per-call context.
 #[derive(Debug, Default, Clone)]
 pub struct Solver {
     /// Atom ordering strategy.
@@ -85,35 +90,218 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Per-spec relation ids, resolved once per solver entry point: one id per
-/// [`TxnSpec::atoms`] entry, one `(is_insert, id)` per update atom.
-struct ResolvedSpec {
-    atom_rids: Vec<RelationId>,
-    updates: Vec<(bool, RelationId)>,
+/// A term compiled against its spec's variable slots.
+#[derive(Debug, Clone, Copy)]
+enum CTerm<'a> {
+    Const(&'a Value),
+    Slot(usize),
 }
 
-fn resolve_specs(base: &Database, specs: &[TxnSpec<'_>]) -> Result<Vec<ResolvedSpec>> {
+/// An atom with its relation resolved; its terms are the `terms` range of
+/// its spec's flat term list.
+#[derive(Debug)]
+struct CompiledAtom {
+    rid: RelationId,
+    terms: std::ops::Range<usize>,
+    /// For an update atom: insert (`true`) or delete.
+    insert: bool,
+}
+
+/// One [`TxnSpec`] compiled once per solver entry point: relation names
+/// resolved, variables mapped to dense slots `0..vars.len()`. Borrows the
+/// spec's constants and variables; three vectors in all.
+#[derive(Debug)]
+struct CompiledSpec<'a> {
+    /// The terms of every atom: body atoms first (positions
+    /// `0..body_terms`, in atom order), then update atoms.
+    terms: Vec<CTerm<'a>>,
+    body_terms: usize,
+    /// The body atoms to ground ([`TxnSpec::atoms`] order) followed by the
+    /// update atoms (update order).
+    atoms: Vec<CompiledAtom>,
+    body_atoms: usize,
+    /// Slot → variable (a [`Valuation`] is keyed by variable).
+    vars: Vec<&'a Var>,
+}
+
+impl<'a> CompiledSpec<'a> {
+    fn compile(base: &Database, spec: &TxnSpec<'a>) -> Result<Self> {
+        let txn = spec.txn;
+        let atoms = txn.body.len() + txn.updates.len();
+        let mut out = CompiledSpec {
+            // Sized for the common two-to-three column atom; grows if not.
+            terms: Vec::with_capacity(3 * atoms),
+            body_terms: 0,
+            atoms: Vec::with_capacity(atoms),
+            body_atoms: 0,
+            vars: Vec::with_capacity(4),
+        };
+        for atom in spec.atom_iter() {
+            out.push_atom(base, atom, false)?;
+        }
+        (out.body_atoms, out.body_terms) = (out.atoms.len(), out.terms.len());
+        for u in &txn.updates {
+            out.push_atom(base, &u.atom, u.kind == UpdateKind::Insert)?;
+        }
+        Ok(out)
+    }
+
+    /// Compile one atom, allocating slots for unseen variables.
+    fn push_atom(&mut self, base: &Database, atom: &'a Atom, insert: bool) -> Result<()> {
+        let rid = base.resolve(&atom.relation)?;
+        let start = self.terms.len();
+        for term in &atom.terms {
+            let compiled = match term {
+                Term::Const(c) => CTerm::Const(c),
+                Term::Var(v) => {
+                    let seen = self.vars.iter().position(|w| *w == v);
+                    CTerm::Slot(seen.unwrap_or_else(|| {
+                        self.vars.push(v);
+                        self.vars.len() - 1
+                    }))
+                }
+            };
+            self.terms.push(compiled);
+        }
+        self.atoms.push(CompiledAtom {
+            rid,
+            terms: start..self.terms.len(),
+            insert,
+        });
+        Ok(())
+    }
+
+    /// The body atoms to ground.
+    fn body(&self) -> &[CompiledAtom] {
+        &self.atoms[..self.body_atoms]
+    }
+
+    /// The update atoms, in update order.
+    fn updates(&self) -> &[CompiledAtom] {
+        &self.atoms[self.body_atoms..]
+    }
+
+    /// `atom` as a tuple under `value_of`; the error names the first
+    /// variable without a value.
+    fn ground<'v>(
+        &'v self,
+        atom: &CompiledAtom,
+        value_of: impl Fn(usize) -> Option<&'v Value>,
+    ) -> Result<Tuple> {
+        let terms = &self.terms[atom.terms.clone()];
+        let value = |term: &'v CTerm<'a>| match *term {
+            CTerm::Const(c) => Some(c),
+            CTerm::Slot(s) => value_of(s),
+        };
+        if let Some(CTerm::Slot(s)) = terms.iter().find(|term| value(term).is_none()) {
+            return Err(SolverError::Logic(LogicError::UnboundVariable {
+                var: self.vars[*s].name().to_string(),
+            }));
+        }
+        Ok(terms
+            .iter()
+            .map(|term| value(term).expect("checked above").clone())
+            .collect())
+    }
+}
+
+fn compile_specs<'a>(base: &Database, specs: &[TxnSpec<'a>]) -> Result<Vec<CompiledSpec<'a>>> {
     specs
         .iter()
-        .map(|spec| {
-            let atom_rids = spec
-                .atoms()
-                .iter()
-                .map(|a| base.resolve(&a.relation).map_err(SolverError::Storage))
-                .collect::<Result<Vec<_>>>()?;
-            let updates = spec
-                .txn
-                .updates
-                .iter()
-                .map(|u| {
-                    base.resolve(&u.atom.relation)
-                        .map(|rid| (u.kind == UpdateKind::Insert, rid))
-                        .map_err(SolverError::Storage)
-                })
-                .collect::<Result<Vec<_>>>()?;
-            Ok(ResolvedSpec { atom_rids, updates })
-        })
+        .map(|spec| CompiledSpec::compile(base, spec))
         .collect()
+}
+
+/// The search state of one spec, allocated once per solver entry point
+/// and restored by the undo trail on every backtrack.
+#[derive(Debug)]
+struct Frame {
+    /// Slot → its current value.
+    binds: Vec<Option<Value>>,
+    /// The column patterns of all body atoms under `binds`, laid out like
+    /// the spec's body terms (constants are filled in once): what the
+    /// counts and candidate streams are asked with, kept current by
+    /// [`Frame::assign`] instead of being rebuilt per node.
+    patterns: Vec<Option<Value>>,
+    /// Body atoms already matched on the current branch.
+    used: Vec<bool>,
+    /// Slots in binding order.
+    trail: Vec<usize>,
+}
+
+impl Frame {
+    fn new(spec: &CompiledSpec<'_>) -> Self {
+        Frame {
+            binds: vec![None; spec.vars.len()],
+            patterns: spec.terms[..spec.body_terms]
+                .iter()
+                .map(|term| match *term {
+                    CTerm::Const(c) => Some(c.clone()),
+                    CTerm::Slot(_) => None,
+                })
+                .collect(),
+            used: vec![false; spec.body_atoms],
+            trail: Vec::with_capacity(spec.vars.len()),
+        }
+    }
+
+    /// The column pattern of body atom `idx`.
+    fn pattern(&self, spec: &CompiledSpec<'_>, idx: usize) -> &[Option<Value>] {
+        &self.patterns[spec.atoms[idx].terms.clone()]
+    }
+
+    /// Set (`Some`) or clear (`None`) `slot` in `binds` and at every body
+    /// position that holds it.
+    fn assign(&mut self, spec: &CompiledSpec<'_>, slot: usize, value: Option<&Value>) {
+        for (pattern, term) in self.patterns.iter_mut().zip(&spec.terms) {
+            if matches!(term, CTerm::Slot(s) if *s == slot) {
+                *pattern = value.cloned();
+            }
+        }
+        self.binds[slot] = value.cloned();
+    }
+
+    /// Unbind every slot bound since the trail was `mark` long.
+    fn undo(&mut self, spec: &CompiledSpec<'_>, mark: usize) {
+        while self.trail.len() > mark {
+            let slot = self.trail.pop().expect("longer than mark");
+            self.assign(spec, slot, None);
+        }
+    }
+
+    /// Try to extend the bindings so body atom `idx` matches `tuple`;
+    /// leaves them untouched on a mismatch.
+    fn match_atom(&mut self, spec: &CompiledSpec<'_>, idx: usize, tuple: &Tuple) -> bool {
+        let terms = &spec.terms[spec.atoms[idx].terms.clone()];
+        debug_assert_eq!(terms.len(), tuple.arity());
+        let mark = self.trail.len();
+        for (term, value) in terms.iter().zip(tuple.iter()) {
+            let ok = match *term {
+                CTerm::Const(c) => c == value,
+                CTerm::Slot(s) => match &self.binds[s] {
+                    Some(existing) => existing == value,
+                    None => {
+                        self.assign(spec, s, Some(value));
+                        self.trail.push(s);
+                        true
+                    }
+                },
+            };
+            if !ok {
+                self.undo(spec, mark);
+                return false;
+            }
+        }
+        true
+    }
+
+    fn valuation(&self, spec: &CompiledSpec<'_>) -> Valuation {
+        spec.vars
+            .iter()
+            .zip(&self.binds)
+            .filter_map(|(&var, value)| Some((var.clone(), value.clone()?)))
+            .collect()
+    }
 }
 
 impl Solver {
@@ -188,11 +376,11 @@ impl Solver {
         overlay: &mut Overlay,
         specs: &[TxnSpec<'_>],
     ) -> Result<Option<Solution>> {
-        let resolved = resolve_specs(base, specs)?;
+        let compiled = compile_specs(base, specs)?;
         let mut ctx = Ctx {
             base,
-            specs,
-            resolved: &resolved,
+            specs: &compiled,
+            frames: compiled.iter().map(Frame::new).collect(),
             order: self.order,
             seed: self.seed,
             max_nodes: self.limits.max_nodes,
@@ -243,24 +431,22 @@ impl Solver {
         for op in pre_ops {
             overlay.apply(base, op)?;
         }
-        let resolved = resolve_specs(base, specs)?;
-        for ((spec, val), rspec) in specs.iter().zip(valuations).zip(&resolved) {
-            for (atom, &rid) in spec.atoms().iter().zip(&rspec.atom_rids) {
-                let tuple = match atom.ground(val) {
-                    Ok(t) => t,
-                    Err(_) => {
-                        self.stats.verify_failures += 1;
-                        return Ok(false); // valuation doesn't even cover the atom
-                    }
-                };
-                if !overlay.visible_id(base, rid, &tuple) {
+        let compiled = compile_specs(base, specs)?;
+        for (spec, val) in compiled.iter().zip(valuations) {
+            let value_of = |slot: usize| val.get(spec.vars[slot]);
+            for atom in spec.body() {
+                // A valuation that doesn't even cover the atom fails too.
+                let visible = spec
+                    .ground(atom, value_of)
+                    .is_ok_and(|tuple| overlay.visible_id(base, atom.rid, &tuple));
+                if !visible {
                     self.stats.verify_failures += 1;
                     return Ok(false);
                 }
             }
-            for (u, &(insert, rid)) in spec.txn.updates.iter().zip(&rspec.updates) {
-                let tuple = u.atom.ground(val)?;
-                if !overlay.try_apply_id(base, rid, insert, &tuple) {
+            for atom in spec.updates() {
+                let tuple = spec.ground(atom, value_of)?;
+                if !overlay.try_apply_id(base, atom.rid, atom.insert, &tuple) {
                     self.stats.verify_failures += 1;
                     return Ok(false);
                 }
@@ -293,13 +479,12 @@ impl Solver {
         for op in pre_ops {
             overlay.apply(base, op)?;
         }
-        let specs = std::slice::from_ref(spec);
-        let resolved = resolve_specs(base, specs)?;
+        let compiled = [CompiledSpec::compile(base, spec)?];
         let mut collected = Vec::new();
         let mut ctx = Ctx {
             base,
-            specs,
-            resolved: &resolved,
+            specs: &compiled,
+            frames: compiled.iter().map(Frame::new).collect(),
             order: self.order,
             seed: self.seed,
             max_nodes: self.limits.max_nodes,
@@ -324,8 +509,10 @@ impl Solver {
 
 struct Ctx<'a, 'c> {
     base: &'a Database,
-    specs: &'a [TxnSpec<'a>],
-    resolved: &'a [ResolvedSpec],
+    specs: &'a [CompiledSpec<'a>],
+    /// One frame per spec; `frames[i]` is clean (nothing bound, nothing
+    /// used) whenever the search is not inside spec `i`.
+    frames: Vec<Frame>,
     order: AtomOrder,
     seed: u64,
     max_nodes: u64,
@@ -348,84 +535,79 @@ impl<'a, 'c> Ctx<'a, 'c> {
         if i == self.specs.len() {
             return Ok(self.collect_first.is_none());
         }
-        let atoms = self.specs[i].atoms();
-        let mut used = vec![false; atoms.len()];
-        let mut val = Valuation::new();
-        self.solve_atoms(i, &atoms, &mut used, &mut val, overlay, out)
+        self.solve_atoms(i, overlay, out)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn solve_atoms(
         &mut self,
         i: usize,
-        atoms: &[&Atom],
-        used: &mut [bool],
-        val: &mut Valuation,
         overlay: &mut Overlay,
         out: &mut Vec<Valuation>,
     ) -> Result<bool> {
-        if used.iter().all(|&u| u) {
-            return self.complete_txn(i, val, overlay, out);
+        if self.frames[i].used.iter().all(|&u| u) {
+            return self.complete_txn(i, overlay, out);
         }
-        let (idx, bound) = self.pick_atom(i, atoms, used, val, overlay)?;
-        let atom = atoms[idx];
-        let rid = self.resolved[i].atom_rids[idx];
-        let mut candidates = overlay.stream(self.base, rid, bound)?;
+        let spec = &self.specs[i];
+        let idx = self.pick_atom(i, overlay)?;
+        let rid = spec.atoms[idx].rid;
+        let mut candidates = overlay.stream(self.base, rid, self.frames[i].pattern(spec, idx))?;
         if candidates.is_index_backed() {
             self.stats.index_lookups += 1;
         } else {
             self.stats.scan_lookups += 1;
         }
-        used[idx] = true;
-        while let Some(tuple) = candidates.next(overlay) {
+        self.frames[i].used[idx] = true;
+        let mut done = false;
+        // Every pull sees the pattern the stream was opened with: the
+        // bindings a candidate adds are undone before the next pull.
+        while let Some(tuple) = candidates.next(overlay, self.frames[i].pattern(spec, idx)) {
             self.nodes += 1;
             self.stats.candidates_streamed += 1;
             if self.nodes > self.max_nodes {
                 return Err(SolverError::LimitExceeded { nodes: self.nodes });
             }
-            if let Some(newly) = match_atom(atom, &tuple, val) {
-                let done = self.solve_atoms(i, atoms, used, val, overlay, out)?;
-                for v in &newly {
-                    val.unbind(v);
-                }
+            let mark = self.frames[i].trail.len();
+            if self.frames[i].match_atom(spec, idx, &tuple) {
+                done = self.solve_atoms(i, overlay, out)?;
+                self.frames[i].undo(spec, mark);
                 if done {
-                    used[idx] = false;
-                    return Ok(true);
+                    break;
                 }
             }
         }
-        used[idx] = false;
-        Ok(false)
+        self.frames[i].used[idx] = false;
+        Ok(done)
     }
 
     /// All atoms of txn `i` are matched: apply its updates and move on.
     /// Updates are grounded straight into id-based overlay ops — no
-    /// [`WriteOp`] (and no relation-string clone) is materialized.
+    /// [`WriteOp`] (and no relation-string clone) is materialized — and
+    /// this is the only place a [`Valuation`] is built.
     fn complete_txn(
         &mut self,
         i: usize,
-        val: &mut Valuation,
         overlay: &mut Overlay,
         out: &mut Vec<Valuation>,
     ) -> Result<bool> {
         let mark = overlay.mark();
-        let spec = &self.specs[i];
-        for (u, &(insert, rid)) in spec.txn.updates.iter().zip(&self.resolved[i].updates) {
-            let tuple = u.atom.ground(val)?;
-            if !overlay.try_apply_id(self.base, rid, insert, &tuple) {
+        let (spec, frame) = (&self.specs[i], &self.frames[i]);
+        for atom in spec.updates() {
+            let tuple = spec.ground(atom, |slot| frame.binds[slot].as_ref())?;
+            if !overlay.try_apply_id(self.base, atom.rid, atom.insert, &tuple) {
                 overlay.rollback(mark);
                 return Ok(false); // set-semantics conflict: backtrack
             }
         }
+        let val = frame.valuation(spec);
         if let Some((max, collected)) = &mut self.collect_first {
-            collected.push(val.clone());
+            collected.push(val);
             let full = collected.len() >= *max;
             overlay.rollback(mark);
             // `true` stops the search; in collect mode that means "quota
             // reached".
             return Ok(full);
         }
-        out.push(val.clone());
+        out.push(val);
         if self.solve_txn(i + 1, overlay, out)? {
             return Ok(true);
         }
@@ -434,35 +616,22 @@ impl<'a, 'c> Ctx<'a, 'c> {
         Ok(false)
     }
 
-    /// Choose the next atom to branch on and return it with its bound
-    /// columns (computed once, reused by the candidate stream).
-    fn pick_atom(
-        &mut self,
-        i: usize,
-        atoms: &[&Atom],
-        used: &[bool],
-        val: &Valuation,
-        overlay: &Overlay,
-    ) -> Result<(usize, Vec<Option<Value>>)> {
-        let remaining = used.iter().filter(|&&u| !u).count();
-        if remaining == 1 || self.order == AtomOrder::Static {
-            let idx = used
-                .iter()
-                .position(|&u| !u)
-                .expect("at least one unused atom");
-            return Ok((idx, bound_columns(atoms[idx], val)));
+    /// Choose the next body atom of txn `i` to branch on.
+    fn pick_atom(&mut self, i: usize, overlay: &Overlay) -> Result<usize> {
+        let (spec, frame) = (&self.specs[i], &self.frames[i]);
+        let mut unused = (0..frame.used.len()).filter(|&idx| !frame.used[idx]);
+        let first = unused.next().expect("at least one unused atom");
+        if unused.next().is_none() || self.order == AtomOrder::Static {
+            return Ok(first);
         }
         // Saturating count: beyond 32 candidates the relative order of
         // atoms no longer changes the search usefully.
         const ORDER_CAP: usize = 32;
-        let mut best: Option<(usize, usize, Vec<Option<Value>>)> = None;
-        for (idx, atom) in atoms.iter().enumerate() {
-            if used[idx] {
-                continue;
-            }
-            let bound = bound_columns(atom, val);
-            let rid = self.resolved[i].atom_rids[idx];
-            let (n, index_backed) = overlay.count_up_to_id(self.base, rid, &bound, ORDER_CAP)?;
+        let mut best: Option<(usize, usize)> = None;
+        for idx in (first..frame.used.len()).filter(|&idx| !frame.used[idx]) {
+            let bound = frame.pattern(spec, idx);
+            let rid = spec.atoms[idx].rid;
+            let (n, index_backed) = overlay.count_up_to_id(self.base, rid, bound, ORDER_CAP)?;
             // Classify index vs scan only for bound-column lookups — a
             // fully unbound count is an O(1) length read, neither.
             if bound.iter().any(Option::is_some) {
@@ -476,63 +645,24 @@ impl<'a, 'c> Ctx<'a, 'c> {
             // unseeded solver keeps the earlier atom (body order); a
             // non-zero seed instead hashes (seed, atom index) so different
             // seeds deterministically explore different orders.
-            let replace = match best.as_ref() {
+            let replace = match best {
                 None => true,
-                Some((bi, bn, _)) => {
-                    n < *bn
-                        || (n == *bn
+                Some((bi, bn)) => {
+                    n < bn
+                        || (n == bn
                             && self.seed != 0
-                            && mix64(self.seed ^ idx as u64) > mix64(self.seed ^ *bi as u64))
+                            && mix64(self.seed ^ idx as u64) > mix64(self.seed ^ bi as u64))
                 }
             };
             if replace {
-                best = Some((idx, n, bound));
+                best = Some((idx, n));
             }
             if n == 0 {
                 break; // dead branch — pick it and fail fast
             }
         }
-        let (idx, _, bound) = best.expect("at least one unused atom");
-        Ok((idx, bound))
+        Ok(best.expect("at least one unused atom").0)
     }
-}
-
-/// Column constraints of `atom` under a partial valuation.
-fn bound_columns(atom: &Atom, val: &Valuation) -> Vec<Option<Value>> {
-    atom.terms
-        .iter()
-        .map(|t| match t {
-            Term::Const(c) => Some(c.clone()),
-            Term::Var(v) => val.get(v).cloned(),
-        })
-        .collect()
-}
-
-/// Try to extend `val` so `atom` matches `tuple`; returns newly bound vars
-/// (for undo) or `None` on mismatch.
-fn match_atom(atom: &Atom, tuple: &Tuple, val: &mut Valuation) -> Option<Vec<Var>> {
-    debug_assert_eq!(atom.arity(), tuple.arity());
-    let mut newly: Vec<Var> = Vec::new();
-    for (term, value) in atom.terms.iter().zip(tuple.iter()) {
-        let ok = match term {
-            Term::Const(c) => c == value,
-            Term::Var(v) => match val.get(v) {
-                Some(existing) => existing == value,
-                None => {
-                    val.bind(v.clone(), value.clone());
-                    newly.push(v.clone());
-                    true
-                }
-            },
-        };
-        if !ok {
-            for v in &newly {
-                val.unbind(v);
-            }
-            return None;
-        }
-    }
-    Some(newly)
 }
 
 #[cfg(test)]

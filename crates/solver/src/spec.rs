@@ -38,14 +38,18 @@ impl<'a> TxnSpec<'a> {
 
     /// The atoms this spec must ground: all non-optional body atoms plus
     /// the promoted optional ones, in body order.
-    pub fn atoms(&self) -> Vec<&Atom> {
+    pub fn atoms(&self) -> Vec<&'a Atom> {
+        self.atom_iter().collect()
+    }
+
+    /// [`TxnSpec::atoms`] without the vector.
+    pub fn atom_iter(&self) -> impl Iterator<Item = &'a Atom> + '_ {
         self.txn
             .body
             .iter()
             .enumerate()
             .filter(|(i, b)| !b.optional || self.promoted.contains(i))
             .map(|(_, b)| &b.atom)
-            .collect()
     }
 
     /// Indexes (into `txn.body`) of optional atoms *not* promoted here.

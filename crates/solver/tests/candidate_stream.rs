@@ -6,9 +6,14 @@
 //! cancellations), `Overlay::stream` must yield **exactly** the sequence
 //! `Overlay::candidates` materializes — same tuples, same order — for
 //! arbitrary bound patterns, and `count_up_to` must agree with the
-//! sequence length under every cap. The `proptest` crate is not vendored
-//! in this offline workspace, so the cases are driven by a seeded
-//! splitmix64 generator (failures print the case seed).
+//! sequence length under every cap. The reference is a full scan plus
+//! linear filters; the implementation under test answers from index
+//! bucket lengths, delta ranges and primary-key probes, so the sweep also
+//! steers into the shapes where those differ most: every column bound,
+//! overlay deletes under a single indexed bound column, and deletes
+//! cancelled by inserts. The `proptest` crate is not vendored in this
+//! offline workspace, so the cases are driven by a seeded splitmix64
+//! generator (failures print the case seed).
 
 use qdb_solver::{Overlay, SolverStats};
 use qdb_storage::{Database, Schema, Tuple, Value, ValueType, WriteOp};
@@ -115,46 +120,156 @@ fn random_bound(rng: &mut Rng, arity: usize) -> Vec<Option<Value>> {
         .collect()
 }
 
+/// `stream` yields exactly `candidates`, and `count_up_to_id` is
+/// `min(cap, candidates().len())` under every cap. Returns the length.
+fn assert_matches_reference(
+    db: &Database,
+    ov: &Overlay,
+    rel: &str,
+    bound: &[Option<Value>],
+    label: &str,
+) -> usize {
+    let rid = db.resolve(rel).unwrap();
+    let expect = ov
+        .candidates(db, rel, bound, &mut SolverStats::default())
+        .unwrap();
+    let mut stream = ov.stream(db, rid, bound).unwrap();
+    let mut got = Vec::new();
+    while let Some(t) = stream.next(ov, bound) {
+        got.push(t);
+    }
+    assert_eq!(got, expect, "{label}: stream diverged on {rel} {bound:?}");
+    assert_eq!(
+        ov.count(db, rel, bound).unwrap(),
+        expect.len(),
+        "{label}: count mismatch on {rel} {bound:?}"
+    );
+    for cap in [0usize, 1, 2, expect.len(), expect.len() + 3] {
+        let (n, _) = ov.count_up_to_id(db, rid, bound, cap).unwrap();
+        assert_eq!(
+            n,
+            expect.len().min(cap),
+            "{label}: count_up_to({cap}) mismatch on {rel} {bound:?}"
+        );
+    }
+    expect.len()
+}
+
+fn pin(tuple: &Tuple) -> Vec<Option<Value>> {
+    tuple.iter().cloned().map(Some).collect()
+}
+
 #[test]
-fn stream_equals_materialized_candidates_for_random_cases() {
+fn stream_and_counts_equal_materialized_candidates_for_random_cases() {
+    // How often the sweep reached each shape the kernel special-cases.
+    let (mut point_hits, mut point_misses, mut deletes_under_index) = (0, 0, 0);
     for case in 0..400u64 {
         let mut rng = Rng(0xC1DE_0000 + case);
         let db = random_db(&mut rng);
         let ov = random_overlay(&mut rng, &db);
-        let mut stats = SolverStats::default();
+        let label = format!("case {case}");
         for table in db.tables() {
             let rel = table.schema().relation().to_string();
-            let rid = db.resolve(&rel).unwrap();
             let arity = table.schema().arity();
             for _ in 0..4 {
                 let bound = random_bound(&mut rng, arity);
-                let expect = ov.candidates(&db, &rel, &bound, &mut stats).unwrap();
-                let mut stream = ov.stream(&db, rid, bound.clone()).unwrap();
-                let mut got = Vec::new();
-                while let Some(t) = stream.next(&ov) {
-                    got.push(t);
+                assert_matches_reference(&db, &ov, &rel, &bound, &label);
+            }
+            // Every column bound: a base row (visible or overlay-deleted),
+            // an overlay insert when there is one, and a random tuple.
+            let all = ov
+                .candidates(&db, &rel, &vec![None; arity], &mut SolverStats::default())
+                .unwrap();
+            let probes = table
+                .iter()
+                .take(3)
+                .chain(all.last())
+                .cloned()
+                .chain([random_tuple(&mut rng, arity)]);
+            for tuple in probes {
+                match assert_matches_reference(&db, &ov, &rel, &pin(&tuple), &label) {
+                    0 => point_misses += 1,
+                    1 => point_hits += 1,
+                    n => panic!("{label}: {n} tuples equal {tuple}"),
                 }
-                assert_eq!(
-                    got, expect,
-                    "case {case}: stream diverged on {rel} bound {bound:?}"
-                );
-                // Counts agree with the sequence under every cap.
-                assert_eq!(
-                    ov.count(&db, &rel, &bound).unwrap(),
-                    expect.len(),
-                    "case {case}: count mismatch on {rel}"
-                );
-                for cap in [0usize, 1, 2, expect.len(), expect.len() + 3] {
-                    let (n, _) = ov.count_up_to_id(&db, rid, &bound, cap).unwrap();
-                    assert_eq!(
-                        n,
-                        expect.len().min(cap),
-                        "case {case}: count_up_to({cap}) mismatch on {rel}"
-                    );
+            }
+            // A single bound column served by an index, on a value some
+            // overlay-deleted base row carries: the count is bucket length
+            // minus matching deletes, never a walk.
+            for row in table.iter().filter(|row| !ov.visible(&db, &rel, row)) {
+                for col in table.indexed_columns() {
+                    let mut bound = vec![None; arity];
+                    bound[col] = Some(row[col].clone());
+                    assert_matches_reference(&db, &ov, &rel, &bound, &label);
+                    deletes_under_index += usize::from(arity > 1);
                 }
             }
         }
     }
+    assert!(
+        point_hits > 300 && point_misses > 300 && deletes_under_index > 300,
+        "sweep lost coverage: {point_hits} point hits, {point_misses} point misses, \
+         {deletes_under_index} indexed counts under deletes"
+    );
+}
+
+#[test]
+fn cancelled_deltas_leave_no_trace_in_streams_or_counts() {
+    let mut db = Database::new();
+    db.create_table(Schema::new(
+        "R",
+        vec![("a", ValueType::Int), ("b", ValueType::Int)],
+    ))
+    .unwrap();
+    for (a, b) in [(1, 1), (1, 2), (1, 3), (2, 1)] {
+        db.insert("R", Tuple::from(vec![Value::from(a), Value::from(b)]))
+            .unwrap();
+    }
+    db.table_mut("R").unwrap().create_index(0).unwrap();
+    let t = |a: i64, b: i64| Tuple::from(vec![Value::from(a), Value::from(b)]);
+    let patterns = |ov: &Overlay, label: &str| {
+        for a in [None, Some(Value::from(1)), Some(Value::from(3))] {
+            for b in [None, Some(Value::from(2)), Some(Value::from(9))] {
+                assert_matches_reference(&db, ov, "R", &[a.clone(), b], label);
+            }
+        }
+    };
+    let mut ov = Overlay::new();
+    // A delete cancelled by an insert: (1, 2) is back, (1, 3) stays gone.
+    for op in [
+        WriteOp::delete("R", t(1, 2)),
+        WriteOp::delete("R", t(1, 3)),
+        WriteOp::insert("R", t(1, 2)),
+    ] {
+        assert!(ov.try_apply(&db, &op));
+    }
+    patterns(&ov, "delete cancelled by insert");
+    let rid = db.resolve("R").unwrap();
+    let flight_one = [Some(Value::from(1)), None];
+    assert_eq!(
+        ov.count_up_to_id(&db, rid, &flight_one, 32).unwrap(),
+        (2, true)
+    );
+    // An insert cancelled by a delete, next to one that stays.
+    for op in [
+        WriteOp::insert("R", t(3, 9)),
+        WriteOp::insert("R", t(1, 9)),
+        WriteOp::delete("R", t(3, 9)),
+    ] {
+        assert!(ov.try_apply(&db, &op));
+    }
+    patterns(&ov, "insert cancelled by delete");
+    assert_eq!(
+        ov.count_up_to_id(&db, rid, &flight_one, 32).unwrap(),
+        (3, true)
+    );
+    // Rolling everything back leaves the base view.
+    ov.rollback(Overlay::new().mark());
+    patterns(&ov, "rolled back");
+    assert_eq!(
+        ov.count_up_to_id(&db, rid, &flight_one, 32).unwrap(),
+        (3, true)
+    );
 }
 
 #[test]
@@ -175,9 +290,9 @@ fn stream_is_stable_across_rolled_back_interleaved_mutation() {
         let bound = random_bound(&mut rng, arity);
         let mut stats = SolverStats::default();
         let expect = ov.candidates(&db, &rel, &bound, &mut stats).unwrap();
-        let mut stream = ov.stream(&db, rid, bound).unwrap();
+        let mut stream = ov.stream(&db, rid, &bound).unwrap();
         let mut got = Vec::new();
-        while let Some(t) = stream.next(&ov) {
+        while let Some(t) = stream.next(&ov, &bound) {
             got.push(t);
             // Speculative deeper-level work, rolled back before resuming.
             let mark = ov.mark();

@@ -1,6 +1,6 @@
 //! Keyed tables with set semantics.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
 use crate::error::StorageError;
@@ -156,8 +156,21 @@ impl Table {
 
     /// Is this exact row present?
     pub fn contains(&self, row: &Tuple) -> bool {
-        let key = self.schema.key_of(row);
-        self.rows.get(&key).is_some_and(|r| r == row)
+        self.point(row.values()).is_some()
+    }
+
+    /// The stored row equal to `values`, by one primary-key probe: no
+    /// bucket walk, no scan vote, and for whole-tuple keys no allocation.
+    pub fn point(&self, values: &[Value]) -> Option<&Tuple> {
+        let key_cols = self.schema.key_columns();
+        if key_cols.is_empty() {
+            return self.rows.get(values);
+        }
+        if values.len() != self.schema.arity() {
+            return None;
+        }
+        let key: Tuple = key_cols.iter().map(|&c| values[c].clone()).collect();
+        self.rows.get(&key).filter(|row| row.values() == values)
     }
 
     /// Row with the given key, if any.
@@ -172,32 +185,40 @@ impl Table {
 
     /// A raw row stream narrowed by the most selective index among the
     /// bound columns — **not** yet filtered against `bound` (the caller
-    /// post-filters; [`Table::select`] does it for you). Both the indexed
-    /// and the scan branch yield rows in key order, so the sequence a
-    /// caller observes after filtering does not depend on which indexes
-    /// exist. The cursor borrows only the table, so it can be held across
-    /// caller-side mutations of unrelated state (the solver holds one open
-    /// across overlay mutations).
+    /// post-filters; [`Table::select`] does it for you). Every branch
+    /// yields rows in key order, so the sequence a caller observes after
+    /// filtering does not depend on which indexes exist. The cursor
+    /// borrows only the table, so it can be held across caller-side
+    /// mutations of unrelated state (the solver holds one open across
+    /// overlay mutations).
+    ///
+    /// A **fully bound** pattern resolves to one primary-key probe
+    /// ([`Table::point`]) yielding the zero or one row a bucket walk would
+    /// have left after filtering; it counts as index-backed.
     ///
     /// Falling back to a scan with at least one bound column votes those
     /// columns into the access-pattern tracker.
     pub fn cursor<'a>(&'a self, bound: &[Option<Value>]) -> TableCursor<'a> {
         debug_assert_eq!(bound.len(), self.schema.arity());
+        if let Some(row) = Self::with_point(bound, |values| self.point(values)) {
+            return TableCursor {
+                inner: CursorInner::Point(row),
+            };
+        }
+        // One hash probe per usable index: the bucket is both the
+        // selectivity estimate and the stream.
         let best = self
             .indexes
             .iter()
-            .filter_map(|ix| {
-                bound
-                    .get(ix.column())
-                    .and_then(|b| b.as_ref())
-                    .map(|v| (ix, v, ix.selectivity(v)))
-            })
-            .min_by_key(|&(_, _, sel)| sel);
+            .filter_map(|ix| Some(ix.lookup(bound.get(ix.column())?.as_ref()?)))
+            .min_by_key(|bucket| bucket.map_or(0, BTreeSet::len));
         let inner = match best {
-            Some((ix, v, _)) => match ix.lookup(v) {
-                Some(keys) => CursorInner::Index(keys.iter()),
-                None => CursorInner::Empty,
+            Some(Some(keys)) => CursorInner::Index {
+                keys: keys.iter(),
+                // Whole-tuple keys: the bucket entry *is* the row.
+                rows: (!self.schema.key_columns().is_empty()).then_some(&self.rows),
             },
+            Some(None) => CursorInner::Empty,
             None => {
                 for (i, b) in bound.iter().enumerate() {
                     if b.is_some() {
@@ -207,11 +228,7 @@ impl Table {
                 CursorInner::Scan(self.rows.values())
             }
         };
-        TableCursor {
-            rows: &self.rows,
-            index_backed: !matches!(inner, CursorInner::Scan(_)),
-            inner,
-        }
+        TableCursor { inner }
     }
 
     /// Rows matching a partial binding: `bound[i] = Some(v)` constrains
@@ -276,30 +293,57 @@ impl Table {
             .enumerate()
             .all(|(i, b)| b.as_ref().is_none_or(|v| &row[i] == v))
     }
+
+    /// Run `f` on the values of a **fully bound**, non-empty pattern as one
+    /// contiguous slice — the shape tuple-keyed maps are probed with.
+    /// `None` when some column is unbound. Patterns of up to eight columns
+    /// are laid out on the stack.
+    pub fn with_point<R>(bound: &[Option<Value>], f: impl FnOnce(&[Value]) -> R) -> Option<R> {
+        const INLINE: usize = 8;
+        if bound.is_empty() || bound.iter().any(Option::is_none) {
+            return None;
+        }
+        let values = bound.iter().flatten().cloned();
+        if bound.len() <= INLINE {
+            let mut buf: [Value; INLINE] = std::array::from_fn(|_| Value::Int(0));
+            for (slot, v) in buf.iter_mut().zip(values) {
+                *slot = v;
+            }
+            Some(f(&buf[..bound.len()]))
+        } else {
+            Some(f(&values.collect::<Vec<_>>()))
+        }
+    }
 }
 
 /// Concrete (unboxed) row stream over a table — see [`Table::cursor`].
 #[derive(Debug)]
 pub struct TableCursor<'a> {
-    rows: &'a BTreeMap<Tuple, Tuple>,
     inner: CursorInner<'a>,
-    index_backed: bool,
 }
 
 #[derive(Debug)]
 enum CursorInner<'a> {
     /// Full scan in key order.
     Scan(std::collections::btree_map::Values<'a, Tuple, Tuple>),
-    /// Keys of one index bucket, in key order.
-    Index(std::collections::btree_set::Iter<'a, Tuple>),
+    /// Keys of one index bucket, in key order. `rows` resolves a key to
+    /// its row; `None` when the schema's key is the whole tuple, where the
+    /// bucket entry is the row and no descent is needed.
+    Index {
+        keys: std::collections::btree_set::Iter<'a, Tuple>,
+        rows: Option<&'a BTreeMap<Tuple, Tuple>>,
+    },
+    /// The result of a primary-key probe for a fully bound pattern.
+    Point(Option<&'a Tuple>),
     /// Index consulted, bucket absent.
     Empty,
 }
 
 impl<'a> TableCursor<'a> {
-    /// Was the stream narrowed by a secondary index?
+    /// Was the stream narrowed by an index (secondary, or the primary key
+    /// for a fully bound pattern)?
     pub fn is_index_backed(&self) -> bool {
-        self.index_backed
+        !matches!(self.inner, CursorInner::Scan(_))
     }
 }
 
@@ -309,12 +353,12 @@ impl<'a> Iterator for TableCursor<'a> {
     fn next(&mut self) -> Option<&'a Tuple> {
         match &mut self.inner {
             CursorInner::Scan(it) => it.next(),
-            CursorInner::Index(keys) => loop {
-                let k = keys.next()?;
-                if let Some(row) = self.rows.get(k) {
-                    return Some(row);
-                }
-            },
+            CursorInner::Index { keys, rows: None } => keys.next(),
+            CursorInner::Index {
+                keys,
+                rows: Some(rows),
+            } => keys.find_map(|k| rows.get(k)),
+            CursorInner::Point(row) => row.take(),
             CursorInner::Empty => None,
         }
     }
@@ -458,6 +502,53 @@ mod tests {
         // Two bound columns still narrow through the index.
         let both = vec![Some(Value::from(2)), Some(Value::from("1B"))];
         assert_eq!(t.count_up_to(&both, 100), (1, true));
+    }
+
+    #[test]
+    fn fully_bound_patterns_are_primary_key_probes() {
+        let mut t = available();
+        for f in 1..=3i64 {
+            for s in ["1A", "1B"] {
+                t.insert(tuple![f, s]).unwrap();
+            }
+        }
+        let hit = vec![Some(Value::from(2)), Some(Value::from("1B"))];
+        let miss = vec![Some(Value::from(2)), Some(Value::from("9Z"))];
+        // No index at all: still no scan, no vote, reported index-backed.
+        assert!(t.cursor(&hit).is_index_backed());
+        assert_eq!(
+            t.select(&hit).cloned().collect::<Vec<_>>(),
+            [tuple![2, "1B"]]
+        );
+        assert_eq!(t.select(&miss).count(), 0);
+        assert_eq!(t.count_up_to(&hit, 9), (1, true));
+        assert_eq!(t.count_up_to(&hit, 0), (0, true));
+        assert_eq!(t.count_up_to(&miss, 9), (0, true));
+        assert_eq!((t.scan_votes(0), t.scan_votes(1)), (0, 0));
+        assert_eq!(t.point(&[Value::from(2)]), None, "arity mismatch is a miss");
+
+        // A key subset probes by key and then compares the whole row.
+        let schema = Schema::new(
+            "Bookings",
+            vec![("name", ValueType::Str), ("seat", ValueType::Str)],
+        )
+        .with_key(vec![0])
+        .unwrap();
+        let mut b = Table::new(schema);
+        b.insert(tuple!["Mickey", "5A"]).unwrap();
+        b.create_index(1).unwrap();
+        let same = vec![Some(Value::from("Mickey")), Some(Value::from("5A"))];
+        let other = vec![Some(Value::from("Mickey")), Some(Value::from("5B"))];
+        assert_eq!(b.select(&same).count(), 1);
+        assert_eq!(b.select(&other).count(), 0);
+        assert!(b.contains(&tuple!["Mickey", "5A"]));
+        assert!(!b.contains(&tuple!["Mickey", "5B"]));
+        // Partially bound over a key subset still resolves keys to rows.
+        let by_seat = vec![None, Some(Value::from("5A"))];
+        assert_eq!(
+            b.select(&by_seat).cloned().collect::<Vec<_>>(),
+            [tuple!["Mickey", "5A"]]
+        );
     }
 
     #[test]

@@ -54,6 +54,15 @@ impl Tuple {
     }
 }
 
+/// Lets tuple-keyed maps and sets be probed with a plain value slice
+/// (`Arc<[Value]>` compares and hashes as its slice, so the derived
+/// `Eq`/`Ord`/`Hash` agree with `[Value]`'s).
+impl std::borrow::Borrow<[Value]> for Tuple {
+    fn borrow(&self) -> &[Value] {
+        &self.0
+    }
+}
+
 impl From<Vec<Value>> for Tuple {
     fn from(v: Vec<Value>) -> Self {
         Tuple(v.into())
@@ -140,6 +149,23 @@ mod tests {
         let t = tuple![1, 2, 3];
         let u = t.clone();
         assert!(Arc::ptr_eq(&t.0, &u.0));
+    }
+
+    #[test]
+    fn tuple_keyed_sets_answer_slice_probes() {
+        let set: std::collections::BTreeSet<Tuple> =
+            [tuple![1, "a"], tuple![1, "b"], tuple![2, "a"]].into();
+        let probe = [Value::from(1), Value::from("b")];
+        assert!(set.contains(&probe[..]));
+        assert!(!set.contains(&probe[..1]));
+        // A one-column slice is the lower bound of its prefix range.
+        use std::ops::Bound::{Included, Unbounded};
+        let from_one: Vec<_> = set
+            .range::<[Value], _>((Included(&probe[..1]), Unbounded))
+            .collect();
+        assert_eq!(from_one.len(), 3);
+        let hashed: std::collections::HashSet<Tuple> = set.iter().cloned().collect();
+        assert!(hashed.contains(&probe[..]));
     }
 
     #[test]
