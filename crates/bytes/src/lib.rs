@@ -134,6 +134,14 @@ impl BufMut for BytesMut {
     }
 }
 
+/// Plain vectors are write targets too (as in the real crate), so an
+/// encoder can append to a buffer its caller owns and reuses.
+impl BufMut for Vec<u8> {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.extend_from_slice(src);
+    }
+}
+
 impl Deref for BytesMut {
     type Target = [u8];
 

@@ -130,6 +130,12 @@ impl RemotePrepared {
     }
 }
 
+/// Most statements [`Connection::pipeline`] keeps in flight at once.
+pub const PIPELINE_WINDOW_FRAMES: usize = 256;
+/// Most request bytes [`Connection::pipeline`] keeps in flight at once
+/// (a single larger statement still travels, alone in its window).
+pub const PIPELINE_WINDOW_BYTES: usize = 64 * 1024;
+
 /// A blocking connection to a `qdb-server`.
 ///
 /// All methods issue one or more frames and read the matching replies;
@@ -139,6 +145,9 @@ impl RemotePrepared {
 pub struct Connection {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// Every call encodes its frames here and hands them to one `write`;
+    /// kept between calls so encoding allocates nothing.
+    send_buf: Vec<u8>,
     next_request: u32,
     next_id: u32,
     last_server_stats: Option<ServerStats>,
@@ -157,6 +166,7 @@ impl Connection {
         Ok(Connection {
             reader: BufReader::new(stream.try_clone()?),
             writer: stream,
+            send_buf: Vec::new(),
             next_request: 0,
             next_id: 0,
             last_server_stats: None,
@@ -167,13 +177,40 @@ impl Connection {
 
     // -- plumbing ---------------------------------------------------------
 
-    fn send(&mut self, request: &Request) -> Result<u32> {
+    fn next_request_id(&mut self) -> u32 {
         let id = self.next_request;
         self.next_request = self.next_request.wrapping_add(1);
-        if let Err(e) = self.writer.write_all(&wire::encode_request(id, request)) {
+        id
+    }
+
+    /// Encode one more frame of the call being assembled.
+    fn queue(&mut self, request: &Request) -> u32 {
+        let id = self.next_request_id();
+        wire::encode_request_into(&mut self.send_buf, id, request);
+        id
+    }
+
+    fn queue_execute(&mut self, sql: &str) -> u32 {
+        let id = self.next_request_id();
+        wire::encode_execute_into(&mut self.send_buf, id, sql);
+        id
+    }
+
+    /// Put every queued frame on the wire with one write.
+    fn flush(&mut self) -> Result<()> {
+        let sent = self.writer.write_all(&self.send_buf);
+        self.send_buf.clear();
+        // One jumbo statement must not pin its size for the connection's life.
+        self.send_buf.shrink_to(2 * PIPELINE_WINDOW_BYTES);
+        sent.map_err(|e| {
             self.healthy = false;
-            return Err(e.into());
-        }
+            e.into()
+        })
+    }
+
+    fn send(&mut self, request: &Request) -> Result<u32> {
+        let id = self.queue(request);
+        self.flush()?;
         Ok(id)
     }
 
@@ -243,9 +280,8 @@ impl Connection {
 
     /// Parse and execute one statement server-side.
     pub fn execute(&mut self, sql: &str) -> Result<Response> {
-        let id = self.send(&Request::Execute {
-            sql: sql.to_string(),
-        })?;
+        let id = self.queue_execute(sql);
+        self.flush()?;
         let reply = self.recv(id)?;
         self.settle(reply)
     }
@@ -293,16 +329,17 @@ impl Connection {
         self.settle(reply)
     }
 
-    /// Bind + run in one network flush (two pipelined frames, one
-    /// round-trip latency) — the remote hot loop.
+    /// Bind + run in one network flush (two pipelined frames in one
+    /// write, one round-trip latency) — the remote hot loop.
     pub fn bind_run(&mut self, prepared: &RemotePrepared, params: &[Value]) -> Result<Response> {
         let bound = self.fresh_id();
-        let bind_id = self.send(&Request::Bind {
+        let bind_id = self.queue(&Request::Bind {
             stmt: prepared.id,
             bound,
             params: params.to_vec(),
-        })?;
-        let run_id = self.send(&Request::Run { bound })?;
+        });
+        let run_id = self.queue(&Request::Run { bound });
+        self.flush()?;
         let bind_reply = self.recv(bind_id)?;
         match bind_reply {
             Reply::Bound { .. } => {
@@ -321,21 +358,39 @@ impl Connection {
         }
     }
 
-    /// Execute a batch of statements pipelined: all frames go out before
-    /// the first reply is read, and replies come back in statement order.
-    /// Per-statement failures land in the inner results; transport
-    /// failures abort the batch.
+    /// Execute a batch of statements pipelined: the frames go out in one
+    /// write before the first reply is read, and replies come back in
+    /// statement order. Per-statement failures land in the inner results;
+    /// transport failures abort the batch.
+    ///
+    /// A batch larger than [`PIPELINE_WINDOW_FRAMES`] statements or
+    /// [`PIPELINE_WINDOW_BYTES`] of requests travels as several such
+    /// windows, each answered before the next is sent: a client that
+    /// wrote without bound while the server, its outbox full of replies
+    /// nobody reads yet, had stopped reading would block forever.
     pub fn pipeline(&mut self, sqls: &[&str]) -> Result<Vec<Result<Response>>> {
-        let mut ids = Vec::with_capacity(sqls.len());
-        for sql in sqls {
-            ids.push(self.send(&Request::Execute {
-                sql: (*sql).to_string(),
-            })?);
-        }
-        let mut out = Vec::with_capacity(ids.len());
-        for id in ids {
-            let reply = self.recv(id)?;
-            out.push(self.settle(reply));
+        let mut out = Vec::with_capacity(sqls.len());
+        let mut rest = sqls;
+        while !rest.is_empty() {
+            let first_id = self.next_request;
+            let mut frames = 0;
+            while let Some(sql) = rest.get(frames) {
+                // Frame header (9) + string length prefix (4) + text.
+                let frame_len = 13 + sql.len();
+                if frames == PIPELINE_WINDOW_FRAMES
+                    || (frames > 0 && self.send_buf.len() + frame_len > PIPELINE_WINDOW_BYTES)
+                {
+                    break;
+                }
+                self.queue_execute(sql);
+                frames += 1;
+            }
+            self.flush()?;
+            for i in 0..frames {
+                let reply = self.recv(first_id.wrapping_add(i as u32))?;
+                out.push(self.settle(reply));
+            }
+            rest = &rest[frames..];
         }
         Ok(out)
     }

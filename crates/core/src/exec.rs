@@ -383,27 +383,47 @@ impl SharedQuantumDb {
 ///
 /// Sized for statement *templates*, not statement instances: callers that
 /// interpolate values into their SQL get cache misses (as they should —
-/// that is what `?` parameters are for). Capacity is small enough that the
-/// linear scan beats a hash map on realistic working sets.
+/// that is what `?` parameters are for). Such a caller misses on every
+/// statement, so the miss is what has to be cheap: the scan compares one
+/// hash per entry (texts only on a hash match) and eviction pops the
+/// ring's front. Capacity is small enough that the linear scan beats a
+/// hash map on realistic working sets.
 struct StmtCache {
     capacity: usize,
     /// Most recently used last.
-    entries: Vec<(String, ParsedStatement)>,
+    entries: std::collections::VecDeque<CachedStmt>,
+}
+
+struct CachedStmt {
+    text_hash: u64,
+    text: String,
+    parsed: ParsedStatement,
+}
+
+fn text_hash(sql: &str) -> u64 {
+    use std::hash::Hasher;
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    hasher.write(sql.as_bytes());
+    hasher.finish()
 }
 
 impl StmtCache {
     fn new(capacity: usize) -> Self {
         StmtCache {
             capacity,
-            entries: Vec::new(),
+            entries: std::collections::VecDeque::new(),
         }
     }
 
     fn get(&mut self, sql: &str) -> Option<ParsedStatement> {
-        let pos = self.entries.iter().position(|(text, _)| text == sql)?;
-        let entry = self.entries.remove(pos);
-        let parsed = entry.1.clone();
-        self.entries.push(entry);
+        let hash = text_hash(sql);
+        let pos = self
+            .entries
+            .iter()
+            .position(|e| e.text_hash == hash && e.text == sql)?;
+        let entry = self.entries.remove(pos)?;
+        let parsed = entry.parsed.clone();
+        self.entries.push_back(entry);
         Some(parsed)
     }
 
@@ -412,9 +432,13 @@ impl StmtCache {
             return;
         }
         if self.entries.len() == self.capacity {
-            self.entries.remove(0); // least recently used
+            self.entries.pop_front(); // least recently used
         }
-        self.entries.push((sql.to_string(), parsed));
+        self.entries.push_back(CachedStmt {
+            text_hash: text_hash(sql),
+            text: sql.to_string(),
+            parsed,
+        });
     }
 }
 

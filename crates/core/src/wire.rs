@@ -45,7 +45,7 @@
 //! carrying a stable [error code](code) and the display message — the
 //! server never panics a connection over a bad statement.
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 use qdb_logic::{Valuation, Var};
 use qdb_storage::codec as scodec;
 use qdb_storage::Value;
@@ -249,15 +249,24 @@ pub enum Request {
 
 /// Encode a complete request frame (including the length prefix).
 pub fn encode_request(request_id: u32, request: &Request) -> Vec<u8> {
-    let mut body = BytesMut::with_capacity(64);
+    let mut out = Vec::with_capacity(64);
+    encode_request_into(&mut out, request_id, request);
+    out
+}
+
+/// Append a complete request frame to `out`, leaving what `out` already
+/// holds untouched — a pipelining client encodes a whole batch into one
+/// reusable buffer and hands it to one `write`.
+pub fn encode_request_into(out: &mut Vec<u8>, request_id: u32, request: &Request) {
+    let start = begin_frame(out, request_id);
     let kind = match request {
         Request::Execute { sql } => {
-            scodec::put_string(&mut body, sql);
+            scodec::put_string(out, sql);
             req::EXECUTE
         }
         Request::Prepare { stmt, sql } => {
-            body.put_u32_le(*stmt);
-            scodec::put_string(&mut body, sql);
+            out.put_u32_le(*stmt);
+            scodec::put_string(out, sql);
             req::PREPARE
         }
         Request::Bind {
@@ -265,24 +274,24 @@ pub fn encode_request(request_id: u32, request: &Request) -> Vec<u8> {
             bound,
             params,
         } => {
-            body.put_u32_le(*stmt);
-            body.put_u32_le(*bound);
-            body.put_u32_le(params.len() as u32);
+            out.put_u32_le(*stmt);
+            out.put_u32_le(*bound);
+            out.put_u32_le(params.len() as u32);
             for v in params {
-                scodec::put_value(&mut body, v);
+                scodec::put_value(out, v);
             }
             req::BIND
         }
         Request::Run { bound } => {
-            body.put_u32_le(*bound);
+            out.put_u32_le(*bound);
             req::RUN
         }
         Request::Replicate {
             replica_id,
             from_offset,
         } => {
-            scodec::put_string(&mut body, replica_id);
-            body.put_u64_le(*from_offset);
+            scodec::put_string(out, replica_id);
+            out.put_u64_le(*from_offset);
             req::REPLICATE
         }
         Request::ReplAck {
@@ -290,13 +299,21 @@ pub fn encode_request(request_id: u32, request: &Request) -> Vec<u8> {
             applied_offset,
             horizon,
         } => {
-            scodec::put_string(&mut body, replica_id);
-            body.put_u64_le(*applied_offset);
-            body.put_u64_le(*horizon);
+            scodec::put_string(out, replica_id);
+            out.put_u64_le(*applied_offset);
+            out.put_u64_le(*horizon);
             req::REPL_ACK
         }
     };
-    finish_frame(kind, request_id, &body)
+    end_frame(out, start, kind);
+}
+
+/// [`encode_request_into`] for a [`Request::Execute`] whose text the
+/// caller only borrows (no `String` is built per statement).
+pub fn encode_execute_into(out: &mut Vec<u8>, request_id: u32, sql: &str) {
+    let start = begin_frame(out, request_id);
+    scodec::put_string(out, sql);
+    end_frame(out, start, req::EXECUTE);
 }
 
 /// Decode a request frame body.
@@ -482,33 +499,41 @@ pub enum Reply {
 /// [`Response::Metrics`] passed through [`Reply::Engine`] is encoded with
 /// default (all-zero) server stats; servers should use [`Reply::Stats`].
 pub fn encode_reply(request_id: u32, reply: &Reply) -> Vec<u8> {
-    let mut body = BytesMut::with_capacity(64);
+    let mut out = Vec::with_capacity(64);
+    encode_reply_into(&mut out, request_id, reply);
+    out
+}
+
+/// Append a complete response frame to `out` (see [`encode_reply`]),
+/// leaving what `out` already holds untouched.
+pub fn encode_reply_into(out: &mut Vec<u8>, request_id: u32, reply: &Reply) {
+    let start = begin_frame(out, request_id);
     let kind = match reply {
         Reply::Engine(Response::Metrics(m)) => {
-            put_metrics(&mut body, m);
-            put_server_stats(&mut body, &ServerStats::default());
+            put_metrics(out, m);
+            put_server_stats(out, &ServerStats::default());
             resp::METRICS
         }
-        Reply::Engine(r) => put_response(&mut body, r),
+        Reply::Engine(r) => put_response(out, r),
         Reply::Stats {
             engine,
             server,
             profile,
         } => {
-            put_metrics(&mut body, engine);
-            put_server_stats(&mut body, server);
+            put_metrics(out, engine);
+            put_server_stats(out, server);
             if let Some(p) = profile {
-                put_profile(&mut body, p);
+                put_profile(out, p);
             }
             resp::METRICS
         }
         Reply::Prepared { stmt, params } => {
-            body.put_u32_le(*stmt);
-            body.put_u32_le(*params);
+            out.put_u32_le(*stmt);
+            out.put_u32_le(*params);
             resp::PREPARED
         }
         Reply::Bound { bound } => {
-            body.put_u32_le(*bound);
+            out.put_u32_le(*bound);
             resp::BOUND
         }
         Reply::WalSegment {
@@ -517,23 +542,23 @@ pub fn encode_reply(request_id: u32, reply: &Reply) -> Vec<u8> {
             last_txn_id,
             bytes,
         } => {
-            body.put_u64_le(*start_offset);
-            body.put_u64_le(*primary_wal_len);
-            body.put_u64_le(*last_txn_id);
-            body.put_u32_le(bytes.len() as u32);
-            body.put_slice(bytes);
+            out.put_u64_le(*start_offset);
+            out.put_u64_le(*primary_wal_len);
+            out.put_u64_le(*last_txn_id);
+            out.put_u32_le(bytes.len() as u32);
+            out.put_slice(bytes);
             resp::WAL_SEGMENT
         }
         Reply::Error { code, message } => {
-            body.put_u8(*code);
-            scodec::put_string(&mut body, message);
+            out.put_u8(*code);
+            scodec::put_string(out, message);
             resp::ERROR
         }
     };
-    finish_frame(kind, request_id, &body)
+    end_frame(out, start, kind);
 }
 
-fn put_response(body: &mut BytesMut, r: &Response) -> u8 {
+fn put_response(body: &mut Vec<u8>, r: &Response) -> u8 {
     match r {
         Response::Rows(rows) => {
             put_valuations(body, rows);
@@ -583,7 +608,7 @@ fn put_response(body: &mut BytesMut, r: &Response) -> u8 {
     }
 }
 
-fn put_replication(body: &mut BytesMut, r: &crate::repl::ReplicationReport) {
+fn put_replication(body: &mut Vec<u8>, r: &crate::repl::ReplicationReport) {
     body.put_u8(match r.role {
         crate::repl::ReplicationRole::Primary => 0,
         crate::repl::ReplicationRole::Replica => 1,
@@ -635,35 +660,41 @@ fn get_replication(buf: &mut impl Buf) -> Result<crate::repl::ReplicationReport>
 /// counts exceed [`MAX_COUNT`]) is replaced by a protocol `ERROR` frame,
 /// so an oversized result degrades into a typed error instead of a
 /// transport failure that kills the connection. Servers should use this
-/// over [`encode_reply`].
+/// (or [`encode_reply_bounded_into`]) over [`encode_reply`].
 pub fn encode_reply_bounded(request_id: u32, reply: &Reply) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64);
+    encode_reply_bounded_into(&mut out, request_id, reply);
+    out
+}
+
+/// Append a bounded response frame to `out` (see [`encode_reply_bounded`]),
+/// leaving what `out` already holds untouched.
+pub fn encode_reply_bounded_into(out: &mut Vec<u8>, request_id: u32, reply: &Reply) {
+    let too_large = |message: String| Reply::Error {
+        code: code::PROTOCOL,
+        message,
+    };
     if let Some(what) = reply_exceeds_counts(reply) {
-        return encode_reply(
-            request_id,
-            &Reply::Error {
-                code: code::PROTOCOL,
-                message: format!(
-                    "response {what} exceeds the per-frame element limit ({MAX_COUNT}); \
-                     narrow the query with LIMIT"
-                ),
-            },
-        );
+        let error = too_large(format!(
+            "response {what} exceeds the per-frame element limit ({MAX_COUNT}); \
+             narrow the query with LIMIT"
+        ));
+        return encode_reply_into(out, request_id, &error);
     }
-    let frame = encode_reply(request_id, reply);
-    if frame.len() - 4 <= MAX_FRAME {
-        return frame;
+    let start = out.len();
+    encode_reply_into(out, request_id, reply);
+    let len = out.len() - start - 4;
+    if len > MAX_FRAME {
+        // Take the oversized frame back out, and with it the capacity it
+        // forced on a buffer that may live as long as its connection.
+        out.truncate(start);
+        out.shrink_to(start + 1024);
+        let error = too_large(format!(
+            "response too large for one frame ({len} bytes > {MAX_FRAME}); \
+             narrow the query with LIMIT"
+        ));
+        encode_reply_into(out, request_id, &error);
     }
-    encode_reply(
-        request_id,
-        &Reply::Error {
-            code: code::PROTOCOL,
-            message: format!(
-                "response too large for one frame ({} bytes > {MAX_FRAME}); \
-                 narrow the query with LIMIT",
-                frame.len() - 4
-            ),
-        },
-    )
 }
 
 fn reply_exceeds_counts(reply: &Reply) -> Option<&'static str> {
@@ -783,7 +814,7 @@ pub fn decode_reply(frame: &Frame) -> Result<Reply> {
 
 // -- Valuations and metrics --------------------------------------------------
 
-fn put_valuations(body: &mut BytesMut, rows: &[Valuation]) {
+fn put_valuations(body: &mut Vec<u8>, rows: &[Valuation]) {
     body.put_u32_le(rows.len() as u32);
     for row in rows {
         body.put_u32_le(row.len() as u32);
@@ -849,7 +880,7 @@ fn metrics_fields(m: &Metrics) -> [u64; 29] {
     ]
 }
 
-fn put_metrics(body: &mut BytesMut, m: &Metrics) {
+fn put_metrics(body: &mut Vec<u8>, m: &Metrics) {
     for field in metrics_fields(m) {
         body.put_u64_le(field);
     }
@@ -897,7 +928,7 @@ fn get_metrics(buf: &mut impl Buf) -> Result<Metrics> {
 
 // -- Profiles and events -----------------------------------------------------
 
-fn put_summary(body: &mut BytesMut, s: &qdb_obs::HistSummary) {
+fn put_summary(body: &mut Vec<u8>, s: &qdb_obs::HistSummary) {
     body.put_u64_le(s.count);
     body.put_u64_le(s.p50_ns);
     body.put_u64_le(s.p90_ns);
@@ -918,7 +949,7 @@ fn get_summary(buf: &mut impl Buf) -> Result<qdb_obs::HistSummary> {
     })
 }
 
-fn put_summaries(body: &mut BytesMut, entries: &[(String, qdb_obs::HistSummary)]) {
+fn put_summaries(body: &mut Vec<u8>, entries: &[(String, qdb_obs::HistSummary)]) {
     body.put_u32_le(entries.len() as u32);
     for (name, summary) in entries {
         scodec::put_string(body, name);
@@ -936,7 +967,7 @@ fn get_summaries(buf: &mut impl Buf, what: &str) -> Result<Vec<(String, qdb_obs:
     Ok(entries)
 }
 
-fn put_profile(body: &mut BytesMut, report: &qdb_obs::ProfileReport) {
+fn put_profile(body: &mut Vec<u8>, report: &qdb_obs::ProfileReport) {
     put_summaries(body, &report.classes);
     put_summaries(body, &report.phases);
 }
@@ -948,7 +979,7 @@ fn get_profile(buf: &mut impl Buf) -> Result<qdb_obs::ProfileReport> {
     })
 }
 
-fn put_events(body: &mut BytesMut, events: &[qdb_obs::SpanEvent]) {
+fn put_events(body: &mut Vec<u8>, events: &[qdb_obs::SpanEvent]) {
     body.put_u32_le(events.len() as u32);
     for e in events {
         body.put_u64_le(e.ts_ns);
@@ -977,7 +1008,7 @@ fn get_events(buf: &mut impl Buf) -> Result<Vec<qdb_obs::SpanEvent>> {
     Ok(events)
 }
 
-fn put_server_stats(body: &mut BytesMut, s: &ServerStats) {
+fn put_server_stats(body: &mut Vec<u8>, s: &ServerStats) {
     body.put_u64_le(s.connections);
     body.put_u64_le(s.frames_decoded);
     body.put_u64_le(s.bytes_in);
@@ -1038,13 +1069,20 @@ impl Frame {
     }
 }
 
-fn finish_frame(kind: u8, request_id: u32, body: &BytesMut) -> Vec<u8> {
-    let mut out = BytesMut::with_capacity(body.len() + 9);
-    out.put_u32_le((body.len() + 5) as u32);
-    out.put_u8(kind);
+/// Start a frame at the end of `out`: the length prefix and kind byte are
+/// placeholders until [`end_frame`] patches them, so the body is written
+/// straight into its final place. Returns the frame's start offset.
+fn begin_frame(out: &mut Vec<u8>, request_id: u32) -> usize {
+    let start = out.len();
+    out.put_slice(&[0; 5]);
     out.put_u32_le(request_id);
-    out.put_slice(body);
-    out.to_vec()
+    start
+}
+
+fn end_frame(out: &mut [u8], start: usize, kind: u8) {
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4] = kind;
 }
 
 fn expect_drained(buf: &impl Buf) -> Result<()> {
@@ -1062,36 +1100,37 @@ fn expect_drained(buf: &impl Buf) -> Result<()> {
 pub fn read_frame(r: &mut impl std::io::Read) -> std::io::Result<Option<Frame>> {
     use std::io::{Error, ErrorKind};
 
-    let mut len_bytes = [0u8; 4];
+    // Header first (a frame is never shorter than it), then exactly the
+    // body, read into the buffer the frame keeps.
+    let mut header = [0u8; 9];
     let mut filled = 0;
-    while filled < 4 {
-        match r.read(&mut len_bytes[filled..])? {
-            0 if filled == 0 => return Ok(None),
-            0 => {
+    while filled < header.len() {
+        match r.read(&mut header[filled..]) {
+            Ok(0) if filled == 0 => return Ok(None),
+            Ok(0) => {
                 return Err(Error::new(
                     ErrorKind::UnexpectedEof,
                     "connection closed mid-frame",
                 ))
             }
-            n => filled += n,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
-    let len = u32::from_le_bytes(len_bytes) as usize;
+    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
     if !(5..=MAX_FRAME).contains(&len) {
         return Err(Error::new(
             ErrorKind::InvalidData,
             format!("invalid frame length {len}"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    let kind = payload[0];
-    let request_id = u32::from_le_bytes([payload[1], payload[2], payload[3], payload[4]]);
-    payload.drain(..5);
+    let mut body = vec![0u8; len - 5];
+    r.read_exact(&mut body)?;
     Ok(Some(Frame {
-        kind,
-        request_id,
-        body: payload,
+        kind: header[4],
+        request_id: u32::from_le_bytes([header[5], header[6], header[7], header[8]]),
+        body,
     }))
 }
 
@@ -1388,6 +1427,202 @@ mod tests {
         // In-bounds replies pass through unchanged.
         let ok = Reply::Engine(Response::Ack);
         assert_eq!(encode_reply_bounded(5, &ok), encode_reply(5, &ok));
+    }
+
+    /// Tiny deterministic generator for the append-encoder property test
+    /// (xorshift64*; the sequence only has to be varied and repeatable).
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn text(&mut self) -> String {
+            let len = self.below(40);
+            (0..len)
+                .map(|_| char::from(b' ' + self.below(95) as u8))
+                .collect()
+        }
+
+        fn value(&mut self) -> Value {
+            match self.below(3) {
+                0 => Value::from(self.next() as i64),
+                1 => Value::from(self.text()),
+                _ => Value::from(self.below(2) == 0),
+            }
+        }
+
+        fn rows(&mut self) -> Vec<Valuation> {
+            (0..self.below(4))
+                .map(|_| {
+                    let mut row = Valuation::new();
+                    for _ in 0..self.below(4) {
+                        row.bind(Var::new(self.below(50) as u32, self.text()), self.value());
+                    }
+                    row
+                })
+                .collect()
+        }
+
+        fn request(&mut self) -> Request {
+            match self.below(6) {
+                0 => Request::Execute { sql: self.text() },
+                1 => Request::Prepare {
+                    stmt: self.next() as u32,
+                    sql: self.text(),
+                },
+                2 => Request::Bind {
+                    stmt: self.next() as u32,
+                    bound: self.next() as u32,
+                    params: (0..self.below(5)).map(|_| self.value()).collect(),
+                },
+                3 => Request::Run {
+                    bound: self.next() as u32,
+                },
+                4 => Request::Replicate {
+                    replica_id: self.text(),
+                    from_offset: self.next(),
+                },
+                _ => Request::ReplAck {
+                    replica_id: self.text(),
+                    applied_offset: self.next(),
+                    horizon: self.next(),
+                },
+            }
+        }
+
+        fn reply(&mut self) -> Reply {
+            let server = ServerStats {
+                connections: self.next(),
+                bytes_out: self.next(),
+                statement_classes: (0..self.below(3))
+                    .map(|_| (self.text(), self.next()))
+                    .collect(),
+                ..ServerStats::default()
+            };
+            let engine = Box::new(Metrics {
+                submitted: self.next(),
+                parses: self.next(),
+                ..Metrics::default()
+            });
+            match self.below(17) {
+                0 => Reply::Engine(Response::Rows(self.rows())),
+                1 => Reply::Engine(Response::Worlds(
+                    (0..self.below(3)).map(|_| self.rows()).collect(),
+                )),
+                2 => Reply::Engine(Response::Committed(self.next())),
+                3 => Reply::Engine(Response::Aborted),
+                4 => Reply::Engine(Response::Written(self.below(2) == 0)),
+                5 => Reply::Engine(Response::Grounded(self.below(1000))),
+                6 => Reply::Engine(Response::Pending(
+                    (0..self.below(6)).map(|_| self.next()).collect(),
+                )),
+                7 => Reply::Engine(Response::Ack),
+                8 => Reply::Engine(Response::Profile(Box::new(sample_profile()))),
+                9 => Reply::Engine(Response::Events(sample_events())),
+                10 => Reply::Engine(Response::Replication(Box::new(sample_replication()))),
+                11 => Reply::Stats {
+                    engine,
+                    server,
+                    profile: (self.below(2) == 0).then(|| Box::new(sample_profile())),
+                },
+                12 => Reply::Prepared {
+                    stmt: self.next() as u32,
+                    params: self.next() as u32,
+                },
+                13 => Reply::Bound {
+                    bound: self.next() as u32,
+                },
+                14 => Reply::WalSegment {
+                    start_offset: self.next(),
+                    primary_wal_len: self.next(),
+                    last_txn_id: self.next(),
+                    bytes: (0..self.below(64)).map(|_| self.next() as u8).collect(),
+                },
+                // Travels as `Stats` with default server counters, so it
+                // does not decode back to itself; bytes are still compared.
+                15 => Reply::Engine(Response::Metrics(engine)),
+                _ => Reply::Error {
+                    code: self.below(10) as u8,
+                    message: self.text(),
+                },
+            }
+        }
+    }
+
+    /// `encode(out)` appended to a non-empty buffer must leave the prefix
+    /// alone and add exactly `standalone` (the back-patched length and
+    /// kind land in the new frame, not at the buffer's start).
+    fn assert_appends(gen: &mut Gen, standalone: &[u8], encode: impl Fn(&mut Vec<u8>)) {
+        let prefix: Vec<u8> = (0..1 + gen.below(48)).map(|_| gen.next() as u8).collect();
+        let mut out = prefix.clone();
+        encode(&mut out);
+        assert_eq!(&out[..prefix.len()], prefix.as_slice(), "prefix clobbered");
+        assert_eq!(&out[prefix.len()..], standalone, "appended frame differs");
+    }
+
+    #[test]
+    fn append_encoders_agree_with_the_standalone_ones_for_every_variant() {
+        let mut gen = Gen(0x9e37_79b9_7f4a_7c15);
+        for _ in 0..600 {
+            let id = gen.next() as u32;
+            let request = gen.request();
+            let bytes = encode_request(id, &request);
+            let frame = parse_frame(&bytes).unwrap();
+            assert_eq!(frame.request_id, id);
+            assert_eq!(decode_request(&frame).unwrap(), request);
+            assert_appends(&mut gen, &bytes, |out| {
+                encode_request_into(out, id, &request)
+            });
+            if let Request::Execute { sql } = &request {
+                assert_appends(&mut gen, &bytes, |out| encode_execute_into(out, id, sql));
+            }
+
+            let reply = gen.reply();
+            let bytes = encode_reply(id, &reply);
+            let frame = parse_frame(&bytes).unwrap();
+            assert_eq!(frame.request_id, id);
+            if !matches!(reply, Reply::Engine(Response::Metrics(_))) {
+                assert_eq!(decode_reply(&frame).unwrap(), reply);
+            }
+            assert_eq!(encode_reply_bounded(id, &reply), bytes, "in bounds");
+            assert_appends(&mut gen, &bytes, |out| encode_reply_into(out, id, &reply));
+            assert_appends(&mut gen, &bytes, |out| {
+                encode_reply_bounded_into(out, id, &reply)
+            });
+        }
+    }
+
+    #[test]
+    fn bounded_append_encoder_falls_back_in_place() {
+        let mut gen = Gen(7);
+        let mut fat = Valuation::new();
+        fat.bind(Var::new(0, "x"), Value::from("y".repeat(MAX_FRAME)));
+        for oversized in [
+            Reply::Engine(Response::Pending(vec![0; MAX_COUNT + 1])),
+            Reply::Engine(Response::Rows(vec![fat])),
+        ] {
+            let bytes = encode_reply_bounded(9, &oversized);
+            let frame = parse_frame(&bytes).unwrap();
+            assert!(matches!(
+                decode_reply(&frame).unwrap(),
+                Reply::Error {
+                    code: code::PROTOCOL,
+                    ..
+                }
+            ));
+            assert_appends(&mut gen, &bytes, |out| {
+                encode_reply_bounded_into(out, 9, &oversized)
+            });
+        }
     }
 
     #[test]

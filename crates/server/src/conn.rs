@@ -13,19 +13,27 @@
 //!   up drains its frames sequentially, appending each reply to the
 //!   outbox in completion order. The outbox is flushed front-first, so
 //!   responses leave in request order per connection.
-//! * **Backpressure** — before popping the next frame, the drainer
-//!   checks the outbox; at or above [`Conn::outbox_limit`] it sets
-//!   `stalled` and returns *without* clearing `scheduled`. Ownership of
-//!   rescheduling passes to the reactor, which re-enqueues the
-//!   connection once a flush brings the outbox under the low watermark.
-//!   Both transitions happen under the outbox mutex, so a wakeup can
-//!   never be missed.
+//! * **Backpressure** — a drainer whose flush leaves the outbox at or
+//!   above [`Conn::outbox_limit`] sets `stalled` and returns *without*
+//!   clearing `scheduled`. Ownership of rescheduling passes to the
+//!   reactor, which re-enqueues the connection once a flush brings the
+//!   outbox under the low watermark. Both transitions happen under the
+//!   outbox mutex, so a wakeup can never be missed.
+//! * **Coalescing** — replies are encoded straight into the outbox and
+//!   leave in as few socket writes as the flush rule allows: the drainer
+//!   writes when the frame queue is empty (a lone request is never
+//!   delayed), when [`FLUSH_BYTES`] are waiting, or when the oldest
+//!   waiting reply is [`FLUSH_AGE`] old. It looks between statements, so
+//!   the reactor sweeps the connections it handed a batch to: a reply
+//!   held through two sweeps (it sits behind a long statement) is
+//!   written from there.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use qdb_core::wire::{self, Frame, Reply, Request};
 use qdb_core::{Bound, Response, Session};
@@ -34,6 +42,13 @@ use crate::metrics::ServerMetrics;
 use crate::reactor::Notifier;
 use crate::repl::{ConnRole, REPL_SEGMENT_MAX};
 use crate::MAX_QUEUED_FRAMES;
+
+/// A drainer with more frames queued lets replies accumulate up to this
+/// many bytes before writing the socket.
+const FLUSH_BYTES: usize = 16 * 1024;
+/// …and no longer than this: the client of a long batch starts decoding
+/// while the server is still executing.
+const FLUSH_AGE: Duration = Duration::from_micros(200);
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -61,6 +76,10 @@ struct FrameQueue {
 struct Outbox {
     buf: Vec<u8>,
     head: usize,
+    /// `0`: every reply has been offered to the socket. Otherwise the
+    /// drainer is holding replies back for the flush rule, and this is 1 +
+    /// the reactor sweeps the oldest of them has sat through.
+    held_sweeps: u8,
     /// A drainer stopped because the outbox hit the limit; the reactor
     /// owns rescheduling (set/cleared only under this mutex).
     stalled: bool,
@@ -82,6 +101,20 @@ impl Outbox {
             self.head = 0;
         }
     }
+}
+
+/// What [`Conn::enqueue_from`] did with a buffer.
+pub(crate) struct Enqueued {
+    /// Bytes framed off the front of the buffer.
+    pub consumed: usize,
+    /// Stopped for lack of queue room: the rest of the buffer may hold
+    /// further whole frames.
+    pub full: bool,
+    /// The connection was idle and must now go to the executor pool.
+    pub schedule: bool,
+    /// More than one frame is queued, so the drainer may hold replies
+    /// back for the flush rule.
+    pub pipelined: bool,
 }
 
 /// Statement state of one connection: the session plus the client-id maps.
@@ -237,28 +270,56 @@ impl Conn {
         lock(&self.queue).frames.clear();
     }
 
-    /// Enqueue a decoded frame; returns `true` when the connection was
-    /// idle and must now be handed to the executor pool.
-    pub(crate) fn enqueue(&self, frame: Frame) -> bool {
+    /// Reactor: frame whole requests off the front of `bytes` into the
+    /// queue — as many as it has room for, under one lock.
+    pub(crate) fn enqueue_from(&self, bytes: &[u8]) -> Result<Enqueued, wire::WireError> {
         let mut q = lock(&self.queue);
-        q.frames.push_back(frame);
-        if q.scheduled {
-            false
-        } else {
-            q.scheduled = true;
-            true
+        let mut consumed = 0;
+        let mut full = false;
+        loop {
+            if q.frames.len() >= MAX_QUEUED_FRAMES {
+                full = true;
+                break;
+            }
+            let Some((frame, used)) = wire::try_frame(&bytes[consumed..])? else {
+                break;
+            };
+            consumed += used;
+            self.metrics.frame_in(frame.wire_len());
+            q.frames.push_back(frame);
         }
+        let schedule = consumed > 0 && !q.scheduled;
+        q.scheduled |= schedule;
+        Ok(Enqueued {
+            consumed,
+            full,
+            schedule,
+            pipelined: q.frames.len() > 1,
+        })
     }
 
-    /// Frames waiting to execute (the reactor pauses reads on this so a
-    /// fast pipelining client cannot grow server memory without bound).
-    pub(crate) fn queued(&self) -> usize {
-        lock(&self.queue).frames.len()
+    /// Outbox bytes not yet accepted by the socket (the reactor stops
+    /// reading a connection whose replies nobody collects).
+    pub(crate) fn outbox_len(&self) -> usize {
+        lock(&self.outbox).len()
     }
 
-    /// (queued frames, outbox bytes) — the reactor's saturation inputs.
-    pub(crate) fn pressure(&self) -> (usize, usize) {
-        (self.queued(), lock(&self.outbox).len())
+    /// Reactor sweep: count the sweep against replies the drainer is
+    /// holding back and say whether they have now sat through two — a
+    /// drainer looks at the flush rule between statements, so it must be
+    /// inside a long one — and whether a drainer is at work at all. (One
+    /// that returns has flushed, and a stalled one is woken by the reactor
+    /// itself, so neither needs further watching.)
+    pub(crate) fn sweep(&self) -> (bool, bool) {
+        let (stale, stalled) = {
+            let mut ob = lock(&self.outbox);
+            let stale = ob.held_sweeps >= 2;
+            if ob.held_sweeps == 1 {
+                ob.held_sweeps = 2;
+            }
+            (stale, ob.stalled)
+        };
+        (stale, !stalled && lock(&self.queue).scheduled)
     }
 
     /// All work done and flushed: safe to close after peer EOF.
@@ -293,20 +354,30 @@ impl Conn {
     /// outbox mutex held — every socket write goes through here, which
     /// is what keeps reactor and executor writes from interleaving.
     fn flush_locked(&self, ob: &mut Outbox) {
+        ob.held_sweeps = 0;
         if ob.closed {
             return;
         }
         let mut stream = &self.stream;
         while ob.head < ob.buf.len() {
-            match stream.write(&ob.buf[ob.head..]) {
+            // Counted before the write and corrected after it: a client
+            // that has read these bytes finds them in a stats snapshot
+            // even if this thread loses the CPU as the syscall returns.
+            let attempt = ob.buf.len() - ob.head;
+            self.metrics.socket_write();
+            self.metrics.bytes_out(attempt as u64);
+            let result = stream.write(&ob.buf[ob.head..]);
+            let written = *result.as_ref().unwrap_or(&0);
+            ob.head += written;
+            if written < attempt {
+                self.metrics.bytes_out_undo((attempt - written) as u64);
+            }
+            match result {
                 Ok(0) => {
                     self.mark_dead();
                     break;
                 }
-                Ok(n) => {
-                    ob.head += n;
-                    self.metrics.bytes_out(n as u64);
-                }
+                Ok(_) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -326,45 +397,68 @@ impl Conn {
             .store(ob.buf.capacity(), Ordering::Relaxed);
     }
 
-    /// Append one encoded reply and opportunistically flush from the
-    /// executor, so an unsaturated connection never waits for the
-    /// reactor to write. Kicks the reactor when bytes are left over (it
-    /// must arm `EPOLLOUT`).
-    fn send_reply(&self, bytes: &[u8]) {
-        let remaining = {
+    /// Encode one reply into the outbox and write the socket if the flush
+    /// rule says so (`more`: further frames are queued behind this one;
+    /// `held_since`: when this drain first held a reply back), so an
+    /// unsaturated connection never waits for the reactor to write. Kicks
+    /// the reactor when bytes are left over (it must arm `EPOLLOUT`).
+    /// Returns `false` when the outbox is at its limit even after the
+    /// write: the drainer stalls.
+    fn push_reply(
+        &self,
+        request_id: u32,
+        reply: &Reply,
+        more: bool,
+        held_since: &mut Option<Instant>,
+    ) -> bool {
+        let (remaining, stalled) = {
             let mut ob = lock(&self.outbox);
             if ob.closed {
-                return;
+                return true; // `close` emptied the queue too: the next pop ends the drain
             }
-            ob.buf.extend_from_slice(bytes);
+            // Bounded: an oversized result degrades into a typed error
+            // frame instead of a transport failure at the client.
+            wire::encode_reply_bounded_into(&mut ob.buf, request_id, reply);
+            if more && ob.len() < FLUSH_BYTES.min(self.outbox_limit) {
+                let now = Instant::now();
+                if now - *held_since.get_or_insert(now) < FLUSH_AGE {
+                    ob.held_sweeps = ob.held_sweeps.max(1);
+                    return true;
+                }
+            }
+            *held_since = None;
             self.flush_locked(&mut ob);
-            ob.len()
+            let stalled = !ob.closed && ob.len() >= self.outbox_limit;
+            ob.stalled = stalled;
+            (ob.len(), stalled)
         };
+        if stalled {
+            self.metrics.outbox_full_stall();
+        }
         if remaining > 0 || self.dead() {
             self.kick();
         }
+        !stalled
     }
 
     /// Drain the frame queue, executing each request in arrival order.
     /// Runs on an executor thread; returns when the queue is empty (the
     /// reactor reschedules on the next frame) or when the outbox is full
-    /// (the reactor reschedules after draining it — see the module doc).
+    /// (still `scheduled`: the reactor reschedules after draining it —
+    /// see the module doc). Either way every reply encoded so far has
+    /// been handed to the socket or to the reactor.
     pub(crate) fn drain(self: &Arc<Self>) {
+        let mut held_since = None;
         loop {
-            {
-                let mut ob = lock(&self.outbox);
-                if !ob.closed && ob.len() >= self.outbox_limit {
-                    ob.stalled = true;
-                    drop(ob);
-                    self.metrics.outbox_full_stall();
-                    self.kick();
-                    return; // still `scheduled`; reactor re-enqueues
-                }
-            }
-            let frame = {
+            let (frame, more, resume) = {
                 let mut q = lock(&self.queue);
                 match q.frames.pop_front() {
-                    Some(f) => f,
+                    Some(frame) => {
+                        let left = q.frames.len();
+                        // Unpause reads early once the queue has real room again.
+                        let resume = q.read_paused && left < MAX_QUEUED_FRAMES / 2;
+                        (frame, left > 0, resume)
+                    }
                     None => {
                         q.scheduled = false;
                         let read_paused = q.read_paused;
@@ -378,18 +472,12 @@ impl Conn {
                     }
                 }
             };
-            let reply = self.handle_frame(&frame);
-            // Bounded: an oversized result degrades into a typed error
-            // frame instead of a transport failure at the client.
-            let bytes = wire::encode_reply_bounded(frame.request_id, &reply);
-            self.send_reply(&bytes);
-            // Unpause reads early once the queue has real room again.
-            let resume = {
-                let q = lock(&self.queue);
-                q.read_paused && q.frames.len() < MAX_QUEUED_FRAMES / 2
-            };
             if resume {
                 self.kick();
+            }
+            let reply = self.handle_frame(&frame);
+            if !self.push_reply(frame.request_id, &reply, more, &mut held_since) {
+                return;
             }
         }
     }

@@ -17,7 +17,8 @@
 //!            ┌────────────────────────────────────┴───────────┐
 //!            │ executor pool (N threads): drain one           │
 //!            │ connection's frames in order, execute via      │
-//!            │ Session, append replies to its bounded outbox  │
+//!            │ Session, encode replies into its bounded       │
+//!            │ outbox, write them out a batch at a time       │
 //!            └───────────────────────┬────────────────────────┘
 //!                                    ▼
 //!                            SharedQuantumDb
@@ -25,11 +26,15 @@
 //!
 //! A single reactor thread owns every socket's readiness through a
 //! vendored epoll shim (`sys`): it accepts (with an admission limit),
-//! reads and frames bytes, hands decoded frames to the executor pool,
-//! flushes reply bytes the executors could not write inline, and reaps
-//! idle connections off a timer wheel. Executors never block on I/O and
-//! the reactor never executes a statement, so one slow client — or ten
-//! thousand idle ones — cannot stall the rest.
+//! reads into one shared scratch buffer and frames straight out of it
+//! (one read, one queue lock and one executor wake-up per pipelined
+//! call), hands decoded frames to the executor pool, flushes reply bytes
+//! the executors could not write inline, and reaps idle connections off
+//! a timer wheel. Executors write a connection's replies when its queue
+//! runs empty, 16 KiB are waiting or 200 µs have passed — one socket
+//! write per pipelined call, not one per reply. Executors never block on
+//! I/O and the reactor never executes a statement, so one slow client —
+//! or ten thousand idle ones — cannot stall the rest.
 //!
 //! Each connection owns a server-side [`qdb_core::Session`] (prepared
 //! statements, LRU statement cache) and may pipeline many frames; the
@@ -382,6 +387,13 @@ impl ServerHandle {
     /// Snapshot of the server-side traffic counters.
     pub fn stats(&self) -> ServerStats {
         self.metrics.snapshot()
+    }
+
+    /// `(read, write)` calls the server has made on client sockets — the
+    /// serving path's syscall budget (a 16-statement pipelined call costs
+    /// a few of each, not sixteen). Process-local, so not in [`ServerStats`].
+    pub fn socket_calls(&self) -> (u64, u64) {
+        self.metrics.socket_calls()
     }
 
     /// Sum the per-connection state estimate over live connections — the

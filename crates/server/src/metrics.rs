@@ -7,15 +7,32 @@
 //! A snapshot of both travels back on every `SHOW METRICS` response, so a
 //! remote client observes the full picture without a side channel.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use qdb_core::wire::ServerStats;
 
-/// Lock-free counters for the hot paths, a small mutex-guarded map for
-/// per-statement-class accounting (the class set is tiny and bounded by
-/// the grammar).
+/// Every statement class ([`qdb_logic::Statement::kind`] — a closed set
+/// fixed by the grammar), sorted, which is the order `snapshot` lists them in.
+const CLASSES: [&str; 15] = [
+    "CHECKPOINT",
+    "CREATE INDEX",
+    "CREATE TABLE",
+    "DELETE",
+    "GROUND",
+    "GROUND ALL",
+    "INSERT",
+    "PROMOTE",
+    "SELECT",
+    "SELECT … CHOOSE 1",
+    "SHOW EVENTS",
+    "SHOW METRICS",
+    "SHOW PENDING",
+    "SHOW PROFILE",
+    "SHOW REPLICATION",
+];
+
+/// Lock-free counters throughout: executors on every core bump them per
+/// statement and per socket call.
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
     connections: AtomicU64,
@@ -27,7 +44,9 @@ pub struct ServerMetrics {
     conns_refused: AtomicU64,
     conns_idle_closed: AtomicU64,
     outbox_full_stalls: AtomicU64,
-    classes: Mutex<BTreeMap<&'static str, u64>>,
+    socket_reads: AtomicU64,
+    socket_writes: AtomicU64,
+    classes: [AtomicU64; CLASSES.len()],
 }
 
 impl ServerMetrics {
@@ -69,15 +88,38 @@ impl ServerMetrics {
         self.bytes_out.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Take back `n` bytes recorded ahead of a write that fell short.
+    pub fn bytes_out_undo(&self, n: u64) {
+        self.bytes_out.fetch_sub(n, Ordering::Relaxed);
+    }
+
+    /// Record one `read` call on a client socket, whatever it returned.
+    pub fn socket_read(&self) {
+        self.socket_reads.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record one `write` call on a client socket, whatever it returned.
+    pub fn socket_write(&self) {
+        self.socket_writes.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// `(read, write)` calls made on client sockets so far — the serving
+    /// path's syscall budget. Process-local: not part of [`ServerStats`].
+    pub fn socket_calls(&self) -> (u64, u64) {
+        (
+            self.socket_reads.load(Ordering::Relaxed),
+            self.socket_writes.load(Ordering::Relaxed),
+        )
+    }
+
     /// Record one executed statement of the given class
     /// ([`qdb_logic::Statement::kind`]).
     pub fn statement(&self, class: &'static str) {
-        *self
-            .classes
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .entry(class)
-            .or_insert(0) += 1;
+        let slot = CLASSES.iter().position(|c| *c == class);
+        debug_assert!(slot.is_some(), "statement class {class:?} not in CLASSES");
+        if let Some(slot) = slot {
+            self.classes[slot].fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Snapshot for the wire.
@@ -92,12 +134,11 @@ impl ServerMetrics {
             conns_refused: self.conns_refused.load(Ordering::Relaxed),
             conns_idle_closed: self.conns_idle_closed.load(Ordering::Relaxed),
             outbox_full_stalls: self.outbox_full_stalls.load(Ordering::Relaxed),
-            statement_classes: self
-                .classes
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
+            statement_classes: CLASSES
                 .iter()
-                .map(|(&k, &v)| (k.to_string(), v))
+                .zip(&self.classes)
+                .map(|(class, count)| (class.to_string(), count.load(Ordering::Relaxed)))
+                .filter(|(_, count)| *count > 0)
                 .collect(),
         }
     }
@@ -126,6 +167,60 @@ mod tests {
         assert_eq!(s.class("INSERT"), Some(1));
         assert_eq!(s.class("GROUND"), None);
         assert_eq!(s.statements_total(), 3);
+    }
+
+    #[test]
+    fn socket_calls_count_beside_the_wire_snapshot_and_short_writes_are_taken_back() {
+        let m = ServerMetrics::default();
+        m.socket_read();
+        m.socket_read();
+        m.socket_write();
+        assert_eq!(m.socket_calls(), (2, 1));
+        // A write is counted in full before it is made, then corrected.
+        m.bytes_out(100);
+        m.bytes_out_undo(40);
+        assert_eq!(m.snapshot().bytes_out, 60);
+    }
+
+    #[test]
+    fn class_table_is_sorted_and_covers_the_grammar() {
+        assert!(CLASSES.windows(2).all(|w| w[0] < w[1]), "snapshot order");
+        for sql in [
+            "CREATE TABLE T (a INT)",
+            "CREATE INDEX ON T (a)",
+            "INSERT INTO T VALUES (1)",
+            "DELETE FROM T VALUES (1)",
+            "SELECT * FROM T(@a)",
+            "SELECT @a FROM T(@a) CHOOSE 1 FOLLOWED BY (DELETE (@a) FROM T)",
+            "GROUND 1",
+            "GROUND ALL",
+            "CHECKPOINT",
+            "SHOW METRICS",
+            "SHOW PENDING",
+            "SHOW PROFILE",
+            "SHOW EVENTS",
+            "SHOW REPLICATION",
+            "PROMOTE",
+        ] {
+            let kind = qdb_logic::parse_statement(sql).unwrap().template().kind();
+            assert!(CLASSES.contains(&kind), "{kind} missing from CLASSES");
+        }
+        // Classes are listed in table order and only once they have run.
+        let m = ServerMetrics::default();
+        m.statement("SHOW PENDING");
+        m.statement("CHECKPOINT");
+        m.statement("SELECT … CHOOSE 1");
+        m.statement("SELECT");
+        let listed: Vec<String> = m
+            .snapshot()
+            .statement_classes
+            .into_iter()
+            .map(|(class, _)| class)
+            .collect();
+        assert_eq!(
+            listed,
+            ["CHECKPOINT", "SELECT", "SELECT … CHOOSE 1", "SHOW PENDING"]
+        );
     }
 
     #[test]

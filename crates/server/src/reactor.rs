@@ -27,14 +27,13 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
-use qdb_core::wire;
 use qdb_core::SharedQuantumDb;
 
 use crate::conn::Conn;
 use crate::metrics::ServerMetrics;
 use crate::repl::ConnRole;
 use crate::sys::{Event, Poller};
-use crate::{DrainSignal, Job, MAX_QUEUED_FRAMES};
+use crate::{DrainSignal, Job};
 
 /// Epoll token of the accept socket.
 const TOKEN_LISTENER: u64 = 0;
@@ -102,17 +101,37 @@ pub(crate) struct ReactorConfig {
     pub idle_timeout: Option<Duration>,
 }
 
+/// Size of the reactor's one read buffer, shared by every connection.
+const SCRATCH_BYTES: usize = 64 * 1024;
+/// How often connections with a batch in progress are checked for replies
+/// their drainer is holding back (`epoll_wait` counts in milliseconds).
+const LINGER_SWEEP: Duration = Duration::from_millis(1);
+
 /// Reactor-private per-connection state (shared state lives in [`Conn`]).
 struct Slot {
     conn: Arc<Conn>,
     gen: u32,
-    /// Bytes read off the socket but not yet framed.
+    /// The tail of the input that did not frame yet: a partial frame, or
+    /// whole frames the queue had no room for. Empty (and unallocated)
+    /// whenever a read ended on a frame boundary.
     rbuf: Vec<u8>,
     /// The last read stopped on saturation, so `rbuf` (and the socket)
     /// may hold input that no future readable event will announce.
     read_cut_short: bool,
     read_on: bool,
     write_on: bool,
+    /// Listed in [`Reactor::lingering`].
+    lingering: bool,
+}
+
+impl Slot {
+    /// List the connection (once) for [`Reactor::sweep_lingering`].
+    fn watch(&mut self, lingering: &mut Vec<u64>) {
+        if !self.lingering {
+            self.lingering = true;
+            lingering.push(self.conn.token());
+        }
+    }
 }
 
 /// Lazy hashed timer wheel over slot indices.
@@ -166,6 +185,15 @@ pub(crate) struct Reactor {
     next_gen: u32,
     wheel: Option<Wheel>,
     started: Instant,
+    /// Where every socket read lands. The reactor is one thread and
+    /// frames a read before the next, so connections share it and an idle
+    /// one owns no buffer; only an unframed tail is copied out, into its
+    /// slot's `rbuf`.
+    scratch: Box<[u8]>,
+    /// Tokens of connections handed more than one frame whose drainer
+    /// has not been seen to finish: it may be holding replies back.
+    lingering: Vec<u64>,
+    last_linger_sweep: Instant,
 }
 
 #[allow(clippy::too_many_arguments)] // internal plumbing, one call site
@@ -206,6 +234,9 @@ pub(crate) fn new_reactor(
         next_gen: 1,
         wheel,
         started: Instant::now(),
+        scratch: vec![0; SCRATCH_BYTES].into_boxed_slice(),
+        lingering: Vec::new(),
+        last_linger_sweep: Instant::now(),
     })
 }
 
@@ -236,7 +267,9 @@ impl Reactor {
                 draining = true;
                 let _ = self.poller.delete(self.listener.as_raw_fd());
             }
-            let timeout_ms = if draining {
+            let timeout_ms = if !self.lingering.is_empty() {
+                LINGER_SWEEP.as_millis() as i32
+            } else if draining {
                 10
             } else {
                 match &self.wheel {
@@ -265,6 +298,7 @@ impl Reactor {
             // Kicks are drained every pass, not only on waker events:
             // an executor may have kicked while we were already awake.
             conn_activity |= self.process_kicks();
+            self.sweep_lingering();
             self.advance_wheel();
             if draining {
                 if self.drain.expired() {
@@ -360,6 +394,7 @@ impl Reactor {
             read_cut_short: false,
             read_on: true,
             write_on: false,
+            lingering: false,
         });
         self.open += 1;
         self.metrics.connection();
@@ -411,107 +446,137 @@ impl Reactor {
         self.finish_conn_pass(idx);
     }
 
-    /// Drive the socket's read side: decode buffered bytes, then read
-    /// more, until saturation, `WouldBlock`, EOF, or error.
+    /// Drive the socket's read side: frame what an earlier pass left
+    /// buffered, then read and frame, until saturation, a drained socket,
+    /// EOF, or error. One read into the shared scratch buffer, one queue
+    /// lock and one executor wake-up per pass over a non-saturated
+    /// connection, however many frames the read carried.
     fn read_conn(&mut self, idx: usize) {
-        const CHUNK: usize = 16 * 1024;
         let now = self.now_tick();
-        let outbox_limit = self.cfg.outbox_limit;
-        let metrics = Arc::clone(&self.metrics);
-        let job_tx = self.job_tx.clone();
         let Some(Some(slot)) = self.slots.get_mut(idx) else {
             return;
         };
         let conn = Arc::clone(&slot.conn);
         slot.read_cut_short = false;
+        // `0`: nothing read yet, only `rbuf` to frame (the resume path
+        // after a pause: no readable event replays bytes already held).
+        let mut fresh = 0;
         loop {
-            // 1. Frame off everything already buffered (also the resume
-            //    path after a pause: no fresh readable event replays
-            //    bytes we are already holding). `starved` = the buffer
-            //    ran out of complete frames before the queue ran out of
-            //    room.
-            let mut off = 0;
-            let mut starved = false;
-            while conn.queued() < MAX_QUEUED_FRAMES {
-                match wire::try_frame(&slot.rbuf[off..]) {
-                    Ok(Some((frame, used))) => {
-                        off += used;
-                        metrics.frame_in(frame.wire_len());
-                        if conn.enqueue(frame) {
-                            let _ = job_tx.send(Job::Conn(Arc::clone(&conn)));
-                        }
-                    }
-                    Ok(None) => {
-                        starved = true;
-                        break;
-                    }
-                    Err(_) => {
-                        // A corrupt length prefix is unrecoverable: no
-                        // resync point exists in the stream.
-                        conn.mark_dead();
-                        break;
-                    }
+            // 1. Frame straight out of the scratch buffer when nothing
+            //    older is held; otherwise behind the held tail.
+            if fresh > 0 || !slot.rbuf.is_empty() {
+                let held = !slot.rbuf.is_empty();
+                let framed = if held {
+                    slot.rbuf.extend_from_slice(&self.scratch[..fresh]);
+                    conn.enqueue_from(&slot.rbuf)
+                } else {
+                    conn.enqueue_from(&self.scratch[..fresh])
+                };
+                let Ok(framed) = framed else {
+                    // A corrupt length prefix is unrecoverable: no resync
+                    // point exists in the stream.
+                    conn.mark_dead();
+                    break;
+                };
+                if held {
+                    slot.rbuf.drain(..framed.consumed);
+                } else {
+                    slot.rbuf
+                        .extend_from_slice(&self.scratch[framed.consumed..fresh]);
                 }
-            }
-            slot.rbuf.drain(..off);
-            if conn.dead() || conn.peer_eof() {
-                break;
+                if framed.schedule {
+                    let _ = self.job_tx.send(Job::Conn(Arc::clone(&conn)));
+                }
+                if framed.pipelined {
+                    slot.watch(&mut self.lingering);
+                }
+                if framed.full {
+                    slot.read_cut_short = true;
+                    break;
+                }
             }
             // 2. Saturated? Stop reading; `finish_conn_pass` drops the
             //    read interest (explicit backpressure) — or comes straight
             //    back here if the pressure is gone by the time it looks.
-            let (queued, outbox) = conn.pressure();
-            if queued >= MAX_QUEUED_FRAMES || outbox >= outbox_limit {
+            //    (A full queue shows above, one read late: the frames it
+            //    had no room for wait in `rbuf`.)
+            if conn.outbox_len() >= self.cfg.outbox_limit {
                 slot.read_cut_short = true;
                 break;
             }
-            if !starved {
-                // The queue was full a moment ago and a drainer has made
-                // room since: the buffer still holds whole frames, and an
-                // empty socket must not end the pass over them.
-                continue;
+            // 3. A read that did not fill the buffer drained the socket:
+            //    level-triggered epoll announces whatever arrives later,
+            //    so no second read is spent on learning `WouldBlock`.
+            if fresh > 0 && fresh < self.scratch.len() {
+                break;
             }
-            // 3. Pull the next chunk off the socket.
-            let old = slot.rbuf.len();
-            slot.rbuf.resize(old + CHUNK, 0);
+            self.metrics.socket_read();
             let mut stream = conn.stream();
-            match stream.read(&mut slot.rbuf[old..]) {
+            fresh = match stream.read(&mut self.scratch) {
                 Ok(0) => {
-                    slot.rbuf.truncate(old);
                     conn.set_peer_eof();
                     break;
                 }
                 Ok(n) => {
-                    slot.rbuf.truncate(old + n);
                     conn.touch(now);
+                    n
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    slot.rbuf.truncate(old);
-                    break;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                    slot.rbuf.truncate(old);
-                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
                 Err(_) => {
-                    slot.rbuf.truncate(old);
                     conn.mark_dead();
                     break;
                 }
-            }
+            };
         }
-        // Idle connections hold no read buffer at all.
+        // A connection whose input ended on a frame boundary holds no
+        // read buffer at all.
         if slot.rbuf.is_empty() && slot.rbuf.capacity() > 0 {
             slot.rbuf = Vec::new();
         }
         conn.set_rbuf_bytes(slot.rbuf.capacity());
     }
 
+    /// Write out replies a drainer has held through two sweeps: it applies
+    /// the flush rule between statements, so a reply encoded just before a
+    /// long statement would otherwise wait for it.
+    fn sweep_lingering(&mut self) {
+        if self.lingering.is_empty() || self.last_linger_sweep.elapsed() < LINGER_SWEEP {
+            return;
+        }
+        self.last_linger_sweep = Instant::now();
+        let mut i = 0;
+        while i < self.lingering.len() {
+            let (idx, gen) = token_parts(self.lingering[i]);
+            let (stale, draining) = match self.slots.get(idx) {
+                Some(Some(slot)) if slot.gen == gen => slot.conn.sweep(),
+                _ => (false, false), // connection already gone
+            };
+            if stale {
+                self.flush_conn(idx);
+                self.finish_conn_pass(idx);
+            }
+            if draining {
+                i += 1;
+                continue;
+            }
+            self.lingering.swap_remove(i);
+            if let Some(Some(slot)) = self.slots.get_mut(idx) {
+                if slot.gen == gen {
+                    slot.lingering = false;
+                }
+            }
+        }
+    }
+
     fn flush_conn(&mut self, idx: usize) {
-        let Some(Some(slot)) = self.slots.get(idx) else {
+        let Some(Some(slot)) = self.slots.get_mut(idx) else {
             return;
         };
         let conn = Arc::clone(&slot.conn);
         if conn.flush() {
+            // The drainer resumes over whatever queued up meanwhile.
+            slot.watch(&mut self.lingering);
             let _ = self.job_tx.send(Job::Conn(conn));
         }
     }

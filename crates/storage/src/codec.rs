@@ -63,7 +63,7 @@ fn need(buf: &impl Buf, n: usize, what: &str) -> Result<()> {
 }
 
 /// Write a length-prefixed UTF-8 string.
-pub fn put_string(buf: &mut BytesMut, s: &str) {
+pub fn put_string(buf: &mut impl BufMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
@@ -83,7 +83,7 @@ const TAG_STR: u8 = 1;
 const TAG_BOOL: u8 = 2;
 
 /// Write a [`Value`].
-pub fn put_value(buf: &mut BytesMut, v: &Value) {
+pub fn put_value(buf: &mut impl BufMut, v: &Value) {
     match v {
         Value::Int(i) => {
             buf.put_u8(TAG_INT);
