@@ -1,27 +1,31 @@
-//! Regenerate every table and figure of the paper's evaluation (§5).
+//! Regenerate every table and figure of the paper's evaluation (§5–§6)
+//! and run the correctness experiments CI gates on.
 //!
 //! ```text
-//! reproduce [table1|fig5|fig6|fig7|table2|fig8|fig9|phase|partition_scaling|
-//!            admission_depth|read_path|profile|sim|connection_scale|
-//!            replication|all]...
-//!           [--scale full|smoke] [--json] [--trace-out PATH]
+//! reproduce [table1|fig5|fig6|fig7|table2|fig8|fig9|phase|sim|
+//!            connection_scale|replication|all]...
+//!           [--scale full|smoke] [--json]
 //! ```
 //!
 //! Several experiment names may be given; they run in the canonical order.
 //! `full` runs the paper's parameters (slow: Fig. 7 alone executes up to
 //! 15 000 transactions per k); `smoke` is a quick shape-check. Output is
 //! plain text: tables match the paper's tables, figures are printed as
-//! tab-separated series. With `--json`, the same measurements (plus
-//! derived throughput/latency) are additionally written to
-//! `BENCH_results.json` — stamped with the git commit and a UTC timestamp
-//! — so the performance trajectory of the repo can be tracked run over
-//! run. `--trace-out PATH` makes the `profile` experiment export its
-//! sharded engine's span stream as JSONL (see `docs/OBSERVABILITY.md`).
+//! tab-separated series. With `--json`, the same measurements are
+//! additionally written to `BENCH_results.json` — stamped with the git
+//! commit and a UTC timestamp — which is what CI's jq gates read.
+//! Performance questions belong to `benchmark/` (see its README), not
+//! here.
 
 use qdb_bench::experiments::*;
-use qdb_bench::json::{num, str as jstr, Json};
 use qdb_bench::report::{downsample, format_series, format_table};
+use qdb_sim::json::Json;
 use qdb_workload::FlightsConfig;
+
+/// Shorthand: a JSON number.
+fn num(n: impl Into<f64>) -> Json {
+    Json::F64(n.into())
+}
 
 #[derive(Clone, Copy, PartialEq)]
 enum Scale {
@@ -43,7 +47,6 @@ fn main() {
     let mut which: Vec<String> = Vec::new();
     let mut scale = Scale::Full;
     let mut json = false;
-    let mut trace_out: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -55,16 +58,6 @@ fn main() {
                 };
             }
             "--json" => json = true,
-            "--trace-out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => trace_out = Some(path.clone()),
-                    None => {
-                        eprintln!("--trace-out needs a path");
-                        std::process::exit(2);
-                    }
-                }
-            }
             other => which.push(other.to_string()),
         }
         i += 1;
@@ -72,7 +65,7 @@ fn main() {
     if which.is_empty() {
         which.push("all".to_string());
     }
-    const KNOWN: [&str; 16] = [
+    const KNOWN: [&str; 12] = [
         "all",
         "table1",
         "fig5",
@@ -82,10 +75,6 @@ fn main() {
         "fig8",
         "fig9",
         "phase",
-        "partition_scaling",
-        "admission_depth",
-        "read_path",
-        "profile",
         "sim",
         "connection_scale",
         "replication",
@@ -117,18 +106,6 @@ fn main() {
     if wants("phase") {
         records.push(phase());
     }
-    if wants("partition_scaling") {
-        records.push(partition_scaling_report(scale, seed));
-    }
-    if wants("admission_depth") {
-        records.push(admission_depth_report(scale));
-    }
-    if wants("read_path") {
-        records.push(read_path_report(scale));
-    }
-    if wants("profile") {
-        records.push(profile_report(scale, trace_out.as_deref()));
-    }
     if wants("connection_scale") {
         records.push(connection_scale_report(scale));
     }
@@ -145,10 +122,10 @@ fn main() {
     }
     if json {
         let doc = Json::obj([
-            ("suite", jstr("quantum-db reproduce")),
-            ("git_commit", jstr(qdb_bench::git_commit())),
-            ("generated_at", jstr(qdb_bench::iso8601_now())),
-            ("scale", jstr(scale.label())),
+            ("suite", Json::str("quantum-db reproduce")),
+            ("git_commit", Json::str(qdb_bench::git_commit())),
+            ("generated_at", Json::str(qdb_bench::iso8601_now())),
+            ("scale", Json::str(scale.label())),
             ("seed", num(seed as u32)),
             ("experiments", Json::Arr(records)),
         ]);
@@ -166,194 +143,6 @@ fn main() {
         // regression — fail the reproduction run outright.
         std::process::exit(1);
     }
-}
-
-/// The observability acceptance run: drive a mixed workload through the
-/// engine, then read back `SHOW PROFILE`'s payload and check that every
-/// statement class the driver issued has a histogram whose count equals
-/// the driver's own statement counter and whose percentiles are non-zero
-/// — the jq gates in CI key off this record. With `--trace-out`, the
-/// engine's span stream is exported as JSONL.
-fn profile_report(scale: Scale, trace_out: Option<&str>) -> Json {
-    use qdb_core::{QuantumDb, QuantumDbConfig};
-    use std::collections::BTreeMap;
-
-    let (flights, pairs, reads) = match scale {
-        Scale::Full => (8usize, 6usize, 120usize),
-        Scale::Smoke => (2, 3, 12),
-    };
-    println!("== Profile: per-class / per-phase latency histograms ==");
-    println!(
-        "({flights} flights x {pairs} bookings each + {reads} PEEK/POSSIBLE reads,\n\
-         counts must match the driver's own)\n"
-    );
-
-    // The workload, as (class, SQL) pairs — the class strings are the
-    // engine's own `Statement::kind()` names, so the driver's counter and
-    // the histogram key line up exactly.
-    let mut stmts: Vec<(&'static str, String)> = vec![
-        (
-            "CREATE TABLE",
-            "CREATE TABLE Available (flight INT, seat TEXT)".into(),
-        ),
-        (
-            "CREATE TABLE",
-            "CREATE TABLE Bookings (name TEXT, flight INT, seat TEXT)".into(),
-        ),
-    ];
-    for f in 1..=flights {
-        for s in 0..pairs {
-            stmts.push((
-                "INSERT",
-                format!("INSERT INTO Available VALUES ({f}, 's{s:03}')"),
-            ));
-        }
-    }
-    for f in 1..=flights {
-        for i in 0..pairs {
-            stmts.push((
-                "SELECT … CHOOSE 1",
-                format!(
-                    "SELECT @s FROM Available({f}, @s) CHOOSE 1 FOLLOWED BY \
-                     (DELETE ({f}, @s) FROM Available; \
-                      INSERT ('u{f}_{i}', {f}, @s) INTO Bookings)"
-                ),
-            ));
-        }
-    }
-    for i in 0..reads {
-        // PEEK and POSSIBLE leave the pending set alone (no collapse), so
-        // the solve/world-enumeration phases keep firing all the way.
-        stmts.push((
-            "SELECT",
-            if i % 2 == 0 {
-                format!("SELECT PEEK * FROM Bookings('u1_{}', @f, @s)", i % pairs)
-            } else {
-                "SELECT POSSIBLE @s FROM Available(1, @s)".into()
-            },
-        ));
-    }
-    stmts.push(("SHOW PENDING", "SHOW PENDING".into()));
-    stmts.push(("GROUND ALL", "GROUND ALL".into()));
-    stmts.push(("SELECT", "SELECT * FROM Bookings(@n, @f, @s)".into()));
-    let mut expected: BTreeMap<&'static str, u64> = BTreeMap::new();
-    for (class, _) in &stmts {
-        *expected.entry(class).or_insert(0) += 1;
-    }
-
-    let engine = "sharded";
-    let shared = QuantumDb::new(QuantumDbConfig::default())
-        .expect("engine")
-        .into_shared();
-    if let Some(path) = trace_out {
-        let file = std::fs::File::create(path).expect("trace sink");
-        shared
-            .obs()
-            .set_trace(Some(Box::new(std::io::BufWriter::new(file))));
-    }
-    let session = shared.session();
-    for (_, sql) in &stmts {
-        session.execute(sql).expect("statement");
-    }
-    let profile = shared.profile();
-    // Drop the sink so the BufWriter flushes before we return.
-    shared.obs().set_trace(None);
-
-    let by_class: BTreeMap<&str, qdb_core::HistSummary> = profile
-        .classes
-        .iter()
-        .map(|(name, s)| (name.as_str(), *s))
-        .collect();
-    for (class, want) in &expected {
-        let s = by_class
-            .get(*class)
-            .unwrap_or_else(|| panic!("{engine}: no histogram for class {class}"));
-        assert_eq!(
-            s.count, *want,
-            "{engine}: {class} histogram count vs driver counter"
-        );
-        assert!(s.p50_ns > 0, "{engine}: {class} p50 must be non-zero");
-        assert!(s.p99_ns >= s.p50_ns, "{engine}: {class} p99 < p50");
-    }
-    for need in ["parse", "solve", "apply"] {
-        let s = profile
-            .phases
-            .iter()
-            .find(|(name, _)| name == need)
-            .map(|(_, s)| *s)
-            .unwrap_or_else(|| panic!("{engine}: phase {need} never recorded"));
-        assert!(s.count > 0 && s.p50_ns > 0, "{engine}: phase {need} empty");
-    }
-
-    let us = |ns: u64| ns as f64 / 1000.0;
-    let table: Vec<Vec<String>> = profile
-        .classes
-        .iter()
-        .map(|(name, s)| {
-            vec![
-                name.clone(),
-                s.count.to_string(),
-                format!("{:.1}", us(s.p50_ns)),
-                format!("{:.1}", us(s.p99_ns)),
-                format!("{:.1}", us(s.p999_ns)),
-                format!("{:.1}", us(s.max_ns)),
-            ]
-        })
-        .collect();
-    println!("-- {engine} engine --");
-    println!(
-        "{}",
-        format_table(
-            &["class", "count", "p50_us", "p99_us", "p999_us", "max_us"],
-            &table
-        )
-    );
-
-    let summarize = |name: &str, s: &qdb_core::HistSummary, expected: Option<u64>| {
-        let mut fields = vec![
-            ("name".to_string(), jstr(name.to_string())),
-            ("count".to_string(), num(s.count as f64)),
-        ];
-        if let Some(e) = expected {
-            fields.push(("expected".to_string(), num(e as f64)));
-        }
-        fields.extend([
-            ("p50_us".to_string(), num(us(s.p50_ns))),
-            ("p90_us".to_string(), num(us(s.p90_ns))),
-            ("p99_us".to_string(), num(us(s.p99_ns))),
-            ("p999_us".to_string(), num(us(s.p999_ns))),
-            ("max_us".to_string(), num(us(s.max_ns))),
-        ]);
-        Json::obj(fields)
-    };
-    let engines = vec![Json::obj([
-        ("engine", jstr(engine)),
-        (
-            "classes",
-            Json::arr(
-                profile
-                    .classes
-                    .iter()
-                    .map(|(name, s)| summarize(name, s, expected.get(name.as_str()).copied())),
-            ),
-        ),
-        (
-            "phases",
-            Json::arr(
-                profile
-                    .phases
-                    .iter()
-                    .map(|(name, s)| summarize(name, s, None)),
-            ),
-        ),
-    ])];
-    Json::obj([
-        ("experiment", jstr("profile")),
-        ("flights", num(flights as f64)),
-        ("bookings", num((flights * pairs) as f64)),
-        ("reads", num(reads as f64)),
-        ("engines", Json::Arr(engines)),
-    ])
 }
 
 /// The serving-layer acceptance run (see `qdb_bench::connscale`): park a
@@ -410,7 +199,7 @@ fn connection_scale_report(scale: Scale) -> Json {
         outcome.p99_ratio
     );
     Json::obj([
-        ("experiment", jstr("connection_scale")),
+        ("experiment", Json::str("connection_scale")),
         ("idle_conns", num(cfg.idle_conns as f64)),
         ("hot_conns", num(cfg.hot_conns as f64)),
         ("requests_per_conn", num(cfg.requests_per_conn as f64)),
@@ -426,7 +215,7 @@ fn connection_scale_report(scale: Scale) -> Json {
             "phases",
             Json::arr(outcome.phases.iter().map(|p| {
                 Json::obj([
-                    ("phase", jstr(p.label)),
+                    ("phase", Json::str(p.label)),
                     ("idle_conns", num(p.idle_conns as f64)),
                     ("requests", num(p.requests as f64)),
                     ("throughput_rps", num(p.throughput_rps)),
@@ -521,8 +310,8 @@ fn replication_report(scale: Scale) -> (Json, bool) {
 
     let failed = !sweep.failures.is_empty();
     let record = Json::obj([
-        ("experiment", jstr("replication")),
-        ("profile", jstr("read_mostly")),
+        ("experiment", Json::str("replication")),
+        ("profile", Json::str("read_mostly")),
         (
             "points",
             Json::arr(outcome.points.iter().map(|p| {
@@ -559,7 +348,10 @@ fn replication_report(scale: Scale) -> (Json, bool) {
                 (
                     "failures",
                     Json::arr(sweep.failures.iter().map(|(seed, v)| {
-                        Json::obj([("seed", num(*seed as f64)), ("violation", jstr(v.clone()))])
+                        Json::obj([
+                            ("seed", num(*seed as f64)),
+                            ("violation", Json::str(v.clone())),
+                        ])
                     })),
                 ),
             ]),
@@ -664,13 +456,13 @@ fn sim_report(scale: Scale) -> (Json, bool) {
         .map(|(seed, engine, v, path)| {
             Json::obj([
                 ("seed", num(*seed as f64)),
-                ("engine", jstr(*engine)),
-                ("kind", jstr(v.kind.clone())),
+                ("engine", Json::str(*engine)),
+                ("kind", Json::str(v.kind.clone())),
                 ("op_index", num(v.op_index as f64)),
                 (
                     "artifact",
                     match path {
-                        Some(p) => jstr(p.display().to_string()),
+                        Some(p) => Json::str(p.display().to_string()),
                         None => Json::Null,
                     },
                 ),
@@ -679,14 +471,14 @@ fn sim_report(scale: Scale) -> (Json, bool) {
         .collect();
     let failed = !outcome.failures.is_empty() || !dead_mutations.is_empty();
     let record = Json::obj([
-        ("experiment", jstr("sim")),
+        ("experiment", Json::str("sim")),
         ("seeds", num(seeds as f64)),
         ("wire_seeds", num(wire_seeds as f64)),
         ("shrink", Json::Bool(true)),
         ("mutations_armed", Json::Bool(dead_mutations.is_empty())),
         (
             "dead_mutations",
-            Json::arr(dead_mutations.iter().map(|n| jstr(*n))),
+            Json::arr(dead_mutations.iter().map(|n| Json::str(*n))),
         ),
         ("runs", num(outcome.runs as f64)),
         ("total_ops", num(outcome.total_ops as f64)),
@@ -704,251 +496,6 @@ fn sim_report(scale: Scale) -> (Json, bool) {
         ("failures", Json::Arr(failures)),
     ]);
     (record, failed)
-}
-
-fn admission_depth_report(scale: Scale) -> Json {
-    let (depths, flights, seats): (Vec<usize>, usize, usize) = match scale {
-        Scale::Full => (vec![8, 32, 128], 8, 160),
-        Scale::Smoke => (vec![4, 8], 4, 16),
-    };
-    println!("== Admission depth: solver hot-path latency vs pending-queue depth ==");
-    println!(
-        "(one partition filled to depth D; cached-extend vs full-resolve ablation;\n\
-         {flights} flights x {seats} seats)\n"
-    );
-    let rows = admission_depth(&depths, flights, seats);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.mode.clone(),
-                r.depth.to_string(),
-                format!("{:.1}", r.p50_us),
-                format!("{:.1}", r.p99_us),
-                format!("{:.1}", r.p999_us),
-                format!("{:.1}", r.mean_latency_us),
-                format!("{:.0}", r.nodes_per_sec),
-                r.candidates_streamed.to_string(),
-                format!("{}/{}", r.index_lookups, r.scan_lookups),
-                format!("{}/{}", r.cache_extensions, r.cache_full_resolves),
-                r.indexes_auto_created.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &[
-                "mode", "depth", "p50_us", "p99_us", "p999_us", "mean_us", "nodes/s", "streamed",
-                "ix/scan", "ext/full", "auto-ix"
-            ],
-            &table
-        )
-    );
-    for r in &rows {
-        assert_eq!(
-            r.candidate_vecs, 0,
-            "fast path must not materialize candidate vectors"
-        );
-    }
-    // The recording-overhead A/B at the deepest point of the sweep — the
-    // observability layer's ≤5% acceptance gate.
-    let ab_depth = depths.iter().copied().max().unwrap_or(8);
-    let ab = obs_overhead(ab_depth, flights, seats);
-    println!(
-        "obs recording overhead at depth {}: enabled {:.1}us vs disabled {:.1}us \
-         ({:+.1}%)\n",
-        ab.depth, ab.enabled_mean_us, ab.disabled_mean_us, ab.overhead_percent
-    );
-    Json::obj([
-        ("experiment", jstr("admission_depth")),
-        (
-            "obs_overhead",
-            Json::obj([
-                ("depth", num(ab.depth as f64)),
-                ("enabled_mean_us", num(ab.enabled_mean_us)),
-                ("disabled_mean_us", num(ab.disabled_mean_us)),
-                ("overhead_percent", num(ab.overhead_percent)),
-            ]),
-        ),
-        (
-            "points",
-            Json::arr(rows.iter().map(|r| {
-                Json::obj([
-                    ("mode", jstr(r.mode.clone())),
-                    ("depth", num(r.depth as f64)),
-                    ("p50_us", num(r.p50_us)),
-                    ("p99_us", num(r.p99_us)),
-                    ("p999_us", num(r.p999_us)),
-                    ("max_us", num(r.max_us)),
-                    ("mean_latency_us", num(r.mean_latency_us)),
-                    ("total_seconds", num(r.total_seconds)),
-                    ("solver_nodes", num(r.solver_nodes as f64)),
-                    ("nodes_per_sec", num(r.nodes_per_sec)),
-                    ("candidates_streamed", num(r.candidates_streamed as f64)),
-                    ("candidate_vecs", num(r.candidate_vecs as f64)),
-                    ("index_lookups", num(r.index_lookups as f64)),
-                    ("scan_lookups", num(r.scan_lookups as f64)),
-                    ("cache_extensions", num(r.cache_extensions as f64)),
-                    ("cache_full_resolves", num(r.cache_full_resolves as f64)),
-                    ("indexes_auto_created", num(r.indexes_auto_created as f64)),
-                ])
-            })),
-        ),
-    ])
-}
-
-fn read_path_report(scale: Scale) -> Json {
-    let (sizes, depths, reads): (Vec<usize>, Vec<usize>, usize) = match scale {
-        Scale::Full => (vec![1_000, 10_000], vec![0, 8, 32], 200),
-        Scale::Smoke => (vec![200, 1_000], vec![0, 4, 8], 40),
-    };
-    println!("== Read path: delta-view PEEK/POSSIBLE vs the clone-based reference ==");
-    println!(
-        "(base size x pending depth; per-read latency; db_clones is the engine's\n\
-         database clone counter during the view phase and must be 0)\n"
-    );
-    let rows = read_path(&sizes, &depths, reads);
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.mode.clone(),
-                r.db_rows.to_string(),
-                r.depth.to_string(),
-                format!("{:.1}", r.view_latency_us),
-                format!("{:.1}", r.clone_latency_us),
-                format!("{:.1}x", r.speedup),
-                format!("{}/{}", r.worlds_enumerated, r.world_dedup_hits),
-                r.db_clones.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &[
-                "mode",
-                "db_rows",
-                "depth",
-                "view_us",
-                "clone_us",
-                "speedup",
-                "worlds/dedup",
-                "db_clones"
-            ],
-            &table
-        )
-    );
-    for r in &rows {
-        assert_eq!(
-            r.db_clones, 0,
-            "the view read path must not clone the database"
-        );
-    }
-    Json::obj([
-        ("experiment", jstr("read_path")),
-        (
-            "points",
-            Json::arr(rows.iter().map(|r| {
-                Json::obj([
-                    ("mode", jstr(r.mode.clone())),
-                    ("db_rows", num(r.db_rows as f64)),
-                    ("depth", num(r.depth as f64)),
-                    ("reads", num(r.reads as f64)),
-                    ("view_latency_us", num(r.view_latency_us)),
-                    ("view_p50_us", num(r.view_p50_us)),
-                    ("view_p99_us", num(r.view_p99_us)),
-                    ("view_p999_us", num(r.view_p999_us)),
-                    ("clone_latency_us", num(r.clone_latency_us)),
-                    ("speedup", num(r.speedup)),
-                    ("worlds_enumerated", num(r.worlds_enumerated as f64)),
-                    ("world_dedup_hits", num(r.world_dedup_hits as f64)),
-                    ("db_clones", num(r.db_clones as f64)),
-                ])
-            })),
-        ),
-    ])
-}
-
-fn partition_scaling_report(scale: Scale, seed: u64) -> Json {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let (flights_per_worker, rows, pairs, sweep): (usize, usize, usize, Vec<usize>) = match scale {
-        Scale::Full => (4, 8, 6, vec![1, 2, 4]),
-        Scale::Smoke => (1, 4, 3, vec![1, 2]),
-    };
-    println!("== Partition scaling: disjoint workload vs server workers ==");
-    println!(
-        "(sharded engine vs coarse-lock ablation; {cores} CPU core(s) visible —\n\
-         wall-clock speedup is capped by the core count)\n"
-    );
-    let rows_out = partition_scaling(flights_per_worker, rows, pairs, &sweep, seed);
-    let table: Vec<Vec<String>> = rows_out
-        .iter()
-        .map(|r| {
-            vec![
-                r.label.clone(),
-                r.workers.to_string(),
-                r.ops.to_string(),
-                format!("{:.4}", r.seconds),
-                format!("{:.0}", r.throughput),
-                r.solve_peak.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &[
-                "engine",
-                "workers",
-                "ops",
-                "seconds",
-                "bookings/s",
-                "solve-peak"
-            ],
-            &table
-        )
-    );
-    let tp = |label: &str, workers: usize| {
-        rows_out
-            .iter()
-            .find(|r| r.label == label && r.workers == workers)
-            .map(|r| r.throughput)
-            .unwrap_or(0.0)
-    };
-    let max_w = sweep.iter().copied().max().unwrap_or(1);
-    let sharded_speedup = tp("sharded", max_w) / tp("sharded", 1).max(f64::EPSILON);
-    let vs_coarse = tp("sharded", max_w) / tp("coarse-lock", max_w).max(f64::EPSILON);
-    println!(
-        "sharded {max_w}w vs sharded 1w: {sharded_speedup:.2}x; \
-         sharded vs coarse-lock at {max_w}w: {vs_coarse:.2}x\n"
-    );
-    Json::obj([
-        ("experiment", jstr("partition_scaling")),
-        ("cpu_cores", num(cores as f64)),
-        ("contention", jstr("disjoint-flights")),
-        (
-            "points",
-            Json::arr(rows_out.iter().map(|r| {
-                Json::obj([
-                    ("engine", jstr(r.label.clone())),
-                    ("workers", num(r.workers as f64)),
-                    ("ops", num(r.ops as f64)),
-                    ("seconds", num(r.seconds)),
-                    ("throughput_tps", num(r.throughput)),
-                    ("solver_concurrency_peak", num(r.solve_peak as f64)),
-                    ("booking_p50_us", num(r.booking_p50_us)),
-                    ("booking_p99_us", num(r.booking_p99_us)),
-                    ("booking_p999_us", num(r.booking_p999_us)),
-                ])
-            })),
-        ),
-        ("speedup_sharded_maxw_vs_1w", num(sharded_speedup)),
-        ("speedup_sharded_vs_coarse_at_maxw", num(vs_coarse)),
-    ])
 }
 
 fn phase() -> Json {
@@ -976,7 +523,7 @@ fn phase() -> Json {
         )
     );
     Json::obj([
-        ("experiment", jstr("phase")),
+        ("experiment", Json::str("phase")),
         (
             "points",
             Json::arr(rows.iter().map(|r| {
@@ -1005,12 +552,12 @@ fn table1(seed: u64) -> Json {
         format_table(&["Order of Arrival", "Paper bound", "Measured"], &table)
     );
     Json::obj([
-        ("experiment", jstr("table1")),
+        ("experiment", Json::str("table1")),
         (
             "orders",
             Json::arr(rows.iter().map(|(label, bound, measured)| {
                 Json::obj([
-                    ("order", jstr(label.clone())),
+                    ("order", Json::str(label.clone())),
                     ("paper_bound", num(*bound as f64)),
                     ("measured_max_pending", num(*measured as f64)),
                 ])
@@ -1069,7 +616,7 @@ fn fig5_fig6(scale: Scale, seed: u64) -> Json {
         format_table(&["Series", "Coordination %", "Max pending"], &table)
     );
     Json::obj([
-        ("experiment", jstr("fig5_fig6")),
+        ("experiment", Json::str("fig5_fig6")),
         (
             "series",
             Json::arr(rows.iter().map(|r| {
@@ -1077,7 +624,7 @@ fn fig5_fig6(scale: Scale, seed: u64) -> Json {
                 let total_us = r.cumulative_micros.last().copied().unwrap_or(0);
                 let total_s = total_us as f64 / 1e6;
                 Json::obj([
-                    ("label", jstr(r.label.clone())),
+                    ("label", Json::str(r.label.clone())),
                     ("transactions", num(ops as f64)),
                     ("total_seconds", num(total_s)),
                     (
@@ -1148,12 +695,12 @@ fn fig7_table2(scale: Scale, seed: u64) -> Json {
         format_table(&["System", "Avg coordination %"], &table)
     );
     Json::obj([
-        ("experiment", jstr("fig7_table2")),
+        ("experiment", Json::str("fig7_table2")),
         (
             "points",
             Json::arr(rows.iter().map(|r| {
                 Json::obj([
-                    ("label", jstr(r.label.clone())),
+                    ("label", Json::str(r.label.clone())),
                     ("flights", num(r.flights as f64)),
                     ("transactions", num(r.transactions as f64)),
                     ("total_seconds", num(r.seconds)),
@@ -1226,13 +773,13 @@ fn fig8_fig9(scale: Scale, seed: u64) -> Json {
         );
     }
     Json::obj([
-        ("experiment", jstr("fig8_fig9")),
+        ("experiment", Json::str("fig8_fig9")),
         ("total_ops", num(total_ops as f64)),
         (
             "points",
             Json::arr(rows.iter().map(|r| {
                 Json::obj([
-                    ("label", jstr(r.label.clone())),
+                    ("label", Json::str(r.label.clone())),
                     ("read_percent", num(r.read_percent as f64)),
                     ("read_seconds", num(r.read_seconds)),
                     ("update_seconds", num(r.update_seconds)),

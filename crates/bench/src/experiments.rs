@@ -1,13 +1,7 @@
 //! The §5 experiments, parameterized so the `reproduce` binary can run
-//! them at paper scale and the tests/benches at smoke scale.
+//! them at paper scale and the tests at smoke scale.
 
-use qdb_workload::remote::{run_remote, ContentionProfile, RemoteConfig};
 use qdb_workload::{run_is, run_quantum, ArrivalOrder, FlightsConfig, RunConfig, RunResult};
-
-/// Nanoseconds → microseconds, for `qdb_obs` histogram summaries.
-fn us(ns: u64) -> f64 {
-    ns as f64 / 1000.0
-}
 
 /// The four arrival orders of Table 1, with the paper's Random seed.
 pub fn paper_orders(seed: u64) -> Vec<ArrivalOrder> {
@@ -207,525 +201,6 @@ pub fn fig8_fig9_mixed(
     out
 }
 
-/// One point of the partition-scaling experiment.
-#[derive(Debug, Clone)]
-pub struct PartitionScalingRow {
-    /// Engine variant: `"sharded"` (partition-parallel) or
-    /// `"coarse-lock"` (single-big-lock ablation).
-    pub label: String,
-    /// Server worker threads (== client connections).
-    pub workers: usize,
-    /// Booking operations executed.
-    pub ops: usize,
-    /// Wall-clock seconds for the booking phase.
-    pub seconds: f64,
-    /// Bookings per second.
-    pub throughput: f64,
-    /// High-water mark of simultaneously running solver sections — above
-    /// 1 proves partition-parallel overlap; the coarse-lock ablation can
-    /// never exceed 1.
-    pub solve_peak: u64,
-    /// Client-observed booking round-trip latency: median, µs.
-    pub booking_p50_us: f64,
-    /// 99th percentile booking latency, µs.
-    pub booking_p99_us: f64,
-    /// 99.9th percentile booking latency, µs.
-    pub booking_p999_us: f64,
-}
-
-/// Throughput of the networked booking workload on a **disjoint-partition
-/// key range** as the server worker count grows, for the sharded engine
-/// and the `coarse_lock` single-big-lock ablation.
-///
-/// The workload is fixed (`flights_per_worker × max(workers)` flights), so
-/// points are comparable across the sweep: each connection drives its own
-/// flight range ([`ContentionProfile::DisjointFlights`]), meaning no two
-/// connections ever share a §4 partition — the parallelism the sharded
-/// engine is built to exploit. On a multi-core host the sharded series
-/// scales with workers while the coarse-lock series stays flat; on a
-/// single core both are flat (record `cpu_cores` next to the numbers).
-pub fn partition_scaling(
-    flights_per_worker: usize,
-    rows_per_flight: usize,
-    pairs_per_flight: usize,
-    workers_sweep: &[usize],
-    seed: u64,
-) -> Vec<PartitionScalingRow> {
-    let max_workers = workers_sweep.iter().copied().max().unwrap_or(1);
-    let flights = FlightsConfig {
-        flights: flights_per_worker * max_workers,
-        rows_per_flight,
-    };
-    let mut out = Vec::new();
-    for &w in workers_sweep {
-        for coarse in [false, true] {
-            let mut cfg = RemoteConfig::new(flights, pairs_per_flight, w);
-            cfg.workers = w;
-            cfg.seed = seed;
-            cfg.contention = ContentionProfile::DisjointFlights;
-            cfg.engine.coarse_lock = coarse;
-            let res = run_remote(&cfg);
-            assert_eq!(res.aborted, 0, "disjoint workload must not abort");
-            out.push(PartitionScalingRow {
-                label: if coarse { "coarse-lock" } else { "sharded" }.to_string(),
-                workers: w,
-                ops: res.ops,
-                seconds: res.total.as_secs_f64(),
-                throughput: res.throughput,
-                solve_peak: res.solve_concurrency_peak,
-                booking_p50_us: us(res.booking_latency.p50_ns),
-                booking_p99_us: us(res.booking_latency.p99_ns),
-                booking_p999_us: us(res.booking_latency.p999_ns),
-            });
-        }
-    }
-    out
-}
-
-/// One point of the `admission_depth` experiment.
-#[derive(Debug, Clone)]
-pub struct AdmissionDepthRow {
-    /// Cache mode: `"cached-extend"` (solution cache on — every admission
-    /// extends the partition's cached solution) or `"full-resolve"`
-    /// (ablation: the whole pending sequence re-solves on every submit).
-    pub mode: String,
-    /// Pending-queue depth the partition is filled to.
-    pub depth: usize,
-    /// Median admission latency across the fill, µs — from a log-bucketed
-    /// `qdb_obs` histogram, so quantized to a bucket upper bound.
-    pub p50_us: f64,
-    /// 99th-percentile admission latency, µs.
-    pub p99_us: f64,
-    /// 99.9th-percentile admission latency, µs — the submits that executed
-    /// at queue depth ≈ `depth` dominate this tail.
-    pub p999_us: f64,
-    /// Slowest single admission, µs.
-    pub max_us: f64,
-    /// Mean admission latency over the whole fill, in microseconds.
-    pub mean_latency_us: f64,
-    /// Wall-clock seconds for the whole fill.
-    pub total_seconds: f64,
-    /// Solver search nodes expended.
-    pub solver_nodes: u64,
-    /// Solver nodes per second.
-    pub nodes_per_sec: f64,
-    /// Candidate rows pulled through streaming cursors.
-    pub candidates_streamed: u64,
-    /// Candidate vectors materialized (must stay 0: the fast path
-    /// streams).
-    pub candidate_vecs: u64,
-    /// Hot-path lookups answered by a secondary index.
-    pub index_lookups: u64,
-    /// Hot-path lookups that fell back to a scan.
-    pub scan_lookups: u64,
-    /// Admissions that extended the cached solution.
-    pub cache_extensions: u64,
-    /// Admissions that needed a full re-solve.
-    pub cache_full_resolves: u64,
-    /// Indexes the access-pattern tracker promoted during the fill.
-    pub indexes_auto_created: u64,
-}
-
-/// Admission latency vs pending-queue depth — the solver hot path the §5
-/// experiments pay on every statement, isolated from lock effects.
-///
-/// One flight's partition is filled to `depth` pending bookings (all
-/// bookings bind the flight column, so they share one §4 partition and the
-/// composed body grows with the queue); `flights × seats_per_flight` rows
-/// give the tracker a reason to promote the flight column. Swept for the
-/// cached-extend engine and the full-resolve ablation — the pair the §4
-/// "Solution Cache" discussion motivates.
-///
-/// `seats_per_flight` must be ≥ the largest depth (every booking must
-/// admit).
-pub fn admission_depth(
-    depths: &[usize],
-    flights: usize,
-    seats_per_flight: usize,
-) -> Vec<AdmissionDepthRow> {
-    let mut out = Vec::new();
-    for &cached in &[true, false] {
-        for &depth in depths {
-            let (qdb, hist, total) = admission_fill(depth, flights, seats_per_flight, cached, true);
-            let lat = hist.summary();
-            let stats = qdb.solver_stats();
-            let m = qdb.metrics();
-            out.push(AdmissionDepthRow {
-                mode: if cached {
-                    "cached-extend"
-                } else {
-                    "full-resolve"
-                }
-                .to_string(),
-                depth,
-                p50_us: us(lat.p50_ns),
-                p99_us: us(lat.p99_ns),
-                p999_us: us(lat.p999_ns),
-                max_us: us(lat.max_ns),
-                mean_latency_us: total.as_secs_f64() * 1e6 / depth.max(1) as f64,
-                total_seconds: total.as_secs_f64(),
-                solver_nodes: stats.nodes,
-                nodes_per_sec: stats.nodes as f64 / total.as_secs_f64().max(f64::EPSILON),
-                candidates_streamed: stats.candidates_streamed,
-                candidate_vecs: stats.candidate_vecs,
-                index_lookups: stats.index_lookups,
-                scan_lookups: stats.scan_lookups,
-                cache_extensions: m.cache_extensions,
-                cache_full_resolves: m.cache_full_resolves,
-                indexes_auto_created: m.indexes_auto_created,
-            });
-        }
-    }
-    out
-}
-
-/// Build a fresh engine, populate `flights × seats_per_flight` seats, and
-/// fill one flight's partition with `depth` pending bookings, recording
-/// each submit's latency in a `qdb_obs` histogram. `obs_enabled` toggles
-/// the engine's internal recording (the A/B knob for [`obs_overhead`]);
-/// the returned histogram is the bench's own, outside the toggle.
-fn admission_fill(
-    depth: usize,
-    flights: usize,
-    seats_per_flight: usize,
-    cached: bool,
-    obs_enabled: bool,
-) -> (
-    qdb_core::SharedQuantumDb,
-    qdb_core::Histogram,
-    std::time::Duration,
-) {
-    use qdb_core::{Histogram, QuantumDb, QuantumDbConfig};
-    use qdb_logic::parse_transaction;
-    use qdb_storage::{Schema, Tuple, Value, ValueType};
-    use std::time::Instant;
-
-    assert!(
-        depth <= seats_per_flight,
-        "depth {depth} exceeds flight capacity {seats_per_flight}"
-    );
-    let mut cfg = QuantumDbConfig::with_k(depth + 1);
-    cfg.use_solution_cache = cached;
-    let qdb = QuantumDb::new(cfg).expect("engine").into_shared();
-    qdb.obs().set_enabled(obs_enabled);
-    qdb.create_table(
-        Schema::new(
-            "Available",
-            vec![("flight", ValueType::Int), ("seat", ValueType::Str)],
-        )
-        .with_key(vec![0, 1])
-        .expect("key"),
-    )
-    .expect("schema");
-    qdb.create_table(Schema::new(
-        "Bookings",
-        vec![
-            ("name", ValueType::Str),
-            ("flight", ValueType::Int),
-            ("seat", ValueType::Str),
-        ],
-    ))
-    .expect("schema");
-    for f in 1..=flights {
-        let rows: Vec<Tuple> = (0..seats_per_flight)
-            .map(|s| Tuple::from(vec![Value::from(f as i64), Value::from(format!("s{s:03}"))]))
-            .collect();
-        qdb.bulk_insert("Available", rows).expect("populate");
-    }
-    // Parse outside the timed loop: this measures admission, not
-    // the parser (the workload runner prepares once too).
-    let txns: Vec<_> = (0..depth)
-        .map(|i| {
-            parse_transaction(&format!(
-                "-Available(1, s), +Bookings('u{i}', 1, s) :-1 Available(1, s)"
-            ))
-            .expect("well-formed")
-        })
-        .collect();
-    let hist = Histogram::new();
-    let t0 = Instant::now();
-    for t in &txns {
-        let s = Instant::now();
-        assert!(
-            qdb.submit(t).expect("engine healthy").is_committed(),
-            "capacity sized so every booking admits"
-        );
-        hist.record_duration(s.elapsed());
-    }
-    let total = t0.elapsed();
-    (qdb, hist, total)
-}
-
-/// The recording-overhead A/B for the observability layer.
-#[derive(Debug, Clone)]
-pub struct ObsOverheadRow {
-    /// Pending-queue depth of the fill (the acceptance gate runs 128).
-    pub depth: usize,
-    /// Mean admission latency with recording on (the default), µs.
-    pub enabled_mean_us: f64,
-    /// Mean admission latency with `Obs::set_enabled(false)`, µs.
-    pub disabled_mean_us: f64,
-    /// `(enabled − disabled) / disabled × 100`. Best-of-3 on each side
-    /// tames scheduler noise, but small negatives still happen on a busy
-    /// host — the acceptance bound is one-sided (≤ 5%).
-    pub overhead_percent: f64,
-}
-
-/// A/B the cost of the always-on observability layer on the admission hot
-/// path: the same cached-extend fill as [`admission_depth`], once with the
-/// engine's recording enabled and once with [`qdb_core::Obs`] disabled.
-/// Each side takes the best of 3 runs (the first also serves as warm-up).
-pub fn obs_overhead(depth: usize, flights: usize, seats_per_flight: usize) -> ObsOverheadRow {
-    let best = |enabled: bool| {
-        (0..3)
-            .map(|_| admission_fill(depth, flights, seats_per_flight, true, enabled).2)
-            .min()
-            .expect("three runs")
-    };
-    let disabled = best(false).as_secs_f64() * 1e6 / depth.max(1) as f64;
-    let enabled = best(true).as_secs_f64() * 1e6 / depth.max(1) as f64;
-    ObsOverheadRow {
-        depth,
-        enabled_mean_us: enabled,
-        disabled_mean_us: disabled,
-        overhead_percent: (enabled - disabled) / disabled.max(f64::EPSILON) * 100.0,
-    }
-}
-
-/// One point of the `read_path` experiment.
-#[derive(Debug, Clone)]
-pub struct ReadPathRow {
-    /// Read mode: `"peek"` (§3.2.2 option 2) or `"possible"` (option 1).
-    pub mode: String,
-    /// Base database size (rows in `Available`).
-    pub db_rows: usize,
-    /// Pending-queue depth (one pending booking per flight — disjoint
-    /// partitions, so the possible-world fan-out is per-booking).
-    pub depth: usize,
-    /// Reads measured per point.
-    pub reads: usize,
-    /// Mean latency of the engine's delta-view read path, microseconds.
-    pub view_latency_us: f64,
-    /// Median view-path read latency, µs (per-read `qdb_obs` histogram).
-    pub view_p50_us: f64,
-    /// 99th-percentile view-path read latency, µs.
-    pub view_p99_us: f64,
-    /// 99.9th-percentile view-path read latency, µs.
-    pub view_p999_us: f64,
-    /// Mean latency of the clone-based reference (database clone + op
-    /// application per world, the pre-view implementation), microseconds.
-    pub clone_latency_us: f64,
-    /// `clone_latency_us / view_latency_us`.
-    pub speedup: f64,
-    /// World forks created by the engine during the measured reads
-    /// (0 for peek).
-    pub worlds_enumerated: u64,
-    /// Forked worlds discarded as net-delta duplicates.
-    pub world_dedup_hits: u64,
-    /// Database clones observed on the engine's base during the view
-    /// phase — **must** be 0: the view path never materializes state.
-    pub db_clones: u64,
-}
-
-/// The clone-free read path (PEEK / POSSIBLE through delta views) against
-/// the clone-based reference, swept over base size × pending depth.
-///
-/// `Available` holds `db_rows` rows spread over flights of 4 seats;
-/// `depth` pending bookings land on distinct flights (their §4 partitions
-/// stay disjoint; each has 4 candidate seats, so POSSIBLE fans out 4× per
-/// pending booking until the world bound truncates). The measured query
-/// is a point read of one pending user's booking — through the view it
-/// touches O(pending) state; the reference pays O(db_rows) per read to
-/// clone the base the way the pre-view engine did. The engine's
-/// `db_clones` counter is captured *before* the reference runs, so the
-/// view phase must read 0.
-pub fn read_path(sizes: &[usize], depths: &[usize], reads: usize) -> Vec<ReadPathRow> {
-    use qdb_core::{enumerate_worlds, QuantumDb, QuantumDbConfig};
-    use qdb_logic::{parse_query, parse_transaction, ResourceTransaction, Valuation};
-    use qdb_storage::{ConjunctiveQuery, Database, Schema, Tuple, Value, ValueType};
-    use std::time::Instant;
-
-    const SEATS_PER_FLIGHT: usize = 4;
-    const WORLD_BOUND: usize = 64;
-
-    fn install_flights(create: &mut dyn FnMut(Schema), rows: usize) {
-        create(
-            Schema::new(
-                "Available",
-                vec![("flight", ValueType::Int), ("seat", ValueType::Str)],
-            )
-            .with_key(vec![0, 1])
-            .expect("key"),
-        );
-        create(Schema::new(
-            "Bookings",
-            vec![
-                ("name", ValueType::Str),
-                ("flight", ValueType::Int),
-                ("seat", ValueType::Str),
-            ],
-        ));
-        let _ = rows;
-    }
-
-    fn flight_rows(rows: usize) -> impl Iterator<Item = (i64, Tuple)> {
-        (0..rows).map(|i| {
-            let flight = (i / SEATS_PER_FLIGHT + 1) as i64;
-            let seat = format!("s{:03}", i % SEATS_PER_FLIGHT);
-            (
-                flight,
-                Tuple::from(vec![Value::from(flight), Value::from(seat)]),
-            )
-        })
-    }
-
-    fn booking(i: usize) -> ResourceTransaction {
-        let flight = i + 1;
-        parse_transaction(&format!(
-            "-Available({flight}, s), +Bookings('u{i}', {flight}, s) :-1 Available({flight}, s)"
-        ))
-        .expect("well-formed")
-    }
-
-    let mut out = Vec::new();
-    for &rows in sizes {
-        for &depth in depths {
-            assert!(
-                depth * SEATS_PER_FLIGHT <= rows,
-                "depth {depth} needs at least {} rows",
-                depth * SEATS_PER_FLIGHT
-            );
-            // Engine under measurement.
-            let qdb = QuantumDb::new(QuantumDbConfig::with_k(depth + 1))
-                .expect("engine")
-                .into_shared();
-            install_flights(&mut |s| qdb.create_table(s).expect("schema"), rows);
-            let tuples: Vec<Tuple> = flight_rows(rows).map(|(_, t)| t).collect();
-            qdb.bulk_insert("Available", tuples).expect("populate");
-            let txns: Vec<ResourceTransaction> = (0..depth).map(booking).collect();
-            for t in &txns {
-                assert!(
-                    qdb.submit(t).expect("engine healthy").is_committed(),
-                    "4 free seats per flight: every booking admits"
-                );
-            }
-            // The reference state: an *independent* database (its clones
-            // must not pollute the engine's counter) with the same rows.
-            let mut reference = Database::new();
-            install_flights(&mut |s| reference.create_table(s).expect("schema"), rows);
-            for (_, t) in flight_rows(rows) {
-                reference.insert("Available", t).expect("populate");
-            }
-            // Deterministic stand-ins for the engine's cached grounding:
-            // the reference pays the same op count, the exact seats are
-            // irrelevant to its cost.
-            let pending_ops: Vec<qdb_storage::WriteOp> = (0..depth)
-                .flat_map(|i| {
-                    let flight = (i + 1) as i64;
-                    [
-                        qdb_storage::WriteOp::delete(
-                            "Available",
-                            Tuple::from(vec![Value::from(flight), Value::from("s000")]),
-                        ),
-                        qdb_storage::WriteOp::insert(
-                            "Bookings",
-                            Tuple::from(vec![
-                                Value::from(format!("u{i}")),
-                                Value::from(flight),
-                                Value::from("s000"),
-                            ]),
-                        ),
-                    ]
-                })
-                .collect();
-
-            let query = parse_query("Bookings('u0', f, s)").expect("well-formed");
-            let patterns = query
-                .atoms
-                .iter()
-                .map(|a| a.to_pattern(&Valuation::new()))
-                .collect::<Vec<_>>();
-            let conj = ConjunctiveQuery::new(patterns);
-            let txn_refs: Vec<&ResourceTransaction> = txns.iter().collect();
-
-            for mode in ["peek", "possible"] {
-                // POSSIBLE enumerates up to the world bound per read (and
-                // the clone reference materializes every world): sample it
-                // with a tenth of the peek read count.
-                let reads = if mode == "peek" {
-                    reads
-                } else {
-                    reads.div_ceil(10).max(3)
-                };
-                let metrics_before = qdb.metrics();
-                // View phase: the engine's clone-free read path.
-                let view_hist = qdb_core::Histogram::new();
-                let t0 = Instant::now();
-                for _ in 0..reads {
-                    let s = Instant::now();
-                    match mode {
-                        "peek" => {
-                            let _ = qdb.read_peek(&query.atoms, None).expect("peek");
-                        }
-                        _ => {
-                            let _ = qdb
-                                .read_possible(&query.atoms, WORLD_BOUND)
-                                .expect("possible");
-                        }
-                    }
-                    view_hist.record_duration(s.elapsed());
-                }
-                let view_latency_us = t0.elapsed().as_secs_f64() * 1e6 / reads as f64;
-                let view_lat = view_hist.summary();
-                let m = qdb.metrics();
-                let db_clones = m.db_clones; // captured before the clone phase
-                let worlds_enumerated = m.worlds_enumerated - metrics_before.worlds_enumerated;
-                let world_dedup_hits = m.world_dedup_hits - metrics_before.world_dedup_hits;
-
-                // Clone phase: the pre-view implementation's cost shape —
-                // clone the base per read (and per world for POSSIBLE),
-                // apply the pending ops, evaluate concretely.
-                let t0 = Instant::now();
-                for _ in 0..reads {
-                    match mode {
-                        "peek" => {
-                            let mut world = reference.clone();
-                            world.apply_all(&pending_ops).expect("ops apply");
-                            let _ = conj.eval(&world).expect("eval");
-                        }
-                        _ => {
-                            let worlds = enumerate_worlds(&reference, &txn_refs, WORLD_BOUND)
-                                .expect("enumerate");
-                            for w in &worlds.worlds {
-                                let materialized = w.materialize(&reference).expect("materialize");
-                                let _ = conj.eval(&materialized).expect("eval");
-                            }
-                        }
-                    }
-                }
-                let clone_latency_us = t0.elapsed().as_secs_f64() * 1e6 / reads as f64;
-
-                out.push(ReadPathRow {
-                    mode: mode.to_string(),
-                    db_rows: rows,
-                    depth,
-                    reads,
-                    view_latency_us,
-                    view_p50_us: us(view_lat.p50_ns),
-                    view_p99_us: us(view_lat.p99_ns),
-                    view_p999_us: us(view_lat.p999_ns),
-                    clone_latency_us,
-                    speedup: clone_latency_us / view_latency_us.max(f64::EPSILON),
-                    worlds_enumerated,
-                    world_dedup_hits,
-                    db_clones,
-                });
-            }
-        }
-    }
-    out
-}
-
 /// One point of the §6 phase-transition illustration.
 #[derive(Debug, Clone)]
 pub struct PhaseRow {
@@ -883,110 +358,6 @@ mod tests {
         );
         // Early admissions are easy (under-constrained).
         assert!(rows[0].nodes * 4 <= peak.nodes);
-    }
-
-    #[test]
-    fn partition_scaling_smoke_produces_comparable_points() {
-        let rows = partition_scaling(1, 4, 3, &[1, 2], 0xC1DE);
-        assert_eq!(rows.len(), 4); // {1,2} workers × {sharded, coarse}
-        for r in &rows {
-            assert_eq!(r.ops, 2 * 3 * 2, "fixed workload across sweep");
-            assert!(r.throughput > 0.0, "{}@{}w", r.label, r.workers);
-            assert!(r.booking_p50_us > 0.0, "{}@{}w", r.label, r.workers);
-            assert!(r.booking_p999_us >= r.booking_p50_us);
-            if r.label == "coarse-lock" {
-                assert!(
-                    r.solve_peak <= 1,
-                    "coarse lock must serialize solver sections"
-                );
-            }
-        }
-        // Both engine variants exist at every worker count.
-        for w in [1usize, 2] {
-            assert!(rows.iter().any(|r| r.workers == w && r.label == "sharded"));
-            assert!(rows
-                .iter()
-                .any(|r| r.workers == w && r.label == "coarse-lock"));
-        }
-    }
-
-    #[test]
-    fn admission_depth_smoke_is_streaming_and_extend_only() {
-        let rows = admission_depth(&[2, 4], 2, 8);
-        assert_eq!(rows.len(), 4); // {2,4} depths × {cached, full-resolve}
-        for r in &rows {
-            // The hot path streams: no candidate vectors, ever.
-            assert_eq!(r.candidate_vecs, 0, "{} depth {}", r.mode, r.depth);
-            assert!(r.candidates_streamed > 0);
-            assert!(r.p50_us > 0.0);
-            assert!(r.p99_us >= r.p50_us);
-            assert!(r.p999_us >= r.p99_us);
-            assert!(r.max_us > 0.0);
-            match r.mode.as_str() {
-                // Every admission under the solution cache must extend —
-                // zero full re-solves (the CI regression gate).
-                "cached-extend" => {
-                    assert_eq!(r.cache_full_resolves, 0);
-                    assert_eq!(r.cache_extensions, r.depth as u64);
-                }
-                "full-resolve" => {
-                    assert_eq!(r.cache_extensions, 0);
-                    assert_eq!(r.cache_full_resolves, r.depth as u64);
-                }
-                other => panic!("unexpected mode {other}"),
-            }
-        }
-        // The ablation pays more solver nodes at equal depth.
-        let ext = rows
-            .iter()
-            .find(|r| r.mode == "cached-extend" && r.depth == 4);
-        let full = rows
-            .iter()
-            .find(|r| r.mode == "full-resolve" && r.depth == 4);
-        assert!(full.unwrap().solver_nodes > ext.unwrap().solver_nodes);
-    }
-
-    #[test]
-    fn obs_overhead_ab_produces_comparable_means() {
-        let row = obs_overhead(8, 1, 8);
-        assert_eq!(row.depth, 8);
-        assert!(row.enabled_mean_us > 0.0);
-        assert!(row.disabled_mean_us > 0.0);
-        // No bound on the percentage here — a loaded test host makes it
-        // noisy; the reproduce run at depth 128 is where the ≤5% gate
-        // applies.
-        assert!(row.overhead_percent.is_finite());
-    }
-
-    #[test]
-    fn read_path_smoke_is_clone_free_and_faster_than_the_reference() {
-        let rows = read_path(&[64, 256], &[0, 4], 10);
-        assert_eq!(rows.len(), 8); // {64,256} sizes × {0,4} depths × {peek,possible}
-        for r in &rows {
-            // The acceptance gate: the view phase never clones.
-            assert_eq!(r.db_clones, 0, "{} {}x{}", r.mode, r.db_rows, r.depth);
-            assert!(r.view_latency_us > 0.0);
-            assert!(r.view_p50_us > 0.0);
-            assert!(r.view_p999_us >= r.view_p50_us);
-            assert!(r.clone_latency_us > 0.0);
-            if r.mode == "possible" && r.depth > 0 {
-                assert!(r.worlds_enumerated > 0, "possible must fork worlds");
-            }
-            if r.mode == "peek" {
-                assert_eq!(r.worlds_enumerated, 0, "peek never enumerates");
-            }
-        }
-        // At the larger size the clone reference pays O(db) per read and
-        // the view does not: the peek speedup must be decisive.
-        let big_peek = rows
-            .iter()
-            .find(|r| r.mode == "peek" && r.db_rows == 256 && r.depth == 4)
-            .unwrap();
-        assert!(
-            big_peek.speedup > 1.0,
-            "view peek slower than cloning: {:.2}x",
-            big_peek.speedup
-        );
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! One primary `qdb-server` and a sweep of replica counts. For each
 //! count, reader threads — one per serving endpoint, replicas when any
 //! exist, the primary alone otherwise — hammer PEEK reads (every 8th a
-//! `SELECT POSSIBLE`, the [`qdb_workload::RemoteConfig::read_mostly`]
-//! ratio) while a writer books seats on the primary. The measured
-//! quantities:
+//! `SELECT POSSIBLE`) while a writer books seats on the primary. The
+//! measured quantities:
 //!
 //! - **read throughput** (reads/s across all readers) — the headline:
 //!   replicas multiply read capacity because PEEK needs no coordination;

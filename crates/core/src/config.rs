@@ -87,11 +87,6 @@ pub struct QuantumDbConfig {
     /// Record an event trace (commit/abort/ground events) for tests and
     /// diagnostics.
     pub record_events: bool,
-    /// Serialize every statement of the *shared* handle through one global
-    /// mutex, reproducing the pre-sharding single-big-lock engine. Purely
-    /// an A/B ablation knob for the `partition_scaling` benchmark; leave
-    /// off to get partition-parallel execution.
-    pub coarse_lock: bool,
     /// Engine determinism seed, threaded through every remaining choice
     /// point the engine has beyond data order: solver atom-ordering
     /// tie-breaks ([`qdb_solver::Solver::seed`]), possible-world
@@ -122,7 +117,6 @@ impl Default for QuantumDbConfig {
             search_limits: SearchLimits::default(),
             auto_index_threshold: 64,
             record_events: false,
-            coarse_lock: false,
             seed: 0,
             slow_op_threshold_us: 0,
         }

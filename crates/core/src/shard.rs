@@ -216,16 +216,12 @@ struct Core {
     solver_stats: Mutex<SolverStats>,
     /// Solver sections currently inside the shared base read lock, and
     /// the high-water mark — direct evidence of partition-parallel
-    /// overlap (the coarse-lock ablation can never exceed 1).
+    /// overlap.
     solves_in_flight: AtomicU64,
     solves_peak: AtomicU64,
     /// Statement counter sampling the auto-index vote sweep (see
     /// `promote_hot_indexes`).
     promote_ticks: AtomicU64,
-    /// Single-big-lock ablation (see [`QuantumDbConfig::coarse_lock`]):
-    /// when enabled, every statement serializes through this mutex,
-    /// reproducing the pre-sharding engine for A/B benchmarks.
-    coarse: Mutex<()>,
     /// Observability: latency histograms, the flight recorder and the
     /// slow-op log. Shared with the WAL and every per-operation solver;
     /// recording is lock-free, so it rides the hot path.
@@ -291,10 +287,6 @@ enum Admit<'a> {
     Replay { id: TxnId, relog: Option<&'a [u8]> },
 }
 
-/// Guard alias for the coarse-lock ablation (held across a whole
-/// statement when enabled, `None` otherwise).
-type CoarseGuard<'a> = Option<std::sync::MutexGuard<'a, ()>>;
-
 /// What a reservation hands back: the exclusive guard on the freshly
 /// registered host slot, its partition id, and the claimed target slots
 /// to drain (ascending pid order).
@@ -341,7 +333,6 @@ impl SharedQuantumDb {
                 solves_in_flight: AtomicU64::new(0),
                 solves_peak: AtomicU64::new(0),
                 promote_ticks: AtomicU64::new(0),
-                coarse: Mutex::new(()),
                 obs,
                 config,
             }),
@@ -375,14 +366,6 @@ impl SharedQuantumDb {
             metrics,
             obs: core.obs,
         })
-    }
-
-    fn coarse(&self) -> CoarseGuard<'_> {
-        if self.core.config.coarse_lock {
-            Some(self.core.coarse.lock())
-        } else {
-            None
-        }
     }
 
     /// A fresh per-operation solver (the solver is stateless apart from
@@ -449,8 +432,7 @@ impl SharedQuantumDb {
 
     /// High-water mark of simultaneously running solver sections. A value
     /// above 1 is direct evidence that admissions/groundings of disjoint
-    /// partitions overlapped in time; under
-    /// [`QuantumDbConfig::coarse_lock`] it can never exceed 1.
+    /// partitions overlapped in time.
     pub fn solve_concurrency_peak(&self) -> u64 {
         self.core.solves_peak.load(SeqCst)
     }
@@ -471,7 +453,6 @@ impl SharedQuantumDb {
     /// the transaction overlaps; disjoint submits run their admission
     /// solves concurrently under the shared base read lock.
     pub fn submit(&self, txn: &ResourceTransaction) -> Result<SubmitOutcome> {
-        let _c = self.coarse();
         let out = self.do_submit(txn)?;
         self.promote_hot_indexes();
         Ok(out)
@@ -565,7 +546,6 @@ impl SharedQuantumDb {
     /// admitted it against the same log prefix, so a refusal means the
     /// log is not a valid engine history: an error, never an abort.
     pub(crate) fn replay_pending_add(&self, id: TxnId, payload: &[u8], relog: bool) -> Result<()> {
-        let _c = self.coarse();
         let txn = decode_transaction(payload).map_err(EngineError::Logic)?;
         {
             // Keep the global variable space ahead of every replayed id.
@@ -963,7 +943,6 @@ impl SharedQuantumDb {
     /// the hosting partition's lock — exact even under concurrency.
     /// `None` when the id is not pending.
     pub(crate) fn ground_counted(&self, id: TxnId) -> Result<Option<usize>> {
-        let _c = self.coarse();
         let mut solver = self.solver();
         let out = self.do_ground(id, &mut solver);
         self.absorb(&solver);
@@ -1017,7 +996,6 @@ impl SharedQuantumDb {
     /// valuations are re-verified against them (re-solved when stale,
     /// like a blind write). The plan then commits like any grounding.
     pub(crate) fn replay_ground(&self, id: TxnId, ops: &[WriteOp]) -> Result<()> {
-        let _c = self.coarse();
         let mut solver = self.solver();
         let out = self.with_hosting_slot(id, |st| {
             let plan = {
@@ -1085,7 +1063,6 @@ impl SharedQuantumDb {
     /// collapsed — the exact count from the grounding's own plans, not a
     /// racy before/after pending read (`GROUND ALL` responses use this).
     pub(crate) fn ground_all_counted(&self) -> Result<usize> {
-        let _c = self.coarse();
         // Claim every partition under one freshly registered host entry
         // whose footprint is the union of the claimed footprints, and hold
         // the host slot's lock for the whole collapse. Without the claim,
@@ -1109,17 +1086,11 @@ impl SharedQuantumDb {
 
         let base = self.base_read();
         let config = &self.core.config;
-        // Intra-statement plan parallelism; forced serial under the
-        // coarse-lock ablation so it faithfully reproduces the
-        // pre-sharding engine (and its gauge stays ≤ 1).
-        let workers = if config.coarse_lock {
-            1
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(parts.len())
-        };
+        // Intra-statement plan parallelism.
+        let workers = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(parts.len());
         // Plan phase (parallel, read-only, under the *shared* base read —
         // statements disjoint from every claimed partition keep running):
         // one scratch clone per partition so a failed run leaves the
@@ -1297,7 +1268,6 @@ impl SharedQuantumDb {
     /// (locking only their partitions), then the query is answered from
     /// the extensional state under a shared base read.
     pub fn read(&self, atoms: &[Atom], limit: Option<usize>) -> Result<Vec<Valuation>> {
-        let _c = self.coarse();
         self.do_read(atoms, limit)
     }
 
@@ -1370,7 +1340,6 @@ impl SharedQuantumDb {
     /// lock is held only for building the delta and evaluating — never
     /// for materializing state.
     pub fn read_peek(&self, atoms: &[Atom], limit: Option<usize>) -> Result<Vec<Valuation>> {
-        let _c = self.coarse();
         self.core.metrics.begin().add(|c| &c.reads_peek, 1);
         self.with_touched_partitions(atoms, |db, parts| {
             let mut view = qdb_storage::DeltaView::new(db);
@@ -1390,7 +1359,6 @@ impl SharedQuantumDb {
     /// them. Worlds are forked and evaluated as delta views — the base
     /// read lock never covers a state materialization.
     pub fn read_possible(&self, atoms: &[Atom], world_bound: usize) -> Result<Vec<Vec<Valuation>>> {
-        let _c = self.coarse();
         self.core.metrics.begin().add(|c| &c.reads_possible, 1);
         let (out, enumerated, dedup_hits) = self.with_touched_partitions(atoms, |db, parts| {
             let mut pending: Vec<&PendingTxn> = parts.iter().flat_map(|p| p.txns.iter()).collect();
@@ -1469,7 +1437,6 @@ impl SharedQuantumDb {
     /// when the write would leave some pending transaction without a
     /// consistent grounding.
     pub fn write(&self, op: WriteOp) -> Result<bool> {
-        let _c = self.coarse();
         let mut solver = self.solver();
         let out = self.do_write(op, &mut solver);
         self.absorb(&solver);
@@ -1611,7 +1578,6 @@ impl SharedQuantumDb {
 
     /// Create a table (logged).
     pub fn create_table(&self, schema: Schema) -> Result<()> {
-        let _c = self.coarse();
         let mut base = self.base_write();
         base.db.create_table(schema.clone())?;
         self.core
@@ -1623,7 +1589,6 @@ impl SharedQuantumDb {
 
     /// Create a secondary index (logged).
     pub fn create_index(&self, relation: &str, column: usize) -> Result<()> {
-        let _c = self.coarse();
         let mut base = self.base_write();
         base.db.table_mut(relation)?.create_index(column)?;
         self.core.wal.lock().append(&LogRecord::CreateIndex {
@@ -1640,7 +1605,6 @@ impl SharedQuantumDb {
     pub fn bulk_insert(&self, relation: &str, tuples: Vec<Tuple>) -> Result<usize> {
         let mut applied = 0;
         if self.core.metrics.pending() == 0 {
-            let _c = self.coarse();
             let mut base = self.base_write();
             let mut wal = self.core.wal.lock();
             for t in tuples {
@@ -1664,7 +1628,6 @@ impl SharedQuantumDb {
     /// buffer to the sink), serialized against in-flight writers by a
     /// brief exclusive base acquisition.
     pub fn checkpoint(&self) -> Result<()> {
-        let _c = self.coarse();
         let _base = self.base_write();
         let mut wal = self.core.wal.lock();
         wal.append(&LogRecord::Checkpoint)?;

@@ -354,6 +354,7 @@ fn read_peek_exposes_a_world_without_fixing() {
     // the base, never a cloned database.
     let m = qdb.metrics();
     assert_eq!(m.db_clones, 0, "peek must not clone the database");
+    assert_eq!(m.worlds_enumerated, 0, "peek never enumerates worlds");
     assert_eq!(m.reads_peek, 1);
 }
 
@@ -480,6 +481,39 @@ fn multi_solution_cache_rescues_admission_without_resolve() {
         );
         assert_eq!(seat_of(&qdb, "U2"), Some("1A".to_string()));
     }
+}
+
+#[test]
+fn deep_same_partition_admissions_extend_the_cache_and_stream_candidates() {
+    // 32 bookings on one flight share one §4 partition, so the composed
+    // body grows with every admission. With the solution cache on, every
+    // one of them extends the cached solution — zero full re-solves at
+    // depth — and with it off every one re-solves the whole sequence, at
+    // a higher node cost. Either way the search streams its candidates:
+    // no candidate vector is ever materialized.
+    const DEPTH: usize = 32;
+    let mut nodes = Vec::new();
+    for cached in [true, false] {
+        let mut cfg = QuantumDbConfig::default();
+        cfg.use_solution_cache = cached;
+        let qdb = travel_engine(cfg);
+        let seats: Vec<Tuple> = (2..2 + DEPTH)
+            .map(|r| tuple![123, format!("{r}A")])
+            .collect();
+        qdb.bulk_insert("Available", seats).unwrap();
+        for i in 0..DEPTH {
+            assert!(qdb.submit(&book(&format!("U{i}"))).unwrap().is_committed());
+        }
+        let m = qdb.metrics();
+        assert_eq!(m.max_pending, DEPTH as u64, "cached={cached}");
+        assert_eq!(m.solver_candidate_vecs, 0, "cached={cached}");
+        assert!(m.solver_candidates_streamed > 0, "cached={cached}");
+        let (extended, resolved) = if cached { (DEPTH, 0) } else { (0, DEPTH) };
+        assert_eq!(m.cache_extensions, extended as u64, "cached={cached}");
+        assert_eq!(m.cache_full_resolves, resolved as u64, "cached={cached}");
+        nodes.push(qdb.solver_stats().nodes);
+    }
+    assert!(nodes[1] > nodes[0], "re-solving must cost more nodes");
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! The workspace is an offline build with no `serde`; artifacts are small
 //! flat documents we both produce and consume, so a hand-rolled writer
 //! plus a scanning reader for top-level scalar fields is all that is
-//! needed (the same idiom `qdb-bench` uses for its result files).
+//! needed. `qdb-bench` pretty-prints `BENCH_results.json` from the same tree.
 
 /// A JSON value (writer side).
 #[derive(Debug, Clone, PartialEq)]
@@ -12,8 +12,11 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// An unsigned integer (artifacts never need signed or fractional).
+    /// An unsigned integer.
     U64(u64),
+    /// A float: integral values print without a fraction, non-finite
+    /// ones as `null` (JSON has no representation for them).
+    F64(f64),
     /// A string.
     Str(String),
     /// An array.
@@ -28,43 +31,82 @@ impl Json {
         Json::Str(s.into())
     }
 
+    /// Object from `(key, value)` pairs.
+    pub fn obj<K: Into<String>>(pairs: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// Array from values.
+    pub fn arr(values: impl IntoIterator<Item = Json>) -> Json {
+        Json::Arr(values.into_iter().collect())
+    }
+
     /// Render to a compact JSON document.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.write(&mut out, None);
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Render with two-space indentation and a trailing newline — the
+    /// shape diff tools and `jq` both like.
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(0));
+        out.push('\n');
+        out
+    }
+
+    /// `indent` is the nesting depth when pretty-printing, `None` when
+    /// compact.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::U64(n) => out.push_str(&n.to_string()),
+            Json::F64(n) if !n.is_finite() => out.push_str("null"),
+            Json::F64(n) if n.fract() == 0.0 && n.abs() < 9e15 => {
+                out.push_str(&(*n as i64).to_string())
+            }
+            Json::F64(n) => out.push_str(&n.to_string()),
             Json::Str(s) => escape_into(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    escape_into(k, out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
+            Json::Arr(items) => write_seq(out, indent, '[', ']', items.len(), |out, i, inner| {
+                items[i].write(out, inner)
+            }),
+            Json::Obj(fields) => write_seq(out, indent, '{', '}', fields.len(), |out, i, inner| {
+                escape_into(&fields[i].0, out);
+                out.push_str(if inner.is_some() { ": " } else { ":" });
+                fields[i].1.write(out, inner);
+            }),
         }
     }
+}
+
+/// `open item,item close`, each item on its own indented line when
+/// pretty-printing (an empty sequence stays `[]` / `{}`).
+fn write_seq(
+    out: &mut String,
+    indent: Option<usize>,
+    open: char,
+    close: char,
+    len: usize,
+    mut item: impl FnMut(&mut String, usize, Option<usize>),
+) {
+    // Line break plus indentation `extra` levels in; nothing when compact.
+    let brk =
+        |extra: usize| indent.map_or(String::new(), |d| format!("\n{}", "  ".repeat(d + extra)));
+    out.push(open);
+    for i in 0..len {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&brk(1));
+        item(out, i, indent.map(|d| d + 1));
+    }
+    if len > 0 {
+        out.push_str(&brk(0));
+    }
+    out.push(close);
 }
 
 fn escape_into(s: &str, out: &mut String) {
@@ -184,5 +226,20 @@ mod tests {
         assert_eq!(flat_str_arr(&doc, "missing"), None);
         let empty = Json::Obj(vec![("trace".into(), Json::Arr(vec![]))]).render();
         assert_eq!(flat_str_arr(&empty, "trace").as_deref(), Some(&[][..]));
+    }
+
+    #[test]
+    fn pretty_floats_and_nesting() {
+        let doc = Json::obj([
+            ("name", Json::str("a\"b\\c\nd\u{1}")),
+            ("xs", Json::arr([Json::F64(1e6), Json::F64(2.5)])),
+            ("nan", Json::F64(f64::NAN)),
+            ("empty", Json::arr([])),
+        ]);
+        assert_eq!(
+            doc.pretty(),
+            "{\n  \"name\": \"a\\\"b\\\\c\\nd\\u0001\",\n  \"xs\": [\n    1000000,\n    2.5\n  ],\n  \
+             \"nan\": null,\n  \"empty\": []\n}\n"
+        );
     }
 }

@@ -1,12 +1,38 @@
-//! Property tests for the grounding solver: soundness (returned solutions
-//! verify), sequential-semantics correctness (solutions replay cleanly on
-//! the real database), and agreement between atom orderings.
+//! Property tests for the grounding solver over randomized booking
+//! sequences: soundness (returned solutions verify and replay cleanly on
+//! the real database), agreement between atom orderings, soundness of
+//! solution-cache extension (Theorem 3.5: a sequence admitted step by
+//! step through `try_extend` is satisfiable from scratch and its cached
+//! valuations verify at every step), and enumeration validity.
+//!
+//! The `proptest` crate is not vendored in this offline workspace, so the
+//! cases are driven by a seeded splitmix64 generator (failures print the
+//! case seed).
 
-use proptest::prelude::*;
-use qdb_logic::{parse_transaction, ResourceTransaction};
+use qdb_logic::{parse_transaction, ResourceTransaction, VarGen};
 use qdb_solver::{AtomOrder, CachedSolution, Solver, TxnSpec};
 use qdb_storage::{tuple, Database, Schema, ValueType};
 
+/// splitmix64 — tiny, seedable, good enough for case generation.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n.max(1)
+    }
+}
+
+const CASES: u64 = 200;
+
+/// `flights` flights of `rows` rows × seats A/B, flight column indexed.
 fn seats_db(flights: i64, rows: usize) -> Database {
     let mut db = Database::new();
     db.create_table(Schema::new(
@@ -35,131 +61,151 @@ fn seats_db(flights: i64, rows: usize) -> Database {
     db
 }
 
-/// A booking with optionally fixed flight, possibly reading another
-/// user's (pending) booking.
-fn txn_for(spec: &(u8, Option<i64>, bool), i: usize) -> ResourceTransaction {
-    let (_, flight, depends) = spec;
-    let name = format!("u{i}");
-    let f = flight.map_or("f".to_string(), |x| x.to_string());
-    if *depends && i > 0 {
-        let prev = format!("u{}", i - 1);
-        parse_transaction(&format!(
-            "-Available({f}, s), +Bookings('{name}', {f}, s) :-1 \
-             Available({f}, s), Bookings('{prev}', f2, s2)"
-        ))
-        .unwrap()
-    } else {
-        parse_transaction(&format!(
-            "-Available({f}, s), +Bookings('{name}', {f}, s) :-1 Available({f}, s)"
-        ))
-        .unwrap()
-    }
+/// 1–5 bookings, renamed apart: each on flight 1, flight 2 or any flight,
+/// and a third of the later ones also requiring the previous user's
+/// (still pending) booking to exist.
+fn random_bookings(rng: &mut Rng) -> Vec<ResourceTransaction> {
+    let mut gen = VarGen::new();
+    (0..1 + rng.below(5) as usize)
+        .map(|i| {
+            let f = match rng.below(3) {
+                0 => "f".to_string(),
+                n => n.to_string(),
+            };
+            let depends = if i > 0 && rng.below(3) == 0 {
+                format!(", Bookings('u{}', f2, s2)", i - 1)
+            } else {
+                String::new()
+            };
+            parse_transaction(&format!(
+                "-Available({f}, s), +Bookings('u{i}', {f}, s) :-1 Available({f}, s){depends}"
+            ))
+            .unwrap()
+            .freshen(&mut gen)
+        })
+        .collect()
 }
 
-fn arb_txn_spec() -> impl Strategy<Value = (u8, Option<i64>, bool)> {
-    (any::<u8>(), prop::option::of(1i64..3), any::<bool>())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Soundness: whatever `solve` returns passes `verify`, and the write
-    /// ops replay onto the real database without key violations.
-    #[test]
-    fn solutions_verify_and_replay(
-        specs in prop::collection::vec(arb_txn_spec(), 1..6),
-        rows in 1usize..4,
-    ) {
-        let db = seats_db(2, rows);
-        let txns: Vec<ResourceTransaction> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| txn_for(s, i))
-            .collect();
-        let mut gen = qdb_logic::VarGen::new();
-        let fresh: Vec<ResourceTransaction> = txns.iter().map(|t| t.freshen(&mut gen)).collect();
-        let spec_list: Vec<TxnSpec> = fresh.iter().map(TxnSpec::required_only).collect();
-        let mut solver = Solver::default();
-        if let Some(sol) = solver.solve(&db, &[], &spec_list).unwrap() {
-            prop_assert!(solver.verify(&db, &[], &spec_list, &sol.valuations).unwrap());
-            // Replay sequentially on a real database copy.
-            let mut world = db.clone();
-            for (txn, val) in fresh.iter().zip(&sol.valuations) {
-                for op in txn.write_ops(val).unwrap() {
-                    world.apply(&op).unwrap();
-                }
+/// Whatever `solve` returns passes `verify`, its write ops replay onto
+/// the real database in sequence order, and the static and
+/// most-constrained atom orderings agree on satisfiability.
+#[test]
+fn solutions_verify_and_replay_and_orderings_agree() {
+    let (mut sat, mut unsat) = (0, 0);
+    for case in 0..CASES {
+        let mut rng = Rng(0x5010_0000 ^ case);
+        let db = seats_db(2, 1 + rng.below(2) as usize);
+        let txns = random_bookings(&mut rng);
+        let specs: Vec<TxnSpec> = txns.iter().map(TxnSpec::required_only).collect();
+        let mut solver = Solver::new(AtomOrder::MostConstrained);
+        let solution = solver.solve(&db, &[], &specs).unwrap();
+        let fixed = Solver::new(AtomOrder::Static)
+            .solve(&db, &[], &specs)
+            .unwrap();
+        assert_eq!(
+            solution.is_some(),
+            fixed.is_some(),
+            "case {case}: orderings disagree on satisfiability"
+        );
+        let Some(sol) = solution else {
+            unsat += 1;
+            continue;
+        };
+        sat += 1;
+        assert!(
+            solver.verify(&db, &[], &specs, &sol.valuations).unwrap(),
+            "case {case}: solver output fails verify"
+        );
+        let mut world = db.clone();
+        for (txn, val) in txns.iter().zip(&sol.valuations) {
+            for op in txn.write_ops(val).unwrap() {
+                world
+                    .apply(&op)
+                    .unwrap_or_else(|e| panic!("case {case}: replaying {op}: {e}"));
             }
-            // Bookings count equals transactions; seats conserved.
-            let booked = world.table("Bookings").unwrap().len();
-            prop_assert_eq!(booked, fresh.len());
         }
+        assert_eq!(
+            world.table("Bookings").unwrap().len(),
+            txns.len(),
+            "case {case}: one booking per transaction"
+        );
+        assert_eq!(
+            world.table("Available").unwrap().len() + txns.len(),
+            db.table("Available").unwrap().len(),
+            "case {case}: seats conserved"
+        );
     }
+    assert!(sat > 20 && unsat > 20, "sat {sat}, unsat {unsat}");
+}
 
-    /// Static and most-constrained orderings agree on satisfiability
-    /// (they may find different witnesses).
-    #[test]
-    fn orderings_agree(
-        specs in prop::collection::vec(arb_txn_spec(), 1..5),
-        rows in 1usize..3,
-    ) {
-        let db = seats_db(2, rows);
-        let mut gen = qdb_logic::VarGen::new();
-        let fresh: Vec<ResourceTransaction> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| txn_for(s, i).freshen(&mut gen))
-            .collect();
-        let spec_list: Vec<TxnSpec> = fresh.iter().map(TxnSpec::required_only).collect();
-        let mut dynamic = Solver::new(AtomOrder::MostConstrained);
-        let mut fixed = Solver::new(AtomOrder::Static);
-        let a = dynamic.solve(&db, &[], &spec_list).unwrap().is_some();
-        let b = fixed.solve(&db, &[], &spec_list).unwrap().is_some();
-        prop_assert_eq!(a, b);
-    }
-
-    /// Cache-extension monotonicity: a sequence admitted step-by-step via
-    /// try_extend is also satisfiable from scratch, and the cache verifies
-    /// at every step.
-    #[test]
-    fn cache_extension_is_sound(
-        specs in prop::collection::vec(arb_txn_spec(), 1..6),
-    ) {
-        let db = seats_db(2, 2);
+/// Theorem 3.5 as the cache uses it: every sequence admitted one
+/// transaction at a time through `try_extend` verifies as a whole and is
+/// satisfiable from scratch; a refused extension leaves the cache intact.
+#[test]
+fn cache_extension_is_sound() {
+    let (mut admitted_total, mut refused_total) = (0, 0);
+    for case in 0..CASES {
+        let mut rng = Rng(0x5020_0000 ^ case);
+        let db = seats_db(2, 1);
         let mut solver = Solver::default();
         let mut cache = CachedSolution::empty();
         let mut admitted: Vec<ResourceTransaction> = Vec::new();
-        let mut gen = qdb_logic::VarGen::new();
-        for (i, s) in specs.iter().enumerate() {
-            let txn = txn_for(s, i).freshen(&mut gen);
+        for txn in random_bookings(&mut rng) {
             let refs: Vec<&ResourceTransaction> = admitted.iter().collect();
-            if cache.try_extend(&mut solver, &db, &refs, &txn).unwrap() {
-                admitted.push(txn);
-                let refs: Vec<&ResourceTransaction> = admitted.iter().collect();
-                prop_assert!(cache.verify(&mut solver, &db, &refs).unwrap());
-                // From-scratch solve agrees the sequence is satisfiable.
-                prop_assert!(
-                    CachedSolution::resolve(&mut solver, &db, &refs).unwrap().is_some()
+            if !cache.try_extend(&mut solver, &db, &refs, &txn).unwrap() {
+                refused_total += 1;
+                assert_eq!(
+                    cache.len(),
+                    admitted.len(),
+                    "case {case}: refused extension"
                 );
+                continue;
             }
+            admitted_total += 1;
+            admitted.push(txn);
+            let refs: Vec<&ResourceTransaction> = admitted.iter().collect();
+            assert_eq!(cache.len(), refs.len(), "case {case}");
+            assert!(
+                cache.verify(&mut solver, &db, &refs).unwrap(),
+                "case {case}: extended cache fails verify at depth {}",
+                refs.len()
+            );
+            assert!(
+                CachedSolution::resolve(&mut solver, &db, &refs)
+                    .unwrap()
+                    .is_some(),
+                "case {case}: admitted sequence unsatisfiable from scratch"
+            );
         }
     }
+    assert!(admitted_total > 100 && refused_total > 20);
+}
 
-    /// enumerate_one returns distinct, individually valid groundings.
-    #[test]
-    fn enumeration_distinct_and_valid(rows in 1usize..4, max in 1usize..10) {
+/// `enumerate_one` returns at most `max` distinct, individually valid
+/// groundings — all of them when `max` allows.
+#[test]
+fn enumeration_distinct_and_valid() {
+    let txn =
+        parse_transaction("-Available(f, s), +Bookings('x', f, s) :-1 Available(f, s)").unwrap();
+    let spec = TxnSpec::required_only(&txn);
+    for rows in 1..4usize {
         let db = seats_db(1, rows);
-        let txn = parse_transaction(
-            "-Available(f, s), +Bookings('x', f, s) :-1 Available(f, s)",
-        ).unwrap();
-        let mut solver = Solver::default();
-        let spec = TxnSpec::required_only(&txn);
-        let vals = solver.enumerate_one(&db, &[], &spec, max).unwrap();
-        prop_assert!(vals.len() <= max);
-        prop_assert!(vals.len() <= rows * 2);
-        let set: std::collections::BTreeSet<_> = vals.iter().cloned().collect();
-        prop_assert_eq!(set.len(), vals.len(), "no duplicates");
-        for v in &vals {
-            prop_assert!(solver.verify(&db, &[], std::slice::from_ref(&spec), std::slice::from_ref(v)).unwrap());
+        for max in 1..10usize {
+            let mut solver = Solver::default();
+            let vals = solver.enumerate_one(&db, &[], &spec, max).unwrap();
+            assert_eq!(vals.len(), max.min(rows * 2), "rows {rows}, max {max}");
+            let distinct: std::collections::BTreeSet<_> = vals.iter().cloned().collect();
+            assert_eq!(distinct.len(), vals.len(), "rows {rows}, max {max}");
+            for v in &vals {
+                assert!(solver
+                    .verify(
+                        &db,
+                        &[],
+                        std::slice::from_ref(&spec),
+                        std::slice::from_ref(v)
+                    )
+                    .unwrap());
+            }
         }
     }
 }

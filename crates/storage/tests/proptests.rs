@@ -1,26 +1,35 @@
-//! Property-based tests for the storage substrate.
+//! Property tests for the storage substrate: a table is a set of tuples
+//! under random insert/delete streams, WAL replay of any byte prefix
+//! yields a prefix of the record stream (crash consistency), and
+//! recovery from a log reproduces the directly-built state.
+//!
+//! The `proptest` crate is not vendored in this offline workspace, so the
+//! cases are driven by a seeded splitmix64 generator (failures print the
+//! case seed).
 
-use proptest::prelude::*;
-use qdb_storage::codec;
-use qdb_storage::wal::{replay_bytes, LogRecord, Wal};
-use qdb_storage::{recover, Database, Schema, Tuple, Value, ValueType, WriteOp};
+use std::collections::BTreeSet;
 
-fn arb_value() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        any::<i64>().prop_map(Value::from),
-        "[a-zA-Z0-9 ]{0,12}".prop_map(Value::from),
-        any::<bool>().prop_map(Value::from),
-    ]
+use qdb_storage::wal::replay_bytes;
+use qdb_storage::{recover, Database, LogRecord, Schema, Tuple, Value, ValueType, Wal, WriteOp};
+
+/// splitmix64 — tiny, seedable, good enough for case generation.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n.max(1)
+    }
 }
 
-fn arb_tuple(arity: usize) -> impl Strategy<Value = Tuple> {
-    prop::collection::vec(arb_value(), arity).prop_map(Tuple::from)
-}
-
-/// Tuples matching a fixed (Int, Str) schema.
-fn arb_seat_tuple() -> impl Strategy<Value = Tuple> {
-    (0i64..5, "[A-C][1-3]").prop_map(|(f, s)| Tuple::from(vec![Value::from(f), Value::from(s)]))
-}
+const CASES: u64 = 200;
 
 fn seat_schema() -> Schema {
     Schema::new(
@@ -29,106 +38,126 @@ fn seat_schema() -> Schema {
     )
 }
 
-proptest! {
-    /// Values and tuples survive a codec round-trip bit-exactly.
-    #[test]
-    fn codec_tuple_roundtrip(t in (0usize..6).prop_flat_map(arb_tuple)) {
-        let mut buf = bytes::BytesMut::new();
-        codec::put_tuple(&mut buf, &t);
-        let mut slice = buf.freeze();
-        prop_assert_eq!(codec::get_tuple(&mut slice).unwrap(), t);
-        prop_assert_eq!(slice.len(), 0);
-    }
+/// 1–59 inserts and deletes of seats drawn from 5 flights × 9 labels, so
+/// duplicates, absent deletes and re-inserts are all common.
+fn random_seat_ops(rng: &mut Rng) -> Vec<WriteOp> {
+    (0..1 + rng.below(59))
+        .map(|_| {
+            let seat = format!(
+                "{}{}",
+                ["A", "B", "C"][rng.below(3) as usize],
+                1 + rng.below(3)
+            );
+            let t = Tuple::from(vec![Value::from(rng.below(5) as i64), Value::from(seat)]);
+            if rng.below(2) == 0 {
+                WriteOp::insert("Available", t)
+            } else {
+                WriteOp::delete("Available", t)
+            }
+        })
+        .collect()
+}
 
-    /// Truncating encoded bytes anywhere yields an error, never a panic.
-    #[test]
-    fn codec_truncation_never_panics(t in (1usize..5).prop_flat_map(arb_tuple), frac in 0.0f64..1.0) {
-        let mut buf = bytes::BytesMut::new();
-        codec::put_tuple(&mut buf, &t);
-        let bytes = buf.freeze();
-        let cut = ((bytes.len() as f64) * frac) as usize;
-        if cut < bytes.len() {
-            let mut slice = bytes.slice(0..cut);
-            prop_assert!(codec::get_tuple(&mut slice).is_err());
-        }
-    }
-
-    /// A table behaves exactly like a set of tuples under random
-    /// insert/delete streams (whole-tuple key = set semantics).
-    #[test]
-    fn table_is_a_set(ops in prop::collection::vec((any::<bool>(), arb_seat_tuple()), 1..60)) {
+/// A table behaves exactly like a set of tuples (whole-tuple key), and
+/// its indexed selects agree with the model per flight.
+#[test]
+fn table_is_a_set() {
+    for case in 0..CASES {
+        let mut rng = Rng(0x57A0_0000 ^ case);
         let mut db = Database::new();
         db.create_table(seat_schema()).unwrap();
         db.table_mut("Available").unwrap().create_index(0).unwrap();
-        let mut model = std::collections::BTreeSet::new();
-        for (is_insert, t) in ops {
-            if is_insert {
-                let newly = db.insert("Available", t.clone()).unwrap();
-                prop_assert_eq!(newly, model.insert(t));
-            } else {
-                let removed = db.delete("Available", &t).unwrap();
-                prop_assert_eq!(removed, model.remove(&t));
-            }
+        let mut model = BTreeSet::new();
+        for op in random_seat_ops(&mut rng) {
+            let changed = db.apply(&op).unwrap();
+            let expected = match &op {
+                WriteOp::Insert { tuple, .. } => model.insert(tuple.clone()),
+                WriteOp::Delete { tuple, .. } => model.remove(tuple),
+            };
+            assert_eq!(changed, expected, "case {case}: {op}");
         }
         let table = db.table("Available").unwrap();
-        prop_assert_eq!(table.len(), model.len());
-        for t in &model {
-            prop_assert!(table.contains(t));
-        }
-        // Indexed selects agree with the model per flight value.
+        let rows: Vec<Tuple> = table.iter().cloned().collect();
+        let want: Vec<Tuple> = model.iter().cloned().collect();
+        assert_eq!(rows, want, "case {case}");
         for f in 0i64..5 {
-            let bound = vec![Some(Value::from(f)), None];
-            let got = table.select(&bound).count();
+            let got = table.select(&[Some(Value::from(f)), None]).count();
             let want = model.iter().filter(|t| t[0] == Value::from(f)).count();
-            prop_assert_eq!(got, want);
+            assert_eq!(got, want, "case {case}: indexed select of flight {f}");
         }
     }
+}
 
-    /// WAL replay of any prefix of the byte stream yields a prefix of the
-    /// record stream (crash consistency).
-    #[test]
-    fn wal_prefix_replay(n_ops in 1usize..30, cut_frac in 0.0f64..1.0) {
+/// Replaying the log image cut at **every** byte offset yields a prefix
+/// of the appended records and never consumes past the cut.
+#[test]
+fn wal_prefix_replay() {
+    for case in 0..20u64 {
+        let mut rng = Rng(0x57B0_0000 ^ case);
         let mut wal = Wal::in_memory();
         let mut expected = Vec::new();
-        for i in 0..n_ops {
-            let r = if i % 3 == 0 {
-                LogRecord::Write(WriteOp::insert("T", Tuple::from(vec![Value::from(i)])))
-            } else if i % 3 == 1 {
-                LogRecord::PendingAdd { id: i as u64, payload: vec![i as u8; i % 7] }
-            } else {
-                LogRecord::PendingRemove { id: (i / 2) as u64 }
+        for i in 0..1 + rng.below(29) {
+            let record = match rng.below(4) {
+                0 => LogRecord::Write(WriteOp::insert(
+                    "T",
+                    Tuple::from(vec![Value::from(i as i64)]),
+                )),
+                1 => LogRecord::PendingAdd {
+                    id: i,
+                    payload: vec![i as u8; rng.below(7) as usize],
+                },
+                2 => LogRecord::PendingRemove { id: i / 2 },
+                _ => LogRecord::Ground {
+                    id: i,
+                    ops: random_seat_ops(&mut rng).into_iter().take(3).collect(),
+                },
             };
-            wal.append(&r).unwrap();
-            expected.push(r);
+            wal.append(&record).unwrap();
+            expected.push(record);
         }
-        let image = wal.sink_mut().read_all().unwrap();
-        let cut = ((image.len() as f64) * cut_frac) as usize;
-        let (records, consumed) = replay_bytes(&image[..cut]).unwrap();
-        prop_assert!(consumed as usize <= cut);
-        prop_assert_eq!(records.as_slice(), &expected[..records.len()]);
+        let image = wal.image().unwrap();
+        let mut seen = 0;
+        for cut in 0..=image.len() {
+            let (records, consumed) = replay_bytes(&image[..cut]).unwrap();
+            assert!(consumed as usize <= cut, "case {case}, cut {cut}");
+            assert_eq!(
+                records.as_slice(),
+                &expected[..records.len()],
+                "case {case}, cut {cut}"
+            );
+            assert!(
+                records.len() >= seen,
+                "case {case}, cut {cut}: lost a record"
+            );
+            seen = records.len();
+        }
+        assert_eq!(
+            seen,
+            expected.len(),
+            "case {case}: full image replays fully"
+        );
     }
+}
 
-    /// Recovery from a log built by random valid operations reproduces the
-    /// database state operation-for-operation.
-    #[test]
-    fn recovery_matches_direct_state(ops in prop::collection::vec((any::<bool>(), arb_seat_tuple()), 1..50)) {
+/// Recovery from a log of random operations (no-ops logged too)
+/// reproduces the directly-built database row for row.
+#[test]
+fn recovery_matches_direct_state() {
+    for case in 0..CASES {
+        let mut rng = Rng(0x57C0_0000 ^ case);
         let mut wal = Wal::in_memory();
         let mut direct = Database::new();
         direct.create_table(seat_schema()).unwrap();
         wal.append(&LogRecord::CreateTable(seat_schema())).unwrap();
-        for (is_insert, t) in ops {
-            let op = if is_insert {
-                WriteOp::insert("Available", t)
-            } else {
-                WriteOp::delete("Available", t)
-            };
-            // Log no-ops too; replay must tolerate them identically.
+        for op in random_seat_ops(&mut rng) {
             direct.apply(&op).unwrap();
             wal.append(&LogRecord::Write(op)).unwrap();
         }
         let recovered = recover(&wal).unwrap();
-        let a: Vec<_> = direct.table("Available").unwrap().iter().cloned().collect();
-        let b: Vec<_> = recovered.db.table("Available").unwrap().iter().cloned().collect();
-        prop_assert_eq!(a, b);
+        let rows = |db: &Database| -> Vec<Tuple> {
+            db.table("Available").unwrap().iter().cloned().collect()
+        };
+        assert_eq!(rows(&recovered.db), rows(&direct), "case {case}");
+        assert_eq!(recovered.consumed_bytes, wal.size_bytes(), "case {case}");
     }
 }

@@ -26,7 +26,6 @@ pub mod is_baseline;
 pub mod metrics;
 pub mod mixed;
 pub mod orders;
-pub mod remote;
 pub mod rng;
 pub mod runner;
 pub mod stream;
@@ -37,6 +36,5 @@ pub use is_baseline::IsClient;
 pub use metrics::{coordination_stats, CoordStats};
 pub use mixed::{build_mixed_workload, build_mixed_workload_with, MixedProfile, Op};
 pub use orders::{arrange, ArrivalOrder, Request};
-pub use remote::{run_remote, RemoteConfig, RemoteRunResult};
 pub use runner::{run_is, run_quantum, RunConfig, RunResult};
 pub use stream::{build_client_streams, SimOp, StreamProfile};

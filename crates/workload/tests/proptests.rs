@@ -1,105 +1,98 @@
-//! Property tests for the workload layer: conservation laws of the
-//! runner, arrival-order invariants, and quantum-vs-IS dominance.
+//! Property tests for the workload layer over randomized arrival orders,
+//! flight sizes and `k`: conservation laws of the quantum runner and its
+//! coordination statistics, and the paper's headline claim — the quantum
+//! database never coordinates worse than the intelligent-social baseline.
+//!
+//! The `proptest` crate is not vendored in this offline workspace, so the
+//! cases are driven by the crate's own seeded generator (failures print
+//! the case seed).
 
-use proptest::prelude::*;
-use qdb_workload::{
-    arrange, make_pairs, orders::measured_max_pending, run_is, run_quantum, ArrivalOrder,
-    FlightsConfig, RunConfig,
-};
+use qdb_workload::rng::StdRng;
+use qdb_workload::{run_is, run_quantum, ArrivalOrder, FlightsConfig, RunConfig};
 
-fn arb_order() -> impl Strategy<Value = ArrivalOrder> {
-    prop_oneof![
-        Just(ArrivalOrder::Alternate),
-        Just(ArrivalOrder::InOrder),
-        Just(ArrivalOrder::ReverseOrder),
-        any::<u64>().prop_map(|seed| ArrivalOrder::Random { seed }),
-    ]
+const CASES: u64 = 24;
+
+fn random_order(rng: &mut StdRng) -> ArrivalOrder {
+    match rng.gen_range(0..4) {
+        0 => ArrivalOrder::Alternate,
+        1 => ArrivalOrder::InOrder,
+        2 => ArrivalOrder::ReverseOrder,
+        _ => ArrivalOrder::Random {
+            seed: rng.next_u64(),
+        },
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Conservation: with capacity for everyone, a quantum run seats every
-    /// user exactly once, never aborts, and coordination never exceeds the
-    /// theoretical maximum.
-    #[test]
-    fn quantum_run_conserves_seats(
-        order in arb_order(),
-        rows in 2usize..5,
-        k in 2usize..62,
-    ) {
-        let flights = FlightsConfig { flights: 2, rows_per_flight: rows };
-        // Fill to capacity: 3·rows users per flight.
-        let pairs_per_flight = rows * 3 / 2;
+/// With capacity for everyone, a quantum run seats every user exactly
+/// once and never aborts, whatever the order and `k`; coordination counts
+/// whole pairs, never exceeds the seated users or the theoretical
+/// maximum, and that maximum respects both the pair count and the row
+/// capacity.
+#[test]
+fn quantum_run_conserves_seats() {
+    for case in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(0x3010_0000 ^ case);
+        let rows = rng.gen_range(2..5);
+        let flights = FlightsConfig {
+            flights: 2,
+            rows_per_flight: rows,
+        };
+        // Anywhere from one pair to capacity (3·rows seats per flight).
+        let pairs_per_flight = rng.gen_range(1..rows * 3 / 2 + 1);
+        let (order, k) = (random_order(&mut rng), rng.gen_range(2..62));
         let cfg = RunConfig::resource_only(flights, pairs_per_flight, order, k);
         let res = run_quantum(&cfg);
-        prop_assert_eq!(res.aborted, 0);
-        prop_assert_eq!(res.coord.seated_users, res.coord.total_users);
-        prop_assert!(res.coord.coordinated_users <= res.coord.max_possible);
-        prop_assert!(res.coordination_percent() <= 100.0 + 1e-9);
-        // Cumulative series is monotone and one entry per operation.
-        prop_assert_eq!(res.cumulative_micros.len(), cfg.n_transactions());
-        prop_assert!(res.cumulative_micros.windows(2).all(|w| w[0] <= w[1]));
+        let ctx = format!("case {case}: {order:?}, rows {rows}, pairs {pairs_per_flight}, k {k}");
+        assert_eq!(res.aborted, 0, "{ctx}");
+        assert_eq!(res.coord.seated_users, res.coord.total_users, "{ctx}");
+        assert_eq!(res.coord.coordinated_users % 2, 0, "{ctx}");
+        assert!(
+            res.coord.coordinated_users <= res.coord.seated_users,
+            "{ctx}"
+        );
+        assert!(
+            res.coord.coordinated_users <= res.coord.max_possible,
+            "{ctx}"
+        );
+        assert_eq!(
+            res.coord.max_possible,
+            (2 * pairs_per_flight).min(2 * rows) * 2,
+            "{ctx}"
+        );
+        // One cumulative-time entry per operation, monotone.
+        assert_eq!(res.cumulative_micros.len(), cfg.n_transactions(), "{ctx}");
+        assert!(
+            res.cumulative_micros.windows(2).all(|w| w[0] <= w[1]),
+            "{ctx}"
+        );
     }
+}
 
-    /// The quantum database never coordinates worse than IS on the same
-    /// workload (the paper's headline claim), and with a full-size k it
-    /// achieves the maximum.
-    #[test]
-    fn quantum_dominates_is(order in arb_order(), rows in 2usize..5) {
-        let flights = FlightsConfig { flights: 1, rows_per_flight: rows };
-        let pairs = rows * 3 / 2;
-        let cfg = RunConfig::resource_only(flights, pairs, order, 61);
-        let q = run_quantum(&cfg);
-        let is = run_is(&cfg);
-        prop_assert!(
+/// The paper's headline claim: on the same workload the quantum database
+/// never coordinates worse than IS, and with a full-size `k` it reaches
+/// the maximum under every arrival order.
+#[test]
+fn quantum_dominates_is() {
+    for case in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(0x3020_0000 ^ case);
+        let rows = rng.gen_range(2..5);
+        let flights = FlightsConfig {
+            flights: 1,
+            rows_per_flight: rows,
+        };
+        let order = random_order(&mut rng);
+        let cfg = RunConfig::resource_only(flights, rows * 3 / 2, order, 61);
+        let (q, is) = (run_quantum(&cfg), run_is(&cfg));
+        assert!(
             q.coordination_percent() + 1e-9 >= is.coordination_percent(),
-            "quantum {:.1} < IS {:.1} under {:?}",
-            q.coordination_percent(), is.coordination_percent(), order
+            "case {case}: quantum {:.1} < IS {:.1} under {order:?}, rows {rows}",
+            q.coordination_percent(),
+            is.coordination_percent()
         );
-        prop_assert!((q.coordination_percent() - 100.0).abs() < 1e-9);
-    }
-
-    /// Table 1 invariants for every order and size: the measured maximum
-    /// pending never exceeds the analytic bound, and Alternate is exactly 1.
-    #[test]
-    fn arrival_order_bounds(order in arb_order(), n_pairs in 1usize..40) {
-        let flights = FlightsConfig { flights: 1, rows_per_flight: n_pairs };
-        let pairs = make_pairs(&flights, n_pairs);
-        let reqs = arrange(&pairs, order);
-        let measured = measured_max_pending(&reqs);
-        prop_assert!(measured <= order.max_pending_bound(reqs.len()));
-        if order == ArrivalOrder::Alternate {
-            prop_assert_eq!(measured, 1);
-        }
-        // Every user appears exactly once.
-        let mut users: Vec<&str> = reqs.iter().map(|r| r.user.as_str()).collect();
-        users.sort_unstable();
-        users.dedup();
-        prop_assert_eq!(users.len(), 2 * n_pairs);
-    }
-
-    /// Coordination statistics are consistent: counts are even (pairs),
-    /// bounded by seated users, and the denominator respects row capacity.
-    #[test]
-    fn coordination_stats_invariants(
-        rows in 1usize..6,
-        pairs_per_flight in 1usize..8,
-    ) {
-        prop_assume!(2 * pairs_per_flight <= rows * 3);
-        let flights = FlightsConfig { flights: 2, rows_per_flight: rows };
-        let cfg = RunConfig::resource_only(
-            flights,
-            pairs_per_flight,
-            ArrivalOrder::Random { seed: 99 },
-            61,
+        assert!(
+            (q.coordination_percent() - 100.0).abs() < 1e-9,
+            "case {case}: quantum {:.1} under {order:?}, rows {rows}",
+            q.coordination_percent()
         );
-        let res = run_quantum(&cfg);
-        let pairs = make_pairs(&flights, pairs_per_flight);
-        prop_assert_eq!(res.coord.coordinated_users % 2, 0);
-        prop_assert!(res.coord.coordinated_users <= res.coord.seated_users);
-        let expected_max: usize = (2 * pairs_per_flight).min(2 * rows) * 2;
-        prop_assert_eq!(res.coord.max_possible, expected_max);
-        let _ = pairs;
     }
 }

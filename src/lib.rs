@@ -84,8 +84,8 @@
 //! * [`solver`] — the consistent-grounding search and solution cache.
 //! * [`core`] — the quantum database engine and the `execute()` layer.
 //! * [`server`] / [`client`] — the network service layer ([`core::wire`]).
-//! * [`workload`] — experiment workloads, the intelligent-social baseline,
-//!   and the networked load driver ([`workload::remote`]).
+//! * [`workload`] — experiment workloads and the intelligent-social
+//!   baseline.
 
 pub use qdb_client as client;
 pub use qdb_core as core;

@@ -337,3 +337,88 @@ fn eight_concurrent_connections_of_mixed_traffic_on_four_workers() {
     assert!(stats.frames_decoded >= (CONNECTIONS * 10) as u64);
     server.shutdown();
 }
+
+/// The serving hot loop: each connection PREPAREs the entangled booking
+/// and the two non-collapsing reads once, then streams BIND+RUN pairs.
+/// Partners sit on different connections, so the entanglement crosses the
+/// wire; the parser is entered once per PREPARE and never per statement,
+/// and the read path never clones the database.
+#[test]
+fn prepared_hot_loop_over_the_wire_parses_once_per_prepare_and_coordinates() {
+    use qdb_workload::runner::{BOOKING_SQL, PEEK_SQL, POSSIBLE_SQL};
+    use qdb_workload::{arrange, coordination_stats, make_pairs, ArrivalOrder, FlightsConfig};
+
+    const CONNECTIONS: usize = 3;
+    let flights = FlightsConfig {
+        flights: 1,
+        rows_per_flight: 4,
+    };
+    let qdb = QuantumDb::new(QuantumDbConfig::default())
+        .unwrap()
+        .into_shared();
+    qdb_workload::flights::install(&qdb, &flights).unwrap();
+    let server = Server::spawn_with_db("127.0.0.1:0", 4, qdb.clone()).unwrap();
+    let pairs = make_pairs(&flights, 6);
+    let requests = arrange(&pairs, ArrivalOrder::Random { seed: 0xC1DE });
+
+    let possibles: u64 = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..CONNECTIONS)
+            .map(|i| {
+                let (addr, requests) = (server.addr(), &requests);
+                scope.spawn(move || {
+                    let mut conn = Connection::connect(addr).unwrap();
+                    let book = conn.prepare(BOOKING_SQL).unwrap();
+                    let peek = conn.prepare(PEEK_SQL).unwrap();
+                    let possible = conn.prepare(POSSIBLE_SQL).unwrap();
+                    let mut possibles = 0;
+                    // Round-robin split: connection i takes requests
+                    // i, i+C, i+2C, …
+                    for (n, r) in requests.iter().skip(i).step_by(CONNECTIONS).enumerate() {
+                        let (flight, user) = (Value::from(r.flight), Value::from(r.user.as_str()));
+                        let params = [
+                            flight.clone(),
+                            Value::from(r.partner.as_str()),
+                            flight.clone(),
+                            flight.clone(),
+                            user.clone(),
+                            flight,
+                        ];
+                        let booked = conn.bind_run(&book, &params).unwrap();
+                        assert!(matches!(booked, Response::Committed(_)), "{booked:?}");
+                        let seen = conn.bind_run(&peek, std::slice::from_ref(&user)).unwrap();
+                        assert!(matches!(seen, Response::Rows(_)), "{seen:?}");
+                        if n % 2 == 1 {
+                            let worlds = conn.bind_run(&possible, &[user]).unwrap();
+                            assert!(matches!(worlds, Response::Worlds(_)), "{worlds:?}");
+                            possibles += 1;
+                        }
+                    }
+                    possibles
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).sum()
+    });
+
+    let mut admin = Connection::connect(server.addr()).unwrap();
+    admin.execute("GROUND ALL").unwrap();
+    let (engine, stats) = admin.server_stats().unwrap();
+    // Three PREPAREs per connection, plus GROUND ALL and SHOW METRICS on
+    // the admin connection. The 12 bookings and their reads never touch
+    // the parser.
+    assert_eq!(engine.parses, (3 * CONNECTIONS + 2) as u64);
+    assert_eq!(engine.aborted, 0);
+    assert_eq!(engine.db_clones, 0, "read path must stay clone-free");
+    assert_eq!(stats.connections, (CONNECTIONS + 1) as u64);
+    assert_eq!(stats.class("SELECT … CHOOSE 1"), Some(12));
+    assert_eq!(stats.class("SELECT"), Some(12 + possibles));
+    assert!(possibles >= CONNECTIONS as u64);
+    // 1 PREPARE×3 per connection + (BIND+RUN) per statement, at minimum.
+    assert!(stats.frames_decoded >= (3 * CONNECTIONS) as u64 + 2 * (24 + possibles));
+    // Four rows seat at most four adjacent pairs; the engine finds them
+    // although no connection ever saw both partners.
+    let coord = qdb.with_database(|db| coordination_stats(db, &pairs, flights.rows_per_flight));
+    assert_eq!(coord.max_possible, 8);
+    assert_eq!(coord.coordinated_users, 8);
+    server.shutdown();
+}
