@@ -46,6 +46,19 @@ pub enum GroundingPolicy {
     },
 }
 
+impl GroundingPolicy {
+    /// How many alternative assignments a grounding enumerates before it
+    /// fixes one (`0` for first-fit).
+    pub(crate) fn sample(&self) -> usize {
+        match *self {
+            GroundingPolicy::FirstFit => 0,
+            GroundingPolicy::MaxFlexibility { sample } | GroundingPolicy::Random { sample, .. } => {
+                sample
+            }
+        }
+    }
+}
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct QuantumDbConfig {

@@ -220,10 +220,10 @@ pub(crate) struct AdmitPlan {
     pub extras: Vec<CachedSolution>,
     /// Which admission path succeeded.
     pub path: AdmitPath,
-    /// The admission overlay for the host partition: the virtual state of
-    /// `valuations` with the newcomer's updates applied. `Some` only on
-    /// the extension fast path (other paths replace earlier valuations,
-    /// so the next admission rebuilds it).
+    /// The host partition's pending world: the virtual state of
+    /// `valuations`, newcomer included. `Some` only on the extension fast
+    /// path (other paths replace earlier valuations, so the next user
+    /// rebuilds it).
     pub overlay: Option<qdb_solver::Overlay>,
 }
 
@@ -232,38 +232,12 @@ pub(crate) struct AdmitPlan {
 pub(crate) enum AdmitDecision {
     /// The newcomer admits; install this plan.
     Admitted(AdmitPlan),
-    /// The newcomer is refused. Carries the admission overlay when the
-    /// fast path built or reused one — the refused search rolled it back
-    /// to the cached solution's virtual state, and the partition's
-    /// valuations are unchanged, so the caller restores it as the memo
-    /// (a refusal must not reset the O(newcomer) fast path to an
-    /// O(pending) rebuild).
+    /// The newcomer is refused. Carries the pending world when the fast
+    /// path was given one — the refused search rolled it back to the
+    /// cached solution's virtual state, and the partition's valuations
+    /// are unchanged, so the caller puts it back (a refusal must not cost
+    /// the partition an O(pending) rebuild).
     Refused(Option<qdb_solver::Overlay>),
-}
-
-/// Build the virtual state of the merged cached solution: every pending
-/// update grounded under its cached valuation, applied in arrival order.
-fn build_admission_overlay(
-    db: &Database,
-    merged: &[(&PendingTxn, &Valuation)],
-) -> Result<qdb_solver::Overlay> {
-    use qdb_logic::UpdateKind;
-    let mut overlay = qdb_solver::Overlay::new();
-    for (p, v) in merged {
-        for u in &p.txn.updates {
-            let rid = db
-                .resolve(&u.atom.relation)
-                .map_err(qdb_solver::SolverError::Storage)?;
-            let tuple = u.atom.ground(v).map_err(qdb_solver::SolverError::Logic)?;
-            // A cached solution's updates must apply cleanly; a conflict
-            // here means the cache is inconsistent, exactly as when the
-            // ops were threaded through `Solver::solve`'s `pre_ops`.
-            overlay
-                .apply_id(db, rid, u.kind == UpdateKind::Insert, &tuple)
-                .map_err(crate::EngineError::from)?;
-        }
-    }
-    Ok(overlay)
 }
 
 /// Plan admitting `txn` against the merged view of its target partitions:
@@ -272,15 +246,17 @@ fn build_admission_overlay(
 /// cache state. `merged` must be sorted by transaction id (arrival order);
 /// `extras` are the alternative cached solutions of the *single* target
 /// partition (pass `&[]` for zero or several targets — alternatives are
-/// positional and do not survive merges), and `cached_overlay` is that
-/// partition's memoized admission overlay (pass `None` to rebuild).
+/// positional and do not survive merges), and `world` is the merged
+/// partition's pending world ([`Partition::ensure_world`]) — `None` when
+/// the configuration extends through materialized pre-ops instead (the
+/// multi-solution cache) or not at all.
 pub(crate) fn plan_admission(
     solver: &mut Solver,
     db: &Database,
     config: &QuantumDbConfig,
     merged: &[(&PendingTxn, &Valuation)],
     extras: &[CachedSolution],
-    cached_overlay: Option<qdb_solver::Overlay>,
+    world: Option<qdb_solver::Overlay>,
     txn: &ResourceTransaction,
 ) -> Result<AdmitDecision> {
     let mut admitted: Option<Vec<Valuation>> = None;
@@ -288,22 +264,9 @@ pub(crate) fn plan_admission(
     let mut out_overlay: Option<qdb_solver::Overlay> = None;
     let mut refused_overlay: Option<qdb_solver::Overlay> = None;
     let mut path = AdmitPath::FullResolve;
-    if config.use_solution_cache && config.cache_solutions <= 1 {
-        // Extend the (merged) cached solution with the newcomer only,
-        // against the memoized admission overlay — O(newcomer), not
-        // O(pending). A fresh overlay is built when the cache was
-        // invalidated (or the partitions just merged).
-        let mut overlay = match cached_overlay {
-            Some(overlay) => {
-                #[cfg(debug_assertions)]
-                debug_assert!(
-                    overlay.same_deltas(&build_admission_overlay(db, merged)?),
-                    "stale admission overlay: an invalidation site was missed"
-                );
-                overlay
-            }
-            None => build_admission_overlay(db, merged)?,
-        };
+    if let Some(mut overlay) = world {
+        // Extend the (merged) cached solution with the newcomer only, in
+        // the pending world — O(newcomer), not O(pending).
         match solver.solve_in(db, &mut overlay, &[TxnSpec::required_only(txn)])? {
             Some(sol) => {
                 let mut vals: Vec<Valuation> = merged.iter().map(|(_, v)| (*v).clone()).collect();

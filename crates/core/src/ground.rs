@@ -17,9 +17,31 @@
 //! Optional atoms are maximized at grounding time (§2: "if there is an
 //! assignment that satisfies optional as well as non-optional atoms, that
 //! assignment is chosen"): promotion subsets are tried largest-first.
+//!
+//! # The untouched-residue lemma
+//!
+//! A partition keeps the virtual state of its cached solution — the
+//! *pending world*, `Partition::overlay_cache` — alive across
+//! groundings and blind writes instead of rebuilding it. What makes that
+//! sound: a cached grounding stays valid exactly as long as each of its
+//! grounded tuples `y` (required body atoms and updates, under the cached
+//! valuation) keeps its visibility at the transaction's turn, and that
+//! visibility is a function of `y`'s base membership and of the ordered
+//! updates on `y` that run before it. Moving a group to the front (its old
+//! updates leave the sequence, its new ones reach the base) or applying a
+//! blind write changes neither for any `y` outside the *touched set* — the
+//! tuples of the group's cached and new updates, or the written tuple. So
+//! when [`residue_untouched`] holds, the residue keeps its cached
+//! valuations unverified, and its world is the old one minus the group's
+//! deltas ([`Overlay::retract_id`]). `plan_group_front` solves the group
+//! *inside* that world, so first-fit cannot land on what the residue holds,
+//! and accepts once the group also verifies on the bare base it will
+//! actually run on. Debug builds re-check every acceptance with a full
+//! [`qdb_solver::Solver::verify`] of the residue.
 
-use qdb_logic::Valuation;
+use qdb_logic::{Atom, ResourceTransaction, Term, Valuation};
 use qdb_solver::{Overlay, TxnSpec};
+use qdb_storage::{Tuple, WriteOp};
 
 use crate::txn::TxnId;
 use crate::Result;
@@ -120,7 +142,7 @@ pub(crate) fn promotion_sets(optionals: &[Vec<usize>]) -> Vec<Vec<Vec<usize>>> {
 /// "maximize the remaining number of possible worlds".
 pub(crate) fn flexibility_score(
     base: &qdb_storage::Database,
-    ops: &[qdb_storage::WriteOp],
+    ops: &[WriteOp],
     rest: &[TxnSpec<'_>],
 ) -> Result<usize> {
     let mut overlay = Overlay::new();
@@ -179,7 +201,7 @@ pub(crate) struct GroundedTxn {
     /// The grounded transaction.
     pub id: TxnId,
     /// Its concrete updates in execution order.
-    pub ops: Vec<qdb_storage::WriteOp>,
+    pub ops: Vec<WriteOp>,
     /// Optional body atoms the chosen assignment satisfied.
     pub promoted: usize,
     /// Optional body atoms the transaction had.
@@ -198,9 +220,45 @@ pub(crate) struct GroundedTxn {
 pub(crate) struct GroundPlan {
     /// Transactions leaving the pending set, in group order.
     pub grounded: Vec<GroundedTxn>,
-    /// Cache valuations for the remaining pending transactions (in the
-    /// partition's arrival order, group members skipped).
-    pub rest_vals: Vec<Valuation>,
+    /// Re-solved cache valuations for the remaining pending transactions
+    /// (in the partition's arrival order, group members skipped); `None`
+    /// when the residue keeps the valuations it has.
+    pub rest_vals: Option<Vec<Valuation>>,
+    /// The residue's pending world, when the plan was made inside it.
+    pub world: Option<Overlay>,
+}
+
+/// Does `atom` under `val` denote exactly `tuple` of `relation`? Compared
+/// term by term; an unbound variable matches nothing.
+fn grounds_to(atom: &Atom, val: &Valuation, relation: &str, tuple: &Tuple) -> bool {
+    atom.relation.as_ref() == relation
+        && atom.arity() == tuple.arity()
+        && atom
+            .terms
+            .iter()
+            .zip(tuple.iter())
+            .all(|(term, value)| match term {
+                Term::Const(c) => c == value,
+                Term::Var(v) => val.get(v) == Some(value),
+            })
+}
+
+/// The check of the module's lemma: no grounded atom of `residue` —
+/// required body atom or update, under its cached valuation — equals a
+/// tuple of `touched`. `true` means the residue's cached valuations (and
+/// its pending world) survive the change that touches only those tuples.
+pub fn residue_untouched<'a>(
+    residue: impl IntoIterator<Item = (&'a ResourceTransaction, &'a Valuation)>,
+    touched: &[WriteOp],
+) -> bool {
+    residue.into_iter().all(|(txn, val)| {
+        let body = txn.body.iter().filter(|b| !b.optional).map(|b| &b.atom);
+        body.chain(txn.updates.iter().map(|u| &u.atom)).all(|atom| {
+            !touched
+                .iter()
+                .any(|op| grounds_to(atom, val, op.relation(), op.tuple()))
+        })
+    })
 }
 
 /// §5.1: fixing a transaction fixes its coordination partners with it —
@@ -253,32 +311,61 @@ pub(crate) fn strict_order_violation() -> crate::EngineError {
 /// grounding. `pre_ops` are updates already planned against `db` but not
 /// yet applied (the `GROUND ALL` planner threads its own
 /// accumulated updates through; interactive grounding passes `&[]`).
+///
+/// When the partition carries its pending world (and the grounding is a
+/// first-fit one against the real base), the world is taken, the group's
+/// cached deltas are retracted from it, and each promotion set is first
+/// tried inside it — see the module docs. Whatever the outcome the world
+/// leaves the partition: an accepting plan carries it onward, any other
+/// lets the next user rebuild it.
 pub(crate) fn plan_group_front(
     solver: &mut qdb_solver::Solver,
     db: &qdb_storage::Database,
-    pre_ops: &[qdb_storage::WriteOp],
+    pre_ops: &[WriteOp],
     config: &crate::QuantumDbConfig,
-    p: &crate::Partition,
+    p: &mut crate::Partition,
     ids: &[TxnId],
 ) -> Result<Option<GroundPlan>> {
+    let mut world = if pre_ops.is_empty() && config.policy.sample() <= 1 {
+        p.overlay_cache.take()
+    } else {
+        None
+    };
     let idset: std::collections::BTreeSet<TxnId> = ids.iter().copied().collect();
     let mut group: Vec<&crate::PendingTxn> = Vec::new();
-    let mut rest: Vec<&crate::PendingTxn> = Vec::new();
-    let mut rest_cached = Vec::new();
+    let mut cached_ops: Vec<WriteOp> = Vec::new();
+    let mut rest: Vec<(&crate::PendingTxn, &Valuation)> = Vec::new();
     for (t, v) in p.txns.iter().zip(&p.cache.valuations) {
         if idset.contains(&t.id) {
             group.push(t);
+            if world.is_some() {
+                cached_ops.extend(t.txn.write_ops(v)?);
+            }
         } else {
-            rest.push(t);
-            rest_cached.push(v.clone());
+            rest.push((t, v));
         }
     }
     if group.is_empty() {
         // All already grounded in an earlier cascade: an empty plan.
         return Ok(Some(GroundPlan {
             grounded: Vec::new(),
-            rest_vals: rest_cached,
+            rest_vals: None,
+            world,
         }));
+    }
+    // The residue's world is the partition's minus the group's cached
+    // deltas — when the residue names none of their tuples and every delta
+    // is still there to retract. An empty residue has no world to keep:
+    // the bare base the existing path solves on is the same state.
+    let mut clean = !rest.is_empty() && residue_untouched(residue(&rest), &cached_ops);
+    if let Some(w) = world.as_mut().filter(|_| clean) {
+        for op in &cached_ops {
+            let rid = db.resolve(op.relation())?;
+            clean = clean && w.retract_id(rid, op.is_insert(), op.tuple());
+        }
+    }
+    if !clean {
+        world = None;
     }
     let optionals: Vec<Vec<usize>> = group
         .iter()
@@ -293,34 +380,37 @@ pub(crate) fn plan_group_front(
         })
         .collect();
     for promo in promotion_sets(&optionals) {
-        if let Some(plan) = plan_solve_group(
-            solver,
-            db,
-            pre_ops,
-            config,
-            &group,
-            &rest,
-            &rest_cached,
-            &promo,
-        )? {
-            return Ok(Some(plan));
+        let plan = plan_solve_group(
+            solver, db, pre_ops, config, &group, &rest, &mut world, &promo,
+        )?;
+        if plan.is_some() {
+            return Ok(plan);
         }
     }
     Ok(None)
 }
 
+/// The (transaction, cached valuation) pairs [`residue_untouched`] reads.
+fn residue<'a>(
+    rest: &'a [(&'a crate::PendingTxn, &'a Valuation)],
+) -> impl Iterator<Item = (&'a ResourceTransaction, &'a Valuation)> {
+    rest.iter().map(|(t, v)| (&t.txn, *v))
+}
+
 /// Find a grounding for `group` executed before `rest`, with the given
-/// per-transaction promotions. Applies the configured
+/// per-transaction promotions: inside the residue's `world` when there is
+/// one (taken on acceptance), else — or when that fails — on the bare
+/// base with the residue re-verified or re-solved. Applies the configured
 /// [`crate::GroundingPolicy`] when the group is a single transaction.
 #[allow(clippy::too_many_arguments)] // internal plumbing, one call site
 fn plan_solve_group(
     solver: &mut qdb_solver::Solver,
     db: &qdb_storage::Database,
-    pre_ops: &[qdb_storage::WriteOp],
+    pre_ops: &[WriteOp],
     config: &crate::QuantumDbConfig,
     group: &[&crate::PendingTxn],
-    rest: &[&crate::PendingTxn],
-    rest_cached: &[Valuation],
+    rest: &[(&crate::PendingTxn, &Valuation)],
+    world: &mut Option<Overlay>,
     promo: &[Vec<usize>],
 ) -> Result<Option<GroundPlan>> {
     let group_specs: Vec<TxnSpec> = group
@@ -328,36 +418,66 @@ fn plan_solve_group(
         .zip(promo)
         .map(|(p, pr)| TxnSpec::with_promoted(&p.txn, pr.clone()))
         .collect();
-    let rest_specs: Vec<TxnSpec> = rest
-        .iter()
-        .map(|p| TxnSpec::required_only(&p.txn))
-        .collect();
-    let finish = |group_vals: Vec<Valuation>, rest_vals: Vec<Valuation>| -> Result<GroundPlan> {
-        let mut grounded = Vec::with_capacity(group.len());
-        for ((pt, val), pr) in group.iter().zip(&group_vals).zip(promo) {
-            grounded.push(GroundedTxn {
-                id: pt.id,
-                ops: pt.txn.write_ops(val)?,
-                promoted: pr.len(),
-                total_optionals: pt.txn.optional_body().count(),
-            });
-        }
-        Ok(GroundPlan {
-            grounded,
-            rest_vals,
-        })
+    let finish =
+        |group_vals: Vec<Valuation>, rest_vals: Option<Vec<Valuation>>| -> Result<GroundPlan> {
+            let mut grounded = Vec::with_capacity(group.len());
+            for ((pt, val), pr) in group.iter().zip(&group_vals).zip(promo) {
+                grounded.push(GroundedTxn {
+                    id: pt.id,
+                    ops: pt.txn.write_ops(val)?,
+                    promoted: pr.len(),
+                    total_optionals: pt.txn.optional_body().count(),
+                });
+            }
+            Ok(GroundPlan {
+                grounded,
+                rest_vals,
+                world: None,
+            })
+        };
+    // The residue as the solver takes it: specs and cached valuations.
+    let split_rest = || -> (Vec<TxnSpec>, Vec<&Valuation>) {
+        let each = rest
+            .iter()
+            .map(|(p, v)| (TxnSpec::required_only(&p.txn), *v));
+        each.unzip()
     };
-    let with_pre = |ops: &[qdb_storage::WriteOp]| -> Vec<qdb_storage::WriteOp> {
+
+    // In the residue's world (module docs): the group's cached deltas are
+    // already retracted and the residue does not touch them; accept when
+    // the solution also runs on the bare base and its updates leave the
+    // residue untouched. `solve_in` leaves the group's updates applied —
+    // they go to the base, not into the residue's world.
+    if let Some(w) = world.as_mut() {
+        let mark = w.mark();
+        if let Some(gsol) = solver.solve_in(db, w, &group_specs)? {
+            w.rollback(mark);
+            if solver.verify(db, &[], &group_specs, &gsol.valuations)? {
+                let mut plan = finish(gsol.valuations, None)?;
+                if (plan.grounded.iter()).all(|g| residue_untouched(residue(rest), &g.ops)) {
+                    debug_assert!(
+                        {
+                            let ops = plan.grounded.iter().flat_map(|g| g.ops.clone());
+                            let ops: Vec<WriteOp> = ops.collect();
+                            let (specs, cached) = split_rest();
+                            qdb_solver::Solver::default().verify(db, &ops, &specs, &cached)?
+                        },
+                        "untouched residue failed verification"
+                    );
+                    plan.world = world.take();
+                    return Ok(Some(plan));
+                }
+            }
+        }
+    }
+    let (rest_specs, rest_cached) = split_rest();
+    let with_pre = |ops: &[WriteOp]| -> Vec<WriteOp> {
         let mut all = pre_ops.to_vec();
         all.extend_from_slice(ops);
         all
     };
 
-    let sample = match config.policy {
-        crate::GroundingPolicy::FirstFit => 0,
-        crate::GroundingPolicy::MaxFlexibility { sample } => sample,
-        crate::GroundingPolicy::Random { sample, .. } => sample,
-    };
+    let sample = config.policy.sample();
     if group.len() == 1 && sample > 1 {
         // Enumerate alternatives for the single target, order them per
         // policy, and take the first whose residue stays satisfiable.
@@ -387,14 +507,14 @@ fn plan_solve_group(
         for cand in cands {
             let ops = with_pre(&group[0].txn.write_ops(&cand)?);
             if let Some(sol) = solver.solve(db, &ops, &rest_specs)? {
-                return finish(vec![cand], sol.valuations).map(Some);
+                return finish(vec![cand], Some(sol.valuations)).map(Some);
             }
         }
         return Ok(None);
     }
 
-    // Fast path: solve the group alone, then check whether the *cached*
-    // residue groundings survive the group's updates — the §4
+    // On the bare base: solve the group alone, then check whether the
+    // *cached* residue groundings survive the group's updates — the §4
     // solution-cache amortization applied to grounding. Falls through to a
     // joint re-solve when the cached residue breaks.
     if let Some(gsol) = solver.solve(db, pre_ops, &group_specs)? {
@@ -402,8 +522,8 @@ fn plan_solve_group(
         for (p, v) in group.iter().zip(&gsol.valuations) {
             ops.extend(p.txn.write_ops(v)?);
         }
-        if solver.verify(db, &ops, &rest_specs, rest_cached)? {
-            return finish(gsol.valuations, rest_cached.to_vec()).map(Some);
+        if solver.verify(db, &ops, &rest_specs, &rest_cached)? {
+            return finish(gsol.valuations, None).map(Some);
         }
     } else {
         // The group alone (with these promotions) is unsatisfiable — the
@@ -418,24 +538,35 @@ fn plan_solve_group(
         Some(sol) => {
             let mut vals = sol.valuations;
             let rest_vals = vals.split_off(group.len());
-            finish(vals, rest_vals).map(Some)
+            finish(vals, Some(rest_vals)).map(Some)
         }
         None => Ok(None),
     }
 }
 
 /// Apply the partition-side effects of a plan: drop the grounded
-/// transactions from the pending list and refresh the cache with the
-/// residue valuations. Database/WAL/metrics effects are the caller's.
-pub(crate) fn apply_plan_to_partition(p: &mut crate::Partition, plan: &GroundPlan) {
-    let idset: std::collections::BTreeSet<TxnId> = plan.grounded.iter().map(|g| g.id).collect();
-    p.txns.retain(|t| !idset.contains(&t.id));
-    p.cache = qdb_solver::CachedSolution {
-        valuations: plan.rest_vals.clone(),
-    };
-    // Positional alternatives and the admission overlay are stale now.
-    p.invalidate_solution_caches();
+/// transactions from the pending list (and, when the residue keeps its
+/// valuations, from the cache in lockstep), install re-solved valuations
+/// and the plan's pending world. Hands the grounded transactions back;
+/// database/WAL/metrics effects are the caller's.
+pub(crate) fn apply_plan_to_partition(
+    p: &mut crate::Partition,
+    plan: GroundPlan,
+) -> Vec<GroundedTxn> {
+    let left = |t: &crate::PendingTxn| plan.grounded.iter().any(|g| g.id == t.id);
+    match plan.rest_vals {
+        Some(vals) => p.cache.valuations = vals,
+        None => {
+            let mut txns = p.txns.iter();
+            (p.cache.valuations).retain(|_| !left(txns.next().expect("cache parallels txns")));
+        }
+    }
+    p.txns.retain(|t| !left(t));
+    // Positional alternatives are stale now; the world is the plan's.
+    p.extras.clear();
+    p.overlay_cache = plan.world;
     debug_assert_eq!(p.txns.len(), p.cache.len());
+    plan.grounded
 }
 
 /// Plan the *complete* collapse of one partition without touching the
@@ -452,16 +583,19 @@ pub(crate) fn plan_ground_all_partition(
     p: &mut crate::Partition,
 ) -> Result<Vec<GroundedTxn>> {
     let mut out: Vec<GroundedTxn> = Vec::new();
-    let mut pre_ops: Vec<qdb_storage::WriteOp> = Vec::new();
+    let mut pre_ops: Vec<WriteOp> = Vec::new();
+    // Every step after the first solves against `pre_ops`, which the
+    // pending world does not carry: plan the whole collapse without it.
+    p.overlay_cache = None;
     let commit = |p: &mut crate::Partition,
-                  pre_ops: &mut Vec<qdb_storage::WriteOp>,
+                  pre_ops: &mut Vec<WriteOp>,
                   out: &mut Vec<GroundedTxn>,
-                  plan: &GroundPlan| {
-        for g in &plan.grounded {
+                  plan: GroundPlan| {
+        let grounded = apply_plan_to_partition(p, plan);
+        for g in &grounded {
             pre_ops.extend(g.ops.iter().cloned());
         }
-        out.extend(plan.grounded.iter().cloned());
-        apply_plan_to_partition(p, plan);
+        out.extend(grounded);
     };
     while let Some(head) = p.txns.first().map(|t| t.id) {
         let ids = expand_partners(p, &[head]);
@@ -472,13 +606,13 @@ pub(crate) fn plan_ground_all_partition(
             crate::Serializability::Strict => None,
         };
         if let Some(plan) = group_plan {
-            commit(p, &mut pre_ops, &mut out, &plan);
+            commit(p, &mut pre_ops, &mut out, plan);
         } else {
             // Strict order (or semantic front-move failed): heads through.
             while let Some(h) = strict_head(p, &ids) {
                 let plan = plan_group_front(solver, db, &pre_ops, config, p, &[h])?
                     .ok_or_else(strict_order_violation)?;
-                commit(p, &mut pre_ops, &mut out, &plan);
+                commit(p, &mut pre_ops, &mut out, plan);
             }
         }
     }

@@ -80,6 +80,14 @@ pub struct Metrics {
     pub cache_extra_hits: u64,
     /// Admissions that needed a full re-solve.
     pub cache_full_resolves: u64,
+    /// Times an admission, grounding or PEEK had to build a partition's
+    /// pending world from the cached valuations (kept and rolled forward,
+    /// it is never rebuilt).
+    pub overlay_rebuilds: u64,
+    /// Groundings that replaced the residue's cached valuations — the
+    /// group ++ residue joint solve (or a sampling policy's / replayed
+    /// grounding's residue re-solve).
+    pub ground_joint_resolves: u64,
     /// Partition merges.
     pub partition_merges: u64,
     /// SQL parser entries: `execute()` on text and `Session::prepare`.
@@ -130,7 +138,7 @@ impl std::fmt::Display for Metrics {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "submitted={} committed={} aborted={} reads(collapse/peek/possible)={}/{}/{} grounded(read/k/partner/explicit)={}/{}/{}/{} cache(ext/full)={}/{} worlds(enumerated/dedup)={}/{} db_clones={} max_pending={} parses={}",
+            "submitted={} committed={} aborted={} reads(collapse/peek/possible)={}/{}/{} grounded(read/k/partner/explicit)={}/{}/{}/{} cache(ext/full)={}/{} overlay_rebuilds={} ground_joint_resolves={} worlds(enumerated/dedup)={}/{} db_clones={} max_pending={} parses={}",
             self.submitted,
             self.committed,
             self.aborted,
@@ -143,6 +151,8 @@ impl std::fmt::Display for Metrics {
             self.grounded_explicit,
             self.cache_extensions,
             self.cache_full_resolves,
+            self.overlay_rebuilds,
+            self.ground_joint_resolves,
             self.worlds_enumerated,
             self.world_dedup_hits,
             self.db_clones,
@@ -235,6 +245,8 @@ mirrored_counters!(
     cache_extensions,
     cache_extra_hits,
     cache_full_resolves,
+    overlay_rebuilds,
+    ground_joint_resolves,
     partition_merges,
     parses,
     max_pending,

@@ -13,9 +13,9 @@
 
 use std::sync::Arc;
 
-use qdb_logic::{Atom, ResourceTransaction, Term};
-use qdb_solver::CachedSolution;
-use qdb_storage::Value;
+use qdb_logic::{Atom, ResourceTransaction, Term, UpdateKind};
+use qdb_solver::{CachedSolution, Overlay, SolverError};
+use qdb_storage::{Database, Value};
 
 use crate::txn::PendingTxn;
 
@@ -55,15 +55,17 @@ pub struct Partition {
     /// [`crate::QuantumDbConfig::cache_solutions`]). Invalidated whenever
     /// the partition or the base database changes shape.
     pub extras: Vec<CachedSolution>,
-    /// The admission overlay: `cache`'s pending updates pre-applied as a
-    /// virtual state, so a cache-extension admission solves the newcomer
-    /// in O(1) instead of re-grounding all pending updates (O(n) per
-    /// submit). Strictly an acceleration of `cache` — it MUST be cleared
-    /// (via [`Partition::invalidate_solution_caches`]) whenever
-    /// `cache.valuations` changes in any way other than appending the
-    /// newcomer the overlay solve itself admitted; admission rebuilds it
-    /// lazily, and debug builds assert it matches a fresh rebuild.
-    pub(crate) overlay_cache: Option<qdb_solver::Overlay>,
+    /// The maintained pending world: `cache`'s pending updates applied as
+    /// a virtual state over the base. Admission extends it by the
+    /// newcomer, a grounding in the residue's world retracts the group
+    /// from it, a blind write that touches no grounded atom leaves it
+    /// alone, and PEEK reads it (see [`crate::ground`], "The
+    /// untouched-residue lemma"). Strictly an acceleration of `cache`:
+    /// every other change of `cache.valuations` clears it
+    /// ([`Partition::invalidate_solution_caches`]), the next user rebuilds
+    /// it ([`Partition::ensure_world`]), and debug builds assert every
+    /// reuse against a fresh rebuild.
+    pub(crate) overlay_cache: Option<Overlay>,
 }
 
 impl Partition {
@@ -127,18 +129,51 @@ impl Partition {
         }
         self.txns = txns;
         self.cache = CachedSolution { valuations: cache };
-        // Alternative solutions are positional and the admission overlay
+        // Alternative solutions are positional and the pending world
         // mirrors the pre-merge valuation list; a merge invalidates both.
         self.invalidate_solution_caches();
     }
 
     /// Drop everything derived from `cache.valuations`: the alternative
-    /// solutions and the admission overlay. Must be called whenever the
-    /// cached valuations are replaced (grounding, blind-write
-    /// revalidation, merges, re-solves).
+    /// solutions and the pending world. Must be called whenever the cached
+    /// valuations are replaced (re-solves, merges) or the base changed
+    /// under a tuple some cached grounding names.
     pub(crate) fn invalidate_solution_caches(&mut self) {
         self.extras.clear();
         self.overlay_cache = None;
+    }
+
+    /// The virtual state of the cached solution: every pending update
+    /// grounded under its cached valuation, applied in arrival order.
+    fn build_world(&self, db: &Database) -> crate::Result<Overlay> {
+        let mut world = Overlay::new();
+        for (p, v) in self.txns.iter().zip(&self.cache.valuations) {
+            for u in &p.txn.updates {
+                let rid = db.resolve(&u.atom.relation).map_err(SolverError::Storage)?;
+                let tuple = u.atom.ground(v).map_err(SolverError::Logic)?;
+                // A cached solution's updates must apply cleanly; a
+                // conflict here means the cache is inconsistent, exactly as
+                // when the ops are threaded through `Solver::solve`.
+                world.apply_id(db, rid, u.kind == UpdateKind::Insert, &tuple)?;
+            }
+        }
+        Ok(world)
+    }
+
+    /// Make sure the pending world is there. `true` when it had to be
+    /// built from the valuations (what `Metrics::overlay_rebuilds`
+    /// counts); a world that was kept is checked against a rebuild in
+    /// debug builds.
+    pub(crate) fn ensure_world(&mut self, db: &Database) -> crate::Result<bool> {
+        if let Some(world) = &self.overlay_cache {
+            debug_assert!(
+                world.same_deltas(&self.build_world(db)?),
+                "stale pending world: an invalidation site was missed"
+            );
+            return Ok(false);
+        }
+        self.overlay_cache = Some(self.build_world(db)?);
+        Ok(!self.is_empty())
     }
 
     /// Position of a transaction by id.

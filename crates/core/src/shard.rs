@@ -596,27 +596,23 @@ impl SharedQuantumDb {
             // Admission planning under a *shared* base read: this is the
             // expensive solver search, and disjoint partitions run it in
             // parallel.
-            let cached_overlay = if merged_from == 1 {
-                host.overlay_cache.take()
-            } else {
-                None // merge() already invalidated it
-            };
             let plan = {
                 let base = self.base_read();
                 let _gauge = self.enter_solve();
+                // The single-solution cache extends inside the pending
+                // world (a merge dropped it; it is rebuilt here).
+                let config = &self.core.config;
+                let in_world = config.use_solution_cache && config.cache_solutions <= 1;
+                if in_world {
+                    self.ensure_world(&mut host, &base.db)?;
+                }
+                let world = host.overlay_cache.take().filter(|_| in_world);
                 let merged: Vec<(&PendingTxn, &Valuation)> =
                     host.txns.iter().zip(host.cache.valuations.iter()).collect();
                 let extras: &[CachedSolution] = if merged_from == 1 { &host.extras } else { &[] };
                 let t_plan = std::time::Instant::now();
-                let decision = plan_admission(
-                    solver,
-                    &base.db,
-                    &self.core.config,
-                    &merged,
-                    extras,
-                    cached_overlay,
-                    txn,
-                )?;
+                let decision =
+                    plan_admission(solver, &base.db, config, &merged, extras, world, txn)?;
                 self.core.obs.phase(qdb_obs::Phase::Plan, t_plan.elapsed());
                 decision
             };
@@ -628,7 +624,7 @@ impl SharedQuantumDb {
                     // partitions never violates the invariant, and the
                     // drain already happened, so count what occurred). The
                     // host's valuations are unchanged, so the rolled-back
-                    // admission overlay is still its valid memo.
+                    // world is still its pending world.
                     host.overlay_cache = overlay;
                     st.part = host;
                     self.publish(pid, &mut st);
@@ -734,7 +730,7 @@ impl SharedQuantumDb {
         txn: &ResourceTransaction,
     ) -> Reserved<'a> {
         let partitioning = self.core.config.partitioning;
-        self.claim_locked(host_slot, Footprint::of_txn(txn), |fp| {
+        self.claim_locked(host_slot, Some(txn), |fp| {
             !partitioning || fp.overlaps_txn(txn)
         })
     }
@@ -742,17 +738,18 @@ impl SharedQuantumDb {
     /// The one registry-claim protocol (submit reservations and the
     /// `GROUND ALL` whole-registry claim): atomically remove every entry
     /// whose footprint matches `select` and register `host_slot` under a
-    /// fresh pid whose footprint is `seed` plus the union of the claimed
-    /// footprints. The host slot is locked before the registry is
-    /// released — at that point no other thread holds (or can discover) a
-    /// reference to it, so the lock cannot block and the returned guard
-    /// is exclusive from birth: concurrent reservations that claim the
+    /// fresh pid whose footprint is the union of the claimed footprints
+    /// plus the `newcomer`'s atoms. The host slot is locked before the
+    /// registry is released — at that point no other thread holds (or can
+    /// discover) a reference to it, so the lock cannot block and the
+    /// returned guard is exclusive from birth: concurrent reservations that
+    /// claim the
     /// host as *their* target wait on this guard and observe whatever the
     /// claimant installs.
     fn claim_locked<'a>(
         &self,
         host_slot: &'a Arc<Slot>,
-        seed: Footprint,
+        newcomer: Option<&ResourceTransaction>,
         select: impl Fn(&Footprint) -> bool,
     ) -> Reserved<'a> {
         let mut reg = self.core.reg.lock();
@@ -776,7 +773,9 @@ impl SharedQuantumDb {
             targets.push((*pid, e.slot));
         }
         let mut footprint = footprint.unwrap_or_default();
-        footprint.absorb(&seed);
+        if let Some(txn) = newcomer {
+            footprint.absorb_txn(txn);
+        }
         let pid = reg.next_pid;
         reg.next_pid += 1;
         reg.slots.insert(
@@ -795,6 +794,14 @@ impl SharedQuantumDb {
         let mut st = self.lock_slot(slot);
         st.dead = true;
         std::mem::take(&mut st.part)
+    }
+
+    /// [`Partition::ensure_world`], counting a rebuild.
+    fn ensure_world(&self, p: &mut Partition, db: &Database) -> Result<()> {
+        if p.ensure_world(db)? {
+            self.core.metrics.begin().add(|c| &c.overlay_rebuilds, 1);
+        }
+        Ok(())
     }
 
     /// Re-publish a partition's footprint after its contents changed;
@@ -873,12 +880,18 @@ impl SharedQuantumDb {
         let plan = {
             let base = self.base_read();
             let _gauge = self.enter_solve();
-            plan_group_front(solver, &base.db, &[], &self.core.config, &st.part, ids)?
+            // A first-fit grounding that leaves a residue is planned
+            // inside the residue's pending world.
+            let config = &self.core.config;
+            if config.policy.sample() <= 1 && st.part.len() > ids.len() {
+                self.ensure_world(&mut st.part, &base.db)?;
+            }
+            plan_group_front(solver, &base.db, &[], config, &mut st.part, ids)?
         };
         let Some(plan) = plan else {
             return Ok(false);
         };
-        self.commit_plan(st, &plan, reason)?;
+        self.commit_plan(st, plan, reason)?;
         Ok(true)
     }
 
@@ -888,22 +901,23 @@ impl SharedQuantumDb {
     fn commit_plan(
         &self,
         st: &mut SlotState,
-        plan: &GroundPlan,
+        mut plan: GroundPlan,
         reason: GroundReason,
     ) -> Result<()> {
         {
             let mut base = self.base_write();
             let mut wal = self.core.wal.lock();
             let t_apply = std::time::Instant::now();
-            for g in &plan.grounded {
+            for g in &mut plan.grounded {
                 for op in &g.ops {
                     base.db.apply(op)?;
                 }
                 // One atomic frame per transaction: concrete writes +
                 // removal from the pending table cannot be torn by a crash.
+                // The ops have done their work: they move into the frame.
                 wal.append(&LogRecord::Ground {
                     id: g.id,
-                    ops: g.ops.clone(),
+                    ops: std::mem::take(&mut g.ops),
                 })?;
             }
             self.core
@@ -917,6 +931,9 @@ impl SharedQuantumDb {
                 t.add(|c| &c.optionals_satisfied, g.promoted as u64);
                 t.add(|c| &c.optionals_total, g.total_optionals as u64);
             }
+            // The residue's cached valuations were replaced.
+            let resolved = u64::from(plan.rest_vals.is_some());
+            t.add(|c| &c.ground_joint_resolves, resolved);
         }
         if self.core.config.record_events {
             for g in &plan.grounded {
@@ -1001,27 +1018,26 @@ impl SharedQuantumDb {
             let plan = {
                 let base = self.base_read();
                 let _gauge = self.enter_solve();
-                let (rest, cached): (Vec<&PendingTxn>, Vec<Valuation>) = st
+                let (rest, cached): (Vec<&PendingTxn>, Vec<&Valuation>) = st
                     .part
                     .txns
                     .iter()
                     .zip(&st.part.cache.valuations)
                     .filter(|(t, _)| t.id != id)
-                    .map(|(t, v)| (t, v.clone()))
                     .unzip();
                 let specs: Vec<TxnSpec> = rest
                     .iter()
                     .map(|t| TxnSpec::required_only(&t.txn))
                     .collect();
                 let rest_vals = if solver.verify(&base.db, ops, &specs, &cached)? {
-                    cached
+                    None
                 } else {
                     let sol = solver.solve(&base.db, ops, &specs)?.ok_or_else(|| {
                         EngineError::Invariant(format!(
                             "replayed ground of {id} left its partition unsatisfiable"
                         ))
                     })?;
-                    sol.valuations
+                    Some(sol.valuations)
                 };
                 GroundPlan {
                     grounded: vec![GroundedTxn {
@@ -1031,9 +1047,10 @@ impl SharedQuantumDb {
                         total_optionals: 0,
                     }],
                     rest_vals,
+                    world: None,
                 }
             };
-            self.commit_plan(st, &plan, GroundReason::Explicit)
+            self.commit_plan(st, plan, GroundReason::Explicit)
         });
         self.absorb(&solver);
         out?.ok_or_else(|| {
@@ -1072,8 +1089,7 @@ impl SharedQuantumDb {
         // collapse's planned deletes can silently invalidate — breaking
         // the never-rolled-back guarantee.
         let host_slot = Arc::new(Slot::default());
-        let (mut host, host_pid, taken) =
-            self.claim_locked(&host_slot, Footprint::default(), |_| true);
+        let (mut host, host_pid, taken) = self.claim_locked(&host_slot, None, |_| true);
         let mut parts: Vec<Partition> = taken
             .iter()
             .map(|(_, slot)| self.drain(slot))
@@ -1335,18 +1351,28 @@ impl SharedQuantumDb {
     /// unify with the query are provably irrelevant to the answer and are
     /// neither locked nor applied.
     ///
-    /// The world is composed as a [`qdb_storage::DeltaView`] over the
-    /// base (O(pending), zero database clones), so the shared base read
-    /// lock is held only for building the delta and evaluating — never
-    /// for materializing state.
+    /// The world is each touched partition's maintained pending world:
+    /// its deltas on the queried relations are copied into a
+    /// [`qdb_storage::DeltaView`] over the base (zero database clones,
+    /// nothing re-grounded), so the shared base read lock is held only
+    /// for that and evaluating — never for materializing state.
     pub fn read_peek(&self, atoms: &[Atom], limit: Option<usize>) -> Result<Vec<Valuation>> {
         self.core.metrics.begin().add(|c| &c.reads_peek, 1);
         self.with_touched_partitions(atoms, |db, parts| {
+            // An unknown relation has no deltas; evaluation reports it.
+            let mut rids: Vec<_> = (atoms.iter())
+                .filter_map(|a| db.try_resolve(&a.relation))
+                .collect();
+            rids.sort_unstable();
+            rids.dedup();
             let mut view = qdb_storage::DeltaView::new(db);
             for p in parts {
-                let refs = p.txn_refs();
-                for op in p.cache.pending_ops(&refs)? {
-                    view.apply(&op).map_err(EngineError::Storage)?;
+                self.ensure_world(p, db)?;
+                let world = p.overlay_cache.as_ref().expect("just ensured");
+                for &rid in &rids {
+                    for (insert, tuple) in world.deltas_of(rid) {
+                        view.apply_id(rid, insert, tuple)?;
+                    }
                 }
             }
             eval_on(&view, atoms, limit)
@@ -1394,7 +1420,8 @@ impl SharedQuantumDb {
 
     /// Lock every partition whose pending updates could affect `atoms`
     /// (ascending id order), take a base read, and run `f` on that
-    /// consistent state **in place** — nothing is copied.
+    /// consistent state **in place** — nothing is copied. The partitions
+    /// are handed out mutably so a read may build a missing pending world.
     ///
     /// Lock-hold contract: `f` runs with the touched slots *and* the base
     /// read lock held (slots before base, per the module's lock order),
@@ -1404,7 +1431,7 @@ impl SharedQuantumDb {
     fn with_touched_partitions<R>(
         &self,
         atoms: &[Atom],
-        f: impl FnOnce(&Database, &[&Partition]) -> Result<R>,
+        f: impl FnOnce(&Database, &mut [&mut Partition]) -> Result<R>,
     ) -> Result<R> {
         'retry: loop {
             let cands: Vec<(u64, Arc<Slot>)> = {
@@ -1423,9 +1450,9 @@ impl SharedQuantumDb {
                 }
                 guards.push(st);
             }
-            let parts: Vec<&Partition> = guards.iter().map(|g| &g.part).collect();
+            let mut parts: Vec<&mut Partition> = guards.iter_mut().map(|g| &mut g.part).collect();
             let base = self.base_read();
-            return f(&base.db, &parts);
+            return f(&base.db, &mut parts);
         }
     }
 
@@ -1527,6 +1554,15 @@ impl SharedQuantumDb {
                 let overlay = std::slice::from_ref(&op);
                 let mut ok = true;
                 for &i in &affected {
+                    let p = &guards[i].part;
+                    let cached = p.txns.iter().map(|t| &t.txn).zip(&p.cache.valuations);
+                    if crate::ground::residue_untouched(cached, overlay) {
+                        // No cached grounding names the tuple: valuations
+                        // and pending world stand as they are (the
+                        // untouched-residue lemma); alternatives may not.
+                        guards[i].part.extras.clear();
+                        continue;
+                    }
                     let p = &guards[i].part;
                     let specs: Vec<TxnSpec> = p
                         .txns
@@ -1739,6 +1775,15 @@ impl SharedQuantumDb {
         self.with_hosting_slot(id, |st| Ok(qdb_logic::compose_renamed(&st.part.txn_refs())))
             .ok()
             .flatten()
+    }
+
+    /// The updates the cached solution of the partition hosting `id` holds
+    /// ready, in arrival order — diagnostics: the world PEEK answers from,
+    /// re-grounded from the valuations rather than read off the maintained
+    /// pending world (the tests' oracle for the latter).
+    pub fn cached_pending_ops(&self, id: TxnId) -> Option<Vec<WriteOp>> {
+        let ops = |st: &mut SlotState| Ok(st.part.cache.pending_ops(&st.part.txn_refs())?);
+        self.with_hosting_slot(id, ops).ok().flatten()
     }
 
     /// Number of independent partitions currently registered.

@@ -846,7 +846,7 @@ fn get_valuations(buf: &mut impl Buf) -> Result<Vec<Valuation>> {
 
 /// The metrics counters, in wire order. The event trace is deliberately
 /// not wired (it is unbounded and debug-only).
-fn metrics_fields(m: &Metrics) -> [u64; 29] {
+fn metrics_fields(m: &Metrics) -> [u64; 31] {
     [
         m.submitted,
         m.committed,
@@ -866,6 +866,8 @@ fn metrics_fields(m: &Metrics) -> [u64; 29] {
         m.cache_extensions,
         m.cache_extra_hits,
         m.cache_full_resolves,
+        m.overlay_rebuilds,
+        m.ground_joint_resolves,
         m.partition_merges,
         m.parses,
         m.max_pending,
@@ -888,7 +890,7 @@ fn put_metrics(body: &mut Vec<u8>, m: &Metrics) {
 
 fn get_metrics(buf: &mut impl Buf) -> Result<Metrics> {
     let mut m = Metrics::default();
-    let fields: &mut [&mut u64; 29] = &mut [
+    let fields: &mut [&mut u64; 31] = &mut [
         &mut m.submitted,
         &mut m.committed,
         &mut m.aborted,
@@ -907,6 +909,8 @@ fn get_metrics(buf: &mut impl Buf) -> Result<Metrics> {
         &mut m.cache_extensions,
         &mut m.cache_extra_hits,
         &mut m.cache_full_resolves,
+        &mut m.overlay_rebuilds,
+        &mut m.ground_joint_resolves,
         &mut m.partition_merges,
         &mut m.parses,
         &mut m.max_pending,

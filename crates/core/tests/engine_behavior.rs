@@ -516,6 +516,180 @@ fn deep_same_partition_admissions_extend_the_cache_and_stream_candidates() {
     assert!(nodes[1] > nodes[0], "re-solving must cost more nodes");
 }
 
+/// `travel_engine` grown to `rows` rows of three seats on flight 123.
+fn wide_travel_engine(config: QuantumDbConfig, rows: usize) -> SharedQuantumDb {
+    let qdb = travel_engine(config);
+    for r in 2..=rows {
+        let [a, b, c] = ["A", "B", "C"].map(|col| format!("{r}{col}"));
+        let seats = [&a, &b, &c].map(|s| tuple![123, s.as_str()]);
+        qdb.bulk_insert("Available", seats.to_vec()).unwrap();
+        let adjacent = [(&a, &b), (&b, &a), (&b, &c), (&c, &b)];
+        let adjacent = adjacent.map(|(x, y)| tuple![x.as_str(), y.as_str()]);
+        qdb.bulk_insert("Adjacent", adjacent.to_vec()).unwrap();
+    }
+    qdb
+}
+
+/// PEEK's oracle: the query over the base plus every pending update
+/// re-grounded from the cached valuations (how PEEK composed its world
+/// before it read the maintained one), as sorted `(var id, value)` rows.
+fn peek_by_regrounding(
+    qdb: &SharedQuantumDb,
+    atoms: &[qdb_logic::Atom],
+) -> Vec<Vec<(u32, qdb_storage::Value)>> {
+    let pending = qdb.pending_ids();
+    let ops = pending
+        .first()
+        .map(|&id| qdb.cached_pending_ops(id).unwrap());
+    qdb.with_database(|db| {
+        let mut view = qdb_storage::DeltaView::new(db);
+        view.apply_all(&ops.unwrap_or_default()).unwrap();
+        let empty = qdb_logic::Valuation::new();
+        let patterns = atoms.iter().map(|a| a.to_pattern(&empty)).collect();
+        let out = qdb_storage::ConjunctiveQuery::new(patterns).eval(&view);
+        let rows = out.unwrap().bindings.into_iter();
+        rows.map(|b| b.into_iter().collect()).collect()
+    })
+}
+
+#[test]
+fn pending_world_survives_groundings_blind_writes_and_peeks() {
+    // The deep-admission shape: 16 first halves of entangled pairs open one
+    // partition, then partners arrive at depth 16 (each grounds its pair
+    // in the residue's world) alternating with new first halves. PEEKs and
+    // blind writes on seats nobody holds interleave. One partition, so
+    // `cached_pending_ops` of any pending id is the whole pending state.
+    let mut cfg = QuantumDbConfig::default();
+    cfg.record_events = true;
+    let qdb = wide_travel_engine(cfg, 20);
+    let name = |side: usize, pair: usize| format!("{}{pair}", ["a", "b"][side]);
+    let mut booked: Vec<(usize, usize)> = Vec::new();
+    for j in 0..32usize {
+        let (side, pair) = match j.checked_sub(16) {
+            None => (0, j),
+            Some(m) if m % 2 == 0 => (1, m / 2),
+            Some(m) => (0, 16 + m / 2),
+        };
+        let txn = book_next_to(&name(side, pair), &name(1 - side, pair));
+        assert_eq!(
+            qdb.submit(&txn).unwrap().id(),
+            Some(j as u64),
+            "booking {j}"
+        );
+        booked.push((side, pair));
+        // A seat nobody can hold comes (and sometimes goes again): the
+        // cached valuations and the world stand.
+        let spare = tuple![123, format!("{}A", 40 + j)];
+        assert!(qdb
+            .write(WriteOp::insert("Available", spare.clone()))
+            .unwrap());
+        if j % 3 == 0 {
+            assert!(qdb.write(WriteOp::delete("Available", spare)).unwrap());
+        }
+        for (side, pair) in [(side, pair), booked[j / 2]] {
+            let q = parse_query(&format!("Bookings('{}', f, s)", name(side, pair))).unwrap();
+            let peeked = qdb.read_peek(&q.atoms, None).unwrap();
+            let got: Vec<Vec<_>> = (peeked.iter())
+                .map(|row| row.iter().map(|(v, c)| (v.id(), c.clone())).collect())
+                .collect();
+            assert_eq!(got, peek_by_regrounding(&qdb, &q.atoms), "booking {j}");
+            assert_eq!(got.len(), 1, "booking {j}: one row per user");
+        }
+    }
+    let m = qdb.metrics();
+    assert_eq!(m.overlay_rebuilds, 0, "the world was never rebuilt");
+    assert_eq!(
+        m.ground_joint_resolves, 0,
+        "no grounding re-solved the residue"
+    );
+    assert_eq!((m.cache_extensions, m.cache_full_resolves), (32, 0));
+    assert_eq!((m.grounded_by_partner, m.grounded_total()), (16, 16));
+    assert_eq!(qdb.pending_count(), 16);
+    // Same semantics as solving on the bare base: each partner that arrived
+    // second had both optional atoms satisfied, its pair grounded by
+    // partner arrival and nothing else was grounded at all.
+    assert_eq!((m.optionals_satisfied, m.optionals_total), (16, 32));
+    let mut grounded: Vec<u64> = (m.events.iter())
+        .filter_map(|e| match e {
+            qdb_core::Event::Grounded { id, reason, .. } => {
+                assert_eq!(*reason, qdb_core::GroundReason::Partner);
+                Some(*id)
+            }
+            _ => None,
+        })
+        .collect();
+    grounded.sort_unstable();
+    let expect: Vec<u64> = (0..8).chain((0..8).map(|p| 16 + 2 * p)).collect();
+    assert_eq!(grounded, expect);
+    for pair in 0..8 {
+        let (a, b) = (seat_of(&qdb, &name(0, pair)), seat_of(&qdb, &name(1, pair)));
+        let (a, b) = (a.expect("grounded"), b.expect("grounded"));
+        let split = |s: &str| (s[..s.len() - 1].to_string(), s.as_bytes()[s.len() - 1]);
+        let ((row_a, col_a), (row_b, col_b)) = (split(&a), split(&b));
+        assert!(
+            row_a == row_b && col_a.abs_diff(col_b) == 1,
+            "pair {pair} sits at {a} / {b}"
+        );
+    }
+    assert_eq!(
+        qdb.pending_count(),
+        16,
+        "reading grounded pairs collapses nothing"
+    );
+
+    // Forcing the fallback: deleting a seat a cached valuation holds is
+    // *not* untouched — verify fails, the partition re-solves, the world
+    // is dropped and the next reader rebuilds it.
+    let ops = qdb.cached_pending_ops(qdb.pending_ids()[0]).unwrap();
+    let held = ops.iter().find(|op| !op.is_insert()).unwrap().clone();
+    assert!(
+        qdb.write(held).unwrap(),
+        "spare seats: the re-solve succeeds"
+    );
+    let q = parse_query("Bookings('a8', f, s)").unwrap();
+    assert_eq!(qdb.read_peek(&q.atoms, None).unwrap().len(), 1);
+    assert_eq!(qdb.metrics().overlay_rebuilds, 1);
+}
+
+#[test]
+fn grounding_falls_back_to_the_joint_solve_when_the_residue_holds_the_adjacent_seat() {
+    // Seats 1A 1B 1C and a far-away 9Z. First fit caches a1 -> 1A,
+    // a2 -> 1B, b1 -> 1C. When b1 arrives, the residue's world hides 1B,
+    // so no adjacent pair is free in it; the bare-base fallback of the same
+    // promotion set must still seat the pair together by moving a2 — the
+    // group ++ residue solve — rather than settle for a weaker set.
+    let qdb = travel_engine(QuantumDbConfig::default());
+    qdb.bulk_insert("Available", vec![tuple![123, "9Z"]])
+        .unwrap();
+    assert!(qdb
+        .submit(&book_next_to("a1", "b1"))
+        .unwrap()
+        .is_committed());
+    assert!(qdb
+        .submit(&book_next_to("a2", "b2"))
+        .unwrap()
+        .is_committed());
+    assert!(qdb
+        .submit(&book_next_to("b1", "a1"))
+        .unwrap()
+        .is_committed());
+    let m = qdb.metrics();
+    assert_eq!((m.grounded_by_partner, m.ground_joint_resolves), (2, 1));
+    assert_eq!((m.optionals_satisfied, m.optionals_total), (2, 4));
+    assert_eq!(seat_of(&qdb, "a1").as_deref(), Some("1A"));
+    assert_eq!(seat_of(&qdb, "b1").as_deref(), Some("1B"));
+    // a2 still holds a seat, and with all but one seat gone a blind delete
+    // of the last one it can take is refused.
+    assert!(qdb
+        .write(WriteOp::delete("Available", tuple![123, "9Z"]))
+        .unwrap());
+    assert!(!qdb
+        .write(WriteOp::delete("Available", tuple![123, "1C"]))
+        .unwrap());
+    assert_eq!(qdb.metrics().writes_rejected, 1);
+    assert_eq!(seat_of(&qdb, "a2").as_deref(), Some("1C"));
+}
+
 #[test]
 fn shared_handle_serializes_concurrent_clients() {
     let shared = travel_engine(QuantumDbConfig::default());

@@ -377,6 +377,34 @@ impl Overlay {
         }
     }
 
+    /// Take one applied update back out of the delta sets, as if it had
+    /// never been applied — the inverse of [`Overlay::apply_id`] for an
+    /// update whose transaction leaves the virtual state. `false` (nothing
+    /// removed) when the delta is not there: the op was a no-op, or a
+    /// later op on the same tuple cancelled it. Exact only when no other
+    /// applied update touches `tuple`; the caller establishes that. The
+    /// journal restarts empty, so earlier marks are void.
+    pub fn retract_id(&mut self, rid: RelationId, insert: bool, tuple: &Tuple) -> bool {
+        self.journal.clear();
+        self.rels.get_mut(rid.index()).is_some_and(|rel| {
+            if insert {
+                rel.inserts.remove(tuple)
+            } else {
+                rel.deletes.remove(tuple)
+            }
+        })
+    }
+
+    /// The deltas on `rid` as `(is_insert, tuple)`: the deletes, then the
+    /// inserts — an order that replays onto a keyed view without a
+    /// transient key clash.
+    pub fn deltas_of(&self, rid: RelationId) -> impl Iterator<Item = (bool, &Tuple)> {
+        self.rel(rid).into_iter().flat_map(|rel| {
+            let deletes = rel.deletes.iter().map(|t| (false, t));
+            deletes.chain(rel.inserts.iter().map(|t| (true, t)))
+        })
+    }
+
     /// Number of journaled operations.
     pub fn journal_len(&self) -> usize {
         self.journal.len()

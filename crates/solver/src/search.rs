@@ -405,22 +405,22 @@ impl Solver {
     /// Check that `valuations` is (still) a consistent grounding for
     /// `specs` on `base + pre_ops`. Much cheaper than solving; used to
     /// revalidate cached solutions after reads, writes and reorderings.
-    pub fn verify(
+    pub fn verify<V: std::borrow::Borrow<Valuation>>(
         &mut self,
         base: &Database,
         pre_ops: &[WriteOp],
         specs: &[TxnSpec<'_>],
-        valuations: &[Valuation],
+        valuations: &[V],
     ) -> Result<bool> {
         self.timed(|s| s.verify_inner(base, pre_ops, specs, valuations))
     }
 
-    fn verify_inner(
+    fn verify_inner<V: std::borrow::Borrow<Valuation>>(
         &mut self,
         base: &Database,
         pre_ops: &[WriteOp],
         specs: &[TxnSpec<'_>],
-        valuations: &[Valuation],
+        valuations: &[V],
     ) -> Result<bool> {
         self.stats.verifies += 1;
         if specs.len() != valuations.len() {
@@ -433,7 +433,7 @@ impl Solver {
         }
         let compiled = compile_specs(base, specs)?;
         for (spec, val) in compiled.iter().zip(valuations) {
-            let value_of = |slot: usize| val.get(spec.vars[slot]);
+            let value_of = |slot: usize| val.borrow().get(spec.vars[slot]);
             for atom in spec.body() {
                 // A valuation that doesn't even cover the atom fails too.
                 let visible = spec
