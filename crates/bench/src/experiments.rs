@@ -259,7 +259,7 @@ pub fn phase_transition(rows: usize, attempts: usize) -> Vec<PhaseRow> {
             .expect("schema");
         }
         let committed = qdb.submit(&t).expect("engine healthy").is_committed();
-        let nodes = qdb.solver_stats().nodes;
+        let nodes = qdb.metrics().solver_nodes;
         if committed {
             admitted += 1;
         }

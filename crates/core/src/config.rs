@@ -1,7 +1,5 @@
 //! Engine configuration.
 
-use qdb_solver::{AtomOrder, SearchLimits};
-
 /// Which serializability guarantee grounding provides (§2, §3.2.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Serializability {
@@ -77,29 +75,15 @@ pub struct QuantumDbConfig {
     /// disabling re-solves from scratch on every admission (ablation
     /// knob).
     pub use_solution_cache: bool,
-    /// Number of alternative solutions kept per partition (≥ 1). The §4
-    /// discussion suggests computing extra solutions "by a background
-    /// process in order to keep the per-transaction latency low"; here the
-    /// extras are computed opportunistically at admission time: when one
-    /// cached solution cannot be extended, the next is tried before
-    /// falling back to a from-scratch re-solve.
-    pub cache_solutions: usize,
     /// Ground coordination partners jointly as soon as both are in the
     /// system (§5.1 entangled resource transactions).
     pub ground_on_partner_arrival: bool,
-    /// Solver atom-ordering strategy.
-    pub solver_order: AtomOrder,
-    /// Solver resource bounds.
-    pub search_limits: SearchLimits,
     /// Access-pattern-driven index promotion: when a table column with no
     /// index accumulates this many bound-column scans (the storage layer's
     /// per-table tracker), the engine creates a secondary index on it and
     /// logs a `CreateIndex` WAL record so recovery rebuilds it. `0`
     /// disables auto-indexing.
     pub auto_index_threshold: u32,
-    /// Record an event trace (commit/abort/ground events) for tests and
-    /// diagnostics.
-    pub record_events: bool,
     /// Engine determinism seed, threaded through every remaining choice
     /// point the engine has beyond data order: solver atom-ordering
     /// tie-breaks ([`qdb_solver::Solver::seed`]), possible-world
@@ -124,12 +108,8 @@ impl Default for QuantumDbConfig {
             policy: GroundingPolicy::default(),
             partitioning: true,
             use_solution_cache: true,
-            cache_solutions: 1,
             ground_on_partner_arrival: true,
-            solver_order: AtomOrder::default(),
-            search_limits: SearchLimits::default(),
             auto_index_threshold: 64,
-            record_events: false,
             seed: 0,
             slow_op_threshold_us: 0,
         }
@@ -158,7 +138,6 @@ mod tests {
         assert_eq!(c.policy, GroundingPolicy::FirstFit);
         assert!(c.partitioning);
         assert!(c.use_solution_cache);
-        assert_eq!(c.cache_solutions, 1);
         assert!(c.ground_on_partner_arrival);
         assert_eq!(c.seed, 0, "seed 0 = historical deterministic behavior");
         assert_eq!(c.slow_op_threshold_us, 0, "slow-op log off by default");

@@ -10,8 +10,8 @@
 use std::collections::BTreeMap;
 
 use qdb_logic::{Atom, ResourceTransaction, Valuation, Var, VarGen};
-use qdb_solver::{CachedSolution, Solver, SolverStats, TxnSpec};
-use qdb_storage::{ConjunctiveQuery, Database, Wal, WriteOp};
+use qdb_solver::{Solver, TxnSpec};
+use qdb_storage::{ConjunctiveQuery, Database, Wal};
 
 use crate::config::QuantumDbConfig;
 use crate::metrics::Metrics;
@@ -66,7 +66,6 @@ pub struct QuantumDb {
     pub(crate) next_partition_id: u64,
     pub(crate) next_txn_id: TxnId,
     pub(crate) vargen: VarGen,
-    pub(crate) solver_stats: SolverStats,
     pub(crate) wal: Wal,
     pub(crate) config: QuantumDbConfig,
     pub(crate) metrics: Metrics,
@@ -102,7 +101,6 @@ impl QuantumDb {
             next_partition_id: 0,
             next_txn_id: 0,
             vargen: VarGen::new(),
-            solver_stats: SolverStats::default(),
             wal,
             config,
             metrics: Metrics::default(),
@@ -197,16 +195,13 @@ pub(crate) fn eval_on<V: qdb_storage::TupleView + ?Sized>(
 pub(crate) enum AdmitPath {
     /// The merged cached solution extended to cover the newcomer.
     Extension,
-    /// An *alternative* cached solution rescued the admission after the
-    /// primary failed to extend (multi-solution cache, §4 discussion).
-    ExtraHit,
     /// A full re-solve of the merged sequence was needed.
     FullResolve,
 }
 
 /// A successful admission plan: the new cache valuations for the merged
-/// partition (merged arrival order, newcomer last), opportunistic
-/// alternative solutions, and which cache path succeeded.
+/// partition (merged arrival order, newcomer last) and which cache path
+/// succeeded.
 ///
 /// Planning is **pure** (reads the database and the merged partition view,
 /// mutates nothing), so the engine runs it under a shared base-state read
@@ -216,13 +211,11 @@ pub(crate) enum AdmitPath {
 pub(crate) struct AdmitPlan {
     /// Cache valuations, parallel to merged transactions + the newcomer.
     pub valuations: Vec<Valuation>,
-    /// Alternative cached solutions for the host partition.
-    pub extras: Vec<CachedSolution>,
     /// Which admission path succeeded.
     pub path: AdmitPath,
     /// The host partition's pending world: the virtual state of
-    /// `valuations`, newcomer included. `Some` only on the extension fast
-    /// path (other paths replace earlier valuations, so the next user
+    /// `valuations`, newcomer included. `Some` only on the extension path
+    /// (a full re-solve replaces earlier valuations, so the next user
     /// rebuilds it).
     pub overlay: Option<qdb_solver::Overlay>,
 }
@@ -232,167 +225,60 @@ pub(crate) struct AdmitPlan {
 pub(crate) enum AdmitDecision {
     /// The newcomer admits; install this plan.
     Admitted(AdmitPlan),
-    /// The newcomer is refused. Carries the pending world when the fast
-    /// path was given one — the refused search rolled it back to the
+    /// The newcomer is refused. Carries the pending world when the
+    /// extension was given one — the refused search rolled it back to the
     /// cached solution's virtual state, and the partition's valuations
     /// are unchanged, so the caller puts it back (a refusal must not cost
     /// the partition an O(pending) rebuild).
     Refused(Option<qdb_solver::Overlay>),
 }
 
-/// Plan admitting `txn` against the merged view of its target partitions:
-/// check the invariant over the union + the newcomer (cache extension
-/// first, then alternatives, then a full re-solve) and compute the new
-/// cache state. `merged` must be sorted by transaction id (arrival order);
-/// `extras` are the alternative cached solutions of the *single* target
-/// partition (pass `&[]` for zero or several targets — alternatives are
-/// positional and do not survive merges), and `world` is the merged
-/// partition's pending world ([`Partition::ensure_world`]) — `None` when
-/// the configuration extends through materialized pre-ops instead (the
-/// multi-solution cache) or not at all.
+/// Plan admitting `txn` against the merged view of its target partitions
+/// (§4 solution cache): extend the cached solution by the newcomer inside
+/// `world`, the merged partition's pending world
+/// ([`Partition::ensure_world`]; `None` when the cache is off), else
+/// re-solve the merged sequence plus the newcomer from scratch. `merged`
+/// must be sorted by transaction id (arrival order).
 pub(crate) fn plan_admission(
     solver: &mut Solver,
     db: &Database,
-    config: &QuantumDbConfig,
     merged: &[(&PendingTxn, &Valuation)],
-    extras: &[CachedSolution],
     world: Option<qdb_solver::Overlay>,
     txn: &ResourceTransaction,
 ) -> Result<AdmitDecision> {
-    let mut admitted: Option<Vec<Valuation>> = None;
-    let mut admitted_pre_ops: Option<Vec<WriteOp>> = None;
-    let mut out_overlay: Option<qdb_solver::Overlay> = None;
-    let mut refused_overlay: Option<qdb_solver::Overlay> = None;
-    let mut path = AdmitPath::FullResolve;
+    let mut refused_overlay = None;
     if let Some(mut overlay) = world {
         // Extend the (merged) cached solution with the newcomer only, in
         // the pending world — O(newcomer), not O(pending).
         match solver.solve_in(db, &mut overlay, &[TxnSpec::required_only(txn)])? {
             Some(sol) => {
-                let mut vals: Vec<Valuation> = merged.iter().map(|(_, v)| (*v).clone()).collect();
-                vals.extend(sol.valuations);
-                admitted = Some(vals);
+                let mut valuations: Vec<Valuation> =
+                    merged.iter().map(|(_, v)| (*v).clone()).collect();
+                valuations.extend(sol.valuations);
                 // `solve_in` left the newcomer's updates applied: the
                 // overlay is already the post-admission virtual state.
-                out_overlay = Some(overlay);
-                path = AdmitPath::Extension;
+                return Ok(AdmitDecision::Admitted(AdmitPlan {
+                    valuations,
+                    path: AdmitPath::Extension,
+                    overlay: Some(overlay),
+                }));
             }
-            None => {
-                // The unsat search rolled the overlay back to the cached
-                // solution's virtual state — keep it for the refusal path.
-                refused_overlay = Some(overlay);
-                // Before a full re-solve, try each alternative cached
-                // solution (none exist when `cache_solutions <= 1`, but
-                // stale shapes are skipped defensively).
-                for extra in extras {
-                    if extra.len() != merged.len() {
-                        continue; // stale shape
-                    }
-                    let Some(alt_ops) = alt_pre_ops(merged, extra) else {
-                        continue;
-                    };
-                    if let Some(sol) = solver.solve(db, &alt_ops, &[TxnSpec::required_only(txn)])? {
-                        let mut vals = extra.valuations.clone();
-                        vals.extend(sol.valuations);
-                        admitted = Some(vals);
-                        path = AdmitPath::ExtraHit;
-                        break;
-                    }
-                }
-            }
-        }
-    } else if config.use_solution_cache {
-        // Multi-solution configuration: the pre-op list is needed for
-        // stocking alternatives, so take the materializing path.
-        let mut pre_ops = Vec::with_capacity(merged.len() * 2);
-        for (p, v) in merged {
-            pre_ops.extend(p.txn.write_ops(v)?);
-        }
-        if let Some(sol) = solver.solve(db, &pre_ops, &[TxnSpec::required_only(txn)])? {
-            let mut vals: Vec<Valuation> = merged.iter().map(|(_, v)| (*v).clone()).collect();
-            vals.extend(sol.valuations);
-            admitted = Some(vals);
-            admitted_pre_ops = Some(pre_ops);
-            path = AdmitPath::Extension;
-        } else {
-            // Before a full re-solve, try each alternative cached solution.
-            for extra in extras {
-                if extra.len() != merged.len() {
-                    continue; // stale shape
-                }
-                let Some(alt_ops) = alt_pre_ops(merged, extra) else {
-                    continue;
-                };
-                if let Some(sol) = solver.solve(db, &alt_ops, &[TxnSpec::required_only(txn)])? {
-                    let mut vals = extra.valuations.clone();
-                    vals.extend(sol.valuations);
-                    admitted = Some(vals);
-                    admitted_pre_ops = Some(alt_ops);
-                    path = AdmitPath::ExtraHit;
-                    break;
-                }
-            }
+            // The unsat search rolled the overlay back to the cached
+            // solution's virtual state — keep it for the refusal path.
+            None => refused_overlay = Some(overlay),
         }
     }
-    if admitted.is_none() {
-        // Full re-solve of the whole (merged + newcomer) sequence.
-        let mut specs: Vec<TxnSpec> = merged
-            .iter()
-            .map(|(p, _)| TxnSpec::required_only(&p.txn))
-            .collect();
-        specs.push(TxnSpec::required_only(txn));
-        if let Some(sol) = solver.solve(db, &[], &specs)? {
-            admitted = Some(sol.valuations);
-            path = AdmitPath::FullResolve;
-        }
-    }
-    let Some(valuations) = admitted else {
-        return Ok(AdmitDecision::Refused(refused_overlay));
-    };
-    // Opportunistically stock alternative solutions: same prefix,
-    // different groundings of the newcomer (cheap diversity where it
-    // matters most — the §4 "background process" idea folded into the
-    // admission path).
-    let mut plan_extras = Vec::new();
-    if config.cache_solutions > 1 {
-        if let Some(pre_ops) = admitted_pre_ops {
-            let alts = solver.enumerate_one(
-                db,
-                &pre_ops,
-                &TxnSpec::required_only(txn),
-                config.cache_solutions,
-            )?;
-            let chosen = valuations.last().expect("newcomer valuation present");
-            for alt in alts {
-                if &alt == chosen || plan_extras.len() + 1 >= config.cache_solutions {
-                    continue;
-                }
-                let mut vals = valuations.clone();
-                *vals.last_mut().expect("non-empty") = alt;
-                plan_extras.push(CachedSolution { valuations: vals });
-            }
-        }
-    }
-    Ok(AdmitDecision::Admitted(AdmitPlan {
-        valuations,
-        extras: plan_extras,
-        path,
-        overlay: out_overlay,
-    }))
-}
-
-/// Ground the merged pending updates under an *alternative* cached
-/// solution; `None` when any update fails to ground (stale alternative).
-fn alt_pre_ops(
-    merged: &[(&PendingTxn, &Valuation)],
-    extra: &CachedSolution,
-) -> Option<Vec<WriteOp>> {
-    let mut alt_ops = Vec::with_capacity(merged.len() * 2);
-    for ((p, _), v) in merged.iter().zip(&extra.valuations) {
-        match p.txn.write_ops(v) {
-            Ok(ops) => alt_ops.extend(ops),
-            Err(_) => return None,
-        }
-    }
-    Some(alt_ops)
+    let mut specs: Vec<TxnSpec> = merged
+        .iter()
+        .map(|(p, _)| TxnSpec::required_only(&p.txn))
+        .collect();
+    specs.push(TxnSpec::required_only(txn));
+    Ok(match solver.solve(db, &[], &specs)? {
+        Some(sol) => AdmitDecision::Admitted(AdmitPlan {
+            valuations: sol.valuations,
+            path: AdmitPath::FullResolve,
+            overlay: None,
+        }),
+        None => AdmitDecision::Refused(refused_overlay),
+    })
 }

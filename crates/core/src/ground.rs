@@ -46,7 +46,7 @@ use qdb_storage::{Tuple, WriteOp};
 use crate::txn::TxnId;
 use crate::Result;
 
-/// Why a grounding happened (drives metrics and the event trace).
+/// Why a grounding happened (drives the grounding metrics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GroundReason {
     /// A read's unification check hit this transaction (§3.2.2).
@@ -195,7 +195,7 @@ impl XorShift {
 }
 
 /// One grounded transaction as planned: the write ops of its chosen
-/// valuation plus optional-atom accounting (drives metrics and events).
+/// valuation plus optional-atom accounting (drives the metrics).
 #[derive(Debug, Clone)]
 pub(crate) struct GroundedTxn {
     /// The grounded transaction.
@@ -562,8 +562,6 @@ pub(crate) fn apply_plan_to_partition(
         }
     }
     p.txns.retain(|t| !left(t));
-    // Positional alternatives are stale now; the world is the plan's.
-    p.extras.clear();
     p.overlay_cache = plan.world;
     debug_assert_eq!(p.txns.len(), p.cache.len());
     plan.grounded

@@ -72,7 +72,7 @@ pub use engine::{QuantumDb, SubmitOutcome};
 pub use error::EngineError;
 pub use exec::{Bound, Prepared, Response, Session};
 pub use ground::GroundReason;
-pub use metrics::{Event, Metrics};
+pub use metrics::Metrics;
 pub use partition::{Footprint, Partition};
 pub use qdb_obs::{
     HistSnapshot, HistSummary, Histogram, Obs, Outcome, Phase, ProfileReport, SlowOp, SpanEvent,

@@ -1,123 +1,171 @@
-//! Engine metrics and event trace.
+//! Engine metrics.
 //!
 //! The evaluation section measures commits, coordination successes,
 //! grounding causes and time split between reads and updates — these
 //! counters are what `qdb-workload`'s experiment runner reads out.
+//!
+//! Every counter is declared once, in the `counters!` list below: the
+//! list stamps out [`Metrics`], the lock-free `AtomicMetrics` the engine
+//! updates, and the order the wire's METRICS frame carries them in. Event
+//! traces live in the observability layer's flight recorder
+//! (`SHOW EVENTS`), not here.
 
 use crate::ground::GroundReason;
-use crate::txn::TxnId;
 
-/// A notable engine event (recorded when
-/// [`crate::QuantumDbConfig::record_events`] is on).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event {
-    /// A resource transaction committed (the §2 guarantee: it will achieve
-    /// its goal; it will never be rolled back).
-    Committed(TxnId),
-    /// A resource transaction was refused admission (its addition would
-    /// empty the set of possible worlds).
-    Aborted,
-    /// A pending transaction was grounded.
-    Grounded {
-        /// Which transaction.
-        id: TxnId,
-        /// Why it was grounded.
-        reason: GroundReason,
-        /// How many of its optional atoms the chosen assignment satisfied.
-        optionals_satisfied: usize,
-        /// How many optional atoms it had.
-        optionals_total: usize,
-    },
-    /// A blind write was rejected (it would invalidate pending state).
-    WriteRejected,
-    /// Two or more partitions merged on transaction arrival.
-    PartitionsMerged {
-        /// Partition count before the merge.
-        before: usize,
-    },
+/// Stamps out every mirror of the counter list: [`Metrics`] (one `u64`
+/// per counter, documented where it is listed), its wire-order accessors,
+/// and `AtomicMetrics` with its seed, snapshot and reset paths.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $field:ident,)*) => {
+        /// Cumulative counters.
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct Metrics {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl Metrics {
+            const COUNTERS: usize = [$(stringify!($field)),*].len();
+
+            /// Every counter, in declaration order — the wire order of the
+            /// METRICS frame.
+            pub(crate) fn counters(&self) -> [u64; Self::COUNTERS] {
+                [$(self.$field),*]
+            }
+
+            /// [`Metrics::counters`], writable (the METRICS decoder).
+            pub(crate) fn counters_mut(&mut self) -> [&mut u64; Self::COUNTERS] {
+                [$(&mut self.$field),*]
+            }
+        }
+
+        /// Lock-free engine counters for the sharded engine
+        /// (`crate::shard`).
+        ///
+        /// Hot-path observation never takes a lock: every counter is an
+        /// [`AtomicU64`], and multi-counter transitions (e.g. *committed*
+        /// and *pending* moving together at admission, *grounded* and
+        /// *pending* at collapse) are made torn-read-proof by a seqlock.
+        /// Writers bump `epoch` to odd, update cells, then publish with
+        /// `epoch + 2`; a snapshot is a single `SeqCst` epoch read, a read
+        /// of all cells, and an epoch re-check — retried until the epoch
+        /// was stable and even, so `SHOW METRICS` taken mid-`GROUND ALL`
+        /// can never observe `committed − grounded ≠ pending`.
+        #[derive(Debug, Default)]
+        pub(crate) struct AtomicMetrics {
+            epoch: AtomicU64,
+            $(pub(crate) $field: AtomicU64,)*
+            /// Pending transactions right now (not part of [`Metrics`],
+            /// but kept under the same seqlock so accounting snapshots
+            /// are consistent).
+            pub(crate) pending: AtomicU64,
+        }
+
+        impl AtomicMetrics {
+            /// Seed the atomic counters from a plain snapshot (engine
+            /// promotion to a shared handle preserves history).
+            pub(crate) fn from_metrics(m: &Metrics, pending: u64) -> Self {
+                let a = AtomicMetrics::default();
+                {
+                    let t = a.begin();
+                    $(t.add(|c| &c.$field, m.$field);)*
+                    t.add(|c| &c.pending, pending);
+                }
+                a
+            }
+
+            /// Raw counter reads (callers wrap in the seqlock protocol).
+            fn read_counters(&self) -> Metrics {
+                Metrics {
+                    $($field: self.$field.load(SeqCst),)*
+                }
+            }
+
+            /// Zero every counter (callers hold the seqlock).
+            fn zero_counters(&self) {
+                $(self.$field.store(0, SeqCst);)*
+            }
+        }
+    };
 }
 
-/// Cumulative counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Metrics {
+counters!(
     /// Resource transactions submitted.
-    pub submitted: u64,
+    submitted,
     /// Resource transactions committed.
-    pub committed: u64,
+    committed,
     /// Resource transactions aborted at admission.
-    pub aborted: u64,
+    aborted,
     /// Reads served with collapse semantics (§3.2.2 option 3).
-    pub reads: u64,
+    reads,
     /// Reads served with peek semantics (§3.2.2 option 2) — answered
     /// against one possible world through a delta view, never grounding.
-    pub reads_peek: u64,
+    reads_peek,
     /// Reads served with all-possible-values semantics (§3.2.2 option 1).
-    pub reads_possible: u64,
+    reads_possible,
     /// World forks created by the possible-worlds enumerator.
-    pub worlds_enumerated: u64,
+    worlds_enumerated,
     /// Forked worlds discarded as duplicates by delta fingerprinting.
-    pub world_dedup_hits: u64,
+    world_dedup_hits,
     /// `Database` clones observed on the engine's database family
     /// (sourced live from [`qdb_storage::Database::clone_count`] at
     /// snapshot time; the delta-view read paths keep this at zero).
-    pub db_clones: u64,
+    db_clones,
     /// Blind writes applied.
-    pub writes_applied: u64,
+    writes_applied,
     /// Blind writes rejected.
-    pub writes_rejected: u64,
+    writes_rejected,
     /// Groundings by reason.
-    pub grounded_by_read: u64,
+    grounded_by_read,
     /// Groundings forced by the `k` bound.
-    pub grounded_by_k: u64,
+    grounded_by_k,
     /// Groundings triggered by coordination-partner arrival (§5.1).
-    pub grounded_by_partner: u64,
+    grounded_by_partner,
     /// Explicit groundings requested by the application.
-    pub grounded_explicit: u64,
+    grounded_explicit,
     /// Admissions resolved by extending the cached solution.
-    pub cache_extensions: u64,
-    /// Admissions rescued by an *alternative* cached solution after the
-    /// primary failed to extend (multi-solution cache, §4 discussion).
-    pub cache_extra_hits: u64,
+    cache_extensions,
+    /// Always 0. It counted admissions rescued by an alternative cached
+    /// solution, a path the engine no longer has; it keeps its slot so the
+    /// METRICS frame layout and the tools that read it stay unchanged.
+    cache_extra_hits,
     /// Admissions that needed a full re-solve.
-    pub cache_full_resolves: u64,
+    cache_full_resolves,
     /// Times an admission, grounding or PEEK had to build a partition's
     /// pending world from the cached valuations (kept and rolled forward,
     /// it is never rebuilt).
-    pub overlay_rebuilds: u64,
+    overlay_rebuilds,
     /// Groundings that replaced the residue's cached valuations — the
     /// group ++ residue joint solve (or a sampling policy's / replayed
     /// grounding's residue re-solve).
-    pub ground_joint_resolves: u64,
+    ground_joint_resolves,
     /// Partition merges.
-    pub partition_merges: u64,
+    partition_merges,
     /// SQL parser entries: `execute()` on text and `Session::prepare`.
     /// Prepared statements re-executed via `bind(…).run()` do not parse,
     /// so a hot loop over a prepared statement holds this constant.
-    pub parses: u64,
+    parses,
     /// Pending transactions high-water mark (Table 1's measure).
-    pub max_pending: u64,
+    max_pending,
     /// Optional atoms satisfied at grounding time, summed.
-    pub optionals_satisfied: u64,
+    optionals_satisfied,
     /// Optional atoms present on grounded transactions, summed.
-    pub optionals_total: u64,
+    optionals_total,
     /// Solver search nodes expanded (candidate tuples tried).
-    pub solver_nodes: u64,
+    solver_nodes,
     /// Candidate rows pulled through the solver's streaming cursors.
-    pub solver_candidates_streamed: u64,
+    solver_candidates_streamed,
     /// Solver hot-path lookups answered by a secondary index (or an index
     /// bucket length).
-    pub solver_index_lookups: u64,
+    solver_index_lookups,
     /// Solver hot-path lookups that fell back to a table scan.
-    pub solver_scan_lookups: u64,
+    solver_scan_lookups,
     /// Candidate vectors materialized by the solver (legacy/reference
     /// path; the search fast path keeps this at zero).
-    pub solver_candidate_vecs: u64,
+    solver_candidate_vecs,
     /// Secondary indexes created by the access-pattern tracker (see
     /// [`crate::QuantumDbConfig::auto_index_threshold`]).
-    pub indexes_auto_created: u64,
-    /// Event trace (empty unless `record_events`).
-    pub events: Vec<Event>,
-}
+    indexes_auto_created,
+);
 
 impl Metrics {
     /// Total groundings.
@@ -126,11 +174,6 @@ impl Metrics {
             + self.grounded_by_k
             + self.grounded_by_partner
             + self.grounded_explicit
-    }
-
-    /// Reset all counters and the trace.
-    pub fn reset(&mut self) {
-        *self = Metrics::default();
     }
 }
 
@@ -161,104 +204,6 @@ impl std::fmt::Display for Metrics {
         )
     }
 }
-
-/// The one list of mirrored counters: every `u64` field shared between
-/// [`Metrics`] and `AtomicMetrics`. The macro stamps out the atomic
-/// struct, the seed-from-snapshot path, the snapshot read and the reset —
-/// a counter added to [`Metrics`] but missing here fails to compile in
-/// `read_counters` (non-exhaustive struct literal), so the four mirrors
-/// cannot silently drift.
-macro_rules! mirrored_counters {
-    ($($field:ident),* $(,)?) => {
-        /// Lock-free engine counters for the sharded engine
-        /// (`crate::shard`).
-        ///
-        /// Hot-path observation never takes a lock: every counter is an
-        /// [`AtomicU64`], and multi-counter transitions (e.g. *committed*
-        /// and *pending* moving together at admission, *grounded* and
-        /// *pending* at collapse) are made torn-read-proof by a seqlock.
-        /// Writers bump `epoch` to odd, update cells, then publish with
-        /// `epoch + 2`; a snapshot is a single `SeqCst` epoch read, a read
-        /// of all cells, and an epoch re-check — retried until the epoch
-        /// was stable and even, so `SHOW METRICS` taken mid-`GROUND ALL`
-        /// can never observe `committed − grounded ≠ pending`.
-        #[derive(Debug, Default)]
-        pub(crate) struct AtomicMetrics {
-            epoch: AtomicU64,
-            $(pub(crate) $field: AtomicU64,)*
-            /// Pending transactions right now (not part of [`Metrics`],
-            /// but kept under the same seqlock so accounting snapshots
-            /// are consistent).
-            pub(crate) pending: AtomicU64,
-            /// Event trace (only when `record_events`); consistency with
-            /// the counters is not required, so it lives outside the
-            /// seqlock.
-            events: crate::sync::Mutex<Vec<Event>>,
-        }
-
-        impl AtomicMetrics {
-            /// Seed the atomic counters from a plain snapshot (engine
-            /// promotion to a shared handle preserves history).
-            pub(crate) fn from_metrics(m: &Metrics, pending: u64) -> Self {
-                let a = AtomicMetrics::default();
-                {
-                    let t = a.begin();
-                    $(t.add(|c| &c.$field, m.$field);)*
-                    t.add(|c| &c.pending, pending);
-                }
-                *a.events.lock() = m.events.clone();
-                a
-            }
-
-            /// Raw counter reads (callers wrap in the seqlock protocol).
-            fn read_counters(&self) -> Metrics {
-                Metrics {
-                    $($field: self.$field.load(SeqCst),)*
-                    events: Vec::new(),
-                }
-            }
-
-            /// Zero every mirrored counter (callers hold the seqlock).
-            fn zero_counters(&self) {
-                $(self.$field.store(0, SeqCst);)*
-            }
-        }
-    };
-}
-
-mirrored_counters!(
-    submitted,
-    committed,
-    aborted,
-    reads,
-    reads_peek,
-    reads_possible,
-    worlds_enumerated,
-    world_dedup_hits,
-    db_clones,
-    writes_applied,
-    writes_rejected,
-    grounded_by_read,
-    grounded_by_k,
-    grounded_by_partner,
-    grounded_explicit,
-    cache_extensions,
-    cache_extra_hits,
-    cache_full_resolves,
-    overlay_rebuilds,
-    ground_joint_resolves,
-    partition_merges,
-    parses,
-    max_pending,
-    optionals_satisfied,
-    optionals_total,
-    solver_nodes,
-    solver_candidates_streamed,
-    solver_index_lookups,
-    solver_scan_lookups,
-    solver_candidate_vecs,
-    indexes_auto_created,
-);
 
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 
@@ -305,11 +250,6 @@ impl AtomicMetrics {
         t.add(|c| &c.solver_candidate_vecs, s.candidate_vecs);
     }
 
-    /// Append an event (when tracing is enabled).
-    pub(crate) fn push_event(&self, event: Event) {
-        self.events.lock().push(event);
-    }
-
     /// Current pending count (monotonic counters make a raw read safe for
     /// a single value; use [`AtomicMetrics::snapshot_with_pending`] when
     /// it must be consistent with other counters).
@@ -329,14 +269,12 @@ impl AtomicMetrics {
             let m = self.read_counters();
             let pending = self.pending.load(SeqCst);
             if self.epoch.load(SeqCst) == e {
-                let mut m = m;
-                m.events = self.events.lock().clone();
                 return (m, pending);
             }
         }
     }
 
-    /// Zero every counter and drop the trace (between experiment phases).
+    /// Zero every counter (between experiment phases).
     ///
     /// Pending is live engine state, not a statistic: it survives the
     /// reset, and `committed` restarts at the pending count — the
@@ -350,14 +288,11 @@ impl AtomicMetrics {
     /// half-done. A reset taken at quiescence (zero pending) degenerates
     /// to zeroing everything.
     pub(crate) fn reset(&self) {
-        {
-            let t = self.begin();
-            self.zero_counters();
-            let pending = self.pending.load(SeqCst);
-            t.add(|c| &c.committed, pending);
-            t.add(|c| &c.max_pending, pending);
-        }
-        self.events.lock().clear();
+        let t = self.begin();
+        self.zero_counters();
+        let pending = self.pending.load(SeqCst);
+        t.add(|c| &c.committed, pending);
+        t.add(|c| &c.max_pending, pending);
     }
 }
 
@@ -421,15 +356,13 @@ mod tests {
             t.record_commit();
             t.record_ground(reason);
         }
-        let (mut m, pending) = a.snapshot_with_pending();
+        let (m, pending) = a.snapshot_with_pending();
         assert_eq!(pending, 0);
         assert_eq!(m.grounded_by_read, 1);
         assert_eq!(m.grounded_by_k, 2);
         assert_eq!(m.grounded_by_partner, 1);
         assert_eq!(m.grounded_explicit, 1);
         assert_eq!(m.grounded_total(), 5);
-        m.reset();
-        assert_eq!(m.grounded_total(), 0);
     }
 
     #[test]

@@ -51,10 +51,6 @@ pub struct Partition {
     pub txns: Vec<PendingTxn>,
     /// One known-consistent grounding, parallel to `txns`.
     pub cache: CachedSolution,
-    /// Alternative cached groundings (§4's multi-solution strategy; see
-    /// [`crate::QuantumDbConfig::cache_solutions`]). Invalidated whenever
-    /// the partition or the base database changes shape.
-    pub extras: Vec<CachedSolution>,
     /// The maintained pending world: `cache`'s pending updates applied as
     /// a virtual state over the base. Admission extends it by the
     /// newcomer, a grounding in the residue's world retracts the group
@@ -129,17 +125,7 @@ impl Partition {
         }
         self.txns = txns;
         self.cache = CachedSolution { valuations: cache };
-        // Alternative solutions are positional and the pending world
-        // mirrors the pre-merge valuation list; a merge invalidates both.
-        self.invalidate_solution_caches();
-    }
-
-    /// Drop everything derived from `cache.valuations`: the alternative
-    /// solutions and the pending world. Must be called whenever the cached
-    /// valuations are replaced (re-solves, merges) or the base changed
-    /// under a tuple some cached grounding names.
-    pub(crate) fn invalidate_solution_caches(&mut self) {
-        self.extras.clear();
+        // The pending world mirrors the pre-merge valuation list.
         self.overlay_cache = None;
     }
 

@@ -42,7 +42,7 @@
 //! blocks on any other lock (the only lock taken under it is the freshly
 //! created, uncontended slot of a reservation), so it may be acquired at
 //! any point, including while holding slots, base or the WAL.
-//! `vargen`, `solver_stats` and the metrics seqlock are leaves as well.
+//! `vargen` and the metrics seqlock are leaves as well.
 //!
 //! # Reservations
 //!
@@ -137,7 +137,7 @@ use crate::ground::{
     apply_plan_to_partition, expand_partners, plan_group_front, GroundPlan, GroundReason,
     GroundedTxn,
 };
-use crate::metrics::{AtomicMetrics, Event, Metrics};
+use crate::metrics::{AtomicMetrics, Metrics};
 use crate::partition::{Footprint, Partition};
 use crate::sync::{Mutex, RwLock};
 use crate::txn::{PendingTxn, TxnId};
@@ -213,7 +213,6 @@ struct Core {
     reg: Mutex<Registry>,
     next_txn_id: AtomicU64,
     metrics: AtomicMetrics,
-    solver_stats: Mutex<SolverStats>,
     /// Solver sections currently inside the shared base read lock, and
     /// the high-water mark — direct evidence of partition-parallel
     /// overlap.
@@ -306,7 +305,6 @@ impl SharedQuantumDb {
             next_partition_id,
             next_txn_id,
             vargen,
-            solver_stats,
             wal,
             config,
             metrics,
@@ -329,7 +327,6 @@ impl SharedQuantumDb {
                 }),
                 next_txn_id: AtomicU64::new(next_txn_id),
                 metrics: AtomicMetrics::from_metrics(&metrics, pending),
-                solver_stats: Mutex::new(solver_stats),
                 solves_in_flight: AtomicU64::new(0),
                 solves_peak: AtomicU64::new(0),
                 promote_ticks: AtomicU64::new(0),
@@ -360,7 +357,6 @@ impl SharedQuantumDb {
             next_partition_id: reg.next_pid,
             next_txn_id: core.next_txn_id.into_inner(),
             vargen: core.vargen.into_inner(),
-            solver_stats: core.solver_stats.into_inner(),
             wal: core.wal.into_inner(),
             config: core.config,
             metrics,
@@ -371,8 +367,7 @@ impl SharedQuantumDb {
     /// A fresh per-operation solver (the solver is stateless apart from
     /// cumulative stats, which are absorbed at operation end).
     fn solver(&self) -> Solver {
-        let mut s = Solver::new(self.core.config.solver_order);
-        s.limits = self.core.config.search_limits;
+        let mut s = Solver::default();
         s.seed = self.core.config.seed;
         s.set_obs(Some(Arc::clone(&self.core.obs)));
         s
@@ -411,16 +406,10 @@ impl SharedQuantumDb {
         g
     }
 
+    /// Fold one operation's solver-stat deltas into the `solver_*`
+    /// metrics counters.
     fn absorb(&self, solver: &Solver) {
-        self.absorb_stats(solver.stats());
-    }
-
-    /// Fold one operation's solver-stat deltas into both the cumulative
-    /// [`SolverStats`] block and the mirrored `solver_*` metrics counters
-    /// (the seqlock block `SHOW METRICS` snapshots).
-    fn absorb_stats(&self, stats: &SolverStats) {
-        self.core.solver_stats.lock().absorb(stats);
-        self.core.metrics.absorb_solver(stats);
+        self.core.metrics.absorb_solver(solver.stats());
     }
 
     /// Mark a solver section as in flight for its guard's lifetime.
@@ -439,12 +428,6 @@ impl SharedQuantumDb {
 
     pub(crate) fn count_parse(&self) {
         self.core.metrics.count_parse();
-    }
-
-    fn push_event(&self, event: Event) {
-        if self.core.config.record_events {
-            self.core.metrics.push_event(event);
-        }
     }
 
     // -- Resource transactions -------------------------------------------
@@ -584,8 +567,8 @@ impl SharedQuantumDb {
             let merged_from = targets.len();
             let mut host = Partition::new();
             if merged_from == 1 {
-                // Preserve the partition wholesale (keeps its alternative
-                // cached solutions, which a merge would invalidate).
+                // Preserve the partition wholesale (keeps its pending
+                // world, which a merge would drop).
                 host = self.drain(&targets[0].1);
             } else {
                 for (_, slot) in &targets {
@@ -599,20 +582,17 @@ impl SharedQuantumDb {
             let plan = {
                 let base = self.base_read();
                 let _gauge = self.enter_solve();
-                // The single-solution cache extends inside the pending
-                // world (a merge dropped it; it is rebuilt here).
-                let config = &self.core.config;
-                let in_world = config.use_solution_cache && config.cache_solutions <= 1;
+                // The solution cache extends inside the pending world (a
+                // merge dropped it; it is rebuilt here).
+                let in_world = self.core.config.use_solution_cache;
                 if in_world {
                     self.ensure_world(&mut host, &base.db)?;
                 }
                 let world = host.overlay_cache.take().filter(|_| in_world);
                 let merged: Vec<(&PendingTxn, &Valuation)> =
                     host.txns.iter().zip(host.cache.valuations.iter()).collect();
-                let extras: &[CachedSolution] = if merged_from == 1 { &host.extras } else { &[] };
                 let t_plan = std::time::Instant::now();
-                let decision =
-                    plan_admission(solver, &base.db, config, &merged, extras, world, txn)?;
+                let decision = plan_admission(solver, &base.db, &merged, world, txn)?;
                 self.core.obs.phase(qdb_obs::Phase::Plan, t_plan.elapsed());
                 decision
             };
@@ -634,11 +614,6 @@ impl SharedQuantumDb {
                         if merged_from > 1 {
                             t.add(|c| &c.partition_merges, 1);
                         }
-                    }
-                    self.push_event(Event::Aborted);
-                    if merged_from > 1 {
-                        let before = self.partition_count() + merged_from - 1;
-                        self.push_event(Event::PartitionsMerged { before });
                     }
                     return Ok(SubmitOutcome::Aborted);
                 }
@@ -672,7 +647,6 @@ impl SharedQuantumDb {
             host.cache = CachedSolution {
                 valuations: plan.valuations,
             };
-            host.extras = plan.extras;
             host.overlay_cache = plan.overlay;
             debug_assert_eq!(host.txns.len(), host.cache.len());
             st.part = host;
@@ -682,17 +656,11 @@ impl SharedQuantumDb {
                 t.record_commit();
                 match plan.path {
                     AdmitPath::Extension => t.add(|c| &c.cache_extensions, 1),
-                    AdmitPath::ExtraHit => t.add(|c| &c.cache_extra_hits, 1),
                     AdmitPath::FullResolve => t.add(|c| &c.cache_full_resolves, 1),
                 }
                 if merged_from > 1 {
                     t.add(|c| &c.partition_merges, 1);
                 }
-            }
-            self.push_event(Event::Committed(id));
-            if merged_from > 1 {
-                let before = self.partition_count() + merged_from - 1;
-                self.push_event(Event::PartitionsMerged { before });
             }
 
             // §5.1: entangled resource transactions are grounded as soon
@@ -935,16 +903,6 @@ impl SharedQuantumDb {
             let resolved = u64::from(plan.rest_vals.is_some());
             t.add(|c| &c.ground_joint_resolves, resolved);
         }
-        if self.core.config.record_events {
-            for g in &plan.grounded {
-                self.core.metrics.push_event(Event::Grounded {
-                    id: g.id,
-                    reason,
-                    optionals_satisfied: g.promoted,
-                    optionals_total: g.total_optionals,
-                });
-            }
-        }
         apply_plan_to_partition(&mut st.part, plan);
         Ok(())
     }
@@ -1119,10 +1077,7 @@ impl SharedQuantumDb {
             std::thread::scope(|scope| {
                 for _ in 0..workers {
                     scope.spawn(|| {
-                        let mut solver = Solver::new(config.solver_order);
-                        solver.limits = config.search_limits;
-                        solver.seed = config.seed;
-                        solver.set_obs(Some(Arc::clone(&self.core.obs)));
+                        let mut solver = self.solver();
                         loop {
                             let i = next.fetch_add(1, SeqCst) as usize;
                             let Some(part) = parts.get(i) else { break };
@@ -1150,7 +1105,7 @@ impl SharedQuantumDb {
         for r in results {
             match r {
                 Ok((grounded, stats)) => {
-                    self.absorb_stats(&stats);
+                    self.core.metrics.absorb_solver(&stats);
                     plans.push(grounded);
                 }
                 Err(e) => {
@@ -1206,14 +1161,6 @@ impl SharedQuantumDb {
                     t.add(|c| &c.optionals_satisfied, g.promoted as u64);
                     t.add(|c| &c.optionals_total, g.total_optionals as u64);
                 }
-                if self.core.config.record_events {
-                    self.core.metrics.push_event(Event::Grounded {
-                        id: g.id,
-                        reason: GroundReason::Explicit,
-                        optionals_satisfied: g.promoted,
-                        optionals_total: g.total_optionals,
-                    });
-                }
             }
         }
         if let Some(e) = apply_err {
@@ -1224,7 +1171,7 @@ impl SharedQuantumDb {
             let mut rest = parts.split_off(failed_at + 1);
             let mut failed = parts.pop().expect("failed partition present");
             failed.txns.retain(|t| !applied_in_failed.contains(&t.id));
-            failed.invalidate_solution_caches();
+            failed.overlay_cache = None;
             if !failed.txns.is_empty() {
                 let mut solver = self.solver();
                 let refs = failed.txn_refs();
@@ -1559,8 +1506,7 @@ impl SharedQuantumDb {
                     if crate::ground::residue_untouched(cached, overlay) {
                         // No cached grounding names the tuple: valuations
                         // and pending world stand as they are (the
-                        // untouched-residue lemma); alternatives may not.
-                        guards[i].part.extras.clear();
+                        // untouched-residue lemma).
                         continue;
                     }
                     let p = &guards[i].part;
@@ -1589,7 +1535,6 @@ impl SharedQuantumDb {
                 if !ok {
                     // Reject without ever having touched the base.
                     self.core.metrics.begin().add(|c| &c.writes_rejected, 1);
-                    self.push_event(Event::WriteRejected);
                     return Ok(false);
                 }
             }
@@ -1598,9 +1543,13 @@ impl SharedQuantumDb {
             let mut base = self.base_write();
             let changed = base.db.apply(&op)?;
             for (i, cache) in new_caches {
-                // The base changed under this partition: alternatives are
-                // no longer known-good.
-                guards[i].extras_invalidate(cache);
+                // The base changed under a tuple this partition's cached
+                // groundings name: its pending world is stale.
+                let part = &mut guards[i].part;
+                part.overlay_cache = None;
+                if let Some(c) = cache {
+                    part.cache = c;
+                }
             }
             if changed {
                 self.core.wal.lock().append(&LogRecord::Write(op))?;
@@ -1816,7 +1765,6 @@ impl SharedQuantumDb {
     /// while transactions are pending.
     pub fn reset_metrics(&self) {
         self.core.metrics.reset();
-        *self.core.solver_stats.lock() = SolverStats::default();
         // Histograms open the same fresh epoch as the counters, keeping
         // "per-class histogram count == statement counter" true per epoch.
         self.core.obs.reset();
@@ -1835,11 +1783,6 @@ impl SharedQuantumDb {
     pub fn profile(&self) -> qdb_obs::ProfileReport {
         self.core.obs.profile()
     }
-
-    /// Cumulative solver statistics across all operations.
-    pub fn solver_stats(&self) -> SolverStats {
-        *self.core.solver_stats.lock()
-    }
 }
 
 /// Guard for the in-flight solver gauge.
@@ -1850,17 +1793,6 @@ struct SolveGauge<'a> {
 impl Drop for SolveGauge<'_> {
     fn drop(&mut self) {
         self.core.solves_in_flight.fetch_sub(1, SeqCst);
-    }
-}
-
-impl SlotState {
-    /// Clear stale alternative solutions and the admission overlay, and
-    /// optionally install a re-solved cache (blind-write revalidation).
-    fn extras_invalidate(&mut self, cache: Option<CachedSolution>) {
-        self.part.invalidate_solution_caches();
-        if let Some(c) = cache {
-            self.part.cache = c;
-        }
     }
 }
 

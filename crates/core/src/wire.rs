@@ -448,7 +448,7 @@ pub enum Reply {
     Engine(Response),
     /// `SHOW METRICS`: engine metrics plus the serving process's counters.
     Stats {
-        /// Engine metrics snapshot (the event trace is not wired).
+        /// Engine metrics snapshot.
         engine: Box<Metrics>,
         /// Server-side counters.
         server: ServerStats,
@@ -844,88 +844,19 @@ fn get_valuations(buf: &mut impl Buf) -> Result<Vec<Valuation>> {
     Ok(rows)
 }
 
-/// The metrics counters, in wire order. The event trace is deliberately
-/// not wired (it is unbounded and debug-only).
-fn metrics_fields(m: &Metrics) -> [u64; 31] {
-    [
-        m.submitted,
-        m.committed,
-        m.aborted,
-        m.reads,
-        m.reads_peek,
-        m.reads_possible,
-        m.worlds_enumerated,
-        m.world_dedup_hits,
-        m.db_clones,
-        m.writes_applied,
-        m.writes_rejected,
-        m.grounded_by_read,
-        m.grounded_by_k,
-        m.grounded_by_partner,
-        m.grounded_explicit,
-        m.cache_extensions,
-        m.cache_extra_hits,
-        m.cache_full_resolves,
-        m.overlay_rebuilds,
-        m.ground_joint_resolves,
-        m.partition_merges,
-        m.parses,
-        m.max_pending,
-        m.optionals_satisfied,
-        m.optionals_total,
-        m.solver_nodes,
-        m.solver_candidates_streamed,
-        m.solver_index_lookups,
-        m.solver_scan_lookups,
-        m.solver_candidate_vecs,
-        m.indexes_auto_created,
-    ]
-}
-
+/// The metrics counters as u64s, in the order `crate::metrics` declares
+/// them.
 fn put_metrics(body: &mut Vec<u8>, m: &Metrics) {
-    for field in metrics_fields(m) {
-        body.put_u64_le(field);
+    for counter in m.counters() {
+        body.put_u64_le(counter);
     }
 }
 
 fn get_metrics(buf: &mut impl Buf) -> Result<Metrics> {
     let mut m = Metrics::default();
-    let fields: &mut [&mut u64; 31] = &mut [
-        &mut m.submitted,
-        &mut m.committed,
-        &mut m.aborted,
-        &mut m.reads,
-        &mut m.reads_peek,
-        &mut m.reads_possible,
-        &mut m.worlds_enumerated,
-        &mut m.world_dedup_hits,
-        &mut m.db_clones,
-        &mut m.writes_applied,
-        &mut m.writes_rejected,
-        &mut m.grounded_by_read,
-        &mut m.grounded_by_k,
-        &mut m.grounded_by_partner,
-        &mut m.grounded_explicit,
-        &mut m.cache_extensions,
-        &mut m.cache_extra_hits,
-        &mut m.cache_full_resolves,
-        &mut m.overlay_rebuilds,
-        &mut m.ground_joint_resolves,
-        &mut m.partition_merges,
-        &mut m.parses,
-        &mut m.max_pending,
-        &mut m.optionals_satisfied,
-        &mut m.optionals_total,
-        &mut m.solver_nodes,
-        &mut m.solver_candidates_streamed,
-        &mut m.solver_index_lookups,
-        &mut m.solver_scan_lookups,
-        &mut m.solver_candidate_vecs,
-        &mut m.indexes_auto_created,
-    ];
-    for field in fields.iter_mut() {
+    for counter in m.counters_mut() {
         need(buf, 8, "metrics field")?;
-        **field = buf.get_u64_le();
+        *counter = buf.get_u64_le();
     }
     Ok(m)
 }
@@ -1388,6 +1319,60 @@ mod tests {
             code: code::LOGIC,
             message: "parse error at byte 0: nope".into(),
         });
+    }
+
+    /// The METRICS frame layout, pinned: counter `k` in wire order travels
+    /// as the little-endian u64 at body offset `8·k`, followed by the
+    /// server stats (nine u64s and an empty class list when defaulted).
+    #[test]
+    #[allow(clippy::needless_update)] // stays valid whatever else `Metrics` holds
+    fn metrics_frame_layout_is_pinned() {
+        let m = Metrics {
+            submitted: 1,
+            committed: 2,
+            aborted: 3,
+            reads: 4,
+            reads_peek: 5,
+            reads_possible: 6,
+            worlds_enumerated: 7,
+            world_dedup_hits: 8,
+            db_clones: 9,
+            writes_applied: 10,
+            writes_rejected: 11,
+            grounded_by_read: 12,
+            grounded_by_k: 13,
+            grounded_by_partner: 14,
+            grounded_explicit: 15,
+            cache_extensions: 16,
+            cache_extra_hits: 17,
+            cache_full_resolves: 18,
+            overlay_rebuilds: 19,
+            ground_joint_resolves: 20,
+            partition_merges: 21,
+            parses: 22,
+            max_pending: 23,
+            optionals_satisfied: 24,
+            optionals_total: 25,
+            solver_nodes: 26,
+            solver_candidates_streamed: 27,
+            solver_index_lookups: 28,
+            solver_scan_lookups: 29,
+            solver_candidate_vecs: 30,
+            indexes_auto_created: 31,
+            ..Metrics::default()
+        };
+        let bytes = encode_reply(5, &Reply::Engine(Response::Metrics(Box::new(m))));
+        assert_eq!(bytes.len(), 4 + 1 + 4 + 31 * 8 + 9 * 8 + 4);
+        assert_eq!(bytes[4], resp::METRICS);
+        let body = &bytes[9..];
+        for k in 0..31 {
+            let word = u64::from_le_bytes(body[8 * k..8 * k + 8].try_into().unwrap());
+            assert_eq!(word, k as u64 + 1, "counter {k}");
+        }
+        assert!(
+            body[31 * 8..].iter().all(|&b| b == 0),
+            "default server stats"
+        );
     }
 
     #[test]

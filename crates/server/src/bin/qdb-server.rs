@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! qdb-server [--addr HOST:PORT] [--workers N] [--k N]
-//!            [--prepared-cache N] [--no-partitioning]
-//!            [--slow-log MICROS] [--trace-out PATH]
+//!            [--prepared-cache N] [--slow-log MICROS] [--trace-out PATH]
 //!            [--max-conns N] [--idle-timeout-ms MS] [--outbox-limit BYTES]
 //! ```
 //!
@@ -27,10 +26,10 @@ use qdb_server::{Server, ServerConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: qdb-server [--addr HOST:PORT] [--workers N] [--k N] \
-         [--prepared-cache N] [--no-partitioning] [--slow-log MICROS] \
-         [--trace-out PATH] [--max-conns N] [--idle-timeout-ms MS] \
-         [--outbox-limit BYTES] [--replicate-from HOST:PORT] \
-         [--replica-id NAME] [--repl-poll-ms MS] [--promote-after-ms MS]"
+         [--prepared-cache N] [--slow-log MICROS] [--trace-out PATH] \
+         [--max-conns N] [--idle-timeout-ms MS] [--outbox-limit BYTES] \
+         [--replicate-from HOST:PORT] [--replica-id NAME] \
+         [--repl-poll-ms MS] [--promote-after-ms MS]"
     );
     std::process::exit(2);
 }
@@ -65,7 +64,6 @@ fn parse_args() -> ServerConfig {
                 cfg.prepared_cache = value(i).parse().unwrap_or_else(|_| usage());
                 i += 1;
             }
-            "--no-partitioning" => cfg.engine.partitioning = false,
             "--slow-log" => {
                 cfg.engine.slow_op_threshold_us = value(i).parse().unwrap_or_else(|_| usage());
                 i += 1;

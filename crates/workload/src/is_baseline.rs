@@ -7,7 +7,7 @@
 //! database."* Every choice is made eagerly against the current database;
 //! there is no deferral and nothing ever moves again.
 
-use qdb_storage::{tuple, ConjunctiveQuery, Database, PatTerm, Pattern, Value};
+use qdb_storage::{tuple, ConjunctiveQuery, Database, PatTerm, Pattern};
 
 /// An eager booking client over a plain relational database.
 pub struct IsClient {
@@ -155,12 +155,6 @@ impl IsClient {
             .insert("Bookings", tuple![user, flight, seat])
             .expect("no duplicate users");
     }
-}
-
-/// Convenience for measurements: is `v` the string `s`?
-#[allow(dead_code)]
-fn is_str(v: &Value, s: &str) -> bool {
-    v.as_str() == Some(s)
 }
 
 #[cfg(test)]
