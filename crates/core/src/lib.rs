@@ -81,9 +81,7 @@ pub use qdb_obs::{
 pub use repl::{ReplicaApplier, ReplicaStatus, ReplicaTracker, ReplicationReport, ReplicationRole};
 pub use shard::SharedQuantumDb;
 pub use txn::{PendingTxn, TxnId};
-pub use worlds::{
-    enumerate_worlds, enumerate_worlds_seeded, world_fingerprint, WorldDelta, WorldSet,
-};
+pub use worlds::{enumerate_worlds, enumerate_worlds_seeded, world_fingerprint, WorldSet};
 
 /// Result alias for this crate.
 pub type Result<T> = std::result::Result<T, EngineError>;

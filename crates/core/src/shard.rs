@@ -130,7 +130,9 @@ use qdb_solver::{CachedSolution, Solver, SolverStats, TxnSpec};
 use qdb_storage::{Database, LogRecord, Schema, Tuple, Wal, WriteOp};
 
 use crate::config::QuantumDbConfig;
-use crate::engine::{eval_on, plan_admission, AdmitDecision, AdmitPath, QuantumDb, SubmitOutcome};
+use crate::engine::{
+    eval_on, plan_admission, AdmitDecision, AdmitPath, QuantumDb, ReadQuery, SubmitOutcome,
+};
 use crate::entangle::coordination_partners;
 use crate::error::EngineError;
 use crate::ground::{
@@ -1329,39 +1331,41 @@ impl SharedQuantumDb {
     /// All-possible-values semantics (§3.2.2, option 1): enumerate
     /// possible worlds (bounded, as deltas over the base) over the
     /// touched partitions and return the distinct answer sets across
-    /// them. Worlds are forked and evaluated as delta views — the base
-    /// read lock never covers a state materialization.
+    /// them. One pass: each world's delta view is built once, and the
+    /// query, compiled once, is evaluated on it — the base read lock
+    /// never covers a state materialization. The answer sets are sorted,
+    /// deduplicated and turned into valuations after the locks are gone.
+    ///
+    /// `world_bound` is the `LIMIT` of `SELECT POSSIBLE`. Past it the
+    /// answers come only from worlds that apply the oldest pending
+    /// transactions (in id order), and nothing in the reply says so.
     pub fn read_possible(&self, atoms: &[Atom], world_bound: usize) -> Result<Vec<Vec<Valuation>>> {
         self.core.metrics.begin().add(|c| &c.reads_possible, 1);
-        let (out, enumerated, dedup_hits) = self.with_touched_partitions(atoms, |db, parts| {
-            let mut pending: Vec<&PendingTxn> = parts.iter().flat_map(|p| p.txns.iter()).collect();
-            pending.sort_by_key(|p| p.id);
-            let txns: Vec<&ResourceTransaction> = pending.iter().map(|p| &p.txn).collect();
-            let t_enum = std::time::Instant::now();
-            let worlds = crate::worlds::enumerate_worlds_seeded(
-                db,
-                &txns,
-                world_bound,
-                self.core.config.seed,
-            )?;
-            self.core
-                .obs
-                .phase(qdb_obs::Phase::WorldEnum, t_enum.elapsed());
-            let mut distinct: BTreeSet<Vec<Valuation>> = BTreeSet::new();
-            for w in &worlds.worlds {
-                distinct.insert(eval_on(&w.view(db)?, atoms, None)?);
-            }
-            Ok((
-                distinct.into_iter().collect(),
-                worlds.enumerated,
-                worlds.dedup_hits,
-            ))
-        })?;
-        {
-            let t = self.core.metrics.begin();
-            t.add(|c| &c.worlds_enumerated, enumerated);
-            t.add(|c| &c.world_dedup_hits, dedup_hits);
-        }
+        let query = ReadQuery::new(atoms, None);
+        let (t_enum, mut answers, enumerated, dedup_hits) =
+            self.with_touched_partitions(atoms, |db, parts| {
+                let mut pending: Vec<&PendingTxn> =
+                    parts.iter().flat_map(|p| p.txns.iter()).collect();
+                pending.sort_by_key(|p| p.id);
+                let txns: Vec<&ResourceTransaction> = pending.iter().map(|p| &p.txn).collect();
+                let t_enum = std::time::Instant::now();
+                let seed = self.core.config.seed;
+                let ws = crate::worlds::enumerate_worlds_seeded(db, &txns, world_bound, seed)?;
+                let answers = ws.worlds.iter().map(|view| query.rows(view));
+                let answers = answers.collect::<Result<Vec<_>>>()?;
+                Ok((t_enum, answers, ws.enumerated, ws.dedup_hits))
+            })?;
+        answers.sort_unstable();
+        answers.dedup();
+        let out = (answers.into_iter())
+            .map(|rows| rows.into_iter().map(|row| query.valuation(row)).collect())
+            .collect();
+        self.core
+            .obs
+            .phase(qdb_obs::Phase::WorldEnum, t_enum.elapsed());
+        let t = self.core.metrics.begin();
+        t.add(|c| &c.worlds_enumerated, enumerated);
+        t.add(|c| &c.world_dedup_hits, dedup_hits);
         Ok(out)
     }
 

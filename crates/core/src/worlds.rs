@@ -4,100 +4,33 @@
 //! this module enumerates them by explicit forking — exactly the thought
 //! experiment of §3.1 ("suppose the system finds all possible values that
 //! could be assigned … and forks the database state into several possible
-//! worlds"). A world is **never materialized**: each fork is a
-//! [`WorldDelta`] — a copy-on-write chain of write-op chunks over the
-//! shared base — and queries evaluate against `base + delta` through a
-//! [`DeltaView`]. Forking is O(pending ops), deduplication fingerprints
-//! net deltas instead of serializing whole databases, and the base is
-//! only ever *read*. Exponential in pending depth by nature, therefore
-//! bounded: it powers [`crate::SharedQuantumDb::read_possible`], the Figure 2
-//! example, and the property tests that cross-validate the solver against
-//! the possible-worlds semantics (intensional SAT ⟺ non-empty world set).
+//! worlds"). A world is **never materialized**: each one is a
+//! [`DeltaView`] over the shared base, built once — by cloning its
+//! parent's view and applying the updates the solver grounded — and then
+//! used for everything else: its net delta is the solver's pre-state for
+//! the next transaction, worlds are deduplicated on exact equality of
+//! their net deltas (a hash finds the candidates), and queries evaluate
+//! against it directly. The base is only ever *read*. Exponential in
+//! pending depth by nature, therefore bounded: it powers
+//! [`crate::SharedQuantumDb::read_possible`], the Figure 2 example, and the
+//! property tests that cross-validate the solver against the
+//! possible-worlds semantics (intensional SAT ⟺ non-empty world set).
 
-use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::collections::HashSet;
 
 use qdb_logic::ResourceTransaction;
-use qdb_solver::{Solver, TxnSpec};
-use qdb_storage::{Database, DeltaView, WriteOp};
+use qdb_solver::{Overlay, Solver, TxnSpec};
+use qdb_storage::{Database, DeltaView};
 
 use crate::Result;
 
-/// One possible world, represented as a delta over a shared base: a
-/// copy-on-write chain of write-op chunks (each fork appends one chunk
-/// and shares its ancestors' chunks through `Arc`s).
+/// An enumerated set of possible worlds, each a [`DeltaView`] over the
+/// base it borrows.
 #[derive(Debug)]
-pub struct WorldDelta {
-    parent: Option<Arc<WorldDelta>>,
-    /// Ops appended at this fork, each of which changed the visible state
-    /// when applied (no-ops are dropped at fork time, so replaying the
-    /// flattened chain through any op-applier is conflict-free).
-    ops: Vec<WriteOp>,
-}
-
-impl WorldDelta {
-    /// The un-forked root world (view = base).
-    pub fn root() -> Arc<WorldDelta> {
-        Arc::new(WorldDelta {
-            parent: None,
-            ops: Vec::new(),
-        })
-    }
-
-    /// Fork a child world: apply `raw_ops` on `parent`'s view of `base`,
-    /// keeping only the ops that changed the state (mirroring
-    /// [`Database::apply`]'s set-semantic no-ops). Errors on key
-    /// violations, exactly as applying to a materialized clone would.
-    pub fn fork(
-        base: &Database,
-        parent: &Arc<WorldDelta>,
-        raw_ops: Vec<WriteOp>,
-    ) -> Result<Arc<WorldDelta>> {
-        let mut view = parent.view(base)?;
-        let mut ops = Vec::with_capacity(raw_ops.len());
-        for op in raw_ops {
-            if view.apply(&op)? {
-                ops.push(op);
-            }
-        }
-        Ok(Arc::new(WorldDelta {
-            parent: Some(Arc::clone(parent)),
-            ops,
-        }))
-    }
-
-    /// The full op sequence, root → leaf.
-    pub fn ops(&self) -> Vec<WriteOp> {
-        let mut chunks: Vec<&[WriteOp]> = Vec::new();
-        let mut cur = Some(self);
-        while let Some(w) = cur {
-            chunks.push(&w.ops);
-            cur = w.parent.as_deref();
-        }
-        chunks.reverse();
-        chunks.concat()
-    }
-
-    /// The world as a [`DeltaView`] over `base` — the O(pending) way to
-    /// query it.
-    pub fn view<'a>(&self, base: &'a Database) -> Result<DeltaView<'a>> {
-        let mut view = DeltaView::new(base);
-        view.apply_all(&self.ops())?;
-        Ok(view)
-    }
-
-    /// Materialize the world as a standalone database (clones the base —
-    /// counted by [`Database::clone_count`]; tests and diagnostics only).
-    pub fn materialize(&self, base: &Database) -> Result<Database> {
-        Ok(self.view(base)?.materialize()?)
-    }
-}
-
-/// An enumerated set of possible worlds (deltas over a shared base).
-#[derive(Debug)]
-pub struct WorldSet {
-    /// The distinct worlds (deduplicated by net-delta fingerprint).
-    pub worlds: Vec<Arc<WorldDelta>>,
+pub struct WorldSet<'a> {
+    /// The distinct worlds, in discovery order (a fork equal to an
+    /// earlier one is dropped).
+    pub worlds: Vec<DeltaView<'a>>,
     /// True when enumeration stopped at the bound — `worlds` is then a
     /// subset of the true world set.
     pub truncated: bool,
@@ -107,7 +40,7 @@ pub struct WorldSet {
     pub dedup_hits: u64,
 }
 
-impl WorldSet {
+impl WorldSet<'_> {
     /// Number of (distinct) worlds.
     pub fn len(&self) -> usize {
         self.worlds.len()
@@ -121,15 +54,16 @@ impl WorldSet {
 }
 
 /// A canonical content fingerprint of a database (tables in name order,
-/// rows in key order) — used by recovery equivalence checks and the
-/// worlds property tests to compare materialized states.
+/// rows in key order, values in their escaped debug form, so distinct
+/// contents never print alike) — used by recovery equivalence checks and
+/// the worlds property tests to compare materialized states.
 pub fn world_fingerprint(db: &Database) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     for table in db.tables() {
         let _ = write!(out, "{}[", table.schema().relation());
         for row in table.iter() {
-            let _ = write!(out, "{row}");
+            let _ = write!(out, "{:?}", row.values());
         }
         out.push(']');
     }
@@ -143,11 +77,11 @@ pub fn world_fingerprint(db: &Database) -> String {
 /// Only non-optional body atoms constrain the forking, matching the
 /// engine invariant; optional-atom preferences affect which world the
 /// engine *picks*, not which worlds are possible.
-pub fn enumerate_worlds(
-    base: &Database,
+pub fn enumerate_worlds<'a>(
+    base: &'a Database,
     txns: &[&ResourceTransaction],
     bound: usize,
-) -> Result<WorldSet> {
+) -> Result<WorldSet<'a>> {
     enumerate_worlds_seeded(base, txns, bound, 0)
 }
 
@@ -158,66 +92,65 @@ pub fn enumerate_worlds(
 /// `0` is the historical order; the engines thread
 /// `QuantumDbConfig::seed` through here so `SELECT POSSIBLE` answers are
 /// a pure function of the configured seed.
-pub fn enumerate_worlds_seeded(
-    base: &Database,
+///
+/// Worlds fork breadth first, one transaction per level, and duplicates
+/// are dropped only at the end, so a truncated set holds the first
+/// `bound + 1` forks of the level that overflowed.
+pub fn enumerate_worlds_seeded<'a>(
+    base: &'a Database,
     txns: &[&ResourceTransaction],
     bound: usize,
     seed: u64,
-) -> Result<WorldSet> {
+) -> Result<WorldSet<'a>> {
     let mut solver = Solver::default();
     solver.seed = seed;
-    let mut worlds: Vec<Arc<WorldDelta>> = vec![WorldDelta::root()];
-    let mut enumerated = 0u64;
+    let mut worlds = vec![DeltaView::new(base)];
+    let (mut enumerated, mut truncated) = (0u64, false);
     for txn in txns {
-        let mut next: Vec<Arc<WorldDelta>> = Vec::new();
-        for w in &worlds {
-            let pre_ops = w.ops();
-            let groundings =
-                solver.enumerate_one(base, &pre_ops, &TxnSpec::required_only(txn), bound + 1)?;
-            for val in groundings {
-                let forked = WorldDelta::fork(base, w, txn.write_ops(&val)?)?;
-                enumerated += 1;
+        let spec = TxnSpec::required_only(txn);
+        let mut next = Vec::new();
+        'fork: for world in &worlds {
+            // The world's net delta is the solver's pre-state: the same
+            // overlay replaying the ops that built it would leave.
+            let mut overlay = Overlay::new();
+            for (rid, insert, row) in world.deltas() {
+                overlay.apply_id(base, rid, insert, row)?;
+            }
+            // At most the forks left before the level overflows.
+            let max = bound + 1 - next.len();
+            for updates in solver.enumerate_updates_in(base, &mut overlay, &spec, max)? {
+                let mut forked = world.clone();
+                for (rid, insert, row) in &updates {
+                    forked.apply_id(*rid, *insert, row)?;
+                }
                 next.push(forked);
+                enumerated += 1;
                 if next.len() > bound {
-                    let (worlds, dedup_hits) = dedup(base, next)?;
-                    return Ok(WorldSet {
-                        worlds,
-                        truncated: true,
-                        enumerated,
-                        dedup_hits,
-                    });
+                    truncated = true;
+                    break 'fork;
                 }
             }
         }
         worlds = next;
-        if worlds.is_empty() {
-            break; // no world survives: the sequence is unsatisfiable
+        if truncated || worlds.is_empty() {
+            break; // over the bound, or the sequence is unsatisfiable
         }
     }
-    let (worlds, dedup_hits) = dedup(base, worlds)?;
+    // Exact dedup: hash to find candidates, equality of net deltas to
+    // decide — two forks that reached one state by different op orders
+    // collapse into one. Neither reads the base's atomic access counters.
+    let forks = worlds.len();
+    #[allow(clippy::mutable_key_type)]
+    let mut seen = HashSet::with_capacity(forks);
+    let keep: Vec<bool> = worlds.iter().map(|w| seen.insert(w)).collect();
+    let mut keep = keep.into_iter();
+    worlds.retain(|_| keep.next() == Some(true));
     Ok(WorldSet {
+        dedup_hits: (forks - worlds.len()) as u64,
         worlds,
-        truncated: false,
+        truncated,
         enumerated,
-        dedup_hits,
     })
-}
-
-/// Deduplicate worlds by the fingerprint of their **net delta** over the
-/// shared base (O(pending) per world) — two forks that reached the same
-/// state through different op orders collapse into one.
-fn dedup(base: &Database, worlds: Vec<Arc<WorldDelta>>) -> Result<(Vec<Arc<WorldDelta>>, u64)> {
-    let mut seen: BTreeSet<String> = BTreeSet::new();
-    let mut out = Vec::with_capacity(worlds.len());
-    let mut hits = 0u64;
-    for w in worlds {
-        if seen.insert(w.view(base)?.fingerprint()) {
-            out.push(w);
-        } else {
-            hits += 1;
-        }
-    }
-    Ok((out, hits))
 }
 
 #[cfg(test)]
@@ -274,6 +207,17 @@ mod tests {
         .unwrap()
     }
 
+    /// A two-column text table holding ("a', 'b", "c") and ("a", "b', 'c"):
+    /// both rows print as ('a', 'b', 'c').
+    fn look_alike_pairs() -> Database {
+        let mut db = Database::new();
+        let cols = vec![("x", ValueType::Str), ("y", ValueType::Str)];
+        db.create_table(Schema::new("Pair", cols)).unwrap();
+        db.insert("Pair", tuple!["a', 'b", "c"]).unwrap();
+        db.insert("Pair", tuple!["a", "b', 'c"]).unwrap();
+        db
+    }
+
     #[test]
     fn figure2_world_evolution() {
         let db = figure2_db();
@@ -296,8 +240,7 @@ mod tests {
         assert!(!w3.is_empty());
         // Check every surviving world seats Minnie adjacent to Mickey —
         // read through the delta views, no world is ever materialized.
-        for w in &w3.worlds {
-            let view = w.view(&db).unwrap();
+        for view in &w3.worlds {
             let bookings = view.matching_rows("Bookings", &[None, None, None]).unwrap();
             let seat_of = |n: &str| {
                 bookings
@@ -344,6 +287,22 @@ mod tests {
         assert_eq!(world_fingerprint(&db), world_fingerprint(&db2));
         db2.delete("Available", &tuple![123, "1A"]).unwrap();
         assert_ne!(world_fingerprint(&db), world_fingerprint(&db2));
+        // Rows that print alike fingerprint apart.
+        let [mut a, mut b] = [look_alike_pairs(), look_alike_pairs()];
+        a.delete("Pair", &tuple!["a", "b', 'c"]).unwrap();
+        b.delete("Pair", &tuple!["a', 'b", "c"]).unwrap();
+        assert_ne!(world_fingerprint(&a), world_fingerprint(&b));
+    }
+
+    #[test]
+    fn look_alike_rows_stay_distinct_worlds() {
+        // Deleting either row is a world of its own, though the two rows
+        // print alike.
+        let db = look_alike_pairs();
+        let drop_one = parse_transaction("-Pair(x, y) :-1 Pair(x, y)").unwrap();
+        let ws = enumerate_worlds(&db, &[&drop_one], 100).unwrap();
+        assert_eq!((ws.enumerated, ws.dedup_hits, ws.len()), (2, 0, 2));
+        assert_ne!(ws.worlds[0], ws.worlds[1]);
     }
 
     #[test]
@@ -351,13 +310,12 @@ mod tests {
         let db = figure2_db();
         let mickey = book("Mickey");
         let ws = enumerate_worlds(&db, &[&mickey], 100).unwrap();
-        for w in &ws.worlds {
-            let materialized = w.materialize(&db).unwrap();
+        for view in &ws.worlds {
+            let materialized = view.materialize().unwrap();
             // One seat booked, two left, in every world.
             assert_eq!(materialized.table("Available").unwrap().len(), 2);
             assert_eq!(materialized.table("Bookings").unwrap().len(), 1);
             // The view agrees with the materialized state row for row.
-            let view = w.view(&db).unwrap();
             for table in materialized.tables() {
                 for row in table.iter() {
                     assert!(view.contains(table.schema().relation(), row));

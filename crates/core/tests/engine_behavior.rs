@@ -2,6 +2,10 @@
 //! Behavioural tests for the quantum database engine: the §1–§3 narratives
 //! of the paper, operation by operation.
 
+mod common;
+
+use std::collections::BTreeSet;
+
 use qdb_core::{
     GroundingPolicy, QuantumDb, QuantumDbConfig, Serializability, SharedQuantumDb, SubmitOutcome,
 };
@@ -380,6 +384,100 @@ fn read_possible_exposes_all_worlds() {
     assert_eq!(m.world_dedup_hits, 0);
 }
 
+/// Query answer rows as `(var id, value)` lists.
+type Rows = Vec<Vec<(u32, qdb_storage::Value)>>;
+
+#[test]
+fn possible_matches_the_materialized_reference() {
+    // Bookings on one flight (one partition) over six seats, read after
+    // each of three admissions: `SELECT POSSIBLE`'s answer families and
+    // world counters equal the clone-based reference's on the same state,
+    // for two solver seeds, truncated (`LIMIT 4`, and `LIMIT 100` at
+    // depth 3) or not.
+    let mut truncations = 0;
+    for seed in [0, 7] {
+        let mut cfg = QuantumDbConfig::default();
+        cfg.seed = seed;
+        let qdb = wide_travel_engine(cfg, 2);
+        let mut txns = Vec::new();
+        for i in 0..3 {
+            txns.push(book(&format!("U{i}")));
+            assert!(qdb.submit(&txns[i]).unwrap().is_committed());
+            let refs: Vec<&ResourceTransaction> = txns.iter().collect();
+            for (who, bound) in [(0, 100), (i, 4), (i, 100)] {
+                let q = parse_query(&format!("Bookings('U{who}', f, s)")).unwrap();
+                let before = qdb.metrics();
+                let families = qdb.read_possible(&q.atoms, bound).unwrap();
+                let after = qdb.metrics();
+                let got: BTreeSet<Rows> = (families.iter())
+                    .map(|rows| {
+                        rows.iter()
+                            .map(|r| r.iter().map(|(v, c)| (v.id(), c.clone())).collect())
+                            .collect()
+                    })
+                    .collect();
+                let reference = qdb.with_database(|db| {
+                    common::enumerate_worlds_materialized(db, &refs, bound, seed)
+                });
+                let want: BTreeSet<Rows> = reference
+                    .worlds
+                    .iter()
+                    .map(|w| eval_rows(w, &q.atoms))
+                    .collect();
+                let label = format!("seed {seed}, depth {}, U{who}, LIMIT {bound}", i + 1);
+                assert_eq!(got, want, "{label}: answer families");
+                assert_eq!(
+                    after.worlds_enumerated - before.worlds_enumerated,
+                    reference.enumerated,
+                    "{label}: worlds enumerated"
+                );
+                assert_eq!(
+                    after.world_dedup_hits - before.world_dedup_hits,
+                    reference.dedup_hits,
+                    "{label}: dedup hits"
+                );
+                assert_eq!(after.db_clones, before.db_clones, "{label}: no clone");
+                truncations += u32::from(reference.truncated);
+            }
+        }
+    }
+    assert!(truncations > 0, "the truncating path ran");
+}
+
+/// The rows of `atoms` evaluated on a world (materialized or a view).
+fn eval_rows<V: qdb_storage::TupleView>(world: &V, atoms: &[qdb_logic::Atom]) -> Rows {
+    let empty = qdb_logic::Valuation::new();
+    let patterns = atoms.iter().map(|a| a.to_pattern(&empty)).collect();
+    let out = qdb_storage::ConjunctiveQuery::new(patterns).eval(world);
+    let rows = out.unwrap().bindings.into_iter();
+    rows.map(|b| b.into_iter().collect()).collect()
+}
+
+#[test]
+fn possible_keeps_look_alike_worlds_apart() {
+    // ("a', 'b", "c") and ("a", "b', 'c") both print as ('a', 'b', 'c').
+    // Inserted through bound parameters, then one of the two deleted by a
+    // pending transaction: two worlds, two answer sets.
+    let qdb = QuantumDb::new(QuantumDbConfig::default())
+        .unwrap()
+        .into_shared();
+    let session = qdb.session();
+    session
+        .execute("CREATE TABLE Pair (x TEXT, y TEXT)")
+        .unwrap();
+    let insert = session.prepare("INSERT INTO Pair VALUES (?, ?)").unwrap();
+    for (x, y) in [("a', 'b", "c"), ("a", "b', 'c")] {
+        let params = [qdb_storage::Value::from(x), qdb_storage::Value::from(y)];
+        insert.bind(&params).unwrap().run().unwrap();
+    }
+    let drop_one = parse_transaction("-Pair(x, y) :-1 Pair(x, y)").unwrap();
+    assert!(qdb.submit(&drop_one).unwrap().is_committed());
+    let q = parse_query("Pair(x, y)").unwrap();
+    assert_eq!(qdb.read_possible(&q.atoms, 100).unwrap().len(), 2);
+    let m = qdb.metrics();
+    assert_eq!((m.worlds_enumerated, m.world_dedup_hits), (2, 0));
+}
+
 #[test]
 fn partitions_split_by_flight_and_merge_on_bridging_txn() {
     let qdb = travel_engine(QuantumDbConfig::default());
@@ -506,10 +604,7 @@ fn wide_travel_engine(config: QuantumDbConfig, rows: usize) -> SharedQuantumDb {
 /// PEEK's oracle: the query over the base plus every pending update
 /// re-grounded from the cached valuations (how PEEK composed its world
 /// before it read the maintained one), as sorted `(var id, value)` rows.
-fn peek_by_regrounding(
-    qdb: &SharedQuantumDb,
-    atoms: &[qdb_logic::Atom],
-) -> Vec<Vec<(u32, qdb_storage::Value)>> {
+fn peek_by_regrounding(qdb: &SharedQuantumDb, atoms: &[qdb_logic::Atom]) -> Rows {
     let pending = qdb.pending_ids();
     let ops = pending
         .first()
@@ -517,11 +612,7 @@ fn peek_by_regrounding(
     qdb.with_database(|db| {
         let mut view = qdb_storage::DeltaView::new(db);
         view.apply_all(&ops.unwrap_or_default()).unwrap();
-        let empty = qdb_logic::Valuation::new();
-        let patterns = atoms.iter().map(|a| a.to_pattern(&empty)).collect();
-        let out = qdb_storage::ConjunctiveQuery::new(patterns).eval(&view);
-        let rows = out.unwrap().bindings.into_iter();
-        rows.map(|b| b.into_iter().collect()).collect()
+        eval_rows(&view, atoms)
     })
 }
 

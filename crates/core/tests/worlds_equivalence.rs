@@ -2,59 +2,21 @@
 //! old clone-based one.
 //!
 //! `enumerate_worlds` used to clone a full `Database` per world fork and
-//! deduplicate by whole-database fingerprints; it now forks copy-on-write
-//! op deltas and deduplicates by net-delta fingerprints. The clone-based
-//! implementation survives *only here*, as the materializing reference:
-//! on seeded pending sets — plain bookings, adjacency-constrained
-//! bookings, overbooked (unsatisfiable) sequences, truncating bounds —
-//! both enumerations must produce exactly the same set of world
-//! *contents* and the same truncation verdict.
+//! deduplicate by whole-database fingerprints; it now forks one delta view
+//! per world and deduplicates on exact equality of net deltas. The
+//! clone-based implementation survives *only* in test support, as the
+//! materializing reference: on seeded pending sets — plain bookings,
+//! adjacency-constrained bookings, overbooked (unsatisfiable) sequences,
+//! truncating bounds — and for several solver seeds, both enumerations
+//! must report the same worlds in the same discovery order, the same
+//! truncation verdict and the same `enumerated` / `dedup_hits` counts.
 
-use qdb_core::{enumerate_worlds, world_fingerprint};
+mod common;
+
+use common::enumerate_worlds_materialized;
+use qdb_core::{enumerate_worlds_seeded, world_fingerprint};
 use qdb_logic::{parse_transaction, ResourceTransaction};
-use qdb_solver::{Solver, TxnSpec};
 use qdb_storage::{tuple, Database, Schema, ValueType};
-
-/// The pre-delta implementation, verbatim in structure: fork by cloning,
-/// dedup by full-database fingerprint.
-fn enumerate_worlds_materialized(
-    base: &Database,
-    txns: &[&ResourceTransaction],
-    bound: usize,
-) -> (Vec<Database>, bool) {
-    fn dedup(worlds: Vec<Database>) -> Vec<Database> {
-        let mut seen = std::collections::BTreeSet::new();
-        worlds
-            .into_iter()
-            .filter(|w| seen.insert(world_fingerprint(w)))
-            .collect()
-    }
-    let mut solver = Solver::default();
-    let mut worlds: Vec<Database> = vec![base.clone()];
-    for txn in txns {
-        let mut next: Vec<Database> = Vec::new();
-        for w in &worlds {
-            let groundings = solver
-                .enumerate_one(w, &[], &TxnSpec::required_only(txn), bound + 1)
-                .expect("reference enumeration");
-            for val in groundings {
-                let mut forked = w.clone();
-                for op in txn.write_ops(&val).expect("grounded ops") {
-                    forked.apply(&op).expect("ops apply");
-                }
-                next.push(forked);
-                if next.len() > bound {
-                    return (dedup(next), true);
-                }
-            }
-        }
-        worlds = next;
-        if worlds.is_empty() {
-            break;
-        }
-    }
-    (dedup(worlds), false)
-}
 
 fn flights_db(flights: i64, seats: &[&str]) -> Database {
     let mut db = Database::new();
@@ -104,27 +66,42 @@ fn book_next_to(name: &str, partner: &str, flight: i64) -> ResourceTransaction {
     .unwrap()
 }
 
-/// Sorted full-content fingerprints of a world list.
-fn sorted_fingerprints(worlds: impl IntoIterator<Item = Database>) -> Vec<String> {
-    let mut out: Vec<String> = worlds.into_iter().map(|w| world_fingerprint(&w)).collect();
-    out.sort();
-    out
-}
-
-fn assert_equivalent(base: &Database, txns: &[&ResourceTransaction], bound: usize, label: &str) {
-    let (ref_worlds, ref_truncated) = enumerate_worlds_materialized(base, txns, bound);
-    let delta = enumerate_worlds(base, txns, bound).expect("delta enumeration");
-    assert_eq!(delta.truncated, ref_truncated, "{label}: truncation");
-    assert_eq!(delta.len(), ref_worlds.len(), "{label}: world count");
-    let materialized = delta
-        .worlds
-        .iter()
-        .map(|w| w.materialize(base).expect("world materializes"));
-    assert_eq!(
-        sorted_fingerprints(materialized),
-        sorted_fingerprints(ref_worlds),
-        "{label}: world contents"
-    );
+/// Both enumerators agree, for solver seeds 0, 1 and 7, on everything
+/// `SELECT POSSIBLE` reports; returns seed 0's `(truncated, enumerated,
+/// dedup_hits, worlds)` so callers can pin the shape.
+fn assert_equivalent(
+    base: &Database,
+    txns: &[&ResourceTransaction],
+    bound: usize,
+    label: &str,
+) -> (bool, u64, u64, usize) {
+    let mut shape = Vec::new();
+    for seed in [0, 1, 7] {
+        let reference = enumerate_worlds_materialized(base, txns, bound, seed);
+        let delta = enumerate_worlds_seeded(base, txns, bound, seed).expect("delta enumeration");
+        let label = format!("{label}, seed {seed}");
+        assert_eq!(delta.truncated, reference.truncated, "{label}: truncation");
+        assert_eq!(
+            delta.enumerated, reference.enumerated,
+            "{label}: enumerated"
+        );
+        assert_eq!(
+            delta.dedup_hits, reference.dedup_hits,
+            "{label}: dedup hits"
+        );
+        let got: Vec<String> = (delta.worlds.iter())
+            .map(|view| world_fingerprint(&view.materialize().expect("world materializes")))
+            .collect();
+        let want: Vec<String> = reference.worlds.iter().map(world_fingerprint).collect();
+        assert_eq!(got, want, "{label}: world contents");
+        shape.push((
+            delta.truncated,
+            delta.enumerated,
+            delta.dedup_hits,
+            delta.len(),
+        ));
+    }
+    shape[0]
 }
 
 #[test]
@@ -160,6 +137,42 @@ fn delta_forked_enumeration_matches_the_clone_based_reference() {
     let c = book_next_to("Cleo", "Ann", 1);
     assert_equivalent(&multi, &[&a, &b], 100, "two flights");
     assert_equivalent(&multi, &[&a, &b, &c], 100, "two flights + adjacency");
+}
+
+#[test]
+fn deep_admit_shape_truncates_at_the_first_level() {
+    // 60 seats on one flight, 16 pending bookings, `LIMIT 32`: the oldest
+    // booking alone has 60 groundings, so the 33rd fork of level 1 ends
+    // the enumeration and no later booking is applied in any world.
+    let seats: Vec<String> = (1..=20)
+        .flat_map(|r| ["A", "B", "C"].map(|c| format!("{r}{c}")))
+        .collect();
+    let seats: Vec<&str> = seats.iter().map(String::as_str).collect();
+    let db = flights_db(1, &seats);
+    let txns: Vec<ResourceTransaction> = (0..16).map(|i| book(&format!("u{i}"), 1)).collect();
+    let refs: Vec<&ResourceTransaction> = txns.iter().collect();
+    let shape = assert_equivalent(&db, &refs, 32, "deep admit");
+    assert_eq!(shape, (true, 33, 0, 33));
+}
+
+#[test]
+fn three_seats_enumerate_every_level() {
+    // Three bookings on three seats: 3 + 6 + 6 forks over three levels,
+    // every permutation a distinct world, nothing truncated.
+    let db = flights_db(1, &["1A", "1B", "1C"]);
+    let txns: Vec<ResourceTransaction> = (0..3).map(|i| book(&format!("u{i}"), 1)).collect();
+    let refs: Vec<&ResourceTransaction> = txns.iter().collect();
+    assert_eq!(
+        assert_equivalent(&db, &refs, 100, "three levels"),
+        (false, 15, 0, 6)
+    );
+    // Two identical bookings reach each pair of seats twice: 3 + 6 forks,
+    // 3 of them duplicates.
+    let twin = book("twin", 1);
+    assert_eq!(
+        assert_equivalent(&db, &[&twin, &twin], 100, "twins"),
+        (false, 9, 3, 3)
+    );
 }
 
 #[test]

@@ -1231,9 +1231,8 @@ impl Driver {
         let verdict: Result<(Vec<CanonSet>, bool), String> = self.engine.with_db(|db| {
             let ws = enumerate_worlds_seeded(db, &txns, bound, seed).map_err(|e| e.to_string())?;
             let mut sets = Vec::with_capacity(ws.worlds.len());
-            for w in &ws.worlds {
-                let view = w.view(db).map_err(|e| e.to_string())?;
-                let ans = eval_atoms(&view, atoms).map_err(|e| e.to_string())?;
+            for view in &ws.worlds {
+                let ans = eval_atoms(view, atoms).map_err(|e| e.to_string())?;
                 sets.push(canon_set(&ans));
             }
             Ok((sets, ws.truncated))

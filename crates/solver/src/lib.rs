@@ -36,7 +36,7 @@ pub mod stats;
 pub use cache::CachedSolution;
 pub use error::SolverError;
 pub use overlay::{CandidateIter, Overlay};
-pub use search::{AtomOrder, SearchLimits, Solver};
+pub use search::{AtomOrder, GroundUpdate, SearchLimits, Solver};
 pub use spec::{Solution, TxnSpec};
 pub use stats::SolverStats;
 

@@ -465,22 +465,44 @@ impl Solver {
         spec: &TxnSpec<'_>,
         max: usize,
     ) -> Result<Vec<Valuation>> {
-        self.timed(|s| s.enumerate_one_inner(base, pre_ops, spec, max))
+        self.timed(|s| {
+            let mut ov = Overlay::new();
+            for op in pre_ops {
+                ov.apply(base, op)?;
+            }
+            s.collect(base, &mut ov, spec, max, |sp, fr, _| fr.valuation(sp))
+        })
     }
 
-    fn enumerate_one_inner(
+    /// [`Solver::enumerate_one`] on a caller-provided virtual state (as
+    /// [`Solver::solve_in`]; left as found), reporting each grounding as
+    /// its grounded updates in order — what forking a possible world applies.
+    pub fn enumerate_updates_in(
         &mut self,
         base: &Database,
-        pre_ops: &[WriteOp],
+        overlay: &mut Overlay,
         spec: &TxnSpec<'_>,
         max: usize,
-    ) -> Result<Vec<Valuation>> {
-        let mut overlay = Overlay::new();
-        for op in pre_ops {
-            overlay.apply(base, op)?;
-        }
+    ) -> Result<Vec<Vec<GroundUpdate>>> {
+        self.timed(|s| s.collect(base, overlay, spec, max, |_, _, updates| updates))
+    }
+
+    /// Search `spec` alone in collect mode: up to `max` groundings, in
+    /// discovery order — distinct, as sibling candidates are distinct
+    /// tuples that bind some variable differently.
+    fn collect<T>(
+        &mut self,
+        base: &Database,
+        overlay: &mut Overlay,
+        spec: &TxnSpec<'_>,
+        max: usize,
+        item: impl Fn(&CompiledSpec<'_>, &Frame, Vec<GroundUpdate>) -> T,
+    ) -> Result<Vec<T>> {
         let compiled = [CompiledSpec::compile(base, spec)?];
-        let mut collected = Vec::new();
+        let mut found = Vec::new();
+        let mut push = |spec: &CompiledSpec<'_>, frame: &Frame, updates| {
+            found.push(item(spec, frame, updates))
+        };
         let mut ctx = Ctx {
             base,
             specs: &compiled,
@@ -490,22 +512,21 @@ impl Solver {
             max_nodes: self.limits.max_nodes,
             nodes: 0,
             stats: &mut self.stats,
-            collect_first: Some((max, &mut collected)),
+            collect_first: Some((max, &mut push)),
         };
-        let mut valuations = Vec::with_capacity(1);
         // In collect mode solve_txn never reports success; it fills the
         // collector until exhaustion or `max`.
-        let res = ctx.solve_txn(0, &mut overlay, &mut valuations);
+        let res = ctx.solve_txn(0, overlay, &mut Vec::new());
         let nodes = ctx.nodes;
         self.stats.nodes += nodes;
-        res?;
-        self.stats.enumerated += collected.len() as u64;
-        // Deduplicate while preserving discovery order.
-        let mut seen = std::collections::BTreeSet::new();
-        collected.retain(|v| seen.insert(v.clone()));
-        Ok(collected)
+        res.map(|_| found)
     }
 }
+
+/// A grounded update: relation, insert (`true`) or delete, and tuple.
+pub type GroundUpdate = (RelationId, bool, Tuple);
+
+type Push<'c> = &'c mut dyn FnMut(&CompiledSpec<'_>, &Frame, Vec<GroundUpdate>);
 
 struct Ctx<'a, 'c> {
     base: &'a Database,
@@ -520,9 +541,9 @@ struct Ctx<'a, 'c> {
     /// stats absorb it afterwards).
     nodes: u64,
     stats: &'c mut SolverStats,
-    /// When set, collect up to N valuations of spec 0 instead of solving
-    /// the whole sequence.
-    collect_first: Option<(usize, &'c mut Vec<Valuation>)>,
+    /// When set, hand each grounding of spec 0 to the callback (at most
+    /// as many as the count left) instead of solving the whole sequence.
+    collect_first: Option<(usize, Push<'c>)>,
 }
 
 impl<'a, 'c> Ctx<'a, 'c> {
@@ -589,6 +610,9 @@ impl<'a, 'c> Ctx<'a, 'c> {
         overlay: &mut Overlay,
         out: &mut Vec<Valuation>,
     ) -> Result<bool> {
+        if self.collect_first.is_some() {
+            return self.collect_txn(i, overlay);
+        }
         let mark = overlay.mark();
         let (spec, frame) = (&self.specs[i], &self.frames[i]);
         for atom in spec.updates() {
@@ -598,22 +622,37 @@ impl<'a, 'c> Ctx<'a, 'c> {
                 return Ok(false); // set-semantics conflict: backtrack
             }
         }
-        let val = frame.valuation(spec);
-        if let Some((max, collected)) = &mut self.collect_first {
-            collected.push(val);
-            let full = collected.len() >= *max;
-            overlay.rollback(mark);
-            // `true` stops the search; in collect mode that means "quota
-            // reached".
-            return Ok(full);
-        }
-        out.push(val);
+        out.push(frame.valuation(spec));
         if self.solve_txn(i + 1, overlay, out)? {
             return Ok(true);
         }
         out.pop();
         overlay.rollback(mark);
         Ok(false)
+    }
+
+    /// Collect mode: record txn `i`'s grounding if its updates apply in
+    /// order, decided by probing alone — an insert fails on a visible tuple,
+    /// and the last earlier update of that tuple, if any, says if it is.
+    fn collect_txn(&mut self, i: usize, overlay: &Overlay) -> Result<bool> {
+        let (spec, frame) = (&self.specs[i], &self.frames[i]);
+        let mut grounded = Vec::with_capacity(spec.updates().len());
+        for a in spec.updates() {
+            let tuple = spec.ground(a, |slot| frame.binds[slot].as_ref())?;
+            grounded.push((a.rid, a.insert, tuple));
+        }
+        let applies = grounded.iter().enumerate().all(|(k, (rid, insert, t))| {
+            let before = &grounded[..k];
+            let earlier = before.iter().rev().find(|u| u.0 == *rid && u.2 == *t);
+            !insert || !earlier.map_or_else(|| overlay.visible_id(self.base, *rid, t), |u| u.1)
+        });
+        let Some((left, push)) = self.collect_first.as_mut().filter(|_| applies) else {
+            return Ok(false); // set-semantics conflict: backtrack
+        };
+        push(spec, frame, grounded);
+        self.stats.enumerated += 1;
+        *left = left.saturating_sub(1);
+        Ok(*left == 0) // `true` stops the search: the quota is reached
     }
 
     /// Choose the next body atom of txn `i` to branch on.

@@ -3,7 +3,8 @@
 //! the real database), agreement between atom orderings, soundness of
 //! solution-cache extension (Theorem 3.5: a sequence admitted step by
 //! step through `try_extend` is satisfiable from scratch and its cached
-//! valuations verify at every step), and enumeration validity.
+//! valuations verify at every step), enumeration validity, and that
+//! enumeration keeps exactly the groundings whose updates apply in order.
 //!
 //! The `proptest` crate is not vendored in this offline workspace, so the
 //! cases are driven by a seeded splitmix64 generator (failures print the
@@ -208,4 +209,60 @@ fn enumeration_distinct_and_valid() {
             }
         }
     }
+}
+
+/// Collect mode decides whether a grounding's updates apply by probing the
+/// virtual state instead of applying them; with updates that repeat a
+/// tuple, that must still be the in-order verdict. Each enumerated set
+/// equals the body matches that `verify` (which applies in order) accepts.
+#[test]
+fn enumeration_keeps_exactly_the_groundings_whose_updates_apply_in_order() {
+    let shapes = [
+        "-Available(f, s), +Available(f, s) :-1 Available(f, s)",
+        "+Available(f, s) :-1 Available(f, s)",
+        "+Bookings('x', f, s), +Bookings('x', f, s) :-1 Available(f, s)",
+        "+Bookings('x', f, s), -Bookings('x', f, s), +Bookings('x', f, s) :-1 Available(f, s)",
+        "-Bookings('x', f, s), +Bookings('x', f, s) :-1 Available(f, s)",
+        "-Available(f, s), +Bookings('x', f, s) :-1 Available(f, s)",
+    ];
+    let mut rng = Rng(0x5EED_C011);
+    for case in 0..CASES {
+        let db = seats_db(2, 3);
+        // A random pending state: some seats taken, some already booked.
+        let mut pre_ops = Vec::new();
+        for row in db.table("Available").unwrap().iter() {
+            match rng.below(4) {
+                0 => pre_ops.push(qdb_storage::WriteOp::delete("Available", row.clone())),
+                1 => pre_ops.push(qdb_storage::WriteOp::insert(
+                    "Bookings",
+                    tuple!["x", row[0].clone(), row[1].clone()],
+                )),
+                _ => {}
+            }
+        }
+        let txn = parse_transaction(shapes[rng.below(shapes.len() as u64) as usize]).unwrap();
+        let spec = TxnSpec::required_only(&txn);
+        let mut solver = Solver::default();
+        let got = solver.enumerate_one(&db, &pre_ops, &spec, 100).unwrap();
+        let all = solver
+            .enumerate_one(
+                &db,
+                &pre_ops,
+                &TxnSpec::required_only(&body_only(&txn)),
+                100,
+            )
+            .unwrap();
+        let want: Vec<_> = (all.into_iter())
+            .filter(|v| {
+                let valuations = std::slice::from_ref(v);
+                (solver.verify(&db, &pre_ops, std::slice::from_ref(&spec), valuations)).unwrap()
+            })
+            .collect();
+        assert_eq!(got, want, "case {case}: {txn}");
+    }
+}
+
+/// `txn`'s body with no updates: its groundings are the body matches.
+fn body_only(txn: &ResourceTransaction) -> ResourceTransaction {
+    ResourceTransaction::new(Vec::new(), txn.body.clone()).unwrap()
 }

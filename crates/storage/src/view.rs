@@ -68,7 +68,7 @@ impl TupleView for Database {
 /// [`Table`] rows (schema key projection → row), deletes record the
 /// removed base row under its key — so key semantics (set-semantic
 /// no-ops, key violations) match the concrete table's.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct DeltaRel {
     /// Rows added on top of the base, key → row.
     inserts: BTreeMap<Tuple, Tuple>,
@@ -249,29 +249,20 @@ impl<'a> DeltaView<'a> {
         table.get_by_key(&key).is_some_and(|row| row == tuple)
     }
 
-    /// A canonical fingerprint of the **net delta** (relations in id
-    /// order, `-`deleted and `+`inserted rows in key order). Two views
-    /// over the same base describe the same possible world iff their
-    /// fingerprints are equal — the possible-worlds enumerator
-    /// deduplicates forks on this instead of serializing whole databases.
-    pub fn fingerprint(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for (i, rel) in self.rels.iter().enumerate() {
-            if rel.is_empty() {
-                continue;
-            }
-            let name = self.base.relation_name(RelationId::from_index(i));
-            let _ = write!(out, "{name}[");
-            for row in rel.deletes.values() {
-                let _ = write!(out, "-{row}");
-            }
-            for row in rel.inserts.values() {
-                let _ = write!(out, "+{row}");
-            }
-            out.push(']');
-        }
-        out
+    /// The non-empty relation deltas with their ids — the net delta,
+    /// independent of how many trailing relations were ever touched.
+    fn net(&self) -> impl Iterator<Item = (usize, &DeltaRel)> {
+        self.rels.iter().enumerate().filter(|(_, r)| !r.is_empty())
+    }
+
+    /// The net delta as `(relation, is_insert, row)`: relations in id
+    /// order, each one's deleted base rows and then its inserted rows.
+    pub fn deltas(&self) -> impl Iterator<Item = (RelationId, bool, &Tuple)> {
+        self.net().flat_map(|(i, rel)| {
+            let rid = RelationId::from_index(i);
+            let deletes = rel.deletes.values().map(move |row| (rid, false, row));
+            deletes.chain(rel.inserts.values().map(move |row| (rid, true, row)))
+        })
     }
 
     /// Clone the base and apply the delta — the O(database)
@@ -387,6 +378,31 @@ impl TupleView for DeltaView<'_> {
     fn matching_rows(&self, relation: &str, bound: &[Option<Value>]) -> Result<Vec<Tuple>> {
         let rid = self.base.resolve(relation)?;
         self.merged_rows(rid, bound, usize::MAX)
+    }
+}
+
+/// Exact world identity: two views over the same base are equal iff they
+/// show the same state. The delta is canonical — a delete is recorded
+/// only for a base row, an insert only where no base row survives under
+/// its key, and re-inserting a deleted row cancels the delete — so equal
+/// states have equal deltas, whatever op order built them. The
+/// possible-worlds enumerator deduplicates forks on this, with [`Hash`]
+/// finding the candidates.
+impl PartialEq for DeltaView<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self.base, other.base) && self.net().eq(other.net())
+    }
+}
+
+impl Eq for DeltaView<'_> {}
+
+impl std::hash::Hash for DeltaView<'_> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        // A row determines its key, so hashing rows agrees with `==`.
+        for (i, rel) in self.net() {
+            (i, rel.deletes.len()).hash(state);
+            (rel.deletes.values().chain(rel.inserts.values())).for_each(|row| row.hash(state));
+        }
     }
 }
 
@@ -523,23 +539,39 @@ mod tests {
 
     #[test]
     fn fingerprints_identify_net_deltas() {
+        use std::hash::BuildHasher;
         let db = base();
         let mut v1 = DeltaView::new(&db);
         let mut v2 = DeltaView::new(&db);
-        assert_eq!(v1.fingerprint(), v2.fingerprint());
+        assert_eq!(v1, v2);
         // Different op orders, same net effect.
         v1.apply(&WriteOp::delete("A", tuple![1, "1A"])).unwrap();
         v1.apply(&WriteOp::insert("A", tuple![3, "3A"])).unwrap();
         v2.apply(&WriteOp::insert("A", tuple![3, "3A"])).unwrap();
         v2.apply(&WriteOp::delete("A", tuple![1, "1A"])).unwrap();
-        assert_eq!(v1.fingerprint(), v2.fingerprint());
-        // A no-op sequence fingerprints as unchanged.
+        assert_eq!(v1, v2);
+        // A no-op sequence equals the untouched view, however many
+        // relation slots it grew.
         let mut v3 = DeltaView::new(&db);
         v3.apply(&WriteOp::delete("A", tuple![1, "1A"])).unwrap();
         v3.apply(&WriteOp::insert("A", tuple![1, "1A"])).unwrap();
-        assert_eq!(v3.fingerprint(), DeltaView::new(&db).fingerprint());
+        assert_eq!(v3, DeltaView::new(&db));
         assert!(v3.is_unchanged());
-        assert_ne!(v1.fingerprint(), v3.fingerprint());
+        assert_ne!(v1, v3);
+        // Strings that print alike stay distinct: ('a', 'b', 'c') is both
+        // ("a', 'b", "c") and ("a", "b', 'c").
+        let mut pairs = Database::new();
+        let cols = vec![("x", ValueType::Str), ("y", ValueType::Str)];
+        pairs.create_table(Schema::new("P", cols)).unwrap();
+        let rows = [tuple!["a', 'b", "c"], tuple!["a", "b', 'c"]];
+        let [mut p1, mut p2] = [DeltaView::new(&pairs), DeltaView::new(&pairs)];
+        p1.apply(&WriteOp::insert("P", rows[0].clone())).unwrap();
+        p2.apply(&WriteOp::insert("P", rows[1].clone())).unwrap();
+        assert_ne!(p1, p2);
+        // Equal views hash alike.
+        let s = std::hash::RandomState::new();
+        assert_eq!(s.hash_one(&v1), s.hash_one(&v2));
+        assert_eq!(s.hash_one(&v3), s.hash_one(DeltaView::new(&db)));
     }
 
     #[test]

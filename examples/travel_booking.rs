@@ -9,7 +9,7 @@
 
 use quantum_db::core::enumerate_worlds;
 use quantum_db::logic::parse_transaction;
-use quantum_db::storage::tuple;
+use quantum_db::storage::{tuple, TupleView};
 use quantum_db::{QuantumDb, QuantumDbConfig, Session, Value};
 
 /// Figure 1's entangled booking as a prepared-statement template:
@@ -48,7 +48,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let donald = booking("Donald");
     let base = qdb.with_database(|db| db.clone());
     let w1 = enumerate_worlds(&base, &[&mickey], 100)?;
-    println!("after Mickey's transaction: {} possible worlds", w1.len());
+    // Each world is a delta view over the one base: read Mickey's seat in it.
+    let seats: Vec<String> = (w1.worlds.iter())
+        .map(|world| world.matching_rows("Bookings", &[None, None, None]))
+        .map(|rows| rows.map(|rows| rows[0][2].to_string()))
+        .collect::<Result<_, _>>()?;
+    println!(
+        "after Mickey's transaction: {} possible worlds, Mickey in {}",
+        w1.len(),
+        seats.join(" / ")
+    );
     let w2 = enumerate_worlds(&base, &[&mickey, &donald], 100)?;
     println!("after Donald's transaction: {} possible worlds", w2.len());
     // Minnie wants to sit next to Mickey (hard, for the world count).
