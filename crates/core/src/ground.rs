@@ -547,12 +547,13 @@ fn plan_solve_group(
 /// Apply the partition-side effects of a plan: drop the grounded
 /// transactions from the pending list (and, when the residue keeps its
 /// valuations, from the cache in lockstep), install re-solved valuations
-/// and the plan's pending world. Hands the grounded transactions back;
-/// database/WAL/metrics effects are the caller's.
+/// and the plan's pending world. Hands the grounded transactions' plans
+/// and pending entries back; database/WAL/metrics effects are the
+/// caller's.
 pub(crate) fn apply_plan_to_partition(
     p: &mut crate::Partition,
     plan: GroundPlan,
-) -> Vec<GroundedTxn> {
+) -> (Vec<GroundedTxn>, Vec<crate::PendingTxn>) {
     let left = |t: &crate::PendingTxn| plan.grounded.iter().any(|g| g.id == t.id);
     match plan.rest_vals {
         Some(vals) => p.cache.valuations = vals,
@@ -561,10 +562,10 @@ pub(crate) fn apply_plan_to_partition(
             (p.cache.valuations).retain(|_| !left(txns.next().expect("cache parallels txns")));
         }
     }
-    p.txns.retain(|t| !left(t));
+    let gone = p.txns.extract_if(.., |t| left(t)).collect();
     p.overlay_cache = plan.world;
     debug_assert_eq!(p.txns.len(), p.cache.len());
-    plan.grounded
+    (plan.grounded, gone)
 }
 
 /// Plan the *complete* collapse of one partition without touching the
@@ -589,7 +590,7 @@ pub(crate) fn plan_ground_all_partition(
                   pre_ops: &mut Vec<WriteOp>,
                   out: &mut Vec<GroundedTxn>,
                   plan: GroundPlan| {
-        let grounded = apply_plan_to_partition(p, plan);
+        let (grounded, _) = apply_plan_to_partition(p, plan);
         for g in &grounded {
             pre_ops.extend(g.ops.iter().cloned());
         }

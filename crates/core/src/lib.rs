@@ -60,6 +60,7 @@ pub mod metrics;
 pub mod partition;
 pub mod read;
 pub mod recovery;
+mod registry;
 pub mod repl;
 pub mod shard;
 pub mod sync;

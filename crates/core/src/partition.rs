@@ -11,11 +11,9 @@
 //! several partitions forces them to merge (the paper's window-seat /
 //! aisle-seat example).
 
-use std::sync::Arc;
-
-use qdb_logic::{Atom, ResourceTransaction, Term, UpdateKind};
+use qdb_logic::{Atom, ResourceTransaction, UpdateKind};
 use qdb_solver::{CachedSolution, Overlay, SolverError};
-use qdb_storage::{Database, Value};
+use qdb_storage::Database;
 
 use crate::txn::PendingTxn;
 
@@ -185,124 +183,40 @@ impl Partition {
     }
 }
 
-/// What the summarized atoms hold in one column of one relation.
+/// One transaction's atoms in a [`Footprint`]: `body` ones, then updates.
 #[derive(Debug, Clone)]
-enum Column {
-    /// Only these constants, sorted; never more than [`Column::CAP`].
-    Consts(Vec<Value>),
-    /// A variable, or more distinct constants than are worth listing.
-    Any,
+struct TxnAtoms {
+    tag: u32,
+    body: usize,
+    atoms: Vec<Atom>,
 }
 
-impl Column {
-    const CAP: usize = 32;
-
-    fn add(&mut self, value: &Value) {
-        if let Column::Consts(seen) = self {
-            if let Err(at) = seen.binary_search(value) {
-                if seen.len() == Self::CAP {
-                    *self = Column::Any;
-                } else {
-                    seen.insert(at, value.clone());
-                }
-            }
-        }
-    }
-
-    fn absorb(&mut self, other: &Column) {
-        match other {
-            Column::Any => *self = Column::Any,
-            Column::Consts(values) => values.iter().for_each(|v| self.add(v)),
-        }
-    }
-
-    fn admits(&self, term: &Term) -> bool {
-        match (self, term) {
-            (Column::Consts(seen), Term::Const(c)) => seen.binary_search(c).is_ok(),
-            _ => true,
-        }
-    }
-}
-
-/// A conservative digest of a set of atoms: per relation (and arity), per
-/// column, the constants seen — or [`Column::Any`]. It answers "could any
-/// summarized atom [`Atom::may_overlap`] this one?" in time proportional to
-/// the atom, not to the set: `false` is exact, `true` means "run the atom
-/// loop".
-#[derive(Debug, Clone, Default)]
-struct Summary {
-    rels: Vec<(Arc<str>, Vec<Column>)>,
-}
-
-impl Summary {
-    fn rel_mut(&mut self, relation: &Arc<str>, arity: usize) -> &mut Vec<Column> {
-        let found = self
-            .rels
-            .iter()
-            .position(|(r, cols)| r == relation && cols.len() == arity);
-        let at = found.unwrap_or_else(|| {
-            let cols = vec![Column::Consts(Vec::new()); arity];
-            self.rels.push((Arc::clone(relation), cols));
-            self.rels.len() - 1
-        });
-        &mut self.rels[at].1
-    }
-
-    fn add(&mut self, atom: &Atom) {
-        let cols = self.rel_mut(&atom.relation, atom.arity());
-        for (col, term) in cols.iter_mut().zip(&atom.terms) {
-            match term {
-                Term::Const(c) => col.add(c),
-                Term::Var(_) => *col = Column::Any,
-            }
-        }
-    }
-
-    fn absorb(&mut self, other: &Summary) {
-        for (relation, theirs) in &other.rels {
-            let ours = self.rel_mut(relation, theirs.len());
-            for (col, other_col) in ours.iter_mut().zip(theirs) {
-                col.absorb(other_col);
-            }
-        }
-    }
-
-    /// `false` only when no summarized atom may-overlaps `atom`.
-    fn admits(&self, atom: &Atom) -> bool {
-        self.rels
-            .iter()
-            .find(|(r, cols)| *r == atom.relation && cols.len() == atom.arity())
-            .is_some_and(|(_, cols)| cols.iter().zip(&atom.terms).all(|(c, t)| c.admits(t)))
-    }
+/// The id of `txn`'s first variable (`u32::MAX` if none), which finds it
+/// in a footprint cheaply: freshened transactions never share one.
+fn tag(txn: &ResourceTransaction) -> u32 {
+    let vars = all_atoms(txn).flat_map(|a| a.vars());
+    vars.map(|v| v.id()).next().unwrap_or(u32::MAX)
 }
 
 /// A partition's overlap summary: the atoms of its pending transactions,
-/// split into update atoms and body atoms.
+/// kept per transaction, split into update atoms and body atoms.
 ///
 /// The sharded engine keeps one `Footprint` per partition in its registry,
-/// *outside* the partition's lock, so overlap scans (which partitions
-/// could a new transaction, read or write interact with?) never block on a
-/// partition that is busy solving. The registry maintains the invariant
+/// *outside* the partition's lock, so overlap selections (which partitions
+/// could a new transaction, read or write interact with?) never block on
+/// a partition that is busy solving. The registry maintains the invariant
 /// that a partition's published footprint is a superset of the atoms of
-/// every transaction that will ever enter the partition, so a scan that
-/// sees no overlap can safely skip the partition without locking it.
+/// every transaction that will ever enter the partition, so a selection
+/// that finds no overlap can safely skip the partition without locking it.
 ///
-/// Every scan visits every registered footprint, so each test first asks
-/// a per-(relation, column) summary — one over the update atoms, one
-/// over all atoms — and runs the exact atom loop only when the summary
-/// cannot rule the partition out. The answers are exactly the loops'.
+/// Its tests are exact atom loops; the registry's index, which counts
+/// every footprint's atoms by relation and leading constant, decides which
+/// footprints are asked. Kept per transaction, the atoms of a grounded one
+/// are subtracted instead of the footprint being rebuilt.
 #[derive(Debug, Clone, Default)]
 pub struct Footprint {
-    /// Atoms written (inserted or deleted) by the pending transactions.
-    update_atoms: Vec<Atom>,
-    /// Body (read) atoms of the pending transactions.
-    body_atoms: Vec<Atom>,
-    /// Digest of `update_atoms`.
-    updates: Summary,
-    /// Digest of `update_atoms` and `body_atoms` together.
-    all: Summary,
-    /// Transactions absorbed so far.
-    txns: usize,
+    /// The absorbed transactions' atoms, one entry per transaction.
+    txns: Vec<TxnAtoms>,
 }
 
 impl Footprint {
@@ -315,53 +229,54 @@ impl Footprint {
 
     /// Add one transaction's atoms.
     pub fn absorb_txn(&mut self, txn: &ResourceTransaction) {
-        for u in &txn.updates {
-            self.updates.add(&u.atom);
-            self.all.add(&u.atom);
-            self.update_atoms.push(u.atom.clone());
-        }
-        for b in &txn.body {
-            self.all.add(&b.atom);
-            self.body_atoms.push(b.atom.clone());
-        }
-        self.txns += 1;
+        let (tag, body) = (tag(txn), txn.body.len());
+        let atoms = all_atoms(txn).cloned().collect();
+        self.txns.push(TxnAtoms { tag, body, atoms });
     }
 
     /// Merge another footprint in (partition merge).
     pub fn absorb(&mut self, other: &Footprint) {
-        self.update_atoms.extend_from_slice(&other.update_atoms);
-        self.body_atoms.extend_from_slice(&other.body_atoms);
-        self.updates.absorb(&other.updates);
-        self.all.absorb(&other.all);
-        self.txns += other.txns;
+        self.txns.extend_from_slice(&other.txns);
     }
 
-    /// How many transactions' atoms this footprint holds. A partition with
-    /// as many pending transactions has lost none since they were
-    /// absorbed, so its footprint is still exact.
+    /// Remove one transaction's atoms — those of an absorbed transaction
+    /// with the same atoms, which leaves the same multiset. `false` when
+    /// no absorbed one matches.
+    pub(crate) fn subtract_txn(&mut self, txn: &ResourceTransaction) -> bool {
+        let tag = tag(txn);
+        let same = |t: &TxnAtoms| {
+            t.tag == tag && t.body == txn.body.len() && t.atoms.iter().eq(all_atoms(txn))
+        };
+        let found = self.txns.iter().position(same);
+        found.map(|at| self.txns.swap_remove(at)).is_some()
+    }
+
+    /// Each absorbed transaction's body atoms and update atoms.
+    pub(crate) fn txn_atoms(&self) -> impl Iterator<Item = (&[Atom], &[Atom])> + '_ {
+        self.txns.iter().map(|t| t.atoms.split_at(t.body))
+    }
+
+    /// How many transactions' atoms this footprint holds; a partition with
+    /// as many has lost none since they were absorbed.
     pub(crate) fn txn_count(&self) -> usize {
-        self.txns
+        self.txns.len()
+    }
+
+    fn update_atoms(&self) -> impl Iterator<Item = &Atom> + '_ {
+        self.txn_atoms().flat_map(|(_, updates)| updates)
+    }
+
+    fn atoms(&self) -> impl Iterator<Item = &Atom> + '_ {
+        self.txns.iter().flat_map(|t| &t.atoms)
     }
 
     /// Could `txn` be dependent on the summarized partition? Mirrors
     /// [`transactions_overlap`]: a write/read or write/write conflict —
     /// an update atom of one side may-overlapping any atom of the other.
     pub fn overlaps_txn(&self, txn: &ResourceTransaction) -> bool {
-        let possible = all_atoms(txn).any(|a| self.updates.admits(a))
-            || txn.updates.iter().any(|u| self.all.admits(&u.atom));
-        possible && self.overlaps_txn_exact(txn)
-    }
-
-    fn overlaps_txn_exact(&self, txn: &ResourceTransaction) -> bool {
-        self.update_atoms
-            .iter()
+        self.update_atoms()
             .any(|ua| all_atoms(txn).any(|ta| ua.may_overlap(ta)))
-            || txn.updates.iter().any(|u| {
-                self.update_atoms
-                    .iter()
-                    .chain(self.body_atoms.iter())
-                    .any(|a| u.atom.may_overlap(a))
-            })
+            || (txn.updates.iter()).any(|u| self.atoms().any(|a| u.atom.may_overlap(a)))
     }
 
     /// Could answering a query over `atoms` observe the summarized pending
@@ -370,12 +285,7 @@ impl Footprint {
     /// overlays — a partition whose updates cannot unify with any query
     /// atom cannot change the query's answer in any possible world.
     pub fn touched_by_query(&self, atoms: &[Atom]) -> bool {
-        atoms.iter().any(|qa| self.updates.admits(qa)) && self.touched_by_query_exact(atoms)
-    }
-
-    fn touched_by_query_exact(&self, atoms: &[Atom]) -> bool {
-        self.update_atoms
-            .iter()
+        self.update_atoms()
             .any(|ua| atoms.iter().any(|qa| qa.may_overlap(ua)))
     }
 
@@ -383,14 +293,7 @@ impl Footprint {
     /// with the summarized partition? Conservative over *all* atoms, like
     /// the engine's write-admission check.
     pub fn touched_by_write(&self, atom: &Atom) -> bool {
-        self.all.admits(atom) && self.touched_by_write_exact(atom)
-    }
-
-    fn touched_by_write_exact(&self, atom: &Atom) -> bool {
-        self.update_atoms
-            .iter()
-            .chain(self.body_atoms.iter())
-            .any(|a| a.may_overlap(atom))
+        self.atoms().any(|a| a.may_overlap(atom))
     }
 }
 
@@ -502,83 +405,6 @@ mod tests {
         let mut merged = fp.clone();
         merged.absorb(&Footprint::of_txn(&book_flight(2, "D")));
         assert!(merged.overlaps_txn(&book_flight(2, "X")));
-    }
-
-    /// The engine's own seeded generator drives the sweep below.
-    fn next(rng: &mut u64) -> u64 {
-        let mut g = crate::ground::XorShift(*rng);
-        let out = g.next_u64();
-        *rng = g.0;
-        out
-    }
-
-    /// A random atom over 3 relation names (one used at two arities), with
-    /// constants from a domain of `domain` values and ~1/3 variables.
-    fn random_atom(rng: &mut u64, domain: u64) -> Atom {
-        let (relation, arity) = [("R", 2), ("R", 3), ("S", 1), ("T", 3)][(next(rng) % 4) as usize];
-        let terms = (0..arity)
-            .map(|i| match next(rng) % 3 {
-                0 => Term::Var(qdb_logic::Var::new(i, "v")),
-                _ => Term::Const(Value::from((next(rng) % domain) as i64)),
-            })
-            .collect();
-        Atom::new(relation, terms)
-    }
-
-    fn random_txn(rng: &mut u64, domain: u64) -> ResourceTransaction {
-        let mut t = book_flight(1, "x");
-        t.updates.truncate(1 + (next(rng) % 2) as usize);
-        for u in &mut t.updates {
-            u.atom = random_atom(rng, domain);
-        }
-        t.body[0].atom = random_atom(rng, domain);
-        t
-    }
-
-    #[test]
-    fn prefiltered_overlap_tests_agree_with_the_exact_atom_loops() {
-        let (mut hits, mut ruled_out) = (0, 0);
-        for case in 0..300u64 {
-            let mut rng = 0xF007_0000 + case;
-            // Small domains keep columns listed; the large one overflows
-            // them into `Any` once enough transactions are absorbed.
-            let domain = [3, 8, 200][(case % 3) as usize];
-            let mut fp = Footprint::default();
-            for _ in 0..next(&mut rng) % 40 {
-                fp.absorb_txn(&random_txn(&mut rng, domain));
-            }
-            if case % 4 == 0 {
-                let mut other = Footprint::default();
-                for _ in 0..next(&mut rng) % 20 {
-                    other.absorb_txn(&random_txn(&mut rng, domain));
-                }
-                fp.absorb(&other);
-            }
-            for _ in 0..40 {
-                let txn = random_txn(&mut rng, domain);
-                let query = [random_atom(&mut rng, domain), random_atom(&mut rng, domain)];
-                let write = random_atom(&mut rng, domain);
-                let got = [
-                    fp.overlaps_txn(&txn),
-                    fp.touched_by_query(&query),
-                    fp.touched_by_write(&write),
-                ];
-                let exact = [
-                    fp.overlaps_txn_exact(&txn),
-                    fp.touched_by_query_exact(&query),
-                    fp.touched_by_write_exact(&write),
-                ];
-                assert_eq!(got, exact, "case {case}: {txn} / {query:?} / {write}");
-                hits += exact.iter().filter(|&&e| e).count();
-                ruled_out += usize::from(!fp.all.admits(&write));
-            }
-        }
-        // The sweep exercises both answers, and the summaries do rule
-        // partitions out without the loop.
-        assert!(
-            hits > 1_000 && ruled_out > 1_000,
-            "{hits} hits, {ruled_out} ruled out"
-        );
     }
 
     #[test]

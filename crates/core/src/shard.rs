@@ -13,10 +13,11 @@
 //! * **partitions** — each §4 independence [`Partition`] lives in its own
 //!   mutex-guarded *slot* with its own cached-solution state, so solver
 //!   searches for disjoint partitions run genuinely in parallel.
-//! * **registry** — a map `partition id → (footprint, slot)`. The
-//!   [`Footprint`] is an overlap summary kept *outside* the slot lock, so
-//!   scans ("which partitions could this statement touch?") never block on
-//!   a partition that is busy solving.
+//! * **registry** — `partition id → (footprint, slot)` plus an index over
+//!   the footprints. A [`Footprint`](crate::Footprint) is an overlap
+//!   summary kept *outside* the slot lock, so selections ("which
+//!   partitions could this statement touch?") never block on a partition
+//!   that is busy solving, and the index spares them the rest.
 //! * **metrics** — atomics with a seqlock for torn-proof snapshots
 //!   (`AtomicMetrics` in `crate::metrics`); hot-path observation never
 //!   takes a lock.
@@ -49,9 +50,10 @@
 //! A submit must atomically decide which partitions its transaction
 //! depends on, or two dependent transactions could land in different
 //! partitions and be admission-checked separately. Under the registry
-//! lock, a reservation (a) collects every overlapping entry, (b) removes
-//! them from the map, and (c) inserts a fresh entry whose footprint is the
-//! union of the removed footprints plus the newcomer's atoms. This
+//! lock, a reservation (a) collects every overlapping entry (the index
+//! names candidates by relation and leading constant, their footprints
+//! confirm), (b) removes them from the map, and (c) registers a fresh
+//! entry whose footprint is their union plus the newcomer's atoms. This
 //! publishes the *future* contents of the merged partition before any
 //! solving happens, maintaining the invariant that a registered footprint
 //! is a superset of the atoms of every transaction that will ever enter
@@ -63,7 +65,9 @@
 //! lock and drains whatever the submit installed. The removed target
 //! slots are then *drained* (locked, marked dead, contents moved) one by
 //! one; any operation that locked a slot through a stale `Arc` sees
-//! `dead` and rescans the registry.
+//! `dead` and rescans the registry. Transactions that later leave (a
+//! grounding, a refused newcomer) are subtracted from the footprint when
+//! the slot is published again.
 //!
 //! `GROUND ALL` is a reservation whose target set is the whole registry:
 //! it registers one host entry carrying the union of every claimed
@@ -120,7 +124,7 @@
 //! assert_eq!(shared.pending_count(), 0);
 //! ```
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
@@ -140,7 +144,8 @@ use crate::ground::{
     GroundedTxn,
 };
 use crate::metrics::{AtomicMetrics, Metrics};
-use crate::partition::{Footprint, Partition};
+use crate::partition::Partition;
+use crate::registry::{Registry, Slot, SlotState};
 use crate::sync::{Mutex, RwLock};
 use crate::txn::{PendingTxn, TxnId};
 use crate::Result;
@@ -149,58 +154,6 @@ use crate::Result;
 /// by the RwLock rather than by partition slots.
 struct Base {
     db: Database,
-}
-
-/// One partition's lockable home.
-#[derive(Default)]
-struct Slot {
-    state: Mutex<SlotState>,
-}
-
-/// Contents of a slot. `dead` means the partition's contents were drained
-/// into a newer slot (or fully grounded away); holders of a stale `Arc`
-/// must rescan the registry.
-#[derive(Default)]
-struct SlotState {
-    part: Partition,
-    dead: bool,
-}
-
-/// Registry entry: the overlap summary plus the slot it summarizes.
-struct Entry {
-    footprint: Footprint,
-    slot: Arc<Slot>,
-}
-
-/// The partition registry. `next_pid` grows monotonically; slot ids are
-/// never reused, which the lock-ordering proof relies on.
-struct Registry {
-    slots: BTreeMap<u64, Entry>,
-    next_pid: u64,
-}
-
-impl Entry {
-    /// A live partition in a fresh slot of its own.
-    fn new(part: Partition) -> Entry {
-        Entry {
-            footprint: part.footprint(),
-            slot: Arc::new(Slot {
-                state: Mutex::new(SlotState { part, dead: false }),
-            }),
-        }
-    }
-}
-
-impl Registry {
-    /// Register a non-empty partition in a fresh slot under a fresh id.
-    fn install(&mut self, part: Partition) {
-        if part.is_empty() {
-            return;
-        }
-        let pid = self.next_pid;
-        self.next_pid += 1;
-        self.slots.insert(pid, Entry::new(part));
-    }
 }
 
 struct Core {
@@ -288,15 +241,6 @@ enum Admit<'a> {
     Replay { id: TxnId, relog: Option<&'a [u8]> },
 }
 
-/// What a reservation hands back: the exclusive guard on the freshly
-/// registered host slot, its partition id, and the claimed target slots
-/// to drain (ascending pid order).
-type Reserved<'a> = (
-    std::sync::MutexGuard<'a, SlotState>,
-    u64,
-    Vec<(u64, Arc<Slot>)>,
-);
-
 impl SharedQuantumDb {
     /// Shard an engine at rest into a live handle, preserving its
     /// database, pending partitions, WAL, metrics and id spaces.
@@ -313,20 +257,13 @@ impl SharedQuantumDb {
             obs,
         } = engine;
         let pending: u64 = partitions.values().map(|p| p.len() as u64).sum();
-        let slots = partitions
-            .into_iter()
-            .map(|(pid, part)| (pid, Entry::new(part)))
-            .collect();
         SharedQuantumDb {
             core: Arc::new(Core {
                 db_clones: db.clone_counter(),
                 base: RwLock::new(Base { db }),
                 vargen: Mutex::new(vargen),
                 wal: Mutex::new(wal),
-                reg: Mutex::new(Registry {
-                    slots,
-                    next_pid: next_partition_id,
-                }),
+                reg: Mutex::new(Registry::new(partitions, next_partition_id)),
                 next_txn_id: AtomicU64::new(next_txn_id),
                 metrics: AtomicMetrics::from_metrics(&metrics, pending),
                 solves_in_flight: AtomicU64::new(0),
@@ -348,15 +285,11 @@ impl SharedQuantumDb {
             EngineError::Invariant("cannot unshard an engine that still has other handles".into())
         })?;
         let (metrics, _) = core.metrics.snapshot_with_pending();
-        let reg = core.reg.into_inner();
+        let (partitions, next_partition_id) = core.reg.into_inner().into_partitions();
         Ok(QuantumDb {
             db: core.base.into_inner().db,
-            partitions: reg
-                .slots
-                .into_iter()
-                .map(|(pid, e)| (pid, std::mem::take(&mut e.slot.state.lock().part)))
-                .collect(),
-            next_partition_id: reg.next_pid,
+            partitions,
+            next_partition_id,
             next_txn_id: core.next_txn_id.into_inner(),
             vargen: core.vargen.into_inner(),
             wal: core.wal.into_inner(),
@@ -395,6 +328,19 @@ impl SharedQuantumDb {
             .obs
             .phase(qdb_obs::Phase::BaseLockWait, t0.elapsed());
         g
+    }
+
+    /// Run `f` on the locked registry, timing lock wait plus `f` into the
+    /// [`qdb_obs::Phase::Registry`] histogram only: a statement enters the
+    /// registry up to three times, too often for a span and event each.
+    fn registry<R>(&self, f: impl FnOnce(&mut Registry) -> R) -> R {
+        let t0 = std::time::Instant::now();
+        let out = f(&mut self.core.reg.lock());
+        if self.core.obs.enabled() {
+            let hist = self.core.obs.phase_histogram(qdb_obs::Phase::Registry);
+            hist.record_duration(t0.elapsed());
+        }
+        out
     }
 
     /// Lock a partition slot, recording the wait as
@@ -565,7 +511,9 @@ impl SharedQuantumDb {
             // claim and drain it before this submit installs — the
             // reservation's targets stay exclusively ours until then.
             let host_slot = Arc::new(Slot::default());
-            let (mut st, pid, targets) = self.reserve_locked(&host_slot, txn);
+            let all = !self.core.config.partitioning;
+            let claim = |reg: &mut Registry| reg.claim(&host_slot, Some(txn), all);
+            let (mut st, pid, targets) = self.registry(claim);
             let merged_from = targets.len();
             let mut host = Partition::new();
             if merged_from == 1 {
@@ -609,6 +557,7 @@ impl SharedQuantumDb {
                     // world is still its pending world.
                     host.overlay_cache = overlay;
                     st.part = host;
+                    st.left.push(txn.clone());
                     self.publish(pid, &mut st);
                     {
                         let t = self.core.metrics.begin();
@@ -692,72 +641,6 @@ impl SharedQuantumDb {
         }
     }
 
-    /// Atomically claim every partition `txn` may depend on and register
-    /// the merged host (see module docs, "Reservations").
-    fn reserve_locked<'a>(
-        &self,
-        host_slot: &'a Arc<Slot>,
-        txn: &ResourceTransaction,
-    ) -> Reserved<'a> {
-        let partitioning = self.core.config.partitioning;
-        self.claim_locked(host_slot, Some(txn), |fp| {
-            !partitioning || fp.overlaps_txn(txn)
-        })
-    }
-
-    /// The one registry-claim protocol (submit reservations and the
-    /// `GROUND ALL` whole-registry claim): atomically remove every entry
-    /// whose footprint matches `select` and register `host_slot` under a
-    /// fresh pid whose footprint is the union of the claimed footprints
-    /// plus the `newcomer`'s atoms. The host slot is locked before the
-    /// registry is released — at that point no other thread holds (or can
-    /// discover) a reference to it, so the lock cannot block and the
-    /// returned guard is exclusive from birth: concurrent reservations that
-    /// claim the
-    /// host as *their* target wait on this guard and observe whatever the
-    /// claimant installs.
-    fn claim_locked<'a>(
-        &self,
-        host_slot: &'a Arc<Slot>,
-        newcomer: Option<&ResourceTransaction>,
-        select: impl Fn(&Footprint) -> bool,
-    ) -> Reserved<'a> {
-        let mut reg = self.core.reg.lock();
-        let target_pids: Vec<u64> = reg
-            .slots
-            .iter()
-            .filter(|(_, e)| select(&e.footprint))
-            .map(|(&k, _)| k)
-            .collect();
-        // The union grows from the first claimed footprint, taken whole:
-        // claiming one deep partition costs the newcomer's atoms, not a
-        // copy of every pending one.
-        let mut footprint: Option<Footprint> = None;
-        let mut targets = Vec::with_capacity(target_pids.len());
-        for pid in &target_pids {
-            let e = reg.slots.remove(pid).expect("scanned above");
-            match &mut footprint {
-                Some(union) => union.absorb(&e.footprint),
-                None => footprint = Some(e.footprint),
-            }
-            targets.push((*pid, e.slot));
-        }
-        let mut footprint = footprint.unwrap_or_default();
-        if let Some(txn) = newcomer {
-            footprint.absorb_txn(txn);
-        }
-        let pid = reg.next_pid;
-        reg.next_pid += 1;
-        reg.slots.insert(
-            pid,
-            Entry {
-                footprint,
-                slot: Arc::clone(host_slot),
-            },
-        );
-        (host_slot.state.lock(), pid, targets)
-    }
-
     /// Take a reserved slot's contents (waits for any in-flight operation
     /// on it to finish) and mark it dead for stale-`Arc` holders.
     fn drain(&self, slot: &Arc<Slot>) -> Partition {
@@ -774,28 +657,12 @@ impl SharedQuantumDb {
         Ok(())
     }
 
-    /// Re-publish a partition's footprint after its contents changed;
-    /// removes (and kills) the registration when it grounded empty. Must
-    /// be called while holding the slot's lock.
-    ///
-    /// Transactions enter a partition only through a reservation, which
-    /// registers their atoms up front; so a registered footprint that
-    /// counts exactly the partition's transactions has lost none and is
-    /// kept as is. It is rebuilt only when something left (a grounding, a
-    /// refused newcomer).
+    /// [`Registry::publish`] of the transactions that left, under the
+    /// registry lock, which is released before they are dropped. Must be
+    /// called while holding the slot's lock.
     fn publish(&self, pid: u64, st: &mut SlotState) {
-        let mut reg = self.core.reg.lock();
-        if st.part.is_empty() {
-            if reg.slots.remove(&pid).is_some() {
-                st.dead = true;
-            }
-        } else if let Some(e) = reg.slots.get_mut(&pid) {
-            if e.footprint.txn_count() != st.part.len() {
-                e.footprint = st.part.footprint();
-            }
-        }
-        // Entry absent: a reservation already claimed this slot and will
-        // drain whatever state we leave behind — nothing to publish.
+        let left = std::mem::take(&mut st.left);
+        self.registry(|reg| reg.publish(pid, st, &left));
     }
 
     // -- Grounding --------------------------------------------------------
@@ -905,7 +772,8 @@ impl SharedQuantumDb {
             let resolved = u64::from(plan.rest_vals.is_some());
             t.add(|c| &c.ground_joint_resolves, resolved);
         }
-        apply_plan_to_partition(&mut st.part, plan);
+        let (_, left) = apply_plan_to_partition(&mut st.part, plan);
+        st.left.extend(left.into_iter().map(|t| t.txn));
         Ok(())
     }
 
@@ -942,14 +810,7 @@ impl SharedQuantumDb {
         mut f: impl FnMut(&mut SlotState) -> Result<R>,
     ) -> Result<Option<R>> {
         'rescan: loop {
-            let snapshot: Vec<(u64, Arc<Slot>)> = {
-                let reg = self.core.reg.lock();
-                reg.slots
-                    .iter()
-                    .map(|(&pid, e)| (pid, Arc::clone(&e.slot)))
-                    .collect()
-            };
-            for (pid, slot) in snapshot {
+            for (pid, slot) in self.registry(|reg| reg.slots()) {
                 let mut st = self.lock_slot(&slot);
                 if st.dead {
                     // Contents moved — possibly into a slot we already
@@ -1049,7 +910,7 @@ impl SharedQuantumDb {
         // collapse's planned deletes can silently invalidate — breaking
         // the never-rolled-back guarantee.
         let host_slot = Arc::new(Slot::default());
-        let (mut host, host_pid, taken) = self.claim_locked(&host_slot, None, |_| true);
+        let (mut host, host_pid, taken) = self.registry(|reg| reg.claim(&host_slot, None, true));
         let mut parts: Vec<Partition> = taken
             .iter()
             .map(|(_, slot)| self.drain(slot))
@@ -1117,7 +978,7 @@ impl SharedQuantumDb {
         }
         if let Some(e) = first_err {
             drop(base);
-            self.reinstall(host_pid, &mut host, parts);
+            self.registry(|reg| reg.reinstall(host_pid, &mut host, parts));
             return Err(e);
         }
         drop(base);
@@ -1188,7 +1049,7 @@ impl SharedQuantumDb {
                 self.absorb(&solver);
             }
             drop(base);
-            self.reinstall(host_pid, &mut host, rest);
+            self.registry(|reg| reg.reinstall(host_pid, &mut host, rest));
             return Err(e);
         }
         drop(base);
@@ -1200,30 +1061,6 @@ impl SharedQuantumDb {
         // accumulated Ground frames in one buffered write + flush.
         self.core.wal.lock().sync()?;
         Ok(collapsed)
-    }
-
-    /// Error recovery for `ground_all`: put the surviving partitions back
-    /// while the collapse's host slot guard is still held, so the claimed
-    /// pending state is never observable as absent. If the host entry is
-    /// still registered, the survivors go back as separate fresh entries —
-    /// they are mutually disjoint, and everything admitted while the
-    /// host's union footprint was registered is disjoint from all of them
-    /// — and the host is retired. If a concurrent reservation already
-    /// claimed the host, the survivors are instead merged into the host
-    /// slot for the claimant to drain: the claimant absorbed the union
-    /// footprint, so the registry's superset invariant keeps holding.
-    fn reinstall(&self, host_pid: u64, host: &mut SlotState, parts: Vec<Partition>) {
-        let mut reg = self.core.reg.lock();
-        if reg.slots.remove(&host_pid).is_some() {
-            host.dead = true;
-            for part in parts {
-                reg.install(part);
-            }
-        } else {
-            for part in parts {
-                host.part.merge(part);
-            }
-        }
     }
 
     // -- Reads ------------------------------------------------------------
@@ -1260,13 +1097,7 @@ impl SharedQuantumDb {
         // Conservative unification-based read check (grounding may expose
         // further overlaps, so loop to a fixed point).
         loop {
-            let cand: Option<(u64, Arc<Slot>)> = {
-                let reg = self.core.reg.lock();
-                reg.slots
-                    .iter()
-                    .find(|(_, e)| e.footprint.touched_by_query(atoms))
-                    .map(|(&pid, e)| (pid, Arc::clone(&e.slot)))
-            };
+            let cand = self.registry(|reg| reg.touched_by_query(atoms).into_iter().next());
             let Some((pid, slot)) = cand else { break };
             let mut st = self.lock_slot(&slot);
             if st.dead {
@@ -1277,8 +1108,8 @@ impl SharedQuantumDb {
                 .iter()
                 .find(|pt| crate::read::read_affects(&pt.txn, atoms))
             else {
-                // The footprint over-approximated (stale after earlier
-                // groundings): shrink it so the scan progresses.
+                // The footprint over-approximated (leavers not yet
+                // subtracted): publish them so the selection progresses.
                 self.publish(pid, &mut st);
                 continue;
             };
@@ -1385,14 +1216,7 @@ impl SharedQuantumDb {
         f: impl FnOnce(&Database, &mut [&mut Partition]) -> Result<R>,
     ) -> Result<R> {
         'retry: loop {
-            let cands: Vec<(u64, Arc<Slot>)> = {
-                let reg = self.core.reg.lock();
-                reg.slots
-                    .iter()
-                    .filter(|(_, e)| e.footprint.touched_by_query(atoms))
-                    .map(|(&pid, e)| (pid, Arc::clone(&e.slot)))
-                    .collect()
-            };
+            let cands = self.registry(|reg| reg.touched_by_query(atoms));
             let mut guards = Vec::with_capacity(cands.len());
             for (_, slot) in &cands {
                 let st = self.lock_slot(slot);
@@ -1432,14 +1256,7 @@ impl SharedQuantumDb {
                 .collect(),
         );
         'retry: loop {
-            let cands: Vec<(u64, Arc<Slot>)> = {
-                let reg = self.core.reg.lock();
-                reg.slots
-                    .iter()
-                    .filter(|(_, e)| e.footprint.touched_by_write(&as_atom))
-                    .map(|(&pid, e)| (pid, Arc::clone(&e.slot)))
-                    .collect()
-            };
+            let cands = self.registry(|reg| reg.touched_by_write(&as_atom));
             let mut guards = Vec::with_capacity(cands.len());
             for (_, slot) in &cands {
                 let st = self.lock_slot(slot);
@@ -1705,12 +1522,8 @@ impl SharedQuantumDb {
     /// exact when quiescent.
     pub fn pending_ids(&self) -> Vec<TxnId> {
         'retry: loop {
-            let snapshot: Vec<Arc<Slot>> = {
-                let reg = self.core.reg.lock();
-                reg.slots.values().map(|e| Arc::clone(&e.slot)).collect()
-            };
             let mut ids: BTreeSet<TxnId> = BTreeSet::new();
-            for slot in snapshot {
+            for (_, slot) in self.registry(|reg| reg.slots()) {
                 let st = self.lock_slot(&slot);
                 if st.dead {
                     continue 'retry;
@@ -1741,7 +1554,7 @@ impl SharedQuantumDb {
 
     /// Number of independent partitions currently registered.
     pub fn partition_count(&self) -> usize {
-        self.core.reg.lock().slots.len()
+        self.registry(|reg| reg.len())
     }
 
     /// Metrics snapshot (consistent — see [`SharedQuantumDb::metrics_with_pending`]).
@@ -1865,10 +1678,8 @@ mod tests {
         assert!(qdb.submit(&book("U1")).unwrap().is_committed());
         assert!(qdb.submit(&book("U2")).unwrap().is_committed());
         let memo_present = |qdb: &SharedQuantumDb| {
-            let reg = qdb.core.reg.lock();
-            reg.slots
-                .values()
-                .any(|e| e.slot.state.lock().part.overlay_cache.is_some())
+            let slots = qdb.core.reg.lock().slots();
+            (slots.iter()).any(|(_, slot)| slot.state.lock().part.overlay_cache.is_some())
         };
         assert!(memo_present(&qdb), "extension path installs the memo");
         // Capacity exhausted: the third booking is refused — and must not

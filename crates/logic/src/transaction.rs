@@ -190,16 +190,15 @@ impl ResourceTransaction {
             .map(|v| (v.id(), gen.fresh(v.name())))
             .collect();
         let rename = |atom: &Atom| -> Atom {
-            Atom::new(
-                atom.relation.as_ref(),
-                atom.terms
-                    .iter()
+            Atom {
+                relation: atom.relation.clone(),
+                terms: (atom.terms.iter())
                     .map(|t| match t {
                         Term::Var(v) => Term::Var(map[&v.id()].clone()),
                         Term::Const(c) => Term::Const(c.clone()),
                     })
                     .collect(),
-            )
+            }
         };
         ResourceTransaction {
             updates: self

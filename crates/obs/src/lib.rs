@@ -60,10 +60,13 @@ pub enum Phase {
     PartitionLockWait = 7,
     /// Possible-world enumeration for `SELECT POSSIBLE`.
     WorldEnum = 8,
+    /// A partition-registry critical section: lock wait plus the claim,
+    /// publish or overlap selection made under it.
+    Registry = 9,
 }
 
 /// Number of [`Phase`] variants (histogram array length).
-pub const PHASE_COUNT: usize = 9;
+pub const PHASE_COUNT: usize = 10;
 
 /// All phases in `repr` order.
 pub const PHASES: [Phase; PHASE_COUNT] = [
@@ -76,6 +79,7 @@ pub const PHASES: [Phase; PHASE_COUNT] = [
     Phase::BaseLockWait,
     Phase::PartitionLockWait,
     Phase::WorldEnum,
+    Phase::Registry,
 ];
 
 impl Phase {
@@ -91,6 +95,7 @@ impl Phase {
             Phase::BaseLockWait => "base_lock_wait",
             Phase::PartitionLockWait => "partition_lock_wait",
             Phase::WorldEnum => "world_enum",
+            Phase::Registry => "registry",
         }
     }
 }
