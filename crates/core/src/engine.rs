@@ -229,9 +229,8 @@ pub(crate) enum AdmitPath {
     FullResolve,
 }
 
-/// A successful admission plan: the new cache valuations for the merged
-/// partition (merged arrival order, newcomer last) and which cache path
-/// succeeded.
+/// A successful admission plan: cache valuations for the merged partition
+/// and which cache path succeeded.
 ///
 /// Planning is **pure** (reads the database and the merged partition view,
 /// mutates nothing), so the engine runs it under a shared base-state read
@@ -239,7 +238,9 @@ pub(crate) enum AdmitPath {
 /// parallel.
 #[derive(Debug)]
 pub(crate) struct AdmitPlan {
-    /// Cache valuations, parallel to merged transactions + the newcomer.
+    /// [`AdmitPath::Extension`]: the newcomer's valuation alone, to append
+    /// to the partition's cached ones. [`AdmitPath::FullResolve`]: the
+    /// whole cache, parallel to merged transactions + the newcomer.
     pub valuations: Vec<Valuation>,
     /// Which admission path succeeded.
     pub path: AdmitPath,
@@ -272,7 +273,7 @@ pub(crate) enum AdmitDecision {
 pub(crate) fn plan_admission(
     solver: &mut Solver,
     db: &Database,
-    merged: &[(&PendingTxn, &Valuation)],
+    merged: &[PendingTxn],
     world: Option<qdb_solver::Overlay>,
     txn: &ResourceTransaction,
 ) -> Result<AdmitDecision> {
@@ -282,13 +283,10 @@ pub(crate) fn plan_admission(
         // the pending world — O(newcomer), not O(pending).
         match solver.solve_in(db, &mut overlay, &[TxnSpec::required_only(txn)])? {
             Some(sol) => {
-                let mut valuations: Vec<Valuation> =
-                    merged.iter().map(|(_, v)| (*v).clone()).collect();
-                valuations.extend(sol.valuations);
                 // `solve_in` left the newcomer's updates applied: the
                 // overlay is already the post-admission virtual state.
                 return Ok(AdmitDecision::Admitted(AdmitPlan {
-                    valuations,
+                    valuations: sol.valuations,
                     path: AdmitPath::Extension,
                     overlay: Some(overlay),
                 }));
@@ -300,7 +298,7 @@ pub(crate) fn plan_admission(
     }
     let mut specs: Vec<TxnSpec> = merged
         .iter()
-        .map(|(p, _)| TxnSpec::required_only(&p.txn))
+        .map(|p| TxnSpec::required_only(&p.txn))
         .collect();
     specs.push(TxnSpec::required_only(txn));
     Ok(match solver.solve(db, &[], &specs)? {

@@ -37,7 +37,7 @@
 //! [`Metrics::parses`]).
 
 use qdb_logic::stmt::{ColumnRef, ReadMode, SelectStmt, Statement};
-use qdb_logic::{ParsedStatement, Valuation, Var};
+use qdb_logic::{ParsedStatement, Template, Valuation, Var};
 use qdb_storage::{Tuple, Value, WriteOp};
 
 use crate::engine::SubmitOutcome;
@@ -249,21 +249,12 @@ fn resolve_column_on(
 }
 
 impl SharedQuantumDb {
-    /// Parse one statement of the unified dialect, counting the parse in
-    /// [`Metrics::parses`]. Prepared statements go through it exactly once.
-    pub fn prepare_statement(&self, sql: &str) -> Result<qdb_logic::ParsedStatement> {
-        self.count_parse();
-        let t0 = std::time::Instant::now();
-        let parsed = qdb_logic::parse_statement(sql);
-        self.obs().phase(qdb_obs::Phase::Parse, t0.elapsed());
-        Ok(parsed?)
-    }
-
-    /// Parse and execute one statement. Statements with `?` placeholders
-    /// are rejected here — prepare them through a [`Session`] instead.
+    /// Parse and execute one statement, without a statement cache (the
+    /// parse is counted in [`Metrics::parses`]). Statements with `?`
+    /// placeholders are rejected here — prepare them through a
+    /// [`Session`] instead.
     pub fn execute(&self, sql: &str) -> Result<Response> {
-        let parsed = self.prepare_statement(sql)?;
-        let stmt = parsed.statement()?.clone();
+        let stmt = StmtCache::new(0).parse(self, sql)?.into_statement()?;
         self.execute_stmt(stmt)
     }
 
@@ -322,7 +313,7 @@ impl SharedQuantumDb {
                 }
             },
             Statement::Transaction(txn) => {
-                let txn = txn.to_transaction()?;
+                let txn = txn.into_transaction()?;
                 Ok(match self.submit(&txn)? {
                     SubmitOutcome::Committed { id } => Response::Committed(id),
                     SubmitOutcome::Aborted => Response::Aborted,
@@ -379,66 +370,96 @@ impl SharedQuantumDb {
     }
 }
 
-/// A bounded LRU of parsed statements, keyed by exact statement text.
+/// The one text → statement step — [`Session::execute`],
+/// [`Session::prepare`] and a server's `EXECUTE`, on a primary or a
+/// replica, all take it — behind a bounded LRU of statement *templates*.
 ///
-/// Sized for statement *templates*, not statement instances: callers that
-/// interpolate values into their SQL get cache misses (as they should —
-/// that is what `?` parameters are for). Such a caller misses on every
-/// statement, so the miss is what has to be cheap: the scan compares one
-/// hash per entry (texts only on a hash match) and eviction pops the
-/// ring's front. Capacity is small enough that the linear scan beats a
-/// hash map on realistic working sets.
-struct StmtCache {
+/// A text's template is the text with its value literals replaced by `?`
+/// ([`qdb_logic::strip_literals`]). A hit binds the text's literals by
+/// position into the template's parse: exactly the text's own parse,
+/// variable ids included, so replies are identical to the byte. A miss
+/// parses the text (counted in [`Metrics::parses`]; its errors are the
+/// ones reported), then caches the template only if binding reproduces
+/// that parse, else the exact text (e.g. `SELECT @a FROM R(@a) WHERE @a =
+/// 5`, whose template does not parse). Hit or miss, the step is timed as
+/// the `parse` phase. The lock covers only the byte compares and the LRU
+/// order, so connections sharing a cache (a replica's) barely hold it.
+pub struct StmtCache {
     capacity: usize,
     /// Most recently used last.
-    entries: std::collections::VecDeque<CachedStmt>,
+    entries: crate::sync::Mutex<Vec<std::sync::Arc<CachedStmt>>>,
 }
 
 struct CachedStmt {
-    text_hash: u64,
-    text: String,
+    /// A template, or an exact text ([`Template::exact`]).
+    template: Template,
+    /// `parse(template.key())`.
     parsed: ParsedStatement,
 }
 
-fn text_hash(sql: &str) -> u64 {
-    use std::hash::Hasher;
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    hasher.write(sql.as_bytes());
-    hasher.finish()
-}
-
 impl StmtCache {
-    fn new(capacity: usize) -> Self {
+    /// An empty cache of at most `capacity` entries (`0` disables
+    /// caching: every text parses).
+    pub fn new(capacity: usize) -> Self {
         StmtCache {
             capacity,
-            entries: std::collections::VecDeque::new(),
+            entries: crate::sync::Mutex::new(Vec::new()),
         }
     }
 
-    fn get(&mut self, sql: &str) -> Option<ParsedStatement> {
-        let hash = text_hash(sql);
-        let pos = self
-            .entries
-            .iter()
-            .position(|e| e.text_hash == hash && e.text == sql)?;
-        let entry = self.entries.remove(pos)?;
-        let parsed = entry.parsed.clone();
-        self.entries.push_back(entry);
-        Some(parsed)
+    /// Resolve `sql` to its parsed statement, counting a parse and timing
+    /// the step on `db`, the engine that serves the statement.
+    pub fn parse(&self, db: &SharedQuantumDb, sql: &str) -> Result<ParsedStatement> {
+        let t0 = std::time::Instant::now();
+        let parsed = self.resolve(db, sql);
+        db.obs().phase(qdb_obs::Phase::Parse, t0.elapsed());
+        parsed
     }
 
-    fn insert(&mut self, sql: &str, parsed: ParsedStatement) {
+    fn resolve(&self, db: &SharedQuantumDb, sql: &str) -> Result<ParsedStatement> {
+        let hit = {
+            let mut entries = self.entries.lock();
+            let pos = entries.iter().rposition(|e| e.template.matches(sql));
+            pos.map(|pos| {
+                entries[pos..].rotate_left(1); // most recently used last
+                std::sync::Arc::clone(&entries[entries.len() - 1])
+            })
+        };
+        if let Some(entry) = hit {
+            let literals = entry.template.literals(sql).expect("the template matched");
+            // An exact text with `?` placeholders of its own keeps them.
+            if literals.len() != entry.parsed.param_count() {
+                return Ok(entry.parsed.clone());
+            }
+            return Ok(ParsedStatement::unparameterized(
+                entry.parsed.bind(&literals)?,
+            ));
+        }
+        db.count_parse();
+        let parsed = qdb_logic::parse_statement(sql)?;
         if self.capacity == 0 {
-            return;
+            return Ok(parsed);
         }
-        if self.entries.len() == self.capacity {
-            self.entries.pop_front(); // least recently used
+        let (template, template_parse) = qdb_logic::strip_literals(sql)
+            .and_then(|(template, literals)| {
+                let parse = qdb_logic::parse_statement(template.key()).ok()?;
+                let bound = parse.bind(&literals).ok()?;
+                (Ok(&bound) == parsed.statement()).then_some((template, parse))
+            })
+            .unwrap_or_else(|| (Template::exact(sql), parsed.clone()));
+        let entry = CachedStmt {
+            template,
+            parsed: template_parse,
+        };
+        let mut entries = self.entries.lock();
+        if entries.len() == self.capacity {
+            entries.remove(0); // least recently used
         }
-        self.entries.push_back(CachedStmt {
-            text_hash: text_hash(sql),
-            text: sql.to_string(),
-            parsed,
-        });
+        // A racing clone may have inserted the same template meanwhile;
+        // the duplicate is harmless (both resolve identically, and the LRU
+        // evicts the stale copy).
+        entries.push(std::sync::Arc::new(entry));
+        Ok(parsed)
     }
 }
 
@@ -446,9 +467,9 @@ impl StmtCache {
 /// prepared statements. Sessions are cheap to create and clone — they are
 /// the intended per-client handle for servers and workload drivers.
 ///
-/// Every text→statement lookup goes through a per-session LRU cache
-/// (shared by clones), so repeated [`Session::execute`] of identical text
-/// parses once — observable through [`Metrics::parses`]. `qdb-server`'s
+/// Every text→statement lookup goes through a per-session [`StmtCache`]
+/// (shared by clones), so texts that differ only in their literals parse
+/// once — observable through [`Metrics::parses`]. `qdb-server`'s
 /// one-shot EXECUTE path rides on this cache automatically.
 ///
 /// ```
@@ -480,7 +501,7 @@ impl StmtCache {
 #[derive(Clone)]
 pub struct Session {
     db: SharedQuantumDb,
-    cache: std::sync::Arc<crate::sync::Mutex<StmtCache>>,
+    cache: std::sync::Arc<StmtCache>,
 }
 
 impl std::fmt::Debug for Session {
@@ -504,40 +525,34 @@ impl Session {
     pub fn with_stmt_cache(db: SharedQuantumDb, capacity: usize) -> Self {
         Session {
             db,
-            cache: std::sync::Arc::new(crate::sync::Mutex::new(StmtCache::new(capacity))),
+            cache: std::sync::Arc::new(StmtCache::new(capacity)),
         }
     }
 
-    /// Parse (or fetch from the statement cache) and execute one
-    /// statement.
+    /// Resolve one statement through the statement cache and execute it.
     pub fn execute(&self, sql: &str) -> Result<Response> {
-        let parsed = self.cached_parse(sql)?;
-        let stmt = parsed.statement()?.clone();
+        let stmt = self.parse(sql)?.into_statement()?;
         self.db.execute_stmt(stmt)
     }
 
     /// Parse once into a reusable [`Prepared`] statement. The hot path
     /// then re-executes via [`Prepared::bind`] + [`Bound::run`] without
     /// re-parsing ([`Metrics::parses`] counts parser entries). Served
-    /// from the statement cache when the same text was seen before.
+    /// from the statement cache when a text of the same shape was seen
+    /// before.
     pub fn prepare(&self, sql: &str) -> Result<Prepared> {
-        let parsed = self.cached_parse(sql)?;
+        let parsed = self.parse(sql)?;
         Ok(Prepared {
             db: self.db.clone(),
             parsed,
         })
     }
 
-    fn cached_parse(&self, sql: &str) -> Result<ParsedStatement> {
-        if let Some(parsed) = self.cache.lock().get(sql) {
-            return Ok(parsed);
-        }
-        let parsed = self.db.prepare_statement(sql)?;
-        // A racing clone may have inserted the same text meanwhile; the
-        // duplicate entry is harmless (both resolve identically, and the
-        // LRU evicts the stale copy).
-        self.cache.lock().insert(sql, parsed.clone());
-        Ok(parsed)
+    /// The text → statement step of [`Session::execute`] and
+    /// [`Session::prepare`] ([`StmtCache::parse`] on this session's
+    /// cache): for servers that handle the statement themselves.
+    pub fn parse(&self, sql: &str) -> Result<ParsedStatement> {
+        self.cache.parse(&self.db, sql)
     }
 
     /// The underlying shared handle.
@@ -566,12 +581,6 @@ impl Prepared {
     /// Number of positional `?` placeholders.
     pub fn param_count(&self) -> usize {
         self.parsed.param_count()
-    }
-
-    /// Statement class of the template ([`Statement::kind`]) — servers
-    /// use this for per-class accounting without re-parsing.
-    pub fn kind(&self) -> &'static str {
-        self.parsed.template().kind()
     }
 
     /// Bind positional parameter values, yielding a runnable statement.
@@ -678,7 +687,6 @@ mod tests {
         let p = s.prepare("SELECT * FROM R(@a)").unwrap();
         p.run().unwrap();
         assert_eq!(parses(&s) - before, 1);
-        assert_eq!(p.kind(), "SELECT");
     }
 
     #[test]
@@ -688,7 +696,10 @@ mod tests {
         let before = parses(&s);
         s.execute("INSERT INTO R VALUES (2)").unwrap();
         clone.execute("INSERT INTO R VALUES (2)").unwrap();
+        // Other literals, same template: a hit.
         clone.execute("INSERT INTO R VALUES (3)").unwrap();
+        // Another shape: a parse.
+        clone.execute("DELETE FROM R VALUES (3)").unwrap();
         assert_eq!(parses(&s) - before, 2);
     }
 
@@ -704,15 +715,18 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used_text() {
-        let mut cache = StmtCache::new(2);
-        let parsed = qdb_logic::parse_statement("SHOW METRICS").unwrap();
-        cache.insert("a", parsed.clone());
-        cache.insert("b", parsed.clone());
-        assert!(cache.get("a").is_some()); // touch: order is now [b, a]
-        cache.insert("c", parsed); // evicts b
-        assert!(cache.get("b").is_none());
-        assert!(cache.get("a").is_some());
-        assert!(cache.get("c").is_some());
+        let s = Session::with_stmt_cache(session().shared().clone(), 2);
+        let [a, b, c] = ["SHOW METRICS", "SHOW PENDING", "SHOW PROFILE"];
+        s.parse(a).unwrap();
+        s.parse(b).unwrap();
+        s.parse(a).unwrap(); // touch: order is now [b, a]
+        s.parse(c).unwrap(); // evicts b
+        let before = parses(&s);
+        s.parse(a).unwrap();
+        s.parse(c).unwrap();
+        assert_eq!(parses(&s), before, "a and c are cached");
+        s.parse(b).unwrap();
+        assert_eq!(parses(&s), before + 1, "b was evicted");
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub mod worlds;
 pub use config::{GroundingPolicy, QuantumDbConfig, Serializability};
 pub use engine::{QuantumDb, SubmitOutcome};
 pub use error::EngineError;
-pub use exec::{Bound, Prepared, Response, Session};
+pub use exec::{Bound, Prepared, Response, Session, StmtCache};
 pub use ground::GroundReason;
 pub use metrics::Metrics;
 pub use partition::{Footprint, Partition};

@@ -140,9 +140,11 @@ counters!(
     ground_joint_resolves,
     /// Partition merges.
     partition_merges,
-    /// SQL parser entries: `execute()` on text and `Session::prepare`.
-    /// Prepared statements re-executed via `bind(…).run()` do not parse,
-    /// so a hot loop over a prepared statement holds this constant.
+    /// SQL parser entries: `SharedQuantumDb::execute` on text, and the
+    /// statement-cache misses of `Session::execute` / `Session::prepare` /
+    /// a server's EXECUTE. A text of a cached template, or a prepared
+    /// statement re-executed via `bind(…).run()`, does not parse, so a hot
+    /// loop over a few statement shapes holds this constant.
     parses,
     /// Pending transactions high-water mark (Table 1's measure).
     max_pending,

@@ -457,6 +457,14 @@ impl SharedQuantumDb {
 
     fn do_submit(&self, txn: &ResourceTransaction) -> Result<SubmitOutcome> {
         self.core.metrics.begin().add(|c| &c.submitted, 1);
+        // Placeholders are bound before execution; one that got through
+        // would make WAL replay's `reserve_through` jump the id space.
+        debug_assert!(
+            txn.vars()
+                .iter()
+                .all(|v| v.id() < qdb_logic::stmt::PARAM_BASE),
+            "unbound placeholder submitted: {txn}"
+        );
         txn.validate()?;
         {
             let base = self.base_read();
@@ -539,10 +547,8 @@ impl SharedQuantumDb {
                     self.ensure_world(&mut host, &base.db)?;
                 }
                 let world = host.overlay_cache.take().filter(|_| in_world);
-                let merged: Vec<(&PendingTxn, &Valuation)> =
-                    host.txns.iter().zip(host.cache.valuations.iter()).collect();
                 let t_plan = std::time::Instant::now();
-                let decision = plan_admission(solver, &base.db, &merged, world, txn)?;
+                let decision = plan_admission(solver, &base.db, &host.txns, world, txn)?;
                 self.core.obs.phase(qdb_obs::Phase::Plan, t_plan.elapsed());
                 decision
             };
@@ -595,9 +601,14 @@ impl SharedQuantumDb {
                 }
             };
             host.txns.push(PendingTxn::new(id, txn.clone()));
-            host.cache = CachedSolution {
-                valuations: plan.valuations,
-            };
+            match plan.path {
+                AdmitPath::Extension => host.cache.valuations.extend(plan.valuations),
+                AdmitPath::FullResolve => {
+                    host.cache = CachedSolution {
+                        valuations: plan.valuations,
+                    }
+                }
+            }
             host.overlay_cache = plan.overlay;
             debug_assert_eq!(host.txns.len(), host.cache.len());
             st.part = host;

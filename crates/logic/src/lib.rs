@@ -48,7 +48,7 @@ pub use error::LogicError;
 pub use formula::Formula;
 pub use parser::{parse_atom, parse_query, parse_transaction, ParsedQuery};
 pub use predicate::{EqConstraint, UnifPredicate};
-pub use sql::{parse_sql_transaction, parse_statement};
+pub use sql::{parse_sql_transaction, parse_statement, strip_literals, Template};
 pub use stmt::{ColumnRef, ParsedStatement, ReadMode, SelectStmt, Statement, TxnStmt};
 pub use substitution::Substitution;
 pub use term::{Term, Var, VarGen};

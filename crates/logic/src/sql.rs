@@ -40,6 +40,9 @@
 //!   `SHOW PENDING` / `SHOW PROFILE` / `SHOW EVENTS [LIMIT n]` are
 //!   control statements.
 //! * `?` is a positional parameter placeholder (prepared statements).
+//!   [`strip_literals`] turns a text with literals into such a
+//!   [`Template`] plus its literals, so a statement cache can serve
+//!   texts that differ only in their literals from one parse.
 //!
 //! Keywords are case-insensitive; variables are `@name`; literals are
 //! integers, `'strings'` and `true`/`false`. `CREATE`, `TABLE`, `INDEX`,
@@ -48,13 +51,15 @@
 //! `METRICS`, `PENDING`, `PROFILE` and `EVENTS` are contextual (only
 //! special where the grammar expects them).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
+use std::num::ParseIntError;
 
 use qdb_storage::{Schema, Value, ValueType};
 
 use crate::atom::Atom;
 use crate::stmt::{
     validate_template, ColumnRef, ParsedStatement, ReadMode, SelectStmt, Statement, TxnStmt,
+    PARAM_BASE,
 };
 use crate::substitution::Substitution;
 use crate::term::{Term, Var, VarGen};
@@ -71,9 +76,8 @@ pub fn parse_statement(input: &str) -> Result<ParsedStatement> {
 /// Compatibility entry point over [`parse_statement`]: accepts exactly the
 /// `SELECT … CHOOSE 1 FOLLOWED BY (…)` class, without placeholders.
 pub fn parse_sql_transaction(input: &str) -> Result<ResourceTransaction> {
-    let parsed = parse_statement(input)?;
-    match parsed.statement()? {
-        Statement::Transaction(t) => t.to_transaction(),
+    match parse_statement(input)?.into_statement()? {
+        Statement::Transaction(t) => t.into_transaction(),
         other => Err(LogicError::Parse {
             at: 0,
             reason: format!(
@@ -106,107 +110,94 @@ const KEYWORDS: &[&str] = &[
     "INTO", "TRUE", "FALSE", "CREATE", "TABLE", "INDEX", "ON", "VALUES", "LIMIT",
 ];
 
-fn lex(input: &str) -> Result<Vec<(Tok, usize)>> {
+/// One lexeme as [`scan`] reports it, borrowed from the input.
+enum Lexeme<'a> {
+    /// Punctuation, `?` included: a [`Tok`] that carries no data.
+    Punct(Tok),
+    /// A keyword or an identifier.
+    Word(&'a str),
+    /// A variable's name (after the `@`).
+    Var(&'a str),
+    Int(i64),
+    /// The text between a string literal's quotes.
+    Str(&'a str),
+}
+
+impl Lexeme<'_> {
+    /// A literal's value; `None` for any other lexeme.
+    fn value(self) -> Option<Value> {
+        match self {
+            Lexeme::Int(n) => Some(Value::Int(n)),
+            Lexeme::Str(s) => Some(string_value(s)),
+            _ => None,
+        }
+    }
+}
+
+/// The dialect's lexical rules: walk `input` and report every lexeme with
+/// its byte span. [`lex`] builds the parser's tokens from it and
+/// [`strip_literals`] a statement template, and [`Template::literals`]
+/// reads literals with the same [`string_at`] / [`int_at`], so none of
+/// them can disagree on where a literal starts or ends.
+fn scan<'a>(input: &'a str, mut emit: impl FnMut(Lexeme<'a>, usize, usize)) -> Result<()> {
     let bytes = input.as_bytes();
-    let mut toks = Vec::new();
     let mut i = 0usize;
     while i < bytes.len() {
         let c = bytes[i] as char;
-        match c {
-            c if c.is_whitespace() => i += 1,
-            ',' => {
-                toks.push((Tok::Comma, i));
+        let start = i;
+        let lexeme = match c {
+            c if c.is_whitespace() => {
                 i += 1;
+                continue;
             }
-            '(' => {
-                toks.push((Tok::LParen, i));
+            ',' | '(' | ')' | ';' | '=' | '*' | '?' => {
                 i += 1;
-            }
-            ')' => {
-                toks.push((Tok::RParen, i));
-                i += 1;
-            }
-            ';' => {
-                toks.push((Tok::Semi, i));
-                i += 1;
-            }
-            '=' => {
-                toks.push((Tok::Eq, i));
-                i += 1;
-            }
-            '*' => {
-                toks.push((Tok::Star, i));
-                i += 1;
-            }
-            '?' => {
-                toks.push((Tok::Param, i));
-                i += 1;
+                Lexeme::Punct(match c {
+                    ',' => Tok::Comma,
+                    '(' => Tok::LParen,
+                    ')' => Tok::RParen,
+                    ';' => Tok::Semi,
+                    '=' => Tok::Eq,
+                    '*' => Tok::Star,
+                    _ => Tok::Param,
+                })
             }
             '@' => {
-                let start = i;
                 i += 1;
-                let name_start = i;
-                while i < bytes.len()
-                    && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
-                {
+                while i < bytes.len() && is_word(bytes[i]) {
                     i += 1;
                 }
-                if i == name_start {
+                if i == start + 1 {
                     return Err(LogicError::Parse {
                         at: start,
                         reason: "expected variable name after '@'".into(),
                     });
                 }
-                toks.push((Tok::Var(input[name_start..i].to_string()), start));
+                Lexeme::Var(&input[start + 1..i])
             }
             '\'' => {
-                let start = i;
-                i += 1;
-                let mut s = String::new();
-                loop {
-                    if i >= bytes.len() {
-                        return Err(LogicError::Parse {
-                            at: start,
-                            reason: "unterminated string literal".into(),
-                        });
-                    }
-                    let d = bytes[i] as char;
-                    i += 1;
-                    if d == '\'' {
-                        break;
-                    }
-                    s.push(d);
-                }
-                toks.push((Tok::Str(s), start));
+                let Some((text, end)) = string_at(input, start) else {
+                    return Err(LogicError::Parse {
+                        at: start,
+                        reason: "unterminated string literal".into(),
+                    });
+                };
+                i = end;
+                Lexeme::Str(text)
             }
             '-' | '0'..='9' => {
-                let start = i;
-                if c == '-' {
-                    i += 1;
-                }
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    i += 1;
-                }
-                let n: i64 = input[start..i].parse().map_err(|e| LogicError::Parse {
+                let (n, end) = int_at(input, start);
+                i = end;
+                Lexeme::Int(n.map_err(|e| LogicError::Parse {
                     at: start,
                     reason: format!("bad integer: {e}"),
-                })?;
-                toks.push((Tok::Int(n), start));
+                })?)
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len()
-                    && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
-                {
+                while i < bytes.len() && is_word(bytes[i]) {
                     i += 1;
                 }
-                let word = &input[start..i];
-                let upper = word.to_ascii_uppercase();
-                if let Some(kw) = KEYWORDS.iter().find(|k| **k == upper) {
-                    toks.push((Tok::Kw(kw), start));
-                } else {
-                    toks.push((Tok::Ident(word.to_string()), start));
-                }
+                Lexeme::Word(&input[start..i])
             }
             other => {
                 return Err(LogicError::Parse {
@@ -214,10 +205,176 @@ fn lex(input: &str) -> Result<Vec<(Tok, usize)>> {
                     reason: format!("unexpected character '{other}'"),
                 })
             }
-        }
+        };
+        emit(lexeme, start, i);
     }
+    Ok(())
+}
+
+/// A byte that continues a keyword, identifier or variable name.
+fn is_word(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// The string literal whose opening quote is at `start`: its text and the
+/// offset past its closing quote, or `None` when it is unterminated.
+fn string_at(input: &str, start: usize) -> Option<(&str, usize)> {
+    let len = input.as_bytes()[start + 1..]
+        .iter()
+        .position(|&b| b == b'\'')?;
+    Some((&input[start + 1..start + 1 + len], start + len + 2))
+}
+
+/// The integer literal (`-`, then digits) at `start`, and the offset past
+/// it.
+fn int_at(input: &str, start: usize) -> (std::result::Result<i64, ParseIntError>, usize) {
+    let bytes = input.as_bytes();
+    let mut end = start + usize::from(bytes[start] == b'-');
+    while end < bytes.len() && bytes[end].is_ascii_digit() {
+        end += 1;
+    }
+    (input[start..end].parse(), end)
+}
+
+/// A string literal's value, one `char` per byte as the lexer reads it.
+fn string_value(text: &str) -> Value {
+    if text.is_ascii() {
+        Value::interned(text)
+    } else {
+        Value::interned(&text.bytes().map(char::from).collect::<String>())
+    }
+}
+
+fn lex(input: &str) -> Result<Vec<(Tok, usize)>> {
+    let mut toks = Vec::new();
+    scan(input, |lexeme, at, _| {
+        let tok = match lexeme {
+            Lexeme::Punct(t) => t,
+            Lexeme::Word(w) => {
+                let upper = w.to_ascii_uppercase();
+                match KEYWORDS.iter().find(|k| **k == upper) {
+                    Some(kw) => Tok::Kw(kw),
+                    None => Tok::Ident(w.to_string()),
+                }
+            }
+            Lexeme::Var(name) => Tok::Var(name.to_string()),
+            Lexeme::Int(n) => Tok::Int(n),
+            Lexeme::Str(s) => Tok::Str(s.bytes().map(char::from).collect()),
+        };
+        toks.push((tok, at));
+    })?;
     toks.push((Tok::Eof, input.len()));
     Ok(toks)
+}
+
+/// A statement text with its value literals replaced by `?` — the key
+/// under which texts that differ only in those literals share one parsed
+/// statement — and where each `?` sits.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Template {
+    key: String,
+    /// Byte offset in `key` of each placeholder, ascending.
+    holes: Vec<usize>,
+}
+
+impl Template {
+    /// A template with no placeholders: it matches `text` alone.
+    pub fn exact(text: &str) -> Self {
+        Template {
+            key: text.to_string(),
+            holes: Vec::new(),
+        }
+    }
+
+    /// The template text.
+    pub fn key(&self) -> &str {
+        &self.key
+    }
+
+    /// The literals of `text` in this template's placeholders: `Some`
+    /// exactly when [`strip_literals`] would give `text` this template.
+    /// The text is compared with the key, not scanned.
+    pub fn literals(&self, text: &str) -> Option<Vec<Value>> {
+        let mut literals = Vec::with_capacity(self.holes.len());
+        self.walk(text, |lexeme| literals.extend(lexeme.value()))?;
+        Some(literals)
+    }
+
+    /// `literals(text).is_some()`, without making any literal's value.
+    pub fn matches(&self, text: &str) -> bool {
+        self.walk(text, |_| ()).is_some()
+    }
+
+    /// Compare `text` with the key outside the placeholders, handing each
+    /// placeholder's literal to `literal`; `None` on the first mismatch.
+    fn walk<'t>(&self, text: &'t str, mut literal: impl FnMut(Lexeme<'t>)) -> Option<()> {
+        let (key, bytes) = (self.key.as_bytes(), text.as_bytes());
+        let (mut k, mut t) = (0, 0);
+        for &hole in &self.holes {
+            if !bytes[t..].starts_with(&key[k..hole]) {
+                return None;
+            }
+            t += hole - k;
+            let (lexeme, end) = match *bytes.get(t)? {
+                b'\'' => {
+                    let (s, end) = string_at(text, t)?;
+                    (Lexeme::Str(s), end)
+                }
+                // The token before would swallow a leading digit.
+                b'0'..=b'9' if t > 0 && (is_word(bytes[t - 1]) || bytes[t - 1] == b'-') => {
+                    return None
+                }
+                b'-' | b'0'..=b'9' => {
+                    let (n, end) = int_at(text, t);
+                    (Lexeme::Int(n.ok()?), end)
+                }
+                _ => return None,
+            };
+            literal(lexeme);
+            (k, t) = (hole + 1, end);
+        }
+        (bytes[t..] == key[k..]).then_some(())
+    }
+}
+
+/// The text's [`Template`] and its value literals in order: the integers
+/// (optional leading `-`) and `'strings'` where a `?` is legal — inside
+/// parentheses or right after `=`. Others (`CHOOSE 1`, `LIMIT n`,
+/// `GROUND n`) stay in the key. `None` when the text has `?` placeholders
+/// of its own or does not lex. One pass, no tokens allocated.
+pub fn strip_literals(input: &str) -> Option<(Template, Vec<Value>)> {
+    let mut key = String::with_capacity(input.len());
+    let (mut holes, mut literals) = (Vec::new(), Vec::new());
+    let (mut depth, mut after_eq, mut copied, mut placeholder) = (0i32, false, 0, false);
+    scan(input, |lexeme, start, end| {
+        let value_position = depth > 0 || after_eq;
+        after_eq = false;
+        let literal = match lexeme {
+            Lexeme::Int(n) if value_position => Value::Int(n),
+            Lexeme::Str(s) if value_position => string_value(s),
+            Lexeme::Punct(tok) => {
+                match tok {
+                    Tok::LParen => depth += 1,
+                    Tok::RParen => depth -= 1,
+                    Tok::Eq => after_eq = true,
+                    _ => placeholder |= tok == Tok::Param,
+                }
+                return;
+            }
+            _ => return,
+        };
+        key.push_str(&input[copied..start]);
+        holes.push(key.len());
+        key.push('?');
+        copied = end;
+        literals.push(literal);
+    })
+    .ok()?;
+    if placeholder {
+        return None;
+    }
+    key.push_str(&input[copied..]);
+    Some((Template { key, holes }, literals))
 }
 
 struct SqlParser {
@@ -225,10 +382,8 @@ struct SqlParser {
     pos: usize,
     vargen: VarGen,
     vars: HashMap<String, Var>,
-    /// Placeholder variables in positional order.
-    params: Vec<Var>,
-    /// Ids of placeholder variables, for fast "is a param" checks.
-    param_ids: BTreeSet<u32>,
+    /// Placeholders so far; the next one takes id `PARAM_BASE + params`.
+    params: usize,
 }
 
 impl SqlParser {
@@ -238,8 +393,7 @@ impl SqlParser {
             pos: 0,
             vargen: VarGen::new(),
             vars: HashMap::new(),
-            params: Vec::new(),
-            param_ids: BTreeSet::new(),
+            params: 0,
         })
     }
 
@@ -306,16 +460,20 @@ impl SqlParser {
         }
     }
 
-    /// Allocate the next positional parameter placeholder.
+    /// Allocate the next positional parameter placeholder. Its id comes
+    /// from the placeholders' own range, so a `?` never shifts the ids of
+    /// the named variables after it: a template binds to the very
+    /// statement its literal text parses to.
     fn param(&mut self) -> Var {
-        let v = self.vargen.fresh(format!("?{}", self.params.len() + 1));
-        self.params.push(v.clone());
-        self.param_ids.insert(v.id());
-        v
+        self.params += 1;
+        Var::new(
+            PARAM_BASE + self.params as u32 - 1,
+            format!("?{}", self.params),
+        )
     }
 
     fn is_param(&self, t: &Term) -> bool {
-        matches!(t, Term::Var(v) if self.param_ids.contains(&v.id()))
+        matches!(t, Term::Var(v) if v.id() >= PARAM_BASE)
     }
 
     fn term(&mut self) -> Result<Term> {
@@ -400,7 +558,7 @@ impl SqlParser {
         }
         Ok(ParsedStatement {
             stmt,
-            params: std::mem::take(&mut self.params),
+            params: self.params,
         })
     }
 
@@ -651,7 +809,7 @@ impl SqlParser {
                 })
                 .collect(),
         };
-        validate_template(&txn, &self.params)?;
+        validate_template(&txn)?;
         Ok(Statement::Transaction(txn))
     }
 
@@ -1115,7 +1273,7 @@ mod tests {
         let Statement::Transaction(t) = bound else {
             panic!("not a transaction");
         };
-        let txn = t.to_transaction().unwrap();
+        let txn = t.into_transaction().unwrap();
         assert_eq!(
             txn.to_string(),
             "-Available(123, s), +Bookings('Mickey', 123, s) :-1 Available(123, s)"
@@ -1186,5 +1344,241 @@ mod tests {
         };
         assert!(reason.contains("OPTIONAL"));
         assert!(at > 0);
+    }
+
+    // -- Statement templates ---------------------------------------------------
+
+    #[test]
+    fn strip_literals_lifts_value_literals_only() {
+        let strip = |text| strip_literals(text).map(|(t, lits)| (t.key, lits));
+        assert_eq!(
+            strip("SELECT * FROM R2('x', @s2) LIMIT 5"),
+            Some((
+                "SELECT * FROM R2(?, @s2) LIMIT 5".into(),
+                vec![Value::from("x")]
+            ))
+        );
+        assert_eq!(
+            strip("SELECT @s FROM A(@f, @s) WHERE @f = -3 CHOOSE 1 FOLLOWED BY (DELETE (@f, @s) FROM A)"),
+            Some((
+                "SELECT @s FROM A(@f, @s) WHERE @f = ? CHOOSE 1 FOLLOWED BY (DELETE (@f, @s) FROM A)"
+                    .into(),
+                vec![Value::from(-3)]
+            ))
+        );
+        assert_eq!(strip("GROUND 7"), Some(("GROUND 7".into(), vec![])));
+        assert_eq!(
+            strip("INSERT INTO R VALUES (?, 1)"),
+            None,
+            "own placeholder"
+        );
+        assert_eq!(
+            strip("INSERT INTO R VALUES ('a?b', 1)").unwrap().0,
+            "INSERT INTO R VALUES (?, ?)"
+        );
+        assert_eq!(strip("INSERT INTO R VALUES (99999999999999999999)"), None);
+        assert_eq!(strip("INSERT INTO R VALUES ('open"), None);
+    }
+
+    #[test]
+    fn template_literals_match_only_texts_of_the_template() {
+        let template = |text| strip_literals(text).unwrap().0;
+        let t = template("SELECT * FROM R2('x', @s2) LIMIT 5");
+        assert_eq!(
+            t.literals("SELECT * FROM R2(-7, @s2) LIMIT 5"),
+            Some(vec![Value::from(-7)])
+        );
+        for other in [
+            "SELECT * FROM R2('x', @s2) LIMIT 6",
+            "SELECT * FROM R2(@v, @s2) LIMIT 5",
+            "SELECT * FROM R2(?, @s2) LIMIT 5",
+            "SELECT * FROM R2('x', @s2) LIMIT 5 ",
+            "SELECT * FROM R2('x, @s2) LIMIT 5",
+            "SELECT * FROM R2(-, @s2) LIMIT 5",
+        ] {
+            assert_eq!(t.literals(other), None, "{other:?}");
+            assert!(!t.matches(other), "{other:?}");
+        }
+        // `@x` then a string is two tokens; `@x5` is one variable.
+        let t = template("SELECT * FROM R(@x'a')");
+        assert_eq!(
+            t.literals("SELECT * FROM R(@x'b')"),
+            Some(vec![Value::from("b")])
+        );
+        assert_eq!(t.literals("SELECT * FROM R(@x5)"), None);
+        let exact = Template::exact("SHOW PENDING");
+        assert_eq!(exact.literals("SHOW PENDING"), Some(vec![]));
+        assert_eq!(exact.literals("SHOW METRICS"), None);
+    }
+
+    /// splitmix64, for the seeded corpus below.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A literal as SQL text: strings over the characters that matter to
+    /// the scanner, integers of either sign and every size, some past i64.
+    fn literal(rng: &mut u64) -> String {
+        const CHARS: &[u8] = b"()=?@;,*-_ 09aZ";
+        match next(rng) % 6 {
+            0 | 1 => {
+                let len = next(rng) % 6;
+                let s: String = (0..len)
+                    .map(|_| CHARS[(next(rng) % CHARS.len() as u64) as usize] as char)
+                    .collect();
+                format!("'{s}'")
+            }
+            2 => (next(rng) % 1000).to_string(),
+            3 => format!("-{}", next(rng) % 1000),
+            _ => [
+                "0",
+                "9223372036854775807",
+                "-9223372036854775808",
+                "9223372036854775808",
+                "-99999999999999999999",
+            ][(next(rng) % 5) as usize]
+                .to_string(),
+        }
+    }
+
+    /// Statement shapes of every class; `{}` is a literal.
+    const SHAPES: &[&str] = &[
+        "SELECT @s FROM Available({}, @s), OPTIONAL Bookings({}, {}, @s2), \
+         OPTIONAL Adjacent(@s, @s2) CHOOSE 1 FOLLOWED BY (DELETE ({}, @s) FROM Available; \
+         INSERT ({}, {}, @s) INTO Bookings;)",
+        "SELECT @s FROM Available(@f, @s) WHERE @f = {} CHOOSE 1 \
+         FOLLOWED BY (DELETE (@f, @s) FROM Available)",
+        "SELECT PEEK @f, @s FROM Bookings({}, @f, @s)",
+        "SELECT POSSIBLE @f, @s FROM Bookings({}, @f, @s) LIMIT 32",
+        "select @f,@s from Bookings({},@f,@s)",
+        "SELECT * FROM R2({}, @a2) WHERE @b = {}",
+        "INSERT INTO Available VALUES ({}, {}), ({}, {})",
+        "DELETE FROM Bookings VALUES ({}, {}, {});",
+        "CREATE TABLE T1 (a INT, b TEXT)",
+        "GROUND {}",
+        "SHOW EVENTS LIMIT {}",
+        "GROUND ALL",
+        "CHECKPOINT",
+        "SHOW PENDING",
+        "PROMOTE",
+        "INSERT INTO R VALUES (?, {})",
+        "SELECT * FROM R(@x{}, {})",
+    ];
+
+    /// Shapes whose template must not stand in for the text: it does not
+    /// parse, or it binds to a different statement.
+    const FALLBACK: &[&str] = &[
+        "SELECT @a FROM R(@a) WHERE @a = {}",
+        "SELECT @f, @s FROM Available(@f, @s) WHERE @f = {}",
+        "SELECT @a FROM R(@a) WHERE @a = {} AND @a = {}",
+        "SELECT @a FROM R(@a) WHERE {} = {}",
+        "CREATE INDEX ON R ({})",
+    ];
+
+    /// `key`'s tokens are `text`'s with each stripped literal — exactly
+    /// the integers and strings inside parentheses or right after `=` —
+    /// replaced by `?`, and `literals` are those literals in order.
+    fn assert_template_tokens(text: &str, key: &str, literals: &[Value]) {
+        let (text_toks, key_toks) = (lex(text).unwrap(), lex(key).unwrap());
+        assert_eq!(text_toks.len(), key_toks.len(), "{text:?} → {key:?}");
+        let mut stripped = literals.iter();
+        let (mut depth, mut after_eq) = (0, false);
+        for ((t, _), (k, _)) in text_toks.iter().zip(&key_toks) {
+            let literal = match t {
+                Tok::Int(n) => Some(Value::Int(*n)),
+                Tok::Str(s) => Some(Value::interned(s)),
+                _ => None,
+            };
+            match literal {
+                Some(v) if depth > 0 || after_eq => {
+                    assert_eq!(*k, Tok::Param, "{text:?} → {key:?}");
+                    assert_eq!(stripped.next(), Some(&v), "{text:?} → {key:?}");
+                }
+                _ => assert_eq!(t, k, "{text:?} → {key:?}"),
+            }
+            depth += match t {
+                Tok::LParen => 1,
+                Tok::RParen => -1,
+                _ => 0,
+            };
+            after_eq = *t == Tok::Eq;
+        }
+        assert_eq!(stripped.next(), None, "{text:?}: literals left over");
+    }
+
+    /// For every text of the corpus: its template's tokens are the text's
+    /// with the value literals replaced (checked against `lex`); where the
+    /// text parses, the template binds to exactly the text's parse — or,
+    /// for the fallback shapes, does not; and an earlier template of the
+    /// same or another shape reads literals from the text exactly when it
+    /// is the text's own template.
+    #[test]
+    fn templates_lex_and_bind_like_their_texts() {
+        let shapes: Vec<(&str, bool)> = SHAPES
+            .iter()
+            .map(|s| (*s, false))
+            .chain(FALLBACK.iter().map(|s| (*s, true)))
+            .collect();
+        let mut last: Vec<Option<Template>> = vec![None; shapes.len()];
+        let (mut bound, mut fell_back, mut bad_text, mut unstripped, mut matched) = (0, 0, 0, 0, 0);
+        for case in 0..4000u64 {
+            let mut rng = 0x7E3F_0000 ^ case;
+            let index = case as usize % shapes.len();
+            let (shape, fallback) = shapes[index];
+            let mut text = String::new();
+            for (i, piece) in shape.split("{}").enumerate() {
+                if i > 0 {
+                    text.push_str(&literal(&mut rng));
+                }
+                text.push_str(piece);
+            }
+            let stripped = strip_literals(&text);
+            let other = (next(&mut rng) % shapes.len() as u64) as usize;
+            for earlier in [&last[index], &last[other]].into_iter().flatten() {
+                let own = stripped.as_ref().filter(|(t, _)| t == earlier);
+                assert_eq!(
+                    earlier.literals(&text).as_ref(),
+                    own.map(|(_, l)| l),
+                    "{text:?}"
+                );
+                assert_eq!(earlier.matches(&text), own.is_some(), "{text:?}");
+                matched += usize::from(own.is_some());
+            }
+            let Some((template, literals)) = stripped else {
+                assert!(text.contains('?') || lex(&text).is_err(), "{text:?}");
+                unstripped += 1;
+                continue;
+            };
+            assert_template_tokens(&text, &template.key, &literals);
+            last[index] = Some(template.clone());
+            let Ok(parsed) = parse_statement(&text) else {
+                bad_text += 1;
+                continue;
+            };
+            let reproduced = parse_statement(&template.key)
+                .and_then(|t| t.bind(&literals))
+                .map(|s| format!("{s:?}"));
+            if fallback {
+                assert_ne!(
+                    reproduced.ok(),
+                    Some(format!("{:?}", parsed.stmt)),
+                    "{text:?}"
+                );
+                fell_back += 1;
+            } else {
+                // Debug output compares variable names as well as ids.
+                assert_eq!(reproduced, Ok(format!("{:?}", parsed.stmt)), "{text:?}");
+                bound += 1;
+            }
+        }
+        assert!(
+            bound > 1000 && fell_back > 100 && bad_text > 100 && unstripped > 100 && matched > 1000,
+            "corpus lost coverage: {bound} bound, {fell_back} fallbacks, {bad_text} bad texts, \
+             {unstripped} unstripped, {matched} matched"
+        );
     }
 }

@@ -26,7 +26,6 @@
 use qdb_storage::{Schema, Value};
 
 use crate::atom::Atom;
-use crate::substitution::Substitution;
 use crate::term::{Term, Var};
 use crate::transaction::{BodyAtom, ResourceTransaction, UpdateAtom};
 use crate::{LogicError, Result};
@@ -81,8 +80,8 @@ impl TxnStmt {
     /// Build the validated core form. Fails with
     /// [`LogicError::RangeRestriction`] if an update variable (including a
     /// still-unbound parameter) does not occur in a non-optional body atom.
-    pub fn to_transaction(&self) -> Result<ResourceTransaction> {
-        ResourceTransaction::new(self.updates.clone(), self.body.clone())
+    pub fn into_transaction(self) -> Result<ResourceTransaction> {
+        ResourceTransaction::new(self.updates, self.body)
     }
 }
 
@@ -186,43 +185,51 @@ impl Statement {
     }
 }
 
+/// Variable id of the first `?` placeholder; the k-th (from 0) has id
+/// `PARAM_BASE + k`. Named variables count up from 0 on their own, so a
+/// placeholder never shifts their ids, and binding is a direct index.
+/// No placeholder id may reach the engine: every one is bound first.
+pub const PARAM_BASE: u32 = 1 << 30;
+
 /// A parsed statement plus its positional parameter placeholders.
 ///
 /// Parameters are represented as reserved variables (display name `?1`,
-/// `?2`, …) inside the statement's atoms and rows; [`ParsedStatement::bind`]
-/// substitutes concrete [`Value`]s to produce an executable [`Statement`].
-/// A statement with no placeholders can be executed directly via
-/// [`ParsedStatement::statement`].
+/// `?2`, …, ids from [`PARAM_BASE`]) inside the statement's atoms and
+/// rows; [`ParsedStatement::bind`] substitutes concrete [`Value`]s to
+/// produce an executable [`Statement`]. A statement with no placeholders
+/// can be executed directly via [`ParsedStatement::statement`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsedStatement {
     pub(crate) stmt: Statement,
-    pub(crate) params: Vec<Var>,
+    pub(crate) params: usize,
 }
 
 impl ParsedStatement {
     /// Wrap a statement with no placeholders.
     pub fn unparameterized(stmt: Statement) -> Self {
-        ParsedStatement {
-            stmt,
-            params: Vec::new(),
-        }
+        ParsedStatement { stmt, params: 0 }
     }
 
     /// Number of positional `?` placeholders.
     pub fn param_count(&self) -> usize {
-        self.params.len()
+        self.params
     }
 
     /// The statement, if it has no placeholders to bind.
     pub fn statement(&self) -> Result<&Statement> {
-        if self.params.is_empty() {
-            Ok(&self.stmt)
-        } else {
-            Err(LogicError::Params {
-                expected: self.params.len(),
+        match self.params {
+            0 => Ok(&self.stmt),
+            n => Err(LogicError::Params {
+                expected: n,
                 got: 0,
-            })
+            }),
         }
+    }
+
+    /// The statement by value, if it has no placeholders to bind.
+    pub fn into_statement(self) -> Result<Statement> {
+        self.statement()?;
+        Ok(self.stmt)
     }
 
     /// The statement template (placeholders appear as `?N` variables).
@@ -232,34 +239,40 @@ impl ParsedStatement {
 
     /// Substitute positional values for the placeholders, producing an
     /// executable statement. `values.len()` must equal
-    /// [`ParsedStatement::param_count`].
+    /// [`ParsedStatement::param_count`]; placeholder `?k` takes
+    /// `values[k - 1]`.
     pub fn bind(&self, values: &[Value]) -> Result<Statement> {
-        if values.len() != self.params.len() {
+        if values.len() != self.params {
             return Err(LogicError::Params {
-                expected: self.params.len(),
+                expected: self.params,
                 got: values.len(),
             });
         }
-        if self.params.is_empty() {
+        if self.params == 0 {
             return Ok(self.stmt.clone());
         }
-        let mut subst = Substitution::new();
-        for (var, value) in self.params.iter().zip(values) {
-            subst.bind(var, &Term::Const(value.clone()));
-        }
-        let bind_row =
-            |row: &Vec<Term>| -> Vec<Term> { row.iter().map(|t| subst.resolve(t)).collect() };
+        let term = |t: &Term| match t {
+            Term::Var(v) if v.id() >= PARAM_BASE => values
+                .get((v.id() - PARAM_BASE) as usize)
+                .map_or_else(|| t.clone(), |value| Term::Const(value.clone())),
+            _ => t.clone(),
+        };
+        let row = |row: &Vec<Term>| -> Vec<Term> { row.iter().map(term).collect() };
+        let atom = |a: &Atom| Atom {
+            relation: a.relation.clone(),
+            terms: row(&a.terms),
+        };
         Ok(match &self.stmt {
             Statement::Insert { relation, rows } => Statement::Insert {
                 relation: relation.clone(),
-                rows: rows.iter().map(bind_row).collect(),
+                rows: rows.iter().map(row).collect(),
             },
             Statement::Delete { relation, rows } => Statement::Delete {
                 relation: relation.clone(),
-                rows: rows.iter().map(bind_row).collect(),
+                rows: rows.iter().map(row).collect(),
             },
             Statement::Select(sel) => Statement::Select(SelectStmt {
-                atoms: sel.atoms.iter().map(|a| a.apply(&subst)).collect(),
+                atoms: sel.atoms.iter().map(atom).collect(),
                 projection: sel.projection.clone(),
                 mode: sel.mode,
                 limit: sel.limit,
@@ -270,14 +283,14 @@ impl ParsedStatement {
                     .iter()
                     .map(|u| UpdateAtom {
                         kind: u.kind,
-                        atom: u.atom.apply(&subst),
+                        atom: atom(&u.atom),
                     })
                     .collect(),
                 body: txn
                     .body
                     .iter()
                     .map(|b| BodyAtom {
-                        atom: b.atom.apply(&subst),
+                        atom: atom(&b.atom),
                         optional: b.optional,
                     })
                     .collect(),
@@ -290,17 +303,16 @@ impl ParsedStatement {
 /// Range restriction for a transaction *template*: update variables must
 /// occur in a non-optional body atom, except parameter placeholders, which
 /// are constants by execution time.
-pub(crate) fn validate_template(txn: &TxnStmt, params: &[Var]) -> Result<()> {
+pub(crate) fn validate_template(txn: &TxnStmt) -> Result<()> {
     let bound: std::collections::BTreeSet<&Var> = txn
         .body
         .iter()
         .filter(|b| !b.optional)
         .flat_map(|b| b.atom.vars())
-        .chain(params.iter())
         .collect();
     for u in &txn.updates {
         for v in u.atom.vars() {
-            if !bound.contains(v) {
+            if v.id() < PARAM_BASE && !bound.contains(v) {
                 return Err(LogicError::RangeRestriction {
                     var: v.name().to_string(),
                 });

@@ -37,6 +37,7 @@ use std::time::{Duration, Instant};
 
 use qdb_core::wire::{self, Frame, Reply, Request};
 use qdb_core::{Bound, Response, Session};
+use qdb_logic::{ParsedStatement, Statement};
 
 use crate::metrics::ServerMetrics;
 use crate::reactor::Notifier;
@@ -567,27 +568,18 @@ impl Conn {
                 unreachable!("replication frames handled before the session path")
             }
             Request::Execute { sql } => {
-                // The session's statement cache makes repeated EXECUTE of
-                // identical text parse once, and hands us the statement
-                // class for per-class accounting.
-                let prepared = match stmts.session.prepare(&sql) {
-                    Ok(p) => p,
-                    Err(e) => return engine_error(e),
+                // The session's statement cache binds a text's literals
+                // into the template of its shape: no parse after the
+                // shape's first text.
+                let stmt = match executable(stmts.session.parse(&sql)) {
+                    Ok(stmt) => stmt,
+                    Err(refusal) => return refusal,
                 };
-                if prepared.param_count() > 0 {
-                    return Reply::Error {
-                        code: wire::code::PARAMS,
-                        message: format!(
-                            "EXECUTE carries no parameters but the statement has {} placeholder(s); use PREPARE/BIND/RUN",
-                            prepared.param_count()
-                        ),
-                    };
-                }
-                self.metrics.statement(prepared.kind());
-                if prepared.kind() == "SHOW REPLICATION" {
+                self.metrics.statement(stmt.kind());
+                if matches!(stmt, Statement::ShowReplication) {
                     return self.replication_report(&stmts);
                 }
-                self.respond(&stmts, prepared.run())
+                self.respond(&stmts, stmts.session.shared().execute_stmt(stmt))
             }
             Request::Prepare { stmt, sql } => match stmts.session.prepare(&sql) {
                 Ok(p) => {
@@ -644,11 +636,25 @@ impl Conn {
     }
 }
 
-fn engine_error(e: qdb_core::EngineError) -> Reply {
+pub(crate) fn engine_error(e: qdb_core::EngineError) -> Reply {
     Reply::Error {
         code: wire::code_for(&e),
         message: e.to_string(),
     }
+}
+
+/// What an `EXECUTE` runs, from its text's parse: the statement, or the
+/// reply refusing it — the parse error, or `PARAMS` for a text with `?`
+/// placeholders, which EXECUTE has no values for.
+pub(crate) fn executable(parsed: qdb_core::Result<ParsedStatement>) -> Result<Statement, Reply> {
+    let parsed = parsed.map_err(engine_error)?;
+    let placeholders = parsed.param_count();
+    parsed.into_statement().map_err(|_| Reply::Error {
+        code: wire::code::PARAMS,
+        message: format!(
+            "EXECUTE carries no parameters but the statement has {placeholders} placeholder(s); use PREPARE/BIND/RUN"
+        ),
+    })
 }
 
 fn unknown_id(what: &str, id: u32) -> Reply {

@@ -97,9 +97,9 @@ pub struct ServerConfig {
     pub addr: String,
     /// Executor threads running statements (≥ 1).
     pub workers: usize,
-    /// Per-connection prepared-statement (parsed-text LRU) cache capacity
-    /// (`qdb-server --prepared-cache`; `0` disables caching so every
-    /// EXECUTE parses).
+    /// Statement-template cache capacity per connection, and of a
+    /// replica's one shared cache (`qdb-server --prepared-cache`; `0`
+    /// disables caching so every EXECUTE parses).
     pub prepared_cache: usize,
     /// Engine configuration for the owned database.
     pub engine: QuantumDbConfig,
@@ -249,6 +249,7 @@ impl Server {
                     ReplicaApplier::new(engine),
                     source.clone(),
                     cfg.replica_id.clone(),
+                    cfg.prepared_cache,
                 ));
                 let puller_cfg = PullerConfig {
                     source: source.clone(),

@@ -31,9 +31,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use qdb_core::wire::{self, Reply, Request};
-use qdb_core::{ReplicaApplier, ReplicaTracker, Response, SharedQuantumDb};
-use qdb_logic::{parse_statement, ReadMode, Statement};
+use qdb_core::{ReplicaApplier, ReplicaTracker, Response, SharedQuantumDb, StmtCache};
+use qdb_logic::{ReadMode, Statement};
 
+use crate::conn::{engine_error, executable};
 use crate::metrics::ServerMetrics;
 
 /// Largest WAL slice shipped per `REPLICATE` poll. Well under the frame
@@ -70,15 +71,24 @@ enum ReplicaEngine {
 /// Shared state of a replica server.
 pub struct ReplicaState {
     engine: Mutex<ReplicaEngine>,
+    /// Statement templates of every connection. Parsed statements name no
+    /// engine, so the cache serves the promoted engine too.
+    stmts: StmtCache,
     source: String,
     replica_id: String,
     promoted: AtomicBool,
 }
 
 impl ReplicaState {
-    pub(crate) fn new(applier: ReplicaApplier, source: String, replica_id: String) -> Self {
+    pub(crate) fn new(
+        applier: ReplicaApplier,
+        source: String,
+        replica_id: String,
+        stmt_cache: usize,
+    ) -> Self {
         ReplicaState {
             engine: Mutex::new(ReplicaEngine::Following(Box::new(applier))),
+            stmts: StmtCache::new(stmt_cache),
             source,
             replica_id,
             promoted: AtomicBool::new(false),
@@ -157,57 +167,41 @@ impl ReplicaState {
 
     /// Execute one statement under the replica's serving rules.
     pub(crate) fn execute(&self, sql: &str, server: &ServerMetrics) -> Reply {
-        let parsed = match parse_statement(sql) {
-            Ok(p) => p,
-            Err(e) => {
-                return Reply::Error {
-                    code: wire::code::LOGIC,
-                    message: e.to_string(),
+        // Pick the serving engine and rules under the mutex; parse (counted
+        // and timed on that engine) and execute outside it.
+        let (db, following) = match &*crate::lock(&self.engine) {
+            ReplicaEngine::Following(applier) => (applier.db().clone(), true),
+            ReplicaEngine::Promoted(db) => (db.clone(), false),
+            ReplicaEngine::Failed(e) => return out_of_service(e),
+            ReplicaEngine::Promoting => unreachable!("promotion runs under the engine mutex"),
+        };
+        let stmt = match executable(self.stmts.parse(&db, sql)) {
+            Ok(stmt) => stmt,
+            Err(refusal) => return refusal,
+        };
+        server.statement(stmt.kind());
+        let stmt = match stmt {
+            Statement::Promote => {
+                return match self.promote() {
+                    Ok(()) => Reply::Engine(Response::Ack),
+                    Err(e) => Reply::Error {
+                        code: wire::code::INVARIANT,
+                        message: e,
+                    },
                 }
             }
-        };
-        if parsed.param_count() > 0 {
-            return Reply::Error {
-                code: wire::code::PARAMS,
-                message: format!(
-                    "EXECUTE carries no parameters but the statement has {} placeholder(s); use PREPARE/BIND/RUN",
-                    parsed.param_count()
-                ),
-            };
-        }
-        let stmt = parsed
-            .statement()
-            .expect("zero placeholders checked above")
-            .clone();
-        server.statement(stmt.kind());
-        if matches!(stmt, Statement::Promote) {
-            return match self.promote() {
-                Ok(()) => Reply::Engine(Response::Ack),
-                Err(e) => Reply::Error {
-                    code: wire::code::INVARIANT,
-                    message: e,
-                },
-            };
-        }
-        // Pick the serving rules under the mutex, execute outside it.
-        let (db, stmt) = match &*crate::lock(&self.engine) {
-            ReplicaEngine::Following(applier) => {
-                if matches!(stmt, Statement::ShowReplication) {
+            Statement::ShowReplication if following => {
+                if let ReplicaEngine::Following(applier) = &*crate::lock(&self.engine) {
                     return Reply::Engine(Response::Replication(Box::new(applier.report())));
                 }
-                match self.restrict_to_reads(stmt) {
-                    Ok(read) => (applier.db().clone(), read),
-                    Err(refusal) => return refusal,
-                }
+                // Promoted or failed meanwhile: the engine answers for itself.
+                Statement::ShowReplication
             }
-            ReplicaEngine::Promoted(db) => (db.clone(), stmt),
-            ReplicaEngine::Failed(e) => {
-                return Reply::Error {
-                    code: wire::code::INVARIANT,
-                    message: format!("replica is out of service: {e}"),
-                }
-            }
-            ReplicaEngine::Promoting => unreachable!("promotion runs under the engine mutex"),
+            stmt if following => match self.restrict_to_reads(stmt) {
+                Ok(read) => read,
+                Err(refusal) => return refusal,
+            },
+            stmt => stmt,
         };
         match db.execute_stmt(stmt) {
             Ok(Response::Metrics(m)) => Reply::Stats {
@@ -216,10 +210,7 @@ impl ReplicaState {
                 profile: Some(Box::new(db.profile())),
             },
             Ok(r) => Reply::Engine(r),
-            Err(e) => Reply::Error {
-                code: wire::code_for(&e),
-                message: e.to_string(),
-            },
+            Err(e) => engine_error(e),
         }
     }
 
@@ -251,6 +242,14 @@ impl ReplicaState {
                 ),
             }),
         }
+    }
+}
+
+/// The reply of a replica whose replay or promotion failed.
+fn out_of_service(e: &str) -> Reply {
+    Reply::Error {
+        code: wire::code::INVARIANT,
+        message: format!("replica is out of service: {e}"),
     }
 }
 

@@ -519,7 +519,7 @@ mod tests {
             panic!("booking SQL is not a transaction");
         };
         assert_eq!(
-            t.to_transaction().unwrap().to_string(),
+            t.into_transaction().unwrap().to_string(),
             crate::entangled::entangled_booking("mickey", "goofy", 7).to_string()
         );
     }
