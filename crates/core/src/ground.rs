@@ -129,9 +129,11 @@ pub(crate) fn promotion_sets(optionals: &[Vec<usize>]) -> Vec<Vec<Vec<usize>>> {
             .collect();
         // Transactions without optional atoms make distinct masks produce
         // identical combos — drop the duplicates.
-        let mut seen: std::collections::BTreeSet<Vec<Vec<usize>>> =
-            std::collections::BTreeSet::new();
-        combos.retain(|c| seen.insert(c.clone()));
+        if optionals.iter().any(Vec::is_empty) {
+            let mut seen: std::collections::BTreeSet<Vec<Vec<usize>>> =
+                std::collections::BTreeSet::new();
+            combos.retain(|c| seen.insert(c.clone()));
+        }
         combos
     }
 }
@@ -263,10 +265,14 @@ pub fn residue_untouched<'a>(
 
 /// §5.1: fixing a transaction fixes its coordination partners with it —
 /// whoever is "in the system" when values are assigned gets to coordinate.
-/// Expand the group by one level of partnership.
-pub(crate) fn expand_partners(p: &crate::Partition, ids: &[TxnId]) -> Vec<TxnId> {
+/// Expand the group by one level of partnership. `known` names members of
+/// `ids` whose partners `ids` already holds (the caller found them with
+/// [`crate::entangle::coordination_partners`]); they are not tested again.
+pub(crate) fn expand_partners(p: &crate::Partition, ids: &[TxnId], known: &[TxnId]) -> Vec<TxnId> {
     let mut out: std::collections::BTreeSet<TxnId> = ids.iter().copied().collect();
-    let seeds: Vec<&crate::PendingTxn> = p.txns.iter().filter(|t| out.contains(&t.id)).collect();
+    let seeds: Vec<&crate::PendingTxn> = (p.txns.iter())
+        .filter(|t| out.contains(&t.id) && !known.contains(&t.id))
+        .collect();
     let mut extra: Vec<TxnId> = Vec::new();
     for seed in seeds {
         for other in &p.txns {
@@ -331,12 +337,11 @@ pub(crate) fn plan_group_front(
     } else {
         None
     };
-    let idset: std::collections::BTreeSet<TxnId> = ids.iter().copied().collect();
     let mut group: Vec<&crate::PendingTxn> = Vec::new();
     let mut cached_ops: Vec<WriteOp> = Vec::new();
     let mut rest: Vec<(&crate::PendingTxn, &Valuation)> = Vec::new();
     for (t, v) in p.txns.iter().zip(&p.cache.valuations) {
-        if idset.contains(&t.id) {
+        if ids.contains(&t.id) {
             group.push(t);
             if world.is_some() {
                 cached_ops.extend(t.txn.write_ops(v)?);
@@ -379,7 +384,12 @@ pub(crate) fn plan_group_front(
                 .collect()
         })
         .collect();
+    let dead = dead_optionals(db, pre_ops, world.as_ref(), &group)?;
     for promo in promotion_sets(&optionals) {
+        let promotes_dead = |(pr, d): (&Vec<usize>, &Vec<usize>)| pr.iter().any(|i| d.contains(i));
+        if promo.iter().zip(&dead).any(promotes_dead) {
+            continue;
+        }
         let plan = plan_solve_group(
             solver, db, pre_ops, config, &group, &rest, &mut world, &promo,
         )?;
@@ -388,6 +398,71 @@ pub(crate) fn plan_group_front(
         }
     }
     Ok(None)
+}
+
+/// The optional body atoms (body indexes, per group member) that no
+/// promotion set can satisfy: no earlier member has an insert that unifies
+/// with the atom, and no tuple matching its constants is visible in a state
+/// the group is solved on — the residue's `world`, or the base with
+/// `pre_ops`. That is condition (1) of the solver's lookahead with no
+/// source at all: a set promoting such an atom fails on every state, so it
+/// is skipped before anything is compiled. A group promotes a member's
+/// optional atoms all or none, so there one per member is enough.
+fn dead_optionals(
+    db: &qdb_storage::Database,
+    pre_ops: &[WriteOp],
+    world: Option<&Overlay>,
+    group: &[&crate::PendingTxn],
+) -> Result<Vec<Vec<usize>>> {
+    let mut dead = Vec::with_capacity(group.len());
+    for (k, member) in group.iter().enumerate() {
+        let mut never = Vec::new();
+        for (i, b) in member.txn.body.iter().enumerate() {
+            let inserted_before = |atom: &Atom| {
+                let mut earlier = group[..k].iter().flat_map(|e| e.txn.inserts());
+                earlier.any(|u| qdb_logic::unifiable(atom, &u.atom))
+            };
+            if b.optional
+                && !inserted_before(&b.atom)
+                && !may_be_visible(db, pre_ops, world, &b.atom)?
+            {
+                never.push(i);
+                if group.len() > 1 {
+                    break;
+                }
+            }
+        }
+        dead.push(never);
+    }
+    Ok(dead)
+}
+
+/// May a tuple matching `atom`'s constants be visible in `world`, or in the
+/// base with `pre_ops` applied? Errs towards "yes": a base tuple counts
+/// even when `pre_ops` deletes it, and an unknown relation is left to the
+/// solve to report.
+fn may_be_visible(
+    db: &qdb_storage::Database,
+    pre_ops: &[WriteOp],
+    world: Option<&Overlay>,
+    atom: &Atom,
+) -> Result<bool> {
+    let Some(rid) = db.try_resolve(&atom.relation) else {
+        return Ok(true);
+    };
+    let pattern: Vec<Option<qdb_storage::Value>> =
+        atom.terms.iter().map(|t| t.as_const().cloned()).collect();
+    if let Some(w) = world {
+        if w.count_up_to_id(db, rid, &pattern, 1)?.0 > 0 {
+            return Ok(true);
+        }
+    }
+    let inserted = |op: &WriteOp| {
+        op.is_insert()
+            && op.relation() == atom.relation.as_ref()
+            && qdb_storage::Table::matches(op.tuple(), &pattern)
+    };
+    Ok(db.table_by_id(rid).count_up_to(&pattern, 1).0 > 0 || pre_ops.iter().any(inserted))
 }
 
 /// The (transaction, cached valuation) pairs [`residue_untouched`] reads.
@@ -597,7 +672,7 @@ pub(crate) fn plan_ground_all_partition(
         out.extend(grounded);
     };
     while let Some(head) = p.txns.first().map(|t| t.id) {
-        let ids = expand_partners(p, &[head]);
+        let ids = expand_partners(p, &[head], &[]);
         let group_plan = match config.serializability {
             crate::Serializability::Semantic => {
                 plan_group_front(solver, db, &pre_ops, config, p, &ids)?

@@ -336,11 +336,17 @@ impl SharedQuantumDb {
     fn registry<R>(&self, f: impl FnOnce(&mut Registry) -> R) -> R {
         let t0 = std::time::Instant::now();
         let out = f(&mut self.core.reg.lock());
+        self.record_since(qdb_obs::Phase::Registry, t0);
+        out
+    }
+
+    /// Record the time since `t0` into `phase`'s histogram only — no span,
+    /// no flight-recorder event — for phases that nest inside others.
+    fn record_since(&self, phase: qdb_obs::Phase, t0: std::time::Instant) {
         if self.core.obs.enabled() {
-            let hist = self.core.obs.phase_histogram(qdb_obs::Phase::Registry);
+            let hist = self.core.obs.phase_histogram(phase);
             hist.record_duration(t0.elapsed());
         }
-        out
     }
 
     /// Lock a partition slot, recording the wait as
@@ -635,13 +641,14 @@ impl SharedQuantumDb {
                 };
                 if !partners.is_empty() {
                     partners.push(id);
-                    self.ground_in_slot(&mut st, &partners, GroundReason::Partner, solver)?;
+                    let group = (&partners[..], &[id][..]);
+                    self.ground_in_slot(&mut st, group, GroundReason::Partner, solver)?;
                 }
             }
             // §4: bound the composed body size.
             while fresh && st.part.len() > self.core.config.k {
                 let oldest = st.part.txns[0].id;
-                self.ground_in_slot(&mut st, &[oldest], GroundReason::KBound, solver)?;
+                self.ground_in_slot(&mut st, (&[oldest], &[]), GroundReason::KBound, solver)?;
             }
             // Table 1 counts a transaction as pending until its partner
             // arrives, so the high-water mark is sampled after partner
@@ -678,29 +685,40 @@ impl SharedQuantumDb {
 
     // -- Grounding --------------------------------------------------------
 
-    /// Ground `ids` within the held partition, honoring the configured
-    /// serializability: plan under a base read (parallel with other
-    /// partitions' solves), apply under the base write lock.
+    /// Ground `seeds` and their partners within the held partition, honoring
+    /// the configured serializability: plan under a base read (parallel
+    /// with other partitions' solves), apply under the base write lock.
+    /// `known` names seeds whose partners the caller already put in
+    /// `seeds` (see [`expand_partners`]). Timed into the
+    /// [`qdb_obs::Phase::Ground`] histogram.
     fn ground_in_slot(
         &self,
         st: &mut SlotState,
-        ids: &[TxnId],
+        (seeds, known): (&[TxnId], &[TxnId]),
         reason: GroundReason,
         solver: &mut Solver,
     ) -> Result<()> {
         if st.part.is_empty() {
             return Ok(());
         }
-        let ids = expand_partners(&st.part, ids);
-        match self.core.config.serializability {
+        let t0 = std::time::Instant::now();
+        let ids = expand_partners(&st.part, seeds, known);
+        debug_assert_eq!(
+            ids,
+            expand_partners(&st.part, seeds, &[]),
+            "the caller missed a known seed's partner"
+        );
+        let out = match self.core.config.serializability {
             crate::Serializability::Semantic => {
-                if self.try_ground_group(st, &ids, reason, solver)? {
-                    return Ok(());
+                match self.try_ground_group(st, &ids, reason, solver) {
+                    Ok(false) => self.ground_strict_through(st, &ids, reason, solver),
+                    done => done.map(drop),
                 }
-                self.ground_strict_through(st, &ids, reason, solver)
             }
             crate::Serializability::Strict => self.ground_strict_through(st, &ids, reason, solver),
-        }
+        };
+        self.record_since(qdb_obs::Phase::Ground, t0);
+        out
     }
 
     fn ground_strict_through(
@@ -808,7 +826,7 @@ impl SharedQuantumDb {
     fn do_ground(&self, id: TxnId, solver: &mut Solver) -> Result<Option<usize>> {
         self.with_hosting_slot(id, |st| {
             let before = st.part.len();
-            self.ground_in_slot(st, &[id], GroundReason::Explicit, solver)?;
+            self.ground_in_slot(st, (&[id], &[]), GroundReason::Explicit, solver)?;
             Ok(before - st.part.len())
         })
     }
@@ -1128,8 +1146,9 @@ impl SharedQuantumDb {
             // split a pair that could still coordinate.
             let others = txns.iter().filter(|p| p.id != target.id);
             let mut ids = coordination_partners(&target.txn, others);
-            ids.push(target.id);
-            self.ground_in_slot(&mut st, &ids, GroundReason::Read, solver)?;
+            let target = target.id;
+            ids.push(target);
+            self.ground_in_slot(&mut st, (&ids, &[target]), GroundReason::Read, solver)?;
             self.publish(pid, &mut st);
         }
         let base = self.base_read();

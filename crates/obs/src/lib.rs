@@ -63,10 +63,13 @@ pub enum Phase {
     /// A partition-registry critical section: lock wait plus the claim,
     /// publish or overlap selection made under it.
     Registry = 9,
+    /// One grounding — partner, read, k-bound or explicit `GROUND id`:
+    /// partner expansion, planning and commit, strict fallback included.
+    Ground = 10,
 }
 
 /// Number of [`Phase`] variants (histogram array length).
-pub const PHASE_COUNT: usize = 10;
+pub const PHASE_COUNT: usize = 11;
 
 /// All phases in `repr` order.
 pub const PHASES: [Phase; PHASE_COUNT] = [
@@ -80,6 +83,7 @@ pub const PHASES: [Phase; PHASE_COUNT] = [
     Phase::PartitionLockWait,
     Phase::WorldEnum,
     Phase::Registry,
+    Phase::Ground,
 ];
 
 impl Phase {
@@ -96,6 +100,7 @@ impl Phase {
             Phase::PartitionLockWait => "partition_lock_wait",
             Phase::WorldEnum => "world_enum",
             Phase::Registry => "registry",
+            Phase::Ground => "ground",
         }
     }
 }

@@ -18,6 +18,59 @@
 //! [`crate::CandidateIter`], and orders atoms by counts that are index
 //! bucket lengths and point probes (see the overlay's counting contract).
 //! A [`Valuation`] is materialised only when a transaction completes.
+//!
+//! # Lookahead through the group's own inserts
+//!
+//! In a sequence, a later member `Tj` reads the state the earlier members'
+//! updates leave. Take a body atom `B` of `Tj` that only one earlier
+//! member's insert `U` (of `Ti`) can satisfy — the §5.1 partner's
+//! `Bookings('Mickey', f, s2)` against Mickey's own booking. Then `Tj` can
+//! only match `B` with `U`'s tuple, so `B`'s variables take `U`'s values,
+//! and `Tj`'s other atoms must have a match under them. The search checks
+//! that in `Ti`'s search: once `Ti`'s body is matched, before its updates
+//! are applied, `Tj`'s remaining atoms run as a read-only existence query,
+//! with `U`'s terms read from `Ti`'s bindings. A candidate whose partner
+//! cannot be seated dies on an index probe or two instead of on apply,
+//! a full search of `Tj` and rollback. The rule is sound under three
+//! conditions:
+//!
+//! 1. Every tuple that could match `B` when `Tj` runs comes from `U`. No
+//!    other member before `Tj` has an insert that may unify with `B` (nor
+//!    has `Ti` a second one), no member before `Ti` has a delete that may,
+//!    and no tuple matching `B`'s constants is visible when the rule is
+//!    derived, at `Ti`'s turn. With the first two, the tuples matching `B`
+//!    at `Ti`'s turn are those of the solve's entry state, whatever the
+//!    members before `Ti` chose, so the third is a test of the entry state.
+//!    `B` must not repeat a variable. A constant of `B` where `U` has a
+//!    variable pins that variable, and the check compares it exactly.
+//! 2. Each pushed atom is checked on a state holding every tuple `Tj`
+//!    could see: no member from `Ti` up to, but not including, `Tj`
+//!    inserts into its relation. Their deletes only shrink the state. An
+//!    atom that fails this is not pushed; dropping atoms only weakens the
+//!    check.
+//! 3. The check only filters: it rejects a candidate only when `Tj` would
+//!    provably fail whatever the members between choose. It never
+//!    reorders, binds nothing the search keeps, and leaves the overlay
+//!    untouched. So the search tries the same candidates in the same order
+//!    and returns the same valuations; it only skips subtrees that held no
+//!    solution.
+//!
+//! **Arming.** A solve whose first candidates succeed pays nothing: a
+//! level's checks are derived only after its first failed descent (its
+//! updates applied, the rest of the sequence unsatisfiable), and a
+//! single-spec solve has no later member to fail in (collect mode and
+//! admission's extension solve never derive anything). The first such
+//! failure builds, once, an index of the group's writes by relation and
+//! leading constant, and finds every `(Tj, B)` whose only source is one
+//! `U` — O(members × atoms). Arming level `i` then tests visibility on its
+//! state, applies condition (2), and compiles each check: terms resolved
+//! to constants, `Ti`'s slots or check-local slots; atoms ordered once,
+//! those with the fewest variables left unbound by `U` and earlier atoms
+//! first, ties to the fewest candidates under the failed candidate's
+//! values; and a frame the check keeps, so running it allocates nothing.
+//! Every candidate a check pulls counts as a node, like the search's own.
+
+use std::ops::Range;
 
 use qdb_logic::{Atom, LogicError, Term, UpdateKind, Valuation, Var};
 use qdb_storage::{Database, RelationId, Tuple, Value, WriteOp};
@@ -80,6 +133,10 @@ pub struct Solver {
     /// [`qdb_obs::Phase::Solve`].
     obs: Option<std::sync::Arc<qdb_obs::Obs>>,
 }
+
+/// Saturating count of the atom orderings: beyond 32 candidates the
+/// relative order of atoms no longer changes the search usefully.
+const ORDER_CAP: usize = 32;
 
 /// One splitmix64 mixing round — the tie-break hash for seeded atom
 /// ordering (same finalizer the workload RNG uses).
@@ -181,6 +238,30 @@ impl<'a> CompiledSpec<'a> {
         &self.atoms[self.body_atoms..]
     }
 
+    /// The terms of atom `idx`.
+    fn terms_of(&self, idx: usize) -> &[CTerm<'a>] {
+        &self.terms[self.atoms[idx].terms.clone()]
+    }
+
+    /// Does atom `idx` name one variable twice?
+    fn repeats_slot(&self, idx: usize) -> bool {
+        let terms = self.terms_of(idx);
+        let slot = |t: &CTerm<'_>| match *t {
+            CTerm::Slot(s) => Some(s),
+            CTerm::Const(_) => None,
+        };
+        (terms.iter().enumerate())
+            .any(|(n, t)| slot(t).is_some_and(|s| terms[..n].iter().any(|e| slot(e) == Some(s))))
+    }
+
+    /// The constant leading atom `idx`, if a constant leads it.
+    fn lead(&self, idx: usize) -> Option<&'a Value> {
+        match self.terms_of(idx).first() {
+            Some(CTerm::Const(c)) => Some(c),
+            _ => None,
+        }
+    }
+
     /// `atom` as a tuple under `value_of`; the error names the first
     /// variable without a value.
     fn ground<'v>(
@@ -210,6 +291,341 @@ fn compile_specs<'a>(base: &Database, specs: &[TxnSpec<'a>]) -> Result<Vec<Compi
         .iter()
         .map(|spec| CompiledSpec::compile(base, spec))
         .collect()
+}
+
+/// May two atoms' term lists unify? Only constant-against-constant
+/// positions can refute it; repeated variables are not followed, so the
+/// answer errs towards "yes" — the safe side for every caller.
+fn may_unify(a: &[CTerm<'_>], b: &[CTerm<'_>]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|pair| match pair {
+            (CTerm::Const(x), CTerm::Const(y)) => x == y,
+            _ => true,
+        })
+}
+
+/// One update of the group as the lookahead files it: relation, insert
+/// (`true`) or delete, leading constant (`None`: a variable leads), member
+/// and atom index. Sorted, a list of them is the derivation's index.
+type Write<'a> = (RelationId, bool, Option<&'a Value>, usize, usize);
+
+/// The writes of kind `insert` in the sorted `writes` that may unify with
+/// atom `b` of `spec`: those of its relation led by its leading constant
+/// or by a variable (led by anything, when a variable leads `b`),
+/// confirmed position by position.
+fn unifying<'w, 'a>(
+    writes: &'w [Write<'a>],
+    insert: bool,
+    specs: &'w [CompiledSpec<'a>],
+    spec: &'w CompiledSpec<'a>,
+    b: usize,
+) -> impl Iterator<Item = &'w Write<'a>> {
+    // Sorted by relation, kind, then lead: every bucket is a run.
+    let key = (spec.atoms[b].rid, insert);
+    let from = writes.partition_point(|w| (w.0, w.1) < key);
+    let to = writes.partition_point(|w| (w.0, w.1) <= key);
+    let kind = &writes[from..to];
+    let led_by = |lead: Option<&Value>| {
+        let from = kind.partition_point(|w| w.2 < lead);
+        &kind[from..kind.partition_point(|w| w.2 <= lead)]
+    };
+    let buckets = match spec.lead(b) {
+        Some(c) => [led_by(None), led_by(Some(c))],
+        None => [kind, &[]],
+    };
+    let terms = spec.terms_of(b);
+    (buckets.into_iter().flatten()).filter(move |w| may_unify(terms, specs[w.3].terms_of(w.4)))
+}
+
+/// A term of a lookahead check.
+#[derive(Debug, Clone, Copy)]
+enum LTerm<'a> {
+    Const(&'a Value),
+    /// A slot of the member whose search runs the check.
+    Outer(usize),
+    /// A slot of the check's own frame.
+    Local(usize),
+}
+
+/// A later member's remaining atoms, checked in an earlier member's
+/// search (module docs): compiled once when the level arms, run with a
+/// frame it keeps.
+#[derive(Debug)]
+struct Check<'a> {
+    /// Earlier-member slots that constants of `B` pin.
+    pins: Vec<(usize, &'a Value)>,
+    /// The pushed atoms in evaluation order, each a relation and a range
+    /// of `terms`.
+    atoms: Vec<(RelationId, Range<usize>)>,
+    terms: Vec<LTerm<'a>>,
+    /// Local slot values.
+    binds: Vec<Option<Value>>,
+    /// The column patterns the atoms are streamed with, laid out like
+    /// `terms`; constants are filled in once.
+    patterns: Vec<Option<Value>>,
+    /// Local slots in binding order.
+    trail: Vec<usize>,
+}
+
+impl<'a> Check<'a> {
+    /// Compile the check of body atom `b` of `later` satisfied by insert
+    /// `u` of `earlier`, pushing the `pushed` body atoms of `later`.
+    /// `estimate` counts an atom's candidates under a pattern of its
+    /// constants and the values `outer`, `earlier`'s slots, hold now.
+    fn compile(
+        (earlier, u): (&CompiledSpec<'a>, usize),
+        (later, b): (&CompiledSpec<'a>, usize),
+        mut pushed: Vec<usize>,
+        outer: &[Option<Value>],
+        mut estimate: impl FnMut(RelationId, &[Option<Value>]) -> Result<usize>,
+    ) -> Result<Self> {
+        // Unify B with U: B's variables take U's terms.
+        let mut slots: Vec<Option<LTerm<'a>>> = vec![None; later.vars.len()];
+        let mut pins = Vec::new();
+        for (bt, ut) in later.terms_of(b).iter().zip(earlier.terms_of(u)) {
+            match (*bt, *ut) {
+                (CTerm::Const(c), CTerm::Slot(t)) => pins.push((t, c)),
+                (CTerm::Const(_), CTerm::Const(_)) => {} // equal: they unify
+                (CTerm::Slot(s), CTerm::Const(c)) => slots[s] = Some(LTerm::Const(c)),
+                (CTerm::Slot(s), CTerm::Slot(t)) => slots[s] = Some(LTerm::Outer(t)),
+            }
+        }
+        // Fix the order once: next the atom with the fewest variables left
+        // unbound (by U or by atoms placed before it), then the fewest
+        // candidates `estimate` sees for it now; ties keep body order.
+        let (mut atoms, mut terms, mut locals) = (Vec::new(), Vec::new(), 0);
+        while !pushed.is_empty() {
+            let free = |a: usize| {
+                let ts = later.terms_of(a).iter();
+                ts.filter(|t| matches!(t, CTerm::Slot(s) if slots[*s].is_none()))
+                    .count()
+            };
+            let fewest = pushed.iter().map(|&a| free(a)).min().expect("non-empty");
+            let tied: Vec<usize> = (0..pushed.len())
+                .filter(|&p| free(pushed[p]) == fewest)
+                .collect();
+            let mut best = (tied[0], usize::MAX);
+            for &p in tied.iter().filter(|_| tied.len() > 1) {
+                let pattern: Vec<Option<Value>> = (later.terms_of(pushed[p]).iter())
+                    .map(|t| match *t {
+                        CTerm::Const(c) => Some(c.clone()),
+                        CTerm::Slot(s) => match slots[s] {
+                            Some(LTerm::Const(c)) => Some(c.clone()),
+                            Some(LTerm::Outer(t)) => outer[t].clone(),
+                            Some(LTerm::Local(_)) | None => None,
+                        },
+                    })
+                    .collect();
+                let n = estimate(later.atoms[pushed[p]].rid, &pattern)?;
+                if n < best.1 {
+                    best = (p, n);
+                }
+            }
+            let a = pushed.remove(best.0);
+            let start = terms.len();
+            for term in later.terms_of(a) {
+                terms.push(match *term {
+                    CTerm::Const(c) => LTerm::Const(c),
+                    CTerm::Slot(s) => *slots[s].get_or_insert_with(|| {
+                        locals += 1;
+                        LTerm::Local(locals - 1)
+                    }),
+                });
+            }
+            atoms.push((later.atoms[a].rid, start..terms.len()));
+        }
+        let patterns = (terms.iter())
+            .map(|t| match t {
+                LTerm::Const(c) => Some((*c).clone()),
+                LTerm::Outer(_) | LTerm::Local(_) => None,
+            })
+            .collect();
+        Ok(Check {
+            pins,
+            atoms,
+            patterns,
+            terms,
+            binds: vec![None; locals],
+            trail: Vec::with_capacity(locals),
+        })
+    }
+
+    /// Can the pushed atoms match on `overlay` under the earlier member's
+    /// bindings `outer`? An unbound outer slot constrains nothing.
+    fn holds(
+        &mut self,
+        base: &Database,
+        overlay: &Overlay,
+        outer: &[Option<Value>],
+        meter: &mut Meter<'_>,
+    ) -> Result<bool> {
+        let pinned_away = |&(t, c): &(usize, &Value)| outer[t].as_ref().is_some_and(|v| v != c);
+        if self.pins.iter().any(pinned_away) {
+            return Ok(false);
+        }
+        self.search(0, base, overlay, outer, meter)
+    }
+
+    fn search(
+        &mut self,
+        k: usize,
+        base: &Database,
+        overlay: &Overlay,
+        outer: &[Option<Value>],
+        meter: &mut Meter<'_>,
+    ) -> Result<bool> {
+        let Some((rid, range)) = self.atoms.get(k).cloned() else {
+            return Ok(true);
+        };
+        for p in range.clone() {
+            self.patterns[p] = match self.terms[p] {
+                LTerm::Const(_) => continue, // filled in once
+                LTerm::Outer(t) => outer[t].clone(),
+                LTerm::Local(l) => self.binds[l].clone(),
+            };
+        }
+        let mut candidates = overlay.stream(base, rid, &self.patterns[range.clone()])?;
+        meter.lookup(candidates.is_index_backed());
+        // Deeper atoms rewrite only their own patterns.
+        while let Some(tuple) = candidates.next(overlay, &self.patterns[range.clone()]) {
+            meter.pull()?;
+            let mark = self.trail.len();
+            let found = self.bind(range.clone(), &tuple)
+                && self.search(k + 1, base, overlay, outer, meter)?;
+            self.undo(mark);
+            if found {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
+    /// Bind the atom's local slots to `tuple`; `false` when a slot the
+    /// atom repeats disagrees. Constants and outer values are already in
+    /// the pattern the candidate matched.
+    fn bind(&mut self, range: Range<usize>, tuple: &Tuple) -> bool {
+        for (p, value) in range.zip(tuple.iter()) {
+            if let LTerm::Local(l) = self.terms[p] {
+                match &self.binds[l] {
+                    Some(bound) if bound != value => return false,
+                    Some(_) => {}
+                    None => {
+                        self.binds[l] = Some(value.clone());
+                        self.trail.push(l);
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    fn undo(&mut self, mark: usize) {
+        for l in self.trail.drain(mark..) {
+            self.binds[l] = None;
+        }
+    }
+}
+
+/// The lookahead of one multi-spec search (module docs), built on its
+/// first failed descent.
+#[derive(Debug)]
+struct Lookahead<'a> {
+    /// The `(i, j, B, U)` — source member, later member, its body atom, the
+    /// insert of `i` — that pass the structural part of condition (1),
+    /// sorted by source.
+    sources: Vec<(usize, usize, usize, usize)>,
+    /// `(relation, member)` of every insert, sorted.
+    inserters: Vec<(RelationId, usize)>,
+    /// Per member: its checks once its level is armed.
+    armed: Vec<Option<Vec<Check<'a>>>>,
+}
+
+impl<'a> Lookahead<'a> {
+    fn derive(specs: &[CompiledSpec<'a>]) -> Self {
+        let mut writes: Vec<Write<'a>> = Vec::new();
+        for (k, spec) in specs.iter().enumerate() {
+            for u in spec.body_atoms..spec.atoms.len() {
+                let atom = &spec.atoms[u];
+                writes.push((atom.rid, atom.insert, spec.lead(u), k, u));
+            }
+        }
+        writes.sort_unstable();
+        let mut sources = Vec::new();
+        for (j, spec) in specs.iter().enumerate().skip(1) {
+            for b in 0..spec.body_atoms {
+                if spec.repeats_slot(b) {
+                    continue;
+                }
+                let from = unifying(&writes, true, specs, spec, b);
+                let mut earlier = from.filter(|w| w.3 < j);
+                let (Some(&(.., i, u)), None) = (earlier.next(), earlier.next()) else {
+                    continue; // no source, or more than one
+                };
+                if unifying(&writes, false, specs, spec, b).any(|w| w.3 < i) {
+                    continue;
+                }
+                sources.push((i, j, b, u));
+            }
+        }
+        sources.sort_by_key(|s| s.0);
+        let mut inserters: Vec<(RelationId, usize)> = (writes.iter())
+            .filter(|w| w.1)
+            .map(|w| (w.0, w.3))
+            .collect();
+        inserters.sort_unstable();
+        Lookahead {
+            sources,
+            inserters,
+            armed: (0..specs.len()).map(|_| None).collect(),
+        }
+    }
+
+    /// Does a member in `from..to` insert into `rid`?
+    fn inserted_between(&self, rid: RelationId, from: usize, to: usize) -> bool {
+        let first = self.inserters.partition_point(|&w| w < (rid, from));
+        self.inserters.get(first).is_some_and(|&w| w < (rid, to))
+    }
+
+    /// Arm level `i` on `overlay`, the state at its turn, while its slots
+    /// hold `outer`, the candidate that just failed: finish condition (1)
+    /// with the visibility test, apply condition (2), compile.
+    fn arm(
+        &mut self,
+        (i, outer): (usize, &[Option<Value>]),
+        specs: &[CompiledSpec<'a>],
+        base: &Database,
+        overlay: &Overlay,
+        meter: &mut Meter<'_>,
+    ) -> Result<()> {
+        let mut checks = Vec::new();
+        let from = self.sources.partition_point(|s| s.0 < i);
+        let to = self.sources.partition_point(|s| s.0 <= i);
+        for &(_, j, b, u) in &self.sources[from..to] {
+            let later = &specs[j];
+            let rid = later.atoms[b].rid;
+            let consts: Vec<Option<Value>> = (later.terms_of(b).iter())
+                .map(|t| match t {
+                    CTerm::Const(c) => Some((*c).clone()),
+                    CTerm::Slot(_) => None,
+                })
+                .collect();
+            if meter.count((base, overlay), rid, &consts, 1)? > 0 {
+                continue; // a tuple besides U's may match B
+            }
+            let pushed: Vec<usize> = (0..later.body_atoms)
+                .filter(|&a| a != b && !self.inserted_between(later.atoms[a].rid, i, j))
+                .collect();
+            let estimate = |rid, pattern: &[Option<Value>]| {
+                meter.count((base, overlay), rid, pattern, ORDER_CAP)
+            };
+            let check = Check::compile((&specs[i], u), (later, b), pushed, outer, estimate)?;
+            if !(check.atoms.is_empty() && check.pins.is_empty()) {
+                checks.push(check);
+            }
+        }
+        self.armed[i] = Some(checks);
+        Ok(())
+    }
 }
 
 /// The search state of one spec, allocated once per solver entry point
@@ -377,20 +793,10 @@ impl Solver {
         specs: &[TxnSpec<'_>],
     ) -> Result<Option<Solution>> {
         let compiled = compile_specs(base, specs)?;
-        let mut ctx = Ctx {
-            base,
-            specs: &compiled,
-            frames: compiled.iter().map(Frame::new).collect(),
-            order: self.order,
-            seed: self.seed,
-            max_nodes: self.limits.max_nodes,
-            nodes: 0,
-            stats: &mut self.stats,
-            collect_first: None,
-        };
+        let mut ctx = Ctx::new(self, base, &compiled, None);
         let mut valuations = Vec::with_capacity(specs.len());
         let found = ctx.solve_txn(0, overlay, &mut valuations);
-        let nodes = ctx.nodes;
+        let nodes = ctx.meter.nodes;
         self.stats.nodes += nodes;
         self.stats.solves += 1;
         match found? {
@@ -503,21 +909,11 @@ impl Solver {
         let mut push = |spec: &CompiledSpec<'_>, frame: &Frame, updates| {
             found.push(item(spec, frame, updates))
         };
-        let mut ctx = Ctx {
-            base,
-            specs: &compiled,
-            frames: compiled.iter().map(Frame::new).collect(),
-            order: self.order,
-            seed: self.seed,
-            max_nodes: self.limits.max_nodes,
-            nodes: 0,
-            stats: &mut self.stats,
-            collect_first: Some((max, &mut push)),
-        };
+        let mut ctx = Ctx::new(self, base, &compiled, Some((max, &mut push)));
         // In collect mode solve_txn never reports success; it fills the
         // collector until exhaustion or `max`.
         let res = ctx.solve_txn(0, overlay, &mut Vec::new());
-        let nodes = ctx.nodes;
+        let nodes = ctx.meter.nodes;
         self.stats.nodes += nodes;
         res.map(|_| found)
     }
@@ -528,6 +924,53 @@ pub type GroundUpdate = (RelationId, bool, Tuple);
 
 type Push<'c> = &'c mut dyn FnMut(&CompiledSpec<'_>, &Frame, Vec<GroundUpdate>);
 
+/// What one call's pulls and lookups are charged to — the search's and
+/// its lookahead's alike.
+struct Meter<'c> {
+    /// Nodes expanded by *this* call (the limit is per-call; cumulative
+    /// stats absorb it afterwards).
+    nodes: u64,
+    max_nodes: u64,
+    stats: &'c mut SolverStats,
+}
+
+impl Meter<'_> {
+    /// Count one candidate pulled; an error past the node limit.
+    fn pull(&mut self) -> Result<()> {
+        self.nodes += 1;
+        self.stats.candidates_streamed += 1;
+        if self.nodes > self.max_nodes {
+            return Err(SolverError::LimitExceeded { nodes: self.nodes });
+        }
+        Ok(())
+    }
+
+    /// Count one bound-column lookup as index-backed or a scan.
+    fn lookup(&mut self, index_backed: bool) {
+        if index_backed {
+            self.stats.index_lookups += 1;
+        } else {
+            self.stats.scan_lookups += 1;
+        }
+    }
+
+    /// [`Overlay::count_up_to_id`], counting the lookup when `bound` binds a
+    /// column (a fully unbound count is an O(1) length read, neither).
+    fn count(
+        &mut self,
+        (base, overlay): (&Database, &Overlay),
+        rid: RelationId,
+        bound: &[Option<Value>],
+        cap: usize,
+    ) -> Result<usize> {
+        let (n, index_backed) = overlay.count_up_to_id(base, rid, bound, cap)?;
+        if bound.iter().any(Option::is_some) {
+            self.lookup(index_backed);
+        }
+        Ok(n)
+    }
+}
+
 struct Ctx<'a, 'c> {
     base: &'a Database,
     specs: &'a [CompiledSpec<'a>],
@@ -536,17 +979,37 @@ struct Ctx<'a, 'c> {
     frames: Vec<Frame>,
     order: AtomOrder,
     seed: u64,
-    max_nodes: u64,
-    /// Nodes expanded by *this* call (the limit is per-call; cumulative
-    /// stats absorb it afterwards).
-    nodes: u64,
-    stats: &'c mut SolverStats,
+    meter: Meter<'c>,
     /// When set, hand each grounding of spec 0 to the callback (at most
     /// as many as the count left) instead of solving the whole sequence.
     collect_first: Option<(usize, Push<'c>)>,
+    /// Built on the first failed descent (module docs).
+    lookahead: Option<Lookahead<'a>>,
 }
 
 impl<'a, 'c> Ctx<'a, 'c> {
+    fn new(
+        solver: &'c mut Solver,
+        base: &'a Database,
+        specs: &'a [CompiledSpec<'a>],
+        collect_first: Option<(usize, Push<'c>)>,
+    ) -> Self {
+        Ctx {
+            base,
+            specs,
+            frames: specs.iter().map(Frame::new).collect(),
+            order: solver.order,
+            seed: solver.seed,
+            meter: Meter {
+                nodes: 0,
+                max_nodes: solver.limits.max_nodes,
+                stats: &mut solver.stats,
+            },
+            collect_first,
+            lookahead: None,
+        }
+    }
+
     fn solve_txn(
         &mut self,
         i: usize,
@@ -572,21 +1035,13 @@ impl<'a, 'c> Ctx<'a, 'c> {
         let idx = self.pick_atom(i, overlay)?;
         let rid = spec.atoms[idx].rid;
         let mut candidates = overlay.stream(self.base, rid, self.frames[i].pattern(spec, idx))?;
-        if candidates.is_index_backed() {
-            self.stats.index_lookups += 1;
-        } else {
-            self.stats.scan_lookups += 1;
-        }
+        self.meter.lookup(candidates.is_index_backed());
         self.frames[i].used[idx] = true;
         let mut done = false;
         // Every pull sees the pattern the stream was opened with: the
         // bindings a candidate adds are undone before the next pull.
         while let Some(tuple) = candidates.next(overlay, self.frames[i].pattern(spec, idx)) {
-            self.nodes += 1;
-            self.stats.candidates_streamed += 1;
-            if self.nodes > self.max_nodes {
-                return Err(SolverError::LimitExceeded { nodes: self.nodes });
-            }
+            self.meter.pull()?;
             let mark = self.frames[i].trail.len();
             if self.frames[i].match_atom(spec, idx, &tuple) {
                 done = self.solve_atoms(i, overlay, out)?;
@@ -600,10 +1055,11 @@ impl<'a, 'c> Ctx<'a, 'c> {
         Ok(done)
     }
 
-    /// All atoms of txn `i` are matched: apply its updates and move on.
-    /// Updates are grounded straight into id-based overlay ops — no
-    /// [`WriteOp`] (and no relation-string clone) is materialized — and
-    /// this is the only place a [`Valuation`] is built.
+    /// All atoms of txn `i` are matched: run its armed lookahead, apply its
+    /// updates and move on. Updates are grounded straight into id-based
+    /// overlay ops — no [`WriteOp`] (and no relation-string clone) is
+    /// materialized — and this is the only place a [`Valuation`] is built.
+    /// A failed descent arms the level's lookahead.
     fn complete_txn(
         &mut self,
         i: usize,
@@ -612,6 +1068,10 @@ impl<'a, 'c> Ctx<'a, 'c> {
     ) -> Result<bool> {
         if self.collect_first.is_some() {
             return self.collect_txn(i, overlay);
+        }
+        if !self.lookahead_holds(i, overlay)? {
+            self.meter.stats.lookahead_prunes += 1;
+            return Ok(false);
         }
         let mark = overlay.mark();
         let (spec, frame) = (&self.specs[i], &self.frames[i]);
@@ -628,7 +1088,27 @@ impl<'a, 'c> Ctx<'a, 'c> {
         }
         out.pop();
         overlay.rollback(mark);
+        let specs = self.specs;
+        let lookahead = self
+            .lookahead
+            .get_or_insert_with(|| Lookahead::derive(specs));
+        if lookahead.armed[i].is_none() {
+            let outer = &self.frames[i].binds;
+            lookahead.arm((i, outer), specs, self.base, overlay, &mut self.meter)?;
+        }
         Ok(false)
+    }
+
+    /// Do txn `i`'s armed checks all hold under its current bindings?
+    fn lookahead_holds(&mut self, i: usize, overlay: &Overlay) -> Result<bool> {
+        let armed = self.lookahead.as_mut().and_then(|l| l.armed[i].as_mut());
+        for check in armed.into_iter().flatten() {
+            let outer = &self.frames[i].binds;
+            if !check.holds(self.base, overlay, outer, &mut self.meter)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 
     /// Collect mode: record txn `i`'s grounding if its updates apply in
@@ -650,7 +1130,7 @@ impl<'a, 'c> Ctx<'a, 'c> {
             return Ok(false); // set-semantics conflict: backtrack
         };
         push(spec, frame, grounded);
-        self.stats.enumerated += 1;
+        self.meter.stats.enumerated += 1;
         *left = left.saturating_sub(1);
         Ok(*left == 0) // `true` stops the search: the quota is reached
     }
@@ -663,23 +1143,13 @@ impl<'a, 'c> Ctx<'a, 'c> {
         if unused.next().is_none() || self.order == AtomOrder::Static {
             return Ok(first);
         }
-        // Saturating count: beyond 32 candidates the relative order of
-        // atoms no longer changes the search usefully.
-        const ORDER_CAP: usize = 32;
         let mut best: Option<(usize, usize)> = None;
         for idx in (first..frame.used.len()).filter(|&idx| !frame.used[idx]) {
             let bound = frame.pattern(spec, idx);
             let rid = spec.atoms[idx].rid;
-            let (n, index_backed) = overlay.count_up_to_id(self.base, rid, bound, ORDER_CAP)?;
-            // Classify index vs scan only for bound-column lookups — a
-            // fully unbound count is an O(1) length read, neither.
-            if bound.iter().any(Option::is_some) {
-                if index_backed {
-                    self.stats.index_lookups += 1;
-                } else {
-                    self.stats.scan_lookups += 1;
-                }
-            }
+            let n = self
+                .meter
+                .count((self.base, overlay), rid, bound, ORDER_CAP)?;
             // Strictly fewer candidates always wins. On an exact tie the
             // unseeded solver keeps the earlier atom (body order); a
             // non-zero seed instead hashes (seed, atom index) so different
@@ -1032,5 +1502,75 @@ mod tests {
             err,
             SolverError::Storage(qdb_storage::StorageError::NoSuchTable(_))
         ));
+    }
+
+    /// Flight 1 with `free` available; Adjacent within rows 1 and 2.
+    fn pair_db(free: &[&str]) -> Database {
+        let mut db = travel_db();
+        db.delete("Bookings", &tuple!["Goofy", 1, "1B"]).unwrap();
+        for s in ["1A", "1B", "1C"] {
+            db.delete("Available", &tuple![1, s]).unwrap();
+        }
+        for s in free {
+            db.insert("Available", tuple![1, *s]).unwrap();
+        }
+        for (a, b) in [("2A", "2B"), ("2B", "2A")] {
+            db.insert("Adjacent", tuple![a, b]).unwrap();
+        }
+        db
+    }
+
+    /// Solve Mickey, then Minnie next to him, through the search context;
+    /// the context is handed back for inspection.
+    fn solve_pair(db: &Database, check: impl FnOnce(&Ctx<'_, '_>, Option<Vec<Valuation>>)) {
+        let mickey = book("Mickey");
+        let minnie = parse_transaction(
+            "-Available(f, s), +Bookings('Minnie', f, s) :-1 \
+             Available(f, s), Bookings('Mickey', f, s2)?, Adjacent(s, s2)?",
+        )
+        .unwrap();
+        let specs = [
+            TxnSpec::required_only(&mickey),
+            TxnSpec::with_promoted(&minnie, vec![1, 2]),
+        ];
+        let compiled = compile_specs(db, &specs).unwrap();
+        let mut solver = Solver::default();
+        let mut ctx = Ctx::new(&mut solver, db, &compiled, None);
+        let mut out = Vec::new();
+        let found = ctx.solve_txn(0, &mut Overlay::new(), &mut out).unwrap();
+        check(&ctx, found.then_some(out));
+    }
+
+    #[test]
+    fn lookahead_is_derived_only_after_a_failed_descent() {
+        // Mickey's first seat has a free neighbour: nothing is derived.
+        solve_pair(&pair_db(&["2A", "2B"]), |ctx, found| {
+            assert!(found.is_some());
+            assert!(ctx.lookahead.is_none());
+        });
+        // 1A fails in full and arms Mickey's level; 1C then dies on the
+        // check (its neighbour 1B is taken) and 2A is kept, as before.
+        solve_pair(&pair_db(&["1A", "1C", "2A", "2B"]), |ctx, found| {
+            let mickey = found.expect("satisfiable")[0].to_string();
+            assert_eq!(mickey, "{f -> 1, s -> '2A'}");
+            let lookahead = ctx.lookahead.as_ref().expect("armed");
+            assert_eq!(lookahead.sources, [(0, 1, 1, 2)]);
+            assert_eq!(lookahead.armed[0].as_ref().map(Vec::len), Some(1));
+            assert!(lookahead.armed[1].is_none());
+            assert_eq!(ctx.meter.stats.lookahead_prunes, 1);
+        });
+    }
+
+    #[test]
+    fn a_single_spec_never_derives() {
+        let db = pair_db(&["1A"]);
+        let t = book("Mickey");
+        let compiled = compile_specs(&db, &[TxnSpec::required_only(&t)]).unwrap();
+        let mut solver = Solver::default();
+        let mut ctx = Ctx::new(&mut solver, &db, &compiled, None);
+        assert!(ctx
+            .solve_txn(0, &mut Overlay::new(), &mut Vec::new())
+            .unwrap());
+        assert!(ctx.lookahead.is_none());
     }
 }

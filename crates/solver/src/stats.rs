@@ -29,6 +29,9 @@ pub struct SolverStats {
     /// Candidate vectors materialized (legacy/reference path — the search
     /// fast path keeps this at zero).
     pub candidate_vecs: u64,
+    /// Candidates the lookahead rejected before applying their updates: a
+    /// later member of the sequence could provably not ground under them.
+    pub lookahead_prunes: u64,
 }
 
 impl SolverStats {
@@ -49,6 +52,7 @@ impl SolverStats {
         self.index_lookups += other.index_lookups;
         self.scan_lookups += other.scan_lookups;
         self.candidate_vecs += other.candidate_vecs;
+        self.lookahead_prunes += other.lookahead_prunes;
     }
 }
 
@@ -57,7 +61,8 @@ impl std::fmt::Display for SolverStats {
         write!(
             f,
             "nodes={} solves={} unsat={} verifies={} verify_failures={} enumerated={} \
-             candidates_streamed={} lookups(ix/scan)={}/{} candidate_vecs={}",
+             candidates_streamed={} lookups(ix/scan)={}/{} candidate_vecs={} \
+             lookahead_prunes={}",
             self.nodes,
             self.solves,
             self.unsat,
@@ -68,6 +73,7 @@ impl std::fmt::Display for SolverStats {
             self.index_lookups,
             self.scan_lookups,
             self.candidate_vecs,
+            self.lookahead_prunes,
         )
     }
 }
@@ -89,6 +95,7 @@ mod tests {
             index_lookups: 8,
             scan_lookups: 9,
             candidate_vecs: 10,
+            lookahead_prunes: 11,
         };
         a.absorb(&a.clone());
         assert_eq!(a.nodes, 2);
@@ -97,6 +104,7 @@ mod tests {
         assert_eq!(a.index_lookups, 16);
         assert_eq!(a.scan_lookups, 18);
         assert_eq!(a.candidate_vecs, 20);
+        assert_eq!(a.lookahead_prunes, 22);
         a.reset();
         assert_eq!(a, SolverStats::default());
     }

@@ -3,8 +3,8 @@
 //! that every statement class the driver issued has a histogram whose
 //! count equals the driver's own statement counter (off by one fails),
 //! that percentiles are ordered and non-zero, that the `parse` / `solve`
-//! / `apply` phases were recorded, and that the JSONL trace sink received
-//! exactly one well-formed line per statement.
+//! / `apply` / `ground` phases were recorded, and that the JSONL trace
+//! sink received exactly one well-formed line per statement.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -77,6 +77,11 @@ fn statements() -> Vec<(&'static str, String)> {
             },
         ));
     }
+    // A collapsing read grounds the booking it names.
+    stmts.push((
+        "SELECT",
+        "SELECT @f, @s FROM Bookings('u1_0', @f, @s)".into(),
+    ));
     stmts.push(("SHOW PENDING", "SHOW PENDING".into()));
     stmts.push(("GROUND ALL", "GROUND ALL".into()));
     stmts.push(("SELECT", "SELECT * FROM Bookings(@n, @f, @s)".into()));
@@ -120,7 +125,7 @@ fn profile_counts_match_the_drivers_and_the_trace_has_one_line_per_statement() {
         assert!(s.p999_ns >= s.p99_ns, "{name}: p999 < p99");
         assert!(s.max_ns >= s.p999_ns, "{name}: max < p999");
     }
-    for need in ["parse", "solve", "apply"] {
+    for need in ["parse", "solve", "apply", "ground"] {
         assert!(
             profile.phases.iter().any(|(name, _)| name == need),
             "phase {need} never recorded"
