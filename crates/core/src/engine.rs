@@ -9,9 +9,9 @@
 
 use std::collections::BTreeMap;
 
-use qdb_logic::{Atom, ResourceTransaction, Valuation, Var, VarGen};
+use qdb_logic::{ResourceTransaction, Valuation, VarGen};
 use qdb_solver::{Solver, TxnSpec};
-use qdb_storage::{ConjunctiveQuery, Database, TupleView, Value, Wal};
+use qdb_storage::{Database, Wal};
 
 use crate::config::QuantumDbConfig;
 use crate::metrics::Metrics;
@@ -156,68 +156,6 @@ pub(crate) fn collect_hot_columns(db: &Database, threshold: u32) -> Vec<(String,
                 .map(move |c| (relation.clone(), c))
         })
         .collect()
-}
-
-/// Evaluate a conjunctive query (logic atoms) against a tuple view — the
-/// concrete database or a delta view of a possible world.
-pub(crate) fn eval_on<V: TupleView + ?Sized>(
-    view: &V,
-    atoms: &[Atom],
-    limit: Option<usize>,
-) -> Result<Vec<Valuation>> {
-    ReadQuery::new(atoms, limit).eval(view)
-}
-
-/// A conjunctive query over logic atoms, compiled once so that `SELECT
-/// POSSIBLE` can evaluate it on every world: the storage query plus the
-/// map from its numeric binding ids back to logic variables.
-pub(crate) struct ReadQuery {
-    query: ConjunctiveQuery,
-    by_id: BTreeMap<u32, Var>,
-}
-
-impl ReadQuery {
-    pub(crate) fn new(atoms: &[Atom], limit: Option<usize>) -> Self {
-        let empty = Valuation::new();
-        let patterns = atoms.iter().map(|a| a.to_pattern(&empty)).collect();
-        let mut query = ConjunctiveQuery::new(patterns);
-        if let Some(l) = limit {
-            query = query.with_limit(l);
-        }
-        let mut by_id = BTreeMap::new();
-        for v in atoms.iter().flat_map(Atom::vars) {
-            by_id.entry(v.id()).or_insert_with(|| v.clone());
-        }
-        ReadQuery { query, by_id }
-    }
-
-    pub(crate) fn eval<V: TupleView + ?Sized>(&self, view: &V) -> Result<Vec<Valuation>> {
-        let out = self.query.eval(view)?;
-        Ok(out
-            .bindings
-            .into_iter()
-            .map(|b| self.valuation(b))
-            .collect())
-    }
-
-    /// The answer rows as `(binding id, value)` lists in id order: they
-    /// compare and sort exactly as the valuations built from them, only
-    /// cheaper — `SELECT POSSIBLE` deduplicates answer sets on these.
-    pub(crate) fn rows<V: TupleView + ?Sized>(&self, view: &V) -> Result<Vec<Vec<(u32, Value)>>> {
-        let out = self.query.eval(view)?;
-        Ok(out
-            .bindings
-            .into_iter()
-            .map(|b| b.into_iter().collect())
-            .collect())
-    }
-
-    pub(crate) fn valuation(&self, row: impl IntoIterator<Item = (u32, Value)>) -> Valuation {
-        let var = |id| self.by_id[&id].clone();
-        row.into_iter()
-            .map(|(id, value)| (var(id), value))
-            .collect()
-    }
 }
 
 /// Admission path taken by [`plan_admission`] (drives the cache metrics).

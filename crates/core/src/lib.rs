@@ -59,6 +59,7 @@ pub mod ground;
 pub mod metrics;
 pub mod partition;
 pub mod read;
+mod reads;
 pub mod recovery;
 mod registry;
 pub mod repl;

@@ -98,7 +98,7 @@ counters!(
     /// Reads served with collapse semantics (§3.2.2 option 3).
     reads,
     /// Reads served with peek semantics (§3.2.2 option 2) — answered
-    /// against one possible world through a delta view, never grounding.
+    /// against one possible world, read in place, never grounding.
     reads_peek,
     /// Reads served with all-possible-values semantics (§3.2.2 option 1).
     reads_possible,
@@ -161,8 +161,8 @@ counters!(
     solver_index_lookups,
     /// Solver hot-path lookups that fell back to a table scan.
     solver_scan_lookups,
-    /// Candidate vectors materialized by the solver (legacy/reference
-    /// path; the search fast path keeps this at zero).
+    /// Candidate vectors materialized by the solver: always 0 (candidates
+    /// stream); the field keeps its slot in the METRICS frame.
     solver_candidate_vecs,
     /// Secondary indexes created by the access-pattern tracker (see
     /// [`crate::QuantumDbConfig::auto_index_threshold`]).

@@ -151,7 +151,7 @@ impl Partition {
     pub(crate) fn ensure_world(&mut self, db: &Database) -> crate::Result<bool> {
         if let Some(world) = &self.overlay_cache {
             debug_assert!(
-                world.same_deltas(&self.build_world(db)?),
+                *world == self.build_world(db)?,
                 "stale pending world: an invalidation site was missed"
             );
             return Ok(false);

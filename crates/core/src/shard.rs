@@ -134,9 +134,7 @@ use qdb_solver::{CachedSolution, Solver, SolverStats, TxnSpec};
 use qdb_storage::{Database, LogRecord, Schema, Tuple, Wal, WriteOp};
 
 use crate::config::QuantumDbConfig;
-use crate::engine::{
-    eval_on, plan_admission, AdmitDecision, AdmitPath, QuantumDb, ReadQuery, SubmitOutcome,
-};
+use crate::engine::{plan_admission, AdmitDecision, AdmitPath, QuantumDb, SubmitOutcome};
 use crate::entangle::coordination_partners;
 use crate::error::EngineError;
 use crate::ground::{
@@ -152,12 +150,12 @@ use crate::Result;
 
 /// The base (extensional) state: everything whose consistency is guarded
 /// by the RwLock rather than by partition slots.
-struct Base {
-    db: Database,
+pub(crate) struct Base {
+    pub(crate) db: Database,
 }
 
-struct Core {
-    config: QuantumDbConfig,
+pub(crate) struct Core {
+    pub(crate) config: QuantumDbConfig,
     base: RwLock<Base>,
     /// Lock-free handle onto the base database's clone-family counter:
     /// metrics snapshots read `db_clones` through it without acquiring
@@ -167,7 +165,7 @@ struct Core {
     wal: Mutex<Wal>,
     reg: Mutex<Registry>,
     next_txn_id: AtomicU64,
-    metrics: AtomicMetrics,
+    pub(crate) metrics: AtomicMetrics,
     /// Solver sections currently inside the shared base read lock, and
     /// the high-water mark — direct evidence of partition-parallel
     /// overlap.
@@ -179,7 +177,7 @@ struct Core {
     /// Observability: latency histograms, the flight recorder and the
     /// slow-op log. Shared with the WAL and every per-operation solver;
     /// recording is lock-free, so it rides the hot path.
-    obs: Arc<qdb_obs::Obs>,
+    pub(crate) obs: Arc<qdb_obs::Obs>,
 }
 
 /// A cloneable, thread-safe, **partition-sharded** handle to a quantum
@@ -213,7 +211,7 @@ struct Core {
 /// ```
 #[derive(Clone)]
 pub struct SharedQuantumDb {
-    core: Arc<Core>,
+    pub(crate) core: Arc<Core>,
 }
 
 impl std::fmt::Debug for SharedQuantumDb {
@@ -301,7 +299,7 @@ impl SharedQuantumDb {
 
     /// A fresh per-operation solver (the solver is stateless apart from
     /// cumulative stats, which are absorbed at operation end).
-    fn solver(&self) -> Solver {
+    pub(crate) fn solver(&self) -> Solver {
         let mut s = Solver::default();
         s.seed = self.core.config.seed;
         s.set_obs(Some(Arc::clone(&self.core.obs)));
@@ -310,7 +308,7 @@ impl SharedQuantumDb {
 
     /// Take the base read lock, recording the wait as
     /// [`qdb_obs::Phase::BaseLockWait`].
-    fn base_read(&self) -> std::sync::RwLockReadGuard<'_, Base> {
+    pub(crate) fn base_read(&self) -> std::sync::RwLockReadGuard<'_, Base> {
         let t0 = std::time::Instant::now();
         let g = self.core.base.read();
         self.core
@@ -333,7 +331,7 @@ impl SharedQuantumDb {
     /// Run `f` on the locked registry, timing lock wait plus `f` into the
     /// [`qdb_obs::Phase::Registry`] histogram only: a statement enters the
     /// registry up to three times, too often for a span and event each.
-    fn registry<R>(&self, f: impl FnOnce(&mut Registry) -> R) -> R {
+    pub(crate) fn registry<R>(&self, f: impl FnOnce(&mut Registry) -> R) -> R {
         let t0 = std::time::Instant::now();
         let out = f(&mut self.core.reg.lock());
         self.record_since(qdb_obs::Phase::Registry, t0);
@@ -342,7 +340,7 @@ impl SharedQuantumDb {
 
     /// Record the time since `t0` into `phase`'s histogram only — no span,
     /// no flight-recorder event — for phases that nest inside others.
-    fn record_since(&self, phase: qdb_obs::Phase, t0: std::time::Instant) {
+    pub(crate) fn record_since(&self, phase: qdb_obs::Phase, t0: std::time::Instant) {
         if self.core.obs.enabled() {
             let hist = self.core.obs.phase_histogram(phase);
             hist.record_duration(t0.elapsed());
@@ -351,7 +349,7 @@ impl SharedQuantumDb {
 
     /// Lock a partition slot, recording the wait as
     /// [`qdb_obs::Phase::PartitionLockWait`].
-    fn lock_slot<'a>(&self, slot: &'a Slot) -> std::sync::MutexGuard<'a, SlotState> {
+    pub(crate) fn lock_slot<'a>(&self, slot: &'a Slot) -> std::sync::MutexGuard<'a, SlotState> {
         let t0 = std::time::Instant::now();
         let g = slot.state.lock();
         self.core
@@ -362,7 +360,7 @@ impl SharedQuantumDb {
 
     /// Fold one operation's solver-stat deltas into the `solver_*`
     /// metrics counters.
-    fn absorb(&self, solver: &Solver) {
+    pub(crate) fn absorb(&self, solver: &Solver) {
         self.core.metrics.absorb_solver(solver.stats());
     }
 
@@ -668,7 +666,7 @@ impl SharedQuantumDb {
     }
 
     /// [`Partition::ensure_world`], counting a rebuild.
-    fn ensure_world(&self, p: &mut Partition, db: &Database) -> Result<()> {
+    pub(crate) fn ensure_world(&self, p: &mut Partition, db: &Database) -> Result<()> {
         if p.ensure_world(db)? {
             self.core.metrics.begin().add(|c| &c.overlay_rebuilds, 1);
         }
@@ -678,7 +676,7 @@ impl SharedQuantumDb {
     /// [`Registry::publish`] of the transactions that left, under the
     /// registry lock, which is released before they are dropped. Must be
     /// called while holding the slot's lock.
-    fn publish(&self, pid: u64, st: &mut SlotState) {
+    pub(crate) fn publish(&self, pid: u64, st: &mut SlotState) {
         let left = std::mem::take(&mut st.left);
         self.registry(|reg| reg.publish(pid, st, &left));
     }
@@ -691,7 +689,7 @@ impl SharedQuantumDb {
     /// `known` names seeds whose partners the caller already put in
     /// `seeds` (see [`expand_partners`]). Timed into the
     /// [`qdb_obs::Phase::Ground`] histogram.
-    fn ground_in_slot(
+    pub(crate) fn ground_in_slot(
         &self,
         st: &mut SlotState,
         (seeds, known): (&[TxnId], &[TxnId]),
@@ -1090,175 +1088,6 @@ impl SharedQuantumDb {
         // accumulated Ground frames in one buffered write + flush.
         self.core.wal.lock().sync()?;
         Ok(collapsed)
-    }
-
-    // -- Reads ------------------------------------------------------------
-
-    /// Read with full collapse semantics (§3.2.2, option 3): pending
-    /// transactions whose updates unify with the query are grounded first
-    /// (locking only their partitions), then the query is answered from
-    /// the extensional state under a shared base read.
-    pub fn read(&self, atoms: &[Atom], limit: Option<usize>) -> Result<Vec<Valuation>> {
-        self.do_read(atoms, limit)
-    }
-
-    /// Parse-and-read convenience over [`SharedQuantumDb::read`] for a
-    /// datalog query such as `Bookings('Mickey', f, s)`.
-    pub fn query(&self, text: &str) -> Result<Vec<Valuation>> {
-        let parsed = qdb_logic::parse_query(text)?;
-        self.read(&parsed.atoms, None)
-    }
-
-    fn do_read(&self, atoms: &[Atom], limit: Option<usize>) -> Result<Vec<Valuation>> {
-        self.core.metrics.begin().add(|c| &c.reads, 1);
-        let mut solver = self.solver();
-        let out = self.read_collapsing(atoms, limit, &mut solver);
-        self.absorb(&solver);
-        out
-    }
-
-    fn read_collapsing(
-        &self,
-        atoms: &[Atom],
-        limit: Option<usize>,
-        solver: &mut Solver,
-    ) -> Result<Vec<Valuation>> {
-        // Conservative unification-based read check (grounding may expose
-        // further overlaps, so loop to a fixed point).
-        loop {
-            let cand = self.registry(|reg| reg.touched_by_query(atoms).into_iter().next());
-            let Some((pid, slot)) = cand else { break };
-            let mut st = self.lock_slot(&slot);
-            if st.dead {
-                continue;
-            }
-            let txns = &st.part.txns;
-            let Some(target) = txns
-                .iter()
-                .find(|pt| crate::read::read_affects(&pt.txn, atoms))
-            else {
-                // The footprint over-approximated (leavers not yet
-                // subtracted): publish them so the selection progresses.
-                self.publish(pid, &mut st);
-                continue;
-            };
-            // Pull in coordination partners so a read does not needlessly
-            // split a pair that could still coordinate.
-            let others = txns.iter().filter(|p| p.id != target.id);
-            let mut ids = coordination_partners(&target.txn, others);
-            let target = target.id;
-            ids.push(target);
-            self.ground_in_slot(&mut st, (&ids, &[target]), GroundReason::Read, solver)?;
-            self.publish(pid, &mut st);
-        }
-        let base = self.base_read();
-        eval_on(&base.db, atoms, limit)
-    }
-
-    /// Peek semantics (§3.2.2, option 2): answer against *one* possible
-    /// world — base plus the cached solutions of the partitions the query
-    /// touches — without fixing anything. Partitions whose updates cannot
-    /// unify with the query are provably irrelevant to the answer and are
-    /// neither locked nor applied.
-    ///
-    /// The world is each touched partition's maintained pending world:
-    /// its deltas on the queried relations are copied into a
-    /// [`qdb_storage::DeltaView`] over the base (zero database clones,
-    /// nothing re-grounded), so the shared base read lock is held only
-    /// for that and evaluating — never for materializing state.
-    pub fn read_peek(&self, atoms: &[Atom], limit: Option<usize>) -> Result<Vec<Valuation>> {
-        self.core.metrics.begin().add(|c| &c.reads_peek, 1);
-        self.with_touched_partitions(atoms, |db, parts| {
-            // An unknown relation has no deltas; evaluation reports it.
-            let mut rids: Vec<_> = (atoms.iter())
-                .filter_map(|a| db.try_resolve(&a.relation))
-                .collect();
-            rids.sort_unstable();
-            rids.dedup();
-            let mut view = qdb_storage::DeltaView::new(db);
-            for p in parts {
-                self.ensure_world(p, db)?;
-                let world = p.overlay_cache.as_ref().expect("just ensured");
-                for &rid in &rids {
-                    for (insert, tuple) in world.deltas_of(rid) {
-                        view.apply_id(rid, insert, tuple)?;
-                    }
-                }
-            }
-            eval_on(&view, atoms, limit)
-        })
-    }
-
-    /// All-possible-values semantics (§3.2.2, option 1): enumerate
-    /// possible worlds (bounded, as deltas over the base) over the
-    /// touched partitions and return the distinct answer sets across
-    /// them. One pass: each world's delta view is built once, and the
-    /// query, compiled once, is evaluated on it — the base read lock
-    /// never covers a state materialization. The answer sets are sorted,
-    /// deduplicated and turned into valuations after the locks are gone.
-    ///
-    /// `world_bound` is the `LIMIT` of `SELECT POSSIBLE`. Past it the
-    /// answers come only from worlds that apply the oldest pending
-    /// transactions (in id order), and nothing in the reply says so.
-    pub fn read_possible(&self, atoms: &[Atom], world_bound: usize) -> Result<Vec<Vec<Valuation>>> {
-        self.core.metrics.begin().add(|c| &c.reads_possible, 1);
-        let query = ReadQuery::new(atoms, None);
-        let (t_enum, mut answers, enumerated, dedup_hits) =
-            self.with_touched_partitions(atoms, |db, parts| {
-                let mut pending: Vec<&PendingTxn> =
-                    parts.iter().flat_map(|p| p.txns.iter()).collect();
-                pending.sort_by_key(|p| p.id);
-                let txns: Vec<&ResourceTransaction> = pending.iter().map(|p| &p.txn).collect();
-                let t_enum = std::time::Instant::now();
-                let seed = self.core.config.seed;
-                let ws = crate::worlds::enumerate_worlds_seeded(db, &txns, world_bound, seed)?;
-                let answers = ws.worlds.iter().map(|view| query.rows(view));
-                let answers = answers.collect::<Result<Vec<_>>>()?;
-                Ok((t_enum, answers, ws.enumerated, ws.dedup_hits))
-            })?;
-        answers.sort_unstable();
-        answers.dedup();
-        let out = (answers.into_iter())
-            .map(|rows| rows.into_iter().map(|row| query.valuation(row)).collect())
-            .collect();
-        self.core
-            .obs
-            .phase(qdb_obs::Phase::WorldEnum, t_enum.elapsed());
-        let t = self.core.metrics.begin();
-        t.add(|c| &c.worlds_enumerated, enumerated);
-        t.add(|c| &c.world_dedup_hits, dedup_hits);
-        Ok(out)
-    }
-
-    /// Lock every partition whose pending updates could affect `atoms`
-    /// (ascending id order), take a base read, and run `f` on that
-    /// consistent state **in place** — nothing is copied. The partitions
-    /// are handed out mutably so a read may build a missing pending world.
-    ///
-    /// Lock-hold contract: `f` runs with the touched slots *and* the base
-    /// read lock held (slots before base, per the module's lock order),
-    /// so it must take no slot or base lock itself, and statements on the
-    /// touched partitions wait for the read to finish. Statements on any
-    /// other partition, and other readers of the base, are not delayed.
-    fn with_touched_partitions<R>(
-        &self,
-        atoms: &[Atom],
-        f: impl FnOnce(&Database, &mut [&mut Partition]) -> Result<R>,
-    ) -> Result<R> {
-        'retry: loop {
-            let cands = self.registry(|reg| reg.touched_by_query(atoms));
-            let mut guards = Vec::with_capacity(cands.len());
-            for (_, slot) in &cands {
-                let st = self.lock_slot(slot);
-                if st.dead {
-                    continue 'retry; // drained mid-scan; rescan
-                }
-                guards.push(st);
-            }
-            let mut parts: Vec<&mut Partition> = guards.iter_mut().map(|g| &mut g.part).collect();
-            let base = self.base_read();
-            return f(&base.db, &mut parts);
-        }
     }
 
     // -- Writes -----------------------------------------------------------

@@ -4,14 +4,16 @@
 //! this module enumerates them by explicit forking — exactly the thought
 //! experiment of §3.1 ("suppose the system finds all possible values that
 //! could be assigned … and forks the database state into several possible
-//! worlds"). A world is **never materialized**: each one is a
-//! [`DeltaView`] over the shared base, built once — by cloning its
-//! parent's view and applying the updates the solver grounded — and then
-//! used for everything else: its net delta is the solver's pre-state for
-//! the next transaction, worlds are deduplicated on exact equality of
-//! their net deltas (a hash finds the candidates), and queries evaluate
-//! against it directly. The base is only ever *read*. Exponential in
-//! pending depth by nature, therefore bounded: it powers
+//! worlds"). A world is **never materialized**: each one is an
+//! [`Overlay`] over the shared base, the same delta type the solver
+//! searches in and the partitions keep their pending worlds in. A world
+//! is forked once — its parent cloned, the updates the solver grounded
+//! applied — and then used for everything else: it is the solver's
+//! pre-state for the next transaction as it stands, worlds are
+//! deduplicated on exact equality of their net deltas (a hash finds the
+//! candidates), and `SELECT POSSIBLE` evaluates its query on each in read
+//! mode ([`qdb_solver::ReadSpec`]). The base is only ever *read*.
+//! Exponential in pending depth by nature, therefore bounded: it powers
 //! [`crate::SharedQuantumDb::read_possible`], the Figure 2 example, and the
 //! property tests that cross-validate the solver against the
 //! possible-worlds semantics (intensional SAT ⟺ non-empty world set).
@@ -20,17 +22,19 @@ use std::collections::HashSet;
 
 use qdb_logic::ResourceTransaction;
 use qdb_solver::{Overlay, Solver, TxnSpec};
-use qdb_storage::{Database, DeltaView};
+use qdb_storage::Database;
 
 use crate::Result;
 
-/// An enumerated set of possible worlds, each a [`DeltaView`] over the
-/// base it borrows.
+/// An enumerated set of possible worlds, each an [`Overlay`] over
+/// [`WorldSet::base`].
 #[derive(Debug)]
 pub struct WorldSet<'a> {
+    /// The base every world is a delta over.
+    pub base: &'a Database,
     /// The distinct worlds, in discovery order (a fork equal to an
     /// earlier one is dropped).
-    pub worlds: Vec<DeltaView<'a>>,
+    pub worlds: Vec<Overlay>,
     /// True when enumeration stopped at the bound — `worlds` is then a
     /// subset of the true world set.
     pub truncated: bool,
@@ -104,24 +108,20 @@ pub fn enumerate_worlds_seeded<'a>(
 ) -> Result<WorldSet<'a>> {
     let mut solver = Solver::default();
     solver.seed = seed;
-    let mut worlds = vec![DeltaView::new(base)];
+    let mut worlds = vec![Overlay::new()];
     let (mut enumerated, mut truncated) = (0u64, false);
     for txn in txns {
         let spec = TxnSpec::required_only(txn);
         let mut next = Vec::new();
-        'fork: for world in &worlds {
-            // The world's net delta is the solver's pre-state: the same
-            // overlay replaying the ops that built it would leave.
-            let mut overlay = Overlay::new();
-            for (rid, insert, row) in world.deltas() {
-                overlay.apply_id(base, rid, insert, row)?;
-            }
-            // At most the forks left before the level overflows.
+        'fork: for world in &mut worlds {
+            // At most the forks left before the level overflows. The
+            // world is the solver's pre-state; collect mode leaves it as
+            // it found it.
             let max = bound + 1 - next.len();
-            for updates in solver.enumerate_updates_in(base, &mut overlay, &spec, max)? {
+            for updates in solver.enumerate_updates_in(base, world, &spec, max)? {
                 let mut forked = world.clone();
                 for (rid, insert, row) in &updates {
-                    forked.apply_id(*rid, *insert, row)?;
+                    forked.apply_id(base, *rid, *insert, row)?;
                 }
                 next.push(forked);
                 enumerated += 1;
@@ -138,14 +138,14 @@ pub fn enumerate_worlds_seeded<'a>(
     }
     // Exact dedup: hash to find candidates, equality of net deltas to
     // decide — two forks that reached one state by different op orders
-    // collapse into one. Neither reads the base's atomic access counters.
+    // collapse into one.
     let forks = worlds.len();
-    #[allow(clippy::mutable_key_type)]
     let mut seen = HashSet::with_capacity(forks);
     let keep: Vec<bool> = worlds.iter().map(|w| seen.insert(w)).collect();
     let mut keep = keep.into_iter();
     worlds.retain(|_| keep.next() == Some(true));
     Ok(WorldSet {
+        base,
         dedup_hits: (forks - worlds.len()) as u64,
         worlds,
         truncated,
@@ -157,7 +157,15 @@ pub fn enumerate_worlds_seeded<'a>(
 mod tests {
     use super::*;
     use qdb_logic::parse_transaction;
-    use qdb_storage::{tuple, Schema, TupleView, ValueType};
+    use qdb_solver::ReadSpec;
+    use qdb_storage::{tuple, Schema, ValueType};
+
+    /// `world` materialized: the base cloned, the net delta applied.
+    fn materialize(base: &Database, world: &Overlay) -> Database {
+        let mut db = base.clone();
+        world.clone().commit_into(&mut db).unwrap();
+        db
+    }
 
     /// Figure 2's setup: one flight (123) with three seats 1A, 1B, 1C.
     fn figure2_db() -> Database {
@@ -239,19 +247,15 @@ mod tests {
         let w3 = enumerate_worlds(&db, &[&mickey, &donald, &minnie], 100).unwrap();
         assert!(!w3.is_empty());
         // Check every surviving world seats Minnie adjacent to Mickey —
-        // read through the delta views, no world is ever materialized.
-        for view in &w3.worlds {
-            let bookings = view.matching_rows("Bookings", &[None, None, None]).unwrap();
-            let seat_of = |n: &str| {
-                bookings
-                    .iter()
-                    .find(|t| t[0].as_str() == Some(n))
-                    .map(|t| t[2].as_str().unwrap().to_string())
-                    .unwrap()
-            };
-            let m = seat_of("Mickey");
-            let mi = seat_of("Minnie");
-            assert!(view.contains("Adjacent", &tuple![mi.as_str(), m.as_str()]));
+        // read in read mode, no world is ever materialized.
+        let atoms = qdb_logic::parse_query(
+            "Bookings('Mickey', f, m), Bookings('Minnie', f, n), Adjacent(n, m)",
+        )
+        .unwrap()
+        .atoms;
+        let read = ReadSpec::compile(&db, &atoms).unwrap();
+        for answers in read.rows(&db, &w3.worlds) {
+            assert_eq!(answers.len(), 1);
         }
         // Mickey on 1A or 1C forces Minnie onto 1B; Mickey on 1B lets
         // Minnie take 1A or 1C: 4 worlds total.
@@ -310,15 +314,15 @@ mod tests {
         let db = figure2_db();
         let mickey = book("Mickey");
         let ws = enumerate_worlds(&db, &[&mickey], 100).unwrap();
-        for view in &ws.worlds {
-            let materialized = view.materialize().unwrap();
+        for world in &ws.worlds {
+            let materialized = materialize(&db, world);
             // One seat booked, two left, in every world.
             assert_eq!(materialized.table("Available").unwrap().len(), 2);
             assert_eq!(materialized.table("Bookings").unwrap().len(), 1);
-            // The view agrees with the materialized state row for row.
+            // The world agrees with the materialized state row for row.
             for table in materialized.tables() {
                 for row in table.iter() {
-                    assert!(view.contains(table.schema().relation(), row));
+                    assert!(world.visible(&db, table.schema().relation(), row));
                 }
             }
         }

@@ -358,7 +358,7 @@ fn read_peek_exposes_a_world_without_fixing() {
         qdb.with_database(|db| db.table("Bookings").unwrap().len()),
         0
     );
-    // And nothing was materialized: the peek evaluated a delta view over
+    // And nothing was materialized: the peek read the pending world over
     // the base, never a cloned database.
     let m = qdb.metrics();
     assert_eq!(m.db_clones, 0, "peek must not clone the database");
@@ -601,19 +601,75 @@ fn wide_travel_engine(config: QuantumDbConfig, rows: usize) -> SharedQuantumDb {
     qdb
 }
 
-/// PEEK's oracle: the query over the base plus every pending update
-/// re-grounded from the cached valuations (how PEEK composed its world
-/// before it read the maintained one), as sorted `(var id, value)` rows.
+/// PEEK's oracle: the query, by the reference evaluator, over a copy of
+/// the base with every pending update re-grounded from the cached
+/// valuations applied (how PEEK composed its world before it read the
+/// maintained one), as `(var id, value)` rows.
 fn peek_by_regrounding(qdb: &SharedQuantumDb, atoms: &[qdb_logic::Atom]) -> Rows {
     let pending = qdb.pending_ids();
     let ops = pending
         .first()
         .map(|&id| qdb.cached_pending_ops(id).unwrap());
     qdb.with_database(|db| {
-        let mut view = qdb_storage::DeltaView::new(db);
-        view.apply_all(&ops.unwrap_or_default()).unwrap();
-        eval_rows(&view, atoms)
+        let mut world = db.clone();
+        world.apply_all(&ops.unwrap_or_default()).unwrap();
+        eval_rows(&world, atoms)
     })
+}
+
+#[test]
+fn keyed_tables_hold_one_row_per_key_in_admission_peek_and_worlds() {
+    // `Holder` is keyed on the seat (API only: SQL tables are keyless), so
+    // a seat has one holder. One partition holds every booking.
+    let mut cfg = QuantumDbConfig::default();
+    cfg.partitioning = false;
+    let qdb = QuantumDb::new(cfg).unwrap().into_shared();
+    qdb.create_table(Schema::new("Seat", vec![("seat", ValueType::Str)]))
+        .unwrap();
+    let holder = Schema::new(
+        "Holder",
+        vec![("name", ValueType::Str), ("seat", ValueType::Str)],
+    );
+    qdb.create_table(holder.with_key(vec![1]).unwrap()).unwrap();
+    let seats = ["1A", "1B", "1C"].map(|s| tuple![s]);
+    qdb.bulk_insert("Seat", seats.to_vec()).unwrap();
+    qdb.bulk_insert("Holder", vec![tuple!["Goofy", "1C"]])
+        .unwrap();
+    let hold =
+        |name: &str| parse_transaction(&format!("+Holder('{name}', s) :-1 Seat(s)")).unwrap();
+    // Admission: Donald's first seat is Mickey's pending key, so he gets
+    // 1B; every seat's key is then held (1C by the base), so Pluto is
+    // refused rather than admitted into a key violation.
+    assert!(qdb.submit(&hold("Mickey")).unwrap().is_committed());
+    assert!(qdb.submit(&hold("Donald")).unwrap().is_committed());
+    assert_eq!(qdb.submit(&hold("Pluto")).unwrap(), SubmitOutcome::Aborted);
+
+    // PEEK reads the pending world in key (seat) order, not row order, as
+    // the reference evaluator does on the materialized world, and charges
+    // nothing to the solver.
+    let q = parse_query("Holder(n, s)").unwrap();
+    let solver_work = |m: qdb_core::Metrics| {
+        let lookups = (m.solver_index_lookups, m.solver_scan_lookups);
+        (m.solver_nodes, m.solver_candidates_streamed, lookups)
+    };
+    let before = solver_work(qdb.metrics());
+    let peeked = qdb.read_peek(&q.atoms, None).unwrap();
+    assert_eq!(solver_work(qdb.metrics()), before, "PEEK is not a solve");
+    let names: Vec<String> = (peeked.iter())
+        .map(|row| row.iter().next().unwrap().1.to_string())
+        .collect();
+    assert_eq!(names, ["'Mickey'", "'Donald'", "'Goofy'"]);
+    let got: Rows = (peeked.iter())
+        .map(|row| row.iter().map(|(v, c)| (v.id(), c.clone())).collect())
+        .collect();
+    assert_eq!(got, peek_by_regrounding(&qdb, &q.atoms));
+
+    // Worlds fork only into groundings that keep one holder per seat:
+    // Mickey and Donald split 1A and 1B.
+    assert_eq!(qdb.read_possible(&q.atoms, 100).unwrap().len(), 2);
+    qdb.ground_all().unwrap();
+    let holders = qdb.with_database(|db| db.table("Holder").unwrap().len());
+    assert_eq!(holders, 3);
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! old clone-based one.
 //!
 //! `enumerate_worlds` used to clone a full `Database` per world fork and
-//! deduplicate by whole-database fingerprints; it now forks one delta view
+//! deduplicate by whole-database fingerprints; it now forks one overlay
 //! per world and deduplicates on exact equality of net deltas. The
 //! clone-based implementation survives *only* in test support, as the
 //! materializing reference: on seeded pending sets — plain bookings,
@@ -89,9 +89,15 @@ fn assert_equivalent(
             delta.dedup_hits, reference.dedup_hits,
             "{label}: dedup hits"
         );
-        let got: Vec<String> = (delta.worlds.iter())
-            .map(|view| world_fingerprint(&view.materialize().expect("world materializes")))
-            .collect();
+        let materialize = |world: &qdb_solver::Overlay| {
+            let mut db = base.clone();
+            world
+                .clone()
+                .commit_into(&mut db)
+                .expect("world materializes");
+            world_fingerprint(&db)
+        };
+        let got: Vec<String> = delta.worlds.iter().map(materialize).collect();
         let want: Vec<String> = reference.worlds.iter().map(world_fingerprint).collect();
         assert_eq!(got, want, "{label}: world contents");
         shape.push((

@@ -66,10 +66,13 @@ pub enum Phase {
     /// One grounding — partner, read, k-bound or explicit `GROUND id`:
     /// partner expansion, planning and commit, strict fallback included.
     Ground = 10,
+    /// Read-mode evaluation of a read's atoms: a collapse read's or a
+    /// PEEK's, or all of a `SELECT POSSIBLE`'s worlds as one observation.
+    Read = 11,
 }
 
 /// Number of [`Phase`] variants (histogram array length).
-pub const PHASE_COUNT: usize = 11;
+pub const PHASE_COUNT: usize = 12;
 
 /// All phases in `repr` order.
 pub const PHASES: [Phase; PHASE_COUNT] = [
@@ -84,6 +87,7 @@ pub const PHASES: [Phase; PHASE_COUNT] = [
     Phase::WorldEnum,
     Phase::Registry,
     Phase::Ground,
+    Phase::Read,
 ];
 
 impl Phase {
@@ -101,6 +105,7 @@ impl Phase {
             Phase::WorldEnum => "world_enum",
             Phase::Registry => "registry",
             Phase::Ground => "ground",
+            Phase::Read => "read",
         }
     }
 }

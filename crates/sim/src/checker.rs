@@ -20,7 +20,8 @@
 //! 3. **Explainability of uncertain reads** — every PEEK answer and every
 //!    POSSIBLE answer set must be producible by some possible world over
 //!    the currently pending transactions (checked by the driver with
-//!    [`eval_atoms`] over independently enumerated worlds).
+//!    [`eval_atoms`] over enumerated worlds, each read through the
+//!    checker's own [`WorldView`]).
 //!
 //! The schedule search memoizes on the *set* of already-scheduled
 //! records: under clean application, presence of a tuple after a set of
@@ -31,7 +32,10 @@
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 use qdb_logic::{Atom, ResourceTransaction, Term, UpdateKind, Valuation};
-use qdb_storage::{ConjunctiveQuery, Database, StorageError, Tuple, TupleView, Value, WriteOp};
+use qdb_solver::Overlay;
+use qdb_storage::{
+    ConjunctiveQuery, Database, StorageError, Table, Tuple, TupleView, Value, WriteOp,
+};
 
 /// One schedulable unit: a grounded resource transaction (with its
 /// decoded body, when the WAL's `PendingAdd` payload was available) or a
@@ -452,10 +456,53 @@ pub fn check_serializable(
 // Read explainability support
 // ---------------------------------------------------------------------------
 
-/// Evaluate a conjunctive query (logic atoms) against any tuple view —
-/// the checker's own, public-API-only counterpart of the engine's
-/// internal evaluator, so read answers are verified by an independent
-/// code path.
+/// A possible world as the checker reads it: the base's rows minus the
+/// world's deletes, plus its inserts, from the overlay's net delta alone.
+/// Deliberately naive — a filtered scan per lookup, no shared code with
+/// the engine's read mode or the solver's candidate streams — so a world
+/// is read independently of how the engine reads it.
+pub struct WorldView<'a> {
+    base: &'a Database,
+    world: &'a Overlay,
+}
+
+impl<'a> WorldView<'a> {
+    /// `world` over `base`.
+    pub fn new(base: &'a Database, world: &'a Overlay) -> Self {
+        WorldView { base, world }
+    }
+}
+
+impl TupleView for WorldView<'_> {
+    fn arity_of(&self, relation: &str) -> Result<usize, StorageError> {
+        self.base.arity_of(relation)
+    }
+
+    fn count_rows(&self, relation: &str, bound: &[Option<Value>]) -> Result<usize, StorageError> {
+        Ok(self.matching_rows(relation, bound)?.len())
+    }
+
+    fn matching_rows(
+        &self,
+        relation: &str,
+        bound: &[Option<Value>],
+    ) -> Result<Vec<Tuple>, StorageError> {
+        let rid = self.base.resolve(relation)?;
+        let (inserted, deleted): (Vec<_>, Vec<_>) = self.world.deltas_of(rid).partition(|d| d.0);
+        let kept = |row: &&Tuple| !deleted.iter().any(|(_, t)| t == row);
+        let base_rows = self.base.table_by_id(rid).iter().filter(kept);
+        let rows = base_rows.chain(inserted.into_iter().map(|(_, t)| t));
+        Ok(rows
+            .filter(|row| Table::matches(row, bound))
+            .cloned()
+            .collect())
+    }
+}
+
+/// Evaluate a conjunctive query (logic atoms) against any tuple view
+/// with the storage layer's reference evaluator — the checker's own,
+/// public-API-only counterpart of the engine's read mode, so read
+/// answers are verified by an independent code path.
 pub fn eval_atoms<V: TupleView + ?Sized>(
     view: &V,
     atoms: &[Atom],
@@ -613,8 +660,7 @@ mod tests {
     fn canon_forms_ignore_order() {
         let db = base();
         let atoms = qdb_logic::parse_query("Available(f, s)").unwrap().atoms;
-        let view = qdb_storage::DeltaView::new(&db);
-        let mut answers = eval_atoms(&view, &atoms).unwrap();
+        let mut answers = eval_atoms(&db, &atoms).unwrap();
         assert_eq!(answers.len(), 2);
         let c1 = canon_set(&answers);
         answers.reverse();

@@ -38,16 +38,14 @@ use qdb_logic::codec::decode_transaction;
 use qdb_logic::{parse_query, Atom, ResourceTransaction, Term, UpdateKind, Valuation};
 use qdb_server::{Server, ServerHandle};
 use qdb_storage::wal::{apply_faults, frame_spans, replay_bytes, FaultSink, MemorySink, SinkFault};
-use qdb_storage::{
-    tuple, Database, DeltaView, LogRecord, LogSink, Schema, Value, ValueType, Wal, WriteOp,
-};
+use qdb_storage::{tuple, Database, LogRecord, LogSink, Schema, Value, ValueType, Wal, WriteOp};
 use qdb_workload::entangled::{entangled_booking, solo_booking};
 use qdb_workload::rng::StdRng;
 use qdb_workload::{build_client_streams, FlightsConfig, SimOp, StreamProfile};
 
 use crate::checker::{
     canon_family, canon_set, check_serializable, eval_atoms, CanonSet, CheckStats, GroundedRec,
-    SerOutcome, Violation,
+    SerOutcome, Violation, WorldView,
 };
 use crate::history::{Event, History, ReadKind, Site};
 
@@ -1122,7 +1120,7 @@ impl Driver {
         // evaluator.
         let ext = self
             .engine
-            .with_db(|db| eval_atoms(&DeltaView::new(db), &atoms))
+            .with_db(|db| eval_atoms(db, &atoms))
             .map_err(|e| self.viol("storage_error", e.to_string()))?;
         if canon_set(&rows) != canon_set(&ext) {
             return Err(self.viol(
@@ -1231,8 +1229,9 @@ impl Driver {
         let verdict: Result<(Vec<CanonSet>, bool), String> = self.engine.with_db(|db| {
             let ws = enumerate_worlds_seeded(db, &txns, bound, seed).map_err(|e| e.to_string())?;
             let mut sets = Vec::with_capacity(ws.worlds.len());
-            for view in &ws.worlds {
-                let ans = eval_atoms(view, atoms).map_err(|e| e.to_string())?;
+            for world in &ws.worlds {
+                let view = WorldView::new(ws.base, world);
+                let ans = eval_atoms(&view, atoms).map_err(|e| e.to_string())?;
                 sets.push(canon_set(&ans));
             }
             Ok((sets, ws.truncated))

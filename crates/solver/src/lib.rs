@@ -25,10 +25,15 @@
 //!   groundings per partition, extended incrementally when a new
 //!   transaction arrives and re-solved from scratch only when extension
 //!   fails.
+//! * [`ReadSpec`] — read mode: the §3.2.2 reads (collapse, PEEK, all
+//!   possible values) as body-only specs evaluated on the same kernel, over
+//!   the base plus an [`Overlay`], with the reference evaluator's answers
+//!   and order.
 
 pub mod cache;
 pub mod error;
 pub mod overlay;
+pub mod read;
 pub mod search;
 pub mod spec;
 pub mod stats;
@@ -36,6 +41,7 @@ pub mod stats;
 pub use cache::CachedSolution;
 pub use error::SolverError;
 pub use overlay::{CandidateIter, Overlay};
+pub use read::ReadSpec;
 pub use search::{AtomOrder, GroundUpdate, SearchLimits, Solver};
 pub use spec::{Solution, TxnSpec};
 pub use stats::SolverStats;

@@ -25,8 +25,26 @@
 //! ordered by tuple, so a pattern that binds the leading column consults
 //! them through a range over that value rather than a filter over every
 //! pending update; a fully bound pattern is a membership probe.
+//!
+//! # Keys
+//!
+//! A table keyed on a column subset ([`qdb_storage::Schema::with_key`])
+//! holds at most one row per key, so an insert whose key a visible row
+//! already holds is a conflict, exactly as inserting a visible row is.
+//! SQL tables are keyless (the key is the whole row), where the two rules
+//! coincide and the transition pays one branch for keys.
+//!
+//! # Two candidate orders
+//!
+//! The grounding search streams base rows first, then overlay inserts
+//! ([`Overlay::stream`]): that order decides which seats it picks. Read
+//! mode ([`crate::ReadSpec`]) streams the rows of the composed state in
+//! its key order, base rows and inserts merged (`Overlay::read_stream`),
+//! which is the order a table holding that state iterates in.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
+use std::hash::{Hash, Hasher};
 use std::ops::Bound;
 
 use qdb_storage::{Database, RelationId, Table, TableCursor, Tuple, Value, WriteOp};
@@ -61,8 +79,42 @@ struct OverlayRel {
     deletes: BTreeSet<Tuple>,
 }
 
+impl OverlayRel {
+    fn is_empty(&self) -> bool {
+        self.inserts.is_empty() && self.deletes.is_empty()
+    }
+}
+
 /// Insert/delete deltas on top of a base [`Database`], keyed by interned
-/// relation id.
+/// relation id: the solver's virtual states, the partitions' maintained
+/// pending worlds and the possible worlds `SELECT POSSIBLE` forks.
+///
+/// Two overlays are equal when they hold the same net delta, however
+/// their journals got there — over one base, when they show the same
+/// state.
+///
+/// ```
+/// use qdb_solver::{Overlay, ReadSpec};
+/// use qdb_storage::{tuple, Database, Schema, ValueType, WriteOp};
+///
+/// let mut db = Database::new();
+/// db.create_table(Schema::new(
+///     "Available",
+///     vec![("flight", ValueType::Int), ("seat", ValueType::Str)],
+/// ))
+/// .unwrap();
+/// db.insert("Available", tuple![1, "1A"]).unwrap();
+/// db.insert("Available", tuple![1, "1B"]).unwrap();
+///
+/// // A pending booking's delete, visible through the overlay only.
+/// let mut world = Overlay::new();
+/// world.apply(&db, &WriteOp::delete("Available", tuple![1, "1A"])).unwrap();
+///
+/// let atoms = qdb_logic::parse_query("Available(1, s)").unwrap().atoms;
+/// let read = ReadSpec::compile(&db, &atoms).unwrap();
+/// assert_eq!(read.valuations(&db, &world, None).len(), 1);
+/// assert_eq!(read.valuations(&db, &Overlay::new(), None).len(), 2); // base untouched
+/// ```
 #[derive(Debug, Default, Clone)]
 pub struct Overlay {
     rels: Vec<OverlayRel>,
@@ -138,51 +190,13 @@ impl Overlay {
             .cloned()
     }
 
-    /// All visible tuples of `relation` matching the column constraints
-    /// `bound` (`Some(v)` pins a column), **materialized**. Base rows come
-    /// first (in key order), then overlay inserts (in tuple order) —
-    /// deterministic.
-    ///
-    /// This is the reference implementation the streaming
-    /// [`Overlay::stream`] and the arithmetic [`Overlay::count_up_to_id`]
-    /// are property-tested against; the solver's hot path never calls it.
-    /// It shares nothing with them: a full scan of the table and a linear
-    /// filter of both delta sets — no index, no point probe, no range.
-    /// Every call counts itself in
-    /// `stats.candidate_vecs`, which is how "zero materializations on the
-    /// fast path" stays a *checkable* claim rather than a vacuous one.
-    pub fn candidates(
-        &self,
-        base: &Database,
-        relation: &str,
-        bound: &[Option<Value>],
-        stats: &mut crate::stats::SolverStats,
-    ) -> Result<Vec<Tuple>> {
-        stats.candidate_vecs += 1;
-        let rid = base.resolve(relation).map_err(SolverError::Storage)?;
-        let table = base.table_by_id(rid);
-        check_arity(table, relation, bound)?;
-        let empty = BTreeSet::new();
-        let (deleted, inserts) = match self.rel(rid) {
-            Some(rel) => (&rel.deletes, &rel.inserts),
-            None => (&empty, &empty),
-        };
-        let mut out: Vec<Tuple> = table
-            .iter()
-            .filter(|t| Table::matches(t, bound) && !deleted.contains(*t))
-            .cloned()
-            .collect();
-        out.extend(inserts.iter().filter(|t| Table::matches(t, bound)).cloned());
-        Ok(out)
-    }
-
     /// Open a **streaming** candidate cursor over the visible tuples of
     /// `rid` matching `bound`: an index-narrowed base cursor with overlay
-    /// deletes filtered in place, chained with the overlay insert set.
-    /// Yields exactly the sequence [`Overlay::candidates`] would
-    /// materialize, one refcount-bump [`Tuple`] at a time — zero per-node
-    /// vectors. A fully bound pattern is resolved here, by one membership
-    /// probe, to the zero or one tuple the walk would yield.
+    /// deletes filtered in place, chained with the overlay insert set —
+    /// base rows first (in key order), then inserts (in tuple order), one
+    /// refcount-bump [`Tuple`] at a time, zero per-node vectors. A fully
+    /// bound pattern is resolved here, by one membership probe, to the
+    /// zero or one tuple the walk would yield.
     ///
     /// The cursor borrows the *base* only; the overlay **and the pattern**
     /// are passed to each [`CandidateIter::next`] call, so the caller may
@@ -207,18 +221,50 @@ impl Overlay {
         Ok(CandidateIter { rid, inner })
     }
 
-    /// Count of visible tuples matching `bound`, saturating at `cap`
-    /// (used by the dynamic atom ordering to pick the most constrained
-    /// atom first; beyond the cap relative order no longer matters).
-    pub fn count_up_to(
-        &self,
-        base: &Database,
-        relation: &str,
+    /// Open a **read-mode** cursor over the visible tuples of `rid`
+    /// matching `bound`, in the composed state's key order: the
+    /// index-narrowed base cursor, overlay deletes filtered in place,
+    /// merged by key with the matching overlay inserts. That is the order
+    /// a table holding the composed state iterates in, so a read answers
+    /// as it would on the materialized world. `bound` must have the
+    /// relation's arity.
+    ///
+    /// The cursor borrows the overlay: read mode never mutates it. The
+    /// pattern is passed to each [`ReadIter::next`], as for
+    /// [`CandidateIter`].
+    pub(crate) fn read_stream<'a>(
+        &'a self,
+        base: &'a Database,
+        rid: RelationId,
         bound: &[Option<Value>],
-        cap: usize,
-    ) -> Result<usize> {
-        let rid = base.resolve(relation).map_err(SolverError::Storage)?;
-        self.count_up_to_id(base, rid, bound, cap).map(|(n, _)| n)
+    ) -> ReadIter<'a> {
+        let table = base.table_by_id(rid);
+        let key = table.schema().key_columns();
+        let rel = self.rel(rid);
+        let inserts = match rel.map(|r| &r.inserts) {
+            // Keyless: tuple order is key order.
+            Some(set) if key.is_empty() => {
+                Inserts::Range(set.range::<[Value], _>(lower_bound(bound, None)))
+            }
+            Some(set) => {
+                let mut keyed: Vec<&Tuple> =
+                    (set.iter()).filter(|t| Table::matches(t, bound)).collect();
+                keyed.sort_unstable_by(|a, b| key_cmp(key, a, b));
+                Inserts::Sorted(keyed.into_iter())
+            }
+            None => Inserts::Sorted(Vec::new().into_iter()),
+        };
+        let mut merge = ReadIter {
+            key,
+            base: table.cursor(bound),
+            deletes: rel.map(|r| &r.deletes),
+            inserts,
+            next_base: None,
+            next_insert: None,
+        };
+        merge.next_base = merge.pull_base(bound);
+        merge.next_insert = merge.inserts.next(bound);
+        merge
     }
 
     /// Count of visible tuples matching `bound` (saturating at `cap`) plus
@@ -235,13 +281,24 @@ impl Overlay {
         bound: &[Option<Value>],
         cap: usize,
     ) -> Result<(usize, bool)> {
+        check_arity(base.table_by_id(rid), base.relation_name(rid), bound)?;
+        Ok(self.count_in(base, rid, bound, cap))
+    }
+
+    /// [`Overlay::count_up_to_id`] for a pattern of the relation's arity.
+    pub(crate) fn count_in(
+        &self,
+        base: &Database,
+        rid: RelationId,
+        bound: &[Option<Value>],
+        cap: usize,
+    ) -> (usize, bool) {
         let table = base.table_by_id(rid);
-        check_arity(table, base.relation_name(rid), bound)?;
         if let Some(hit) = Table::with_point(bound, |v| self.probe(base, rid, v).is_some()) {
-            return Ok((usize::from(hit).min(cap), true));
+            return (usize::from(hit).min(cap), true);
         }
         let Some(rel) = self.rel(rid) else {
-            return Ok(table.count_up_to(bound, cap));
+            return table.count_up_to(bound, cap);
         };
         let deleted = matching(&rel.deletes, bound, None)
             .inspect(|t| debug_assert!(table.contains(t), "overlay delete {t} not in base"))
@@ -251,20 +308,22 @@ impl Overlay {
         // atom ordering (never the search's answers) would see the error.
         let n = in_base.saturating_sub(deleted);
         let inserted = matching(&rel.inserts, bound, None).take(cap - n).count();
-        Ok((n + inserted, index_backed))
+        (n + inserted, index_backed)
     }
 
     /// Exact count of visible tuples matching `bound`.
     pub fn count(&self, base: &Database, relation: &str, bound: &[Option<Value>]) -> Result<usize> {
-        self.count_up_to(base, relation, bound, usize::MAX)
+        let rid = base.resolve(relation).map_err(SolverError::Storage)?;
+        self.count_up_to_id(base, rid, bound, usize::MAX)
+            .map(|(n, _)| n)
     }
 
     /// Apply a write op on the virtual state (resolves the relation name
     /// once; hot paths use [`Overlay::apply_id`]).
     ///
-    /// * insert of a visible tuple → `Err` — set semantics make the
-    ///   grounding that produced this op inconsistent, the caller
-    ///   backtracks;
+    /// * insert of a visible tuple, or into a keyed table under a key a
+    ///   visible row holds → `Err` — set semantics make the grounding
+    ///   that produced this op inconsistent, the caller backtracks;
     /// * insert that re-creates a deleted tuple → cancels the delete;
     /// * delete of an overlay-inserted tuple → cancels the insert;
     /// * delete of an absent tuple → journaled no-op (blind deletes are
@@ -290,7 +349,7 @@ impl Overlay {
     ) -> Result<bool> {
         self.transition(base, rid, insert, tuple).ok_or_else(|| {
             SolverError::CacheInconsistent(format!(
-                "insert of visible tuple {}{tuple}",
+                "insert of {}{tuple} clashes with a visible row",
                 base.relation_name(rid)
             ))
         })
@@ -298,8 +357,8 @@ impl Overlay {
 
     /// The state transition behind [`Overlay::apply_id`] and
     /// [`Overlay::try_apply_id`]: `Some(changed)` once journaled, `None`
-    /// when an insert would duplicate a visible tuple (nothing changed,
-    /// nothing journaled). Each delta set is touched at most once.
+    /// when an insert would duplicate a visible tuple or its key (nothing
+    /// changed, nothing journaled). Each delta set is touched at most once.
     fn transition(
         &mut self,
         base: &Database,
@@ -307,7 +366,11 @@ impl Overlay {
         insert: bool,
         tuple: &Tuple,
     ) -> Option<bool> {
-        let in_base = || base.contains_id(rid, tuple);
+        let table = base.table_by_id(rid);
+        if insert && !table.schema().key_columns().is_empty() && self.key_held(table, rid, tuple) {
+            return None;
+        }
+        let in_base = || table.contains(tuple);
         let rel = self.rel_mut(rid);
         let tuple = tuple.clone();
         let undo = if insert {
@@ -328,6 +391,20 @@ impl Overlay {
         let changed = !matches!(undo, Undo::Noop);
         self.journal.push(undo);
         Some(changed)
+    }
+
+    /// Does a visible row of keyed `table` hold `tuple`'s key? Walks the
+    /// relation's inserts: keyed tables are few and come only through the
+    /// API.
+    fn key_held(&self, table: &Table, rid: RelationId, tuple: &Tuple) -> bool {
+        let rel = self.rel(rid);
+        let schema = table.schema();
+        let in_base = table.get_by_key(&schema.key_of(tuple));
+        in_base.is_some_and(|row| !rel.is_some_and(|r| r.deletes.contains(row)))
+            || rel.is_some_and(|r| {
+                let key = schema.key_columns();
+                (r.inserts.iter()).any(|row| key_cmp(key, row, tuple) == Ordering::Equal)
+            })
     }
 
     /// Apply an op, treating an insert-conflict as a soft failure (`false`)
@@ -396,7 +473,7 @@ impl Overlay {
     }
 
     /// The deltas on `rid` as `(is_insert, tuple)`: the deletes, then the
-    /// inserts — an order that replays onto a keyed view without a
+    /// inserts — an order that replays onto another overlay without a
     /// transient key clash.
     pub fn deltas_of(&self, rid: RelationId) -> impl Iterator<Item = (bool, &Tuple)> {
         self.rel(rid).into_iter().flat_map(|rel| {
@@ -408,19 +485,6 @@ impl Overlay {
     /// Number of journaled operations.
     pub fn journal_len(&self) -> usize {
         self.journal.len()
-    }
-
-    /// Do two overlays describe the same virtual-state deltas (journal
-    /// history ignored)? Used by debug assertions that validate cached
-    /// overlays against freshly built ones.
-    pub fn same_deltas(&self, other: &Overlay) -> bool {
-        let longest = self.rels.len().max(other.rels.len());
-        let empty = OverlayRel::default();
-        (0..longest).all(|i| {
-            let a = self.rels.get(i).unwrap_or(&empty);
-            let b = other.rels.get(i).unwrap_or(&empty);
-            a.inserts == b.inserts && a.deletes == b.deletes
-        })
     }
 
     /// Materialize the overlay into the base database (used when grounding
@@ -437,6 +501,47 @@ impl Overlay {
         }
         Ok(())
     }
+}
+
+/// Overlays are equal when they hold the same net delta, journal history
+/// ignored. The delta is canonical — a delete is recorded only for a base
+/// row, an insert only for a row the base lacks, and re-inserting a
+/// deleted row cancels the delete — so over one base, equal states have
+/// equal deltas whatever op order built them. Debug builds check
+/// maintained worlds against rebuilt ones with it, and the
+/// possible-worlds enumerator deduplicates forks on it, with [`Hash`]
+/// finding the candidates.
+impl PartialEq for Overlay {
+    fn eq(&self, other: &Overlay) -> bool {
+        let longest = self.rels.len().max(other.rels.len());
+        let empty = OverlayRel::default();
+        (0..longest).all(|i| {
+            let a = self.rels.get(i).unwrap_or(&empty);
+            let b = other.rels.get(i).unwrap_or(&empty);
+            a.inserts == b.inserts && a.deletes == b.deletes
+        })
+    }
+}
+
+impl Eq for Overlay {}
+
+impl Hash for Overlay {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // Empty relation slots are skipped, as `==` treats them as absent.
+        for (i, rel) in self.rels.iter().enumerate().filter(|(_, r)| !r.is_empty()) {
+            (i, rel.deletes.len()).hash(state);
+            (rel.deletes.iter().chain(&rel.inserts)).for_each(|row| row.hash(state));
+        }
+    }
+}
+
+/// Compare two rows of one table by its key columns (`key` empty: the
+/// whole row is the key) — the order the table iterates its rows in.
+fn key_cmp(key: &[usize], a: &Tuple, b: &Tuple) -> Ordering {
+    if key.is_empty() {
+        return a.cmp(b);
+    }
+    (key.iter().map(|&c| &a[c])).cmp(key.iter().map(|&c| &b[c]))
 }
 
 /// Reconstruct a [`RelationId`] from a dense index (the overlay's vector
@@ -472,14 +577,23 @@ fn matching<'s>(
     after: Option<&Tuple>,
 ) -> impl Iterator<Item = &'s Tuple> {
     let lead = bound.first().and_then(Option::as_ref);
-    let lower: Bound<&[Value]> = match (after, lead) {
+    set.range::<[Value], _>(lower_bound(bound, after))
+        .take_while(move |t| lead.is_none_or(|v| &t[0] == v))
+        .filter(move |t| Table::matches(t, bound))
+}
+
+/// Where [`matching`] enters a delta set: past `after`, else at the
+/// pattern's leading value, else at the start.
+fn lower_bound<'v>(
+    bound: &'v [Option<Value>],
+    after: Option<&'v Tuple>,
+) -> (Bound<&'v [Value]>, Bound<&'v [Value]>) {
+    let lower = match (after, bound.first().and_then(Option::as_ref)) {
         (Some(t), _) => Bound::Excluded(t.values()),
         (None, Some(v)) => Bound::Included(std::slice::from_ref(v)),
         (None, None) => Bound::Unbounded,
     };
-    set.range::<[Value], _>((lower, Bound::Unbounded))
-        .take_while(move |t| lead.is_none_or(|v| &t[0] == v))
-        .filter(move |t| Table::matches(t, bound))
+    (lower, Bound::Unbounded)
 }
 
 /// Streaming candidate cursor — see [`Overlay::stream`].
@@ -542,6 +656,69 @@ impl<'a> CandidateIter<'a> {
     }
 }
 
+/// Read-mode cursor — see [`Overlay::read_stream`]. Each side holds its
+/// next matching row, and the smaller key goes first. Keys never tie: an
+/// insert is recorded only where no visible row holds its key.
+#[derive(Debug)]
+pub(crate) struct ReadIter<'a> {
+    key: &'a [usize],
+    base: TableCursor<'a>,
+    deletes: Option<&'a BTreeSet<Tuple>>,
+    inserts: Inserts<'a>,
+    next_base: Option<&'a Tuple>,
+    next_insert: Option<&'a Tuple>,
+}
+
+/// The overlay inserts a [`ReadIter`] walks, in key order.
+#[derive(Debug)]
+enum Inserts<'a> {
+    /// A keyless relation's insert set from the pattern's leading value
+    /// on: tuple order is key order.
+    Range(std::collections::btree_set::Range<'a, Tuple>),
+    /// A keyed relation's matching inserts, sorted by key when opened.
+    Sorted(std::vec::IntoIter<&'a Tuple>),
+}
+
+impl<'a> Inserts<'a> {
+    fn next(&mut self, bound: &[Option<Value>]) -> Option<&'a Tuple> {
+        match self {
+            Inserts::Range(range) => {
+                let lead = bound.first().and_then(Option::as_ref);
+                range
+                    .take_while(|t| lead.is_none_or(|v| &t[0] == v))
+                    .find(|t| Table::matches(t, bound))
+            }
+            Inserts::Sorted(rows) => rows.next(),
+        }
+    }
+}
+
+impl<'a> ReadIter<'a> {
+    /// The next visible row in key order, or `None` when exhausted.
+    /// `bound` must be the pattern the cursor was opened with.
+    pub(crate) fn next(&mut self, bound: &[Option<Value>]) -> Option<&'a Tuple> {
+        let take_base = match (self.next_base, self.next_insert) {
+            (Some(b), Some(i)) => key_cmp(self.key, b, i) == Ordering::Less,
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => return None,
+        };
+        if take_base {
+            let next = self.pull_base(bound);
+            std::mem::replace(&mut self.next_base, next)
+        } else {
+            let next = self.inserts.next(bound);
+            std::mem::replace(&mut self.next_insert, next)
+        }
+    }
+
+    fn pull_base(&mut self, bound: &[Option<Value>]) -> Option<&'a Tuple> {
+        let deletes = self.deletes;
+        (self.base.by_ref())
+            .find(|row| Table::matches(row, bound) && !deletes.is_some_and(|d| d.contains(*row)))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -589,12 +766,65 @@ mod tests {
     }
 
     #[test]
+    fn apply_mirrors_database_apply_semantics() {
+        let db = base();
+        let mut concrete = db.clone();
+        let mut ov = Overlay::new();
+        // A duplicate insert is a no-op on the table but a conflict here:
+        // the grounding that produced it is inconsistent.
+        let dup = WriteOp::insert("A", tuple![1, "1A"]);
+        assert!(!concrete.apply(&dup).unwrap());
+        assert!(ov.apply(&db, &dup).is_err());
+        // Every other op reports the same change as the table's and leaves
+        // the same visible state, while the base stays untouched.
+        for op in [
+            WriteOp::delete("A", tuple![9, "XX"]),
+            WriteOp::delete("A", tuple![1, "1A"]),
+            WriteOp::insert("A", tuple![3, "3A"]),
+            WriteOp::insert("A", tuple![1, "1A"]),
+        ] {
+            assert_eq!(
+                ov.apply(&db, &op).unwrap(),
+                concrete.apply(&op).unwrap(),
+                "{op:?}"
+            );
+            for t in [
+                tuple![1, "1A"],
+                tuple![1, "1B"],
+                tuple![3, "3A"],
+                tuple![9, "XX"],
+            ] {
+                assert_eq!(
+                    ov.visible(&db, "A", &t),
+                    concrete.contains("A", &t),
+                    "{op:?} {t}"
+                );
+            }
+        }
+        assert!(!db.contains("A", &tuple![3, "3A"]));
+        // Delete-then-reinsert nets out to the base state.
+        assert_eq!(ov, {
+            let mut only_insert = Overlay::new();
+            only_insert
+                .apply(&db, &WriteOp::insert("A", tuple![3, "3A"]))
+                .unwrap();
+            only_insert
+        });
+    }
+
+    #[test]
     fn delete_of_absent_is_noop() {
         let db = base();
         let mut ov = Overlay::new();
         assert!(!ov
             .apply(&db, &WriteOp::delete("A", tuple![9, "XX"]))
             .unwrap());
+    }
+
+    /// Everything `ov.stream` yields for `bound` on table `A`.
+    fn streamed(db: &Database, ov: &Overlay, bound: &[Option<Value>]) -> Vec<Tuple> {
+        let mut iter = ov.stream(db, db.resolve("A").unwrap(), bound).unwrap();
+        std::iter::from_fn(|| iter.next(ov, bound)).collect()
     }
 
     #[test]
@@ -606,12 +836,12 @@ mod tests {
         ov.apply(&db, &WriteOp::insert("A", tuple![1, "1C"]))
             .unwrap();
         let bound = vec![Some(Value::from(1)), None];
-        let cands = ov
-            .candidates(&db, "A", &bound, &mut Default::default())
-            .unwrap();
-        let seats: Vec<&str> = cands.iter().map(|t| t[1].as_str().unwrap()).collect();
-        assert_eq!(seats, vec!["1B", "1C"]);
-        assert_eq!(ov.count(&db, "A", &bound).unwrap(), 2);
+        assert_eq!(
+            streamed(&db, &ov, &bound),
+            [tuple![1, "1B"], tuple![1, "1C"]]
+        );
+        let rid = db.resolve("A").unwrap();
+        assert_eq!(ov.count_up_to_id(&db, rid, &bound, 9).unwrap().0, 2);
     }
 
     #[test]
@@ -624,22 +854,15 @@ mod tests {
             .unwrap();
         ov.apply(&db, &WriteOp::insert("A", tuple![2, "2A"]))
             .unwrap();
-        for bound in [
-            vec![Some(Value::from(1)), None],
-            vec![None, None],
-            vec![None, Some(Value::from("1C"))],
-            vec![Some(Value::from(9)), None],
+        // Base rows first, then the inserts.
+        let (b, c, two) = (tuple![1, "1B"], tuple![1, "1C"], tuple![2, "2A"]);
+        for (bound, expect) in [
+            (vec![Some(Value::from(1)), None], vec![b.clone(), c.clone()]),
+            (vec![None, None], vec![b, c.clone(), two]),
+            (vec![None, Some(Value::from("1C"))], vec![c]),
+            (vec![Some(Value::from(9)), None], vec![]),
         ] {
-            let rid = db.resolve("A").unwrap();
-            let expect = ov
-                .candidates(&db, "A", &bound, &mut Default::default())
-                .unwrap();
-            let mut iter = ov.stream(&db, rid, &bound).unwrap();
-            let mut got = Vec::new();
-            while let Some(t) = iter.next(&ov, &bound) {
-                got.push(t);
-            }
-            assert_eq!(got, expect, "bound={bound:?}");
+            assert_eq!(streamed(&db, &ov, &bound), expect, "bound={bound:?}");
         }
     }
 
@@ -655,9 +878,12 @@ mod tests {
         ov.apply(&db, &WriteOp::insert("A", tuple![4, "4A"]))
             .unwrap();
         let rid = db.resolve("A").unwrap();
-        let expect = ov
-            .candidates(&db, "A", &[None, None], &mut Default::default())
-            .unwrap();
+        let expect = [
+            tuple![1, "1A"],
+            tuple![1, "1B"],
+            tuple![3, "3A"],
+            tuple![4, "4A"],
+        ];
         let mut iter = ov.stream(&db, rid, &[None, None]).unwrap();
         let mut got = Vec::new();
         while let Some(t) = iter.next(&ov, &[None, None]) {
@@ -699,6 +925,23 @@ mod tests {
     }
 
     #[test]
+    fn count_up_to_uses_index_buckets_when_delta_free() {
+        let mut db = base();
+        db.table_mut("A").unwrap().create_index(0).unwrap();
+        let rid = db.resolve("A").unwrap();
+        let bound = vec![Some(Value::from(1)), None];
+        let ov = Overlay::new();
+        assert_eq!(ov.count_up_to_id(&db, rid, &bound, 10).unwrap(), (2, true));
+        assert_eq!(ov.count_up_to_id(&db, rid, &bound, 1).unwrap(), (1, true));
+        // With deletes the count still agrees with the visible rows.
+        let mut ov = Overlay::new();
+        ov.apply(&db, &WriteOp::delete("A", tuple![1, "1A"]))
+            .unwrap();
+        assert_eq!(ov.count_up_to_id(&db, rid, &bound, 10).unwrap().0, 1);
+        assert_eq!(streamed(&db, &ov, &bound), [tuple![1, "1B"]]);
+    }
+
+    #[test]
     fn rollback_restores_exact_state() {
         let db = base();
         let mut ov = Overlay::new();
@@ -732,6 +975,67 @@ mod tests {
         ov.commit_into(&mut db).unwrap();
         assert!(!db.contains("A", &tuple![1, "1A"]));
         assert!(db.contains("A", &tuple![7, "7A"]));
+    }
+
+    #[test]
+    fn key_violations_match_the_concrete_table() {
+        let mut db = Database::new();
+        let cols = vec![("name", ValueType::Str), ("seat", ValueType::Str)];
+        let keyed = Schema::new("B", cols).with_key(vec![0]).unwrap();
+        db.create_table(keyed).unwrap();
+        db.insert("B", tuple!["Mickey", "5A"]).unwrap();
+        let mut ov = Overlay::new();
+        // Same key, different row: a conflict (a violation in the table).
+        assert!(!ov.try_apply(&db, &WriteOp::insert("B", tuple!["Mickey", "5B"])));
+        assert!(db.clone().insert("B", tuple!["Mickey", "5B"]).is_err());
+        // A delete frees the key for a different row.
+        assert!(ov.try_apply(&db, &WriteOp::delete("B", tuple!["Mickey", "5A"])));
+        assert!(ov.try_apply(&db, &WriteOp::insert("B", tuple!["Mickey", "5B"])));
+        assert!(ov.visible(&db, "B", &tuple!["Mickey", "5B"]));
+        assert!(!ov.visible(&db, "B", &tuple!["Mickey", "5A"]));
+        // A second different row under the key conflicts again, and so
+        // does re-inserting the deleted base row.
+        assert!(!ov.try_apply(&db, &WriteOp::insert("B", tuple!["Mickey", "5C"])));
+        assert!(!ov.try_apply(&db, &WriteOp::insert("B", tuple!["Mickey", "5A"])));
+        // Other keys are free.
+        assert!(ov.try_apply(&db, &WriteOp::insert("B", tuple!["Goofy", "5A"])));
+    }
+
+    #[test]
+    fn equality_and_hash_follow_the_net_delta() {
+        use std::hash::BuildHasher;
+        let db = base();
+        let (mut v1, mut v2) = (Overlay::new(), Overlay::new());
+        assert_eq!(v1, v2);
+        // Different op orders, same net effect.
+        let (del, ins) = (tuple![1, "1A"], tuple![3, "3A"]);
+        v1.apply(&db, &WriteOp::delete("A", del.clone())).unwrap();
+        v1.apply(&db, &WriteOp::insert("A", ins.clone())).unwrap();
+        v2.apply(&db, &WriteOp::insert("A", ins)).unwrap();
+        v2.apply(&db, &WriteOp::delete("A", del.clone())).unwrap();
+        assert_eq!(v1, v2);
+        // A no-op sequence equals the untouched overlay, though it grew a
+        // relation slot and a journal.
+        let mut v3 = Overlay::new();
+        v3.apply(&db, &WriteOp::delete("A", del.clone())).unwrap();
+        v3.apply(&db, &WriteOp::insert("A", del)).unwrap();
+        assert_eq!(v3, Overlay::new());
+        assert_ne!(v1, v3);
+        // Strings that print alike stay distinct: ('a', 'b', 'c') is both
+        // ("a', 'b", "c") and ("a", "b', 'c").
+        let mut pairs = Database::new();
+        let cols = vec![("x", ValueType::Str), ("y", ValueType::Str)];
+        pairs.create_table(Schema::new("P", cols)).unwrap();
+        let [mut p1, mut p2] = [Overlay::new(), Overlay::new()];
+        p1.apply(&pairs, &WriteOp::insert("P", tuple!["a', 'b", "c"]))
+            .unwrap();
+        p2.apply(&pairs, &WriteOp::insert("P", tuple!["a", "b', 'c"]))
+            .unwrap();
+        assert_ne!(p1, p2);
+        // Equal overlays hash alike.
+        let s = std::hash::RandomState::new();
+        assert_eq!(s.hash_one(&v1), s.hash_one(&v2));
+        assert_eq!(s.hash_one(&v3), s.hash_one(Overlay::new()));
     }
 
     #[test]

@@ -157,55 +157,81 @@ enum CTerm<'a> {
 /// An atom with its relation resolved; its terms are the `terms` range of
 /// its spec's flat term list.
 #[derive(Debug)]
-struct CompiledAtom {
-    rid: RelationId,
+pub(crate) struct CompiledAtom {
+    pub(crate) rid: RelationId,
     terms: std::ops::Range<usize>,
     /// For an update atom: insert (`true`) or delete.
     insert: bool,
 }
 
-/// One [`TxnSpec`] compiled once per solver entry point: relation names
-/// resolved, variables mapped to dense slots `0..vars.len()`. Borrows the
-/// spec's constants and variables; three vectors in all.
+/// One [`TxnSpec`] compiled once per solver entry point — or a read's
+/// atoms, as a body-only spec ([`CompiledSpec::body_only`]): relation
+/// names resolved, variables mapped to dense slots `0..vars.len()`.
+/// Borrows the spec's constants and variables; three vectors in all.
 #[derive(Debug)]
-struct CompiledSpec<'a> {
+pub(crate) struct CompiledSpec<'a> {
     /// The terms of every atom: body atoms first (positions
     /// `0..body_terms`, in atom order), then update atoms.
     terms: Vec<CTerm<'a>>,
     body_terms: usize,
     /// The body atoms to ground ([`TxnSpec::atoms`] order) followed by the
     /// update atoms (update order).
-    atoms: Vec<CompiledAtom>,
+    pub(crate) atoms: Vec<CompiledAtom>,
     body_atoms: usize,
     /// Slot → variable (a [`Valuation`] is keyed by variable).
-    vars: Vec<&'a Var>,
+    pub(crate) vars: Vec<&'a Var>,
 }
 
 impl<'a> CompiledSpec<'a> {
     fn compile(base: &Database, spec: &TxnSpec<'a>) -> Result<Self> {
         let txn = spec.txn;
-        let atoms = txn.body.len() + txn.updates.len();
-        let mut out = CompiledSpec {
+        let mut out = CompiledSpec::with_capacity(txn.body.len() + txn.updates.len());
+        for atom in spec.atom_iter() {
+            out.push_atom(base.resolve(&atom.relation)?, atom, false);
+        }
+        (out.body_atoms, out.body_terms) = (out.atoms.len(), out.terms.len());
+        for u in &txn.updates {
+            let rid = base.resolve(&u.atom.relation)?;
+            out.push_atom(rid, &u.atom, u.kind == UpdateKind::Insert);
+        }
+        Ok(out)
+    }
+
+    /// A read's atoms as a spec with a body and no updates. Fails as the
+    /// storage layer's evaluator does, at the first atom whose relation is
+    /// unknown or whose arity is wrong.
+    pub(crate) fn body_only(base: &Database, atoms: &'a [Atom]) -> qdb_storage::Result<Self> {
+        let mut out = CompiledSpec::with_capacity(atoms.len());
+        for atom in atoms {
+            let rid = base.resolve(&atom.relation)?;
+            let expected = base.table_by_id(rid).schema().arity();
+            if atom.arity() != expected {
+                return Err(qdb_storage::StorageError::ArityMismatch {
+                    relation: atom.relation.to_string(),
+                    expected,
+                    got: atom.arity(),
+                });
+            }
+            out.push_atom(rid, atom, false);
+        }
+        (out.body_atoms, out.body_terms) = (out.atoms.len(), out.terms.len());
+        Ok(out)
+    }
+
+    fn with_capacity(atoms: usize) -> Self {
+        CompiledSpec {
             // Sized for the common two-to-three column atom; grows if not.
             terms: Vec::with_capacity(3 * atoms),
             body_terms: 0,
             atoms: Vec::with_capacity(atoms),
             body_atoms: 0,
             vars: Vec::with_capacity(4),
-        };
-        for atom in spec.atom_iter() {
-            out.push_atom(base, atom, false)?;
         }
-        (out.body_atoms, out.body_terms) = (out.atoms.len(), out.terms.len());
-        for u in &txn.updates {
-            out.push_atom(base, &u.atom, u.kind == UpdateKind::Insert)?;
-        }
-        Ok(out)
     }
 
-    /// Compile one atom, allocating slots for unseen variables.
-    fn push_atom(&mut self, base: &Database, atom: &'a Atom, insert: bool) -> Result<()> {
-        let rid = base.resolve(&atom.relation)?;
+    /// Compile one atom of relation `rid`, allocating slots for unseen
+    /// variables.
+    fn push_atom(&mut self, rid: RelationId, atom: &'a Atom, insert: bool) {
         let start = self.terms.len();
         for term in &atom.terms {
             let compiled = match term {
@@ -225,7 +251,6 @@ impl<'a> CompiledSpec<'a> {
             terms: start..self.terms.len(),
             insert,
         });
-        Ok(())
     }
 
     /// The body atoms to ground.
@@ -631,22 +656,22 @@ impl<'a> Lookahead<'a> {
 /// The search state of one spec, allocated once per solver entry point
 /// and restored by the undo trail on every backtrack.
 #[derive(Debug)]
-struct Frame {
+pub(crate) struct Frame {
     /// Slot → its current value.
-    binds: Vec<Option<Value>>,
+    pub(crate) binds: Vec<Option<Value>>,
     /// The column patterns of all body atoms under `binds`, laid out like
     /// the spec's body terms (constants are filled in once): what the
     /// counts and candidate streams are asked with, kept current by
     /// [`Frame::assign`] instead of being rebuilt per node.
     patterns: Vec<Option<Value>>,
     /// Body atoms already matched on the current branch.
-    used: Vec<bool>,
+    pub(crate) used: Vec<bool>,
     /// Slots in binding order.
-    trail: Vec<usize>,
+    pub(crate) trail: Vec<usize>,
 }
 
 impl Frame {
-    fn new(spec: &CompiledSpec<'_>) -> Self {
+    pub(crate) fn new(spec: &CompiledSpec<'_>) -> Self {
         Frame {
             binds: vec![None; spec.vars.len()],
             patterns: spec.terms[..spec.body_terms]
@@ -662,7 +687,7 @@ impl Frame {
     }
 
     /// The column pattern of body atom `idx`.
-    fn pattern(&self, spec: &CompiledSpec<'_>, idx: usize) -> &[Option<Value>] {
+    pub(crate) fn pattern(&self, spec: &CompiledSpec<'_>, idx: usize) -> &[Option<Value>] {
         &self.patterns[spec.atoms[idx].terms.clone()]
     }
 
@@ -678,7 +703,7 @@ impl Frame {
     }
 
     /// Unbind every slot bound since the trail was `mark` long.
-    fn undo(&mut self, spec: &CompiledSpec<'_>, mark: usize) {
+    pub(crate) fn undo(&mut self, spec: &CompiledSpec<'_>, mark: usize) {
         while self.trail.len() > mark {
             let slot = self.trail.pop().expect("longer than mark");
             self.assign(spec, slot, None);
@@ -687,7 +712,12 @@ impl Frame {
 
     /// Try to extend the bindings so body atom `idx` matches `tuple`;
     /// leaves them untouched on a mismatch.
-    fn match_atom(&mut self, spec: &CompiledSpec<'_>, idx: usize, tuple: &Tuple) -> bool {
+    pub(crate) fn match_atom(
+        &mut self,
+        spec: &CompiledSpec<'_>,
+        idx: usize,
+        tuple: &Tuple,
+    ) -> bool {
         let terms = &spec.terms[spec.atoms[idx].terms.clone()];
         debug_assert_eq!(terms.len(), tuple.arity());
         let mark = self.trail.len();
@@ -711,12 +741,15 @@ impl Frame {
         true
     }
 
-    fn valuation(&self, spec: &CompiledSpec<'_>) -> Valuation {
-        spec.vars
-            .iter()
-            .zip(&self.binds)
-            .filter_map(|(&var, value)| Some((var.clone(), value.clone()?)))
-            .collect()
+    pub(crate) fn valuation(&self, spec: &CompiledSpec<'_>) -> Valuation {
+        // Bound one by one: no intermediate vector.
+        let mut val = Valuation::new();
+        for (&var, value) in spec.vars.iter().zip(&self.binds) {
+            if let Some(value) = value {
+                val.bind(var.clone(), value.clone());
+            }
+        }
+        val
     }
 }
 
@@ -1112,20 +1145,32 @@ impl<'a, 'c> Ctx<'a, 'c> {
     }
 
     /// Collect mode: record txn `i`'s grounding if its updates apply in
-    /// order, decided by probing alone — an insert fails on a visible tuple,
-    /// and the last earlier update of that tuple, if any, says if it is.
-    fn collect_txn(&mut self, i: usize, overlay: &Overlay) -> Result<bool> {
+    /// order. On keyless tables that is decided by probing alone — an
+    /// insert fails on a visible tuple, and the last earlier update of
+    /// that tuple, if any, says if it is. An update of a keyed table is
+    /// applied and rolled back instead (the overlay's key rule).
+    fn collect_txn(&mut self, i: usize, overlay: &mut Overlay) -> Result<bool> {
         let (spec, frame) = (&self.specs[i], &self.frames[i]);
         let mut grounded = Vec::with_capacity(spec.updates().len());
         for a in spec.updates() {
             let tuple = spec.ground(a, |slot| frame.binds[slot].as_ref())?;
             grounded.push((a.rid, a.insert, tuple));
         }
-        let applies = grounded.iter().enumerate().all(|(k, (rid, insert, t))| {
-            let before = &grounded[..k];
-            let earlier = before.iter().rev().find(|u| u.0 == *rid && u.2 == *t);
-            !insert || !earlier.map_or_else(|| overlay.visible_id(self.base, *rid, t), |u| u.1)
-        });
+        let base = self.base;
+        let keyed = |rid: RelationId| !base.table_by_id(rid).schema().key_columns().is_empty();
+        let applies = if grounded.iter().any(|u| keyed(u.0)) {
+            let mark = overlay.mark();
+            let applied = (grounded.iter())
+                .all(|(rid, insert, t)| overlay.try_apply_id(base, *rid, *insert, t));
+            overlay.rollback(mark);
+            applied
+        } else {
+            grounded.iter().enumerate().all(|(k, (rid, insert, t))| {
+                let before = &grounded[..k];
+                let earlier = before.iter().rev().find(|u| u.0 == *rid && u.2 == *t);
+                !insert || !earlier.map_or_else(|| overlay.visible_id(base, *rid, t), |u| u.1)
+            })
+        };
         let Some((left, push)) = self.collect_first.as_mut().filter(|_| applies) else {
             return Ok(false); // set-semantics conflict: backtrack
         };

@@ -26,8 +26,9 @@ pub struct SolverStats {
     pub index_lookups: u64,
     /// Hot-path lookups that fell back to a table scan.
     pub scan_lookups: u64,
-    /// Candidate vectors materialized (legacy/reference path — the search
-    /// fast path keeps this at zero).
+    /// Candidate vectors materialized: always 0 — candidates stream, and
+    /// the materializing reference lives in the tests. The counter keeps
+    /// its slot in the metrics layout.
     pub candidate_vecs: u64,
     /// Candidates the lookahead rejected before applying their updates: a
     /// later member of the sequence could provably not ground under them.

@@ -106,7 +106,7 @@ fn retract_is_exact_for_private_tuples_and_refuses_cancelled_deltas() {
                     _ => continue,
                 }
             }
-            assert!(ov.same_deltas(&rebuild(&db, rid, &live)), "{label}");
+            assert!(ov == rebuild(&db, rid, &live), "{label}");
         }
     }
     assert!(

@@ -63,20 +63,6 @@ impl WriteOp {
     pub fn is_insert(&self) -> bool {
         matches!(self, WriteOp::Insert { .. })
     }
-
-    /// The inverse operation (used by tests to undo effects).
-    pub fn inverse(&self) -> WriteOp {
-        match self {
-            WriteOp::Insert { relation, tuple } => WriteOp::Delete {
-                relation: relation.clone(),
-                tuple: tuple.clone(),
-            },
-            WriteOp::Delete { relation, tuple } => WriteOp::Insert {
-                relation: relation.clone(),
-                tuple: tuple.clone(),
-            },
-        }
-    }
 }
 
 impl std::fmt::Display for WriteOp {
@@ -121,8 +107,8 @@ impl RelationId {
 /// An in-memory relational database: named tables with schemas.
 ///
 /// `Database` is `Clone`; a clone is a consistent snapshot. Cloning is
-/// O(database) — the read paths avoid it entirely by evaluating through
-/// [`crate::DeltaView`]s instead — and every clone is counted into a
+/// O(database) — the read paths avoid it entirely by evaluating over the
+/// base plus a delta instead — and every clone is counted into a
 /// counter shared by the whole clone family ([`Database::clone_count`]),
 /// so "this path performs zero database clones" is a checkable claim
 /// rather than a code-review one. Relation names are interned to dense
@@ -178,11 +164,6 @@ impl Database {
         self.names.get(relation).copied()
     }
 
-    /// Number of relations (ids are `0..relation_count()`).
-    pub fn relation_count(&self) -> usize {
-        self.tables.len()
-    }
-
     /// The name interned under `id`.
     ///
     /// # Panics
@@ -226,14 +207,6 @@ impl Database {
     /// Iterate over all tables in name order.
     pub fn tables(&self) -> impl Iterator<Item = &Table> + '_ {
         self.names.values().map(|id| &self.tables[id.index()])
-    }
-
-    /// Iterate over `(id, table)` pairs in id (creation) order.
-    pub fn tables_by_id(&self) -> impl Iterator<Item = (RelationId, &Table)> + '_ {
-        self.tables
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (RelationId(i as u32), t))
     }
 
     /// Insert a row. Returns whether the row was newly inserted.
@@ -371,7 +344,7 @@ mod tests {
         assert!(db.apply(&ins).unwrap());
         assert!(!db.apply(&ins).unwrap()); // duplicate
         assert!(db.contains("Available", &tuple![1, "1A"]));
-        let del = ins.inverse();
+        let del = WriteOp::delete("Available", tuple![1, "1A"]);
         assert!(db.apply(&del).unwrap());
         assert!(!db.apply(&del).unwrap()); // absent
         assert_eq!(db.total_rows(), 0);

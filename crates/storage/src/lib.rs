@@ -41,19 +41,17 @@ pub mod schema;
 pub mod table;
 pub mod tuple;
 pub mod value;
-pub mod view;
 pub mod wal;
 
 pub use database::{CloneCounter, Database, RelationId, WriteOp};
 pub use error::StorageError;
 pub use index::SecondaryIndex;
-pub use pattern::{Binding, ConjunctiveQuery, PatTerm, Pattern, QueryOutput};
+pub use pattern::{Binding, ConjunctiveQuery, PatTerm, Pattern, QueryOutput, TupleView};
 pub use recovery::{recover, RecoveredState};
 pub use schema::{Schema, ValueType};
 pub use table::{Table, TableCursor};
 pub use tuple::Tuple;
 pub use value::Value;
-pub use view::{DeltaView, TupleView};
 pub use wal::{FaultSink, LogRecord, LogSink, SinkFault, Wal};
 
 /// Convenience result alias used across the crate.

@@ -1,19 +1,58 @@
-//! Conjunctive queries over the database — the storage engine's query
-//! language.
+//! Conjunctive queries over a tuple source — the reference evaluator.
 //!
 //! The paper's prototype encodes its satisfiability checks as single SQL
-//! `SELECT … LIMIT 1` join queries (§4). This module is our equivalent: a
-//! conjunctive query is a list of relational patterns sharing variables;
-//! evaluation is a backtracking index-nested-loop join with dynamic atom
-//! ordering (most-constrained pattern first) and an optional `LIMIT`.
+//! `SELECT … LIMIT 1` join queries (§4). This module is the plain version
+//! of that: a conjunctive query is a list of relational patterns sharing
+//! variables; evaluation is a backtracking nested-loop join with dynamic
+//! atom ordering (most-constrained pattern first, exact counts, ties to
+//! the earlier pattern) and an optional `LIMIT`. The engine answers reads
+//! with the solver's read mode, which runs this same search on compiled
+//! frames; this evaluator stays as the independent oracle that read mode,
+//! the simulator's checker and the §5.2 IS baseline are held to.
 
 use std::collections::BTreeMap;
 
+use crate::database::Database;
 use crate::error::StorageError;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use crate::view::TupleView;
 use crate::Result;
+
+/// A source of tuples for [`ConjunctiveQuery::eval`]: the concrete
+/// [`Database`], or a test's or checker's own view of a possible world.
+///
+/// `matching_rows` yields the visible rows of a relation under a partial
+/// column binding; `count_rows` is the exact cardinality of that sequence
+/// (the most-constrained-first atom ordering depends on counts being
+/// exact).
+pub trait TupleView {
+    /// Arity of `relation`; error when the relation does not exist.
+    fn arity_of(&self, relation: &str) -> Result<usize>;
+
+    /// Exact count of visible rows matching `bound` (`Some(v)` pins a
+    /// column to `v`).
+    fn count_rows(&self, relation: &str, bound: &[Option<Value>]) -> Result<usize>;
+
+    /// Visible rows matching `bound`.
+    fn matching_rows(&self, relation: &str, bound: &[Option<Value>]) -> Result<Vec<Tuple>>;
+}
+
+impl TupleView for Database {
+    fn arity_of(&self, relation: &str) -> Result<usize> {
+        Ok(self.table(relation)?.schema().arity())
+    }
+
+    fn count_rows(&self, relation: &str, bound: &[Option<Value>]) -> Result<usize> {
+        // `count_up_to` with an unreachable cap is an exact count that
+        // reads an index bucket length when a single bound column is
+        // indexed (no row iteration).
+        Ok(self.table(relation)?.count_up_to(bound, usize::MAX).0)
+    }
+
+    fn matching_rows(&self, relation: &str, bound: &[Option<Value>]) -> Result<Vec<Tuple>> {
+        Ok(self.table(relation)?.select(bound).cloned().collect())
+    }
+}
 
 /// Query variable identifier. Variables are plain integers; the logic layer
 /// maps its named variables onto these.
@@ -160,10 +199,7 @@ impl ConjunctiveQuery {
         self
     }
 
-    /// Evaluate against a tuple view — the concrete [`crate::Database`]
-    /// or a [`crate::DeltaView`] composing a base with pending updates
-    /// (the §3.2.2 read paths evaluate possible worlds this way, without
-    /// materializing them).
+    /// Evaluate against a tuple view, in the view's row order.
     pub fn eval<V: TupleView + ?Sized>(&self, view: &V) -> Result<QueryOutput> {
         // Validate arities up front so evaluation can use debug asserts.
         for p in &self.patterns {
@@ -181,15 +217,6 @@ impl ConjunctiveQuery {
         let mut used = vec![false; self.patterns.len()];
         self.search(view, &mut binding, &mut used, &mut out)?;
         Ok(out)
-    }
-
-    /// Evaluate and report only whether any result exists (`LIMIT 1`).
-    pub fn satisfiable<V: TupleView + ?Sized>(&self, view: &V) -> Result<bool> {
-        let q = ConjunctiveQuery {
-            patterns: self.patterns.clone(),
-            limit: Some(1),
-        };
-        Ok(!q.eval(view)?.bindings.is_empty())
     }
 
     fn search<V: TupleView + ?Sized>(
@@ -335,7 +362,6 @@ mod tests {
         )])
         .with_limit(1);
         assert_eq!(q.eval(&db).unwrap().bindings.len(), 1);
-        assert!(q.satisfiable(&db).unwrap());
     }
 
     #[test]
@@ -345,7 +371,6 @@ mod tests {
             "Bookings",
             vec![PatTerm::val("Pluto"), PatTerm::Var(0), PatTerm::Var(1)],
         )]);
-        assert!(!q.satisfiable(&db).unwrap());
         assert!(q.eval(&db).unwrap().bindings.is_empty());
     }
 

@@ -21,7 +21,7 @@ pub enum Op {
         user: String,
     },
     /// Peek at the named user's booking (§3.2.2 option 2): answered from
-    /// one possible world through a delta view, never grounding anything.
+    /// one possible world, read in place, never grounding anything.
     Peek {
         /// The peeking user (booked earlier in the stream).
         user: String,

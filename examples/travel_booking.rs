@@ -8,8 +8,9 @@
 //! ```
 
 use quantum_db::core::enumerate_worlds;
-use quantum_db::logic::parse_transaction;
-use quantum_db::storage::{tuple, TupleView};
+use quantum_db::logic::{parse_query, parse_transaction};
+use quantum_db::solver::ReadSpec;
+use quantum_db::storage::tuple;
 use quantum_db::{QuantumDb, QuantumDbConfig, Session, Value};
 
 /// Figure 1's entangled booking as a prepared-statement template:
@@ -48,11 +49,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let donald = booking("Donald");
     let base = qdb.with_database(|db| db.clone());
     let w1 = enumerate_worlds(&base, &[&mickey], 100)?;
-    // Each world is a delta view over the one base: read Mickey's seat in it.
-    let seats: Vec<String> = (w1.worlds.iter())
-        .map(|world| world.matching_rows("Bookings", &[None, None, None]))
-        .map(|rows| rows.map(|rows| rows[0][2].to_string()))
-        .collect::<Result<_, _>>()?;
+    // Each world is an overlay on the one base: read Mickey's seat in it.
+    let query = parse_query("Bookings('Mickey', f, s)")?;
+    let read = ReadSpec::compile(&base, &query.atoms)?;
+    let seats: Vec<String> = (read.rows(&base, &w1.worlds).iter())
+        .map(|answers| answers[0][1].to_string())
+        .collect();
     println!(
         "after Mickey's transaction: {} possible worlds, Mickey in {}",
         w1.len(),

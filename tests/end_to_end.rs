@@ -6,7 +6,7 @@ use quantum_db::core::{
     enumerate_worlds, QuantumDb, QuantumDbConfig, Serializability, SharedQuantumDb,
 };
 use quantum_db::logic::{parse_query, parse_transaction};
-use quantum_db::storage::{tuple, TupleView, WriteOp};
+use quantum_db::storage::{tuple, WriteOp};
 use quantum_db::workload::{
     self, coordination_stats, make_pairs, run_is, run_quantum, ArrivalOrder, FlightsConfig,
     RunConfig,
@@ -93,10 +93,11 @@ fn possible_worlds_agree_with_engine_on_facade_types() {
         parse_transaction("-Available(1, s), +Bookings('a', 1, s) :-1 Available(1, s)").unwrap();
     let worlds = enumerate_worlds(&base, &[&t1], 10).unwrap();
     assert_eq!(worlds.len(), 3);
-    // Each world's view books 'a' on a seat of its own.
-    let mut seats: Vec<_> = (worlds.worlds.iter())
-        .map(|view| view.matching_rows("Bookings", &[None, None, None]).unwrap())
-        .map(|rows| rows[0][2].clone())
+    // Each world books 'a' on a seat of its own.
+    let query = parse_query("Bookings('a', f, s)").unwrap();
+    let read = quantum_db::solver::ReadSpec::compile(&base, &query.atoms).unwrap();
+    let mut seats: Vec<_> = (read.rows(&base, &worlds.worlds).into_iter())
+        .map(|answers| answers[0][1].clone())
         .collect();
     seats.sort();
     seats.dedup();

@@ -3,8 +3,9 @@
 //! that every statement class the driver issued has a histogram whose
 //! count equals the driver's own statement counter (off by one fails),
 //! that percentiles are ordered and non-zero, that the `parse` / `solve`
-//! / `apply` / `ground` phases were recorded, and that the JSONL trace
-//! sink received exactly one well-formed line per statement.
+//! / `apply` / `ground` / `read` phases were recorded (`read` once per
+//! read statement), and that the JSONL trace sink received exactly one
+//! well-formed line per statement.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -125,12 +126,16 @@ fn profile_counts_match_the_drivers_and_the_trace_has_one_line_per_statement() {
         assert!(s.p999_ns >= s.p99_ns, "{name}: p999 < p99");
         assert!(s.max_ns >= s.p999_ns, "{name}: max < p999");
     }
-    for need in ["parse", "solve", "apply", "ground"] {
+    for need in ["parse", "solve", "apply", "ground", "read"] {
         assert!(
             profile.phases.iter().any(|(name, _)| name == need),
             "phase {need} never recorded"
         );
     }
+    // Histogram-only: one observation per collapse read, PEEK and
+    // POSSIBLE, and never a span in the trace.
+    let reads = profile.phases.iter().find(|(name, _)| name == "read");
+    assert_eq!(reads.map(|(_, s)| s.count), Some(expected["SELECT"]));
 
     // One JSONL line per statement, in statement order, each carrying its
     // class and a balanced span list.
@@ -149,6 +154,7 @@ fn profile_counts_match_the_drivers_and_the_trace_has_one_line_per_statement() {
             "{sql}: {line}"
         );
         assert!(line.contains(",\"spans\":["), "{sql}: {line}");
+        assert!(!line.contains("\"phase\":\"read\""), "{sql}: {line}");
         let count = |c: char| line.matches(c).count();
         assert_eq!(count('{'), count('}'), "{sql}: {line}");
         assert_eq!(count('['), count(']'), "{sql}: {line}");
