@@ -68,13 +68,6 @@ pub struct QuantumDbConfig {
     pub serializability: Serializability,
     /// Assignment-choice heuristic.
     pub policy: GroundingPolicy,
-    /// Partition independent transactions (§4 "Quantum State"); disabling
-    /// this keeps one global composed body (ablation knob).
-    pub partitioning: bool,
-    /// Maintain per-partition solution caches (§4 "Solution Cache");
-    /// disabling re-solves from scratch on every admission (ablation
-    /// knob).
-    pub use_solution_cache: bool,
     /// Ground coordination partners jointly as soon as both are in the
     /// system (§5.1 entangled resource transactions).
     pub ground_on_partner_arrival: bool,
@@ -106,8 +99,6 @@ impl Default for QuantumDbConfig {
             k: 61,
             serializability: Serializability::default(),
             policy: GroundingPolicy::default(),
-            partitioning: true,
-            use_solution_cache: true,
             ground_on_partner_arrival: true,
             auto_index_threshold: 64,
             seed: 0,
@@ -136,8 +127,6 @@ mod tests {
         assert_eq!(c.k, 61); // MySQL's max joins, §4
         assert_eq!(c.serializability, Serializability::Semantic);
         assert_eq!(c.policy, GroundingPolicy::FirstFit);
-        assert!(c.partitioning);
-        assert!(c.use_solution_cache);
         assert!(c.ground_on_partner_arrival);
         assert_eq!(c.seed, 0, "seed 0 = historical deterministic behavior");
         assert_eq!(c.slow_op_threshold_us, 0, "slow-op log off by default");
@@ -147,6 +136,6 @@ mod tests {
     fn with_k_overrides_only_k() {
         let c = QuantumDbConfig::with_k(20);
         assert_eq!(c.k, 20);
-        assert!(c.partitioning);
+        assert!(c.ground_on_partner_arrival);
     }
 }

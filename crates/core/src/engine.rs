@@ -194,46 +194,39 @@ pub(crate) struct AdmitPlan {
 pub(crate) enum AdmitDecision {
     /// The newcomer admits; install this plan.
     Admitted(AdmitPlan),
-    /// The newcomer is refused. Carries the pending world when the
-    /// extension was given one — the refused search rolled it back to the
-    /// cached solution's virtual state, and the partition's valuations
-    /// are unchanged, so the caller puts it back (a refusal must not cost
-    /// the partition an O(pending) rebuild).
-    Refused(Option<qdb_solver::Overlay>),
+    /// The newcomer is refused. Carries the pending world — the refused
+    /// search rolled it back to the cached solution's virtual state, and
+    /// the partition's valuations are unchanged, so the caller puts it
+    /// back (a refusal must not cost the partition an O(pending) rebuild).
+    Refused(qdb_solver::Overlay),
 }
 
 /// Plan admitting `txn` against the merged view of its target partitions
 /// (§4 solution cache): extend the cached solution by the newcomer inside
 /// `world`, the merged partition's pending world
-/// ([`Partition::ensure_world`]; `None` when the cache is off), else
-/// re-solve the merged sequence plus the newcomer from scratch. `merged`
-/// must be sorted by transaction id (arrival order).
+/// ([`Partition::ensure_world`]), else re-solve the merged sequence plus
+/// the newcomer from scratch. `merged` must be sorted by transaction id
+/// (arrival order).
 pub(crate) fn plan_admission(
     solver: &mut Solver,
     db: &Database,
     merged: &[PendingTxn],
-    world: Option<qdb_solver::Overlay>,
+    mut world: qdb_solver::Overlay,
     txn: &ResourceTransaction,
 ) -> Result<AdmitDecision> {
-    let mut refused_overlay = None;
-    if let Some(mut overlay) = world {
-        // Extend the (merged) cached solution with the newcomer only, in
-        // the pending world — O(newcomer), not O(pending).
-        match solver.solve_in(db, &mut overlay, &[TxnSpec::required_only(txn)])? {
-            Some(sol) => {
-                // `solve_in` left the newcomer's updates applied: the
-                // overlay is already the post-admission virtual state.
-                return Ok(AdmitDecision::Admitted(AdmitPlan {
-                    valuations: sol.valuations,
-                    path: AdmitPath::Extension,
-                    overlay: Some(overlay),
-                }));
-            }
-            // The unsat search rolled the overlay back to the cached
-            // solution's virtual state — keep it for the refusal path.
-            None => refused_overlay = Some(overlay),
-        }
+    // Extend the (merged) cached solution with the newcomer only, in the
+    // pending world — O(newcomer), not O(pending).
+    if let Some(sol) = solver.solve_in(db, &mut world, &[TxnSpec::required_only(txn)])? {
+        // `solve_in` left the newcomer's updates applied: the overlay is
+        // already the post-admission virtual state.
+        return Ok(AdmitDecision::Admitted(AdmitPlan {
+            valuations: sol.valuations,
+            path: AdmitPath::Extension,
+            overlay: Some(world),
+        }));
     }
+    // The unsat search rolled the overlay back to the cached solution's
+    // virtual state — keep it for the refusal path.
     let mut specs: Vec<TxnSpec> = merged
         .iter()
         .map(|p| TxnSpec::required_only(&p.txn))
@@ -245,6 +238,6 @@ pub(crate) fn plan_admission(
             path: AdmitPath::FullResolve,
             overlay: None,
         }),
-        None => AdmitDecision::Refused(refused_overlay),
+        None => AdmitDecision::Refused(world),
     })
 }

@@ -639,7 +639,7 @@ pub(crate) fn apply_plan_to_partition(
     }
     let gone = p.txns.extract_if(.., |t| left(t)).collect();
     p.overlay_cache = plan.world;
-    debug_assert_eq!(p.txns.len(), p.cache.len());
+    debug_assert_eq!(p.txns.len(), p.cache.valuations.len());
     (plan.grounded, gone)
 }
 

@@ -373,7 +373,7 @@ mod tests {
         p1.merge(p2);
         let ids: Vec<u64> = p1.txns.iter().map(|t| t.id).collect();
         assert_eq!(ids, vec![1, 2, 3, 5, 7, 9]);
-        assert_eq!(p1.cache.len(), 6);
+        assert_eq!(p1.cache.valuations.len(), 6);
     }
 
     #[test]
@@ -432,6 +432,6 @@ mod tests {
         let (t, _v) = p.remove(0);
         assert_eq!(t.id, 1);
         assert_eq!(p.len(), 1);
-        assert_eq!(p.cache.len(), 1);
+        assert_eq!(p.cache.valuations.len(), 1);
     }
 }

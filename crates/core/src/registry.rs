@@ -126,19 +126,18 @@ impl Registry {
     }
 
     /// Atomically remove every entry `newcomer` may depend on (all of them
-    /// when `all` or for `GROUND ALL`'s `None`) and register `host` under a
-    /// fresh pid with their union footprint plus the newcomer's atoms. The
-    /// host is locked before the registry is released: nothing else can
-    /// reach it yet, and a later claim of it waits on the returned guard.
+    /// for `GROUND ALL`'s `None`) and register `host` under a fresh pid
+    /// with their union footprint plus the newcomer's atoms. The host is
+    /// locked before the registry is released: nothing else can reach it
+    /// yet, and a later claim of it waits on the returned guard.
     pub(crate) fn claim<'a>(
         &mut self,
         host: &'a Arc<Slot>,
         newcomer: Option<&ResourceTransaction>,
-        all: bool,
     ) -> Reserved<'a> {
         let targets = match newcomer {
-            Some(txn) if !all => self.overlapping(txn),
-            _ => self.pids.iter().map(|(&pid, &h)| (pid, h)).collect(),
+            Some(txn) => self.overlapping(txn),
+            None => self.pids.iter().map(|(&pid, &h)| (pid, h)).collect(),
         };
         let mut claimed = Vec::with_capacity(targets.len());
         let mut kept: Option<Handle> = None;
@@ -493,7 +492,7 @@ mod tests {
             for id in 0..100 {
                 let txn = random_txn(&mut rng, domain);
                 let host = Arc::new(Slot::default());
-                let (mut st, pid, claimed) = reg.claim(&host, Some(&txn), false);
+                let (mut st, pid, claimed) = reg.claim(&host, Some(&txn));
                 for (_, slot) in claimed {
                     st.part.merge(std::mem::take(&mut slot.state.lock().part));
                 }

@@ -523,8 +523,7 @@ impl SharedQuantumDb {
             // claim and drain it before this submit installs — the
             // reservation's targets stay exclusively ours until then.
             let host_slot = Arc::new(Slot::default());
-            let all = !self.core.config.partitioning;
-            let claim = |reg: &mut Registry| reg.claim(&host_slot, Some(txn), all);
+            let claim = |reg: &mut Registry| reg.claim(&host_slot, Some(txn));
             let (mut st, pid, targets) = self.registry(claim);
             let merged_from = targets.len();
             let mut host = Partition::new();
@@ -546,11 +545,8 @@ impl SharedQuantumDb {
                 let _gauge = self.enter_solve();
                 // The solution cache extends inside the pending world (a
                 // merge dropped it; it is rebuilt here).
-                let in_world = self.core.config.use_solution_cache;
-                if in_world {
-                    self.ensure_world(&mut host, &base.db)?;
-                }
-                let world = host.overlay_cache.take().filter(|_| in_world);
+                self.ensure_world(&mut host, &base.db)?;
+                let world = host.overlay_cache.take().expect("ensured");
                 let t_plan = std::time::Instant::now();
                 let decision = plan_admission(solver, &base.db, &host.txns, world, txn)?;
                 self.core.obs.phase(qdb_obs::Phase::Plan, t_plan.elapsed());
@@ -565,7 +561,7 @@ impl SharedQuantumDb {
                     // drain already happened, so count what occurred). The
                     // host's valuations are unchanged, so the rolled-back
                     // world is still its pending world.
-                    host.overlay_cache = overlay;
+                    host.overlay_cache = Some(overlay);
                     st.part = host;
                     st.left.push(txn.clone());
                     self.publish(pid, &mut st);
@@ -614,7 +610,7 @@ impl SharedQuantumDb {
                 }
             }
             host.overlay_cache = plan.overlay;
-            debug_assert_eq!(host.txns.len(), host.cache.len());
+            debug_assert_eq!(host.txns.len(), host.cache.valuations.len());
             st.part = host;
 
             {
@@ -937,7 +933,7 @@ impl SharedQuantumDb {
         // collapse's planned deletes can silently invalidate — breaking
         // the never-rolled-back guarantee.
         let host_slot = Arc::new(Slot::default());
-        let (mut host, host_pid, taken) = self.registry(|reg| reg.claim(&host_slot, None, true));
+        let (mut host, host_pid, taken) = self.registry(|reg| reg.claim(&host_slot, None));
         let mut parts: Vec<Partition> = taken
             .iter()
             .map(|(_, slot)| self.drain(slot))

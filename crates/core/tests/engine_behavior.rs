@@ -557,34 +557,24 @@ fn max_flexibility_preserves_adjacent_pairs() {
 #[test]
 fn deep_same_partition_admissions_extend_the_cache_and_stream_candidates() {
     // 32 bookings on one flight share one §4 partition, so the composed
-    // body grows with every admission. With the solution cache on, every
-    // one of them extends the cached solution — zero full re-solves at
-    // depth — and with it off every one re-solves the whole sequence, at
-    // a higher node cost. Either way the search streams its candidates:
-    // no candidate vector is ever materialized.
+    // body grows with every admission. Every one of them extends the
+    // cached solution — zero full re-solves at depth — and the search
+    // streams its candidates: no candidate vector is ever materialized.
     const DEPTH: usize = 32;
-    let mut nodes = Vec::new();
-    for cached in [true, false] {
-        let mut cfg = QuantumDbConfig::default();
-        cfg.use_solution_cache = cached;
-        let qdb = travel_engine(cfg);
-        let seats: Vec<Tuple> = (2..2 + DEPTH)
-            .map(|r| tuple![123, format!("{r}A")])
-            .collect();
-        qdb.bulk_insert("Available", seats).unwrap();
-        for i in 0..DEPTH {
-            assert!(qdb.submit(&book(&format!("U{i}"))).unwrap().is_committed());
-        }
-        let m = qdb.metrics();
-        assert_eq!(m.max_pending, DEPTH as u64, "cached={cached}");
-        assert_eq!(m.solver_candidate_vecs, 0, "cached={cached}");
-        assert!(m.solver_candidates_streamed > 0, "cached={cached}");
-        let (extended, resolved) = if cached { (DEPTH, 0) } else { (0, DEPTH) };
-        assert_eq!(m.cache_extensions, extended as u64, "cached={cached}");
-        assert_eq!(m.cache_full_resolves, resolved as u64, "cached={cached}");
-        nodes.push(m.solver_nodes);
+    let qdb = travel_engine(QuantumDbConfig::default());
+    let seats: Vec<Tuple> = (2..2 + DEPTH)
+        .map(|r| tuple![123, format!("{r}A")])
+        .collect();
+    qdb.bulk_insert("Available", seats).unwrap();
+    for i in 0..DEPTH {
+        assert!(qdb.submit(&book(&format!("U{i}"))).unwrap().is_committed());
     }
-    assert!(nodes[1] > nodes[0], "re-solving must cost more nodes");
+    let m = qdb.metrics();
+    assert_eq!(m.max_pending, DEPTH as u64);
+    assert_eq!(m.solver_candidate_vecs, 0);
+    assert!(m.solver_candidates_streamed > 0);
+    assert_eq!(m.cache_extensions, DEPTH as u64);
+    assert_eq!(m.cache_full_resolves, 0);
 }
 
 /// `travel_engine` grown to `rows` rows of three seats on flight 123.
@@ -615,61 +605,6 @@ fn peek_by_regrounding(qdb: &SharedQuantumDb, atoms: &[qdb_logic::Atom]) -> Rows
         world.apply_all(&ops.unwrap_or_default()).unwrap();
         eval_rows(&world, atoms)
     })
-}
-
-#[test]
-fn keyed_tables_hold_one_row_per_key_in_admission_peek_and_worlds() {
-    // `Holder` is keyed on the seat (API only: SQL tables are keyless), so
-    // a seat has one holder. One partition holds every booking.
-    let mut cfg = QuantumDbConfig::default();
-    cfg.partitioning = false;
-    let qdb = QuantumDb::new(cfg).unwrap().into_shared();
-    qdb.create_table(Schema::new("Seat", vec![("seat", ValueType::Str)]))
-        .unwrap();
-    let holder = Schema::new(
-        "Holder",
-        vec![("name", ValueType::Str), ("seat", ValueType::Str)],
-    );
-    qdb.create_table(holder.with_key(vec![1]).unwrap()).unwrap();
-    let seats = ["1A", "1B", "1C"].map(|s| tuple![s]);
-    qdb.bulk_insert("Seat", seats.to_vec()).unwrap();
-    qdb.bulk_insert("Holder", vec![tuple!["Goofy", "1C"]])
-        .unwrap();
-    let hold =
-        |name: &str| parse_transaction(&format!("+Holder('{name}', s) :-1 Seat(s)")).unwrap();
-    // Admission: Donald's first seat is Mickey's pending key, so he gets
-    // 1B; every seat's key is then held (1C by the base), so Pluto is
-    // refused rather than admitted into a key violation.
-    assert!(qdb.submit(&hold("Mickey")).unwrap().is_committed());
-    assert!(qdb.submit(&hold("Donald")).unwrap().is_committed());
-    assert_eq!(qdb.submit(&hold("Pluto")).unwrap(), SubmitOutcome::Aborted);
-
-    // PEEK reads the pending world in key (seat) order, not row order, as
-    // the reference evaluator does on the materialized world, and charges
-    // nothing to the solver.
-    let q = parse_query("Holder(n, s)").unwrap();
-    let solver_work = |m: qdb_core::Metrics| {
-        let lookups = (m.solver_index_lookups, m.solver_scan_lookups);
-        (m.solver_nodes, m.solver_candidates_streamed, lookups)
-    };
-    let before = solver_work(qdb.metrics());
-    let peeked = qdb.read_peek(&q.atoms, None).unwrap();
-    assert_eq!(solver_work(qdb.metrics()), before, "PEEK is not a solve");
-    let names: Vec<String> = (peeked.iter())
-        .map(|row| row.iter().next().unwrap().1.to_string())
-        .collect();
-    assert_eq!(names, ["'Mickey'", "'Donald'", "'Goofy'"]);
-    let got: Rows = (peeked.iter())
-        .map(|row| row.iter().map(|(v, c)| (v.id(), c.clone())).collect())
-        .collect();
-    assert_eq!(got, peek_by_regrounding(&qdb, &q.atoms));
-
-    // Worlds fork only into groundings that keep one holder per seat:
-    // Mickey and Donald split 1A and 1B.
-    assert_eq!(qdb.read_possible(&q.atoms, 100).unwrap().len(), 2);
-    qdb.ground_all().unwrap();
-    let holders = qdb.with_database(|db| db.table("Holder").unwrap().len());
-    assert_eq!(holders, 3);
 }
 
 #[test]

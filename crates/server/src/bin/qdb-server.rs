@@ -8,8 +8,7 @@
 //!
 //! Defaults: `--addr 127.0.0.1:5433`, `--workers 4`, `--prepared-cache
 //! 128` (per-connection prepared-statement LRU entries; `0` disables
-//! statement caching), engine defaults (k = 61, partitioning and solution
-//! cache on). `--slow-log N` promotes any operation over N microseconds
+//! statement caching), engine defaults (k = 61). `--slow-log N` promotes any operation over N microseconds
 //! into the engine's slow-op log; `--trace-out PATH` appends every
 //! finished operation to PATH as JSONL (see `docs/OBSERVABILITY.md`).
 //! Serving knobs: `--max-conns` is the admission limit (default 16384;

@@ -9,9 +9,9 @@
 //! aborted.
 //!
 //! A [`CachedSolution`] holds one valuation per pending transaction of a
-//! partition, in sequence order. The engine may keep several (the paper
-//! suggests computing extra solutions in the background to avoid
-//! from-scratch re-solves).
+//! partition, in sequence order. The engine extends it inside the
+//! partition's pending world ([`Solver::solve_in`] on the solution's
+//! virtual state) and falls back to [`CachedSolution::resolve`].
 
 use qdb_logic::{ResourceTransaction, Valuation};
 use qdb_storage::{Database, WriteOp};
@@ -30,21 +30,6 @@ pub struct CachedSolution {
 }
 
 impl CachedSolution {
-    /// Cache entry for an empty partition.
-    pub fn empty() -> Self {
-        CachedSolution::default()
-    }
-
-    /// Number of cached groundings.
-    pub fn len(&self) -> usize {
-        self.valuations.len()
-    }
-
-    /// True when no groundings are cached.
-    pub fn is_empty(&self) -> bool {
-        self.valuations.is_empty()
-    }
-
     /// All write ops of the cached groundings, in sequence order — the
     /// "virtual state" the next transaction would see.
     pub fn pending_ops(&self, txns: &[&ResourceTransaction]) -> Result<Vec<WriteOp>> {
@@ -54,29 +39,6 @@ impl CachedSolution {
             out.extend(txn.write_ops(val)?);
         }
         Ok(out)
-    }
-
-    /// Try to extend this cached solution with `new_txn` appended to the
-    /// sequence: solve only the newcomer against the cached virtual state.
-    /// On success the new valuation is appended and `Ok(true)` returned; on
-    /// failure the cache is untouched (`Ok(false)`) and the caller should
-    /// fall back to [`CachedSolution::resolve`].
-    pub fn try_extend(
-        &mut self,
-        solver: &mut Solver,
-        base: &Database,
-        txns: &[&ResourceTransaction],
-        new_txn: &ResourceTransaction,
-    ) -> Result<bool> {
-        let pre_ops = self.pending_ops(txns)?;
-        match solver.solve(base, &pre_ops, &[TxnSpec::required_only(new_txn)])? {
-            Some(sol) => {
-                self.valuations
-                    .push(sol.valuations.into_iter().next().expect("one spec"));
-                Ok(true)
-            }
-            None => Ok(false),
-        }
     }
 
     /// Solve the whole sequence from scratch.
@@ -91,22 +53,11 @@ impl CachedSolution {
         }))
     }
 
-    /// Is this cached solution still consistent with `base`?
-    pub fn verify(
-        &self,
-        solver: &mut Solver,
-        base: &Database,
-        txns: &[&ResourceTransaction],
-    ) -> Result<bool> {
-        let specs: Vec<TxnSpec> = txns.iter().map(|t| TxnSpec::required_only(t)).collect();
-        solver.verify(base, &[], &specs, &self.valuations)
-    }
-
     /// Drop the grounding at `index` (its transaction left the pending
     /// list). The remaining cached solution stays consistent when the
     /// removed transaction's updates were applied to the base exactly as
     /// cached *and* it was the sequence head; any other removal pattern
-    /// must be followed by `verify`/`resolve`.
+    /// must be followed by a re-verify or [`CachedSolution::resolve`].
     pub fn remove(&mut self, index: usize) -> Valuation {
         self.valuations.remove(index)
     }
@@ -115,6 +66,7 @@ impl CachedSolution {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Overlay;
     use qdb_logic::parse_transaction;
     use qdb_storage::{tuple, Schema, ValueType};
 
@@ -147,23 +99,49 @@ mod tests {
         .unwrap()
     }
 
+    /// Is `cache` a consistent grounding of `txns` on `db`?
+    fn verifies(
+        solver: &mut Solver,
+        db: &Database,
+        txns: &[&ResourceTransaction],
+        cache: &CachedSolution,
+    ) -> bool {
+        let specs: Vec<TxnSpec> = txns.iter().map(|t| TxnSpec::required_only(t)).collect();
+        solver.verify(db, &[], &specs, &cache.valuations).unwrap()
+    }
+
+    /// Extend `cache` by `txn` inside `world`, its virtual state, as the
+    /// engine's admission does; `false` leaves both untouched.
+    fn extend(
+        solver: &mut Solver,
+        db: &Database,
+        world: &mut Overlay,
+        cache: &mut CachedSolution,
+        txn: &ResourceTransaction,
+    ) -> bool {
+        let spec = TxnSpec::required_only(txn);
+        let Some(sol) = solver.solve_in(db, world, &[spec]).unwrap() else {
+            return false;
+        };
+        cache.valuations.extend(sol.valuations);
+        true
+    }
+
     #[test]
     fn extend_until_capacity_then_fail() {
         let db = tiny_db(&["1A", "1B"]);
         let mut solver = Solver::default();
-        let mut cache = CachedSolution::empty();
+        let (mut world, mut cache) = (Overlay::new(), CachedSolution::default());
         let t1 = book("U1");
         let t2 = book("U2");
         let t3 = book("U3");
-        let mut admitted: Vec<&ResourceTransaction> = Vec::new();
-        assert!(cache.try_extend(&mut solver, &db, &admitted, &t1).unwrap());
-        admitted.push(&t1);
-        assert!(cache.try_extend(&mut solver, &db, &admitted, &t2).unwrap());
-        admitted.push(&t2);
+        assert!(extend(&mut solver, &db, &mut world, &mut cache, &t1));
+        assert!(extend(&mut solver, &db, &mut world, &mut cache, &t2));
         // Two seats, two bookings: a third cannot extend.
-        assert!(!cache.try_extend(&mut solver, &db, &admitted, &t3).unwrap());
-        assert_eq!(cache.len(), 2);
-        assert!(cache.verify(&mut solver, &db, &admitted).unwrap());
+        let before = world.clone();
+        assert!(!extend(&mut solver, &db, &mut world, &mut cache, &t3));
+        assert_eq!((cache.valuations.len(), world), (2, before));
+        assert!(verifies(&mut solver, &db, &[&t1, &t2], &cache));
     }
 
     #[test]
@@ -183,21 +161,18 @@ mod tests {
         )
         .unwrap(); // must take 1A
         let mut solver = Solver::default();
-        let mut cache = CachedSolution::empty();
-        let mut admitted: Vec<&ResourceTransaction> = Vec::new();
-        assert!(cache.try_extend(&mut solver, &db, &admitted, &t1).unwrap());
-        admitted.push(&t1);
+        let (mut world, mut cache) = (Overlay::new(), CachedSolution::default());
+        assert!(extend(&mut solver, &db, &mut world, &mut cache, &t1));
         // The solver deterministically gave U1 seat 1A (first candidate).
         // Extension for U2 fails…
-        let extended = cache.try_extend(&mut solver, &db, &admitted, &t2).unwrap();
-        assert!(!extended);
+        assert!(!extend(&mut solver, &db, &mut world, &mut cache, &t2));
         // …but the full re-solve reassigns U1 to 1B and fits both.
-        admitted.push(&t2);
+        let admitted = [&t1, &t2];
         let resolved = CachedSolution::resolve(&mut solver, &db, &admitted)
             .unwrap()
             .expect("jointly satisfiable");
-        assert_eq!(resolved.len(), 2);
-        assert!(resolved.verify(&mut solver, &db, &admitted).unwrap());
+        assert_eq!(resolved.valuations.len(), 2);
+        assert!(verifies(&mut solver, &db, &admitted, &resolved));
     }
 
     #[test]
@@ -209,10 +184,10 @@ mod tests {
         let cache = CachedSolution::resolve(&mut solver, &db, &admitted)
             .unwrap()
             .unwrap();
-        assert!(cache.verify(&mut solver, &db, &admitted).unwrap());
+        assert!(verifies(&mut solver, &db, &admitted, &cache));
         // Someone blind-deletes the seat out from under the cache.
         db.delete("Available", &tuple![1, "1A"]).unwrap();
-        assert!(!cache.verify(&mut solver, &db, &admitted).unwrap());
+        assert!(!verifies(&mut solver, &db, &admitted, &cache));
     }
 
     #[test]
@@ -229,6 +204,6 @@ mod tests {
         let ops = t1.write_ops(&cache.valuations[0]).unwrap();
         db.apply_all(&ops).unwrap();
         cache.remove(0);
-        assert!(cache.verify(&mut solver, &db, &[&t2]).unwrap());
+        assert!(verifies(&mut solver, &db, &[&t2], &cache));
     }
 }

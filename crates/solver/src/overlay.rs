@@ -26,23 +26,17 @@
 //! them through a range over that value rather than a filter over every
 //! pending update; a fully bound pattern is a membership probe.
 //!
-//! # Keys
-//!
-//! A table keyed on a column subset ([`qdb_storage::Schema::with_key`])
-//! holds at most one row per key, so an insert whose key a visible row
-//! already holds is a conflict, exactly as inserting a visible row is.
-//! SQL tables are keyless (the key is the whole row), where the two rules
-//! coincide and the transition pays one branch for keys.
+//! A table's key is its whole row (§3.2.1's set semantics), so one insert
+//! rule covers every table: inserting a visible row is a conflict.
 //!
 //! # Two candidate orders
 //!
 //! The grounding search streams base rows first, then overlay inserts
 //! ([`Overlay::stream`]): that order decides which seats it picks. Read
 //! mode ([`crate::ReadSpec`]) streams the rows of the composed state in
-//! its key order, base rows and inserts merged (`Overlay::read_stream`),
+//! tuple order, base rows and inserts merged (`Overlay::read_stream`),
 //! which is the order a table holding that state iterates in.
 
-use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 use std::ops::Bound;
@@ -193,7 +187,7 @@ impl Overlay {
     /// Open a **streaming** candidate cursor over the visible tuples of
     /// `rid` matching `bound`: an index-narrowed base cursor with overlay
     /// deletes filtered in place, chained with the overlay insert set —
-    /// base rows first (in key order), then inserts (in tuple order), one
+    /// base rows first, then inserts, each in tuple order, one
     /// refcount-bump [`Tuple`] at a time, zero per-node vectors. A fully
     /// bound pattern is resolved here, by one membership probe, to the
     /// zero or one tuple the walk would yield.
@@ -222,12 +216,11 @@ impl Overlay {
     }
 
     /// Open a **read-mode** cursor over the visible tuples of `rid`
-    /// matching `bound`, in the composed state's key order: the
-    /// index-narrowed base cursor, overlay deletes filtered in place,
-    /// merged by key with the matching overlay inserts. That is the order
-    /// a table holding the composed state iterates in, so a read answers
-    /// as it would on the materialized world. `bound` must have the
-    /// relation's arity.
+    /// matching `bound`, in tuple order: the index-narrowed base cursor,
+    /// overlay deletes filtered in place, merged with the matching overlay
+    /// inserts. That is the order a table holding the composed state
+    /// iterates in, so a read answers as it would on the materialized
+    /// world. `bound` must have the relation's arity.
     ///
     /// The cursor borrows the overlay: read mode never mutates it. The
     /// pattern is passed to each [`ReadIter::next`], as for
@@ -238,32 +231,16 @@ impl Overlay {
         rid: RelationId,
         bound: &[Option<Value>],
     ) -> ReadIter<'a> {
-        let table = base.table_by_id(rid);
-        let key = table.schema().key_columns();
         let rel = self.rel(rid);
-        let inserts = match rel.map(|r| &r.inserts) {
-            // Keyless: tuple order is key order.
-            Some(set) if key.is_empty() => {
-                Inserts::Range(set.range::<[Value], _>(lower_bound(bound, None)))
-            }
-            Some(set) => {
-                let mut keyed: Vec<&Tuple> =
-                    (set.iter()).filter(|t| Table::matches(t, bound)).collect();
-                keyed.sort_unstable_by(|a, b| key_cmp(key, a, b));
-                Inserts::Sorted(keyed.into_iter())
-            }
-            None => Inserts::Sorted(Vec::new().into_iter()),
-        };
         let mut merge = ReadIter {
-            key,
-            base: table.cursor(bound),
+            base: base.table_by_id(rid).cursor(bound),
             deletes: rel.map(|r| &r.deletes),
-            inserts,
+            inserts: rel.map(|r| r.inserts.range::<[Value], _>(lower_bound(bound, None))),
             next_base: None,
             next_insert: None,
         };
         merge.next_base = merge.pull_base(bound);
-        merge.next_insert = merge.inserts.next(bound);
+        merge.next_insert = merge.pull_insert(bound);
         merge
     }
 
@@ -321,9 +298,9 @@ impl Overlay {
     /// Apply a write op on the virtual state (resolves the relation name
     /// once; hot paths use [`Overlay::apply_id`]).
     ///
-    /// * insert of a visible tuple, or into a keyed table under a key a
-    ///   visible row holds → `Err` — set semantics make the grounding
-    ///   that produced this op inconsistent, the caller backtracks;
+    /// * insert of a visible tuple → `Err` — set semantics make the
+    ///   grounding that produced this op inconsistent, the caller
+    ///   backtracks;
     /// * insert that re-creates a deleted tuple → cancels the delete;
     /// * delete of an overlay-inserted tuple → cancels the insert;
     /// * delete of an absent tuple → journaled no-op (blind deletes are
@@ -357,8 +334,8 @@ impl Overlay {
 
     /// The state transition behind [`Overlay::apply_id`] and
     /// [`Overlay::try_apply_id`]: `Some(changed)` once journaled, `None`
-    /// when an insert would duplicate a visible tuple or its key (nothing
-    /// changed, nothing journaled). Each delta set is touched at most once.
+    /// when an insert would duplicate a visible tuple (nothing changed,
+    /// nothing journaled). Each delta set is touched at most once.
     fn transition(
         &mut self,
         base: &Database,
@@ -366,11 +343,7 @@ impl Overlay {
         insert: bool,
         tuple: &Tuple,
     ) -> Option<bool> {
-        let table = base.table_by_id(rid);
-        if insert && !table.schema().key_columns().is_empty() && self.key_held(table, rid, tuple) {
-            return None;
-        }
-        let in_base = || table.contains(tuple);
+        let in_base = || base.table_by_id(rid).contains(tuple);
         let rel = self.rel_mut(rid);
         let tuple = tuple.clone();
         let undo = if insert {
@@ -391,20 +364,6 @@ impl Overlay {
         let changed = !matches!(undo, Undo::Noop);
         self.journal.push(undo);
         Some(changed)
-    }
-
-    /// Does a visible row of keyed `table` hold `tuple`'s key? Walks the
-    /// relation's inserts: keyed tables are few and come only through the
-    /// API.
-    fn key_held(&self, table: &Table, rid: RelationId, tuple: &Tuple) -> bool {
-        let rel = self.rel(rid);
-        let schema = table.schema();
-        let in_base = table.get_by_key(&schema.key_of(tuple));
-        in_base.is_some_and(|row| !rel.is_some_and(|r| r.deletes.contains(row)))
-            || rel.is_some_and(|r| {
-                let key = schema.key_columns();
-                (r.inserts.iter()).any(|row| key_cmp(key, row, tuple) == Ordering::Equal)
-            })
     }
 
     /// Apply an op, treating an insert-conflict as a soft failure (`false`)
@@ -473,8 +432,8 @@ impl Overlay {
     }
 
     /// The deltas on `rid` as `(is_insert, tuple)`: the deletes, then the
-    /// inserts — an order that replays onto another overlay without a
-    /// transient key clash.
+    /// inserts, each in tuple order — the order [`Overlay::commit_into`]
+    /// applies them in.
     pub fn deltas_of(&self, rid: RelationId) -> impl Iterator<Item = (bool, &Tuple)> {
         self.rel(rid).into_iter().flat_map(|rel| {
             let deletes = rel.deletes.iter().map(|t| (false, t));
@@ -533,15 +492,6 @@ impl Hash for Overlay {
             (rel.deletes.iter().chain(&rel.inserts)).for_each(|row| row.hash(state));
         }
     }
-}
-
-/// Compare two rows of one table by its key columns (`key` empty: the
-/// whole row is the key) — the order the table iterates its rows in.
-fn key_cmp(key: &[usize], a: &Tuple, b: &Tuple) -> Ordering {
-    if key.is_empty() {
-        return a.cmp(b);
-    }
-    (key.iter().map(|&c| &a[c])).cmp(key.iter().map(|&c| &b[c]))
 }
 
 /// Reconstruct a [`RelationId`] from a dense index (the overlay's vector
@@ -657,48 +607,24 @@ impl<'a> CandidateIter<'a> {
 }
 
 /// Read-mode cursor — see [`Overlay::read_stream`]. Each side holds its
-/// next matching row, and the smaller key goes first. Keys never tie: an
-/// insert is recorded only where no visible row holds its key.
+/// next matching row, and the smaller tuple goes first. They never tie:
+/// an insert is recorded only where the base lacks the tuple.
 #[derive(Debug)]
 pub(crate) struct ReadIter<'a> {
-    key: &'a [usize],
     base: TableCursor<'a>,
     deletes: Option<&'a BTreeSet<Tuple>>,
-    inserts: Inserts<'a>,
+    /// The relation's insert set from the pattern's leading value on.
+    inserts: Option<std::collections::btree_set::Range<'a, Tuple>>,
     next_base: Option<&'a Tuple>,
     next_insert: Option<&'a Tuple>,
 }
 
-/// The overlay inserts a [`ReadIter`] walks, in key order.
-#[derive(Debug)]
-enum Inserts<'a> {
-    /// A keyless relation's insert set from the pattern's leading value
-    /// on: tuple order is key order.
-    Range(std::collections::btree_set::Range<'a, Tuple>),
-    /// A keyed relation's matching inserts, sorted by key when opened.
-    Sorted(std::vec::IntoIter<&'a Tuple>),
-}
-
-impl<'a> Inserts<'a> {
-    fn next(&mut self, bound: &[Option<Value>]) -> Option<&'a Tuple> {
-        match self {
-            Inserts::Range(range) => {
-                let lead = bound.first().and_then(Option::as_ref);
-                range
-                    .take_while(|t| lead.is_none_or(|v| &t[0] == v))
-                    .find(|t| Table::matches(t, bound))
-            }
-            Inserts::Sorted(rows) => rows.next(),
-        }
-    }
-}
-
 impl<'a> ReadIter<'a> {
-    /// The next visible row in key order, or `None` when exhausted.
+    /// The next visible row in tuple order, or `None` when exhausted.
     /// `bound` must be the pattern the cursor was opened with.
     pub(crate) fn next(&mut self, bound: &[Option<Value>]) -> Option<&'a Tuple> {
         let take_base = match (self.next_base, self.next_insert) {
-            (Some(b), Some(i)) => key_cmp(self.key, b, i) == Ordering::Less,
+            (Some(b), Some(i)) => b < i,
             (Some(_), None) => true,
             (None, Some(_)) => false,
             (None, None) => return None,
@@ -707,9 +633,16 @@ impl<'a> ReadIter<'a> {
             let next = self.pull_base(bound);
             std::mem::replace(&mut self.next_base, next)
         } else {
-            let next = self.inserts.next(bound);
+            let next = self.pull_insert(bound);
             std::mem::replace(&mut self.next_insert, next)
         }
+    }
+
+    fn pull_insert(&mut self, bound: &[Option<Value>]) -> Option<&'a Tuple> {
+        let lead = bound.first().and_then(Option::as_ref);
+        (self.inserts.as_mut()?)
+            .take_while(|t| lead.is_none_or(|v| &t[0] == v))
+            .find(|t| Table::matches(t, bound))
     }
 
     fn pull_base(&mut self, bound: &[Option<Value>]) -> Option<&'a Tuple> {
@@ -975,30 +908,6 @@ mod tests {
         ov.commit_into(&mut db).unwrap();
         assert!(!db.contains("A", &tuple![1, "1A"]));
         assert!(db.contains("A", &tuple![7, "7A"]));
-    }
-
-    #[test]
-    fn key_violations_match_the_concrete_table() {
-        let mut db = Database::new();
-        let cols = vec![("name", ValueType::Str), ("seat", ValueType::Str)];
-        let keyed = Schema::new("B", cols).with_key(vec![0]).unwrap();
-        db.create_table(keyed).unwrap();
-        db.insert("B", tuple!["Mickey", "5A"]).unwrap();
-        let mut ov = Overlay::new();
-        // Same key, different row: a conflict (a violation in the table).
-        assert!(!ov.try_apply(&db, &WriteOp::insert("B", tuple!["Mickey", "5B"])));
-        assert!(db.clone().insert("B", tuple!["Mickey", "5B"]).is_err());
-        // A delete frees the key for a different row.
-        assert!(ov.try_apply(&db, &WriteOp::delete("B", tuple!["Mickey", "5A"])));
-        assert!(ov.try_apply(&db, &WriteOp::insert("B", tuple!["Mickey", "5B"])));
-        assert!(ov.visible(&db, "B", &tuple!["Mickey", "5B"]));
-        assert!(!ov.visible(&db, "B", &tuple!["Mickey", "5A"]));
-        // A second different row under the key conflicts again, and so
-        // does re-inserting the deleted base row.
-        assert!(!ov.try_apply(&db, &WriteOp::insert("B", tuple!["Mickey", "5C"])));
-        assert!(!ov.try_apply(&db, &WriteOp::insert("B", tuple!["Mickey", "5A"])));
-        // Other keys are free.
-        assert!(ov.try_apply(&db, &WriteOp::insert("B", tuple!["Goofy", "5A"])));
     }
 
     #[test]

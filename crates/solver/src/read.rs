@@ -6,8 +6,8 @@
 //! world. [`ReadSpec`] compiles the query's atoms once into a body-only
 //! compiled spec — relation ids, dense variable slots — and enumerates its
 //! bindings on the kernel's frames over `(base, &Overlay)`. Nothing is
-//! looked up by name and no binding map is grown; a node allocates nothing
-//! on keyless tables, and the search stops at `LIMIT`.
+//! looked up by name and no binding map is grown; a node allocates
+//! nothing, and the search stops at `LIMIT`.
 //!
 //! # Same answers, same order
 //!
@@ -19,9 +19,9 @@
 //! * the next atom is the unused one with the fewest visible matches,
 //!   counted exactly — no cap, and a lone remaining atom is counted too —
 //!   and a tie goes to the earlier atom; a count of zero ends the choice;
-//! * candidates come in the composed state's key order
-//!   (`Overlay::read_stream`), not in the grounding search's base-first
-//!   order;
+//! * candidates come in tuple order, base rows and inserts merged
+//!   (`Overlay::read_stream`) as the materialized table would hold them,
+//!   not in the grounding search's base-first order;
 //! * an answer is emitted once every atom matched, and the search stops
 //!   as soon as `LIMIT` answers are out.
 //!

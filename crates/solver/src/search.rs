@@ -1145,11 +1145,10 @@ impl<'a, 'c> Ctx<'a, 'c> {
     }
 
     /// Collect mode: record txn `i`'s grounding if its updates apply in
-    /// order. On keyless tables that is decided by probing alone — an
-    /// insert fails on a visible tuple, and the last earlier update of
-    /// that tuple, if any, says if it is. An update of a keyed table is
-    /// applied and rolled back instead (the overlay's key rule).
-    fn collect_txn(&mut self, i: usize, overlay: &mut Overlay) -> Result<bool> {
+    /// order, decided by probing alone — an insert fails on a visible
+    /// tuple, and the last earlier update of that tuple, if any, says if
+    /// it is.
+    fn collect_txn(&mut self, i: usize, overlay: &Overlay) -> Result<bool> {
         let (spec, frame) = (&self.specs[i], &self.frames[i]);
         let mut grounded = Vec::with_capacity(spec.updates().len());
         for a in spec.updates() {
@@ -1157,20 +1156,11 @@ impl<'a, 'c> Ctx<'a, 'c> {
             grounded.push((a.rid, a.insert, tuple));
         }
         let base = self.base;
-        let keyed = |rid: RelationId| !base.table_by_id(rid).schema().key_columns().is_empty();
-        let applies = if grounded.iter().any(|u| keyed(u.0)) {
-            let mark = overlay.mark();
-            let applied = (grounded.iter())
-                .all(|(rid, insert, t)| overlay.try_apply_id(base, *rid, *insert, t));
-            overlay.rollback(mark);
-            applied
-        } else {
-            grounded.iter().enumerate().all(|(k, (rid, insert, t))| {
-                let before = &grounded[..k];
-                let earlier = before.iter().rev().find(|u| u.0 == *rid && u.2 == *t);
-                !insert || !earlier.map_or_else(|| overlay.visible_id(base, *rid, t), |u| u.1)
-            })
-        };
+        let applies = grounded.iter().enumerate().all(|(k, (rid, insert, t))| {
+            let before = &grounded[..k];
+            let earlier = before.iter().rev().find(|u| u.0 == *rid && u.2 == *t);
+            !insert || !earlier.map_or_else(|| overlay.visible_id(base, *rid, t), |u| u.1)
+        });
         let Some((left, push)) = self.collect_first.as_mut().filter(|_| applies) else {
             return Ok(false); // set-semantics conflict: backtrack
         };

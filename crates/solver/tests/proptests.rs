@@ -2,8 +2,9 @@
 //! sequences: soundness (returned solutions verify and replay cleanly on
 //! the real database), agreement between atom orderings, soundness of
 //! solution-cache extension (Theorem 3.5: a sequence admitted step by
-//! step through `try_extend` is satisfiable from scratch and its cached
-//! valuations verify at every step), enumeration validity, and that
+//! step through `Solver::solve_in` on a maintained overlay, as admission
+//! does, is satisfiable from scratch and its cached valuations verify at
+//! every step), enumeration validity, and that
 //! enumeration keeps exactly the groundings whose updates apply in order.
 //!
 //! The `proptest` crate is not vendored in this offline workspace, so the
@@ -11,7 +12,7 @@
 //! case seed).
 
 use qdb_logic::{parse_transaction, ResourceTransaction, VarGen};
-use qdb_solver::{AtomOrder, CachedSolution, Solver, TxnSpec};
+use qdb_solver::{AtomOrder, CachedSolution, Overlay, Solver, TxnSpec};
 use qdb_storage::{tuple, Database, Schema, ValueType};
 
 /// splitmix64 — tiny, seedable, good enough for case generation.
@@ -139,9 +140,11 @@ fn solutions_verify_and_replay_and_orderings_agree() {
     assert!(sat > 20 && unsat > 20, "sat {sat}, unsat {unsat}");
 }
 
-/// Theorem 3.5 as the cache uses it: every sequence admitted one
-/// transaction at a time through `try_extend` verifies as a whole and is
-/// satisfiable from scratch; a refused extension leaves the cache intact.
+/// Theorem 3.5 as admission uses it: every sequence admitted one
+/// transaction at a time through `solve_in` on the maintained pending
+/// world verifies as a whole and is satisfiable from scratch, and the
+/// world stays the virtual state of the cached valuations; a refused
+/// extension leaves the cache and the world intact.
 #[test]
 fn cache_extension_is_sound() {
     let (mut admitted_total, mut refused_total) = (0, 0);
@@ -149,28 +152,32 @@ fn cache_extension_is_sound() {
         let mut rng = Rng(0x5020_0000 ^ case);
         let db = seats_db(2, 1);
         let mut solver = Solver::default();
-        let mut cache = CachedSolution::empty();
+        let (mut world, mut cache) = (Overlay::new(), CachedSolution::default());
         let mut admitted: Vec<ResourceTransaction> = Vec::new();
         for txn in random_bookings(&mut rng) {
-            let refs: Vec<&ResourceTransaction> = admitted.iter().collect();
-            if !cache.try_extend(&mut solver, &db, &refs, &txn).unwrap() {
+            let before = world.clone();
+            let spec = TxnSpec::required_only(&txn);
+            let Some(sol) = solver.solve_in(&db, &mut world, &[spec]).unwrap() else {
                 refused_total += 1;
-                assert_eq!(
-                    cache.len(),
-                    admitted.len(),
-                    "case {case}: refused extension"
-                );
+                assert_eq!(world, before, "case {case}: refused extension");
                 continue;
-            }
+            };
             admitted_total += 1;
+            cache.valuations.extend(sol.valuations);
             admitted.push(txn);
             let refs: Vec<&ResourceTransaction> = admitted.iter().collect();
-            assert_eq!(cache.len(), refs.len(), "case {case}");
+            assert_eq!(cache.valuations.len(), refs.len(), "case {case}");
+            let specs: Vec<TxnSpec> = refs.iter().map(|t| TxnSpec::required_only(t)).collect();
             assert!(
-                cache.verify(&mut solver, &db, &refs).unwrap(),
+                solver.verify(&db, &[], &specs, &cache.valuations).unwrap(),
                 "case {case}: extended cache fails verify at depth {}",
                 refs.len()
             );
+            let mut rebuilt = Overlay::new();
+            for op in cache.pending_ops(&refs).unwrap() {
+                rebuilt.apply(&db, &op).unwrap();
+            }
+            assert_eq!(world, rebuilt, "case {case}: world drifted from the cache");
             assert!(
                 CachedSolution::resolve(&mut solver, &db, &refs)
                     .unwrap()

@@ -169,10 +169,8 @@ pub fn put_schema(buf: &mut BytesMut, s: &Schema) {
         put_string(buf, &c.name);
         put_value_type(buf, c.ty);
     }
-    buf.put_u32_le(s.key_columns().len() as u32);
-    for &k in s.key_columns() {
-        buf.put_u32_le(k as u32);
-    }
+    // Key count: a table's key is its whole row, written as no columns.
+    buf.put_u32_le(0);
 }
 
 /// Read a [`Schema`].
@@ -190,28 +188,21 @@ pub fn get_schema(buf: &mut impl Buf) -> Result<Schema> {
         columns.push((name, ty));
     }
     need(buf, 4, "key count")?;
-    let nkeys = buf.get_u32_le() as usize;
-    if nkeys > ncols {
-        return Err(StorageError::Codec("key larger than arity".into()));
-    }
-    let mut key = Vec::with_capacity(nkeys);
-    for _ in 0..nkeys {
-        need(buf, 4, "key column")?;
-        key.push(buf.get_u32_le() as usize);
+    let nkeys = buf.get_u32_le();
+    if nkeys != 0 {
+        return Err(StorageError::Codec(format!(
+            "schema of '{relation}' names {nkeys} key columns; a table's key is its whole row"
+        )));
     }
     let borrowed: Vec<(&str, ValueType)> = columns.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-    let schema = Schema::new(relation, borrowed);
-    if key.is_empty() {
-        Ok(schema)
-    } else {
-        schema.with_key(key)
-    }
+    Ok(Schema::new(relation, borrowed))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tuple;
+    use crate::wal::LogRecord;
 
     #[test]
     fn crc32_known_vectors() {
@@ -269,7 +260,7 @@ mod tests {
     }
 
     #[test]
-    fn schema_roundtrip_with_key() {
+    fn keyless_schema_roundtrips_and_nonzero_key_counts_are_refused() {
         let s = Schema::new(
             "Bookings",
             vec![
@@ -277,13 +268,26 @@ mod tests {
                 ("flight", ValueType::Int),
                 ("seat", ValueType::Str),
             ],
-        )
-        .with_key(vec![0, 1])
-        .unwrap();
-        let mut buf = BytesMut::new();
-        put_schema(&mut buf, &s);
-        let mut slice = buf.freeze();
-        assert_eq!(get_schema(&mut slice).unwrap(), s);
+        );
+        let record = LogRecord::CreateTable(s.clone()).encode();
+        // The payload ends in the schema's key-count word, written as 0.
+        let (head, count) = record.split_at(record.len() - 4);
+        assert_eq!(count, 0u32.to_le_bytes());
+        assert_eq!(
+            LogRecord::decode(&record).unwrap(),
+            LogRecord::CreateTable(s)
+        );
+        // A non-zero count (a column-subset key) is a typed codec error,
+        // not a panic or a silently keyless table — also when the column
+        // list it announces is missing.
+        for (count, columns) in [(2u32, &[0u32, 1][..]), (1, &[]), (7, &[])] {
+            let mut bad = head.to_vec();
+            for word in std::iter::once(count).chain(columns.iter().copied()) {
+                bad.extend(word.to_le_bytes());
+            }
+            let err = LogRecord::decode(&bad).unwrap_err();
+            assert!(matches!(err, StorageError::Codec(_)), "{count}: {err}");
+        }
     }
 
     #[test]

@@ -241,7 +241,7 @@ impl Database {
     }
 
     /// Apply a write op. Inserts of already-present rows and deletes of
-    /// absent rows are no-ops (`Ok(false)`), key violations are errors.
+    /// absent rows are no-ops (`Ok(false)`); schema mismatches are errors.
     pub fn apply(&mut self, op: &WriteOp) -> Result<bool> {
         match op {
             WriteOp::Insert { relation, tuple } => self.insert(relation, tuple.clone()),

@@ -25,19 +25,12 @@ pub enum StorageError {
         /// Column index of the offending value.
         column: usize,
     },
-    /// Insert would create a second row with the same key.
-    KeyViolation {
-        /// Relation name.
-        relation: String,
-        /// Rendered key values.
-        key: String,
-    },
     /// Delete of a row that is not present.
     NoSuchRow {
         /// Relation name.
         relation: String,
     },
-    /// Schema descriptor is itself invalid (bad key column, empty name, …).
+    /// Schema descriptor is itself invalid (bad index column, …).
     InvalidSchema(String),
     /// A log frame failed its checksum or was truncated mid-frame.
     CorruptLog {
@@ -67,12 +60,6 @@ impl fmt::Display for StorageError {
             ),
             StorageError::TypeMismatch { relation, column } => {
                 write!(f, "type mismatch on '{relation}' column {column}")
-            }
-            StorageError::KeyViolation { relation, key } => {
-                write!(
-                    f,
-                    "key violation on '{relation}': key {key} already present"
-                )
             }
             StorageError::NoSuchRow { relation } => {
                 write!(f, "row not present in '{relation}'")

@@ -10,7 +10,7 @@ use crate::tuple::Tuple;
 use crate::value::Value;
 
 /// A secondary index over one column, mapping each column value to the set
-/// of row keys carrying that value.
+/// of rows carrying that value (a row is its own key).
 #[derive(Debug, Clone, Default)]
 pub struct SecondaryIndex {
     column: usize,
@@ -31,23 +31,23 @@ impl SecondaryIndex {
         self.column
     }
 
-    /// Record `row` (with key `key`) in the index.
-    pub fn insert(&mut self, key: &Tuple, row: &Tuple) {
+    /// Record `row` in the index.
+    pub fn insert(&mut self, row: &Tuple) {
         let v = row[self.column].clone();
-        self.map.entry(v).or_default().insert(key.clone());
+        self.map.entry(v).or_default().insert(row.clone());
     }
 
-    /// Remove `row` (with key `key`) from the index.
-    pub fn remove(&mut self, key: &Tuple, row: &Tuple) {
+    /// Remove `row` from the index.
+    pub fn remove(&mut self, row: &Tuple) {
         if let Some(set) = self.map.get_mut(&row[self.column]) {
-            set.remove(key);
+            set.remove(row);
             if set.is_empty() {
                 self.map.remove(&row[self.column]);
             }
         }
     }
 
-    /// Keys of rows whose indexed column equals `v`.
+    /// Rows whose indexed column equals `v`, in tuple order.
     pub fn lookup(&self, v: &Value) -> Option<&BTreeSet<Tuple>> {
         self.map.get(v)
     }
@@ -80,16 +80,16 @@ mod tests {
         let r2 = tuple!["Donald", 123, "5B"];
         let r3 = tuple!["Goofy", 77, "1A"];
         for r in [&r1, &r2, &r3] {
-            ix.insert(r, r);
+            ix.insert(r);
         }
         assert_eq!(ix.selectivity(&Value::from(123)), 2);
         assert_eq!(ix.selectivity(&Value::from(77)), 1);
         assert_eq!(ix.selectivity(&Value::from(0)), 0);
         assert_eq!(ix.distinct_values(), 2);
 
-        ix.remove(&r1, &r1);
+        ix.remove(&r1);
         assert_eq!(ix.selectivity(&Value::from(123)), 1);
-        ix.remove(&r2, &r2);
+        ix.remove(&r2);
         assert_eq!(ix.lookup(&Value::from(123)), None);
         assert_eq!(ix.distinct_values(), 1);
     }
@@ -98,7 +98,7 @@ mod tests {
     fn removing_absent_row_is_noop() {
         let mut ix = SecondaryIndex::new(0);
         let r = tuple!["x"];
-        ix.remove(&r, &r);
+        ix.remove(&r);
         assert_eq!(ix.distinct_values(), 0);
     }
 }

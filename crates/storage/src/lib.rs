@@ -5,8 +5,9 @@
 //! obtained from MySQL. It provides exactly what the middle tier of the
 //! paper's Figure 4 needs from the layer below it:
 //!
-//! * typed tuples and **keyed tables with set semantics** (§3.2.1 assumes
-//!   every relation written by a resource transaction has a key),
+//! * typed tuples and **tables with set semantics** (§3.2.1 assumes every
+//!   relation written by a resource transaction has a key; a table's key
+//!   is its whole row),
 //! * secondary indexes ("appropriate indices are defined for each relation",
 //!   §5.2),
 //! * **conjunctive query evaluation with `LIMIT n`** — the paper's

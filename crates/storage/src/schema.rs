@@ -1,10 +1,9 @@
-//! Table schemas: column names, types and key descriptors.
+//! Table schemas: column names and types.
 //!
 //! §3.2.1 of the paper assumes *"any relation R that appears in the
 //! FOLLOWED BY clause of a resource transaction has a key, i.e., satisfies
-//! set semantics"*. We make that a first-class property: every table has a
-//! key — by default the whole tuple (pure set semantics), optionally a
-//! column subset.
+//! set semantics"*. Every table here meets that one way: a table's key is
+//! its whole row, so a schema carries no key descriptor.
 
 use crate::error::StorageError;
 use crate::tuple::Tuple;
@@ -45,12 +44,10 @@ pub struct ColumnDef {
 pub struct Schema {
     relation: String,
     columns: Vec<ColumnDef>,
-    /// Indexes of key columns. Empty means "all columns" (set semantics).
-    key: Vec<usize>,
 }
 
 impl Schema {
-    /// Build a schema with pure set semantics (key = all columns).
+    /// Build a schema (set semantics: the key is the whole row).
     pub fn new(relation: impl Into<String>, columns: Vec<(&str, ValueType)>) -> Self {
         Schema {
             relation: relation.into(),
@@ -61,33 +58,7 @@ impl Schema {
                     ty,
                 })
                 .collect(),
-            key: Vec::new(),
         }
-    }
-
-    /// Restrict the key to a subset of columns (by index).
-    pub fn with_key(mut self, key: Vec<usize>) -> Result<Self> {
-        for &k in &key {
-            if k >= self.columns.len() {
-                return Err(StorageError::InvalidSchema(format!(
-                    "key column {k} out of range for '{}' (arity {})",
-                    self.relation,
-                    self.columns.len()
-                )));
-            }
-        }
-        let mut seen = vec![false; self.columns.len()];
-        for &k in &key {
-            if seen[k] {
-                return Err(StorageError::InvalidSchema(format!(
-                    "duplicate key column {k} for '{}'",
-                    self.relation
-                )));
-            }
-            seen[k] = true;
-        }
-        self.key = key;
-        Ok(self)
     }
 
     /// Relation name.
@@ -103,20 +74,6 @@ impl Schema {
     /// Number of columns.
     pub fn arity(&self) -> usize {
         self.columns.len()
-    }
-
-    /// Key column indexes; empty slice means the whole tuple is the key.
-    pub fn key_columns(&self) -> &[usize] {
-        &self.key
-    }
-
-    /// Extract the key of a (schema-valid) tuple.
-    pub fn key_of(&self, tuple: &Tuple) -> Tuple {
-        if self.key.is_empty() {
-            tuple.clone()
-        } else {
-            tuple.project(&self.key)
-        }
     }
 
     /// Position of a column by name.
@@ -163,23 +120,13 @@ mod tests {
 
     #[test]
     fn whole_tuple_key_by_default() {
-        let s = bookings();
-        let t = tuple!["Mickey", 123, "5A"];
-        assert_eq!(s.key_of(&t), t);
-        assert!(s.key_columns().is_empty());
-    }
-
-    #[test]
-    fn key_subset_projects() {
-        let s = bookings().with_key(vec![0, 1]).unwrap();
-        let t = tuple!["Mickey", 123, "5A"];
-        assert_eq!(s.key_of(&t), tuple!["Mickey", 123]);
-    }
-
-    #[test]
-    fn key_validation_rejects_bad_columns() {
-        assert!(bookings().with_key(vec![3]).is_err());
-        assert!(bookings().with_key(vec![0, 0]).is_err());
+        // A table's key is its whole row: rows that differ in one column
+        // are both held, an identical row is not held twice.
+        let mut t = crate::table::Table::new(bookings());
+        assert!(t.insert(tuple!["Mickey", 123, "5A"]).unwrap());
+        assert!(t.insert(tuple!["Mickey", 123, "5B"]).unwrap());
+        assert!(!t.insert(tuple!["Mickey", 123, "5A"]).unwrap());
+        assert_eq!(t.len(), 2);
     }
 
     #[test]

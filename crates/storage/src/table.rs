@@ -1,6 +1,11 @@
-//! Keyed tables with set semantics.
+//! Tables with set semantics.
+//!
+//! §3.2.1 of the paper assumes every relation a resource transaction
+//! updates *"has a key, i.e., satisfies set semantics"*. A table's key is
+//! its whole row: it holds one ordered set of rows, and every lookup
+//! (primary probe, index bucket, scan) reads that set or a bucket of it.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
 use crate::error::StorageError;
@@ -10,12 +15,10 @@ use crate::tuple::Tuple;
 use crate::value::Value;
 use crate::Result;
 
-/// A table: schema + rows keyed by the schema's key projection + secondary
-/// indexes.
+/// A table: schema + one ordered set of rows + secondary indexes.
 ///
-/// Inserting a row whose key is already present with *different* non-key
-/// columns is a [`StorageError::KeyViolation`]; re-inserting an identical
-/// row is a no-op (`Ok(false)`), which is exactly set semantics.
+/// Re-inserting an identical row is a no-op (`Ok(false)`), which is
+/// exactly set semantics.
 ///
 /// The table also keeps a tiny **access-pattern tracker**: every lookup that
 /// binds a column no index can serve votes for that column (an atomic, so
@@ -24,7 +27,7 @@ use crate::Result;
 #[derive(Debug)]
 pub struct Table {
     schema: Schema,
-    rows: BTreeMap<Tuple, Tuple>,
+    rows: BTreeSet<Tuple>,
     indexes: Vec<SecondaryIndex>,
     /// Per-column count of bound-column lookups that fell back to a scan.
     scan_votes: Vec<AtomicU32>,
@@ -51,7 +54,7 @@ impl Table {
         let arity = schema.arity();
         Table {
             schema,
-            rows: BTreeMap::new(),
+            rows: BTreeSet::new(),
             indexes: Vec::new(),
             scan_votes: (0..arity).map(|_| AtomicU32::new(0)).collect(),
         }
@@ -84,8 +87,8 @@ impl Table {
             return Ok(()); // idempotent
         }
         let mut ix = SecondaryIndex::new(column);
-        for (key, row) in &self.rows {
-            ix.insert(key, row);
+        for row in &self.rows {
+            ix.insert(row);
         }
         self.indexes.push(ix);
         self.scan_votes[column].store(0, Relaxed);
@@ -116,24 +119,16 @@ impl Table {
     }
 
     /// Insert a row. Returns `Ok(true)` if newly inserted, `Ok(false)` if an
-    /// identical row was already present, and `KeyViolation` if a different
-    /// row shares the key.
+    /// identical row was already present.
     pub fn insert(&mut self, row: Tuple) -> Result<bool> {
         self.schema.check(&row)?;
-        let key = self.schema.key_of(&row);
-        if let Some(existing) = self.rows.get(&key) {
-            if *existing == row {
-                return Ok(false);
-            }
-            return Err(StorageError::KeyViolation {
-                relation: self.schema.relation().to_string(),
-                key: key.to_string(),
-            });
+        if self.rows.contains(&row) {
+            return Ok(false);
         }
         for ix in &mut self.indexes {
-            ix.insert(&key, &row);
+            ix.insert(&row);
         }
-        self.rows.insert(key, row);
+        self.rows.insert(row);
         Ok(true)
     }
 
@@ -141,17 +136,13 @@ impl Table {
     /// removed, `Ok(false)` when no identical row was present.
     pub fn delete(&mut self, row: &Tuple) -> Result<bool> {
         self.schema.check(row)?;
-        let key = self.schema.key_of(row);
-        match self.rows.get(&key) {
-            Some(existing) if existing == row => {
-                for ix in &mut self.indexes {
-                    ix.remove(&key, row);
-                }
-                self.rows.remove(&key);
-                Ok(true)
-            }
-            _ => Ok(false),
+        if !self.rows.remove(row) {
+            return Ok(false);
         }
+        for ix in &mut self.indexes {
+            ix.remove(row);
+        }
+        Ok(true)
     }
 
     /// Is this exact row present?
@@ -160,27 +151,14 @@ impl Table {
     }
 
     /// The stored row equal to `values`, by one primary-key probe: no
-    /// bucket walk, no scan vote, and for whole-tuple keys no allocation.
+    /// bucket walk, no scan vote, no allocation.
     pub fn point(&self, values: &[Value]) -> Option<&Tuple> {
-        let key_cols = self.schema.key_columns();
-        if key_cols.is_empty() {
-            return self.rows.get(values);
-        }
-        if values.len() != self.schema.arity() {
-            return None;
-        }
-        let key: Tuple = key_cols.iter().map(|&c| values[c].clone()).collect();
-        self.rows.get(&key).filter(|row| row.values() == values)
+        self.rows.get(values)
     }
 
-    /// Row with the given key, if any.
-    pub fn get_by_key(&self, key: &Tuple) -> Option<&Tuple> {
-        self.rows.get(key)
-    }
-
-    /// Iterate over all rows in key order.
+    /// Iterate over all rows in key (= tuple) order.
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> + '_ {
-        self.rows.values()
+        self.rows.iter()
     }
 
     /// A raw row stream narrowed by the most selective index among the
@@ -213,11 +191,7 @@ impl Table {
             .filter_map(|ix| Some(ix.lookup(bound.get(ix.column())?.as_ref()?)))
             .min_by_key(|bucket| bucket.map_or(0, BTreeSet::len));
         let inner = match best {
-            Some(Some(keys)) => CursorInner::Index {
-                keys: keys.iter(),
-                // Whole-tuple keys: the bucket entry *is* the row.
-                rows: (!self.schema.key_columns().is_empty()).then_some(&self.rows),
-            },
+            Some(Some(rows)) => CursorInner::Index(rows.iter()),
             Some(None) => CursorInner::Empty,
             None => {
                 for (i, b) in bound.iter().enumerate() {
@@ -225,7 +199,7 @@ impl Table {
                         self.scan_votes[i].fetch_add(1, Relaxed);
                     }
                 }
-                CursorInner::Scan(self.rows.values())
+                CursorInner::Scan(self.rows.iter())
             }
         };
         TableCursor { inner }
@@ -325,14 +299,9 @@ pub struct TableCursor<'a> {
 #[derive(Debug)]
 enum CursorInner<'a> {
     /// Full scan in key order.
-    Scan(std::collections::btree_map::Values<'a, Tuple, Tuple>),
-    /// Keys of one index bucket, in key order. `rows` resolves a key to
-    /// its row; `None` when the schema's key is the whole tuple, where the
-    /// bucket entry is the row and no descent is needed.
-    Index {
-        keys: std::collections::btree_set::Iter<'a, Tuple>,
-        rows: Option<&'a BTreeMap<Tuple, Tuple>>,
-    },
+    Scan(std::collections::btree_set::Iter<'a, Tuple>),
+    /// The rows of one index bucket, in key order.
+    Index(std::collections::btree_set::Iter<'a, Tuple>),
     /// The result of a primary-key probe for a fully bound pattern.
     Point(Option<&'a Tuple>),
     /// Index consulted, bucket absent.
@@ -352,12 +321,7 @@ impl<'a> Iterator for TableCursor<'a> {
 
     fn next(&mut self) -> Option<&'a Tuple> {
         match &mut self.inner {
-            CursorInner::Scan(it) => it.next(),
-            CursorInner::Index { keys, rows: None } => keys.next(),
-            CursorInner::Index {
-                keys,
-                rows: Some(rows),
-            } => keys.find_map(|k| rows.get(k)),
+            CursorInner::Scan(it) | CursorInner::Index(it) => it.next(),
             CursorInner::Point(row) => row.take(),
             CursorInner::Empty => None,
         }
@@ -383,20 +347,6 @@ mod tests {
         assert!(t.insert(tuple![1, "1A"]).unwrap());
         assert!(!t.insert(tuple![1, "1A"]).unwrap()); // duplicate: no-op
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn key_violation_on_subset_key() {
-        let schema = Schema::new(
-            "Bookings",
-            vec![("name", ValueType::Str), ("seat", ValueType::Str)],
-        )
-        .with_key(vec![0])
-        .unwrap();
-        let mut t = Table::new(schema);
-        t.insert(tuple!["Mickey", "5A"]).unwrap();
-        let err = t.insert(tuple!["Mickey", "5B"]).unwrap_err();
-        assert!(matches!(err, StorageError::KeyViolation { .. }));
     }
 
     #[test]
@@ -463,23 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn get_by_key_uses_key_projection() {
-        let schema = Schema::new(
-            "Bookings",
-            vec![("name", ValueType::Str), ("seat", ValueType::Str)],
-        )
-        .with_key(vec![0])
-        .unwrap();
-        let mut t = Table::new(schema);
-        t.insert(tuple!["Mickey", "5A"]).unwrap();
-        assert_eq!(
-            t.get_by_key(&tuple!["Mickey"]),
-            Some(&tuple!["Mickey", "5A"])
-        );
-        assert_eq!(t.get_by_key(&tuple!["Goofy"]), None);
-    }
-
-    #[test]
     fn count_up_to_uses_index_bucket_lengths() {
         let mut t = available();
         for f in 1..=4i64 {
@@ -526,29 +459,6 @@ mod tests {
         assert_eq!(t.count_up_to(&miss, 9), (0, true));
         assert_eq!((t.scan_votes(0), t.scan_votes(1)), (0, 0));
         assert_eq!(t.point(&[Value::from(2)]), None, "arity mismatch is a miss");
-
-        // A key subset probes by key and then compares the whole row.
-        let schema = Schema::new(
-            "Bookings",
-            vec![("name", ValueType::Str), ("seat", ValueType::Str)],
-        )
-        .with_key(vec![0])
-        .unwrap();
-        let mut b = Table::new(schema);
-        b.insert(tuple!["Mickey", "5A"]).unwrap();
-        b.create_index(1).unwrap();
-        let same = vec![Some(Value::from("Mickey")), Some(Value::from("5A"))];
-        let other = vec![Some(Value::from("Mickey")), Some(Value::from("5B"))];
-        assert_eq!(b.select(&same).count(), 1);
-        assert_eq!(b.select(&other).count(), 0);
-        assert!(b.contains(&tuple!["Mickey", "5A"]));
-        assert!(!b.contains(&tuple!["Mickey", "5B"]));
-        // Partially bound over a key subset still resolves keys to rows.
-        let by_seat = vec![None, Some(Value::from("5A"))];
-        assert_eq!(
-            b.select(&by_seat).cloned().collect::<Vec<_>>(),
-            [tuple!["Mickey", "5A"]]
-        );
     }
 
     #[test]

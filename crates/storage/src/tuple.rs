@@ -43,15 +43,6 @@ impl Tuple {
     pub fn iter(&self) -> std::slice::Iter<'_, Value> {
         self.0.iter()
     }
-
-    /// Project onto the given column indexes (used to extract key columns).
-    ///
-    /// # Panics
-    /// Panics if any index is out of range; key descriptors are validated
-    /// against the schema before use.
-    pub fn project(&self, cols: &[usize]) -> Tuple {
-        Tuple(cols.iter().map(|&c| self.0[c].clone()).collect())
-    }
 }
 
 /// Lets tuple-keyed maps and sets be probed with a plain value slice
@@ -122,14 +113,6 @@ mod tests {
         assert_eq!(t[1], Value::from(123));
         assert_eq!(t.get(3), None);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn projection_extracts_key_columns() {
-        let t = tuple!["Mickey", 123, "5A"];
-        let k = t.project(&[1, 2]);
-        assert_eq!(k, tuple![123, "5A"]);
-        assert_eq!(t.project(&[]).arity(), 0);
     }
 
     #[test]

@@ -208,7 +208,7 @@ mod tests {
     #[test]
     fn ordering_is_total_within_and_across_types() {
         // Enum variant order: Int < Str < Bool. Stability of this total
-        // order matters because tables key their BTreeMaps on tuples.
+        // order matters because tables keep their rows in tuple order.
         assert!(Value::from(9) < Value::from("a"));
         assert!(Value::from("a") < Value::from(false));
         assert!(Value::from(1) < Value::from(2));

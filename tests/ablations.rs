@@ -42,34 +42,6 @@ fn strict_never_beats_semantic_on_coordination() {
 }
 
 #[test]
-fn disabling_the_solution_cache_changes_cost_not_outcomes() {
-    let with = base(61, ArrivalOrder::Random { seed: 3 });
-    let mut without = with.clone();
-    without.engine.use_solution_cache = false;
-    let a = run_quantum(&with);
-    let b = run_quantum(&without);
-    assert_eq!(a.aborted, 0);
-    assert_eq!(b.aborted, 0);
-    assert_eq!(a.coord.seated_users, b.coord.seated_users);
-    assert!((a.coordination_percent() - b.coordination_percent()).abs() < 1e-9);
-}
-
-#[test]
-fn disabling_partitioning_changes_cost_not_outcomes() {
-    let flights = FlightsConfig {
-        flights: 3,
-        rows_per_flight: 4,
-    };
-    let with = RunConfig::resource_only(flights, 6, ArrivalOrder::Random { seed: 5 }, 61);
-    let mut without = with.clone();
-    without.engine.partitioning = false;
-    let a = run_quantum(&with);
-    let b = run_quantum(&without);
-    assert_eq!(a.coord.coordinated_users, b.coord.coordinated_users);
-    assert_eq!(a.coord.seated_users, b.coord.seated_users);
-}
-
-#[test]
 fn partner_arrival_grounding_off_still_coordinates_via_final_grounding() {
     // With §5.1 partner grounding disabled, pairs stay pending until the
     // run's final ground_all — where optional maximization still finds

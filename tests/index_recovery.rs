@@ -22,14 +22,10 @@ fn config() -> QuantumDbConfig {
 
 fn build_engine() -> SharedQuantumDb {
     let qdb = QuantumDb::new(config()).unwrap().into_shared();
-    qdb.create_table(
-        Schema::new(
-            "Available",
-            vec![("flight", ValueType::Int), ("seat", ValueType::Str)],
-        )
-        .with_key(vec![0, 1])
-        .unwrap(),
-    )
+    qdb.create_table(Schema::new(
+        "Available",
+        vec![("flight", ValueType::Int), ("seat", ValueType::Str)],
+    ))
     .unwrap();
     qdb.create_table(Schema::new(
         "Bookings",
