@@ -22,6 +22,16 @@ pub trait Buf {
     /// does) — decoders bounds-check with [`Buf::remaining`] first.
     fn copy_to_slice(&mut self, dst: &mut [u8]);
 
+    /// The unconsumed bytes, borrowed. Both implementations here are
+    /// contiguous, so this is every remaining byte.
+    fn chunk(&self) -> &[u8];
+
+    /// Skip `n` bytes.
+    ///
+    /// # Panics
+    /// Panics if fewer than `n` bytes remain.
+    fn advance(&mut self, n: usize);
+
     /// Consume one byte.
     fn get_u8(&mut self) -> u8 {
         let mut b = [0u8; 1];
@@ -66,6 +76,14 @@ impl Buf for &[u8] {
         let (head, tail) = self.split_at(dst.len());
         dst.copy_from_slice(head);
         *self = tail;
+    }
+
+    fn chunk(&self) -> &[u8] {
+        self
+    }
+
+    fn advance(&mut self, n: usize) {
+        *self = &self[n..];
     }
 }
 
@@ -191,6 +209,19 @@ impl Buf for Bytes {
         );
         dst.copy_from_slice(&self.data[self.pos..self.pos + dst.len()]);
         self.pos += dst.len();
+    }
+
+    fn chunk(&self) -> &[u8] {
+        &self.data[self.pos..]
+    }
+
+    fn advance(&mut self, n: usize) {
+        assert!(
+            n <= self.remaining(),
+            "advance: need {n} bytes, have {}",
+            self.remaining()
+        );
+        self.pos += n;
     }
 }
 

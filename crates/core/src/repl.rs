@@ -21,12 +21,13 @@
 //!   PEEK/POSSIBLE readers run concurrently with the stream.
 //! * [`ReplicaApplier`] — a replica engine plus stream cursor. The primary
 //!   slices its WAL at arbitrary byte offsets (it neither knows nor cares
-//!   about frame boundaries), so the applier buffers a partial-frame tail
-//!   and advances by whatever [`qdb_storage::wal::replay_bytes`] consumed.
+//!   about frame boundaries), so the applier feeds each segment to a
+//!   [`qdb_storage::wal::FrameReader`], which carries the partial-frame
+//!   tail and yields each frame to apply as soon as it completes.
 //! * [`ReplicaTracker`] — the primary-side ledger of per-replica progress
 //!   backing `SHOW REPLICATION`.
 //! * [`SharedQuantumDb::wal_stream_from`] — the primary-side read: one
-//!   bounded chunk of WAL bytes past an offset.
+//!   bounded chunk of WAL bytes past an offset, read and copied by range.
 //!
 //! Promotion ([`ReplicaApplier::promote`]) reuses crash recovery: the
 //! replica's local WAL (written record-for-record during replay) is
@@ -37,7 +38,7 @@
 
 use std::collections::BTreeMap;
 
-use qdb_storage::wal::{replay_bytes, MemorySink};
+use qdb_storage::wal::{FrameReader, MemorySink};
 use qdb_storage::{LogRecord, Wal};
 
 use crate::engine::QuantumDb;
@@ -229,10 +230,10 @@ impl SharedQuantumDb {
 #[derive(Debug)]
 pub struct ReplicaApplier {
     db: SharedQuantumDb,
-    /// Bytes received but not yet frame-complete.
-    tail: Vec<u8>,
-    /// Primary WAL bytes fully applied.
-    applied_offset: u64,
+    /// The stream's framing: its carried bytes are the partial frame
+    /// trailing the last segment, its consumed count the primary WAL
+    /// bytes fully applied.
+    reader: FrameReader,
     /// Highest transaction id applied (`PendingAdd` / `Ground`).
     horizon: TxnId,
     /// Segments applied (non-empty `apply_segment` calls).
@@ -245,8 +246,7 @@ impl ReplicaApplier {
     pub fn new(db: SharedQuantumDb) -> Self {
         ReplicaApplier {
             db,
-            tail: Vec::new(),
-            applied_offset: 0,
+            reader: FrameReader::new(),
             horizon: 0,
             segments: 0,
         }
@@ -260,13 +260,13 @@ impl ReplicaApplier {
 
     /// Primary WAL bytes fully applied.
     pub fn applied_offset(&self) -> u64 {
-        self.applied_offset
+        self.reader.consumed()
     }
 
     /// Where the next poll should start: applied bytes plus the buffered
     /// partial frame.
     pub fn fetch_offset(&self) -> u64 {
-        self.applied_offset + self.tail.len() as u64
+        self.reader.consumed() + self.reader.carried() as u64
     }
 
     /// Replication horizon: highest transaction id applied.
@@ -284,13 +284,13 @@ impl ReplicaApplier {
     pub fn report(&self) -> ReplicationReport {
         ReplicationReport {
             role: ReplicationRole::Replica,
-            wal_len: self.applied_offset,
+            wal_len: self.applied_offset(),
             last_txn_id: self.horizon,
             replicas: vec![ReplicaStatus {
                 id: "upstream".to_string(),
-                acked_offset: self.applied_offset,
+                acked_offset: self.applied_offset(),
                 horizon: self.horizon,
-                lag_bytes: self.tail.len() as u64,
+                lag_bytes: self.reader.carried() as u64,
                 segments: self.segments,
             }],
         }
@@ -299,7 +299,9 @@ impl ReplicaApplier {
     /// Apply one WAL segment. `start_offset` must equal
     /// [`ReplicaApplier::fetch_offset`] — segments are a contiguous byte
     /// stream. Returns the number of log records applied (0 when the
-    /// segment only extended a partial frame).
+    /// segment only extended a partial frame). A frame that fails its
+    /// checksum or does not decode is an error: the primary serves only
+    /// frames it logged, so such a stream has diverged.
     pub fn apply_segment(&mut self, start_offset: u64, bytes: &[u8]) -> Result<usize> {
         if start_offset != self.fetch_offset() {
             return Err(EngineError::Invariant(format!(
@@ -311,21 +313,24 @@ impl ReplicaApplier {
         if bytes.is_empty() {
             return Ok(0);
         }
-        self.tail.extend_from_slice(bytes);
-        let (records, consumed) = replay_bytes(&self.tail).map_err(EngineError::Storage)?;
-        for record in &records {
-            self.db.apply_replicated(record)?;
-            match record {
-                LogRecord::PendingAdd { id, .. } | LogRecord::Ground { id, .. } => {
-                    self.horizon = self.horizon.max(*id);
-                }
-                _ => {}
+        let (db, horizon) = (&self.db, &mut self.horizon);
+        let mut applied = 0;
+        let intact = self.reader.feed(bytes, |record, _| {
+            db.apply_replicated(&record)?;
+            if let LogRecord::PendingAdd { id, .. } | LogRecord::Ground { id, .. } = record {
+                *horizon = (*horizon).max(id);
             }
+            applied += 1;
+            Ok::<(), EngineError>(())
+        })?;
+        if !intact {
+            return Err(EngineError::Invariant(format!(
+                "replication stream holds a corrupt frame at byte {}",
+                self.reader.consumed()
+            )));
         }
-        self.applied_offset += consumed;
-        self.tail.drain(..consumed as usize);
         self.segments += 1;
-        Ok(records.len())
+        Ok(applied)
     }
 
     /// Promote: recover a primary-ready engine from the replica's local
@@ -465,6 +470,19 @@ mod tests {
         r.apply_segment(0, &bytes).unwrap();
         let err = r.apply_segment(0, &bytes).unwrap_err();
         assert!(matches!(err, EngineError::Invariant(_)));
+    }
+
+    #[test]
+    fn a_corrupt_frame_in_the_stream_fails_the_replica() {
+        let p = primary();
+        let (_, _, mut bytes) = p.wal_stream_from(0, 1 << 20).unwrap();
+        let spans = qdb_storage::wal::frame_spans(&bytes);
+        bytes[spans[1].0 as usize + 9] ^= 0xFF;
+        let mut r = replica();
+        let err = r.apply_segment(0, &bytes).unwrap_err();
+        assert!(matches!(err, EngineError::Invariant(_)), "{err}");
+        // The frame before the corrupt one was applied, and acked.
+        assert_eq!(r.applied_offset(), spans[0].1);
     }
 
     #[test]

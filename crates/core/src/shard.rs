@@ -1322,25 +1322,25 @@ impl SharedQuantumDb {
     /// typed error instead of panicking.
     pub(crate) fn try_wal_image(&self) -> Result<Vec<u8>> {
         let _base = self.base_write();
-        Ok(self.core.wal.lock().sink_mut().read_all()?)
+        Ok(self.core.wal.lock().image()?)
     }
 
     /// Primary-side replication stream read: up to `max` WAL bytes
     /// starting at `offset`, plus the current WAL length and the last
     /// assigned transaction id. An empty byte vector means the replica is
-    /// caught up. The image is fenced exactly like
+    /// caught up. The log is fenced exactly like
     /// [`SharedQuantumDb::wal_image`], so a segment never ends inside a
-    /// partially-drained group. Offsets past the end are clamped (a
-    /// replica that over-acked is told the true length and polls again).
-    /// A sink that cannot be read back is an error for this poll, not a
-    /// panic in the thread serving it.
+    /// partially-drained group, but only the segment is read and copied:
+    /// a poll costs O(`max`), not O(log). Offsets past the end are clamped
+    /// (a replica that over-acked is told the true length and polls
+    /// again). A sink that cannot be read back is an error for this poll,
+    /// not a panic in the thread serving it.
     pub fn wal_stream_from(&self, offset: u64, max: usize) -> Result<(u64, TxnId, Vec<u8>)> {
-        let image = self.try_wal_image()?;
-        let len = image.len() as u64;
-        let last_txn = self.last_txn_id();
-        let start = offset.min(len) as usize;
-        let end = (start + max).min(image.len());
-        Ok((len, last_txn, image[start..end].to_vec()))
+        let (len, bytes) = {
+            let _base = self.base_write();
+            self.core.wal.lock().segment(offset, max)?
+        };
+        Ok((len, self.last_txn_id(), bytes))
     }
 
     /// Highest transaction id assigned so far (0 when none yet).

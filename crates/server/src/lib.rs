@@ -840,7 +840,11 @@ mod tests {
         fn append(&mut self, frame: &[u8]) -> qdb_storage::Result<()> {
             self.0.append(frame)
         }
-        fn read_all(&self) -> qdb_storage::Result<Vec<u8>> {
+        fn read_from(
+            &self,
+            _offset: u64,
+            _f: &mut dyn FnMut(&[u8]) -> qdb_storage::Result<bool>,
+        ) -> qdb_storage::Result<()> {
             Err(qdb_storage::StorageError::Io("sink read failed".into()))
         }
         fn len(&self) -> u64 {

@@ -14,11 +14,14 @@ use crate::value::Value;
 use crate::Result;
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven.
+// CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8.
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic bytewise table; `CRC_TABLES[k][b]` is
+/// the CRC of byte `b` followed by `k` zero bytes, so eight table lookups
+/// fold eight input bytes into the register at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -31,19 +34,43 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC-32 checksum of `data` (IEEE polynomial).
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -70,12 +97,20 @@ pub fn put_string(buf: &mut impl BufMut, s: &str) {
 
 /// Read a length-prefixed UTF-8 string.
 pub fn get_string(buf: &mut impl Buf) -> Result<String> {
+    get_str(buf, str::to_owned)
+}
+
+/// Read a length-prefixed UTF-8 string and hand it to `f` borrowed
+/// straight from `buf`'s bytes.
+fn get_str<R>(buf: &mut impl Buf, f: impl FnOnce(&str) -> R) -> Result<R> {
     need(buf, 4, "string length")?;
     let len = buf.get_u32_le() as usize;
     need(buf, len, "string bytes")?;
-    let mut bytes = vec![0u8; len];
-    buf.copy_to_slice(&mut bytes);
-    String::from_utf8(bytes).map_err(|e| StorageError::Codec(format!("invalid utf-8: {e}")))
+    let s = std::str::from_utf8(&buf.chunk()[..len])
+        .map_err(|e| StorageError::Codec(format!("invalid utf-8: {e}")))?;
+    let out = f(s);
+    buf.advance(len);
+    Ok(out)
 }
 
 const TAG_INT: u8 = 0;
@@ -108,11 +143,12 @@ pub fn get_value(buf: &mut impl Buf) -> Result<Value> {
             need(buf, 8, "int value")?;
             Ok(Value::Int(buf.get_i64_le()))
         }
-        // Decoded through the interning pool: WAL replay and wire decode
-        // see the same few labels over and over — a recovered database
-        // shares one `Arc` per distinct short string with everything else
-        // decoded in this process.
-        TAG_STR => Ok(Value::interned(&get_string(buf)?)),
+        // Decoded through the interning pool, straight from the input's
+        // bytes: WAL replay and wire decode see the same few labels over
+        // and over — a recovered database shares one `Arc` per distinct
+        // short string with everything else decoded in this process, and
+        // a label already in the pool costs no allocation at all.
+        TAG_STR => get_str(buf, Value::interned),
         TAG_BOOL => {
             need(buf, 1, "bool value")?;
             Ok(Value::Bool(buf.get_u8() != 0))
@@ -204,11 +240,56 @@ mod tests {
     use crate::tuple;
     use crate::wal::LogRecord;
 
+    /// The bytewise reference the slicing-by-8 loop must agree with.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_known_vectors() {
         // Standard check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+        for crc in [crc32, crc32_bytewise] {
+            assert_eq!(crc(b"123456789"), 0xCBF4_3926);
+            assert_eq!(crc(b""), 0);
+            assert_eq!(crc(b"a"), 0xE8B7_BE43);
+            assert_eq!(
+                crc(b"The quick brown fox jumps over the lazy dog"),
+                0x414F_A339
+            );
+            assert_eq!(crc(&[0u8; 32]), 0x190A_55AD);
+            assert_eq!(crc(&[0xFFu8; 32]), 0xFF6C_AB0B);
+        }
+    }
+
+    #[test]
+    fn crc32_slicing_matches_the_bytewise_loop() {
+        // Seeded splitmix64 bytes; every length 0..=300 at every start
+        // offset 0..8, so the 8-byte loop meets every alignment and
+        // every remainder length.
+        let mut state = 0x5EED_C0DE_u64;
+        let data: Vec<u8> = (0..320)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=300 {
+                let slice = &data[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "start {start} len {len}"
+                );
+            }
+        }
     }
 
     #[test]

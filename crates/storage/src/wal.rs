@@ -11,6 +11,12 @@
 //! Frame format: `[len: u32 LE][crc32(payload): u32 LE][payload]`. Replay
 //! stops at the first truncated or corrupt frame, which is how torn tail
 //! writes after a crash are tolerated.
+//!
+//! Every reader takes the log by byte range, in chunks
+//! ([`LogSink::read_from`], [`Wal::read_from`]), and [`FrameReader`] is the
+//! one place frame headers are parsed: recovery, [`replay_bytes`],
+//! [`frame_spans`] and replication all decode through it, so none of them
+//! holds more of the log than one chunk plus one partial frame.
 
 use bytes::{Buf, BufMut, BytesMut};
 
@@ -211,8 +217,11 @@ impl LogRecord {
 pub trait LogSink: Send {
     /// Append raw frame bytes (already framed by [`Wal`]).
     fn append(&mut self, frame: &[u8]) -> Result<()>;
-    /// Read back the entire log contents.
-    fn read_all(&self) -> Result<Vec<u8>>;
+    /// Lend the log's bytes from `offset` to its end — exactly the bytes
+    /// [`LogSink::len`] counts — to `f` in order, as one or more non-empty
+    /// chunks. Stops early once `f` returns `false`; an `offset` at or past
+    /// the end lends nothing.
+    fn read_from(&self, offset: u64, f: &mut dyn FnMut(&[u8]) -> Result<bool>) -> Result<()>;
     /// Current log size in bytes.
     fn len(&self) -> u64;
     /// Discard everything past `len` bytes (recovery drops torn tails
@@ -263,8 +272,11 @@ impl LogSink for MemorySink {
         Ok(())
     }
 
-    fn read_all(&self) -> Result<Vec<u8>> {
-        Ok(self.bytes.clone())
+    fn read_from(&self, offset: u64, f: &mut dyn FnMut(&[u8]) -> Result<bool>) -> Result<()> {
+        if let Some(rest) = self.bytes.get(offset as usize..).filter(|r| !r.is_empty()) {
+            f(rest)?;
+        }
+        Ok(())
     }
 
     fn len(&self) -> u64 {
@@ -277,7 +289,16 @@ impl LogSink for MemorySink {
     }
 }
 
+/// Bytes [`FileSink::read_from`] reads from the file per chunk, into one
+/// buffer reused for the whole read.
+const FILE_READ_CHUNK: usize = 64 * 1024;
+
 /// File-backed sink with buffered writes and explicit sync points.
+///
+/// Its log is the file followed by the bytes still in the write buffer:
+/// `append` may leave bytes there (and a failed flush keeps them), yet
+/// they count in [`LogSink::len`], so [`LogSink::read_from`] lends them
+/// too.
 pub struct FileSink {
     path: std::path::PathBuf,
     file: std::io::BufWriter<std::fs::File>,
@@ -316,8 +337,29 @@ impl LogSink for FileSink {
         Ok(())
     }
 
-    fn read_all(&self) -> Result<Vec<u8>> {
-        Ok(std::fs::read(&self.path)?)
+    fn read_from(&self, offset: u64, f: &mut dyn FnMut(&[u8]) -> Result<bool>) -> Result<()> {
+        use std::io::{Read, Seek, SeekFrom};
+        let unflushed = self.file.buffer();
+        let flushed = self.written - unflushed.len() as u64;
+        if offset < flushed {
+            let mut file = std::fs::File::open(&self.path)?;
+            file.seek(SeekFrom::Start(offset))?;
+            let mut left = flushed - offset;
+            let mut chunk = vec![0u8; FILE_READ_CHUNK.min(left as usize)];
+            while left > 0 {
+                let n = chunk.len().min(left as usize);
+                file.read_exact(&mut chunk[..n])?;
+                left -= n as u64;
+                if !f(&chunk[..n])? {
+                    return Ok(());
+                }
+            }
+        }
+        let skip = offset.saturating_sub(flushed) as usize;
+        if skip < unflushed.len() {
+            f(&unflushed[skip..])?;
+        }
+        Ok(())
     }
 
     fn len(&self) -> u64 {
@@ -349,8 +391,9 @@ impl LogSink for FileSink {
 /// an explicit [`Wal::sync`], or before any operation that reads or edits
 /// the sink directly. Buffer order is append order, so the log-order ==
 /// txn-id-order invariant of the engine (ids allocated under the WAL lock)
-/// is preserved across drains. [`Wal::replay`] decodes sink *plus* buffered
-/// bytes, so a record is observable from the moment `append` returns.
+/// is preserved across drains. [`Wal::read_from`] lends sink *plus*
+/// buffered bytes, so a record is observable from the moment `append`
+/// returns.
 ///
 /// **Durability window**: a process crash loses whatever sits in the tail
 /// buffer (at most one group). This prototype has always had such a
@@ -504,34 +547,47 @@ impl Wal {
         self.sink.len() + self.pending.len() as u64
     }
 
-    /// Read back all intact records — buffered frames included. Stops
-    /// quietly at a torn tail (a frame whose length prefix or payload is
-    /// incomplete, or whose CRC fails) — that is the expected post-crash
-    /// condition. The byte offset where replay stopped is returned
-    /// alongside.
-    pub fn replay(&self) -> Result<(Vec<LogRecord>, u64)> {
-        let mut bytes = self.sink.read_all()?;
-        bytes.extend_from_slice(&self.pending);
-        replay_bytes(&bytes)
+    /// Lend the log from byte `offset` — the sink's bytes, then the
+    /// buffered tail — to `f` in chunks, without draining; stops early
+    /// once `f` returns `false`. Feed the chunks to a [`FrameReader`] to
+    /// decode them.
+    pub fn read_from(&self, offset: u64, f: &mut dyn FnMut(&[u8]) -> Result<bool>) -> Result<()> {
+        let sunk = self.sink.len();
+        let mut more = true;
+        if offset < sunk {
+            self.sink.read_from(offset, &mut |chunk| {
+                more = f(chunk)?;
+                Ok(more)
+            })?;
+        }
+        let skip = offset.saturating_sub(sunk) as usize;
+        if more && skip < self.pending.len() {
+            f(&self.pending[skip..])?;
+        }
+        Ok(())
+    }
+
+    /// Drain the tail buffer, then copy at most `max` log bytes starting
+    /// at `offset` (clamped to the end). Returns the log length with the
+    /// copy; only the copied range is read from the sink.
+    pub fn segment(&mut self, offset: u64, max: usize) -> Result<(u64, Vec<u8>)> {
+        self.drain()?;
+        let len = self.sink.len();
+        let start = offset.min(len);
+        let mut out = Vec::with_capacity(max.min((len - start) as usize));
+        self.sink.read_from(start, &mut |chunk| {
+            let take = chunk.len().min(max - out.len());
+            out.extend_from_slice(&chunk[..take]);
+            Ok(out.len() < max)
+        })?;
+        Ok((len, out))
     }
 
     /// The full framed log image (drains the tail buffer first, so the
-    /// sink holds every appended record).
+    /// sink holds every appended record) — the one whole-log copy; every
+    /// other reader takes the log by range.
     pub fn image(&mut self) -> Result<Vec<u8>> {
-        self.drain()?;
-        self.sink.read_all()
-    }
-
-    /// Access the sink (tests use this to simulate crashes). Drains the
-    /// tail buffer first so the sink reflects every appended record.
-    ///
-    /// # Panics
-    /// Panics when the drain fails (in-memory sinks cannot fail; file
-    /// sinks report I/O errors).
-    pub fn sink_mut(&mut self) -> &mut dyn LogSink {
-        self.drain()
-            .expect("drain buffered WAL frames into the sink");
-        self.sink.as_mut()
+        Ok(self.segment(0, usize::MAX)?.1)
     }
 
     /// Drop a torn tail: discard all bytes past `len` so appends resume on
@@ -614,10 +670,19 @@ impl FaultSink {
         if self.faults.is_empty() {
             return Ok(());
         }
-        let view = apply_faults(&self.inner.read_all()?, &self.faults);
-        self.inner = Box::new(MemorySink::from_bytes(view));
+        self.inner = Box::new(self.faulted()?);
         self.faults.clear();
         Ok(())
+    }
+
+    /// The faulted view: the inner bytes with [`apply_faults`] applied.
+    fn faulted(&self) -> Result<MemorySink> {
+        let mut bytes = Vec::with_capacity(self.inner.len() as usize);
+        self.inner.read_from(0, &mut |chunk| {
+            bytes.extend_from_slice(chunk);
+            Ok(true)
+        })?;
+        Ok(MemorySink::from_bytes(apply_faults(&bytes, &self.faults)))
     }
 }
 
@@ -627,8 +692,11 @@ impl LogSink for FaultSink {
         self.inner.append(frame)
     }
 
-    fn read_all(&self) -> Result<Vec<u8>> {
-        Ok(apply_faults(&self.inner.read_all()?, &self.faults))
+    fn read_from(&self, offset: u64, f: &mut dyn FnMut(&[u8]) -> Result<bool>) -> Result<()> {
+        if self.faults.is_empty() {
+            return self.inner.read_from(offset, f);
+        }
+        self.faulted()?.read_from(offset, f)
     }
 
     fn len(&self) -> u64 {
@@ -651,26 +719,131 @@ impl LogSink for FaultSink {
     }
 }
 
+/// Frame header: `[len: u32 LE][crc32(payload): u32 LE]`.
+const FRAME_HEADER: usize = 8;
+
+/// Total size of the frame starting at `bytes[0]`, once its header is in.
+fn frame_len(bytes: &[u8]) -> Option<usize> {
+    let len = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
+    (bytes.len() >= FRAME_HEADER).then_some(FRAME_HEADER + len)
+}
+
+/// Incremental frame decoder — the one parser of frame headers.
+///
+/// Fed a log's bytes in chunks of any size, it decodes each frame as soon
+/// as its last byte arrives, carrying a partial frame across chunk
+/// boundaries (the only bytes it copies). It stops for good at the first
+/// frame whose checksum fails or whose payload does not decode: the
+/// prefix rule recovery, replay and replication share. A frame that never
+/// completes is a torn tail — it stays [`FrameReader::carried`] and is
+/// never yielded.
+#[derive(Debug, Default)]
+pub struct FrameReader {
+    /// Bytes of the frame the last chunk ended inside.
+    carry: Vec<u8>,
+    /// Offset just past the last accepted frame.
+    consumed: u64,
+    stopped: bool,
+}
+
+impl FrameReader {
+    /// A reader at the log's first byte.
+    pub fn new() -> Self {
+        FrameReader::default()
+    }
+
+    /// Bytes of intact frames accepted so far: the offset of the first
+    /// byte not consumed.
+    pub fn consumed(&self) -> u64 {
+        self.consumed
+    }
+
+    /// Bytes held of a frame not yet complete.
+    pub fn carried(&self) -> usize {
+        self.carry.len()
+    }
+
+    /// Feed the next chunk. `on_frame` receives each intact record with
+    /// its frame's `[start, end)` byte span, in log order. Returns
+    /// `Ok(false)` once the reader has stopped at a bad frame — so it can
+    /// serve directly as a [`LogSink::read_from`] callback — and the first
+    /// error `on_frame` returns, which also stops the reader.
+    pub fn feed<E>(
+        &mut self,
+        mut chunk: &[u8],
+        mut on_frame: impl FnMut(LogRecord, (u64, u64)) -> std::result::Result<(), E>,
+    ) -> std::result::Result<bool, E> {
+        // Finish the frame a previous chunk ended inside.
+        while !self.stopped && !self.carry.is_empty() {
+            let want = frame_len(&self.carry).unwrap_or(FRAME_HEADER);
+            let take = (want - self.carry.len()).min(chunk.len());
+            self.carry.extend_from_slice(&chunk[..take]);
+            chunk = &chunk[take..];
+            if self.carry.len() < want {
+                return Ok(true);
+            }
+            if frame_len(&self.carry) == Some(self.carry.len()) {
+                let frame = std::mem::take(&mut self.carry);
+                let result = self.accept(&frame, &mut on_frame);
+                self.carry = frame;
+                self.carry.clear();
+                result?;
+            }
+        }
+        // Then frames straight from the chunk, copying only a partial one.
+        while !self.stopped {
+            match frame_len(chunk) {
+                Some(total) if chunk.len() >= total => {
+                    self.accept(&chunk[..total], &mut on_frame)?;
+                    chunk = &chunk[total..];
+                }
+                _ => {
+                    self.carry.extend_from_slice(chunk);
+                    return Ok(true);
+                }
+            }
+        }
+        Ok(false)
+    }
+
+    /// Check and decode one whole frame; a bad one stops the reader.
+    fn accept<E>(
+        &mut self,
+        frame: &[u8],
+        on_frame: &mut impl FnMut(LogRecord, (u64, u64)) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let crc = u32::from_le_bytes(frame[4..FRAME_HEADER].try_into().unwrap());
+        let payload = &frame[FRAME_HEADER..];
+        let decoded = if codec::crc32(payload) == crc {
+            LogRecord::decode(payload).ok()
+        } else {
+            None
+        };
+        let Some(record) = decoded else {
+            self.stopped = true;
+            return Ok(());
+        };
+        let span = (self.consumed, self.consumed + frame.len() as u64);
+        if let Err(e) = on_frame(record, span) {
+            self.stopped = true;
+            return Err(e);
+        }
+        self.consumed = span.1;
+        Ok(())
+    }
+}
+
 /// Byte spans `[start, end)` of each intact frame in a raw log image,
 /// stopping at the first torn or corrupt frame — the same prefix rule as
 /// [`replay_bytes`]. Fault planners use this to target whole frames.
 pub fn frame_spans(bytes: &[u8]) -> Vec<(u64, u64)> {
     let mut spans = Vec::new();
-    let mut offset = 0usize;
-    while bytes.len() - offset >= 8 {
-        let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().unwrap());
-        let start = offset + 8;
-        if bytes.len() < start + len {
-            break;
-        }
-        let payload = &bytes[start..start + len];
-        if codec::crc32(payload) != crc || LogRecord::decode(payload).is_err() {
-            break;
-        }
-        spans.push((offset as u64, (start + len) as u64));
-        offset = start + len;
-    }
+    FrameReader::new()
+        .feed(bytes, |_, span| {
+            spans.push(span);
+            Ok::<(), std::convert::Infallible>(())
+        })
+        .unwrap_or_else(|never| match never {});
     spans
 }
 
@@ -678,25 +851,12 @@ pub fn frame_spans(bytes: &[u8]) -> Vec<(u64, u64)> {
 /// offset of the first byte **not** consumed (torn tails stop the replay).
 pub fn replay_bytes(bytes: &[u8]) -> Result<(Vec<LogRecord>, u64)> {
     let mut records = Vec::new();
-    let mut offset = 0usize;
-    while bytes.len() - offset >= 8 {
-        let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().unwrap());
-        let start = offset + 8;
-        if bytes.len() < start + len {
-            break; // torn frame: length prefix written, payload incomplete
-        }
-        let payload = &bytes[start..start + len];
-        if codec::crc32(payload) != crc {
-            break; // corrupt tail
-        }
-        match LogRecord::decode(payload) {
-            Ok(r) => records.push(r),
-            Err(_) => break, // checksum passed but payload malformed: stop
-        }
-        offset = start + len;
-    }
-    Ok((records, offset as u64))
+    let mut reader = FrameReader::new();
+    reader.feed(bytes, |record, _| {
+        records.push(record);
+        Ok::<(), StorageError>(())
+    })?;
+    Ok((records, reader.consumed()))
 }
 
 #[cfg(test)]
@@ -704,6 +864,21 @@ mod tests {
     use super::*;
     use crate::schema::ValueType;
     use crate::tuple;
+
+    /// Every intact record of `wal`, buffered frames included, read by
+    /// range through the frame reader (no drain).
+    fn read_back(wal: &Wal) -> (Vec<LogRecord>, u64) {
+        let mut records = Vec::new();
+        let mut reader = FrameReader::new();
+        wal.read_from(0, &mut |chunk| {
+            reader.feed(chunk, |record, _| {
+                records.push(record);
+                Ok(())
+            })
+        })
+        .unwrap();
+        (records, reader.consumed())
+    }
 
     fn sample_records() -> Vec<LogRecord> {
         vec![
@@ -747,7 +922,7 @@ mod tests {
         for r in sample_records() {
             wal.append(&r).unwrap();
         }
-        let (records, consumed) = wal.replay().unwrap();
+        let (records, consumed) = read_back(&wal);
         assert_eq!(records, sample_records());
         assert_eq!(consumed, wal.size_bytes());
         assert_eq!(wal.records_written(), sample_records().len() as u64);
@@ -762,21 +937,10 @@ mod tests {
         let full = wal.size_bytes() as usize;
         // Chop off bytes one at a time; replay must never error and must
         // return a prefix of the record stream.
+        assert_eq!(read_back(&wal).0.len(), sample_records().len());
+        let image = wal.image().unwrap();
         for cut in 0..full {
-            let bytes = {
-                let all = wal.replay().unwrap();
-                assert_eq!(all.0.len(), sample_records().len());
-                let mut sink = MemorySink::new();
-                // Re-frame through a fresh WAL to get raw bytes.
-                let mut w2 = Wal::in_memory();
-                for r in sample_records() {
-                    w2.append(&r).unwrap();
-                }
-                let img = w2.sink_mut().read_all().unwrap();
-                sink.append(&img[..cut]).unwrap();
-                sink.read_all().unwrap()
-            };
-            let (records, consumed) = replay_bytes(&bytes).unwrap();
+            let (records, consumed) = replay_bytes(&image[..cut]).unwrap();
             assert!(consumed as usize <= cut);
             let expected = &sample_records()[..records.len()];
             assert_eq!(records.as_slice(), expected);
@@ -789,10 +953,9 @@ mod tests {
         for r in sample_records() {
             wal.append(&r).unwrap();
         }
-        let mut bytes = wal.sink_mut().read_all().unwrap();
+        let mut bytes = wal.image().unwrap();
         // Flip a byte inside the second frame's payload.
-        let first_len = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
-        let second_payload = first_len + 8 + 8 + 1;
+        let second_payload = frame_spans(&bytes)[1].0 as usize + 8 + 1;
         bytes[second_payload] ^= 0xFF;
         let (records, _) = replay_bytes(&bytes).unwrap();
         assert_eq!(records.len(), 1);
@@ -824,7 +987,7 @@ mod tests {
     #[test]
     fn empty_log_replays_to_nothing() {
         let wal = Wal::in_memory();
-        let (records, consumed) = wal.replay().unwrap();
+        let (records, consumed) = read_back(&wal);
         assert!(records.is_empty());
         assert_eq!(consumed, 0);
     }
@@ -843,8 +1006,8 @@ mod tests {
                 .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             self.inner.append(frame)
         }
-        fn read_all(&self) -> Result<Vec<u8>> {
-            self.inner.read_all()
+        fn read_from(&self, offset: u64, f: &mut dyn FnMut(&[u8]) -> Result<bool>) -> Result<()> {
+            self.inner.read_from(offset, f)
         }
         fn len(&self) -> u64 {
             LogSink::len(&self.inner)
@@ -876,7 +1039,7 @@ mod tests {
         // observable through replay and size_bytes.
         assert_eq!(writes.load(SeqCst), 0);
         assert_eq!(wal.buffered_records(), sample_records().len() as u64);
-        let (records, consumed) = wal.replay().unwrap();
+        let (records, consumed) = read_back(&wal);
         assert_eq!(records, sample_records());
         assert_eq!(consumed, wal.size_bytes());
         // One drain = one buffered write + one flush for the whole batch.
@@ -925,8 +1088,8 @@ mod tests {
             }
             self.inner.append(frame)
         }
-        fn read_all(&self) -> Result<Vec<u8>> {
-            self.inner.read_all()
+        fn read_from(&self, offset: u64, f: &mut dyn FnMut(&[u8]) -> Result<bool>) -> Result<()> {
+            self.inner.read_from(offset, f)
         }
         fn len(&self) -> u64 {
             LogSink::len(&self.inner)
@@ -969,7 +1132,7 @@ mod tests {
         wal.append(&LogRecord::PendingRemove { id: 7 }).unwrap();
         syncs.store(false, SeqCst);
         wal.append(&LogRecord::Checkpoint).unwrap();
-        let (records, _) = wal.replay().unwrap();
+        let (records, _) = read_back(&wal);
         // Exactly three records — the failed syncs must not have left the
         // group in the buffer to be appended to the sink a second time.
         assert_eq!(
@@ -1001,7 +1164,7 @@ mod tests {
         assert_eq!(wal.records_written(), 1);
         appends.store(false, SeqCst);
         wal.append(&LogRecord::PendingRemove { id: 3 }).unwrap();
-        let (records, _) = wal.replay().unwrap();
+        let (records, _) = read_back(&wal);
         assert_eq!(
             records,
             vec![LogRecord::Checkpoint, LogRecord::PendingRemove { id: 3 }]
@@ -1044,7 +1207,7 @@ mod tests {
             Box::new(MemorySink::from_bytes(bytes.clone())),
             vec![fault],
         )));
-        let (records, consumed) = faulted.replay().unwrap();
+        let (records, consumed) = read_back(&faulted);
         assert_eq!(records, sample_records()[..3].to_vec());
         assert_eq!(consumed, spans[2].1);
         // The direct byte view agrees with the sink view.
@@ -1071,7 +1234,7 @@ mod tests {
             bytes.len() as u64 - (spans[3].1 - spans[2].0)
         );
         let faulted = Wal::with_sink(Box::new(sink));
-        let (records, consumed) = faulted.replay().unwrap();
+        let (records, consumed) = read_back(&faulted);
         let mut expected = sample_records();
         expected.drain(2..4);
         assert_eq!(records, expected);
@@ -1095,10 +1258,10 @@ mod tests {
         )));
         // Recovery-style sequence: truncate to the valid prefix, then keep
         // appending. The faulted suffix must be gone for good.
-        let (prefix, consumed) = faulted.replay().unwrap();
+        let (prefix, consumed) = read_back(&faulted);
         faulted.truncate_to(consumed).unwrap();
         faulted.append(&LogRecord::Checkpoint).unwrap();
-        let (records, _) = faulted.replay().unwrap();
+        let (records, _) = read_back(&faulted);
         let mut expected = prefix;
         expected.push(LogRecord::Checkpoint);
         assert_eq!(records, expected);
@@ -1118,12 +1281,188 @@ mod tests {
             expected.push(r);
         }
         assert!(wal.drains() > 1);
-        let (records, _) = wal.replay().unwrap();
+        let (records, _) = read_back(&wal);
         assert_eq!(records, expected);
         // image() drains the tail and equals the replayed stream.
         let image = wal.image().unwrap();
         let (from_image, _) = replay_bytes(&image).unwrap();
         assert_eq!(from_image, expected);
         assert_eq!(wal.buffered_records(), 0);
+    }
+
+    /// Copy a sink's bytes from `offset`, checking every chunk is non-empty.
+    fn lent(sink: &dyn LogSink, offset: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        sink.read_from(offset, &mut |chunk| {
+            assert!(!chunk.is_empty(), "sinks lend non-empty chunks");
+            out.extend_from_slice(chunk);
+            Ok(true)
+        })
+        .unwrap();
+        out
+    }
+
+    /// Records, spans and consumed offset from feeding `chunks` in order.
+    fn feed_all<'a>(
+        chunks: impl IntoIterator<Item = &'a [u8]>,
+    ) -> (Vec<LogRecord>, Vec<(u64, u64)>, u64) {
+        let (mut records, mut spans) = (Vec::new(), Vec::new());
+        let mut reader = FrameReader::new();
+        for chunk in chunks {
+            reader
+                .feed(chunk, |record, span| {
+                    records.push(record);
+                    spans.push(span);
+                    Ok::<(), StorageError>(())
+                })
+                .unwrap();
+        }
+        (records, spans, reader.consumed())
+    }
+
+    #[test]
+    fn frame_reader_yields_the_one_shot_replay_at_any_chunking() {
+        let mut wal = Wal::in_memory();
+        for r in sample_records() {
+            wal.append(&r).unwrap();
+        }
+        let image = wal.image().unwrap();
+        let spans = frame_spans(&image);
+        let mut torn = image.clone();
+        torn.truncate(image.len() - 3);
+        let mut flipped = image.clone();
+        flipped[spans[4].0 as usize + 9] ^= 0xFF;
+        for (name, bytes) in [("whole", &image), ("torn", &torn), ("flipped", &flipped)] {
+            let (want, want_consumed) = replay_bytes(bytes).unwrap();
+            let want_spans = frame_spans(bytes);
+            let expected = (want.clone(), want_spans.clone(), want_consumed);
+            assert_eq!(want_spans.len(), want.len());
+            for size in 1..=bytes.len() {
+                assert_eq!(
+                    feed_all(bytes.chunks(size)),
+                    expected,
+                    "{name}: chunk size {size}"
+                );
+            }
+            for at in 0..=bytes.len() {
+                let (a, b) = bytes.split_at(at);
+                assert_eq!(feed_all([a, b]), expected, "{name}: split at {at}");
+            }
+        }
+        assert_eq!(
+            replay_bytes(&torn).unwrap().0.len(),
+            sample_records().len() - 1
+        );
+        assert_eq!(replay_bytes(&flipped).unwrap().0.len(), 4);
+        assert_eq!(replay_bytes(&flipped).unwrap().1, spans[3].1);
+    }
+
+    #[test]
+    fn frame_reader_stops_for_good_at_a_bad_frame_and_on_a_callback_error() {
+        let mut wal = Wal::in_memory();
+        for r in sample_records() {
+            wal.append(&r).unwrap();
+        }
+        let image = wal.image().unwrap();
+        let spans = frame_spans(&image);
+        let mut bad = image.clone();
+        bad[spans[1].0 as usize + 8] ^= 0xFF;
+        let mut reader = FrameReader::new();
+        let mut seen = 0;
+        let mut count = |_, _| -> Result<()> {
+            seen += 1;
+            Ok(())
+        };
+        assert!(!reader.feed(&bad, &mut count).unwrap());
+        // Intact frames after the bad one are never yielded.
+        assert!(!reader.feed(&image, &mut count).unwrap());
+        assert_eq!((seen, reader.consumed()), (1, spans[0].1));
+
+        let mut reader = FrameReader::new();
+        let mut calls = 0;
+        let err = reader.feed(&image, |_, _| {
+            calls += 1;
+            if calls == 3 {
+                Err("apply failed")
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(err, Err("apply failed"));
+        // The failed frame is not consumed, and nothing follows it.
+        assert_eq!(reader.consumed(), spans[1].1);
+        assert_eq!(reader.feed(&image, |_, _| Ok::<(), ()>(())), Ok(false));
+    }
+
+    #[test]
+    fn file_sink_reads_back_exactly_the_bytes_it_counts() {
+        let dir = std::env::temp_dir().join(format!("qdb-wal-range-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("range.wal");
+        let _ = std::fs::remove_file(&path);
+        let mut frames = Wal::in_memory();
+        for r in sample_records() {
+            frames.append(&r).unwrap();
+        }
+        let frames = frames.image().unwrap();
+
+        let mut sink = FileSink::open(&path).unwrap();
+        // Appended, never flushed: the bytes sit in the write buffer, yet
+        // `len` counts them — so the read side must lend them.
+        sink.append(&frames).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap().len(), 0);
+        assert_eq!(lent(&sink, 0), frames);
+        assert_eq!(lent(&sink, 0).len() as u64, LogSink::len(&sink));
+        assert_eq!(replay_bytes(&lent(&sink, 0)).unwrap().0, sample_records());
+
+        // Part on disk, part buffered: every offset reads the same suffix,
+        // across the file/buffer seam and past the end.
+        sink.flush().unwrap();
+        sink.append(&frames).unwrap();
+        let mut both = frames.clone();
+        both.extend_from_slice(&frames);
+        assert_eq!(LogSink::len(&sink), both.len() as u64);
+        for offset in 0..=both.len() + 2 {
+            assert_eq!(lent(&sink, offset as u64), both[offset.min(both.len())..]);
+        }
+
+        // Larger than one read chunk: several chunks, same bytes, and an
+        // early stop reads no further.
+        let big: Vec<u8> = (0..3 * FILE_READ_CHUNK + 17)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        sink.append(&big).unwrap();
+        sink.flush().unwrap();
+        both.extend_from_slice(&big);
+        for offset in [0, 5, FILE_READ_CHUNK + 1, both.len() - 1] {
+            assert_eq!(lent(&sink, offset as u64), both[offset..]);
+        }
+        let mut chunks = 0;
+        sink.read_from(0, &mut |chunk| {
+            assert!(chunk.len() <= FILE_READ_CHUNK);
+            chunks += 1;
+            Ok(false)
+        })
+        .unwrap();
+        assert_eq!(chunks, 1);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn segment_copies_only_its_range() {
+        let mut wal = Wal::in_memory();
+        for r in sample_records() {
+            wal.append(&r).unwrap();
+        }
+        let image = wal.image().unwrap();
+        let len = image.len();
+        for offset in (0..len + 3).step_by(7) {
+            for max in [0, 1, 5, 64, len, usize::MAX] {
+                let (total, bytes) = wal.segment(offset as u64, max).unwrap();
+                let from = offset.min(len);
+                assert_eq!(total, len as u64);
+                assert_eq!(bytes, image[from..from.saturating_add(max).min(len)]);
+            }
+        }
     }
 }
