@@ -212,12 +212,8 @@ pub(crate) struct GroundedTxn {
 
 /// A complete plan for grounding a group within one partition: which
 /// transactions leave the pending set (with their updates), and the
-/// refreshed cache valuations for the transactions that remain.
-///
-/// Planning is **pure** — it reads the database (plus `pre_ops`, updates
-/// already planned but not yet applied) and the partition, and mutates
-/// neither. The engine plans under a shared base-state read lock and
-/// applies under the write lock.
+/// refreshed cache valuations for the transactions that remain. The
+/// engine applies it to the base, the log and the partition.
 #[derive(Debug)]
 pub(crate) struct GroundPlan {
     /// Transactions leaving the pending set, in group order.
@@ -263,6 +259,46 @@ pub fn residue_untouched<'a>(
     })
 }
 
+/// What a residue's cached valuations become under a change that was not
+/// planned with them.
+pub(crate) enum Residue {
+    /// No cached grounding names a touched tuple: valuations and pending
+    /// world stand (the module's lemma).
+    Untouched,
+    /// The cached valuations still verify; the pending world is stale.
+    Verified,
+    /// Re-solved valuations.
+    Resolved(Vec<Valuation>),
+    /// No valuation exists.
+    Unsat,
+}
+
+/// The one residue check of a blind write and a replayed `Ground`: keep
+/// the cached valuations when [`residue_untouched`] holds for the
+/// `touched` tuples (every tuple the change adds, removes, or takes out of
+/// the pending sequence), else verify them on `db` with `ops` run first,
+/// else re-solve.
+pub(crate) fn check_residue<'a>(
+    solver: &mut qdb_solver::Solver,
+    db: &qdb_storage::Database,
+    ops: &[WriteOp],
+    touched: &[WriteOp],
+    residue: impl Iterator<Item = (&'a ResourceTransaction, &'a Valuation)> + Clone,
+) -> Result<Residue> {
+    if residue_untouched(residue.clone(), touched) {
+        return Ok(Residue::Untouched);
+    }
+    let (specs, cached): (Vec<TxnSpec>, Vec<&Valuation>) =
+        residue.map(|(t, v)| (TxnSpec::required_only(t), v)).unzip();
+    if solver.verify(db, ops, &specs, &cached)? {
+        return Ok(Residue::Verified);
+    }
+    Ok(match solver.solve(db, ops, &specs)? {
+        Some(sol) => Residue::Resolved(sol.valuations),
+        None => Residue::Unsat,
+    })
+}
+
 /// §5.1: fixing a transaction fixes its coordination partners with it —
 /// whoever is "in the system" when values are assigned gets to coordinate.
 /// Expand the group by one level of partnership. `known` names members of
@@ -289,50 +325,26 @@ pub(crate) fn expand_partners(p: &crate::Partition, ids: &[TxnId], known: &[TxnI
     out.into_iter().collect()
 }
 
-/// Strict-order step selection shared by every grounding driver: while
-/// any of `ids` is still pending in `p`, the next transaction to ground
-/// is the partition *head* (arrival order — the §3.2.3 "naïve approach").
-/// `None` means the requested set is fully grounded.
-pub(crate) fn strict_head(p: &crate::Partition, ids: &[TxnId]) -> Option<TxnId> {
-    if !ids.iter().any(|id| p.position(*id).is_some()) {
-        return None;
-    }
-    Some(p.txns.first().expect("outstanding ids imply txns").id)
-}
-
-/// The invariant violation every strict loop reports when a head refuses
-/// to ground: the engine guarantees a sequence-order grounding exists.
-pub(crate) fn strict_order_violation() -> crate::EngineError {
-    crate::EngineError::Invariant(
-        "head grounding failed although the invariant guarantees a \
-         sequence-order grounding"
-            .into(),
-    )
-}
-
 /// Plan moving the group `ids` (in arrival order) to the front of the
 /// pending order and grounding it jointly, maximizing satisfied optional
 /// atoms, subject to the remaining pending transactions staying
 /// satisfiable. Returns `None` if no promotion set admits a front-move
-/// grounding. `pre_ops` are updates already planned against `db` but not
-/// yet applied (the `GROUND ALL` planner threads its own
-/// accumulated updates through; interactive grounding passes `&[]`).
+/// grounding.
 ///
 /// When the partition carries its pending world (and the grounding is a
-/// first-fit one against the real base), the world is taken, the group's
-/// cached deltas are retracted from it, and each promotion set is first
-/// tried inside it — see the module docs. Whatever the outcome the world
+/// first-fit one), the world is taken, the group's cached deltas are
+/// retracted from it, and each promotion set is first tried inside it —
+/// see the module docs. Whatever the outcome the world
 /// leaves the partition: an accepting plan carries it onward, any other
 /// lets the next user rebuild it.
 pub(crate) fn plan_group_front(
     solver: &mut qdb_solver::Solver,
     db: &qdb_storage::Database,
-    pre_ops: &[WriteOp],
     config: &crate::QuantumDbConfig,
     p: &mut crate::Partition,
     ids: &[TxnId],
 ) -> Result<Option<GroundPlan>> {
-    let mut world = if pre_ops.is_empty() && config.policy.sample() <= 1 {
+    let mut world = if config.policy.sample() <= 1 {
         p.overlay_cache.take()
     } else {
         None
@@ -349,14 +361,6 @@ pub(crate) fn plan_group_front(
         } else {
             rest.push((t, v));
         }
-    }
-    if group.is_empty() {
-        // All already grounded in an earlier cascade: an empty plan.
-        return Ok(Some(GroundPlan {
-            grounded: Vec::new(),
-            rest_vals: None,
-            world,
-        }));
     }
     // The residue's world is the partition's minus the group's cached
     // deltas — when the residue names none of their tuples and every delta
@@ -384,15 +388,13 @@ pub(crate) fn plan_group_front(
                 .collect()
         })
         .collect();
-    let dead = dead_optionals(db, pre_ops, world.as_ref(), &group)?;
+    let dead = dead_optionals(db, world.as_ref(), &group)?;
     for promo in promotion_sets(&optionals) {
         let promotes_dead = |(pr, d): (&Vec<usize>, &Vec<usize>)| pr.iter().any(|i| d.contains(i));
         if promo.iter().zip(&dead).any(promotes_dead) {
             continue;
         }
-        let plan = plan_solve_group(
-            solver, db, pre_ops, config, &group, &rest, &mut world, &promo,
-        )?;
+        let plan = plan_solve_group(solver, db, config, &group, &rest, &mut world, &promo)?;
         if plan.is_some() {
             return Ok(plan);
         }
@@ -403,14 +405,13 @@ pub(crate) fn plan_group_front(
 /// The optional body atoms (body indexes, per group member) that no
 /// promotion set can satisfy: no earlier member has an insert that unifies
 /// with the atom, and no tuple matching its constants is visible in a state
-/// the group is solved on — the residue's `world`, or the base with
-/// `pre_ops`. That is condition (1) of the solver's lookahead with no
-/// source at all: a set promoting such an atom fails on every state, so it
-/// is skipped before anything is compiled. A group promotes a member's
-/// optional atoms all or none, so there one per member is enough.
+/// the group is solved on — the residue's `world`, or the base. That is
+/// condition (1) of the solver's lookahead with no source at all: a set
+/// promoting such an atom fails on every state, so it is skipped before
+/// anything is compiled. A group promotes a member's optional atoms all or
+/// none, so there one per member is enough.
 fn dead_optionals(
     db: &qdb_storage::Database,
-    pre_ops: &[WriteOp],
     world: Option<&Overlay>,
     group: &[&crate::PendingTxn],
 ) -> Result<Vec<Vec<usize>>> {
@@ -422,10 +423,7 @@ fn dead_optionals(
                 let mut earlier = group[..k].iter().flat_map(|e| e.txn.inserts());
                 earlier.any(|u| qdb_logic::unifiable(atom, &u.atom))
             };
-            if b.optional
-                && !inserted_before(&b.atom)
-                && !may_be_visible(db, pre_ops, world, &b.atom)?
-            {
+            if b.optional && !inserted_before(&b.atom) && !may_be_visible(db, world, &b.atom)? {
                 never.push(i);
                 if group.len() > 1 {
                     break;
@@ -438,12 +436,10 @@ fn dead_optionals(
 }
 
 /// May a tuple matching `atom`'s constants be visible in `world`, or in the
-/// base with `pre_ops` applied? Errs towards "yes": a base tuple counts
-/// even when `pre_ops` deletes it, and an unknown relation is left to the
-/// solve to report.
+/// base? Errs towards "yes": an unknown relation is left to the solve to
+/// report.
 fn may_be_visible(
     db: &qdb_storage::Database,
-    pre_ops: &[WriteOp],
     world: Option<&Overlay>,
     atom: &Atom,
 ) -> Result<bool> {
@@ -452,17 +448,11 @@ fn may_be_visible(
     };
     let pattern: Vec<Option<qdb_storage::Value>> =
         atom.terms.iter().map(|t| t.as_const().cloned()).collect();
-    if let Some(w) = world {
-        if w.count_up_to_id(db, rid, &pattern, 1)?.0 > 0 {
-            return Ok(true);
-        }
-    }
-    let inserted = |op: &WriteOp| {
-        op.is_insert()
-            && op.relation() == atom.relation.as_ref()
-            && qdb_storage::Table::matches(op.tuple(), &pattern)
+    let in_world = match world {
+        Some(w) => w.count_up_to_id(db, rid, &pattern, 1)?.0 > 0,
+        None => false,
     };
-    Ok(db.table_by_id(rid).count_up_to(&pattern, 1).0 > 0 || pre_ops.iter().any(inserted))
+    Ok(in_world || db.table_by_id(rid).count_up_to(&pattern, 1).0 > 0)
 }
 
 /// The (transaction, cached valuation) pairs [`residue_untouched`] reads.
@@ -477,11 +467,9 @@ fn residue<'a>(
 /// one (taken on acceptance), else — or when that fails — on the bare
 /// base with the residue re-verified or re-solved. Applies the configured
 /// [`crate::GroundingPolicy`] when the group is a single transaction.
-#[allow(clippy::too_many_arguments)] // internal plumbing, one call site
 fn plan_solve_group(
     solver: &mut qdb_solver::Solver,
     db: &qdb_storage::Database,
-    pre_ops: &[WriteOp],
     config: &crate::QuantumDbConfig,
     group: &[&crate::PendingTxn],
     rest: &[(&crate::PendingTxn, &Valuation)],
@@ -546,22 +534,17 @@ fn plan_solve_group(
         }
     }
     let (rest_specs, rest_cached) = split_rest();
-    let with_pre = |ops: &[WriteOp]| -> Vec<WriteOp> {
-        let mut all = pre_ops.to_vec();
-        all.extend_from_slice(ops);
-        all
-    };
 
     let sample = config.policy.sample();
     if group.len() == 1 && sample > 1 {
         // Enumerate alternatives for the single target, order them per
         // policy, and take the first whose residue stays satisfiable.
-        let mut cands = solver.enumerate_one(db, pre_ops, &group_specs[0], sample)?;
+        let mut cands = solver.enumerate_one(db, &[], &group_specs[0], sample)?;
         match config.policy {
             crate::GroundingPolicy::MaxFlexibility { .. } => {
                 let mut scored: Vec<(usize, Valuation)> = Vec::with_capacity(cands.len());
                 for cand in cands {
-                    let ops = with_pre(&group[0].txn.write_ops(&cand)?);
+                    let ops = group[0].txn.write_ops(&cand)?;
                     let score = flexibility_score(db, &ops, &rest_specs)?;
                     scored.push((score, cand));
                 }
@@ -580,7 +563,7 @@ fn plan_solve_group(
             crate::GroundingPolicy::FirstFit => unreachable!("sample > 1"),
         }
         for cand in cands {
-            let ops = with_pre(&group[0].txn.write_ops(&cand)?);
+            let ops = group[0].txn.write_ops(&cand)?;
             if let Some(sol) = solver.solve(db, &ops, &rest_specs)? {
                 return finish(vec![cand], Some(sol.valuations)).map(Some);
             }
@@ -592,8 +575,8 @@ fn plan_solve_group(
     // *cached* residue groundings survive the group's updates — the §4
     // solution-cache amortization applied to grounding. Falls through to a
     // joint re-solve when the cached residue breaks.
-    if let Some(gsol) = solver.solve(db, pre_ops, &group_specs)? {
-        let mut ops = pre_ops.to_vec();
+    if let Some(gsol) = solver.solve(db, &[], &group_specs)? {
+        let mut ops = Vec::new();
         for (p, v) in group.iter().zip(&gsol.valuations) {
             ops.extend(p.txn.write_ops(v)?);
         }
@@ -609,7 +592,7 @@ fn plan_solve_group(
     // FirstFit (or joint group): one solve over group ++ rest.
     let mut all = group_specs;
     all.extend(rest_specs);
-    match solver.solve(db, pre_ops, &all)? {
+    match solver.solve(db, &[], &all)? {
         Some(sol) => {
             let mut vals = sol.valuations;
             let rest_vals = vals.split_off(group.len());
@@ -617,80 +600,6 @@ fn plan_solve_group(
         }
         None => Ok(None),
     }
-}
-
-/// Apply the partition-side effects of a plan: drop the grounded
-/// transactions from the pending list (and, when the residue keeps its
-/// valuations, from the cache in lockstep), install re-solved valuations
-/// and the plan's pending world. Hands the grounded transactions' plans
-/// and pending entries back; database/WAL/metrics effects are the
-/// caller's.
-pub(crate) fn apply_plan_to_partition(
-    p: &mut crate::Partition,
-    plan: GroundPlan,
-) -> (Vec<GroundedTxn>, Vec<crate::PendingTxn>) {
-    let left = |t: &crate::PendingTxn| plan.grounded.iter().any(|g| g.id == t.id);
-    match plan.rest_vals {
-        Some(vals) => p.cache.valuations = vals,
-        None => {
-            let mut txns = p.txns.iter();
-            (p.cache.valuations).retain(|_| !left(txns.next().expect("cache parallels txns")));
-        }
-    }
-    let gone = p.txns.extract_if(.., |t| left(t)).collect();
-    p.overlay_cache = plan.world;
-    debug_assert_eq!(p.txns.len(), p.cache.valuations.len());
-    (plan.grounded, gone)
-}
-
-/// Plan the *complete* collapse of one partition without touching the
-/// shared database: repeatedly ground the partition head (plus partners;
-/// semantic front-move with strict fallback, exactly like interactive
-/// `GROUND ALL`), threading each step's updates through `pre_ops` so later
-/// steps solve against the virtual post-state. The engine runs
-/// this in parallel across disjoint partitions — §4 independence
-/// guarantees their write sets cannot interact.
-pub(crate) fn plan_ground_all_partition(
-    solver: &mut qdb_solver::Solver,
-    db: &qdb_storage::Database,
-    config: &crate::QuantumDbConfig,
-    p: &mut crate::Partition,
-) -> Result<Vec<GroundedTxn>> {
-    let mut out: Vec<GroundedTxn> = Vec::new();
-    let mut pre_ops: Vec<WriteOp> = Vec::new();
-    // Every step after the first solves against `pre_ops`, which the
-    // pending world does not carry: plan the whole collapse without it.
-    p.overlay_cache = None;
-    let commit = |p: &mut crate::Partition,
-                  pre_ops: &mut Vec<WriteOp>,
-                  out: &mut Vec<GroundedTxn>,
-                  plan: GroundPlan| {
-        let (grounded, _) = apply_plan_to_partition(p, plan);
-        for g in &grounded {
-            pre_ops.extend(g.ops.iter().cloned());
-        }
-        out.extend(grounded);
-    };
-    while let Some(head) = p.txns.first().map(|t| t.id) {
-        let ids = expand_partners(p, &[head], &[]);
-        let group_plan = match config.serializability {
-            crate::Serializability::Semantic => {
-                plan_group_front(solver, db, &pre_ops, config, p, &ids)?
-            }
-            crate::Serializability::Strict => None,
-        };
-        if let Some(plan) = group_plan {
-            commit(p, &mut pre_ops, &mut out, plan);
-        } else {
-            // Strict order (or semantic front-move failed): heads through.
-            while let Some(h) = strict_head(p, &ids) {
-                let plan = plan_group_front(solver, db, &pre_ops, config, p, &[h])?
-                    .ok_or_else(strict_order_violation)?;
-                commit(p, &mut pre_ops, &mut out, plan);
-            }
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

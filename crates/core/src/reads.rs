@@ -83,7 +83,7 @@ impl SharedQuantumDb {
             let mut ids = coordination_partners(&target.txn, others);
             let target = target.id;
             ids.push(target);
-            self.ground_in_slot(&mut st, (&ids, &[target]), GroundReason::Read, solver)?;
+            self.ground_in_slot(&mut st, (&ids, &[target]), GroundReason::Read, solver, None)?;
             self.publish(pid, &mut st);
         }
         let base = self.base_read();

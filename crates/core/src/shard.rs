@@ -73,10 +73,12 @@
 //! it registers one host entry carrying the union of every claimed
 //! footprint and holds its slot lock from before the drain until the
 //! collapse has been applied (or its error recovery has re-registered the
-//! survivors). A statement that overlaps any claimed partition therefore
+//! survivors); after the drain it holds the base write lock for the whole
+//! collapse. A statement that overlaps any claimed partition therefore
 //! blocks on the host slot instead of admission-solving against a base
 //! state whose pending collapse it cannot see; statements disjoint from
-//! the union keep running, which is exactly what §4 independence permits.
+//! the union keep running until they need the base, which is what §4
+//! independence permits.
 //!
 //! # Why plan-then-apply is sound
 //!
@@ -129,8 +131,8 @@ use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
 use qdb_logic::codec::{decode_transaction, encode_transaction};
-use qdb_logic::{Atom, Formula, ResourceTransaction, Valuation, VarGen};
-use qdb_solver::{CachedSolution, Solver, SolverStats, TxnSpec};
+use qdb_logic::{Atom, Formula, ResourceTransaction, VarGen};
+use qdb_solver::{CachedSolution, Solver};
 use qdb_storage::{Database, LogRecord, Schema, Tuple, Wal, WriteOp};
 
 use crate::config::QuantumDbConfig;
@@ -138,8 +140,8 @@ use crate::engine::{plan_admission, AdmitDecision, AdmitPath, QuantumDb, SubmitO
 use crate::entangle::coordination_partners;
 use crate::error::EngineError;
 use crate::ground::{
-    apply_plan_to_partition, expand_partners, plan_group_front, GroundPlan, GroundReason,
-    GroundedTxn,
+    check_residue, expand_partners, plan_group_front, GroundPlan, GroundReason, GroundedTxn,
+    Residue,
 };
 use crate::metrics::{AtomicMetrics, Metrics};
 use crate::partition::Partition;
@@ -187,11 +189,9 @@ pub(crate) struct Core {
 /// transaction overlaps (merging them under the ordered-acquisition scheme
 /// described in the [module docs](self)), reads and PEEK/POSSIBLE take a
 /// shared base read plus only the touched partitions, and `GROUND ALL`
-/// claims every partition behind one registered host slot, plans the
-/// collapse in parallel under a shared base read, and applies it under a
-/// brief exclusive acquisition (`CHECKPOINT` is a brief exclusive
-/// acquisition alone). Metrics are atomics — observation never blocks
-/// statement execution.
+/// claims every partition behind one registered host slot and grounds
+/// them one by one (`CHECKPOINT` is a brief exclusive acquisition).
+/// Metrics are atomics — observation never blocks statement execution.
 ///
 /// ```
 /// use qdb_core::{QuantumDb, QuantumDbConfig, Response};
@@ -517,140 +517,138 @@ impl SharedQuantumDb {
         mode: Admit<'_>,
         solver: &mut Solver,
     ) -> Result<SubmitOutcome> {
-        {
-            // The host slot is locked *inside* the registry critical
-            // section of the reservation, so no concurrent reservation can
-            // claim and drain it before this submit installs — the
-            // reservation's targets stay exclusively ours until then.
-            let host_slot = Arc::new(Slot::default());
-            let claim = |reg: &mut Registry| reg.claim(&host_slot, Some(txn));
-            let (mut st, pid, targets) = self.registry(claim);
-            let merged_from = targets.len();
-            let mut host = Partition::new();
-            if merged_from == 1 {
-                // Preserve the partition wholesale (keeps its pending
-                // world, which a merge would drop).
-                host = self.drain(&targets[0].1);
-            } else {
-                for (_, slot) in &targets {
-                    host.merge(self.drain(slot));
-                }
+        // The host slot is locked *inside* the registry critical section
+        // of the reservation, so no concurrent reservation can claim and
+        // drain it before this submit installs — the reservation's targets
+        // stay exclusively ours until then.
+        let host_slot = Arc::new(Slot::default());
+        let claim = |reg: &mut Registry| reg.claim(&host_slot, Some(txn));
+        let (mut st, pid, targets) = self.registry(claim);
+        if targets.len() > 1 {
+            for (_, slot) in &targets {
+                st.part.merge(self.drain(slot));
             }
-
-            // Admission planning under a *shared* base read: this is the
-            // expensive solver search, and disjoint partitions run it in
-            // parallel.
-            let plan = {
-                let base = self.base_read();
-                let _gauge = self.enter_solve();
-                // The solution cache extends inside the pending world (a
-                // merge dropped it; it is rebuilt here).
-                self.ensure_world(&mut host, &base.db)?;
-                let world = host.overlay_cache.take().expect("ensured");
-                let t_plan = std::time::Instant::now();
-                let decision = plan_admission(solver, &base.db, &host.txns, world, txn)?;
-                self.core.obs.phase(qdb_obs::Phase::Plan, t_plan.elapsed());
-                decision
-            };
-            let plan = match plan {
-                AdmitDecision::Admitted(plan) => plan,
-                AdmitDecision::Refused(overlay) => {
-                    // Refused: the merged partition stays merged under its
-                    // new id (conservative but safe — merging independent
-                    // partitions never violates the invariant, and the
-                    // drain already happened, so count what occurred). The
-                    // host's valuations are unchanged, so the rolled-back
-                    // world is still its pending world.
-                    host.overlay_cache = Some(overlay);
-                    st.part = host;
-                    st.left.push(txn.clone());
-                    self.publish(pid, &mut st);
-                    {
-                        let t = self.core.metrics.begin();
-                        t.add(|c| &c.aborted, 1);
-                        if merged_from > 1 {
-                            t.add(|c| &c.partition_merges, 1);
-                        }
-                    }
-                    return Ok(SubmitOutcome::Aborted);
-                }
-            };
-
-            // Durability: log after the satisfiability check, before
-            // acknowledging commit (§4). Id allocation inside the WAL
-            // critical section keeps log order == id order.
-            let id = match mode {
-                Admit::Fresh => {
-                    let mut wal = self.core.wal.lock();
-                    let id = self.core.next_txn_id.fetch_add(1, SeqCst);
-                    wal.append(&LogRecord::PendingAdd {
-                        id,
-                        payload: encode_transaction(txn),
-                    })?;
-                    id
-                }
-                Admit::Replay { id, relog } => {
-                    if let Some(payload) = relog {
-                        self.core.wal.lock().append(&LogRecord::PendingAdd {
-                            id,
-                            payload: payload.to_vec(),
-                        })?;
-                    }
-                    self.core.next_txn_id.fetch_max(id + 1, SeqCst);
-                    id
-                }
-            };
-            host.txns.push(PendingTxn::new(id, txn.clone()));
-            match plan.path {
-                AdmitPath::Extension => host.cache.valuations.extend(plan.valuations),
-                AdmitPath::FullResolve => {
-                    host.cache = CachedSolution {
-                        valuations: plan.valuations,
-                    }
-                }
-            }
-            host.overlay_cache = plan.overlay;
-            debug_assert_eq!(host.txns.len(), host.cache.valuations.len());
-            st.part = host;
-
-            {
-                let t = self.core.metrics.begin();
-                t.record_commit();
-                match plan.path {
-                    AdmitPath::Extension => t.add(|c| &c.cache_extensions, 1),
-                    AdmitPath::FullResolve => t.add(|c| &c.cache_full_resolves, 1),
-                }
-                if merged_from > 1 {
-                    t.add(|c| &c.partition_merges, 1);
-                }
-            }
-
-            // §5.1: entangled resource transactions are grounded as soon
-            // as both coordination partners are in the system.
-            let fresh = matches!(mode, Admit::Fresh);
-            if fresh && self.core.config.ground_on_partner_arrival {
-                let mut partners = {
-                    let (newcomer, others) = st.part.txns.split_last().expect("just installed");
-                    coordination_partners(&newcomer.txn, others)
-                };
-                if !partners.is_empty() {
-                    partners.push(id);
-                    let group = (&partners[..], &[id][..]);
-                    self.ground_in_slot(&mut st, group, GroundReason::Partner, solver)?;
-                }
-            }
-            // §4: bound the composed body size.
-            while fresh && st.part.len() > self.core.config.k {
-                let oldest = st.part.txns[0].id;
-                self.ground_in_slot(&mut st, (&[oldest], &[]), GroundReason::KBound, solver)?;
-            }
-            // Table 1 counts a transaction as pending until its partner
-            // arrives, so the high-water mark is sampled after partner
-            // grounding and k-enforcement settle.
-            self.core.metrics.begin().sample_max_pending();
-            self.publish(pid, &mut st);
-            Ok(SubmitOutcome::Committed { id })
+            self.core.metrics.begin().add(|c| &c.partition_merges, 1);
+        } else if let Some((_, slot)) = targets.first() {
+            // Preserve the partition wholesale (keeps its pending world,
+            // which a merge would drop).
+            st.part = self.drain(slot);
         }
+        // Whatever the outcome, the drained partitions are published back
+        // under the host's id: a failed submit must not take committed
+        // transactions with it (§2).
+        let out = self.admit_in_slot(&mut st, txn, mode, solver);
+        self.publish(pid, &mut st);
+        out
+    }
+
+    /// Admit `txn` into the reserved, drained host partition `st`. A merge
+    /// stays merged whatever the outcome (conservative but safe — merging
+    /// independent partitions never violates the invariant).
+    fn admit_in_slot(
+        &self,
+        st: &mut SlotState,
+        txn: &ResourceTransaction,
+        mode: Admit<'_>,
+        solver: &mut Solver,
+    ) -> Result<SubmitOutcome> {
+        // Admission planning under a *shared* base read: this is the
+        // expensive solver search, and disjoint partitions run it in
+        // parallel.
+        let plan = {
+            let base = self.base_read();
+            let _gauge = self.enter_solve();
+            // The solution cache extends inside the pending world (a merge
+            // dropped it; it is rebuilt here).
+            self.ensure_world(&mut st.part, &base.db)?;
+            let world = st.part.overlay_cache.take().expect("ensured");
+            let t_plan = std::time::Instant::now();
+            let decision = plan_admission(solver, &base.db, &st.part.txns, world, txn)?;
+            self.core.obs.phase(qdb_obs::Phase::Plan, t_plan.elapsed());
+            decision
+        };
+        let plan = match plan {
+            AdmitDecision::Admitted(plan) => plan,
+            AdmitDecision::Refused(overlay) => {
+                // The host's valuations are unchanged, so the rolled-back
+                // world is still its pending world.
+                st.part.overlay_cache = Some(overlay);
+                st.left.push(txn.clone());
+                self.core.metrics.begin().add(|c| &c.aborted, 1);
+                return Ok(SubmitOutcome::Aborted);
+            }
+        };
+
+        // Durability: log after the satisfiability check, before
+        // acknowledging commit (§4). Id allocation inside the WAL critical
+        // section keeps log order == id order.
+        let id = match mode {
+            Admit::Fresh => {
+                let mut wal = self.core.wal.lock();
+                let id = self.core.next_txn_id.fetch_add(1, SeqCst);
+                wal.append(&LogRecord::PendingAdd {
+                    id,
+                    payload: encode_transaction(txn),
+                })?;
+                id
+            }
+            Admit::Replay { id, relog } => {
+                if let Some(payload) = relog {
+                    self.core.wal.lock().append(&LogRecord::PendingAdd {
+                        id,
+                        payload: payload.to_vec(),
+                    })?;
+                }
+                self.core.next_txn_id.fetch_max(id + 1, SeqCst);
+                id
+            }
+        };
+        let host = &mut st.part;
+        host.txns.push(PendingTxn::new(id, txn.clone()));
+        match plan.path {
+            AdmitPath::Extension => host.cache.valuations.extend(plan.valuations),
+            AdmitPath::FullResolve => {
+                host.cache = CachedSolution {
+                    valuations: plan.valuations,
+                }
+            }
+        }
+        host.overlay_cache = plan.overlay;
+        debug_assert_eq!(host.txns.len(), host.cache.valuations.len());
+
+        {
+            let t = self.core.metrics.begin();
+            t.record_commit();
+            match plan.path {
+                AdmitPath::Extension => t.add(|c| &c.cache_extensions, 1),
+                AdmitPath::FullResolve => t.add(|c| &c.cache_full_resolves, 1),
+            }
+        }
+
+        // §5.1: entangled resource transactions are grounded as soon as
+        // both coordination partners are in the system.
+        let fresh = matches!(mode, Admit::Fresh);
+        if fresh && self.core.config.ground_on_partner_arrival {
+            let mut partners = {
+                let (newcomer, others) = st.part.txns.split_last().expect("just installed");
+                coordination_partners(&newcomer.txn, others)
+            };
+            if !partners.is_empty() {
+                partners.push(id);
+                let group = (&partners[..], &[id][..]);
+                self.ground_in_slot(st, group, GroundReason::Partner, solver, None)?;
+            }
+        }
+        // §4: bound the composed body size.
+        while fresh && st.part.len() > self.core.config.k {
+            let oldest = st.part.txns[0].id;
+            self.ground_in_slot(st, (&[oldest], &[]), GroundReason::KBound, solver, None)?;
+        }
+        // Table 1 counts a transaction as pending until its partner
+        // arrives, so the high-water mark is sampled after partner
+        // grounding and k-enforcement settle.
+        self.core.metrics.begin().sample_max_pending();
+        Ok(SubmitOutcome::Committed { id })
     }
 
     /// Take a reserved slot's contents (waits for any in-flight operation
@@ -681,7 +679,8 @@ impl SharedQuantumDb {
 
     /// Ground `seeds` and their partners within the held partition, honoring
     /// the configured serializability: plan under a base read (parallel
-    /// with other partitions' solves), apply under the base write lock.
+    /// with other partitions' solves), apply under the base write lock —
+    /// or do both on the `held` base of a caller holding the write lock.
     /// `known` names seeds whose partners the caller already put in
     /// `seeds` (see [`expand_partners`]). Timed into the
     /// [`qdb_obs::Phase::Ground`] histogram.
@@ -691,10 +690,8 @@ impl SharedQuantumDb {
         (seeds, known): (&[TxnId], &[TxnId]),
         reason: GroundReason,
         solver: &mut Solver,
+        held: Option<&mut Base>,
     ) -> Result<()> {
-        if st.part.is_empty() {
-            return Ok(());
-        }
         let t0 = std::time::Instant::now();
         let ids = expand_partners(&st.part, seeds, known);
         debug_assert_eq!(
@@ -702,29 +699,35 @@ impl SharedQuantumDb {
             expand_partners(&st.part, seeds, &[]),
             "the caller missed a known seed's partner"
         );
-        let out = match self.core.config.serializability {
-            crate::Serializability::Semantic => {
-                match self.try_ground_group(st, &ids, reason, solver) {
-                    Ok(false) => self.ground_strict_through(st, &ids, reason, solver),
-                    done => done.map(drop),
-                }
-            }
-            crate::Serializability::Strict => self.ground_strict_through(st, &ids, reason, solver),
-        };
+        let out = self.ground_group(st, &ids, reason, solver, held);
         self.record_since(qdb_obs::Phase::Ground, t0);
         out
     }
 
-    fn ground_strict_through(
+    /// Ground the group `ids`: moved to the front of the pending order
+    /// (semantic serializability), or else in arrival order — the
+    /// partition head, while any of `ids` is still pending (strict, the
+    /// §3.2.3 "naïve approach", and the semantic fallback).
+    fn ground_group(
         &self,
         st: &mut SlotState,
         ids: &[TxnId],
         reason: GroundReason,
         solver: &mut Solver,
+        mut held: Option<&mut Base>,
     ) -> Result<()> {
-        while let Some(head) = crate::ground::strict_head(&st.part, ids) {
-            if !self.try_ground_group(st, &[head], reason, solver)? {
-                return Err(crate::ground::strict_order_violation());
+        let semantic = self.core.config.serializability == crate::Serializability::Semantic;
+        if semantic && self.try_ground_group(st, ids, reason, solver, held.as_deref_mut())? {
+            return Ok(());
+        }
+        while ids.iter().any(|&id| st.part.position(id).is_some()) {
+            let head = st.part.txns[0].id;
+            if !self.try_ground_group(st, &[head], reason, solver, held.as_deref_mut())? {
+                return Err(EngineError::Invariant(
+                    "head grounding failed although the invariant guarantees a \
+                     sequence-order grounding"
+                        .into(),
+                ));
             }
         }
         Ok(())
@@ -736,54 +739,98 @@ impl SharedQuantumDb {
         ids: &[TxnId],
         reason: GroundReason,
         solver: &mut Solver,
+        held: Option<&mut Base>,
     ) -> Result<bool> {
         let plan = {
-            let base = self.base_read();
+            let mut read = None;
+            let db = match held.as_deref() {
+                Some(base) => &base.db,
+                None => &read.insert(self.base_read()).db,
+            };
             let _gauge = self.enter_solve();
             // A first-fit grounding that leaves a residue is planned
             // inside the residue's pending world.
             let config = &self.core.config;
             if config.policy.sample() <= 1 && st.part.len() > ids.len() {
-                self.ensure_world(&mut st.part, &base.db)?;
+                self.ensure_world(&mut st.part, db)?;
             }
-            plan_group_front(solver, &base.db, &[], config, &mut st.part, ids)?
+            plan_group_front(solver, db, config, &mut st.part, ids)?
         };
         let Some(plan) = plan else {
             return Ok(false);
         };
-        self.commit_plan(st, plan, reason)?;
+        self.commit_plan(st, plan, reason, solver, held)?;
         Ok(true)
     }
 
-    /// Apply a ground plan: base writes + WAL frames, then metrics, then
-    /// the partition-side removal. Sound without re-validation per the
-    /// module docs ("Why plan-then-apply is sound").
+    /// Commit a ground plan: per grounded transaction its WAL frame, then
+    /// its base writes; then metrics and the partition-side removal. Sound
+    /// without re-validation per the module docs ("Why plan-then-apply is
+    /// sound"). Log before apply: an `Err` from [`Wal::append`] means the
+    /// frame is not in the log, so its transaction stays pending and off
+    /// the base. After an error the members that landed leave and the rest
+    /// are re-solved, so the engine is what recovery of its log gives.
     fn commit_plan(
         &self,
         st: &mut SlotState,
         mut plan: GroundPlan,
         reason: GroundReason,
+        solver: &mut Solver,
+        held: Option<&mut Base>,
     ) -> Result<()> {
+        let mut write = None;
+        let base = match held {
+            Some(base) => base,
+            None => &mut **write.insert(self.base_write()),
+        };
+        let mut landed = 0;
+        let mut failed: Option<EngineError> = None;
         {
-            let mut base = self.base_write();
             let mut wal = self.core.wal.lock();
             let t_apply = std::time::Instant::now();
             for g in &mut plan.grounded {
-                for op in &g.ops {
-                    base.db.apply(op)?;
-                }
                 // One atomic frame per transaction: concrete writes +
-                // removal from the pending table cannot be torn by a crash.
-                // The ops have done their work: they move into the frame.
-                wal.append(&LogRecord::Ground {
+                // removal from the pending table cannot be torn by a
+                // crash. The ops move into the frame and apply from there.
+                let frame = LogRecord::Ground {
                     id: g.id,
                     ops: std::mem::take(&mut g.ops),
-                })?;
+                };
+                if let Err(e) = wal.append(&frame) {
+                    failed = Some(e.into());
+                    break;
+                }
+                landed += 1;
+                let LogRecord::Ground { ops, .. } = &frame else {
+                    unreachable!("built above")
+                };
+                if let Err(e) = ops.iter().try_for_each(|op| base.db.apply(op).map(drop)) {
+                    failed = Some(e.into());
+                    break;
+                }
             }
             self.core
                 .obs
                 .phase(qdb_obs::Phase::Apply, t_apply.elapsed());
         }
+        if failed.is_some() {
+            plan.grounded.truncate(landed);
+            plan.world = None;
+            plan.rest_vals = None;
+        }
+        let gone = |t: &PendingTxn| plan.grounded.iter().any(|g| g.id == t.id);
+        if failed.is_some() && landed > 0 {
+            // The rest are re-solved on the base the landed ones reached.
+            // Should none fit, they keep the valuations they have:
+            // recovery of the log would refuse them too.
+            let rest: Vec<&ResourceTransaction> = (st.part.txns.iter())
+                .filter(|t| !gone(t))
+                .map(|t| &t.txn)
+                .collect();
+            let resolved = CachedSolution::resolve(solver, &base.db, &rest);
+            plan.rest_vals = resolved.ok().flatten().map(|c| c.valuations);
+        }
+        drop(write);
         {
             let t = self.core.metrics.begin();
             for g in &plan.grounded {
@@ -795,9 +842,21 @@ impl SharedQuantumDb {
             let resolved = u64::from(plan.rest_vals.is_some());
             t.add(|c| &c.ground_joint_resolves, resolved);
         }
-        let (_, left) = apply_plan_to_partition(&mut st.part, plan);
-        st.left.extend(left.into_iter().map(|t| t.txn));
-        Ok(())
+        // The grounded leave the partition, with their cached valuations
+        // unless the residue's were replaced; the plan's world is installed.
+        let p = &mut st.part;
+        match plan.rest_vals {
+            Some(vals) => p.cache.valuations = vals,
+            None => {
+                let mut txns = p.txns.iter();
+                (p.cache.valuations).retain(|_| !gone(txns.next().expect("cache parallels txns")));
+            }
+        }
+        st.left
+            .extend(p.txns.extract_if(.., |t| gone(t)).map(|t| t.txn));
+        p.overlay_cache = plan.world;
+        debug_assert_eq!(p.txns.len(), p.cache.valuations.len());
+        failed.map_or(Ok(()), Err)
     }
 
     /// Explicitly ground one pending transaction. Returns `false` when the
@@ -812,17 +871,13 @@ impl SharedQuantumDb {
     /// `None` when the id is not pending.
     pub(crate) fn ground_counted(&self, id: TxnId) -> Result<Option<usize>> {
         let mut solver = self.solver();
-        let out = self.do_ground(id, &mut solver);
+        let out = self.with_hosting_slot(id, |st| {
+            let before = st.part.len();
+            self.ground_in_slot(st, (&[id], &[]), GroundReason::Explicit, &mut solver, None)?;
+            Ok(before - st.part.len())
+        });
         self.absorb(&solver);
         out
-    }
-
-    fn do_ground(&self, id: TxnId, solver: &mut Solver) -> Result<Option<usize>> {
-        self.with_hosting_slot(id, |st| {
-            let before = st.part.len();
-            self.ground_in_slot(st, (&[id], &[]), GroundReason::Explicit, solver)?;
-            Ok(before - st.part.len())
-        })
     }
 
     /// Run `f` on the locked slot hosting pending transaction `id`, then
@@ -862,26 +917,24 @@ impl SharedQuantumDb {
             let plan = {
                 let base = self.base_read();
                 let _gauge = self.enter_solve();
-                let (rest, cached): (Vec<&PendingTxn>, Vec<&Valuation>) = st
-                    .part
-                    .txns
-                    .iter()
-                    .zip(&st.part.cache.valuations)
+                let p = &st.part;
+                let at = p.position(id).expect("hosting slot");
+                // The residue's touched tuples: the logged ops, and the
+                // cached ones that leave the pending sequence.
+                let mut touched = ops.to_vec();
+                touched.extend(p.txns[at].txn.write_ops(&p.cache.valuations[at])?);
+                let residue = (p.txns.iter().zip(&p.cache.valuations))
                     .filter(|(t, _)| t.id != id)
-                    .unzip();
-                let specs: Vec<TxnSpec> = rest
-                    .iter()
-                    .map(|t| TxnSpec::required_only(&t.txn))
-                    .collect();
-                let rest_vals = if solver.verify(&base.db, ops, &specs, &cached)? {
-                    None
-                } else {
-                    let sol = solver.solve(&base.db, ops, &specs)?.ok_or_else(|| {
-                        EngineError::Invariant(format!(
+                    .map(|(t, v)| (&t.txn, v));
+                let rest_vals = match check_residue(&mut solver, &base.db, ops, &touched, residue)?
+                {
+                    Residue::Untouched | Residue::Verified => None,
+                    Residue::Resolved(vals) => Some(vals),
+                    Residue::Unsat => {
+                        return Err(EngineError::Invariant(format!(
                             "replayed ground of {id} left its partition unsatisfiable"
-                        ))
-                    })?;
-                    Some(sol.valuations)
+                        )))
+                    }
                 };
                 GroundPlan {
                     grounded: vec![GroundedTxn {
@@ -894,7 +947,7 @@ impl SharedQuantumDb {
                     world: None,
                 }
             };
-            self.commit_plan(st, plan, GroundReason::Explicit)
+            self.commit_plan(st, plan, GroundReason::Explicit, &mut solver, None)
         });
         self.absorb(&solver);
         out?.ok_or_else(|| {
@@ -911,174 +964,61 @@ impl SharedQuantumDb {
     /// union of every claimed partition, its slot locked before the
     /// registry is released. Overlapping statements find the host and wait
     /// on its slot until the collapse — or its error recovery — completes;
-    /// disjoint statements keep running (§4 independence: the collapse
-    /// cannot invalidate them). The full collapse of each partition is
-    /// then *planned in parallel* across [`std::thread::scope`] workers
-    /// under a shared base read, and the planned updates are applied
-    /// serially under one brief base write acquisition.
+    /// disjoint statements run until they need the base (§4 independence:
+    /// the collapse cannot invalidate them). Under one base write
+    /// acquisition, each claimed partition is then collapsed in pid order
+    /// by grounding its head, repeatedly, exactly as `GROUND id` grounds
+    /// it.
     pub fn ground_all(&self) -> Result<()> {
         self.ground_all_counted().map(|_| ())
     }
 
     /// [`SharedQuantumDb::ground_all`] returning how many transactions it
-    /// collapsed — the exact count from the grounding's own plans, not a
-    /// racy before/after pending read (`GROUND ALL` responses use this).
+    /// collapsed — the claimed partitions' size, not a racy before/after
+    /// pending read (`GROUND ALL` responses use this).
     pub(crate) fn ground_all_counted(&self) -> Result<usize> {
         // Claim every partition under one freshly registered host entry
         // whose footprint is the union of the claimed footprints, and hold
         // the host slot's lock for the whole collapse. Without the claim,
-        // a submit that reserves between the registry take and the base
-        // acquisition would see no overlapping partitions, admission-solve
+        // a submit that reserves between the registry take and a
+        // grounding would see no overlapping partitions, admission-solve
         // against the pre-collapse base, and commit a transaction the
-        // collapse's planned deletes can silently invalidate — breaking
-        // the never-rolled-back guarantee.
+        // collapse's deletes can silently invalidate — breaking the
+        // never-rolled-back guarantee.
         let host_slot = Arc::new(Slot::default());
         let (mut host, host_pid, taken) = self.registry(|reg| reg.claim(&host_slot, None));
-        let mut parts: Vec<Partition> = taken
-            .iter()
-            .map(|(_, slot)| self.drain(slot))
-            .filter(|p| !p.is_empty())
-            .collect();
-        if parts.is_empty() {
-            self.publish(host_pid, &mut host);
-            return Ok(0);
-        }
-
-        let base = self.base_read();
-        let config = &self.core.config;
-        // Intra-statement plan parallelism.
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(parts.len());
-        // Plan phase (parallel, read-only, under the *shared* base read —
-        // statements disjoint from every claimed partition keep running):
-        // one scratch clone per partition so a failed run leaves the
-        // originals intact.
-        type Planned = Result<(Vec<crate::ground::GroundedTxn>, SolverStats)>;
-        let results: Vec<Planned> = {
-            let db = &base.db;
-            let next = AtomicU64::new(0);
-            let out: Vec<Mutex<Option<Planned>>> = parts.iter().map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        let mut solver = self.solver();
-                        loop {
-                            let i = next.fetch_add(1, SeqCst) as usize;
-                            let Some(part) = parts.get(i) else { break };
-                            let mut scratch = part.clone();
-                            let planned = crate::ground::plan_ground_all_partition(
-                                &mut solver,
-                                db,
-                                config,
-                                &mut scratch,
-                            );
-                            *out[i].lock() = Some(planned.map(|g| (g, *solver.stats())));
-                            solver.reset_stats();
-                        }
-                    });
-                }
-            });
-            out.into_iter()
-                .map(|m| m.lock().take().expect("every index was planned"))
-                .collect()
-        };
-        // Collect; on any planning failure, re-register the partitions
-        // untouched so no committed transaction is lost.
-        let mut plans = Vec::with_capacity(results.len());
-        let mut first_err = None;
-        for r in results {
-            match r {
-                Ok((grounded, stats)) => {
-                    self.core.metrics.absorb_solver(&stats);
-                    plans.push(grounded);
-                }
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            drop(base);
-            self.registry(|reg| reg.reinstall(host_pid, &mut host, parts));
-            return Err(e);
-        }
-        drop(base);
-
-        let t_apply = std::time::Instant::now();
-        // Apply phase (serial, under one brief base write acquisition).
-        // Releasing the read first is sound: any base mutation that could
-        // invalidate the plans must lock an overlapping slot, and every
-        // claimed footprint now routes overlap scans to the held host slot
-        // (see module docs, "Why plan-then-apply is sound"). Each
-        // transaction's metrics are recorded as soon as its frame is
-        // durable, so an apply error part-way leaves the accounting exact
-        // for everything that did land; untouched partitions go back into
-        // the registry pending.
+        let parts: Vec<Partition> = taken.iter().map(|(_, slot)| self.drain(slot)).collect();
+        let collapsed = parts.iter().map(Partition::len).sum();
+        // One exclusive base acquisition for the whole collapse. Were each
+        // grounding to take the base locks itself, statements disjoint from
+        // the claim would run between every plan and commit, and a
+        // partition they deepen meanwhile can cost its next refusal a
+        // search exponential in its depth.
         let mut base = self.base_write();
-        let mut collapsed = 0usize;
-        let mut apply_err: Option<EngineError> = None;
-        let mut failed_at: usize = plans.len();
-        let mut applied_in_failed: Vec<TxnId> = Vec::new();
-        'apply: for (idx, grounded) in plans.iter().enumerate() {
-            applied_in_failed.clear();
-            for g in grounded {
-                let applied = (|| -> Result<()> {
-                    for op in &g.ops {
-                        base.db.apply(op)?;
-                    }
-                    self.core.wal.lock().append(&LogRecord::Ground {
-                        id: g.id,
-                        ops: g.ops.clone(),
-                    })?;
-                    Ok(())
-                })();
-                if let Err(e) = applied {
-                    apply_err = Some(e);
-                    failed_at = idx;
-                    break 'apply;
-                }
-                applied_in_failed.push(g.id);
-                collapsed += 1;
-                {
-                    let t = self.core.metrics.begin();
-                    t.record_ground(GroundReason::Explicit);
-                    t.add(|c| &c.optionals_satisfied, g.promoted as u64);
-                    t.add(|c| &c.optionals_total, g.total_optionals as u64);
+        let mut solver = self.solver();
+        let mut parts = parts.into_iter();
+        while let Some(part) = parts.next() {
+            let mut st = SlotState {
+                part,
+                ..SlotState::default()
+            };
+            while let Some(head) = st.part.txns.first().map(|t| t.id) {
+                let head = (&[head][..], &[][..]);
+                let explicit = GroundReason::Explicit;
+                let held = Some(&mut *base);
+                if let Err(e) = self.ground_in_slot(&mut st, head, explicit, &mut solver, held) {
+                    // Every step so far went through `commit_plan`: this
+                    // partition and the untouched ones go back pending.
+                    drop(base);
+                    let rest = std::iter::once(st.part).chain(parts).collect();
+                    self.registry(|reg| reg.reinstall(host_pid, &mut host, rest));
+                    self.absorb(&solver);
+                    return Err(e);
                 }
             }
-        }
-        if let Some(e) = apply_err {
-            // Untouched partitions go back pending verbatim. The failed
-            // partition's not-yet-applied suffix is restored with a
-            // freshly solved cache (its planned cache assumed the whole
-            // collapse would land).
-            let mut rest = parts.split_off(failed_at + 1);
-            let mut failed = parts.pop().expect("failed partition present");
-            failed.txns.retain(|t| !applied_in_failed.contains(&t.id));
-            failed.overlay_cache = None;
-            if !failed.txns.is_empty() {
-                let mut solver = self.solver();
-                let refs = failed.txn_refs();
-                // On resolve failure the suffix is unrecoverable (the
-                // failing write tore the base mid-transaction): it is
-                // dropped; the engine is compromised anyway and says so
-                // through `e`. The pending gauge may over-count from here.
-                if let Ok(Some(cache)) = CachedSolution::resolve(&mut solver, &base.db, &refs) {
-                    failed.cache = cache;
-                    rest.push(failed);
-                }
-                self.absorb(&solver);
-            }
-            drop(base);
-            self.registry(|reg| reg.reinstall(host_pid, &mut host, rest));
-            return Err(e);
         }
         drop(base);
-        self.core
-            .obs
-            .phase(qdb_obs::Phase::Apply, t_apply.elapsed());
+        self.absorb(&solver);
         self.publish(host_pid, &mut host);
         // A full collapse is a natural group-commit boundary: drain the
         // accumulated Ground frames in one buffered write + flush.
@@ -1175,43 +1115,23 @@ impl SharedQuantumDb {
                 }
                 let _gauge = self.enter_solve();
                 let overlay = std::slice::from_ref(&op);
-                let mut ok = true;
                 for &i in &affected {
                     let p = &guards[i].part;
-                    let cached = p.txns.iter().map(|t| &t.txn).zip(&p.cache.valuations);
-                    if crate::ground::residue_untouched(cached, overlay) {
+                    let residue = p.txns.iter().map(|t| &t.txn).zip(&p.cache.valuations);
+                    match check_residue(solver, &base.db, overlay, overlay, residue)? {
                         // No cached grounding names the tuple: valuations
-                        // and pending world stand as they are (the
-                        // untouched-residue lemma).
-                        continue;
-                    }
-                    let p = &guards[i].part;
-                    let specs: Vec<TxnSpec> = p
-                        .txns
-                        .iter()
-                        .map(|t| TxnSpec::required_only(&t.txn))
-                        .collect();
-                    if solver.verify(&base.db, overlay, &specs, &p.cache.valuations)? {
-                        new_caches.push((i, None)); // cache still good
-                        continue;
-                    }
-                    match solver.solve(&base.db, overlay, &specs)? {
-                        Some(sol) => new_caches.push((
-                            i,
-                            Some(CachedSolution {
-                                valuations: sol.valuations,
-                            }),
-                        )),
-                        None => {
-                            ok = false;
-                            break;
+                        // and pending world stand as they are.
+                        Residue::Untouched => {}
+                        Residue::Verified => new_caches.push((i, None)),
+                        Residue::Resolved(valuations) => {
+                            new_caches.push((i, Some(CachedSolution { valuations })))
+                        }
+                        Residue::Unsat => {
+                            // Reject without ever having touched the base.
+                            self.core.metrics.begin().add(|c| &c.writes_rejected, 1);
+                            return Ok(false);
                         }
                     }
-                }
-                if !ok {
-                    // Reject without ever having touched the base.
-                    self.core.metrics.begin().add(|c| &c.writes_rejected, 1);
-                    return Ok(false);
                 }
             }
 

@@ -767,11 +767,6 @@ impl Solver {
         &self.stats
     }
 
-    /// Reset statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
     /// Install the observability handle search timings feed into.
     pub fn set_obs(&mut self, obs: Option<std::sync::Arc<qdb_obs::Obs>>) {
         self.obs = obs;

@@ -18,6 +18,7 @@
 //! order) mid-write.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 use quantum_db::{QuantumDb, QuantumDbConfig, Response, Session};
 
@@ -52,6 +53,10 @@ fn build_session() -> Session {
 fn show_metrics_mid_ground_all_never_observes_torn_counters() {
     let session = build_session();
     let done = AtomicBool::new(false);
+    // The writer holds its first round pending until every observer has
+    // started and sampled once: a writer that finishes all its rounds
+    // before an observer is scheduled would leave nothing checked.
+    let (started, sampled) = (Barrier::new(3), Barrier::new(3));
 
     std::thread::scope(|scope| {
         // Writer: bursts of one pending booking per lane, then a global
@@ -59,6 +64,7 @@ fn show_metrics_mid_ground_all_never_observes_torn_counters() {
         // (grounded, pending) through multi-counter transitions.
         let writer_session = session.clone();
         let done_ref = &done;
+        let (started_ref, sampled_ref) = (&started, &sampled);
         scope.spawn(move || {
             let book = writer_session
                 .prepare(
@@ -77,6 +83,10 @@ fn show_metrics_mid_ground_all_never_observes_torn_counters() {
                         .unwrap();
                     assert!(matches!(r, Response::Committed(_)));
                 }
+                if round == 0 {
+                    started_ref.wait();
+                    sampled_ref.wait();
+                }
                 writer_session.execute("GROUND ALL").unwrap();
             }
             done_ref.store(true, Ordering::SeqCst);
@@ -87,7 +97,9 @@ fn show_metrics_mid_ground_all_never_observes_torn_counters() {
         for _ in 0..2 {
             let obs = session.clone();
             let done_ref = &done;
+            let (started_ref, sampled_ref) = (&started, &sampled);
             scope.spawn(move || {
+                started_ref.wait();
                 let mut samples = 0u64;
                 while !done_ref.load(Ordering::SeqCst) {
                     let (m, pending) = obs.shared().metrics_with_pending();
@@ -127,6 +139,9 @@ fn show_metrics_mid_ground_all_never_observes_torn_counters() {
                     let events = obs.execute("SHOW EVENTS LIMIT 16").unwrap();
                     assert!(events.events().expect("typed events").len() <= 16);
                     samples += 1;
+                    if samples == 1 {
+                        sampled_ref.wait();
+                    }
                 }
                 assert!(samples > 0, "observer never sampled");
             });
