@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! reproduce [table1|fig5|fig6|fig7|table2|fig8|fig9|phase|sim|
-//!            connection_scale|replication|all]...
+//!            replication|all]...
 //!           [--scale full|smoke] [--json]
 //! ```
 //!
@@ -11,11 +11,12 @@
 //! `full` runs the paper's parameters (slow: Fig. 7 alone executes up to
 //! 15 000 transactions per k); `smoke` is a quick shape-check. Output is
 //! plain text: tables match the paper's tables, figures are printed as
-//! tab-separated series. With `--json`, the same measurements are
-//! additionally written to `BENCH_results.json` — stamped with the git
-//! commit and a UTC timestamp — which is what CI's jq gates read.
-//! Performance questions belong to `benchmark/` (see its README), not
-//! here.
+//! tab-separated series. `sim` and `replication` are the simulator's
+//! checked sweeps (single-node with crash injection; primary kill and
+//! replica promotion). With `--json`, the same results are additionally
+//! written to `BENCH_results.json` — stamped with the git commit and a
+//! UTC timestamp — which is what CI's jq gates read. Performance
+//! questions belong to `benchmark/` (see its README), not here.
 
 use qdb_bench::experiments::*;
 use qdb_bench::report::{downsample, format_series, format_table};
@@ -65,7 +66,7 @@ fn main() {
     if which.is_empty() {
         which.push("all".to_string());
     }
-    const KNOWN: [&str; 12] = [
+    const KNOWN: [&str; 11] = [
         "all",
         "table1",
         "fig5",
@@ -76,7 +77,6 @@ fn main() {
         "fig9",
         "phase",
         "sim",
-        "connection_scale",
         "replication",
     ];
     for w in &which {
@@ -105,9 +105,6 @@ fn main() {
     }
     if wants("phase") {
         records.push(phase());
-    }
-    if wants("connection_scale") {
-        records.push(connection_scale_report(scale));
     }
     let mut sim_failed = false;
     if wants("replication") {
@@ -145,152 +142,22 @@ fn main() {
     }
 }
 
-/// The serving-layer acceptance run (see `qdb_bench::connscale`): park a
-/// flood of idle connections on the epoll reactor, rerun the hot workload,
-/// and report the latency penalty plus the per-idle-connection memory
-/// bill. CI jq-gates `conns_refused == 0` and a non-degenerate `p999_us`
-/// off this record.
-fn connection_scale_report(scale: Scale) -> Json {
-    use qdb_bench::{connection_scale, ConnScaleConfig};
-
-    let cfg = match scale {
-        Scale::Full => ConnScaleConfig::full(),
-        Scale::Smoke => ConnScaleConfig::smoke(),
-    };
-    println!("== Connection scale: hot-path latency under an idle-connection flood ==");
-    println!(
-        "({} idle connections parked, {} hot threads x {} round trips,\n\
-         baseline vs flooded; epoll reactor, {} executor workers)\n",
-        cfg.idle_conns, cfg.hot_conns, cfg.requests_per_conn, cfg.workers
-    );
-    let outcome = connection_scale(&cfg);
-    let us = |ns: u64| ns as f64 / 1000.0;
-    let table: Vec<Vec<String>> = outcome
-        .phases
-        .iter()
-        .map(|p| {
-            vec![
-                p.label.to_string(),
-                p.idle_conns.to_string(),
-                p.requests.to_string(),
-                format!("{:.0}", p.throughput_rps),
-                format!("{:.1}", us(p.latency.p50_ns)),
-                format!("{:.1}", us(p.latency.p99_ns)),
-                format!("{:.1}", us(p.latency.p999_ns)),
-                format!("{:.1}", us(p.latency.max_ns)),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &["phase", "idle", "requests", "req/s", "p50_us", "p99_us", "p999_us", "max_us"],
-            &table
-        )
-    );
-    println!(
-        "held {} idle conns (peak {}, refused {}, reaped {}); \
-         {:.0} bytes/idle conn; p99 scaled/baseline = {:.2}x\n",
-        outcome.idle_held,
-        outcome.conns_peak,
-        outcome.conns_refused,
-        outcome.conns_idle_closed,
-        outcome.bytes_per_idle_conn,
-        outcome.p99_ratio
-    );
-    Json::obj([
-        ("experiment", Json::str("connection_scale")),
-        ("idle_conns", num(cfg.idle_conns as f64)),
-        ("hot_conns", num(cfg.hot_conns as f64)),
-        ("requests_per_conn", num(cfg.requests_per_conn as f64)),
-        ("workers", num(cfg.workers as f64)),
-        ("nofile_limit", num(outcome.nofile_limit as f64)),
-        ("idle_held", num(outcome.idle_held as f64)),
-        ("conns_peak", num(outcome.conns_peak as f64)),
-        ("conns_refused", num(outcome.conns_refused as f64)),
-        ("conns_idle_closed", num(outcome.conns_idle_closed as f64)),
-        ("bytes_per_idle_conn", num(outcome.bytes_per_idle_conn)),
-        ("p99_ratio", num(outcome.p99_ratio)),
-        (
-            "phases",
-            Json::arr(outcome.phases.iter().map(|p| {
-                Json::obj([
-                    ("phase", Json::str(p.label)),
-                    ("idle_conns", num(p.idle_conns as f64)),
-                    ("requests", num(p.requests as f64)),
-                    ("throughput_rps", num(p.throughput_rps)),
-                    ("p50_us", num(us(p.latency.p50_ns))),
-                    ("p90_us", num(us(p.latency.p90_ns))),
-                    ("p99_us", num(us(p.latency.p99_ns))),
-                    ("p999_us", num(us(p.latency.p999_ns))),
-                    ("max_us", num(us(p.latency.max_ns))),
-                ])
-            })),
-        ),
-    ])
-}
-
-/// The replication acceptance run. Two halves, one record:
-///
-/// - **performance** ([`qdb_bench::replication_scale`]): read throughput
-///   vs replica count plus replication lag under the read-mostly shape,
-///   against real primary/replica `qdb-server` processes over loopback;
-/// - **correctness** ([`qdb_sim::run_replica_sweep`]): the replicated
-///   sim topology — seeded workload, WAL shipping with arbitrary byte
-///   cuts, primary kill, promotion — whose checker proves zero
-///   acknowledged-durable-write loss and horizon-explainable replica
-///   reads. CI jq-gates `failover.violations == 0`, non-zero
-///   `replica_reads`, and `settled_lag_bytes == 0` off this record.
+/// The replication acceptance run ([`qdb_sim::run_replica_sweep`]): the
+/// replicated sim topology — seeded workload, WAL shipping with
+/// arbitrary byte cuts, primary kill, promotion — whose checker proves
+/// zero acknowledged-durable-write loss and horizon-explainable replica
+/// reads. CI jq-gates `failover.violations == 0` and the accounting
+/// identity `acked_writes == surviving_acked + lost_to_window` off this
+/// record.
 fn replication_report(scale: Scale) -> (Json, bool) {
-    use qdb_bench::{replication_scale, ReplScaleConfig};
     use qdb_sim::{run_replica_sweep, ReplicaSimConfig};
 
-    let (cfg, seeds) = match scale {
-        Scale::Full => (ReplScaleConfig::full(), 50u64),
-        Scale::Smoke => (ReplScaleConfig::smoke(), 5u64),
+    let seeds = match scale {
+        Scale::Full => 50u64,
+        Scale::Smoke => 5u64,
     };
-    println!("== Replication: read scale-out, lag, and checked failover ==");
-    println!(
-        "(replica sweep {:?}, {} bookings + {} reads/reader per point, read-mostly mix;\n\
-         plus {seeds} sim seeds of kill-at-arbitrary-WAL-cut + promotion)\n",
-        cfg.replica_counts, cfg.bookings, cfg.reads_per_reader
-    );
-    let outcome = replication_scale(&cfg);
-    let us = |ns: u64| ns as f64 / 1000.0;
-    let table: Vec<Vec<String>> = outcome
-        .points
-        .iter()
-        .map(|p| {
-            vec![
-                p.replicas.to_string(),
-                p.readers.to_string(),
-                p.reads.to_string(),
-                format!("{:.0}", p.read_throughput_rps),
-                format!("{:.1}", us(p.read_latency.p50_ns)),
-                format!("{:.1}", us(p.read_latency.p99_ns)),
-                p.bookings_committed.to_string(),
-                p.max_lag_bytes.to_string(),
-                p.settled_lag_bytes.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        format_table(
-            &[
-                "replicas",
-                "readers",
-                "reads",
-                "reads/s",
-                "p50_us",
-                "p99_us",
-                "bookings",
-                "max_lag_B",
-                "settled_B"
-            ],
-            &table
-        )
-    );
+    println!("== Replication: checked failover ==");
+    println!("({seeds} sim seeds of kill-at-arbitrary-WAL-cut + promotion)\n");
 
     let sweep = run_replica_sweep(&ReplicaSimConfig::smoke(), 1, seeds);
     println!(
@@ -311,27 +178,6 @@ fn replication_report(scale: Scale) -> (Json, bool) {
     let failed = !sweep.failures.is_empty();
     let record = Json::obj([
         ("experiment", Json::str("replication")),
-        ("profile", Json::str("read_mostly")),
-        (
-            "points",
-            Json::arr(outcome.points.iter().map(|p| {
-                Json::obj([
-                    ("replicas", num(p.replicas as f64)),
-                    ("readers", num(p.readers as f64)),
-                    ("reads", num(p.reads as f64)),
-                    ("replica_reads", num(p.replica_reads as f64)),
-                    ("read_throughput_rps", num(p.read_throughput_rps)),
-                    ("read_p50_us", num(us(p.read_latency.p50_ns))),
-                    ("read_p90_us", num(us(p.read_latency.p90_ns))),
-                    ("read_p99_us", num(us(p.read_latency.p99_ns))),
-                    ("read_p999_us", num(us(p.read_latency.p999_ns))),
-                    ("bookings_committed", num(p.bookings_committed as f64)),
-                    ("max_lag_bytes", num(p.max_lag_bytes as f64)),
-                    ("settled_lag_bytes", num(p.settled_lag_bytes as f64)),
-                    ("catch_up_ms", num(p.catch_up_ms as f64)),
-                ])
-            })),
-        ),
         (
             "failover",
             Json::obj([

@@ -20,8 +20,7 @@ use crate::txn::PendingTxn;
 /// One independent set of pending transactions plus its cached solution.
 ///
 /// ```
-/// use qdb_core::Partition;
-/// use qdb_core::partition::transactions_overlap;
+/// use qdb_core::{Footprint, Partition};
 /// use qdb_logic::parse_transaction;
 ///
 /// let booking = |flight: i64, name: &str| {
@@ -33,15 +32,13 @@ use crate::txn::PendingTxn;
 /// };
 /// // Bookings on different flights never unify: they are independent and
 /// // would live in separate partitions (§4 "Quantum State").
-/// assert!(!transactions_overlap(&booking(1, "Mickey"), &booking(2, "Donald")));
+/// let mickey = Footprint::of_txn(&booking(1, "Mickey"));
+/// assert!(!mickey.overlaps_txn(&booking(2, "Donald")));
+/// assert!(mickey.overlaps_txn(&booking(1, "Donald")));
 ///
-/// let p = Partition::new();
-/// assert!(p.is_empty());
-/// // An empty partition overlaps nothing.
-/// assert!(!p.overlaps(&booking(1, "Mickey")));
-/// // Its footprint is the overlap summary the sharded engine's registry
-/// // keeps outside the partition lock.
-/// assert!(!p.footprint().overlaps_txn(&booking(1, "Mickey")));
+/// // An empty partition's footprint — the overlap summary the sharded
+/// // engine's registry keeps outside the partition lock — overlaps nothing.
+/// assert!(!Partition::new().footprint().overlaps_txn(&booking(1, "Mickey")));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Partition {
@@ -82,12 +79,6 @@ impl Partition {
     /// APIs take).
     pub fn txn_refs(&self) -> Vec<&ResourceTransaction> {
         self.txns.iter().map(|p| &p.txn).collect()
-    }
-
-    /// Could `txn` interact with this partition? Conservative unifiability
-    /// check across all atoms (body and updates) of both sides.
-    pub fn overlaps(&self, txn: &ResourceTransaction) -> bool {
-        self.txns.iter().any(|p| transactions_overlap(&p.txn, txn))
     }
 
     /// Merge `other` into `self`, keeping global arrival order. Because
@@ -270,9 +261,12 @@ impl Footprint {
         self.txns.iter().flat_map(|t| &t.atoms)
     }
 
-    /// Could `txn` be dependent on the summarized partition? Mirrors
-    /// [`transactions_overlap`]: a write/read or write/write conflict —
-    /// an update atom of one side may-overlapping any atom of the other.
+    /// Could `txn` be dependent on the summarized partition? Only through a
+    /// write/read or write/write conflict: an *update* atom of one side
+    /// may-overlapping any atom of the other. So the shared read-only
+    /// `Adjacent` table, which every booking reads, creates no dependence;
+    /// this lets the system "correctly identify the independence of
+    /// queries between different flights" (§5.3).
     pub fn overlaps_txn(&self, txn: &ResourceTransaction) -> bool {
         self.update_atoms()
             .any(|ua| all_atoms(txn).any(|ta| ua.may_overlap(ta)))
@@ -297,24 +291,6 @@ impl Footprint {
     }
 }
 
-/// Conservative dependence test between two transactions.
-///
-/// Dependence requires a potential **write/read or write/write** conflict:
-/// an *update* atom of one side may-overlapping any atom of the other.
-/// Body atoms over relations neither transaction writes (e.g. the shared
-/// read-only `Adjacent` table) unify freely without creating dependence —
-/// this is what lets the system "correctly identify the independence of
-/// queries between different flights" (§5.3) even though every booking
-/// reads the same adjacency relation.
-pub fn transactions_overlap(a: &ResourceTransaction, b: &ResourceTransaction) -> bool {
-    let updates_vs_atoms = |x: &ResourceTransaction, y: &ResourceTransaction| {
-        x.updates
-            .iter()
-            .any(|u| all_atoms(y).any(|ya| u.atom.may_overlap(ya)))
-    };
-    updates_vs_atoms(a, b) || updates_vs_atoms(b, a)
-}
-
 fn all_atoms(t: &ResourceTransaction) -> impl Iterator<Item = &Atom> + '_ {
     t.body
         .iter()
@@ -325,8 +301,22 @@ fn all_atoms(t: &ResourceTransaction) -> impl Iterator<Item = &Atom> + '_ {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qdb_logic::parse_transaction;
-    use qdb_logic::Valuation;
+    use qdb_logic::{parse_transaction, Valuation};
+
+    /// The pairwise test [`Footprint::overlaps_txn`] answers for a partition.
+    fn transactions_overlap(a: &ResourceTransaction, b: &ResourceTransaction) -> bool {
+        let writes_into = |x: &ResourceTransaction, y| {
+            (x.updates.iter()).any(|u| all_atoms(y).any(|ya| u.atom.may_overlap(ya)))
+        };
+        writes_into(a, b) || writes_into(b, a)
+    }
+
+    impl Partition {
+        /// The exact reference for [`Partition::footprint`]'s overlap test.
+        fn overlaps(&self, txn: &ResourceTransaction) -> bool {
+            self.txns.iter().any(|p| transactions_overlap(&p.txn, txn))
+        }
+    }
 
     fn book_flight(f: i64, name: &str) -> ResourceTransaction {
         parse_transaction(&format!(
@@ -378,13 +368,23 @@ mod tests {
 
     #[test]
     fn footprint_mirrors_partition_overlap() {
+        let adjacent = |f: i64| {
+            let txn = format!("-Available({f}, s), +Bookings('E', {f}, s) :-1 Available({f}, s)");
+            parse_transaction(&format!("{txn}, Adjacent(s, t)")).unwrap()
+        };
         let mut p = Partition::new();
-        p.txns.push(PendingTxn::new(1, book_flight(1, "M")));
-        p.cache.valuations.push(Valuation::new());
+        for (id, t) in [(1, book_flight(1, "M")), (2, adjacent(1))] {
+            p.txns.push(PendingTxn::new(id, t));
+            p.cache.valuations.push(Valuation::new());
+        }
         let fp = p.footprint();
-        // Same answers as the exact partition-contents tests.
-        assert!(fp.overlaps_txn(&book_flight(1, "D")));
-        assert!(!fp.overlaps_txn(&book_flight(2, "D")));
+        // Same answers as the exact per-transaction test: flight 1 overlaps,
+        // and reading the same `Adjacent` rows on flight 2 is no dependence.
+        let probes = |f| [book_flight(f, "D"), adjacent(f)];
+        for (f, overlaps) in [(1, true), (2, false)] {
+            let got = probes(f).map(|t| (fp.overlaps_txn(&t), p.overlaps(&t)));
+            assert_eq!(got, [(overlaps, overlaps); 2], "flight {f}");
+        }
         let q = qdb_logic::parse_query("Bookings('M', f, s)").unwrap();
         assert!(fp.touched_by_query(&q.atoms));
         let other = qdb_logic::parse_query("Bookings('D', f, s)").unwrap();
@@ -404,7 +404,7 @@ mod tests {
         // Merged footprints cover both sides.
         let mut merged = fp.clone();
         merged.absorb(&Footprint::of_txn(&book_flight(2, "D")));
-        assert!(merged.overlaps_txn(&book_flight(2, "X")));
+        assert!(probes(2).iter().all(|t| merged.overlaps_txn(t)));
     }
 
     #[test]

@@ -145,7 +145,7 @@ impl Outcome {
 
 /// Statement classes the flight recorder can tag events with, in wire-code
 /// order. These mirror `Statement::kind()` strings exactly.
-pub const STMT_CLASSES: [&str; 13] = [
+pub const STMT_CLASSES: [&str; 15] = [
     "CREATE TABLE",
     "CREATE INDEX",
     "INSERT",
@@ -159,6 +159,8 @@ pub const STMT_CLASSES: [&str; 13] = [
     "SHOW PENDING",
     "SHOW PROFILE",
     "SHOW EVENTS",
+    "SHOW REPLICATION",
+    "PROMOTE",
 ];
 
 /// First kind code used for statement classes (codes `0..PHASE_COUNT` are

@@ -60,7 +60,7 @@ mod conn;
 pub mod metrics;
 mod reactor;
 pub mod repl;
-pub mod sys;
+mod sys;
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -79,7 +79,6 @@ use qdb_core::{ReplicaApplier, ReplicaTracker};
 use reactor::{new_reactor, Notifier, ReactorConfig};
 pub use repl::ReplicaState;
 use repl::{run_puller, ConnRole, PullerConfig};
-pub use sys::raise_nofile_limit;
 
 pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -397,9 +396,9 @@ impl ServerHandle {
         self.metrics.socket_calls()
     }
 
-    /// Sum the per-connection state estimate over live connections — the
-    /// "bytes per idle connection" number the `connection_scale` bench
-    /// reports.
+    /// Sum the per-connection state estimate over live connections; the
+    /// idle-flood test in `tests/slow_clients.rs` bounds its growth per
+    /// parked idle connection.
     pub fn conn_memory(&self) -> ConnMemory {
         let mut out = ConnMemory { conns: 0, bytes: 0 };
         for conn in lock(&self.registry).iter().filter_map(Weak::upgrade) {

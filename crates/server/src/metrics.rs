@@ -10,26 +10,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use qdb_core::wire::ServerStats;
-
-/// Every statement class ([`qdb_logic::Statement::kind`] — a closed set
-/// fixed by the grammar), sorted, which is the order `snapshot` lists them in.
-const CLASSES: [&str; 15] = [
-    "CHECKPOINT",
-    "CREATE INDEX",
-    "CREATE TABLE",
-    "DELETE",
-    "GROUND",
-    "GROUND ALL",
-    "INSERT",
-    "PROMOTE",
-    "SELECT",
-    "SELECT … CHOOSE 1",
-    "SHOW EVENTS",
-    "SHOW METRICS",
-    "SHOW PENDING",
-    "SHOW PROFILE",
-    "SHOW REPLICATION",
-];
+use qdb_core::{stmt_code, STMT_CLASSES, STMT_CODE_BASE};
 
 /// Lock-free counters throughout: executors on every core bump them per
 /// statement and per socket call.
@@ -46,7 +27,9 @@ pub struct ServerMetrics {
     outbox_full_stalls: AtomicU64,
     socket_reads: AtomicU64,
     socket_writes: AtomicU64,
-    classes: [AtomicU64; CLASSES.len()],
+    /// Statements per class, indexed by the class's flight-recorder code
+    /// ([`stmt_code`]) less [`STMT_CODE_BASE`].
+    classes: [AtomicU64; STMT_CLASSES.len()],
 }
 
 impl ServerMetrics {
@@ -115,15 +98,22 @@ impl ServerMetrics {
     /// Record one executed statement of the given class
     /// ([`qdb_logic::Statement::kind`]).
     pub fn statement(&self, class: &'static str) {
-        let slot = CLASSES.iter().position(|c| *c == class);
-        debug_assert!(slot.is_some(), "statement class {class:?} not in CLASSES");
-        if let Some(slot) = slot {
-            self.classes[slot].fetch_add(1, Ordering::Relaxed);
+        let slot = stmt_code(class).wrapping_sub(STMT_CODE_BASE) as usize;
+        debug_assert!(slot < STMT_CLASSES.len(), "{class:?} not in STMT_CLASSES");
+        if let Some(count) = self.classes.get(slot) {
+            count.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Snapshot for the wire.
+    /// Snapshot for the wire; classes are listed by name, once they have run.
     pub fn snapshot(&self) -> ServerStats {
+        let mut statement_classes: Vec<(String, u64)> = STMT_CLASSES
+            .iter()
+            .zip(&self.classes)
+            .map(|(class, count)| (class.to_string(), count.load(Ordering::Relaxed)))
+            .filter(|(_, count)| *count > 0)
+            .collect();
+        statement_classes.sort_unstable();
         ServerStats {
             connections: self.connections.load(Ordering::Relaxed),
             frames_decoded: self.frames_decoded.load(Ordering::Relaxed),
@@ -134,12 +124,7 @@ impl ServerMetrics {
             conns_refused: self.conns_refused.load(Ordering::Relaxed),
             conns_idle_closed: self.conns_idle_closed.load(Ordering::Relaxed),
             outbox_full_stalls: self.outbox_full_stalls.load(Ordering::Relaxed),
-            statement_classes: CLASSES
-                .iter()
-                .zip(&self.classes)
-                .map(|(class, count)| (class.to_string(), count.load(Ordering::Relaxed)))
-                .filter(|(_, count)| *count > 0)
-                .collect(),
+            statement_classes,
         }
     }
 }
@@ -184,7 +169,7 @@ mod tests {
 
     #[test]
     fn class_table_is_sorted_and_covers_the_grammar() {
-        assert!(CLASSES.windows(2).all(|w| w[0] < w[1]), "snapshot order");
+        let mut kinds = std::collections::BTreeSet::new();
         for sql in [
             "CREATE TABLE T (a INT)",
             "CREATE INDEX ON T (a)",
@@ -203,9 +188,11 @@ mod tests {
             "PROMOTE",
         ] {
             let kind = qdb_logic::parse_statement(sql).unwrap().template().kind();
-            assert!(CLASSES.contains(&kind), "{kind} missing from CLASSES");
+            assert_ne!(stmt_code(kind), u8::MAX, "{kind} missing from STMT_CLASSES");
+            kinds.insert(kind);
         }
-        // Classes are listed in table order and only once they have run.
+        assert_eq!(kinds.len(), STMT_CLASSES.len(), "a class no statement has");
+        // Classes are listed by name and only once they have run.
         let m = ServerMetrics::default();
         m.statement("SHOW PENDING");
         m.statement("CHECKPOINT");

@@ -1,9 +1,8 @@
-//! Thin FFI shim over the handful of kernel interfaces the reactor needs:
-//! `epoll` for readiness notification and `{get,set}rlimit` for the
-//! file-descriptor budget.
+//! Thin FFI shim over the kernel interface the reactor needs: `epoll` for
+//! readiness notification.
 //!
 //! This follows the repo's offline-deps idiom (`bytes`, `rng`, the mutex
-//! helpers): instead of pulling in the `libc` crate we declare the five
+//! helpers): instead of pulling in the `libc` crate we declare the four
 //! symbols ourselves. `std` already links the platform C library on
 //! Linux, so this adds no dependency — just a typed view of what is
 //! already in the address space.
@@ -43,22 +42,11 @@ const EPOLL_CTL_DEL: c_int = 2;
 const EPOLL_CTL_MOD: c_int = 3;
 const EPOLL_CLOEXEC: c_int = 0o2000000;
 
-const RLIMIT_NOFILE: c_int = 7;
-
-/// Mirror of `struct rlimit` (64-bit `rlim_t` on every supported target).
-#[repr(C)]
-struct RLimit {
-    rlim_cur: u64,
-    rlim_max: u64,
-}
-
 extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
     fn close(fd: c_int) -> c_int;
-    fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
-    fn setrlimit(resource: c_int, rlim: *const RLimit) -> c_int;
 }
 
 /// One readiness event, unpacked out of the kernel's packed struct.
@@ -188,45 +176,6 @@ impl Drop for Poller {
     }
 }
 
-/// Raise the process's soft `RLIMIT_NOFILE` toward `want` file
-/// descriptors (capped at the hard limit) and return the resulting soft
-/// limit. Used by the `connection_scale` bench, which needs ~2 fds per
-/// simulated connection (client end + server end in one process).
-pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
-    let mut lim = RLimit {
-        rlim_cur: 0,
-        rlim_max: 0,
-    };
-    // SAFETY: `lim` is a valid out-pointer for the duration of the call.
-    if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    if lim.rlim_cur >= want {
-        return Ok(lim.rlim_cur);
-    }
-    if want > lim.rlim_max {
-        // Raising the hard limit needs CAP_SYS_RESOURCE; try it, and on
-        // EPERM settle for the hard cap below.
-        let privileged = RLimit {
-            rlim_cur: want,
-            rlim_max: want,
-        };
-        // SAFETY: valid in-pointer for the duration of the call.
-        if unsafe { setrlimit(RLIMIT_NOFILE, &privileged) } == 0 {
-            return Ok(want);
-        }
-    }
-    let raised = RLimit {
-        rlim_cur: want.min(lim.rlim_max),
-        rlim_max: lim.rlim_max,
-    };
-    // SAFETY: `raised` is a valid in-pointer for the duration of the call.
-    if unsafe { setrlimit(RLIMIT_NOFILE, &raised) } < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(raised.rlim_cur)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,13 +229,5 @@ mod tests {
         let mut events = Vec::new();
         poller.wait(&mut events, 1000).unwrap();
         assert!(events.iter().any(|e| e.token == 7 && e.writable));
-    }
-
-    #[test]
-    fn raise_nofile_limit_is_monotone() {
-        let current = raise_nofile_limit(0).unwrap();
-        assert!(current > 0);
-        // Asking for what we already have (or less) never lowers it.
-        assert_eq!(raise_nofile_limit(current).unwrap(), current);
     }
 }

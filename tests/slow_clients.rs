@@ -1,7 +1,7 @@
 //! Slow-client robustness: one misbehaving connection must never stall
 //! the reactor for everyone else.
 //!
-//! Two classic abuse shapes from the 10k-connection literature:
+//! Three classic abuse shapes from the 10k-connection literature:
 //!
 //! - **byte dribble** — a client trickles a valid frame one byte at a
 //!   time. A thread-per-connection server with blocking reads tolerates
@@ -10,6 +10,10 @@
 //! - **slowloris** — clients connect, send little or nothing, and hold
 //!   the socket open forever. The idle-timeout wheel must reap them while
 //!   connections with live traffic keep their seats.
+//! - **idle flood** — hundreds of connections open and never speak. Each
+//!   must be admitted and cost only its connection state (no buffer is
+//!   held for a socket with nothing in flight), and a live connection
+//!   must keep round-tripping beside them.
 
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
@@ -123,5 +127,67 @@ fn slowloris_half_open_connections_are_reaped_while_active_traffic_survives() {
     let stats = server.stats();
     assert_eq!(stats.conns_idle_closed, 4);
     assert!(stats.conns_open >= 1, "active connection survived: {stats}");
+    server.shutdown();
+}
+
+#[test]
+fn idle_flood_is_admitted_holds_no_buffers_and_leaves_live_traffic_serving() {
+    // Both socket ends live in this process: 2 × 256 fds stays under the
+    // common 1 024 soft limit.
+    const FLOOD: usize = 256;
+    let server = spawn(ServerConfig {
+        workers: 2,
+        // Provisioned above the flood, so zero refusals is a real check.
+        max_connections: FLOOD + 16,
+        // Present, so the timer wheel tracks every parked connection, and
+        // long enough that none is reaped mid-test.
+        idle_timeout: Some(Duration::from_secs(600)),
+        ..ServerConfig::default()
+    });
+    let addr = server.addr();
+
+    let before = server.conn_memory();
+    let flood: Vec<TcpStream> = (0..FLOOD)
+        .map(|_| TcpStream::connect(addr).unwrap())
+        .collect();
+    // The reactor accepts asynchronously: wait until it holds the flood.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while server.stats().conns_open < FLOOD as u64 {
+        assert!(
+            Instant::now() < deadline,
+            "flood not fully accepted: {}",
+            server.stats()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let after = server.conn_memory();
+    assert_eq!(after.conns - before.conns, FLOOD);
+    let per_conn = (after.bytes - before.bytes) as f64 / FLOOD as f64;
+    assert!(
+        per_conn > 0.0 && per_conn < 512.0,
+        "{per_conn:.0} bytes per idle connection"
+    );
+
+    // A live connection keeps its round trips while the flood is parked.
+    let mut live = Connection::connect(addr).unwrap();
+    for _ in 0..50 {
+        live.execute("SHOW PENDING").unwrap();
+    }
+    let stats = server.stats();
+    assert_eq!(stats.conns_refused, 0, "{stats}");
+    assert_eq!(stats.conns_idle_closed, 0, "{stats}");
+
+    // Dropping the flood gives its seats back.
+    drop(flood);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while server.stats().conns_open > 1 {
+        assert!(
+            Instant::now() < deadline,
+            "flood not released: {}",
+            server.stats()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    live.execute("SHOW PENDING").unwrap();
     server.shutdown();
 }
