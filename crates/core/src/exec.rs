@@ -268,7 +268,7 @@ impl SharedQuantumDb {
     /// [`crate::QuantumDbConfig::slow_op_threshold_us`] — its span tree in
     /// the slow-op log.
     pub fn execute_stmt(&self, stmt: Statement) -> Result<Response> {
-        let token = self.obs().begin_op(stmt.kind());
+        let token = self.obs().begin_op(stmt.class());
         let result = self.execute_stmt_inner(stmt);
         let (outcome, txn) = op_outcome(&result);
         self.obs().finish_op(token, outcome, txn);
@@ -410,9 +410,9 @@ impl StmtCache {
     /// Resolve `sql` to its parsed statement, counting a parse and timing
     /// the step on `db`, the engine that serves the statement.
     pub fn parse(&self, db: &SharedQuantumDb, sql: &str) -> Result<ParsedStatement> {
-        let t0 = std::time::Instant::now();
+        let t0 = db.obs().start();
         let parsed = self.resolve(db, sql);
-        db.obs().phase(qdb_obs::Phase::Parse, t0.elapsed());
+        db.obs().span(qdb_obs::Phase::Parse, t0);
         parsed
     }
 

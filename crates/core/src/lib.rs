@@ -77,8 +77,8 @@ pub use ground::GroundReason;
 pub use metrics::Metrics;
 pub use partition::{Footprint, Partition};
 pub use qdb_obs::{
-    stmt_code, HistSnapshot, HistSummary, Histogram, Obs, Outcome, Phase, ProfileReport, SlowOp,
-    SpanEvent, SpanNode, STMT_CLASSES, STMT_CODE_BASE,
+    stmt_class, stmt_code, HistSnapshot, HistSummary, Histogram, Obs, Outcome, Phase,
+    ProfileReport, SlowOp, SpanEvent, SpanNode, STMT_CLASSES, STMT_CODE_BASE,
 };
 pub use repl::{ReplicaApplier, ReplicaStatus, ReplicaTracker, ReplicationReport, ReplicationRole};
 pub use shard::SharedQuantumDb;

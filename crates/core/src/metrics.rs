@@ -9,6 +9,25 @@
 //! updates, and the order the wire's METRICS frame carries them in. Event
 //! traces live in the observability layer's flight recorder
 //! (`SHOW EVENTS`), not here.
+//!
+//! `AtomicMetrics` is a seqlock, and no access to it is `SeqCst`:
+//!
+//! * A writer opens its window with an Acquire CAS of the epoch from even
+//!   `e` to odd `e + 1`: everything the previous writer did before its
+//!   Release close is visible to it. A Release fence follows, so the odd
+//!   epoch is ordered before the writer's relaxed counter updates.
+//! * The writer closes with a Release store of `e + 2`, which orders every
+//!   update of the window before the even epoch.
+//! * A reader loads the epoch with Acquire; an even value `e` makes every
+//!   window closed up to `e` visible to its relaxed counter loads. It then
+//!   issues an Acquire fence and reloads the epoch. If any counter load
+//!   saw an update of a window opened after `e`, that fence pairs with
+//!   the writer's Release fence, so the reload sees the epoch past `e` and
+//!   the reader retries. A snapshot it keeps is therefore exactly the
+//!   state at epoch `e`: no window is torn.
+//!
+//! A transition whose every delta is zero opens no window at all
+//! (`AtomicMetrics::absorb_solver` on a statement that did not search).
 
 use crate::ground::GroundReason;
 
@@ -46,10 +65,11 @@ macro_rules! counters {
         /// and *pending* moving together at admission, *grounded* and
         /// *pending* at collapse) are made torn-read-proof by a seqlock.
         /// Writers bump `epoch` to odd, update cells, then publish with
-        /// `epoch + 2`; a snapshot is a single `SeqCst` epoch read, a read
-        /// of all cells, and an epoch re-check — retried until the epoch
-        /// was stable and even, so `SHOW METRICS` taken mid-`GROUND ALL`
-        /// can never observe `committed − grounded ≠ pending`.
+        /// `epoch + 2`; a snapshot is an epoch read, a read of all cells,
+        /// and an epoch re-check — retried until the epoch was stable and
+        /// even, so `SHOW METRICS` taken mid-`GROUND ALL` can never
+        /// observe `committed − grounded ≠ pending` (orderings: module
+        /// docs).
         #[derive(Debug, Default)]
         pub(crate) struct AtomicMetrics {
             epoch: AtomicU64,
@@ -76,13 +96,13 @@ macro_rules! counters {
             /// Raw counter reads (callers wrap in the seqlock protocol).
             fn read_counters(&self) -> Metrics {
                 Metrics {
-                    $($field: self.$field.load(SeqCst),)*
+                    $($field: self.$field.load(Relaxed),)*
                 }
             }
 
             /// Zero every counter (callers hold the seqlock).
             fn zero_counters(&self) {
-                $(self.$field.store(0, SeqCst);)*
+                $(self.$field.store(0, Relaxed);)*
             }
         }
     };
@@ -207,7 +227,10 @@ impl std::fmt::Display for Metrics {
     }
 }
 
-use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+use std::sync::atomic::{
+    fence, AtomicU64,
+    Ordering::{Acquire, Relaxed, Release},
+};
 
 /// Write guard over [`AtomicMetrics`]: holds the seqlock (epoch is odd)
 /// for the duration of one multi-counter transition.
@@ -221,13 +244,13 @@ impl AtomicMetrics {
     /// the seqlock; critical sections are a handful of atomic stores).
     pub(crate) fn begin(&self) -> MetricsTxn<'_> {
         loop {
-            let e = self.epoch.load(SeqCst);
+            let e = self.epoch.load(Relaxed);
             if e.is_multiple_of(2)
-                && self
-                    .epoch
-                    .compare_exchange(e, e + 1, SeqCst, SeqCst)
+                && (self.epoch)
+                    .compare_exchange_weak(e, e + 1, Acquire, Relaxed)
                     .is_ok()
             {
+                fence(Release);
                 return MetricsTxn { m: self, epoch: e };
             }
             std::hint::spin_loop();
@@ -242,8 +265,19 @@ impl AtomicMetrics {
 
     /// Fold one operation's solver-stat deltas into the mirrored solver
     /// counters (the sharded engine calls this when it absorbs a
-    /// per-operation solver).
+    /// per-operation solver). A solver that never searched opens no
+    /// window.
     pub(crate) fn absorb_solver(&self, s: &qdb_solver::SolverStats) {
+        let deltas = [
+            s.nodes,
+            s.candidates_streamed,
+            s.index_lookups,
+            s.scan_lookups,
+            s.candidate_vecs,
+        ];
+        if deltas == [0; 5] {
+            return;
+        }
         let t = self.begin();
         t.add(|c| &c.solver_nodes, s.nodes);
         t.add(|c| &c.solver_candidates_streamed, s.candidates_streamed);
@@ -256,21 +290,22 @@ impl AtomicMetrics {
     /// a single value; use [`AtomicMetrics::snapshot_with_pending`] when
     /// it must be consistent with other counters).
     pub(crate) fn pending(&self) -> u64 {
-        self.pending.load(SeqCst)
+        self.pending.load(Relaxed)
     }
 
     /// Consistent snapshot of all counters plus the pending count, taken
     /// from one stable seqlock window.
     pub(crate) fn snapshot_with_pending(&self) -> (Metrics, u64) {
         loop {
-            let e = self.epoch.load(SeqCst);
+            let e = self.epoch.load(Acquire);
             if !e.is_multiple_of(2) {
                 std::hint::spin_loop();
                 continue;
             }
             let m = self.read_counters();
-            let pending = self.pending.load(SeqCst);
-            if self.epoch.load(SeqCst) == e {
+            let pending = self.pending.load(Relaxed);
+            fence(Acquire);
+            if self.epoch.load(Relaxed) == e {
                 return (m, pending);
             }
         }
@@ -292,21 +327,23 @@ impl AtomicMetrics {
     pub(crate) fn reset(&self) {
         let t = self.begin();
         self.zero_counters();
-        let pending = self.pending.load(SeqCst);
+        let pending = self.pending.load(Relaxed);
         t.add(|c| &c.committed, pending);
         t.add(|c| &c.max_pending, pending);
     }
 }
 
 impl<'a> MetricsTxn<'a> {
-    /// Add to one counter cell.
+    /// Add to one counter cell (a zero delta touches nothing).
     pub(crate) fn add(&self, cell: impl FnOnce(&'a AtomicMetrics) -> &'a AtomicU64, n: u64) {
-        cell(self.m).fetch_add(n, SeqCst);
+        if n > 0 {
+            cell(self.m).fetch_add(n, Relaxed);
+        }
     }
 
     /// Subtract from one counter cell.
     pub(crate) fn sub(&self, cell: impl FnOnce(&'a AtomicMetrics) -> &'a AtomicU64, n: u64) {
-        cell(self.m).fetch_sub(n, SeqCst);
+        cell(self.m).fetch_sub(n, Relaxed);
     }
 
     /// Route a grounding to its reason counter and decrement pending.
@@ -328,15 +365,16 @@ impl<'a> MetricsTxn<'a> {
 
     /// Sample the pending high-water mark.
     pub(crate) fn sample_max_pending(&self) {
-        self.m
-            .max_pending
-            .fetch_max(self.m.pending.load(SeqCst), SeqCst);
+        let pending = self.m.pending.load(Relaxed);
+        if pending > self.m.max_pending.load(Relaxed) {
+            self.m.max_pending.fetch_max(pending, Relaxed);
+        }
     }
 }
 
 impl Drop for MetricsTxn<'_> {
     fn drop(&mut self) {
-        self.m.epoch.store(self.epoch + 2, SeqCst);
+        self.m.epoch.store(self.epoch + 2, Release);
     }
 }
 

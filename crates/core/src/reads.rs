@@ -18,7 +18,6 @@
 //! and PEEK, and once for all of a POSSIBLE's worlds.
 
 use std::borrow::Cow;
-use std::time::Instant;
 
 use qdb_logic::{Atom, ResourceTransaction, Valuation};
 use qdb_obs::Phase;
@@ -139,13 +138,13 @@ impl SharedQuantumDb {
                     parts.iter().flat_map(|p| p.txns.iter()).collect();
                 pending.sort_by_key(|p| p.id);
                 let txns: Vec<&ResourceTransaction> = pending.iter().map(|p| &p.txn).collect();
-                let t_enum = Instant::now();
+                let t_enum = self.core.obs.start();
                 let seed = self.core.config.seed;
                 let ws = crate::worlds::enumerate_worlds_seeded(db, &txns, world_bound, seed)?;
-                let t_read = Instant::now();
+                let t_read = self.core.obs.start();
                 let read = ReadSpec::compile(db, atoms)?;
                 let answers = read.rows(db, &ws.worlds);
-                self.record_since(Phase::Read, t_read);
+                self.core.obs.observe(Phase::Read, t_read);
                 Ok((t_enum, read, answers, ws.enumerated, ws.dedup_hits))
             })?;
         answers.sort_unstable();
@@ -153,7 +152,7 @@ impl SharedQuantumDb {
         let out = (answers.into_iter())
             .map(|rows| rows.into_iter().map(|row| read.valuation(row)).collect())
             .collect();
-        self.core.obs.phase(Phase::WorldEnum, t_enum.elapsed());
+        self.core.obs.span(Phase::WorldEnum, t_enum);
         let t = self.core.metrics.begin();
         t.add(|c| &c.worlds_enumerated, enumerated);
         t.add(|c| &c.world_dedup_hits, dedup_hits);
@@ -169,9 +168,9 @@ impl SharedQuantumDb {
         atoms: &[Atom],
         limit: Option<usize>,
     ) -> Result<Vec<Valuation>> {
-        let t0 = Instant::now();
+        let t0 = self.core.obs.start();
         let rows = ReadSpec::compile(db, atoms)?.valuations(db, world, limit);
-        self.record_since(Phase::Read, t0);
+        self.core.obs.observe(Phase::Read, t0);
         Ok(rows)
     }
 

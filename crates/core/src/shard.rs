@@ -132,6 +132,7 @@ use std::sync::Arc;
 
 use qdb_logic::codec::{decode_transaction, encode_transaction};
 use qdb_logic::{Atom, Formula, ResourceTransaction, VarGen};
+use qdb_obs::Phase;
 use qdb_solver::{CachedSolution, Solver};
 use qdb_storage::{Database, LogRecord, Schema, Tuple, Wal, WriteOp};
 
@@ -298,64 +299,51 @@ impl SharedQuantumDb {
     }
 
     /// A fresh per-operation solver (the solver is stateless apart from
-    /// cumulative stats, which are absorbed at operation end).
-    pub(crate) fn solver(&self) -> Solver {
+    /// cumulative stats, which are absorbed at operation end), lent the
+    /// engine's observability handle.
+    pub(crate) fn solver(&self) -> Solver<'_> {
         let mut s = Solver::default();
         s.seed = self.core.config.seed;
-        s.set_obs(Some(Arc::clone(&self.core.obs)));
+        s.set_obs(Some(&self.core.obs));
         s
     }
 
     /// Take the base read lock, recording the wait as
-    /// [`qdb_obs::Phase::BaseLockWait`].
+    /// [`Phase::BaseLockWait`] ([`qdb_obs::Obs::wait`]: a free lock reads
+    /// no clock).
     pub(crate) fn base_read(&self) -> std::sync::RwLockReadGuard<'_, Base> {
-        let t0 = std::time::Instant::now();
-        let g = self.core.base.read();
-        self.core
-            .obs
-            .phase(qdb_obs::Phase::BaseLockWait, t0.elapsed());
-        g
+        let base = &self.core.base;
+        (self.core.obs).wait(Phase::BaseLockWait, || base.try_read(), || base.read())
     }
 
     /// Take the base write lock, recording the wait as
-    /// [`qdb_obs::Phase::BaseLockWait`].
+    /// [`Phase::BaseLockWait`].
     fn base_write(&self) -> std::sync::RwLockWriteGuard<'_, Base> {
-        let t0 = std::time::Instant::now();
-        let g = self.core.base.write();
-        self.core
-            .obs
-            .phase(qdb_obs::Phase::BaseLockWait, t0.elapsed());
-        g
+        let base = &self.core.base;
+        (self.core.obs).wait(Phase::BaseLockWait, || base.try_write(), || base.write())
     }
 
-    /// Run `f` on the locked registry, timing lock wait plus `f` into the
-    /// [`qdb_obs::Phase::Registry`] histogram only: a statement enters the
-    /// registry up to three times, too often for a span and event each.
-    pub(crate) fn registry<R>(&self, f: impl FnOnce(&mut Registry) -> R) -> R {
-        let t0 = std::time::Instant::now();
-        let out = f(&mut self.core.reg.lock());
-        self.record_since(qdb_obs::Phase::Registry, t0);
-        out
-    }
-
-    /// Record the time since `t0` into `phase`'s histogram only — no span,
-    /// no flight-recorder event — for phases that nest inside others.
-    pub(crate) fn record_since(&self, phase: qdb_obs::Phase, t0: std::time::Instant) {
-        if self.core.obs.enabled() {
-            let hist = self.core.obs.phase_histogram(phase);
-            hist.record_duration(t0.elapsed());
-        }
+    /// Take the WAL mutex, recording the wait as [`Phase::WalLockWait`].
+    fn wal(&self) -> std::sync::MutexGuard<'_, Wal> {
+        let wal = &self.core.wal;
+        (self.core.obs).wait(Phase::WalLockWait, || wal.try_lock(), || wal.lock())
     }
 
     /// Lock a partition slot, recording the wait as
-    /// [`qdb_obs::Phase::PartitionLockWait`].
+    /// [`Phase::PartitionLockWait`].
     pub(crate) fn lock_slot<'a>(&self, slot: &'a Slot) -> std::sync::MutexGuard<'a, SlotState> {
-        let t0 = std::time::Instant::now();
-        let g = slot.state.lock();
-        self.core
-            .obs
-            .phase(qdb_obs::Phase::PartitionLockWait, t0.elapsed());
-        g
+        let st = &slot.state;
+        (self.core.obs).wait(Phase::PartitionLockWait, || st.try_lock(), || st.lock())
+    }
+
+    /// Run `f` on the locked registry, timing lock wait plus `f` into the
+    /// [`Phase::Registry`] histogram only: a statement enters the
+    /// registry up to three times, too often for a span and event each.
+    pub(crate) fn registry<R>(&self, f: impl FnOnce(&mut Registry) -> R) -> R {
+        let t0 = self.core.obs.start();
+        let out = f(&mut self.core.reg.lock());
+        self.core.obs.observe(Phase::Registry, t0);
+        out
     }
 
     /// Fold one operation's solver-stat deltas into the `solver_*`
@@ -431,7 +419,7 @@ impl SharedQuantumDb {
             return;
         }
         let mut base = self.base_write();
-        let mut wal = self.core.wal.lock();
+        let mut wal = self.wal();
         let mut created = 0u64;
         for (relation, column) in hot {
             let Ok(table) = base.db.table_mut(&relation) else {
@@ -562,9 +550,9 @@ impl SharedQuantumDb {
             // dropped it; it is rebuilt here).
             self.ensure_world(&mut st.part, &base.db)?;
             let world = st.part.overlay_cache.take().expect("ensured");
-            let t_plan = std::time::Instant::now();
+            let t_plan = self.core.obs.start();
             let decision = plan_admission(solver, &base.db, &st.part.txns, world, txn)?;
-            self.core.obs.phase(qdb_obs::Phase::Plan, t_plan.elapsed());
+            self.core.obs.span(Phase::Plan, t_plan);
             decision
         };
         let plan = match plan {
@@ -584,7 +572,7 @@ impl SharedQuantumDb {
         // section keeps log order == id order.
         let id = match mode {
             Admit::Fresh => {
-                let mut wal = self.core.wal.lock();
+                let mut wal = self.wal();
                 let id = self.core.next_txn_id.fetch_add(1, SeqCst);
                 wal.append(&LogRecord::PendingAdd {
                     id,
@@ -594,7 +582,7 @@ impl SharedQuantumDb {
             }
             Admit::Replay { id, relog } => {
                 if let Some(payload) = relog {
-                    self.core.wal.lock().append(&LogRecord::PendingAdd {
+                    self.wal().append(&LogRecord::PendingAdd {
                         id,
                         payload: payload.to_vec(),
                     })?;
@@ -683,7 +671,7 @@ impl SharedQuantumDb {
     /// or do both on the `held` base of a caller holding the write lock.
     /// `known` names seeds whose partners the caller already put in
     /// `seeds` (see [`expand_partners`]). Timed into the
-    /// [`qdb_obs::Phase::Ground`] histogram.
+    /// [`Phase::Ground`] histogram.
     pub(crate) fn ground_in_slot(
         &self,
         st: &mut SlotState,
@@ -692,7 +680,7 @@ impl SharedQuantumDb {
         solver: &mut Solver,
         held: Option<&mut Base>,
     ) -> Result<()> {
-        let t0 = std::time::Instant::now();
+        let t0 = self.core.obs.start();
         let ids = expand_partners(&st.part, seeds, known);
         debug_assert_eq!(
             ids,
@@ -700,7 +688,7 @@ impl SharedQuantumDb {
             "the caller missed a known seed's partner"
         );
         let out = self.ground_group(st, &ids, reason, solver, held);
-        self.record_since(qdb_obs::Phase::Ground, t0);
+        self.core.obs.observe(Phase::Ground, t0);
         out
     }
 
@@ -786,8 +774,8 @@ impl SharedQuantumDb {
         let mut landed = 0;
         let mut failed: Option<EngineError> = None;
         {
-            let mut wal = self.core.wal.lock();
-            let t_apply = std::time::Instant::now();
+            let mut wal = self.wal();
+            let t_apply = self.core.obs.start();
             for g in &mut plan.grounded {
                 // One atomic frame per transaction: concrete writes +
                 // removal from the pending table cannot be torn by a
@@ -809,9 +797,7 @@ impl SharedQuantumDb {
                     break;
                 }
             }
-            self.core
-                .obs
-                .phase(qdb_obs::Phase::Apply, t_apply.elapsed());
+            self.core.obs.span(Phase::Apply, t_apply);
         }
         if failed.is_some() {
             plan.grounded.truncate(landed);
@@ -1022,7 +1008,7 @@ impl SharedQuantumDb {
         self.publish(host_pid, &mut host);
         // A full collapse is a natural group-commit boundary: drain the
         // accumulated Ground frames in one buffered write + flush.
-        self.core.wal.lock().sync()?;
+        self.wal().sync()?;
         Ok(collapsed)
     }
 
@@ -1084,7 +1070,7 @@ impl SharedQuantumDb {
                 let mut base = self.base_write();
                 let changed = base.db.apply(&op)?;
                 if changed {
-                    self.core.wal.lock().append(&LogRecord::Write(op))?;
+                    self.wal().append(&LogRecord::Write(op))?;
                     self.core.metrics.begin().add(|c| &c.writes_applied, 1);
                 }
                 return Ok(true);
@@ -1148,7 +1134,7 @@ impl SharedQuantumDb {
                 }
             }
             if changed {
-                self.core.wal.lock().append(&LogRecord::Write(op))?;
+                self.wal().append(&LogRecord::Write(op))?;
                 self.core.metrics.begin().add(|c| &c.writes_applied, 1);
             }
             return Ok(true);
@@ -1161,10 +1147,7 @@ impl SharedQuantumDb {
     pub fn create_table(&self, schema: Schema) -> Result<()> {
         let mut base = self.base_write();
         base.db.create_table(schema.clone())?;
-        self.core
-            .wal
-            .lock()
-            .append(&LogRecord::CreateTable(schema))?;
+        self.wal().append(&LogRecord::CreateTable(schema))?;
         Ok(())
     }
 
@@ -1172,7 +1155,7 @@ impl SharedQuantumDb {
     pub fn create_index(&self, relation: &str, column: usize) -> Result<()> {
         let mut base = self.base_write();
         base.db.table_mut(relation)?.create_index(column)?;
-        self.core.wal.lock().append(&LogRecord::CreateIndex {
+        self.wal().append(&LogRecord::CreateIndex {
             relation: relation.to_string(),
             column: column as u32,
         })?;
@@ -1187,7 +1170,7 @@ impl SharedQuantumDb {
         let mut applied = 0;
         if self.core.metrics.pending() == 0 {
             let mut base = self.base_write();
-            let mut wal = self.core.wal.lock();
+            let mut wal = self.wal();
             for t in tuples {
                 if base.db.insert(relation, t.clone())? {
                     wal.append(&LogRecord::Write(WriteOp::insert(relation, t)))?;
@@ -1210,7 +1193,7 @@ impl SharedQuantumDb {
     /// brief exclusive base acquisition.
     pub fn checkpoint(&self) -> Result<()> {
         let _base = self.base_write();
-        let mut wal = self.core.wal.lock();
+        let mut wal = self.wal();
         wal.append(&LogRecord::Checkpoint)?;
         wal.sync()?;
         Ok(())
@@ -1242,7 +1225,7 @@ impl SharedQuantumDb {
     /// typed error instead of panicking.
     pub(crate) fn try_wal_image(&self) -> Result<Vec<u8>> {
         let _base = self.base_write();
-        Ok(self.core.wal.lock().image()?)
+        Ok(self.wal().image()?)
     }
 
     /// Primary-side replication stream read: up to `max` WAL bytes
@@ -1258,7 +1241,7 @@ impl SharedQuantumDb {
     pub fn wal_stream_from(&self, offset: u64, max: usize) -> Result<(u64, TxnId, Vec<u8>)> {
         let (len, bytes) = {
             let _base = self.base_write();
-            self.core.wal.lock().segment(offset, max)?
+            self.wal().segment(offset, max)?
         };
         Ok((len, self.last_txn_id(), bytes))
     }
@@ -1271,7 +1254,7 @@ impl SharedQuantumDb {
     /// Size of the WAL in bytes (durable sink plus the group-commit
     /// buffer).
     pub fn wal_size(&self) -> u64 {
-        self.core.wal.lock().size_bytes()
+        self.wal().size_bytes()
     }
 
     /// Engine configuration.
@@ -1492,5 +1475,79 @@ mod tests {
         let live = rest.into_shared();
         assert_eq!(live.metrics_with_pending().1, 1);
         assert_eq!(live.submit(&book("U2")).unwrap().id(), Some(id + 1));
+    }
+
+    /// A lock found free is a zero observation with no span or event; a
+    /// held one is a timed wait with a span and an event. The holder takes
+    /// the base write lock before the barrier, so the statement after it
+    /// finds the lock free only if the holder already let go: such an
+    /// attempt is repeated, never judged.
+    #[test]
+    fn free_locks_are_zero_observations_and_held_ones_spans() {
+        let qdb = seat_engine(&["1A", "1B"]);
+        let obs = qdb.obs();
+        obs.set_slow_threshold_us(1);
+        obs.set_test_delay_us(5); // every statement is slow: its tree is kept
+        let waits = |p: Phase| obs.phase_histogram(p).snapshot();
+        let events = |p: Phase| {
+            (obs.events(1024).iter())
+                .filter(|e| e.kind == p as u8)
+                .count()
+        };
+        let spans = |p: Phase| {
+            let op = obs.slow_ops().pop().expect("the statement was kept");
+            op.spans.iter().filter(|s| s.phase == p).count()
+        };
+
+        // One thread: every base and slot acquisition finds its lock free.
+        let before = [waits(Phase::BaseLockWait), waits(Phase::PartitionLockWait)];
+        qdb.execute(
+            "SELECT @s FROM Available(1, @s) CHOOSE 1 FOLLOWED BY \
+             (DELETE (1, @s) FROM Available; INSERT ('U1', 1, @s) INTO Bookings)",
+        )
+        .unwrap();
+        qdb.execute("SELECT PEEK * FROM Bookings(@n, @f, @s)")
+            .unwrap(); // locks the slot
+        for (p, before) in [Phase::BaseLockWait, Phase::PartitionLockWait]
+            .iter()
+            .zip(before)
+        {
+            let after = waits(*p);
+            assert!(after.count > before.count, "{p:?} recorded");
+            assert_eq!((after.sum, after.max), (0, 0), "{p:?}: zero observations");
+            assert_eq!((events(*p), spans(*p)), (0, 0), "{p:?}: no event or span");
+        }
+
+        for attempt in 0..100 {
+            let before = waits(Phase::BaseLockWait);
+            let barrier = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let held = qdb.base_write();
+                    barrier.wait();
+                    (0..100).for_each(|_| std::thread::yield_now());
+                    drop(held);
+                });
+                barrier.wait();
+                qdb.execute("INSERT INTO Available VALUES (2, '2A')")
+                    .unwrap();
+            });
+            let after = waits(Phase::BaseLockWait);
+            assert!(
+                after.count >= before.count + 2,
+                "holder and writer recorded"
+            );
+            if after.sum == before.sum {
+                continue; // the holder let go first: nothing was contended
+            }
+            assert!(
+                after.max > 0,
+                "attempt {attempt}: a held lock is a non-zero wait"
+            );
+            assert_eq!(events(Phase::BaseLockWait), 1, "the wait's event");
+            assert_eq!(spans(Phase::BaseLockWait), 1, "the wait's span");
+            return;
+        }
+        panic!("the writer never found the base lock held");
     }
 }

@@ -9,7 +9,16 @@
 //! so a panicking holder leaves the state no more inconsistent than
 //! `parking_lot` itself would.
 
-use std::sync::PoisonError;
+use std::sync::{PoisonError, TryLockError, TryLockResult};
+
+/// The guard of a `try_*` call: `None` only when the lock is held.
+fn free<G>(r: TryLockResult<G>) -> Option<G> {
+    match r {
+        Ok(g) => Some(g),
+        Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
+}
 
 /// A mutex whose `lock` returns the guard directly.
 #[derive(Debug, Default)]
@@ -24,6 +33,11 @@ impl<T> Mutex<T> {
     /// Acquire the lock, recovering from poisoning.
     pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Acquire the lock if it is free, without blocking.
+    pub fn try_lock(&self) -> Option<std::sync::MutexGuard<'_, T>> {
+        free(self.0.try_lock())
     }
 
     /// Consume the mutex, returning the value (poisoning ignored).
@@ -57,6 +71,16 @@ impl<T> RwLock<T> {
         self.0.write().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// A shared read guard if no writer holds the lock, without blocking.
+    pub fn try_read(&self) -> Option<std::sync::RwLockReadGuard<'_, T>> {
+        free(self.0.try_read())
+    }
+
+    /// An exclusive write guard if the lock is free, without blocking.
+    pub fn try_write(&self) -> Option<std::sync::RwLockWriteGuard<'_, T>> {
+        free(self.0.try_write())
+    }
+
     /// Consume the lock, returning the value (poisoning ignored).
     pub fn into_inner(self) -> T {
         self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
@@ -78,6 +102,10 @@ mod tests {
         })
         .join();
         assert_eq!(*m.lock(), 7);
+        assert_eq!(m.try_lock().map(|g| *g), Some(7), "poisoned but free");
+        let held = m.lock();
+        assert!(m.try_lock().is_none(), "held");
+        drop(held);
     }
 
     #[test]
@@ -90,8 +118,9 @@ mod tests {
         })
         .join();
         let a = l.read();
-        let b = l.read(); // two simultaneous readers
+        let b = l.try_read().expect("readers share"); // two simultaneous readers
         assert_eq!((*a, *b), (3, 3));
+        assert!(l.try_write().is_none(), "a reader holds the lock");
         drop((a, b));
         *l.write() += 1;
         assert_eq!(*l.read(), 4);

@@ -163,25 +163,31 @@ pub enum Statement {
 }
 
 impl Statement {
-    /// Short class name for diagnostics.
-    pub fn kind(&self) -> &'static str {
+    /// This statement's class: its index in [`qdb_obs::STMT_CLASSES`],
+    /// which keys the class histograms and the event kind codes.
+    pub fn class(&self) -> usize {
         match self {
-            Statement::CreateTable(_) => "CREATE TABLE",
-            Statement::CreateIndex { .. } => "CREATE INDEX",
-            Statement::Insert { .. } => "INSERT",
-            Statement::Delete { .. } => "DELETE",
-            Statement::Select(_) => "SELECT",
-            Statement::Transaction(_) => "SELECT … CHOOSE 1",
-            Statement::Ground(_) => "GROUND",
-            Statement::GroundAll => "GROUND ALL",
-            Statement::Checkpoint => "CHECKPOINT",
-            Statement::ShowMetrics => "SHOW METRICS",
-            Statement::ShowPending => "SHOW PENDING",
-            Statement::ShowProfile => "SHOW PROFILE",
-            Statement::ShowEvents { .. } => "SHOW EVENTS",
-            Statement::ShowReplication => "SHOW REPLICATION",
-            Statement::Promote => "PROMOTE",
+            Statement::CreateTable(_) => 0,
+            Statement::CreateIndex { .. } => 1,
+            Statement::Insert { .. } => 2,
+            Statement::Delete { .. } => 3,
+            Statement::Select(_) => 4,
+            Statement::Transaction(_) => 5,
+            Statement::Ground(_) => 6,
+            Statement::GroundAll => 7,
+            Statement::Checkpoint => 8,
+            Statement::ShowMetrics => 9,
+            Statement::ShowPending => 10,
+            Statement::ShowProfile => 11,
+            Statement::ShowEvents { .. } => 12,
+            Statement::ShowReplication => 13,
+            Statement::Promote => 14,
         }
+    }
+
+    /// Short class name for diagnostics (`STMT_CLASSES[self.class()]`).
+    pub fn kind(&self) -> &'static str {
+        qdb_obs::STMT_CLASSES[self.class()]
     }
 }
 

@@ -65,10 +65,16 @@ impl Histogram {
 
     /// Record one nanosecond observation. Lock-free; relaxed ordering is
     /// enough because snapshots only need eventual per-bucket consistency.
+    /// A zero (a free lock) is one add; the max is loaded before its
+    /// `fetch_max`, a CAS loop that a new maximum alone needs.
     pub fn record(&self, ns: u64) {
         self.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(ns, Ordering::Relaxed);
-        self.max.fetch_max(ns, Ordering::Relaxed);
+        if ns > 0 {
+            self.sum.fetch_add(ns, Ordering::Relaxed);
+            if ns > self.max.load(Ordering::Relaxed) {
+                self.max.fetch_max(ns, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Record a [`Duration`] (saturating at `u64::MAX` ns).
@@ -175,7 +181,9 @@ impl HistSnapshot {
         }
     }
 
-    /// Reduce to the fixed percentile set reports and the wire carry.
+    /// Reduce to the fixed percentile set reports and the wire carry. The
+    /// max reads bucket 0 as 1 ns, as the percentiles do, so all-zero
+    /// observations (free locks) still report `p50 ≤ … ≤ max`.
     pub fn summary(&self) -> HistSummary {
         HistSummary {
             count: self.count,
@@ -183,7 +191,7 @@ impl HistSnapshot {
             p90_ns: self.percentile(0.90),
             p99_ns: self.percentile(0.99),
             p999_ns: self.percentile(0.999),
-            max_ns: self.max,
+            max_ns: self.max.max(u64::from(self.count > 0)),
         }
     }
 }

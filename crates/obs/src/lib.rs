@@ -36,9 +36,9 @@ use std::time::Instant;
 /// Timed engine phases. Each phase owns one [`Histogram`] inside [`Obs`]
 /// and names the span events the flight recorder captures.
 ///
-/// The single-threaded engine takes no locks, so it never records
-/// [`Phase::BaseLockWait`] / [`Phase::PartitionLockWait`]; profile reports
-/// include only phases with a non-zero count.
+/// A lock-wait phase records a lock found free as a zero observation with
+/// no span or event ([`Obs::wait`]); profile reports include only phases
+/// with a non-zero count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum Phase {
@@ -69,10 +69,12 @@ pub enum Phase {
     /// Read-mode evaluation of a read's atoms: a collapse read's or a
     /// PEEK's, or all of a `SELECT POSSIBLE`'s worlds as one observation.
     Read = 11,
+    /// Waiting to acquire the sharded engine's WAL mutex.
+    WalLockWait = 12,
 }
 
 /// Number of [`Phase`] variants (histogram array length).
-pub const PHASE_COUNT: usize = 12;
+pub const PHASE_COUNT: usize = 13;
 
 /// All phases in `repr` order.
 pub const PHASES: [Phase; PHASE_COUNT] = [
@@ -88,6 +90,7 @@ pub const PHASES: [Phase; PHASE_COUNT] = [
     Phase::Registry,
     Phase::Ground,
     Phase::Read,
+    Phase::WalLockWait,
 ];
 
 impl Phase {
@@ -106,6 +109,7 @@ impl Phase {
             Phase::Registry => "registry",
             Phase::Ground => "ground",
             Phase::Read => "read",
+            Phase::WalLockWait => "wal_lock_wait",
         }
     }
 }
@@ -143,8 +147,8 @@ impl Outcome {
     }
 }
 
-/// Statement classes the flight recorder can tag events with, in wire-code
-/// order. These mirror `Statement::kind()` strings exactly.
+/// Statement classes, in wire-code order: `Statement::class()` indexes this
+/// table, and `Statement::kind()` reads its name from it.
 pub const STMT_CLASSES: [&str; 15] = [
     "CREATE TABLE",
     "CREATE INDEX",
@@ -167,14 +171,15 @@ pub const STMT_CLASSES: [&str; 15] = [
 /// phases).
 pub const STMT_CODE_BASE: u8 = 32;
 
+/// Index of a class name in [`STMT_CLASSES`] (`Statement::class()` is free).
+pub fn stmt_class(name: &str) -> Option<usize> {
+    STMT_CLASSES.iter().position(|c| *c == name)
+}
+
 /// Kind code for a statement class (`255` for classes outside
 /// [`STMT_CLASSES`]).
 pub fn stmt_code(class: &str) -> u8 {
-    STMT_CLASSES
-        .iter()
-        .position(|c| *c == class)
-        .map(|i| STMT_CODE_BASE + i as u8)
-        .unwrap_or(u8::MAX)
+    stmt_class(class).map_or(u8::MAX, |i| STMT_CODE_BASE + i as u8)
 }
 
 /// Display name for any event kind code: phase names below
@@ -189,13 +194,13 @@ pub fn kind_name(code: u8) -> &'static str {
     }
 }
 
-/// Monotonic nanoseconds since the first observability call in this
-/// process. Wall-clock independent, so it never runs backwards; only
-/// useful for ordering and deltas, not absolute time.
-pub fn now_ns() -> u64 {
+/// Monotonic nanoseconds from the first observability timestamp in this
+/// process to `t`, an instant already read (a timestamp costs no clock).
+/// Only useful for ordering and deltas, not absolute time.
+pub fn ns_since_epoch(t: Instant) -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
-    let epoch = *EPOCH.get_or_init(Instant::now);
-    Instant::now().duration_since(epoch).as_nanos() as u64
+    t.saturating_duration_since(*EPOCH.get_or_init(Instant::now))
+        .as_nanos() as u64
 }
 
 #[cfg(test)]
@@ -219,9 +224,9 @@ mod tests {
     }
 
     #[test]
-    fn now_ns_is_monotonic() {
-        let a = now_ns();
-        let b = now_ns();
+    fn ns_since_epoch_is_monotonic() {
+        let a = ns_since_epoch(Instant::now());
+        let b = ns_since_epoch(Instant::now());
         assert!(b >= a);
     }
 

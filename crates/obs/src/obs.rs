@@ -1,20 +1,24 @@
-//! The shared observability handle both engines record through.
+//! The shared observability handle the engine records through.
 //!
 //! One [`Obs`] lives behind an `Arc` inside `QuantumDb` and moves into
-//! `Core` on `into_shared()`, so the single-threaded and sharded engines
-//! (and the WAL and solver beneath them) all record into the same
-//! histograms and the same flight recorder. Recording is designed to cost
-//! almost nothing when idle: a disabled handle is one relaxed load per
-//! call, and an enabled one is a handful of atomic adds.
+//! `Core` on `into_shared()`, so the engine (and the WAL and solver
+//! beneath it) all record into the same histograms and the same flight
+//! recorder.
 //!
 //! Operations are bracketed by [`Obs::begin_op`] / [`Obs::finish_op`]
-//! (the `execute_stmt` chokepoint in both engines). Between the brackets,
-//! every [`Obs::phase`] call appends a child span to a thread-local
-//! collector, so a finished operation carries its full span tree: the
-//! statement root plus each timed phase with its start offset. The tree
-//! is what the slow-op log retains and the JSONL trace sink exports.
+//! (the `execute_stmt` chokepoint). Between the brackets, every phase
+//! ended with [`Obs::span`] appends an event to a thread-local collector,
+//! so a finished operation carries its full span tree: the statement root
+//! plus each timed phase with its start offset. `finish_op` publishes the
+//! tree to the flight recorder as one run; the slow-op log retains it and
+//! the JSONL trace sink exports it.
+//!
+//! A statement's price is fixed: one clock read per phase boundary,
+//! relaxed histogram adds and one ring claim — no mutex, no allocation
+//! (the collector's buffer is reused), no `SeqCst` store. A lock found
+//! free ([`Obs::wait`]) reads no clock; a disabled handle reads none.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -22,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use crate::histogram::{HistSummary, Histogram};
 use crate::ring::{EventRing, SpanEvent};
-use crate::{now_ns, stmt_code, Outcome, Phase, PHASES, PHASE_COUNT};
+use crate::{ns_since_epoch, Outcome, Phase, PHASES, PHASE_COUNT, STMT_CLASSES, STMT_CODE_BASE};
 
 /// How many slow operations the slow-op log retains (oldest evicted).
 pub const SLOW_LOG_CAPACITY: usize = 64;
@@ -44,7 +48,7 @@ pub struct SpanNode {
 pub struct SlowOp {
     /// Statement class (`Statement::kind()`).
     pub class: &'static str,
-    /// Monotonic start timestamp ([`now_ns`]).
+    /// Monotonic start timestamp ([`crate::ns_since_epoch`]).
     pub ts_ns: u64,
     /// Transaction id, if the op produced/affected one (`u64::MAX` none).
     pub txn_id: u64,
@@ -101,28 +105,26 @@ impl std::fmt::Display for ProfileReport {
 /// [`Obs::finish_op`] when the operation completes.
 #[derive(Debug)]
 pub struct OpToken {
-    class: &'static str,
-    start: Instant,
-    ts_ns: u64,
-    /// Recording was enabled at begin time.
-    active: bool,
-    /// This token owns the thread-local span collector (false when the op
-    /// is nested inside another collected op).
+    /// Index into [`STMT_CLASSES`].
+    class: usize,
+    /// The op's start; `None` when recording was off at begin time.
+    start: Option<Instant>,
+    /// Owns the thread's span collector (false when nested in another op).
     collecting: bool,
 }
 
 thread_local! {
-    /// Span collector for the operation currently executing on this
-    /// thread; `None` when no collected op is active.
-    static OP_SPANS: std::cell::RefCell<Option<OpCtx>> = const { std::cell::RefCell::new(None) };
+    /// The collector for the op executing on this thread. Its buffer is
+    /// kept across ops, so a warm thread allocates nothing to record one.
+    static OP: std::cell::RefCell<OpCtx> = const {
+        std::cell::RefCell::new(OpCtx { active: false, events: Vec::new() })
+    };
 }
 
-/// Thread-local per-op context: start anchor and collected child spans.
-#[derive(Debug)]
+/// Whether a collected op runs on this thread, and its phase events.
 struct OpCtx {
-    start_ns: u64,
-    txn_id: u64,
-    spans: Vec<SpanNode>,
+    active: bool,
+    events: Vec<SpanEvent>,
 }
 
 /// The observability layer: per-class and per-phase histograms, the
@@ -131,10 +133,13 @@ struct OpCtx {
 pub struct Obs {
     enabled: AtomicBool,
     phases: [Histogram; PHASE_COUNT],
-    classes: Mutex<BTreeMap<&'static str, std::sync::Arc<Histogram>>>,
+    /// Indexed like [`STMT_CLASSES`].
+    classes: [Histogram; STMT_CLASSES.len()],
     ring: EventRing,
     slow_threshold_ns: AtomicU64,
     slow: Mutex<VecDeque<SlowOp>>,
+    /// `trace` holds a sink; read per op instead of the mutex.
+    traced: AtomicBool,
     trace: Mutex<Option<Box<dyn Write + Send>>>,
     /// Test hook: artificial delay appended to every operation, so tests
     /// can force an op over the slow threshold deterministically.
@@ -167,25 +172,21 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 impl Obs {
     /// A fresh, enabled handle with the default flight-recorder depth.
     pub fn new() -> Obs {
-        Obs::with_ring_capacity(EventRing::DEFAULT_CAPACITY)
-    }
-
-    /// A fresh, enabled handle with an explicit ring capacity.
-    pub fn with_ring_capacity(capacity: usize) -> Obs {
         Obs {
             enabled: AtomicBool::new(true),
             phases: std::array::from_fn(|_| Histogram::new()),
-            classes: Mutex::new(BTreeMap::new()),
-            ring: EventRing::new(capacity),
+            classes: std::array::from_fn(|_| Histogram::new()),
+            ring: EventRing::new(EventRing::DEFAULT_CAPACITY),
             slow_threshold_ns: AtomicU64::new(0),
             slow: Mutex::new(VecDeque::new()),
+            traced: AtomicBool::new(false),
             trace: Mutex::new(None),
             test_delay_ns: AtomicU64::new(0),
         }
     }
 
     /// Turn recording on or off (off: every record call is one relaxed
-    /// load). Used by the bench overhead A/B.
+    /// load and no clock read). Used by the bench overhead A/B.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
@@ -204,6 +205,7 @@ impl Obs {
     /// Install (or clear) the JSONL trace sink; every finished operation
     /// is written as one line (see `docs/OBSERVABILITY.md`).
     pub fn set_trace(&self, sink: Option<Box<dyn Write + Send>>) {
+        self.traced.store(sink.is_some(), Ordering::Relaxed);
         *lock(&self.trace) = sink;
     }
 
@@ -216,82 +218,74 @@ impl Obs {
 
     // ---- recording ------------------------------------------------------
 
-    /// Begin an operation of the given statement class. Cheap when
-    /// disabled; otherwise arms the thread-local span collector.
-    pub fn begin_op(&self, class: &'static str) -> OpToken {
-        let active = self.enabled();
-        let ts_ns = if active { now_ns() } else { 0 };
-        let mut collecting = false;
-        if active {
-            OP_SPANS.with(|cell| {
-                let mut slot = cell.borrow_mut();
-                if slot.is_none() {
-                    *slot = Some(OpCtx {
-                        start_ns: ts_ns,
-                        txn_id: SpanEvent::NONE,
-                        spans: Vec::with_capacity(8),
-                    });
-                    collecting = true;
-                }
-            });
-        }
+    /// Begin an operation of statement class `class`, an index into
+    /// [`STMT_CLASSES`] (`Statement::class()`): one clock read, and the
+    /// thread-local span collector armed. Reads nothing when disabled.
+    pub fn begin_op(&self, class: usize) -> OpToken {
+        let start = self.start();
+        let collecting = start.is_some()
+            && OP.with(|cell| !std::mem::replace(&mut cell.borrow_mut().active, true));
         OpToken {
             class,
-            start: Instant::now(),
-            ts_ns,
-            active,
+            start,
             collecting,
         }
     }
 
-    /// Finish an operation: records the class histogram, pushes the root
-    /// span into the flight recorder, promotes the span tree to the
-    /// slow-op log when over threshold, and writes the JSONL trace line
-    /// when a sink is installed.
+    /// Finish an operation: records the class histogram, publishes the
+    /// phase events and the root to the flight recorder as one run,
+    /// promotes the span tree to the slow-op log when over threshold, and
+    /// writes the JSONL trace line when a sink is installed.
     pub fn finish_op(&self, token: OpToken, outcome: Outcome, txn_id: Option<u64>) {
         let delay = self.test_delay_ns.load(Ordering::Relaxed);
         if delay > 0 {
             std::thread::sleep(Duration::from_nanos(delay));
         }
-        if !token.active {
+        let Some(start) = token.start else {
             return;
-        }
-        let dur_ns = u64::try_from(token.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let ctx = if token.collecting {
-            OP_SPANS.with(|cell| cell.borrow_mut().take())
-        } else {
-            None
         };
-        let txn = txn_id
-            .or_else(|| {
-                ctx.as_ref()
-                    .map(|c| c.txn_id)
-                    .filter(|t| *t != SpanEvent::NONE)
-            })
-            .unwrap_or(SpanEvent::NONE);
-        self.class_histogram(token.class).record(dur_ns);
-        self.ring.push(SpanEvent {
-            ts_ns: token.ts_ns,
-            txn_id: txn,
-            partition_id: SpanEvent::NONE,
-            kind: stmt_code(token.class),
-            outcome,
-            dur_ns,
-        });
-        let spans = ctx.map(|c| c.spans).unwrap_or_default();
+        let dur_ns = nanos(start.elapsed());
+        self.classes[token.class].record(dur_ns);
         let threshold = self.slow_threshold_ns.load(Ordering::Relaxed);
         let slow = threshold > 0 && dur_ns >= threshold;
-        let traced = {
-            // Cheap peek: only render JSON when a sink is installed.
-            lock(&self.trace).is_some()
+        let traced = self.traced.load(Ordering::Relaxed);
+        let root = SpanEvent {
+            ts_ns: ns_since_epoch(start),
+            txn_id: txn_id.unwrap_or(SpanEvent::NONE),
+            partition_id: SpanEvent::NONE,
+            kind: STMT_CODE_BASE + token.class as u8,
+            outcome,
+            dur_ns,
         };
+        let mut spans = Vec::new();
+        if token.collecting {
+            OP.with(|cell| {
+                let ctx = &mut *cell.borrow_mut();
+                ctx.active = false;
+                if slow || traced {
+                    spans = (ctx.events.iter())
+                        .map(|e| SpanNode {
+                            phase: PHASES[e.kind as usize],
+                            start_ns: e.ts_ns.saturating_sub(root.ts_ns),
+                            dur_ns: e.dur_ns,
+                        })
+                        .collect();
+                }
+                ctx.events.push(root);
+                self.ring.push(&ctx.events);
+                ctx.events.clear();
+                ctx.events.shrink_to(self.ring.capacity()); // after a giant op
+            });
+        } else {
+            self.ring.push(&[root]);
+        }
         if !slow && !traced {
             return;
         }
         let op = SlowOp {
-            class: token.class,
-            ts_ns: token.ts_ns,
-            txn_id: txn,
+            class: STMT_CLASSES[token.class],
+            ts_ns: root.ts_ns,
+            txn_id: root.txn_id,
             total_ns: dur_ns,
             outcome,
             spans,
@@ -312,33 +306,28 @@ impl Obs {
         }
     }
 
-    /// Record a timed engine phase. Always feeds the phase histogram;
-    /// when an operation is being collected on this thread, also appends
-    /// a child span and a flight-recorder event.
-    pub fn phase(&self, phase: Phase, dur: Duration) {
-        self.phase_at(phase, dur, SpanEvent::NONE);
+    /// Start a phase: the clock, read only when recording is on. End it
+    /// with [`Obs::span`] or [`Obs::observe`].
+    pub fn start(&self) -> Option<Instant> {
+        self.enabled().then(Instant::now)
     }
 
-    /// [`Obs::phase`] with a partition id attached to the ring event.
-    pub fn phase_at(&self, phase: Phase, dur: Duration, partition_id: u64) {
-        if !self.enabled() {
+    /// End a phase begun at `start`: one clock read feeds the phase
+    /// histogram and, inside a collected op, the op's span tree and its
+    /// flight-recorder run.
+    pub fn span(&self, phase: Phase, start: Option<Instant>) {
+        let Some(t0) = start else {
             return;
-        }
-        let dur_ns = u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX);
+        };
+        let dur_ns = nanos(t0.elapsed());
         self.phases[phase as usize].record(dur_ns);
-        OP_SPANS.with(|cell| {
-            if let Some(ctx) = cell.borrow_mut().as_mut() {
-                let end = now_ns();
-                let start_ns = end.saturating_sub(dur_ns).saturating_sub(ctx.start_ns);
-                ctx.spans.push(SpanNode {
-                    phase,
-                    start_ns,
-                    dur_ns,
-                });
-                self.ring.push(SpanEvent {
-                    ts_ns: end.saturating_sub(dur_ns),
-                    txn_id: ctx.txn_id,
-                    partition_id,
+        OP.with(|cell| {
+            let ctx = &mut *cell.borrow_mut();
+            if ctx.active {
+                ctx.events.push(SpanEvent {
+                    ts_ns: ns_since_epoch(t0),
+                    txn_id: SpanEvent::NONE,
+                    partition_id: SpanEvent::NONE,
                     kind: phase as u8,
                     outcome: Outcome::Ok,
                     dur_ns,
@@ -347,36 +336,45 @@ impl Obs {
         });
     }
 
-    /// Run `f` and record its wall time as `phase`.
-    pub fn time<R>(&self, phase: Phase, f: impl FnOnce() -> R) -> R {
-        if !self.enabled() {
-            return f();
+    /// End a phase begun at `start` into its histogram only — no span, no
+    /// event — for phases that nest inside others or repeat per statement.
+    pub fn observe(&self, phase: Phase, start: Option<Instant>) {
+        if let Some(t0) = start {
+            self.phases[phase as usize].record(nanos(t0.elapsed()));
         }
-        let t0 = Instant::now();
-        let r = f();
-        self.phase(phase, t0.elapsed());
-        r
     }
 
-    /// Tag the operation currently collected on this thread with a
-    /// transaction id (picked up by subsequent ring events and the root).
-    pub fn set_txn(&self, txn_id: u64) {
-        if !self.enabled() {
-            return;
-        }
-        OP_SPANS.with(|cell| {
-            if let Some(ctx) = cell.borrow_mut().as_mut() {
-                ctx.txn_id = txn_id;
+    /// Take a lock, recording the wait as `phase`: `try_take` first, and
+    /// only when it fails the timed `take`. A lock found free is a zero
+    /// observation with no clock read, span or event.
+    pub fn wait<G>(
+        &self,
+        phase: Phase,
+        try_take: impl FnOnce() -> Option<G>,
+        take: impl FnOnce() -> G,
+    ) -> G {
+        if let Some(guard) = try_take() {
+            if self.enabled() {
+                self.phases[phase as usize].record(0);
             }
-        });
+            return guard;
+        }
+        let t0 = self.start();
+        let guard = take();
+        self.span(phase, t0);
+        guard
     }
 
     // ---- reading --------------------------------------------------------
 
-    /// The shared histogram for a statement class (created on first use).
-    pub fn class_histogram(&self, class: &'static str) -> std::sync::Arc<Histogram> {
-        let mut map = lock(&self.classes);
-        map.entry(class).or_default().clone()
+    /// The histogram for a statement class, by name.
+    ///
+    /// # Panics
+    ///
+    /// If `class` is not one of [`STMT_CLASSES`].
+    pub fn class_histogram(&self, class: &str) -> &Histogram {
+        let i = crate::stmt_class(class).unwrap_or_else(|| panic!("no statement class {class:?}"));
+        &self.classes[i]
     }
 
     /// The histogram for an engine phase.
@@ -386,14 +384,13 @@ impl Obs {
 
     /// Per-class and per-phase summaries. Classes are sorted by name,
     /// phases appear in `repr` order; either is listed only once it has an
-    /// observation (`finish_op` creates a class's histogram a moment before
-    /// recording into it, and `reset` zeroes without removing).
+    /// observation.
     pub fn profile(&self) -> ProfileReport {
         let seen = |name: &str, s: HistSummary| (s.count > 0).then(|| (name.to_string(), s));
-        let classes = lock(&self.classes)
-            .iter()
+        let mut classes: Vec<_> = (STMT_CLASSES.iter().zip(&self.classes))
             .filter_map(|(name, h)| seen(name, h.summary()))
             .collect();
+        classes.sort_by(|a, b| a.0.cmp(&b.0));
         let phases = PHASES
             .iter()
             .filter_map(|p| seen(p.name(), self.phases[*p as usize].summary()))
@@ -406,11 +403,6 @@ impl Obs {
         self.ring.recent(limit)
     }
 
-    /// Flight-recorder capacity.
-    pub fn ring_capacity(&self) -> usize {
-        self.ring.capacity()
-    }
-
     /// Retained slow operations, oldest first.
     pub fn slow_ops(&self) -> Vec<SlowOp> {
         lock(&self.slow).iter().cloned().collect()
@@ -419,14 +411,15 @@ impl Obs {
     /// Clear histograms, the slow-op log and (logically) the ring — used
     /// by `reset_metrics` so profiles restart alongside counters.
     pub fn reset(&self) {
-        for h in &self.phases {
-            h.reset();
-        }
-        for h in lock(&self.classes).values() {
+        for h in self.phases.iter().chain(&self.classes) {
             h.reset();
         }
         lock(&self.slow).clear();
     }
+}
+
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Minimal JSON string escaping (quotes, backslash, control bytes).
@@ -478,7 +471,12 @@ fn trace_line(op: &SlowOp) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stmt_code;
     use std::sync::Arc;
+
+    fn class(name: &str) -> usize {
+        crate::stmt_class(name).unwrap()
+    }
 
     /// A `Write` sink tests can inspect.
     #[derive(Clone, Default)]
@@ -497,9 +495,9 @@ mod tests {
     #[test]
     fn op_bracketing_records_class_and_phase_histograms() {
         let obs = Obs::new();
-        let token = obs.begin_op("SELECT");
-        obs.phase(Phase::Parse, Duration::from_micros(3));
-        obs.phase(Phase::WorldEnum, Duration::from_micros(7));
+        let token = obs.begin_op(class("SELECT"));
+        obs.span(Phase::Parse, obs.start());
+        obs.span(Phase::WorldEnum, obs.start());
         obs.finish_op(token, Outcome::Ok, None);
         let report = obs.profile();
         assert_eq!(report.classes.len(), 1);
@@ -518,8 +516,8 @@ mod tests {
     fn disabled_handle_records_nothing() {
         let obs = Obs::new();
         obs.set_enabled(false);
-        let token = obs.begin_op("INSERT");
-        obs.phase(Phase::Apply, Duration::from_micros(5));
+        let token = obs.begin_op(class("INSERT"));
+        obs.span(Phase::Apply, obs.start());
         obs.finish_op(token, Outcome::Ok, None);
         assert!(obs.profile().classes.is_empty());
         assert!(obs.profile().phases.is_empty());
@@ -531,9 +529,8 @@ mod tests {
         let obs = Obs::new();
         obs.set_slow_threshold_us(1); // 1 µs — everything is slow
         obs.set_test_delay_us(5); // a hot op can finish in <1 µs of wall clock
-        let token = obs.begin_op("SELECT … CHOOSE 1");
-        obs.set_txn(42);
-        obs.phase(Phase::Solve, Duration::from_micros(10));
+        let token = obs.begin_op(class("SELECT … CHOOSE 1"));
+        obs.span(Phase::Solve, obs.start());
         obs.finish_op(token, Outcome::Ok, Some(42));
         let slow = obs.slow_ops();
         assert_eq!(slow.len(), 1);
@@ -550,7 +547,7 @@ mod tests {
         obs.set_slow_threshold_us(1);
         obs.set_test_delay_us(5); // ensure every op clears the threshold
         for i in 0..(SLOW_LOG_CAPACITY + 5) {
-            let token = obs.begin_op("INSERT");
+            let token = obs.begin_op(class("INSERT"));
             obs.finish_op(token, Outcome::Ok, Some(i as u64));
         }
         let slow = obs.slow_ops();
@@ -565,8 +562,8 @@ mod tests {
         obs.set_trace(Some(Box::new(buf.clone())));
         obs.set_slow_threshold_us(500);
         obs.set_test_delay_us(1_000); // 1 ms — far over the 500 µs threshold
-        let token = obs.begin_op("GROUND ALL");
-        obs.phase(Phase::Apply, Duration::from_micros(2));
+        let token = obs.begin_op(class("GROUND ALL"));
+        obs.span(Phase::Apply, obs.start());
         obs.finish_op(token, Outcome::Ok, None);
         let slow = obs.slow_ops();
         assert_eq!(slow.len(), 1, "delayed op promoted to the slow log");
@@ -581,8 +578,8 @@ mod tests {
     #[test]
     fn profile_display_renders_a_table() {
         let obs = Obs::new();
-        let token = obs.begin_op("SELECT");
-        obs.phase(Phase::Parse, Duration::from_micros(3));
+        let token = obs.begin_op(class("SELECT"));
+        obs.span(Phase::Parse, obs.start());
         obs.finish_op(token, Outcome::Ok, None);
         let text = obs.profile().to_string();
         assert!(text.contains("class"));
@@ -595,8 +592,8 @@ mod tests {
     fn reset_clears_histograms_and_slow_log() {
         let obs = Obs::new();
         obs.set_slow_threshold_us(1);
-        let token = obs.begin_op("DELETE");
-        obs.phase(Phase::Apply, Duration::from_micros(9));
+        let token = obs.begin_op(class("DELETE"));
+        obs.span(Phase::Apply, obs.start());
         obs.finish_op(token, Outcome::Ok, None);
         obs.reset();
         let report = obs.profile();

@@ -575,7 +575,7 @@ impl Conn {
                     Ok(stmt) => stmt,
                     Err(refusal) => return refusal,
                 };
-                self.metrics.statement(stmt.kind());
+                self.metrics.statement(stmt.class());
                 if matches!(stmt, Statement::ShowReplication) {
                     return self.replication_report(&stmts);
                 }
@@ -611,8 +611,8 @@ impl Conn {
                 let Some(b) = stmts.bound.remove(&bound) else {
                     return unknown_id("bound statement", bound);
                 };
-                self.metrics.statement(b.statement().kind());
-                if b.statement().kind() == "SHOW REPLICATION" {
+                self.metrics.statement(b.statement().class());
+                if matches!(b.statement(), Statement::ShowReplication) {
                     return self.replication_report(&stmts);
                 }
                 self.respond(&stmts, b.run())

@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use qdb_core::wire::ServerStats;
-use qdb_core::{stmt_code, STMT_CLASSES, STMT_CODE_BASE};
+use qdb_core::STMT_CLASSES;
 
 /// Lock-free counters throughout: executors on every core bump them per
 /// statement and per socket call.
@@ -27,8 +27,7 @@ pub struct ServerMetrics {
     outbox_full_stalls: AtomicU64,
     socket_reads: AtomicU64,
     socket_writes: AtomicU64,
-    /// Statements per class, indexed by the class's flight-recorder code
-    /// ([`stmt_code`]) less [`STMT_CODE_BASE`].
+    /// Statements per class, indexed like [`STMT_CLASSES`].
     classes: [AtomicU64; STMT_CLASSES.len()],
 }
 
@@ -96,13 +95,9 @@ impl ServerMetrics {
     }
 
     /// Record one executed statement of the given class
-    /// ([`qdb_logic::Statement::kind`]).
-    pub fn statement(&self, class: &'static str) {
-        let slot = stmt_code(class).wrapping_sub(STMT_CODE_BASE) as usize;
-        debug_assert!(slot < STMT_CLASSES.len(), "{class:?} not in STMT_CLASSES");
-        if let Some(count) = self.classes.get(slot) {
-            count.fetch_add(1, Ordering::Relaxed);
-        }
+    /// ([`qdb_logic::Statement::class`]).
+    pub fn statement(&self, class: usize) {
+        self.classes[class].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Snapshot for the wire; classes are listed by name, once they have run.
@@ -133,6 +128,10 @@ impl ServerMetrics {
 mod tests {
     use super::*;
 
+    fn class(name: &str) -> usize {
+        qdb_core::stmt_class(name).unwrap()
+    }
+
     #[test]
     fn snapshot_reflects_all_counters() {
         let m = ServerMetrics::default();
@@ -140,9 +139,9 @@ mod tests {
         m.frame_in(100);
         m.frame_in(28);
         m.bytes_out(64);
-        m.statement("SELECT");
-        m.statement("SELECT");
-        m.statement("INSERT");
+        m.statement(class("SELECT"));
+        m.statement(class("SELECT"));
+        m.statement(class("INSERT"));
         let s = m.snapshot();
         assert_eq!(s.connections, 1);
         assert_eq!(s.frames_decoded, 2);
@@ -187,17 +186,15 @@ mod tests {
             "SHOW REPLICATION",
             "PROMOTE",
         ] {
-            let kind = qdb_logic::parse_statement(sql).unwrap().template().kind();
-            assert_ne!(stmt_code(kind), u8::MAX, "{kind} missing from STMT_CLASSES");
-            kinds.insert(kind);
+            kinds.insert(qdb_logic::parse_statement(sql).unwrap().template().class());
         }
         assert_eq!(kinds.len(), STMT_CLASSES.len(), "a class no statement has");
         // Classes are listed by name and only once they have run.
         let m = ServerMetrics::default();
-        m.statement("SHOW PENDING");
-        m.statement("CHECKPOINT");
-        m.statement("SELECT … CHOOSE 1");
-        m.statement("SELECT");
+        m.statement(class("SHOW PENDING"));
+        m.statement(class("CHECKPOINT"));
+        m.statement(class("SELECT … CHOOSE 1"));
+        m.statement(class("SELECT"));
         let listed: Vec<String> = m
             .snapshot()
             .statement_classes

@@ -179,7 +179,7 @@ impl ReplicaState {
             Ok(stmt) => stmt,
             Err(refusal) => return refusal,
         };
-        server.statement(stmt.kind());
+        server.statement(stmt.class());
         let stmt = match stmt {
             Statement::Promote => {
                 return match self.promote() {

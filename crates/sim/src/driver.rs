@@ -536,7 +536,7 @@ impl Engine {
             return run(self);
         }
         let obs = self.obs().clone();
-        let token = obs.begin_op(class);
+        let token = obs.begin_op(qdb_core::stmt_class(class).expect("a statement class"));
         let r = run(self);
         let o = match &r {
             Ok(v) => outcome(v),

@@ -111,9 +111,10 @@ impl Default for SearchLimits {
 }
 
 /// The grounding solver. Holds configuration and cumulative statistics;
-/// all search state lives in a per-call context.
+/// all search state lives in a per-call context. `'o` is the lifetime of
+/// the observability handle the engine lends it for one operation.
 #[derive(Debug, Default, Clone)]
-pub struct Solver {
+pub struct Solver<'o> {
     /// Atom ordering strategy.
     pub order: AtomOrder,
     /// Resource bounds.
@@ -131,7 +132,7 @@ pub struct Solver {
     /// Observability handle: when set, `solve_in`, `verify` and
     /// `enumerate_one` record their wall time as
     /// [`qdb_obs::Phase::Solve`].
-    obs: Option<std::sync::Arc<qdb_obs::Obs>>,
+    obs: Option<&'o qdb_obs::Obs>,
 }
 
 /// Saturating count of the atom orderings: beyond 32 candidates the
@@ -753,7 +754,7 @@ impl Frame {
     }
 }
 
-impl Solver {
+impl<'o> Solver<'o> {
     /// Solver with the given strategy and default limits.
     pub fn new(order: AtomOrder) -> Self {
         Solver {
@@ -767,18 +768,19 @@ impl Solver {
         &self.stats
     }
 
-    /// Install the observability handle search timings feed into.
-    pub fn set_obs(&mut self, obs: Option<std::sync::Arc<qdb_obs::Obs>>) {
+    /// Lend the observability handle search timings feed into.
+    pub fn set_obs(&mut self, obs: Option<&'o qdb_obs::Obs>) {
         self.obs = obs;
     }
 
     /// Run `f` and record its wall time as [`qdb_obs::Phase::Solve`].
     fn timed<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
-        let t0 = self.obs.is_some().then(std::time::Instant::now);
+        let Some(obs) = self.obs else {
+            return f(self);
+        };
+        let t0 = obs.start();
         let r = f(self);
-        if let (Some(obs), Some(t0)) = (self.obs.as_ref(), t0) {
-            obs.phase(qdb_obs::Phase::Solve, t0.elapsed());
-        }
+        obs.span(qdb_obs::Phase::Solve, t0);
         r
     }
 

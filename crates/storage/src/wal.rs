@@ -411,7 +411,7 @@ pub struct Wal {
     drains: u64,
     /// Observability handle: `append` records [`qdb_obs::Phase::WalAppend`]
     /// and each drain records [`qdb_obs::Phase::WalFlush`]. `None` (the
-    /// default for standalone WALs) costs nothing.
+    /// default for standalone WALs) or a disabled handle reads no clock.
     obs: Option<std::sync::Arc<qdb_obs::Obs>>,
 }
 
@@ -457,10 +457,10 @@ impl Wal {
     /// bytes does not fail the append (the record reached the log); flush
     /// health is surfaced by explicit [`Wal::sync`] calls (checkpoints).
     pub fn append(&mut self, record: &LogRecord) -> Result<()> {
-        let t0 = self.obs.is_some().then(std::time::Instant::now);
+        let t0 = self.obs.as_ref().and_then(|o| o.start());
         let result = self.append_inner(record);
-        if let (Some(obs), Some(t0)) = (self.obs.as_ref(), t0) {
-            obs.phase(qdb_obs::Phase::WalAppend, t0.elapsed());
+        if let Some(obs) = &self.obs {
+            obs.span(qdb_obs::Phase::WalAppend, t0);
         }
         result
     }
@@ -506,10 +506,10 @@ impl Wal {
         if self.pending.is_empty() {
             return Ok(());
         }
-        let t0 = self.obs.is_some().then(std::time::Instant::now);
+        let t0 = self.obs.as_ref().and_then(|o| o.start());
         let result = self.drain_inner();
-        if let (Some(obs), Some(t0)) = (self.obs.as_ref(), t0) {
-            obs.phase(qdb_obs::Phase::WalFlush, t0.elapsed());
+        if let Some(obs) = &self.obs {
+            obs.span(qdb_obs::Phase::WalFlush, t0);
         }
         result
     }
