@@ -28,6 +28,13 @@
 //!
 //! A transition whose every delta is zero opens no window at all
 //! (`AtomicMetrics::absorb_solver` on a statement that did not search).
+//!
+//! A lone counter that no identity ties to another (`reads`, `submitted`,
+//! `parses`, …) is bumped without a window: one Relaxed `fetch_add`
+//! (`AtomicMetrics::bump`). A snapshot then reads a value it held at some
+//! instant between the snapshot's two epoch loads, which is all a lone
+//! counter can promise, and a bump that races a `reset` lands wholly
+//! before or wholly after its zeroing.
 
 use crate::ground::GroundReason;
 
@@ -257,10 +264,15 @@ impl AtomicMetrics {
         }
     }
 
-    /// Record one parser entry (single counter, still epoch-guarded so
-    /// snapshots never tear).
+    /// Add `n` to a lone counter: one Relaxed `fetch_add`, no window
+    /// (module docs).
+    pub(crate) fn bump<'a>(&'a self, cell: impl FnOnce(&'a Self) -> &'a AtomicU64, n: u64) {
+        cell(self).fetch_add(n, Relaxed);
+    }
+
+    /// Record one parser entry.
     pub(crate) fn count_parse(&self) {
-        self.begin().add(|c| &c.parses, 1);
+        self.bump(|c| &c.parses, 1);
     }
 
     /// Fold one operation's solver-stat deltas into the mirrored solver

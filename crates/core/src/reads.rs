@@ -37,7 +37,7 @@ impl SharedQuantumDb {
     /// (locking only their partitions), then the query is answered from
     /// the extensional state under a shared base read.
     pub fn read(&self, atoms: &[Atom], limit: Option<usize>) -> Result<Vec<Valuation>> {
-        self.core.metrics.begin().add(|c| &c.reads, 1);
+        self.core.metrics.bump(|c| &c.reads, 1);
         let mut solver = self.solver();
         let out = self.read_collapsing(atoms, limit, &mut solver);
         self.absorb(&solver);
@@ -100,7 +100,7 @@ impl SharedQuantumDb {
     /// nothing re-grounded). Only a query that touches several partitions
     /// pays for one overlay holding their deltas on the queried relations.
     pub fn read_peek(&self, atoms: &[Atom], limit: Option<usize>) -> Result<Vec<Valuation>> {
-        self.core.metrics.begin().add(|c| &c.reads_peek, 1);
+        self.core.metrics.bump(|c| &c.reads_peek, 1);
         self.with_touched_partitions(atoms, |db, parts| {
             for p in parts.iter_mut() {
                 self.ensure_world(p, db)?;
@@ -131,7 +131,7 @@ impl SharedQuantumDb {
     /// answers come only from worlds that apply the oldest pending
     /// transactions (in id order), and nothing in the reply says so.
     pub fn read_possible(&self, atoms: &[Atom], world_bound: usize) -> Result<Vec<Vec<Valuation>>> {
-        self.core.metrics.begin().add(|c| &c.reads_possible, 1);
+        self.core.metrics.bump(|c| &c.reads_possible, 1);
         let (t_enum, read, mut answers, enumerated, dedup_hits) =
             self.with_touched_partitions(atoms, |db, parts| {
                 let mut pending: Vec<&PendingTxn> =

@@ -440,15 +440,12 @@ impl SharedQuantumDb {
         drop(wal);
         drop(base);
         if created > 0 {
-            self.core
-                .metrics
-                .begin()
-                .add(|c| &c.indexes_auto_created, created);
+            self.core.metrics.bump(|c| &c.indexes_auto_created, created);
         }
     }
 
     fn do_submit(&self, txn: &ResourceTransaction) -> Result<SubmitOutcome> {
-        self.core.metrics.begin().add(|c| &c.submitted, 1);
+        self.core.metrics.bump(|c| &c.submitted, 1);
         // Placeholders are bound before execution; one that got through
         // would make WAL replay's `reserve_through` jump the id space.
         debug_assert!(
@@ -485,7 +482,7 @@ impl SharedQuantumDb {
                 vg.reserve_through(v.id());
             }
         }
-        self.core.metrics.begin().add(|c| &c.submitted, 1);
+        self.core.metrics.bump(|c| &c.submitted, 1);
         let mode = Admit::Replay {
             id,
             relog: relog.then_some(payload),
@@ -516,7 +513,7 @@ impl SharedQuantumDb {
             for (_, slot) in &targets {
                 st.part.merge(self.drain(slot));
             }
-            self.core.metrics.begin().add(|c| &c.partition_merges, 1);
+            self.core.metrics.bump(|c| &c.partition_merges, 1);
         } else if let Some((_, slot)) = targets.first() {
             // Preserve the partition wholesale (keeps its pending world,
             // which a merge would drop).
@@ -562,7 +559,7 @@ impl SharedQuantumDb {
                 // world is still its pending world.
                 st.part.overlay_cache = Some(overlay);
                 st.left.push(txn.clone());
-                self.core.metrics.begin().add(|c| &c.aborted, 1);
+                self.core.metrics.bump(|c| &c.aborted, 1);
                 return Ok(SubmitOutcome::Aborted);
             }
         };
@@ -650,7 +647,7 @@ impl SharedQuantumDb {
     /// [`Partition::ensure_world`], counting a rebuild.
     pub(crate) fn ensure_world(&self, p: &mut Partition, db: &Database) -> Result<()> {
         if p.ensure_world(db)? {
-            self.core.metrics.begin().add(|c| &c.overlay_rebuilds, 1);
+            self.core.metrics.bump(|c| &c.overlay_rebuilds, 1);
         }
         Ok(())
     }
@@ -1071,7 +1068,7 @@ impl SharedQuantumDb {
                 let changed = base.db.apply(&op)?;
                 if changed {
                     self.wal().append(&LogRecord::Write(op))?;
-                    self.core.metrics.begin().add(|c| &c.writes_applied, 1);
+                    self.core.metrics.bump(|c| &c.writes_applied, 1);
                 }
                 return Ok(true);
             }
@@ -1114,7 +1111,7 @@ impl SharedQuantumDb {
                         }
                         Residue::Unsat => {
                             // Reject without ever having touched the base.
-                            self.core.metrics.begin().add(|c| &c.writes_rejected, 1);
+                            self.core.metrics.bump(|c| &c.writes_rejected, 1);
                             return Ok(false);
                         }
                     }
@@ -1135,7 +1132,7 @@ impl SharedQuantumDb {
             }
             if changed {
                 self.wal().append(&LogRecord::Write(op))?;
-                self.core.metrics.begin().add(|c| &c.writes_applied, 1);
+                self.core.metrics.bump(|c| &c.writes_applied, 1);
             }
             return Ok(true);
         }

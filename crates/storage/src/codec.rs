@@ -5,7 +5,7 @@
 //! can detect torn writes. No external serialization framework is used — the
 //! format is small, stable and fully specified here.
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 
 use crate::error::StorageError;
 use crate::schema::{Schema, ValueType};
@@ -158,7 +158,7 @@ pub fn get_value(buf: &mut impl Buf) -> Result<Value> {
 }
 
 /// Write a [`Tuple`].
-pub fn put_tuple(buf: &mut BytesMut, t: &Tuple) {
+pub fn put_tuple(buf: &mut impl BufMut, t: &Tuple) {
     buf.put_u32_le(t.arity() as u32);
     for v in t.iter() {
         put_value(buf, v);
@@ -179,7 +179,7 @@ pub fn get_tuple(buf: &mut impl Buf) -> Result<Tuple> {
     Ok(Tuple::from(values))
 }
 
-fn put_value_type(buf: &mut BytesMut, ty: ValueType) {
+fn put_value_type(buf: &mut impl BufMut, ty: ValueType) {
     buf.put_u8(match ty {
         ValueType::Int => TAG_INT,
         ValueType::Str => TAG_STR,
@@ -198,7 +198,7 @@ fn get_value_type(buf: &mut impl Buf) -> Result<ValueType> {
 }
 
 /// Write a [`Schema`].
-pub fn put_schema(buf: &mut BytesMut, s: &Schema) {
+pub fn put_schema(buf: &mut impl BufMut, s: &Schema) {
     put_string(buf, s.relation());
     buf.put_u32_le(s.arity() as u32);
     for c in s.columns() {
@@ -239,6 +239,7 @@ mod tests {
     use super::*;
     use crate::tuple;
     use crate::wal::LogRecord;
+    use bytes::BytesMut;
 
     /// The bytewise reference the slicing-by-8 loop must agree with.
     fn crc32_bytewise(data: &[u8]) -> u32 {

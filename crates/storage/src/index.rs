@@ -11,7 +11,7 @@ use crate::value::Value;
 
 /// A secondary index over one column, mapping each column value to the set
 /// of rows carrying that value (a row is its own key).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SecondaryIndex {
     column: usize,
     map: HashMap<Value, BTreeSet<Tuple>>,
@@ -31,10 +31,18 @@ impl SecondaryIndex {
         self.column
     }
 
-    /// Record `row` in the index.
+    /// Record `row` in the index. The key is cloned only when `row` opens
+    /// a new bucket.
     pub fn insert(&mut self, row: &Tuple) {
-        let v = row[self.column].clone();
-        self.map.entry(v).or_default().insert(row.clone());
+        let v = &row[self.column];
+        match self.map.get_mut(v) {
+            Some(bucket) => {
+                bucket.insert(row.clone());
+            }
+            None => {
+                self.map.insert(v.clone(), BTreeSet::from([row.clone()]));
+            }
+        }
     }
 
     /// Remove `row` from the index.

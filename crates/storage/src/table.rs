@@ -95,6 +95,13 @@ impl Table {
         Ok(())
     }
 
+    /// The secondary indexes, in creation order (recovery's differential
+    /// compares their buckets).
+    #[cfg(test)]
+    pub(crate) fn indexes(&self) -> &[SecondaryIndex] {
+        &self.indexes
+    }
+
     /// Columns currently covered by a secondary index.
     pub fn indexed_columns(&self) -> Vec<usize> {
         self.indexes.iter().map(|ix| ix.column()).collect()
@@ -122,13 +129,13 @@ impl Table {
     /// identical row was already present.
     pub fn insert(&mut self, row: Tuple) -> Result<bool> {
         self.schema.check(&row)?;
-        if self.rows.contains(&row) {
+        // One descent: the set's own insert is the presence probe.
+        if !self.rows.insert(row.clone()) {
             return Ok(false);
         }
         for ix in &mut self.indexes {
             ix.insert(&row);
         }
-        self.rows.insert(row);
         Ok(true)
     }
 

@@ -18,7 +18,7 @@
 //! [`frame_spans`] and replication all decode through it, so none of them
 //! holds more of the log than one chunk plus one partial frame.
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 
 use crate::codec;
 use crate::database::WriteOp;
@@ -76,30 +76,39 @@ const T_PENDING_REMOVE: u8 = 6;
 const T_CHECKPOINT: u8 = 7;
 const T_GROUND: u8 = 8;
 
+/// A write op as a `Write` record payload, and as one op of a `Ground`.
+fn put_op(buf: &mut Vec<u8>, op: &WriteOp) {
+    let (tag, relation, tuple) = match op {
+        WriteOp::Insert { relation, tuple } => (T_INSERT, relation, tuple),
+        WriteOp::Delete { relation, tuple } => (T_DELETE, relation, tuple),
+    };
+    buf.put_u8(tag);
+    codec::put_string(buf, relation);
+    codec::put_tuple(buf, tuple);
+}
+
 impl LogRecord {
     /// Encode the record payload (no frame header).
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(64);
+        let mut buf = Vec::with_capacity(64);
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Append the record payload (no frame header) to `buf` — how
+    /// [`Wal::append`] writes a frame straight into its tail buffer.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             LogRecord::CreateTable(schema) => {
                 buf.put_u8(T_CREATE_TABLE);
-                codec::put_schema(&mut buf, schema);
+                codec::put_schema(buf, schema);
             }
             LogRecord::CreateIndex { relation, column } => {
                 buf.put_u8(T_CREATE_INDEX);
-                codec::put_string(&mut buf, relation);
+                codec::put_string(buf, relation);
                 buf.put_u32_le(*column);
             }
-            LogRecord::Write(WriteOp::Insert { relation, tuple }) => {
-                buf.put_u8(T_INSERT);
-                codec::put_string(&mut buf, relation);
-                codec::put_tuple(&mut buf, tuple);
-            }
-            LogRecord::Write(WriteOp::Delete { relation, tuple }) => {
-                buf.put_u8(T_DELETE);
-                codec::put_string(&mut buf, relation);
-                codec::put_tuple(&mut buf, tuple);
-            }
+            LogRecord::Write(op) => put_op(buf, op),
             LogRecord::PendingAdd { id, payload } => {
                 buf.put_u8(T_PENDING_ADD);
                 buf.put_u64_le(*id);
@@ -115,23 +124,11 @@ impl LogRecord {
                 buf.put_u64_le(*id);
                 buf.put_u32_le(ops.len() as u32);
                 for op in ops {
-                    match op {
-                        WriteOp::Insert { relation, tuple } => {
-                            buf.put_u8(T_INSERT);
-                            codec::put_string(&mut buf, relation);
-                            codec::put_tuple(&mut buf, tuple);
-                        }
-                        WriteOp::Delete { relation, tuple } => {
-                            buf.put_u8(T_DELETE);
-                            codec::put_string(&mut buf, relation);
-                            codec::put_tuple(&mut buf, tuple);
-                        }
-                    }
+                    put_op(buf, op);
                 }
             }
             LogRecord::Checkpoint => buf.put_u8(T_CHECKPOINT),
         }
-        buf.to_vec()
     }
 
     /// Decode a record payload.
@@ -466,14 +463,17 @@ impl Wal {
     }
 
     fn append_inner(&mut self, record: &LogRecord) -> Result<()> {
+        // Reserve the frame header, encode the payload behind it, then
+        // patch in its length and checksum: no intermediate buffer.
         let start = self.pending.len();
-        let payload = record.encode();
-        self.pending.reserve(payload.len() + 8);
-        self.pending
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.pending
-            .extend_from_slice(&codec::crc32(&payload).to_le_bytes());
-        self.pending.extend_from_slice(&payload);
+        self.pending.extend_from_slice(&[0; 8]);
+        record.encode_into(&mut self.pending);
+        let payload = &self.pending[start + 8..];
+        let header = [
+            (payload.len() as u32).to_le_bytes(),
+            codec::crc32(payload).to_le_bytes(),
+        ];
+        self.pending[start..start + 8].copy_from_slice(header.as_flattened());
         self.records_written += 1;
         self.pending_records += 1;
         if self.pending.len() > self.group_limit {
@@ -1169,6 +1169,41 @@ mod tests {
             records,
             vec![LogRecord::Checkpoint, LogRecord::PendingRemove { id: 3 }]
         );
+    }
+
+    /// `record` framed from its standalone encoding.
+    fn framed(record: &LogRecord) -> Vec<u8> {
+        let payload = record.encode();
+        let len = (payload.len() as u32).to_le_bytes();
+        let crc = codec::crc32(&payload).to_le_bytes();
+        [&len[..], &crc[..], &payload[..]].concat()
+    }
+
+    #[test]
+    fn in_place_frames_equal_framed_encodings_of_every_record_kind() {
+        let mut wal = Wal::in_memory();
+        let mut want = Vec::new();
+        for r in sample_records() {
+            wal.append(&r).unwrap();
+            want.extend(framed(&r));
+        }
+        assert_eq!(wal.image().unwrap(), want);
+
+        // A drain the sink refuses rolls the record back out of the tail
+        // buffer and leaves the frames buffered before it intact.
+        use std::sync::atomic::Ordering::SeqCst;
+        for r in sample_records() {
+            let (mut wal, appends, _syncs) = flaky_wal();
+            let first = LogRecord::PendingRemove { id: 1 };
+            wal.set_group_limit(framed(&first).len());
+            wal.append(&first).unwrap();
+            appends.store(true, SeqCst);
+            assert!(wal.append(&r).is_err());
+            appends.store(false, SeqCst);
+            wal.append(&LogRecord::Checkpoint).unwrap();
+            let want = [framed(&first), framed(&LogRecord::Checkpoint)].concat();
+            assert_eq!(wal.image().unwrap(), want, "{r:?}");
+        }
     }
 
     #[test]
