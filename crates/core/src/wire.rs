@@ -1323,7 +1323,8 @@ mod tests {
 
     /// The METRICS frame layout, pinned: counter `k` in wire order travels
     /// as the little-endian u64 at body offset `8·k`, followed by the
-    /// server stats (nine u64s and an empty class list when defaulted).
+    /// server stats: nine u64s in `ServerStats` order, then the class list
+    /// (all zero bytes when defaulted).
     #[test]
     #[allow(clippy::needless_update)] // stays valid whatever else `Metrics` holds
     fn metrics_frame_layout_is_pinned() {
@@ -1361,7 +1362,7 @@ mod tests {
             indexes_auto_created: 31,
             ..Metrics::default()
         };
-        let bytes = encode_reply(5, &Reply::Engine(Response::Metrics(Box::new(m))));
+        let bytes = encode_reply(5, &Reply::Engine(Response::Metrics(Box::new(m.clone()))));
         assert_eq!(bytes.len(), 4 + 1 + 4 + 31 * 8 + 9 * 8 + 4);
         assert_eq!(bytes[4], resp::METRICS);
         let body = &bytes[9..];
@@ -1373,6 +1374,46 @@ mod tests {
             body[31 * 8..].iter().all(|&b| b == 0),
             "default server stats"
         );
+
+        // The server half: server counter `k` travels as the word at body
+        // offset `8·(31 + k)`, then the class list (u32 count, then per
+        // class a length-prefixed name and a u64 count).
+        let server = ServerStats {
+            connections: 101,
+            frames_decoded: 102,
+            bytes_in: 103,
+            bytes_out: 104,
+            conns_open: 105,
+            conns_peak: 106,
+            conns_refused: 107,
+            conns_idle_closed: 108,
+            outbox_full_stalls: 109,
+            statement_classes: vec![("INSERT".into(), 7), ("SELECT".into(), 8)],
+        };
+        let bytes = encode_reply(
+            5,
+            &Reply::Stats {
+                engine: Box::new(m),
+                server,
+                profile: None,
+            },
+        );
+        let body = &bytes[9..];
+        let word = |at: usize| u64::from_le_bytes(body[at..at + 8].try_into().unwrap());
+        for k in 0..31 {
+            assert_eq!(word(8 * k), k as u64 + 1, "counter {k}");
+        }
+        for k in 0..9 {
+            assert_eq!(word(8 * (31 + k)), 101 + k as u64, "server counter {k}");
+        }
+        let classes = &body[8 * 40..];
+        let mut expected = 2u32.to_le_bytes().to_vec();
+        for (name, count) in [("INSERT", 7u64), ("SELECT", 8)] {
+            expected.extend((name.len() as u32).to_le_bytes());
+            expected.extend(name.as_bytes());
+            expected.extend(count.to_le_bytes());
+        }
+        assert_eq!(classes, expected, "class list");
     }
 
     #[test]
