@@ -5,10 +5,12 @@
 //! counters are what `qdb-workload`'s experiment runner reads out.
 //!
 //! Every counter is declared once, in the `counters!` list below: the
-//! list stamps out [`Metrics`], the lock-free `AtomicMetrics` the engine
-//! updates, and the order the wire's METRICS frame carries them in. Event
-//! traces live in the observability layer's flight recorder
-//! (`SHOW EVENTS`), not here.
+//! list stamps out [`Metrics`], its `name=value` text (`SHOW METRICS`),
+//! the lock-free `AtomicMetrics` the engine updates, and the order the
+//! wire's METRICS frame carries them in. The same macro declares the
+//! server's traffic counters, [`crate::wire::ServerStats`]. Event traces
+//! live in the observability layer's flight recorder (`SHOW EVENTS`), not
+//! here.
 //!
 //! `AtomicMetrics` is a seqlock, and no access to it is `SeqCst`:
 //!
@@ -38,19 +40,32 @@
 
 use crate::ground::GroundReason;
 
-/// Stamps out every mirror of the counter list: [`Metrics`] (one `u64`
-/// per counter, documented where it is listed), its wire-order accessors,
-/// and `AtomicMetrics` with its seed, snapshot and reset paths.
+/// Stamps out every copy of one counter list: the plain struct (one
+/// `pub u64` per counter, documented where it is listed, then any extra
+/// fields the invocation gives), its wire-order accessors and names, a
+/// one-line `name=value` `Display` of every counter, and the lock-free
+/// atomic mirror (one `AtomicU64` per counter, then its extra fields) with
+/// its seed, read and zero paths. Invoked twice: for [`Metrics`] below and
+/// for the server's `crate::wire::ServerStats`.
 macro_rules! counters {
-    ($($(#[$doc:meta])* $field:ident,)*) => {
-        /// Cumulative counters.
-        #[derive(Debug, Clone, Default, PartialEq, Eq)]
-        pub struct Metrics {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident { $($extra:tt)* }
+        $(#[$atomic_meta:meta])*
+        $avis:vis struct $atomic:ident { $($atomic_extra:tt)* }
+        $($(#[$doc:meta])* $field:ident,)*
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
             $($(#[$doc])* pub $field: u64,)*
+            $($extra)*
         }
 
-        impl Metrics {
-            const COUNTERS: usize = [$(stringify!($field)),*].len();
+        impl $name {
+            pub(crate) const COUNTERS: usize = [$(stringify!($field)),*].len();
+
+            /// Every counter's name, in declaration order.
+            pub(crate) const NAMES: [&'static str; Self::COUNTERS] = [$(stringify!($field)),*];
 
             /// Every counter, in declaration order — the wire order of the
             /// METRICS frame.
@@ -58,64 +73,80 @@ macro_rules! counters {
                 [$(self.$field),*]
             }
 
-            /// [`Metrics::counters`], writable (the METRICS decoder).
+            /// The counters, writable in the same order (the METRICS
+            /// decoder).
             pub(crate) fn counters_mut(&mut self) -> [&mut u64; Self::COUNTERS] {
                 [$(&mut self.$field),*]
             }
         }
 
-        /// Lock-free engine counters for the sharded engine
-        /// (`crate::shard`).
-        ///
-        /// Hot-path observation never takes a lock: every counter is an
-        /// [`AtomicU64`], and multi-counter transitions (e.g. *committed*
-        /// and *pending* moving together at admission, *grounded* and
-        /// *pending* at collapse) are made torn-read-proof by a seqlock.
-        /// Writers bump `epoch` to odd, update cells, then publish with
-        /// `epoch + 2`; a snapshot is an epoch read, a read of all cells,
-        /// and an epoch re-check — retried until the epoch was stable and
-        /// even, so `SHOW METRICS` taken mid-`GROUND ALL` can never
-        /// observe `committed − grounded ≠ pending` (orderings: module
-        /// docs).
-        #[derive(Debug, Default)]
-        pub(crate) struct AtomicMetrics {
-            epoch: AtomicU64,
-            $(pub(crate) $field: AtomicU64,)*
-            /// Pending transactions right now (not part of [`Metrics`],
-            /// but kept under the same seqlock so accounting snapshots
-            /// are consistent).
-            pub(crate) pending: AtomicU64,
+        /// Every counter as `name=value`, in declaration order, on one line.
+        impl std::fmt::Display for $name {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                for (i, (name, value)) in Self::NAMES.iter().zip(self.counters()).enumerate() {
+                    let sep = if i == 0 { "" } else { " " };
+                    write!(f, "{sep}{name}={value}")?;
+                }
+                Ok(())
+            }
         }
 
-        impl AtomicMetrics {
-            /// Seed the atomic counters from a plain snapshot (engine
-            /// promotion to a shared handle preserves history).
-            pub(crate) fn from_metrics(m: &Metrics, pending: u64) -> Self {
-                let a = AtomicMetrics::default();
-                {
-                    let t = a.begin();
-                    $(t.add(|c| &c.$field, m.$field);)*
-                    t.add(|c| &c.pending, pending);
-                }
+        $(#[$atomic_meta])*
+        $avis struct $atomic {
+            $($(#[$doc])* $avis $field: ::std::sync::atomic::AtomicU64,)*
+            $($atomic_extra)*
+        }
+
+        impl $atomic {
+            /// A mirror seeded with `values` (extra fields default).
+            $avis fn from_counters(values: &$name) -> Self {
+                let mut a = Self::default();
+                $(*a.$field.get_mut() = values.$field;)*
                 a
             }
 
-            /// Raw counter reads (callers wrap in the seqlock protocol).
-            fn read_counters(&self) -> Metrics {
-                Metrics {
-                    $($field: self.$field.load(Relaxed),)*
-                }
+            /// Every counter, one Relaxed load each: a caller that needs
+            /// them consistent with each other brings its own protocol.
+            $avis fn read_counters(&self) -> $name {
+                let mut m = <$name>::default();
+                $(m.$field = self.$field.load(::std::sync::atomic::Ordering::Relaxed);)*
+                m
             }
 
-            /// Zero every counter (callers hold the seqlock).
-            fn zero_counters(&self) {
-                $(self.$field.store(0, Relaxed);)*
+            /// Zero every counter.
+            $avis fn zero_counters(&self) {
+                $(self.$field.store(0, ::std::sync::atomic::Ordering::Relaxed);)*
             }
         }
     };
 }
+pub(crate) use counters;
 
-counters!(
+counters! {
+    /// Cumulative counters.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct Metrics {}
+
+    /// Lock-free engine counters for the sharded engine (`crate::shard`).
+    ///
+    /// Hot-path observation never takes a lock: every counter is an
+    /// [`AtomicU64`], and multi-counter transitions (e.g. *committed* and
+    /// *pending* moving together at admission, *grounded* and *pending* at
+    /// collapse) are made torn-read-proof by a seqlock. Writers bump
+    /// `epoch` to odd, update cells, then publish with `epoch + 2`; a
+    /// snapshot is an epoch read, a read of all cells, and an epoch
+    /// re-check — retried until the epoch was stable and even, so `SHOW
+    /// METRICS` taken mid-`GROUND ALL` can never observe `committed −
+    /// grounded ≠ pending` (orderings: module docs).
+    #[derive(Debug, Default)]
+    pub(crate) struct AtomicMetrics {
+        epoch: AtomicU64,
+        /// Pending transactions right now (not part of [`Metrics`], but
+        /// kept under the same seqlock so accounting snapshots are
+        /// consistent).
+        pub(crate) pending: AtomicU64,
+    }
+
     /// Resource transactions submitted.
     submitted,
     /// Resource transactions committed.
@@ -194,7 +225,7 @@ counters!(
     /// Secondary indexes created by the access-pattern tracker (see
     /// [`crate::QuantumDbConfig::auto_index_threshold`]).
     indexes_auto_created,
-);
+}
 
 impl Metrics {
     /// Total groundings.
@@ -203,34 +234,6 @@ impl Metrics {
             + self.grounded_by_k
             + self.grounded_by_partner
             + self.grounded_explicit
-    }
-}
-
-impl std::fmt::Display for Metrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "submitted={} committed={} aborted={} reads(collapse/peek/possible)={}/{}/{} grounded(read/k/partner/explicit)={}/{}/{}/{} cache(ext/full)={}/{} overlay_rebuilds={} ground_joint_resolves={} worlds(enumerated/dedup)={}/{} db_clones={} max_pending={} parses={}",
-            self.submitted,
-            self.committed,
-            self.aborted,
-            self.reads,
-            self.reads_peek,
-            self.reads_possible,
-            self.grounded_by_read,
-            self.grounded_by_k,
-            self.grounded_by_partner,
-            self.grounded_explicit,
-            self.cache_extensions,
-            self.cache_full_resolves,
-            self.overlay_rebuilds,
-            self.ground_joint_resolves,
-            self.worlds_enumerated,
-            self.world_dedup_hits,
-            self.db_clones,
-            self.max_pending,
-            self.parses,
-        )
     }
 }
 
@@ -247,6 +250,14 @@ pub(crate) struct MetricsTxn<'a> {
 }
 
 impl AtomicMetrics {
+    /// Seed the atomic counters from a plain snapshot (engine promotion to
+    /// a shared handle preserves history).
+    pub(crate) fn from_metrics(m: &Metrics, pending: u64) -> Self {
+        let mut a = Self::from_counters(m);
+        *a.pending.get_mut() = pending;
+        a
+    }
+
     /// Open a multi-counter transition (spins while another writer holds
     /// the seqlock; critical sections are a handful of atomic stores).
     pub(crate) fn begin(&self) -> MetricsTxn<'_> {

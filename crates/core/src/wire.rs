@@ -376,34 +376,43 @@ pub fn decode_request(frame: &Frame) -> Result<Request> {
 
 // -- Replies -----------------------------------------------------------------
 
-/// Serving-process counters attached to every `SHOW METRICS` response (the
-/// engine's own [`Metrics`] travel alongside). Maintained by `qdb-server`;
-/// defined here so both ends agree on the encoding.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServerStats {
+crate::metrics::counters! {
+    /// Serving-process counters attached to every `SHOW METRICS` response
+    /// (the engine's own [`Metrics`] travel alongside). Maintained by
+    /// `qdb-server` through [`AtomicServerStats`]; defined here so both ends
+    /// agree on the encoding.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct ServerStats {
+        /// Statements executed, counted per statement class
+        /// ([`qdb_logic::Statement::kind`]), sorted by class name.
+        pub statement_classes: Vec<(String, u64)>,
+    }
+
+    /// Lock-free mirror of the [`ServerStats`] counters: `qdb-server`'s
+    /// executors and reactor bump its cells with one Relaxed atomic each.
+    #[derive(Debug, Default)]
+    pub struct AtomicServerStats {}
+
     /// Connections accepted since the server started.
-    pub connections: u64,
+    connections,
     /// Request frames successfully decoded.
-    pub frames_decoded: u64,
+    frames_decoded,
     /// Payload bytes read off the network.
-    pub bytes_in: u64,
+    bytes_in,
     /// Payload bytes written to the network.
-    pub bytes_out: u64,
+    bytes_out,
     /// Connections currently open (gauge).
-    pub conns_open: u64,
+    conns_open,
     /// Highest number of simultaneously open connections observed.
-    pub conns_peak: u64,
+    conns_peak,
     /// Connections accepted then immediately closed because the server
     /// was at its `max_connections` admission limit.
-    pub conns_refused: u64,
+    conns_refused,
     /// Connections reaped by the idle-timeout wheel.
-    pub conns_idle_closed: u64,
+    conns_idle_closed,
     /// Times an executor stopped draining a connection because its
     /// outbox hit the backpressure limit.
-    pub outbox_full_stalls: u64,
-    /// Statements executed, counted per statement class
-    /// ([`qdb_logic::Statement::kind`]), sorted by class name.
-    pub statement_classes: Vec<(String, u64)>,
+    outbox_full_stalls,
 }
 
 impl ServerStats {
@@ -418,26 +427,6 @@ impl ServerStats {
     /// Total statements executed across all classes.
     pub fn statements_total(&self) -> u64 {
         self.statement_classes.iter().map(|(_, n)| n).sum()
-    }
-}
-
-impl std::fmt::Display for ServerStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "connections={} (open={} peak={} refused={} idle_closed={}) \
-             frames={} bytes(in/out)={}/{} stalls={} statements={}",
-            self.connections,
-            self.conns_open,
-            self.conns_peak,
-            self.conns_refused,
-            self.conns_idle_closed,
-            self.frames_decoded,
-            self.bytes_in,
-            self.bytes_out,
-            self.outbox_full_stalls,
-            self.statements_total(),
-        )
     }
 }
 
@@ -510,7 +499,7 @@ pub fn encode_reply_into(out: &mut Vec<u8>, request_id: u32, reply: &Reply) {
     let start = begin_frame(out, request_id);
     let kind = match reply {
         Reply::Engine(Response::Metrics(m)) => {
-            put_metrics(out, m);
+            put_counters(out, m.counters());
             put_server_stats(out, &ServerStats::default());
             resp::METRICS
         }
@@ -520,7 +509,7 @@ pub fn encode_reply_into(out: &mut Vec<u8>, request_id: u32, reply: &Reply) {
             server,
             profile,
         } => {
-            put_metrics(out, engine);
+            put_counters(out, engine.counters());
             put_server_stats(out, server);
             if let Some(p) = profile {
                 put_profile(out, p);
@@ -738,7 +727,8 @@ pub fn decode_reply(frame: &Frame) -> Result<Reply> {
             Reply::Engine(Response::Grounded(buf.get_u64_le() as usize))
         }
         resp::METRICS => {
-            let engine = Box::new(get_metrics(buf)?);
+            let mut engine = Box::<Metrics>::default();
+            get_counters(buf, engine.counters_mut(), "metrics")?;
             let server = get_server_stats(buf)?;
             // The profile section is optional: a frame from a server that
             // does not attach one simply ends here.
@@ -844,21 +834,24 @@ fn get_valuations(buf: &mut impl Buf) -> Result<Vec<Valuation>> {
     Ok(rows)
 }
 
-/// The metrics counters as u64s, in the order `crate::metrics` declares
-/// them.
-fn put_metrics(body: &mut Vec<u8>, m: &Metrics) {
-    for counter in m.counters() {
+/// A counter list as little-endian u64s, in declaration order (the
+/// `counters!` lists of `crate::metrics`).
+fn put_counters<const N: usize>(body: &mut Vec<u8>, counters: [u64; N]) {
+    for counter in counters {
         body.put_u64_le(counter);
     }
 }
 
-fn get_metrics(buf: &mut impl Buf) -> Result<Metrics> {
-    let mut m = Metrics::default();
-    for counter in m.counters_mut() {
-        need(buf, 8, "metrics field")?;
+fn get_counters<const N: usize>(
+    buf: &mut impl Buf,
+    counters: [&mut u64; N],
+    what: &str,
+) -> Result<()> {
+    need(buf, 8 * N, what)?;
+    for counter in counters {
         *counter = buf.get_u64_le();
     }
-    Ok(m)
+    Ok(())
 }
 
 // -- Profiles and events -----------------------------------------------------
@@ -944,15 +937,7 @@ fn get_events(buf: &mut impl Buf) -> Result<Vec<qdb_obs::SpanEvent>> {
 }
 
 fn put_server_stats(body: &mut Vec<u8>, s: &ServerStats) {
-    body.put_u64_le(s.connections);
-    body.put_u64_le(s.frames_decoded);
-    body.put_u64_le(s.bytes_in);
-    body.put_u64_le(s.bytes_out);
-    body.put_u64_le(s.conns_open);
-    body.put_u64_le(s.conns_peak);
-    body.put_u64_le(s.conns_refused);
-    body.put_u64_le(s.conns_idle_closed);
-    body.put_u64_le(s.outbox_full_stalls);
+    put_counters(body, s.counters());
     body.put_u32_le(s.statement_classes.len() as u32);
     for (class, count) in &s.statement_classes {
         scodec::put_string(body, class);
@@ -961,19 +946,8 @@ fn put_server_stats(body: &mut Vec<u8>, s: &ServerStats) {
 }
 
 fn get_server_stats(buf: &mut impl Buf) -> Result<ServerStats> {
-    need(buf, 72, "server stats")?;
-    let mut s = ServerStats {
-        connections: buf.get_u64_le(),
-        frames_decoded: buf.get_u64_le(),
-        bytes_in: buf.get_u64_le(),
-        bytes_out: buf.get_u64_le(),
-        conns_open: buf.get_u64_le(),
-        conns_peak: buf.get_u64_le(),
-        conns_refused: buf.get_u64_le(),
-        conns_idle_closed: buf.get_u64_le(),
-        outbox_full_stalls: buf.get_u64_le(),
-        statement_classes: Vec::new(),
-    };
+    let mut s = ServerStats::default();
+    get_counters(buf, s.counters_mut(), "server stats")?;
     let n = get_count(buf, "class count")?;
     for _ in 0..n {
         let class = scodec::get_string(buf)?;
@@ -1414,6 +1388,37 @@ mod tests {
             expected.extend(count.to_le_bytes());
         }
         assert_eq!(classes, expected, "class list");
+    }
+
+    /// `docs/WIRE.md` describes the METRICS frame from the generated
+    /// lists: its server-stats table names `ServerStats`' counters in wire
+    /// order, and its sentences give both halves' counts.
+    #[test]
+    fn wire_doc_matches_the_generated_counter_lists() {
+        let doc = include_str!("../../../docs/WIRE.md");
+        let table: Vec<&str> = doc
+            .split("The server-stats half is")
+            .nth(1)
+            .expect("server-stats section")
+            .lines()
+            .skip_while(|line| !line.starts_with("| `"))
+            .take_while(|line| line.starts_with("| `"))
+            .map(|line| line.split('`').nth(1).unwrap())
+            .collect();
+        assert_eq!(table, ServerStats::NAMES, "server-stats table");
+        let flat = doc.split_whitespace().collect::<Vec<_>>().join(" ");
+        for sentence in [
+            format!(
+                "The engine half is {} little-endian u64 fields",
+                Metrics::COUNTERS
+            ),
+            format!(
+                "The server-stats half is {} little-endian u64 fields",
+                ServerStats::COUNTERS
+            ),
+        ] {
+            assert!(flat.contains(&sentence), "docs/WIRE.md lacks {sentence:?}");
+        }
     }
 
     #[test]

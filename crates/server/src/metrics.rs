@@ -7,24 +7,17 @@
 //! A snapshot of both travels back on every `SHOW METRICS` response, so a
 //! remote client observes the full picture without a side channel.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-use qdb_core::wire::ServerStats;
+use qdb_core::wire::{AtomicServerStats, ServerStats};
 use qdb_core::STMT_CLASSES;
 
 /// Lock-free counters throughout: executors on every core bump them per
-/// statement and per socket call.
+/// statement and per socket call, each bump one Relaxed atomic.
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
-    connections: AtomicU64,
-    frames_decoded: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-    conns_open: AtomicU64,
-    conns_peak: AtomicU64,
-    conns_refused: AtomicU64,
-    conns_idle_closed: AtomicU64,
-    outbox_full_stalls: AtomicU64,
+    /// The counters that travel on the wire.
+    stats: AtomicServerStats,
     socket_reads: AtomicU64,
     socket_writes: AtomicU64,
     /// Statements per class, indexed like [`STMT_CLASSES`].
@@ -34,70 +27,70 @@ pub struct ServerMetrics {
 impl ServerMetrics {
     /// Record an accepted connection (bumps the open gauge and its peak).
     pub fn connection(&self) {
-        self.connections.fetch_add(1, Ordering::Relaxed);
-        let open = self.conns_open.fetch_add(1, Ordering::Relaxed) + 1;
-        self.conns_peak.fetch_max(open, Ordering::Relaxed);
+        self.stats.connections.fetch_add(1, Relaxed);
+        let open = self.stats.conns_open.fetch_add(1, Relaxed) + 1;
+        self.stats.conns_peak.fetch_max(open, Relaxed);
     }
 
     /// Record a connection leaving (any reason: EOF, error, reaped).
     pub fn connection_closed(&self) {
-        self.conns_open.fetch_sub(1, Ordering::Relaxed);
+        self.stats.conns_open.fetch_sub(1, Relaxed);
     }
 
     /// Record a connection refused at the admission limit.
     pub fn connection_refused(&self) {
-        self.conns_refused.fetch_add(1, Ordering::Relaxed);
+        self.stats.conns_refused.fetch_add(1, Relaxed);
     }
 
     /// Record a connection reaped by the idle-timeout wheel.
     pub fn connection_idle_closed(&self) {
-        self.conns_idle_closed.fetch_add(1, Ordering::Relaxed);
+        self.stats.conns_idle_closed.fetch_add(1, Relaxed);
     }
 
     /// Record an executor stalling on a full per-connection outbox.
     pub fn outbox_full_stall(&self) {
-        self.outbox_full_stalls.fetch_add(1, Ordering::Relaxed);
+        self.stats.outbox_full_stalls.fetch_add(1, Relaxed);
     }
 
     /// Record a request frame of `wire_len` total bytes read and decoded.
     pub fn frame_in(&self, wire_len: u64) {
-        self.frames_decoded.fetch_add(1, Ordering::Relaxed);
-        self.bytes_in.fetch_add(wire_len, Ordering::Relaxed);
+        self.stats.frames_decoded.fetch_add(1, Relaxed);
+        self.stats.bytes_in.fetch_add(wire_len, Relaxed);
     }
 
     /// Record `n` bytes written to a client.
     pub fn bytes_out(&self, n: u64) {
-        self.bytes_out.fetch_add(n, Ordering::Relaxed);
+        self.stats.bytes_out.fetch_add(n, Relaxed);
     }
 
     /// Take back `n` bytes recorded ahead of a write that fell short.
     pub fn bytes_out_undo(&self, n: u64) {
-        self.bytes_out.fetch_sub(n, Ordering::Relaxed);
+        self.stats.bytes_out.fetch_sub(n, Relaxed);
     }
 
     /// Record one `read` call on a client socket, whatever it returned.
     pub fn socket_read(&self) {
-        self.socket_reads.fetch_add(1, Ordering::Relaxed);
+        self.socket_reads.fetch_add(1, Relaxed);
     }
 
     /// Record one `write` call on a client socket, whatever it returned.
     pub fn socket_write(&self) {
-        self.socket_writes.fetch_add(1, Ordering::Relaxed);
+        self.socket_writes.fetch_add(1, Relaxed);
     }
 
     /// `(read, write)` calls made on client sockets so far — the serving
     /// path's syscall budget. Process-local: not part of [`ServerStats`].
     pub fn socket_calls(&self) -> (u64, u64) {
         (
-            self.socket_reads.load(Ordering::Relaxed),
-            self.socket_writes.load(Ordering::Relaxed),
+            self.socket_reads.load(Relaxed),
+            self.socket_writes.load(Relaxed),
         )
     }
 
     /// Record one executed statement of the given class
     /// ([`qdb_logic::Statement::class`]).
     pub fn statement(&self, class: usize) {
-        self.classes[class].fetch_add(1, Ordering::Relaxed);
+        self.classes[class].fetch_add(1, Relaxed);
     }
 
     /// Snapshot for the wire; classes are listed by name, once they have run.
@@ -105,21 +98,13 @@ impl ServerMetrics {
         let mut statement_classes: Vec<(String, u64)> = STMT_CLASSES
             .iter()
             .zip(&self.classes)
-            .map(|(class, count)| (class.to_string(), count.load(Ordering::Relaxed)))
+            .map(|(class, count)| (class.to_string(), count.load(Relaxed)))
             .filter(|(_, count)| *count > 0)
             .collect();
         statement_classes.sort_unstable();
         ServerStats {
-            connections: self.connections.load(Ordering::Relaxed),
-            frames_decoded: self.frames_decoded.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            conns_open: self.conns_open.load(Ordering::Relaxed),
-            conns_peak: self.conns_peak.load(Ordering::Relaxed),
-            conns_refused: self.conns_refused.load(Ordering::Relaxed),
-            conns_idle_closed: self.conns_idle_closed.load(Ordering::Relaxed),
-            outbox_full_stalls: self.outbox_full_stalls.load(Ordering::Relaxed),
             statement_classes,
+            ..self.stats.read_counters()
         }
     }
 }
