@@ -34,87 +34,3 @@ pub struct SolverStats {
     /// later member of the sequence could provably not ground under them.
     pub lookahead_prunes: u64,
 }
-
-impl SolverStats {
-    /// Reset all counters.
-    pub fn reset(&mut self) {
-        *self = SolverStats::default();
-    }
-
-    /// Merge counters from another stats block.
-    pub fn absorb(&mut self, other: &SolverStats) {
-        self.nodes += other.nodes;
-        self.solves += other.solves;
-        self.unsat += other.unsat;
-        self.verifies += other.verifies;
-        self.verify_failures += other.verify_failures;
-        self.enumerated += other.enumerated;
-        self.candidates_streamed += other.candidates_streamed;
-        self.index_lookups += other.index_lookups;
-        self.scan_lookups += other.scan_lookups;
-        self.candidate_vecs += other.candidate_vecs;
-        self.lookahead_prunes += other.lookahead_prunes;
-    }
-}
-
-impl std::fmt::Display for SolverStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "nodes={} solves={} unsat={} verifies={} verify_failures={} enumerated={} \
-             candidates_streamed={} lookups(ix/scan)={}/{} candidate_vecs={} \
-             lookahead_prunes={}",
-            self.nodes,
-            self.solves,
-            self.unsat,
-            self.verifies,
-            self.verify_failures,
-            self.enumerated,
-            self.candidates_streamed,
-            self.index_lookups,
-            self.scan_lookups,
-            self.candidate_vecs,
-            self.lookahead_prunes,
-        )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn absorb_sums_fields() {
-        let mut a = SolverStats {
-            nodes: 1,
-            solves: 2,
-            unsat: 3,
-            verifies: 4,
-            verify_failures: 5,
-            enumerated: 6,
-            candidates_streamed: 7,
-            index_lookups: 8,
-            scan_lookups: 9,
-            candidate_vecs: 10,
-            lookahead_prunes: 11,
-        };
-        a.absorb(&a.clone());
-        assert_eq!(a.nodes, 2);
-        assert_eq!(a.enumerated, 12);
-        assert_eq!(a.candidates_streamed, 14);
-        assert_eq!(a.index_lookups, 16);
-        assert_eq!(a.scan_lookups, 18);
-        assert_eq!(a.candidate_vecs, 20);
-        assert_eq!(a.lookahead_prunes, 22);
-        a.reset();
-        assert_eq!(a, SolverStats::default());
-    }
-
-    #[test]
-    fn display_is_one_line() {
-        let s = SolverStats::default().to_string();
-        assert!(s.contains("nodes=0"));
-        assert!(s.contains("candidates_streamed=0"));
-        assert!(!s.contains('\n'));
-    }
-}
