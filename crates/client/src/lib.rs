@@ -501,6 +501,42 @@ impl BackoffPolicy {
 /// under a simulated clock) without real waiting.
 type Sleeper = Box<dyn Fn(Duration) + Send + Sync>;
 
+/// The connect-with-backoff loop [`Pool`] and [`FailoverClient`] share: a
+/// retry budget, the delays between attempts, and the sleep that waits
+/// them out.
+struct Redial {
+    retries: u32,
+    backoff: BackoffPolicy,
+    sleeper: Sleeper,
+}
+
+impl Redial {
+    fn new(retries: u32) -> Redial {
+        Redial {
+            retries,
+            backoff: BackoffPolicy::default(),
+            sleeper: Box::new(std::thread::sleep),
+        }
+    }
+
+    /// Run `connect` until it succeeds, retrying a
+    /// [`ClientError::Unavailable`] failure up to `retries` extra times
+    /// with a backoff sleep before each retry; any other failure reports
+    /// at once.
+    fn connect(&self, mut connect: impl FnMut() -> Result<Connection>) -> Result<Connection> {
+        let mut attempt = 0;
+        loop {
+            match connect() {
+                Err(e) if e.is_unavailable() && attempt < self.retries => {
+                    (self.sleeper)(self.backoff.delay(attempt));
+                    attempt += 1;
+                }
+                result => return result,
+            }
+        }
+    }
+}
+
 /// A small blocking connection pool: threads check connections out and
 /// drop the guard to return them. Connections are created lazily up to no
 /// particular limit; at most `max_idle` are retained.
@@ -516,9 +552,7 @@ type Sleeper = Box<dyn Fn(Duration) + Send + Sync>;
 pub struct Pool {
     addr: String,
     max_idle: usize,
-    connect_retries: u32,
-    backoff: BackoffPolicy,
-    sleeper: Sleeper,
+    redial: Redial,
     connect_attempts: std::sync::atomic::AtomicU64,
     idle: Mutex<Vec<Connection>>,
     #[cfg(test)]
@@ -544,9 +578,7 @@ impl Pool {
         Pool {
             addr: addr.into(),
             max_idle,
-            connect_retries: retries,
-            backoff: BackoffPolicy::default(),
-            sleeper: Box::new(std::thread::sleep),
+            redial: Redial::new(retries),
             connect_attempts: std::sync::atomic::AtomicU64::new(0),
             idle: Mutex::new(Vec::new()),
             #[cfg(test)]
@@ -556,7 +588,7 @@ impl Pool {
 
     /// Replace the retry backoff policy (seed, base, cap).
     pub fn with_backoff(mut self, policy: BackoffPolicy) -> Pool {
-        self.backoff = policy;
+        self.redial.backoff = policy;
         self
     }
 
@@ -564,7 +596,7 @@ impl Pool {
     /// simulated-clock embedders observe or virtualize the waits instead
     /// of actually sleeping.
     pub fn with_sleeper(mut self, sleep: impl Fn(Duration) + Send + Sync + 'static) -> Pool {
-        self.sleeper = Box::new(sleep);
+        self.redial.sleeper = Box::new(sleep);
         self
     }
 
@@ -586,19 +618,7 @@ impl Pool {
         };
         let conn = match parked {
             Some(c) => c,
-            None => {
-                let mut attempt = 0;
-                loop {
-                    match self.connect_once() {
-                        Ok(c) => break c,
-                        Err(e) if e.is_unavailable() && attempt < self.connect_retries => {
-                            (self.sleeper)(self.backoff.delay(attempt));
-                            attempt += 1;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
+            None => self.redial.connect(|| self.connect_once())?,
         };
         Ok(PooledConnection {
             pool: self,
@@ -688,9 +708,7 @@ pub struct FailoverClient {
     replica_addr: Option<String>,
     primary: Option<Connection>,
     replica: Option<Connection>,
-    connect_retries: u32,
-    backoff: BackoffPolicy,
-    sleeper: Sleeper,
+    redial: Redial,
 }
 
 impl FailoverClient {
@@ -701,42 +719,21 @@ impl FailoverClient {
             replica_addr: replica,
             primary: None,
             replica: None,
-            connect_retries: 3,
-            backoff: BackoffPolicy::default(),
-            sleeper: Box::new(std::thread::sleep),
+            redial: Redial::new(3),
         }
     }
 
     /// Replace the reconnect backoff policy.
     pub fn with_backoff(mut self, policy: BackoffPolicy) -> FailoverClient {
-        self.backoff = policy;
+        self.redial.backoff = policy;
         self
     }
 
     /// Extra connect attempts per dial (same meaning as
     /// [`Pool::with_connect_retries`]).
     pub fn with_connect_retries(mut self, retries: u32) -> FailoverClient {
-        self.connect_retries = retries;
+        self.redial.retries = retries;
         self
-    }
-
-    fn dial(
-        addr: &str,
-        retries: u32,
-        backoff: &BackoffPolicy,
-        sleeper: &Sleeper,
-    ) -> Result<Connection> {
-        let mut attempt = 0;
-        loop {
-            match Connection::connect(addr) {
-                Ok(c) => return Ok(c),
-                Err(e) if e.is_unavailable() && attempt < retries => {
-                    sleeper(backoff.delay(attempt));
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
     }
 
     fn execute_on(&mut self, on_primary: bool, sql: &str) -> Result<Response> {
@@ -748,20 +745,16 @@ impl FailoverClient {
                 self.replica_addr.as_deref().expect("replica configured"),
             )
         };
+        let dial = || self.redial.connect(|| Connection::connect(addr));
         if slot.is_none() {
-            *slot = Some(Self::dial(
-                addr,
-                self.connect_retries,
-                &self.backoff,
-                &self.sleeper,
-            )?);
+            *slot = Some(dial()?);
         }
         let conn = slot.as_mut().expect("dialed above");
         let result = conn.execute(sql);
         if matches!(&result, Err(e) if e.is_unavailable()) {
             // One transparent redial: the old stream is desynced.
             *slot = None;
-            let mut fresh = Self::dial(addr, self.connect_retries, &self.backoff, &self.sleeper)?;
+            let mut fresh = dial()?;
             let retried = fresh.execute(sql);
             *slot = Some(fresh);
             return retried;
