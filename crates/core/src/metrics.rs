@@ -62,6 +62,7 @@ macro_rules! counters {
         }
 
         impl $name {
+            /// How many counters the list declares.
             pub(crate) const COUNTERS: usize = [$(stringify!($field)),*].len();
 
             /// Every counter's name, in declaration order.
