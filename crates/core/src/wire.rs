@@ -423,11 +423,6 @@ impl ServerStats {
             .find(|(k, _)| k == kind)
             .map(|(_, n)| *n)
     }
-
-    /// Total statements executed across all classes.
-    pub fn statements_total(&self) -> u64 {
-        self.statement_classes.iter().map(|(_, n)| n).sum()
-    }
 }
 
 /// A decoded response frame body.

@@ -135,7 +135,10 @@ mod tests {
         assert_eq!(s.class("SELECT"), Some(2));
         assert_eq!(s.class("INSERT"), Some(1));
         assert_eq!(s.class("GROUND"), None);
-        assert_eq!(s.statements_total(), 3);
+        assert_eq!(
+            s.statement_classes,
+            [("INSERT".to_string(), 1), ("SELECT".to_string(), 2)]
+        );
     }
 
     #[test]
