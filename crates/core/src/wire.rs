@@ -3,10 +3,10 @@
 //! This module is the single source of truth for the bytes exchanged
 //! between `qdb-server` and `qdb-client`. Both sides depend only on this
 //! crate, so the protocol cannot drift between them. The encoding reuses
-//! the workspace codec idioms: little-endian integers via the local
-//! [`bytes`] crate and length-prefixed strings / tagged values via
-//! [`qdb_storage::codec`] — the same building blocks as the WAL and the
-//! transaction codec.
+//! the workspace codec: little-endian integers, length-prefixed strings
+//! and tagged values written by [`qdb_storage::codec`]'s encoders and read
+//! through its checked [`Reader`] — the same building blocks as the WAL and
+//! the transaction codec.
 //!
 //! ## Frame layout
 //!
@@ -45,9 +45,8 @@
 //! carrying a stable [error code](code) and the display message — the
 //! server never panics a connection over a bad statement.
 
-use bytes::{Buf, BufMut};
 use qdb_logic::{Valuation, Var};
-use qdb_storage::codec as scodec;
+use qdb_storage::codec::{self as scodec, put_bytes, put_string, put_u32, put_u64, Reader};
 use qdb_storage::Value;
 
 use crate::error::EngineError;
@@ -59,7 +58,8 @@ use crate::txn::TxnId;
 /// prefix must not drive an allocation).
 pub const MAX_FRAME: usize = 16 << 20;
 
-/// Sanity cap on encoded/decoded element counts (rows, worlds, params).
+/// Cap on an element count (rows, worlds, params, …) in a frame body. A
+/// decoder also refuses a count the bytes left could not encode.
 pub const MAX_COUNT: usize = 1 << 20;
 
 // -- Frame kinds -------------------------------------------------------------
@@ -174,25 +174,6 @@ impl From<qdb_storage::StorageError> for WireError {
 
 type Result<T> = std::result::Result<T, WireError>;
 
-fn need(buf: &impl Buf, n: usize, what: &str) -> Result<()> {
-    if buf.remaining() < n {
-        return Err(WireError(format!(
-            "truncated {what}: need {n} bytes, have {}",
-            buf.remaining()
-        )));
-    }
-    Ok(())
-}
-
-fn get_count(buf: &mut impl Buf, what: &str) -> Result<usize> {
-    need(buf, 4, what)?;
-    let n = buf.get_u32_le() as usize;
-    if n > MAX_COUNT {
-        return Err(WireError(format!("implausible {what} {n}")));
-    }
-    Ok(n)
-}
-
 // -- Requests ----------------------------------------------------------------
 
 /// A decoded request frame body.
@@ -261,12 +242,12 @@ pub fn encode_request_into(out: &mut Vec<u8>, request_id: u32, request: &Request
     let start = begin_frame(out, request_id);
     let kind = match request {
         Request::Execute { sql } => {
-            scodec::put_string(out, sql);
+            put_string(out, sql);
             req::EXECUTE
         }
         Request::Prepare { stmt, sql } => {
-            out.put_u32_le(*stmt);
-            scodec::put_string(out, sql);
+            put_u32(out, *stmt);
+            put_string(out, sql);
             req::PREPARE
         }
         Request::Bind {
@@ -274,24 +255,24 @@ pub fn encode_request_into(out: &mut Vec<u8>, request_id: u32, request: &Request
             bound,
             params,
         } => {
-            out.put_u32_le(*stmt);
-            out.put_u32_le(*bound);
-            out.put_u32_le(params.len() as u32);
+            put_u32(out, *stmt);
+            put_u32(out, *bound);
+            put_u32(out, params.len() as u32);
             for v in params {
                 scodec::put_value(out, v);
             }
             req::BIND
         }
         Request::Run { bound } => {
-            out.put_u32_le(*bound);
+            put_u32(out, *bound);
             req::RUN
         }
         Request::Replicate {
             replica_id,
             from_offset,
         } => {
-            scodec::put_string(out, replica_id);
-            out.put_u64_le(*from_offset);
+            put_string(out, replica_id);
+            put_u64(out, *from_offset);
             req::REPLICATE
         }
         Request::ReplAck {
@@ -299,9 +280,9 @@ pub fn encode_request_into(out: &mut Vec<u8>, request_id: u32, request: &Request
             applied_offset,
             horizon,
         } => {
-            scodec::put_string(out, replica_id);
-            out.put_u64_le(*applied_offset);
-            out.put_u64_le(*horizon);
+            put_string(out, replica_id);
+            put_u64(out, *applied_offset);
+            put_u64(out, *horizon);
             req::REPL_ACK
         }
     };
@@ -312,32 +293,28 @@ pub fn encode_request_into(out: &mut Vec<u8>, request_id: u32, request: &Request
 /// caller only borrows (no `String` is built per statement).
 pub fn encode_execute_into(out: &mut Vec<u8>, request_id: u32, sql: &str) {
     let start = begin_frame(out, request_id);
-    scodec::put_string(out, sql);
+    put_string(out, sql);
     end_frame(out, start, req::EXECUTE);
 }
 
 /// Decode a request frame body.
 pub fn decode_request(frame: &Frame) -> Result<Request> {
-    let buf = &mut frame.body.as_slice();
+    let r = &mut Reader::new(&frame.body);
     let request = match frame.kind {
         req::EXECUTE => Request::Execute {
-            sql: scodec::get_string(buf)?,
+            sql: r.str()?.to_owned(),
         },
-        req::PREPARE => {
-            need(buf, 4, "stmt id")?;
-            Request::Prepare {
-                stmt: buf.get_u32_le(),
-                sql: scodec::get_string(buf)?,
-            }
-        }
+        req::PREPARE => Request::Prepare {
+            stmt: r.u32()?,
+            sql: r.str()?.to_owned(),
+        },
         req::BIND => {
-            need(buf, 8, "bind ids")?;
-            let stmt = buf.get_u32_le();
-            let bound = buf.get_u32_le();
-            let n = get_count(buf, "param count")?;
+            let stmt = r.u32()?;
+            let bound = r.u32()?;
+            let n = r.count(MAX_COUNT, scodec::MIN_VALUE_BYTES, "param count")?;
             let mut params = Vec::with_capacity(n);
             for _ in 0..n {
-                params.push(scodec::get_value(buf)?);
+                params.push(scodec::get_value(r)?);
             }
             Request::Bind {
                 stmt,
@@ -345,32 +322,19 @@ pub fn decode_request(frame: &Frame) -> Result<Request> {
                 params,
             }
         }
-        req::RUN => {
-            need(buf, 4, "bound id")?;
-            Request::Run {
-                bound: buf.get_u32_le(),
-            }
-        }
-        req::REPLICATE => {
-            let replica_id = scodec::get_string(buf)?;
-            need(buf, 8, "replication offset")?;
-            Request::Replicate {
-                replica_id,
-                from_offset: buf.get_u64_le(),
-            }
-        }
-        req::REPL_ACK => {
-            let replica_id = scodec::get_string(buf)?;
-            need(buf, 16, "replication ack")?;
-            Request::ReplAck {
-                replica_id,
-                applied_offset: buf.get_u64_le(),
-                horizon: buf.get_u64_le(),
-            }
-        }
+        req::RUN => Request::Run { bound: r.u32()? },
+        req::REPLICATE => Request::Replicate {
+            replica_id: r.str()?.to_owned(),
+            from_offset: r.u64()?,
+        },
+        req::REPL_ACK => Request::ReplAck {
+            replica_id: r.str()?.to_owned(),
+            applied_offset: r.u64()?,
+            horizon: r.u64()?,
+        },
         k => return Err(WireError(format!("unknown request kind 0x{k:02x}"))),
     };
-    expect_drained(buf)?;
+    r.finish()?;
     Ok(request)
 }
 
@@ -478,7 +442,12 @@ pub enum Reply {
     },
 }
 
-/// Encode a complete response frame (including the length prefix).
+/// Encode a complete response frame (including the length prefix),
+/// enforcing the limits the decoder applies: a reply whose frame would
+/// exceed [`MAX_FRAME`] (or whose element counts exceed [`MAX_COUNT`]) is
+/// replaced by a protocol `ERROR` frame, so an oversized result degrades
+/// into a typed error instead of a transport failure that kills the
+/// connection.
 ///
 /// [`Response::Metrics`] passed through [`Reply::Engine`] is encoded with
 /// default (all-zero) server stats; servers should use [`Reply::Stats`].
@@ -491,6 +460,49 @@ pub fn encode_reply(request_id: u32, reply: &Reply) -> Vec<u8> {
 /// Append a complete response frame to `out` (see [`encode_reply`]),
 /// leaving what `out` already holds untouched.
 pub fn encode_reply_into(out: &mut Vec<u8>, request_id: u32, reply: &Reply) {
+    let too_large = |message: String| Reply::Error {
+        code: code::PROTOCOL,
+        message,
+    };
+    if let Some(what) = reply_exceeds_counts(reply) {
+        let error = too_large(format!(
+            "response {what} exceeds the per-frame element limit ({MAX_COUNT}); \
+             narrow the query with LIMIT"
+        ));
+        return put_reply(out, request_id, &error);
+    }
+    let start = out.len();
+    put_reply(out, request_id, reply);
+    let len = out.len() - start - 4;
+    if len > MAX_FRAME {
+        // Take the oversized frame back out, and with it the capacity it
+        // forced on a buffer that may live as long as its connection.
+        out.truncate(start);
+        out.shrink_to(start + 1024);
+        let error = too_large(format!(
+            "response too large for one frame ({len} bytes > {MAX_FRAME}); \
+             narrow the query with LIMIT"
+        ));
+        put_reply(out, request_id, &error);
+    }
+}
+
+fn reply_exceeds_counts(reply: &Reply) -> Option<&'static str> {
+    match reply {
+        Reply::Engine(Response::Rows(rows)) if rows.len() > MAX_COUNT => Some("row count"),
+        Reply::Engine(Response::Worlds(worlds))
+            if worlds.len() > MAX_COUNT || worlds.iter().any(|w| w.len() > MAX_COUNT) =>
+        {
+            Some("world count")
+        }
+        Reply::Engine(Response::Pending(ids)) if ids.len() > MAX_COUNT => Some("pending count"),
+        Reply::Engine(Response::Events(events)) if events.len() > MAX_COUNT => Some("event count"),
+        _ => None,
+    }
+}
+
+/// Append `reply`'s frame with no limit applied.
+fn put_reply(out: &mut Vec<u8>, request_id: u32, reply: &Reply) {
     let start = begin_frame(out, request_id);
     let kind = match reply {
         Reply::Engine(Response::Metrics(m)) => {
@@ -512,12 +524,12 @@ pub fn encode_reply_into(out: &mut Vec<u8>, request_id: u32, reply: &Reply) {
             resp::METRICS
         }
         Reply::Prepared { stmt, params } => {
-            out.put_u32_le(*stmt);
-            out.put_u32_le(*params);
+            put_u32(out, *stmt);
+            put_u32(out, *params);
             resp::PREPARED
         }
         Reply::Bound { bound } => {
-            out.put_u32_le(*bound);
+            put_u32(out, *bound);
             resp::BOUND
         }
         Reply::WalSegment {
@@ -526,16 +538,15 @@ pub fn encode_reply_into(out: &mut Vec<u8>, request_id: u32, reply: &Reply) {
             last_txn_id,
             bytes,
         } => {
-            out.put_u64_le(*start_offset);
-            out.put_u64_le(*primary_wal_len);
-            out.put_u64_le(*last_txn_id);
-            out.put_u32_le(bytes.len() as u32);
-            out.put_slice(bytes);
+            put_u64(out, *start_offset);
+            put_u64(out, *primary_wal_len);
+            put_u64(out, *last_txn_id);
+            put_bytes(out, bytes);
             resp::WAL_SEGMENT
         }
         Reply::Error { code, message } => {
-            out.put_u8(*code);
-            scodec::put_string(out, message);
+            out.push(*code);
+            put_string(out, message);
             resp::ERROR
         }
     };
@@ -549,29 +560,29 @@ fn put_response(body: &mut Vec<u8>, r: &Response) -> u8 {
             resp::ROWS
         }
         Response::Worlds(worlds) => {
-            body.put_u32_le(worlds.len() as u32);
+            put_u32(body, worlds.len() as u32);
             for rows in worlds {
                 put_valuations(body, rows);
             }
             resp::WORLDS
         }
         Response::Committed(id) => {
-            body.put_u64_le(*id);
+            put_u64(body, *id);
             resp::COMMITTED
         }
         Response::Aborted => resp::ABORTED,
         Response::Written(ok) => {
-            body.put_u8(u8::from(*ok));
+            body.push(u8::from(*ok));
             resp::WRITTEN
         }
         Response::Grounded(n) => {
-            body.put_u64_le(*n as u64);
+            put_u64(body, *n as u64);
             resp::GROUNDED
         }
         Response::Pending(ids) => {
-            body.put_u32_le(ids.len() as u32);
+            put_u32(body, ids.len() as u32);
             for id in ids {
-                body.put_u64_le(*id);
+                put_u64(body, *id);
             }
             resp::PENDING
         }
@@ -588,47 +599,45 @@ fn put_response(body: &mut Vec<u8>, r: &Response) -> u8 {
             put_replication(body, report);
             resp::REPLICATION
         }
-        Response::Metrics(_) => unreachable!("handled by encode_reply"),
+        Response::Metrics(_) => unreachable!("handled by put_reply"),
     }
 }
 
 fn put_replication(body: &mut Vec<u8>, r: &crate::repl::ReplicationReport) {
-    body.put_u8(match r.role {
+    body.push(match r.role {
         crate::repl::ReplicationRole::Primary => 0,
         crate::repl::ReplicationRole::Replica => 1,
     });
-    body.put_u64_le(r.wal_len);
-    body.put_u64_le(r.last_txn_id);
-    body.put_u32_le(r.replicas.len() as u32);
+    put_u64(body, r.wal_len);
+    put_u64(body, r.last_txn_id);
+    put_u32(body, r.replicas.len() as u32);
     for replica in &r.replicas {
-        scodec::put_string(body, &replica.id);
-        body.put_u64_le(replica.acked_offset);
-        body.put_u64_le(replica.horizon);
-        body.put_u64_le(replica.lag_bytes);
-        body.put_u64_le(replica.segments);
+        put_string(body, &replica.id);
+        put_u64(body, replica.acked_offset);
+        put_u64(body, replica.horizon);
+        put_u64(body, replica.lag_bytes);
+        put_u64(body, replica.segments);
     }
 }
 
-fn get_replication(buf: &mut impl Buf) -> Result<crate::repl::ReplicationReport> {
-    need(buf, 17, "replication header")?;
-    let role = match buf.get_u8() {
+fn get_replication(r: &mut Reader) -> Result<crate::repl::ReplicationReport> {
+    let role = match r.u8()? {
         0 => crate::repl::ReplicationRole::Primary,
         1 => crate::repl::ReplicationRole::Replica,
-        r => return Err(WireError(format!("unknown replication role {r}"))),
+        role => return Err(WireError(format!("unknown replication role {role}"))),
     };
-    let wal_len = buf.get_u64_le();
-    let last_txn_id = buf.get_u64_le();
-    let n = get_count(buf, "replica count")?;
+    let wal_len = r.u64()?;
+    let last_txn_id = r.u64()?;
+    // A replica's status is its id's length word and four u64s.
+    let n = r.count(MAX_COUNT, 4 + 32, "replica count")?;
     let mut replicas = Vec::with_capacity(n);
     for _ in 0..n {
-        let id = scodec::get_string(buf)?;
-        need(buf, 32, "replica status")?;
         replicas.push(crate::repl::ReplicaStatus {
-            id,
-            acked_offset: buf.get_u64_le(),
-            horizon: buf.get_u64_le(),
-            lag_bytes: buf.get_u64_le(),
-            segments: buf.get_u64_le(),
+            id: r.str()?.to_owned(),
+            acked_offset: r.u64()?,
+            horizon: r.u64()?,
+            lag_bytes: r.u64()?,
+            segments: r.u64()?,
         });
     }
     Ok(crate::repl::ReplicationReport {
@@ -639,98 +648,34 @@ fn get_replication(buf: &mut impl Buf) -> Result<crate::repl::ReplicationReport>
     })
 }
 
-/// Encode a response frame, enforcing the limits the decoder will apply:
-/// a reply whose frame would exceed [`MAX_FRAME`] (or whose element
-/// counts exceed [`MAX_COUNT`]) is replaced by a protocol `ERROR` frame,
-/// so an oversized result degrades into a typed error instead of a
-/// transport failure that kills the connection. Servers should use this
-/// (or [`encode_reply_bounded_into`]) over [`encode_reply`].
-pub fn encode_reply_bounded(request_id: u32, reply: &Reply) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    encode_reply_bounded_into(&mut out, request_id, reply);
-    out
-}
-
-/// Append a bounded response frame to `out` (see [`encode_reply_bounded`]),
-/// leaving what `out` already holds untouched.
-pub fn encode_reply_bounded_into(out: &mut Vec<u8>, request_id: u32, reply: &Reply) {
-    let too_large = |message: String| Reply::Error {
-        code: code::PROTOCOL,
-        message,
-    };
-    if let Some(what) = reply_exceeds_counts(reply) {
-        let error = too_large(format!(
-            "response {what} exceeds the per-frame element limit ({MAX_COUNT}); \
-             narrow the query with LIMIT"
-        ));
-        return encode_reply_into(out, request_id, &error);
-    }
-    let start = out.len();
-    encode_reply_into(out, request_id, reply);
-    let len = out.len() - start - 4;
-    if len > MAX_FRAME {
-        // Take the oversized frame back out, and with it the capacity it
-        // forced on a buffer that may live as long as its connection.
-        out.truncate(start);
-        out.shrink_to(start + 1024);
-        let error = too_large(format!(
-            "response too large for one frame ({len} bytes > {MAX_FRAME}); \
-             narrow the query with LIMIT"
-        ));
-        encode_reply_into(out, request_id, &error);
-    }
-}
-
-fn reply_exceeds_counts(reply: &Reply) -> Option<&'static str> {
-    match reply {
-        Reply::Engine(Response::Rows(rows)) if rows.len() > MAX_COUNT => Some("row count"),
-        Reply::Engine(Response::Worlds(worlds))
-            if worlds.len() > MAX_COUNT || worlds.iter().any(|w| w.len() > MAX_COUNT) =>
-        {
-            Some("world count")
-        }
-        Reply::Engine(Response::Pending(ids)) if ids.len() > MAX_COUNT => Some("pending count"),
-        Reply::Engine(Response::Events(events)) if events.len() > MAX_COUNT => Some("event count"),
-        _ => None,
-    }
-}
-
 /// Decode a response frame body.
 pub fn decode_reply(frame: &Frame) -> Result<Reply> {
-    let buf = &mut frame.body.as_slice();
+    let r = &mut Reader::new(&frame.body);
     let reply = match frame.kind {
-        resp::ROWS => Reply::Engine(Response::Rows(get_valuations(buf)?)),
+        resp::ROWS => Reply::Engine(Response::Rows(get_valuations(r)?)),
         resp::WORLDS => {
-            let n = get_count(buf, "world count")?;
+            // A world is at least its row count.
+            let n = r.count(MAX_COUNT, 4, "world count")?;
             let mut worlds = Vec::with_capacity(n);
             for _ in 0..n {
-                worlds.push(get_valuations(buf)?);
+                worlds.push(get_valuations(r)?);
             }
             Reply::Engine(Response::Worlds(worlds))
         }
-        resp::COMMITTED => {
-            need(buf, 8, "txn id")?;
-            Reply::Engine(Response::Committed(buf.get_u64_le() as TxnId))
-        }
+        resp::COMMITTED => Reply::Engine(Response::Committed(r.u64()? as TxnId)),
         resp::ABORTED => Reply::Engine(Response::Aborted),
-        resp::WRITTEN => {
-            need(buf, 1, "write flag")?;
-            Reply::Engine(Response::Written(buf.get_u8() != 0))
-        }
-        resp::GROUNDED => {
-            need(buf, 8, "ground count")?;
-            Reply::Engine(Response::Grounded(buf.get_u64_le() as usize))
-        }
+        resp::WRITTEN => Reply::Engine(Response::Written(r.u8()? != 0)),
+        resp::GROUNDED => Reply::Engine(Response::Grounded(r.u64()? as usize)),
         resp::METRICS => {
             let mut engine = Box::<Metrics>::default();
-            get_counters(buf, engine.counters_mut(), "metrics")?;
-            let server = get_server_stats(buf)?;
+            get_counters(r, engine.counters_mut())?;
+            let server = get_server_stats(r)?;
             // The profile section is optional: a frame from a server that
             // does not attach one simply ends here.
-            let profile = if buf.remaining() > 0 {
-                Some(Box::new(get_profile(buf)?))
-            } else {
+            let profile = if r.is_empty() {
                 None
+            } else {
+                Some(Box::new(get_profile(r)?))
             };
             Reply::Stats {
                 engine,
@@ -739,90 +684,69 @@ pub fn decode_reply(frame: &Frame) -> Result<Reply> {
             }
         }
         resp::PENDING => {
-            let n = get_count(buf, "pending count")?;
+            let n = r.count(MAX_COUNT, 8, "pending count")?;
             let mut ids = Vec::with_capacity(n);
             for _ in 0..n {
-                need(buf, 8, "pending id")?;
-                ids.push(buf.get_u64_le() as TxnId);
+                ids.push(r.u64()? as TxnId);
             }
             Reply::Engine(Response::Pending(ids))
         }
         resp::ACK => Reply::Engine(Response::Ack),
-        resp::PROFILE => Reply::Engine(Response::Profile(Box::new(get_profile(buf)?))),
-        resp::EVENTS => Reply::Engine(Response::Events(get_events(buf)?)),
-        resp::REPLICATION => Reply::Engine(Response::Replication(Box::new(get_replication(buf)?))),
+        resp::PROFILE => Reply::Engine(Response::Profile(Box::new(get_profile(r)?))),
+        resp::EVENTS => Reply::Engine(Response::Events(get_events(r)?)),
+        resp::REPLICATION => Reply::Engine(Response::Replication(Box::new(get_replication(r)?))),
         resp::WAL_SEGMENT => {
-            need(buf, 24, "segment header")?;
-            let start_offset = buf.get_u64_le();
-            let primary_wal_len = buf.get_u64_le();
-            let last_txn_id = buf.get_u64_le();
-            need(buf, 4, "segment length")?;
-            let len = buf.get_u32_le() as usize;
-            if len > MAX_FRAME {
-                return Err(WireError(format!("implausible segment length {len}")));
-            }
-            need(buf, len, "segment bytes")?;
-            let mut bytes = vec![0u8; len];
-            buf.copy_to_slice(&mut bytes);
+            let start_offset = r.u64()?;
+            let primary_wal_len = r.u64()?;
+            let last_txn_id = r.u64()?;
+            let len = r.u32()? as usize;
             Reply::WalSegment {
                 start_offset,
                 primary_wal_len,
                 last_txn_id,
-                bytes,
+                bytes: r.bytes(len)?.to_vec(),
             }
         }
-        resp::PREPARED => {
-            need(buf, 8, "prepared ids")?;
-            Reply::Prepared {
-                stmt: buf.get_u32_le(),
-                params: buf.get_u32_le(),
-            }
-        }
-        resp::BOUND => {
-            need(buf, 4, "bound id")?;
-            Reply::Bound {
-                bound: buf.get_u32_le(),
-            }
-        }
-        resp::ERROR => {
-            need(buf, 1, "error code")?;
-            Reply::Error {
-                code: buf.get_u8(),
-                message: scodec::get_string(buf)?,
-            }
-        }
+        resp::PREPARED => Reply::Prepared {
+            stmt: r.u32()?,
+            params: r.u32()?,
+        },
+        resp::BOUND => Reply::Bound { bound: r.u32()? },
+        resp::ERROR => Reply::Error {
+            code: r.u8()?,
+            message: r.str()?.to_owned(),
+        },
         k => return Err(WireError(format!("unknown response kind 0x{k:02x}"))),
     };
-    expect_drained(buf)?;
+    r.finish()?;
     Ok(reply)
 }
 
 // -- Valuations and metrics --------------------------------------------------
 
 fn put_valuations(body: &mut Vec<u8>, rows: &[Valuation]) {
-    body.put_u32_le(rows.len() as u32);
+    put_u32(body, rows.len() as u32);
     for row in rows {
-        body.put_u32_le(row.len() as u32);
+        put_u32(body, row.len() as u32);
         for (var, value) in row.iter() {
-            body.put_u32_le(var.id());
-            scodec::put_string(body, var.name());
+            put_u32(body, var.id());
+            put_string(body, var.name());
             scodec::put_value(body, value);
         }
     }
 }
 
-fn get_valuations(buf: &mut impl Buf) -> Result<Vec<Valuation>> {
-    let n = get_count(buf, "row count")?;
+fn get_valuations(r: &mut Reader) -> Result<Vec<Valuation>> {
+    // A row is at least its binding count; a binding is a var id, a name
+    // length and a value.
+    let n = r.count(MAX_COUNT, 4, "row count")?;
     let mut rows = Vec::with_capacity(n);
     for _ in 0..n {
-        let bindings = get_count(buf, "binding count")?;
+        let bindings = r.count(MAX_COUNT, 8 + scodec::MIN_VALUE_BYTES, "binding count")?;
         let mut row = Valuation::new();
         for _ in 0..bindings {
-            need(buf, 4, "var id")?;
-            let id = buf.get_u32_le();
-            let name = scodec::get_string(buf)?;
-            let value = scodec::get_value(buf)?;
-            row.bind(Var::new(id, name), value);
+            let var = Var::new(r.u32()?, r.str()?);
+            row.bind(var, scodec::get_value(r)?);
         }
         rows.push(row);
     }
@@ -833,18 +757,13 @@ fn get_valuations(buf: &mut impl Buf) -> Result<Vec<Valuation>> {
 /// `counters!` lists of `crate::metrics`).
 fn put_counters<const N: usize>(body: &mut Vec<u8>, counters: [u64; N]) {
     for counter in counters {
-        body.put_u64_le(counter);
+        put_u64(body, counter);
     }
 }
 
-fn get_counters<const N: usize>(
-    buf: &mut impl Buf,
-    counters: [&mut u64; N],
-    what: &str,
-) -> Result<()> {
-    need(buf, 8 * N, what)?;
+fn get_counters<const N: usize>(r: &mut Reader, counters: [&mut u64; N]) -> Result<()> {
     for counter in counters {
-        *counter = buf.get_u64_le();
+        *counter = r.u64()?;
     }
     Ok(())
 }
@@ -852,40 +771,39 @@ fn get_counters<const N: usize>(
 // -- Profiles and events -----------------------------------------------------
 
 fn put_summary(body: &mut Vec<u8>, s: &qdb_obs::HistSummary) {
-    body.put_u64_le(s.count);
-    body.put_u64_le(s.p50_ns);
-    body.put_u64_le(s.p90_ns);
-    body.put_u64_le(s.p99_ns);
-    body.put_u64_le(s.p999_ns);
-    body.put_u64_le(s.max_ns);
+    put_u64(body, s.count);
+    put_u64(body, s.p50_ns);
+    put_u64(body, s.p90_ns);
+    put_u64(body, s.p99_ns);
+    put_u64(body, s.p999_ns);
+    put_u64(body, s.max_ns);
 }
 
-fn get_summary(buf: &mut impl Buf) -> Result<qdb_obs::HistSummary> {
-    need(buf, 48, "histogram summary")?;
+fn get_summary(r: &mut Reader) -> Result<qdb_obs::HistSummary> {
     Ok(qdb_obs::HistSummary {
-        count: buf.get_u64_le(),
-        p50_ns: buf.get_u64_le(),
-        p90_ns: buf.get_u64_le(),
-        p99_ns: buf.get_u64_le(),
-        p999_ns: buf.get_u64_le(),
-        max_ns: buf.get_u64_le(),
+        count: r.u64()?,
+        p50_ns: r.u64()?,
+        p90_ns: r.u64()?,
+        p99_ns: r.u64()?,
+        p999_ns: r.u64()?,
+        max_ns: r.u64()?,
     })
 }
 
 fn put_summaries(body: &mut Vec<u8>, entries: &[(String, qdb_obs::HistSummary)]) {
-    body.put_u32_le(entries.len() as u32);
+    put_u32(body, entries.len() as u32);
     for (name, summary) in entries {
-        scodec::put_string(body, name);
+        put_string(body, name);
         put_summary(body, summary);
     }
 }
 
-fn get_summaries(buf: &mut impl Buf, what: &str) -> Result<Vec<(String, qdb_obs::HistSummary)>> {
-    let n = get_count(buf, what)?;
+fn get_summaries(r: &mut Reader, what: &str) -> Result<Vec<(String, qdb_obs::HistSummary)>> {
+    // An entry is its name's length word and six u64s.
+    let n = r.count(MAX_COUNT, 4 + 48, what)?;
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
-        let name = scodec::get_string(buf)?;
-        entries.push((name, get_summary(buf)?));
+        entries.push((r.str()?.to_owned(), get_summary(r)?));
     }
     Ok(entries)
 }
@@ -895,37 +813,36 @@ fn put_profile(body: &mut Vec<u8>, report: &qdb_obs::ProfileReport) {
     put_summaries(body, &report.phases);
 }
 
-fn get_profile(buf: &mut impl Buf) -> Result<qdb_obs::ProfileReport> {
+fn get_profile(r: &mut Reader) -> Result<qdb_obs::ProfileReport> {
     Ok(qdb_obs::ProfileReport {
-        classes: get_summaries(buf, "profile class count")?,
-        phases: get_summaries(buf, "profile phase count")?,
+        classes: get_summaries(r, "profile class count")?,
+        phases: get_summaries(r, "profile phase count")?,
     })
 }
 
 fn put_events(body: &mut Vec<u8>, events: &[qdb_obs::SpanEvent]) {
-    body.put_u32_le(events.len() as u32);
+    put_u32(body, events.len() as u32);
     for e in events {
-        body.put_u64_le(e.ts_ns);
-        body.put_u64_le(e.txn_id);
-        body.put_u64_le(e.partition_id);
-        body.put_u8(e.kind);
-        body.put_u8(e.outcome as u8);
-        body.put_u64_le(e.dur_ns);
+        put_u64(body, e.ts_ns);
+        put_u64(body, e.txn_id);
+        put_u64(body, e.partition_id);
+        body.push(e.kind);
+        body.push(e.outcome as u8);
+        put_u64(body, e.dur_ns);
     }
 }
 
-fn get_events(buf: &mut impl Buf) -> Result<Vec<qdb_obs::SpanEvent>> {
-    let n = get_count(buf, "event count")?;
+fn get_events(r: &mut Reader) -> Result<Vec<qdb_obs::SpanEvent>> {
+    let n = r.count(MAX_COUNT, 34, "event count")?;
     let mut events = Vec::with_capacity(n);
     for _ in 0..n {
-        need(buf, 34, "span event")?;
         events.push(qdb_obs::SpanEvent {
-            ts_ns: buf.get_u64_le(),
-            txn_id: buf.get_u64_le(),
-            partition_id: buf.get_u64_le(),
-            kind: buf.get_u8(),
-            outcome: qdb_obs::Outcome::from_u8(buf.get_u8()),
-            dur_ns: buf.get_u64_le(),
+            ts_ns: r.u64()?,
+            txn_id: r.u64()?,
+            partition_id: r.u64()?,
+            kind: r.u8()?,
+            outcome: qdb_obs::Outcome::from_u8(r.u8()?),
+            dur_ns: r.u64()?,
         });
     }
     Ok(events)
@@ -933,21 +850,20 @@ fn get_events(buf: &mut impl Buf) -> Result<Vec<qdb_obs::SpanEvent>> {
 
 fn put_server_stats(body: &mut Vec<u8>, s: &ServerStats) {
     put_counters(body, s.counters());
-    body.put_u32_le(s.statement_classes.len() as u32);
+    put_u32(body, s.statement_classes.len() as u32);
     for (class, count) in &s.statement_classes {
-        scodec::put_string(body, class);
-        body.put_u64_le(*count);
+        put_string(body, class);
+        put_u64(body, *count);
     }
 }
 
-fn get_server_stats(buf: &mut impl Buf) -> Result<ServerStats> {
+fn get_server_stats(r: &mut Reader) -> Result<ServerStats> {
     let mut s = ServerStats::default();
-    get_counters(buf, s.counters_mut(), "server stats")?;
-    let n = get_count(buf, "class count")?;
+    get_counters(r, s.counters_mut())?;
+    // A class is its name's length word and a u64.
+    let n = r.count(MAX_COUNT, 4 + 8, "class count")?;
     for _ in 0..n {
-        let class = scodec::get_string(buf)?;
-        need(buf, 8, "class count value")?;
-        s.statement_classes.push((class, buf.get_u64_le()));
+        s.statement_classes.push((r.str()?.to_owned(), r.u64()?));
     }
     Ok(s)
 }
@@ -978,8 +894,8 @@ impl Frame {
 /// straight into its final place. Returns the frame's start offset.
 fn begin_frame(out: &mut Vec<u8>, request_id: u32) -> usize {
     let start = out.len();
-    out.put_slice(&[0; 5]);
-    out.put_u32_le(request_id);
+    out.extend_from_slice(&[0; 5]);
+    put_u32(out, request_id);
     start
 }
 
@@ -989,14 +905,21 @@ fn end_frame(out: &mut [u8], start: usize, kind: u8) {
     out[start + 4] = kind;
 }
 
-fn expect_drained(buf: &impl Buf) -> Result<()> {
-    if buf.remaining() != 0 {
-        return Err(WireError(format!(
-            "{} trailing bytes after frame body",
-            buf.remaining()
-        )));
+/// The header at the front of `buf` — body length, kind and request id —
+/// once all nine of its bytes are in, `Ok(None)` before. The length prefix
+/// is range-checked as soon as its four bytes are in: a reader cannot
+/// resync after a corrupt length.
+fn frame_header(buf: &[u8]) -> Result<Option<(usize, u8, u32)>> {
+    let Some(prefix) = buf.first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(*prefix) as usize;
+    if !(5..=MAX_FRAME).contains(&len) {
+        return Err(WireError(format!("invalid frame length {len}")));
     }
-    Ok(())
+    Ok(buf
+        .first_chunk::<9>()
+        .map(|h| (len - 5, h[4], u32::from_le_bytes([h[5], h[6], h[7], h[8]]))))
 }
 
 /// Read one frame off a stream. Returns `Ok(None)` on a clean end of
@@ -1008,7 +931,11 @@ pub fn read_frame(r: &mut impl std::io::Read) -> std::io::Result<Option<Frame>> 
     // body, read into the buffer the frame keeps.
     let mut header = [0u8; 9];
     let mut filled = 0;
-    while filled < header.len() {
+    let (body_len, kind, request_id) = loop {
+        let parsed = frame_header(&header[..filled]);
+        if let Some(h) = parsed.map_err(|e| Error::new(ErrorKind::InvalidData, e.0))? {
+            break h;
+        }
         match r.read(&mut header[filled..]) {
             Ok(0) if filled == 0 => return Ok(None),
             Ok(0) => {
@@ -1021,19 +948,12 @@ pub fn read_frame(r: &mut impl std::io::Read) -> std::io::Result<Option<Frame>> 
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
-    }
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-    if !(5..=MAX_FRAME).contains(&len) {
-        return Err(Error::new(
-            ErrorKind::InvalidData,
-            format!("invalid frame length {len}"),
-        ));
-    }
-    let mut body = vec![0u8; len - 5];
+    };
+    let mut body = vec![0u8; body_len];
     r.read_exact(&mut body)?;
     Ok(Some(Frame {
-        kind: header[4],
-        request_id: u32::from_le_bytes([header[5], header[6], header[7], header[8]]),
+        kind,
+        request_id,
         body,
     }))
 }
@@ -1045,29 +965,20 @@ pub fn read_frame(r: &mut impl std::io::Read) -> std::io::Result<Option<Frame>> 
 /// the buffer holds only a partial frame, `Ok(Some((frame, consumed)))`
 /// once a complete frame is available (`consumed` bytes should then be
 /// drained from the front), and an error on an invalid length prefix —
-/// the same bound [`read_frame`] enforces, since a reader cannot resync
-/// after a corrupt length.
+/// the same header check [`read_frame`] makes.
 pub fn try_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>> {
-    if buf.len() < 4 {
+    let Some((body_len, kind, request_id)) = frame_header(buf)? else {
         return Ok(None);
-    }
-    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-    if !(5..=MAX_FRAME).contains(&len) {
-        return Err(WireError(format!("invalid frame length {len}")));
-    }
-    if buf.len() < 4 + len {
+    };
+    let Some(body) = buf.get(9..9 + body_len) else {
         return Ok(None);
-    }
-    let kind = buf[4];
-    let request_id = u32::from_le_bytes([buf[5], buf[6], buf[7], buf[8]]);
-    Ok(Some((
-        Frame {
-            kind,
-            request_id,
-            body: buf[9..4 + len].to_vec(),
-        },
-        4 + len,
-    )))
+    };
+    let frame = Frame {
+        kind,
+        request_id,
+        body: body.to_vec(),
+    };
+    Ok(Some((frame, 9 + body_len)))
 }
 
 /// Parse an encoded frame back out of a byte buffer (test and loopback
@@ -1428,11 +1339,11 @@ mod tests {
 
     #[test]
     fn bounded_encoder_degrades_oversized_replies_into_typed_errors() {
-        // Element-count breach: decoding the raw encode would fail with
-        // "implausible pending count"; the bounded encoder turns it into
-        // an ERROR frame the client can surface.
+        // Element-count breach: decoding an unchecked encode would fail
+        // with "implausible pending count"; the encoder turns it into an
+        // ERROR frame the client can surface.
         let huge = Reply::Engine(Response::Pending(vec![0; MAX_COUNT + 1]));
-        let frame = parse_frame(&encode_reply_bounded(3, &huge)).unwrap();
+        let frame = parse_frame(&encode_reply(3, &huge)).unwrap();
         let Reply::Error { code, message } = decode_reply(&frame).unwrap() else {
             panic!("oversized reply must degrade into an error");
         };
@@ -1442,11 +1353,8 @@ mod tests {
         // exceeds the frame cap.
         let mut fat = Valuation::new();
         fat.bind(Var::new(0, "x"), Value::from("y".repeat(MAX_FRAME)));
-        let frame = parse_frame(&encode_reply_bounded(
-            4,
-            &Reply::Engine(Response::Rows(vec![fat])),
-        ))
-        .unwrap();
+        let frame =
+            parse_frame(&encode_reply(4, &Reply::Engine(Response::Rows(vec![fat])))).unwrap();
         assert!(matches!(
             decode_reply(&frame).unwrap(),
             Reply::Error {
@@ -1455,8 +1363,9 @@ mod tests {
             }
         ));
         // In-bounds replies pass through unchanged.
-        let ok = Reply::Engine(Response::Ack);
-        assert_eq!(encode_reply_bounded(5, &ok), encode_reply(5, &ok));
+        let ok = Reply::Engine(Response::Pending(vec![0; MAX_COUNT]));
+        let frame = parse_frame(&encode_reply(5, &ok)).unwrap();
+        assert_eq!(decode_reply(&frame).unwrap(), ok);
     }
 
     /// Tiny deterministic generator for the append-encoder property test
@@ -1623,11 +1532,7 @@ mod tests {
             if !matches!(reply, Reply::Engine(Response::Metrics(_))) {
                 assert_eq!(decode_reply(&frame).unwrap(), reply);
             }
-            assert_eq!(encode_reply_bounded(id, &reply), bytes, "in bounds");
             assert_appends(&mut gen, &bytes, |out| encode_reply_into(out, id, &reply));
-            assert_appends(&mut gen, &bytes, |out| {
-                encode_reply_bounded_into(out, id, &reply)
-            });
         }
     }
 
@@ -1640,7 +1545,7 @@ mod tests {
             Reply::Engine(Response::Pending(vec![0; MAX_COUNT + 1])),
             Reply::Engine(Response::Rows(vec![fat])),
         ] {
-            let bytes = encode_reply_bounded(9, &oversized);
+            let bytes = encode_reply(9, &oversized);
             let frame = parse_frame(&bytes).unwrap();
             assert!(matches!(
                 decode_reply(&frame).unwrap(),
@@ -1650,7 +1555,7 @@ mod tests {
                 }
             ));
             assert_appends(&mut gen, &bytes, |out| {
-                encode_reply_bounded_into(out, 9, &oversized)
+                encode_reply_into(out, 9, &oversized)
             });
         }
     }
@@ -1726,7 +1631,7 @@ mod tests {
     fn oversized_event_reply_degrades_into_a_typed_error() {
         let e = sample_events().remove(0);
         let huge = Reply::Engine(Response::Events(vec![e; MAX_COUNT + 1]));
-        let frame = parse_frame(&encode_reply_bounded(6, &huge)).unwrap();
+        let frame = parse_frame(&encode_reply(6, &huge)).unwrap();
         assert!(matches!(
             decode_reply(&frame).unwrap(),
             Reply::Error {

@@ -5,9 +5,8 @@
 //! — variable ids are preserved exactly so that the recovered in-memory
 //! quantum state matches the pre-crash state.
 
-use bytes::{Buf, BufMut, BytesMut};
-
-use qdb_storage::codec as scodec;
+use qdb_storage::codec::{self as scodec, Reader};
+use qdb_storage::StorageError;
 
 use crate::atom::Atom;
 use crate::term::{Term, Var};
@@ -17,132 +16,103 @@ use crate::{LogicError, Result};
 const T_VAR: u8 = 0;
 const T_CONST: u8 = 1;
 
-fn put_term(buf: &mut BytesMut, t: &Term) {
+/// Bytes of the shortest encoded atom (empty relation name, no terms),
+/// and of the shortest update or body entry (a flag byte and an atom).
+const MIN_ATOM_BYTES: usize = 8;
+const MIN_ENTRY_BYTES: usize = 1 + MIN_ATOM_BYTES;
+
+fn put_term(buf: &mut Vec<u8>, t: &Term) {
     match t {
         Term::Var(v) => {
-            buf.put_u8(T_VAR);
-            buf.put_u32_le(v.id());
+            buf.push(T_VAR);
+            scodec::put_u32(buf, v.id());
             scodec::put_string(buf, v.name());
         }
         Term::Const(v) => {
-            buf.put_u8(T_CONST);
+            buf.push(T_CONST);
             scodec::put_value(buf, v);
         }
     }
 }
 
-fn get_term(buf: &mut impl Buf) -> Result<Term> {
-    if buf.remaining() < 1 {
-        return Err(LogicError::Codec("truncated term".into()));
-    }
-    match buf.get_u8() {
-        T_VAR => {
-            if buf.remaining() < 4 {
-                return Err(LogicError::Codec("truncated var".into()));
-            }
-            let id = buf.get_u32_le();
-            let name = scodec::get_string(buf).map_err(|e| LogicError::Codec(e.to_string()))?;
-            Ok(Term::Var(Var::new(id, name)))
-        }
-        T_CONST => Ok(Term::Const(
-            scodec::get_value(buf).map_err(|e| LogicError::Codec(e.to_string()))?,
-        )),
-        t => Err(LogicError::Codec(format!("unknown term tag {t}"))),
+fn get_term(r: &mut Reader) -> qdb_storage::Result<Term> {
+    match r.u8()? {
+        T_VAR => Ok(Term::Var(Var::new(r.u32()?, r.str()?))),
+        T_CONST => Ok(Term::Const(scodec::get_value(r)?)),
+        t => Err(StorageError::Codec(format!("unknown term tag {t}"))),
     }
 }
 
-/// Write an atom.
-pub fn put_atom(buf: &mut BytesMut, a: &Atom) {
+fn put_atom(buf: &mut Vec<u8>, a: &Atom) {
     scodec::put_string(buf, &a.relation);
-    buf.put_u32_le(a.terms.len() as u32);
+    scodec::put_u32(buf, a.terms.len() as u32);
     for t in &a.terms {
         put_term(buf, t);
     }
 }
 
-/// Read an atom.
-pub fn get_atom(buf: &mut impl Buf) -> Result<Atom> {
-    let relation = scodec::get_string(buf).map_err(|e| LogicError::Codec(e.to_string()))?;
-    if buf.remaining() < 4 {
-        return Err(LogicError::Codec("truncated atom arity".into()));
-    }
-    let n = buf.get_u32_le() as usize;
-    if n > 1 << 16 {
-        return Err(LogicError::Codec(format!("implausible arity {n}")));
-    }
+fn get_atom(r: &mut Reader) -> qdb_storage::Result<Atom> {
+    let relation = r.str()?;
+    // A constant term is a tag byte and a value.
+    let n = r.count(1 << 16, 1 + scodec::MIN_VALUE_BYTES, "atom arity")?;
     let mut terms = Vec::with_capacity(n);
     for _ in 0..n {
-        terms.push(get_term(buf)?);
+        terms.push(get_term(r)?);
     }
     Ok(Atom::new(relation, terms))
 }
 
 /// Serialize a transaction to bytes.
 pub fn encode_transaction(t: &ResourceTransaction) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(128);
-    buf.put_u32_le(t.updates.len() as u32);
+    let mut buf = Vec::with_capacity(128);
+    scodec::put_u32(&mut buf, t.updates.len() as u32);
     for u in &t.updates {
-        buf.put_u8(match u.kind {
+        buf.push(match u.kind {
             UpdateKind::Insert => 0,
             UpdateKind::Delete => 1,
         });
         put_atom(&mut buf, &u.atom);
     }
-    buf.put_u32_le(t.body.len() as u32);
+    scodec::put_u32(&mut buf, t.body.len() as u32);
     for b in &t.body {
-        buf.put_u8(u8::from(b.optional));
+        buf.push(u8::from(b.optional));
         put_atom(&mut buf, &b.atom);
     }
-    buf.to_vec()
+    buf
 }
 
-/// Deserialize a transaction from bytes.
-pub fn decode_transaction(mut bytes: &[u8]) -> Result<ResourceTransaction> {
-    let buf = &mut bytes;
-    if buf.remaining() < 4 {
-        return Err(LogicError::Codec("truncated update count".into()));
-    }
-    let nu = buf.get_u32_le() as usize;
-    if nu > 1 << 16 {
-        return Err(LogicError::Codec(format!("implausible update count {nu}")));
-    }
+/// Deserialize a transaction from bytes; bytes past its end are an error.
+pub fn decode_transaction(bytes: &[u8]) -> Result<ResourceTransaction> {
+    let (updates, body) =
+        decode_parts(&mut Reader::new(bytes)).map_err(|e| LogicError::Codec(e.to_string()))?;
+    ResourceTransaction::new(updates, body)
+}
+
+fn decode_parts(r: &mut Reader) -> qdb_storage::Result<(Vec<UpdateAtom>, Vec<BodyAtom>)> {
+    let nu = r.count(1 << 16, MIN_ENTRY_BYTES, "update count")?;
     let mut updates = Vec::with_capacity(nu);
     for _ in 0..nu {
-        if buf.remaining() < 1 {
-            return Err(LogicError::Codec("truncated update kind".into()));
-        }
-        let kind = match buf.get_u8() {
+        let kind = match r.u8()? {
             0 => UpdateKind::Insert,
             1 => UpdateKind::Delete,
-            t => return Err(LogicError::Codec(format!("unknown update kind {t}"))),
+            t => return Err(StorageError::Codec(format!("unknown update kind {t}"))),
         };
         updates.push(UpdateAtom {
             kind,
-            atom: get_atom(buf)?,
+            atom: get_atom(r)?,
         });
     }
-    if buf.remaining() < 4 {
-        return Err(LogicError::Codec("truncated body count".into()));
-    }
-    let nb = buf.get_u32_le() as usize;
-    if nb > 1 << 16 {
-        return Err(LogicError::Codec(format!("implausible body count {nb}")));
-    }
+    let nb = r.count(1 << 16, MIN_ENTRY_BYTES, "body count")?;
     let mut body = Vec::with_capacity(nb);
     for _ in 0..nb {
-        if buf.remaining() < 1 {
-            return Err(LogicError::Codec("truncated optional flag".into()));
-        }
-        let optional = buf.get_u8() != 0;
+        let optional = r.u8()? != 0;
         body.push(BodyAtom {
-            atom: get_atom(buf)?,
+            atom: get_atom(r)?,
             optional,
         });
     }
-    if buf.remaining() != 0 {
-        return Err(LogicError::Codec("trailing bytes".into()));
-    }
-    ResourceTransaction::new(updates, body)
+    r.finish()?;
+    Ok((updates, body))
 }
 
 #[cfg(test)]

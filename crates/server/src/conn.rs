@@ -417,9 +417,9 @@ impl Conn {
             if ob.closed {
                 return true; // `close` emptied the queue too: the next pop ends the drain
             }
-            // Bounded: an oversized result degrades into a typed error
-            // frame instead of a transport failure at the client.
-            wire::encode_reply_bounded_into(&mut ob.buf, request_id, reply);
+            // Bounded by the encoder: an oversized result degrades into a
+            // typed error frame instead of a transport failure at the client.
+            wire::encode_reply_into(&mut ob.buf, request_id, reply);
             if more && ob.len() < FLUSH_BYTES.min(self.outbox_limit) {
                 let now = Instant::now();
                 if now - *held_since.get_or_insert(now) < FLUSH_AGE {

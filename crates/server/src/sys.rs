@@ -1,8 +1,8 @@
 //! Thin FFI shim over the kernel interface the reactor needs: `epoll` for
 //! readiness notification.
 //!
-//! This follows the repo's offline-deps idiom (`bytes`, `rng`, the mutex
-//! helpers): instead of pulling in the `libc` crate we declare the four
+//! This follows the repo's offline-deps idiom (`qdb_workload::rng`, the
+//! mutex helpers): instead of pulling in the `libc` crate we declare the four
 //! symbols ourselves. `std` already links the platform C library on
 //! Linux, so this adds no dependency — just a typed view of what is
 //! already in the address space.

@@ -3,9 +3,8 @@
 //! Records are encoded little-endian with length-prefixed strings. A
 //! table-driven CRC-32 (IEEE polynomial) guards every log frame so recovery
 //! can detect torn writes. No external serialization framework is used — the
-//! format is small, stable and fully specified here.
-
-use bytes::{Buf, BufMut};
+//! format is small, stable and fully specified here. Every decoder in the
+//! workspace reads through [`Reader`]; every encoder appends to a `Vec<u8>`.
 
 use crate::error::StorageError;
 use crate::schema::{Schema, ValueType};
@@ -76,162 +75,212 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive encoders / checked decoders.
+// The checked read cursor and its encoders.
 // ---------------------------------------------------------------------------
 
-fn need(buf: &impl Buf, n: usize, what: &str) -> Result<()> {
-    if buf.remaining() < n {
-        return Err(StorageError::Codec(format!(
-            "unexpected end of input reading {what}: need {n} bytes, have {}",
-            buf.remaining()
-        )));
+/// A read cursor over a byte slice: every read checks what is left and
+/// returns a typed error on short input, so a decoder needs no bounds
+/// check of its own. Integers are little-endian.
+#[derive(Debug)]
+pub struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    /// A cursor at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
+        Reader(buf)
     }
-    Ok(())
+
+    /// True once every byte has been read.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    #[cold]
+    fn short(&self, n: usize) -> StorageError {
+        let have = self.0.len();
+        StorageError::Codec(format!("truncated input: need {n} bytes, have {have}"))
+    }
+
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let (head, rest) = self.0.split_first_chunk().ok_or_else(|| self.short(N))?;
+        self.0 = rest;
+        Ok(*head)
+    }
+
+    /// Read one byte.
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8> {
+        self.array().map(|[b]| b)
+    }
+
+    /// Read a `u32`.
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// Read a `u64`.
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// Read `n` raw bytes, borrowed from the input.
+    #[inline]
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8]> {
+        let (head, rest) = self.0.split_at_checked(n).ok_or_else(|| self.short(n))?;
+        self.0 = rest;
+        Ok(head)
+    }
+
+    /// Read a length-prefixed UTF-8 string, borrowed from the input.
+    #[inline]
+    pub fn str(&mut self) -> Result<&'a str> {
+        let len = self.u32()? as usize;
+        std::str::from_utf8(self.bytes(len)?)
+            .map_err(|e| StorageError::Codec(format!("invalid utf-8: {e}")))
+    }
+
+    /// Read an element count: at most `max`, and no more elements than the
+    /// bytes left could encode at `min_elem_bytes` each. A hostile count
+    /// is refused before any allocation sized by it, so what a decoder
+    /// reserves stays a small multiple of its input's length.
+    pub fn count(&mut self, max: usize, min_elem_bytes: usize, what: &str) -> Result<usize> {
+        let n = self.u32()? as usize;
+        let left = self.0.len();
+        if n > max || n * min_elem_bytes > left {
+            let msg = format!("implausible {what} {n} (at most {max}, {left} bytes left)");
+            return Err(StorageError::Codec(msg));
+        }
+        Ok(n)
+    }
+
+    /// End the decode: every byte must have been read.
+    pub fn finish(&self) -> Result<()> {
+        match self.0.len() {
+            0 => Ok(()),
+            n => Err(StorageError::Codec(format!("{n} trailing bytes"))),
+        }
+    }
 }
 
-/// Write a length-prefixed UTF-8 string.
-pub fn put_string(buf: &mut impl BufMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+/// Append a little-endian `u32`.
+#[inline]
+pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Read a length-prefixed UTF-8 string.
-pub fn get_string(buf: &mut impl Buf) -> Result<String> {
-    get_str(buf, str::to_owned)
+/// Append a little-endian `u64`.
+#[inline]
+pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Read a length-prefixed UTF-8 string and hand it to `f` borrowed
-/// straight from `buf`'s bytes.
-fn get_str<R>(buf: &mut impl Buf, f: impl FnOnce(&str) -> R) -> Result<R> {
-    need(buf, 4, "string length")?;
-    let len = buf.get_u32_le() as usize;
-    need(buf, len, "string bytes")?;
-    let s = std::str::from_utf8(&buf.chunk()[..len])
-        .map_err(|e| StorageError::Codec(format!("invalid utf-8: {e}")))?;
-    let out = f(s);
-    buf.advance(len);
-    Ok(out)
+/// Append a `u32` length, then `bytes`.
+#[inline]
+pub fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
+    put_u32(buf, bytes.len() as u32);
+    buf.extend_from_slice(bytes);
 }
 
-const TAG_INT: u8 = 0;
-const TAG_STR: u8 = 1;
-const TAG_BOOL: u8 = 2;
+/// Append a length-prefixed UTF-8 string.
+#[inline]
+pub fn put_string(buf: &mut Vec<u8>, s: &str) {
+    put_bytes(buf, s.as_bytes());
+}
+
+// A value's tag is its type's: `ValueType`'s discriminant.
+const TAG_INT: u8 = ValueType::Int as u8;
+const TAG_STR: u8 = ValueType::Str as u8;
+const TAG_BOOL: u8 = ValueType::Bool as u8;
+
+/// Bytes of the shortest encoded [`Value`] (a bool).
+pub const MIN_VALUE_BYTES: usize = 2;
 
 /// Write a [`Value`].
-pub fn put_value(buf: &mut impl BufMut, v: &Value) {
+pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Int(i) => {
-            buf.put_u8(TAG_INT);
-            buf.put_i64_le(*i);
+            buf.push(TAG_INT);
+            put_u64(buf, *i as u64);
         }
         Value::Str(s) => {
-            buf.put_u8(TAG_STR);
+            buf.push(TAG_STR);
             put_string(buf, s);
         }
-        Value::Bool(b) => {
-            buf.put_u8(TAG_BOOL);
-            buf.put_u8(u8::from(*b));
-        }
+        Value::Bool(b) => buf.extend_from_slice(&[TAG_BOOL, u8::from(*b)]),
     }
 }
 
 /// Read a [`Value`].
-pub fn get_value(buf: &mut impl Buf) -> Result<Value> {
-    need(buf, 1, "value tag")?;
-    match buf.get_u8() {
-        TAG_INT => {
-            need(buf, 8, "int value")?;
-            Ok(Value::Int(buf.get_i64_le()))
-        }
+pub fn get_value(r: &mut Reader) -> Result<Value> {
+    match r.u8()? {
+        TAG_INT => Ok(Value::Int(r.u64()? as i64)),
         // Decoded through the interning pool, straight from the input's
         // bytes: WAL replay and wire decode see the same few labels over
         // and over — a recovered database shares one `Arc` per distinct
         // short string with everything else decoded in this process, and
         // a label already in the pool costs no allocation at all.
-        TAG_STR => get_str(buf, Value::interned),
-        TAG_BOOL => {
-            need(buf, 1, "bool value")?;
-            Ok(Value::Bool(buf.get_u8() != 0))
-        }
+        TAG_STR => Ok(Value::interned(r.str()?)),
+        TAG_BOOL => Ok(Value::Bool(r.u8()? != 0)),
         t => Err(StorageError::Codec(format!("unknown value tag {t}"))),
     }
 }
 
 /// Write a [`Tuple`].
-pub fn put_tuple(buf: &mut impl BufMut, t: &Tuple) {
-    buf.put_u32_le(t.arity() as u32);
+pub fn put_tuple(buf: &mut Vec<u8>, t: &Tuple) {
+    put_u32(buf, t.arity() as u32);
     for v in t.iter() {
         put_value(buf, v);
     }
 }
 
 /// Read a [`Tuple`].
-pub fn get_tuple(buf: &mut impl Buf) -> Result<Tuple> {
-    need(buf, 4, "tuple arity")?;
-    let n = buf.get_u32_le() as usize;
-    if n > 1 << 20 {
-        return Err(StorageError::Codec(format!("implausible tuple arity {n}")));
-    }
+pub fn get_tuple(r: &mut Reader) -> Result<Tuple> {
+    let n = r.count(1 << 20, MIN_VALUE_BYTES, "tuple arity")?;
     let mut values = Vec::with_capacity(n);
     for _ in 0..n {
-        values.push(get_value(buf)?);
+        values.push(get_value(r)?);
     }
     Ok(Tuple::from(values))
 }
 
-fn put_value_type(buf: &mut impl BufMut, ty: ValueType) {
-    buf.put_u8(match ty {
-        ValueType::Int => TAG_INT,
-        ValueType::Str => TAG_STR,
-        ValueType::Bool => TAG_BOOL,
-    });
-}
-
-fn get_value_type(buf: &mut impl Buf) -> Result<ValueType> {
-    need(buf, 1, "value type")?;
-    match buf.get_u8() {
-        TAG_INT => Ok(ValueType::Int),
-        TAG_STR => Ok(ValueType::Str),
-        TAG_BOOL => Ok(ValueType::Bool),
-        t => Err(StorageError::Codec(format!("unknown type tag {t}"))),
-    }
+fn get_value_type(r: &mut Reader) -> Result<ValueType> {
+    let tag = r.u8()?;
+    let types = [ValueType::Int, ValueType::Str, ValueType::Bool];
+    let ty = types.get(usize::from(tag)).copied();
+    ty.ok_or_else(|| StorageError::Codec(format!("unknown type tag {tag}")))
 }
 
 /// Write a [`Schema`].
-pub fn put_schema(buf: &mut impl BufMut, s: &Schema) {
+pub fn put_schema(buf: &mut Vec<u8>, s: &Schema) {
     put_string(buf, s.relation());
-    buf.put_u32_le(s.arity() as u32);
+    put_u32(buf, s.arity() as u32);
     for c in s.columns() {
         put_string(buf, &c.name);
-        put_value_type(buf, c.ty);
+        buf.push(c.ty as u8);
     }
     // Key count: a table's key is its whole row, written as no columns.
-    buf.put_u32_le(0);
+    put_u32(buf, 0);
 }
 
 /// Read a [`Schema`].
-pub fn get_schema(buf: &mut impl Buf) -> Result<Schema> {
-    let relation = get_string(buf)?;
-    need(buf, 4, "column count")?;
-    let ncols = buf.get_u32_le() as usize;
-    if ncols > 1 << 16 {
-        return Err(StorageError::Codec(format!("implausible arity {ncols}")));
-    }
-    let mut columns: Vec<(String, ValueType)> = Vec::with_capacity(ncols);
+pub fn get_schema(r: &mut Reader) -> Result<Schema> {
+    let relation = r.str()?.to_owned();
+    // A column is a name (length word) and a type byte.
+    let ncols = r.count(1 << 16, 5, "column count")?;
+    let mut columns = Vec::with_capacity(ncols);
     for _ in 0..ncols {
-        let name = get_string(buf)?;
-        let ty = get_value_type(buf)?;
-        columns.push((name, ty));
+        columns.push((r.str()?, get_value_type(r)?));
     }
-    need(buf, 4, "key count")?;
-    let nkeys = buf.get_u32_le();
+    let nkeys = r.u32()?;
     if nkeys != 0 {
         return Err(StorageError::Codec(format!(
             "schema of '{relation}' names {nkeys} key columns; a table's key is its whole row"
         )));
     }
-    let borrowed: Vec<(&str, ValueType)> = columns.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-    Ok(Schema::new(relation, borrowed))
+    Ok(Schema::new(relation, columns))
 }
 
 #[cfg(test)]
@@ -239,7 +288,6 @@ mod tests {
     use super::*;
     use crate::tuple;
     use crate::wal::LogRecord;
-    use bytes::BytesMut;
 
     /// The bytewise reference the slicing-by-8 loop must agree with.
     fn crc32_bytewise(data: &[u8]) -> u32 {
@@ -304,21 +352,20 @@ mod tests {
             Value::from(true),
             Value::from(false),
         ] {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             put_value(&mut buf, &v);
-            let mut slice = buf.freeze();
-            assert_eq!(get_value(&mut slice).unwrap(), v);
-            assert_eq!(slice.remaining(), 0);
+            let mut r = Reader::new(&buf);
+            assert_eq!(get_value(&mut r).unwrap(), v);
+            r.finish().unwrap();
         }
     }
 
     #[test]
     fn tuple_roundtrip() {
         let t = tuple!["Mickey", 123, "5A", true];
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_tuple(&mut buf, &t);
-        let mut slice = buf.freeze();
-        assert_eq!(get_tuple(&mut slice).unwrap(), t);
+        assert_eq!(get_tuple(&mut Reader::new(&buf)).unwrap(), t);
     }
 
     #[test]
@@ -327,11 +374,10 @@ mod tests {
         // in many frames) must share one string allocation, not allocate
         // a fresh `Arc` per decode.
         let v = Value::from("codec-intern-test-7C");
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_value(&mut buf, &v);
-        let frozen = buf.freeze();
-        let a = get_value(&mut frozen.clone()).unwrap();
-        let b = get_value(&mut frozen.clone()).unwrap();
+        let a = get_value(&mut Reader::new(&buf)).unwrap();
+        let b = get_value(&mut Reader::new(&buf)).unwrap();
         let (Value::Str(a), Value::Str(b)) = (&a, &b) else {
             panic!("string value expected");
         };
@@ -357,7 +403,7 @@ mod tests {
         assert_eq!(count, 0u32.to_le_bytes());
         assert_eq!(
             LogRecord::decode(&record).unwrap(),
-            LogRecord::CreateTable(s)
+            LogRecord::CreateTable(s.clone())
         );
         // A non-zero count (a column-subset key) is a typed codec error,
         // not a panic or a silently keyless table — also when the column
@@ -370,24 +416,39 @@ mod tests {
             let err = LogRecord::decode(&bad).unwrap_err();
             assert!(matches!(err, StorageError::Codec(_)), "{count}: {err}");
         }
+        // Bytes past the end of a whole record are refused too, for every
+        // record kind, not silently ignored.
+        for record in [
+            LogRecord::CreateTable(s),
+            LogRecord::Write(crate::WriteOp::Insert {
+                relation: "Bookings".into(),
+                tuple: tuple!["Mickey", 123, "5A"],
+            }),
+            LogRecord::Ground { id: 4, ops: vec![] },
+            LogRecord::PendingRemove { id: 9 },
+            LogRecord::Checkpoint,
+        ] {
+            let mut long = record.encode();
+            assert_eq!(LogRecord::decode(&long).unwrap(), record);
+            long.push(0);
+            let err = LogRecord::decode(&long).unwrap_err();
+            assert!(err.to_string().contains("trailing"), "{record:?}: {err}");
+        }
     }
 
     #[test]
     fn truncated_input_is_an_error_not_a_panic() {
         let t = tuple!["Mickey", 123];
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_tuple(&mut buf, &t);
-        let bytes = buf.freeze();
-        for cut in 0..bytes.len() {
-            let mut slice = bytes.slice(0..cut);
-            assert!(get_tuple(&mut slice).is_err(), "cut at {cut} should fail");
+        for cut in 0..buf.len() {
+            let mut r = Reader::new(&buf[..cut]);
+            assert!(get_tuple(&mut r).is_err(), "cut at {cut} should fail");
         }
     }
 
     #[test]
     fn garbage_tags_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(42);
-        assert!(get_value(&mut buf.freeze()).is_err());
+        assert!(get_value(&mut Reader::new(&[42])).is_err());
     }
 }

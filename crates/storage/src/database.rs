@@ -90,11 +90,6 @@ impl RelationId {
         self.0 as usize
     }
 
-    /// Raw id value (wire/WAL encodings).
-    pub fn as_u32(self) -> u32 {
-        self.0
-    }
-
     /// Rebuild an id from a dense index previously obtained through
     /// [`RelationId::index`] against the same database. The id space is
     /// dense, so this is a plain cast; using an index from a *different*
@@ -199,11 +194,6 @@ impl Database {
         Ok(self.table_by_id_mut(id))
     }
 
-    /// Does a table with this name exist?
-    pub fn has_table(&self, relation: &str) -> bool {
-        self.names.contains_key(relation)
-    }
-
     /// Iterate over all tables in name order.
     pub fn tables(&self) -> impl Iterator<Item = &Table> + '_ {
         self.names.values().map(|id| &self.tables[id.index()])
@@ -233,11 +223,6 @@ impl Database {
     pub fn contains(&self, relation: &str, tuple: &Tuple) -> bool {
         self.try_resolve(relation)
             .is_some_and(|id| self.tables[id.index()].contains(tuple))
-    }
-
-    /// Is this exact row present (by interned id)?
-    pub fn contains_id(&self, id: RelationId, tuple: &Tuple) -> bool {
-        self.tables[id.index()].contains(tuple)
     }
 
     /// Apply a write op. Inserts of already-present rows and deletes of
@@ -320,7 +305,7 @@ mod tests {
     #[test]
     fn create_and_lookup_tables() {
         let db = db();
-        assert!(db.has_table("Available"));
+        assert!(db.table("Available").is_ok());
         assert!(db.table("Bookings").is_ok());
         assert!(matches!(
             db.table("Nope"),

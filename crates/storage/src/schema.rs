@@ -9,15 +9,16 @@ use crate::error::StorageError;
 use crate::tuple::Tuple;
 use crate::Result;
 
-/// Runtime type of a column.
+/// Runtime type of a column. The discriminants are the log and wire
+/// codec's type tags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValueType {
     /// 64-bit integers.
-    Int,
+    Int = 0,
     /// UTF-8 strings.
-    Str,
+    Str = 1,
     /// Booleans.
-    Bool,
+    Bool = 2,
 }
 
 impl std::fmt::Display for ValueType {

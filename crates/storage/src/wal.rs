@@ -18,9 +18,7 @@
 //! [`frame_spans`] and replication all decode through it, so none of them
 //! holds more of the log than one chunk plus one partial frame.
 
-use bytes::{Buf, BufMut};
-
-use crate::codec;
+use crate::codec::{self, Reader};
 use crate::database::WriteOp;
 use crate::error::StorageError;
 use crate::schema::Schema;
@@ -82,9 +80,20 @@ fn put_op(buf: &mut Vec<u8>, op: &WriteOp) {
         WriteOp::Insert { relation, tuple } => (T_INSERT, relation, tuple),
         WriteOp::Delete { relation, tuple } => (T_DELETE, relation, tuple),
     };
-    buf.put_u8(tag);
+    buf.push(tag);
     codec::put_string(buf, relation);
     codec::put_tuple(buf, tuple);
+}
+
+/// The rest of a write op whose tag byte has been read.
+fn get_op(r: &mut Reader, tag: u8) -> Result<WriteOp> {
+    let relation = r.str()?.to_owned();
+    let tuple = codec::get_tuple(r)?;
+    match tag {
+        T_INSERT => Ok(WriteOp::Insert { relation, tuple }),
+        T_DELETE => Ok(WriteOp::Delete { relation, tuple }),
+        t => Err(StorageError::Codec(format!("unknown write op tag {t}"))),
+    }
 }
 
 impl LogRecord {
@@ -100,113 +109,69 @@ impl LogRecord {
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             LogRecord::CreateTable(schema) => {
-                buf.put_u8(T_CREATE_TABLE);
+                buf.push(T_CREATE_TABLE);
                 codec::put_schema(buf, schema);
             }
             LogRecord::CreateIndex { relation, column } => {
-                buf.put_u8(T_CREATE_INDEX);
+                buf.push(T_CREATE_INDEX);
                 codec::put_string(buf, relation);
-                buf.put_u32_le(*column);
+                codec::put_u32(buf, *column);
             }
             LogRecord::Write(op) => put_op(buf, op),
             LogRecord::PendingAdd { id, payload } => {
-                buf.put_u8(T_PENDING_ADD);
-                buf.put_u64_le(*id);
-                buf.put_u32_le(payload.len() as u32);
-                buf.put_slice(payload);
+                buf.push(T_PENDING_ADD);
+                codec::put_u64(buf, *id);
+                codec::put_bytes(buf, payload);
             }
             LogRecord::PendingRemove { id } => {
-                buf.put_u8(T_PENDING_REMOVE);
-                buf.put_u64_le(*id);
+                buf.push(T_PENDING_REMOVE);
+                codec::put_u64(buf, *id);
             }
             LogRecord::Ground { id, ops } => {
-                buf.put_u8(T_GROUND);
-                buf.put_u64_le(*id);
-                buf.put_u32_le(ops.len() as u32);
+                buf.push(T_GROUND);
+                codec::put_u64(buf, *id);
+                codec::put_u32(buf, ops.len() as u32);
                 for op in ops {
                     put_op(buf, op);
                 }
             }
-            LogRecord::Checkpoint => buf.put_u8(T_CHECKPOINT),
+            LogRecord::Checkpoint => buf.push(T_CHECKPOINT),
         }
     }
 
-    /// Decode a record payload.
-    pub fn decode(mut buf: &[u8]) -> Result<LogRecord> {
-        if buf.is_empty() {
-            return Err(StorageError::Codec("empty record".into()));
-        }
-        let tag = buf.get_u8();
-        match tag {
-            T_CREATE_TABLE => Ok(LogRecord::CreateTable(codec::get_schema(&mut buf)?)),
-            T_CREATE_INDEX => {
-                let relation = codec::get_string(&mut buf)?;
-                if buf.remaining() < 4 {
-                    return Err(StorageError::Codec("truncated index record".into()));
-                }
-                Ok(LogRecord::CreateIndex {
-                    relation,
-                    column: buf.get_u32_le(),
-                })
-            }
-            T_INSERT | T_DELETE => {
-                let relation = codec::get_string(&mut buf)?;
-                let tuple = codec::get_tuple(&mut buf)?;
-                Ok(LogRecord::Write(if tag == T_INSERT {
-                    WriteOp::Insert { relation, tuple }
-                } else {
-                    WriteOp::Delete { relation, tuple }
-                }))
-            }
+    /// Decode a record payload; bytes past the record's end are an error.
+    pub fn decode(buf: &[u8]) -> Result<LogRecord> {
+        let r = &mut Reader::new(buf);
+        let record = match r.u8()? {
+            T_CREATE_TABLE => LogRecord::CreateTable(codec::get_schema(r)?),
+            T_CREATE_INDEX => LogRecord::CreateIndex {
+                relation: r.str()?.to_owned(),
+                column: r.u32()?,
+            },
+            tag @ (T_INSERT | T_DELETE) => LogRecord::Write(get_op(r, tag)?),
             T_PENDING_ADD => {
-                if buf.remaining() < 12 {
-                    return Err(StorageError::Codec("truncated pending-add".into()));
-                }
-                let id = buf.get_u64_le();
-                let len = buf.get_u32_le() as usize;
-                if buf.remaining() < len {
-                    return Err(StorageError::Codec("truncated pending payload".into()));
-                }
-                let mut payload = vec![0u8; len];
-                buf.copy_to_slice(&mut payload);
-                Ok(LogRecord::PendingAdd { id, payload })
+                let id = r.u64()?;
+                let len = r.u32()? as usize;
+                let payload = r.bytes(len)?.to_vec();
+                LogRecord::PendingAdd { id, payload }
             }
-            T_PENDING_REMOVE => {
-                if buf.remaining() < 8 {
-                    return Err(StorageError::Codec("truncated pending-remove".into()));
-                }
-                Ok(LogRecord::PendingRemove {
-                    id: buf.get_u64_le(),
-                })
-            }
+            T_PENDING_REMOVE => LogRecord::PendingRemove { id: r.u64()? },
             T_GROUND => {
-                if buf.remaining() < 12 {
-                    return Err(StorageError::Codec("truncated ground record".into()));
-                }
-                let id = buf.get_u64_le();
-                let n = buf.get_u32_le() as usize;
-                if n > 1 << 16 {
-                    return Err(StorageError::Codec(format!("implausible op count {n}")));
-                }
+                let id = r.u64()?;
+                // An op is at least a tag, a relation length and an arity.
+                let n = r.count(1 << 16, 9, "ground op count")?;
                 let mut ops = Vec::with_capacity(n);
                 for _ in 0..n {
-                    if buf.remaining() < 1 {
-                        return Err(StorageError::Codec("truncated ground op".into()));
-                    }
-                    let tag = buf.get_u8();
-                    let relation = codec::get_string(&mut buf)?;
-                    let tuple = codec::get_tuple(&mut buf)?;
-                    ops.push(match tag {
-                        T_INSERT => WriteOp::Insert { relation, tuple },
-                        T_DELETE => WriteOp::Delete { relation, tuple },
-                        t => return Err(StorageError::Codec(format!("unknown ground op tag {t}"))),
-                    });
+                    let tag = r.u8()?;
+                    ops.push(get_op(r, tag)?);
                 }
-                Ok(LogRecord::Ground { id, ops })
+                LogRecord::Ground { id, ops }
             }
-            T_CHECKPOINT => Ok(LogRecord::Checkpoint),
-            t => Err(StorageError::Codec(format!("unknown record tag {t}"))),
-        }
+            T_CHECKPOINT => LogRecord::Checkpoint,
+            t => return Err(StorageError::Codec(format!("unknown record tag {t}"))),
+        };
+        r.finish()?;
+        Ok(record)
     }
 }
 

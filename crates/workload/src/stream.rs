@@ -82,13 +82,6 @@ pub enum SimOp {
     },
 }
 
-impl SimOp {
-    /// Is this op a CHOOSE submission?
-    pub fn is_booking(&self) -> bool {
-        matches!(self, SimOp::Book { .. } | SimOp::BookEntangled { .. })
-    }
-}
-
 /// Statement mix, in percent of the stream. `book + read + peek +
 /// possible + ground + ground_all + checkpoint + audit_insert +
 /// audit_delete + seat_add + seat_remove` must be ≤ 100; any remainder
