@@ -159,7 +159,8 @@ fn replication_report(scale: Scale) -> (Json, bool) {
     println!("== Replication: checked failover ==");
     println!("({seeds} sim seeds of kill-at-arbitrary-WAL-cut + promotion)\n");
 
-    let sweep = run_replica_sweep(&ReplicaSimConfig::smoke(), 1, seeds);
+    let cfg = ReplicaSimConfig::smoke();
+    let sweep = run_replica_sweep(&cfg, 1, seeds);
     println!(
         "failover sweep: {} runs, acked={} surviving={} async_window={} checked_reads={} \
          violations={}",
@@ -175,35 +176,10 @@ fn replication_report(scale: Scale) -> (Json, bool) {
     }
     println!();
 
-    let failed = !sweep.failures.is_empty();
-    let record = Json::obj([
-        ("experiment", Json::str("replication")),
-        (
-            "failover",
-            Json::obj([
-                ("seeds", num(seeds as f64)),
-                ("runs", num(sweep.runs as f64)),
-                ("total_ops", num(sweep.total_ops as f64)),
-                ("acked_writes", num(sweep.acked_writes as f64)),
-                ("surviving_acked", num(sweep.surviving_acked as f64)),
-                ("lost_to_window", num(sweep.lost_to_window as f64)),
-                ("replica_reads", num(sweep.replica_reads as f64)),
-                ("checked_reads", num(sweep.checked_reads as f64)),
-                ("max_lag_bytes", num(sweep.max_lag_bytes as f64)),
-                ("violations", num(sweep.failures.len() as f64)),
-                (
-                    "failures",
-                    Json::arr(sweep.failures.iter().map(|(seed, v)| {
-                        Json::obj([
-                            ("seed", num(*seed as f64)),
-                            ("violation", Json::str(v.clone())),
-                        ])
-                    })),
-                ),
-            ]),
-        ),
-    ]);
-    (record, failed)
+    (
+        sweep.record(seeds, cfg.replicas),
+        !sweep.failures.is_empty(),
+    )
 }
 
 fn sim_report(scale: Scale) -> (Json, bool) {
@@ -254,11 +230,7 @@ fn sim_report(scale: Scale) -> (Json, bool) {
         }
     }
     let elapsed = started.elapsed().as_secs_f64();
-    let ops_per_sec = if elapsed > 0.0 {
-        outcome.total_ops as f64 / elapsed
-    } else {
-        0.0
-    };
+    let ops_per_sec = outcome.ops_per_sec(elapsed);
     let table = vec![vec![
         outcome.runs.to_string(),
         outcome.total_ops.to_string(),
@@ -296,51 +268,22 @@ fn sim_report(scale: Scale) -> (Json, bool) {
             }
         );
     }
-    let failures: Vec<Json> = outcome
-        .failures
-        .iter()
-        .map(|(seed, engine, v, path)| {
-            Json::obj([
-                ("seed", num(*seed as f64)),
-                ("engine", Json::str(*engine)),
-                ("kind", Json::str(v.kind.clone())),
-                ("op_index", num(v.op_index as f64)),
-                (
-                    "artifact",
-                    match path {
-                        Some(p) => Json::str(p.display().to_string()),
-                        None => Json::Null,
-                    },
-                ),
-            ])
-        })
-        .collect();
     let failed = !outcome.failures.is_empty() || !dead_mutations.is_empty();
-    let record = Json::obj([
-        ("experiment", Json::str("sim")),
-        ("seeds", num(seeds as f64)),
-        ("wire_seeds", num(wire_seeds as f64)),
-        ("shrink", Json::Bool(true)),
-        ("mutations_armed", Json::Bool(dead_mutations.is_empty())),
-        (
-            "dead_mutations",
-            Json::arr(dead_mutations.iter().map(|n| Json::str(*n))),
-        ),
-        ("runs", num(outcome.runs as f64)),
-        ("total_ops", num(outcome.total_ops as f64)),
-        ("ops_per_sec", num(ops_per_sec)),
-        ("commits", num(outcome.commits as f64)),
-        ("aborts", num(outcome.aborts as f64)),
-        ("crashes", num(outcome.crashes as f64)),
-        ("ser_checks", num(outcome.stats.ser_checks as f64)),
-        ("explain_checked", num(outcome.stats.explain_checked as f64)),
-        (
-            "invariant_checks",
-            num(outcome.stats.invariant_checks as f64),
-        ),
-        ("violations", num(outcome.violations() as f64)),
-        ("failures", Json::Arr(failures)),
-    ]);
+    let mut record = outcome.record(seeds, elapsed);
+    if let Json::Obj(fields) = &mut record {
+        fields.extend([
+            ("wire_seeds".to_string(), Json::U64(wire_seeds)),
+            ("shrink".to_string(), Json::Bool(true)),
+            (
+                "mutations_armed".to_string(),
+                Json::Bool(dead_mutations.is_empty()),
+            ),
+            (
+                "dead_mutations".to_string(),
+                Json::arr(dead_mutations.iter().map(|n| Json::str(*n))),
+            ),
+        ]);
+    }
     (record, failed)
 }
 

@@ -182,9 +182,6 @@ pub fn fig8_fig9_mixed(
                 pairs_per_flight,
                 order: ArrivalOrder::Random { seed },
                 n_reads,
-                scan_percent: 0,
-                peek_percent: 0,
-                possible_percent: 0,
                 seed,
                 engine: qdb_core::QuantumDbConfig::with_k(k),
             };

@@ -135,3 +135,52 @@ fn honest_counts_still_reserve_their_elements() {
     assert_eq!(decoded.len(), rows as usize);
     assert!(largest > BUDGET, "largest allocation {largest} B");
 }
+
+/// What the decoders refuse, the engine refuses to log: a schema with one
+/// column too many and a transaction with one update too many are typed
+/// errors that leave the log untouched, so a later acknowledged write
+/// survives recovery instead of being cut off behind an unreadable frame.
+#[test]
+fn over_limit_schemas_and_transactions_are_refused_before_they_are_logged() {
+    use qdb_core::{EngineError, QuantumDb, QuantumDbConfig};
+    use qdb_logic::LogicError;
+    use qdb_storage::codec::MAX_LOG_COUNT;
+    use qdb_storage::wal::MemorySink;
+    use qdb_storage::{StorageError, Wal};
+
+    let db = QuantumDb::new(QuantumDbConfig::default())
+        .unwrap()
+        .into_shared();
+    db.execute("CREATE TABLE R (a INT)").unwrap();
+    let image = db.wal_image();
+
+    let columns: Vec<String> = (0..=MAX_LOG_COUNT).map(|i| format!("c{i} INT")).collect();
+    let wide = format!("CREATE TABLE Wide ({})", columns.join(", "));
+    let refused = db.execute(&wide);
+    assert!(
+        matches!(
+            refused,
+            Err(EngineError::Storage(StorageError::InvalidSchema(_)))
+        ),
+        "{refused:?}"
+    );
+    let inserts = "INSERT (1) INTO R; ".repeat(MAX_LOG_COUNT + 1);
+    let long = format!("SELECT @a FROM R(@a) CHOOSE 1 FOLLOWED BY ({inserts})");
+    let refused = db.execute(&long);
+    assert!(
+        matches!(
+            refused,
+            Err(EngineError::Logic(LogicError::TooLarge { count, .. })) if count == MAX_LOG_COUNT + 1
+        ),
+        "{refused:?}"
+    );
+    assert_eq!(db.wal_image(), image, "nothing refused reaches the log");
+
+    db.execute("INSERT INTO R VALUES (5)").unwrap();
+    let wal = Wal::with_sink(Box::new(MemorySink::from_bytes(db.wal_image())));
+    let recovered = QuantumDb::recover(wal, QuantumDbConfig::default())
+        .unwrap()
+        .into_shared();
+    let rows = recovered.execute("SELECT @a FROM R(@a)").unwrap();
+    assert_eq!(rows.rows().map(<[_]>::len), Some(1), "{rows:?}");
+}

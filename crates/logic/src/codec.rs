@@ -5,7 +5,7 @@
 //! — variable ids are preserved exactly so that the recovered in-memory
 //! quantum state matches the pre-crash state.
 
-use qdb_storage::codec::{self as scodec, Reader};
+use qdb_storage::codec::{self as scodec, Reader, MAX_LOG_COUNT};
 use qdb_storage::StorageError;
 
 use crate::atom::Atom;
@@ -54,7 +54,7 @@ fn put_atom(buf: &mut Vec<u8>, a: &Atom) {
 fn get_atom(r: &mut Reader) -> qdb_storage::Result<Atom> {
     let relation = r.str()?;
     // A constant term is a tag byte and a value.
-    let n = r.count(1 << 16, 1 + scodec::MIN_VALUE_BYTES, "atom arity")?;
+    let n = r.count(MAX_LOG_COUNT, 1 + scodec::MIN_VALUE_BYTES, "atom arity")?;
     let mut terms = Vec::with_capacity(n);
     for _ in 0..n {
         terms.push(get_term(r)?);
@@ -89,7 +89,7 @@ pub fn decode_transaction(bytes: &[u8]) -> Result<ResourceTransaction> {
 }
 
 fn decode_parts(r: &mut Reader) -> qdb_storage::Result<(Vec<UpdateAtom>, Vec<BodyAtom>)> {
-    let nu = r.count(1 << 16, MIN_ENTRY_BYTES, "update count")?;
+    let nu = r.count(MAX_LOG_COUNT, MIN_ENTRY_BYTES, "update count")?;
     let mut updates = Vec::with_capacity(nu);
     for _ in 0..nu {
         let kind = match r.u8()? {
@@ -102,7 +102,7 @@ fn decode_parts(r: &mut Reader) -> qdb_storage::Result<(Vec<UpdateAtom>, Vec<Bod
             atom: get_atom(r)?,
         });
     }
-    let nb = r.count(1 << 16, MIN_ENTRY_BYTES, "body count")?;
+    let nb = r.count(MAX_LOG_COUNT, MIN_ENTRY_BYTES, "body count")?;
     let mut body = Vec::with_capacity(nb);
     for _ in 0..nb {
         let optional = r.u8()? != 0;

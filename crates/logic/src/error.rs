@@ -35,6 +35,14 @@ pub enum LogicError {
     },
     /// Malformed bytes handed to the transaction codec.
     Codec(String),
+    /// A transaction holds more update atoms, body atoms or terms in one
+    /// atom than a log record can ([`qdb_storage::codec::MAX_LOG_COUNT`]).
+    TooLarge {
+        /// What is counted.
+        what: &'static str,
+        /// How many the transaction holds.
+        count: usize,
+    },
 }
 
 impl fmt::Display for LogicError {
@@ -53,6 +61,11 @@ impl fmt::Display for LogicError {
                 "statement takes {expected} parameter(s), {got} bound"
             ),
             LogicError::Codec(msg) => write!(f, "transaction codec error: {msg}"),
+            LogicError::TooLarge { what, count } => write!(
+                f,
+                "transaction has {count} {what}; a logged transaction holds at most {}",
+                qdb_storage::codec::MAX_LOG_COUNT
+            ),
         }
     }
 }

@@ -125,8 +125,23 @@ impl ResourceTransaction {
 
     /// Range restriction (§2): every variable of `U` must occur in `B` —
     /// and specifically in a **non-optional** atom, because optional atoms
-    /// may go unsatisfied and so cannot bind update variables.
+    /// may go unsatisfied and so cannot bind update variables. And the
+    /// transaction must fit a log record: at most
+    /// [`qdb_storage::codec::MAX_LOG_COUNT`] update atoms, body atoms and terms
+    /// per atom.
     pub fn validate(&self) -> Result<()> {
+        let atoms = self.updates.iter().map(|u| &u.atom);
+        let atoms = atoms.chain(self.body.iter().map(|b| &b.atom));
+        let widest = atoms.map(|a| a.terms.len()).max().unwrap_or(0);
+        for (what, count) in [
+            ("update atoms", self.updates.len()),
+            ("body atoms", self.body.len()),
+            ("terms in one atom", widest),
+        ] {
+            if count > qdb_storage::codec::MAX_LOG_COUNT {
+                return Err(LogicError::TooLarge { what, count });
+            }
+        }
         let required: BTreeSet<&Var> = self
             .body
             .iter()

@@ -1,9 +1,10 @@
 //! Per-connection state and request handling.
 //!
-//! Each accepted socket gets one [`Conn`]: a server-side
-//! [`Session`] (with its prepared-statement LRU), the connection's
-//! prepared/bound id maps, a queue of decoded frames, and a bounded
-//! outbox of encoded reply bytes. The reactor thread owns the socket's
+//! Each accepted socket gets one [`Conn`]: its own statement-template
+//! cache ([`StmtCache`]), its prepared/bound id maps, a queue of decoded
+//! frames, and a bounded outbox of encoded reply bytes. Every request of
+//! every node role goes through [`Conn::handle_request`], against the
+//! engine the node's role supplies. The reactor thread owns the socket's
 //! readiness and its read buffer; executors drain the frame queue.
 //!
 //! Two disciplines keep the PR 2 contracts intact under the event loop:
@@ -32,17 +33,17 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use qdb_core::wire::{self, Frame, Reply, Request};
-use qdb_core::{Bound, Response, Session};
+use qdb_core::{Response, StmtCache};
 use qdb_logic::{ParsedStatement, Statement};
 
 use crate::metrics::ServerMetrics;
 use crate::reactor::Notifier;
-use crate::repl::{ConnRole, REPL_SEGMENT_MAX};
-use crate::MAX_QUEUED_FRAMES;
+use crate::repl::Node;
+use crate::{lock, MAX_QUEUED_FRAMES};
 
 /// A drainer with more frames queued lets replies accumulate up to this
 /// many bytes before writing the socket.
@@ -50,10 +51,6 @@ const FLUSH_BYTES: usize = 16 * 1024;
 /// …and no longer than this: the client of a long batch starts decoding
 /// while the server is still executing.
 const FLUSH_AGE: Duration = Duration::from_micros(200);
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Frames waiting to be executed, plus the scheduling flag that keeps one
 /// worker at a time draining them (per-connection order).
@@ -118,11 +115,13 @@ pub(crate) struct Enqueued {
     pub pipelined: bool,
 }
 
-/// Statement state of one connection: the session plus the client-id maps.
+/// Statement state of one connection: its template cache plus the
+/// client-id maps. Parsed statements name no engine, so they outlive a
+/// promotion.
 struct StmtState {
-    session: Session,
-    prepared: BTreeMap<u32, qdb_core::Prepared>,
-    bound: BTreeMap<u32, Bound>,
+    cache: StmtCache,
+    prepared: BTreeMap<u32, ParsedStatement>,
+    bound: BTreeMap<u32, Statement>,
 }
 
 /// One client connection.
@@ -132,7 +131,7 @@ pub(crate) struct Conn {
     queue: Mutex<FrameQueue>,
     outbox: Mutex<Outbox>,
     stmts: Mutex<StmtState>,
-    role: ConnRole,
+    node: Arc<Node>,
     metrics: Arc<ServerMetrics>,
     notifier: Arc<Notifier>,
     outbox_limit: usize,
@@ -156,8 +155,8 @@ impl Conn {
     pub(crate) fn new(
         stream: TcpStream,
         token: u64,
-        session: Session,
-        role: ConnRole,
+        node: Arc<Node>,
+        stmt_cache: usize,
         metrics: Arc<ServerMetrics>,
         notifier: Arc<Notifier>,
         outbox_limit: usize,
@@ -168,11 +167,11 @@ impl Conn {
             queue: Mutex::new(FrameQueue::default()),
             outbox: Mutex::new(Outbox::default()),
             stmts: Mutex::new(StmtState {
-                session,
+                cache: StmtCache::new(stmt_cache),
                 prepared: BTreeMap::new(),
                 bound: BTreeMap::new(),
             }),
-            role,
+            node,
             metrics,
             notifier,
             outbox_limit,
@@ -493,104 +492,42 @@ impl Conn {
         }
     }
 
+    /// The one dispatcher, for every node role: the role supplies the
+    /// engine and, while the node follows a primary, the rule that limits
+    /// what it serves.
     fn handle_request(&self, request: Request) -> Reply {
-        // Replication frames and replica serving bypass the session: a
-        // replica's engine lives behind its `ReplicaState`, and the
-        // primary answers stream polls straight from the WAL.
-        match &self.role {
-            ConnRole::Replica { state } => match request {
-                Request::Execute { sql } => state.execute(&sql, &self.metrics),
-                Request::Prepare { .. } | Request::Bind { .. } | Request::Run { .. } => {
-                    Reply::Error {
-                        code: wire::code::READ_ONLY,
-                        message: format!(
-                            "prepared statements are not available on a replica; connect to the primary at {}",
-                            state.source()
-                        ),
-                    }
-                }
-                Request::Replicate { .. } | Request::ReplAck { .. } => Reply::Error {
-                    code: wire::code::READ_ONLY,
-                    message: "this node is itself a replica; replicate from the primary".into(),
-                },
-            },
-            ConnRole::Primary { tracker } => match request {
-                Request::Replicate {
-                    replica_id,
-                    from_offset,
-                } => {
-                    let db = lock(&self.stmts).session.shared().clone();
-                    // A sink that cannot be read back fails this poll with
-                    // a typed error; it must not take the executor down.
-                    let (primary_wal_len, last_txn_id, bytes) =
-                        match db.wal_stream_from(from_offset, REPL_SEGMENT_MAX) {
-                            Ok(segment) => segment,
-                            Err(e) => return engine_error(e),
-                        };
-                    lock(tracker).observe_poll(&replica_id, from_offset, primary_wal_len);
-                    Reply::WalSegment {
-                        start_offset: from_offset.min(primary_wal_len),
-                        primary_wal_len,
-                        last_txn_id,
-                        bytes,
-                    }
-                }
-                Request::ReplAck {
-                    replica_id,
-                    applied_offset,
-                    horizon,
-                } => {
-                    let wal_len = lock(&self.stmts).session.shared().wal_size();
-                    lock(tracker).observe_ack(&replica_id, applied_offset, horizon, wal_len);
-                    Reply::Engine(Response::Ack)
-                }
-                other => self.handle_session_request(other),
-            },
-        }
-    }
-
-    /// Live replication status for `SHOW REPLICATION` on a primary: the
-    /// engine alone would answer with an empty tracker, so the server
-    /// substitutes the per-replica state it actually observes.
-    fn replication_report(&self, stmts: &StmtState) -> Reply {
-        let ConnRole::Primary { tracker } = &self.role else {
-            unreachable!("replica requests never reach the session path");
+        let (db, following) = match self.node.serving() {
+            Ok(serving) => serving,
+            Err(refusal) => return refusal,
         };
-        let db = stmts.session.shared();
-        let report = lock(tracker).report(db.wal_size(), db.last_txn_id());
-        Reply::Engine(Response::Replication(Box::new(report)))
-    }
-
-    fn handle_session_request(&self, request: Request) -> Reply {
+        let db = &*db;
+        if let Some(replica) = following {
+            if !matches!(request, Request::Execute { .. }) {
+                return replica
+                    .follow(None)
+                    .expect_err("a following replica serves EXECUTE only");
+            }
+        }
         let mut stmts = lock(&self.stmts);
-        match request {
-            Request::Replicate { .. } | Request::ReplAck { .. } => {
-                unreachable!("replication frames handled before the session path")
-            }
-            Request::Execute { sql } => {
-                // The session's statement cache binds a text's literals
-                // into the template of its shape: no parse after the
-                // shape's first text.
-                let stmt = match executable(stmts.session.parse(&sql)) {
-                    Ok(stmt) => stmt,
-                    Err(refusal) => return refusal,
-                };
-                self.metrics.statement(stmt.class());
-                if matches!(stmt, Statement::ShowReplication) {
-                    return self.replication_report(&stmts);
-                }
-                self.respond(&stmts, stmts.session.shared().execute_stmt(stmt))
-            }
-            Request::Prepare { stmt, sql } => match stmts.session.prepare(&sql) {
-                Ok(p) => {
-                    let params = p.param_count() as u32;
-                    // Client-assigned ids: re-preparing under the same id
-                    // replaces the old statement (like SQL `PREPARE`).
-                    stmts.prepared.insert(stmt, p);
-                    Reply::Prepared { stmt, params }
-                }
-                Err(e) => engine_error(e),
+        let stmt = match request {
+            // The statement cache binds a text's literals into the
+            // template of its shape: no parse after the shape's first text.
+            Request::Execute { sql } => match executable(stmts.cache.parse(db, &sql)) {
+                Ok(stmt) => stmt,
+                Err(refusal) => return refusal,
             },
+            Request::Prepare { stmt, sql } => {
+                return match stmts.cache.parse(db, &sql) {
+                    Ok(parsed) => {
+                        let params = parsed.param_count() as u32;
+                        // Client-assigned ids: re-preparing under the same
+                        // id replaces the old statement (like SQL `PREPARE`).
+                        stmts.prepared.insert(stmt, parsed);
+                        Reply::Prepared { stmt, params }
+                    }
+                    Err(e) => engine_error(e),
+                };
+            }
             Request::Bind {
                 stmt,
                 bound,
@@ -599,36 +536,49 @@ impl Conn {
                 let Some(prepared) = stmts.prepared.get(&stmt) else {
                     return unknown_id("statement", stmt);
                 };
-                match prepared.bind(&params) {
+                return match prepared.bind(&params) {
                     Ok(b) => {
                         stmts.bound.insert(bound, b);
                         Reply::Bound { bound }
                     }
-                    Err(e) => engine_error(e),
-                }
-            }
-            Request::Run { bound } => {
-                let Some(b) = stmts.bound.remove(&bound) else {
-                    return unknown_id("bound statement", bound);
+                    Err(e) => engine_error(e.into()),
                 };
-                self.metrics.statement(b.statement().class());
-                if matches!(b.statement(), Statement::ShowReplication) {
-                    return self.replication_report(&stmts);
-                }
-                self.respond(&stmts, b.run())
             }
-        }
-    }
-
-    /// Map an execution outcome onto the wire, attaching server stats and
-    /// the engine's latency histogram summaries to `SHOW METRICS`
-    /// responses.
-    fn respond(&self, stmts: &StmtState, result: qdb_core::Result<Response>) -> Reply {
+            Request::Run { bound } => match stmts.bound.remove(&bound) {
+                Some(stmt) => stmt,
+                None => return unknown_id("bound statement", bound),
+            },
+            Request::Replicate {
+                replica_id,
+                from_offset,
+            } => return self.node.poll(db, &replica_id, from_offset),
+            Request::ReplAck {
+                replica_id,
+                applied_offset,
+                horizon,
+            } => return self.node.ack(db, &replica_id, applied_offset, horizon),
+        };
+        drop(stmts);
+        self.metrics.statement(stmt.class());
+        let stmt = match following {
+            Some(replica) => match replica.follow(Some(stmt)) {
+                Ok(read) => read,
+                Err(refusal) => return refusal,
+            },
+            None => stmt,
+        };
+        let result = match stmt {
+            Statement::Promote => self.node.promote(db),
+            Statement::ShowReplication => Ok(self.node.replication(db)),
+            stmt => db.execute_stmt(stmt),
+        };
         match result {
+            // `SHOW METRICS` carries the server's counters and the engine's
+            // latency histogram summaries too.
             Ok(Response::Metrics(engine)) => Reply::Stats {
                 engine,
                 server: self.metrics.snapshot(),
-                profile: Some(Box::new(stmts.session.shared().profile())),
+                profile: Some(Box::new(db.profile())),
             },
             Ok(r) => Reply::Engine(r),
             Err(e) => engine_error(e),

@@ -16,8 +16,8 @@
 //!                    ▼                            │  resume reads, …)
 //!            ┌────────────────────────────────────┴───────────┐
 //!            │ executor pool (N threads): drain one           │
-//!            │ connection's frames in order, execute via      │
-//!            │ Session, encode replies into its bounded       │
+//!            │ connection's frames in order, execute on the   │
+//!            │ node's engine, encode replies into its bounded │
 //!            │ outbox, write them out a batch at a time       │
 //!            └───────────────────────┬────────────────────────┘
 //!                                    ▼
@@ -36,8 +36,8 @@
 //! I/O and the reactor never executes a statement, so one slow client —
 //! or ten thousand idle ones — cannot stall the rest.
 //!
-//! Each connection owns a server-side [`qdb_core::Session`] (prepared
-//! statements, LRU statement cache) and may pipeline many frames; the
+//! Each connection owns its prepared statements and a statement-template
+//! cache ([`qdb_core::StmtCache`]) and may pipeline many frames; the
 //! scheduling discipline guarantees responses come back in request order
 //! per connection while different connections execute on different
 //! workers. Backpressure is explicit at both ends of a connection: reads
@@ -46,6 +46,12 @@
 //! more than [`ServerConfig::outbox_limit`] bytes toward a client that
 //! has stopped reading. Every engine error is encoded as an `ERROR`
 //! frame — a bad statement can never take the server down.
+//!
+//! Every request of every node role takes one path
+//! (`Conn::handle_request`) against one engine: a primary's own, or the
+//! engine a replica currently serves (see [`repl`]). A replica follows its
+//! primary under one read-only rule until it promotes; from then on it
+//! serves exactly what a born primary serves, replication frames included.
 //!
 //! ```no_run
 //! use qdb_core::{QuantumDb, QuantumDbConfig};
@@ -75,10 +81,10 @@ use qdb_core::{QuantumDb, QuantumDbConfig, SharedQuantumDb};
 
 use conn::Conn;
 pub use metrics::ServerMetrics;
-use qdb_core::{ReplicaApplier, ReplicaTracker};
+use qdb_core::ReplicaApplier;
 use reactor::{new_reactor, Notifier, ReactorConfig};
 pub use repl::ReplicaState;
-use repl::{run_puller, ConnRole, PullerConfig};
+use repl::{run_puller, Node, PullerConfig, Role};
 
 pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -96,9 +102,9 @@ pub struct ServerConfig {
     pub addr: String,
     /// Executor threads running statements (≥ 1).
     pub workers: usize,
-    /// Statement-template cache capacity per connection, and of a
-    /// replica's one shared cache (`qdb-server --prepared-cache`; `0`
-    /// disables caching so every EXECUTE parses).
+    /// Statement-template cache capacity per connection
+    /// (`qdb-server --prepared-cache`; `0` disables caching so every
+    /// EXECUTE parses).
     pub prepared_cache: usize,
     /// Engine configuration for the owned database.
     pub engine: QuantumDbConfig,
@@ -191,19 +197,31 @@ pub struct Server;
 impl Server {
     /// Build a fresh engine from `cfg.engine` and serve it. With
     /// `cfg.replicate_from` set, the node comes up as a replica instead:
-    /// its engine is fed from the primary's WAL stream and the session
-    /// stack is bypassed (see [`repl::ReplicaState`]).
+    /// the same engine is fed from the primary's WAL stream and serves
+    /// reads at its horizon until promotion (see [`repl::ReplicaState`]).
     pub fn spawn(cfg: &ServerConfig) -> io::Result<ServerHandle> {
         let db = QuantumDb::new(cfg.engine.clone())
             .map_err(|e| io::Error::other(format!("engine construction: {e}")))?
             .into_shared();
-        if let Some(path) = &cfg.trace_out {
-            let file = std::fs::File::create(path)
-                .map_err(|e| io::Error::other(format!("trace sink {path}: {e}")))?;
-            db.obs()
-                .set_trace(Some(Box::new(std::io::BufWriter::new(file))));
+        let trace = cfg.trace_out.as_ref().map(|path| {
+            let file = std::fs::File::create(path);
+            file.map(Arc::new)
+                .map_err(|e| io::Error::other(format!("trace sink {path}: {e}")))
+        });
+        let trace = trace.transpose()?;
+        if let Some(file) = &trace {
+            db.obs().set_trace(Some(Box::new(Arc::clone(file))));
         }
-        Server::spawn_inner(cfg, db)
+        let role = match &cfg.replicate_from {
+            Some(source) => Role::Replica(Arc::new(ReplicaState::new(
+                ReplicaApplier::new(db),
+                source.clone(),
+                cfg.replica_id.clone(),
+                trace,
+            ))),
+            None => Role::Primary(db),
+        };
+        Server::spawn_inner(cfg, role)
     }
 
     /// Serve an existing shared engine (embedding: pre-install schemas and
@@ -220,10 +238,10 @@ impl Server {
             workers,
             ..ServerConfig::default()
         };
-        Server::spawn_inner(&cfg, db)
+        Server::spawn_inner(&cfg, Role::Primary(db))
     }
 
-    fn spawn_inner(cfg: &ServerConfig, db: SharedQuantumDb) -> io::Result<ServerHandle> {
+    fn spawn_inner(cfg: &ServerConfig, role: Role) -> io::Result<ServerHandle> {
         let workers = cfg.workers.max(1);
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
@@ -235,49 +253,20 @@ impl Server {
         let (notifier, wake_rx) = Notifier::new()?;
         let notifier = Arc::new(notifier);
         let registry: Arc<Mutex<Vec<Weak<Conn>>>> = Arc::new(Mutex::new(Vec::new()));
+        let node = Arc::new(Node::new(role));
 
-        // Replica mode: a dedicated engine behind the replica state (the
-        // sessions' shared engine goes unused — connections route around
-        // it) plus the puller thread feeding it from the primary.
-        let (role, replica, puller) = match &cfg.replicate_from {
-            Some(source) => {
-                let engine = QuantumDb::new(cfg.engine.clone())
-                    .map_err(|e| io::Error::other(format!("replica engine: {e}")))?
-                    .into_shared();
-                let state = Arc::new(ReplicaState::new(
-                    ReplicaApplier::new(engine),
-                    source.clone(),
-                    cfg.replica_id.clone(),
-                    cfg.prepared_cache,
-                ));
-                let puller_cfg = PullerConfig {
-                    source: source.clone(),
-                    replica_id: cfg.replica_id.clone(),
-                    poll_interval: cfg.repl_poll_interval,
-                    auto_promote_after: cfg.auto_promote_after,
-                };
-                let puller_state = Arc::clone(&state);
-                let puller_shutdown = Arc::clone(&shutdown);
-                let handle = std::thread::Builder::new()
-                    .name("qdb-repl-puller".to_string())
-                    .spawn(move || run_puller(puller_state, puller_cfg, puller_shutdown))
-                    .expect("spawn puller thread");
-                (
-                    ConnRole::Replica {
-                        state: Arc::clone(&state),
-                    },
-                    Some(state),
-                    Some(handle),
-                )
-            }
-            None => (
-                ConnRole::Primary {
-                    tracker: Arc::new(Mutex::new(ReplicaTracker::new())),
-                },
-                None,
-                None,
-            ),
-        };
+        // A replica's puller thread feeds its engine from the primary.
+        let puller = node.replica_state().map(|state| {
+            let puller_cfg = PullerConfig {
+                poll_interval: cfg.repl_poll_interval,
+                auto_promote_after: cfg.auto_promote_after,
+            };
+            let (state, shutdown) = (Arc::clone(state), Arc::clone(&shutdown));
+            std::thread::Builder::new()
+                .name("qdb-repl-puller".to_string())
+                .spawn(move || run_puller(state, puller_cfg, shutdown))
+                .expect("spawn puller thread")
+        });
 
         let worker_handles: Vec<JoinHandle<()>> = (0..workers)
             .map(|i| {
@@ -291,7 +280,7 @@ impl Server {
 
         let reactor = new_reactor(
             listener,
-            db.clone(),
+            Arc::clone(&node),
             ReactorConfig {
                 prepared_cache: cfg.prepared_cache,
                 max_connections: cfg.max_connections,
@@ -305,7 +294,6 @@ impl Server {
             Arc::clone(&drain),
             job_tx.clone(),
             Arc::clone(&registry),
-            role,
         )?;
         let reactor_handle = std::thread::Builder::new()
             .name("qdb-reactor".to_string())
@@ -314,7 +302,7 @@ impl Server {
 
         Ok(ServerHandle {
             addr: local_addr,
-            db,
+            node,
             metrics,
             shutdown,
             drain,
@@ -323,7 +311,6 @@ impl Server {
             reactor: Some(reactor_handle),
             workers: worker_handles,
             registry,
-            replica,
             puller,
         })
     }
@@ -359,7 +346,7 @@ pub struct ConnMemory {
 /// A running server. Dropping the handle shuts the server down.
 pub struct ServerHandle {
     addr: SocketAddr,
-    db: SharedQuantumDb,
+    node: Arc<Node>,
     metrics: Arc<ServerMetrics>,
     shutdown: Arc<AtomicBool>,
     drain: Arc<DrainSignal>,
@@ -368,7 +355,6 @@ pub struct ServerHandle {
     reactor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     registry: Arc<Mutex<Vec<Weak<Conn>>>>,
-    replica: Option<Arc<ReplicaState>>,
     puller: Option<JoinHandle<()>>,
 }
 
@@ -378,10 +364,12 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The served engine — embedders can install schemas or inspect state
-    /// directly while the server is live.
-    pub fn db(&self) -> &SharedQuantumDb {
-        &self.db
+    /// The engine that serves the node's connections now — embedders can
+    /// install schemas or inspect state directly while the server is
+    /// live. On a replica that is the engine the stream feeds, and after
+    /// promotion the recovered one.
+    pub fn db(&self) -> SharedQuantumDb {
+        self.node.db()
     }
 
     /// Snapshot of the server-side traffic counters.
@@ -419,7 +407,7 @@ impl ServerHandle {
     /// The replica state when this server was spawned with
     /// `replicate_from` — promotion status and manual [`ReplicaState::promote`].
     pub fn replica(&self) -> Option<&Arc<ReplicaState>> {
-        self.replica.as_ref()
+        self.node.replica_state()
     }
 
     /// Stop accepting, close live connections, discard queued work, and
@@ -488,6 +476,7 @@ mod tests {
     use super::*;
     use qdb_core::wire::{self, Reply, Request};
     use qdb_core::Response;
+    use qdb_storage::Value;
     use std::io::Write;
     use std::net::TcpStream;
 
@@ -828,6 +817,168 @@ mod tests {
             exec(&mut w, "SHOW PENDING"),
             Reply::Engine(Response::Pending(vec![0, 1, 2]))
         );
+        replica.shutdown();
+    }
+
+    /// Kill `primary` once `replica` has caught up with its seeded seats
+    /// and Mickey's pending booking, and promote the replica.
+    fn fail_over(primary: ServerHandle, replica: &ServerHandle) -> TcpStream {
+        let mut p = TcpStream::connect(primary.addr()).unwrap();
+        await_caught_up(&mut p);
+        drop(p);
+        primary.shutdown();
+        let mut r = TcpStream::connect(replica.addr()).unwrap();
+        assert_eq!(exec(&mut r, "PROMOTE"), Reply::Engine(Response::Ack));
+        r
+    }
+
+    /// A primary with three seats on flight 1 and Mickey's booking pending.
+    fn seeded_primary() -> ServerHandle {
+        let primary = Server::spawn(&ServerConfig::default()).unwrap();
+        let mut p = TcpStream::connect(primary.addr()).unwrap();
+        seed_primary(&mut p);
+        assert!(matches!(
+            exec(&mut p, &booking_sql("Mickey", 1)),
+            Reply::Engine(Response::Committed(0))
+        ));
+        primary
+    }
+
+    /// PREPARE, then BIND and RUN `params` through it.
+    fn prepare_bind_run(stream: &mut TcpStream, id: u32, sql: &str, params: Vec<Value>) -> Reply {
+        let prepared = roundtrip(
+            stream,
+            &Request::Prepare {
+                stmt: id,
+                sql: sql.into(),
+            },
+        );
+        assert!(matches!(prepared, Reply::Prepared { stmt, .. } if stmt == id));
+        let bound = roundtrip(
+            stream,
+            &Request::Bind {
+                stmt: id,
+                bound: id,
+                params,
+            },
+        );
+        assert_eq!(bound, Reply::Bound { bound: id });
+        roundtrip(stream, &Request::Run { bound: id })
+    }
+
+    /// A promoted node serves prepared statements like a born primary.
+    #[test]
+    fn promoted_replica_serves_prepared_statements() {
+        let primary = seeded_primary();
+        let replica = replica_of(&primary);
+        let mut r = fail_over(primary, &replica);
+        let booking = "SELECT @s FROM Available(?, @s) CHOOSE 1 FOLLOWED BY \
+                       (DELETE (?, @s) FROM Available; INSERT (?, ?, @s) INTO Bookings)";
+        let params = vec![
+            Value::from(1),
+            Value::from(1),
+            Value::from("Donald"),
+            Value::from(1),
+        ];
+        assert_eq!(
+            prepare_bind_run(&mut r, 1, booking, params),
+            Reply::Engine(Response::Committed(1))
+        );
+        let peek = "SELECT PEEK @s FROM Available(?, @s)";
+        let Reply::Engine(Response::Rows(rows)) =
+            prepare_bind_run(&mut r, 2, peek, vec![Value::from(1)])
+        else {
+            panic!("prepared PEEK on a promoted node must answer rows");
+        };
+        assert_eq!(rows.len(), 1, "3 seats minus Mickey's and Donald's picks");
+        replica.shutdown();
+    }
+
+    /// A promoted node answers `REPLICATE`/`REPL-ACK` from its own log: a
+    /// fresh replica follows it from offset 0 and sees the same pending
+    /// set, and the promoted node lists it in `SHOW REPLICATION`.
+    #[test]
+    fn a_fresh_replica_follows_a_promoted_node() {
+        let primary = seeded_primary();
+        let replica = replica_of(&primary);
+        let mut r = fail_over(primary, &replica);
+        assert!(matches!(
+            exec(&mut r, &booking_sql("Donald", 1)),
+            Reply::Engine(Response::Committed(1))
+        ));
+        let pending = exec(&mut r, "SHOW PENDING");
+        assert_eq!(pending, Reply::Engine(Response::Pending(vec![0, 1])));
+        let follower = replica_of(&replica);
+        await_caught_up(&mut r);
+        let rep = exec(&mut r, "SHOW REPLICATION");
+        let Reply::Engine(Response::Replication(report)) = rep else {
+            panic!("SHOW REPLICATION answered {rep:?}");
+        };
+        assert_eq!(report.role.to_string(), "primary");
+        assert_eq!(report.replicas.len(), 1, "{report}");
+        let mut f = TcpStream::connect(follower.addr()).unwrap();
+        assert_eq!(exec(&mut f, "SHOW PENDING"), pending);
+        follower.shutdown();
+        replica.shutdown();
+    }
+
+    /// `trace_out` on a replica traces what its connections are served,
+    /// while it follows and after it promotes.
+    #[test]
+    fn replica_traces_the_statements_it_serves_before_and_after_promotion() {
+        let dir = std::env::temp_dir().join(format!("qdb-replica-trace-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trace.jsonl");
+        let primary = seeded_primary();
+        let replica = Server::spawn(&ServerConfig {
+            replicate_from: Some(primary.addr().to_string()),
+            repl_poll_interval: Duration::from_millis(2),
+            trace_out: Some(path.display().to_string()),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let traced = |class: &str| {
+            let text = std::fs::read_to_string(&path).unwrap();
+            text.lines()
+                .any(|l| l.contains(&format!("\"class\":\"{class}\"")))
+        };
+        let mut r = TcpStream::connect(replica.addr()).unwrap();
+        exec(&mut r, "SHOW PENDING");
+        assert!(
+            traced("SHOW PENDING"),
+            "a following replica traces what it serves"
+        );
+        let mut r = fail_over(primary, &replica);
+        assert!(!traced("INSERT"));
+        assert_eq!(
+            exec(&mut r, "INSERT INTO Available VALUES (9, '9Z')"),
+            Reply::Engine(Response::Written(true))
+        );
+        assert!(traced("INSERT"), "a promoted replica traces what it serves");
+        replica.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `ServerHandle::db` on a replica is the engine its connections are
+    /// served from: the stream's rows before promotion, the recovered
+    /// engine's after.
+    #[test]
+    fn replica_handle_db_is_the_serving_engine_before_and_after_promotion() {
+        let primary = seeded_primary();
+        let replica = replica_of(&primary);
+        let mut p = TcpStream::connect(primary.addr()).unwrap();
+        await_caught_up(&mut p);
+        drop(p);
+        let seats = |db: SharedQuantumDb| db.with_database(|d| d.table("Available").unwrap().len());
+        assert_eq!(seats(replica.db()), 3);
+        assert_eq!(replica.db().pending_ids(), vec![0]);
+        let mut r = fail_over(primary, &replica);
+        assert_eq!(
+            exec(&mut r, "INSERT INTO Available VALUES (9, '9Z')"),
+            Reply::Engine(Response::Written(true))
+        );
+        assert_eq!(seats(replica.db()), 4);
+        assert_eq!(replica.db().pending_ids(), vec![0]);
         replica.shutdown();
     }
 

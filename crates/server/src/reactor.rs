@@ -27,11 +27,9 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
-use qdb_core::SharedQuantumDb;
-
 use crate::conn::Conn;
 use crate::metrics::ServerMetrics;
-use crate::repl::ConnRole;
+use crate::repl::Node;
 use crate::sys::{Event, Poller};
 use crate::{DrainSignal, Job};
 
@@ -170,7 +168,7 @@ pub(crate) struct Reactor {
     poller: Poller,
     listener: TcpListener,
     wake_rx: UnixStream,
-    db: SharedQuantumDb,
+    node: Arc<Node>,
     cfg: ReactorConfig,
     metrics: Arc<ServerMetrics>,
     notifier: Arc<Notifier>,
@@ -178,7 +176,6 @@ pub(crate) struct Reactor {
     drain: Arc<DrainSignal>,
     job_tx: Sender<Job>,
     registry: Arc<Mutex<Vec<Weak<Conn>>>>,
-    role: ConnRole,
     slots: Vec<Option<Slot>>,
     free: Vec<usize>,
     open: usize,
@@ -199,7 +196,7 @@ pub(crate) struct Reactor {
 #[allow(clippy::too_many_arguments)] // internal plumbing, one call site
 pub(crate) fn new_reactor(
     listener: TcpListener,
-    db: SharedQuantumDb,
+    node: Arc<Node>,
     cfg: ReactorConfig,
     metrics: Arc<ServerMetrics>,
     notifier: Arc<Notifier>,
@@ -208,7 +205,6 @@ pub(crate) fn new_reactor(
     drain: Arc<DrainSignal>,
     job_tx: Sender<Job>,
     registry: Arc<Mutex<Vec<Weak<Conn>>>>,
-    role: ConnRole,
 ) -> io::Result<Reactor> {
     listener.set_nonblocking(true)?;
     let poller = Poller::new()?;
@@ -219,7 +215,7 @@ pub(crate) fn new_reactor(
         poller,
         listener,
         wake_rx,
-        db,
+        node,
         cfg,
         metrics,
         notifier,
@@ -227,7 +223,6 @@ pub(crate) fn new_reactor(
         drain,
         job_tx,
         registry,
-        role,
         slots: Vec::new(),
         free: Vec::new(),
         open: 0,
@@ -367,8 +362,8 @@ impl Reactor {
         let conn = Arc::new(Conn::new(
             stream,
             token,
-            qdb_core::Session::with_stmt_cache(self.db.clone(), self.cfg.prepared_cache),
-            self.role.clone(),
+            Arc::clone(&self.node),
+            self.cfg.prepared_cache,
             Arc::clone(&self.metrics),
             Arc::clone(&self.notifier),
             self.cfg.outbox_limit,

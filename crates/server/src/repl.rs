@@ -1,21 +1,22 @@
-//! Server-side replication: replica serving state and the WAL puller.
+//! Server-side replication: the node's role, the replica's state and the
+//! WAL puller.
 //!
-//! A replica server (`qdb-server --replicate-from ADDR`) owns its engine
-//! through a [`ReplicaState`] instead of the usual shared session stack.
-//! The puller thread polls the primary with `REPLICATE` frames, applies
-//! each returned WAL segment through the choice-preserving replay in
-//! [`qdb_core::ReplicaApplier`], and acknowledges its durable horizon
-//! with `REPL-ACK`. Connections on a replica route every request through
-//! the same state: reads execute at the replica's horizon (a `SELECT`
-//! degrades to its `PEEK` form — collapsing would make local choices the
-//! primary never logged), writes are refused with the typed
-//! `READ_ONLY` error code so `qdb-client` can fail over to the primary,
-//! and `PROMOTE` turns the node into a writable primary by recovering
-//! from the locally re-logged WAL — exactly the crash-recovery path.
-//! Following or promoted, the node runs the same [`SharedQuantumDb`] a
-//! born primary runs: the state mutex only picks the serving rules and
-//! hands out an engine handle, so statements take the engine's own
-//! fine-grained locks and never serialize behind the puller's apply.
+//! Every node serves its connections through one request path against
+//! one engine, which the node's role (`Node`) supplies: a primary's
+//! fixed handle, or the engine a replica serves now. A replica server
+//! (`qdb-server --replicate-from ADDR`) hands its one engine to a
+//! [`qdb_core::ReplicaApplier`]; the puller thread polls the primary with
+//! `REPLICATE` frames, applies each WAL segment through the applier's
+//! choice-preserving replay, and acknowledges its horizon with
+//! `REPL-ACK`. While the node follows, one rule (`ReplicaState::follow`)
+//! limits it to reads at the horizon and refuses the rest with the typed
+//! `READ_ONLY` code, so `qdb-client` can fail over to the primary.
+//! `PROMOTE` recovers a writable engine from the locally re-logged WAL —
+//! exactly the crash-recovery path — and the node then serves what a born
+//! primary serves, `REPLICATE` included, so a new replica can follow it.
+//! The state mutex only hands out the serving engine, so statements take
+//! the engine's own fine-grained locks and never serialize behind the
+//! puller's apply.
 //!
 //! Promotion also happens automatically when the primary has been
 //! unreachable for longer than `--promote-after-ms`: the puller tracks
@@ -24,6 +25,8 @@
 //! discarded — they were never acknowledged, so no client was told they
 //! are durable.
 
+use std::borrow::Cow;
+use std::fs::File;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -31,25 +34,113 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use qdb_core::wire::{self, Reply, Request};
-use qdb_core::{ReplicaApplier, ReplicaTracker, Response, SharedQuantumDb, StmtCache};
+use qdb_core::{ReplicaApplier, ReplicaTracker, Response, SharedQuantumDb};
 use qdb_logic::{ReadMode, Statement};
 
-use crate::conn::{engine_error, executable};
-use crate::metrics::ServerMetrics;
+use crate::conn::engine_error;
+use crate::lock;
 
 /// Largest WAL slice shipped per `REPLICATE` poll. Well under the frame
 /// bound so a segment reply can never trip `MAX_FRAME`.
 pub(crate) const REPL_SEGMENT_MAX: usize = 1 << 20;
 
-/// Which serving personality a connection was accepted under.
-#[derive(Clone)]
-pub(crate) enum ConnRole {
-    /// Normal server: sessions execute against the shared engine, and
-    /// `REPLICATE`/`REPL-ACK` frames are answered from the WAL, with
-    /// per-replica progress recorded in the tracker.
-    Primary { tracker: Arc<Mutex<ReplicaTracker>> },
-    /// Replica server: every request routes through the replica state.
-    Replica { state: Arc<ReplicaState> },
+/// What serves a node's connections, shared by all of them.
+pub(crate) struct Node {
+    role: Role,
+    /// Progress of the replicas that follow this node: a primary's, or a
+    /// promoted replica's.
+    tracker: Mutex<ReplicaTracker>,
+}
+
+pub(crate) enum Role {
+    Primary(SharedQuantumDb),
+    Replica(Arc<ReplicaState>),
+}
+
+impl Node {
+    pub(crate) fn new(role: Role) -> Self {
+        let tracker = Mutex::default();
+        Node { role, tracker }
+    }
+
+    /// The replica state, when the node was spawned as a replica.
+    pub(crate) fn replica_state(&self) -> Option<&Arc<ReplicaState>> {
+        match &self.role {
+            Role::Primary(_) => None,
+            Role::Replica(state) => Some(state),
+        }
+    }
+
+    /// The engine one request runs on, and the replica whose rule limits
+    /// it while the node follows a primary. A primary borrows its fixed
+    /// handle (no lock); a replica takes its engine from the state mutex,
+    /// and a failed one refuses the request.
+    pub(crate) fn serving(
+        &self,
+    ) -> Result<(Cow<'_, SharedQuantumDb>, Option<&ReplicaState>), Reply> {
+        match &self.role {
+            Role::Primary(db) => Ok((Cow::Borrowed(db), None)),
+            Role::Replica(state) => match state.serving() {
+                (db, Ok(following)) => Ok((Cow::Owned(db), following.then_some(&**state))),
+                (_, Err(e)) => Err(Reply::Error {
+                    code: wire::code::INVARIANT,
+                    message: format!("replica is out of service: {e}"),
+                }),
+            },
+        }
+    }
+
+    /// The engine that serves the node's connections now.
+    pub(crate) fn db(&self) -> SharedQuantumDb {
+        match &self.role {
+            Role::Primary(db) => db.clone(),
+            Role::Replica(state) => state.serving().0,
+        }
+    }
+
+    /// `PROMOTE`: a replica promotes; a primary's engine refuses it.
+    pub(crate) fn promote(&self, db: &SharedQuantumDb) -> qdb_core::Result<Response> {
+        match &self.role {
+            Role::Primary(_) => db.execute_stmt(Statement::Promote),
+            Role::Replica(state) => state
+                .promote()
+                .map(|()| Response::Ack)
+                .map_err(qdb_core::EngineError::Invariant),
+        }
+    }
+
+    /// `SHOW REPLICATION`: a following replica's cursor against its
+    /// upstream; otherwise the progress of the replicas following `db`.
+    pub(crate) fn replication(&self, db: &SharedQuantumDb) -> Response {
+        let upstream = self.replica_state().and_then(|s| s.upstream_report());
+        let report =
+            upstream.unwrap_or_else(|| lock(&self.tracker).report(db.wal_size(), db.last_txn_id()));
+        Response::Replication(Box::new(report))
+    }
+
+    /// A follower's `REPLICATE` poll, answered from `db`'s log.
+    pub(crate) fn poll(&self, db: &SharedQuantumDb, replica_id: &str, from_offset: u64) -> Reply {
+        // A sink that cannot be read back fails this poll with a typed
+        // error; it must not take the executor down.
+        let (primary_wal_len, last_txn_id, bytes) =
+            match db.wal_stream_from(from_offset, REPL_SEGMENT_MAX) {
+                Ok(segment) => segment,
+                Err(e) => return engine_error(e),
+            };
+        lock(&self.tracker).observe_poll(replica_id, from_offset, primary_wal_len);
+        Reply::WalSegment {
+            start_offset: from_offset.min(primary_wal_len),
+            primary_wal_len,
+            last_txn_id,
+            bytes,
+        }
+    }
+
+    /// A follower's `REPL-ACK`.
+    pub(crate) fn ack(&self, db: &SharedQuantumDb, id: &str, applied: u64, horizon: u64) -> Reply {
+        lock(&self.tracker).observe_ack(id, applied, horizon, db.wal_size());
+        Reply::Engine(Response::Ack)
+    }
 }
 
 /// The replica's mode behind one mutex: the puller applies segments under
@@ -62,8 +153,9 @@ enum ReplicaEngine {
     /// locally re-logged WAL.
     Promoted(SharedQuantumDb),
     /// Replay or promotion failed; the stored message answers every
-    /// subsequent request. A diverged replica must not guess.
-    Failed(String),
+    /// subsequent request. A diverged replica must not guess. The engine
+    /// is the last one the node served.
+    Failed(SharedQuantumDb, String),
     /// Transient marker while promotion runs (the mutex is held).
     Promoting,
 }
@@ -71,12 +163,10 @@ enum ReplicaEngine {
 /// Shared state of a replica server.
 pub struct ReplicaState {
     engine: Mutex<ReplicaEngine>,
-    /// Statement templates of every connection. Parsed statements name no
-    /// engine, so the cache serves the promoted engine too.
-    stmts: StmtCache,
     source: String,
     replica_id: String,
-    promoted: AtomicBool,
+    /// The `--trace-out` sink, installed on the promoted engine too.
+    trace: Option<Arc<File>>,
 }
 
 impl ReplicaState {
@@ -84,14 +174,13 @@ impl ReplicaState {
         applier: ReplicaApplier,
         source: String,
         replica_id: String,
-        stmt_cache: usize,
+        trace: Option<Arc<File>>,
     ) -> Self {
         ReplicaState {
             engine: Mutex::new(ReplicaEngine::Following(Box::new(applier))),
-            stmts: StmtCache::new(stmt_cache),
             source,
             replica_id,
-            promoted: AtomicBool::new(false),
+            trace,
         }
     }
 
@@ -102,13 +191,32 @@ impl ReplicaState {
 
     /// `true` once the node has promoted (explicitly or automatically).
     pub fn is_promoted(&self) -> bool {
-        self.promoted.load(Ordering::Acquire)
+        matches!(*lock(&self.engine), ReplicaEngine::Promoted(_))
+    }
+
+    /// The engine serving now, and whether the node still follows — or,
+    /// once it failed, the last engine it served and the failure.
+    fn serving(&self) -> (SharedQuantumDb, Result<bool, String>) {
+        match &*lock(&self.engine) {
+            ReplicaEngine::Following(applier) => (applier.db().clone(), Ok(true)),
+            ReplicaEngine::Promoted(db) => (db.clone(), Ok(false)),
+            ReplicaEngine::Failed(db, e) => (db.clone(), Err(e.clone())),
+            ReplicaEngine::Promoting => unreachable!("promotion runs under the engine mutex"),
+        }
+    }
+
+    /// The replica's own `SHOW REPLICATION` view while it follows.
+    fn upstream_report(&self) -> Option<qdb_core::ReplicationReport> {
+        match &*lock(&self.engine) {
+            ReplicaEngine::Following(applier) => Some(applier.report()),
+            _ => None,
+        }
     }
 
     /// Next WAL byte to request from the primary; `None` once the node
     /// is no longer following the stream.
     fn poll_cursor(&self) -> Option<u64> {
-        match &*crate::lock(&self.engine) {
+        match &*lock(&self.engine) {
             ReplicaEngine::Following(a) => Some(a.fetch_offset()),
             _ => None,
         }
@@ -119,18 +227,18 @@ impl ReplicaState {
     /// `Failed` — serving guesses after divergence would be worse than
     /// refusing.
     fn apply_segment(&self, start_offset: u64, bytes: &[u8]) -> Result<(u64, u64), String> {
-        let mut engine = crate::lock(&self.engine);
+        let mut engine = lock(&self.engine);
         match &mut *engine {
             ReplicaEngine::Following(applier) => match applier.apply_segment(start_offset, bytes) {
                 Ok(_) => Ok((applier.applied_offset(), applier.horizon())),
                 Err(e) => {
                     let msg = format!("replication apply failed: {e}");
-                    *engine = ReplicaEngine::Failed(msg.clone());
+                    *engine = ReplicaEngine::Failed(applier.db().clone(), msg.clone());
                     Err(msg)
                 }
             },
             ReplicaEngine::Promoted(_) => Err("node is promoted".into()),
-            ReplicaEngine::Failed(e) => Err(e.clone()),
+            ReplicaEngine::Failed(_, e) => Err(e.clone()),
             ReplicaEngine::Promoting => Err("promotion in progress".into()),
         }
     }
@@ -139,124 +247,73 @@ impl ReplicaState {
     /// re-logged WAL (the crash-recovery path). Idempotent once
     /// promoted.
     pub fn promote(&self) -> Result<(), String> {
-        let mut engine = crate::lock(&self.engine);
+        let mut engine = lock(&self.engine);
         match std::mem::replace(&mut *engine, ReplicaEngine::Promoting) {
-            ReplicaEngine::Following(applier) => match applier.promote() {
-                Ok(db) => {
-                    *engine = ReplicaEngine::Promoted(db);
-                    self.promoted.store(true, Ordering::Release);
-                    Ok(())
+            ReplicaEngine::Following(applier) => {
+                let following = applier.db().clone();
+                match applier.promote() {
+                    Ok(db) => {
+                        if let Some(file) = &self.trace {
+                            db.obs().set_trace(Some(Box::new(Arc::clone(file))));
+                        }
+                        *engine = ReplicaEngine::Promoted(db);
+                        Ok(())
+                    }
+                    Err(e) => {
+                        let msg = format!("promotion failed: {e}");
+                        *engine = ReplicaEngine::Failed(following, msg.clone());
+                        Err(msg)
+                    }
                 }
-                Err(e) => {
-                    let msg = format!("promotion failed: {e}");
-                    *engine = ReplicaEngine::Failed(msg.clone());
-                    Err(msg)
-                }
-            },
-            promoted @ ReplicaEngine::Promoted(_) => {
+            }
+            ReplicaEngine::Failed(db, e) => {
+                *engine = ReplicaEngine::Failed(db, e.clone());
+                Err(e)
+            }
+            promoted => {
                 *engine = promoted;
                 Ok(())
             }
-            ReplicaEngine::Failed(e) => {
-                *engine = ReplicaEngine::Failed(e.clone());
-                Err(e)
-            }
-            ReplicaEngine::Promoting => unreachable!("promotion runs under the engine mutex"),
         }
     }
 
-    /// Execute one statement under the replica's serving rules.
-    pub(crate) fn execute(&self, sql: &str, server: &ServerMetrics) -> Reply {
-        // Pick the serving engine and rules under the mutex; parse (counted
-        // and timed on that engine) and execute outside it.
-        let (db, following) = match &*crate::lock(&self.engine) {
-            ReplicaEngine::Following(applier) => (applier.db().clone(), true),
-            ReplicaEngine::Promoted(db) => (db.clone(), false),
-            ReplicaEngine::Failed(e) => return out_of_service(e),
-            ReplicaEngine::Promoting => unreachable!("promotion runs under the engine mutex"),
-        };
-        let stmt = match executable(self.stmts.parse(&db, sql)) {
-            Ok(stmt) => stmt,
-            Err(refusal) => return refusal,
-        };
-        server.statement(stmt.class());
-        let stmt = match stmt {
-            Statement::Promote => {
-                return match self.promote() {
-                    Ok(()) => Reply::Engine(Response::Ack),
-                    Err(e) => Reply::Error {
-                        code: wire::code::INVARIANT,
-                        message: e,
-                    },
-                }
-            }
-            Statement::ShowReplication if following => {
-                if let ReplicaEngine::Following(applier) = &*crate::lock(&self.engine) {
-                    return Reply::Engine(Response::Replication(Box::new(applier.report())));
-                }
-                // Promoted or failed meanwhile: the engine answers for itself.
-                Statement::ShowReplication
-            }
-            stmt if following => match self.restrict_to_reads(stmt) {
-                Ok(read) => read,
-                Err(refusal) => return refusal,
-            },
-            stmt => stmt,
-        };
-        match db.execute_stmt(stmt) {
-            Ok(Response::Metrics(m)) => Reply::Stats {
-                engine: m,
-                server: server.snapshot(),
-                profile: Some(Box::new(db.profile())),
-            },
-            Ok(r) => Reply::Engine(r),
-            Err(e) => engine_error(e),
-        }
-    }
-
-    /// What a following replica serves: reads at its horizon. Everything
-    /// else is refused with the `READ_ONLY` code naming the primary.
-    fn restrict_to_reads(&self, stmt: Statement) -> Result<Statement, Reply> {
-        match stmt {
-            // Collapsing reads would ground transactions with locally
-            // made choices the primary never logged; a replica serves
-            // the peek form of the same query at its horizon instead.
-            Statement::Select(mut sel) => {
+    /// The serving rule of a following replica, in one place. It runs an
+    /// EXECUTE's read at the horizon — a collapsing SELECT as its PEEK
+    /// form, since collapsing would ground transactions with local choices
+    /// the primary never logged — and its PROMOTE. It refuses every other
+    /// statement, and every frame but EXECUTE (`stmt` is `None`), with the
+    /// `READ_ONLY` code naming the primary.
+    pub(crate) fn follow(&self, stmt: Option<Statement>) -> Result<Statement, Reply> {
+        let refused = match stmt {
+            Some(Statement::Select(mut sel)) => {
                 if sel.mode == ReadMode::Collapse {
                     sel.mode = ReadMode::Peek;
                 }
-                Ok(Statement::Select(sel))
+                return Ok(Statement::Select(sel));
             }
-            read @ (Statement::ShowMetrics
-            | Statement::ShowPending
-            | Statement::ShowProfile
-            | Statement::ShowEvents { .. }
-            | Statement::ShowReplication) => Ok(read),
-            write => Err(Reply::Error {
-                code: wire::code::READ_ONLY,
-                message: format!(
-                    "replica '{}' is read-only: {} must run on the primary at {}",
-                    self.replica_id,
-                    write.kind(),
-                    self.source
-                ),
-            }),
-        }
-    }
-}
-
-/// The reply of a replica whose replay or promotion failed.
-fn out_of_service(e: &str) -> Reply {
-    Reply::Error {
-        code: wire::code::INVARIANT,
-        message: format!("replica is out of service: {e}"),
+            Some(
+                read @ (Statement::ShowMetrics
+                | Statement::ShowPending
+                | Statement::ShowProfile
+                | Statement::ShowEvents { .. }
+                | Statement::ShowReplication
+                | Statement::Promote),
+            ) => return Ok(read),
+            Some(write) => write.kind(),
+            None => "PREPARE/BIND/RUN or replication",
+        };
+        Err(Reply::Error {
+            code: wire::code::READ_ONLY,
+            message: format!(
+                "replica '{}' is read-only: {refused} must run on the primary at {}",
+                self.replica_id, self.source
+            ),
+        })
     }
 }
 
 /// Puller knobs, split off `ServerConfig`.
 pub(crate) struct PullerConfig {
-    pub source: String,
-    pub replica_id: String,
     /// Sleep between polls once caught up.
     pub poll_interval: Duration,
     /// Auto-promote after this long without a successful exchange with
@@ -292,7 +349,7 @@ pub(crate) fn run_puller(state: Arc<ReplicaState>, cfg: PullerConfig, shutdown: 
                 return;
             }
         }
-        let mut stream = match TcpStream::connect(&cfg.source) {
+        let mut stream = match TcpStream::connect(&state.source) {
             Ok(s) => s,
             Err(_) => {
                 sleep_responsive(backoff, &shutdown, &state);
@@ -315,7 +372,7 @@ pub(crate) fn run_puller(state: Arc<ReplicaState>, cfg: PullerConfig, shutdown: 
             let poll = wire::encode_request(
                 request_id,
                 &Request::Replicate {
-                    replica_id: cfg.replica_id.clone(),
+                    replica_id: state.replica_id.clone(),
                     from_offset,
                 },
             );
@@ -354,7 +411,7 @@ pub(crate) fn run_puller(state: Arc<ReplicaState>, cfg: PullerConfig, shutdown: 
                     let ack = wire::encode_request(
                         request_id,
                         &Request::ReplAck {
-                            replica_id: cfg.replica_id.clone(),
+                            replica_id: state.replica_id.clone(),
                             applied_offset,
                             horizon,
                         },

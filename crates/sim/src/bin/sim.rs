@@ -22,7 +22,6 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use qdb_sim::json::Json;
 use qdb_sim::{
     artifact, run_replica_sweep, run_sweep, EngineKind, Mutation, ReplicaSimConfig, RunResult,
     SimConfig,
@@ -105,55 +104,11 @@ fn cmd_run(args: &[String]) -> ExitCode {
     let started = Instant::now();
     let outcome = run_sweep(&cfg, start, seeds, &engines, Some(&dir), shrink);
     let elapsed = started.elapsed().as_secs_f64();
-    let ops_per_sec = if elapsed > 0.0 {
-        outcome.total_ops as f64 / elapsed
-    } else {
-        0.0
-    };
 
     if has(args, "--json") {
-        let failures: Vec<Json> = outcome
-            .failures
-            .iter()
-            .map(|(seed, engine, v, path)| {
-                Json::Obj(vec![
-                    ("seed".into(), Json::U64(*seed)),
-                    ("engine".into(), Json::str(*engine)),
-                    ("kind".into(), Json::str(v.kind.clone())),
-                    ("op_index".into(), Json::U64(v.op_index)),
-                    (
-                        "artifact".into(),
-                        match path {
-                            Some(p) => Json::str(p.display().to_string()),
-                            None => Json::Null,
-                        },
-                    ),
-                ])
-            })
-            .collect();
-        let doc = Json::Obj(vec![
-            ("experiment".into(), Json::str("sim")),
-            ("seeds".into(), Json::U64(seeds)),
-            ("runs".into(), Json::U64(outcome.runs)),
-            ("total_ops".into(), Json::U64(outcome.total_ops)),
-            ("ops_per_sec".into(), Json::U64(ops_per_sec as u64)),
-            ("commits".into(), Json::U64(outcome.commits)),
-            ("aborts".into(), Json::U64(outcome.aborts)),
-            ("crashes".into(), Json::U64(outcome.crashes)),
-            ("violations".into(), Json::U64(outcome.violations())),
-            ("ser_checks".into(), Json::U64(outcome.stats.ser_checks)),
-            (
-                "explain_checked".into(),
-                Json::U64(outcome.stats.explain_checked),
-            ),
-            (
-                "invariant_checks".into(),
-                Json::U64(outcome.stats.invariant_checks),
-            ),
-            ("failures".into(), Json::Arr(failures)),
-        ]);
-        println!("{}", doc.render());
+        println!("{}", outcome.record(seeds, elapsed).render());
     } else {
+        let ops_per_sec = outcome.ops_per_sec(elapsed);
         println!(
             "sim: {} runs ({} seeds × {} engines), {} ops in {elapsed:.1}s ({ops_per_sec:.0} ops/s)",
             outcome.runs,
@@ -214,32 +169,7 @@ fn cmd_repl(args: &[String]) -> ExitCode {
     let elapsed = started.elapsed().as_secs_f64();
 
     if has(args, "--json") {
-        let failures: Vec<Json> = out
-            .failures
-            .iter()
-            .map(|(seed, v)| {
-                Json::Obj(vec![
-                    ("seed".into(), Json::U64(*seed)),
-                    ("violation".into(), Json::str(v.clone())),
-                ])
-            })
-            .collect();
-        let doc = Json::Obj(vec![
-            ("experiment".into(), Json::str("sim-repl")),
-            ("seeds".into(), Json::U64(seeds)),
-            ("replicas".into(), Json::U64(cfg.replicas as u64)),
-            ("runs".into(), Json::U64(out.runs)),
-            ("total_ops".into(), Json::U64(out.total_ops)),
-            ("acked_writes".into(), Json::U64(out.acked_writes)),
-            ("surviving_acked".into(), Json::U64(out.surviving_acked)),
-            ("lost_to_window".into(), Json::U64(out.lost_to_window)),
-            ("replica_reads".into(), Json::U64(out.replica_reads)),
-            ("checked_reads".into(), Json::U64(out.checked_reads)),
-            ("max_lag_bytes".into(), Json::U64(out.max_lag_bytes)),
-            ("violations".into(), Json::U64(out.failures.len() as u64)),
-            ("failures".into(), Json::Arr(failures)),
-        ]);
-        println!("{}", doc.render());
+        println!("{}", out.record(seeds, cfg.replicas).render());
     } else {
         println!(
             "sim repl: {} runs × {} replicas, {} ops in {elapsed:.1}s",

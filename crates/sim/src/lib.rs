@@ -36,6 +36,8 @@ pub mod shrink;
 
 use std::path::{Path, PathBuf};
 
+use json::Json;
+
 pub use checker::{CheckStats, SerOutcome, Violation};
 pub use driver::{run_seed, run_trace, EngineKind, Mutation, RunResult, SimConfig, TraceEntry};
 pub use history::{Event, History, ReadKind};
@@ -70,6 +72,43 @@ impl SweepOutcome {
     /// Number of violating runs.
     pub fn violations(&self) -> u64 {
         self.failures.len() as u64
+    }
+
+    /// Statements per second over a sweep that took `elapsed_s`.
+    pub fn ops_per_sec(&self, elapsed_s: f64) -> f64 {
+        self.total_ops as f64 / elapsed_s.max(1e-9)
+    }
+
+    /// The sweep's JSON record, as `sim run --json` prints it and
+    /// `reproduce sim` writes it; `elapsed_s` is the sweep's wall time.
+    pub fn record(&self, seeds: u64, elapsed_s: f64) -> Json {
+        let failures = self.failures.iter().map(|(seed, engine, v, path)| {
+            let artifact = path.as_ref().map(|p| p.display().to_string());
+            Json::obj([
+                ("seed", Json::U64(*seed)),
+                ("engine", Json::str(*engine)),
+                ("kind", Json::str(v.kind.clone())),
+                ("op_index", Json::U64(v.op_index)),
+                ("artifact", artifact.map_or(Json::Null, Json::Str)),
+            ])
+        });
+        let counts = [
+            ("seeds", seeds),
+            ("runs", self.runs),
+            ("total_ops", self.total_ops),
+            ("ops_per_sec", self.ops_per_sec(elapsed_s) as u64),
+            ("commits", self.commits),
+            ("aborts", self.aborts),
+            ("crashes", self.crashes),
+            ("violations", self.violations()),
+            ("ser_checks", self.stats.ser_checks),
+            ("explain_checked", self.stats.explain_checked),
+            ("invariant_checks", self.stats.invariant_checks),
+        ];
+        let mut record = vec![("experiment".to_string(), Json::str("sim"))];
+        record.extend(counts.map(|(k, n)| (k.to_string(), Json::U64(n))));
+        record.push(("failures".into(), Json::arr(failures)));
+        Json::Obj(record)
     }
 }
 

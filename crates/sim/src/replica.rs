@@ -25,6 +25,7 @@
 //!    is the evaluation of a consistent state at the replica's horizon —
 //!    the staleness contract `docs/REPLICATION.md` documents.
 
+use crate::json::Json;
 use qdb_core::{
     world_fingerprint, QuantumDb, QuantumDbConfig, ReplicaApplier, Response, SharedQuantumDb,
 };
@@ -377,6 +378,36 @@ pub struct ReplicaSweepOutcome {
     pub max_lag_bytes: u64,
     /// Failing runs: `(seed, violation)`.
     pub failures: Vec<(u64, String)>,
+}
+
+impl ReplicaSweepOutcome {
+    /// The sweep's JSON record, as `sim repl --json` prints it and
+    /// `reproduce replication` writes it: the counts sit under `failover`.
+    pub fn record(&self, seeds: u64, replicas: usize) -> Json {
+        let failures = self
+            .failures
+            .iter()
+            .map(|(seed, v)| Json::obj([("seed", Json::U64(*seed)), ("violation", Json::str(v))]));
+        let counts = [
+            ("seeds", seeds),
+            ("replicas", replicas as u64),
+            ("runs", self.runs),
+            ("total_ops", self.total_ops),
+            ("acked_writes", self.acked_writes),
+            ("surviving_acked", self.surviving_acked),
+            ("lost_to_window", self.lost_to_window),
+            ("replica_reads", self.replica_reads),
+            ("checked_reads", self.checked_reads),
+            ("max_lag_bytes", self.max_lag_bytes),
+            ("violations", self.failures.len() as u64),
+        ];
+        let mut failover = Vec::from(counts.map(|(k, n)| (k.to_string(), Json::U64(n))));
+        failover.push(("failures".into(), Json::arr(failures)));
+        Json::obj([
+            ("experiment", Json::str("replication")),
+            ("failover", Json::Obj(failover)),
+        ])
+    }
 }
 
 /// Sweep `seeds` consecutive replicated-topology seeds.

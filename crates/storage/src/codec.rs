@@ -78,6 +78,17 @@ pub fn crc32(data: &[u8]) -> u32 {
 // The checked read cursor and its encoders.
 // ---------------------------------------------------------------------------
 
+/// The most elements of any list a log record holds, other than a
+/// tuple's values: a schema's columns, a `Ground` record's ops, and a
+/// logged transaction's update atoms, body atoms and terms per atom.
+/// Decoders refuse more, so [`crate::Database::create_table`] and
+/// `qdb_logic::ResourceTransaction::new` refuse to build what could not be
+/// read back.
+pub const MAX_LOG_COUNT: usize = 1 << 16;
+
+/// The most values a decoded tuple may hold.
+pub const MAX_TUPLE_ARITY: usize = 1 << 20;
+
 /// A read cursor over a byte slice: every read checks what is left and
 /// returns a typed error on short input, so a decoder needs no bounds
 /// check of its own. Integers are little-endian.
@@ -238,7 +249,7 @@ pub fn put_tuple(buf: &mut Vec<u8>, t: &Tuple) {
 
 /// Read a [`Tuple`].
 pub fn get_tuple(r: &mut Reader) -> Result<Tuple> {
-    let n = r.count(1 << 20, MIN_VALUE_BYTES, "tuple arity")?;
+    let n = r.count(MAX_TUPLE_ARITY, MIN_VALUE_BYTES, "tuple arity")?;
     let mut values = Vec::with_capacity(n);
     for _ in 0..n {
         values.push(get_value(r)?);
@@ -269,7 +280,7 @@ pub fn put_schema(buf: &mut Vec<u8>, s: &Schema) {
 pub fn get_schema(r: &mut Reader) -> Result<Schema> {
     let relation = r.str()?.to_owned();
     // A column is a name (length word) and a type byte.
-    let ncols = r.count(1 << 16, 5, "column count")?;
+    let ncols = r.count(MAX_LOG_COUNT, 5, "column count")?;
     let mut columns = Vec::with_capacity(ncols);
     for _ in 0..ncols {
         columns.push((r.str()?, get_value_type(r)?));

@@ -139,6 +139,11 @@ impl Database {
     /// Register a new table.
     pub fn create_table(&mut self, schema: Schema) -> Result<()> {
         let name = schema.relation().to_string();
+        if schema.arity() > crate::codec::MAX_LOG_COUNT {
+            let (n, max) = (schema.arity(), crate::codec::MAX_LOG_COUNT);
+            let msg = format!("'{name}' has {n} columns; a logged schema holds at most {max}");
+            return Err(StorageError::InvalidSchema(msg));
+        }
         if self.names.contains_key(&name) {
             return Err(StorageError::TableExists(name));
         }

@@ -159,7 +159,7 @@ impl LogRecord {
             T_GROUND => {
                 let id = r.u64()?;
                 // An op is at least a tag, a relation length and an arity.
-                let n = r.count(1 << 16, 9, "ground op count")?;
+                let n = r.count(codec::MAX_LOG_COUNT, 9, "ground op count")?;
                 let mut ops = Vec::with_capacity(n);
                 for _ in 0..n {
                     let tag = r.u8()?;

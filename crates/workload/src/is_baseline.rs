@@ -88,15 +88,6 @@ impl IsClient {
         })
     }
 
-    /// Scan the whole bookings table (the IS analogue of [`crate::mixed::Op::Scan`]).
-    pub fn scan_bookings(&self) -> usize {
-        let q = ConjunctiveQuery::new(vec![Pattern::new(
-            "Bookings",
-            vec![PatTerm::Var(0), PatTerm::Var(1), PatTerm::Var(2)],
-        )]);
-        q.eval(&self.db).expect("schema installed").bindings.len()
-    }
-
     fn adjacent_to_partner(&self, partner: &str, flight: i64) -> Option<String> {
         // Bookings(partner, F, s2) ⋈ Adjacent(s, s2) ⋈ Available(F, s)
         let (s, s2) = (0, 1);

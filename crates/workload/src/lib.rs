@@ -34,7 +34,7 @@ pub use entangled::{entangled_booking, make_pairs, Pair};
 pub use flights::FlightsConfig;
 pub use is_baseline::IsClient;
 pub use metrics::{coordination_stats, CoordStats};
-pub use mixed::{build_mixed_workload, build_mixed_workload_with, MixedProfile, Op};
+pub use mixed::{build_mixed_workload, Op};
 pub use orders::{arrange, ArrivalOrder, Request};
 pub use runner::{run_is, run_quantum, RunConfig, RunResult};
 pub use stream::{build_client_streams, SimOp, StreamProfile};

@@ -39,18 +39,6 @@ pub const BOOKING_SQL: &str = "\
 /// The mixed-workload read (one parameter: the reading user).
 pub const READ_SQL: &str = "SELECT @f, @s FROM Bookings(?, @f, @s)";
 
-/// The mixed-workload whole-table scan (overlaps every partition).
-pub const SCAN_SQL: &str = "SELECT @n, @f, @s FROM Bookings(@n, @f, @s)";
-
-/// The non-collapsing peek read (§3.2.2 option 2; one parameter: the
-/// peeking user). Served through the engine's delta-view path — never
-/// grounds, never clones.
-pub const PEEK_SQL: &str = "SELECT PEEK @f, @s FROM Bookings(?, @f, @s)";
-
-/// The all-possible-values read (§3.2.2 option 1; one parameter). The
-/// `LIMIT` bounds the possible-worlds enumeration.
-pub const POSSIBLE_SQL: &str = "SELECT POSSIBLE @f, @s FROM Bookings(?, @f, @s) LIMIT 32";
-
 /// One experiment configuration.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
@@ -62,15 +50,6 @@ pub struct RunConfig {
     pub order: ArrivalOrder,
     /// Read operations (mixed workload); `0` = pure resource workload.
     pub n_reads: usize,
-    /// Percentage of reads that are whole-table scans (overlapping key
-    /// ranges) instead of per-user point reads (disjoint key ranges).
-    pub scan_percent: usize,
-    /// Percentage of non-scan reads served with PEEK semantics (the
-    /// non-collapsing delta-view read).
-    pub peek_percent: usize,
-    /// Percentage of non-scan reads served as `SELECT POSSIBLE`
-    /// (bounded possible-worlds sampling).
-    pub possible_percent: usize,
     /// Workload seed (shuffles, read placement).
     pub seed: u64,
     /// Engine configuration (contains `k`).
@@ -90,9 +69,6 @@ impl RunConfig {
             pairs_per_flight,
             order,
             n_reads: 0,
-            scan_percent: 0,
-            peek_percent: 0,
-            possible_percent: 0,
             seed: 0xC1DE,
             engine: QuantumDbConfig::with_k(k),
         }
@@ -152,24 +128,9 @@ pub fn run_quantum(cfg: &RunConfig) -> RunResult {
     install(&shared, &cfg.flights).expect("schema install");
     let session: Session = shared.session();
 
-    // Parse the hot statements once; the loop only binds and runs. The
-    // scan/peek/possible statements are only prepared when the workload
-    // contains such ops, keeping the parse count at exactly two for the
-    // classic workloads.
+    // Parse the two hot statements once; the loop only binds and runs.
     let book = session.prepare(BOOKING_SQL).expect("booking SQL parses");
     let read = session.prepare(READ_SQL).expect("read SQL parses");
-    let scan = ops
-        .iter()
-        .any(|o| matches!(o, Op::Scan))
-        .then(|| session.prepare(SCAN_SQL).expect("scan SQL parses"));
-    let peek = ops
-        .iter()
-        .any(|o| matches!(o, Op::Peek { .. }))
-        .then(|| session.prepare(PEEK_SQL).expect("peek SQL parses"));
-    let possible = ops
-        .iter()
-        .any(|o| matches!(o, Op::Possible { .. }))
-        .then(|| session.prepare(POSSIBLE_SQL).expect("possible SQL parses"));
 
     let mut cumulative = Vec::with_capacity(ops.len());
     let mut read_time = Duration::ZERO;
@@ -202,40 +163,6 @@ pub fn run_quantum(cfg: &RunConfig) -> RunResult {
                 let _ = read
                     .bind(&[Value::from(user.as_str())])
                     .expect("read param binds")
-                    .run()
-                    .expect("engine healthy");
-                let dt = t0.elapsed();
-                read_hist.record_duration(dt);
-                read_time += dt;
-            }
-            Op::Peek { user } => {
-                let _ = peek
-                    .as_ref()
-                    .expect("peek prepared when workload has peeks")
-                    .bind(&[Value::from(user.as_str())])
-                    .expect("peek param binds")
-                    .run()
-                    .expect("engine healthy");
-                let dt = t0.elapsed();
-                read_hist.record_duration(dt);
-                read_time += dt;
-            }
-            Op::Possible { user } => {
-                let _ = possible
-                    .as_ref()
-                    .expect("possible prepared when workload has possibles")
-                    .bind(&[Value::from(user.as_str())])
-                    .expect("possible param binds")
-                    .run()
-                    .expect("engine healthy");
-                let dt = t0.elapsed();
-                read_hist.record_duration(dt);
-                read_time += dt;
-            }
-            Op::Scan => {
-                let _ = scan
-                    .as_ref()
-                    .expect("scan prepared when workload has scans")
                     .run()
                     .expect("engine healthy");
                 let dt = t0.elapsed();
@@ -298,15 +225,8 @@ pub fn run_is(cfg: &RunConfig) -> RunResult {
                 update_hist.record_duration(dt);
                 update_time += dt;
             }
-            Op::Read { user } | Op::Peek { user } | Op::Possible { user } => {
-                // IS assigns eagerly: every read flavor is a plain lookup.
+            Op::Read { user } => {
                 let _ = client.read_booking(user);
-                let dt = t0.elapsed();
-                read_hist.record_duration(dt);
-                read_time += dt;
-            }
-            Op::Scan => {
-                let _ = client.scan_bookings();
                 let dt = t0.elapsed();
                 read_hist.record_duration(dt);
                 read_time += dt;
@@ -338,16 +258,7 @@ fn ops_for(cfg: &RunConfig, pairs: &[Pair]) -> Vec<Op> {
             .map(Op::Book)
             .collect()
     } else {
-        crate::mixed::build_mixed_workload_with(
-            pairs,
-            cfg.n_reads,
-            cfg.seed,
-            crate::mixed::MixedProfile {
-                scan_percent: cfg.scan_percent,
-                peek_percent: cfg.peek_percent,
-                possible_percent: cfg.possible_percent,
-            },
-        )
+        crate::mixed::build_mixed_workload(pairs, cfg.n_reads, cfg.seed)
     }
 }
 
@@ -434,44 +345,6 @@ mod tests {
         // pending high-water mark stays at k... +0 tolerance.
         assert!(res.max_pending <= 3, "max_pending = {}", res.max_pending);
         assert_eq!(res.aborted, 0, "k-grounding must not cause aborts");
-    }
-
-    #[test]
-    fn scan_profile_runs_and_prepares_the_scan_once() {
-        let mut cfg = small(ArrivalOrder::Random { seed: 5 }, 61);
-        cfg.n_reads = 6;
-        cfg.scan_percent = 100; // every read overlaps every partition
-        let res = run_quantum(&cfg);
-        assert!(res.read_time > Duration::ZERO);
-        // book + point-read + scan statements: three prepares, no
-        // per-operation parses.
-        assert_eq!(res.parses, 3, "scan must be prepared exactly once");
-        // A scan collapses all pending state it meets, so it can only
-        // hurt coordination relative to the point-read profile.
-        let mut point = cfg.clone();
-        point.scan_percent = 0;
-        let p = run_quantum(&point);
-        assert!(res.coordination_percent() <= p.coordination_percent());
-    }
-
-    #[test]
-    fn read_heavy_profile_prepares_peek_and_possible_once() {
-        let mut cfg = small(ArrivalOrder::Random { seed: 5 }, 61);
-        cfg.n_reads = 20;
-        cfg.peek_percent = 60;
-        cfg.possible_percent = 20;
-        let res = run_quantum(&cfg);
-        assert!(res.read_time > Duration::ZERO);
-        // book + point-read + peek + possible: four prepares, no
-        // per-operation parses.
-        assert_eq!(res.parses, 4, "peek/possible must be prepared once");
-        // Non-collapsing reads must not cost coordination relative to the
-        // collapsing profile (they never ground anything).
-        let mut collapsing = cfg.clone();
-        collapsing.peek_percent = 0;
-        collapsing.possible_percent = 0;
-        let c = run_quantum(&collapsing);
-        assert!(res.coordination_percent() >= c.coordination_percent());
     }
 
     #[test]

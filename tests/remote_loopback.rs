@@ -345,8 +345,11 @@ fn eight_concurrent_connections_of_mixed_traffic_on_four_workers() {
 /// and the read path never clones the database.
 #[test]
 fn prepared_hot_loop_over_the_wire_parses_once_per_prepare_and_coordinates() {
-    use qdb_workload::runner::{BOOKING_SQL, PEEK_SQL, POSSIBLE_SQL};
+    use qdb_workload::runner::BOOKING_SQL;
     use qdb_workload::{arrange, coordination_stats, make_pairs, ArrivalOrder, FlightsConfig};
+
+    const PEEK_SQL: &str = "SELECT PEEK @f, @s FROM Bookings(?, @f, @s)";
+    const POSSIBLE_SQL: &str = "SELECT POSSIBLE @f, @s FROM Bookings(?, @f, @s) LIMIT 32";
 
     const CONNECTIONS: usize = 3;
     let flights = FlightsConfig {
