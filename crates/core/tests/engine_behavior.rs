@@ -9,8 +9,9 @@ use std::collections::BTreeSet;
 use qdb_core::{
     GroundingPolicy, QuantumDb, QuantumDbConfig, Serializability, SharedQuantumDb, SubmitOutcome,
 };
-use qdb_logic::{parse_query, parse_transaction, ResourceTransaction};
+use qdb_logic::{parse_query, parse_transaction, ResourceTransaction, Valuation};
 use qdb_storage::{tuple, Schema, Tuple, ValueType, WriteOp};
+use qdb_workload::pattern::eval_atoms;
 
 /// Travel schema with one flight `123` holding one row of three seats.
 fn travel_engine(config: QuantumDbConfig) -> SharedQuantumDb {
@@ -384,9 +385,6 @@ fn read_possible_exposes_all_worlds() {
     assert_eq!(m.world_dedup_hits, 0);
 }
 
-/// Query answer rows as `(var id, value)` lists.
-type Rows = Vec<Vec<(u32, qdb_storage::Value)>>;
-
 #[test]
 fn possible_matches_the_materialized_reference() {
     // Bookings on one flight (one partition) over six seats, read after
@@ -409,20 +407,12 @@ fn possible_matches_the_materialized_reference() {
                 let before = qdb.metrics();
                 let families = qdb.read_possible(&q.atoms, bound).unwrap();
                 let after = qdb.metrics();
-                let got: BTreeSet<Rows> = (families.iter())
-                    .map(|rows| {
-                        rows.iter()
-                            .map(|r| r.iter().map(|(v, c)| (v.id(), c.clone())).collect())
-                            .collect()
-                    })
-                    .collect();
+                let got: BTreeSet<Vec<Valuation>> = families.into_iter().collect();
                 let reference = qdb.with_database(|db| {
                     common::enumerate_worlds_materialized(db, &refs, bound, seed)
                 });
-                let want: BTreeSet<Rows> = reference
-                    .worlds
-                    .iter()
-                    .map(|w| eval_rows(w, &q.atoms))
+                let want: BTreeSet<Vec<Valuation>> = (reference.worlds.iter())
+                    .map(|w| eval_atoms(w, &q.atoms, None).unwrap())
                     .collect();
                 let label = format!("seed {seed}, depth {}, U{who}, LIMIT {bound}", i + 1);
                 assert_eq!(got, want, "{label}: answer families");
@@ -442,15 +432,6 @@ fn possible_matches_the_materialized_reference() {
         }
     }
     assert!(truncations > 0, "the truncating path ran");
-}
-
-/// The rows of `atoms` evaluated on a world (materialized or a view).
-fn eval_rows<V: qdb_storage::TupleView>(world: &V, atoms: &[qdb_logic::Atom]) -> Rows {
-    let empty = qdb_logic::Valuation::new();
-    let patterns = atoms.iter().map(|a| a.to_pattern(&empty)).collect();
-    let out = qdb_storage::ConjunctiveQuery::new(patterns).eval(world);
-    let rows = out.unwrap().bindings.into_iter();
-    rows.map(|b| b.into_iter().collect()).collect()
 }
 
 #[test]
@@ -594,8 +575,8 @@ fn wide_travel_engine(config: QuantumDbConfig, rows: usize) -> SharedQuantumDb {
 /// PEEK's oracle: the query, by the reference evaluator, over a copy of
 /// the base with every pending update re-grounded from the cached
 /// valuations applied (how PEEK composed its world before it read the
-/// maintained one), as `(var id, value)` rows.
-fn peek_by_regrounding(qdb: &SharedQuantumDb, atoms: &[qdb_logic::Atom]) -> Rows {
+/// maintained one).
+fn peek_by_regrounding(qdb: &SharedQuantumDb, atoms: &[qdb_logic::Atom]) -> Vec<Valuation> {
     let pending = qdb.pending_ids();
     let ops = pending
         .first()
@@ -603,7 +584,7 @@ fn peek_by_regrounding(qdb: &SharedQuantumDb, atoms: &[qdb_logic::Atom]) -> Rows
     qdb.with_database(|db| {
         let mut world = db.clone();
         world.apply_all(&ops.unwrap_or_default()).unwrap();
-        eval_rows(&world, atoms)
+        eval_atoms(&world, atoms, None).unwrap()
     })
 }
 
@@ -641,10 +622,7 @@ fn pending_world_survives_groundings_blind_writes_and_peeks() {
         }
         for (side, pair) in [(side, pair), booked[j / 2]] {
             let q = parse_query(&format!("Bookings('{}', f, s)", name(side, pair))).unwrap();
-            let peeked = qdb.read_peek(&q.atoms, None).unwrap();
-            let got: Vec<Vec<_>> = (peeked.iter())
-                .map(|row| row.iter().map(|(v, c)| (v.id(), c.clone())).collect())
-                .collect();
+            let got = qdb.read_peek(&q.atoms, None).unwrap();
             assert_eq!(got, peek_by_regrounding(&qdb, &q.atoms), "booking {j}");
             assert_eq!(got.len(), 1, "booking {j}: one row per user");
         }

@@ -21,6 +21,7 @@ use qdb_core::{
 use qdb_logic::{parse_transaction, ResourceTransaction};
 use qdb_storage::wal::{replay_bytes, MemorySink};
 use qdb_storage::{tuple, LogRecord, LogSink, Schema, StorageError, Tuple, ValueType, Wal};
+use qdb_workload::rng::StdRng;
 
 /// Appends left before the sink fails; `UNLIMITED` never fails.
 const UNLIMITED: u64 = u64::MAX;
@@ -240,41 +241,25 @@ fn ground_all_failing_inside_a_partner_group_keeps_the_landed_member_out() {
     assert_live_is_recovery(&qdb, "after the second collapse");
 }
 
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
-
 /// A seeded stream over three flights: free and fixed-seat bookings, and
 /// pairs whose halves name each other as partners (optional adjacency
 /// atoms); some pairs never complete.
 fn stream(seed: u64) -> Vec<ResourceTransaction> {
-    let mut rng = Rng(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut out = Vec::new();
     // Open pairs: (first half, the second half's name, flight).
     let mut open: Vec<(String, String, i64)> = Vec::new();
     for i in 0..24 {
         let name = format!("u{i}");
-        let flight = 1 + rng.below(3) as i64;
-        out.push(match rng.below(5) {
+        let flight = 1 + rng.gen_range(0..3) as i64;
+        out.push(match rng.gen_range(0..5) {
             0 => book(&name, flight),
             1 => {
-                let seat = format!("{flight}{}", SEATS[rng.below(4) as usize]);
+                let seat = format!("{flight}{}", SEATS[rng.gen_range(0..4)]);
                 book_seat(&name, flight, &seat)
             }
             2 if !open.is_empty() => {
-                let (first, second, flight) = open.remove(rng.below(open.len() as u64) as usize);
+                let (first, second, flight) = open.remove(rng.gen_range(0..open.len()));
                 book_next_to(&second, &first, flight)
             }
             _ => {

@@ -24,43 +24,27 @@ use qdb_core::ground::residue_untouched;
 use qdb_logic::{parse_transaction, ResourceTransaction, Valuation};
 use qdb_solver::{Solver, TxnSpec};
 use qdb_storage::{tuple, Database, Schema, ValueType, WriteOp};
+use qdb_workload::rng::StdRng;
 
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-
-    fn pick<'a>(&mut self, items: &[&'a str]) -> &'a str {
-        items[self.below(items.len() as u64) as usize]
-    }
-}
-
-const DOMAIN: u64 = 4;
+const DOMAIN: usize = 4;
 
 /// `A(k, v)` and `B(v)` are written, `C(v)` is only ever read.
-fn random_db(rng: &mut Rng) -> Database {
+fn random_db(rng: &mut StdRng) -> Database {
     let mut db = Database::new();
     let int = |name| (name, ValueType::Int);
     db.create_table(Schema::new("A", vec![int("k"), int("v")]))
         .unwrap();
     db.create_table(Schema::new("B", vec![int("v")])).unwrap();
     db.create_table(Schema::new("C", vec![int("v")])).unwrap();
-    for _ in 0..rng.below(8) {
-        let _ = db.insert("A", tuple![rng.below(2) as i64, rng.below(DOMAIN) as i64]);
+    for _ in 0..rng.gen_range(0..8) {
+        let _ = db.insert(
+            "A",
+            tuple![rng.gen_range(0..2) as i64, rng.gen_range(0..DOMAIN) as i64],
+        );
     }
     for rel in ["B", "C"] {
-        for _ in 0..rng.below(4) {
-            let _ = db.insert(rel, tuple![rng.below(DOMAIN) as i64]);
+        for _ in 0..rng.gen_range(0..4) {
+            let _ = db.insert(rel, tuple![rng.gen_range(0..DOMAIN) as i64]);
         }
     }
     db
@@ -69,10 +53,10 @@ fn random_db(rng: &mut Rng) -> Database {
 /// One or two body atoms binding `x` (the second may be read-only, bind
 /// `y`, or be all constants), then one or two updates over `x`, `y` or
 /// constants — moves, re-inserts and deletes of possibly absent tuples.
-fn random_txn(rng: &mut Rng) -> ResourceTransaction {
-    let c = rng.below(DOMAIN);
-    let first = rng.pick(&["A(0, x)", "A(1, x)", "B(x)", "C(x)"]);
-    let second = match rng.below(5) {
+fn random_txn(rng: &mut StdRng) -> ResourceTransaction {
+    let c = rng.gen_range(0..DOMAIN);
+    let first = ["A(0, x)", "A(1, x)", "B(x)", "C(x)"][rng.gen_range(0..4)];
+    let second = match rng.gen_range(0..5) {
         0 => "C(x)".to_string(),
         1 => "B(y)".to_string(),
         2 => "A(1, y)".to_string(),
@@ -81,10 +65,14 @@ fn random_txn(rng: &mut Rng) -> ResourceTransaction {
     };
     let has_y = second.contains('y');
     let mut updates = Vec::new();
-    for _ in 0..1 + rng.below(2) {
-        let var = if has_y && rng.below(2) == 0 { "y" } else { "x" };
-        let sign = rng.pick(&["-", "+"]);
-        updates.push(match rng.below(5) {
+    for _ in 0..1 + rng.gen_range(0..2) {
+        let var = if has_y && rng.gen_range(0..2) == 0 {
+            "y"
+        } else {
+            "x"
+        };
+        let sign = ["-", "+"][rng.gen_range(0..2)];
+        updates.push(match rng.gen_range(0..5) {
             0 => format!("{sign}A(0, {var})"),
             1 => format!("{sign}A(1, {var})"),
             2 => format!("{sign}B({var})"),
@@ -116,9 +104,9 @@ fn untouched_residue_keeps_verifying_on_the_new_state() {
     // dropping it would have kept a residue the oracle refutes.
     let mut cached_half_mattered = 0usize;
     for case in 0..20_000u64 {
-        let mut rng = Rng(0x1E77_A000 + case);
+        let mut rng = StdRng::seed_from_u64(0x1E77_A000 + case);
         let mut db = random_db(&mut rng);
-        let txns: Vec<ResourceTransaction> = (0..2 + rng.below(4))
+        let txns: Vec<ResourceTransaction> = (0..2 + rng.gen_range(0..4))
             .map(|_| random_txn(&mut rng))
             .collect();
         let all: Vec<&ResourceTransaction> = txns.iter().collect();
@@ -133,7 +121,7 @@ fn untouched_residue_keeps_verifying_on_the_new_state() {
         if case % 2 == 0 {
             // Grounding: a group of one or two moves to the front.
             let pick: Vec<bool> = (0..all.len())
-                .map(|i| i as u64 == case / 2 % all.len() as u64 || rng.below(4) == 0)
+                .map(|i| i as u64 == case / 2 % all.len() as u64 || rng.gen_range(0..4) == 0)
                 .collect();
             let side = |want: bool| -> (Vec<&ResourceTransaction>, Vec<Valuation>) {
                 let kept = (0..all.len()).filter(|&i| pick[i] == want);
@@ -145,7 +133,7 @@ fn untouched_residue_keeps_verifying_on_the_new_state() {
             }
             // New valuations for the group on the bare base, under a
             // per-case tie-break seed so they often differ from the cache.
-            solver.seed = rng.next();
+            solver.seed = rng.next_u64();
             let Some(fresh) = solver.solve(&db, &[], &specs(&group)).unwrap() else {
                 continue;
             };
@@ -166,9 +154,12 @@ fn untouched_residue_keeps_verifying_on_the_new_state() {
             cached_half_mattered += usize::from(by_new && !holds);
         } else {
             // Blind write: one write that changes the base.
-            let t = match rng.below(2) {
-                0 => ("A", tuple![rng.below(2) as i64, rng.below(DOMAIN) as i64]),
-                _ => ("B", tuple![rng.below(DOMAIN) as i64]),
+            let t = match rng.gen_range(0..2) {
+                0 => (
+                    "A",
+                    tuple![rng.gen_range(0..2) as i64, rng.gen_range(0..DOMAIN) as i64],
+                ),
+                _ => ("B", tuple![rng.gen_range(0..DOMAIN) as i64]),
             };
             let op = match db.contains(t.0, &t.1) {
                 true => WriteOp::delete(t.0, t.1),

@@ -17,6 +17,7 @@ use common::enumerate_worlds_materialized;
 use qdb_core::{enumerate_worlds_seeded, world_fingerprint};
 use qdb_logic::{parse_transaction, ResourceTransaction};
 use qdb_storage::{tuple, Database, Schema, ValueType};
+use qdb_workload::rng::StdRng;
 
 fn flights_db(flights: i64, seats: &[&str]) -> Database {
     let mut db = Database::new();
@@ -187,17 +188,11 @@ fn seeded_random_pending_sets_agree() {
     // over two flights — different seeds pick different shapes.
     for seed in 0..12u64 {
         let db = flights_db(2, &["1A", "1B", "1C"]);
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        let mut next = || {
-            state = state.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z ^ (z >> 31)
-        };
+        let mut rng = StdRng::seed_from_u64(seed);
         let mut txns: Vec<ResourceTransaction> = Vec::new();
         let mut named: Vec<(String, i64)> = Vec::new();
-        for i in 0..(2 + (next() % 3) as usize) {
-            let flight = 1 + (next() % 2) as i64;
+        for i in 0..2 + rng.gen_range(0..3) {
+            let flight = 1 + rng.gen_range(0..2) as i64;
             let name = format!("u{seed}_{i}");
             let adjacent_partner = named
                 .iter()
@@ -205,13 +200,13 @@ fn seeded_random_pending_sets_agree() {
                 .map(|(n, _)| n.clone())
                 .next_back();
             match adjacent_partner {
-                Some(p) if next() % 2 == 0 => txns.push(book_next_to(&name, &p, flight)),
+                Some(p) if rng.gen_range(0..2) == 0 => txns.push(book_next_to(&name, &p, flight)),
                 _ => txns.push(book(&name, flight)),
             }
             named.push((name, flight));
         }
         let refs: Vec<&ResourceTransaction> = txns.iter().collect();
-        let bound = [3, 10, 100][(next() % 3) as usize];
+        let bound = [3, 10, 100][rng.gen_range(0..3)];
         assert_equivalent(&db, &refs, bound, &format!("seed {seed}"));
     }
 }

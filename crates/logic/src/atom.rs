@@ -3,7 +3,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use qdb_storage::{PatTerm, Pattern, Tuple};
+use qdb_storage::Tuple;
 
 use crate::substitution::Substitution;
 use crate::term::{Term, Var};
@@ -67,23 +67,6 @@ impl Atom {
             })
             .collect::<Result<Vec<_>, _>>()
             .map(Tuple::from)
-    }
-
-    /// Convert to a storage-layer query pattern, mapping variables by their
-    /// numeric id. Variables already bound in `val` become constants.
-    pub fn to_pattern(&self, val: &Valuation) -> Pattern {
-        let terms = self
-            .terms
-            .iter()
-            .map(|t| match t {
-                Term::Const(c) => PatTerm::Const(c.clone()),
-                Term::Var(v) => match val.get(v) {
-                    Some(c) => PatTerm::Const(c.clone()),
-                    None => PatTerm::Var(v.id()),
-                },
-            })
-            .collect();
-        Pattern::new(self.relation.as_ref(), terms)
     }
 
     /// Could this atom and `other` ever denote the same tuple? Same
@@ -160,17 +143,6 @@ mod tests {
         val.bind(vars[1].clone(), Value::from("1A"));
         let t = a.ground(&val).unwrap();
         assert_eq!(t.to_string(), "(1, '1A')");
-    }
-
-    #[test]
-    fn to_pattern_respects_bindings() {
-        let (_, a) = setup();
-        let mut val = Valuation::new();
-        let vars: Vec<Var> = a.vars().cloned().collect();
-        val.bind(vars[0].clone(), Value::from(7));
-        let p = a.to_pattern(&val);
-        assert_eq!(p.terms[0], PatTerm::Const(Value::from(7)));
-        assert_eq!(p.terms[1], PatTerm::Var(vars[1].id()));
     }
 
     #[test]

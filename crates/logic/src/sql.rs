@@ -996,6 +996,7 @@ impl SqlParser {
 mod tests {
     use super::*;
     use crate::parser::parse_transaction;
+    use qdb_workload::rng::StdRng;
 
     const MICKEY_SQL: &str = "\
         SELECT @f, @s \
@@ -1411,37 +1412,28 @@ mod tests {
         assert_eq!(exact.literals("SHOW METRICS"), None);
     }
 
-    /// splitmix64, for the seeded corpus below.
-    fn next(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     /// A literal as SQL text: strings over the characters that matter to
     /// the scanner, integers of either sign and every size, some past i64.
-    fn literal(rng: &mut u64) -> String {
+    fn literal(rng: &mut StdRng) -> String {
         const CHARS: &[u8] = b"()=?@;,*-_ 09aZ";
-        match next(rng) % 6 {
+        match rng.gen_range(0..6) {
             0 | 1 => {
-                let len = next(rng) % 6;
+                let len = rng.gen_range(0..6);
                 let s: String = (0..len)
-                    .map(|_| CHARS[(next(rng) % CHARS.len() as u64) as usize] as char)
+                    .map(|_| CHARS[rng.gen_range(0..CHARS.len())] as char)
                     .collect();
                 format!("'{s}'")
             }
-            2 => (next(rng) % 1000).to_string(),
-            3 => format!("-{}", next(rng) % 1000),
+            2 => rng.gen_range(0..1000).to_string(),
+            3 => format!("-{}", rng.gen_range(0..1000)),
             _ => [
                 "0",
                 "9223372036854775807",
                 "-9223372036854775808",
                 "9223372036854775808",
                 "-99999999999999999999",
-            ][(next(rng) % 5) as usize]
-                .to_string(),
+            ][rng.gen_range(0..5)]
+            .to_string(),
         }
     }
 
@@ -1526,7 +1518,7 @@ mod tests {
         let mut last: Vec<Option<Template>> = vec![None; shapes.len()];
         let (mut bound, mut fell_back, mut bad_text, mut unstripped, mut matched) = (0, 0, 0, 0, 0);
         for case in 0..4000u64 {
-            let mut rng = 0x7E3F_0000 ^ case;
+            let mut rng = StdRng::seed_from_u64(0x7E3F_0000 ^ case);
             let index = case as usize % shapes.len();
             let (shape, fallback) = shapes[index];
             let mut text = String::new();
@@ -1537,7 +1529,7 @@ mod tests {
                 text.push_str(piece);
             }
             let stripped = strip_literals(&text);
-            let other = (next(&mut rng) % shapes.len() as u64) as usize;
+            let other = rng.gen_range(0..shapes.len());
             for earlier in [&last[index], &last[other]].into_iter().flatten() {
                 let own = stripped.as_ref().filter(|(t, _)| t == earlier);
                 assert_eq!(

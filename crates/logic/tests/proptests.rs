@@ -11,23 +11,7 @@ use qdb_logic::{
     Valuation, Var, VarGen,
 };
 use qdb_storage::Value;
-
-/// splitmix64 — tiny, seedable, good enough for case generation.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
+use qdb_workload::rng::StdRng;
 
 const CASES: u64 = 2000;
 
@@ -36,15 +20,15 @@ fn var(id: u32) -> Var {
 }
 
 /// A term over a small pool: variables x0..x3, integers 0..3, 'a' / 'b'.
-fn random_term(rng: &mut Rng) -> Term {
-    match rng.below(3) {
-        0 => Term::Var(var(rng.below(4) as u32)),
-        1 => Term::val(rng.below(4) as i64),
-        _ => Term::val(["a", "b"][rng.below(2) as usize]),
+fn random_term(rng: &mut StdRng) -> Term {
+    match rng.gen_range(0..3) {
+        0 => Term::Var(var(rng.gen_range(0..4) as u32)),
+        1 => Term::val(rng.gen_range(0..4) as i64),
+        _ => Term::val(["a", "b"][rng.gen_range(0..2)]),
     }
 }
 
-fn random_atom(rng: &mut Rng, relation: &str, arity: usize) -> Atom {
+fn random_atom(rng: &mut StdRng, relation: &str, arity: usize) -> Atom {
     Atom::new(relation, (0..arity).map(|_| random_term(rng)).collect())
 }
 
@@ -54,14 +38,14 @@ fn random_atom(rng: &mut Rng, relation: &str, arity: usize) -> Atom {
 fn mgu_is_a_symmetric_idempotent_unifier() {
     let mut unified = 0;
     for case in 0..CASES {
-        let mut rng = Rng(0x3200_0000 ^ case);
+        let mut rng = StdRng::seed_from_u64(0x3200_0000 ^ case);
         let (ra, rb) = (
-            ["A", "B"][rng.below(2) as usize],
-            ["A", "B"][rng.below(2) as usize],
+            ["A", "B"][rng.gen_range(0..2)],
+            ["A", "B"][rng.gen_range(0..2)],
         );
-        let arity = 1 + rng.below(3) as usize;
-        let other = if rng.below(4) == 0 {
-            1 + rng.below(3) as usize
+        let arity = 1 + rng.gen_range(0..3);
+        let other = if rng.gen_range(0..4) == 0 {
+            1 + rng.gen_range(0..3)
         } else {
             arity
         };
@@ -89,14 +73,14 @@ fn mgu_is_a_symmetric_idempotent_unifier() {
 fn unification_predicate_characterizes_unifiers() {
     let (mut equal_cases, mut unequal_cases) = (0, 0);
     for case in 0..CASES {
-        let mut rng = Rng(0x3300_0000 ^ case);
-        let arity = 1 + rng.below(3) as usize;
+        let mut rng = StdRng::seed_from_u64(0x3300_0000 ^ case);
+        let arity = 1 + rng.gen_range(0..3);
         let a = random_atom(&mut rng, "R", arity);
         let b = random_atom(&mut rng, "R", arity);
         // Integer values only: a variable can then never equal 'a' / 'b',
         // so both outcomes stay common.
         let val: Valuation = (0..4)
-            .map(|id| (var(id), Value::from(rng.below(4) as i64)))
+            .map(|id| (var(id), Value::from(rng.gen_range(0..4) as i64)))
             .collect();
         let ground = |atom: &Atom| -> Vec<Value> {
             atom.terms
@@ -126,25 +110,25 @@ fn unification_predicate_characterizes_unifiers() {
 #[test]
 fn display_parse_roundtrip() {
     for case in 0..CASES {
-        let mut rng = Rng(0x3500_0000 ^ case);
+        let mut rng = StdRng::seed_from_u64(0x3500_0000 ^ case);
         let mut g = VarGen::new();
         let vars: Vec<Var> = (0..3).map(|i| g.fresh(format!("v{i}"))).collect();
-        let n_body = 1 + rng.below(3) as usize;
+        let n_body = 1 + rng.gen_range(0..3);
         let body: Vec<BodyAtom> = (0..n_body)
             .map(|i| {
-                let term = |rng: &mut Rng| match rng.below(4) {
-                    0 => Term::val(rng.below(100) as i64),
-                    _ => Term::Var(vars[rng.below(3) as usize].clone()),
+                let term = |rng: &mut StdRng| match rng.gen_range(0..4) {
+                    0 => Term::val(rng.gen_range(0..100) as i64),
+                    _ => Term::Var(vars[rng.gen_range(0..3)].clone()),
                 };
                 BodyAtom {
                     atom: Atom::new(["A", "B"][i % 2], vec![term(&mut rng), term(&mut rng)]),
                     // The first atom stays required: the updates use it.
-                    optional: i > 0 && rng.below(2) == 0,
+                    optional: i > 0 && rng.gen_range(0..2) == 0,
                 }
             })
             .collect();
         let first = &body[0].atom;
-        let updates: Vec<UpdateAtom> = (0..1 + rng.below(2))
+        let updates: Vec<UpdateAtom> = (0..1 + rng.gen_range(0..2))
             .map(|i| match i {
                 0 => UpdateAtom::delete(first.clone()),
                 _ => UpdateAtom::insert(Atom::new("C", first.terms.clone())),

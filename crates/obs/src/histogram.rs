@@ -223,20 +223,8 @@ impl HistSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qdb_workload::rng::StdRng;
     use std::sync::Arc;
-
-    /// splitmix64 — the workspace's stock tiny deterministic generator.
-    struct TestRng(u64);
-
-    impl TestRng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-            z ^ (z >> 31)
-        }
-    }
 
     #[test]
     fn bucket_bounds_partition_the_u64_range() {
@@ -273,18 +261,18 @@ mod tests {
     /// recording the concatenated stream.
     #[test]
     fn percentiles_track_a_sorted_vec_reference() {
-        let mut rng = TestRng(0xC1D2_2013);
+        let mut rng = StdRng::seed_from_u64(0xC1D2_2013);
         for case in 0..40u32 {
-            let n = 1 + (rng.next() % 3000) as usize;
+            let n = 1 + rng.gen_range(0..3000);
             let h = Histogram::new();
             let mut vals = Vec::with_capacity(n);
             for _ in 0..n {
                 // Mix of scales: sub-µs, µs, ms, and heavy-tail seconds.
-                let v = match rng.next() % 4 {
-                    0 => rng.next() % 1_000,
-                    1 => rng.next() % 1_000_000,
-                    2 => rng.next() % 1_000_000_000,
-                    _ => rng.next() % 60_000_000_000,
+                let v = match rng.gen_range(0..4) {
+                    0 => rng.gen_range(0..1_000) as u64,
+                    1 => rng.gen_range(0..1_000_000) as u64,
+                    2 => rng.gen_range(0..1_000_000_000) as u64,
+                    _ => rng.gen_range(0..60_000_000_000) as u64,
                 };
                 h.record(v);
                 vals.push(v);
@@ -314,10 +302,10 @@ mod tests {
 
     #[test]
     fn merged_snapshots_match_the_concatenated_stream() {
-        let mut rng = TestRng(7);
+        let mut rng = StdRng::seed_from_u64(7);
         let (a, b, both) = (Histogram::new(), Histogram::new(), Histogram::new());
         for i in 0..2000u64 {
-            let v = rng.next() % 1_000_000;
+            let v = rng.gen_range(0..1_000_000) as u64;
             if i % 2 == 0 {
                 a.record(v)
             } else {

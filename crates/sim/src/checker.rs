@@ -20,8 +20,8 @@
 //! 3. **Explainability of uncertain reads** — every PEEK answer and every
 //!    POSSIBLE answer set must be producible by some possible world over
 //!    the currently pending transactions (checked by the driver with
-//!    [`eval_atoms`] over enumerated worlds, each read through the
-//!    checker's own [`WorldView`]).
+//!    [`eval_atoms`](qdb_workload::pattern::eval_atoms) over enumerated
+//!    worlds, each read through the checker's own [`WorldView`]).
 //!
 //! The schedule search memoizes on the *set* of already-scheduled
 //! records: under clean application, presence of a tuple after a set of
@@ -33,9 +33,8 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 
 use qdb_logic::{Atom, ResourceTransaction, Term, UpdateKind, Valuation};
 use qdb_solver::Overlay;
-use qdb_storage::{
-    ConjunctiveQuery, Database, StorageError, Table, Tuple, TupleView, Value, WriteOp,
-};
+use qdb_storage::{Database, StorageError, Table, Tuple, Value, WriteOp};
+use qdb_workload::pattern::TupleView;
 
 /// One schedulable unit: a grounded resource transaction (with its
 /// decoded body, when the WAL's `PendingAdd` payload was available) or a
@@ -499,36 +498,6 @@ impl TupleView for WorldView<'_> {
     }
 }
 
-/// Evaluate a conjunctive query (logic atoms) against any tuple view
-/// with the storage layer's reference evaluator — the checker's own,
-/// public-API-only counterpart of the engine's read mode, so read
-/// answers are verified by an independent code path.
-pub fn eval_atoms<V: TupleView + ?Sized>(
-    view: &V,
-    atoms: &[Atom],
-) -> Result<Vec<Valuation>, StorageError> {
-    let empty = Valuation::new();
-    let patterns = atoms.iter().map(|a| a.to_pattern(&empty)).collect();
-    let out = ConjunctiveQuery::new(patterns).eval(view)?;
-    let mut by_id = std::collections::BTreeMap::new();
-    for a in atoms {
-        for v in a.vars() {
-            by_id.entry(v.id()).or_insert_with(|| v.clone());
-        }
-    }
-    Ok(out
-        .bindings
-        .into_iter()
-        .map(|b| {
-            let mut val = Valuation::new();
-            for (id, value) in b {
-                val.bind(by_id[&id].clone(), value);
-            }
-            val
-        })
-        .collect())
-}
-
 /// A canonical, order-insensitive form of one answer row.
 pub type CanonRow = Vec<(String, Value)>;
 
@@ -568,6 +537,7 @@ mod tests {
     use super::*;
     use qdb_logic::parse_transaction;
     use qdb_storage::{tuple, Schema, ValueType};
+    use qdb_workload::pattern::eval_atoms;
 
     fn base() -> Database {
         let mut db = Database::new();
@@ -660,7 +630,7 @@ mod tests {
     fn canon_forms_ignore_order() {
         let db = base();
         let atoms = qdb_logic::parse_query("Available(f, s)").unwrap().atoms;
-        let mut answers = eval_atoms(&db, &atoms).unwrap();
+        let mut answers = eval_atoms(&db, &atoms, None).unwrap();
         assert_eq!(answers.len(), 2);
         let c1 = canon_set(&answers);
         answers.reverse();

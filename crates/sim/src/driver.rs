@@ -40,12 +40,13 @@ use qdb_server::{Server, ServerHandle};
 use qdb_storage::wal::{apply_faults, frame_spans, replay_bytes, FaultSink, MemorySink, SinkFault};
 use qdb_storage::{tuple, Database, LogRecord, LogSink, Schema, Value, ValueType, Wal, WriteOp};
 use qdb_workload::entangled::{entangled_booking, solo_booking};
+use qdb_workload::pattern::eval_atoms;
 use qdb_workload::rng::StdRng;
 use qdb_workload::{build_client_streams, FlightsConfig, SimOp, StreamProfile};
 
 use crate::checker::{
-    canon_family, canon_set, check_serializable, eval_atoms, CanonSet, CheckStats, GroundedRec,
-    SerOutcome, Violation, WorldView,
+    canon_family, canon_set, check_serializable, CanonSet, CheckStats, GroundedRec, SerOutcome,
+    Violation, WorldView,
 };
 use crate::history::{Event, History, ReadKind, Site};
 
@@ -1120,7 +1121,7 @@ impl Driver {
         // evaluator.
         let ext = self
             .engine
-            .with_db(|db| eval_atoms(db, &atoms))
+            .with_db(|db| eval_atoms(db, &atoms, None))
             .map_err(|e| self.viol("storage_error", e.to_string()))?;
         if canon_set(&rows) != canon_set(&ext) {
             return Err(self.viol(
@@ -1231,7 +1232,7 @@ impl Driver {
             let mut sets = Vec::with_capacity(ws.worlds.len());
             for world in &ws.worlds {
                 let view = WorldView::new(ws.base, world);
-                let ans = eval_atoms(&view, atoms).map_err(|e| e.to_string())?;
+                let ans = eval_atoms(&view, atoms, None).map_err(|e| e.to_string())?;
                 sets.push(canon_set(&ans));
             }
             Ok((sets, ws.truncated))

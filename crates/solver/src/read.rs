@@ -11,8 +11,8 @@
 //!
 //! # Same answers, same order
 //!
-//! Read mode runs exactly the depth-first search of the storage layer's
-//! reference evaluator, [`qdb_storage::ConjunctiveQuery`], so every row
+//! Read mode runs exactly the depth-first search of the reference
+//! evaluator, `qdb_workload::pattern::ConjunctiveQuery`, so every row
 //! list and every `LIMIT` cut is the one that evaluator gives on the
 //! materialized state:
 //!
@@ -49,7 +49,7 @@ pub struct ReadSpec<'a> {
 impl<'a> ReadSpec<'a> {
     /// Compile `atoms` against `base`. The errors are the storage layer's,
     /// for the first atom whose relation is unknown or whose arity is
-    /// wrong — what [`qdb_storage::ConjunctiveQuery::eval`] reports.
+    /// wrong — what `qdb_workload::pattern::ConjunctiveQuery::eval` reports.
     pub fn compile(base: &Database, atoms: &'a [Atom]) -> qdb_storage::Result<Self> {
         let spec = CompiledSpec::body_only(base, atoms)?;
         let mut by_id: Vec<usize> = (0..spec.vars.len()).collect();
@@ -180,7 +180,8 @@ impl Search<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qdb_storage::{tuple, ConjunctiveQuery, Schema, StorageError, ValueType, WriteOp};
+    use qdb_storage::{tuple, Schema, StorageError, ValueType, WriteOp};
+    use qdb_workload::pattern::eval_atoms;
 
     fn base() -> Database {
         let mut db = Database::new();
@@ -240,11 +241,7 @@ mod tests {
         let db = base();
         for text in ["Nope(x)", "A(x)", "A(f, s), Nope(f)", "A(f), Nope(f)"] {
             let q = atoms(text);
-            let reference = {
-                let empty = Valuation::new();
-                let patterns = q.iter().map(|a| a.to_pattern(&empty)).collect();
-                ConjunctiveQuery::new(patterns).eval(&db).unwrap_err()
-            };
+            let reference = eval_atoms(&db, &q, None).unwrap_err();
             let got = ReadSpec::compile(&db, &q).unwrap_err();
             assert_eq!(got, reference, "{text}");
             assert!(matches!(

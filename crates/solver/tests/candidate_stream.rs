@@ -18,55 +18,35 @@
 
 use qdb_solver::Overlay;
 use qdb_storage::{Database, Schema, Table, Tuple, Value, ValueType, WriteOp};
+use qdb_workload::rng::StdRng;
 
-/// splitmix64 — tiny, seedable, good enough for case generation.
-struct Rng(u64);
+const DOMAIN: usize = 4;
 
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-
-    fn chance(&mut self, percent: u64) -> bool {
-        self.below(100) < percent
-    }
-}
-
-const DOMAIN: i64 = 4;
-
-fn random_tuple(rng: &mut Rng, arity: usize) -> Tuple {
+fn random_tuple(rng: &mut StdRng, arity: usize) -> Tuple {
     Tuple::from(
         (0..arity)
-            .map(|_| Value::from(rng.below(DOMAIN as u64) as i64))
+            .map(|_| Value::from(rng.gen_range(0..DOMAIN) as i64))
             .collect::<Vec<_>>(),
     )
 }
 
 /// A random database: 1–3 tables of arity 1–3 (full-row keys), random
 /// rows from a small integer domain, random secondary indexes.
-fn random_db(rng: &mut Rng) -> Database {
+fn random_db(rng: &mut StdRng) -> Database {
     let mut db = Database::new();
-    let tables = 1 + rng.below(3) as usize;
+    let tables = 1 + rng.gen_range(0..3);
     for t in 0..tables {
-        let arity = 1 + rng.below(3) as usize;
+        let arity = 1 + rng.gen_range(0..3);
         let names: Vec<String> = (0..arity).map(|c| format!("c{c}")).collect();
         let cols: Vec<(&str, ValueType)> =
             names.iter().map(|n| (n.as_str(), ValueType::Int)).collect();
         db.create_table(Schema::new(format!("R{t}"), cols)).unwrap();
-        let rows = rng.below(20) as usize;
+        let rows = rng.gen_range(0..20);
         for _ in 0..rows {
             let _ = db.insert(&format!("R{t}"), random_tuple(rng, arity));
         }
         for c in 0..arity {
-            if rng.chance(40) {
+            if rng.gen_range(0..100) < 40 {
                 db.table_mut(&format!("R{t}"))
                     .unwrap()
                     .create_index(c)
@@ -80,27 +60,27 @@ fn random_db(rng: &mut Rng) -> Database {
 /// A random overlay history over `db`: applied inserts and deletes of
 /// random tuples (conflicting inserts skipped, exactly as the search
 /// does), with occasional rollbacks to exercise the journal.
-fn random_overlay(rng: &mut Rng, db: &Database) -> Overlay {
+fn random_overlay(rng: &mut StdRng, db: &Database) -> Overlay {
     let mut ov = Overlay::new();
     let relations: Vec<String> = db
         .tables()
         .map(|t| t.schema().relation().to_string())
         .collect();
     let mut marks = Vec::new();
-    for _ in 0..rng.below(30) {
-        let rel = &relations[rng.below(relations.len() as u64) as usize];
+    for _ in 0..rng.gen_range(0..30) {
+        let rel = &relations[rng.gen_range(0..relations.len())];
         let arity = db.table(rel).unwrap().schema().arity();
         let tuple = random_tuple(rng, arity);
-        let op = if rng.chance(50) {
+        let op = if rng.gen_range(0..100) < 50 {
             WriteOp::insert(rel.as_str(), tuple)
         } else {
             WriteOp::delete(rel.as_str(), tuple)
         };
         let _ = ov.try_apply(db, &op);
-        if rng.chance(10) {
+        if rng.gen_range(0..100) < 10 {
             marks.push(ov.mark());
         }
-        if rng.chance(5) {
+        if rng.gen_range(0..100) < 5 {
             if let Some(mark) = marks.pop() {
                 ov.rollback(mark);
             }
@@ -109,11 +89,11 @@ fn random_overlay(rng: &mut Rng, db: &Database) -> Overlay {
     ov
 }
 
-fn random_bound(rng: &mut Rng, arity: usize) -> Vec<Option<Value>> {
+fn random_bound(rng: &mut StdRng, arity: usize) -> Vec<Option<Value>> {
     (0..arity)
         .map(|_| {
-            if rng.chance(50) {
-                Some(Value::from(rng.below(DOMAIN as u64 + 1) as i64)) // may miss
+            if rng.gen_range(0..100) < 50 {
+                Some(Value::from(rng.gen_range(0..DOMAIN + 1) as i64)) // may miss
             } else {
                 None
             }
@@ -172,7 +152,7 @@ fn stream_and_counts_equal_materialized_candidates_for_random_cases() {
     // How often the sweep reached each shape the kernel special-cases.
     let (mut point_hits, mut point_misses, mut deletes_under_index) = (0, 0, 0);
     for case in 0..400u64 {
-        let mut rng = Rng(0xC1DE_0000 + case);
+        let mut rng = StdRng::seed_from_u64(0xC1DE_0000 + case);
         let db = random_db(&mut rng);
         let ov = random_overlay(&mut rng, &db);
         let label = format!("case {case}");
@@ -283,14 +263,14 @@ fn stream_is_stable_across_rolled_back_interleaved_mutation() {
     // The search pulls, recurses (mutating the overlay), rolls back, and
     // pulls again. The stream must still produce the reference sequence.
     for case in 0..100u64 {
-        let mut rng = Rng(0xFEED_0000 + case);
+        let mut rng = StdRng::seed_from_u64(0xFEED_0000 + case);
         let db = random_db(&mut rng);
         let mut ov = random_overlay(&mut rng, &db);
         let relations: Vec<String> = db
             .tables()
             .map(|t| t.schema().relation().to_string())
             .collect();
-        let rel = relations[rng.below(relations.len() as u64) as usize].clone();
+        let rel = relations[rng.gen_range(0..relations.len())].clone();
         let rid = db.resolve(&rel).unwrap();
         let arity = db.table(&rel).unwrap().schema().arity();
         let bound = random_bound(&mut rng, arity);
@@ -301,11 +281,11 @@ fn stream_is_stable_across_rolled_back_interleaved_mutation() {
             got.push(t);
             // Speculative deeper-level work, rolled back before resuming.
             let mark = ov.mark();
-            for _ in 0..rng.below(4) {
-                let r = &relations[rng.below(relations.len() as u64) as usize];
+            for _ in 0..rng.gen_range(0..4) {
+                let r = &relations[rng.gen_range(0..relations.len())];
                 let a = db.table(r).unwrap().schema().arity();
                 let tuple = random_tuple(&mut rng, a);
-                let op = if rng.chance(50) {
+                let op = if rng.gen_range(0..100) < 50 {
                     WriteOp::insert(r.as_str(), tuple)
                 } else {
                     WriteOp::delete(r.as_str(), tuple)

@@ -1,12 +1,13 @@
 //! Randomized equivalence: reading a possible world through an
 //! [`Overlay`] in read mode must be indistinguishable — result **order
-//! included** — from evaluating the storage layer's reference evaluator
-//! against a cloned database with the same ops applied.
+//! included** — from the reference evaluator
+//! (`qdb_workload::pattern::eval_atoms`) on a cloned database with the
+//! same ops applied.
 //!
 //! This is the contract the clone-free read path rests on: the engine
 //! answers collapse, PEEK and POSSIBLE reads with [`ReadSpec`] over the
-//! base plus an overlay, and the materializing reference survives only
-//! here. Each case builds a random base (one to three columns, secondary
+//! base plus an overlay, and the materializing reference lives only in
+//! test support. Each case builds a random base (one to three columns, secondary
 //! indexes, up to ~100 rows so counts pass the grounding search's ordering
 //! cap), applies a random op sequence — many of them deletes of base rows,
 //! inserts landing between base rows — to both a clone and an overlay,
@@ -22,40 +23,23 @@
 //! * the overlay's own materialization.
 //!
 //! The `proptest` crate is not vendored in this offline workspace, so the
-//! cases come from a seeded splitmix64 loop (a failure prints the case).
+//! cases come from a seeded loop over `qdb_workload::rng::StdRng` (a
+//! failure prints the case).
 
 use qdb_logic::{Atom, Term, Valuation, Var};
 use qdb_solver::{Overlay, ReadSpec};
-use qdb_storage::{ConjunctiveQuery, Database, Schema, Tuple, Value, ValueType, WriteOp};
-
-/// Splitmix64 — the same deterministic generator idiom the workload crate
-/// uses; only self-consistency per seed matters here.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    fn chance(&mut self, percent: usize) -> bool {
-        self.below(100) < percent
-    }
-}
+use qdb_storage::{Database, Schema, Tuple, Value, ValueType, WriteOp};
+use qdb_workload::pattern::eval_atoms;
+use qdb_workload::rng::StdRng;
 
 /// Small value domains so inserts, deletes and joins collide.
-fn random_value(rng: &mut Rng, ty: ValueType) -> Value {
+fn random_value(rng: &mut StdRng, ty: ValueType) -> Value {
     match ty {
-        ValueType::Int => Value::from(rng.below(8) as i64),
-        ValueType::Str => Value::from(["a", "b", "c", "d", "e", "f", "g", "h"][rng.below(8)]),
-        ValueType::Bool => Value::from(rng.chance(50)),
+        ValueType::Int => Value::from(rng.gen_range(0..8) as i64),
+        ValueType::Str => {
+            Value::from(["a", "b", "c", "d", "e", "f", "g", "h"][rng.gen_range(0..8)])
+        }
+        ValueType::Bool => Value::from(rng.gen_range(0..100) < 50),
     }
 }
 
@@ -65,7 +49,7 @@ struct Rel {
 }
 
 impl Rel {
-    fn random_row(&self, rng: &mut Rng) -> Tuple {
+    fn random_row(&self, rng: &mut StdRng) -> Tuple {
         (self.types.iter())
             .map(|t| random_value(rng, *t))
             .collect::<Vec<_>>()
@@ -73,13 +57,13 @@ impl Rel {
     }
 }
 
-fn random_base(rng: &mut Rng) -> (Database, Vec<Rel>) {
+fn random_base(rng: &mut StdRng) -> (Database, Vec<Rel>) {
     let mut db = Database::new();
     let mut rels = Vec::new();
-    for name in ["R0", "R1", "R2"].into_iter().take(2 + rng.below(2)) {
-        let arity = 1 + rng.below(3);
+    for name in ["R0", "R1", "R2"].into_iter().take(2 + rng.gen_range(0..2)) {
+        let arity = 1 + rng.gen_range(0..3);
         let types: Vec<ValueType> = (0..arity)
-            .map(|_| [ValueType::Int, ValueType::Str][rng.below(2)])
+            .map(|_| [ValueType::Int, ValueType::Str][rng.gen_range(0..2)])
             .collect();
         let columns: Vec<String> = (0..arity).map(|i| format!("c{i}")).collect();
         let borrowed = columns
@@ -92,14 +76,14 @@ fn random_base(rng: &mut Rng) -> (Database, Vec<Rel>) {
     }
     // Random rows (duplicates are no-ops).
     for rel in &rels {
-        for _ in 0..rng.below(120) {
+        for _ in 0..rng.gen_range(0..120) {
             db.insert(rel.name, rel.random_row(rng)).unwrap();
         }
     }
     // Random secondary indexes (row order must not depend on them).
     for rel in &rels {
-        if rng.chance(40) {
-            let col = rng.below(rel.types.len());
+        if rng.gen_range(0..100) < 40 {
+            let col = rng.gen_range(0..rel.types.len());
             db.table_mut(rel.name).unwrap().create_index(col).unwrap();
         }
     }
@@ -108,11 +92,11 @@ fn random_base(rng: &mut Rng) -> (Database, Vec<Rel>) {
 
 /// Deletes mostly hit base rows; inserts are random rows, so they land
 /// between the base rows.
-fn random_op(rng: &mut Rng, base: &Database, rels: &[Rel]) -> WriteOp {
-    let rel = &rels[rng.below(rels.len())];
+fn random_op(rng: &mut StdRng, base: &Database, rels: &[Rel]) -> WriteOp {
+    let rel = &rels[rng.gen_range(0..rels.len())];
     let table = base.table(rel.name).unwrap();
-    if rng.chance(40) {
-        let existing = (!table.is_empty()).then(|| table.iter().nth(rng.below(table.len())));
+    if rng.gen_range(0..100) < 40 {
+        let existing = (!table.is_empty()).then(|| table.iter().nth(rng.gen_range(0..table.len())));
         let row = existing.flatten().cloned();
         return WriteOp::delete(rel.name, row.unwrap_or_else(|| rel.random_row(rng)));
     }
@@ -122,17 +106,17 @@ fn random_op(rng: &mut Rng, base: &Database, rels: &[Rel]) -> WriteOp {
 /// 1–3 atoms: constants, repeated variables and joins over variables
 /// `x0..x2` — or, for a third of the queries, a cross product of two
 /// whole relations, each atom with variables of its own.
-fn random_query(rng: &mut Rng, rels: &[Rel]) -> Vec<Atom> {
-    let cross = rng.chance(33);
-    (0..if cross { 2 } else { 1 + rng.below(3) })
+fn random_query(rng: &mut StdRng, rels: &[Rel]) -> Vec<Atom> {
+    let cross = rng.gen_range(0..100) < 33;
+    (0..if cross { 2 } else { 1 + rng.gen_range(0..3) })
         .map(|k| {
-            let rel = &rels[rng.below(rels.len())];
+            let rel = &rels[rng.gen_range(0..rels.len())];
             let terms = (rel.types.iter())
                 .map(|t| {
-                    if !cross && rng.chance(20) {
+                    if !cross && rng.gen_range(0..100) < 20 {
                         Term::Const(random_value(rng, *t))
                     } else {
-                        let id = (rng.below(3) + if cross { 3 * k } else { 0 }) as u32;
+                        let id = (rng.gen_range(0..3) + if cross { 3 * k } else { 0 }) as u32;
                         Term::Var(Var::new(id, format!("x{id}")))
                     }
                 })
@@ -142,29 +126,9 @@ fn random_query(rng: &mut Rng, rels: &[Rel]) -> Vec<Atom> {
         .collect()
 }
 
-/// The reference: `ConjunctiveQuery` over `db`, as valuations in order.
-fn reference(db: &Database, atoms: &[Atom], limit: Option<usize>) -> Vec<Valuation> {
-    let empty = Valuation::new();
-    let mut query = ConjunctiveQuery::new(atoms.iter().map(|a| a.to_pattern(&empty)).collect());
-    if let Some(l) = limit {
-        query = query.with_limit(l);
-    }
-    let var = |id: u32| {
-        atoms
-            .iter()
-            .flat_map(Atom::vars)
-            .find(|v| v.id() == id)
-            .cloned()
-    };
-    let bindings = query.eval(db).unwrap().bindings.into_iter();
-    bindings
-        .map(|b| b.into_iter().map(|(id, v)| (var(id).unwrap(), v)).collect())
-        .collect()
-}
-
-fn random_bound(rng: &mut Rng, rel: &Rel) -> Vec<Option<Value>> {
+fn random_bound(rng: &mut StdRng, rel: &Rel) -> Vec<Option<Value>> {
     (rel.types.iter())
-        .map(|t| rng.chance(40).then(|| random_value(rng, *t)))
+        .map(|t| (rng.gen_range(0..100) < 40).then(|| random_value(rng, *t)))
         .collect()
 }
 
@@ -194,14 +158,14 @@ fn fingerprint(db: &Database) -> String {
 fn delta_view_evaluation_matches_the_clone_based_reference() {
     let (mut answered, mut cut) = (0, 0);
     for case in 0..500u64 {
-        let mut rng = Rng(0xD17A_0000 ^ case.wrapping_mul(0x9E37));
+        let mut rng = StdRng::seed_from_u64(0xD17A_0000 ^ case.wrapping_mul(0x9E37));
         let (base, rels) = random_base(&mut rng);
         let mut materialized = base.clone();
         let mut world = Overlay::new();
 
         // The same effect: changed, unchanged, or (inserts) a duplicate
         // the table ignores and the overlay refuses.
-        for _ in 0..rng.below(24) {
+        for _ in 0..rng.gen_range(0..24) {
             let op = random_op(&mut rng, &base, &rels);
             let want = materialized.apply(&op);
             let got = world.apply(&base, &op);
@@ -217,7 +181,7 @@ fn delta_view_evaluation_matches_the_clone_based_reference() {
         for rel in &rels {
             let bound = random_bound(&mut rng, rel);
             let rid = base.resolve(rel.name).unwrap();
-            let want = materialized.table(rel.name).unwrap().count(&bound);
+            let want = materialized.table(rel.name).unwrap().select(&bound).count();
             let (got, _) = world
                 .count_up_to_id(&base, rid, &bound, usize::MAX)
                 .unwrap();
@@ -227,8 +191,8 @@ fn delta_view_evaluation_matches_the_clone_based_reference() {
         // Conjunctive queries: identical answers, in order.
         for _ in 0..8 {
             let atoms = random_query(&mut rng, &rels);
-            let limit = rng.chance(30).then(|| rng.below(4));
-            let want = reference(&materialized, &atoms, limit);
+            let limit = (rng.gen_range(0..100) < 30).then(|| rng.gen_range(0..4));
+            let want = eval_atoms(&materialized, &atoms, limit).unwrap();
             let read = ReadSpec::compile(&base, &atoms).unwrap();
             let got = read.valuations(&base, &world, limit);
             assert_eq!(
@@ -237,7 +201,7 @@ fn delta_view_evaluation_matches_the_clone_based_reference() {
                 "{}",
                 label(&format!("{atoms:?} LIMIT {limit:?}"))
             );
-            let all = reference(&materialized, &atoms, None);
+            let all = eval_atoms(&materialized, &atoms, None).unwrap();
             let rows: Vec<Valuation> = (read.rows(&base, [&world]).remove(0).into_iter())
                 .map(|row| read.valuation(row))
                 .collect();

@@ -13,6 +13,7 @@
 use qdb_logic::{parse_transaction, ResourceTransaction};
 use qdb_solver::{Overlay, Solver, TxnSpec};
 use qdb_storage::{tuple, Database, Schema, ValueType, WriteOp};
+use qdb_workload::rng::StdRng;
 
 const ROWS: u32 = 50;
 const FLIGHTS: i64 = 2;
@@ -67,24 +68,15 @@ fn flight_db() -> Database {
     db
 }
 
-/// splitmix64 step (the seed of the "seeded" pending set).
-fn next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// 16 pending bookings on flight 1 as an overlay: seeded seats among rows
 /// 10–15, the first 18 keys of the flight's index bucket (labels sort as
 /// strings), so first-fit candidates walk through deleted seats.
 fn pending_ops() -> Vec<WriteOp> {
     let mut ops: Vec<WriteOp> = Vec::new();
-    let mut rng = 0xC1DE_u64;
+    let mut rng = StdRng::seed_from_u64(0xC1DE);
     while ops.len() < 32 {
-        let row = 10 + (next(&mut rng) % 6) as u32;
-        let s = seat(row, (next(&mut rng) % 3) as usize);
+        let row = 10 + rng.gen_range(0..6) as u32;
+        let s = seat(row, rng.gen_range(0..3));
         let delete = WriteOp::delete("Available", tuple![1, s.as_str()]);
         if !ops.contains(&delete) {
             let name = format!("p{}", ops.len() / 2);

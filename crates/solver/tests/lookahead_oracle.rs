@@ -24,27 +24,7 @@
 use qdb_logic::{parse_transaction, ResourceTransaction, Valuation};
 use qdb_solver::{Solver, TxnSpec};
 use qdb_storage::{tuple, Database, Schema, ValueType, WriteOp};
-
-/// splitmix64 — tiny, seedable, good enough for case generation.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-
-    fn chance(&mut self, percent: u64) -> bool {
-        self.below(100) < percent
-    }
-}
+use qdb_workload::rng::StdRng;
 
 const CASES: u64 = 1500;
 const FLIGHTS: i64 = 2;
@@ -53,8 +33,8 @@ const FLIGHTS: i64 = 2;
 /// is not vacuous.
 const MIN_PRUNED_PCT: u64 = 20;
 
-fn seat(row: u64, pos: u64) -> String {
-    format!("{row}{}", ["A", "B", "C"][pos as usize])
+fn seat(row: usize, pos: usize) -> String {
+    format!("{row}{}", ["A", "B", "C"][pos])
 }
 
 /// `rows` rows × 3 seats per flight, adjacency within a row, fragmented:
@@ -62,7 +42,7 @@ fn seat(row: u64, pos: u64) -> String {
 /// 70 % odds. The benchmark's indexes, plus sometimes one on
 /// `Adjacent.s2` (an index never changes which candidates come, in what
 /// order).
-fn seat_map(rng: &mut Rng, rows: u64) -> Database {
+fn seat_map(rng: &mut StdRng, rows: usize) -> Database {
     let mut db = Database::new();
     db.create_table(Schema::new(
         "Available",
@@ -96,13 +76,13 @@ fn seat_map(rng: &mut Rng, rows: u64) -> Database {
         ("Bookings", 0),
         ("Adjacent", 0),
     ];
-    if rng.chance(50) {
+    if rng.gen_range(0..100) < 50 {
         indexes.push(("Adjacent", 1));
     }
     for (rel, col) in indexes {
         db.table_mut(rel).unwrap().create_index(col).unwrap();
     }
-    let fragmented = 30 + rng.below(50);
+    let fragmented = 30 + rng.gen_range(0..50);
     for row in 1..=rows {
         let [a, b, c] = [0, 1, 2].map(|pos| seat(row, pos));
         for (x, y) in [(&a, &b), (&b, &a), (&b, &c), (&c, &b)] {
@@ -110,9 +90,9 @@ fn seat_map(rng: &mut Rng, rows: u64) -> Database {
                 .unwrap();
         }
         for f in 1..=FLIGHTS {
-            let single = rng.chance(fragmented).then(|| rng.below(3) as usize);
+            let single = (rng.gen_range(0..100) < fragmented).then(|| rng.gen_range(0..3));
             for (pos, s) in [&a, &b, &c].into_iter().enumerate() {
-                let free = single.map_or_else(|| rng.chance(70), |only| only == pos);
+                let free = single.map_or_else(|| rng.gen_range(0..100) < 70, |only| only == pos);
                 if free {
                     db.insert("Available", tuple![f, s.as_str()]).unwrap();
                 }
@@ -123,7 +103,7 @@ fn seat_map(rng: &mut Rng, rows: u64) -> Database {
 }
 
 /// Take a random available seat of `flight` out of `db`, or `None`.
-fn take_seat(rng: &mut Rng, db: &Database, taken: &[WriteOp], flight: i64) -> Option<String> {
+fn take_seat(rng: &mut StdRng, db: &Database, taken: &[WriteOp], flight: i64) -> Option<String> {
     let free: Vec<String> = db
         .table("Available")
         .unwrap()
@@ -132,26 +112,26 @@ fn take_seat(rng: &mut Rng, db: &Database, taken: &[WriteOp], flight: i64) -> Op
         .filter(|t| !taken.contains(&WriteOp::delete("Available", (*t).clone())))
         .map(|t| t[1].as_str().unwrap().to_string())
         .collect();
-    (!free.is_empty()).then(|| free[rng.below(free.len() as u64) as usize].clone())
+    (!free.is_empty()).then(|| free[rng.gen_range(0..free.len())].clone())
 }
 
 /// Pending bookings as an overlay, of strangers and sometimes of a group
 /// name (a visible tuple a partner atom can match).
-fn pending_ops(rng: &mut Rng, db: &Database) -> Vec<WriteOp> {
+fn pending_ops(rng: &mut StdRng, db: &Database) -> Vec<WriteOp> {
     let mut ops = Vec::new();
-    for n in 0..rng.below(7) {
-        let name = match rng.below(10) {
-            0 => ["A", "B"][rng.below(2) as usize].to_string(),
+    for n in 0..rng.gen_range(0..7) {
+        let name = match rng.gen_range(0..10) {
+            0 => ["A", "B"][rng.gen_range(0..2)].to_string(),
             _ => format!("p{n}"),
         };
-        let flight = 1 + rng.below(FLIGHTS as u64) as i64;
+        let flight = 1 + rng.gen_range(0..FLIGHTS as usize) as i64;
         book_seat(rng, db, &mut ops, &name, flight);
     }
     ops
 }
 
 /// Append a pending booking of a random free seat of `flight` by `name`.
-fn book_seat(rng: &mut Rng, db: &Database, ops: &mut Vec<WriteOp>, name: &str, flight: i64) {
+fn book_seat(rng: &mut StdRng, db: &Database, ops: &mut Vec<WriteOp>, name: &str, flight: i64) {
     if let Some(s) = take_seat(rng, db, ops, flight) {
         ops.push(WriteOp::delete("Available", tuple![flight, s.as_str()]));
         ops.push(WriteOp::insert(
@@ -194,31 +174,31 @@ enum Shape {
 /// asks for it with a repeated variable, or a cancellation of `X`'s
 /// booking. Names are mostly distinct; a repeated one gives the partner two
 /// sources.
-fn mixed_member(rng: &mut Rng, names: &[&'static str]) -> (&'static str, String) {
+fn mixed_member(rng: &mut StdRng, names: &[&'static str]) -> (&'static str, String) {
     let position = names.len();
-    let f = match rng.below(3) {
+    let f = match rng.gen_range(0..3) {
         0 => "f".to_string(),
         n => n.to_string(),
     };
     // A constant partner flight against a variable own flight pins the
     // earlier member's variable: the case the rule handles exactly.
-    let pf = if f == "f" && rng.chance(30) {
-        (1 + rng.below(FLIGHTS as u64)).to_string()
+    let pf = if f == "f" && rng.gen_range(0..100) < 30 {
+        (1 + rng.gen_range(0..FLIGHTS as usize)).to_string()
     } else {
         f.clone()
     };
-    let name = match rng.chance(15) {
-        true if position > 0 => names[rng.below(position as u64) as usize],
+    let name = match rng.gen_range(0..100) < 15 {
+        true if position > 0 => names[rng.gen_range(0..position)],
         _ => ["A", "B", "C"][position],
     };
-    let partner = match rng.below(20) {
+    let partner = match rng.gen_range(0..20) {
         0 => "Z",
-        1 => ["A", "B", "C"][rng.below(3) as usize],
-        _ if position > 0 => names[rng.below(position as u64) as usize],
-        _ => ["B", "C"][rng.below(2) as usize],
+        1 => ["A", "B", "C"][rng.gen_range(0..3)],
+        _ if position > 0 => names[rng.gen_range(0..position)],
+        _ => ["B", "C"][rng.gen_range(0..2)],
     };
     let book = format!("-Available({f}, s), +Bookings('{name}', {f}, s)");
-    let text = match rng.below(10) {
+    let text = match rng.gen_range(0..10) {
         0 if position == 1 => cancel_x(&f),
         1 if position == 0 => format!("{book}, +Pair(s, s) :-1 Available({f}, s)"),
         2 if position > 0 => {
@@ -236,19 +216,19 @@ fn cancel_x(f: &str) -> String {
 }
 
 /// A case: the seat map, the pending overlay and the group, as texts.
-fn case(rng: &mut Rng, shape: Shape) -> (Database, Vec<WriteOp>, Vec<String>) {
+fn case(rng: &mut StdRng, shape: Shape) -> (Database, Vec<WriteOp>, Vec<String>) {
     // The targeted shapes crowd one flight of a few rows, where a wrongly
     // fired rule soon rejects the seat the search would have kept.
     let rows = if shape == Shape::Mixed {
-        3 + rng.below(4)
+        3 + rng.gen_range(0..4)
     } else {
-        2 + rng.below(3)
+        2 + rng.gen_range(0..3)
     };
     let mut db = seat_map(rng, rows);
-    if shape == Shape::MiddleInsert || rng.chance(30) {
+    if shape == Shape::MiddleInsert || rng.gen_range(0..100) < 30 {
         // X holds a committed booking a cancellation can free.
         let flight = if shape == Shape::Mixed {
-            1 + rng.below(FLIGHTS as u64) as i64
+            1 + rng.gen_range(0..FLIGHTS as usize) as i64
         } else {
             1
         };
@@ -262,7 +242,7 @@ fn case(rng: &mut Rng, shape: Shape) -> (Database, Vec<WriteOp>, Vec<String>) {
     let group = match shape {
         Shape::Mixed => {
             let mut names = Vec::new();
-            (0..2 + rng.below(2))
+            (0..2 + rng.gen_range(0..2))
                 .map(|_| {
                     let (name, text) = mixed_member(rng, &names);
                     names.push(name);
@@ -275,9 +255,9 @@ fn case(rng: &mut Rng, shape: Shape) -> (Database, Vec<WriteOp>, Vec<String>) {
             vec![booking("A", "1", None), booking("B", "1", Some(("A", "1")))]
         }
         Shape::TwoSources => {
-            let rows = db.table("Adjacent").unwrap().len() as u64 / 4;
-            for _ in 0..1 + rng.below(2) {
-                let spare = seat(1 + rng.below(rows), rng.below(3));
+            let rows = db.table("Adjacent").unwrap().len() / 4;
+            for _ in 0..1 + rng.gen_range(0..2) {
+                let spare = seat(1 + rng.gen_range(0..rows), rng.gen_range(0..3));
                 if !db.contains("Available", &tuple![1, spare.as_str()]) {
                     db.insert("Spare", tuple![1, spare.as_str()]).unwrap();
                 }
@@ -299,13 +279,13 @@ fn case(rng: &mut Rng, shape: Shape) -> (Database, Vec<WriteOp>, Vec<String>) {
 
 /// The member as the solver takes it: its optional atoms promoted, mostly
 /// — the first member less often, as in a grounding's second promotion set.
-fn spec<'a>(rng: &mut Rng, position: usize, txn: &'a ResourceTransaction) -> TxnSpec<'a> {
+fn spec<'a>(rng: &mut StdRng, position: usize, txn: &'a ResourceTransaction) -> TxnSpec<'a> {
     let optionals: Vec<usize> = (txn.body.iter().enumerate())
         .filter(|(_, b)| b.optional)
         .map(|(i, _)| i)
         .collect();
     let skip = if position == 0 { 60 } else { 15 };
-    match optionals.is_empty() || rng.chance(skip) {
+    match optionals.is_empty() || rng.gen_range(0..100) < skip {
         true => TxnSpec::required_only(txn),
         false => TxnSpec::with_promoted(txn, optionals),
     }
@@ -356,8 +336,8 @@ fn lookahead_search_returns_the_sequential_reference_valuations() {
     let mut tally = [[0u64; 5]; 4];
     for n in 0..CASES {
         let seed = 0x100C_A4EAD ^ n;
-        let mut rng = Rng(seed);
-        let shape = match rng.below(6) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let shape = match rng.gen_range(0..6) {
             0 => Shape::Visible,
             1 => Shape::TwoSources,
             2 => Shape::MiddleInsert,

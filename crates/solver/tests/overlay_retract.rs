@@ -21,22 +21,7 @@
 
 use qdb_solver::Overlay;
 use qdb_storage::{tuple, Database, RelationId, Schema, Tuple, ValueType};
-
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
+use qdb_workload::rng::StdRng;
 
 /// One applied update: insert (`true`) or delete of a tuple.
 type Op = (bool, Tuple);
@@ -54,31 +39,34 @@ fn retract_is_exact_for_private_tuples_and_refuses_cancelled_deltas() {
     // (effective, no-op delete, insert-after-delete, delete-after-insert)
     let mut seen = [0usize; 4];
     for case in 0..300u64 {
-        let mut rng = Rng(0x2E7A_0000 + case);
+        let mut rng = StdRng::seed_from_u64(0x2E7A_0000 + case);
         let mut db = Database::new();
         db.create_table(Schema::new(
             "R",
             vec![("a", ValueType::Int), ("b", ValueType::Int)],
         ))
         .unwrap();
-        for _ in 0..rng.below(6) {
-            let _ = db.insert("R", tuple![rng.below(3) as i64, rng.below(3) as i64]);
+        for _ in 0..rng.gen_range(0..6) {
+            let _ = db.insert(
+                "R",
+                tuple![rng.gen_range(0..3) as i64, rng.gen_range(0..3) as i64],
+            );
         }
         let rid = db.resolve("R").unwrap();
         let mut ov = Overlay::new();
         let mut live: Vec<Op> = Vec::new();
         for step in 0..40 {
             let label = format!("case {case} step {step}: {live:?}");
-            if live.is_empty() || rng.below(100) < 60 {
+            if live.is_empty() || rng.gen_range(0..100) < 60 {
                 let op = (
-                    rng.below(2) == 0,
-                    tuple![rng.below(3) as i64, rng.below(3) as i64],
+                    rng.gen_range(0..2) == 0,
+                    tuple![rng.gen_range(0..3) as i64, rng.gen_range(0..3) as i64],
                 );
                 if ov.try_apply_id(&db, rid, op.0, &op.1) {
                     live.push(op);
                 }
             } else {
-                let at = rng.below(live.len() as u64) as usize;
+                let at = rng.gen_range(0..live.len());
                 let (insert, t) = live[at].clone();
                 let in_base = db.contains("R", &t);
                 let on_tuple: Vec<bool> = (live.iter())

@@ -14,23 +14,7 @@
 use qdb_logic::{parse_transaction, ResourceTransaction, VarGen};
 use qdb_solver::{AtomOrder, CachedSolution, Overlay, Solver, TxnSpec};
 use qdb_storage::{tuple, Database, Schema, ValueType};
-
-/// splitmix64 — tiny, seedable, good enough for case generation.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
+use qdb_workload::rng::StdRng;
 
 const CASES: u64 = 200;
 
@@ -66,15 +50,15 @@ fn seats_db(flights: i64, rows: usize) -> Database {
 /// 1–5 bookings, renamed apart: each on flight 1, flight 2 or any flight,
 /// and a third of the later ones also requiring the previous user's
 /// (still pending) booking to exist.
-fn random_bookings(rng: &mut Rng) -> Vec<ResourceTransaction> {
+fn random_bookings(rng: &mut StdRng) -> Vec<ResourceTransaction> {
     let mut gen = VarGen::new();
-    (0..1 + rng.below(5) as usize)
+    (0..1 + rng.gen_range(0..5))
         .map(|i| {
-            let f = match rng.below(3) {
+            let f = match rng.gen_range(0..3) {
                 0 => "f".to_string(),
                 n => n.to_string(),
             };
-            let depends = if i > 0 && rng.below(3) == 0 {
+            let depends = if i > 0 && rng.gen_range(0..3) == 0 {
                 format!(", Bookings('u{}', f2, s2)", i - 1)
             } else {
                 String::new()
@@ -95,8 +79,8 @@ fn random_bookings(rng: &mut Rng) -> Vec<ResourceTransaction> {
 fn solutions_verify_and_replay_and_orderings_agree() {
     let (mut sat, mut unsat) = (0, 0);
     for case in 0..CASES {
-        let mut rng = Rng(0x5010_0000 ^ case);
-        let db = seats_db(2, 1 + rng.below(2) as usize);
+        let mut rng = StdRng::seed_from_u64(0x5010_0000 ^ case);
+        let db = seats_db(2, 1 + rng.gen_range(0..2));
         let txns = random_bookings(&mut rng);
         let specs: Vec<TxnSpec> = txns.iter().map(TxnSpec::required_only).collect();
         let mut solver = Solver::new(AtomOrder::MostConstrained);
@@ -149,7 +133,7 @@ fn solutions_verify_and_replay_and_orderings_agree() {
 fn cache_extension_is_sound() {
     let (mut admitted_total, mut refused_total) = (0, 0);
     for case in 0..CASES {
-        let mut rng = Rng(0x5020_0000 ^ case);
+        let mut rng = StdRng::seed_from_u64(0x5020_0000 ^ case);
         let db = seats_db(2, 1);
         let mut solver = Solver::default();
         let (mut world, mut cache) = (Overlay::new(), CachedSolution::default());
@@ -232,13 +216,13 @@ fn enumeration_keeps_exactly_the_groundings_whose_updates_apply_in_order() {
         "-Bookings('x', f, s), +Bookings('x', f, s) :-1 Available(f, s)",
         "-Available(f, s), +Bookings('x', f, s) :-1 Available(f, s)",
     ];
-    let mut rng = Rng(0x5EED_C011);
+    let mut rng = StdRng::seed_from_u64(0x5EED_C011);
     for case in 0..CASES {
         let db = seats_db(2, 3);
         // A random pending state: some seats taken, some already booked.
         let mut pre_ops = Vec::new();
         for row in db.table("Available").unwrap().iter() {
-            match rng.below(4) {
+            match rng.gen_range(0..4) {
                 0 => pre_ops.push(qdb_storage::WriteOp::delete("Available", row.clone())),
                 1 => pre_ops.push(qdb_storage::WriteOp::insert(
                     "Bookings",
@@ -247,7 +231,7 @@ fn enumeration_keeps_exactly_the_groundings_whose_updates_apply_in_order() {
                 _ => {}
             }
         }
-        let txn = parse_transaction(shapes[rng.below(shapes.len() as u64) as usize]).unwrap();
+        let txn = parse_transaction(shapes[rng.gen_range(0..shapes.len())]).unwrap();
         let spec = TxnSpec::required_only(&txn);
         let mut solver = Solver::default();
         let got = solver.enumerate_one(&db, &pre_ops, &spec, 100).unwrap();

@@ -299,6 +299,7 @@ mod tests {
     use super::*;
     use crate::tuple;
     use crate::wal::LogRecord;
+    use qdb_workload::rng::StdRng;
 
     /// The bytewise reference the slicing-by-8 loop must agree with.
     fn crc32_bytewise(data: &[u8]) -> u32 {
@@ -330,16 +331,8 @@ mod tests {
         // Seeded splitmix64 bytes; every length 0..=300 at every start
         // offset 0..8, so the 8-byte loop meets every alignment and
         // every remainder length.
-        let mut state = 0x5EED_C0DE_u64;
-        let data: Vec<u8> = (0..320)
-            .map(|_| {
-                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                (z ^ (z >> 31)) as u8
-            })
-            .collect();
+        let mut rng = StdRng::seed_from_u64(0x5EED_C0DE);
+        let data: Vec<u8> = (0..320).map(|_| rng.next_u64() as u8).collect();
         for start in 0..8 {
             for len in 0..=300 {
                 let slice = &data[start..start + len];

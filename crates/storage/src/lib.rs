@@ -10,8 +10,9 @@
 //!   is its whole row),
 //! * secondary indexes ("appropriate indices are defined for each relation",
 //!   §5.2),
-//! * **conjunctive query evaluation with `LIMIT n`** — the paper's
-//!   satisfiability checks are `LIMIT 1` join queries (§4),
+//! * **partial-binding lookups** (`Table::select`, `Table::count_up_to`)
+//!   — the probes the paper's `LIMIT 1` satisfiability joins (§4) are
+//!   built from,
 //! * a **write-ahead log** with checksummed frames and a *pending
 //!   transactions table* record kind, so that committed-but-unground
 //!   resource transactions survive crashes (§4 "Recovery").
@@ -36,7 +37,6 @@ pub mod codec;
 pub mod database;
 pub mod error;
 pub mod index;
-pub mod pattern;
 pub mod recovery;
 pub mod schema;
 pub mod table;
@@ -47,7 +47,6 @@ pub mod wal;
 pub use database::{CloneCounter, Database, RelationId, WriteOp};
 pub use error::StorageError;
 pub use index::SecondaryIndex;
-pub use pattern::{Binding, ConjunctiveQuery, PatTerm, Pattern, QueryOutput, TupleView};
 pub use recovery::{recover, RecoveredState};
 pub use schema::{Schema, ValueType};
 pub use table::{Table, TableCursor};

@@ -128,6 +128,7 @@ mod tests {
     use crate::tuple;
     use crate::value::Value;
     use crate::wal::{replay_bytes, MemorySink};
+    use qdb_workload::rng::StdRng;
 
     fn schema() -> Schema {
         Schema::new(
@@ -391,24 +392,6 @@ mod tests {
         );
     }
 
-    /// splitmix64: a seeded, dependency-free generator for the histories
-    /// below.
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-    }
-
     /// Three tables of different shapes; rows come from a small domain,
     /// so re-inserts, repeated deletes and no-op writes are common.
     fn random_schemas() -> [Schema; 3] {
@@ -429,16 +412,16 @@ mod tests {
         ]
     }
 
-    fn random_op(rng: &mut Rng, schemas: &[Schema]) -> WriteOp {
-        let schema = &schemas[rng.below(schemas.len() as u64) as usize];
+    fn random_op(rng: &mut StdRng, schemas: &[Schema]) -> WriteOp {
+        let schema = &schemas[rng.gen_range(0..schemas.len())];
         let row: Tuple = (schema.columns().iter())
             .map(|c| match c.ty {
-                ValueType::Int => Value::from(rng.below(3) as i64),
-                ValueType::Str => Value::from(["1A", "1B", "2C"][rng.below(3) as usize]),
-                ValueType::Bool => Value::from(rng.below(2) == 0),
+                ValueType::Int => Value::from(rng.gen_range(0..3) as i64),
+                ValueType::Str => Value::from(["1A", "1B", "2C"][rng.gen_range(0..3)]),
+                ValueType::Bool => Value::from(rng.gen_range(0..2) == 0),
             })
             .collect();
-        if rng.below(5) < 3 {
+        if rng.gen_range(0..5) < 3 {
             WriteOp::insert(schema.relation(), row)
         } else {
             WriteOp::delete(schema.relation(), row)
@@ -449,28 +432,28 @@ mod tests {
     /// with 0–2 indexes each, created at random points: writes, grounds of
     /// several ops across tables, pending adds and removes, checkpoints.
     fn random_history(seed: u64) -> Vec<u8> {
-        let mut rng = Rng(seed);
+        let mut rng = StdRng::seed_from_u64(seed);
         let all = random_schemas();
         let mut wal = Wal::in_memory();
         let mut created: Vec<Schema> = Vec::new();
-        let late_table = rng.below(2) == 0;
+        let late_table = rng.gen_range(0..2) == 0;
         for s in &all[..2] {
             wal.append(&LogRecord::CreateTable(s.clone())).unwrap();
             created.push(s.clone());
         }
         let mut next_id = 0u64;
         let mut pending: Vec<u64> = Vec::new();
-        for _ in 0..40 + rng.below(30) {
-            let record = match rng.below(20) {
+        for _ in 0..40 + rng.gen_range(0..30) {
+            let record = match rng.gen_range(0..20) {
                 0 if late_table && created.len() == 2 => {
                     created.push(all[2].clone());
                     LogRecord::CreateTable(all[2].clone())
                 }
                 1 => {
-                    let s = &created[rng.below(created.len() as u64) as usize];
+                    let s = &created[rng.gen_range(0..created.len())];
                     LogRecord::CreateIndex {
                         relation: s.relation().into(),
-                        column: rng.below(s.arity().min(2) as u64) as u32,
+                        column: rng.gen_range(0..s.arity().min(2)) as u32,
                     }
                 }
                 2..=4 => {
@@ -478,16 +461,16 @@ mod tests {
                     pending.push(next_id);
                     LogRecord::PendingAdd {
                         id: next_id,
-                        payload: vec![next_id as u8; rng.below(4) as usize],
+                        payload: vec![next_id as u8; rng.gen_range(0..4)],
                     }
                 }
                 5 if !pending.is_empty() => {
-                    let id = pending.remove(rng.below(pending.len() as u64) as usize);
+                    let id = pending.remove(rng.gen_range(0..pending.len()));
                     LogRecord::PendingRemove { id }
                 }
                 6..=8 if !pending.is_empty() => {
-                    let id = pending.remove(rng.below(pending.len() as u64) as usize);
-                    let ops = (0..rng.below(4))
+                    let id = pending.remove(rng.gen_range(0..pending.len()));
+                    let ops = (0..rng.gen_range(0..4))
                         .map(|_| random_op(&mut rng, &created))
                         .collect();
                     LogRecord::Ground { id, ops }

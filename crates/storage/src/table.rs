@@ -224,11 +224,6 @@ impl Table {
         )
     }
 
-    /// Count rows matching a partial binding.
-    pub fn count(&self, bound: &[Option<Value>]) -> usize {
-        self.select(bound).count()
-    }
-
     /// Count rows matching `bound`, saturating at `cap`. Returns the count
     /// and whether a **secondary index** answered it: a single bound
     /// column served by an index reads the bucket length (no row

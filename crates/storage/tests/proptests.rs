@@ -11,23 +11,7 @@ use std::collections::BTreeSet;
 
 use qdb_storage::wal::replay_bytes;
 use qdb_storage::{recover, Database, LogRecord, Schema, Tuple, Value, ValueType, Wal, WriteOp};
-
-/// splitmix64 — tiny, seedable, good enough for case generation.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
+use qdb_workload::rng::StdRng;
 
 const CASES: u64 = 200;
 
@@ -40,16 +24,19 @@ fn seat_schema() -> Schema {
 
 /// 1–59 inserts and deletes of seats drawn from 5 flights × 9 labels, so
 /// duplicates, absent deletes and re-inserts are all common.
-fn random_seat_ops(rng: &mut Rng) -> Vec<WriteOp> {
-    (0..1 + rng.below(59))
+fn random_seat_ops(rng: &mut StdRng) -> Vec<WriteOp> {
+    (0..1 + rng.gen_range(0..59))
         .map(|_| {
             let seat = format!(
                 "{}{}",
-                ["A", "B", "C"][rng.below(3) as usize],
-                1 + rng.below(3)
+                ["A", "B", "C"][rng.gen_range(0..3)],
+                1 + rng.gen_range(0..3)
             );
-            let t = Tuple::from(vec![Value::from(rng.below(5) as i64), Value::from(seat)]);
-            if rng.below(2) == 0 {
+            let t = Tuple::from(vec![
+                Value::from(rng.gen_range(0..5) as i64),
+                Value::from(seat),
+            ]);
+            if rng.gen_range(0..2) == 0 {
                 WriteOp::insert("Available", t)
             } else {
                 WriteOp::delete("Available", t)
@@ -63,7 +50,7 @@ fn random_seat_ops(rng: &mut Rng) -> Vec<WriteOp> {
 #[test]
 fn table_is_a_set() {
     for case in 0..CASES {
-        let mut rng = Rng(0x57A0_0000 ^ case);
+        let mut rng = StdRng::seed_from_u64(0x57A0_0000 ^ case);
         let mut db = Database::new();
         db.create_table(seat_schema()).unwrap();
         db.table_mut("Available").unwrap().create_index(0).unwrap();
@@ -93,18 +80,18 @@ fn table_is_a_set() {
 #[test]
 fn wal_prefix_replay() {
     for case in 0..20u64 {
-        let mut rng = Rng(0x57B0_0000 ^ case);
+        let mut rng = StdRng::seed_from_u64(0x57B0_0000 ^ case);
         let mut wal = Wal::in_memory();
         let mut expected = Vec::new();
-        for i in 0..1 + rng.below(29) {
-            let record = match rng.below(4) {
+        for i in 0..1 + rng.gen_range(0..29) as u64 {
+            let record = match rng.gen_range(0..4) {
                 0 => LogRecord::Write(WriteOp::insert(
                     "T",
                     Tuple::from(vec![Value::from(i as i64)]),
                 )),
                 1 => LogRecord::PendingAdd {
                     id: i,
-                    payload: vec![i as u8; rng.below(7) as usize],
+                    payload: vec![i as u8; rng.gen_range(0..7)],
                 },
                 2 => LogRecord::PendingRemove { id: i / 2 },
                 _ => LogRecord::Ground {
@@ -144,7 +131,7 @@ fn wal_prefix_replay() {
 #[test]
 fn recovery_matches_direct_state() {
     for case in 0..CASES {
-        let mut rng = Rng(0x57C0_0000 ^ case);
+        let mut rng = StdRng::seed_from_u64(0x57C0_0000 ^ case);
         let mut wal = Wal::in_memory();
         let mut direct = Database::new();
         direct.create_table(seat_schema()).unwrap();

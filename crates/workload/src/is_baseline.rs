@@ -7,7 +7,9 @@
 //! database."* Every choice is made eagerly against the current database;
 //! there is no deferral and nothing ever moves again.
 
-use qdb_storage::{tuple, ConjunctiveQuery, Database, PatTerm, Pattern};
+use qdb_storage::{tuple, Database};
+
+use crate::pattern::{ConjunctiveQuery, PatTerm, Pattern};
 
 /// An eager booking client over a plain relational database.
 pub struct IsClient {

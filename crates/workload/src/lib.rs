@@ -26,6 +26,7 @@ pub mod is_baseline;
 pub mod metrics;
 pub mod mixed;
 pub mod orders;
+pub mod pattern;
 pub mod rng;
 pub mod runner;
 pub mod stream;

@@ -7,16 +7,14 @@
 //! atom ordering (most-constrained pattern first, exact counts, ties to
 //! the earlier pattern) and an optional `LIMIT`. The engine answers reads
 //! with the solver's read mode, which runs this same search on compiled
-//! frames; this evaluator stays as the independent oracle that read mode,
-//! the simulator's checker and the §5.2 IS baseline are held to.
+//! frames; no engine code calls this evaluator. It is the independent
+//! oracle that read mode, the simulator's checker and the engine tests are
+//! held to (through [`eval_atoms`]), and the §5.2 IS baseline's queries.
 
 use std::collections::BTreeMap;
 
-use crate::database::Database;
-use crate::error::StorageError;
-use crate::tuple::Tuple;
-use crate::value::Value;
-use crate::Result;
+use qdb_logic::{Atom, Term, Valuation};
+use qdb_storage::{Database, Result, StorageError, Tuple, Value};
 
 /// A source of tuples for [`ConjunctiveQuery::eval`]: the concrete
 /// [`Database`], or a test's or checker's own view of a possible world.
@@ -54,8 +52,8 @@ impl TupleView for Database {
     }
 }
 
-/// Query variable identifier. Variables are plain integers; the logic layer
-/// maps its named variables onto these.
+/// Query variable identifier. Variables are plain integers;
+/// [`eval_atoms`] maps logic variables onto these by id.
 pub type QVar = u32;
 
 /// One position of a pattern: either a constant or a query variable.
@@ -92,17 +90,9 @@ impl Pattern {
         }
     }
 
-    /// Variables occurring in this pattern.
-    pub fn vars(&self) -> impl Iterator<Item = QVar> + '_ {
-        self.terms.iter().filter_map(|t| match t {
-            PatTerm::Var(v) => Some(*v),
-            PatTerm::Const(_) => None,
-        })
-    }
-
     /// The column constraint vector under `binding`: `Some(v)` for columns
     /// fixed by a constant or an already-bound variable.
-    pub fn bound_columns(&self, binding: &Binding) -> Vec<Option<Value>> {
+    fn bound_columns(&self, binding: &Binding) -> Vec<Option<Value>> {
         self.terms
             .iter()
             .map(|t| match t {
@@ -115,7 +105,7 @@ impl Pattern {
     /// Try to extend `binding` so the pattern matches `row`. Returns the
     /// list of variables newly bound (for backtracking) or `None` on
     /// mismatch.
-    pub fn match_row(&self, row: &Tuple, binding: &mut Binding) -> Option<Vec<QVar>> {
+    fn match_row(&self, row: &Tuple, binding: &mut Binding) -> Option<Vec<QVar>> {
         debug_assert_eq!(self.terms.len(), row.arity());
         let mut newly = Vec::new();
         for (t, v) in self.terms.iter().zip(row.iter()) {
@@ -146,22 +136,6 @@ impl Pattern {
         for v in vars {
             binding.remove(v);
         }
-    }
-}
-
-impl std::fmt::Display for Pattern {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}(", self.relation)?;
-        for (i, t) in self.terms.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            match t {
-                PatTerm::Const(v) => write!(f, "{v}")?,
-                PatTerm::Var(x) => write!(f, "v{x}")?,
-            }
-        }
-        write!(f, ")")
     }
 }
 
@@ -277,12 +251,46 @@ impl ConjunctiveQuery {
     }
 }
 
+/// Evaluate logic atoms with [`ConjunctiveQuery`] against any tuple view:
+/// the one "atoms → valuations" wrapper the checker and the engine tests
+/// use. Each variable becomes the query variable of its id; answers come
+/// in search order, at most `limit`.
+pub fn eval_atoms<V: TupleView + ?Sized>(
+    view: &V,
+    atoms: &[Atom],
+    limit: Option<usize>,
+) -> Result<Vec<Valuation>> {
+    let pattern = |a: &Atom| {
+        let terms = (a.terms.iter())
+            .map(|t| match t {
+                Term::Const(c) => PatTerm::Const(c.clone()),
+                Term::Var(v) => PatTerm::Var(v.id()),
+            })
+            .collect();
+        Pattern::new(a.relation.as_ref(), terms)
+    };
+    let query = ConjunctiveQuery {
+        patterns: atoms.iter().map(pattern).collect(),
+        limit,
+    };
+    let mut by_id = BTreeMap::new();
+    for v in atoms.iter().flat_map(Atom::vars) {
+        by_id.entry(v.id()).or_insert(v);
+    }
+    let bindings = query.eval(view)?.bindings.into_iter();
+    Ok(bindings
+        .map(|b| {
+            (b.into_iter())
+                .map(|(id, value)| (by_id[&id].clone(), value))
+                .collect()
+        })
+        .collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::database::Database;
-    use crate::schema::{Schema, ValueType};
-    use crate::tuple;
+    use qdb_storage::{tuple, Schema, ValueType};
 
     /// 2 flights × seats 1A/1B/1C with adjacency 1A-1B, 1B-1C.
     fn flights_db() -> Database {
@@ -407,5 +415,21 @@ mod tests {
             Pattern::new("Available", vec![PatTerm::val(2), PatTerm::Var(1)]),
         ]);
         assert_eq!(q.eval(&db).unwrap().bindings.len(), 9);
+    }
+
+    #[test]
+    fn eval_atoms_maps_constants_and_variables_by_id() {
+        let db = flights_db();
+        let atoms = qdb_logic::parse_query("Available(1, s), Adjacent(s, t), Available(2, t)")
+            .unwrap()
+            .atoms;
+        let answers = eval_atoms(&db, &atoms, None).unwrap();
+        let text: Vec<String> = answers.iter().map(|v| v.to_string()).collect();
+        assert_eq!(text.len(), 4);
+        assert!(
+            text.contains(&"{s -> '1B', t -> '1A'}".to_string()),
+            "{text:?}"
+        );
+        assert_eq!(eval_atoms(&db, &atoms, Some(1)).unwrap(), answers[..1]);
     }
 }

@@ -30,7 +30,9 @@ const WILDCARDS_PER_THREAD: usize = 2;
 /// into one lane (FirstFit may), no lane can exhaust and abort a booking.
 const SPARE_SLOTS: usize = THREADS * WILDCARDS_PER_THREAD;
 
-/// Deterministic per-thread schedule source (splitmix-ish LCG).
+/// Deterministic per-thread schedule source: Knuth's MMIX linear
+/// congruential generator, high bits. Kept as is (not the workload
+/// generator) because the race schedule depends on its sequence.
 fn next(state: &mut u64) -> u64 {
     *state = state
         .wrapping_mul(6364136223846793005)
