@@ -131,7 +131,7 @@ use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
 use qdb_logic::codec::{decode_transaction, encode_transaction};
-use qdb_logic::{Atom, Formula, ResourceTransaction, VarGen};
+use qdb_logic::{Atom, ResourceTransaction, VarGen};
 use qdb_obs::Phase;
 use qdb_solver::{CachedSolution, Solver};
 use qdb_storage::{Database, LogRecord, Schema, Tuple, Wal, WriteOp};
@@ -1287,15 +1287,6 @@ impl SharedQuantumDb {
             }
             return ids.into_iter().collect();
         }
-    }
-
-    /// The composed body formula (Theorem 3.5) of the partition hosting
-    /// transaction `id` — diagnostics for "what does the quantum state
-    /// look like".
-    pub fn composed_body(&self, id: TxnId) -> Option<Formula> {
-        self.with_hosting_slot(id, |st| Ok(qdb_logic::compose_renamed(&st.part.txn_refs())))
-            .ok()
-            .flatten()
     }
 
     /// The updates the cached solution of the partition hosting `id` holds

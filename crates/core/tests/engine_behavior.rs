@@ -481,18 +481,6 @@ fn partitions_split_by_flight_and_merge_on_bridging_txn() {
 }
 
 #[test]
-fn composed_body_diagnostic_renders_partition_state() {
-    let qdb = travel_engine(QuantumDbConfig::default());
-    let id = qdb.submit(&book("Mickey")).unwrap().id().unwrap();
-    let formula = qdb.composed_body(id).unwrap();
-    assert_eq!(formula.to_string(), "Available(f, s)");
-    qdb.submit(&book("Donald")).unwrap();
-    let formula = qdb.composed_body(id).unwrap();
-    // Donald's atom is guarded against Mickey's delete.
-    assert!(formula.to_string().contains('¬'));
-}
-
-#[test]
 fn grounding_policies_all_yield_valid_states() {
     for policy in [
         GroundingPolicy::FirstFit,

@@ -20,7 +20,8 @@ pub enum LogicError {
         /// The offending variable's display name.
         var: String,
     },
-    /// A formula was evaluated with an unbound variable.
+    /// A variable was still unbound where a value was needed (grounding
+    /// an atom, writing a row).
     UnboundVariable {
         /// The offending variable's display name.
         var: String,

@@ -73,20 +73,6 @@ impl Substitution {
             (Term::Const(_), Term::Const(_)) => false,
         }
     }
-
-    /// Apply this substitution after `first` (function composition
-    /// `self ∘ first`): resolve every binding of `first` through `self`,
-    /// then add `self`'s own bindings.
-    pub fn compose(&self, first: &Substitution) -> Substitution {
-        let mut out = Substitution::new();
-        for (v, t) in first.iter() {
-            out.map.insert(v.clone(), self.resolve(t));
-        }
-        for (v, t) in self.iter() {
-            out.map.entry(v.clone()).or_insert_with(|| t.clone());
-        }
-        out
-    }
 }
 
 impl FromIterator<(Var, Term)> for Substitution {
@@ -152,18 +138,6 @@ mod tests {
         s.bind(&a, &Term::Var(b.clone()));
         s.bind(&a, &Term::val(3)); // binds through the alias
         assert_eq!(s.resolve(&Term::Var(b)), Term::val(3));
-    }
-
-    #[test]
-    fn compose_applies_in_order() {
-        // first = {a/b}, self = {b/7}; self ∘ first maps a -> 7.
-        let mut g = VarGen::new();
-        let (a, b) = (g.fresh("a"), g.fresh("b"));
-        let first: Substitution = [(a.clone(), Term::Var(b.clone()))].into_iter().collect();
-        let second: Substitution = [(b.clone(), Term::val(7))].into_iter().collect();
-        let composed = second.compose(&first);
-        assert_eq!(composed.resolve(&Term::Var(a)), Term::val(7));
-        assert_eq!(composed.resolve(&Term::Var(b)), Term::val(7));
     }
 
     #[test]

@@ -244,11 +244,6 @@ impl ResourceTransaction {
     pub fn inserts(&self) -> impl Iterator<Item = &UpdateAtom> + '_ {
         self.updates.iter().filter(|u| u.kind == UpdateKind::Insert)
     }
-
-    /// Deletes of the update portion.
-    pub fn deletes(&self) -> impl Iterator<Item = &UpdateAtom> + '_ {
-        self.updates.iter().filter(|u| u.kind == UpdateKind::Delete)
-    }
 }
 
 impl fmt::Display for ResourceTransaction {
@@ -379,7 +374,6 @@ mod tests {
         assert_eq!(ops[0].to_string(), "-A(123, '5A')");
         assert_eq!(ops[1].to_string(), "+B('M', 123, '5A')");
         assert_eq!(t.inserts().count(), 1);
-        assert_eq!(t.deletes().count(), 1);
     }
 
     #[test]

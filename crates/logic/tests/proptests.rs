@@ -1,16 +1,19 @@
 //! Property tests for the logic substrate: the unification laws of
-//! Definitions 3.2 / 3.3 and the transaction printer/parser round-trip,
-//! over randomized atoms, valuations and transactions.
+//! Definitions 3.2 / 3.3 (the unification predicate is the test-support
+//! `qdb_workload::formula::UnifPredicate`) and the transaction
+//! printer/parser round-trip, over randomized atoms, valuations and
+//! transactions.
 //!
 //! The `proptest` crate is not vendored in this offline workspace, so the
 //! cases are driven by a seeded splitmix64 generator (failures print the
 //! case seed).
 
 use qdb_logic::{
-    mgu, parse_transaction, Atom, BodyAtom, ResourceTransaction, Term, UnifPredicate, UpdateAtom,
-    Valuation, Var, VarGen,
+    mgu, parse_transaction, Atom, BodyAtom, ResourceTransaction, Term, UpdateAtom, Valuation, Var,
+    VarGen,
 };
 use qdb_storage::Value;
+use qdb_workload::formula::UnifPredicate;
 use qdb_workload::rng::StdRng;
 
 const CASES: u64 = 2000;

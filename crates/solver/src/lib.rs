@@ -10,8 +10,9 @@
 //! body must ground on the state produced by applying transactions
 //! `0..i`'s updates to the base database, which is exactly the "consistent
 //! grounding" condition of Definition 3.1 and the satisfiability of the
-//! composed body of Theorem 3.5 (see `qdb_logic::compose` for the formula
-//! view and the cross-validation tests).
+//! composed body of Theorem 3.5. The formula view lives in test support
+//! (`qdb_workload::formula`); `solver_agrees_with_the_composed_formula` in
+//! `tests/proptests.rs` cross-checks the search against it.
 //!
 //! Key pieces:
 //! * [`Overlay`] — copy-on-write view of the base database with the
@@ -20,7 +21,8 @@
 //! * [`Solver`] — the search itself, with two atom-ordering strategies:
 //!   [`AtomOrder::MostConstrained`] (dynamic, default) and
 //!   [`AtomOrder::Static`] (left-to-right; mimics the cost profile of the
-//!   paper's monolithic LIMIT-1 joins and exists for the ablation bench).
+//!   paper's monolithic LIMIT-1 joins; only tests select it, as a
+//!   satisfiability reference).
 //! * [`CachedSolution`] — the §4 *solution cache*: one known-good set of
 //!   groundings per partition, extended incrementally when a new
 //!   transaction arrives and re-solved from scratch only when extension

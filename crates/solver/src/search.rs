@@ -6,7 +6,8 @@
 //! and every update applies without violating set semantics. This is the
 //! operational reading of Definition 3.1, and (by Theorem 3.5) equivalent
 //! to satisfiability of the composed body formula — the equivalence is
-//! cross-checked by property tests against a brute-force formula oracle.
+//! cross-checked against a brute-force formula oracle by
+//! `solver_agrees_with_the_composed_formula` in `tests/proptests.rs`.
 //!
 //! The inner loop is allocation-free and index-driven. Every solver entry
 //! point first **compiles** its specs (`CompiledSpec`): relation names
@@ -89,9 +90,13 @@ pub enum AtomOrder {
     #[default]
     MostConstrained,
     /// Left-to-right in body order — mimics the fixed join order of the
-    /// paper's monolithic LIMIT-1 queries (kept for the ablation bench;
-    /// MySQL's `optimizer_search_depth` troubles in §5.3 are exactly the
-    /// cost of getting this ordering wrong).
+    /// paper's monolithic LIMIT-1 queries (MySQL's `optimizer_search_depth`
+    /// troubles in §5.3 are exactly the cost of getting this ordering
+    /// wrong). Only tests select it, as the satisfiability reference the
+    /// default ordering must agree with
+    /// (`static_and_dynamic_order_agree_on_satisfiability` here,
+    /// `solutions_verify_and_replay_and_orderings_agree` in
+    /// `tests/proptests.rs`).
     Static,
 }
 

@@ -4,16 +4,21 @@
 //! solution-cache extension (Theorem 3.5: a sequence admitted step by
 //! step through `Solver::solve_in` on a maintained overlay, as admission
 //! does, is satisfiable from scratch and its cached valuations verify at
-//! every step), enumeration validity, and that
-//! enumeration keeps exactly the groundings whose updates apply in order.
+//! every step), agreement with the composed-body formula of Theorem 3.5
+//! (`qdb_workload::formula`, the brute-force oracle), enumeration
+//! validity, and that enumeration keeps exactly the groundings whose
+//! updates apply in order.
 //!
 //! The `proptest` crate is not vendored in this offline workspace, so the
 //! cases are driven by a seeded splitmix64 generator (failures print the
 //! case seed).
 
-use qdb_logic::{parse_transaction, ResourceTransaction, VarGen};
+use std::collections::{BTreeMap, BTreeSet};
+
+use qdb_logic::{parse_transaction, ResourceTransaction, Term, Valuation, Var, VarGen};
 use qdb_solver::{AtomOrder, CachedSolution, Overlay, Solver, TxnSpec};
-use qdb_storage::{tuple, Database, Schema, ValueType};
+use qdb_storage::{tuple, Database, Schema, Value, ValueType};
+use qdb_workload::formula::{compose_renamed, Formula};
 use qdb_workload::rng::StdRng;
 
 const CASES: u64 = 200;
@@ -171,6 +176,107 @@ fn cache_extension_is_sound() {
         }
     }
     assert!(admitted_total > 100 && refused_total > 20);
+}
+
+/// Theorem 3.5 against the formula itself. Soundness: every solution
+/// `solve` returns satisfies `compose_renamed` of the sequence under the
+/// members' valuations joined. Completeness: on up to three bookings over
+/// four seats, some valuation satisfies the formula exactly when `solve`
+/// finds a solution. Bookings never re-insert a deleted tuple and never
+/// insert one that could be present, the formula's two blind spots, so
+/// both directions must hold.
+#[test]
+fn solver_agrees_with_the_composed_formula() {
+    let solve = |db: &Database, txns: &[ResourceTransaction]| {
+        let specs: Vec<TxnSpec> = txns.iter().map(TxnSpec::required_only).collect();
+        Solver::default().solve(db, &[], &specs).unwrap()
+    };
+    let (mut sound, mut sat, mut unsat) = (0, 0, 0);
+    for case in 0..CASES * 4 {
+        let mut rng = StdRng::seed_from_u64(0x5030_0000 ^ case);
+        let db = seats_db(2, 1 + rng.gen_range(0..2));
+        let mut txns = random_bookings(&mut rng);
+        let refs: Vec<&ResourceTransaction> = txns.iter().collect();
+        if let Some(sol) = solve(&db, &txns) {
+            sound += 1;
+            let mut merged = Valuation::new();
+            for val in &sol.valuations {
+                assert!(merged.merge(val), "case {case}: members share a variable");
+            }
+            let formula = compose_renamed(&refs);
+            assert!(
+                formula.eval(&merged, &db).unwrap(),
+                "case {case}: member valuations {:?} falsify {formula}",
+                sol.valuations
+                    .iter()
+                    .map(ToString::to_string)
+                    .collect::<Vec<_>>()
+            );
+        }
+        txns.truncate(3);
+        let small = seats_db(2, 1);
+        let solved = solve(&small, &txns).is_some();
+        assert_eq!(
+            solved,
+            formula_satisfiable(&small, &txns),
+            "case {case}: solver and formula disagree on {:?}",
+            txns.iter().map(ToString::to_string).collect::<Vec<_>>()
+        );
+        if solved {
+            sat += 1;
+        } else {
+            unsat += 1;
+        }
+    }
+    assert!(sound > 100, "only {sound} solutions checked");
+    assert!(sat > 20 && unsat > 20, "sat {sat}, unsat {unsat}");
+}
+
+/// Brute force: does any valuation satisfy the composed formula of
+/// `txns`? A body atom grounds on a base row or on an earlier insert, so
+/// each variable ranges over the values every column it occurs in can
+/// hold: the base's values there, and what earlier inserts write there.
+fn formula_satisfiable(db: &Database, txns: &[ResourceTransaction]) -> bool {
+    let mut domains: BTreeMap<Var, BTreeSet<Value>> = BTreeMap::new();
+    for (n, txn) in txns.iter().enumerate() {
+        for b in txn.body.iter().filter(|b| !b.optional) {
+            let table = db.table(&b.atom.relation).unwrap();
+            for (col, term) in b.atom.terms.iter().enumerate() {
+                let Term::Var(v) = term else { continue };
+                let mut held: BTreeSet<Value> = table.iter().map(|row| row[col].clone()).collect();
+                let earlier = txns[..n].iter().flat_map(|t| t.inserts());
+                for ins in earlier.filter(|i| i.atom.relation == b.atom.relation) {
+                    match &ins.atom.terms[col] {
+                        Term::Const(c) => {
+                            held.insert(c.clone());
+                        }
+                        Term::Var(w) => held.extend(domains[w].iter().cloned()),
+                    }
+                }
+                let dom = domains.entry(v.clone()).or_insert_with(|| held.clone());
+                dom.retain(|x| held.contains(x));
+            }
+        }
+    }
+    let refs: Vec<&ResourceTransaction> = txns.iter().collect();
+    let domains: Vec<(Var, BTreeSet<Value>)> = domains.into_iter().collect();
+    any_satisfies(&compose_renamed(&refs), db, &domains, &mut Valuation::new())
+}
+
+/// Does some extension of `val` over `domains` satisfy `formula`?
+fn any_satisfies(
+    formula: &Formula,
+    db: &Database,
+    domains: &[(Var, BTreeSet<Value>)],
+    val: &mut Valuation,
+) -> bool {
+    let Some(((var, values), rest)) = domains.split_first() else {
+        return formula.eval(val, db).unwrap();
+    };
+    values.iter().any(|x| {
+        val.bind(var.clone(), x.clone());
+        any_satisfies(formula, db, rest, val)
+    })
 }
 
 /// `enumerate_one` returns at most `max` distinct, individually valid

@@ -1,24 +1,52 @@
-//! Composed-body formulas (Lemma 3.4 / Theorem 3.5).
+//! Composed-body formulas (Definition 3.3, Lemma 3.4 / Theorem 3.5) — the
+//! reference model the grounding solver is held to.
 //!
-//! The body of a composed transaction is not a plain conjunction of atoms:
-//! inserts of earlier transactions contribute *disjunctions*
-//! `(b ∨ ϕ(b, i))` — the atom may ground on the inserted tuple — and
-//! deletes contribute *negated unification predicates* `¬ϕ(b, d)` — the
-//! atom must not ground on the deleted tuple. `Formula` is exactly that
-//! fragment: positive atoms, equality predicates and their negations,
-//! closed under conjunction and disjunction.
+//! A sequence of resource transactions is equivalent to one transaction
+//! whose body is a formula, not a plain conjunction of atoms. For each
+//! body atom `b` of a later transaction and each earlier update,
+//!
+//! * an **insert** `i` contributes a disjunct — `b` may ground on the
+//!   inserted tuple: `(b ∨ ϕ(b, i))`;
+//! * a **delete** `d` contributes a negated unification predicate — `b`
+//!   must not ground on the deleted tuple: `b ∧ ¬ϕ(b, d)`.
+//!
+//! `ϕ(b1, b2)`, the unification predicate, is the conjunction of equality
+//! constraints of the mgu of `b1` and `b2`: trivially false when no mgu
+//! exists, trivially true when the mgu is empty. [`compose_renamed`] emits
+//! one disjunction per atom covering *all* earlier inserts
+//! (`b ∨ ϕ(b,i₁) ∨ ϕ(b,i₂) ∨ …`), the semantically correct reading of the
+//! paper's `∧ᵢⱼ (bᵢ ∨ ϕ(bᵢ, iⱼ))` when several inserts could supply the
+//! same atom.
+//!
+//! The engine never evaluates these formulas: admission runs the
+//! sequence search of `qdb-solver`, which this model cross-checks
+//! (`crates/solver/tests/proptests.rs`,
+//! `solver_agrees_with_the_composed_formula`). The formula has two blind
+//! spots the search does not, so the check draws sequences that avoid
+//! both:
+//!
+//! * a delete followed by a *re-insert of the same tuple* is rejected
+//!   (`¬ϕ` ranges over all earlier deletes), although executing the
+//!   sequence would let a later atom ground on the re-inserted tuple;
+//! * the formula constrains bodies only: it says nothing about whether
+//!   the updates apply (an insert of a tuple already present), which the
+//!   search checks.
+//!
+//! [`UnifPredicate`] (`predicate.rs`) and [`compose_renamed`]
+//! (`compose.rs`) sit in files of their own and are re-exported here, so
+//! this module is the model's one path.
 
 use std::fmt;
 
+use qdb_logic::{Atom, Result, Valuation, Var};
 use qdb_storage::Database;
 
-use crate::atom::Atom;
-use crate::predicate::UnifPredicate;
-use crate::term::Var;
-use crate::valuation::Valuation;
-use crate::Result;
+pub use crate::compose::compose_renamed;
+pub use crate::predicate::{EqConstraint, UnifPredicate};
 
-/// A formula over atoms and unification predicates.
+/// A formula over atoms and unification predicates: positive atoms,
+/// equality predicates and their negations, closed under conjunction and
+/// disjunction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Formula {
     /// Trivially true.
@@ -108,7 +136,11 @@ impl Formula {
             Formula::True | Formula::False => {}
             Formula::Atom(a) => out.extend(a.vars().cloned()),
             Formula::Pred(p) | Formula::NotPred(p) => {
-                out.extend(p.vars().into_iter().cloned());
+                if let UnifPredicate::Conj(cs) = p {
+                    for c in cs {
+                        out.extend(c.lhs.as_var().into_iter().chain(c.rhs.as_var()).cloned());
+                    }
+                }
             }
             Formula::And(fs) | Formula::Or(fs) => {
                 for f in fs {
@@ -129,8 +161,9 @@ impl Formula {
     }
 
     /// Evaluate the formula under a total valuation against an extensional
-    /// database. Used by tests to check solver results against the
-    /// paper-faithful formula semantics.
+    /// database. The solver's property tests hold every solution it
+    /// returns to this semantics, and its refusals to the absence of a
+    /// satisfying valuation.
     pub fn eval(&self, val: &Valuation, db: &Database) -> Result<bool> {
         match self {
             Formula::True => Ok(true),
@@ -195,7 +228,7 @@ impl fmt::Display for Formula {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::term::{Term, VarGen};
+    use qdb_logic::{Term, VarGen};
     use qdb_storage::{Schema, Value, ValueType};
 
     fn db_with_seat() -> Database {
@@ -224,15 +257,16 @@ mod tests {
         assert_eq!(Formula::or(vec![Formula::False, a.clone()]), a);
         // Nested flattening.
         let nested = Formula::and(vec![Formula::And(vec![a.clone(), a.clone()]), a.clone()]);
-        assert_eq!(nested.atom_count(), 3);
+        assert_eq!(nested, Formula::And(vec![a.clone(), a.clone(), a]));
     }
 
     #[test]
     fn pred_lifting_respects_trivia() {
+        let top = UnifPredicate::Conj(Vec::new());
         assert_eq!(Formula::pred(UnifPredicate::False), Formula::False);
-        assert_eq!(Formula::pred(UnifPredicate::top()), Formula::True);
+        assert_eq!(Formula::pred(top.clone()), Formula::True);
         assert_eq!(Formula::not_pred(UnifPredicate::False), Formula::True);
-        assert_eq!(Formula::not_pred(UnifPredicate::top()), Formula::False);
+        assert_eq!(Formula::not_pred(top), Formula::False);
     }
 
     #[test]

@@ -18,15 +18,23 @@
 //! The IS baseline models the best a clever client can do over an
 //! ordinary database: check whether the friend already has a booking, sit
 //! next to them if possible, otherwise book a seat with a free neighbour.
+//!
+//! Test support, which no engine code calls: [`pattern`], the reference
+//! conjunctive-query evaluator reads are held to; [`formula`], Theorem
+//! 3.5's composed-body formulas, the solver's oracle; and [`rng`], the one
+//! seeded generator.
 
 pub mod calendar;
+mod compose;
 pub mod entangled;
 pub mod flights;
+pub mod formula;
 pub mod is_baseline;
 pub mod metrics;
 pub mod mixed;
 pub mod orders;
 pub mod pattern;
+mod predicate;
 pub mod rng;
 pub mod runner;
 pub mod stream;

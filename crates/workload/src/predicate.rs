@@ -1,18 +1,13 @@
-//! Unification predicates (Definition 3.3).
+//! Unification predicates (Definition 3.3), the building blocks of
+//! [`crate::formula`]'s composed bodies.
 //!
-//! The unification predicate `ϕ(b1, b2)` is the conjunction of equality
-//! constraints corresponding to the variable substitutions in the mgu of
-//! `b1` and `b2`. It is trivially false when no mgu exists and trivially
-//! true when the mgu is empty. These predicates are the building blocks of
-//! composed transaction bodies (Lemma 3.4 / Theorem 3.5).
+//! `ϕ(b1, b2)` is the conjunction of equality constraints of the mgu of
+//! `b1` and `b2`: trivially false when no mgu exists, trivially true when
+//! the mgu is empty.
 
 use std::fmt;
 
-use crate::atom::Atom;
-use crate::term::{Term, Var};
-use crate::unify::mgu;
-use crate::valuation::Valuation;
-use crate::{LogicError, Result};
+use qdb_logic::{mgu, Atom, LogicError, Result, Term, Valuation};
 
 /// A single equality constraint between two terms.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,26 +19,11 @@ pub struct EqConstraint {
 }
 
 impl EqConstraint {
-    /// Build a constraint.
-    pub fn new(lhs: Term, rhs: Term) -> Self {
-        EqConstraint { lhs, rhs }
-    }
-
     /// Evaluate under a (total, for the involved variables) valuation.
     pub fn eval(&self, val: &Valuation) -> Result<bool> {
         let l = val.resolve(&self.lhs).ok_or_else(|| unbound(&self.lhs))?;
         let r = val.resolve(&self.rhs).ok_or_else(|| unbound(&self.rhs))?;
         Ok(l == r)
-    }
-
-    /// Evaluate if both sides are resolvable; `None` when undetermined.
-    pub fn eval_partial(&self, val: &Valuation) -> Option<bool> {
-        Some(val.resolve(&self.lhs)? == val.resolve(&self.rhs)?)
-    }
-
-    /// Variables mentioned by the constraint.
-    pub fn vars(&self) -> impl Iterator<Item = &Var> + '_ {
-        self.lhs.as_var().into_iter().chain(self.rhs.as_var())
     }
 }
 
@@ -61,8 +41,8 @@ impl fmt::Display for EqConstraint {
     }
 }
 
-/// A unification predicate: `False`, or a conjunction of equality
-/// constraints (empty conjunction = `True`).
+/// A unification predicate (Definition 3.3): `False`, or a conjunction of
+/// equality constraints (empty conjunction = `True`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UnifPredicate {
     /// The atoms do not unify at all.
@@ -82,15 +62,13 @@ impl UnifPredicate {
             Some(theta) => UnifPredicate::Conj(
                 theta
                     .iter()
-                    .map(|(v, t)| EqConstraint::new(Term::Var(v.clone()), t.clone()))
+                    .map(|(v, t)| EqConstraint {
+                        lhs: Term::Var(v.clone()),
+                        rhs: t.clone(),
+                    })
                     .collect(),
             ),
         }
-    }
-
-    /// Trivially true predicate.
-    pub fn top() -> UnifPredicate {
-        UnifPredicate::Conj(Vec::new())
     }
 
     /// Is this trivially true (empty conjunction)?
@@ -103,7 +81,9 @@ impl UnifPredicate {
         matches!(self, UnifPredicate::False)
     }
 
-    /// Evaluate under a valuation; errors on unbound variables.
+    /// Evaluate under a valuation; errors on unbound variables. The
+    /// constraints are checked in order, so a false one decides the
+    /// predicate before a later unbound variable is looked at.
     pub fn eval(&self, val: &Valuation) -> Result<bool> {
         match self {
             UnifPredicate::False => Ok(false),
@@ -115,37 +95,6 @@ impl UnifPredicate {
                 }
                 Ok(true)
             }
-        }
-    }
-
-    /// Three-valued partial evaluation: `Some(b)` when decided, `None`
-    /// when some variable is still unbound and the bound prefix holds.
-    pub fn eval_partial(&self, val: &Valuation) -> Option<bool> {
-        match self {
-            UnifPredicate::False => Some(false),
-            UnifPredicate::Conj(cs) => {
-                let mut undetermined = false;
-                for c in cs {
-                    match c.eval_partial(val) {
-                        Some(false) => return Some(false),
-                        Some(true) => {}
-                        None => undetermined = true,
-                    }
-                }
-                if undetermined {
-                    None
-                } else {
-                    Some(true)
-                }
-            }
-        }
-    }
-
-    /// Variables mentioned by the predicate.
-    pub fn vars(&self) -> Vec<&Var> {
-        match self {
-            UnifPredicate::False => Vec::new(),
-            UnifPredicate::Conj(cs) => cs.iter().flat_map(EqConstraint::vars).collect(),
         }
     }
 }
@@ -172,7 +121,7 @@ impl fmt::Display for UnifPredicate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::term::VarGen;
+    use qdb_logic::VarGen;
     use qdb_storage::Value;
 
     /// The Definition 3.3 worked example: R(1, v1, v2) vs R(v3, 2, v4)
@@ -214,7 +163,6 @@ mod tests {
         assert!(phi.is_trivially_false());
         assert_eq!(phi.to_string(), "false");
         assert!(!phi.eval(&Valuation::new()).unwrap());
-        assert_eq!(phi.eval_partial(&Valuation::new()), Some(false));
     }
 
     #[test]
@@ -234,7 +182,6 @@ mod tests {
         let b = Atom::new("A", vec![Term::val(1)]);
         let phi = UnifPredicate::of(&a, &b);
         assert!(phi.eval(&Valuation::new()).is_err());
-        assert_eq!(phi.eval_partial(&Valuation::new()), None);
         let val: Valuation = [(x, Value::from(1))].into_iter().collect();
         assert!(phi.eval(&val).unwrap());
     }
@@ -247,8 +194,12 @@ mod tests {
         let a = Atom::new("A", vec![Term::Var(x.clone()), Term::Var(y.clone())]);
         let b = Atom::new("A", vec![Term::val(1), Term::val(2)]);
         let phi = UnifPredicate::of(&a, &b);
+        assert_eq!(phi.to_string(), "{(x = 1) ∧ (y = 2)}");
         // x bound wrongly decides the whole predicate even though y unbound.
-        let val: Valuation = [(x, Value::from(9))].into_iter().collect();
-        assert_eq!(phi.eval_partial(&val), Some(false));
+        let val: Valuation = [(x.clone(), Value::from(9))].into_iter().collect();
+        assert!(!phi.eval(&val).unwrap());
+        // x bound rightly leaves the decision to y, which is unbound.
+        let val: Valuation = [(x, Value::from(1))].into_iter().collect();
+        assert!(phi.eval(&val).is_err());
     }
 }
