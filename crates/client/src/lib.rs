@@ -1,7 +1,7 @@
 //! # qdb-client
 //!
 //! Blocking TCP client for `qdb-server`, mirroring the embedded
-//! [`qdb_core::Session`] surface: [`Connection::execute`] for one-shot
+//! `qdb_core::Session` surface: [`Connection::execute`] for one-shot
 //! statements, [`Connection::prepare`] → [`Connection::bind`] →
 //! [`Connection::run`] for the parse-once hot path, and
 //! [`Connection::pipeline`] for many statements per network round trip.
@@ -27,10 +27,9 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
-use qdb_core::wire::{self, Reply, Request, ServerStats};
-use qdb_core::Metrics;
-pub use qdb_core::Response;
 use qdb_storage::Value;
+pub use qdb_wire::Response;
+use qdb_wire::{self as wire, Metrics, ProfileReport, Reply, Request, ServerStats};
 
 /// Client-side failures.
 #[derive(Debug)]
@@ -50,7 +49,7 @@ pub enum ClientError {
     Protocol(String),
     /// The server processed the request and reported an error.
     Server {
-        /// Stable [`qdb_core::wire::code`] value.
+        /// Stable [`qdb_wire::code`] value.
         code: u8,
         /// Human-readable message (the engine error's display form).
         message: String,
@@ -151,7 +150,7 @@ pub struct Connection {
     next_request: u32,
     next_id: u32,
     last_server_stats: Option<ServerStats>,
-    last_profile: Option<Box<qdb_core::ProfileReport>>,
+    last_profile: Option<Box<ProfileReport>>,
     /// Cleared on any transport/protocol failure: the stream may hold
     /// stale replies, so the connection must not be reused (a [`Pool`]
     /// discards unhealthy connections instead of parking them).
@@ -419,7 +418,7 @@ impl Connection {
 
     /// Latency histogram summaries attached to the most recent
     /// `SHOW METRICS` response, if the server sent them.
-    pub fn last_profile(&self) -> Option<&qdb_core::ProfileReport> {
+    pub fn last_profile(&self) -> Option<&ProfileReport> {
         self.last_profile.as_deref()
     }
 }

@@ -14,11 +14,10 @@ use qdb_solver::{Solver, TxnSpec};
 use qdb_storage::{Database, Wal};
 
 use crate::config::QuantumDbConfig;
-use crate::metrics::Metrics;
 use crate::partition::Partition;
 use crate::shard::SharedQuantumDb;
-use crate::txn::{PendingTxn, TxnId};
-use crate::Result;
+use crate::txn::PendingTxn;
+use crate::{Metrics, Result, TxnId};
 
 /// Result of submitting a resource transaction.
 ///

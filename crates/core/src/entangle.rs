@@ -12,7 +12,8 @@
 
 use qdb_logic::{unifiable, ResourceTransaction};
 
-use crate::txn::{PendingTxn, TxnId};
+use crate::txn::PendingTxn;
+use crate::TxnId;
 
 /// Does `a` declare a coordination interest in `b`? True when an optional
 /// atom of `a` unifies with an insert of `b`'s update portion — i.e. `b`'s

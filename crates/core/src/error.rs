@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use qdb_wire::code;
+
 /// Errors surfaced by the quantum database engine.
 ///
 /// Note that a transaction failing admission is **not** an error — it is
@@ -46,6 +48,19 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
+impl EngineError {
+    /// The stable error code this error crosses the wire with.
+    pub fn code(&self) -> u8 {
+        match self {
+            EngineError::Storage(_) => code::STORAGE,
+            EngineError::Logic(_) => code::LOGIC,
+            EngineError::Solver(_) => code::SOLVER,
+            EngineError::Invariant(_) => code::INVARIANT,
+            EngineError::RecoveryUnsatisfiable { .. } => code::RECOVERY,
+        }
+    }
+}
+
 impl From<qdb_storage::StorageError> for EngineError {
     fn from(e: qdb_storage::StorageError) -> Self {
         EngineError::Storage(e)
@@ -77,5 +92,18 @@ mod tests {
         assert!(EngineError::RecoveryUnsatisfiable { txn: 12 }
             .to_string()
             .contains("12"));
+    }
+
+    #[test]
+    fn error_codes_cover_engine_errors() {
+        let e = EngineError::Logic(qdb_logic::LogicError::Codec("x".into()));
+        assert_eq!(e.code(), code::LOGIC);
+        let e = EngineError::Storage(qdb_storage::StorageError::NoSuchTable("T".into()));
+        assert_eq!(e.code(), code::STORAGE);
+        assert_eq!(EngineError::Invariant("x".into()).code(), code::INVARIANT);
+        assert_eq!(
+            EngineError::RecoveryUnsatisfiable { txn: 0 }.code(),
+            code::RECOVERY
+        );
     }
 }

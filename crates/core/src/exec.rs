@@ -34,7 +34,7 @@
 //! [`SharedQuantumDb`] handle: [`Session::prepare`] parses once,
 //! [`Prepared::bind`] substitutes positional `?` parameters, and the bound
 //! statement re-executes without touching the parser (observable through
-//! [`Metrics::parses`]).
+//! [`Metrics::parses`](crate::Metrics::parses)).
 
 use qdb_logic::stmt::{ColumnRef, ReadMode, SelectStmt, Statement};
 use qdb_logic::{ParsedStatement, Template, Valuation, Var};
@@ -42,146 +42,12 @@ use qdb_storage::{Tuple, Value, WriteOp};
 
 use crate::engine::SubmitOutcome;
 use crate::error::EngineError;
-use crate::metrics::Metrics;
 use crate::shard::SharedQuantumDb;
-use crate::txn::TxnId;
-use crate::Result;
-
-/// Typed result of executing one [`Statement`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// Rows of a `SELECT` (collapse or peek semantics), projected onto the
-    /// statement's `SELECT` list.
-    Rows(Vec<Valuation>),
-    /// Distinct answer sets of a `SELECT POSSIBLE` — one entry per
-    /// distinct possible-world answer.
-    Worlds(Vec<Vec<Valuation>>),
-    /// A resource transaction committed (it will never be rolled back, §2)
-    /// with this engine-assigned id.
-    Committed(TxnId),
-    /// A resource transaction was refused admission: accepting it would
-    /// empty the set of possible worlds.
-    Aborted,
-    /// Blind write outcome: `true` iff every row of the statement was
-    /// admitted (a rejected row would invalidate pending state, §3.2.2).
-    Written(bool),
-    /// How many pending transactions a `GROUND` statement collapsed.
-    Grounded(usize),
-    /// Metrics snapshot (`SHOW METRICS`).
-    Metrics(Box<Metrics>),
-    /// Ids of pending transactions (`SHOW PENDING`).
-    Pending(Vec<TxnId>),
-    /// Latency histograms per statement class and engine phase
-    /// (`SHOW PROFILE`).
-    Profile(Box<qdb_obs::ProfileReport>),
-    /// Recent flight-recorder span events, oldest first (`SHOW EVENTS`).
-    Events(Vec<qdb_obs::SpanEvent>),
-    /// Replication role, WAL position and per-replica lag
-    /// (`SHOW REPLICATION`). The bare engine answers as an unreplicated
-    /// primary; `qdb-server` substitutes its live stream state.
-    Replication(Box<crate::repl::ReplicationReport>),
-    /// Statement acknowledged with nothing to report (DDL, `CHECKPOINT`,
-    /// `PROMOTE`).
-    Ack,
-}
+use crate::{Response, Result};
 
 /// How many flight-recorder events `SHOW EVENTS` returns when the
 /// statement carries no `LIMIT`.
 pub const DEFAULT_EVENT_LIMIT: usize = 100;
-
-impl Response {
-    /// Rows, when this is a [`Response::Rows`].
-    pub fn rows(&self) -> Option<&[Valuation]> {
-        match self {
-            Response::Rows(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// Possible-world answer sets, when this is a [`Response::Worlds`].
-    pub fn worlds(&self) -> Option<&[Vec<Valuation>]> {
-        match self {
-            Response::Worlds(w) => Some(w),
-            _ => None,
-        }
-    }
-
-    /// Transaction id, when this is a [`Response::Committed`].
-    pub fn committed_id(&self) -> Option<TxnId> {
-        match self {
-            Response::Committed(id) => Some(*id),
-            _ => None,
-        }
-    }
-
-    /// Write outcome, when this is a [`Response::Written`].
-    pub fn written(&self) -> Option<bool> {
-        match self {
-            Response::Written(ok) => Some(*ok),
-            _ => None,
-        }
-    }
-
-    /// Grounded count, when this is a [`Response::Grounded`].
-    pub fn grounded(&self) -> Option<usize> {
-        match self {
-            Response::Grounded(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// Metrics snapshot, when this is a [`Response::Metrics`].
-    pub fn metrics(&self) -> Option<&Metrics> {
-        match self {
-            Response::Metrics(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// Latency profile, when this is a [`Response::Profile`].
-    pub fn profile(&self) -> Option<&qdb_obs::ProfileReport> {
-        match self {
-            Response::Profile(p) => Some(p),
-            _ => None,
-        }
-    }
-
-    /// Flight-recorder events, when this is a [`Response::Events`].
-    pub fn events(&self) -> Option<&[qdb_obs::SpanEvent]> {
-        match self {
-            Response::Events(e) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// Replication report, when this is a [`Response::Replication`].
-    pub fn replication(&self) -> Option<&crate::repl::ReplicationReport> {
-        match self {
-            Response::Replication(r) => Some(r),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for Response {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Response::Rows(rows) => write!(f, "{} row(s)", rows.len()),
-            Response::Worlds(w) => write!(f, "{} possible answer set(s)", w.len()),
-            Response::Committed(id) => write!(f, "committed as txn {id}"),
-            Response::Aborted => write!(f, "aborted"),
-            Response::Written(true) => write!(f, "written"),
-            Response::Written(false) => write!(f, "write rejected"),
-            Response::Grounded(n) => write!(f, "grounded {n} transaction(s)"),
-            Response::Metrics(m) => write!(f, "{m}"),
-            Response::Pending(ids) => write!(f, "{} pending transaction(s)", ids.len()),
-            Response::Profile(p) => write!(f, "{p}"),
-            Response::Events(events) => write!(f, "{} event(s)", events.len()),
-            Response::Replication(r) => write!(f, "{r}"),
-            Response::Ack => write!(f, "ok"),
-        }
-    }
-}
 
 /// Project rows onto the `SELECT` list (`None` = `*`, keep everything).
 fn project(rows: Vec<Valuation>, projection: &Option<Vec<Var>>) -> Vec<Valuation> {
@@ -250,9 +116,9 @@ fn resolve_column_on(
 
 impl SharedQuantumDb {
     /// Parse and execute one statement, without a statement cache (the
-    /// parse is counted in [`Metrics::parses`]). Statements with `?`
-    /// placeholders are rejected here — prepare them through a
-    /// [`Session`] instead.
+    /// parse is counted in [`Metrics::parses`](crate::Metrics::parses)).
+    /// Statements with `?` placeholders are rejected here — prepare them
+    /// through a [`Session`] instead.
     pub fn execute(&self, sql: &str) -> Result<Response> {
         let stmt = StmtCache::new(0).parse(self, sql)?.into_statement()?;
         self.execute_stmt(stmt)
@@ -375,15 +241,15 @@ impl SharedQuantumDb {
 /// replica, all take it — behind a bounded LRU of statement *templates*.
 ///
 /// A text's template is the text with its value literals replaced by `?`
-/// ([`qdb_logic::strip_literals`]). A hit binds the text's literals by
-/// position into the template's parse: exactly the text's own parse,
-/// variable ids included, so replies are identical to the byte. A miss
-/// parses the text (counted in [`Metrics::parses`]; its errors are the
-/// ones reported), then caches the template only if binding reproduces
-/// that parse, else the exact text (e.g. `SELECT @a FROM R(@a) WHERE @a =
-/// 5`, whose template does not parse). Hit or miss, the step is timed as
-/// the `parse` phase. The lock covers only the byte compares and the LRU
-/// order, so connections sharing a cache (a replica's) barely hold it.
+/// ([`qdb_logic::strip_literals`]). A hit binds the text's literals by position
+/// into the template's parse: exactly the text's own parse, variable ids
+/// included, so replies are identical to the byte. A miss parses the text
+/// (counted in [`Metrics::parses`](crate::Metrics::parses); its errors are the
+/// ones reported), then caches the template only if binding reproduces that
+/// parse, else the exact text (e.g. `SELECT @a FROM R(@a) WHERE @a = 5`, whose
+/// template does not parse). Hit or miss, the step is timed as the `parse`
+/// phase. The lock covers only the byte compares and the LRU order, so
+/// connections sharing a cache (a replica's) barely hold it.
 pub struct StmtCache {
     capacity: usize,
     /// Most recently used last.
@@ -469,8 +335,8 @@ impl StmtCache {
 ///
 /// Every text→statement lookup goes through a per-session [`StmtCache`]
 /// (shared by clones), so texts that differ only in their literals parse
-/// once — observable through [`Metrics::parses`]. `qdb-server`'s
-/// one-shot EXECUTE path rides on this cache automatically.
+/// once — observable through [`Metrics::parses`](crate::Metrics::parses).
+/// `qdb-server`'s one-shot EXECUTE path rides on this cache automatically.
 ///
 /// ```
 /// use qdb_core::{QuantumDb, QuantumDbConfig, Response};
@@ -537,9 +403,9 @@ impl Session {
 
     /// Parse once into a reusable [`Prepared`] statement. The hot path
     /// then re-executes via [`Prepared::bind`] + [`Bound::run`] without
-    /// re-parsing ([`Metrics::parses`] counts parser entries). Served
-    /// from the statement cache when a text of the same shape was seen
-    /// before.
+    /// re-parsing ([`Metrics::parses`](crate::Metrics::parses) counts
+    /// parser entries). Served from the statement cache when a text of the
+    /// same shape was seen before.
     pub fn prepare(&self, sql: &str) -> Result<Prepared> {
         let parsed = self.parse(sql)?;
         Ok(Prepared {

@@ -43,8 +43,7 @@ use qdb_logic::{Atom, ResourceTransaction, Term, Valuation};
 use qdb_solver::{Overlay, TxnSpec};
 use qdb_storage::{Tuple, WriteOp};
 
-use crate::txn::TxnId;
-use crate::Result;
+use crate::{Result, TxnId};
 
 /// Why a grounding happened (drives the grounding metrics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

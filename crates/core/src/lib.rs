@@ -56,7 +56,7 @@ pub mod entangle;
 pub mod error;
 pub mod exec;
 pub mod ground;
-pub mod metrics;
+mod metrics;
 pub mod partition;
 pub mod read;
 mod reads;
@@ -66,24 +66,36 @@ pub mod repl;
 pub mod shard;
 pub mod sync;
 pub mod txn;
-pub mod wire;
 pub mod worlds;
 
 pub use config::{GroundingPolicy, QuantumDbConfig, Serializability};
 pub use engine::{QuantumDb, SubmitOutcome};
 pub use error::EngineError;
-pub use exec::{Bound, Prepared, Response, Session, StmtCache};
+pub use exec::{Bound, Prepared, Session, StmtCache};
 pub use ground::GroundReason;
-pub use metrics::Metrics;
 pub use partition::{Footprint, Partition};
 pub use qdb_obs::{
     stmt_class, stmt_code, HistSnapshot, HistSummary, Histogram, Obs, Outcome, Phase,
     ProfileReport, SlowOp, SpanEvent, SpanNode, STMT_CLASSES, STMT_CODE_BASE,
 };
-pub use repl::{ReplicaApplier, ReplicaStatus, ReplicaTracker, ReplicationReport, ReplicationRole};
+pub use repl::{ReplicaApplier, ReplicaTracker};
 pub use shard::SharedQuantumDb;
-pub use txn::{PendingTxn, TxnId};
+pub use txn::PendingTxn;
 pub use worlds::{enumerate_worlds, enumerate_worlds_seeded, world_fingerprint, WorldSet};
+
+pub use qdb_wire::{Metrics, ReplicaStatus, ReplicationReport, ReplicationRole, Response, TxnId};
+
+/// `qdb_wire` under its old path, beside the protocol types re-exported
+/// above: the frozen `benchmark/` package imports both (and
+/// [`wire::code_for`]) from here. New code names `qdb_wire`.
+pub mod wire {
+    pub use qdb_wire::*;
+
+    /// [`EngineError::code`](crate::EngineError::code) under its old name.
+    pub fn code_for(e: &crate::EngineError) -> u8 {
+        e.code()
+    }
+}
 
 /// Result alias for this crate.
 pub type Result<T> = std::result::Result<T, EngineError>;

@@ -144,12 +144,12 @@ use crate::ground::{
     check_residue, expand_partners, plan_group_front, GroundPlan, GroundReason, GroundedTxn,
     Residue,
 };
-use crate::metrics::{AtomicMetrics, Metrics};
+use crate::metrics::AtomicMetrics;
 use crate::partition::Partition;
 use crate::registry::{Registry, Slot, SlotState};
 use crate::sync::{Mutex, RwLock};
-use crate::txn::{PendingTxn, TxnId};
-use crate::Result;
+use crate::txn::PendingTxn;
+use crate::{Metrics, Result, TxnId};
 
 /// The base (extensional) state: everything whose consistency is guarded
 /// by the RwLock rather than by partition slots.
@@ -366,8 +366,9 @@ impl SharedQuantumDb {
         self.core.solves_peak.load(SeqCst)
     }
 
+    /// Record one parser entry.
     pub(crate) fn count_parse(&self) {
-        self.core.metrics.count_parse();
+        self.core.metrics.bump(|c| &c.parses, 1);
     }
 
     // -- Resource transactions -------------------------------------------

@@ -2,8 +2,7 @@
 
 use qdb_logic::ResourceTransaction;
 
-/// Engine-assigned transaction identifier; also the arrival order.
-pub type TxnId = u64;
+use crate::TxnId;
 
 /// A committed resource transaction whose value assignment is still
 /// pending — the intensional portion of the quantum database state.

@@ -6,10 +6,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use qdb_core::wire::{self, req, resp, Frame};
 use qdb_logic::codec::decode_transaction;
 use qdb_storage::wal::LogRecord;
 use qdb_storage::{Tuple, WriteOp};
+use qdb_wire::{self as wire, req, resp, Frame};
 
 /// Records the largest single allocation this thread makes (reallocations
 /// included), so tests running on other threads do not disturb it.

@@ -1,6 +1,6 @@
 //! Zero-dependency observability for the quantum database.
 //!
-//! The engine's [`Metrics`](../qdb_core) counters say *how many* events
+//! The engine's [`Metrics`](../qdb_wire) counters say *how many* events
 //! happened; this crate says *how long they took* and *what a slow
 //! operation actually did*. It is built in the workspace's offline-shim
 //! idiom — `std` only, no `tracing`, no `hdrhistogram` — and consists of

@@ -36,9 +36,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use qdb_core::wire::{self, Frame, Reply, Request};
-use qdb_core::{Response, StmtCache};
+use qdb_core::StmtCache;
 use qdb_logic::{ParsedStatement, Statement};
+use qdb_wire::{self as wire, Frame, Reply, Request, Response};
 
 use crate::metrics::ServerMetrics;
 use crate::reactor::Notifier;
@@ -588,7 +588,7 @@ impl Conn {
 
 pub(crate) fn engine_error(e: qdb_core::EngineError) -> Reply {
     Reply::Error {
-        code: wire::code_for(&e),
+        code: e.code(),
         message: e.to_string(),
     }
 }

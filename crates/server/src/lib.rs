@@ -1,7 +1,7 @@
 //! # qdb-server
 //!
 //! The network service layer of the quantum database: a TCP server
-//! speaking the [`qdb_core::wire`] protocol over plain `std::net`, putting
+//! speaking the [`qdb_wire`] protocol over plain `std::net`, putting
 //! the paper's middle-tier service (§2's booking scenarios assume many
 //! concurrent users against contested resources) in front of the engine.
 //!
@@ -76,8 +76,8 @@ use std::sync::{mpsc, Arc, Mutex, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use qdb_core::wire::ServerStats;
 use qdb_core::{QuantumDb, QuantumDbConfig, SharedQuantumDb};
+use qdb_wire::ServerStats;
 
 use conn::Conn;
 pub use metrics::ServerMetrics;
@@ -474,9 +474,8 @@ impl std::fmt::Debug for ServerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qdb_core::wire::{self, Reply, Request};
-    use qdb_core::Response;
     use qdb_storage::Value;
+    use qdb_wire::{self as wire, Reply, Request, Response};
     use std::io::Write;
     use std::net::TcpStream;
 

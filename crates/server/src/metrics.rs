@@ -1,6 +1,6 @@
 //! Server-side traffic counters.
 //!
-//! These complement the engine's own [`qdb_core::Metrics`]: the engine
+//! These complement the engine's own [`qdb_wire::Metrics`]: the engine
 //! counts semantic events (commits, groundings, parses), the server counts
 //! wire traffic (connections, frames, bytes), connection lifecycle events
 //! (refusals, idle reaps, backpressure stalls) and statements per class.
@@ -9,8 +9,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-use qdb_core::wire::{AtomicServerStats, ServerStats};
 use qdb_core::STMT_CLASSES;
+use qdb_wire::{AtomicServerStats, ServerStats};
 
 /// Lock-free counters throughout: executors on every core bump them per
 /// statement and per socket call, each bump one Relaxed atomic.

@@ -33,9 +33,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use qdb_core::wire::{self, Reply, Request};
-use qdb_core::{ReplicaApplier, ReplicaTracker, Response, SharedQuantumDb};
+use qdb_core::{ReplicaApplier, ReplicaTracker, SharedQuantumDb};
 use qdb_logic::{ReadMode, Statement};
+use qdb_wire::{self as wire, Reply, Request, Response};
 
 use crate::conn::engine_error;
 use crate::lock;
@@ -206,7 +206,7 @@ impl ReplicaState {
     }
 
     /// The replica's own `SHOW REPLICATION` view while it follows.
-    fn upstream_report(&self) -> Option<qdb_core::ReplicationReport> {
+    fn upstream_report(&self) -> Option<qdb_wire::ReplicationReport> {
         match &*lock(&self.engine) {
             ReplicaEngine::Following(applier) => Some(applier.report()),
             _ => None,

@@ -5,6 +5,8 @@
 //! plus a scanning reader for top-level scalar fields is all that is
 //! needed. `qdb-bench` pretty-prints `BENCH_results.json` from the same tree.
 
+use qdb_obs::escape_json;
+
 /// A JSON value (writer side).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -69,12 +71,12 @@ impl Json {
                 out.push_str(&(*n as i64).to_string())
             }
             Json::F64(n) => out.push_str(&n.to_string()),
-            Json::Str(s) => escape_into(s, out),
+            Json::Str(s) => *out += &format!("\"{}\"", escape_json(s)),
             Json::Arr(items) => write_seq(out, indent, '[', ']', items.len(), |out, i, inner| {
                 items[i].write(out, inner)
             }),
             Json::Obj(fields) => write_seq(out, indent, '{', '}', fields.len(), |out, i, inner| {
-                escape_into(&fields[i].0, out);
+                *out += &format!("\"{}\"", escape_json(&fields[i].0));
                 out.push_str(if inner.is_some() { ": " } else { ":" });
                 fields[i].1.write(out, inner);
             }),
@@ -107,22 +109,6 @@ fn write_seq(
         out.push_str(&brk(0));
     }
     out.push(close);
-}
-
-fn escape_into(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Scan a document for a top-level `"key": <unsigned integer>` field.

@@ -1,58 +1,11 @@
-//! The qdb wire protocol: length-prefixed binary frames over TCP.
-//!
-//! This module is the single source of truth for the bytes exchanged
-//! between `qdb-server` and `qdb-client`. Both sides depend only on this
-//! crate, so the protocol cannot drift between them. The encoding reuses
-//! the workspace codec: little-endian integers, length-prefixed strings
-//! and tagged values written by [`qdb_storage::codec`]'s encoders and read
-//! through its checked [`Reader`] — the same building blocks as the WAL and
-//! the transaction codec.
-//!
-//! ## Frame layout
-//!
-//! ```text
-//! ┌────────────┬─────────┬────────────────┬──────────────┐
-//! │ u32 length │ u8 kind │ u32 request id │ body (bytes) │
-//! └────────────┴─────────┴────────────────┴──────────────┘
-//! ```
-//!
-//! `length` counts everything after itself (kind + request id + body) and
-//! is capped at [`MAX_FRAME`]. The request id is chosen by the client and
-//! echoed verbatim in the response, which is what makes pipelining safe:
-//! a client may have many frames in flight and match responses to
-//! requests purely by arrival order (the server preserves per-connection
-//! order) or by id.
-//!
-//! ## Request kinds
-//!
-//! | kind | name    | body                                              |
-//! |------|---------|---------------------------------------------------|
-//! | 0x01 | EXECUTE | sql string                                        |
-//! | 0x02 | PREPARE | client-chosen stmt id (u32), sql string           |
-//! | 0x03 | BIND    | stmt id (u32), client-chosen bound id (u32), u32 param count, values |
-//! | 0x04 | RUN     | bound id (u32)                                    |
-//! | 0x05 | REPLICATE | replica id (string), from offset (u64)          |
-//! | 0x06 | REPL_ACK  | replica id (string), applied offset (u64), horizon (u64) |
-//!
-//! Statement and bound ids are **client-assigned** so that
-//! `PREPARE`/`BIND`/`RUN` can be pipelined in a single flush without
-//! waiting for the server to hand ids back.
-//!
-//! ## Response kinds
-//!
-//! One per [`Response`] variant plus `PREPARED`, `BOUND` and `ERROR`; see
-//! [`Reply`]. Every engine error crosses the wire as an `ERROR` frame
-//! carrying a stable [error code](code) and the display message — the
-//! server never panics a connection over a bad statement.
+//! Frames, requests and replies: their encoders and checked decoders.
 
 use qdb_logic::{Valuation, Var};
 use qdb_storage::codec::{self as scodec, put_bytes, put_string, put_u32, put_u64, Reader};
 use qdb_storage::Value;
 
-use crate::error::EngineError;
-use crate::exec::Response;
 use crate::metrics::Metrics;
-use crate::txn::TxnId;
+use crate::response::{Response, TxnId};
 
 /// Hard cap on a frame's payload (defensive: a corrupt or hostile length
 /// prefix must not drive an allocation).
@@ -118,16 +71,16 @@ pub mod resp {
 
 /// Stable error codes carried by `ERROR` frames.
 pub mod code {
-    /// [`crate::EngineError::Storage`].
+    /// The engine's `EngineError::Storage`.
     pub const STORAGE: u8 = 1;
-    /// [`crate::EngineError::Logic`] (parse errors, range restriction,
-    /// parameter-count mismatches, …).
+    /// The engine's `EngineError::Logic` (parse errors, range
+    /// restriction, parameter-count mismatches, …).
     pub const LOGIC: u8 = 2;
-    /// [`crate::EngineError::Solver`].
+    /// The engine's `EngineError::Solver`.
     pub const SOLVER: u8 = 3;
-    /// [`crate::EngineError::Invariant`].
+    /// The engine's `EngineError::Invariant`.
     pub const INVARIANT: u8 = 4;
-    /// [`crate::EngineError::RecoveryUnsatisfiable`].
+    /// The engine's `EngineError::RecoveryUnsatisfiable`.
     pub const RECOVERY: u8 = 5;
     /// Malformed frame or unknown frame kind.
     pub const PROTOCOL: u8 = 6;
@@ -139,17 +92,6 @@ pub mod code {
     /// A write-class statement reached a read-only replica. Clients treat
     /// this as "wrong node" and fail over to the primary.
     pub const READ_ONLY: u8 = 9;
-}
-
-/// The error code an [`EngineError`] maps to on the wire.
-pub fn code_for(e: &EngineError) -> u8 {
-    match e {
-        EngineError::Storage(_) => code::STORAGE,
-        EngineError::Logic(_) => code::LOGIC,
-        EngineError::Solver(_) => code::SOLVER,
-        EngineError::Invariant(_) => code::INVARIANT,
-        EngineError::RecoveryUnsatisfiable { .. } => code::RECOVERY,
-    }
 }
 
 // -- Error type --------------------------------------------------------------
@@ -1714,21 +1656,5 @@ mod tests {
         assert!(try_frame(&[0, 0, 0, 0]).is_err());
         // A partial length prefix is just "not yet".
         assert!(matches!(try_frame(&[9, 0]), Ok(None)));
-    }
-
-    #[test]
-    fn error_codes_cover_engine_errors() {
-        let e = EngineError::Logic(qdb_logic::LogicError::Codec("x".into()));
-        assert_eq!(code_for(&e), code::LOGIC);
-        let e = EngineError::Storage(qdb_storage::StorageError::NoSuchTable("T".into()));
-        assert_eq!(code_for(&e), code::STORAGE);
-        assert_eq!(
-            code_for(&EngineError::Invariant("x".into())),
-            code::INVARIANT
-        );
-        assert_eq!(
-            code_for(&EngineError::RecoveryUnsatisfiable { txn: 0 }),
-            code::RECOVERY
-        );
     }
 }

@@ -10,12 +10,10 @@
 //! cargo run --example calendar
 //! ```
 
+use qdb_workload::calendar::{install_calendar, schedule_meeting, schedule_pinned, CalendarConfig};
 use quantum_db::core::{QuantumDb, QuantumDbConfig};
 use quantum_db::logic::parse_query;
 use quantum_db::storage::tuple;
-use quantum_db::workload::calendar::{
-    install_calendar, schedule_meeting, schedule_pinned, CalendarConfig,
-};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let qdb = QuantumDb::new(QuantumDbConfig::default())?.into_shared();

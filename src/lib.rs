@@ -73,7 +73,7 @@
 //!
 //! The same statement surface is reachable over TCP: [`server`] puts an
 //! epoll reactor plus executor pool in front of a [`SharedQuantumDb`] speaking the
-//! [`core::wire`] frame protocol, and [`client`] provides blocking
+//! [`wire`] frame protocol, and [`client`] provides blocking
 //! connections with remote prepared statements, pipelining and a small
 //! pool. See `examples/remote_booking.rs` for the §2 scenario running
 //! across a socket.
@@ -83,9 +83,7 @@
 //! * [`logic`] — terms, unification, the statement grammar ([`logic::stmt`]).
 //! * [`solver`] — the consistent-grounding search and solution cache.
 //! * [`core`] — the quantum database engine and the `execute()` layer.
-//! * [`server`] / [`client`] — the network service layer ([`core::wire`]).
-//! * [`workload`] — experiment workloads and the intelligent-social
-//!   baseline.
+//! * [`server`] / [`client`] — the network service layer ([`wire`]).
 
 pub use qdb_client as client;
 pub use qdb_core as core;
@@ -93,7 +91,7 @@ pub use qdb_logic as logic;
 pub use qdb_server as server;
 pub use qdb_solver as solver;
 pub use qdb_storage as storage;
-pub use qdb_workload as workload;
+pub use qdb_wire as wire;
 
 // The most commonly used items, re-exported flat for examples and quick use.
 pub use qdb_core::{

@@ -3,8 +3,8 @@
 //! run against the default, and the outcomes must agree where the paper
 //! says they do. (`benchmark/` measures what the defaults cost.)
 
+use qdb_workload::{run_quantum, ArrivalOrder, FlightsConfig, RunConfig};
 use quantum_db::core::{GroundingPolicy, Serializability};
-use quantum_db::workload::{run_quantum, ArrivalOrder, FlightsConfig, RunConfig};
 
 fn base(k: usize, order: ArrivalOrder) -> RunConfig {
     RunConfig::resource_only(

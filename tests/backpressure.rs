@@ -7,8 +7,8 @@ use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use qdb_core::wire::{self, Frame, Request};
 use qdb_server::{Server, ServerConfig};
+use qdb_wire::{self as wire, Frame, Request};
 
 fn execute_frame(id: u32, sql: &str) -> Vec<u8> {
     wire::encode_request(

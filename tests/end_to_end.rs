@@ -2,15 +2,15 @@
 //! Cross-crate integration tests: full scenarios through the facade crate,
 //! exercising storage + logic + solver + engine + workload together.
 
+use qdb_workload::{
+    self as workload, coordination_stats, make_pairs, run_is, run_quantum, ArrivalOrder,
+    FlightsConfig, RunConfig,
+};
 use quantum_db::core::{
     enumerate_worlds, QuantumDb, QuantumDbConfig, Serializability, SharedQuantumDb,
 };
 use quantum_db::logic::{parse_query, parse_transaction};
 use quantum_db::storage::{tuple, WriteOp};
-use quantum_db::workload::{
-    self, coordination_stats, make_pairs, run_is, run_quantum, ArrivalOrder, FlightsConfig,
-    RunConfig,
-};
 
 fn travel_qdb(cfg: QuantumDbConfig, flights: FlightsConfig) -> SharedQuantumDb {
     let qdb = QuantumDb::new(cfg).unwrap().into_shared();

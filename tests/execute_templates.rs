@@ -7,9 +7,9 @@
 use std::net::TcpStream;
 
 use qdb_client::Connection;
-use qdb_core::wire::{self, Reply, Request};
-use qdb_core::{EngineError, QuantumDb, QuantumDbConfig, Response, SharedQuantumDb};
+use qdb_core::{EngineError, QuantumDb, QuantumDbConfig, SharedQuantumDb};
 use qdb_server::Server;
+use qdb_wire::{self as wire, Reply, Request, Response};
 
 fn engine() -> SharedQuantumDb {
     let db = QuantumDb::new(QuantumDbConfig::default())
@@ -118,7 +118,7 @@ fn history() -> Vec<String> {
 
 fn error_reply(e: EngineError) -> Reply {
     Reply::Error {
-        code: wire::code_for(&e),
+        code: e.code(),
         message: e.to_string(),
     }
 }

@@ -15,8 +15,8 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use qdb_client::Connection;
-use qdb_core::Response;
 use qdb_server::{Server, ServerConfig};
+use qdb_wire::Response;
 
 const CONNECTIONS: usize = 2;
 const CALLS: usize = 40;

@@ -6,10 +6,10 @@
 //! EXECUTE/PREPARE/BIND/RUN traffic against a ≥4-worker pool.
 
 use qdb_client::{ClientError, Connection};
-use qdb_core::wire;
-use qdb_core::{QuantumDb, QuantumDbConfig, Response};
+use qdb_core::{QuantumDb, QuantumDbConfig};
 use qdb_server::{Server, ServerConfig, ServerHandle};
 use qdb_storage::Value;
+use qdb_wire::{self as wire, Response};
 
 fn spawn(workers: usize) -> ServerHandle {
     Server::spawn(&ServerConfig {

@@ -8,9 +8,8 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use qdb_client::Connection;
-use qdb_core::wire::{self, Request};
-use qdb_core::Response;
 use qdb_server::{Server, ServerConfig, ServerHandle};
+use qdb_wire::{self as wire, Request, Response};
 
 fn spawn() -> ServerHandle {
     Server::spawn(&ServerConfig {

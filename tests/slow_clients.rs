@@ -20,8 +20,8 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use qdb_client::Connection;
-use qdb_core::wire::{self, Request};
 use qdb_server::{Server, ServerConfig, ServerHandle};
+use qdb_wire::{self as wire, Request};
 
 fn spawn(cfg: ServerConfig) -> ServerHandle {
     Server::spawn(&cfg).expect("loopback server")
