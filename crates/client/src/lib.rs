@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use qdb_storage::Value;
 pub use qdb_wire::Response;
-use qdb_wire::{self as wire, Metrics, ProfileReport, Reply, Request, ServerStats};
+use qdb_wire::{self as wire, Metrics, Reply, Request, ServerStats};
 
 /// Client-side failures.
 #[derive(Debug)]
@@ -150,7 +150,6 @@ pub struct Connection {
     next_request: u32,
     next_id: u32,
     last_server_stats: Option<ServerStats>,
-    last_profile: Option<Box<ProfileReport>>,
     /// Cleared on any transport/protocol failure: the stream may hold
     /// stale replies, so the connection must not be reused (a [`Pool`]
     /// discards unhealthy connections instead of parking them).
@@ -169,7 +168,6 @@ impl Connection {
             next_request: 0,
             next_id: 0,
             last_server_stats: None,
-            last_profile: None,
             healthy: true,
         })
     }
@@ -246,20 +244,12 @@ impl Connection {
     }
 
     /// Fold a reply into the `execute`-shaped result, stashing server
-    /// stats (and the latency profile, when attached) from `SHOW METRICS`
-    /// responses.
+    /// stats from `SHOW METRICS` responses.
     fn settle(&mut self, reply: Reply) -> Result<Response> {
         match reply {
             Reply::Engine(r) => Ok(r),
-            Reply::Stats {
-                engine,
-                server,
-                profile,
-            } => {
+            Reply::Stats { engine, server } => {
                 self.last_server_stats = Some(server);
-                if profile.is_some() {
-                    self.last_profile = profile;
-                }
                 Ok(Response::Metrics(engine))
             }
             Reply::Error { code, message } => Err(ClientError::Server { code, message }),
@@ -414,12 +404,6 @@ impl Connection {
     /// seen on this connection, if any.
     pub fn last_server_stats(&self) -> Option<&ServerStats> {
         self.last_server_stats.as_ref()
-    }
-
-    /// Latency histogram summaries attached to the most recent
-    /// `SHOW METRICS` response, if the server sent them.
-    pub fn last_profile(&self) -> Option<&ProfileReport> {
-        self.last_profile.as_deref()
     }
 }
 
@@ -906,10 +890,6 @@ mod tests {
         let resp = conn.execute("SHOW EVENTS LIMIT 50").unwrap();
         let events = resp.events().expect("SHOW EVENTS answers events");
         assert!(!events.is_empty());
-        // SHOW METRICS carries the same summaries alongside server stats.
-        conn.execute("SHOW METRICS").unwrap();
-        let profile = conn.last_profile().expect("metrics reply carries profile");
-        assert!(profile.classes.iter().any(|(c, _)| c == "SELECT"));
         server.shutdown();
     }
 

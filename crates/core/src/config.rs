@@ -85,12 +85,6 @@ pub struct QuantumDbConfig {
     /// bit; any fixed value makes two runs of the same workload identical
     /// — the contract the deterministic simulator (`qdb-sim`) relies on.
     pub seed: u64,
-    /// Slow-op threshold in microseconds: any statement slower than this
-    /// has its full span tree promoted to the observability layer's
-    /// slow-op log ([`qdb_obs::Obs::slow_ops`]). `0` (the default)
-    /// disables the slow-op log; histograms and the flight recorder are
-    /// always on.
-    pub slow_op_threshold_us: u64,
 }
 
 impl Default for QuantumDbConfig {
@@ -102,7 +96,6 @@ impl Default for QuantumDbConfig {
             ground_on_partner_arrival: true,
             auto_index_threshold: 64,
             seed: 0,
-            slow_op_threshold_us: 0,
         }
     }
 }
@@ -129,7 +122,6 @@ mod tests {
         assert_eq!(c.policy, GroundingPolicy::FirstFit);
         assert!(c.ground_on_partner_arrival);
         assert_eq!(c.seed, 0, "seed 0 = historical deterministic behavior");
-        assert_eq!(c.slow_op_threshold_us, 0, "slow-op log off by default");
     }
 
     #[test]

@@ -92,7 +92,6 @@ impl QuantumDb {
     /// New engine over a caller-provided WAL (e.g. file-backed).
     pub fn with_wal(config: QuantumDbConfig, mut wal: Wal) -> Self {
         let obs = std::sync::Arc::new(qdb_obs::Obs::new());
-        obs.set_slow_threshold_us(config.slow_op_threshold_us);
         wal.set_obs(Some(obs.clone()));
         QuantumDb {
             db: Database::new(),

@@ -128,11 +128,10 @@ impl SharedQuantumDb {
     /// only the state it touches (see [`SharedQuantumDb`]); statements on
     /// disjoint partitions execute concurrently.
     ///
-    /// Every statement is bracketed as one observability *op*: its latency
-    /// lands in the per-class histogram, its root (plus any phase spans it
-    /// produced) in the flight recorder, and — over the configured
-    /// [`crate::QuantumDbConfig::slow_op_threshold_us`] — its span tree in
-    /// the slow-op log.
+    /// Every statement is bracketed as one observability *op*, here and
+    /// nowhere else: its latency lands in the per-class histogram, its
+    /// root (plus any phase spans it produced) in the flight recorder, and
+    /// its span tree in the JSONL trace sink when one is installed.
     pub fn execute_stmt(&self, stmt: Statement) -> Result<Response> {
         let token = self.obs().begin_op(stmt.class());
         let result = self.execute_stmt_inner(stmt);
@@ -512,27 +511,21 @@ mod tests {
     }
 
     #[test]
-    fn slow_op_threshold_promotes_statements_with_their_span_tree() {
-        let cfg = QuantumDbConfig {
-            slow_op_threshold_us: 500,
-            ..Default::default()
-        };
-        let shared = QuantumDb::new(cfg).unwrap().into_shared();
-        shared.execute("CREATE TABLE R (a INT)").unwrap();
-        assert!(shared.obs().slow_ops().is_empty(), "nothing slow yet");
-        // The test hook stretches the next ops over the 500 µs threshold.
-        shared.obs().set_test_delay_us(1_000);
+    fn statements_reach_the_trace_sink_with_their_span_tree() {
+        let shared = session().shared().clone();
+        let trace = crate::shard::tests::traced(shared.obs());
+        assert!(trace().is_empty(), "nothing traced yet");
         shared
             .session()
             .execute("INSERT INTO R VALUES (7)")
             .unwrap();
-        shared.obs().set_test_delay_us(0);
-        let slow = shared.obs().slow_ops();
-        assert!(!slow.is_empty(), "delayed statement promoted");
-        let op = slow.last().unwrap();
-        assert_eq!(op.class, "INSERT");
-        assert!(op.total_ns >= 1_000_000);
-        assert!(!op.spans.is_empty(), "span tree travels with the slow op");
+        let text = trace();
+        assert_eq!(text.lines().count(), 1, "one line per statement");
+        assert!(text.contains("\"class\":\"INSERT\",\"txn\":-1,"), "{text}");
+        assert!(
+            text.contains("\"spans\":[{\"phase\":\"wal_append\",\"start_ns\":"),
+            "span tree travels with the statement: {text}"
+        );
     }
 
     #[test]

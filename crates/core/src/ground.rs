@@ -174,7 +174,7 @@ pub(crate) fn flexibility_score(
 /// [`crate::GroundingPolicy::Random`] (keeps `qdb-core` free of the `rand`
 /// dependency).
 #[derive(Debug, Clone)]
-pub(crate) struct XorShift(pub u64);
+pub(crate) struct XorShift(u64);
 
 impl XorShift {
     pub(crate) fn next_u64(&mut self) -> u64 {

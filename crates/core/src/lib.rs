@@ -76,7 +76,7 @@ pub use ground::GroundReason;
 pub use partition::{Footprint, Partition};
 pub use qdb_obs::{
     stmt_class, stmt_code, HistSnapshot, HistSummary, Histogram, Obs, Outcome, Phase,
-    ProfileReport, SlowOp, SpanEvent, SpanNode, STMT_CLASSES, STMT_CODE_BASE,
+    ProfileReport, SpanEvent, STMT_CLASSES, STMT_CODE_BASE,
 };
 pub use repl::{ReplicaApplier, ReplicaTracker};
 pub use shard::SharedQuantumDb;

@@ -439,31 +439,24 @@ mod tests {
     use crate::txn::PendingTxn;
     use qdb_logic::{parse_transaction, Valuation, Var};
     use qdb_storage::Value;
-
-    /// The engine's own seeded generator drives the sweep.
-    fn next(rng: &mut u64) -> u64 {
-        let mut g = crate::ground::XorShift(*rng);
-        let out = g.next_u64();
-        *rng = g.0;
-        out
-    }
+    use qdb_workload::rng::StdRng;
 
     /// A random atom over 3 relation names (one used at two arities), with
     /// constants from a domain of `domain` values and ~1/3 variables.
-    fn random_atom(rng: &mut u64, domain: u64) -> Atom {
-        let (relation, arity) = [("R", 2), ("R", 3), ("S", 1), ("T", 3)][(next(rng) % 4) as usize];
+    fn random_atom(rng: &mut StdRng, domain: usize) -> Atom {
+        let (relation, arity) = [("R", 2), ("R", 3), ("S", 1), ("T", 3)][rng.gen_range(0..4)];
         let terms = (0..arity)
-            .map(|i| match next(rng) % 3 {
+            .map(|i| match rng.gen_range(0..3) {
                 0 => Term::Var(Var::new(i, "v")),
-                _ => Term::Const(Value::from((next(rng) % domain) as i64)),
+                _ => Term::Const(Value::from(rng.gen_range(0..domain) as i64)),
             })
             .collect();
         Atom::new(relation, terms)
     }
 
-    fn random_txn(rng: &mut u64, domain: u64) -> ResourceTransaction {
+    fn random_txn(rng: &mut StdRng, domain: usize) -> ResourceTransaction {
         let mut t = parse_transaction("-A(s), +B(s) :-1 A(s)").unwrap();
-        t.updates.truncate(1 + (next(rng) % 2) as usize);
+        t.updates.truncate(1 + rng.gen_range(0..2));
         for u in &mut t.updates {
             u.atom = random_atom(rng, domain);
         }
@@ -485,7 +478,7 @@ mod tests {
     fn index_selects_what_the_linear_scan_selects() {
         let (mut hits, mut pruned) = (0, 0);
         for case in 0..60u64 {
-            let mut rng = 0x1DE7_0000 + case;
+            let mut rng = StdRng::seed_from_u64(0x1DE7_0000 + case);
             // The large domain puts far more than 32 constants in a column.
             let domain = [3, 8, 200][(case % 3) as usize];
             let mut reg = Registry::new(BTreeMap::new(), 0);
@@ -497,7 +490,7 @@ mod tests {
                     st.part.merge(std::mem::take(&mut slot.state.lock().part));
                 }
                 let mut left = Vec::new();
-                if next(&mut rng).is_multiple_of(4) {
+                if rng.gen_range(0..4) == 0 {
                     left.push(txn);
                 } else {
                     st.part.txns.push(PendingTxn::new(id, txn));
@@ -506,11 +499,11 @@ mod tests {
                 assert!(!reg.publish(pid, &mut st, &left), "a publish rebuilt");
                 drop(st);
                 let slots = reg.slots();
-                if let Some((pid, slot)) = slots.get(next(&mut rng) as usize % slots.len().max(1)) {
+                if let Some((pid, slot)) = slots.get(rng.gen_range(0..slots.len().max(1))) {
                     let mut st = slot.state.lock();
                     let mut left = Vec::new();
-                    while !st.part.is_empty() && !next(&mut rng).is_multiple_of(3) {
-                        let at = next(&mut rng) as usize % st.part.len();
+                    while !st.part.is_empty() && rng.gen_range(0..3) != 0 {
+                        let at = rng.gen_range(0..st.part.len());
                         left.push(st.part.remove(at).0.txn);
                     }
                     assert!(!reg.publish(*pid, &mut st, &left), "a publish rebuilt");

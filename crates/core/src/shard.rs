@@ -178,7 +178,7 @@ pub(crate) struct Core {
     /// `promote_hot_indexes`).
     promote_ticks: AtomicU64,
     /// Observability: latency histograms, the flight recorder and the
-    /// slow-op log. Shared with the WAL and every per-operation solver;
+    /// trace sink. Shared with the WAL and every per-operation solver;
     /// recording is lock-free, so it rides the hot path.
     pub(crate) obs: Arc<qdb_obs::Obs>,
 }
@@ -1335,7 +1335,7 @@ impl SharedQuantumDb {
     }
 
     /// Observability handle: latency histograms, the flight recorder and
-    /// the slow-op log. The WAL and every per-operation solver share this
+    /// the trace sink. The WAL and every per-operation solver share this
     /// handle, so all layers record into the same sinks.
     pub fn obs(&self) -> &Arc<qdb_obs::Obs> {
         &self.core.obs
@@ -1383,10 +1383,29 @@ pub(crate) fn validate_schema_on(db: &Database, txn: &ResourceTransaction) -> Re
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use qdb_logic::parse_transaction;
     use qdb_storage::{tuple, ValueType};
+
+    /// Install a JSONL trace sink on `obs`; the returned reader yields
+    /// every line written so far.
+    pub(crate) fn traced(obs: &qdb_obs::Obs) -> impl Fn() -> String {
+        #[derive(Clone, Default)]
+        struct Buf(Arc<std::sync::Mutex<Vec<u8>>>);
+        impl std::io::Write for Buf {
+            fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+                self.0.lock().unwrap().extend_from_slice(bytes);
+                Ok(bytes.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let buf = Buf::default();
+        obs.set_trace(Some(Box::new(buf.clone())));
+        move || String::from_utf8(buf.0.lock().unwrap().clone()).unwrap()
+    }
 
     fn seat_engine(seats: &[&str]) -> SharedQuantumDb {
         let qdb = QuantumDb::new(QuantumDbConfig::default())
@@ -1475,8 +1494,7 @@ mod tests {
     fn free_locks_are_zero_observations_and_held_ones_spans() {
         let qdb = seat_engine(&["1A", "1B"]);
         let obs = qdb.obs();
-        obs.set_slow_threshold_us(1);
-        obs.set_test_delay_us(5); // every statement is slow: its tree is kept
+        let trace = traced(obs); // every statement's tree is kept
         let waits = |p: Phase| obs.phase_histogram(p).snapshot();
         let events = |p: Phase| {
             (obs.events(1024).iter())
@@ -1484,8 +1502,9 @@ mod tests {
                 .count()
         };
         let spans = |p: Phase| {
-            let op = obs.slow_ops().pop().expect("the statement was kept");
-            op.spans.iter().filter(|s| s.phase == p).count()
+            let text = trace();
+            let op = text.lines().last().expect("the statement was kept");
+            op.matches(&format!("\"phase\":\"{}\"", p.name())).count()
         };
 
         // One thread: every base and slot acquisition finds its lock free.

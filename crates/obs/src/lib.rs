@@ -1,10 +1,10 @@
 //! Zero-dependency observability for the quantum database.
 //!
 //! The engine's [`Metrics`](../qdb_wire) counters say *how many* events
-//! happened; this crate says *how long they took* and *what a slow
-//! operation actually did*. It is built in the workspace's offline-shim
-//! idiom — `std` only, no `tracing`, no `hdrhistogram` — and consists of
-//! three pieces threaded through every layer from the solver to the wire:
+//! happened; this crate says *how long they took* and *what an operation
+//! actually did*. It is built in the workspace's offline-shim idiom —
+//! `std` only, no `tracing`, no `hdrhistogram` — and consists of three
+//! pieces threaded through every layer from the solver to the wire:
 //!
 //! 1. [`Histogram`]: atomic log-bucketed latency histograms (power-of-two
 //!    buckets over nanoseconds, lock-free `record`, mergeable
@@ -12,12 +12,13 @@
 //!    class and per engine [`Phase`].
 //! 2. A flight recorder — [`EventRing`], a fixed-capacity lock-free ring
 //!    of structured [`SpanEvent`]s (monotonic timestamp, txn id, partition
-//!    id, phase, duration, outcome) capturing the most recent operations
-//!    at near-zero steady-state cost — plus a slow-op log that promotes
-//!    any over-threshold operation's full span tree to a retained list.
-//! 3. [`Obs`], the shared handle both engines record through, surfaced by
+//!    id, phase, duration, outcome) capturing the most recent operations,
+//!    each with its full span tree, at near-zero steady-state cost.
+//! 3. [`Obs`], the shared handle the engine records through, surfaced by
 //!    the `SHOW PROFILE` / `SHOW EVENTS` statements, the wire protocol's
-//!    PROFILE/EVENTS frames, and the server's `--trace-out` JSONL export.
+//!    PROFILE/EVENTS frames, and the optional JSONL trace sink (the
+//!    server's `--trace-out`), which writes every operation's span tree as
+//!    one line.
 //!
 //! See `docs/OBSERVABILITY.md` for the bucket scheme, ring overwrite
 //! policy, and how to read the reports.
@@ -27,7 +28,7 @@ mod obs;
 mod ring;
 
 pub use histogram::{bucket_index, bucket_upper_bound, HistSnapshot, HistSummary, Histogram};
-pub use obs::{escape_json, Obs, OpToken, ProfileReport, SlowOp, SpanNode};
+pub use obs::{escape_json, Obs, OpToken, ProfileReport};
 pub use ring::{EventRing, SpanEvent};
 
 use std::sync::OnceLock;

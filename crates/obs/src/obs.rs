@@ -10,55 +10,24 @@
 //! ended with [`Obs::span`] appends an event to a thread-local collector,
 //! so a finished operation carries its full span tree: the statement root
 //! plus each timed phase with its start offset. `finish_op` publishes the
-//! tree to the flight recorder as one run; the slow-op log retains it and
-//! the JSONL trace sink exports it.
+//! tree to the flight recorder as one run, and the JSONL trace sink, when
+//! installed, exports it as one line.
 //!
 //! A statement's price is fixed: one clock read per phase boundary,
 //! relaxed histogram adds and one ring claim — no mutex, no allocation
 //! (the collector's buffer is reused), no `SeqCst` store. A lock found
 //! free ([`Obs::wait`]) reads no clock; a disabled handle reads none.
 
-use std::collections::VecDeque;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::histogram::{HistSummary, Histogram};
 use crate::ring::{EventRing, SpanEvent};
-use crate::{ns_since_epoch, Outcome, Phase, PHASES, PHASE_COUNT, STMT_CLASSES, STMT_CODE_BASE};
-
-/// How many slow operations the slow-op log retains (oldest evicted).
-pub const SLOW_LOG_CAPACITY: usize = 64;
-
-/// One timed phase inside an operation's span tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanNode {
-    /// Which phase ran.
-    pub phase: Phase,
-    /// Start offset from the operation's start, nanoseconds.
-    pub start_ns: u64,
-    /// Phase duration, nanoseconds.
-    pub dur_ns: u64,
-}
-
-/// A retained over-threshold operation: the root span plus its phase
-/// children — a full (depth-2) span tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SlowOp {
-    /// Statement class (`Statement::kind()`).
-    pub class: &'static str,
-    /// Monotonic start timestamp ([`crate::ns_since_epoch`]).
-    pub ts_ns: u64,
-    /// Transaction id, if the op produced/affected one (`u64::MAX` none).
-    pub txn_id: u64,
-    /// Total operation duration, nanoseconds.
-    pub total_ns: u64,
-    /// How the operation ended.
-    pub outcome: Outcome,
-    /// Timed phases in execution order.
-    pub spans: Vec<SpanNode>,
-}
+use crate::{
+    kind_name, ns_since_epoch, Outcome, Phase, PHASES, PHASE_COUNT, STMT_CLASSES, STMT_CODE_BASE,
+};
 
 /// Per-class and per-phase latency summaries — the payload of
 /// `SHOW PROFILE` and the wire PROFILE frame.
@@ -128,22 +97,17 @@ struct OpCtx {
 }
 
 /// The observability layer: per-class and per-phase histograms, the
-/// flight-recorder ring, the slow-op log and the optional JSONL trace
-/// sink, all behind one lock-free-on-the-hot-path handle.
+/// flight-recorder ring and the optional JSONL trace sink, all behind one
+/// lock-free-on-the-hot-path handle.
 pub struct Obs {
     enabled: AtomicBool,
     phases: [Histogram; PHASE_COUNT],
     /// Indexed like [`STMT_CLASSES`].
     classes: [Histogram; STMT_CLASSES.len()],
     ring: EventRing,
-    slow_threshold_ns: AtomicU64,
-    slow: Mutex<VecDeque<SlowOp>>,
     /// `trace` holds a sink; read per op instead of the mutex.
     traced: AtomicBool,
     trace: Mutex<Option<Box<dyn Write + Send>>>,
-    /// Test hook: artificial delay appended to every operation, so tests
-    /// can force an op over the slow threshold deterministically.
-    test_delay_ns: AtomicU64,
 }
 
 impl std::fmt::Debug for Obs {
@@ -151,10 +115,7 @@ impl std::fmt::Debug for Obs {
         f.debug_struct("Obs")
             .field("enabled", &self.enabled.load(Ordering::Relaxed))
             .field("ring_pushed", &self.ring.pushed())
-            .field(
-                "slow_threshold_ns",
-                &self.slow_threshold_ns.load(Ordering::Relaxed),
-            )
+            .field("traced", &self.traced.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -177,11 +138,8 @@ impl Obs {
             phases: std::array::from_fn(|_| Histogram::new()),
             classes: std::array::from_fn(|_| Histogram::new()),
             ring: EventRing::new(EventRing::DEFAULT_CAPACITY),
-            slow_threshold_ns: AtomicU64::new(0),
-            slow: Mutex::new(VecDeque::new()),
             traced: AtomicBool::new(false),
             trace: Mutex::new(None),
-            test_delay_ns: AtomicU64::new(0),
         }
     }
 
@@ -196,24 +154,11 @@ impl Obs {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Set the slow-op threshold (0 disables the slow-op log).
-    pub fn set_slow_threshold_us(&self, us: u64) {
-        self.slow_threshold_ns
-            .store(us.saturating_mul(1_000), Ordering::Relaxed);
-    }
-
     /// Install (or clear) the JSONL trace sink; every finished operation
     /// is written as one line (see `docs/OBSERVABILITY.md`).
     pub fn set_trace(&self, sink: Option<Box<dyn Write + Send>>) {
         self.traced.store(sink.is_some(), Ordering::Relaxed);
         *lock(&self.trace) = sink;
-    }
-
-    /// Test hook: sleep this long at the end of every operation, forcing
-    /// it over the slow threshold.
-    pub fn set_test_delay_us(&self, us: u64) {
-        self.test_delay_ns
-            .store(us.saturating_mul(1_000), Ordering::Relaxed);
     }
 
     // ---- recording ------------------------------------------------------
@@ -233,21 +178,14 @@ impl Obs {
     }
 
     /// Finish an operation: records the class histogram, publishes the
-    /// phase events and the root to the flight recorder as one run,
-    /// promotes the span tree to the slow-op log when over threshold, and
+    /// phase events and the root to the flight recorder as one run, and
     /// writes the JSONL trace line when a sink is installed.
     pub fn finish_op(&self, token: OpToken, outcome: Outcome, txn_id: Option<u64>) {
-        let delay = self.test_delay_ns.load(Ordering::Relaxed);
-        if delay > 0 {
-            std::thread::sleep(Duration::from_nanos(delay));
-        }
         let Some(start) = token.start else {
             return;
         };
         let dur_ns = nanos(start.elapsed());
         self.classes[token.class].record(dur_ns);
-        let threshold = self.slow_threshold_ns.load(Ordering::Relaxed);
-        let slow = threshold > 0 && dur_ns >= threshold;
         let traced = self.traced.load(Ordering::Relaxed);
         let root = SpanEvent {
             ts_ns: ns_since_epoch(start),
@@ -257,52 +195,26 @@ impl Obs {
             outcome,
             dur_ns,
         };
-        let mut spans = Vec::new();
-        if token.collecting {
+        let line = if token.collecting {
             OP.with(|cell| {
                 let ctx = &mut *cell.borrow_mut();
                 ctx.active = false;
-                if slow || traced {
-                    spans = (ctx.events.iter())
-                        .map(|e| SpanNode {
-                            phase: PHASES[e.kind as usize],
-                            start_ns: e.ts_ns.saturating_sub(root.ts_ns),
-                            dur_ns: e.dur_ns,
-                        })
-                        .collect();
-                }
                 ctx.events.push(root);
                 self.ring.push(&ctx.events);
+                let line = traced.then(|| trace_line(&ctx.events));
                 ctx.events.clear();
                 ctx.events.shrink_to(self.ring.capacity()); // after a giant op
-            });
+                line
+            })
         } else {
             self.ring.push(&[root]);
-        }
-        if !slow && !traced {
-            return;
-        }
-        let op = SlowOp {
-            class: STMT_CLASSES[token.class],
-            ts_ns: root.ts_ns,
-            txn_id: root.txn_id,
-            total_ns: dur_ns,
-            outcome,
-            spans,
+            traced.then(|| trace_line(&[root]))
         };
-        if traced {
-            let line = trace_line(&op);
+        if let Some(line) = line {
             if let Some(sink) = lock(&self.trace).as_mut() {
                 let _ = sink.write_all(line.as_bytes());
                 let _ = sink.flush();
             }
-        }
-        if slow {
-            let mut log = lock(&self.slow);
-            if log.len() >= SLOW_LOG_CAPACITY {
-                log.pop_front();
-            }
-            log.push_back(op);
         }
     }
 
@@ -403,18 +315,13 @@ impl Obs {
         self.ring.recent(limit)
     }
 
-    /// Retained slow operations, oldest first.
-    pub fn slow_ops(&self) -> Vec<SlowOp> {
-        lock(&self.slow).iter().cloned().collect()
-    }
-
-    /// Clear histograms, the slow-op log and (logically) the ring — used
-    /// by `reset_metrics` so profiles restart alongside counters.
+    /// Clear the histograms — used by `reset_metrics` so profiles restart
+    /// alongside counters. The flight recorder is history, not a tally: it
+    /// survives a reset, so `SHOW EVENTS` still returns pre-reset events.
     pub fn reset(&self) {
         for h in self.phases.iter().chain(&self.classes) {
             h.reset();
         }
-        lock(&self.slow).clear();
     }
 }
 
@@ -439,28 +346,32 @@ pub fn escape_json(s: &str) -> String {
     out
 }
 
-/// Render one operation as a JSONL trace line (newline-terminated).
-fn trace_line(op: &SlowOp) -> String {
+/// Render one operation as a JSONL trace line (newline-terminated) from
+/// its collected events: the phase spans in order, then the root.
+fn trace_line(events: &[SpanEvent]) -> String {
+    let (root, spans) = events
+        .split_last()
+        .expect("an op's events end with its root");
     let mut line = format!(
         "{{\"ts_ns\":{},\"class\":\"{}\",\"txn\":{},\"outcome\":\"{}\",\"dur_ns\":{},\"spans\":[",
-        op.ts_ns,
-        escape_json(op.class),
-        if op.txn_id == SpanEvent::NONE {
+        root.ts_ns,
+        escape_json(kind_name(root.kind)),
+        if root.txn_id == SpanEvent::NONE {
             -1i64
         } else {
-            op.txn_id as i64
+            root.txn_id as i64
         },
-        op.outcome.name(),
-        op.total_ns,
+        root.outcome.name(),
+        root.dur_ns,
     );
-    for (i, s) in op.spans.iter().enumerate() {
+    for (i, s) in spans.iter().enumerate() {
         if i > 0 {
             line.push(',');
         }
         line.push_str(&format!(
             "{{\"phase\":\"{}\",\"start_ns\":{},\"dur_ns\":{}}}",
-            s.phase.name(),
-            s.start_ns,
+            kind_name(s.kind),
+            s.ts_ns.saturating_sub(root.ts_ns),
             s.dur_ns
         ));
     }
@@ -524,53 +435,47 @@ mod tests {
         assert!(obs.events(10).is_empty());
     }
 
+    /// Install a trace sink and return what it received so far.
+    fn traced(obs: &Obs) -> impl Fn() -> String {
+        let buf = SharedBuf::default();
+        obs.set_trace(Some(Box::new(buf.clone())));
+        move || String::from_utf8(lock(&buf.0).clone()).unwrap()
+    }
+
     #[test]
-    fn slow_ops_promote_their_span_tree() {
+    fn trace_sink_receives_each_op_with_its_span_tree() {
         let obs = Obs::new();
-        obs.set_slow_threshold_us(1); // 1 µs — everything is slow
-        obs.set_test_delay_us(5); // a hot op can finish in <1 µs of wall clock
+        let text = traced(&obs);
         let token = obs.begin_op(class("SELECT … CHOOSE 1"));
         obs.span(Phase::Solve, obs.start());
         obs.finish_op(token, Outcome::Ok, Some(42));
-        let slow = obs.slow_ops();
-        assert_eq!(slow.len(), 1);
-        assert_eq!(slow[0].class, "SELECT … CHOOSE 1");
-        assert_eq!(slow[0].txn_id, 42);
-        assert_eq!(slow[0].spans.len(), 1);
-        assert_eq!(slow[0].spans[0].phase, Phase::Solve);
-        assert!(slow[0].total_ns >= 1_000);
+        let line = text();
+        assert!(line.contains("\"class\":\"SELECT … CHOOSE 1\""), "{line}");
+        assert!(line.contains("\"txn\":42,"), "{line}");
+        assert_eq!(line.matches("\"phase\":").count(), 1, "{line}");
+        assert!(line.contains("\"spans\":[{\"phase\":\"solve\",\"start_ns\":"));
+        let start: u64 = (line.split("\"start_ns\":").nth(1))
+            .and_then(|rest| rest.split(',').next()?.parse().ok())
+            .expect("a start offset");
+        let total: u64 = (line.split("\"dur_ns\":").nth(1))
+            .and_then(|rest| rest.split(',').next()?.parse().ok())
+            .expect("the op's duration");
+        assert!(start <= total, "the phase starts inside its op: {line}");
     }
 
     #[test]
-    fn slow_log_capacity_evicts_oldest() {
+    fn each_op_is_one_newline_terminated_trace_line() {
         let obs = Obs::new();
-        obs.set_slow_threshold_us(1);
-        obs.set_test_delay_us(5); // ensure every op clears the threshold
-        for i in 0..(SLOW_LOG_CAPACITY + 5) {
-            let token = obs.begin_op(class("INSERT"));
-            obs.finish_op(token, Outcome::Ok, Some(i as u64));
+        let text = traced(&obs);
+        for _ in 0..2 {
+            let token = obs.begin_op(class("GROUND ALL"));
+            obs.span(Phase::Apply, obs.start());
+            obs.finish_op(token, Outcome::Ok, None);
         }
-        let slow = obs.slow_ops();
-        assert_eq!(slow.len(), SLOW_LOG_CAPACITY);
-        assert_eq!(slow[0].txn_id, 5, "oldest five evicted");
-    }
-
-    #[test]
-    fn test_delay_hook_forces_an_op_over_threshold_and_into_the_trace() {
-        let obs = Obs::new();
-        let buf = SharedBuf::default();
-        obs.set_trace(Some(Box::new(buf.clone())));
-        obs.set_slow_threshold_us(500);
-        obs.set_test_delay_us(1_000); // 1 ms — far over the 500 µs threshold
-        let token = obs.begin_op(class("GROUND ALL"));
-        obs.span(Phase::Apply, obs.start());
-        obs.finish_op(token, Outcome::Ok, None);
-        let slow = obs.slow_ops();
-        assert_eq!(slow.len(), 1, "delayed op promoted to the slow log");
-        assert!(slow[0].total_ns >= 1_000_000);
-        let text = String::from_utf8(lock(&buf.0).clone()).unwrap();
+        let text = text();
         assert!(text.ends_with("]}\n"), "JSONL line is newline-terminated");
-        assert!(text.contains("\"class\":\"GROUND ALL\""));
+        assert_eq!(text.lines().count(), 2);
+        assert!(text.contains("\"class\":\"GROUND ALL\",\"txn\":-1,"));
         assert!(text.contains("\"phase\":\"apply\""));
         assert!(text.contains("\"start_ns\":"));
     }
@@ -589,9 +494,8 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_histograms_and_slow_log() {
+    fn reset_clears_histograms_and_keeps_the_flight_recorder() {
         let obs = Obs::new();
-        obs.set_slow_threshold_us(1);
         let token = obs.begin_op(class("DELETE"));
         obs.span(Phase::Apply, obs.start());
         obs.finish_op(token, Outcome::Ok, None);
@@ -599,7 +503,9 @@ mod tests {
         let report = obs.profile();
         assert!(report.phases.is_empty());
         assert!(report.classes.is_empty(), "a zeroed class is not listed");
-        assert!(obs.slow_ops().is_empty());
+        let events = obs.events(10);
+        assert_eq!(events.len(), 2, "the flight recorder survives a reset");
+        assert_eq!(events[1].kind, stmt_code("DELETE"));
     }
 
     #[test]

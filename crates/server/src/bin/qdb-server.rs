@@ -2,15 +2,15 @@
 //!
 //! ```text
 //! qdb-server [--addr HOST:PORT] [--workers N] [--k N]
-//!            [--prepared-cache N] [--slow-log MICROS] [--trace-out PATH]
+//!            [--prepared-cache N] [--trace-out PATH]
 //!            [--max-conns N] [--idle-timeout-ms MS] [--outbox-limit BYTES]
 //! ```
 //!
 //! Defaults: `--addr 127.0.0.1:5433`, `--workers 4`, `--prepared-cache
 //! 128` (per-connection prepared-statement LRU entries; `0` disables
-//! statement caching), engine defaults (k = 61). `--slow-log N` promotes any operation over N microseconds
-//! into the engine's slow-op log; `--trace-out PATH` appends every
-//! finished operation to PATH as JSONL (see `docs/OBSERVABILITY.md`).
+//! statement caching), engine defaults (k = 61). `--trace-out PATH`
+//! appends every finished statement's span tree to PATH as one JSONL line
+//! (see `docs/OBSERVABILITY.md`).
 //! Serving knobs: `--max-conns` is the admission limit (default 16384;
 //! further connections are refused and counted), `--idle-timeout-ms`
 //! reaps connections with no inbound traffic for that long (default
@@ -25,7 +25,7 @@ use qdb_server::{Server, ServerConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: qdb-server [--addr HOST:PORT] [--workers N] [--k N] \
-         [--prepared-cache N] [--slow-log MICROS] [--trace-out PATH] \
+         [--prepared-cache N] [--trace-out PATH] \
          [--max-conns N] [--idle-timeout-ms MS] [--outbox-limit BYTES] \
          [--replicate-from HOST:PORT] [--replica-id NAME] \
          [--repl-poll-ms MS] [--promote-after-ms MS]"
@@ -61,10 +61,6 @@ fn parse_args() -> ServerConfig {
             }
             "--prepared-cache" => {
                 cfg.prepared_cache = value(i).parse().unwrap_or_else(|_| usage());
-                i += 1;
-            }
-            "--slow-log" => {
-                cfg.engine.slow_op_threshold_us = value(i).parse().unwrap_or_else(|_| usage());
                 i += 1;
             }
             "--trace-out" => {

@@ -573,12 +573,10 @@ impl Conn {
             stmt => db.execute_stmt(stmt),
         };
         match result {
-            // `SHOW METRICS` carries the server's counters and the engine's
-            // latency histogram summaries too.
+            // `SHOW METRICS` carries the server's counters too.
             Ok(Response::Metrics(engine)) => Reply::Stats {
                 engine,
                 server: self.metrics.snapshot(),
-                profile: Some(Box::new(db.profile())),
             },
             Ok(r) => Reply::Engine(r),
             Err(e) => engine_error(e),

@@ -11,17 +11,18 @@
 //! failure.
 //!
 //! The driver interleaves N logical clients over one of two engine
-//! builds (the embedded [`qdb_core::SharedQuantumDb`], or a full
-//! `qdb-server` behind loopback TCP with one [`qdb_client::Connection`]
-//! per client — the same engine behind the wire), records every
-//! statement into a [`History`], and runs the black-box checks of
-//! [`crate::checker`] after every transition (invariants), at epoch
-//! boundaries (serializability + replay equivalence) and on sampled
-//! uncertain reads (explainability). Crash injection cuts the WAL image
-//! at an arbitrary byte offset (optionally corrupting it through a
-//! [`qdb_storage::FaultSink`]), restarts the engine from the prefix via
-//! [`qdb_core::QuantumDb::recover`], and verifies the recovered state
-//! against an independently replayed model before resuming the workload.
+//! builds — the embedded [`qdb_core::SharedQuantumDb`] with one
+//! [`qdb_core::Session`] per client, or a full `qdb-server` behind
+//! loopback TCP with one [`qdb_client::Connection`] per client — which
+//! run the same SQL, records every statement into a [`History`], and
+//! runs the black-box checks of [`crate::checker`] after every transition
+//! (invariants), at epoch boundaries (serializability + replay
+//! equivalence) and on sampled uncertain reads (explainability). Crash
+//! injection cuts the WAL image at an arbitrary byte offset (optionally
+//! corrupting it through a [`qdb_storage::FaultSink`]), restarts the
+//! engine from the prefix via [`qdb_core::QuantumDb::recover`], and
+//! verifies the recovered state against an independently replayed model
+//! before resuming the workload.
 //!
 //! Every executed step is also recorded as a [`TraceEntry`], so a run
 //! can be replayed op-for-op via [`run_trace`] — the substrate the
@@ -31,8 +32,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use qdb_client::{Connection, RemotePrepared};
 use qdb_core::{
-    enumerate_worlds_seeded, world_fingerprint, QuantumDb, QuantumDbConfig, Response,
-    SharedQuantumDb, SubmitOutcome, TxnId,
+    enumerate_worlds_seeded, world_fingerprint, Bound, Prepared, QuantumDb, QuantumDbConfig,
+    Response, Session, SharedQuantumDb, SubmitOutcome, TxnId,
 };
 use qdb_logic::codec::decode_transaction;
 use qdb_logic::{parse_query, Atom, ResourceTransaction, Term, UpdateKind, Valuation};
@@ -53,7 +54,8 @@ use crate::history::{Event, History, ReadKind, Site};
 /// Which engine build a run drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// The engine, embedded: the partition-sharded [`SharedQuantumDb`].
+    /// The engine, embedded: the partition-sharded [`SharedQuantumDb`],
+    /// every client a [`Session`] running the same SQL as the wire build.
     Sharded,
     /// A full `qdb-server` process behind loopback TCP: every client is a
     /// [`qdb_client::Connection`] issuing SQL, so the run black-box-checks
@@ -353,20 +355,53 @@ pub struct RunResult {
 // Engine abstraction
 // ---------------------------------------------------------------------------
 
-/// The wire harness: an in-process `qdb-server` over loopback TCP and
-/// one [`Connection`] per logical client.
-struct WireEngine {
-    server: ServerHandle,
-    conns: Vec<Connection>,
-    reads: Vec<WireReads>,
+/// One logical client's statement path. Both builds send the same SQL:
+/// the embedded one through a [`Session`] on the engine handle, the wire
+/// one through a [`Connection`] to a `qdb-server` serving that handle.
+/// Either way the statement cache, `execute_stmt` and its observability
+/// bracket are the ones every other caller goes through.
+enum Client {
+    Embedded {
+        session: Session,
+        reads: Reads<Prepared>,
+    },
+    Wire {
+        conn: Connection,
+        reads: Reads<RemotePrepared>,
+    },
 }
 
-/// Per-connection prepared read statements, exercising the server's
-/// per-session prepared/bound maps on every read.
-struct WireReads {
-    collapse: RemotePrepared,
-    peek: RemotePrepared,
-    possible: RemotePrepared,
+/// A client's read statements, prepared once and bound to the target
+/// user per call — on the wire this exercises the server's per-session
+/// prepared/bound maps on every read.
+struct Reads<P> {
+    collapse: P,
+    peek: P,
+    possible: P,
+}
+
+impl<P> Reads<P> {
+    fn prepare<E: std::fmt::Display>(
+        world_bound: usize,
+        mut prepare: impl FnMut(&str) -> Result<P, E>,
+    ) -> Result<Reads<P>, String> {
+        let mut prep = |sql: &str| prepare(sql).map_err(|e| format!("prepare {sql:?}: {e}"));
+        Ok(Reads {
+            collapse: prep("SELECT * FROM Bookings(?, @f, @s)")?,
+            peek: prep("SELECT PEEK * FROM Bookings(?, @f, @s)")?,
+            possible: prep(&format!(
+                "SELECT POSSIBLE * FROM Bookings(?, @f, @s) LIMIT {world_bound}"
+            ))?,
+        })
+    }
+
+    fn get(&self, kind: ReadKind) -> &P {
+        match kind {
+            ReadKind::Collapse => &self.collapse,
+            ReadKind::Peek => &self.peek,
+            ReadKind::Possible => &self.possible,
+        }
+    }
 }
 
 /// Worker threads for the in-process server. More than one is safe: the
@@ -374,78 +409,18 @@ struct WireReads {
 /// never race on statement order.
 const WIRE_WORKERS: usize = 2;
 
-impl WireEngine {
-    fn start(shared: SharedQuantumDb, clients: usize, world_bound: usize) -> Result<Self, String> {
-        let server = Server::spawn_with_db("127.0.0.1:0", WIRE_WORKERS, shared)
-            .map_err(|e| format!("spawn sim server: {e}"))?;
-        let mut conns = Vec::with_capacity(clients);
-        let mut reads = Vec::with_capacity(clients);
-        for c in 0..clients {
-            let mut conn = Connection::connect(server.addr())
-                .map_err(|e| format!("client {c} connect: {e}"))?;
-            let prep = |conn: &mut Connection, sql: &str| {
-                conn.prepare(sql)
-                    .map_err(|e| format!("client {c} prepare {sql:?}: {e}"))
-            };
-            let collapse = prep(&mut conn, "SELECT * FROM Bookings(?, @f, @s)")?;
-            let peek = prep(&mut conn, "SELECT PEEK * FROM Bookings(?, @f, @s)")?;
-            let possible = prep(
-                &mut conn,
-                &format!("SELECT POSSIBLE * FROM Bookings(?, @f, @s) LIMIT {world_bound}"),
-            )?;
-            conns.push(conn);
-            reads.push(WireReads {
-                collapse,
-                peek,
-                possible,
-            });
-        }
-        Ok(WireEngine {
-            server,
-            conns,
-            reads,
-        })
-    }
-
-    fn execute(&mut self, c: usize, sql: &str) -> Result<Response, String> {
-        self.conns[c]
-            .execute(sql)
-            .map_err(|e| format!("wire {sql:?}: {e}"))
-    }
-
-    /// `BIND` + `RUN` pipelined in one round trip against the prepared
-    /// statement for `kind`, with the target user as the sole parameter.
-    fn read(&mut self, c: usize, kind: ReadKind, user: &str) -> Result<Response, String> {
-        let prepared = match kind {
-            ReadKind::Collapse => &self.reads[c].collapse,
-            ReadKind::Peek => &self.reads[c].peek,
-            ReadKind::Possible => &self.reads[c].possible,
-        };
-        self.conns[c]
-            .bind_run(prepared, &[Value::from(user)])
-            .map_err(|e| format!("wire {kind} {user}: {e}"))
-    }
-}
-
-impl std::fmt::Debug for WireEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WireEngine")
-            .field("addr", &self.server.addr())
-            .field("clients", &self.conns.len())
-            .finish()
-    }
-}
-
-/// The engine under test. Statements go to `shared` directly, or — for
-/// [`EngineKind::Wire`] — over the wire to a server serving the same
-/// handle; the *checker's* probes (WAL image, pending ids, metrics) are
-/// not client traffic and always read `shared` directly.
+/// The engine under test. Client statements travel through `clients`; the
+/// *checker's* probes (WAL image, pending ids, metrics) are not client
+/// traffic and always read `shared` directly.
 struct Engine {
     shared: SharedQuantumDb,
-    wire: Option<Box<WireEngine>>,
+    clients: Vec<Client>,
+    /// The in-process server of an [`EngineKind::Wire`] run (shut down on
+    /// drop).
+    _server: Option<ServerHandle>,
 }
 
-/// Render a blind write as the SQL the wire engine sends.
+/// Render a blind write as SQL.
 fn write_sql(op: &WriteOp) -> String {
     let (verb, relation, tuple) = match op {
         WriteOp::Insert { relation, tuple } => ("INSERT INTO", relation, tuple),
@@ -465,8 +440,8 @@ fn write_sql(op: &WriteOp) -> String {
 /// yields a [`ResourceTransaction`] *identical* (variable ids included)
 /// to [`solo_booking`]/[`entangled_booking`]: same update order, same
 /// body-atom order, same first-appearance order of `s` and `s2`. A
-/// pinned test asserts the equality, which is what makes wire runs
-/// digest-equal to embedded runs.
+/// pinned test asserts the equality, which is what lets the checker model
+/// the engine's pending set with the workload's own transactions.
 fn booking_sql(user: &str, partner: Option<&str>, flight: i64) -> String {
     let tail = format!(
         "CHOOSE 1 FOLLOWED BY (DELETE ({flight}, @s) FROM Available; \
@@ -509,163 +484,117 @@ impl Engine {
     }
 
     fn wrap(cfg: &SimConfig, shared: SharedQuantumDb) -> Result<Engine, String> {
-        let wire = match cfg.engine {
+        let server = match cfg.engine {
             EngineKind::Sharded => None,
-            EngineKind::Wire => Some(Box::new(WireEngine::start(
-                shared.clone(),
-                cfg.clients,
-                cfg.world_bound,
-            )?)),
+            EngineKind::Wire => Some(
+                Server::spawn_with_db("127.0.0.1:0", WIRE_WORKERS, shared.clone())
+                    .map_err(|e| format!("spawn sim server: {e}"))?,
+            ),
         };
-        Ok(Engine { shared, wire })
-    }
-
-    /// Run one driver-level operation inside a flight-recorder span. The
-    /// embedded builds drive the engine API directly (no statement
-    /// layer), so without this the event ring would stay empty; the
-    /// class names match `Statement::kind()` so artifact events read
-    /// like statements. The wire build skips this — the server brackets
-    /// every statement itself. Timings are wall-clock and never feed
-    /// the determinism digest.
-    fn record<R>(
-        &mut self,
-        class: &'static str,
-        run: impl FnOnce(&mut Self) -> Result<R, String>,
-        outcome: impl FnOnce(&R) -> qdb_core::Outcome,
-    ) -> Result<R, String> {
-        if self.wire.is_some() {
-            return run(self);
-        }
-        let obs = self.obs().clone();
-        let token = obs.begin_op(qdb_core::stmt_class(class).expect("a statement class"));
-        let r = run(self);
-        let o = match &r {
-            Ok(v) => outcome(v),
-            Err(_) => qdb_core::Outcome::Error,
-        };
-        obs.finish_op(token, o, None);
-        r
-    }
-
-    fn submit(
-        &mut self,
-        c: usize,
-        txn: &ResourceTransaction,
-        sql: &str,
-    ) -> Result<SubmitOutcome, String> {
-        self.record(
-            "SELECT … CHOOSE 1",
-            |e| match &mut e.wire {
-                None => e.shared.submit(txn).map_err(|e| e.to_string()),
-                Some(w) => match w.execute(c, sql)? {
-                    Response::Committed(id) => Ok(SubmitOutcome::Committed { id }),
-                    Response::Aborted => Ok(SubmitOutcome::Aborted),
-                    other => Err(format!("CHOOSE over wire returned {other:?}")),
-                },
-            },
-            |o| {
-                if o.is_committed() {
-                    qdb_core::Outcome::Ok
-                } else {
-                    qdb_core::Outcome::Aborted
+        let mut clients = Vec::with_capacity(cfg.clients);
+        for c in 0..cfg.clients {
+            let client = match &server {
+                None => {
+                    let session = shared.session();
+                    let reads = Reads::prepare(cfg.world_bound, |sql| session.prepare(sql));
+                    Client::Embedded {
+                        reads: reads.map_err(|e| format!("client {c} {e}"))?,
+                        session,
+                    }
                 }
-            },
-        )
+                Some(server) => {
+                    let mut conn = Connection::connect(server.addr())
+                        .map_err(|e| format!("client {c} connect: {e}"))?;
+                    let reads = Reads::prepare(cfg.world_bound, |sql| conn.prepare(sql));
+                    Client::Wire {
+                        reads: reads.map_err(|e| format!("client {c} {e}"))?,
+                        conn,
+                    }
+                }
+            };
+            clients.push(client);
+        }
+        Ok(Engine {
+            shared,
+            clients,
+            _server: server,
+        })
     }
 
-    fn read(&mut self, c: usize, user: &str, atoms: &[Atom]) -> Result<Vec<Valuation>, String> {
-        self.record(
-            "SELECT",
-            |e| match &mut e.wire {
-                None => e.shared.read(atoms, None).map_err(|e| e.to_string()),
-                Some(w) => match w.read(c, ReadKind::Collapse, user)? {
-                    Response::Rows(rows) => Ok(rows),
-                    other => Err(format!("SELECT over wire returned {other:?}")),
-                },
-            },
-            |_| qdb_core::Outcome::Ok,
-        )
+    /// Client `c` executes one SQL text.
+    fn execute(&mut self, c: usize, sql: &str) -> Result<Response, String> {
+        match &mut self.clients[c] {
+            Client::Embedded { session, .. } => session.execute(sql).map_err(|e| e.to_string()),
+            Client::Wire { conn, .. } => conn.execute(sql).map_err(|e| e.to_string()),
+        }
+        .map_err(|e| format!("{sql:?}: {e}"))
     }
 
-    fn read_peek(
-        &mut self,
-        c: usize,
-        user: &str,
-        atoms: &[Atom],
-    ) -> Result<Vec<Valuation>, String> {
-        self.record(
-            "SELECT",
-            |e| match &mut e.wire {
-                None => e.shared.read_peek(atoms, None).map_err(|e| e.to_string()),
-                Some(w) => match w.read(c, ReadKind::Peek, user)? {
-                    Response::Rows(rows) => Ok(rows),
-                    other => Err(format!("SELECT PEEK over wire returned {other:?}")),
-                },
-            },
-            |_| qdb_core::Outcome::Ok,
-        )
+    /// Client `c` binds its prepared `kind` read to `user` and runs it (on
+    /// the wire, `BIND` + `RUN` pipelined in one round trip).
+    fn read(&mut self, c: usize, kind: ReadKind, user: &str) -> Result<Response, String> {
+        let params = [Value::from(user)];
+        match &mut self.clients[c] {
+            Client::Embedded { reads, .. } => reads
+                .get(kind)
+                .bind(&params)
+                .and_then(Bound::run)
+                .map_err(|e| e.to_string()),
+            Client::Wire { conn, reads } => conn
+                .bind_run(reads.get(kind), &params)
+                .map_err(|e| e.to_string()),
+        }
+        .map_err(|e| format!("{kind} {user}: {e}"))
     }
 
-    fn read_possible(
-        &mut self,
-        c: usize,
-        user: &str,
-        atoms: &[Atom],
-        bound: usize,
-    ) -> Result<Vec<Vec<Valuation>>, String> {
-        self.record(
-            "SELECT",
-            |e| match &mut e.wire {
-                None => e
-                    .shared
-                    .read_possible(atoms, bound)
-                    .map_err(|e| e.to_string()),
-                Some(w) => match w.read(c, ReadKind::Possible, user)? {
-                    Response::Worlds(worlds) => Ok(worlds),
-                    other => Err(format!("SELECT POSSIBLE over wire returned {other:?}")),
-                },
-            },
-            |_| qdb_core::Outcome::Ok,
-        )
+    fn submit(&mut self, c: usize, sql: &str) -> Result<SubmitOutcome, String> {
+        match self.execute(c, sql)? {
+            Response::Committed(id) => Ok(SubmitOutcome::Committed { id }),
+            Response::Aborted => Ok(SubmitOutcome::Aborted),
+            other => Err(format!("CHOOSE returned {other:?}")),
+        }
     }
 
-    fn write(&mut self, c: usize, op: WriteOp) -> Result<bool, String> {
-        match &mut self.wire {
-            None => self.shared.write(op).map_err(|e| e.to_string()),
-            Some(w) => match w.execute(c, &write_sql(&op))? {
-                Response::Written(applied) => Ok(applied),
-                other => Err(format!("blind write over wire returned {other:?}")),
-            },
+    /// A collapse or PEEK read's rows.
+    fn rows(&mut self, c: usize, kind: ReadKind, user: &str) -> Result<Vec<Valuation>, String> {
+        match self.read(c, kind, user)? {
+            Response::Rows(rows) => Ok(rows),
+            other => Err(format!("{kind} returned {other:?}")),
+        }
+    }
+
+    fn worlds(&mut self, c: usize, user: &str) -> Result<Vec<Vec<Valuation>>, String> {
+        match self.read(c, ReadKind::Possible, user)? {
+            Response::Worlds(worlds) => Ok(worlds),
+            other => Err(format!("POSSIBLE returned {other:?}")),
+        }
+    }
+
+    fn write(&mut self, c: usize, op: &WriteOp) -> Result<bool, String> {
+        match self.execute(c, &write_sql(op))? {
+            Response::Written(applied) => Ok(applied),
+            other => Err(format!("blind write returned {other:?}")),
         }
     }
 
     fn ground(&mut self, c: usize, id: TxnId) -> Result<bool, String> {
-        match &mut self.wire {
-            None => self.shared.ground(id).map_err(|e| e.to_string()),
-            Some(w) => match w.execute(c, &format!("GROUND {id}"))? {
-                Response::Grounded(n) => Ok(n > 0),
-                other => Err(format!("GROUND over wire returned {other:?}")),
-            },
+        match self.execute(c, &format!("GROUND {id}"))? {
+            Response::Grounded(n) => Ok(n > 0),
+            other => Err(format!("GROUND returned {other:?}")),
         }
     }
 
     fn ground_all(&mut self, c: usize) -> Result<(), String> {
-        match &mut self.wire {
-            None => self.shared.ground_all().map_err(|e| e.to_string()),
-            Some(w) => match w.execute(c, "GROUND ALL")? {
-                Response::Grounded(_) => Ok(()),
-                other => Err(format!("GROUND ALL over wire returned {other:?}")),
-            },
+        match self.execute(c, "GROUND ALL")? {
+            Response::Grounded(_) => Ok(()),
+            other => Err(format!("GROUND ALL returned {other:?}")),
         }
     }
 
     fn checkpoint(&mut self, c: usize) -> Result<(), String> {
-        match &mut self.wire {
-            None => self.shared.checkpoint().map_err(|e| e.to_string()),
-            Some(w) => match w.execute(c, "CHECKPOINT")? {
-                Response::Ack => Ok(()),
-                other => Err(format!("CHECKPOINT over wire returned {other:?}")),
-            },
+        match self.execute(c, "CHECKPOINT")? {
+            Response::Ack => Ok(()),
+            other => Err(format!("CHECKPOINT returned {other:?}")),
         }
     }
 
@@ -679,16 +608,6 @@ impl Engine {
 
     fn with_db<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
         self.shared.with_database(f)
-    }
-
-    /// The engine's observability handle.
-    fn obs(&self) -> &std::sync::Arc<qdb_core::Obs> {
-        self.shared.obs()
-    }
-
-    /// The most recent `limit` flight-recorder events, oldest first.
-    fn events(&self, limit: usize) -> Vec<qdb_core::SpanEvent> {
-        self.obs().events(limit)
     }
 
     /// `(committed, grounded, pending)` — read together so the §2
@@ -1013,7 +932,7 @@ impl Driver {
     }
 
     fn blind_write(&mut self, c: usize, op: WriteOp, desc: String) -> Result<bool, Violation> {
-        let applied = self.engine.write(c, op).map_err(|e| self.engine_err(e))?;
+        let applied = self.engine.write(c, &op).map_err(|e| self.engine_err(e))?;
         self.hist.record(c, Event::Write { desc, applied });
         Ok(applied)
     }
@@ -1050,7 +969,7 @@ impl Driver {
         };
         let outcome = self
             .engine
-            .submit(c, &txn, &sql)
+            .submit(c, &sql)
             .map_err(|e| self.engine_err(e))?;
         match outcome {
             SubmitOutcome::Committed { id } => {
@@ -1114,7 +1033,7 @@ impl Driver {
         let atoms = booking_atoms(&user);
         let rows = self
             .engine
-            .read(c, &user, &atoms)
+            .rows(c, ReadKind::Collapse, &user)
             .map_err(|e| self.engine_err(e))?;
         // Collapse reads must fully hide uncertainty: the answer is the
         // extensional answer at return time, verified by an independent
@@ -1167,7 +1086,7 @@ impl Driver {
             ReadKind::Peek => {
                 let rows = self
                     .engine
-                    .read_peek(c, &user, &atoms)
+                    .rows(c, ReadKind::Peek, &user)
                     .map_err(|e| self.engine_err(e))?;
                 if sampled {
                     self.explain(&atoms, &[canon_set(&rows)], "peek")?;
@@ -1177,7 +1096,7 @@ impl Driver {
             ReadKind::Possible => {
                 let families = self
                     .engine
-                    .read_possible(c, &user, &atoms, self.cfg.world_bound)
+                    .worlds(c, &user)
                     .map_err(|e| self.engine_err(e))?;
                 if sampled {
                     let sets: Vec<CanonSet> = canon_family(&families).into_iter().collect();
@@ -1581,7 +1500,11 @@ impl Driver {
             digest ^= u64::from(*b);
             digest = digest.wrapping_mul(0x1000_0000_01b3);
         }
-        let obs_events = self.engine.events(crate::artifact::TAIL_EVENTS);
+        let obs_events = self
+            .engine
+            .shared
+            .obs()
+            .events(crate::artifact::TAIL_EVENTS);
         RunResult {
             seed: self.seed,
             engine: self.cfg.engine.label(),
@@ -1778,6 +1701,43 @@ mod tests {
         assert_eq!(solo, solo_booking("u1", 7));
         let ent = parse_sql_transaction(&booking_sql("u1", Some("u2"), 7)).unwrap();
         assert_eq!(ent, entangled_booking("u1", "u2", 7));
+    }
+
+    /// Every blind write the driver issues — `Audit` tags from its
+    /// counter, `Available` seats it adds (`Z{n}`) or picks from the
+    /// installed ones — must render to SQL that parses back to the same
+    /// write. Both builds send this text, so the cross-engine parity test
+    /// cannot catch a mistake in it.
+    #[test]
+    fn write_sql_parses_to_the_write_op() {
+        use qdb_logic::stmt::Statement;
+        let installed = qdb_workload::flights::seat_label(3, 1);
+        for op in [
+            WriteOp::insert("Audit", tuple![0]),
+            WriteOp::delete("Audit", tuple![4_096]),
+            WriteOp::insert("Available", tuple![2, "Z17"]),
+            WriteOp::delete("Available", tuple![2, "Z17"]),
+            WriteOp::delete("Available", tuple![1, installed.as_str()]),
+        ] {
+            let sql = write_sql(&op);
+            let stmt = (qdb_logic::parse_statement(&sql))
+                .and_then(|parsed| parsed.into_statement())
+                .unwrap_or_else(|e| panic!("{sql:?}: {e}"));
+            let (relation, rows, write): (_, _, fn(String, qdb_storage::Tuple) -> WriteOp) =
+                match stmt {
+                    Statement::Insert { relation, rows } => (relation, rows, WriteOp::insert),
+                    Statement::Delete { relation, rows } => (relation, rows, WriteOp::delete),
+                    other => panic!("{sql:?} parsed to {other:?}"),
+                };
+            let [row] = rows.as_slice() else {
+                panic!("{sql:?} writes {} rows", rows.len());
+            };
+            let values = row.iter().map(|term| match term {
+                Term::Const(v) => v.clone(),
+                Term::Var(v) => panic!("{sql:?} has a variable {v}"),
+            });
+            assert_eq!(write(relation, values.collect()), op, "{sql}");
+        }
     }
 
     #[test]

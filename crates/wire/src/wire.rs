@@ -342,11 +342,6 @@ pub enum Reply {
         engine: Box<Metrics>,
         /// Server-side counters.
         server: ServerStats,
-        /// Latency histogram summaries, when the server attaches them.
-        /// Encoded *after* the server stats, so old decoders that stop at
-        /// the stats and new decoders reading an old frame (nothing left
-        /// in the buffer → `None`) both keep working.
-        profile: Option<Box<qdb_obs::ProfileReport>>,
     },
     /// PREPARE succeeded.
     Prepared {
@@ -453,16 +448,9 @@ fn put_reply(out: &mut Vec<u8>, request_id: u32, reply: &Reply) {
             resp::METRICS
         }
         Reply::Engine(r) => put_response(out, r),
-        Reply::Stats {
-            engine,
-            server,
-            profile,
-        } => {
+        Reply::Stats { engine, server } => {
             put_counters(out, engine.counters());
             put_server_stats(out, server);
-            if let Some(p) = profile {
-                put_profile(out, p);
-            }
             resp::METRICS
         }
         Reply::Prepared { stmt, params } => {
@@ -612,18 +600,7 @@ pub fn decode_reply(frame: &Frame) -> Result<Reply> {
             let mut engine = Box::<Metrics>::default();
             get_counters(r, engine.counters_mut())?;
             let server = get_server_stats(r)?;
-            // The profile section is optional: a frame from a server that
-            // does not attach one simply ends here.
-            let profile = if r.is_empty() {
-                None
-            } else {
-                Some(Box::new(get_profile(r)?))
-            };
-            Reply::Stats {
-                engine,
-                server,
-                profile,
-            }
+            Reply::Stats { engine, server }
         }
         resp::PENDING => {
             let n = r.count(MAX_COUNT, 8, "pending count")?;
@@ -938,6 +915,7 @@ pub fn parse_frame(bytes: &[u8]) -> Result<Frame> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qdb_workload::rng::StdRng;
 
     fn roundtrip_request(request: &Request) {
         let bytes = encode_request(7, request);
@@ -1103,14 +1081,8 @@ mod tests {
             statement_classes: vec![("INSERT".into(), 10), ("SELECT".into(), 7)],
         };
         roundtrip_reply(&Reply::Stats {
-            engine: Box::new(engine.clone()),
-            server: server.clone(),
-            profile: None,
-        });
-        roundtrip_reply(&Reply::Stats {
             engine: Box::new(engine),
             server,
-            profile: Some(Box::new(sample_profile())),
         });
         roundtrip_reply(&Reply::Prepared { stmt: 2, params: 6 });
         roundtrip_reply(&Reply::Bound { bound: 4 });
@@ -1217,7 +1189,6 @@ mod tests {
             &Reply::Stats {
                 engine: Box::new(m),
                 server,
-                profile: None,
             },
         );
         let body = &bytes[9..];
@@ -1310,20 +1281,21 @@ mod tests {
         assert_eq!(decode_reply(&frame).unwrap(), ok);
     }
 
-    /// Tiny deterministic generator for the append-encoder property test
-    /// (xorshift64*; the sequence only has to be varied and repeatable).
-    struct Gen(u64);
+    /// Draws for the append-encoder property test, from the workspace's
+    /// one seeded generator.
+    struct Gen(StdRng);
 
     impl Gen {
+        fn new(seed: u64) -> Gen {
+            Gen(StdRng::seed_from_u64(seed))
+        }
+
         fn next(&mut self) -> u64 {
-            self.0 ^= self.0 >> 12;
-            self.0 ^= self.0 << 25;
-            self.0 ^= self.0 >> 27;
-            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+            self.0.next_u64()
         }
 
         fn below(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
+            self.0.gen_range(0..n)
         }
 
         fn text(&mut self) -> String {
@@ -1410,11 +1382,7 @@ mod tests {
                 8 => Reply::Engine(Response::Profile(Box::new(sample_profile()))),
                 9 => Reply::Engine(Response::Events(sample_events())),
                 10 => Reply::Engine(Response::Replication(Box::new(sample_replication()))),
-                11 => Reply::Stats {
-                    engine,
-                    server,
-                    profile: (self.below(2) == 0).then(|| Box::new(sample_profile())),
-                },
+                11 => Reply::Stats { engine, server },
                 12 => Reply::Prepared {
                     stmt: self.next() as u32,
                     params: self.next() as u32,
@@ -1452,7 +1420,7 @@ mod tests {
 
     #[test]
     fn append_encoders_agree_with_the_standalone_ones_for_every_variant() {
-        let mut gen = Gen(0x9e37_79b9_7f4a_7c15);
+        let mut gen = Gen::new(0x9e37_79b9_7f4a_7c15);
         for _ in 0..600 {
             let id = gen.next() as u32;
             let request = gen.request();
@@ -1480,7 +1448,7 @@ mod tests {
 
     #[test]
     fn bounded_append_encoder_falls_back_in_place() {
-        let mut gen = Gen(7);
+        let mut gen = Gen::new(7);
         let mut fat = Valuation::new();
         fat.bind(Var::new(0, "x"), Value::from("y".repeat(MAX_FRAME)));
         for oversized in [
@@ -1527,45 +1495,6 @@ mod tests {
                 };
                 assert!(decode_reply(&hurt).is_err(), "cut at {cut}");
             }
-        }
-    }
-
-    #[test]
-    fn stats_profile_section_is_optional_on_the_wire() {
-        // A frame that ends right after the server stats (what an older
-        // server emits) decodes with `profile: None` — and a new frame's
-        // profile section must not be mistaken for trailing garbage.
-        let with = Reply::Stats {
-            engine: Box::default(),
-            server: ServerStats::default(),
-            profile: Some(Box::new(sample_profile())),
-        };
-        let without = Reply::Stats {
-            engine: Box::default(),
-            server: ServerStats::default(),
-            profile: None,
-        };
-        let long = encode_reply(9, &with);
-        let short = encode_reply(9, &without);
-        assert!(long.len() > short.len());
-        let Reply::Stats { profile, .. } = decode_reply(&parse_frame(&short).unwrap()).unwrap()
-        else {
-            panic!("stats frame must decode as Stats");
-        };
-        assert_eq!(profile, None);
-        let Reply::Stats { profile, .. } = decode_reply(&parse_frame(&long).unwrap()).unwrap()
-        else {
-            panic!("stats frame must decode as Stats");
-        };
-        assert_eq!(profile, Some(Box::new(sample_profile())));
-        // A *truncated* profile section still errors rather than decoding.
-        let frame = parse_frame(&long).unwrap();
-        for cut in (short.len() - 9 + 1)..frame.body.len() {
-            let hurt = Frame {
-                body: frame.body[..cut].to_vec(),
-                ..frame.clone()
-            };
-            assert!(decode_reply(&hurt).is_err(), "cut at {cut}");
         }
     }
 

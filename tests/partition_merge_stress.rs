@@ -19,6 +19,7 @@
 use std::sync::mpsc;
 use std::time::Duration;
 
+use qdb_workload::rng::StdRng;
 use quantum_db::storage::Value;
 use quantum_db::{QuantumDb, QuantumDbConfig, Response, Session};
 
@@ -29,16 +30,6 @@ const WILDCARDS_PER_THREAD: usize = 2;
 /// Extra capacity per lane: even if the solver funnels *every* wildcard
 /// into one lane (FirstFit may), no lane can exhaust and abort a booking.
 const SPARE_SLOTS: usize = THREADS * WILDCARDS_PER_THREAD;
-
-/// Deterministic per-thread schedule source: Knuth's MMIX linear
-/// congruential generator, high bits. Kept as is (not the workload
-/// generator) because the race schedule depends on its sequence.
-fn next(state: &mut u64) -> u64 {
-    *state = state
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    *state >> 33
-}
 
 fn build_session() -> Session {
     let shared = QuantumDb::new(QuantumDbConfig::default())
@@ -71,11 +62,12 @@ fn run_stress(seed: u64) {
         for t in 0..THREADS {
             let session = session.clone();
             scope.spawn(move || {
-                let mut rng = seed ^ (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                // The thread's own deterministic schedule source.
+                let mut rng = StdRng::seed_from_u64(seed ^ t as u64);
                 // Seeded wildcard positions (at most WILDCARDS_PER_THREAD,
                 // so capacity can never run out wherever they land).
                 let wildcard_at: Vec<usize> = (0..WILDCARDS_PER_THREAD)
-                    .map(|_| (next(&mut rng) as usize) % BOOKINGS_PER_THREAD)
+                    .map(|_| rng.gen_range(0..BOOKINGS_PER_THREAD))
                     .collect();
                 let lane = Value::from(t as i64);
                 // Lane-local booking: stays inside this thread's partition.
@@ -99,7 +91,7 @@ fn run_stress(seed: u64) {
                     let who = Value::from(format!("t{t}-{i}"));
                     // Seeded interleaving points: stagger threads so
                     // different runs explore different overlap timings.
-                    for _ in 0..(next(&mut rng) % 3) {
+                    for _ in 0..rng.gen_range(0..3) {
                         std::thread::yield_now();
                     }
                     let wildcard = wildcard_at.contains(&i);
@@ -116,7 +108,7 @@ fn run_stress(seed: u64) {
                         "thread {t} booking {i} (wildcard={wildcard}): {r:?}"
                     );
                     // Interleave the other statement classes on schedule.
-                    match next(&mut rng) % 4 {
+                    match rng.gen_range(0..4) {
                         0 => {
                             let rows = session
                                 .execute(&format!("SELECT @s FROM Taken('t{t}-{i}', @l, @s)"))
