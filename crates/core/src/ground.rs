@@ -348,13 +348,16 @@ pub(crate) fn plan_group_front(
     } else {
         None
     };
+    // An empty residue has no world to keep: the bare base the existing
+    // path solves on is the same state, so the group's deltas go unbuilt.
+    let alone = p.txns.iter().all(|t| ids.contains(&t.id));
     let mut group: Vec<&crate::PendingTxn> = Vec::new();
     let mut cached_ops: Vec<WriteOp> = Vec::new();
     let mut rest: Vec<(&crate::PendingTxn, &Valuation)> = Vec::new();
     for (t, v) in p.txns.iter().zip(&p.cache.valuations) {
         if ids.contains(&t.id) {
             group.push(t);
-            if world.is_some() {
+            if world.is_some() && !alone {
                 cached_ops.extend(t.txn.write_ops(v)?);
             }
         } else {
@@ -363,9 +366,8 @@ pub(crate) fn plan_group_front(
     }
     // The residue's world is the partition's minus the group's cached
     // deltas — when the residue names none of their tuples and every delta
-    // is still there to retract. An empty residue has no world to keep:
-    // the bare base the existing path solves on is the same state.
-    let mut clean = !rest.is_empty() && residue_untouched(residue(&rest), &cached_ops);
+    // is still there to retract.
+    let mut clean = !alone && residue_untouched(residue(&rest), &cached_ops);
     if let Some(w) = world.as_mut().filter(|_| clean) {
         for op in &cached_ops {
             let rid = db.resolve(op.relation())?;
@@ -480,23 +482,30 @@ fn plan_solve_group(
         .zip(promo)
         .map(|(p, pr)| TxnSpec::with_promoted(&p.txn, pr.clone()))
         .collect();
-    let finish =
-        |group_vals: Vec<Valuation>, rest_vals: Option<Vec<Valuation>>| -> Result<GroundPlan> {
-            let mut grounded = Vec::with_capacity(group.len());
-            for ((pt, val), pr) in group.iter().zip(&group_vals).zip(promo) {
-                grounded.push(GroundedTxn {
-                    id: pt.id,
-                    ops: pt.txn.write_ops(val)?,
-                    promoted: pr.len(),
-                    total_optionals: pt.txn.optional_body().count(),
-                });
-            }
-            Ok(GroundPlan {
-                grounded,
-                rest_vals,
-                world: None,
+    // The plan from each member's ops, in group order.
+    let plan = |ops: Vec<Vec<WriteOp>>, rest_vals: Option<Vec<Valuation>>| -> GroundPlan {
+        let grounded = (group.iter().zip(ops).zip(promo))
+            .map(|((pt, ops), pr)| GroundedTxn {
+                id: pt.id,
+                ops,
+                promoted: pr.len(),
+                total_optionals: pt.txn.optional_body().count(),
             })
-        };
+            .collect();
+        GroundPlan {
+            grounded,
+            rest_vals,
+            world: None,
+        }
+    };
+    let member_ops = |group_vals: &[Valuation]| -> Result<Vec<Vec<WriteOp>>> {
+        (group.iter().zip(group_vals))
+            .map(|(pt, val)| Ok(pt.txn.write_ops(val)?))
+            .collect()
+    };
+    let finish = |vals: Vec<Valuation>, rest_vals: Option<Vec<Valuation>>| -> Result<GroundPlan> {
+        Ok(plan(member_ops(&vals)?, rest_vals))
+    };
     // The residue as the solver takes it: specs and cached valuations.
     let split_rest = || -> (Vec<TxnSpec>, Vec<&Valuation>) {
         let each = rest
@@ -573,14 +582,20 @@ fn plan_solve_group(
     // On the bare base: solve the group alone, then check whether the
     // *cached* residue groundings survive the group's updates — the §4
     // solution-cache amortization applied to grounding. Falls through to a
-    // joint re-solve when the cached residue breaks.
+    // joint re-solve when the cached residue breaks. An empty residue has
+    // nothing the group's updates could break: only a debug build checks
+    // that they apply.
     if let Some(gsol) = solver.solve(db, &[], &group_specs)? {
-        let mut ops = Vec::new();
-        for (p, v) in group.iter().zip(&gsol.valuations) {
-            ops.extend(p.txn.write_ops(v)?);
+        let ops = member_ops(&gsol.valuations)?;
+        if rest.is_empty() {
+            debug_assert!(
+                qdb_solver::Solver::default().verify::<Valuation>(db, &ops.concat(), &[], &[])?,
+                "a solved group's ops failed to apply"
+            );
+            return Ok(Some(plan(ops, None)));
         }
-        if solver.verify(db, &ops, &rest_specs, &rest_cached)? {
-            return finish(gsol.valuations, None).map(Some);
+        if solver.verify(db, &ops.concat(), &rest_specs, &rest_cached)? {
+            return Ok(Some(plan(ops, None)));
         }
     } else {
         // The group alone (with these promotions) is unsatisfiable — the

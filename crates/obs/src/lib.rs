@@ -20,19 +20,22 @@
 //!    server's `--trace-out`), which writes every operation's span tree as
 //!    one line.
 //!
+//! Every phase is timed off [`Stamp`]s: one unfenced `rdtsc` on an
+//! x86-64 CPU with an invariant TSC, calibrated once per process against
+//! `Instant`; an `Instant` read on any other CPU (`src/clock.rs`).
+//!
 //! See `docs/OBSERVABILITY.md` for the bucket scheme, ring overwrite
-//! policy, and how to read the reports.
+//! policy, the stamp's calibration, and how to read the reports.
 
+mod clock;
 mod histogram;
 mod obs;
 mod ring;
 
+pub use clock::{Stamp, StampSource};
 pub use histogram::{bucket_index, bucket_upper_bound, HistSnapshot, HistSummary, Histogram};
 pub use obs::{escape_json, Obs, OpToken, ProfileReport};
 pub use ring::{EventRing, SpanEvent};
-
-use std::sync::OnceLock;
-use std::time::Instant;
 
 /// Timed engine phases. Each phase owns one [`Histogram`] inside [`Obs`]
 /// and names the span events the flight recorder captures.
@@ -195,15 +198,6 @@ pub fn kind_name(code: u8) -> &'static str {
     }
 }
 
-/// Monotonic nanoseconds from the first observability timestamp in this
-/// process to `t`, an instant already read (a timestamp costs no clock).
-/// Only useful for ordering and deltas, not absolute time.
-pub fn ns_since_epoch(t: Instant) -> u64 {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    t.saturating_duration_since(*EPOCH.get_or_init(Instant::now))
-        .as_nanos() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,13 +216,6 @@ mod tests {
         assert_eq!(stmt_code("NO SUCH CLASS"), u8::MAX);
         assert_eq!(kind_name(200), "?");
         assert_eq!(kind_name(u8::MAX), "?");
-    }
-
-    #[test]
-    fn ns_since_epoch_is_monotonic() {
-        let a = ns_since_epoch(Instant::now());
-        let b = ns_since_epoch(Instant::now());
-        assert!(b >= a);
     }
 
     #[test]

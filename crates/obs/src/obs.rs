@@ -13,21 +13,20 @@
 //! tree to the flight recorder as one run, and the JSONL trace sink, when
 //! installed, exports it as one line.
 //!
-//! A statement's price is fixed: one clock read per phase boundary,
-//! relaxed histogram adds and one ring claim — no mutex, no allocation
-//! (the collector's buffer is reused), no `SeqCst` store. A lock found
-//! free ([`Obs::wait`]) reads no clock; a disabled handle reads none.
+//! A statement's price is fixed: one [`Stamp`] per phase boundary (one
+//! `rdtsc` on a CPU with an invariant TSC; `src/clock.rs`), relaxed
+//! histogram adds and one ring claim — no mutex, no allocation (the
+//! collector's buffer is reused), no `SeqCst` store. A lock found free
+//! ([`Obs::wait`]) reads no stamp; a disabled handle reads none.
 
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
-use std::time::{Duration, Instant};
 
+use crate::clock::{Clock, Stamp, StampSource};
 use crate::histogram::{HistSummary, Histogram};
 use crate::ring::{EventRing, SpanEvent};
-use crate::{
-    kind_name, ns_since_epoch, Outcome, Phase, PHASES, PHASE_COUNT, STMT_CLASSES, STMT_CODE_BASE,
-};
+use crate::{kind_name, Outcome, Phase, PHASES, PHASE_COUNT, STMT_CLASSES, STMT_CODE_BASE};
 
 /// Per-class and per-phase latency summaries — the payload of
 /// `SHOW PROFILE` and the wire PROFILE frame.
@@ -76,8 +75,8 @@ impl std::fmt::Display for ProfileReport {
 pub struct OpToken {
     /// Index into [`STMT_CLASSES`].
     class: usize,
-    /// The op's start; `None` when recording was off at begin time.
-    start: Option<Instant>,
+    /// The op's start; empty when recording was off at begin time.
+    start: Stamp,
     /// Owns the thread's span collector (false when nested in another op).
     collecting: bool,
 }
@@ -101,6 +100,7 @@ struct OpCtx {
 /// lock-free-on-the-hot-path handle.
 pub struct Obs {
     enabled: AtomicBool,
+    clock: Clock,
     phases: [Histogram; PHASE_COUNT],
     /// Indexed like [`STMT_CLASSES`].
     classes: [Histogram; STMT_CLASSES.len()],
@@ -114,6 +114,7 @@ impl std::fmt::Debug for Obs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Obs")
             .field("enabled", &self.enabled.load(Ordering::Relaxed))
+            .field("stamps", &self.clock.source())
             .field("ring_pushed", &self.ring.pushed())
             .field("traced", &self.traced.load(Ordering::Relaxed))
             .finish()
@@ -131,10 +132,24 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 impl Obs {
-    /// A fresh, enabled handle with the default flight-recorder depth.
+    /// A fresh, enabled handle with the default flight-recorder depth,
+    /// stamping with the CPU's clock (`src/clock.rs`). The process's
+    /// first handle calibrates that clock and fixes the trace epoch.
     pub fn new() -> Obs {
+        Obs::with_clock(Clock::detect())
+    }
+
+    /// A handle stamping with `source` whatever the CPU offers, or `None`
+    /// where it does not exist (the TSC off x86-64). Test support: it holds
+    /// both sources to one contract; the engine's handle is [`Obs::new`].
+    pub fn with_stamp_source(source: StampSource) -> Option<Obs> {
+        Clock::of(source).map(Obs::with_clock)
+    }
+
+    fn with_clock(clock: Clock) -> Obs {
         Obs {
             enabled: AtomicBool::new(true),
+            clock,
             phases: std::array::from_fn(|_| Histogram::new()),
             classes: std::array::from_fn(|_| Histogram::new()),
             ring: EventRing::new(EventRing::DEFAULT_CAPACITY),
@@ -144,7 +159,7 @@ impl Obs {
     }
 
     /// Turn recording on or off (off: every record call is one relaxed
-    /// load and no clock read). Used by the bench overhead A/B.
+    /// load and no stamp read). Used by the bench overhead A/B.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
@@ -164,11 +179,11 @@ impl Obs {
     // ---- recording ------------------------------------------------------
 
     /// Begin an operation of statement class `class`, an index into
-    /// [`STMT_CLASSES`] (`Statement::class()`): one clock read, and the
+    /// [`STMT_CLASSES`] (`Statement::class()`): one stamp, and the
     /// thread-local span collector armed. Reads nothing when disabled.
     pub fn begin_op(&self, class: usize) -> OpToken {
         let start = self.start();
-        let collecting = start.is_some()
+        let collecting = start.0.is_some()
             && OP.with(|cell| !std::mem::replace(&mut cell.borrow_mut().active, true));
         OpToken {
             class,
@@ -181,14 +196,13 @@ impl Obs {
     /// phase events and the root to the flight recorder as one run, and
     /// writes the JSONL trace line when a sink is installed.
     pub fn finish_op(&self, token: OpToken, outcome: Outcome, txn_id: Option<u64>) {
-        let Some(start) = token.start else {
+        let Some((ts_ns, dur_ns)) = self.elapsed(token.start) else {
             return;
         };
-        let dur_ns = nanos(start.elapsed());
         self.classes[token.class].record(dur_ns);
         let traced = self.traced.load(Ordering::Relaxed);
         let root = SpanEvent {
-            ts_ns: ns_since_epoch(start),
+            ts_ns,
             txn_id: txn_id.unwrap_or(SpanEvent::NONE),
             partition_id: SpanEvent::NONE,
             kind: STMT_CODE_BASE + token.class as u8,
@@ -218,26 +232,35 @@ impl Obs {
         }
     }
 
-    /// Start a phase: the clock, read only when recording is on. End it
+    /// Start a phase: a stamp, read only when recording is on. End it
     /// with [`Obs::span`] or [`Obs::observe`].
-    pub fn start(&self) -> Option<Instant> {
-        self.enabled().then(Instant::now)
+    #[inline]
+    pub fn start(&self) -> Stamp {
+        Stamp(self.enabled().then(|| self.clock.read()))
     }
 
-    /// End a phase begun at `start`: one clock read feeds the phase
-    /// histogram and, inside a collected op, the op's span tree and its
+    /// `start`'s offset from the epoch and the nanoseconds since it, off
+    /// one more stamp; `None` for the empty stamp of a disabled handle.
+    #[inline]
+    fn elapsed(&self, start: Stamp) -> Option<(u64, u64)> {
+        let t0 = self.clock.ns(start.0?);
+        let t1 = self.clock.ns(self.clock.read());
+        Some((t0, t1.saturating_sub(t0)))
+    }
+
+    /// End a phase begun at `start`: one stamp feeds the phase histogram
+    /// and, inside a collected op, the op's span tree and its
     /// flight-recorder run.
-    pub fn span(&self, phase: Phase, start: Option<Instant>) {
-        let Some(t0) = start else {
+    pub fn span(&self, phase: Phase, start: Stamp) {
+        let Some((ts_ns, dur_ns)) = self.elapsed(start) else {
             return;
         };
-        let dur_ns = nanos(t0.elapsed());
         self.phases[phase as usize].record(dur_ns);
         OP.with(|cell| {
             let ctx = &mut *cell.borrow_mut();
             if ctx.active {
                 ctx.events.push(SpanEvent {
-                    ts_ns: ns_since_epoch(t0),
+                    ts_ns,
                     txn_id: SpanEvent::NONE,
                     partition_id: SpanEvent::NONE,
                     kind: phase as u8,
@@ -250,15 +273,15 @@ impl Obs {
 
     /// End a phase begun at `start` into its histogram only — no span, no
     /// event — for phases that nest inside others or repeat per statement.
-    pub fn observe(&self, phase: Phase, start: Option<Instant>) {
-        if let Some(t0) = start {
-            self.phases[phase as usize].record(nanos(t0.elapsed()));
+    pub fn observe(&self, phase: Phase, start: Stamp) {
+        if let Some((_, dur_ns)) = self.elapsed(start) {
+            self.phases[phase as usize].record(dur_ns);
         }
     }
 
     /// Take a lock, recording the wait as `phase`: `try_take` first, and
     /// only when it fails the timed `take`. A lock found free is a zero
-    /// observation with no clock read, span or event.
+    /// observation with no stamp, span or event.
     pub fn wait<G>(
         &self,
         phase: Phase,
@@ -323,10 +346,6 @@ impl Obs {
             h.reset();
         }
     }
-}
-
-fn nanos(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Minimal JSON string escaping (quotes, backslash, control bytes).

@@ -27,7 +27,8 @@ use std::sync::atomic::{fence, AtomicU64, Ordering};
 /// One structured span event in the flight recorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanEvent {
-    /// Monotonic timestamp ([`crate::ns_since_epoch`]) when the span *started*.
+    /// When the span *started*: nanoseconds since the process's trace
+    /// epoch (the stamp calibration in its first [`crate::Obs::new`]).
     pub ts_ns: u64,
     /// Transaction id the span belongs to (`u64::MAX` when none).
     pub txn_id: u64,
@@ -185,7 +186,7 @@ mod tests {
 
     fn ev(kind: u8, txn: u64, dur: u64) -> SpanEvent {
         SpanEvent {
-            ts_ns: crate::ns_since_epoch(std::time::Instant::now()),
+            ts_ns: txn,
             txn_id: txn,
             partition_id: SpanEvent::NONE,
             kind,

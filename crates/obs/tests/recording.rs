@@ -1,11 +1,15 @@
 //! The recording path's budget, held by tests: once a thread is warm,
 //! recording a statement (`begin_op`, three phases, `finish_op`) makes no
 //! heap allocation, and a statement publishes its events as one run.
+//! Both stamp sources — the calibrated TSC and `Instant` — are held to
+//! the same contract: no allocation, durations that match `Instant`'s,
+//! and stamps that never run backwards within a thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::time::{Duration, Instant};
 
-use qdb_obs::{stmt_class, EventRing, Obs, Outcome, Phase, SpanEvent};
+use qdb_obs::{stmt_class, EventRing, Obs, Outcome, Phase, SpanEvent, StampSource};
 
 /// Counts this thread's allocations (reallocations included), so tests
 /// running on other threads do not disturb the count.
@@ -48,24 +52,105 @@ fn record_one(obs: &Obs, class: usize) {
     obs.finish_op(token, Outcome::Ok, Some(7));
 }
 
+/// A handle per stamp source this CPU has (the TSC only on x86-64), with
+/// the source's name for failure messages.
+fn handles() -> Vec<(StampSource, Obs)> {
+    let handles: Vec<_> = [StampSource::Tsc, StampSource::Instant]
+        .into_iter()
+        .filter_map(|s| Some((s, Obs::with_stamp_source(s)?)))
+        .collect();
+    assert_eq!(
+        handles.len(),
+        if cfg!(target_arch = "x86_64") { 2 } else { 1 }
+    );
+    handles
+}
+
 #[test]
 fn a_warm_thread_records_a_statement_without_allocating() {
-    let obs = Obs::new();
-    let insert = stmt_class("INSERT").unwrap();
-    record_one(&obs, insert); // warm: the thread's span buffer grows once
-    let before = ALLOCS.with(Cell::get);
-    for _ in 0..100 {
-        record_one(&obs, insert);
+    for (source, obs) in handles() {
+        let insert = stmt_class("INSERT").unwrap();
+        record_one(&obs, insert); // warm: the thread's span buffer grows once
+        let before = ALLOCS.with(Cell::get);
+        for _ in 0..100 {
+            record_one(&obs, insert);
+        }
+        let allocs = ALLOCS.with(Cell::get) - before;
+        assert_eq!(allocs, 0, "{source:?}: recording allocated");
+        // Everything was still recorded: 101 roots, each after its one span.
+        assert_eq!(obs.class_histogram("INSERT").count(), 101);
+        assert_eq!(obs.phase_histogram(Phase::BaseLockWait).count(), 101);
+        assert_eq!(obs.phase_histogram(Phase::BaseLockWait).snapshot().sum, 0);
+        let events = obs.events(4);
+        let kinds: Vec<&str> = events.iter().map(SpanEvent::kind_name).collect();
+        assert_eq!(kinds, ["wal_append", "INSERT", "wal_append", "INSERT"]);
+        assert_eq!(events[3].txn_id, 7);
     }
-    assert_eq!(ALLOCS.with(Cell::get) - before, 0, "recording allocated");
-    // Everything was still recorded: 101 roots, each after its one span.
-    assert_eq!(obs.class_histogram("INSERT").count(), 101);
-    assert_eq!(obs.phase_histogram(Phase::BaseLockWait).count(), 101);
-    assert_eq!(obs.phase_histogram(Phase::BaseLockWait).snapshot().sum, 0);
-    let events = obs.events(4);
-    let kinds: Vec<&str> = events.iter().map(SpanEvent::kind_name).collect();
-    assert_eq!(kinds, ["wal_append", "INSERT", "wal_append", "INSERT"]);
-    assert_eq!(events[3].txn_id, 7);
+}
+
+fn spin(d: Duration) {
+    let t = Instant::now();
+    while t.elapsed() < d {}
+}
+
+#[test]
+fn a_busy_phase_records_the_interval_instant_measures() {
+    for (source, obs) in handles() {
+        // A preemption between an `Instant` read and the stamp beside it
+        // would be charged to one clock only: such an attempt is repeated,
+        // not judged. A wrong scale misses on every attempt.
+        let mut misses = Vec::new();
+        for _ in 0..5 {
+            obs.reset();
+            let i0 = Instant::now();
+            let t = obs.start();
+            spin(Duration::from_millis(1));
+            obs.observe(Phase::Apply, t);
+            let truth = i0.elapsed().as_nanos() as f64;
+            let recorded = obs.phase_histogram(Phase::Apply).snapshot().sum as f64;
+            if (recorded - truth).abs() <= 0.02 * truth {
+                break;
+            }
+            misses.push((recorded, truth));
+        }
+        assert!(
+            misses.len() < 5,
+            "{source:?}: recorded vs Instant ns: {misses:?}"
+        );
+    }
+}
+
+#[test]
+fn stamps_never_run_backwards_within_a_thread() {
+    for (source, obs) in handles() {
+        let token = obs.begin_op(stmt_class("SELECT").unwrap());
+        for _ in 0..200 {
+            obs.span(Phase::Apply, obs.start());
+        }
+        obs.finish_op(token, Outcome::Ok, None);
+        let events = obs.events(201);
+        let (root, spans) = events.split_last().unwrap();
+        assert_eq!(root.kind_name(), "SELECT");
+        assert_eq!(spans.len(), 200);
+        let end = |e: &SpanEvent| e.ts_ns + e.dur_ns;
+        assert!(root.ts_ns <= spans[0].ts_ns, "{source:?}: {events:?}");
+        for w in spans.windows(2) {
+            assert!(end(&w[0]) <= w[1].ts_ns, "{source:?}: {w:?}");
+        }
+        assert!(end(&spans[199]) <= end(root), "{source:?}: {events:?}");
+    }
+}
+
+#[test]
+fn a_disabled_handle_reads_no_stamp() {
+    for (source, obs) in handles() {
+        obs.set_enabled(false);
+        assert_eq!(obs.start(), Default::default(), "{source:?}");
+        let token = obs.begin_op(stmt_class("INSERT").unwrap());
+        obs.span(Phase::Apply, obs.start());
+        obs.finish_op(token, Outcome::Ok, None);
+        assert!(obs.events(1).is_empty(), "{source:?}");
+    }
 }
 
 #[test]

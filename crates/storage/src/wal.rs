@@ -419,7 +419,7 @@ impl Wal {
     /// bytes does not fail the append (the record reached the log); flush
     /// health is surfaced by explicit [`Wal::sync`] calls (checkpoints).
     pub fn append(&mut self, record: &LogRecord) -> Result<()> {
-        let t0 = self.obs.as_ref().and_then(|o| o.start());
+        let t0 = self.obs.as_ref().map(|o| o.start()).unwrap_or_default();
         let result = self.append_inner(record);
         if let Some(obs) = &self.obs {
             obs.span(qdb_obs::Phase::WalAppend, t0);
@@ -471,7 +471,7 @@ impl Wal {
         if self.pending.is_empty() {
             return Ok(());
         }
-        let t0 = self.obs.as_ref().and_then(|o| o.start());
+        let t0 = self.obs.as_ref().map(|o| o.start()).unwrap_or_default();
         let result = self.drain_inner();
         if let Some(obs) = &self.obs {
             obs.span(qdb_obs::Phase::WalFlush, t0);

@@ -5,7 +5,7 @@
 //! that percentiles are ordered and non-zero, that the `parse` / `solve`
 //! / `apply` / `ground` / `read` phases were recorded (`read` once per
 //! read statement), and that the JSONL trace sink received exactly one
-//! well-formed line per statement.
+//! well-formed line per statement, each span inside its root.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -142,6 +142,7 @@ fn profile_counts_match_the_drivers_and_the_trace_has_one_line_per_statement() {
     let text = String::from_utf8(trace.0.lock().unwrap().clone()).unwrap();
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), stmts.len(), "one trace line per statement");
+    let mut spans_seen = 0;
     for (line, (class, sql)) in lines.iter().zip(&stmts) {
         assert!(line.starts_with("{\"ts_ns\":"), "{sql}: {line}");
         assert!(line.ends_with("]}"), "{sql}: {line}");
@@ -158,5 +159,23 @@ fn profile_counts_match_the_drivers_and_the_trace_has_one_line_per_statement() {
         let count = |c: char| line.matches(c).count();
         assert_eq!(count('{'), count('}'), "{sql}: {line}");
         assert_eq!(count('['), count(']'), "{sql}: {line}");
+        // Every span lies inside its root: offsets from the root's start,
+        // ends no later than the root's.
+        let (root, spans) = line.split_once(",\"spans\":[").unwrap();
+        let root_dur = field(root, "dur_ns");
+        for span in spans.split("{\"phase\":").skip(1) {
+            let end = field(span, "start_ns") + field(span, "dur_ns");
+            assert!(end <= root_dur, "{sql}: a span outlasts its root: {line}");
+            spans_seen += 1;
+        }
     }
+    assert!(spans_seen > stmts.len(), "{spans_seen} spans traced");
+}
+
+/// The number after `"key":` in a trace-line fragment.
+fn field(text: &str, key: &str) -> u64 {
+    let rest =
+        (text.split(&format!("\"{key}\":")).nth(1)).unwrap_or_else(|| panic!("no {key} in {text}"));
+    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().unwrap_or_else(|_| panic!("{key} in {text}"))
 }
