@@ -148,10 +148,8 @@ impl QuantumDb {
 pub(crate) fn collect_hot_columns(db: &Database, threshold: u32) -> Vec<(String, usize)> {
     db.tables()
         .flat_map(|t| {
-            let relation = t.schema().relation().to_string();
-            t.hot_unindexed_columns(threshold)
-                .into_iter()
-                .map(move |c| (relation.clone(), c))
+            let hot = t.hot_unindexed_columns(threshold).into_iter();
+            hot.map(move |c| (t.schema().relation().to_string(), c))
         })
         .collect()
 }

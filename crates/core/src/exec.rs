@@ -38,7 +38,7 @@
 
 use qdb_logic::stmt::{ColumnRef, ReadMode, SelectStmt, Statement};
 use qdb_logic::{ParsedStatement, Template, Valuation, Var};
-use qdb_storage::{Tuple, Value, WriteOp};
+use qdb_storage::{Str, Tuple, Value, WriteOp};
 
 use crate::engine::SubmitOutcome;
 use crate::error::EngineError;
@@ -76,18 +76,14 @@ fn op_outcome(result: &Result<Response>) -> (qdb_obs::Outcome, Option<u64>) {
 }
 
 fn row_to_tuple(relation: &str, row: &[qdb_logic::Term]) -> Result<Tuple> {
-    let mut values: Vec<Value> = Vec::with_capacity(row.len());
-    for term in row {
-        match term {
-            qdb_logic::Term::Const(v) => values.push(v.clone()),
-            qdb_logic::Term::Var(v) => {
-                return Err(EngineError::Logic(qdb_logic::LogicError::UnboundVariable {
-                    var: format!("{v} (in a {relation} write)"),
-                }))
-            }
+    Tuple::try_from_fn(row.len(), |i| match &row[i] {
+        qdb_logic::Term::Const(v) => Ok(v.clone()),
+        qdb_logic::Term::Var(v) => {
+            Err(EngineError::Logic(qdb_logic::LogicError::UnboundVariable {
+                var: format!("{v} (in a {relation} write)"),
+            }))
         }
-    }
-    Ok(Tuple::from(values))
+    })
 }
 
 /// Resolve a `CREATE INDEX` column reference (name or position) against a
@@ -120,20 +116,33 @@ impl SharedQuantumDb {
     /// Statements with `?` placeholders are rejected here — prepare them
     /// through a [`Session`] instead.
     pub fn execute(&self, sql: &str) -> Result<Response> {
-        let stmt = StmtCache::new(0).parse(self, sql)?.into_statement()?;
-        self.execute_stmt(stmt)
+        let (parsed, lead) = StmtCache::new(0).parse_led(self, sql)?;
+        self.execute_led(parsed.into_statement()?, lead)
     }
 
     /// Execute an already-parsed statement. Each statement class locks
     /// only the state it touches (see [`SharedQuantumDb`]); statements on
     /// disjoint partitions execute concurrently.
     ///
-    /// Every statement is bracketed as one observability *op*, here and
-    /// nowhere else: its latency lands in the per-class histogram, its
-    /// root (plus any phase spans it produced) in the flight recorder, and
-    /// its span tree in the JSONL trace sink when one is installed.
+    /// Every statement is bracketed as one observability *op*, here and in
+    /// [`SharedQuantumDb::execute_led`] and nowhere else: its latency lands
+    /// in the per-class histogram, its root (plus any phase spans it
+    /// produced) in the flight recorder, and its span tree in the JSONL
+    /// trace sink when one is installed.
     pub fn execute_stmt(&self, stmt: Statement) -> Result<Response> {
         let token = self.obs().begin_op(stmt.class());
+        self.run_op(token, stmt)
+    }
+
+    /// [`SharedQuantumDb::execute_stmt`] for a statement parsed from text
+    /// ([`StmtCache::parse_led`]): its op starts at the parse, whose span
+    /// is the first of its tree, so the root's duration includes it.
+    pub fn execute_led(&self, stmt: Statement, parse: qdb_obs::Lead) -> Result<Response> {
+        let token = self.obs().begin_op_led(stmt.class(), parse);
+        self.run_op(token, stmt)
+    }
+
+    fn run_op(&self, token: qdb_obs::OpToken, stmt: Statement) -> Result<Response> {
         let result = self.execute_stmt_inner(stmt);
         let (outcome, txn) = op_outcome(&result);
         self.obs().finish_op(token, outcome, txn);
@@ -217,9 +226,9 @@ impl SharedQuantumDb {
 
     fn blind_writes(
         &self,
-        relation: &str,
+        relation: &Str,
         rows: &[Vec<qdb_logic::Term>],
-        op: impl Fn(&str, Tuple) -> WriteOp,
+        op: impl Fn(&Str, Tuple) -> WriteOp,
     ) -> Result<Response> {
         let mut all = true;
         for row in rows {
@@ -275,10 +284,21 @@ impl StmtCache {
     /// Resolve `sql` to its parsed statement, counting a parse and timing
     /// the step on `db`, the engine that serves the statement.
     pub fn parse(&self, db: &SharedQuantumDb, sql: &str) -> Result<ParsedStatement> {
+        self.parse_led(db, sql).map(|(parsed, _)| parsed)
+    }
+
+    /// [`StmtCache::parse`], keeping the parse's stamps for
+    /// [`SharedQuantumDb::execute_led`]: the statement's op then starts at
+    /// its parse.
+    pub fn parse_led(
+        &self,
+        db: &SharedQuantumDb,
+        sql: &str,
+    ) -> Result<(ParsedStatement, qdb_obs::Lead)> {
         let t0 = db.obs().start();
         let parsed = self.resolve(db, sql);
-        db.obs().span(qdb_obs::Phase::Parse, t0);
-        parsed
+        let lead = db.obs().lead(qdb_obs::Phase::Parse, t0);
+        Ok((parsed?, lead))
     }
 
     fn resolve(&self, db: &SharedQuantumDb, sql: &str) -> Result<ParsedStatement> {
@@ -396,8 +416,8 @@ impl Session {
 
     /// Resolve one statement through the statement cache and execute it.
     pub fn execute(&self, sql: &str) -> Result<Response> {
-        let stmt = self.parse(sql)?.into_statement()?;
-        self.db.execute_stmt(stmt)
+        let (parsed, lead) = self.cache.parse_led(&self.db, sql)?;
+        self.db.execute_led(parsed.into_statement()?, lead)
     }
 
     /// Parse once into a reusable [`Prepared`] statement. The hot path
@@ -522,8 +542,13 @@ mod tests {
         let text = trace();
         assert_eq!(text.lines().count(), 1, "one line per statement");
         assert!(text.contains("\"class\":\"INSERT\",\"txn\":-1,"), "{text}");
+        // The op starts at the parse, so the parse span opens the tree.
         assert!(
-            text.contains("\"spans\":[{\"phase\":\"wal_append\",\"start_ns\":"),
+            text.contains("\"spans\":[{\"phase\":\"parse\",\"start_ns\":0,"),
+            "the parse is the statement's first span: {text}"
+        );
+        assert!(
+            text.contains("{\"phase\":\"wal_append\",\"start_ns\":"),
             "span tree travels with the statement: {text}"
         );
     }

@@ -75,7 +75,7 @@ pub use exec::{Bound, Prepared, Session, StmtCache};
 pub use ground::GroundReason;
 pub use partition::{Footprint, Partition};
 pub use qdb_obs::{
-    stmt_class, stmt_code, HistSnapshot, HistSummary, Histogram, Obs, Outcome, Phase,
+    stmt_class, stmt_code, HistSnapshot, HistSummary, Histogram, Lead, Obs, Outcome, Phase,
     ProfileReport, SpanEvent, STMT_CLASSES, STMT_CODE_BASE,
 };
 pub use repl::{ReplicaApplier, ReplicaTracker};

@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use qdb_logic::{Atom, ResourceTransaction, Term};
-use qdb_storage::Value;
+use qdb_storage::{Str, Value};
 
 use crate::sync::Mutex;
 use crate::{Footprint, Partition};
@@ -76,7 +76,7 @@ struct RelIndex {
 }
 
 /// Every side, relation and arity some entry ever held, with its counts.
-type Index = Vec<(Side, Arc<str>, usize, RelIndex)>;
+type Index = Vec<(Side, Str, usize, RelIndex)>;
 
 /// The partition registry. Partition ids are never reused (`next_pid`
 /// only grows): the lock-ordering proof relies on it.
@@ -384,7 +384,7 @@ fn sided(fp: &Footprint) -> impl Iterator<Item = (Side, &Atom)> {
 
 /// Where the index keeps `side` and `atom`'s relation and arity.
 fn position(index: &Index, side: Side, atom: &Atom) -> Option<usize> {
-    let same = |(s, r, n, _): &(Side, Arc<str>, usize, RelIndex)| {
+    let same = |(s, r, n, _): &(Side, Str, usize, RelIndex)| {
         *s == side && *n == atom.arity() && *r == atom.relation
     };
     index.iter().position(same)
@@ -401,7 +401,7 @@ fn count<'a>(
         let at = position(index, side, atom).unwrap_or_else(|| {
             index.push((
                 side,
-                Arc::clone(&atom.relation),
+                atom.relation.clone(),
                 atom.arity(),
                 RelIndex::default(),
             ));

@@ -1,9 +1,8 @@
 //! Relational atoms.
 
 use std::fmt;
-use std::sync::Arc;
 
-use qdb_storage::Tuple;
+use qdb_storage::{Str, Tuple};
 
 use crate::substitution::Substitution;
 use crate::term::{Term, Var};
@@ -14,7 +13,7 @@ use crate::LogicError;
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Atom {
     /// Relation name.
-    pub relation: Arc<str>,
+    pub relation: Str,
     /// One term per column.
     pub terms: Vec<Term>,
 }
@@ -23,7 +22,7 @@ impl Atom {
     /// Build an atom.
     pub fn new(relation: impl AsRef<str>, terms: Vec<Term>) -> Self {
         Atom {
-            relation: Arc::from(relation.as_ref()),
+            relation: Str::new(relation.as_ref()),
             terms,
         }
     }
@@ -46,7 +45,7 @@ impl Atom {
     /// Apply a substitution to every term.
     pub fn apply(&self, s: &Substitution) -> Atom {
         Atom {
-            relation: Arc::clone(&self.relation),
+            relation: self.relation.clone(),
             terms: self.terms.iter().map(|t| s.resolve(t)).collect(),
         }
     }
@@ -54,19 +53,15 @@ impl Atom {
     /// Ground the atom into a tuple under `val`. Errors on unbound
     /// variables.
     pub fn ground(&self, val: &Valuation) -> Result<Tuple, LogicError> {
-        self.terms
-            .iter()
-            .map(|t| match t {
-                Term::Const(c) => Ok(c.clone()),
-                Term::Var(v) => val
-                    .get(v)
-                    .cloned()
-                    .ok_or_else(|| LogicError::UnboundVariable {
-                        var: v.name().to_string(),
-                    }),
-            })
-            .collect::<Result<Vec<_>, _>>()
-            .map(Tuple::from)
+        Tuple::try_from_fn(self.terms.len(), |i| match &self.terms[i] {
+            Term::Const(c) => Ok(c.clone()),
+            Term::Var(v) => val
+                .get(v)
+                .cloned()
+                .ok_or_else(|| LogicError::UnboundVariable {
+                    var: v.name().to_string(),
+                }),
+        })
     }
 
     /// Could this atom and `other` ever denote the same tuple? Same

@@ -239,9 +239,9 @@ fn int_at(input: &str, start: usize) -> (std::result::Result<i64, ParseIntError>
 /// A string literal's value, one `char` per byte as the lexer reads it.
 fn string_value(text: &str) -> Value {
     if text.is_ascii() {
-        Value::interned(text)
+        Value::str(text)
     } else {
-        Value::interned(&text.bytes().map(char::from).collect::<String>())
+        Value::str(text.bytes().map(char::from).collect::<String>())
     }
 }
 
@@ -481,10 +481,7 @@ impl SqlParser {
             Tok::Var(name) => Ok(Term::Var(self.var(name))),
             Tok::Param => Ok(Term::Var(self.param())),
             Tok::Int(i) => Ok(Term::val(i)),
-            // Parsed string constants go through the interning pool: the
-            // same seat label / user name re-parsed across statements
-            // resolves to one shared `Arc`.
-            Tok::Str(s) => Ok(Term::Const(Value::interned(&s))),
+            Tok::Str(s) => Ok(Term::Const(Value::str(s))),
             Tok::Kw("TRUE") => Ok(Term::Const(Value::Bool(true))),
             Tok::Kw("FALSE") => Ok(Term::Const(Value::Bool(false))),
             other => Err(self.error(format!("expected term, found {other:?}"))),
@@ -827,7 +824,10 @@ impl SqlParser {
         let relation = self.relation_name()?;
         self.expect_kw("VALUES")?;
         let rows = self.value_rows()?;
-        Ok(Statement::Insert { relation, rows })
+        Ok(Statement::Insert {
+            relation: relation.into(),
+            rows,
+        })
     }
 
     fn delete_stmt(&mut self) -> Result<Statement> {
@@ -842,7 +842,10 @@ impl SqlParser {
         let relation = self.relation_name()?;
         self.expect_kw("VALUES")?;
         let rows = self.value_rows()?;
-        Ok(Statement::Delete { relation, rows })
+        Ok(Statement::Delete {
+            relation: relation.into(),
+            rows,
+        })
     }
 
     /// `( term, … ) (, ( term, … ))*` where terms are literals or `?`.
@@ -917,7 +920,10 @@ impl SqlParser {
                     }
                 };
                 self.expect(Tok::RParen, "')'")?;
-                Ok(Statement::CreateIndex { relation, column })
+                Ok(Statement::CreateIndex {
+                    relation: relation.into(),
+                    column,
+                })
             }
             other => Err(self.error(format!("expected TABLE or INDEX, found {other:?}"))),
         }
@@ -1161,7 +1167,7 @@ mod tests {
         let Statement::Insert { relation, rows } = s else {
             panic!("not an INSERT");
         };
-        assert_eq!(relation, "Available");
+        assert_eq!(&*relation, "Available");
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0], vec![Term::val(123), Term::val("5A")]);
         let s = stmt("DELETE FROM Available VALUES (123, '5A')");
@@ -1225,31 +1231,6 @@ mod tests {
         assert_eq!(stmt("PROMOTE"), Statement::Promote);
         assert_eq!(stmt("promote;"), Statement::Promote);
         assert!(parse_statement("PROMOTE 3").is_err());
-    }
-
-    #[test]
-    fn parsed_string_constants_are_interned() {
-        // Re-parsing the same statement text yields constants sharing one
-        // Arc — the parser goes through the storage interning pool.
-        let extract = |stmt: &Statement| -> Value {
-            let Statement::Insert { rows, .. } = stmt else {
-                panic!("insert expected");
-            };
-            let Term::Const(v) = &rows[0][0] else {
-                panic!("constant expected");
-            };
-            v.clone()
-        };
-        let sql = "INSERT INTO B VALUES ('sql-intern-test-9Z')";
-        let a = extract(&stmt(sql));
-        let b = extract(&stmt(sql));
-        let (Value::Str(a), Value::Str(b)) = (&a, &b) else {
-            panic!("string values expected");
-        };
-        assert!(
-            std::sync::Arc::ptr_eq(a, b),
-            "re-parsed string constants must share one Arc"
-        );
     }
 
     #[test]
@@ -1482,7 +1463,7 @@ mod tests {
         for ((t, _), (k, _)) in text_toks.iter().zip(&key_toks) {
             let literal = match t {
                 Tok::Int(n) => Some(Value::Int(*n)),
-                Tok::Str(s) => Some(Value::interned(s)),
+                Tok::Str(s) => Some(Value::str(s)),
                 _ => None,
             };
             match literal {

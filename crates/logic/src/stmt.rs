@@ -23,7 +23,7 @@
 //! rows, in atom argument positions, on one side of a `WHERE` equality
 //! (the other side must be a variable), and inside `FOLLOWED BY` writes.
 
-use qdb_storage::{Schema, Value};
+use qdb_storage::{Schema, Str, Value};
 
 use crate::atom::Atom;
 use crate::term::{Term, Var};
@@ -112,21 +112,21 @@ pub enum Statement {
     /// `CREATE INDEX ON R (col)`
     CreateIndex {
         /// Indexed relation.
-        relation: String,
+        relation: Str,
         /// Indexed column (name or position).
         column: ColumnRef,
     },
     /// `INSERT INTO R VALUES (…), (…)` — blind non-resource inserts.
     Insert {
         /// Target relation.
-        relation: String,
+        relation: Str,
         /// Rows; terms are constants once parameters are bound.
         rows: Vec<Vec<Term>>,
     },
     /// `DELETE FROM R VALUES (…), (…)` — blind non-resource deletes.
     Delete {
         /// Target relation.
-        relation: String,
+        relation: Str,
         /// Rows; terms are constants once parameters are bound.
         rows: Vec<Vec<Term>>,
     },

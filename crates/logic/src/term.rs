@@ -1,9 +1,8 @@
 //! Variables and terms.
 
 use std::fmt;
-use std::sync::Arc;
 
-use qdb_storage::Value;
+use qdb_storage::{Str, Value};
 
 /// A logic variable.
 ///
@@ -12,9 +11,10 @@ use qdb_storage::Value;
 /// composition theorem's "no shared variables" precondition) allocates a new
 /// id while keeping the human-readable name.
 #[derive(Debug, Clone)]
+#[repr(C)] // `id` first, so `Term` fits a `Value` beside `name`'s niche
 pub struct Var {
     id: u32,
-    name: Arc<str>,
+    name: Str,
 }
 
 impl Var {
@@ -23,7 +23,7 @@ impl Var {
     pub fn new(id: u32, name: impl AsRef<str>) -> Self {
         Var {
             id,
-            name: Arc::from(name.as_ref()),
+            name: Str::new(name.as_ref()),
         }
     }
 

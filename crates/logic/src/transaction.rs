@@ -56,8 +56,8 @@ impl UpdateAtom {
     pub fn to_write_op(&self, val: &Valuation) -> Result<WriteOp> {
         let tuple = self.atom.ground(val)?;
         Ok(match self.kind {
-            UpdateKind::Insert => WriteOp::insert(self.atom.relation.as_ref(), tuple),
-            UpdateKind::Delete => WriteOp::delete(self.atom.relation.as_ref(), tuple),
+            UpdateKind::Insert => WriteOp::insert(&self.atom.relation, tuple),
+            UpdateKind::Delete => WriteOp::delete(&self.atom.relation, tuple),
         })
     }
 }

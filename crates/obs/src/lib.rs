@@ -34,7 +34,7 @@ mod ring;
 
 pub use clock::{Stamp, StampSource};
 pub use histogram::{bucket_index, bucket_upper_bound, HistSnapshot, HistSummary, Histogram};
-pub use obs::{escape_json, Obs, OpToken, ProfileReport};
+pub use obs::{escape_json, Lead, Obs, OpToken, ProfileReport};
 pub use ring::{EventRing, SpanEvent};
 
 /// Timed engine phases. Each phase owns one [`Histogram`] inside [`Obs`]

@@ -6,7 +6,10 @@
 //! recorder.
 //!
 //! Operations are bracketed by [`Obs::begin_op`] / [`Obs::finish_op`]
-//! (the `execute_stmt` chokepoint). Between the brackets, every phase
+//! (the `execute_stmt` chokepoint). A statement parsed from text opens
+//! its op at the parse's start instead ([`Obs::begin_op_led`]), so the
+//! parse — timed before the statement's class is known — is the first
+//! span of its tree. Between the brackets, every phase
 //! ended with [`Obs::span`] appends an event to a thread-local collector,
 //! so a finished operation carries its full span tree: the statement root
 //! plus each timed phase with its start offset. `finish_op` publishes the
@@ -79,6 +82,17 @@ pub struct OpToken {
     start: Stamp,
     /// Owns the thread's span collector (false when nested in another op).
     collecting: bool,
+}
+
+/// A phase timed before the op it belongs to: a statement's parse, which
+/// ends before the statement's class is known. [`Obs::lead`] ends it into
+/// its histogram; [`Obs::begin_op_led`] then opens the op at the phase's
+/// start, with the phase as its first span.
+#[derive(Debug, Clone, Copy)]
+pub struct Lead {
+    phase: Phase,
+    start: Stamp,
+    end: Stamp,
 }
 
 thread_local! {
@@ -192,6 +206,38 @@ impl Obs {
         }
     }
 
+    /// [`Obs::begin_op`] for an op whose first phase, `lead`, ran before
+    /// it: the op starts at the lead's start, and the lead is its first
+    /// span. Reads no stamp; an op whose lead was timed with recording off
+    /// is not recorded.
+    pub fn begin_op_led(&self, class: usize, lead: Lead) -> OpToken {
+        let collecting = match (lead.start.0, lead.end.0) {
+            (Some(t0), Some(t1)) => {
+                let (ts_ns, end_ns) = (self.clock.ns(t0), self.clock.ns(t1));
+                let event = SpanEvent {
+                    ts_ns,
+                    txn_id: SpanEvent::NONE,
+                    partition_id: SpanEvent::NONE,
+                    kind: lead.phase as u8,
+                    outcome: Outcome::Ok,
+                    dur_ns: end_ns.saturating_sub(ts_ns),
+                };
+                OP.with(|cell| {
+                    let ctx = &mut *cell.borrow_mut();
+                    let collecting = !std::mem::replace(&mut ctx.active, true);
+                    ctx.events.push(event);
+                    collecting
+                })
+            }
+            _ => false,
+        };
+        OpToken {
+            class,
+            start: lead.start,
+            collecting,
+        }
+    }
+
     /// Finish an operation: records the class histogram, publishes the
     /// phase events and the root to the flight recorder as one run, and
     /// writes the JSONL trace line when a sink is installed.
@@ -269,6 +315,18 @@ impl Obs {
                 });
             }
         });
+    }
+
+    /// End a phase that runs before the op it belongs to into its
+    /// histogram, and keep its stamps for [`Obs::begin_op_led`]. One stamp,
+    /// none for the empty stamp of a disabled handle.
+    pub fn lead(&self, phase: Phase, start: Stamp) -> Lead {
+        let end = Stamp(start.0.map(|_| self.clock.read()));
+        if let (Some(t0), Some(t1)) = (start.0, end.0) {
+            let dur_ns = self.clock.ns(t1).saturating_sub(self.clock.ns(t0));
+            self.phases[phase as usize].record(dur_ns);
+        }
+        Lead { phase, start, end }
     }
 
     /// End a phase begun at `start` into its histogram only — no span, no

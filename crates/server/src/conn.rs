@@ -36,6 +36,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use qdb_core::Lead;
 use qdb_core::StmtCache;
 use qdb_logic::{ParsedStatement, Statement};
 use qdb_wire::{self as wire, Frame, Reply, Request, Response};
@@ -509,11 +510,13 @@ impl Conn {
             }
         }
         let mut stmts = lock(&self.stmts);
-        let stmt = match request {
+        // A text's op starts at its parse (`lead`); a bound statement's at
+        // its execution.
+        let (stmt, lead) = match request {
             // The statement cache binds a text's literals into the
             // template of its shape: no parse after the shape's first text.
-            Request::Execute { sql } => match executable(stmts.cache.parse(db, &sql)) {
-                Ok(stmt) => stmt,
+            Request::Execute { sql } => match executable(stmts.cache.parse_led(db, &sql)) {
+                Ok((stmt, lead)) => (stmt, Some(lead)),
                 Err(refusal) => return refusal,
             },
             Request::Prepare { stmt, sql } => {
@@ -545,7 +548,7 @@ impl Conn {
                 };
             }
             Request::Run { bound } => match stmts.bound.remove(&bound) {
-                Some(stmt) => stmt,
+                Some(stmt) => (stmt, None),
                 None => return unknown_id("bound statement", bound),
             },
             Request::Replicate {
@@ -570,7 +573,10 @@ impl Conn {
         let result = match stmt {
             Statement::Promote => self.node.promote(db),
             Statement::ShowReplication => Ok(self.node.replication(db)),
-            stmt => db.execute_stmt(stmt),
+            stmt => match lead {
+                Some(lead) => db.execute_led(stmt, lead),
+                None => db.execute_stmt(stmt),
+            },
         };
         match result {
             // `SHOW METRICS` carries the server's counters too.
@@ -594,15 +600,18 @@ pub(crate) fn engine_error(e: qdb_core::EngineError) -> Reply {
 /// What an `EXECUTE` runs, from its text's parse: the statement, or the
 /// reply refusing it — the parse error, or `PARAMS` for a text with `?`
 /// placeholders, which EXECUTE has no values for.
-pub(crate) fn executable(parsed: qdb_core::Result<ParsedStatement>) -> Result<Statement, Reply> {
-    let parsed = parsed.map_err(engine_error)?;
+pub(crate) fn executable(
+    parsed: qdb_core::Result<(ParsedStatement, Lead)>,
+) -> Result<(Statement, Lead), Reply> {
+    let (parsed, lead) = parsed.map_err(engine_error)?;
     let placeholders = parsed.param_count();
-    parsed.into_statement().map_err(|_| Reply::Error {
+    let stmt = parsed.into_statement().map_err(|_| Reply::Error {
         code: wire::code::PARAMS,
         message: format!(
             "EXECUTE carries no parameters but the statement has {placeholders} placeholder(s); use PREPARE/BIND/RUN"
         ),
-    })
+    })?;
+    Ok((stmt, lead))
 }
 
 fn unknown_id(what: &str, id: u32) -> Reply {

@@ -1723,12 +1723,15 @@ mod tests {
             let stmt = (qdb_logic::parse_statement(&sql))
                 .and_then(|parsed| parsed.into_statement())
                 .unwrap_or_else(|e| panic!("{sql:?}: {e}"));
-            let (relation, rows, write): (_, _, fn(String, qdb_storage::Tuple) -> WriteOp) =
-                match stmt {
-                    Statement::Insert { relation, rows } => (relation, rows, WriteOp::insert),
-                    Statement::Delete { relation, rows } => (relation, rows, WriteOp::delete),
-                    other => panic!("{sql:?} parsed to {other:?}"),
-                };
+            let (relation, rows, write): (
+                _,
+                _,
+                fn(qdb_storage::Str, qdb_storage::Tuple) -> WriteOp,
+            ) = match stmt {
+                Statement::Insert { relation, rows } => (relation, rows, WriteOp::insert),
+                Statement::Delete { relation, rows } => (relation, rows, WriteOp::delete),
+                other => panic!("{sql:?} parsed to {other:?}"),
+            };
             let [row] = rows.as_slice() else {
                 panic!("{sql:?} writes {} rows", rows.len());
             };

@@ -228,12 +228,9 @@ pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
 pub fn get_value(r: &mut Reader) -> Result<Value> {
     match r.u8()? {
         TAG_INT => Ok(Value::Int(r.u64()? as i64)),
-        // Decoded through the interning pool, straight from the input's
-        // bytes: WAL replay and wire decode see the same few labels over
-        // and over — a recovered database shares one `Arc` per distinct
-        // short string with everything else decoded in this process, and
-        // a label already in the pool costs no allocation at all.
-        TAG_STR => Ok(Value::interned(r.str()?)),
+        // Straight from the input's bytes: a label of up to 22 bytes is
+        // copied inline and allocates nothing.
+        TAG_STR => Ok(Value::str(r.str()?)),
         TAG_BOOL => Ok(Value::Bool(r.u8()? != 0)),
         t => Err(StorageError::Codec(format!("unknown value tag {t}"))),
     }
@@ -250,11 +247,7 @@ pub fn put_tuple(buf: &mut Vec<u8>, t: &Tuple) {
 /// Read a [`Tuple`].
 pub fn get_tuple(r: &mut Reader) -> Result<Tuple> {
     let n = r.count(MAX_TUPLE_ARITY, MIN_VALUE_BYTES, "tuple arity")?;
-    let mut values = Vec::with_capacity(n);
-    for _ in 0..n {
-        values.push(get_value(r)?);
-    }
-    Ok(Tuple::from(values))
+    Tuple::try_from_fn(n, |_| get_value(r))
 }
 
 fn get_value_type(r: &mut Reader) -> Result<ValueType> {
@@ -370,25 +363,6 @@ mod tests {
         let mut buf = Vec::new();
         put_tuple(&mut buf, &t);
         assert_eq!(get_tuple(&mut Reader::new(&buf)).unwrap(), t);
-    }
-
-    #[test]
-    fn decoded_strings_are_interned() {
-        // Decoding the same record twice (a WAL replayed, the same label
-        // in many frames) must share one string allocation, not allocate
-        // a fresh `Arc` per decode.
-        let v = Value::from("codec-intern-test-7C");
-        let mut buf = Vec::new();
-        put_value(&mut buf, &v);
-        let a = get_value(&mut Reader::new(&buf)).unwrap();
-        let b = get_value(&mut Reader::new(&buf)).unwrap();
-        let (Value::Str(a), Value::Str(b)) = (&a, &b) else {
-            panic!("string value expected");
-        };
-        assert!(
-            std::sync::Arc::ptr_eq(a, b),
-            "decoded equal strings must share one Arc"
-        );
     }
 
     #[test]

@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 use crate::error::StorageError;
 use crate::schema::Schema;
 use crate::table::Table;
+use crate::text::Str;
 use crate::tuple::Tuple;
 use crate::Result;
 
@@ -15,14 +16,14 @@ pub enum WriteOp {
     /// Insert `tuple` into `relation`.
     Insert {
         /// Target relation.
-        relation: String,
+        relation: Str,
         /// Row to insert.
         tuple: Tuple,
     },
     /// Delete `tuple` from `relation`.
     Delete {
         /// Target relation.
-        relation: String,
+        relation: Str,
         /// Row to delete.
         tuple: Tuple,
     },
@@ -30,7 +31,7 @@ pub enum WriteOp {
 
 impl WriteOp {
     /// Build an insert op.
-    pub fn insert(relation: impl Into<String>, tuple: Tuple) -> Self {
+    pub fn insert(relation: impl Into<Str>, tuple: Tuple) -> Self {
         WriteOp::Insert {
             relation: relation.into(),
             tuple,
@@ -38,7 +39,7 @@ impl WriteOp {
     }
 
     /// Build a delete op.
-    pub fn delete(relation: impl Into<String>, tuple: Tuple) -> Self {
+    pub fn delete(relation: impl Into<Str>, tuple: Tuple) -> Self {
         WriteOp::Delete {
             relation: relation.into(),
             tuple,

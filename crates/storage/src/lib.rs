@@ -40,6 +40,7 @@ pub mod index;
 pub mod recovery;
 pub mod schema;
 pub mod table;
+pub mod text;
 pub mod tuple;
 pub mod value;
 pub mod wal;
@@ -50,6 +51,7 @@ pub use index::SecondaryIndex;
 pub use recovery::{recover, RecoveredState};
 pub use schema::{Schema, ValueType};
 pub use table::{Table, TableCursor};
+pub use text::Str;
 pub use tuple::Tuple;
 pub use value::Value;
 pub use wal::{FaultSink, LogRecord, LogSink, SinkFault, Wal};

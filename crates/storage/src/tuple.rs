@@ -1,4 +1,4 @@
-//! Tuples — immutable, cheaply cloneable rows.
+//! Tuples — immutable, cheaply cloneable rows, each one allocation.
 
 use std::fmt;
 use std::sync::Arc;
@@ -9,7 +9,10 @@ use crate::value::Value;
 ///
 /// Backed by `Arc<[Value]>`: the solver and the quantum state keep many
 /// references to the same row (cached solutions, overlay states, possible
-/// worlds), so cloning must be O(1).
+/// worlds), so cloning must be O(1). A row whose length is known up front
+/// — a decoded one, a grounded atom, an exact-size iterator — is written
+/// straight into its `Arc` ([`Tuple::try_from_fn`]): one allocation, no
+/// staging `Vec`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Tuple(Arc<[Value]>);
 
@@ -17,6 +20,31 @@ impl Tuple {
     /// Build a tuple from values.
     pub fn new(values: impl Into<Arc<[Value]>>) -> Self {
         Tuple(values.into())
+    }
+
+    /// Build a tuple of `n` values, the `i`-th from `value(i)`, in one
+    /// allocation. The first error ends the build and drops the values
+    /// already made.
+    pub fn try_from_fn<E>(
+        n: usize,
+        mut value: impl FnMut(usize) -> Result<Value, E>,
+    ) -> Result<Tuple, E> {
+        let mut row = Arc::<[Value]>::new_uninit_slice(n);
+        let slots = Arc::get_mut(&mut row).expect("a new Arc is unshared");
+        for i in 0..n {
+            match value(i) {
+                Ok(v) => _ = slots[i].write(v),
+                Err(e) => {
+                    for slot in &mut slots[..i] {
+                        // SAFETY: slots before `i` were written above.
+                        unsafe { slot.assume_init_drop() }
+                    }
+                    return Err(e);
+                }
+            }
+        }
+        // SAFETY: all `n` slots were written.
+        Ok(Tuple(unsafe { row.assume_init() }))
     }
 
     /// Number of columns.
@@ -60,9 +88,28 @@ impl From<Vec<Value>> for Tuple {
     }
 }
 
+impl<const N: usize> From<[Value; N]> for Tuple {
+    fn from(v: [Value; N]) -> Self {
+        Tuple(Arc::new(v))
+    }
+}
+
+/// One allocation when the iterator knows its exact length (an iterator
+/// whose exact size hint is wrong panics); otherwise the values are staged
+/// in a `Vec` first.
 impl FromIterator<Value> for Tuple {
     fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
-        Tuple(iter.into_iter().collect())
+        let mut iter = iter.into_iter();
+        match iter.size_hint() {
+            (lo, Some(hi)) if lo == hi => {
+                let t = Tuple::try_from_fn(lo, |_| iter.next().ok_or(()));
+                match (t, iter.next()) {
+                    (Ok(t), None) => t,
+                    _ => panic!("an iterator not as long as its exact size hint"),
+                }
+            }
+            _ => Tuple(iter.collect()),
+        }
     }
 }
 
@@ -97,7 +144,7 @@ impl fmt::Display for Tuple {
 #[macro_export]
 macro_rules! tuple {
     ($($v:expr),* $(,)?) => {
-        $crate::Tuple::from(vec![$($crate::Value::from($v)),*])
+        $crate::Tuple::from([$($crate::Value::from($v)),*])
     };
 }
 

@@ -22,6 +22,7 @@ use crate::codec::{self, Reader};
 use crate::database::WriteOp;
 use crate::error::StorageError;
 use crate::schema::Schema;
+use crate::text::Str;
 use crate::Result;
 
 /// A single durable event.
@@ -87,7 +88,7 @@ fn put_op(buf: &mut Vec<u8>, op: &WriteOp) {
 
 /// The rest of a write op whose tag byte has been read.
 fn get_op(r: &mut Reader, tag: u8) -> Result<WriteOp> {
-    let relation = r.str()?.to_owned();
+    let relation = Str::new(r.str()?);
     let tuple = codec::get_tuple(r)?;
     match tag {
         T_INSERT => Ok(WriteOp::Insert { relation, tuple }),

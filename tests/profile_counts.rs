@@ -5,7 +5,8 @@
 //! that percentiles are ordered and non-zero, that the `parse` / `solve`
 //! / `apply` / `ground` / `read` phases were recorded (`read` once per
 //! read statement), and that the JSONL trace sink received exactly one
-//! well-formed line per statement, each span inside its root.
+//! well-formed line per statement, each span inside its root and each
+//! opening with the statement's `parse` span.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -163,6 +164,11 @@ fn profile_counts_match_the_drivers_and_the_trace_has_one_line_per_statement() {
         // ends no later than the root's.
         let (root, spans) = line.split_once(",\"spans\":[").unwrap();
         let root_dur = field(root, "dur_ns");
+        // A text's op starts at its parse: the `parse` span opens the tree.
+        assert!(
+            spans.starts_with("{\"phase\":\"parse\",\"start_ns\":0,"),
+            "{sql}: no parse span at the root's start: {line}"
+        );
         for span in spans.split("{\"phase\":").skip(1) {
             let end = field(span, "start_ns") + field(span, "dur_ns");
             assert!(end <= root_dur, "{sql}: a span outlasts its root: {line}");
