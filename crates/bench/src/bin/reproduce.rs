@@ -1,9 +1,7 @@
-//! Regenerate every table and figure of the paper's evaluation (§5–§6)
-//! and run the correctness experiments CI gates on.
+//! Regenerate every table and figure of the paper's evaluation (§5–§6).
 //!
 //! ```text
-//! reproduce [table1|fig5|fig6|fig7|table2|fig8|fig9|phase|sim|
-//!            replication|all]...
+//! reproduce [table1|fig5|fig6|fig7|table2|fig8|fig9|phase|all]...
 //!           [--scale full|smoke] [--json]
 //! ```
 //!
@@ -11,12 +9,11 @@
 //! `full` runs the paper's parameters (slow: Fig. 7 alone executes up to
 //! 15 000 transactions per k); `smoke` is a quick shape-check. Output is
 //! plain text: tables match the paper's tables, figures are printed as
-//! tab-separated series. `sim` and `replication` are the simulator's
-//! checked sweeps (single-node with crash injection; primary kill and
-//! replica promotion). With `--json`, the same results are additionally
-//! written to `BENCH_results.json` — stamped with the git commit and a
-//! UTC timestamp — which is what CI's jq gates read. Performance
-//! questions belong to `benchmark/` (see its README), not here.
+//! tab-separated series. With `--json`, the same results are additionally
+//! written to `BENCH_results.json`, stamped with the git commit and a UTC
+//! timestamp. The simulator's checked sweeps are the `sim` binary's
+//! (`sim run`, `sim repl`); performance questions belong to `benchmark/`
+//! (see its README). Neither is run here.
 
 use qdb_bench::experiments::*;
 use qdb_bench::report::{downsample, format_series, format_table};
@@ -66,18 +63,8 @@ fn main() {
     if which.is_empty() {
         which.push("all".to_string());
     }
-    const KNOWN: [&str; 11] = [
-        "all",
-        "table1",
-        "fig5",
-        "fig6",
-        "fig7",
-        "table2",
-        "fig8",
-        "fig9",
-        "phase",
-        "sim",
-        "replication",
+    const KNOWN: [&str; 9] = [
+        "all", "table1", "fig5", "fig6", "fig7", "table2", "fig8", "fig9", "phase",
     ];
     for w in &which {
         if !KNOWN.contains(&w.as_str()) {
@@ -106,17 +93,6 @@ fn main() {
     if wants("phase") {
         records.push(phase());
     }
-    let mut sim_failed = false;
-    if wants("replication") {
-        let (record, failed) = replication_report(scale);
-        records.push(record);
-        sim_failed |= failed;
-    }
-    if wants("sim") {
-        let (record, failed) = sim_report(scale);
-        records.push(record);
-        sim_failed |= failed;
-    }
     if json {
         let doc = Json::obj([
             ("suite", Json::str("quantum-db reproduce")),
@@ -135,156 +111,6 @@ fn main() {
             }
         }
     }
-    if sim_failed {
-        // A simulation violation is a correctness bug, not a perf
-        // regression — fail the reproduction run outright.
-        std::process::exit(1);
-    }
-}
-
-/// The replication acceptance run ([`qdb_sim::run_replica_sweep`]): the
-/// replicated sim topology — seeded workload, WAL shipping with
-/// arbitrary byte cuts, primary kill, promotion — whose checker proves
-/// zero acknowledged-durable-write loss and horizon-explainable replica
-/// reads. CI jq-gates `failover.violations == 0` and the accounting
-/// identity `acked_writes == surviving_acked + lost_to_window` off this
-/// record.
-fn replication_report(scale: Scale) -> (Json, bool) {
-    use qdb_sim::{run_replica_sweep, ReplicaSimConfig};
-
-    let seeds = match scale {
-        Scale::Full => 50u64,
-        Scale::Smoke => 5u64,
-    };
-    println!("== Replication: checked failover ==");
-    println!("({seeds} sim seeds of kill-at-arbitrary-WAL-cut + promotion)\n");
-
-    let cfg = ReplicaSimConfig::smoke();
-    let sweep = run_replica_sweep(&cfg, 1, seeds);
-    println!(
-        "failover sweep: {} runs, acked={} surviving={} async_window={} checked_reads={} \
-         violations={}",
-        sweep.runs,
-        sweep.acked_writes,
-        sweep.surviving_acked,
-        sweep.lost_to_window,
-        sweep.checked_reads,
-        sweep.failures.len()
-    );
-    for (seed, v) in &sweep.failures {
-        println!("VIOLATION seed={seed}: {v}");
-    }
-    println!();
-
-    (
-        sweep.record(seeds, cfg.replicas),
-        !sweep.failures.is_empty(),
-    )
-}
-
-fn sim_report(scale: Scale) -> (Json, bool) {
-    use qdb_sim::{run_seed, run_sweep, EngineKind, Mutation, SimConfig};
-    use std::path::Path;
-    // The wire engine pays a loopback-TCP round trip per statement, so
-    // the PR-path smoke runs it at a reduced seed count; the nightly
-    // full scale runs both engines over the whole seed range.
-    let (seeds, wire_seeds, cfg) = match scale {
-        Scale::Full => {
-            let mut cfg = SimConfig::smoke(EngineKind::Sharded);
-            cfg.ops_per_client = 500;
-            (1000u64, 1000u64, cfg)
-        }
-        Scale::Smoke => (50u64, 12u64, SimConfig::smoke(EngineKind::Sharded)),
-    };
-    println!("== Simulation: deterministic full-system check (crash injection on) ==");
-    println!(
-        "({seeds} seeds x sharded, {wire_seeds} seeds x wire, {} clients x {} ops each;\n\
-         black-box serializability + PEEK/POSSIBLE explainability + accounting identity;\n\
-         failing traces delta-debugged before artifacts are written)\n",
-        cfg.clients, cfg.ops_per_client
-    );
-    let started = std::time::Instant::now();
-    let dir = Path::new("target/sim");
-    let mut outcome = run_sweep(&cfg, 1, seeds, &[EngineKind::Sharded], Some(dir), true);
-    let wire = run_sweep(&cfg, 1, wire_seeds, &[EngineKind::Wire], Some(dir), true);
-    outcome.runs += wire.runs;
-    outcome.total_ops += wire.total_ops;
-    outcome.commits += wire.commits;
-    outcome.aborts += wire.aborts;
-    outcome.crashes += wire.crashes;
-    outcome.stats.add(&wire.stats);
-    outcome.failures.extend(wire.failures);
-    // Meta-check: every registered fault-injection mutation must still
-    // make the checker fire — a silently-dead mutation is a coverage
-    // regression even when all clean sweeps pass.
-    let mut dead_mutations: Vec<&str> = Vec::new();
-    for m in Mutation::all() {
-        let mcfg = SimConfig {
-            mutation: Some(m),
-            ..cfg.clone()
-        };
-        let fired = (1..=20u64).any(|seed| run_seed(seed, &mcfg).violation.is_some());
-        if !fired {
-            println!("DEAD MUTATION: {} never fired in 20 seeds", m.name());
-            dead_mutations.push(m.name());
-        }
-    }
-    let elapsed = started.elapsed().as_secs_f64();
-    let ops_per_sec = outcome.ops_per_sec(elapsed);
-    let table = vec![vec![
-        outcome.runs.to_string(),
-        outcome.total_ops.to_string(),
-        format!("{ops_per_sec:.0}"),
-        outcome.commits.to_string(),
-        outcome.crashes.to_string(),
-        outcome.stats.ser_checks.to_string(),
-        outcome.stats.explain_checked.to_string(),
-        outcome.violations().to_string(),
-    ]];
-    println!(
-        "{}",
-        format_table(
-            &[
-                "runs",
-                "ops",
-                "ops/s",
-                "commits",
-                "crashes",
-                "ser_checks",
-                "explained",
-                "violations"
-            ],
-            &table
-        )
-    );
-    for (seed, engine, v, path) in &outcome.failures {
-        println!(
-            "VIOLATION seed={seed} engine={engine} kind={} at op {}{}",
-            v.kind,
-            v.op_index,
-            match path {
-                Some(p) => format!(" -> {}", p.display()),
-                None => String::new(),
-            }
-        );
-    }
-    let failed = !outcome.failures.is_empty() || !dead_mutations.is_empty();
-    let mut record = outcome.record(seeds, elapsed);
-    if let Json::Obj(fields) = &mut record {
-        fields.extend([
-            ("wire_seeds".to_string(), Json::U64(wire_seeds)),
-            ("shrink".to_string(), Json::Bool(true)),
-            (
-                "mutations_armed".to_string(),
-                Json::Bool(dead_mutations.is_empty()),
-            ),
-            (
-                "dead_mutations".to_string(),
-                Json::arr(dead_mutations.iter().map(|n| Json::str(*n))),
-            ),
-        ]);
-    }
-    (record, failed)
 }
 
 fn phase() -> Json {

@@ -2,10 +2,10 @@
 //!
 //! The experiment harness: regenerates every table and figure of the
 //! paper's evaluation (§5) and the §6 phase transition as text series,
-//! and runs the correctness experiments CI gates on (`sim` and the
-//! `replication` failover sweep). See `src/bin/reproduce.rs` for the
-//! command-line entry point. Performance is measured by the standalone
-//! `benchmark/` package, not here.
+//! and nothing else. See `src/bin/reproduce.rs` for the command-line entry
+//! point. The simulator's checked sweeps run from the `sim` binary
+//! (`qdb-sim`), whose JSON writer this crate borrows; performance is
+//! measured by the standalone `benchmark/` package.
 
 pub mod experiments;
 pub mod report;

@@ -431,7 +431,7 @@ pub struct RemoteBound {
 /// deterministic simulator, while distinct seeds decorrelate a thundering
 /// herd of reconnecting clients.
 ///
-/// [splitmix64]: https://prng.di.unimi.it/splitmix64.c
+/// [splitmix64]: qdb_storage::splitmix64
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BackoffPolicy {
     /// First delay before jitter (attempt 0 waits between `base/2` and
@@ -453,14 +453,6 @@ impl Default for BackoffPolicy {
     }
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 impl BackoffPolicy {
     /// The delay before retry number `attempt` (0-based). Pure: the same
     /// `(policy, attempt)` always yields the same duration.
@@ -475,7 +467,8 @@ impl BackoffPolicy {
         if half_nanos == 0 {
             return exp;
         }
-        let jitter = splitmix64(self.seed.wrapping_add(u64::from(attempt))) % (half_nanos + 1);
+        let jitter =
+            qdb_storage::splitmix64(self.seed.wrapping_add(u64::from(attempt))) % (half_nanos + 1);
         half + Duration::from_nanos(jitter)
     }
 }

@@ -71,12 +71,6 @@ pub struct QuantumDbConfig {
     /// Ground coordination partners jointly as soon as both are in the
     /// system (§5.1 entangled resource transactions).
     pub ground_on_partner_arrival: bool,
-    /// Access-pattern-driven index promotion: when a table column with no
-    /// index accumulates this many bound-column scans (the storage layer's
-    /// per-table tracker), the engine creates a secondary index on it and
-    /// logs a `CreateIndex` WAL record so recovery rebuilds it. `0`
-    /// disables auto-indexing.
-    pub auto_index_threshold: u32,
     /// Engine determinism seed, threaded through every remaining choice
     /// point the engine has beyond data order: solver atom-ordering
     /// tie-breaks ([`qdb_solver::Solver::seed`]), possible-world
@@ -94,7 +88,6 @@ impl Default for QuantumDbConfig {
             serializability: Serializability::default(),
             policy: GroundingPolicy::default(),
             ground_on_partner_arrival: true,
-            auto_index_threshold: 64,
             seed: 0,
         }
     }

@@ -10,17 +10,18 @@
 //! arrives"* — when the engine admits a transaction, it looks for pending
 //! partners and grounds the pair jointly.
 
-use qdb_logic::{unifiable, ResourceTransaction};
+use qdb_logic::ResourceTransaction;
 
 use crate::txn::PendingTxn;
 use crate::TxnId;
 
 /// Does `a` declare a coordination interest in `b`? True when an optional
-/// atom of `a` unifies with an insert of `b`'s update portion — i.e. `b`'s
-/// booking could satisfy `a`'s soft preference.
+/// atom of `a` may overlap an insert of `b`'s update portion — i.e. `b`'s
+/// booking could satisfy `a`'s soft preference (conservatively, as
+/// [`qdb_logic::Atom::may_overlap`] is).
 pub fn coordinates_with(a: &ResourceTransaction, b: &ResourceTransaction) -> bool {
     a.optional_body()
-        .any(|opt| b.inserts().any(|ins| unifiable(&opt.atom, &ins.atom)))
+        .any(|opt| b.inserts().any(|ins| opt.atom.may_overlap(&ins.atom)))
 }
 
 /// Pending transactions that form a coordination pair with `new_txn`

@@ -170,28 +170,12 @@ pub(crate) fn flexibility_score(
     Ok(score)
 }
 
-/// A tiny deterministic xorshift generator for
-/// [`crate::GroundingPolicy::Random`] (keeps `qdb-core` free of the `rand`
-/// dependency).
-#[derive(Debug, Clone)]
-pub(crate) struct XorShift(u64);
-
-impl XorShift {
-    pub(crate) fn next_u64(&mut self) -> u64 {
-        let mut x = self.0.max(1);
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    /// Fisher–Yates shuffle.
-    pub(crate) fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = (self.next_u64() % (i as u64 + 1)) as usize;
-            items.swap(i, j);
-        }
+/// The Fisher–Yates shuffle of [`crate::GroundingPolicy::Random`]: swap
+/// `i` draws [`qdb_storage::splitmix64`] of `seed + i`.
+fn shuffle<T>(items: &mut [T], seed: u64) {
+    for i in (1..items.len()).rev() {
+        let j = qdb_storage::splitmix64(seed.wrapping_add(i as u64)) % (i as u64 + 1);
+        items.swap(i, j as usize);
     }
 }
 
@@ -404,8 +388,8 @@ pub(crate) fn plan_group_front(
 }
 
 /// The optional body atoms (body indexes, per group member) that no
-/// promotion set can satisfy: no earlier member has an insert that unifies
-/// with the atom, and no tuple matching its constants is visible in a state
+/// promotion set can satisfy: no earlier member has an insert that may
+/// overlap the atom, and no tuple matching its constants is visible in a state
 /// the group is solved on — the residue's `world`, or the base. That is
 /// condition (1) of the solver's lookahead with no source at all: a set
 /// promoting such an atom fails on every state, so it is skipped before
@@ -422,7 +406,7 @@ fn dead_optionals(
         for (i, b) in member.txn.body.iter().enumerate() {
             let inserted_before = |atom: &Atom| {
                 let mut earlier = group[..k].iter().flat_map(|e| e.txn.inserts());
-                earlier.any(|u| qdb_logic::unifiable(atom, &u.atom))
+                earlier.any(|u| atom.may_overlap(&u.atom))
             };
             if b.optional && !inserted_before(&b.atom) && !may_be_visible(db, world, &b.atom)? {
                 never.push(i);
@@ -563,10 +547,8 @@ fn plan_solve_group(
                 // The policy seed and the engine seed both participate, so
                 // a sim run can vary the whole engine with one knob while
                 // ablations can still pin the policy independently.
-                let mut rng = XorShift(
-                    seed ^ config.seed ^ (group[0].id.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                );
-                rng.shuffle(&mut cands);
+                let seed = seed ^ config.seed ^ group[0].id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                shuffle(&mut cands, seed);
             }
             crate::GroundingPolicy::FirstFit => unreachable!("sample > 1"),
         }
@@ -649,16 +631,18 @@ mod tests {
     }
 
     #[test]
-    fn xorshift_is_deterministic_and_shuffles() {
-        let mut a = XorShift(42);
-        let mut b = XorShift(42);
-        assert_eq!(a.next_u64(), b.next_u64());
-        let mut items: Vec<u32> = (0..10).collect();
-        let mut rng = XorShift(7);
-        rng.shuffle(&mut items);
-        let mut sorted = items.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..10).collect::<Vec<u32>>());
-        assert_ne!(items, (0..10).collect::<Vec<u32>>()); // overwhelmingly likely
+    fn seeded_shuffle_is_deterministic_and_permutes() {
+        let identity: [u32; 10] = std::array::from_fn(|i| i as u32);
+        let shuffled = |seed| {
+            let mut items = identity;
+            shuffle(&mut items, seed);
+            items
+        };
+        let [mut a, b, c] = [7, 7, 8].map(shuffled);
+        assert_eq!(a, b, "same seed, same order");
+        assert_ne!(a, c);
+        assert_ne!(a, identity);
+        a.sort_unstable();
+        assert_eq!(a, identity, "a permutation");
     }
 }

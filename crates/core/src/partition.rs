@@ -75,12 +75,6 @@ impl Partition {
         self.txns.is_empty()
     }
 
-    /// Transaction references in arrival order (the shape the solver
-    /// APIs take).
-    pub fn txn_refs(&self) -> Vec<&ResourceTransaction> {
-        self.txns.iter().map(|p| &p.txn).collect()
-    }
-
     /// Merge `other` into `self`, keeping global arrival order. Because
     /// partitions are independent (no unifiable atoms), the union of their
     /// cached groundings remains consistent; entries are interleaved to

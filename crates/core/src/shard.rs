@@ -151,6 +151,9 @@ use crate::sync::{Mutex, RwLock};
 use crate::txn::PendingTxn;
 use crate::{Metrics, Result, TxnId};
 
+/// Bound-column scans that promote an unindexed column to an index.
+const AUTO_INDEX_THRESHOLD: u32 = 64;
+
 /// The base (extensional) state: everything whose consistency is guarded
 /// by the RwLock rather than by partition slots.
 pub(crate) struct Base {
@@ -382,8 +385,9 @@ impl SharedQuantumDb {
         Ok(out)
     }
 
-    /// Promote access-pattern-hot columns into secondary indexes under a
-    /// brief exclusive base acquisition, logging each promotion so
+    /// Promote access-pattern-hot columns (the storage layer's tracker)
+    /// into secondary indexes under a brief exclusive base acquisition,
+    /// logging each promotion so
     /// recovery rebuilds them. Sampled: the vote sweep (a base read +
     /// per-column atomic loads) runs on every 32nd statement, so the hot
     /// path the sharding PR de-contended does not pay an extra base-lock
@@ -400,10 +404,6 @@ impl SharedQuantumDb {
     /// the log), the worst case is a recovered engine that serves correct
     /// scans until the tracker's votes re-accumulate and promote again.
     fn promote_hot_indexes(&self) {
-        let threshold = self.core.config.auto_index_threshold;
-        if threshold == 0 {
-            return;
-        }
         if !self
             .core
             .promote_ticks
@@ -414,7 +414,7 @@ impl SharedQuantumDb {
         }
         let hot = {
             let base = self.base_read();
-            crate::engine::collect_hot_columns(&base.db, threshold)
+            crate::engine::collect_hot_columns(&base.db, AUTO_INDEX_THRESHOLD)
         };
         if hot.is_empty() {
             return;
@@ -1290,15 +1290,6 @@ impl SharedQuantumDb {
         }
     }
 
-    /// The updates the cached solution of the partition hosting `id` holds
-    /// ready, in arrival order — diagnostics: the world PEEK answers from,
-    /// re-grounded from the valuations rather than read off the maintained
-    /// pending world (the tests' oracle for the latter).
-    pub fn cached_pending_ops(&self, id: TxnId) -> Option<Vec<WriteOp>> {
-        let ops = |st: &mut SlotState| Ok(st.part.cache.pending_ops(&st.part.txn_refs())?);
-        self.with_hosting_slot(id, ops).ok().flatten()
-    }
-
     /// Number of independent partitions currently registered.
     pub fn partition_count(&self) -> usize {
         self.registry(|reg| reg.len())
@@ -1464,6 +1455,43 @@ pub(crate) mod tests {
         let ext_before = qdb.metrics().cache_extensions;
         assert!(qdb.submit(&book("U4")).unwrap().is_committed());
         assert_eq!(qdb.metrics().cache_extensions, ext_before + 1);
+    }
+
+    /// PEEK reads the maintained pending world. Through partner groundings
+    /// and blind writes it must answer what re-grounding every cached
+    /// valuation onto a copy of the base gives (the reference evaluator's
+    /// answer there).
+    #[test]
+    fn peek_reads_what_regrounding_the_cached_valuations_gives() {
+        let seats: Vec<String> = (0..24).map(|i| format!("{i}A")).collect();
+        let qdb = seat_engine(&seats.iter().map(String::as_str).collect::<Vec<_>>());
+        let arrivals = "a0 a1 a2 a3 a4 a5 a6 a7 a8 b0 a9 b1 a10 b2 a11 b3";
+        for (j, me) in arrivals.split(' ').enumerate() {
+            let partner = [if me < "b" { "b" } else { "a" }, &me[1..]].concat();
+            let txn = parse_transaction(&format!(
+                "-Available(1, s), +Bookings('{me}', 1, s) :-1 \
+                 Available(1, s), Bookings('{partner}', 1, s2)?"
+            ));
+            assert!(qdb.submit(&txn.unwrap()).unwrap().is_committed());
+            let spare = tuple![1, format!("{j}Z")];
+            qdb.write(WriteOp::insert("Available", spare.clone()))
+                .unwrap();
+            if j % 3 == 0 {
+                qdb.write(WriteOp::delete("Available", spare)).unwrap();
+            }
+            assert_eq!(qdb.partition_count(), 1, "one cache holds every update");
+            let ops = |st: &mut SlotState| {
+                let txns: Vec<_> = st.part.txns.iter().map(|p| &p.txn).collect();
+                Ok(st.part.cache.pending_ops(&txns)?)
+            };
+            let mut world = qdb.with_database(|db| db.clone());
+            let pending = qdb.with_hosting_slot(qdb.pending_ids()[0], ops);
+            world.apply_all(&pending.unwrap().unwrap()).unwrap();
+            let q = qdb_logic::parse_query(&format!("Bookings('{me}', f, s)")).unwrap();
+            let want = qdb_workload::pattern::eval_atoms(&world, &q.atoms, None).unwrap();
+            assert_eq!(qdb.read_peek(&q.atoms, None).unwrap(), want, "{me}");
+        }
+        assert_eq!(qdb.metrics().grounded_by_partner, 8);
     }
 
     #[test]

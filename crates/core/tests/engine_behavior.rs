@@ -560,29 +560,15 @@ fn wide_travel_engine(config: QuantumDbConfig, rows: usize) -> SharedQuantumDb {
     qdb
 }
 
-/// PEEK's oracle: the query, by the reference evaluator, over a copy of
-/// the base with every pending update re-grounded from the cached
-/// valuations applied (how PEEK composed its world before it read the
-/// maintained one).
-fn peek_by_regrounding(qdb: &SharedQuantumDb, atoms: &[qdb_logic::Atom]) -> Vec<Valuation> {
-    let pending = qdb.pending_ids();
-    let ops = pending
-        .first()
-        .map(|&id| qdb.cached_pending_ops(id).unwrap());
-    qdb.with_database(|db| {
-        let mut world = db.clone();
-        world.apply_all(&ops.unwrap_or_default()).unwrap();
-        eval_atoms(&world, atoms, None).unwrap()
-    })
-}
-
 #[test]
 fn pending_world_survives_groundings_blind_writes_and_peeks() {
     // The deep-admission shape: 16 first halves of entangled pairs open one
     // partition, then partners arrive at depth 16 (each grounds its pair
     // in the residue's world) alternating with new first halves. PEEKs and
-    // blind writes on seats nobody holds interleave. One partition, so
-    // `cached_pending_ops` of any pending id is the whole pending state.
+    // blind writes on seats nobody holds interleave. Each PEEK must also
+    // answer what re-grounding the cached valuations gives: that oracle
+    // needs the partition cache, so it is qdb-core's in-file test
+    // `peek_reads_what_regrounding_the_cached_valuations_gives`.
     let qdb = wide_travel_engine(QuantumDbConfig::default(), 20);
     let name = |side: usize, pair: usize| format!("{}{pair}", ["a", "b"][side]);
     let mut booked: Vec<(usize, usize)> = Vec::new();
@@ -611,7 +597,6 @@ fn pending_world_survives_groundings_blind_writes_and_peeks() {
         for (side, pair) in [(side, pair), booked[j / 2]] {
             let q = parse_query(&format!("Bookings('{}', f, s)", name(side, pair))).unwrap();
             let got = qdb.read_peek(&q.atoms, None).unwrap();
-            assert_eq!(got, peek_by_regrounding(&qdb, &q.atoms), "booking {j}");
             assert_eq!(got.len(), 1, "booking {j}: one row per user");
         }
     }
@@ -648,16 +633,18 @@ fn pending_world_survives_groundings_blind_writes_and_peeks() {
         "reading grounded pairs collapses nothing"
     );
 
-    // Forcing the fallback: deleting a seat a cached valuation holds is
-    // *not* untouched — verify fails, the partition re-solves, the world
-    // is dropped and the next reader rebuilds it.
-    let ops = qdb.cached_pending_ops(qdb.pending_ids()[0]).unwrap();
-    let held = ops.iter().find(|op| !op.is_insert()).unwrap().clone();
+    // Forcing the fallback: deleting the seat a cached valuation holds
+    // (the oldest pending booking's, as PEEK finds it in the maintained
+    // world) is *not* untouched — verify fails, the partition re-solves,
+    // the world is dropped and the next reader rebuilds it.
+    let q = parse_query("Bookings('a8', f, s)").unwrap();
+    let peek = qdb.read_peek(&q.atoms, None).unwrap();
+    let held = ["f", "s"].map(|v| peek[0].get(q.var(v).unwrap()).unwrap().clone());
     assert!(
-        qdb.write(held).unwrap(),
+        qdb.write(WriteOp::delete("Available", Tuple::from(held)))
+            .unwrap(),
         "spare seats: the re-solve succeeds"
     );
-    let q = parse_query("Bookings('a8', f, s)").unwrap();
     assert_eq!(qdb.read_peek(&q.atoms, None).unwrap().len(), 1);
     assert_eq!(qdb.metrics().overlay_rebuilds, 1);
 }

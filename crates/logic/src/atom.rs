@@ -66,9 +66,10 @@ impl Atom {
 
     /// Could this atom and `other` ever denote the same tuple? Same
     /// relation, same arity, and no position with two distinct constants.
-    /// (This is the conservative dependence test used for read checks and
-    /// partitioning — cheaper than a full mgu and equivalent for flat
-    /// terms.)
+    /// The conservative dependence test read checks and partitioning use:
+    /// atoms that unify (Definition 3.2) always overlap, but repeated
+    /// variables are not checked, so `R(x, x)` overlaps `R(1, 2)` although
+    /// the two have no unifier.
     pub fn may_overlap(&self, other: &Atom) -> bool {
         self.relation == other.relation
             && self.arity() == other.arity()

@@ -2,12 +2,13 @@
 //!
 //! The logic substrate of the quantum database: the Datalog-like
 //! intermediate representation of resource transactions (§2 of the paper)
-//! and the unification machinery (§3.2.1, Definition 3.2) that
-//! entanglement detection and partner grounding use.
+//! and its SQL front end. The engine never computes a most general
+//! unifier (Definition 3.2; the test-support `qdb_workload::unify` does):
+//! partitioning asks the conservative [`Atom::may_overlap`].
 //!
 //! * [`Term`], [`Var`], [`Atom`] — relational atoms over variables and
 //!   constants.
-//! * [`Substitution`] and [`mgu`] — most general unifiers (Definition 3.2).
+//! * [`Substitution`] — variable bindings (a `WHERE` clause folds into one).
 //! * [`ResourceTransaction`] — `U :-1 B` with optional body atoms.
 //! * [`parse_transaction`] / [`parse_query`] — a text syntax for the
 //!   Datalog-like notation (the paper's prototype likewise accepts only the
@@ -33,7 +34,6 @@ pub mod stmt;
 pub mod substitution;
 pub mod term;
 pub mod transaction;
-pub mod unify;
 pub mod valuation;
 
 pub use atom::Atom;
@@ -44,7 +44,6 @@ pub use stmt::{ColumnRef, ParsedStatement, ReadMode, SelectStmt, Statement, TxnS
 pub use substitution::Substitution;
 pub use term::{Term, Var, VarGen};
 pub use transaction::{BodyAtom, ResourceTransaction, UpdateAtom, UpdateKind};
-pub use unify::{mgu, unifiable};
 pub use valuation::Valuation;
 
 /// Result alias for this crate.

@@ -1,6 +1,6 @@
-//! Property tests for the logic substrate: the unification laws of
-//! Definitions 3.2 / 3.3 (the unification predicate is the test-support
-//! `qdb_workload::formula::UnifPredicate`) and the transaction
+//! Property tests for the logic substrate: the unification predicate of
+//! Definition 3.3 (the test-support `qdb_workload::formula::UnifPredicate`;
+//! the mgu laws of Definition 3.2 are `qdb-workload`'s) and the transaction
 //! printer/parser round-trip, over randomized atoms, valuations and
 //! transactions.
 //!
@@ -9,7 +9,7 @@
 //! case seed).
 
 use qdb_logic::{
-    mgu, parse_transaction, Atom, BodyAtom, ResourceTransaction, Term, UpdateAtom, Valuation, Var,
+    parse_transaction, Atom, BodyAtom, ResourceTransaction, Term, UpdateAtom, Valuation, Var,
     VarGen,
 };
 use qdb_storage::Value;
@@ -33,41 +33,6 @@ fn random_term(rng: &mut StdRng) -> Term {
 
 fn random_atom(rng: &mut StdRng, relation: &str, arity: usize) -> Atom {
     Atom::new(relation, (0..arity).map(|_| random_term(rng)).collect())
-}
-
-/// mgu soundness (θ(a) = θ(b)), idempotence (θ(θ(a)) = θ(a)) and symmetry
-/// in existence, over atoms that share a relation and arity half the time.
-#[test]
-fn mgu_is_a_symmetric_idempotent_unifier() {
-    let mut unified = 0;
-    for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(0x3200_0000 ^ case);
-        let (ra, rb) = (
-            ["A", "B"][rng.gen_range(0..2)],
-            ["A", "B"][rng.gen_range(0..2)],
-        );
-        let arity = 1 + rng.gen_range(0..3);
-        let other = if rng.gen_range(0..4) == 0 {
-            1 + rng.gen_range(0..3)
-        } else {
-            arity
-        };
-        let a = random_atom(&mut rng, ra, arity);
-        let b = random_atom(&mut rng, rb, other);
-        let theta = mgu(&a, &b);
-        assert_eq!(
-            theta.is_some(),
-            mgu(&b, &a).is_some(),
-            "case {case}: mgu({a}, {b}) exists one way round only"
-        );
-        if let Some(theta) = theta {
-            unified += 1;
-            let once = a.apply(&theta);
-            assert_eq!(once, b.apply(&theta), "case {case}: {theta} on {a} / {b}");
-            assert_eq!(once.apply(&theta), once, "case {case}: {theta} on {a}");
-        }
-    }
-    assert!(unified > CASES / 10, "only {unified} cases unified");
 }
 
 /// Definition 3.3: a total valuation makes two atoms equal iff it

@@ -1,14 +1,13 @@
 //! The `qdb-server` binary: serve a quantum database over TCP.
 //!
 //! ```text
-//! qdb-server [--addr HOST:PORT] [--workers N] [--k N]
-//!            [--prepared-cache N] [--trace-out PATH]
+//! qdb-server [--addr HOST:PORT] [--workers N] [--k N] [--trace-out PATH]
 //!            [--max-conns N] [--idle-timeout-ms MS] [--outbox-limit BYTES]
 //! ```
 //!
-//! Defaults: `--addr 127.0.0.1:5433`, `--workers 4`, `--prepared-cache
-//! 128` (per-connection prepared-statement LRU entries; `0` disables
-//! statement caching), engine defaults (k = 61). `--trace-out PATH`
+//! Defaults: `--addr 127.0.0.1:5433`, `--workers 4`, engine defaults
+//! (k = 61). Each connection caches up to 128 statement templates
+//! (`Session::DEFAULT_STMT_CACHE`). `--trace-out PATH`
 //! appends every finished statement's span tree to PATH as one JSONL line
 //! (see `docs/OBSERVABILITY.md`).
 //! Serving knobs: `--max-conns` is the admission limit (default 16384;
@@ -25,7 +24,7 @@ use qdb_server::{Server, ServerConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: qdb-server [--addr HOST:PORT] [--workers N] [--k N] \
-         [--prepared-cache N] [--trace-out PATH] \
+         [--trace-out PATH] \
          [--max-conns N] [--idle-timeout-ms MS] [--outbox-limit BYTES] \
          [--replicate-from HOST:PORT] [--replica-id NAME] \
          [--repl-poll-ms MS] [--promote-after-ms MS]"
@@ -57,10 +56,6 @@ fn parse_args() -> ServerConfig {
             }
             "--k" => {
                 cfg.engine.k = value(i).parse().unwrap_or_else(|_| usage());
-                i += 1;
-            }
-            "--prepared-cache" => {
-                cfg.prepared_cache = value(i).parse().unwrap_or_else(|_| usage());
                 i += 1;
             }
             "--trace-out" => {

@@ -157,7 +157,6 @@ impl Conn {
         stream: TcpStream,
         token: u64,
         node: Arc<Node>,
-        stmt_cache: usize,
         metrics: Arc<ServerMetrics>,
         notifier: Arc<Notifier>,
         outbox_limit: usize,
@@ -168,7 +167,7 @@ impl Conn {
             queue: Mutex::new(FrameQueue::default()),
             outbox: Mutex::new(Outbox::default()),
             stmts: Mutex::new(StmtState {
-                cache: StmtCache::new(stmt_cache),
+                cache: StmtCache::new(qdb_core::Session::DEFAULT_STMT_CACHE),
                 prepared: BTreeMap::new(),
                 bound: BTreeMap::new(),
             }),

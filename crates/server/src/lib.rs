@@ -102,10 +102,6 @@ pub struct ServerConfig {
     pub addr: String,
     /// Executor threads running statements (≥ 1).
     pub workers: usize,
-    /// Statement-template cache capacity per connection
-    /// (`qdb-server --prepared-cache`; `0` disables caching so every
-    /// EXECUTE parses).
-    pub prepared_cache: usize,
     /// Engine configuration for the owned database.
     pub engine: QuantumDbConfig,
     /// JSONL trace sink path (`qdb-server --trace-out`): every finished
@@ -141,7 +137,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
-            prepared_cache: qdb_core::Session::DEFAULT_STMT_CACHE,
             engine: QuantumDbConfig::default(),
             trace_out: None,
             max_connections: 16_384,
@@ -282,7 +277,6 @@ impl Server {
             listener,
             Arc::clone(&node),
             ReactorConfig {
-                prepared_cache: cfg.prepared_cache,
                 max_connections: cfg.max_connections,
                 outbox_limit: cfg.outbox_limit.max(1),
                 idle_timeout: cfg.idle_timeout,

@@ -93,7 +93,6 @@ impl Notifier {
 
 /// Reactor-side knobs, split off [`crate::ServerConfig`].
 pub(crate) struct ReactorConfig {
-    pub prepared_cache: usize,
     pub max_connections: usize,
     pub outbox_limit: usize,
     pub idle_timeout: Option<Duration>,
@@ -363,7 +362,6 @@ impl Reactor {
             stream,
             token,
             Arc::clone(&self.node),
-            self.cfg.prepared_cache,
             Arc::clone(&self.metrics),
             Arc::clone(&self.notifier),
             self.cfg.outbox_limit,

@@ -1795,9 +1795,11 @@ mod tests {
         }
     }
 
-    /// Every registered mutation must make the checker fire within a
-    /// bounded seed budget — a mutation that never triggers is dead
-    /// weight that would rot silently.
+    /// Every registered mutation must make the checker fire, as a kind it
+    /// is meant to cause, within 20 seeds at the config CI sweeps
+    /// ([`SimConfig::smoke`]) — a mutation that never triggers is dead
+    /// weight that would rot silently, and the clean sweeps' zero
+    /// violations would then prove less than they claim.
     #[test]
     fn every_mutation_fires_within_budget() {
         for m in Mutation::all() {
@@ -1807,15 +1809,13 @@ mod tests {
                     &["recovery_divergence", "recovery_failed"]
                 }
             };
-            let fired = (1..=10).find_map(|seed| {
-                let cfg = SimConfig {
-                    mutation: Some(m),
-                    ..tiny(EngineKind::Sharded)
-                };
-                run_seed(seed, &cfg).violation.map(|v| (seed, v))
-            });
+            let cfg = SimConfig {
+                mutation: Some(m),
+                ..SimConfig::smoke(EngineKind::Sharded)
+            };
+            let fired = (1..=20).find_map(|seed| run_seed(seed, &cfg).violation.map(|v| (seed, v)));
             let (seed, v) =
-                fired.unwrap_or_else(|| panic!("mutation {} never fired in 10 seeds", m.name()));
+                fired.unwrap_or_else(|| panic!("mutation {} never fired in 20 seeds", m.name()));
             assert!(
                 allowed.contains(&v.kind.as_str()),
                 "mutation {} fired as unexpected kind {:?} (seed {seed}): {}",

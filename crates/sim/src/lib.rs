@@ -79,8 +79,8 @@ impl SweepOutcome {
         self.total_ops as f64 / elapsed_s.max(1e-9)
     }
 
-    /// The sweep's JSON record, as `sim run --json` prints it and
-    /// `reproduce sim` writes it; `elapsed_s` is the sweep's wall time.
+    /// The sweep's JSON record, as `sim run --json` prints it for CI's jq
+    /// gates; `elapsed_s` is the sweep's wall time.
     pub fn record(&self, seeds: u64, elapsed_s: f64) -> Json {
         let failures = self.failures.iter().map(|(seed, engine, v, path)| {
             let artifact = path.as_ref().map(|p| p.display().to_string());

@@ -381,8 +381,8 @@ pub struct ReplicaSweepOutcome {
 }
 
 impl ReplicaSweepOutcome {
-    /// The sweep's JSON record, as `sim repl --json` prints it and
-    /// `reproduce replication` writes it: the counts sit under `failover`.
+    /// The sweep's JSON record, as `sim repl --json` prints it for CI's jq
+    /// gates: the counts sit under `failover`.
     pub fn record(&self, seeds: u64, replicas: usize) -> Json {
         let failures = self
             .failures

@@ -74,7 +74,7 @@
 use std::ops::Range;
 
 use qdb_logic::{Atom, LogicError, Term, UpdateKind, Valuation, Var};
-use qdb_storage::{Database, RelationId, Tuple, Value, WriteOp};
+use qdb_storage::{splitmix64, Database, RelationId, Tuple, Value, WriteOp};
 
 use crate::error::SolverError;
 use crate::overlay::Overlay;
@@ -143,15 +143,6 @@ pub struct Solver<'o> {
 /// Saturating count of the atom orderings: beyond 32 candidates the
 /// relative order of atoms no longer changes the search usefully.
 const ORDER_CAP: usize = 32;
-
-/// One splitmix64 mixing round — the tie-break hash for seeded atom
-/// ordering (same finalizer the workload RNG uses).
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A term compiled against its spec's variable slots.
 #[derive(Debug, Clone, Copy)]
@@ -1197,7 +1188,8 @@ impl<'a, 'c> Ctx<'a, 'c> {
                     n < bn
                         || (n == bn
                             && self.seed != 0
-                            && mix64(self.seed ^ idx as u64) > mix64(self.seed ^ bi as u64))
+                            && splitmix64(self.seed ^ idx as u64)
+                                > splitmix64(self.seed ^ bi as u64))
                 }
             };
             if replace {

@@ -58,3 +58,16 @@ pub use wal::{FaultSink, LogRecord, LogSink, SinkFault, Wal};
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, StorageError>;
+
+/// splitmix64 (Vigna 2015, <https://prng.di.unimi.it/splitmix64.c>): the
+/// output for state `x`, i.e. `x` advanced by the golden gamma and mixed.
+/// The workspace's one generator: `qdb_workload::rng::StdRng` steps
+/// through it, and the solver's seeded tie-break, the client's backoff
+/// jitter and the `Random` grounding policy's shuffle hash with it.
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

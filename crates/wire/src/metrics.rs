@@ -168,8 +168,8 @@ counters! {
     /// Candidate vectors materialized by the solver: always 0 (candidates
     /// stream); the field keeps its slot in the METRICS frame.
     solver_candidate_vecs,
-    /// Secondary indexes created by the access-pattern tracker (see the
-    /// engine's `QuantumDbConfig::auto_index_threshold`).
+    /// Secondary indexes created by the access-pattern tracker (a column
+    /// with 64 bound-column scans and no index is promoted).
     indexes_auto_created,
 }
 

@@ -21,8 +21,8 @@
 //!
 //! Test support, which no engine code calls: [`pattern`], the reference
 //! conjunctive-query evaluator reads are held to; [`formula`], Theorem
-//! 3.5's composed-body formulas, the solver's oracle; and [`rng`], the one
-//! seeded generator.
+//! 3.5's composed-body formulas, the solver's oracle; [`unify`], the mgus
+//! they are built from; and [`rng`], the one seeded generator.
 
 pub mod calendar;
 mod compose;
@@ -38,6 +38,7 @@ mod predicate;
 pub mod rng;
 pub mod runner;
 pub mod stream;
+pub mod unify;
 
 pub use entangled::{entangled_booking, make_pairs, Pair};
 pub use flights::FlightsConfig;

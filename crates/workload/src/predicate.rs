@@ -7,7 +7,8 @@
 
 use std::fmt;
 
-use qdb_logic::{mgu, Atom, LogicError, Result, Term, Valuation};
+use crate::unify::mgu;
+use qdb_logic::{Atom, LogicError, Result, Term, Valuation};
 
 /// A single equality constraint between two terms.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -6,8 +6,8 @@
 //! not vendored in this offline build, so this module provides
 //! [`StdRng::seed_from_u64`], [`StdRng::gen_range`] and a
 //! [`SliceRandom::shuffle`] extension with the same call syntax,
-//! implemented over splitmix64 (Vigna 2015), which passes BigCrush on its
-//! 64-bit output stream.
+//! implemented over splitmix64 (Vigna 2015, [`qdb_storage::splitmix64`]),
+//! which passes BigCrush on its 64-bit output stream.
 //!
 //! Sequences differ from `rand`'s `StdRng` for the same seed; every
 //! consumer in this workspace treats the seed as an opaque reproducibility
@@ -32,11 +32,9 @@ impl StdRng {
 
     /// Next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
+        let out = qdb_storage::splitmix64(self.state);
         self.state = self.state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
+        out
     }
 
     /// Uniform draw from a half-open range (same name as `rand::Rng`).

@@ -1,7 +1,7 @@
-//! Most general unifiers (Definition 3.2).
+//! Most general unifiers (Definition 3.2). Test support: the engine asks
+//! the conservative [`Atom::may_overlap`], the solver its `may_unify`.
 
-use crate::atom::Atom;
-use crate::substitution::Substitution;
+use qdb_logic::{Atom, Substitution, Term};
 
 /// Compute the most general unifier of two atoms, if any.
 ///
@@ -18,17 +18,17 @@ pub fn mgu(a: &Atom, b: &Atom) -> Option<Substitution> {
         let ra = subst.resolve(ta);
         let rb = subst.resolve(tb);
         match (&ra, &rb) {
-            (crate::Term::Var(v), _) => {
+            (Term::Var(v), _) => {
                 if !subst.bind(v, &rb) {
                     return None;
                 }
             }
-            (_, crate::Term::Var(v)) => {
+            (_, Term::Var(v)) => {
                 if !subst.bind(v, &ra) {
                     return None;
                 }
             }
-            (crate::Term::Const(x), crate::Term::Const(y)) => {
+            (Term::Const(x), Term::Const(y)) => {
                 if x != y {
                     return None;
                 }
@@ -46,7 +46,7 @@ pub fn unifiable(a: &Atom, b: &Atom) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::term::{Term, VarGen};
+    use qdb_logic::VarGen;
 
     /// Build `R(1, v1, v2)` and `R(v3, 2, v4)` — the worked example under
     /// Definition 3.3 in the paper.

@@ -1,13 +1,17 @@
 //! Property tests for the workload layer over randomized arrival orders,
 //! flight sizes and `k`: conservation laws of the quantum runner and its
 //! coordination statistics, and the paper's headline claim — the quantum
-//! database never coordinates worse than the intelligent-social baseline.
+//! database never coordinates worse than the intelligent-social baseline;
+//! and the mgu laws of Definition 3.2 (`qdb_workload::unify`), with the
+//! engine's conservative overlap test held to them.
 //!
 //! The `proptest` crate is not vendored in this offline workspace, so the
 //! cases are driven by the crate's own seeded generator (failures print
 //! the case seed).
 
+use qdb_logic::{Atom, Term, Var};
 use qdb_workload::rng::StdRng;
+use qdb_workload::unify::{mgu, unifiable};
 use qdb_workload::{run_is, run_quantum, ArrivalOrder, FlightsConfig, RunConfig};
 
 const CASES: u64 = 24;
@@ -95,4 +99,75 @@ fn quantum_dominates_is() {
             q.coordination_percent()
         );
     }
+}
+
+/// A term over a small pool: variables x0..x3, integers 0..3, 'a' / 'b'.
+fn random_term(rng: &mut StdRng) -> Term {
+    match rng.gen_range(0..3) {
+        0 => {
+            let id = rng.gen_range(0..4) as u32;
+            Term::Var(Var::new(id, format!("x{id}")))
+        }
+        1 => Term::val(rng.gen_range(0..4) as i64),
+        _ => Term::val(["a", "b"][rng.gen_range(0..2)]),
+    }
+}
+
+fn random_atom(rng: &mut StdRng, relation: &str, arity: usize) -> Atom {
+    Atom::new(relation, (0..arity).map(|_| random_term(rng)).collect())
+}
+
+/// mgu soundness (θ(a) = θ(b)), idempotence (θ(θ(a)) = θ(a)) and symmetry
+/// in existence, over atoms that share a relation and arity half the time.
+/// The engine's [`Atom::may_overlap`] is conservative: atoms that unify
+/// always overlap (what partitioning relies on), but it ignores repeated
+/// variables, so some pairs overlap without a unifier.
+#[test]
+fn mgu_is_a_symmetric_idempotent_unifier() {
+    const CASES: u64 = 2000;
+    let (mut unified, mut overlap_only) = (0, 0);
+    for case in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(0x3200_0000 ^ case);
+        let (ra, rb) = (
+            ["A", "B"][rng.gen_range(0..2)],
+            ["A", "B"][rng.gen_range(0..2)],
+        );
+        let arity = 1 + rng.gen_range(0..3);
+        let other = if rng.gen_range(0..4) == 0 {
+            1 + rng.gen_range(0..3)
+        } else {
+            arity
+        };
+        let a = random_atom(&mut rng, ra, arity);
+        let b = random_atom(&mut rng, rb, other);
+        let theta = mgu(&a, &b);
+        assert_eq!(
+            theta.is_some(),
+            mgu(&b, &a).is_some(),
+            "case {case}: mgu({a}, {b}) exists one way round only"
+        );
+        assert!(
+            !unifiable(&a, &b) || a.may_overlap(&b),
+            "case {case}: {a} and {b} unify but do not overlap"
+        );
+        if let Some(theta) = theta {
+            unified += 1;
+            let once = a.apply(&theta);
+            assert_eq!(once, b.apply(&theta), "case {case}: {theta} on {a} / {b}");
+            assert_eq!(once.apply(&theta), once, "case {case}: {theta} on {a}");
+        } else if a.may_overlap(&b) {
+            let vars = a.terms.iter().chain(&b.terms).filter(|t| t.is_var());
+            let distinct: std::collections::BTreeSet<&Term> = vars.clone().collect();
+            assert!(
+                vars.count() > distinct.len(),
+                "case {case}: {a} / {b} overlap without a unifier and no repeated variable"
+            );
+            overlap_only += 1;
+        }
+    }
+    assert!(unified > CASES / 10, "only {unified} cases unified");
+    assert!(
+        overlap_only > 0,
+        "no repeated-variable case overlapped without a unifier"
+    );
 }

@@ -2,26 +2,21 @@
 //!
 //! Indexes are durable through `CreateIndex` WAL records — both the
 //! explicitly created ones and those promoted by the access-pattern
-//! tracker (`QuantumDbConfig::auto_index_threshold`). After a crash and
+//! tracker (a column is promoted after 64 bound-column scans). After a crash and
 //! replay, every table's index set must match the pre-crash engine, and
 //! every index-backed `select` must return exactly what a fresh full scan
 //! returns — through admission (overlay deletes), grounding (base
 //! deletes + inserts) and blind writes.
 
 use quantum_db::core::{QuantumDb, QuantumDbConfig, SharedQuantumDb};
-use quantum_db::logic::parse_transaction;
+use quantum_db::logic::{parse_query, parse_transaction};
 use quantum_db::storage::wal::MemorySink;
 use quantum_db::storage::{tuple, Schema, Table, Tuple, Value, ValueType, Wal, WriteOp};
 
-fn config() -> QuantumDbConfig {
-    QuantumDbConfig {
-        auto_index_threshold: 4, // promote quickly in a small test
-        ..QuantumDbConfig::default()
-    }
-}
-
 fn build_engine() -> SharedQuantumDb {
-    let qdb = QuantumDb::new(config()).unwrap().into_shared();
+    let qdb = QuantumDb::new(QuantumDbConfig::default())
+        .unwrap()
+        .into_shared();
     qdb.create_table(Schema::new(
         "Available",
         vec![("flight", ValueType::Int), ("seat", ValueType::Str)],
@@ -78,8 +73,10 @@ fn book(name: &str, flight: i64) -> quantum_db::logic::ResourceTransaction {
 #[test]
 fn auto_promoted_indexes_survive_recovery_and_stay_consistent() {
     let qdb = build_engine();
-    // Bound-flight bookings vote the flight column of Available hot, past
-    // the threshold of 4.
+    // Bound-flight bookings vote the flight column of Available hot, and
+    // reads of an empty flight take it past the engine's threshold of 64
+    // bound-column scans: the flight column has no index, so each read
+    // scans. No pending booking is on flight 9, so they collapse nothing.
     let ids: Vec<u64> = (0..8)
         .map(|i| {
             qdb.submit(&book(&format!("u{i}"), 1 + (i % 4) as i64))
@@ -88,6 +85,10 @@ fn auto_promoted_indexes_survive_recovery_and_stay_consistent() {
                 .unwrap()
         })
         .collect();
+    let empty_flight = parse_query("Available(9, s)").unwrap();
+    for _ in 0..64 {
+        assert!(qdb.read(&empty_flight.atoms, None).unwrap().is_empty());
+    }
     // The engine samples its vote sweep on every 32nd statement (the
     // deleted single-threaded driver swept after every one), so the
     // promotion lands at most 31 statements after the threshold: pad the
@@ -120,7 +121,7 @@ fn auto_promoted_indexes_survive_recovery_and_stay_consistent() {
     // "Crash" and recover from the log image.
     let image = qdb.wal_image();
     let wal = Wal::with_sink(Box::new(MemorySink::from_bytes(image)));
-    let recovered = QuantumDb::recover(wal, config()).unwrap();
+    let recovered = QuantumDb::recover(wal, QuantumDbConfig::default()).unwrap();
 
     assert_eq!(recovered.pending_count(), qdb.pending_count());
     qdb.with_database(|live_db| {
@@ -170,7 +171,7 @@ fn torn_tail_cannot_leave_a_half_built_index() {
     let image = qdb.wal_image();
     for cut in (0..image.len()).step_by(7) {
         let wal = Wal::with_sink(Box::new(MemorySink::from_bytes(image[..cut].to_vec())));
-        let recovered = QuantumDb::recover(wal, config()).unwrap();
+        let recovered = QuantumDb::recover(wal, QuantumDbConfig::default()).unwrap();
         for table in recovered.database().tables() {
             assert_indexes_consistent(table);
         }
