@@ -6,6 +6,8 @@
 //! ```
 //!
 //! Several experiment names may be given; they run in the canonical order.
+//! An unknown argument or a `--scale` other than `full` or `smoke` prints
+//! the usage text and exits 2.
 //! `full` runs the paper's parameters (slow: Fig. 7 alone executes up to
 //! 15 000 transactions per k); `smoke` is a quick shape-check. Output is
 //! plain text: tables match the paper's tables, figures are printed as
@@ -40,40 +42,42 @@ impl Scale {
     }
 }
 
+const USAGE: &str =
+    "usage: reproduce [table1|fig5|fig6|fig7|table2|fig8|fig9|phase|all]... [--scale full|smoke] [--json]";
+
+/// Print `problem` and the usage text, and exit 2.
+fn refuse(problem: &str) -> ! {
+    eprintln!("reproduce: {problem}\n{USAGE}");
+    std::process::exit(2)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut which: Vec<String> = Vec::new();
-    let mut scale = Scale::Full;
-    let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = match args.get(i).map(String::as_str) {
-                    Some("smoke") => Scale::Smoke,
-                    _ => Scale::Full,
-                };
-            }
-            "--json" => json = true,
-            other => which.push(other.to_string()),
-        }
-        i += 1;
-    }
-    if which.is_empty() {
-        which.push("all".to_string());
-    }
     const KNOWN: [&str; 9] = [
         "all", "table1", "fig5", "fig6", "fig7", "table2", "fig8", "fig9", "phase",
     ];
-    for w in &which {
-        if !KNOWN.contains(&w.as_str()) {
-            eprintln!(
-                "unknown experiment '{w}'; expected one or more of: {}",
-                KNOWN.join("|")
-            );
-            std::process::exit(2);
+    let mut args = std::env::args().skip(1);
+    let mut which: Vec<String> = Vec::new();
+    let mut scale = None;
+    let mut json = false;
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--scale" if scale.is_some() => refuse("--scale given twice"),
+            "--scale" => {
+                scale = Some(match args.next().as_deref() {
+                    Some("full") => Scale::Full,
+                    Some("smoke") => Scale::Smoke,
+                    Some(other) => refuse(&format!("--scale takes full or smoke, not {other:?}")),
+                    None => refuse("--scale needs a value"),
+                });
+            }
+            "--json" => json = true,
+            w if KNOWN.contains(&w) => which.push(arg),
+            other => refuse(&format!("unknown argument {other:?}")),
         }
+    }
+    let scale = scale.unwrap_or(Scale::Full);
+    if which.is_empty() {
+        which.push("all".to_string());
     }
     let seed = 0xC1DE;
     let wants = |name: &str| which.iter().any(|w| w == "all") || which.iter().any(|w| w == name);

@@ -28,6 +28,8 @@ impl QuantumDb {
     /// WAL) and without partner grounding or k-enforcement (if those
     /// happened pre-crash they left their own records) — and the result
     /// is put back at rest. Recovery therefore appends nothing to the log.
+    /// The id counter resumes past the highest id the log ever issued,
+    /// grounded transactions included, so log order stays id order.
     ///
     /// The replay opens a fresh metrics epoch in which the still-pending
     /// transactions are exactly the commits counted so far, so
@@ -40,6 +42,8 @@ impl QuantumDb {
             qdb.wal.truncate_to(state.consumed_bytes)?;
         }
         qdb.db = state.db;
+        // Ids of transactions grounded before the crash are spent too.
+        qdb.next_txn_id = state.last_txn_id.map_or(0, |id| id + 1);
         let live = qdb.into_shared();
         for (id, payload) in state.pending {
             live.replay_pending_add(id, &payload, false)?;

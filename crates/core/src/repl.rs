@@ -18,7 +18,9 @@
 //!   **choice-preserving**: a `Ground` record applies the primary's logged
 //!   write ops verbatim, never re-solving — both nodes land in the same
 //!   world. It takes the same slot/base/WAL locks as any statement, so
-//!   PEEK/POSSIBLE readers run concurrently with the stream.
+//!   PEEK/POSSIBLE readers run concurrently with the stream. Each record
+//!   is logged again as the primary logged it, and the replica writes no
+//!   frame of its own, so its log is a byte prefix of the primary's.
 //! * [`ReplicaApplier`] — a replica engine plus stream cursor. The primary
 //!   slices its WAL at arbitrary byte offsets (it neither knows nor cares
 //!   about frame boundaries), so the applier feeds each segment to a
@@ -29,19 +31,16 @@
 //! * [`SharedQuantumDb::wal_stream_from`] — the primary-side read: one
 //!   bounded chunk of WAL bytes past an offset, read and copied by range.
 //!
-//! Promotion ([`ReplicaApplier::promote`]) reuses crash recovery: the
-//! replica's local WAL (written record-for-record during replay) is
-//! re-recovered exactly as if the process had crashed, which both proves
-//! the log is a valid engine history and resets solver/metrics state for
-//! a primary's write workload. A promoted node therefore runs exactly the
-//! engine a born primary runs.
+//! Promotion ([`ReplicaApplier::promote`]) stops the stream and keeps the
+//! engine: the replica's state after replay is the state a born primary
+//! holds after the same log, and its log is that log's bytes. The replica
+//! builds no second engine and reads no log to promote.
 
 use std::collections::BTreeMap;
 
-use qdb_storage::wal::{FrameReader, MemorySink};
-use qdb_storage::{LogRecord, Wal};
+use qdb_storage::wal::FrameReader;
+use qdb_storage::LogRecord;
 
-use crate::engine::QuantumDb;
 use crate::error::EngineError;
 use crate::shard::SharedQuantumDb;
 use crate::{ReplicaStatus, ReplicationReport, ReplicationRole, Result, TxnId};
@@ -115,24 +114,25 @@ impl ReplicaTracker {
 impl SharedQuantumDb {
     /// Replay one primary log record into this (replica) engine.
     ///
-    /// DDL and blind writes go through the normal statement paths (which
-    /// re-log them locally, keeping the replica's WAL a valid history for
-    /// promotion). `PendingAdd` re-admits the transaction under the
-    /// primary's id without partner grounding or k-enforcement; `Ground`
-    /// applies the primary's logged ops **verbatim** — re-solving locally
-    /// could pick a different world than the primary did, silently
+    /// DDL and blind writes go through the normal statement paths, which
+    /// log them again byte for byte; a write runs admission without the
+    /// auto-index sweep, so the replica's read traffic cannot log a
+    /// `CreateIndex` the primary never wrote (its votes promote an index
+    /// once it is a primary). `PendingAdd` re-admits the transaction under
+    /// the primary's id without partner grounding or k-enforcement;
+    /// `Ground` applies the primary's logged ops **verbatim** — re-solving
+    /// locally could pick a different world than the primary did, silently
     /// diverging the two nodes. (A legacy `PendingRemove` is a `Ground`
-    /// with no ops, and is re-logged as one.)
+    /// with no ops, and is re-logged as one: the one record whose bytes a
+    /// replica does not keep. No engine path writes it.)
     pub fn apply_replicated(&self, record: &LogRecord) -> Result<()> {
         match record {
             LogRecord::CreateTable(schema) => self.create_table(schema.clone()),
             LogRecord::CreateIndex { relation, column } => {
-                // Idempotent: the replica may have auto-promoted the same
-                // index from its own read traffic.
                 self.create_index(relation, *column as usize)
             }
             LogRecord::Write(op) => {
-                if !self.write(op.clone())? {
+                if !self.admit_write(op.clone())? {
                     return Err(EngineError::Invariant(format!(
                         "replicated write on '{}' was rejected locally — replica state \
                          diverged from the stream",
@@ -162,8 +162,6 @@ pub struct ReplicaApplier {
     /// trailing the last segment, its consumed count the primary WAL
     /// bytes fully applied.
     reader: FrameReader,
-    /// Highest transaction id applied (`PendingAdd` / `Ground`).
-    horizon: TxnId,
     /// Segments applied (non-empty `apply_segment` calls).
     segments: u64,
 }
@@ -175,7 +173,6 @@ impl ReplicaApplier {
         ReplicaApplier {
             db,
             reader: FrameReader::new(),
-            horizon: 0,
             segments: 0,
         }
     }
@@ -197,9 +194,10 @@ impl ReplicaApplier {
         self.reader.consumed() + self.reader.carried() as u64
     }
 
-    /// Replication horizon: highest transaction id applied.
+    /// Replication horizon: highest transaction id applied, which is the
+    /// engine's own last id (log order is id order).
     pub fn horizon(&self) -> TxnId {
-        self.horizon
+        self.db.last_txn_id()
     }
 
     /// Segments applied so far.
@@ -213,11 +211,11 @@ impl ReplicaApplier {
         ReplicationReport {
             role: ReplicationRole::Replica,
             wal_len: self.applied_offset(),
-            last_txn_id: self.horizon,
+            last_txn_id: self.horizon(),
             replicas: vec![ReplicaStatus {
                 id: "upstream".to_string(),
                 acked_offset: self.applied_offset(),
-                horizon: self.horizon,
+                horizon: self.horizon(),
                 lag_bytes: self.reader.carried() as u64,
                 segments: self.segments,
             }],
@@ -241,13 +239,10 @@ impl ReplicaApplier {
         if bytes.is_empty() {
             return Ok(0);
         }
-        let (db, horizon) = (&self.db, &mut self.horizon);
+        let db = &self.db;
         let mut applied = 0;
         let intact = self.reader.feed(bytes, |record, _| {
             db.apply_replicated(&record)?;
-            if let LogRecord::PendingAdd { id, .. } | LogRecord::Ground { id, .. } = record {
-                *horizon = (*horizon).max(id);
-            }
             applied += 1;
             Ok::<(), EngineError>(())
         })?;
@@ -261,15 +256,11 @@ impl ReplicaApplier {
         Ok(applied)
     }
 
-    /// Promote: recover a primary-ready engine from the replica's local
-    /// WAL, exactly as crash recovery would (the buffered partial frame is
-    /// discarded — it was never applied, hence never acknowledged by this
-    /// replica). Proves the replayed log is a valid engine history.
-    pub fn promote(self) -> Result<SharedQuantumDb> {
-        let config = self.db.config().clone();
-        let image = self.db.try_wal_image()?;
-        let wal = Wal::with_sink(Box::new(MemorySink::from_bytes(image)));
-        Ok(QuantumDb::recover(wal, config)?.into_shared())
+    /// Promote: stop following and keep the engine the stream fed. The
+    /// buffered partial frame is discarded — it was never applied, hence
+    /// never acknowledged by this replica.
+    pub fn promote(self) -> SharedQuantumDb {
+        self.db
     }
 }
 
@@ -277,6 +268,7 @@ impl ReplicaApplier {
 mod tests {
     use super::*;
     use crate::config::QuantumDbConfig;
+    use crate::engine::QuantumDb;
     use crate::worlds::world_fingerprint;
     use qdb_logic::parse_transaction;
     use qdb_storage::{tuple, Schema, ValueType};
@@ -369,18 +361,18 @@ mod tests {
         assert_eq!(r.horizon(), id);
         // The replica sees the *same* seat — it replayed the choice, it
         // did not re-make it.
-        let replica_db = r.promote().unwrap();
+        let replica_db = r.promote();
         let replayed = replica_db.query("Bookings('Mickey', 1, s)").unwrap();
         assert_eq!(chosen, replayed);
     }
 
     #[test]
-    fn promotion_recovers_a_writable_engine() {
+    fn promotion_keeps_a_writable_engine() {
         let p = primary();
         assert!(p.submit(&book("Mickey")).unwrap().is_committed());
         let mut r = replica();
         ship(&p, &mut r, 32);
-        let promoted = r.promote().unwrap();
+        let promoted = r.promote();
         assert_eq!(promoted.pending_count(), 1);
         // Promoted node continues the txn-id sequence and accepts writes.
         let outcome = promoted.submit(&book("Donald")).unwrap();
@@ -388,6 +380,33 @@ mod tests {
         assert!(promoted
             .write(qdb_storage::WriteOp::insert("Available", tuple![2, "9F"]))
             .unwrap());
+    }
+
+    #[test]
+    fn replica_log_stays_a_prefix_of_the_primarys_under_replica_reads() {
+        let p = primary();
+        let insert = |i: usize| {
+            let op = qdb_storage::WriteOp::insert("Available", tuple![2, format!("S{i}")]);
+            assert!(p.write(op).unwrap());
+        };
+        (0..40).for_each(insert);
+        let mut r = replica();
+        ship(&p, &mut r, 4096);
+        // Reads bound on the unindexed seat column vote for an index.
+        for _ in 0..200 {
+            r.db()
+                .execute("SELECT PEEK * FROM Available(@f, '1A')")
+                .unwrap();
+        }
+        (40..104).for_each(insert);
+        ship(&p, &mut r, 4096);
+        let (ours, theirs) = (r.db().wal_image(), p.wal_image());
+        assert!(
+            ours == theirs,
+            "replica log {} B, primary's {} B",
+            ours.len(),
+            theirs.len()
+        );
     }
 
     #[test]

@@ -1018,12 +1018,19 @@ impl SharedQuantumDb {
     /// when the write would leave some pending transaction without a
     /// consistent grounding.
     pub fn write(&self, op: WriteOp) -> Result<bool> {
+        let out = self.admit_write(op)?;
+        self.promote_hot_indexes();
+        Ok(out)
+    }
+
+    /// [`SharedQuantumDb::write`] without the auto-index sweep: a replica
+    /// applies the primary's writes this way, so it logs no index of its
+    /// own.
+    pub(crate) fn admit_write(&self, op: WriteOp) -> Result<bool> {
         let mut solver = self.solver();
         let out = self.do_write(op, &mut solver);
         self.absorb(&solver);
-        let out = out?;
-        self.promote_hot_indexes();
-        Ok(out)
+        out
     }
 
     fn do_write(&self, op: WriteOp, solver: &mut Solver) -> Result<bool> {
@@ -1215,15 +1222,9 @@ impl SharedQuantumDb {
     /// fail); serving paths go through
     /// [`SharedQuantumDb::wal_stream_from`], which reports it instead.
     pub fn wal_image(&self) -> Vec<u8> {
-        self.try_wal_image()
-            .expect("in-memory sinks cannot fail; file sinks report I/O errors on read")
-    }
-
-    /// [`SharedQuantumDb::wal_image`] reporting a sink read failure as a
-    /// typed error instead of panicking.
-    pub(crate) fn try_wal_image(&self) -> Result<Vec<u8>> {
         let _base = self.base_write();
-        Ok(self.wal().image()?)
+        let image = self.wal().image();
+        image.expect("in-memory sinks cannot fail; file sinks report I/O errors on read")
     }
 
     /// Primary-side replication stream read: up to `max` WAL bytes

@@ -159,6 +159,26 @@ fn recovering_a_recovered_image_is_a_fixpoint() {
     assert_eq!(twice.into_shared().wal_image(), image);
 }
 
+/// Ids of transactions grounded before the crash stay spent: recovery
+/// resumes the counter past every logged `PendingAdd`, pending or not.
+#[test]
+fn recovery_never_reissues_the_id_of_a_grounded_transaction() {
+    let qdb = travel_engine();
+    qdb.submit(&book_on("Mickey", 1)).unwrap();
+    let donald = qdb.submit(&book_on("Donald", 2)).unwrap().id().unwrap();
+    qdb.ground(donald).unwrap();
+    let recovered = recover(&qdb.wal_image()).into_shared();
+    assert_eq!(recovered.last_txn_id(), donald, "Mickey's id 0 is pending");
+    recovered.ground_all().unwrap();
+    let recovered = recover(&recovered.wal_image()).into_shared();
+    let next = recovered
+        .submit(&book_on("Pluto", 1))
+        .unwrap()
+        .id()
+        .unwrap();
+    assert_eq!(next, donald + 1, "ids continue past every logged one");
+}
+
 /// Canonical form of one answer (row order is not part of the contract).
 fn canon(mut rows: Vec<Valuation>) -> Vec<Valuation> {
     rows.sort();

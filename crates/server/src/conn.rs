@@ -4,7 +4,7 @@
 //! cache ([`StmtCache`]), its prepared/bound id maps, a queue of decoded
 //! frames, and a bounded outbox of encoded reply bytes. Every request of
 //! every node role goes through [`Conn::handle_request`], against the
-//! engine the node's role supplies. The reactor thread owns the socket's
+//! node's one engine. The reactor thread owns the socket's
 //! readiness and its read buffer; executors drain the frame queue.
 //!
 //! Two disciplines keep the PR 2 contracts intact under the event loop:
@@ -492,15 +492,14 @@ impl Conn {
         }
     }
 
-    /// The one dispatcher, for every node role: the role supplies the
-    /// engine and, while the node follows a primary, the rule that limits
-    /// what it serves.
+    /// The one dispatcher, for every node role: the node supplies its
+    /// engine and, while it follows a primary, the rule that limits what
+    /// it serves.
     fn handle_request(&self, request: Request) -> Reply {
         let (db, following) = match self.node.serving() {
             Ok(serving) => serving,
             Err(refusal) => return refusal,
         };
-        let db = &*db;
         if let Some(replica) = following {
             if !matches!(request, Request::Execute { .. }) {
                 return replica
@@ -553,12 +552,12 @@ impl Conn {
             Request::Replicate {
                 replica_id,
                 from_offset,
-            } => return self.node.poll(db, &replica_id, from_offset),
+            } => return self.node.poll(&replica_id, from_offset),
             Request::ReplAck {
                 replica_id,
                 applied_offset,
                 horizon,
-            } => return self.node.ack(db, &replica_id, applied_offset, horizon),
+            } => return self.node.ack(&replica_id, applied_offset, horizon),
         };
         drop(stmts);
         self.metrics.statement(stmt.class());
@@ -570,8 +569,8 @@ impl Conn {
             None => stmt,
         };
         let result = match stmt {
-            Statement::Promote => self.node.promote(db),
-            Statement::ShowReplication => Ok(self.node.replication(db)),
+            Statement::Promote => self.node.promote(),
+            Statement::ShowReplication => Ok(self.node.replication()),
             stmt => match lead {
                 Some(lead) => db.execute_led(stmt, lead),
                 None => db.execute_stmt(stmt),

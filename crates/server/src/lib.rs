@@ -48,10 +48,10 @@
 //! frame — a bad statement can never take the server down.
 //!
 //! Every request of every node role takes one path
-//! (`Conn::handle_request`) against one engine: a primary's own, or the
-//! engine a replica currently serves (see [`repl`]). A replica follows its
-//! primary under one read-only rule until it promotes; from then on it
-//! serves exactly what a born primary serves, replication frames included.
+//! (`Conn::handle_request`) against the node's one engine (see [`repl`]).
+//! A replica follows its primary under one read-only rule until it
+//! promotes; from then on the same engine serves exactly what a born
+//! primary serves, replication frames included.
 //!
 //! ```no_run
 //! use qdb_core::{QuantumDb, QuantumDbConfig};
@@ -84,7 +84,7 @@ pub use metrics::ServerMetrics;
 use qdb_core::ReplicaApplier;
 use reactor::{new_reactor, Notifier, ReactorConfig};
 pub use repl::ReplicaState;
-use repl::{run_puller, Node, PullerConfig, Role};
+use repl::{run_puller, Node, PullerConfig};
 
 pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -198,25 +198,17 @@ impl Server {
         let db = QuantumDb::new(cfg.engine.clone())
             .map_err(|e| io::Error::other(format!("engine construction: {e}")))?
             .into_shared();
-        let trace = cfg.trace_out.as_ref().map(|path| {
-            let file = std::fs::File::create(path);
-            file.map(Arc::new)
-                .map_err(|e| io::Error::other(format!("trace sink {path}: {e}")))
-        });
-        let trace = trace.transpose()?;
-        if let Some(file) = &trace {
-            db.obs().set_trace(Some(Box::new(Arc::clone(file))));
+        if let Some(path) = &cfg.trace_out {
+            let file = std::fs::File::create(path)
+                .map_err(|e| io::Error::other(format!("trace sink {path}: {e}")))?;
+            db.obs().set_trace(Some(Box::new(file)));
         }
-        let role = match &cfg.replicate_from {
-            Some(source) => Role::Replica(Arc::new(ReplicaState::new(
-                ReplicaApplier::new(db),
-                source.clone(),
-                cfg.replica_id.clone(),
-                trace,
-            ))),
-            None => Role::Primary(db),
-        };
-        Server::spawn_inner(cfg, role)
+        let replica = cfg.replicate_from.as_ref().map(|source| {
+            let applier = ReplicaApplier::new(db.clone());
+            let id = cfg.replica_id.clone();
+            Arc::new(ReplicaState::new(applier, source.clone(), id))
+        });
+        Server::spawn_inner(cfg, Node::new(db, replica))
     }
 
     /// Serve an existing shared engine (embedding: pre-install schemas and
@@ -233,10 +225,10 @@ impl Server {
             workers,
             ..ServerConfig::default()
         };
-        Server::spawn_inner(&cfg, Role::Primary(db))
+        Server::spawn_inner(&cfg, Node::new(db, None))
     }
 
-    fn spawn_inner(cfg: &ServerConfig, role: Role) -> io::Result<ServerHandle> {
+    fn spawn_inner(cfg: &ServerConfig, node: Node) -> io::Result<ServerHandle> {
         let workers = cfg.workers.max(1);
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
@@ -248,7 +240,7 @@ impl Server {
         let (notifier, wake_rx) = Notifier::new()?;
         let notifier = Arc::new(notifier);
         let registry: Arc<Mutex<Vec<Weak<Conn>>>> = Arc::new(Mutex::new(Vec::new()));
-        let node = Arc::new(Node::new(role));
+        let node = Arc::new(node);
 
         // A replica's puller thread feeds its engine from the primary.
         let puller = node.replica_state().map(|state| {
@@ -358,12 +350,13 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The engine that serves the node's connections now — embedders can
+    /// The engine that serves the node's connections — embedders can
     /// install schemas or inspect state directly while the server is
-    /// live. On a replica that is the engine the stream feeds, and after
-    /// promotion the recovered one.
+    /// live. A node has one engine for its whole life: on a replica it is
+    /// the engine the stream feeds, and it stays the same engine after
+    /// promotion.
     pub fn db(&self) -> SharedQuantumDb {
-        self.node.db()
+        self.node.db().clone()
     }
 
     /// Snapshot of the server-side traffic counters.
@@ -687,8 +680,8 @@ mod tests {
         assert_eq!(status.lag_bytes, 0);
         assert_eq!(status.horizon, 0, "one pending txn, id 0");
 
-        // Kill the primary and promote: the replica recovers a writable
-        // engine from its locally re-logged WAL, pending state intact.
+        // Kill the primary and promote: the replica's engine takes writes
+        // from now on, pending state intact.
         primary.shutdown();
         assert_eq!(exec(&mut r, "PROMOTE"), Reply::Engine(Response::Ack));
         assert_eq!(
@@ -743,11 +736,12 @@ mod tests {
         replica.shutdown();
     }
 
-    /// After `PROMOTE` the node runs the very engine a born primary
-    /// runs: a write and a concurrent `SHOW METRICS` from another
-    /// connection both succeed — they take the engine's own fine-grained
-    /// locks, not a per-node mutex — and every metrics snapshot satisfies
-    /// the accounting identity `committed − grounded == pending`.
+    /// After `PROMOTE` the node runs the engine it followed with, as a
+    /// born primary runs it: a write and a concurrent `SHOW METRICS` from
+    /// another connection both succeed — they take the engine's own
+    /// fine-grained locks, not a per-node mutex — and every metrics
+    /// snapshot, which continues the replica's counters, satisfies the
+    /// accounting identity `committed − grounded == pending`.
     #[test]
     fn promoted_replica_serves_writes_and_concurrent_metrics_consistently() {
         let primary = Server::spawn(&ServerConfig::default()).unwrap();
@@ -953,25 +947,28 @@ mod tests {
     }
 
     /// `ServerHandle::db` on a replica is the engine its connections are
-    /// served from: the stream's rows before promotion, the recovered
-    /// engine's after.
+    /// served from, and promotion keeps it: a handle taken while the node
+    /// followed sees the writes the promoted node takes.
     #[test]
-    fn replica_handle_db_is_the_serving_engine_before_and_after_promotion() {
+    fn replica_handle_db_is_one_engine_before_and_after_promotion() {
         let primary = seeded_primary();
         let replica = replica_of(&primary);
         let mut p = TcpStream::connect(primary.addr()).unwrap();
         await_caught_up(&mut p);
         drop(p);
-        let seats = |db: SharedQuantumDb| db.with_database(|d| d.table("Available").unwrap().len());
-        assert_eq!(seats(replica.db()), 3);
-        assert_eq!(replica.db().pending_ids(), vec![0]);
+        let seats =
+            |db: &SharedQuantumDb| db.with_database(|d| d.table("Available").unwrap().len());
+        let following = replica.db();
+        assert_eq!(seats(&following), 3);
+        assert_eq!(following.pending_ids(), vec![0]);
         let mut r = fail_over(primary, &replica);
         assert_eq!(
             exec(&mut r, "INSERT INTO Available VALUES (9, '9Z')"),
             Reply::Engine(Response::Written(true))
         );
-        assert_eq!(seats(replica.db()), 4);
-        assert_eq!(replica.db().pending_ids(), vec![0]);
+        assert_eq!(seats(&following), 4, "the write landed in the same engine");
+        assert_eq!(seats(&replica.db()), 4);
+        assert_eq!(following.pending_ids(), vec![0]);
         replica.shutdown();
     }
 

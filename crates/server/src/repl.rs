@@ -1,22 +1,22 @@
-//! Server-side replication: the node's role, the replica's state and the
-//! WAL puller.
+//! Server-side replication: the node's one engine, the replica's state
+//! and the WAL puller.
 //!
-//! Every node serves its connections through one request path against
-//! one engine, which the node's role (`Node`) supplies: a primary's
-//! fixed handle, or the engine a replica serves now. A replica server
-//! (`qdb-server --replicate-from ADDR`) hands its one engine to a
+//! A node serves its connections through one request path against one
+//! engine for its whole life (`Node`). A replica server (`qdb-server
+//! --replicate-from ADDR`) also hands that engine to a
 //! [`qdb_core::ReplicaApplier`]; the puller thread polls the primary with
 //! `REPLICATE` frames, applies each WAL segment through the applier's
 //! choice-preserving replay, and acknowledges its horizon with
 //! `REPL-ACK`. While the node follows, one rule (`ReplicaState::follow`)
 //! limits it to reads at the horizon and refuses the rest with the typed
 //! `READ_ONLY` code, so `qdb-client` can fail over to the primary.
-//! `PROMOTE` recovers a writable engine from the locally re-logged WAL —
-//! exactly the crash-recovery path — and the node then serves what a born
-//! primary serves, `REPLICATE` included, so a new replica can follow it.
-//! The state mutex only hands out the serving engine, so statements take
-//! the engine's own fine-grained locks and never serialize behind the
-//! puller's apply.
+//! `PROMOTE` stops the stream and the node keeps serving the same engine,
+//! now as a primary, `REPLICATE` included, so a new replica can follow
+//! it: the replica's log is a byte prefix of its primary's, so that is
+//! what the followers read. Promotion copies no log and builds no
+//! engine. The replica state only records whether the node follows, has
+//! promoted or has failed; statements take the engine's own fine-grained
+//! locks and never serialize behind the puller's apply.
 //!
 //! Promotion also happens automatically when the primary has been
 //! unreachable for longer than `--promote-after-ms`: the puller tracks
@@ -25,8 +25,6 @@
 //! discarded — they were never acknowledged, so no client was told they
 //! are durable.
 
-use std::borrow::Cow;
-use std::fs::File;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,65 +42,57 @@ use crate::lock;
 /// bound so a segment reply can never trip `MAX_FRAME`.
 pub(crate) const REPL_SEGMENT_MAX: usize = 1 << 20;
 
-/// What serves a node's connections, shared by all of them.
+/// What serves a node's connections, shared by all of them: its one
+/// engine, and the replica state when it was spawned as a replica.
 pub(crate) struct Node {
-    role: Role,
+    db: SharedQuantumDb,
+    replica: Option<Arc<ReplicaState>>,
     /// Progress of the replicas that follow this node: a primary's, or a
     /// promoted replica's.
     tracker: Mutex<ReplicaTracker>,
 }
 
-pub(crate) enum Role {
-    Primary(SharedQuantumDb),
-    Replica(Arc<ReplicaState>),
-}
-
 impl Node {
-    pub(crate) fn new(role: Role) -> Self {
+    pub(crate) fn new(db: SharedQuantumDb, replica: Option<Arc<ReplicaState>>) -> Self {
         let tracker = Mutex::default();
-        Node { role, tracker }
+        Node {
+            db,
+            replica,
+            tracker,
+        }
     }
 
     /// The replica state, when the node was spawned as a replica.
     pub(crate) fn replica_state(&self) -> Option<&Arc<ReplicaState>> {
-        match &self.role {
-            Role::Primary(_) => None,
-            Role::Replica(state) => Some(state),
-        }
+        self.replica.as_ref()
     }
 
     /// The engine one request runs on, and the replica whose rule limits
-    /// it while the node follows a primary. A primary borrows its fixed
-    /// handle (no lock); a replica takes its engine from the state mutex,
-    /// and a failed one refuses the request.
-    pub(crate) fn serving(
-        &self,
-    ) -> Result<(Cow<'_, SharedQuantumDb>, Option<&ReplicaState>), Reply> {
-        match &self.role {
-            Role::Primary(db) => Ok((Cow::Borrowed(db), None)),
-            Role::Replica(state) => match state.serving() {
-                (db, Ok(following)) => Ok((Cow::Owned(db), following.then_some(&**state))),
-                (_, Err(e)) => Err(Reply::Error {
-                    code: wire::code::INVARIANT,
-                    message: format!("replica is out of service: {e}"),
-                }),
-            },
+    /// it while the node follows a primary. A failed replica refuses the
+    /// request.
+    pub(crate) fn serving(&self) -> Result<(&SharedQuantumDb, Option<&ReplicaState>), Reply> {
+        let Some(state) = &self.replica else {
+            return Ok((&self.db, None));
+        };
+        match state.following() {
+            Ok(following) => Ok((&self.db, following.then_some(&**state))),
+            Err(e) => Err(Reply::Error {
+                code: wire::code::INVARIANT,
+                message: format!("replica is out of service: {e}"),
+            }),
         }
     }
 
-    /// The engine that serves the node's connections now.
-    pub(crate) fn db(&self) -> SharedQuantumDb {
-        match &self.role {
-            Role::Primary(db) => db.clone(),
-            Role::Replica(state) => state.serving().0,
-        }
+    /// The engine that serves the node's connections.
+    pub(crate) fn db(&self) -> &SharedQuantumDb {
+        &self.db
     }
 
     /// `PROMOTE`: a replica promotes; a primary's engine refuses it.
-    pub(crate) fn promote(&self, db: &SharedQuantumDb) -> qdb_core::Result<Response> {
-        match &self.role {
-            Role::Primary(_) => db.execute_stmt(Statement::Promote),
-            Role::Replica(state) => state
+    pub(crate) fn promote(&self) -> qdb_core::Result<Response> {
+        match &self.replica {
+            None => self.db.execute_stmt(Statement::Promote),
+            Some(state) => state
                 .promote()
                 .map(|()| Response::Ack)
                 .map_err(qdb_core::EngineError::Invariant),
@@ -110,20 +100,22 @@ impl Node {
     }
 
     /// `SHOW REPLICATION`: a following replica's cursor against its
-    /// upstream; otherwise the progress of the replicas following `db`.
-    pub(crate) fn replication(&self, db: &SharedQuantumDb) -> Response {
-        let upstream = self.replica_state().and_then(|s| s.upstream_report());
-        let report =
-            upstream.unwrap_or_else(|| lock(&self.tracker).report(db.wal_size(), db.last_txn_id()));
+    /// upstream; otherwise the progress of the replicas following this
+    /// node.
+    pub(crate) fn replication(&self) -> Response {
+        let upstream = self.replica.as_ref().and_then(|s| s.upstream_report());
+        let report = upstream.unwrap_or_else(|| {
+            lock(&self.tracker).report(self.db.wal_size(), self.db.last_txn_id())
+        });
         Response::Replication(Box::new(report))
     }
 
-    /// A follower's `REPLICATE` poll, answered from `db`'s log.
-    pub(crate) fn poll(&self, db: &SharedQuantumDb, replica_id: &str, from_offset: u64) -> Reply {
+    /// A follower's `REPLICATE` poll, answered from this node's log.
+    pub(crate) fn poll(&self, replica_id: &str, from_offset: u64) -> Reply {
         // A sink that cannot be read back fails this poll with a typed
         // error; it must not take the executor down.
         let (primary_wal_len, last_txn_id, bytes) =
-            match db.wal_stream_from(from_offset, REPL_SEGMENT_MAX) {
+            match self.db.wal_stream_from(from_offset, REPL_SEGMENT_MAX) {
                 Ok(segment) => segment,
                 Err(e) => return engine_error(e),
             };
@@ -137,50 +129,38 @@ impl Node {
     }
 
     /// A follower's `REPL-ACK`.
-    pub(crate) fn ack(&self, db: &SharedQuantumDb, id: &str, applied: u64, horizon: u64) -> Reply {
-        lock(&self.tracker).observe_ack(id, applied, horizon, db.wal_size());
+    pub(crate) fn ack(&self, id: &str, applied: u64, horizon: u64) -> Reply {
+        lock(&self.tracker).observe_ack(id, applied, horizon, self.db.wal_size());
         Reply::Engine(Response::Ack)
     }
 }
 
-/// The replica's mode behind one mutex: the puller applies segments under
-/// it, connections take an engine handle from it, and `PROMOTE` swaps the
-/// whole mode over.
-enum ReplicaEngine {
-    /// Applying the primary's stream; serves reads at its horizon.
-    Following(Box<ReplicaApplier>),
-    /// Promoted to primary: a fully writable engine recovered from the
-    /// locally re-logged WAL.
-    Promoted(SharedQuantumDb),
-    /// Replay or promotion failed; the stored message answers every
-    /// subsequent request. A diverged replica must not guess. The engine
-    /// is the last one the node served.
-    Failed(SharedQuantumDb, String),
-    /// Transient marker while promotion runs (the mutex is held).
-    Promoting,
+/// Where a replica stands in its stream, behind one mutex: the puller
+/// applies segments under it and `PROMOTE` ends it.
+enum Stream {
+    /// Applying the primary's stream; the node serves reads at its
+    /// horizon.
+    Following(ReplicaApplier),
+    /// Promoted to primary: the node serves what a born primary serves.
+    Promoted,
+    /// Replay failed; the stored message answers every subsequent
+    /// request. A diverged replica must not guess.
+    Failed(String),
 }
 
 /// Shared state of a replica server.
 pub struct ReplicaState {
-    engine: Mutex<ReplicaEngine>,
+    stream: Mutex<Stream>,
     source: String,
     replica_id: String,
-    /// The `--trace-out` sink, installed on the promoted engine too.
-    trace: Option<Arc<File>>,
 }
 
 impl ReplicaState {
-    pub(crate) fn new(
-        applier: ReplicaApplier,
-        source: String,
-        replica_id: String,
-        trace: Option<Arc<File>>,
-    ) -> Self {
+    pub(crate) fn new(applier: ReplicaApplier, source: String, replica_id: String) -> Self {
         ReplicaState {
-            engine: Mutex::new(ReplicaEngine::Following(Box::new(applier))),
+            stream: Mutex::new(Stream::Following(applier)),
             source,
             replica_id,
-            trace,
         }
     }
 
@@ -191,24 +171,22 @@ impl ReplicaState {
 
     /// `true` once the node has promoted (explicitly or automatically).
     pub fn is_promoted(&self) -> bool {
-        matches!(*lock(&self.engine), ReplicaEngine::Promoted(_))
+        matches!(*lock(&self.stream), Stream::Promoted)
     }
 
-    /// The engine serving now, and whether the node still follows — or,
-    /// once it failed, the last engine it served and the failure.
-    fn serving(&self) -> (SharedQuantumDb, Result<bool, String>) {
-        match &*lock(&self.engine) {
-            ReplicaEngine::Following(applier) => (applier.db().clone(), Ok(true)),
-            ReplicaEngine::Promoted(db) => (db.clone(), Ok(false)),
-            ReplicaEngine::Failed(db, e) => (db.clone(), Err(e.clone())),
-            ReplicaEngine::Promoting => unreachable!("promotion runs under the engine mutex"),
+    /// Whether the node still follows — or, once it failed, the failure.
+    fn following(&self) -> Result<bool, String> {
+        match &*lock(&self.stream) {
+            Stream::Following(_) => Ok(true),
+            Stream::Promoted => Ok(false),
+            Stream::Failed(e) => Err(e.clone()),
         }
     }
 
     /// The replica's own `SHOW REPLICATION` view while it follows.
     fn upstream_report(&self) -> Option<qdb_wire::ReplicationReport> {
-        match &*lock(&self.engine) {
-            ReplicaEngine::Following(applier) => Some(applier.report()),
+        match &*lock(&self.stream) {
+            Stream::Following(applier) => Some(applier.report()),
             _ => None,
         }
     }
@@ -216,8 +194,8 @@ impl ReplicaState {
     /// Next WAL byte to request from the primary; `None` once the node
     /// is no longer following the stream.
     fn poll_cursor(&self) -> Option<u64> {
-        match &*lock(&self.engine) {
-            ReplicaEngine::Following(a) => Some(a.fetch_offset()),
+        match &*lock(&self.stream) {
+            Stream::Following(a) => Some(a.fetch_offset()),
             _ => None,
         }
     }
@@ -227,54 +205,31 @@ impl ReplicaState {
     /// `Failed` — serving guesses after divergence would be worse than
     /// refusing.
     fn apply_segment(&self, start_offset: u64, bytes: &[u8]) -> Result<(u64, u64), String> {
-        let mut engine = lock(&self.engine);
-        match &mut *engine {
-            ReplicaEngine::Following(applier) => match applier.apply_segment(start_offset, bytes) {
+        let mut stream = lock(&self.stream);
+        match &mut *stream {
+            Stream::Following(applier) => match applier.apply_segment(start_offset, bytes) {
                 Ok(_) => Ok((applier.applied_offset(), applier.horizon())),
                 Err(e) => {
                     let msg = format!("replication apply failed: {e}");
-                    *engine = ReplicaEngine::Failed(applier.db().clone(), msg.clone());
+                    *stream = Stream::Failed(msg.clone());
                     Err(msg)
                 }
             },
-            ReplicaEngine::Promoted(_) => Err("node is promoted".into()),
-            ReplicaEngine::Failed(_, e) => Err(e.clone()),
-            ReplicaEngine::Promoting => Err("promotion in progress".into()),
+            Stream::Promoted => Err("node is promoted".into()),
+            Stream::Failed(e) => Err(e.clone()),
         }
     }
 
-    /// Promote to primary: recover a writable engine from the locally
-    /// re-logged WAL (the crash-recovery path). Idempotent once
-    /// promoted.
+    /// Promote to primary: stop following, and keep serving the engine
+    /// the stream fed. Idempotent once promoted; a failed replica stays
+    /// failed.
     pub fn promote(&self) -> Result<(), String> {
-        let mut engine = lock(&self.engine);
-        match std::mem::replace(&mut *engine, ReplicaEngine::Promoting) {
-            ReplicaEngine::Following(applier) => {
-                let following = applier.db().clone();
-                match applier.promote() {
-                    Ok(db) => {
-                        if let Some(file) = &self.trace {
-                            db.obs().set_trace(Some(Box::new(Arc::clone(file))));
-                        }
-                        *engine = ReplicaEngine::Promoted(db);
-                        Ok(())
-                    }
-                    Err(e) => {
-                        let msg = format!("promotion failed: {e}");
-                        *engine = ReplicaEngine::Failed(following, msg.clone());
-                        Err(msg)
-                    }
-                }
-            }
-            ReplicaEngine::Failed(db, e) => {
-                *engine = ReplicaEngine::Failed(db, e.clone());
-                Err(e)
-            }
-            promoted => {
-                *engine = promoted;
-                Ok(())
-            }
+        let mut stream = lock(&self.stream);
+        if let Stream::Failed(e) = &*stream {
+            return Err(e.clone());
         }
+        *stream = Stream::Promoted;
+        Ok(())
     }
 
     /// The serving rule of a following replica, in one place. It runs an

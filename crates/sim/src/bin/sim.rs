@@ -17,9 +17,16 @@
 //! violation exactly. `repl` sweeps replicated-topology seeds: primary +
 //! N WAL-shipping replicas, seeded kill at an arbitrary WAL byte cut,
 //! promotion, zero-acked-loss + horizon-explainable-read checking.
+//!
+//! An unknown flag, a missing or unparsable value, or a flag given twice
+//! prints the usage text and exits 2: a typo must not run some other
+//! sweep that can still pass every gate. The `--json` records echo the
+//! engine and seeds they ran.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Instant;
 
 use qdb_sim::{
@@ -27,86 +34,132 @@ use qdb_sim::{
     SimConfig,
 };
 
+const USAGE: &str = "usage:
+  sim run [--seeds N] [--seed-start S] [--clients N] [--ops N]
+          [--engine sharded|wire|all] [--crash on|off]
+          [--mutate NAME] [--shrink] [--artifact-dir DIR] [--json]
+  sim repl [--seeds N] [--seed-start S] [--replicas N] [--ops N] [--json]
+  sim replay --seed S [--artifact-dir DIR]
+  sim replay <path/to/failure-artifact.json>";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..]),
-        Some("repl") => cmd_repl(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: sim run [flags] | sim repl [flags] | sim replay --seed S | \
-                 sim replay <artifact>"
-            );
-            ExitCode::from(2)
+    let rest = args.get(1..).unwrap_or_default();
+    let outcome = match args.first().map(String::as_str) {
+        Some("run") => cmd_run(rest),
+        Some("repl") => cmd_repl(rest),
+        Some("replay") => cmd_replay(rest),
+        _ => Err("unknown command".to_string()),
+    };
+    outcome.unwrap_or_else(|e| {
+        eprintln!("sim: {e}\n{USAGE}");
+        ExitCode::from(2)
+    })
+}
+
+/// One subcommand's arguments, checked against the flags it takes.
+#[derive(Default)]
+struct Flags {
+    values: BTreeMap<String, String>,
+    switches: Vec<String>,
+    positional: Option<String>,
+}
+
+impl Flags {
+    /// `valued` flags take the next argument as their value, `switches`
+    /// take none; with `positional`, one bare argument is allowed too.
+    fn parse(
+        args: &[String],
+        valued: &[&str],
+        switches: &[&str],
+        positional: bool,
+    ) -> Result<Flags, String> {
+        let mut out = Flags::default();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let name = arg.as_str();
+            let repeated = if valued.contains(&name) {
+                let value = args.next().ok_or_else(|| format!("{name} needs a value"))?;
+                out.values.insert(arg.clone(), value.clone()).is_some()
+            } else if switches.contains(&name) {
+                let seen = out.switches.contains(arg);
+                out.switches.push(arg.clone());
+                seen
+            } else if positional && !name.starts_with('-') && out.positional.is_none() {
+                out.positional = Some(arg.clone());
+                false
+            } else {
+                return Err(format!("unknown argument {name:?}"));
+            };
+            if repeated {
+                return Err(format!("{name} given twice"));
+            }
+        }
+        Ok(out)
+    }
+
+    fn value(&self, name: &str) -> Option<&str> {
+        self.values.get(name).map(String::as_str)
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.switches.iter().any(|s| s == name)
+    }
+
+    /// The number `name` was given, or `default` when it was not.
+    fn num<T: FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        match self.value(name) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("{name} takes a number, not {v:?}")),
         }
     }
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn has(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
-fn cmd_run(args: &[String]) -> ExitCode {
-    let seeds: u64 = flag(args, "--seeds")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(50);
-    let start: u64 = flag(args, "--seed-start")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
-    let engines: Vec<EngineKind> = match flag(args, "--engine").as_deref() {
-        None => vec![EngineKind::Sharded],
-        Some("all") => vec![EngineKind::Sharded, EngineKind::Wire],
-        Some(s) => match EngineKind::parse(s) {
-            Ok(k) => vec![k],
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::from(2);
-            }
-        },
+fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
+    let valued = [
+        "--seeds",
+        "--seed-start",
+        "--clients",
+        "--ops",
+        "--engine",
+        "--crash",
+        "--mutate",
+        "--artifact-dir",
+    ];
+    let flags = Flags::parse(args, &valued, &["--shrink", "--json"], false)?;
+    let seeds: u64 = flags.num("--seeds", 50)?;
+    let start: u64 = flags.num("--seed-start", 1)?;
+    let engine = flags.value("--engine").unwrap_or("sharded");
+    let engines = match engine {
+        "all" => vec![EngineKind::Sharded, EngineKind::Wire],
+        s => vec![EngineKind::parse(s)?],
     };
     let mut cfg = SimConfig::smoke(engines[0]);
-    if let Some(n) = flag(args, "--clients").and_then(|s| s.parse().ok()) {
-        cfg.clients = n;
+    cfg.clients = flags.num("--clients", cfg.clients)?;
+    cfg.ops_per_client = flags.num("--ops", cfg.ops_per_client)?;
+    cfg.crash = match flags.value("--crash") {
+        None | Some("on") => true,
+        Some("off") => false,
+        Some(other) => return Err(format!("unknown --crash value {other:?} (on|off)")),
+    };
+    if let Some(name) = flags.value("--mutate") {
+        let Some(m) = Mutation::parse(name) else {
+            let known: Vec<&str> = Mutation::all().iter().map(|m| m.name()).collect();
+            return Err(format!("unknown mutation {name:?} ({})", known.join("|")));
+        };
+        cfg.mutation = Some(m);
     }
-    if let Some(n) = flag(args, "--ops").and_then(|s| s.parse().ok()) {
-        cfg.ops_per_client = n;
-    }
-    match flag(args, "--crash").as_deref() {
-        None | Some("on") => cfg.crash = true,
-        Some("off") => cfg.crash = false,
-        Some(other) => {
-            eprintln!("unknown --crash value {other:?} (on|off)");
-            return ExitCode::from(2);
-        }
-    }
-    if let Some(name) = flag(args, "--mutate") {
-        match Mutation::parse(&name) {
-            Some(m) => cfg.mutation = Some(m),
-            None => {
-                let known: Vec<&str> = Mutation::all().iter().map(|m| m.name()).collect();
-                eprintln!("unknown mutation {name:?} ({})", known.join("|"));
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let shrink = has(args, "--shrink");
-    let dir = flag(args, "--artifact-dir").unwrap_or_else(|| "target/sim".into());
-    let dir = PathBuf::from(dir);
+    let shrink = flags.has("--shrink");
+    let dir = PathBuf::from(flags.value("--artifact-dir").unwrap_or("target/sim"));
 
     let started = Instant::now();
     let outcome = run_sweep(&cfg, start, seeds, &engines, Some(&dir), shrink);
     let elapsed = started.elapsed().as_secs_f64();
 
-    if has(args, "--json") {
-        println!("{}", outcome.record(seeds, elapsed).render());
+    if flags.has("--json") {
+        println!("{}", outcome.record(engine, seeds, elapsed).render());
     } else {
         let ops_per_sec = outcome.ops_per_sec(elapsed);
         println!(
@@ -142,33 +195,27 @@ fn cmd_run(args: &[String]) -> ExitCode {
             println!("     zero violations");
         }
     }
-    if outcome.failures.is_empty() {
+    Ok(if outcome.failures.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
-fn cmd_repl(args: &[String]) -> ExitCode {
-    let seeds: u64 = flag(args, "--seeds")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20);
-    let start: u64 = flag(args, "--seed-start")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
+fn cmd_repl(args: &[String]) -> Result<ExitCode, String> {
+    let valued = ["--seeds", "--seed-start", "--replicas", "--ops"];
+    let flags = Flags::parse(args, &valued, &["--json"], false)?;
+    let seeds: u64 = flags.num("--seeds", 20)?;
+    let start: u64 = flags.num("--seed-start", 1)?;
     let mut cfg = ReplicaSimConfig::smoke();
-    if let Some(n) = flag(args, "--replicas").and_then(|s| s.parse().ok()) {
-        cfg.replicas = n;
-    }
-    if let Some(n) = flag(args, "--ops").and_then(|s| s.parse().ok()) {
-        cfg.ops = n;
-    }
+    cfg.replicas = flags.num("--replicas", cfg.replicas)?;
+    cfg.ops = flags.num("--ops", cfg.ops)?;
 
     let started = Instant::now();
     let out = run_replica_sweep(&cfg, start, seeds);
     let elapsed = started.elapsed().as_secs_f64();
 
-    if has(args, "--json") {
+    if flags.has("--json") {
         println!("{}", out.record(seeds, cfg.replicas).render());
     } else {
         println!(
@@ -192,38 +239,38 @@ fn cmd_repl(args: &[String]) -> ExitCode {
             println!("     zero violations");
         }
     }
-    if out.failures.is_empty() {
+    Ok(if out.failures.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
-fn cmd_replay(args: &[String]) -> ExitCode {
-    let path: PathBuf = if let Some(seed) = flag(args, "--seed") {
-        let dir = flag(args, "--artifact-dir").unwrap_or_else(|| "target/sim".into());
-        match find_artifact(Path::new(&dir), &seed) {
-            Some(p) => p,
-            None => {
-                eprintln!("no failure-{seed}-*.json under {dir}");
-                return ExitCode::FAILURE;
+fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
+    let flags = Flags::parse(args, &["--seed", "--artifact-dir"], &[], true)?;
+    let path: PathBuf = match (flags.value("--seed"), &flags.positional) {
+        (Some(seed), None) => {
+            let dir = flags.value("--artifact-dir").unwrap_or("target/sim");
+            match find_artifact(Path::new(dir), seed) {
+                Some(p) => p,
+                None => {
+                    eprintln!("no failure-{seed}-*.json under {dir}");
+                    return Ok(ExitCode::FAILURE);
+                }
             }
         }
-    } else if let Some(p) = args.iter().find(|a| !a.starts_with("--")) {
-        PathBuf::from(p)
-    } else {
-        eprintln!("usage: sim replay --seed S | sim replay <artifact>");
-        return ExitCode::from(2);
+        (None, Some(p)) if flags.value("--artifact-dir").is_none() => PathBuf::from(p),
+        _ => return Err("replay takes --seed S [--artifact-dir DIR] or one artifact".into()),
     };
     match artifact::replay_file(&path) {
         Ok(result) => {
             print_replay(&path, &result);
             // Reproducing the violation is the expected outcome.
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
             eprintln!("replay failed: {e}");
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }

@@ -1369,10 +1369,11 @@ impl Driver {
     /// model (replay of the uncorrupted prefix). The engine must match
     /// the faulted model exactly — recovery lands on the longest
     /// checksum-valid prefix of what the media holds, no garbage applied
-    /// (`recovery_pending_mismatch` / `recovery_state_mismatch`
-    /// otherwise) — and any client-visible divergence from the pristine
-    /// model is reported as `recovery_divergence`, which is precisely
-    /// what the WAL mutations must trigger.
+    /// (`recovery_pending_mismatch` / `recovery_state_mismatch` /
+    /// `recovery_txn_id_mismatch` otherwise) — and any client-visible
+    /// divergence from the pristine model is reported as
+    /// `recovery_divergence`, which is precisely what the WAL mutations
+    /// must trigger.
     fn crash(&mut self, plan: Option<(u64, Option<SinkFault>)>) -> Result<(), Violation> {
         // Close the epoch first so the cut never spans an unchecked epoch.
         self.ser_check()?;
@@ -1429,6 +1430,23 @@ impl Driver {
             return Err(self.viol(
                 "recovery_state_mismatch",
                 format!("recovered extensional state diverges from WAL prefix replay (cut {cut})"),
+            ));
+        }
+        // The id counter resumes past every id the log issued, grounded
+        // transactions included: a reissued id would name someone else's
+        // booking to a client still holding it.
+        let logged = records.iter().filter_map(|r| match r {
+            LogRecord::PendingAdd { id, .. } => Some(*id),
+            _ => None,
+        });
+        let want_last = logged.max().unwrap_or(0);
+        if engine.shared.last_txn_id() != want_last {
+            return Err(self.viol(
+                "recovery_txn_id_mismatch",
+                format!(
+                    "recovered last txn id {}, WAL prefix logged up to {want_last}",
+                    engine.shared.last_txn_id()
+                ),
             ));
         }
         // Durability: the recovered state must also match what the

@@ -80,8 +80,9 @@ impl SweepOutcome {
     }
 
     /// The sweep's JSON record, as `sim run --json` prints it for CI's jq
-    /// gates; `elapsed_s` is the sweep's wall time.
-    pub fn record(&self, seeds: u64, elapsed_s: f64) -> Json {
+    /// gates: it echoes the `engine` and `seeds` it was asked for, and
+    /// `elapsed_s` is the sweep's wall time.
+    pub fn record(&self, engine: &str, seeds: u64, elapsed_s: f64) -> Json {
         let failures = self.failures.iter().map(|(seed, engine, v, path)| {
             let artifact = path.as_ref().map(|p| p.display().to_string());
             Json::obj([
@@ -105,7 +106,10 @@ impl SweepOutcome {
             ("explain_checked", self.stats.explain_checked),
             ("invariant_checks", self.stats.invariant_checks),
         ];
-        let mut record = vec![("experiment".to_string(), Json::str("sim"))];
+        let mut record = vec![
+            ("experiment".to_string(), Json::str("sim")),
+            ("engine".to_string(), Json::str(engine)),
+        ];
         record.extend(counts.map(|(k, n)| (k.to_string(), Json::U64(n))));
         record.push(("failures".into(), Json::arr(failures)));
         Json::Obj(record)

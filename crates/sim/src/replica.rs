@@ -11,14 +11,19 @@
 //!
 //! Two properties are black-box checked:
 //!
-//! 1. **Zero acknowledged-durable-write loss.** The promoted replica's
-//!    state must be *byte-for-byte explainable* as crash recovery of the
-//!    exact durable WAL prefix it acknowledged: same world fingerprint,
-//!    same pending set, same txn horizon. Every write the primary
-//!    acknowledged at or below that horizon therefore survives promotion;
-//!    acknowledged writes beyond the horizon are counted and reported as
-//!    the (expected, bounded) asynchronous-replication window — never
-//!    silently dropped.
+//! 1. **Zero acknowledged-durable-write loss.** A replica promotes in
+//!    place: the engine the stream fed becomes the primary. Its state
+//!    must be *byte-for-byte explainable* as crash recovery of the exact
+//!    durable WAL prefix it acknowledged: same world fingerprint, same
+//!    pending set, same txn horizon — and so must recovery of its own
+//!    log, so a crash right after promotion loses nothing either
+//!    (`check_promoted`). Every write the primary acknowledged at or
+//!    below that horizon therefore survives promotion; acknowledged
+//!    writes beyond the horizon are counted and reported as the
+//!    (expected, bounded) asynchronous-replication window — never
+//!    silently dropped. At every acknowledgement the replica's log must
+//!    be a byte prefix of the primary's, since after promotion it is the
+//!    log a new replica follows.
 //! 2. **Horizon-explainable replica reads.** A sampled fraction of
 //!    replica PEEK answers are re-derived on a reference engine recovered
 //!    from the replica's acknowledged prefix. Equality proves the answer
@@ -160,6 +165,64 @@ fn check_against_reference(
     Ok(())
 }
 
+/// Property 1 for an engine promoted after applying `prefix`, the
+/// primary's log bytes it acknowledged: the engine, and crash recovery of
+/// its own log, each hold what crash recovery of `prefix` holds — the same
+/// world fingerprint, `SHOW PENDING` and last transaction id. `Err` names
+/// the first difference.
+fn check_promoted(
+    promoted: &SharedQuantumDb,
+    prefix: &[u8],
+    qcfg: &QuantumDbConfig,
+) -> Result<(), String> {
+    let reference = recover_prefix(prefix, qcfg.clone())
+        .map_err(|e| format!("reference recovery of the acknowledged prefix: {e}"))?;
+    let own = recover_prefix(&promoted.wal_image(), qcfg.clone())
+        .map_err(|e| format!("recovery of the promoted log: {e}"))?;
+    let want = reference.with_database(world_fingerprint);
+    for (what, db) in [
+        ("promoted state", promoted),
+        ("recovery of the promoted log", &own),
+    ] {
+        if db.with_database(world_fingerprint) != want {
+            return Err(format!(
+                "acked_write_loss: {what} diverged from recovery of the acknowledged prefix"
+            ));
+        }
+        check_against_reference(db, &reference, "SHOW PENDING", "pending_mismatch")
+            .map_err(|e| format!("{what}: {e}"))?;
+        if db.last_txn_id() != reference.last_txn_id() {
+            return Err(format!(
+                "{what}: txn horizon {} != recovered horizon {}",
+                db.last_txn_id(),
+                reference.last_txn_id()
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// A replica that acknowledged `applied` bytes must hold exactly those
+/// bytes of the primary's log as its own log.
+fn check_log_prefix(
+    primary: &SharedQuantumDb,
+    replica: &SharedQuantumDb,
+    applied: u64,
+) -> Result<(), String> {
+    let ours = replica.wal_image();
+    let (_, _, theirs) = primary
+        .wal_stream_from(0, applied as usize)
+        .map_err(|e| e.to_string())?;
+    if ours != theirs {
+        return Err(format!(
+            "replica_log_diverged: {} log bytes after acknowledging {applied}, \
+             not a prefix of the primary's",
+            ours.len()
+        ));
+    }
+    Ok(())
+}
+
 /// Execute one seeded replicated-topology run.
 pub fn run_replica_seed(seed: u64, cfg: &ReplicaSimConfig) -> ReplicaRunResult {
     let mut out = ReplicaRunResult {
@@ -243,6 +306,10 @@ pub fn run_replica_seed(seed: u64, cfg: &ReplicaSimConfig) -> ReplicaRunResult {
                 if let Err(e) = replicas[r].apply_segment(from, &bytes) {
                     return out.fail(format!("replica {r} apply at {from}: {e}"));
                 }
+                let applied = replicas[r].applied_offset();
+                if let Err(e) = check_log_prefix(&primary, replicas[r].db(), applied) {
+                    return out.fail(format!("replica {r}: {e}"));
+                }
             }
             let lag = wal_len.saturating_sub(replicas[r].applied_offset());
             out.max_lag_bytes = out.max_lag_bytes.max(lag);
@@ -311,37 +378,13 @@ pub fn run_replica_seed(seed: u64, cfg: &ReplicaSimConfig) -> ReplicaRunResult {
     out.surviving_acked = acked.iter().filter(|(off, _)| *off <= applied).count() as u64;
     out.lost_to_window = out.acked_writes - out.surviving_acked;
 
-    let promoted = match victim.promote() {
-        Ok(db) => db,
-        Err(e) => return out.fail(format!("promotion: {e}")),
-    };
-
-    // Property 1 — zero acknowledged-durable-write loss: the promoted
-    // state IS crash recovery of the acknowledged prefix, so every write
-    // acked at or below the horizon is present by construction.
-    let reference = match recover_prefix(&image[..applied as usize], qcfg(cfg, seed)) {
-        Ok(db) => db,
-        Err(e) => return out.fail(format!("post-kill reference recovery: {e}")),
-    };
-    let got = promoted.with_database(world_fingerprint);
-    let want = reference.with_database(world_fingerprint);
-    if got != want {
+    // Property 1 — zero acknowledged-durable-write loss, checked on the
+    // engine clients were served, which promotion keeps.
+    let promoted = victim.promote();
+    if let Err(e) = check_promoted(&promoted, &image[..applied as usize], &qcfg(cfg, seed)) {
         let at_risk = out.surviving_acked;
         return out.fail(format!(
-            "acked_write_loss: promoted state at offset {applied} diverged from recovery \
-             of the acknowledged prefix ({at_risk} acked writes at risk)"
-        ));
-    }
-    if let Err(e) =
-        check_against_reference(&promoted, &reference, "SHOW PENDING", "pending_mismatch")
-    {
-        return out.fail(format!("promoted pending set: {e}"));
-    }
-    if promoted.last_txn_id() != reference.last_txn_id() {
-        return out.fail(format!(
-            "promoted txn horizon {} != recovered horizon {}",
-            promoted.last_txn_id(),
-            reference.last_txn_id()
+            "promoted at offset {applied} ({at_risk} acked writes at risk): {e}"
         ));
     }
 
@@ -461,6 +504,50 @@ mod tests {
         assert_eq!(a.promoted_horizon, b.promoted_horizon);
         assert_eq!(a.surviving_acked, b.surviving_acked);
         assert_eq!(a.violation, b.violation);
+    }
+
+    /// A primary with the smoke flights, one booking and one blind write,
+    /// and a replica that applied all of its log.
+    fn followed_primary() -> (SharedQuantumDb, ReplicaApplier, QuantumDbConfig) {
+        let cfg = ReplicaSimConfig::smoke();
+        let qcfg = qcfg(&cfg, 3);
+        let primary = QuantumDb::new(qcfg.clone()).unwrap().into_shared();
+        flights::install(&primary, &cfg.flights).unwrap();
+        primary.execute(&booking_sql("u0", 1)).unwrap();
+        primary
+            .execute("INSERT INTO Bookings VALUES ('w1', 2, 'W1')")
+            .unwrap();
+        let mut replica = ReplicaApplier::new(QuantumDb::new(qcfg.clone()).unwrap().into_shared());
+        let (_, _, log) = primary.wal_stream_from(0, usize::MAX).unwrap();
+        replica.apply_segment(0, &log).unwrap();
+        (primary, replica, qcfg)
+    }
+
+    #[test]
+    fn the_promotion_check_passes_an_engine_that_applied_the_stream() {
+        let (primary, replica, qcfg) = followed_primary();
+        check_promoted(&replica.promote(), &primary.wal_image(), &qcfg).unwrap();
+    }
+
+    #[test]
+    fn the_promotion_check_fails_an_engine_with_a_write_the_stream_did_not_carry() {
+        let (primary, replica, qcfg) = followed_primary();
+        let promoted = replica.promote();
+        promoted
+            .execute("INSERT INTO Bookings VALUES ('x', 1, 'X')")
+            .unwrap();
+        let err = check_promoted(&promoted, &primary.wal_image(), &qcfg).unwrap_err();
+        assert!(err.contains("acked_write_loss"), "{err}");
+    }
+
+    #[test]
+    fn the_promotion_check_fails_an_engine_that_missed_a_write() {
+        let (primary, replica, qcfg) = followed_primary();
+        primary
+            .execute("INSERT INTO Bookings VALUES ('w2', 3, 'W2')")
+            .unwrap();
+        let err = check_promoted(&replica.promote(), &primary.wal_image(), &qcfg).unwrap_err();
+        assert!(err.contains("acked_write_loss"), "{err}");
     }
 
     #[test]

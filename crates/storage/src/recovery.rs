@@ -35,6 +35,9 @@ pub struct RecoveredState {
     /// Still-pending resource transactions in id (= arrival) order:
     /// `(id, serialized payload)`.
     pub pending: Vec<(u64, Vec<u8>)>,
+    /// The highest id any logged `PendingAdd` carries, grounded or not:
+    /// the transaction-id counter resumes past it.
+    pub last_txn_id: Option<u64>,
     /// Number of log records applied.
     pub records_applied: usize,
     /// Byte offset where replay stopped (end of intact log prefix).
@@ -58,6 +61,7 @@ pub fn recover(wal: &Wal) -> Result<RecoveredState> {
     // Surviving rows per table, indexed by `RelationId`.
     let mut rows: Vec<HashSet<Tuple>> = Vec::new();
     let mut pending: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+    let mut last_txn_id = None;
     let mut records_applied = 0;
     let mut reader = FrameReader::new();
     wal.read_from(0, &mut |chunk| {
@@ -72,6 +76,7 @@ pub fn recover(wal: &Wal) -> Result<RecoveredState> {
                 }
                 LogRecord::Write(op) => fold(&db, &mut rows, op)?,
                 LogRecord::PendingAdd { id, payload } => {
+                    last_txn_id = last_txn_id.max(Some(id));
                     pending.insert(id, payload);
                 }
                 LogRecord::PendingRemove { id } => {
@@ -98,6 +103,7 @@ pub fn recover(wal: &Wal) -> Result<RecoveredState> {
     Ok(RecoveredState {
         db,
         pending: pending.into_iter().collect(),
+        last_txn_id,
         records_applied,
         consumed_bytes: reader.consumed(),
     })
@@ -240,6 +246,7 @@ mod tests {
         let (records, consumed_bytes) = replay_bytes(image)?;
         let mut db = Database::new();
         let mut pending = BTreeMap::new();
+        let mut last_txn_id = None;
         for record in &records {
             match record {
                 LogRecord::CreateTable(schema) => db.create_table(schema.clone())?,
@@ -250,6 +257,7 @@ mod tests {
                     db.apply(op)?;
                 }
                 LogRecord::PendingAdd { id, payload } => {
+                    last_txn_id = last_txn_id.max(Some(*id));
                     pending.insert(*id, payload.clone());
                 }
                 LogRecord::PendingRemove { id } => {
@@ -265,6 +273,7 @@ mod tests {
         Ok(RecoveredState {
             db,
             pending: pending.into_iter().collect(),
+            last_txn_id,
             records_applied: records.len(),
             consumed_bytes,
         })
@@ -297,6 +306,7 @@ mod tests {
         assert_eq!(got.records_applied, want.records_applied, "{what}");
         assert_eq!(got.consumed_bytes, want.consumed_bytes, "{what}");
         assert_eq!(got.pending, want.pending, "{what}");
+        assert_eq!(got.last_txn_id, want.last_txn_id, "{what}");
         assert_eq!(tables(got), tables(want), "{what}");
     }
 
